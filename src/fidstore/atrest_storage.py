@@ -219,17 +219,7 @@ class AtRestLayer:
                 old_key, old_dirty = next(iter(lru.items()))
                 del lru[old_key]
                 if old_dirty:
-                    self._seal_out(*old_key)
-
-    def _seal_out(self, pid: int, block_index: int) -> None:
-        counter = self.freshness.next_counter(pid, block_index)
-        plaintext = self.store.read_block(pid, block_index)
-        sealed = self.sealer.seal(pid, block_index, counter, plaintext)
-        self.sealed.write(pid, block_index, sealed)
-        if self.journal is not None:
-            self.journal.log_seal(pid, block_index, counter)
-        if self.trace is not None:
-            self.trace.block_write(pid, block_index)
+                    self.seal_block(*old_key, self.store.read_block(*old_key))
 
     # -- public operations ----------------------------------------------
 
@@ -268,11 +258,7 @@ class AtRestLayer:
         n = 0
         for key, dirty in list(self._lru.items()):
             if dirty:
-                self._seal_out(*key)
+                self.seal_block(*key, self.store.read_block(*key))
                 self._lru[key] = False
                 n += 1
         return n
-
-    @property
-    def crypto_invocations(self) -> int:
-        return self.sealer.seals + self.sealer.opens

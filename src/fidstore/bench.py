@@ -19,15 +19,29 @@ import statistics
 import time
 from dataclasses import dataclass, field
 
+from .atrest_storage import SEALED_OVERHEAD
 from .fid_codec import FidConfig
-from .mapping_store import BLOCK_SIZE, MappingStore, PartitionKind, ValueLayout
-from .privacy_proxy import ClientEnvelope, EnvelopeCodec
+from .mapping_store import (
+    BLOCK_SIZE,
+    DEFAULT_MAX_VALUE_LEN,
+    MappingStore,
+    PartitionKind,
+    ValueLayout,
+    class_index,
+    size_classes,
+)
+from .privacy_proxy import ENVELOPE_OVERHEAD, ClientEnvelope, EnvelopeCodec
 from .workload import Distribution, Mode, WorkloadSpec
-from .zone_sim import CrashPoint, CrashPointId, CrashTarget, RunReport, ZoneTopology
+from .zone_sim import (
+    SENSITIVE_PAD_WIDTH,
+    CrashPoint,
+    CrashPointId,
+    CrashTarget,
+    RunReport,
+    ZoneTopology,
+)
 
 FID_METADATA_BYTES = 8
-AEAD_METADATA_BYTES = 28
-SEAL_OVERHEAD_BYTES = 36
 
 
 @dataclass
@@ -143,11 +157,11 @@ def bench_storage(fields_n: int, field_width: int = 4) -> StorageReport:
     if fields_n < 1:
         raise ValueError("fields_n must be >= 1")
     plaintext = fields_n * field_width
-    ciphertext = fields_n * (field_width + AEAD_METADATA_BYTES)
+    ciphertext = fields_n * (field_width + ENVELOPE_OVERHEAD)
     fid_dbms = fields_n * FID_METADATA_BYTES
     fid_store = fields_n * field_width
-    seal = ((fid_store + BLOCK_SIZE - 1) // BLOCK_SIZE) * SEAL_OVERHEAD_BYTES
-    reduction = 100.0 * (1 - FID_METADATA_BYTES / (field_width + AEAD_METADATA_BYTES))
+    seal = ((fid_store + BLOCK_SIZE - 1) // BLOCK_SIZE) * SEALED_OVERHEAD
+    reduction = 100.0 * (1 - FID_METADATA_BYTES / (field_width + ENVELOPE_OVERHEAD))
     return StorageReport(
         fields=fields_n,
         width=field_width,
@@ -158,17 +172,21 @@ def bench_storage(fields_n: int, field_width: int = 4) -> StorageReport:
         fid_seal_overhead=seal,
         fid_total=fid_dbms + fid_store + seal,
         metadata_fid_per_field=FID_METADATA_BYTES,
-        metadata_aead_per_field=AEAD_METADATA_BYTES,
+        metadata_aead_per_field=ENVELOPE_OVERHEAD,
         metadata_reduction_pct=reduction,
     )
 
 
 def estimate_data_blocks(spec: WorkloadSpec) -> int:
-    """Slab-byte estimate of the preloaded dataset, in 4 KiB blocks.
-    k lands in the 16-byte class, the padded c field in the 256-byte class."""
-    per_row = 16 + 256
-    total = spec.tables * spec.rows_per_table * per_row
-    return max(1, (total + BLOCK_SIZE - 1) // BLOCK_SIZE)
+    """4 KiB blocks backing the preloaded tables. Each table partition holds
+    one int64 k and one padded c per row; each lands in its own size-class
+    bucket, and each bucket fills whole blocks."""
+    classes = size_classes(DEFAULT_MAX_VALUE_LEN)
+    per_table = 0
+    for length in (8, SENSITIVE_PAD_WIDTH):
+        nbytes = spec.rows_per_table * classes[class_index(length, classes)]
+        per_table += (nbytes + BLOCK_SIZE - 1) // BLOCK_SIZE
+    return max(1, spec.tables * per_table)
 
 
 def cache_blocks_for_pct(spec: WorkloadSpec, cache_pct: float) -> int:

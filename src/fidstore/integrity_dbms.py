@@ -30,6 +30,7 @@ from .errors import (
     NotLive,
     RowNotVisible,
     SchemaMismatch,
+    TypeMismatch,
     Unavailable,
     WriteConflict,
 )
@@ -38,7 +39,6 @@ from .privacy_proxy import COMPARISONS, OperatorRequest, OpKind, ValueType
 from .wal import frame_record, read_frames
 
 CATALOG = "catalog.json"
-SENSITIVE_PAD = 128  # fixed padded length for variable-size sensitive fields
 
 DB_INSERT = 1
 DB_END = 2
@@ -110,16 +110,47 @@ class Table:
         self.next_vseq = 1
         self.abort_garbage: list = []
         self.col_index = {c.name: i for i, c in enumerate(schema)}
+        self.sensitive = [i for i, c in enumerate(schema) if c.ctype in SENSITIVE_TYPES]
 
 
 @dataclass
 class Predicate:
     """Filter `column <op> constant`; the constant is a ref for sensitive
-    columns (ingested by the caller) and a plain value otherwise."""
+    columns (ingested by the caller) and a plain value otherwise.
+
+    On a SENSITIVE_BYTES column holding padded values (zone_sim's
+    pad_sensitive), CMP_EQ is exact, but CMP_LT/CMP_GT compare the
+    little-endian length prefix first, so their order is not the order of
+    the unpadded plaintexts."""
 
     column: str
     op: OpKind
     constant: object
+
+
+def compare_pairs(run, query_id: int, op: OpKind, vtype: ValueType,
+                  pairs: list[tuple], batch_size: int) -> list[bool]:
+    """One comparison per (a, b) pair, batch_size operand fields per round
+    trip. run(query_id, op, vtype, operand_lists, per_msg) is the backend's
+    operator batch; it returns one result per operand list."""
+    return run(query_id, op, vtype, [[a, b] for a, b in pairs],
+               max(1, batch_size // 2))
+
+
+def reduce_refs(run, query_id: int, op: OpKind, vtype: ValueType,
+                refs: list, batch_size: int):
+    """Reduction tree with batch_size operand fields per round trip; each
+    level's partial results are the next level's operands."""
+    if op == OpKind.AVG_AGG:
+        # partial averages cannot be averaged again, and the integrity zone
+        # cannot mint the count constant a SUM/COUNT split would need
+        raise TypeMismatch("AVG_AGG does not reduce in a tree")
+    fan_in = max(2, batch_size)
+    level = refs
+    while len(level) > 1:
+        groups = [level[lo:lo + fan_in] for lo in range(0, len(level), fan_in)]
+        level = run(query_id, op, vtype, groups, max(1, batch_size // fan_in))
+    return level[0]
 
 
 class FidBackend:
@@ -140,25 +171,20 @@ class FidBackend:
         except NotLive:
             return False  # already reclaimed by an earlier, interrupted pass
 
+    def _run(self, query_id, op, vtype, operand_lists, per_msg) -> list:
+        reqs = [OperatorRequest(op, vtype, fids) for fids in operand_lists]
+        out = self.client.exec_batch(query_id, reqs, per_msg)
+        if op in COMPARISONS:
+            return [r.boolean for r in out]
+        return [r.fid for r in out]
+
     def compare_many(self, query_id: int, op: OpKind, vtype: ValueType,
                      pairs: list[tuple[int, int]], batch_size: int) -> list[bool]:
-        reqs = [OperatorRequest(op, vtype, [a, b]) for a, b in pairs]
-        per_msg = max(1, batch_size // 2)
-        out = self.client.exec_batch(query_id, reqs, per_msg)
-        return [r.boolean for r in out]
+        return compare_pairs(self._run, query_id, op, vtype, pairs, batch_size)
 
     def aggregate(self, query_id: int, op: OpKind, vtype: ValueType,
                   refs: list[int], batch_size: int) -> int:
-        """Reduction tree with batch_size operand fields per round trip."""
-        fan_in = max(2, batch_size)
-        level = refs
-        while len(level) > 1:
-            reqs = [OperatorRequest(op, vtype, level[lo:lo + fan_in])
-                    for lo in range(0, len(level), fan_in)]
-            per_msg = max(1, batch_size // fan_in)
-            responses = self.client.exec_batch(query_id, reqs, per_msg)
-            level = [r.fid for r in responses]
-        return level[0]
+        return reduce_refs(self._run, query_id, op, vtype, refs, batch_size)
 
     def ref_to_wire(self, ref: int) -> bytes:
         return fid_to_bytes(ref)
@@ -186,22 +212,18 @@ class CipherBackend:
     def release(self, ref: bytes) -> bool:
         return False
 
+    def _run(self, query_id, op, vtype, operand_lists, per_msg) -> list:
+        reqs = [(op, vtype, envs) for envs in operand_lists]
+        out = self.client.cipher_exec(query_id, reqs, per_msg)
+        if op in COMPARISONS:
+            return [flag for _, flag, _ in out]
+        return [env for env, _, _ in out]
+
     def compare_many(self, query_id, op, vtype, pairs, batch_size):
-        reqs = [(op, vtype, [a, b]) for a, b in pairs]
-        per_msg = max(1, batch_size // 2)
-        return [flag for _, flag, _ in
-                self.client.cipher_exec(query_id, reqs, per_msg)]
+        return compare_pairs(self._run, query_id, op, vtype, pairs, batch_size)
 
     def aggregate(self, query_id, op, vtype, refs, batch_size):
-        fan_in = max(2, batch_size)
-        level = refs
-        while len(level) > 1:
-            reqs = [(op, vtype, level[lo:lo + fan_in])
-                    for lo in range(0, len(level), fan_in)]
-            per_msg = max(1, batch_size // fan_in)
-            level = [env for env, _, _ in
-                     self.client.cipher_exec(query_id, reqs, per_msg)]
-        return level[0]
+        return reduce_refs(self._run, query_id, op, vtype, refs, batch_size)
 
     def ref_to_wire(self, ref: bytes) -> bytes:
         return ref
@@ -218,14 +240,13 @@ class Database:
     the cross-domain protocols under realistic transactional workloads."""
 
     def __init__(self, client, backend, dbwal: DurableBuffer,
-                 snapshots: SnapshotStore, *, pad_sensitive: bool = True,
-                 batch_size: int = 256, trace=None, crash_hook=None,
+                 snapshots: SnapshotStore, *, batch_size: int = 256,
+                 trace=None, crash_hook=None,
                  protocol_events: list | None = None):
         self.client = client
         self.backend = backend
         self.dbwal = dbwal
         self.snapshots = snapshots
-        self.pad_sensitive = pad_sensitive
         self.batch_size = batch_size
         self.trace = trace
         self.crash_hook = crash_hook
@@ -543,14 +564,7 @@ class Database:
         an in-flight insert's secrets look like orphans until its commit."""
         if self.active_txns:
             raise ValueError("orphan_gc requires no active transactions")
-        referenced = set()
-        for table in self.tables_by_idx:
-            for chain in table.rows.values():
-                for version in chain:
-                    for col, cell in zip(table.schema, version.cells):
-                        if col.ctype in SENSITIVE_TYPES:
-                            referenced.add(cell)
-            referenced.update(table.abort_garbage)
+        referenced = self.referenced_refs()
         reclaimed = 0
         for table in self.tables_by_idx:
             if self.backend.name != "fid":
@@ -564,6 +578,18 @@ class Database:
         if reclaimed:
             self.client.flush_log()
         return reclaimed
+
+    def referenced_refs(self) -> set:
+        """Every sensitive ref a row version or a table's abort garbage
+        still holds; store entries outside this set are orphans."""
+        referenced = set()
+        for table in self.tables_by_idx:
+            for chain in table.rows.values():
+                for version in chain:
+                    for i in table.sensitive:
+                        referenced.add(version.cells[i])
+            referenced.update(table.abort_garbage)
+        return referenced
 
     # ------------------------------------------------------------------
     # DbWal records

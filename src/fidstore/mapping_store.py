@@ -10,12 +10,14 @@ depends only on allocation order, never on value bytes.
 Temporary partitions are volatile scratch space dropped at end of query;
 permanent partitions journal every mutation for crash recovery and report
 block-level accesses to the page-cache layer.
+
+The store is single-threaded: no method takes a lock, so callers must not
+use one store from several threads at once.
 """
 
 from __future__ import annotations
 
 import struct
-import threading
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -110,18 +112,15 @@ class Partition:
         "alloc_counter",
         "free_list",
         "slots",
-        "entries",
         "buckets",
         "class_free",
         "class_live",
         "reused",
-        "lock",
         "tracked",
     )
 
     def __init__(self, pid: int, kind: PartitionKind, layout: ValueLayout,
-                 width: int | None, offset_bits: int, n_classes: int,
-                 thread_safe: bool):
+                 width: int | None, offset_bits: int, n_classes: int):
         self.pid = pid
         self.kind = kind
         self.layout = layout
@@ -130,15 +129,13 @@ class Partition:
         self.limit = 1 << offset_bits
         self.alloc_counter = 0
         self.free_list: list[int] = []
-        # FIXED: slots[off] = value bytes (None when not live)
-        self.slots: list[bytes | None] = []
-        # VARLEN: entries[off] = (class_idx, bucket_slot) or None
-        self.entries: list[tuple[int, int] | None] = []
+        # slots[off] is None when not live; otherwise FIXED: the value bytes,
+        # VARLEN: (class_idx, bucket_slot) into buckets
+        self.slots: list = []
         self.buckets: list[list[bytes | None]] = [[] for _ in range(n_classes)]
         self.class_free: list[list[int]] = [[] for _ in range(n_classes)]
         self.class_live: list[int] = [0] * n_classes
         self.reused = 0
-        self.lock = threading.Lock() if thread_safe else None
         self.tracked = kind == PartitionKind.PERMANENT
 
     @property
@@ -151,18 +148,16 @@ class MappingStore:
 
     def __init__(self, config: FidConfig | None = None, *,
                  max_value_len: int = DEFAULT_MAX_VALUE_LEN,
-                 journal=None, blocks=None, thread_safe: bool = False):
+                 journal=None, blocks=None):
         self.config = config or FidConfig()
         self.max_value_len = max_value_len
         self.classes = size_classes(max_value_len)
         self.journal = journal      # duck-typed: log_put/log_delete/log_create
         self.blocks = blocks        # duck-typed: on_read/on_write per block
-        self.thread_safe = thread_safe
         self._parts: dict[int, Partition] = {}
         self._offset_bits = self.config.offset_bits
         self._offset_mask = self.config.offset_mask
         self._next_probe = 0
-        self._registry_lock = threading.Lock()
         self.gets = 0
 
     # ------------------------------------------------------------------
@@ -173,14 +168,13 @@ class MappingStore:
         if layout == ValueLayout.FIXED:
             if not width or width < 1 or width > self.max_value_len:
                 raise WidthMismatch(f"bad fixed width {width}")
-        with self._registry_lock:
-            pid = self._lowest_free_id()
-            self._register(pid, kind, layout, width)
+        pid = self._next_free_id()
+        self._register(pid, kind, layout, width)
         if self.journal is not None and kind == PartitionKind.PERMANENT:
             self.journal.log_create(pid, int(kind), int(layout), width or 0)
         return pid
 
-    def _lowest_free_id(self) -> int:
+    def _next_free_id(self) -> int:
         limit = self.config.max_partitions
         if len(self._parts) >= limit:
             raise PartitionSpaceExhausted(f"all {limit} partition ids in use")
@@ -197,7 +191,7 @@ class MappingStore:
     def _register(self, pid: int, kind: PartitionKind, layout: ValueLayout,
                   width: int | None) -> Partition:
         p = Partition(pid, kind, layout, width, self._offset_bits,
-                      len(self.classes), self.thread_safe)
+                      len(self.classes))
         self._parts[pid] = p
         return p
 
@@ -232,60 +226,32 @@ class MappingStore:
             p = self._parts[partition_id]
         except KeyError:
             raise UnknownPartition(f"no partition {partition_id}") from None
-        lock = p.lock
-        if lock is not None:
-            lock.acquire()
-        try:
-            width = p.width
-            if width is not None:
-                if len(secret) != width:
-                    raise WidthMismatch(
-                        f"partition {partition_id} holds {width}-byte values, "
-                        f"got {len(secret)}"
-                    )
-                free = p.free_list
-                if free:
-                    off = free.pop()
-                    p.slots[off] = secret
-                    p.reused += 1
-                else:
-                    off = p.alloc_counter
-                    if off >= p.limit:
-                        raise PartitionFull(f"partition {partition_id} offsets exhausted")
-                    p.alloc_counter = off + 1
-                    p.slots.append(secret)
-            else:
-                ln = len(secret)
-                if ln < 1 or ln > self.max_value_len:
-                    raise ValueTooLarge(f"value of {ln} bytes (max {self.max_value_len})")
-                cls = class_index(ln, self.classes)
-                cfree = p.class_free[cls]
-                bucket = p.buckets[cls]
-                if cfree:
-                    slot = cfree.pop()
-                    bucket[slot] = secret
-                else:
-                    slot = len(bucket)
-                    bucket.append(secret)
-                p.class_live[cls] += 1
-                free = p.free_list
-                if free:
-                    off = free.pop()
-                    p.entries[off] = (cls, slot)
-                    p.reused += 1
-                else:
-                    off = p.alloc_counter
-                    if off >= p.limit:
-                        raise PartitionFull(f"partition {partition_id} offsets exhausted")
-                    p.alloc_counter = off + 1
-                    p.entries.append((cls, slot))
-            fid = p.fid_base | off
-            if p.tracked:
-                self._track_write(p, off, fid, secret)
-            return fid
-        finally:
-            if lock is not None:
-                lock.release()
+        width = p.width
+        if width is not None:
+            if len(secret) != width:
+                raise WidthMismatch(
+                    f"partition {partition_id} holds {width}-byte values, "
+                    f"got {len(secret)}"
+                )
+        elif not 0 < len(secret) <= self.max_value_len:
+            raise ValueTooLarge(
+                f"value of {len(secret)} bytes (max {self.max_value_len})")
+        free = p.free_list
+        if not free and p.alloc_counter >= p.limit:
+            raise PartitionFull(f"partition {partition_id} offsets exhausted")
+        cell = secret if width is not None else self._place(p, secret)
+        if free:
+            off = free.pop()
+            p.slots[off] = cell
+            p.reused += 1
+        else:
+            off = p.alloc_counter
+            p.alloc_counter = off + 1
+            p.slots.append(cell)
+        fid = p.fid_base | off
+        if p.tracked:
+            self._track_write(p, off, fid, secret)
+        return fid
 
     def get(self, fid: int) -> bytes | None:
         """Returns the secret bytes, or None when the FID has no live mapping."""
@@ -294,20 +260,15 @@ class MappingStore:
         if p is None:
             return None
         off = fid & self._offset_mask
-        if p.width is not None:
-            slots = p.slots
-            if off >= len(slots):
-                return None
-            value = slots[off]
-        else:
-            entries = p.entries
-            if off >= len(entries):
-                return None
-            entry = entries[off]
-            if entry is None:
-                return None
-            value = p.buckets[entry[0]][entry[1]]
-        if value is not None and p.tracked and self.blocks is not None:
+        slots = p.slots
+        if off >= len(slots):
+            return None
+        value = slots[off]
+        if value is None:
+            return None
+        if p.width is None:
+            value = p.buckets[value[0]][value[1]]
+        if p.tracked and self.blocks is not None:
             self.blocks.on_read(p.pid, self._block_of(p, off))
         return value
 
@@ -315,37 +276,43 @@ class MappingStore:
         p = self._parts.get(fid >> self._offset_bits)
         if p is None:
             raise NotLive(f"fid {fid:#x} has no partition")
-        lock = p.lock
-        if lock is not None:
-            lock.acquire()
-        try:
-            off = fid & self._offset_mask
-            block_index = None
-            if p.width is not None:
-                if off >= len(p.slots) or p.slots[off] is None:
-                    raise NotLive(f"fid {fid:#x} is not live")
-                if p.tracked and self.blocks is not None:
-                    block_index = self._block_of(p, off)
-                p.slots[off] = None
-            else:
-                if off >= len(p.entries) or p.entries[off] is None:
-                    raise NotLive(f"fid {fid:#x} is not live")
-                if p.tracked and self.blocks is not None:
-                    block_index = self._block_of(p, off)
-                cls, slot = p.entries[off]
-                p.buckets[cls][slot] = None
-                p.class_free[cls].append(slot)
-                p.class_live[cls] -= 1
-                p.entries[off] = None
-            p.free_list.append(off)
-            if p.tracked:
-                if self.journal is not None:
-                    self.journal.log_delete(fid)
-                if block_index is not None:
-                    self.blocks.on_write(p.pid, block_index)
-        finally:
-            if lock is not None:
-                lock.release()
+        off = fid & self._offset_mask
+        if off >= len(p.slots) or p.slots[off] is None:
+            raise NotLive(f"fid {fid:#x} is not live")
+        block_index = None
+        if p.tracked and self.blocks is not None:
+            block_index = self._block_of(p, off)
+        self._free(p, off)
+        p.free_list.append(off)
+        if p.tracked:
+            if self.journal is not None:
+                self.journal.log_delete(fid)
+            if block_index is not None:
+                self.blocks.on_write(p.pid, block_index)
+
+    def _place(self, p: Partition, value: bytes) -> tuple[int, int]:
+        """Store a varlen value in its size-class bucket, reusing a freed
+        bucket slot first; returns the (class, bucket slot) cell."""
+        cls = class_index(len(value), self.classes)
+        cfree = p.class_free[cls]
+        bucket = p.buckets[cls]
+        if cfree:
+            slot = cfree.pop()
+            bucket[slot] = value
+        else:
+            slot = len(bucket)
+            bucket.append(value)
+        p.class_live[cls] += 1
+        return cls, slot
+
+    def _free(self, p: Partition, off: int) -> None:
+        """Unmap a live offset, returning a varlen bucket slot to its class."""
+        if p.width is None:
+            cls, slot = p.slots[off]
+            p.buckets[cls][slot] = None
+            p.class_free[cls].append(slot)
+            p.class_live[cls] -= 1
+        p.slots[off] = None
 
     def _track_write(self, p: Partition, off: int, fid: int, secret: bytes) -> None:
         if self.journal is not None:
@@ -356,7 +323,7 @@ class MappingStore:
     def _block_of(self, p: Partition, off: int) -> int:
         if p.width is not None:
             return (off * p.width) // BLOCK_SIZE
-        cls, slot = p.entries[off]
+        cls, slot = p.slots[off]
         return (cls << VARLEN_CLASS_SHIFT) | ((slot * self.classes[cls]) // BLOCK_SIZE)
 
     # ------------------------------------------------------------------
@@ -382,25 +349,17 @@ class MappingStore:
         p = self.partition(partition_id)
         if p.kind != PartitionKind.TEMPORARY:
             raise WrongPartitionKind(f"partition {partition_id} is not temporary")
-        lock = p.lock
-        if lock is not None:
-            lock.acquire()
-        try:
-            discarded = p.live
-            p.alloc_counter = 0
-            p.free_list.clear()
-            p.slots.clear()
-            p.entries.clear()
-            for bucket in p.buckets:
-                bucket.clear()
-            for cfree in p.class_free:
-                cfree.clear()
-            p.class_live = [0] * len(self.classes)
-            p.reused = 0
-            return discarded
-        finally:
-            if lock is not None:
-                lock.release()
+        discarded = p.live
+        p.alloc_counter = 0
+        p.free_list.clear()
+        p.slots.clear()
+        for bucket in p.buckets:
+            bucket.clear()
+        for cfree in p.class_free:
+            cfree.clear()
+        p.class_live = [0] * len(self.classes)
+        p.reused = 0
+        return discarded
 
     # ------------------------------------------------------------------
     # inspection
@@ -410,16 +369,12 @@ class MappingStore:
         if p is None:
             return False
         off = fid & self._offset_mask
-        if p.width is not None:
-            return off < len(p.slots) and p.slots[off] is not None
-        return off < len(p.entries) and p.entries[off] is not None
+        return off < len(p.slots) and p.slots[off] is not None
 
     def live_fids(self, partition_id: int) -> list[int]:
         p = self.partition(partition_id)
         base = p.fid_base
-        if p.width is not None:
-            return [base | off for off, v in enumerate(p.slots) if v is not None]
-        return [base | off for off, e in enumerate(p.entries) if e is not None]
+        return [base | off for off, cell in enumerate(p.slots) if cell is not None]
 
     def stats(self) -> StoreStats:
         s = StoreStats(gets=self.gets)
@@ -503,26 +458,19 @@ class MappingStore:
                                  int(p.layout), width, p.alloc_counter)
         chunks = [header]
         states = bytearray((p.alloc_counter + 3) // 4)
-        if p.width is not None:
-            zeros = b"\x00" * p.width
-            for off in range(p.alloc_counter):
-                v = p.slots[off]
-                if v is None:
-                    chunks.append(zeros)
-                    _set_state(states, off, SLOT_DELETED)
-                else:
-                    chunks.append(v)
-                    _set_state(states, off, SLOT_LIVE)
-        else:
-            for off in range(p.alloc_counter):
-                e = p.entries[off]
-                if e is None:
-                    chunks.append(b"\x00\x00\x00\x00")
-                    _set_state(states, off, SLOT_DELETED)
-                else:
-                    v = p.buckets[e[0]][e[1]]
-                    chunks.append(struct.pack("<I", len(v)) + v)
-                    _set_state(states, off, SLOT_LIVE)
+        zeros = b"\x00" * (width or 4)  # a dead fixed slot, or a zero length prefix
+        for off in range(p.alloc_counter):
+            cell = p.slots[off]
+            if cell is None:
+                chunks.append(zeros)
+                _set_state(states, off, SLOT_DELETED)
+                continue
+            if width:
+                chunks.append(cell)
+            else:
+                v = p.buckets[cell[0]][cell[1]]
+                chunks.append(struct.pack("<I", len(v)) + v)
+            _set_state(states, off, SLOT_LIVE)
         return b"".join(chunks), bytes(states)
 
     def load_partition(self, pid: int, data: bytes, state: bytes) -> None:
@@ -538,28 +486,18 @@ class MappingStore:
         p = self._register(pid, PartitionKind(kind), ValueLayout(layout),
                            width or None)
         pos = SUPERBLOCK.size
-        if p.width is not None:
-            w = p.width
-            for off in range(alloc_counter):
-                if _get_state(state, off) == SLOT_LIVE:
-                    p.slots.append(bytes(data[pos:pos + w]))
-                else:
-                    p.slots.append(None)
-                pos += w
-        else:
-            for off in range(alloc_counter):
+        for off in range(alloc_counter):
+            ln = p.width
+            if ln is None:
                 (ln,) = struct.unpack_from("<I", data, pos)
                 pos += 4
-                if _get_state(state, off) == SLOT_LIVE:
-                    v = bytes(data[pos:pos + ln])
-                    cls = class_index(ln, self.classes)
-                    slot = len(p.buckets[cls])
-                    p.buckets[cls].append(v)
-                    p.class_live[cls] += 1
-                    p.entries.append((cls, slot))
-                else:
-                    p.entries.append(None)
-                pos += ln
+            cell = None
+            if _get_state(state, off) == SLOT_LIVE:
+                cell = bytes(data[pos:pos + ln])
+                if p.width is None:
+                    cell = self._place(p, cell)
+            p.slots.append(cell)
+            pos += ln
         p.alloc_counter = alloc_counter
         self.rebuild_free_lists(pid)
 
@@ -572,60 +510,30 @@ class MappingStore:
         self._register(pid, PartitionKind(kind), ValueLayout(layout), width or None)
 
     def apply_put(self, fid: int, value: bytes) -> None:
-        pid = fid >> self._offset_bits
         off = fid & self._offset_mask
-        p = self.partition(pid)
-        if p.width is not None:
-            while len(p.slots) <= off:
-                p.slots.append(None)
-            p.slots[off] = value
-        else:
-            while len(p.entries) <= off:
-                p.entries.append(None)
-            old = p.entries[off]
-            if old is not None:
-                p.buckets[old[0]][old[1]] = None
-                p.class_free[old[0]].append(old[1])
-                p.class_live[old[0]] -= 1
-            cls = class_index(len(value), self.classes)
-            cfree = p.class_free[cls]
-            if cfree:
-                slot = cfree.pop()
-                p.buckets[cls][slot] = value
-            else:
-                slot = len(p.buckets[cls])
-                p.buckets[cls].append(value)
-            p.class_live[cls] += 1
-            p.entries[off] = (cls, slot)
+        p = self.partition(fid >> self._offset_bits)
+        slots = p.slots
+        if len(slots) <= off:
+            slots.extend([None] * (off + 1 - len(slots)))
+        elif slots[off] is not None:
+            self._free(p, off)
+        slots[off] = value if p.width is not None else self._place(p, value)
         if off >= p.alloc_counter:
             p.alloc_counter = off + 1
 
     def apply_delete(self, fid: int) -> None:
-        pid = fid >> self._offset_bits
         off = fid & self._offset_mask
-        p = self.partition(pid)
-        if p.width is not None:
-            if off < len(p.slots):
-                p.slots[off] = None
-        else:
-            if off < len(p.entries) and p.entries[off] is not None:
-                cls, slot = p.entries[off]
-                p.buckets[cls][slot] = None
-                p.class_free[cls].append(slot)
-                p.class_live[cls] -= 1
-                p.entries[off] = None
+        p = self.partition(fid >> self._offset_bits)
+        if off < len(p.slots) and p.slots[off] is not None:
+            self._free(p, off)
 
     def rebuild_free_lists(self, pid: int | None = None) -> None:
         """Recompute free lists from slot liveness after load/replay."""
         pids = [pid] if pid is not None else list(self._parts)
         for i in pids:
             p = self._parts[i]
-            if p.width is not None:
-                p.free_list = [off for off in range(p.alloc_counter)
-                               if p.slots[off] is None]
-            else:
-                p.free_list = [off for off in range(p.alloc_counter)
-                               if p.entries[off] is None]
+            p.free_list = [off for off in range(p.alloc_counter)
+                           if p.slots[off] is None]
 
 
 def _set_state(buf: bytearray, slot: int, value: int) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import struct
 
-from .errors import FidStoreError, error_for_code
+from .errors import FidStoreError, UnknownPartition, error_for_code
 from .privacy_proxy import (
     COMPARISONS,
     EnvelopeCodec,
@@ -66,24 +66,43 @@ def _read_blob(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[pos:pos + n], pos + n
 
 
-def encode_operator_request(req: OperatorRequest) -> bytes:
-    out = [_OP_HEAD.pack(int(req.op), int(req.value_type), len(req.operand_fids))]
-    out.extend(_U64.pack(f) for f in req.operand_fids)
-    return b"".join(out)
+def _read_u64(data: bytes, pos: int) -> tuple[int, int]:
+    return _U64.unpack_from(data, pos)[0], pos + 8
 
 
-def decode_operator_request(data: bytes, pos: int) -> tuple[OperatorRequest, int]:
-    op, vtype, n = _OP_HEAD.unpack_from(data, pos)
-    pos += _OP_HEAD.size
-    fids = [_U64.unpack_from(data, pos + 8 * i)[0] for i in range(n)]
-    return OperatorRequest(OpKind(op), ValueType(vtype), fids), pos + 8 * n
+def _read_ops(payload: bytes, read_operand) -> list[tuple[int, int, list]]:
+    """Decode an operator batch {u16 n, n x (u8 op, u8 type, u16 argc,
+    operands)} into raw (op, type, operands) triples."""
+    (n,) = struct.unpack_from("<H", payload, 0)
+    pos = 2
+    ops = []
+    for _ in range(n):
+        op, vtype, argc = _OP_HEAD.unpack_from(payload, pos)
+        pos += _OP_HEAD.size
+        operands = []
+        for _ in range(argc):
+            operand, pos = read_operand(payload, pos)
+            operands.append(operand)
+        ops.append((op, vtype, operands))
+    return ops
+
+
+def _encode_element(error: int = 0, flag: bool | None = None,
+                    value: bytes = b"") -> bytes:
+    """One operator-batch response element: an error status byte alone, or
+    status 0 then result kind 1 and a boolean byte, or kind 0 and a value."""
+    if error:
+        return _U8.pack(error)
+    if flag is not None:
+        return b"\x00\x01" + _U8.pack(1 if flag else 0)
+    return b"\x00\x00" + value
 
 
 class ProxyClient:
     """Integrity-side stub: serializes calls, records the adversary view.
 
-    Each method is one round trip except exec_batch, which splits its
-    requests into ceil(n / batch_size) messages.
+    Each method is one round trip except exec_batch and cipher_exec, which
+    split their requests into ceil(n / batch_size) messages.
     """
 
     def __init__(self, channel, trace=None):
@@ -104,6 +123,51 @@ class ProxyClient:
         if self.trace is not None:
             self.trace.fid(fid)
 
+    def _write_fid(self, fid: int) -> bytes:
+        self._observe_fid(fid)
+        return _U64.pack(fid)
+
+    def _read_fid(self, body: bytes, pos: int) -> tuple[int, int]:
+        fid, pos = _read_u64(body, pos)
+        self._observe_fid(fid)
+        return fid, pos
+
+    def _batch(self, kind: int, query_id: int, reqs: list, batch_size: int,
+               write_operand, read_result) -> list[tuple]:
+        """The operator-batch codec shared by the FID and envelope paths:
+        (op, type, operands) requests go out in ceil(n / batch_size)
+        messages; returns (result, boolean, error_code) per request."""
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        out = []
+        for lo in range(0, len(reqs), batch_size):
+            chunk = reqs[lo:lo + batch_size]
+            payload = [struct.pack("<H", len(chunk))]
+            for op, vtype, operands in chunk:
+                payload.append(_OP_HEAD.pack(int(op), int(vtype), len(operands)))
+                payload.extend(write_operand(x) for x in operands)
+            body = self._call(kind, query_id, b"".join(payload))
+            (n,) = struct.unpack_from("<H", body, 0)
+            pos = 2
+            for _ in range(n):
+                status = body[pos]
+                pos += 1
+                if status != 0:
+                    out.append((None, None, status))
+                    continue
+                result_kind = body[pos]
+                pos += 1
+                if result_kind == 0:
+                    result, pos = read_result(body, pos)
+                    out.append((result, None, 0))
+                else:
+                    flag = bool(body[pos])
+                    pos += 1
+                    if self.trace is not None:
+                        self.trace.cmp_bool(flag)
+                    out.append((None, flag, 0))
+        return out
+
     # -- client data path -------------------------------------------------
 
     def ingest(self, query_id: int, envelope: bytes,
@@ -121,39 +185,10 @@ class ProxyClient:
 
     def exec_batch(self, query_id: int, reqs: list[OperatorRequest],
                    batch_size: int) -> list[OperatorResponse]:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        out: list[OperatorResponse] = []
-        for lo in range(0, len(reqs), batch_size):
-            chunk = reqs[lo:lo + batch_size]
-            payload = [struct.pack("<H", len(chunk))]
-            for r in chunk:
-                for f in r.operand_fids:
-                    self._observe_fid(f)
-                payload.append(encode_operator_request(r))
-            body = self._call(MSG_EXEC_BATCH, query_id, b"".join(payload))
-            (n,) = struct.unpack_from("<H", body, 0)
-            pos = 2
-            for _ in range(n):
-                status = body[pos]
-                pos += 1
-                if status != 0:
-                    out.append(OperatorResponse(error_code=status))
-                    continue
-                result_kind = body[pos]
-                pos += 1
-                if result_kind == 0:
-                    (fid,) = _U64.unpack_from(body, pos)
-                    pos += 8
-                    self._observe_fid(fid)
-                    out.append(OperatorResponse(fid=fid))
-                else:
-                    flag = bool(body[pos])
-                    pos += 1
-                    if self.trace is not None:
-                        self.trace.cmp_bool(flag)
-                    out.append(OperatorResponse(boolean=flag))
-        return out
+        triples = [(r.op, r.value_type, r.operand_fids) for r in reqs]
+        out = self._batch(MSG_EXEC_BATCH, query_id, triples, batch_size,
+                          self._write_fid, self._read_fid)
+        return [OperatorResponse(fid, flag, code) for fid, flag, code in out]
 
     def exec_operator(self, query_id: int, req: OperatorRequest) -> OperatorResponse:
         resp = self.exec_batch(query_id, [req], 1)[0]
@@ -216,34 +251,8 @@ class ProxyClient:
                     batch_size: int) -> list[tuple[bytes | None, bool | None, int]]:
         """Operator batch over envelope operands; returns
         (result_envelope, boolean, error_code) per element."""
-        out = []
-        for lo in range(0, len(reqs), batch_size):
-            chunk = reqs[lo:lo + batch_size]
-            payload = [struct.pack("<H", len(chunk))]
-            for op, vtype, envs in chunk:
-                payload.append(_OP_HEAD.pack(int(op), int(vtype), len(envs)))
-                payload.extend(_blob(e) for e in envs)
-            body = self._call(MSG_CIPHER_EXEC, query_id, b"".join(payload))
-            (n,) = struct.unpack_from("<H", body, 0)
-            pos = 2
-            for _ in range(n):
-                status = body[pos]
-                pos += 1
-                if status != 0:
-                    out.append((None, None, status))
-                    continue
-                result_kind = body[pos]
-                pos += 1
-                if result_kind == 0:
-                    env, pos = _read_blob(body, pos)
-                    out.append((env, None, 0))
-                else:
-                    flag = bool(body[pos])
-                    pos += 1
-                    if self.trace is not None:
-                        self.trace.cmp_bool(flag)
-                    out.append((None, flag, 0))
-        return out
+        return self._batch(MSG_CIPHER_EXEC, query_id, reqs, batch_size,
+                           _blob, _read_blob)
 
 
 class PrivacyDispatcher:
@@ -278,15 +287,12 @@ class PrivacyDispatcher:
             (fid,) = _U64.unpack(payload)
             return _blob(proxy.reveal(fid).to_bytes())
         if kind == MSG_EXEC_BATCH:
-            (n,) = struct.unpack_from("<H", payload, 0)
-            pos = 2
-            reqs = []
-            for _ in range(n):
-                req, pos = decode_operator_request(payload, pos)
-                reqs.append(req)
-            out = [struct.pack("<H", n)]
+            reqs = [OperatorRequest(OpKind(op), ValueType(vtype), fids)
+                    for op, vtype, fids in _read_ops(payload, _read_u64)]
+            out = [struct.pack("<H", len(reqs))]
             for resp in proxy.exec_batch(reqs, query_id):
-                out.append(_encode_operator_response(resp))
+                fid = b"" if resp.fid is None else _U64.pack(resp.fid)
+                out.append(_encode_element(resp.error_code, resp.boolean, fid))
             return b"".join(out)
         if kind == MSG_END_QUERY:
             proxy.end_query(query_id)
@@ -311,7 +317,6 @@ class PrivacyDispatcher:
             if self.atrest is not None:
                 self.atrest.prefetch_partition(pid)
             elif not store.has_partition(pid):
-                from .errors import UnknownPartition
                 raise UnknownPartition(f"no partition {pid}")
             return b""
         if kind == MSG_IS_LIVE:
@@ -334,35 +339,20 @@ class PrivacyDispatcher:
         raise FidStoreError(f"unknown message kind {kind}")
 
     def _cipher_exec(self, payload: bytes) -> bytes:
-        (n,) = struct.unpack_from("<H", payload, 0)
-        pos = 2
-        out = [struct.pack("<H", n)]
-        for _ in range(n):
-            op, vtype, argc = _OP_HEAD.unpack_from(payload, pos)
-            pos += _OP_HEAD.size
-            envs = []
-            for _ in range(argc):
-                env, pos = _read_blob(payload, pos)
-                envs.append(env)
+        ops = _read_ops(payload, _read_blob)
+        out = [struct.pack("<H", len(ops))]
+        for op, vtype, envs in ops:
             try:
                 values = [self.zone_codec.decrypt(ClientEnvelope.from_bytes(e))
                           for e in envs]
                 op = OpKind(op)
                 if op in COMPARISONS:
-                    flag = compare_values(op, ValueType(vtype), values)
-                    out.append(b"\x00\x01" + _U8.pack(1 if flag else 0))
+                    out.append(_encode_element(
+                        flag=compare_values(op, ValueType(vtype), values)))
                 else:
                     result = compute_value(op, ValueType(vtype), values)
                     sealed = self.zone_codec.encrypt(result).to_bytes()
-                    out.append(b"\x00\x00" + _blob(sealed))
+                    out.append(_encode_element(value=_blob(sealed)))
             except FidStoreError as exc:
-                out.append(_U8.pack(exc.code or 255))
+                out.append(_encode_element(exc.code or 255))
         return b"".join(out)
-
-
-def _encode_operator_response(resp: OperatorResponse) -> bytes:
-    if resp.error_code:
-        return _U8.pack(resp.error_code)
-    if resp.boolean is not None:
-        return b"\x00\x01" + _U8.pack(1 if resp.boolean else 0)
-    return b"\x00\x00" + _U64.pack(resp.fid)

@@ -55,7 +55,6 @@ class OpKind(IntEnum):
 
 
 COMPARISONS = frozenset({OpKind.CMP_LT, OpKind.CMP_EQ, OpKind.CMP_GT})
-AGGREGATES = frozenset({OpKind.SUM_AGG, OpKind.MIN_AGG, OpKind.MAX_AGG, OpKind.AVG_AGG})
 BINARY_OPS = frozenset({OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.DIV, OpKind.MOD,
                         OpKind.CMP_LT, OpKind.CMP_EQ, OpKind.CMP_GT})
 

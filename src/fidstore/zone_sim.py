@@ -17,12 +17,13 @@ privacy-only crash stalls the integrity zone for the replay duration.
 from __future__ import annotations
 
 import json
+import os
 import random
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .atrest_storage import AtRestLayer, SealedBlockStore
+from .atrest_storage import AtRestLayer, FreshnessTable, SealedBlockStore
 from .durability import DurableBuffer, SnapshotStore
 from .errors import NoCrashPending, StructureMismatch, Unavailable, WriteConflict
 from .fid_codec import FidConfig
@@ -69,7 +70,11 @@ _COL_K = 1
 
 def pad_sensitive(value: bytes, width: int = SENSITIVE_PAD_WIDTH) -> bytes:
     """Length-prefix and zero-pad a variable-size value to a fixed width so
-    stored sizes leak nothing."""
+    stored sizes leak nothing.
+
+    CMP_EQ on padded SENSITIVE_BYTES is exact, but CMP_LT/CMP_GT compare
+    the little-endian length prefix first, so their order is not the order
+    of the unpadded plaintexts."""
     if len(value) > width - 2:
         raise ValueError(f"value of {len(value)} bytes exceeds pad width {width}")
     return struct.pack("<H", len(value)) + value + b"\x00" * (width - 2 - len(value))
@@ -156,18 +161,13 @@ class ZoneCrashed(Exception):
 
 
 class Channel:
-    """The only integrity-to-privacy path; counts round trips and applies a
-    fixed-plus-per-byte cost model to every message."""
+    """The only integrity-to-privacy path; counts round trips and bytes."""
 
-    def __init__(self, topology, trace: AdversaryTrace,
-                 fixed_cost: float = 1.0, per_byte_cost: float = 0.001):
+    def __init__(self, topology, trace: AdversaryTrace):
         self.topology = topology
         self.trace = trace
-        self.fixed_cost = fixed_cost
-        self.per_byte_cost = per_byte_cost
         self.round_trips = 0
         self.bytes_moved = 0
-        self.cost = 0.0
 
     def request(self, raw: bytes) -> bytes:
         if self.topology.privacy.crashed:
@@ -179,7 +179,6 @@ class Channel:
         response = self.topology.privacy.dispatcher.handle(raw)
         trace.msg(len(response))
         self.bytes_moved += len(raw) + len(response)
-        self.cost += 2 * self.fixed_cost + (len(raw) + len(response)) * self.per_byte_cost
         return response
 
 
@@ -207,8 +206,6 @@ class PrivacyZoneHost:
         if wal is None:
             wal = Wal(self.wal_buffer, size_bound_bytes=topo.wal_size_bound)
         nonce_source = self._nonce_source()
-        from .atrest_storage import FreshnessTable
-
         self.store = store
         self.wal = wal
         self.atrest = AtRestLayer(
@@ -313,7 +310,6 @@ class RunReport:
     write_conflicts: int = 0
     round_trips: int = 0
     msg_bytes: int = 0
-    channel_cost: float = 0.0
     envelope_encrypts: int = 0
     envelope_decrypts: int = 0
     cipher_field_crypto: int = 0
@@ -336,12 +332,6 @@ class RunReport:
     def hit_rate(self) -> float:
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 1.0
-
-    @property
-    def crypto_invocations_query(self) -> int:
-        """Crypto spent on field/block handling during execution; client
-        envelope work (per explicit ingest/reveal) is reported separately."""
-        return self.store_seals + self.store_opens + self.cipher_field_crypto
 
 
 class ZoneTopology:
@@ -371,7 +361,6 @@ class ZoneTopology:
         self.trace = AdversaryTrace()
         self.protocol_events: list[tuple[str, int]] = []
 
-        import os
         priv_dir = db_dir = None
         priv_wal_path = db_wal_path = None
         if data_dir is not None:
@@ -474,39 +463,30 @@ class ZoneTopology:
 
     def check_invariant(self) -> InvariantReport:
         """Every sensitive FID in a durably visible row version must map to
-        a live secret. Orphan secrets are counted but permissible."""
+        a live secret. Orphan secrets are counted but permissible. One
+        list_live per table partition serves both counts."""
         db = self.integrity.db
         if self.backend_name != "fid":
             return InvariantReport(True, [], 0, 0)
+        live: set[int] = set()
+        for table in db.tables_by_idx:
+            live.update(self.client.list_live(table.partition_id))
         violations: list[int] = []
-        referenced: set[int] = set()
         checked = 0
         for table in db.tables_by_idx:
             for chain in table.rows.values():
-                for version in chain:
-                    for col, cell in zip(table.schema, version.cells):
-                        if col.ctype in (ColumnType.SENSITIVE_INT,
-                                         ColumnType.SENSITIVE_BYTES):
-                            referenced.add(cell)
                 for version in reversed(chain):
                     if version.begin_txn not in db.committed:
                         continue
                     e = version.end_txn
                     if e is not None and e in db.committed:
                         continue
-                    for col, cell in zip(table.schema, version.cells):
-                        if col.ctype in (ColumnType.SENSITIVE_INT,
-                                         ColumnType.SENSITIVE_BYTES):
-                            checked += 1
-                            if not self.client.is_live(cell):
-                                violations.append(cell)
+                    for i in table.sensitive:
+                        checked += 1
+                        if version.cells[i] not in live:
+                            violations.append(version.cells[i])
                     break
-            referenced.update(table.abort_garbage)
-        orphans = 0
-        for table in db.tables_by_idx:
-            for fid in self.client.list_live(table.partition_id):
-                if fid not in referenced:
-                    orphans += 1
+        orphans = len(live - db.referenced_refs())
         return InvariantReport(holds=not violations, violations=violations,
                                orphans=orphans, checked_fids=checked)
 
@@ -525,7 +505,6 @@ class ZoneTopology:
         return {
             "round_trips": self.channel.round_trips,
             "msg_bytes": self.channel.bytes_moved,
-            "channel_cost": self.channel.cost,
             "envelope_encrypts": priv.proxy.client_codec.encrypts,
             "envelope_decrypts": priv.proxy.client_codec.decrypts,
             "cipher_field_crypto": priv.zone_codec.encrypts + priv.zone_codec.decrypts,
@@ -665,16 +644,15 @@ class _Runner:
                 except Unavailable:
                     report.crashed_at = (topo.fired.id.value if topo.fired
                                          else "privacy-unavailable")
+        # workload and maintenance traffic only: the checker's is not the
+        # workload's, and the cipher backend sends none
+        for key, value in topo.counters().items():
+            setattr(report, key, value - base[key])
         if not topo.privacy.crashed and not topo.integrity.crashed:
             invariant = topo.check_invariant()
             report.invariant_holds = invariant.holds
             report.violations = len(invariant.violations)
             report.orphans = invariant.orphans
-
-        now = topo.counters()
-        for key, value in now.items():
-            setattr(self.report, key,
-                    value - base[key] if isinstance(value, (int, float)) else value)
         return report
 
     def _end_query_quietly(self, txn) -> None:

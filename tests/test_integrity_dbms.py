@@ -1,8 +1,8 @@
 import pytest
 
-from fidstore.errors import NotLive, SchemaMismatch, WriteConflict
+from fidstore.errors import NotLive, SchemaMismatch, TypeMismatch, WriteConflict
 from fidstore.integrity_dbms import Column, ColumnType, Predicate
-from fidstore.privacy_proxy import OpKind, decode_int64, encode_int64
+from fidstore.privacy_proxy import OpKind, ValueType, decode_int64, encode_int64
 from fidstore.zone_sim import ZoneTopology
 
 SCHEMA = [
@@ -339,6 +339,26 @@ def test_sum_closed_form_and_empty(topo):
     agg = db.sum_column(txn, empty, "k", zero_ref=zero)
     assert _reveal_int(topo, txn.query_id, agg) == 0
     db.abort(txn)
+
+
+@pytest.mark.parametrize("name", ["fid", "cipher"])
+def test_tree_aggregate_rejects_avg(name):
+    """Tree levels feed partial results back in as int64 operands, which
+    float64 partial averages are not: AVG_AGG is refused before any message
+    is sent, while SUM_AGG still reduces over several levels."""
+    topo = ZoneTopology(321, backend=name)
+    client = topo.client
+    ingest = client.cipher_ingest if name == "cipher" else client.ingest
+    reveal = client.cipher_reveal if name == "cipher" else client.reveal
+    refs = [ingest(1, topo.client_encrypt(encode_int64(v)))
+            for v in (1, 2, 3, 4, 100)]
+    backend = topo.integrity.db.backend
+    before = topo.channel.round_trips
+    with pytest.raises(TypeMismatch):
+        backend.aggregate(1, OpKind.AVG_AGG, ValueType.INT64, refs, 2)
+    assert topo.channel.round_trips == before
+    total = backend.aggregate(1, OpKind.SUM_AGG, ValueType.INT64, refs, 2)
+    assert decode_int64(topo.client_decrypt(reveal(1, total))) == 110
 
 
 def test_recovery_txn_ids_advance(topo):

@@ -1,18 +1,29 @@
 import json
+from collections import Counter
 
 import pytest
 
+from fidstore import messages as m
 from fidstore.errors import NoCrashPending, StructureMismatch, Unavailable
 from fidstore.integrity_dbms import Column, ColumnType, Predicate
 from fidstore.privacy_proxy import OperatorRequest, OpKind, ValueType, encode_int64
-from fidstore.workload import Distribution, Mode, WorkloadSpec
+from fidstore.workload import (
+    Distribution,
+    Mode,
+    WorkloadSpec,
+    flatten_schedule,
+    generate_workload,
+)
 from fidstore.zone_sim import (
     CrashPoint,
     CrashPointId,
     CrashTarget,
+    InvariantReport,
     ZoneTopology,
     trace_indistinguishability,
 )
+
+from .oracles import ShadowRunner
 
 SCHEMA = [
     Column("id", ColumnType.PLAIN_INT),
@@ -307,3 +318,77 @@ def test_zipfian_distribution_skews_access():
     from collections import Counter
     top = Counter(keys).most_common(5)
     assert top[0][1] >= 5  # a hot key emerges under theta=0.8
+
+
+_PINNED = {
+    # message kind -> count through the maintenance phase, (privacy WAL,
+    # integrity WAL) durable bytes, (seals, opens)
+    "fid": ({m.MSG_INGEST: 160, m.MSG_REVEAL: 89, m.MSG_EXEC_BATCH: 49,
+             m.MSG_END_QUERY: 42, m.MSG_PROMOTE: 160, m.MSG_DELETE: 40,
+             m.MSG_FLUSH_LOG: 41, m.MSG_CREATE_PARTITION: 2,
+             m.MSG_LIST_LIVE: 2},
+            (13682, 12740), (4, 2)),
+    "cipher": ({m.MSG_END_QUERY: 42, m.MSG_FLUSH_LOG: 41,
+                m.MSG_CREATE_PARTITION: 2, m.MSG_CIPHER_EXEC: 49,
+                m.MSG_CIPHER_INGEST: 160, m.MSG_CIPHER_REVEAL: 89},
+               (54, 30440), (0, 0)),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(_PINNED))
+def test_pinned_counts_through_maintenance(backend):
+    """Exact per-kind traffic, durable WAL bytes, seals/opens and revealed
+    values for one small seed, all taken when the invariant check starts."""
+    spec = _small_spec()
+    topo = ZoneTopology(3, backend=backend, batch_size=spec.batch_size,
+                        cache_capacity_blocks=2)
+    kinds = Counter()
+    seen = {}
+    request, check = topo.channel.request, topo.check_invariant
+
+    def counting_request(raw):
+        kinds[raw[0]] += 1
+        return request(raw)
+
+    def snapshot_then_check():
+        sealer = topo.privacy.atrest.sealer
+        seen.setdefault("at_check", (
+            dict(kinds),
+            (topo.store_wal_buffer.durable_len, topo.dbwal_buffer.durable_len),
+            (sealer.seals, sealer.opens)))
+        return check()
+
+    topo.channel.request = counting_request
+    topo.check_invariant = snapshot_then_check
+    program = generate_workload(spec, 3)
+    report = topo.run_program(program)
+    assert seen["at_check"] == _PINNED[backend]
+    expected = ShadowRunner(program, flatten_schedule(program)).run().revealed
+    assert report.revealed == expected
+    assert len(expected) == 89
+    assert sum(r[3] for r in expected) == 33_106_490
+
+
+def test_run_report_excludes_checker_traffic():
+    """The invariant check talks to the privacy zone, but its messages are
+    not workload traffic: a run whose check sends nothing reports the same
+    round trips and bytes."""
+    spec = _small_spec()
+    checked = ZoneTopology(4, batch_size=spec.batch_size)
+    check = checked.check_invariant
+    check_trips = []
+
+    def counted_check():
+        before = checked.channel.round_trips
+        result = check()
+        check_trips.append(checked.channel.round_trips - before)
+        return result
+
+    checked.check_invariant = counted_check
+    with_check = checked.run_workload(spec)
+    silent = ZoneTopology(4, batch_size=spec.batch_size)
+    silent.check_invariant = lambda: InvariantReport(True, [], 0, 0)
+    without_check = silent.run_workload(spec)
+    assert with_check.invariant_holds and check_trips[0] > 0
+    assert (with_check.round_trips, with_check.msg_bytes) == \
+        (without_check.round_trips, without_check.msg_bytes)
