@@ -155,8 +155,10 @@ class AtRestLayer:
     The cache models the trusted-memory budget: an access to a resident
     block is free of crypto; a miss on a previously sealed block opens it
     (one decrypt per block, not per field); evicting a dirty block seals
-    it. Prefetch loads a partition's blocks off the critical path, so those
-    loads count as prefetched, not as simulated major faults.
+    it. Prefetch is speculative: it loads a partition's blocks only into
+    free cache slots and stops when the cache is full, so it never evicts a
+    resident block. Its loads count as prefetched, not as simulated major
+    faults, and stay out of the hit rate, which counts demand accesses only.
     """
 
     def __init__(self, store, key: bytes, *, capacity_blocks: int | None = None,
@@ -172,7 +174,6 @@ class AtRestLayer:
         self.capacity_blocks = capacity_blocks
         self._lru: dict[tuple[int, int], bool] = {}  # key -> dirty, in LRU order
         self.hits = 0
-        self.misses = 0
         self.faults = 0
         self.prefetched = 0
         self.stale_dropped = 0
@@ -195,7 +196,6 @@ class AtRestLayer:
             if not prefetch:
                 self.hits += 1
             return
-        self.misses += 1
         if prefetch:
             self.prefetched += 1
         else:
@@ -244,11 +244,15 @@ class AtRestLayer:
         return plaintext
 
     def prefetch_partition(self, pid: int) -> int:
-        """Warm the cache with a partition's blocks (off the critical path)."""
+        """Warm the cache with a partition's blocks (off the critical path),
+        filling free slots only; returns the number of blocks walked."""
         if not self.store.has_partition(pid):
             raise UnknownPartition(f"no partition {pid}")
+        capacity = self.capacity_blocks
         n = 0
         for block_index in self.store.partition_blocks(pid):
+            if capacity is not None and len(self._lru) >= capacity:
+                break
             self._access(pid, block_index, dirty=False, prefetch=True)
             n += 1
         return n

@@ -12,9 +12,12 @@ mapping store; orphan_gc sweeps store entries no row version references
 (the leftovers of transactions that crashed between the two commit
 phases).
 
-Commit ordering is the cross-domain contract: the privacy zone's journal
-is flushed (commit #1) strictly before this engine's own commit record
-becomes durable (commit #2), so a durable FID always has a durable secret.
+Commit ordering is the cross-domain contract: for a transaction that
+staged records, the privacy zone's journal is flushed (commit #1) strictly
+before this engine's own commit record becomes durable (commit #2), so a
+durable FID always has a durable secret. A transaction that staged nothing
+makes no FID visible, so its commit takes a commit sequence number and
+touches neither journal.
 """
 
 from __future__ import annotations
@@ -305,6 +308,10 @@ class Database:
     def commit(self, txn: Txn) -> None:
         if txn.state != TxnState.ACTIVE:
             raise ValueError(f"commit on txn in state {txn.state}")
+        if not txn.staged:
+            # nothing staged makes no FID visible: no flush, no commit record
+            self._finish_commit(txn)
+            return
         txn.state = TxnState.PREPARING
         self._hook("before_privacy_flush", txn)
         try:
@@ -329,6 +336,9 @@ class Database:
             raise IoFailure(str(exc)) from exc
         self.protocol_events.append(("db_commit_durable", txn.txn_id))
         self._hook("after_db_commit", txn)
+        self._finish_commit(txn)
+
+    def _finish_commit(self, txn: Txn) -> None:
         txn.state = TxnState.COMMITTED
         self.committed[txn.txn_id] = self.next_commit_seq
         self.next_commit_seq += 1

@@ -92,7 +92,6 @@ class StoreStats:
     bytes_metadata: int = 0
     page_faults_simulated: int = 0
     cache_hits: int = 0
-    cache_misses: int = 0
 
     @property
     def puts(self) -> int:
@@ -392,7 +391,6 @@ class MappingStore:
             s.bytes_metadata += live * 8
         if self.blocks is not None:
             s.cache_hits = self.blocks.hits
-            s.cache_misses = self.blocks.misses
             s.page_faults_simulated = self.blocks.faults
         return s
 

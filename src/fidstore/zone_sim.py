@@ -316,7 +316,6 @@ class RunReport:
     store_seals: int = 0
     store_opens: int = 0
     cache_hits: int = 0
-    cache_misses: int = 0
     page_faults: int = 0
     prefetched_blocks: int = 0
     promote_calls: int = 0
@@ -330,7 +329,9 @@ class RunReport:
 
     @property
     def hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
+        """Share of demand accesses served from the cache; prefetch loads
+        are not demand accesses."""
+        total = self.cache_hits + self.page_faults
         return self.cache_hits / total if total else 1.0
 
 
@@ -511,7 +512,6 @@ class ZoneTopology:
             "store_seals": priv.atrest.sealer.seals,
             "store_opens": priv.atrest.sealer.opens,
             "cache_hits": priv.atrest.hits,
-            "cache_misses": priv.atrest.misses,
             "page_faults": priv.atrest.faults,
             "prefetched_blocks": priv.atrest.prefetched,
             "promote_calls": self.client.promote_calls,

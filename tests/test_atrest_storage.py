@@ -13,6 +13,7 @@ from fidstore.atrest_storage import (
 from fidstore.errors import AuthFailure, StaleBlock, UnknownPartition
 from fidstore.fid_codec import FidConfig
 from fidstore.mapping_store import MappingStore, PartitionKind, ValueLayout
+from fidstore.zone_sim import AdversaryTrace, RunReport, ZoneTopology
 
 
 def _layer(capacity=None, store=None):
@@ -148,6 +149,67 @@ def test_prefetch_then_sequential_gets_no_faults():
         layer.prefetch_partition(99)
 
 
+def _cold_partition(capacity):
+    """A partition of 16 sealed blocks (256 B values, 16 per block) behind
+    an empty cache of `capacity` blocks."""
+    store = MappingStore(FidConfig(16))
+    _, layer = _layer(capacity=None, store=store)
+    store.blocks = layer
+    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.FIXED, 256)
+    fids = [store.put(pid, bytes(256)) for _ in range(256)]
+    layer.flush_dirty()
+    layer._lru.clear()
+    layer.capacity_blocks = capacity
+    return store, layer, pid, fids
+
+
+def test_prefetch_into_full_cache_does_nothing():
+    store, layer, pid, fids = _cold_partition(capacity=4)
+    for fid in fids[-4 * 16::16]:  # the last 4 blocks fill the cache
+        store.get(fid)
+    resident = list(layer._lru)
+    seals, opens = layer.sealer.seals, layer.sealer.opens
+    layer.trace = AdversaryTrace()
+    layer.prefetch_partition(pid)
+    assert list(layer._lru) == resident
+    assert (layer.sealer.seals, layer.sealer.opens) == (seals, opens)
+    assert layer.prefetched == 0
+    assert layer.trace.events == []
+
+
+def test_prefetch_fills_exactly_the_free_slots():
+    store, layer, pid, fids = _cold_partition(capacity=6)
+    store.get(fids[-1])  # block 15 resident, 5 slots free
+    seals, opens = layer.sealer.seals, layer.sealer.opens
+    layer.trace = AdversaryTrace()
+    layer.prefetch_partition(pid)
+    assert layer.prefetched == 5
+    assert layer.sealer.opens == opens + 5
+    assert len(layer._lru) == 6
+    assert set(layer._lru) == {(pid, b) for b in (0, 1, 2, 3, 4, 15)}
+    assert layer.sealer.seals == seals
+    assert [k for k, _ in layer.trace.events] == ["BlockRead"] * 5
+
+
+def test_hit_rate_counts_demand_accesses_only():
+    topo = ZoneTopology(5, cache_capacity_blocks=64)
+    store = topo.privacy.store
+    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.FIXED, 256)
+    fids = [store.put(pid, bytes(256)) for _ in range(256)]  # 16 blocks
+    layer = topo.privacy.atrest
+    layer.flush_dirty()
+    layer._lru.clear()
+    before = topo.counters()
+    layer.prefetch_partition(pid)
+    for fid in fids:
+        store.get(fid)
+    report = RunReport(seed=5, backend="fid", mode="range-select",
+                       **{k: v - before[k] for k, v in topo.counters().items()})
+    assert report.prefetched_blocks == 16
+    assert report.page_faults == 0
+    assert report.hit_rate == 1.0
+
+
 def test_cold_gets_fault_once_per_block():
     store = MappingStore(FidConfig(16))
     _, layer = _layer(capacity=64, store=store)
@@ -182,10 +244,10 @@ def test_zipfian_beats_uniform_hit_rate():
                      for _ in range(20000)]
         else:
             picks = [fids[rng.randrange(len(fids))] for _ in range(20000)]
-        layer.hits = layer.misses = layer.faults = 0
+        layer.hits = layer.faults = 0
         for fid in picks:
             store.get(fid)
-        return layer.hits / (layer.hits + layer.misses)
+        return layer.hits / (layer.hits + layer.faults)
 
     for seed in range(5):
         assert hit_rate(True, seed) > hit_rate(False, seed)

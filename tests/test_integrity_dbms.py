@@ -163,11 +163,39 @@ def test_commit_ordering_events(topo):
         txn = db.begin()
         _insert(topo, db, table, txn, i + 1, i)
         db.commit(txn)
+    reader = db.begin()
+    assert db.visible_version(table, 1, reader) is not None
+    db.commit(reader)
     events = topo.protocol_events
-    for txn_id in {t for _, t in events}:
+    txn_ids = {t for _, t in events}
+    assert reader.txn_id not in txn_ids
+    for txn_id in txn_ids:
         flush_idx = events.index(("privacy_flush_done", txn_id))
         commit_idx = events.index(("db_commit_durable", txn_id))
         assert flush_idx < commit_idx
+
+
+def test_read_only_commit_sends_nothing(topo):
+    """A txn that staged nothing commits without the two-zone protocol,
+    yet takes a commit sequence number and leaves the active set."""
+    db = topo.integrity.db
+    table = db.create_table("t", list(SCHEMA))
+    setup = db.begin()
+    _insert(topo, db, table, setup, 1, 7)
+    db.commit(setup)
+    reader = db.begin()
+    version = db.visible_version(table, 1, reader)
+    assert _reveal_int(topo, reader.query_id, version.cells[1]) == 7
+    trips, durable = topo.channel.round_trips, db.dbwal.durable_len
+    events, seq = len(topo.protocol_events), db.next_commit_seq
+    db.commit(reader)
+    assert topo.channel.round_trips == trips
+    assert db.dbwal.durable_len == durable
+    assert len(topo.protocol_events) == events
+    assert reader.state.name == "COMMITTED"
+    assert db.committed[reader.txn_id] == seq
+    assert db.next_commit_seq == seq + 1
+    assert reader.txn_id not in db.active_txns
 
 
 def test_abort_many_updates_restores_all(topo):

@@ -6,7 +6,13 @@ import pytest
 from fidstore import messages as m
 from fidstore.errors import NoCrashPending, StructureMismatch, Unavailable
 from fidstore.integrity_dbms import Column, ColumnType, Predicate
-from fidstore.privacy_proxy import OperatorRequest, OpKind, ValueType, encode_int64
+from fidstore.privacy_proxy import (
+    OperatorRequest,
+    OpKind,
+    ValueType,
+    decode_int64,
+    encode_int64,
+)
 from fidstore.workload import (
     Distribution,
     Mode,
@@ -21,6 +27,7 @@ from fidstore.zone_sim import (
     InvariantReport,
     ZoneTopology,
     trace_indistinguishability,
+    unpad_sensitive,
 )
 
 from .oracles import ShadowRunner
@@ -188,12 +195,16 @@ def test_invariant_detector_self_test():
     assert version.cells[1] in report.violations
 
 
-def test_trace_indistinguishability_same_shape():
-    base = _small_spec(abort_ratio=0.0)
+@pytest.mark.parametrize("cache", [None, 4], ids=["unbounded", "cache4"])
+@pytest.mark.parametrize("mode", [Mode.RANGE_SELECT, Mode.READ_ONLY,
+                                  Mode.READ_WRITE], ids=lambda m: m.value)
+def test_trace_indistinguishability_same_shape(mode, cache):
+    base = _small_spec(mode=mode, rows_per_table=300, duration_ops=200,
+                       abort_ratio=0.0)
     for seed in (21, 22, 23):
         a = WorkloadSpec(**{**vars(base), "value_seed": 1111})
         b = WorkloadSpec(**{**vars(base), "value_seed": 2222})
-        assert trace_indistinguishability(a, b, seed)
+        assert trace_indistinguishability(a, b, seed, cache_capacity_blocks=cache)
 
 
 def test_structure_mismatch_detected():
@@ -335,13 +346,10 @@ _PINNED = {
 }
 
 
-@pytest.mark.parametrize("backend", sorted(_PINNED))
-def test_pinned_counts_through_maintenance(backend):
-    """Exact per-kind traffic, durable WAL bytes, seals/opens and revealed
-    values for one small seed, all taken when the invariant check starts."""
-    spec = _small_spec()
-    topo = ZoneTopology(3, backend=backend, batch_size=spec.batch_size,
-                        cache_capacity_blocks=2)
+def _snapshot_at_check(topo) -> dict:
+    """Counts messages per kind; when the invariant check starts, stores
+    them with both WALs' durable bytes and (seals, opens) under
+    "at_check" in the returned dict."""
     kinds = Counter()
     seen = {}
     request, check = topo.channel.request, topo.check_invariant
@@ -360,6 +368,17 @@ def test_pinned_counts_through_maintenance(backend):
 
     topo.channel.request = counting_request
     topo.check_invariant = snapshot_then_check
+    return seen
+
+
+@pytest.mark.parametrize("backend", sorted(_PINNED))
+def test_pinned_counts_through_maintenance(backend):
+    """Exact per-kind traffic, durable WAL bytes, seals/opens and revealed
+    values for one small seed, all taken when the invariant check starts."""
+    spec = _small_spec()
+    topo = ZoneTopology(3, backend=backend, batch_size=spec.batch_size,
+                        cache_capacity_blocks=2)
+    seen = _snapshot_at_check(topo)
     program = generate_workload(spec, 3)
     report = topo.run_program(program)
     assert seen["at_check"] == _PINNED[backend]
@@ -392,3 +411,65 @@ def test_run_report_excludes_checker_traffic():
     assert with_check.invariant_holds and check_trips[0] > 0
     assert (with_check.round_trips, with_check.msg_bytes) == \
         (without_check.round_trips, without_check.msg_bytes)
+
+
+# RANGE_SELECT over 24 data blocks behind a 4-block cache, taken when the
+# invariant check starts: per-kind counts, (privacy WAL, integrity WAL)
+# durable bytes, (seals, opens)
+_PINNED_RANGE_SELECT = (
+    {m.MSG_INGEST: 1200, m.MSG_REVEAL: 100, m.MSG_EXEC_BATCH: 100,
+     m.MSG_END_QUERY: 102, m.MSG_PROMOTE: 1200, m.MSG_FLUSH_LOG: 4,
+     m.MSG_CREATE_PARTITION: 2, m.MSG_PREFETCH: 100},
+    (112394, 53450), (24, 4))
+
+
+def _range_select_run():
+    spec = _small_spec(mode=Mode.RANGE_SELECT, rows_per_table=300,
+                       duration_ops=100)
+    topo = ZoneTopology(3, batch_size=spec.batch_size, cache_capacity_blocks=4)
+    program = generate_workload(spec, 3)
+    return topo, program
+
+
+def test_pinned_counts_range_select_cold_cache():
+    """A range query's prefetch into a full cache opens nothing, and a
+    read-only commit sends nothing: only the preload flushes, and a
+    committed txn opens fewer than 2 blocks."""
+    topo, program = _range_select_run()
+    seen = _snapshot_at_check(topo)
+    report = topo.run_program(program)
+    assert seen["at_check"] == _PINNED_RANGE_SELECT
+    assert report.store_opens < 2 * report.txns_committed
+    expected = ShadowRunner(program, flatten_schedule(program)).run().revealed
+    assert report.revealed == expected
+
+
+def test_crash_after_read_only_commits_reads_back_replay_state():
+    """Read-only commits do not flush, so seal records of blocks sealed
+    during the run are still pending when both zones crash. Recovery must
+    bring every row back at its replayed value, through stale_dropped where
+    a sealed copy no longer verifies, never as a wrong value."""
+    topo, program = _range_select_run()
+    report = topo.run_program(program)
+    assert report.store_seals > 0
+    assert topo.store_wal_buffer.pending_len > 0
+    topo.privacy.crash()
+    topo.integrity.crash()
+    assert topo.recover_all().invariant.holds
+
+    shadow = ShadowRunner(program, flatten_schedule(program)).run()
+    db = topo.integrity.db
+    reader = db.begin()
+    for t, table in enumerate(db.tables_by_idx):
+        expected = shadow.db.quiescent_rows(t)
+        got = {}
+        for row_id in table.rows:
+            version = db.visible_version(table, row_id, reader)
+            k = decode_int64(topo.client_decrypt(
+                topo.client.reveal(reader.query_id, version.cells[1])))
+            c = unpad_sensitive(topo.client_decrypt(
+                topo.client.reveal(reader.query_id, version.cells[2])))
+            got[row_id] = (k, c)
+        assert got == {r: (cells[1], cells[2]) for r, cells in expected.items()}
+    db.abort(reader)
+    assert topo.privacy.atrest.stale_dropped > 0
