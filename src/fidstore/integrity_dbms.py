@@ -37,7 +37,7 @@ from .errors import (
     Unavailable,
     WriteConflict,
 )
-from .fid_codec import fid_from_bytes, fid_to_bytes
+from .fid_codec import FidConfig, decode_fid, fid_from_bytes, fid_to_bytes
 from .privacy_proxy import COMPARISONS, OperatorRequest, OpKind, ValueType
 from .wal import frame_record, read_frames
 
@@ -157,15 +157,21 @@ def reduce_refs(run, query_id: int, op: OpKind, vtype: ValueType,
 
 
 class FidBackend:
-    """Sensitive refs are FIDs resolved through the mapping store."""
+    """Sensitive refs are FIDs resolved through the mapping store; config
+    is the FID layout, which names the partition a FID lives in."""
 
     name = "fid"
 
-    def __init__(self, client):
+    def __init__(self, client, config: FidConfig):
         self.client = client
+        self.config = config
 
-    def promote(self, temp_ref: int, partition_id: int) -> int:
-        return self.client.promote(temp_ref, partition_id)
+    def promote(self, ref: int, partition_id: int) -> int:
+        """A FID for ref's secret in partition_id: ref itself when it was
+        written there directly, else a permanent copy of a temporary ref."""
+        if decode_fid(self.config, ref)[0] == partition_id:
+            return ref
+        return self.client.promote(ref, partition_id)
 
     def release(self, ref: int) -> bool:
         try:
@@ -397,7 +403,11 @@ class Database:
             if not isinstance(value, (bytes, bytearray)):
                 raise SchemaMismatch(f"{col.name} expects bytes")
             return bytes(value)
-        # sensitive: the caller hands us a temporary ref from ingest/operators
+        # sensitive: the caller hands us a fresh ref from ingest/operators,
+        # written either into the query's temporaries (promote copies it
+        # into the table's partition) or straight into the table's partition
+        # (promote keeps it). Either way the stored ref belongs to this cell
+        # alone: a ref another row version holds would be released twice.
         ref = self.backend.promote(value, table.partition_id)
         promoted.append(ref)
         return ref
@@ -406,18 +416,7 @@ class Database:
                    new_values: dict) -> None:
         if txn.state != TxnState.ACTIVE:
             raise ValueError("update on inactive txn")
-        chain = table.rows.get(row_id)
-        if not chain:
-            raise RowNotVisible(f"row {row_id} does not exist")
-        head = chain[-1]
-        if head.begin_txn != txn.txn_id:
-            cs = self.committed.get(head.begin_txn)
-            if cs is None:
-                raise WriteConflict(
-                    f"row {row_id} has an uncommitted update by txn {head.begin_txn}"
-                )
-            if cs > txn.snapshot_seq:
-                raise WriteConflict(f"row {row_id} changed after this snapshot")
+        head = self.check_update(txn, table, row_id)
         cells = list(head.cells)
         release = []
         promoted = []
@@ -433,7 +432,7 @@ class Database:
         table.next_vseq += 1
         head.end_txn = txn.txn_id
         head.release_refs = release
-        chain.append(version)
+        table.rows[row_id].append(version)
         txn.write_set.append((table, row_id, head, version, promoted))
         txn.promoted.extend(promoted)
         txn.staged.append(self._record(DB_END, txn=txn.txn_id, table=table.idx,
@@ -443,6 +442,25 @@ class Database:
                                        row=row_id, vseq=version.vseq,
                                        cells=self._cells_wire(table, cells)))
         self._observe_cells(table, cells)
+
+    def check_update(self, txn: Txn, table: Table, row_id: int) -> RowVersion:
+        """The row's newest version if txn may supersede it; raises
+        WriteConflict under first-updater-wins otherwise. Callers check
+        before they write the row's new secrets, so a conflicting update
+        leaves nothing behind in the privacy zone."""
+        chain = table.rows.get(row_id)
+        if not chain:
+            raise RowNotVisible(f"row {row_id} does not exist")
+        head = chain[-1]
+        if head.begin_txn != txn.txn_id:
+            cs = self.committed.get(head.begin_txn)
+            if cs is None:
+                raise WriteConflict(
+                    f"row {row_id} has an uncommitted update by txn {head.begin_txn}"
+                )
+            if cs > txn.snapshot_seq:
+                raise WriteConflict(f"row {row_id} changed after this snapshot")
+        return head
 
     def _observe_cells(self, table: Table, cells: list) -> None:
         for col, cell in zip(table.schema, cells):

@@ -5,6 +5,15 @@ these messages; there is no other channel. FIDs are 8-byte little-endian,
 booleans one byte. Responses start with a status byte (0 = ok, otherwise
 an error code from errors.py).
 
+An operator batch (MSG_EXEC_BATCH, MSG_CIPHER_EXEC) is {u16 n, n elements}.
+Each element is {u8 op, u8 type, u16 argc, [u32 destination], argc
+operands}; the destination is present only when the op byte has OP_DEST
+set, and names the permanent partition the element's value result is
+written to (MSG_EXEC_BATCH only). An element without one costs no extra
+bytes and writes to the query's temporary partition. MSG_INGEST always
+carries a u32 target, QUERY_TEMP_TARGET for the query's temporary
+partition.
+
 The ciphertext-scheme baseline used for benchmarking speaks the same
 protocol with its own message kinds: operands are AEAD envelopes instead
 of FIDs and every operator call pays decrypt-compute-encrypt.
@@ -22,6 +31,7 @@ from .privacy_proxy import (
     OperatorRequest,
     OperatorResponse,
     OpKind,
+    QUERY_TEMP_TARGET,
     ValueType,
     compare_values,
     compute_value,
@@ -44,7 +54,8 @@ MSG_CIPHER_EXEC = 20
 MSG_CIPHER_INGEST = 21
 MSG_CIPHER_REVEAL = 22
 
-QUERY_TEMP_TARGET = 0xFFFFFFFF
+# set in an operator element's op byte when a u32 destination follows its head
+OP_DEST = 0x80
 
 _U8 = struct.Struct("<B")
 _U32 = struct.Struct("<I")
@@ -70,20 +81,26 @@ def _read_u64(data: bytes, pos: int) -> tuple[int, int]:
     return _U64.unpack_from(data, pos)[0], pos + 8
 
 
-def _read_ops(payload: bytes, read_operand) -> list[tuple[int, int, list]]:
-    """Decode an operator batch {u16 n, n x (u8 op, u8 type, u16 argc,
-    operands)} into raw (op, type, operands) triples."""
+def _read_ops(payload: bytes, read_operand) -> list[tuple[int, int, list, int | None]]:
+    """Decode an operator batch (format in the module docstring) into raw
+    (op, type, operands, destination) tuples; destination is None when the
+    element names none."""
     (n,) = struct.unpack_from("<H", payload, 0)
     pos = 2
     ops = []
     for _ in range(n):
         op, vtype, argc = _OP_HEAD.unpack_from(payload, pos)
         pos += _OP_HEAD.size
+        dest = None
+        if op & OP_DEST:
+            op &= ~OP_DEST
+            (dest,) = _U32.unpack_from(payload, pos)
+            pos += 4
         operands = []
         for _ in range(argc):
             operand, pos = read_operand(payload, pos)
             operands.append(operand)
-        ops.append((op, vtype, operands))
+        ops.append((op, vtype, operands, dest))
     return ops
 
 
@@ -135,16 +152,21 @@ class ProxyClient:
     def _batch(self, kind: int, query_id: int, reqs: list, batch_size: int,
                write_operand, read_result) -> list[tuple]:
         """The operator-batch codec shared by the FID and envelope paths:
-        (op, type, operands) requests go out in ceil(n / batch_size)
-        messages; returns (result, boolean, error_code) per request."""
+        (op, type, operands, destination) requests go out in
+        ceil(n / batch_size) messages; returns (result, boolean, error_code)
+        per request."""
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         out = []
         for lo in range(0, len(reqs), batch_size):
             chunk = reqs[lo:lo + batch_size]
             payload = [struct.pack("<H", len(chunk))]
-            for op, vtype, operands in chunk:
-                payload.append(_OP_HEAD.pack(int(op), int(vtype), len(operands)))
+            for op, vtype, operands, dest in chunk:
+                if dest is None:
+                    payload.append(_OP_HEAD.pack(int(op), int(vtype), len(operands)))
+                else:
+                    payload.append(_OP_HEAD.pack(int(op) | OP_DEST, int(vtype),
+                                                 len(operands)) + _U32.pack(dest))
                 payload.extend(write_operand(x) for x in operands)
             body = self._call(kind, query_id, b"".join(payload))
             (n,) = struct.unpack_from("<H", body, 0)
@@ -185,8 +207,9 @@ class ProxyClient:
 
     def exec_batch(self, query_id: int, reqs: list[OperatorRequest],
                    batch_size: int) -> list[OperatorResponse]:
-        triples = [(r.op, r.value_type, r.operand_fids) for r in reqs]
-        out = self._batch(MSG_EXEC_BATCH, query_id, triples, batch_size,
+        elements = [(r.op, r.value_type, r.operand_fids, r.destination)
+                    for r in reqs]
+        out = self._batch(MSG_EXEC_BATCH, query_id, elements, batch_size,
                           self._write_fid, self._read_fid)
         return [OperatorResponse(fid, flag, code) for fid, flag, code in out]
 
@@ -251,7 +274,8 @@ class ProxyClient:
                     batch_size: int) -> list[tuple[bytes | None, bool | None, int]]:
         """Operator batch over envelope operands; returns
         (result_envelope, boolean, error_code) per element."""
-        return self._batch(MSG_CIPHER_EXEC, query_id, reqs, batch_size,
+        elements = [(op, vtype, envs, None) for op, vtype, envs in reqs]
+        return self._batch(MSG_CIPHER_EXEC, query_id, elements, batch_size,
                            _blob, _read_blob)
 
 
@@ -279,16 +303,15 @@ class PrivacyDispatcher:
         if kind == MSG_INGEST:
             (target,) = _U32.unpack_from(payload, 0)
             env, _ = _read_blob(payload, 4)
-            if target == QUERY_TEMP_TARGET:
-                target = proxy.query_temp(query_id)
+            target = proxy.destination(query_id, target)
             fid = proxy.ingest(ClientEnvelope.from_bytes(env), target)
             return _U64.pack(fid)
         if kind == MSG_REVEAL:
             (fid,) = _U64.unpack(payload)
             return _blob(proxy.reveal(fid).to_bytes())
         if kind == MSG_EXEC_BATCH:
-            reqs = [OperatorRequest(OpKind(op), ValueType(vtype), fids)
-                    for op, vtype, fids in _read_ops(payload, _read_u64)]
+            reqs = [OperatorRequest(OpKind(op), ValueType(vtype), fids, dest)
+                    for op, vtype, fids, dest in _read_ops(payload, _read_u64)]
             out = [struct.pack("<H", len(reqs))]
             for resp in proxy.exec_batch(reqs, query_id):
                 fid = b"" if resp.fid is None else _U64.pack(resp.fid)
@@ -341,7 +364,7 @@ class PrivacyDispatcher:
     def _cipher_exec(self, payload: bytes) -> bytes:
         ops = _read_ops(payload, _read_blob)
         out = [struct.pack("<H", len(ops))]
-        for op, vtype, envs in ops:
+        for op, vtype, envs, _ in ops:
             try:
                 values = [self.zone_codec.decrypt(ClientEnvelope.from_bytes(e))
                           for e in envs]

@@ -3,11 +3,18 @@ runs plaintext expression operators, and handles the client encryption
 boundary.
 
 The operator path is exactly fetch-compute-store: Get() each operand,
-compute in plaintext, Put() the result into the calling query's temporary
-partition. Comparisons are the one exception and return a plaintext
-boolean, mirroring how production systems index and filter. Nothing in
-this module ever hands plaintext to the untrusted side: results leave
-either as a fresh FID or inside an authenticated client envelope.
+compute in plaintext, Put() the result into its destination. Comparisons
+are the one exception and return a plaintext boolean, mirroring how
+production systems index and filter. Nothing in this module ever hands
+plaintext to the untrusted side: results leave either as a fresh FID or
+inside an authenticated client envelope.
+
+Ingested values and operator results go to the calling query's temporary
+partition unless the caller names a destination; a named destination must
+be a permanent partition (a table's), so a value written straight into
+the table that will store it needs no separate promote. The dispatcher
+resolves every ingest target and operator destination through
+destination(), so no message writes into another query's temporaries.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from .errors import (
     NotLive,
     Overflow,
     TypeMismatch,
+    WrongPartitionKind,
 )
 from .mapping_store import MappingStore, PartitionKind, ValueLayout
 
@@ -37,6 +45,10 @@ INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
 
 _F64 = struct.Struct("<d")
+
+# A destination naming the calling query's own temporary partition; the
+# default for ingest and operator results.
+QUERY_TEMP_TARGET = 0xFFFFFFFF
 
 
 class OpKind(IntEnum):
@@ -67,9 +79,13 @@ class ValueType(IntEnum):
 
 @dataclass
 class OperatorRequest:
+    """destination: the permanent partition a value result goes to; None
+    puts it in the query's temporary partition."""
+
     op: OpKind
     value_type: ValueType
     operand_fids: list[int]
+    destination: int | None = None
 
 
 @dataclass
@@ -252,6 +268,16 @@ class PrivacyProxy:
         self.store.drop_temporary(pid)
         self.store.release_partition(pid)
 
+    def destination(self, query_id: int, target: int | None) -> int:
+        """The partition a query's ingest or operator result is written to:
+        its own temporary partition for None or QUERY_TEMP_TARGET, else the
+        named partition, which must be permanent."""
+        if target is None or target == QUERY_TEMP_TARGET:
+            return self.query_temp(query_id)
+        if self.store.partition(target).kind != PartitionKind.PERMANENT:
+            raise WrongPartitionKind(f"destination {target} is not a permanent partition")
+        return target
+
     # -- client boundary --------------------------------------------------
 
     def ingest(self, envelope: ClientEnvelope, target_partition: int) -> int:
@@ -284,7 +310,7 @@ class PrivacyProxy:
         if op in COMPARISONS:
             return OperatorResponse(boolean=compare_values(op, req.value_type, values))
         result = compute_value(op, req.value_type, values)
-        out_fid = self.store.put(self.query_temp(query_id), result)
+        out_fid = self.store.put(self.destination(query_id, req.destination), result)
         return OperatorResponse(fid=out_fid)
 
     def exec_batch(self, reqs: list[OperatorRequest], query_id: int) -> list[OperatorResponse]:

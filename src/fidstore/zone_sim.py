@@ -38,6 +38,7 @@ from .integrity_dbms import (
 from .mapping_store import MappingStore
 from .messages import PrivacyDispatcher, ProxyClient
 from .privacy_proxy import (
+    QUERY_TEMP_TARGET,
     EnvelopeCodec,
     ClientEnvelope,
     OperatorRequest,
@@ -258,7 +259,7 @@ class IntegrityZoneHost:
     def _backend(self):
         if self.topology.backend_name == "cipher":
             return CipherBackend(self.client)
-        return FidBackend(self.client)
+        return FidBackend(self.client, self.topology.config)
 
     def _fresh_db(self) -> Database:
         topo = self.topology
@@ -520,7 +521,12 @@ class ZoneTopology:
 
 class _Runner:
     """Executes a workload program against the topology, one schedule entry
-    at a time, mirroring what the shadow oracle replays."""
+    at a time, mirroring what the shadow oracle replays.
+
+    Every secret a row will hold is written straight into its table's
+    partition, so storing it costs no promote; only operands (an update's
+    delta) go to the query's temporaries. An update checks for a write
+    conflict before it writes anything to the privacy zone."""
 
     def __init__(self, topology: ZoneTopology, program: WorkloadProgram):
         self.topo = topology
@@ -529,20 +535,17 @@ class _Runner:
         self.cipher = topology.backend_name == "cipher"
         self.report = RunReport(seed=topology.seed, backend=topology.backend_name,
                                 mode=program.spec.mode.value)
+        # partitions a range sum has prefetched: once the cache has filled,
+        # a further prefetch would load nothing
+        self.prefetched: set[int] = set()
 
     # -- client-side value handling --------------------------------------
 
-    def _ingest_int(self, query_id: int, value: int):
-        env = self.topo.client_encrypt(encode_int64(value))
+    def _ingest(self, query_id: int, plaintext: bytes, target: int):
+        env = self.topo.client_encrypt(plaintext)
         if self.cipher:
             return self.topo.client.cipher_ingest(query_id, env)
-        return self.topo.client.ingest(query_id, env)
-
-    def _ingest_bytes(self, query_id: int, value: bytes):
-        env = self.topo.client_encrypt(pad_sensitive(value))
-        if self.cipher:
-            return self.topo.client.cipher_ingest(query_id, env)
-        return self.topo.client.ingest(query_id, env)
+        return self.topo.client.ingest(query_id, env, target)
 
     def _reveal_int(self, query_id: int, ref) -> int:
         if self.cipher:
@@ -560,8 +563,8 @@ class _Runner:
         for t, rows in zip(tables, self.program.preload):
             txn = db.begin()
             for key, (k_value, c_value) in enumerate(rows, start=1):
-                kref = self._ingest_int(txn.query_id, k_value)
-                cref = self._ingest_bytes(txn.query_id, c_value)
+                kref = self._ingest(txn.query_id, encode_int64(k_value), t.partition_id)
+                cref = self._ingest(txn.query_id, pad_sensitive(c_value), t.partition_id)
                 db.insert_row(txn, t, [key, kref, cref, b"sb-pad"])
             db.commit(txn)
             self.topo.client.end_query(txn.query_id)
@@ -677,7 +680,9 @@ class _Runner:
             report.revealed.append(("point", op[1], key, value))
         elif kind == "range_sum":
             table, start, span = tables[op[1]], op[2], op[3]
-            if self.spec.mode == Mode.RANGE_SELECT and not self.cipher:
+            if (self.spec.mode == Mode.RANGE_SELECT and not self.cipher
+                    and table.partition_id not in self.prefetched):
+                self.prefetched.add(table.partition_id)
                 topo.client.prefetch(table.partition_id)
             refs = []
             for key in range(start, start + span):
@@ -697,8 +702,9 @@ class _Runner:
             version = db.visible_version(table, key, txn)
             if version is None:
                 return
+            db.check_update(txn, table, key)
             delta = values[0]
-            const_ref = self._ingest_int(txn.query_id, delta)
+            const_ref = self._ingest(txn.query_id, encode_int64(delta), QUERY_TEMP_TARGET)
             if self.cipher:
                 out = topo.client.cipher_exec(
                     txn.query_id,
@@ -709,7 +715,8 @@ class _Runner:
                 resp = topo.client.exec_operator(
                     txn.query_id,
                     OperatorRequest(OpKind.ADD, ValueType.INT64,
-                                    [version.cells[_COL_K], const_ref]))
+                                    [version.cells[_COL_K], const_ref],
+                                    table.partition_id))
                 new_ref = resp.fid
             db.update_row(txn, table, key, {"k": new_ref})
             topo.trace.result_size(1)
@@ -718,14 +725,16 @@ class _Runner:
             version = db.visible_version(table, key, txn)
             if version is None:
                 return
-            new_ref = self._ingest_bytes(txn.query_id, values[0])
+            db.check_update(txn, table, key)
+            new_ref = self._ingest(txn.query_id, pad_sensitive(values[0]),
+                                   table.partition_id)
             db.update_row(txn, table, key, {"c": new_ref})
             topo.trace.result_size(1)
         elif kind == "insert":
             table = tables[op[1]]
             k_value, c_value = values
-            kref = self._ingest_int(txn.query_id, k_value)
-            cref = self._ingest_bytes(txn.query_id, c_value)
+            kref = self._ingest(txn.query_id, encode_int64(k_value), table.partition_id)
+            cref = self._ingest(txn.query_id, pad_sensitive(c_value), table.partition_id)
             db.insert_row(txn, table, [op[2], kref, cref, b"sb-pad"])
             topo.trace.result_size(1)
         else:

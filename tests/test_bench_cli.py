@@ -4,8 +4,13 @@ import dataclasses
 import pytest
 
 from fidstore import cli
-from fidstore.bench import WORKLOAD_CSV_COLUMNS, estimate_data_blocks
-from fidstore.workload import Mode, WorkloadSpec
+from fidstore.bench import (
+    WORKLOAD_CSV_COLUMNS,
+    default_matrix_spec,
+    estimate_data_blocks,
+    run_crash_matrix,
+)
+from fidstore.workload import Distribution, Mode, WorkloadSpec
 from fidstore.zone_sim import ZoneTopology
 
 
@@ -52,3 +57,17 @@ def test_cli_workload_writes_csv(backend, tmp_path, capsys):
 def test_cli_crash_matrix_passes(capsys):
     assert cli.main(["crash-matrix", "--seeds", "1", "--ops", "300"]) == 0
     assert "ok: 6 runs, 0 violations" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", [Mode.WRITE_ONLY, Mode.INSERT_ONLY],
+                         ids=lambda m: m.value)
+def test_crash_matrix_write_modes(mode):
+    """Every crash point fires on the modes that write secrets straight into
+    the tables' partitions; recovery leaves no dangling FID, and orphan GC
+    leaves no orphan."""
+    spec = dataclasses.replace(default_matrix_spec(300), mode=mode,
+                               distribution=Distribution.ZIPFIAN)
+    rows = run_crash_matrix(1, spec=spec)
+    assert len(rows) == 6 and all(r["fired"] for r in rows)
+    assert sum(r["violations"] for r in rows) == 0
+    assert sum(r["orphans_post_gc"] for r in rows) == 0

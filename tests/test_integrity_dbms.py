@@ -1,6 +1,7 @@
 import pytest
 
 from fidstore.errors import NotLive, SchemaMismatch, TypeMismatch, WriteConflict
+from fidstore.fid_codec import decode_fid
 from fidstore.integrity_dbms import Column, ColumnType, Predicate
 from fidstore.privacy_proxy import OpKind, ValueType, decode_int64, encode_int64
 from fidstore.zone_sim import ZoneTopology
@@ -65,6 +66,31 @@ def test_insert_promotes_each_sensitive_field(topo):
     db.insert_row(txn, table, [1, f1, b"x", f2])
     assert topo.client.promote_calls - before == 2
     db.commit(txn)
+
+
+def test_promote_keeps_a_ref_already_in_the_table_partition(topo):
+    """A ref written straight into the table's partition is stored as it
+    is, with no round trip; a temporary ref is still copied over."""
+    db = topo.integrity.db
+    table = db.create_table("t", list(SCHEMA))
+    txn = db.begin()
+    direct = topo.client.ingest(txn.query_id, topo.client_encrypt(encode_int64(7)),
+                                table.partition_id)
+    temp = _ingest_int(topo, txn.query_id, 8)
+    calls, trips = topo.client.promote_calls, topo.channel.round_trips
+    assert db.backend.promote(direct, table.partition_id) == direct
+    assert (topo.client.promote_calls, topo.channel.round_trips) == (calls, trips)
+    copy = db.backend.promote(temp, table.partition_id)
+    assert topo.client.promote_calls == calls + 1
+    assert copy != temp and decode_fid(topo.config, copy)[0] == table.partition_id
+    db.insert_row(txn, table, [1, direct, b"n"])
+    assert topo.client.promote_calls == calls + 1
+    assert table.rows[1][-1].cells[1] == direct
+    db.commit(txn)
+    topo.client.end_query(txn.query_id)
+    reader = db.begin()
+    assert _reveal_int(topo, reader.query_id, direct) == 7
+    db.abort(reader)
 
 
 def test_plain_only_insert_no_privacy_calls(topo):

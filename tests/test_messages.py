@@ -2,7 +2,9 @@ import struct
 
 import pytest
 
-from fidstore.errors import DivideByZero, NotLive, UnknownPartition
+from fidstore.errors import DivideByZero, NotLive, UnknownPartition, WrongPartitionKind
+from fidstore.fid_codec import decode_fid
+from fidstore.messages import OP_DEST, QUERY_TEMP_TARGET
 from fidstore.privacy_proxy import OperatorRequest, OpKind, ValueType, encode_int64
 from fidstore.zone_sim import ZoneTopology
 
@@ -110,3 +112,55 @@ def test_end_query_via_wire_is_idempotent(topo):
     topo.client.end_query(6)
     assert not topo.client.is_live(fid)
     topo.client.end_query(6)  # no error
+
+
+def test_destination_must_be_own_temp_or_permanent(topo):
+    """Ingest and operator results go to the caller's own temporaries or to
+    a permanent partition; naming another query's temporary partition is
+    refused and leaves that partition as it was."""
+    victim = topo.client.ingest(5, topo.client_encrypt(encode_int64(1)))
+    temp5 = decode_fid(topo.config, victim)[0]
+    with pytest.raises(WrongPartitionKind):
+        topo.client.ingest(6, topo.client_encrypt(encode_int64(2)), temp5)
+    out = topo.client.exec_batch(6, [OperatorRequest(
+        OpKind.ADD, ValueType.INT64, [victim, victim], temp5)], 4)
+    assert out[0].error_code == WrongPartitionKind.code
+    assert topo.privacy.store.live_fids(temp5) == [victim]
+
+    perm = topo.client.create_partition(1, 2, 0)
+    own = topo.client.ingest(6, topo.client_encrypt(encode_int64(3)),
+                             QUERY_TEMP_TARGET)
+    temp6 = decode_fid(topo.config, own)[0]
+    out = topo.client.exec_batch(6, [
+        OperatorRequest(OpKind.ADD, ValueType.INT64, [own, own]),
+        OperatorRequest(OpKind.ADD, ValueType.INT64, [own, own], QUERY_TEMP_TARGET),
+        OperatorRequest(OpKind.ADD, ValueType.INT64, [own, own], perm),
+    ], 4)
+    assert [decode_fid(topo.config, r.fid)[0] for r in out] == [temp6, temp6, perm]
+    topo.client.end_query(6)
+    assert not topo.client.is_live(out[0].fid)
+    assert topo.client.is_live(out[2].fid)
+    assert topo.client.is_live(victim)
+
+
+def test_operator_destination_on_the_wire(topo):
+    """Only an element that names a destination carries one: its op byte
+    has OP_DEST set and a u32 partition id follows the element head."""
+    a = topo.client.ingest(8, topo.client_encrypt(encode_int64(4)))
+    perm = topo.client.create_partition(1, 2, 0)
+    captured = []
+    original = topo.channel.request
+
+    def spy(raw):
+        captured.append(raw)
+        return original(raw)
+
+    topo.channel.request = spy
+    topo.client.exec_batch(8, [
+        OperatorRequest(OpKind.ADD, ValueType.INT64, [a, a]),
+        OperatorRequest(OpKind.ADD, ValueType.INT64, [a, a], perm),
+    ], 4)
+    fids = struct.pack("<QQ", a, a)
+    assert captured[0][9:] == (
+        struct.pack("<HBBH", 2, OpKind.ADD, ValueType.INT64, 2) + fids
+        + struct.pack("<BBHI", OpKind.ADD | OP_DEST, ValueType.INT64, 2, perm) + fids)

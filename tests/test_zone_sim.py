@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from fidstore import messages as m
-from fidstore.errors import NoCrashPending, StructureMismatch, Unavailable
+from fidstore.errors import NoCrashPending, StructureMismatch, Unavailable, WriteConflict
 from fidstore.integrity_dbms import Column, ColumnType, Predicate
 from fidstore.privacy_proxy import (
     OperatorRequest,
@@ -26,6 +26,7 @@ from fidstore.zone_sim import (
     CrashTarget,
     InvariantReport,
     ZoneTopology,
+    _Runner,
     trace_indistinguishability,
     unpad_sensitive,
 )
@@ -197,7 +198,8 @@ def test_invariant_detector_self_test():
 
 @pytest.mark.parametrize("cache", [None, 4], ids=["unbounded", "cache4"])
 @pytest.mark.parametrize("mode", [Mode.RANGE_SELECT, Mode.READ_ONLY,
-                                  Mode.READ_WRITE], ids=lambda m: m.value)
+                                  Mode.READ_WRITE, Mode.WRITE_ONLY,
+                                  Mode.INSERT_ONLY], ids=lambda m: m.value)
 def test_trace_indistinguishability_same_shape(mode, cache):
     base = _small_spec(mode=mode, rows_per_table=300, duration_ops=200,
                        abort_ratio=0.0)
@@ -205,6 +207,55 @@ def test_trace_indistinguishability_same_shape(mode, cache):
         a = WorkloadSpec(**{**vars(base), "value_seed": 1111})
         b = WorkloadSpec(**{**vars(base), "value_seed": 2222})
         assert trace_indistinguishability(a, b, seed, cache_capacity_blocks=cache)
+
+
+def _count_kinds(topo) -> Counter:
+    """Counts the messages the channel carries from now on, per kind."""
+    kinds = Counter()
+    request = topo.channel.request
+
+    def counting_request(raw):
+        kinds[raw[0]] += 1
+        return request(raw)
+
+    topo.channel.request = counting_request
+    return kinds
+
+
+@pytest.mark.parametrize("mode", [Mode.READ_WRITE, Mode.WRITE_ONLY,
+                                  Mode.INSERT_ONLY], ids=lambda m: m.value)
+def test_runner_write_path_sends_no_promote(mode):
+    """Preload, inserts and updates write each stored secret straight into
+    its table's partition."""
+    spec = _small_spec(mode=mode)
+    topo = ZoneTopology(3, batch_size=spec.batch_size)
+    kinds = _count_kinds(topo)
+    report = topo.run_workload(spec)
+    assert report.invariant_holds and report.ops_completed > 0
+    assert kinds[m.MSG_INGEST] > 0
+    assert kinds[m.MSG_PROMOTE] == 0
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+@pytest.mark.parametrize("op,values", [("update_add", (5,)),
+                                       ("update_bytes", (b"new-c",))],
+                         ids=["update_add", "update_bytes"])
+def test_conflicting_update_writes_nothing(op, values, backend):
+    """An update that loses first-updater-wins raises before it sends any
+    message, so it leaves no secret in the table's partition."""
+    spec = _small_spec(tables=1, rows_per_table=4, duration_ops=0)
+    topo = ZoneTopology(6, backend=backend, batch_size=spec.batch_size)
+    runner = _Runner(topo, generate_workload(spec, 6))
+    db = topo.integrity.db
+    tables = runner._preload(db)
+    first, second = db.begin(), db.begin()
+    runner._exec_op(db, tables, first, (op, 0, 1), values)
+    store, pid = topo.privacy.store, tables[0].partition_id
+    live, trips = store.live_fids(pid), topo.channel.round_trips
+    with pytest.raises(WriteConflict):
+        runner._exec_op(db, tables, second, (op, 0, 1), values)
+    assert topo.channel.round_trips == trips
+    assert store.live_fids(pid) == live
 
 
 def test_structure_mismatch_detected():
@@ -335,7 +386,7 @@ _PINNED = {
     # message kind -> count through the maintenance phase, (privacy WAL,
     # integrity WAL) durable bytes, (seals, opens)
     "fid": ({m.MSG_INGEST: 160, m.MSG_REVEAL: 89, m.MSG_EXEC_BATCH: 49,
-             m.MSG_END_QUERY: 42, m.MSG_PROMOTE: 160, m.MSG_DELETE: 40,
+             m.MSG_END_QUERY: 42, m.MSG_DELETE: 40,
              m.MSG_FLUSH_LOG: 41, m.MSG_CREATE_PARTITION: 2,
              m.MSG_LIST_LIVE: 2},
             (13682, 12740), (4, 2)),
@@ -350,13 +401,9 @@ def _snapshot_at_check(topo) -> dict:
     """Counts messages per kind; when the invariant check starts, stores
     them with both WALs' durable bytes and (seals, opens) under
     "at_check" in the returned dict."""
-    kinds = Counter()
+    kinds = _count_kinds(topo)
     seen = {}
-    request, check = topo.channel.request, topo.check_invariant
-
-    def counting_request(raw):
-        kinds[raw[0]] += 1
-        return request(raw)
+    check = topo.check_invariant
 
     def snapshot_then_check():
         sealer = topo.privacy.atrest.sealer
@@ -366,7 +413,6 @@ def _snapshot_at_check(topo) -> dict:
             (sealer.seals, sealer.opens)))
         return check()
 
-    topo.channel.request = counting_request
     topo.check_invariant = snapshot_then_check
     return seen
 
@@ -418,8 +464,8 @@ def test_run_report_excludes_checker_traffic():
 # durable bytes, (seals, opens)
 _PINNED_RANGE_SELECT = (
     {m.MSG_INGEST: 1200, m.MSG_REVEAL: 100, m.MSG_EXEC_BATCH: 100,
-     m.MSG_END_QUERY: 102, m.MSG_PROMOTE: 1200, m.MSG_FLUSH_LOG: 4,
-     m.MSG_CREATE_PARTITION: 2, m.MSG_PREFETCH: 100},
+     m.MSG_END_QUERY: 102, m.MSG_FLUSH_LOG: 4,
+     m.MSG_CREATE_PARTITION: 2, m.MSG_PREFETCH: 2},
     (112394, 53450), (24, 4))
 
 
@@ -432,9 +478,10 @@ def _range_select_run():
 
 
 def test_pinned_counts_range_select_cold_cache():
-    """A range query's prefetch into a full cache opens nothing, and a
-    read-only commit sends nothing: only the preload flushes, and a
-    committed txn opens fewer than 2 blocks."""
+    """Only the first range sum over a partition prefetches it, a
+    prefetch into a full cache opens nothing, and a read-only commit sends
+    nothing: only the preload flushes, and a committed txn opens fewer than
+    2 blocks."""
     topo, program = _range_select_run()
     seen = _snapshot_at_check(topo)
     report = topo.run_program(program)
