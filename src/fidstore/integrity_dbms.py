@@ -36,6 +36,8 @@ from .errors import (
     TypeMismatch,
     Unavailable,
     WriteConflict,
+    WrongPartitionKind,
+    error_for_code,
 )
 from .fid_codec import FidConfig, decode_fid, fid_from_bytes, fid_to_bytes
 from .privacy_proxy import COMPARISONS, OperatorRequest, OpKind, ValueType
@@ -134,26 +136,36 @@ class Predicate:
 def compare_pairs(run, query_id: int, op: OpKind, vtype: ValueType,
                   pairs: list[tuple], batch_size: int) -> list[bool]:
     """One comparison per (a, b) pair, batch_size operand fields per round
-    trip. run(query_id, op, vtype, operand_lists, per_msg) is the backend's
-    operator batch; it returns one result per operand list."""
+    trip. run(query_id, op, vtype, operand_lists, per_msg, ...) is the
+    backend's operator batch; it returns one result per operand list."""
     return run(query_id, op, vtype, [[a, b] for a, b in pairs],
                max(1, batch_size // 2))
 
 
 def reduce_refs(run, query_id: int, op: OpKind, vtype: ValueType,
-                refs: list, batch_size: int):
+                refs: list, batch_size: int, reveal: bool = False):
     """Reduction tree with batch_size operand fields per round trip; each
-    level's partial results are the next level's operands."""
+    level's partial results are the next level's operands. With reveal the
+    last level returns its result as a client envelope, so a single ref is
+    reduced once too; without, a single ref is its own result."""
     if op == OpKind.AVG_AGG:
         # partial averages cannot be averaged again, and the integrity zone
         # cannot mint the count constant a SUM/COUNT split would need
         raise TypeMismatch("AVG_AGG does not reduce in a tree")
-    fan_in = max(2, batch_size)
+    fan_in = max(2, batch_size)  # one group of operand fields per message
     level = refs
-    while len(level) > 1:
+    while len(level) > fan_in:
         groups = [level[lo:lo + fan_in] for lo in range(0, len(level), fan_in)]
-        level = run(query_id, op, vtype, groups, max(1, batch_size // fan_in))
-    return level[0]
+        level = run(query_id, op, vtype, groups, 1)
+    if len(level) == 1 and not reveal:
+        return level[0]
+    return run(query_id, op, vtype, [level], 1, reveal=reveal)[0]
+
+
+def _check_results(op: OpKind, codes: list[int]) -> None:
+    for code in codes:
+        if code:
+            raise error_for_code(code, f"operator {OpKind(op).name} failed")
 
 
 class FidBackend:
@@ -166,25 +178,45 @@ class FidBackend:
         self.client = client
         self.config = config
 
+    def ingest(self, query_id: int, envelope: bytes, partition_id: int) -> int:
+        """A fresh ref for a client envelope's value, in partition_id."""
+        return self.client.ingest(query_id, envelope, partition_id)
+
+    def reveal(self, query_id: int, ref: int) -> bytes:
+        return self.client.reveal(query_id, ref)
+
     def promote(self, ref: int, partition_id: int) -> int:
-        """A FID for ref's secret in partition_id: ref itself when it was
-        written there directly, else a permanent copy of a temporary ref."""
-        if decode_fid(self.config, ref)[0] == partition_id:
-            return ref
-        return self.client.promote(ref, partition_id)
+        """A FID for ref's secret in partition_id that no other row version
+        holds. A ref in that partition is kept only if this client wrote it
+        there fresh and no cell has claimed it yet; the caller's cell claims
+        it now. A temporary ref is copied over. Any other ref raises
+        WrongPartitionKind and changes nothing."""
+        if decode_fid(self.config, ref)[0] != partition_id:
+            return self.client.promote(ref, partition_id)
+        if ref not in self.client.fresh:
+            raise WrongPartitionKind(
+                f"ref {ref:#x} is not a fresh unclaimed write to partition {partition_id}")
+        self.client.fresh.remove(ref)
+        return ref
 
     def release(self, ref: int) -> bool:
+        self.client.fresh.discard(ref)
         try:
             self.client.delete(ref)
             return True
         except NotLive:
             return False  # already reclaimed by an earlier, interrupted pass
 
-    def _run(self, query_id, op, vtype, operand_lists, per_msg) -> list:
-        reqs = [OperatorRequest(op, vtype, fids) for fids in operand_lists]
+    def _run(self, query_id, op, vtype, operand_lists, per_msg, constant=None,
+             destination=None, reveal=False) -> list:
+        reqs = [OperatorRequest(op, vtype, fids, destination, constant, reveal)
+                for fids in operand_lists]
         out = self.client.exec_batch(query_id, reqs, per_msg)
+        _check_results(op, [r.error_code for r in out])
         if op in COMPARISONS:
             return [r.boolean for r in out]
+        if reveal:
+            return [r.envelope for r in out]
         return [r.fid for r in out]
 
     def compare_many(self, query_id: int, op: OpKind, vtype: ValueType,
@@ -192,8 +224,15 @@ class FidBackend:
         return compare_pairs(self._run, query_id, op, vtype, pairs, batch_size)
 
     def aggregate(self, query_id: int, op: OpKind, vtype: ValueType,
-                  refs: list[int], batch_size: int) -> int:
-        return reduce_refs(self._run, query_id, op, vtype, refs, batch_size)
+                  refs: list[int], batch_size: int, reveal: bool = False):
+        """The reduced ref, or with reveal its value as a client envelope."""
+        return reduce_refs(self._run, query_id, op, vtype, refs, batch_size, reveal)
+
+    def apply_constant(self, query_id: int, op: OpKind, vtype: ValueType,
+                       ref: int, constant: bytes, partition_id: int) -> int:
+        """op(ref's value, a client envelope's value) in one message, the
+        result written fresh to partition_id."""
+        return self._run(query_id, op, vtype, [[ref]], 1, constant, partition_id)[0]
 
     def ref_to_wire(self, ref: int) -> bytes:
         return fid_to_bytes(ref)
@@ -215,15 +254,23 @@ class CipherBackend:
     def __init__(self, client):
         self.client = client
 
+    def ingest(self, query_id: int, envelope: bytes, partition_id: int) -> bytes:
+        return self.client.cipher_ingest(query_id, envelope)
+
+    def reveal(self, query_id: int, ref: bytes) -> bytes:
+        return self.client.cipher_reveal(query_id, ref)
+
     def promote(self, temp_ref: bytes, partition_id: int) -> bytes:
         return temp_ref  # the envelope itself is the stored form
 
     def release(self, ref: bytes) -> bool:
         return False
 
-    def _run(self, query_id, op, vtype, operand_lists, per_msg) -> list:
-        reqs = [(op, vtype, envs) for envs in operand_lists]
+    def _run(self, query_id, op, vtype, operand_lists, per_msg, constant=None,
+             destination=None, reveal=False) -> list:
+        reqs = [(op, vtype, envs, constant, reveal) for envs in operand_lists]
         out = self.client.cipher_exec(query_id, reqs, per_msg)
+        _check_results(op, [code for _, _, code in out])
         if op in COMPARISONS:
             return [flag for _, flag, _ in out]
         return [env for env, _, _ in out]
@@ -231,8 +278,11 @@ class CipherBackend:
     def compare_many(self, query_id, op, vtype, pairs, batch_size):
         return compare_pairs(self._run, query_id, op, vtype, pairs, batch_size)
 
-    def aggregate(self, query_id, op, vtype, refs, batch_size):
-        return reduce_refs(self._run, query_id, op, vtype, refs, batch_size)
+    def aggregate(self, query_id, op, vtype, refs, batch_size, reveal=False):
+        return reduce_refs(self._run, query_id, op, vtype, refs, batch_size, reveal)
+
+    def apply_constant(self, query_id, op, vtype, ref, constant, partition_id):
+        return self._run(query_id, op, vtype, [[ref]], 1, constant)[0]
 
     def ref_to_wire(self, ref: bytes) -> bytes:
         return ref
@@ -406,8 +456,9 @@ class Database:
         # sensitive: the caller hands us a fresh ref from ingest/operators,
         # written either into the query's temporaries (promote copies it
         # into the table's partition) or straight into the table's partition
-        # (promote keeps it). Either way the stored ref belongs to this cell
-        # alone: a ref another row version holds would be released twice.
+        # (promote keeps it and this cell claims it). Either way the stored
+        # ref belongs to this cell alone: promote refuses a ref another row
+        # version holds, which would be released twice.
         ref = self.backend.promote(value, table.partition_id)
         promoted.append(ref)
         return ref

@@ -6,11 +6,26 @@ booleans one byte. Responses start with a status byte (0 = ok, otherwise
 an error code from errors.py).
 
 An operator batch (MSG_EXEC_BATCH, MSG_CIPHER_EXEC) is {u16 n, n elements}.
-Each element is {u8 op, u8 type, u16 argc, [u32 destination], argc
-operands}; the destination is present only when the op byte has OP_DEST
-set, and names the permanent partition the element's value result is
-written to (MSG_EXEC_BATCH only). An element without one costs no extra
-bytes and writes to the query's temporary partition. MSG_INGEST always
+Each element is {u8 op | flags, u8 type, u16 argc, [u32 destination],
+argc stored operands, [constant]}. Each of three flag bits in the op
+byte adds one optional part or behaviour; an element with none set is
+its head and its operands alone:
+
+- OP_DEST: the u32 destination follows the head and names the permanent
+  partition the element's value result is written to (MSG_EXEC_BATCH
+  only). Without it the result goes to the query's temporary partition.
+- OP_CONST: a client envelope {u32 len, bytes} follows the stored
+  operands and is the element's last operand. The privacy zone decrypts
+  it once and never stores it.
+- OP_REVEAL: the value result comes back as a client envelope and is
+  never stored.
+
+An element that combines the flags wrongly (a constant with argc 0, a
+reveal on a comparison or together with a destination) fails on its own
+with TypeMismatch, like any other element error. Each response element is
+a status byte, then for status 0 a result kind and the result: 0 and a
+value (a FID, or a zone envelope blob for MSG_CIPHER_EXEC), 1 and a
+boolean byte, or 2 and a revealed client envelope blob. MSG_INGEST always
 carries a u32 target, QUERY_TEMP_TARGET for the query's temporary
 partition.
 
@@ -33,6 +48,7 @@ from .privacy_proxy import (
     OpKind,
     QUERY_TEMP_TARGET,
     ValueType,
+    check_operator,
     compare_values,
     compute_value,
 )
@@ -54,8 +70,15 @@ MSG_CIPHER_EXEC = 20
 MSG_CIPHER_INGEST = 21
 MSG_CIPHER_REVEAL = 22
 
-# set in an operator element's op byte when a u32 destination follows its head
+# flags in an operator element's op byte (format in the module docstring)
 OP_DEST = 0x80
+OP_REVEAL = 0x40
+OP_CONST = 0x20
+_OP_FLAGS = OP_DEST | OP_REVEAL | OP_CONST
+
+_RESULT_VALUE = 0
+_RESULT_BOOL = 1
+_RESULT_REVEALED = 2
 
 _U8 = struct.Struct("<B")
 _U32 = struct.Struct("<I")
@@ -81,51 +104,66 @@ def _read_u64(data: bytes, pos: int) -> tuple[int, int]:
     return _U64.unpack_from(data, pos)[0], pos + 8
 
 
-def _read_ops(payload: bytes, read_operand) -> list[tuple[int, int, list, int | None]]:
+def _read_ops(payload: bytes, read_operand) -> list[tuple]:
     """Decode an operator batch (format in the module docstring) into raw
-    (op, type, operands, destination) tuples; destination is None when the
-    element names none."""
+    (op, type, operands, destination, constant, reveal) tuples; destination
+    and constant are None when the element carries none."""
     (n,) = struct.unpack_from("<H", payload, 0)
     pos = 2
     ops = []
     for _ in range(n):
         op, vtype, argc = _OP_HEAD.unpack_from(payload, pos)
         pos += _OP_HEAD.size
+        flags = op & _OP_FLAGS
+        op &= ~_OP_FLAGS
         dest = None
-        if op & OP_DEST:
-            op &= ~OP_DEST
+        if flags & OP_DEST:
             (dest,) = _U32.unpack_from(payload, pos)
             pos += 4
         operands = []
         for _ in range(argc):
             operand, pos = read_operand(payload, pos)
             operands.append(operand)
-        ops.append((op, vtype, operands, dest))
+        const = None
+        if flags & OP_CONST:
+            const, pos = _read_blob(payload, pos)
+        ops.append((op, vtype, operands, dest, const, bool(flags & OP_REVEAL)))
     return ops
 
 
 def _encode_element(error: int = 0, flag: bool | None = None,
-                    value: bytes = b"") -> bytes:
+                    value: bytes = b"", revealed: bytes | None = None) -> bytes:
     """One operator-batch response element: an error status byte alone, or
-    status 0 then result kind 1 and a boolean byte, or kind 0 and a value."""
+    status 0 then a result kind and the result: a boolean byte, a revealed
+    client envelope, or a value."""
     if error:
         return _U8.pack(error)
     if flag is not None:
-        return b"\x00\x01" + _U8.pack(1 if flag else 0)
-    return b"\x00\x00" + value
+        return bytes((0, _RESULT_BOOL, 1 if flag else 0))
+    if revealed is not None:
+        return bytes((0, _RESULT_REVEALED)) + _blob(revealed)
+    return bytes((0, _RESULT_VALUE)) + value
 
 
 class ProxyClient:
     """Integrity-side stub: serializes calls, records the adversary view.
 
     Each method is one round trip except exec_batch and cipher_exec, which
-    split their requests into ceil(n / batch_size) messages.
+    split their requests into ceil(n / batch_size) messages, and end_query,
+    which sends nothing for a query that never wrote to its temporary
+    partition (no temp-target ingest, no stored value result without a
+    destination): such a query has no temporaries to drop.
+
+    fresh holds the FIDs this client wrote to a named permanent partition
+    that no row version has claimed yet (see FidBackend.promote).
     """
 
     def __init__(self, channel, trace=None):
         self.channel = channel
         self.trace = trace
         self.promote_calls = 0
+        self.fresh: set[int] = set()
+        self._temp_queries: set[int] = set()
 
     # -- plumbing -------------------------------------------------------
 
@@ -152,22 +190,27 @@ class ProxyClient:
     def _batch(self, kind: int, query_id: int, reqs: list, batch_size: int,
                write_operand, read_result) -> list[tuple]:
         """The operator-batch codec shared by the FID and envelope paths:
-        (op, type, operands, destination) requests go out in
-        ceil(n / batch_size) messages; returns (result, boolean, error_code)
-        per request."""
+        (op, type, operands, destination, constant, reveal) requests go out
+        in ceil(n / batch_size) messages; returns (result, boolean,
+        error_code) per request, where a revealed result is the client
+        envelope."""
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         out = []
         for lo in range(0, len(reqs), batch_size):
             chunk = reqs[lo:lo + batch_size]
             payload = [struct.pack("<H", len(chunk))]
-            for op, vtype, operands, dest in chunk:
-                if dest is None:
-                    payload.append(_OP_HEAD.pack(int(op), int(vtype), len(operands)))
-                else:
-                    payload.append(_OP_HEAD.pack(int(op) | OP_DEST, int(vtype),
-                                                 len(operands)) + _U32.pack(dest))
+            for op, vtype, operands, dest, const, reveal in chunk:
+                flags = ((OP_DEST if dest is not None else 0)
+                         | (OP_CONST if const is not None else 0)
+                         | (OP_REVEAL if reveal else 0))
+                payload.append(_OP_HEAD.pack(int(op) | flags, int(vtype),
+                                             len(operands)))
+                if dest is not None:
+                    payload.append(_U32.pack(dest))
                 payload.extend(write_operand(x) for x in operands)
+                if const is not None:
+                    payload.append(_blob(const))
             body = self._call(kind, query_id, b"".join(payload))
             (n,) = struct.unpack_from("<H", body, 0)
             pos = 2
@@ -179,9 +222,12 @@ class ProxyClient:
                     continue
                 result_kind = body[pos]
                 pos += 1
-                if result_kind == 0:
+                if result_kind == _RESULT_VALUE:
                     result, pos = read_result(body, pos)
                     out.append((result, None, 0))
+                elif result_kind == _RESULT_REVEALED:
+                    env, pos = _read_blob(body, pos)
+                    out.append((env, None, 0))
                 else:
                     flag = bool(body[pos])
                     pos += 1
@@ -197,6 +243,10 @@ class ProxyClient:
         body = self._call(MSG_INGEST, query_id, _U32.pack(target) + _blob(envelope))
         (fid,) = _U64.unpack(body)
         self._observe_fid(fid)
+        if target == QUERY_TEMP_TARGET:
+            self._temp_queries.add(query_id)
+        else:
+            self.fresh.add(fid)
         return fid
 
     def reveal(self, query_id: int, fid: int) -> bytes:
@@ -207,11 +257,25 @@ class ProxyClient:
 
     def exec_batch(self, query_id: int, reqs: list[OperatorRequest],
                    batch_size: int) -> list[OperatorResponse]:
-        elements = [(r.op, r.value_type, r.operand_fids, r.destination)
-                    for r in reqs]
+        elements = []
+        for r in reqs:
+            elements.append((r.op, r.value_type, r.operand_fids, r.destination,
+                             r.constant, r.reveal))
+            if (r.op not in COMPARISONS and not r.reveal
+                    and r.destination in (None, QUERY_TEMP_TARGET)):
+                self._temp_queries.add(query_id)
         out = self._batch(MSG_EXEC_BATCH, query_id, elements, batch_size,
                           self._write_fid, self._read_fid)
-        return [OperatorResponse(fid, flag, code) for fid, flag, code in out]
+        responses = []
+        for r, (result, flag, code) in zip(reqs, out):
+            if r.reveal:
+                responses.append(OperatorResponse(boolean=flag, error_code=code,
+                                                  envelope=result))
+                continue
+            if result is not None and r.destination not in (None, QUERY_TEMP_TARGET):
+                self.fresh.add(result)
+            responses.append(OperatorResponse(result, flag, code))
+        return responses
 
     def exec_operator(self, query_id: int, req: OperatorRequest) -> OperatorResponse:
         resp = self.exec_batch(query_id, [req], 1)[0]
@@ -220,7 +284,11 @@ class ProxyClient:
         return resp
 
     def end_query(self, query_id: int) -> None:
-        self._call(MSG_END_QUERY, query_id, b"")
+        """Drop the query's temporaries; sends MSG_END_QUERY only if the
+        query may have written any."""
+        if query_id in self._temp_queries:
+            self._temp_queries.discard(query_id)
+            self._call(MSG_END_QUERY, query_id, b"")
 
     # -- write path / maintenance ------------------------------------------
 
@@ -270,11 +338,14 @@ class ProxyClient:
         env, _ = _read_blob(body, 0)
         return env
 
-    def cipher_exec(self, query_id: int, reqs: list[tuple[OpKind, ValueType, list[bytes]]],
+    def cipher_exec(self, query_id: int, reqs: list[tuple],
                     batch_size: int) -> list[tuple[bytes | None, bool | None, int]]:
-        """Operator batch over envelope operands; returns
-        (result_envelope, boolean, error_code) per element."""
-        elements = [(op, vtype, envs, None) for op, vtype, envs in reqs]
+        """Operator batch over zone-envelope operands. Each request is
+        (op, type, envelopes, constant, reveal), constant an inline client
+        envelope or None; returns (result_envelope, boolean, error_code) per
+        element, the result under the client key when revealed."""
+        elements = [(op, vtype, envs, None, const, reveal)
+                    for op, vtype, envs, const, reveal in reqs]
         return self._batch(MSG_CIPHER_EXEC, query_id, elements, batch_size,
                            _blob, _read_blob)
 
@@ -310,12 +381,15 @@ class PrivacyDispatcher:
             (fid,) = _U64.unpack(payload)
             return _blob(proxy.reveal(fid).to_bytes())
         if kind == MSG_EXEC_BATCH:
-            reqs = [OperatorRequest(OpKind(op), ValueType(vtype), fids, dest)
-                    for op, vtype, fids, dest in _read_ops(payload, _read_u64)]
+            reqs = [OperatorRequest(OpKind(op), ValueType(vtype), fids, dest,
+                                    const, reveal)
+                    for op, vtype, fids, dest, const, reveal
+                    in _read_ops(payload, _read_u64)]
             out = [struct.pack("<H", len(reqs))]
             for resp in proxy.exec_batch(reqs, query_id):
                 fid = b"" if resp.fid is None else _U64.pack(resp.fid)
-                out.append(_encode_element(resp.error_code, resp.boolean, fid))
+                out.append(_encode_element(resp.error_code, resp.boolean, fid,
+                                           resp.envelope))
             return b"".join(out)
         if kind == MSG_END_QUERY:
             proxy.end_query(query_id)
@@ -364,16 +438,24 @@ class PrivacyDispatcher:
     def _cipher_exec(self, payload: bytes) -> bytes:
         ops = _read_ops(payload, _read_blob)
         out = [struct.pack("<H", len(ops))]
-        for op, vtype, envs, _ in ops:
+        client_codec = self.proxy.client_codec
+        for op, vtype, envs, dest, const, reveal in ops:
             try:
+                op = OpKind(op)
+                check_operator(op, len(envs), const is not None, dest, reveal)
                 values = [self.zone_codec.decrypt(ClientEnvelope.from_bytes(e))
                           for e in envs]
-                op = OpKind(op)
+                if const is not None:
+                    values.append(client_codec.decrypt(ClientEnvelope.from_bytes(const)))
                 if op in COMPARISONS:
                     out.append(_encode_element(
                         flag=compare_values(op, ValueType(vtype), values)))
+                    continue
+                result = compute_value(op, ValueType(vtype), values)
+                if reveal:
+                    out.append(_encode_element(
+                        revealed=client_codec.encrypt(result).to_bytes()))
                 else:
-                    result = compute_value(op, ValueType(vtype), values)
                     sealed = self.zone_codec.encrypt(result).to_bytes()
                     out.append(_encode_element(value=_blob(sealed)))
             except FidStoreError as exc:

@@ -15,6 +15,15 @@ be a permanent partition (a table's), so a value written straight into
 the table that will store it needs no separate promote. The dispatcher
 resolves every ingest target and operator destination through
 destination(), so no message writes into another query's temporaries.
+A query's temporary partition is created only when one of its values is
+written to it, so a query that names a destination for everything it
+writes never has one.
+
+An operator may also take a client envelope as an inline constant, which
+is decrypted once and used as its last operand, and may reveal its value
+result, which then leaves as a client envelope. Neither the constant nor
+a revealed result is ever stored: each costs the one decrypt or encrypt
+an ingest or reveal of it would.
 """
 
 from __future__ import annotations
@@ -80,21 +89,27 @@ class ValueType(IntEnum):
 @dataclass
 class OperatorRequest:
     """destination: the permanent partition a value result goes to; None
-    puts it in the query's temporary partition."""
+    puts it in the query's temporary partition. constant: a client envelope
+    used as the last operand, after the stored ones. reveal: return the
+    value result as a client envelope instead of storing it."""
 
     op: OpKind
     value_type: ValueType
     operand_fids: list[int]
     destination: int | None = None
+    constant: bytes | None = None
+    reveal: bool = False
 
 
 @dataclass
 class OperatorResponse:
-    """Exactly one of fid / boolean / error_code is meaningful."""
+    """Exactly one of fid / boolean / envelope / error_code is meaningful;
+    envelope holds a revealed result."""
 
     fid: int | None = None
     boolean: bool | None = None
     error_code: int = 0
+    envelope: bytes | None = None
 
 
 @dataclass(frozen=True)
@@ -164,6 +179,24 @@ def decode_float64(data: bytes) -> float:
 def _trunc_div(a: int, b: int) -> int:
     q = abs(a) // abs(b)
     return -q if (a < 0) != (b < 0) else q
+
+
+def check_operator(op: OpKind, n_stored: int, constant: bool,
+                   destination: int | None, reveal: bool) -> None:
+    """Raises TypeMismatch unless an operator element is well formed: the
+    op's arity over its stored operands plus the inline constant, a
+    constant only beside a stored operand, and a reveal only of a value
+    result that names no destination."""
+    if constant and not n_stored:
+        raise TypeMismatch("an inline constant needs a stored operand")
+    if reveal and (op in COMPARISONS or destination is not None):
+        raise TypeMismatch("only a value result without a destination is revealed")
+    n = n_stored + int(constant)
+    if op in BINARY_OPS:
+        if n != 2:
+            raise TypeMismatch(f"{OpKind(op).name} takes 2 operands, got {n}")
+    elif not n:
+        raise TypeMismatch(f"{OpKind(op).name} takes at least one operand")
 
 
 def compare_values(op: OpKind, vtype: ValueType, values: list[bytes]) -> bool:
@@ -295,11 +328,8 @@ class PrivacyProxy:
     def exec_operator(self, req: OperatorRequest, query_id: int) -> OperatorResponse:
         op = req.op
         fids = req.operand_fids
-        if op in BINARY_OPS:
-            if len(fids) != 2:
-                raise TypeMismatch(f"{OpKind(op).name} takes 2 operands, got {len(fids)}")
-        elif not fids:
-            raise TypeMismatch(f"{OpKind(op).name} takes at least one operand")
+        check_operator(op, len(fids), req.constant is not None, req.destination,
+                       req.reveal)
         values = []
         get = self.store.get
         for fid in fids:
@@ -307,9 +337,15 @@ class PrivacyProxy:
             if v is None:
                 raise NotLive(f"operand fid {fid:#x} is not live")
             values.append(v)
+        if req.constant is not None:
+            values.append(self.client_codec.decrypt(
+                ClientEnvelope.from_bytes(req.constant)))
         if op in COMPARISONS:
             return OperatorResponse(boolean=compare_values(op, req.value_type, values))
         result = compute_value(op, req.value_type, values)
+        if req.reveal:
+            return OperatorResponse(
+                envelope=self.client_codec.encrypt(result).to_bytes())
         out_fid = self.store.put(self.destination(query_id, req.destination), result)
         return OperatorResponse(fid=out_fid)
 

@@ -38,10 +38,8 @@ from .integrity_dbms import (
 from .mapping_store import MappingStore
 from .messages import PrivacyDispatcher, ProxyClient
 from .privacy_proxy import (
-    QUERY_TEMP_TARGET,
     EnvelopeCodec,
     ClientEnvelope,
-    OperatorRequest,
     OpKind,
     PrivacyProxy,
     ValueType,
@@ -521,18 +519,21 @@ class ZoneTopology:
 
 class _Runner:
     """Executes a workload program against the topology, one schedule entry
-    at a time, mirroring what the shadow oracle replays.
+    at a time, mirroring what the shadow oracle replays. Every privacy-zone
+    call goes through the database's backend, so both backends run the
+    same code here.
 
     Every secret a row will hold is written straight into its table's
-    partition, so storing it costs no promote; only operands (an update's
-    delta) go to the query's temporaries. An update checks for a write
-    conflict before it writes anything to the privacy zone."""
+    partition, so storing it costs no promote. An update's delta travels
+    inside its operator message and a range sum's result comes back inside
+    its last operator message, so no query writes to its temporaries and
+    ending one sends nothing. An update checks for a write conflict before
+    it writes anything to the privacy zone."""
 
     def __init__(self, topology: ZoneTopology, program: WorkloadProgram):
         self.topo = topology
         self.program = program
         self.spec = program.spec
-        self.cipher = topology.backend_name == "cipher"
         self.report = RunReport(seed=topology.seed, backend=topology.backend_name,
                                 mode=program.spec.mode.value)
         # partitions a range sum has prefetched: once the cache has filled,
@@ -541,18 +542,13 @@ class _Runner:
 
     # -- client-side value handling --------------------------------------
 
-    def _ingest(self, query_id: int, plaintext: bytes, target: int):
-        env = self.topo.client_encrypt(plaintext)
-        if self.cipher:
-            return self.topo.client.cipher_ingest(query_id, env)
-        return self.topo.client.ingest(query_id, env, target)
+    def _ingest(self, db: Database, query_id: int, plaintext: bytes,
+                partition_id: int):
+        return db.backend.ingest(query_id, self.topo.client_encrypt(plaintext),
+                                 partition_id)
 
-    def _reveal_int(self, query_id: int, ref) -> int:
-        if self.cipher:
-            env = self.topo.client.cipher_reveal(query_id, ref)
-        else:
-            env = self.topo.client.reveal(query_id, ref)
-        return decode_int64(self.topo.client_decrypt(env))
+    def _open_int(self, envelope: bytes) -> int:
+        return decode_int64(self.topo.client_decrypt(envelope))
 
     # -- setup -------------------------------------------------------------
 
@@ -563,8 +559,10 @@ class _Runner:
         for t, rows in zip(tables, self.program.preload):
             txn = db.begin()
             for key, (k_value, c_value) in enumerate(rows, start=1):
-                kref = self._ingest(txn.query_id, encode_int64(k_value), t.partition_id)
-                cref = self._ingest(txn.query_id, pad_sensitive(c_value), t.partition_id)
+                kref = self._ingest(db, txn.query_id, encode_int64(k_value),
+                                    t.partition_id)
+                cref = self._ingest(db, txn.query_id, pad_sensitive(c_value),
+                                    t.partition_id)
                 db.insert_row(txn, t, [key, kref, cref, b"sb-pad"])
             db.commit(txn)
             self.topo.client.end_query(txn.query_id)
@@ -675,12 +673,13 @@ class _Runner:
                 topo.trace.result_size(0)
                 report.revealed.append(("point", op[1], key, None))
                 return
-            value = self._reveal_int(txn.query_id, version.cells[_COL_K])
+            value = self._open_int(db.backend.reveal(txn.query_id,
+                                                     version.cells[_COL_K]))
             topo.trace.result_size(1)
             report.revealed.append(("point", op[1], key, value))
         elif kind == "range_sum":
             table, start, span = tables[op[1]], op[2], op[3]
-            if (self.spec.mode == Mode.RANGE_SELECT and not self.cipher
+            if (self.spec.mode == Mode.RANGE_SELECT and db.backend.name == "fid"
                     and table.partition_id not in self.prefetched):
                 self.prefetched.add(table.partition_id)
                 topo.client.prefetch(table.partition_id)
@@ -693,9 +692,9 @@ class _Runner:
             if not refs:
                 report.revealed.append(("sum", op[1], start, 0))
                 return
-            agg = db.backend.aggregate(txn.query_id, OpKind.SUM_AGG,
-                                       ValueType.INT64, refs, self.spec.batch_size)
-            value = self._reveal_int(txn.query_id, agg)
+            value = self._open_int(db.backend.aggregate(
+                txn.query_id, OpKind.SUM_AGG, ValueType.INT64, refs,
+                self.spec.batch_size, reveal=True))
             report.revealed.append(("sum", op[1], start, value))
         elif kind == "update_add":
             table, key = tables[op[1]], op[2]
@@ -703,21 +702,9 @@ class _Runner:
             if version is None:
                 return
             db.check_update(txn, table, key)
-            delta = values[0]
-            const_ref = self._ingest(txn.query_id, encode_int64(delta), QUERY_TEMP_TARGET)
-            if self.cipher:
-                out = topo.client.cipher_exec(
-                    txn.query_id,
-                    [(OpKind.ADD, ValueType.INT64, [version.cells[_COL_K], const_ref])],
-                    self.spec.batch_size)
-                new_ref = out[0][0]
-            else:
-                resp = topo.client.exec_operator(
-                    txn.query_id,
-                    OperatorRequest(OpKind.ADD, ValueType.INT64,
-                                    [version.cells[_COL_K], const_ref],
-                                    table.partition_id))
-                new_ref = resp.fid
+            new_ref = db.backend.apply_constant(
+                txn.query_id, OpKind.ADD, ValueType.INT64, version.cells[_COL_K],
+                topo.client_encrypt(encode_int64(values[0])), table.partition_id)
             db.update_row(txn, table, key, {"k": new_ref})
             topo.trace.result_size(1)
         elif kind == "update_bytes":
@@ -726,15 +713,17 @@ class _Runner:
             if version is None:
                 return
             db.check_update(txn, table, key)
-            new_ref = self._ingest(txn.query_id, pad_sensitive(values[0]),
+            new_ref = self._ingest(db, txn.query_id, pad_sensitive(values[0]),
                                    table.partition_id)
             db.update_row(txn, table, key, {"c": new_ref})
             topo.trace.result_size(1)
         elif kind == "insert":
             table = tables[op[1]]
             k_value, c_value = values
-            kref = self._ingest(txn.query_id, encode_int64(k_value), table.partition_id)
-            cref = self._ingest(txn.query_id, pad_sensitive(c_value), table.partition_id)
+            kref = self._ingest(db, txn.query_id, encode_int64(k_value),
+                                table.partition_id)
+            cref = self._ingest(db, txn.query_id, pad_sensitive(c_value),
+                                table.partition_id)
             db.insert_row(txn, table, [op[2], kref, cref, b"sb-pad"])
             topo.trace.result_size(1)
         else:

@@ -1,6 +1,12 @@
 import pytest
 
-from fidstore.errors import NotLive, SchemaMismatch, TypeMismatch, WriteConflict
+from fidstore.errors import (
+    NotLive,
+    SchemaMismatch,
+    TypeMismatch,
+    WriteConflict,
+    WrongPartitionKind,
+)
 from fidstore.fid_codec import decode_fid
 from fidstore.integrity_dbms import Column, ColumnType, Predicate
 from fidstore.privacy_proxy import OpKind, ValueType, decode_int64, encode_int64
@@ -78,18 +84,52 @@ def test_promote_keeps_a_ref_already_in_the_table_partition(topo):
                                 table.partition_id)
     temp = _ingest_int(topo, txn.query_id, 8)
     calls, trips = topo.client.promote_calls, topo.channel.round_trips
-    assert db.backend.promote(direct, table.partition_id) == direct
+    db.insert_row(txn, table, [1, direct, b"n"])
     assert (topo.client.promote_calls, topo.channel.round_trips) == (calls, trips)
+    assert table.rows[1][-1].cells[1] == direct
     copy = db.backend.promote(temp, table.partition_id)
     assert topo.client.promote_calls == calls + 1
     assert copy != temp and decode_fid(topo.config, copy)[0] == table.partition_id
-    db.insert_row(txn, table, [1, direct, b"n"])
-    assert topo.client.promote_calls == calls + 1
-    assert table.rows[1][-1].cells[1] == direct
     db.commit(txn)
     topo.client.end_query(txn.query_id)
     reader = db.begin()
     assert _reveal_int(topo, reader.query_id, direct) == 7
+    db.abort(reader)
+
+
+def test_a_ref_another_row_version_holds_is_refused(topo):
+    """A ref in the table's partition is stored only by the one cell that
+    claims it fresh: inserting row 2 with row 1's ref raises and changes
+    nothing, so updating row 2 and vacuuming cannot release row 1's secret.
+    A fresh ref no cell claimed leaves the fresh set once orphan GC
+    releases it."""
+    db = topo.integrity.db
+    table = db.create_table("t", list(SCHEMA))
+    pid = table.partition_id
+
+    def ingest(query_id, value):
+        return topo.client.ingest(query_id, topo.client_encrypt(encode_int64(value)),
+                                  pid)
+
+    txn = db.begin()
+    k1 = ingest(txn.query_id, 1)
+    db.insert_row(txn, table, [1, k1, b"n"])
+    db.commit(txn)
+    txn = db.begin()
+    with pytest.raises(WrongPartitionKind):
+        db.insert_row(txn, table, [2, k1, b"n"])
+    assert 2 not in table.rows and not txn.staged
+    db.insert_row(txn, table, [2, ingest(txn.query_id, 2), b"n"])
+    db.update_row(txn, table, 2, {"k": ingest(txn.query_id, 3)})
+    unclaimed = ingest(txn.query_id, 4)
+    db.commit(txn)
+    db.vacuum(table)
+    assert topo.check_invariant().holds
+    assert topo.client.fresh == {unclaimed}
+    assert db.orphan_gc() == 1
+    assert topo.client.fresh == set()
+    reader = db.begin()
+    assert _reveal_int(topo, reader.query_id, k1) == 1
     db.abort(reader)
 
 

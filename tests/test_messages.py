@@ -1,11 +1,37 @@
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fidstore.errors import DivideByZero, NotLive, UnknownPartition, WrongPartitionKind
+from fidstore.errors import (
+    DivideByZero,
+    NotLive,
+    TypeMismatch,
+    UnknownPartition,
+    WrongPartitionKind,
+)
 from fidstore.fid_codec import decode_fid
-from fidstore.messages import OP_DEST, QUERY_TEMP_TARGET
-from fidstore.privacy_proxy import OperatorRequest, OpKind, ValueType, encode_int64
+from fidstore.messages import (
+    MSG_CIPHER_EXEC,
+    MSG_EXEC_BATCH,
+    OP_CONST,
+    OP_DEST,
+    OP_REVEAL,
+    QUERY_TEMP_TARGET,
+    ProxyClient,
+    _blob,
+    _read_blob,
+    _read_ops,
+    _read_u64,
+)
+from fidstore.privacy_proxy import (
+    OperatorRequest,
+    OpKind,
+    ValueType,
+    decode_int64,
+    encode_int64,
+)
 from fidstore.zone_sim import ZoneTopology
 
 
@@ -96,11 +122,10 @@ def test_cipher_backend_round_trip(topo):
     zone_env = topo.client.cipher_ingest(5, env)
     assert zone_env != env
     out = topo.client.cipher_exec(
-        5, [(OpKind.ADD, ValueType.INT64, [zone_env, zone_env])], 4)
+        5, [(OpKind.ADD, ValueType.INT64, [zone_env, zone_env], None, False)], 4)
     result_env, flag, code = out[0]
     assert code == 0 and flag is None
     back = topo.client.cipher_reveal(5, result_env)
-    from fidstore.privacy_proxy import decode_int64
     assert decode_int64(topo.client_decrypt(back)) == 42
     crypto = topo.privacy.zone_codec.encrypts + topo.privacy.zone_codec.decrypts
     assert crypto >= 5  # ingest(1 enc) + op(2 dec + 1 enc) + reveal(1 dec)
@@ -164,3 +189,155 @@ def test_operator_destination_on_the_wire(topo):
     assert captured[0][9:] == (
         struct.pack("<HBBH", 2, OpKind.ADD, ValueType.INT64, 2) + fids
         + struct.pack("<BBHI", OpKind.ADD | OP_DEST, ValueType.INT64, 2, perm) + fids)
+
+
+def _capture(topo) -> list:
+    """Records (request, response) for every message from now on."""
+    captured = []
+    original = topo.channel.request
+
+    def spy(raw):
+        resp = original(raw)
+        captured.append((raw, resp))
+        return resp
+
+    topo.channel.request = spy
+    return captured
+
+
+def test_unflagged_elements_keep_their_wire_bytes(topo):
+    """An element with neither an inline constant nor a reveal carries no
+    byte for either: its head, its destination if any and its operands,
+    on both operator messages."""
+    a = topo.client.ingest(8, topo.client_encrypt(encode_int64(4)))
+    zone = topo.client.cipher_ingest(8, topo.client_encrypt(encode_int64(4)))
+    perm = topo.client.create_partition(1, 2, 0)
+    captured = _capture(topo)
+    topo.client.exec_batch(8, [
+        OperatorRequest(OpKind.CMP_LT, ValueType.INT64, [a, a]),
+        OperatorRequest(OpKind.SUM_AGG, ValueType.INT64, [a, a, a]),
+        OperatorRequest(OpKind.ADD, ValueType.INT64, [a, a], perm),
+    ], 4)
+    topo.client.cipher_exec(8, [(OpKind.ADD, ValueType.INT64, [zone, zone], None,
+                                 False)], 4)
+    fid = struct.pack("<Q", a)
+    assert captured[0][0] == (
+        struct.pack("<BQ", MSG_EXEC_BATCH, 8) + struct.pack("<H", 3)
+        + struct.pack("<BBH", OpKind.CMP_LT, ValueType.INT64, 2) + fid * 2
+        + struct.pack("<BBH", OpKind.SUM_AGG, ValueType.INT64, 3) + fid * 3
+        + struct.pack("<BBHI", OpKind.ADD | OP_DEST, ValueType.INT64, 2, perm)
+        + fid * 2)
+    env = struct.pack("<I", len(zone)) + zone
+    assert captured[1][0] == (
+        struct.pack("<BQ", MSG_CIPHER_EXEC, 8) + struct.pack("<H", 1)
+        + struct.pack("<BBH", OpKind.ADD, ValueType.INT64, 2) + env * 2)
+
+
+def test_flagged_elements_on_the_wire(topo):
+    """An inline constant follows the stored operands as a length-prefixed
+    client envelope and is not counted in argc; a revealed result comes
+    back as result kind 2 and a client envelope, and is not stored."""
+    a = topo.client.ingest(9, topo.client_encrypt(encode_int64(40)))
+    const = topo.client_encrypt(encode_int64(2))
+    store = topo.privacy.store
+    temp = decode_fid(topo.config, a)[0]
+    captured = _capture(topo)
+    out = topo.client.exec_batch(9, [OperatorRequest(
+        OpKind.ADD, ValueType.INT64, [a], constant=const, reveal=True)], 4)
+    raw, resp = captured[0]
+    assert raw[9:] == (struct.pack("<H", 1)
+                       + struct.pack("<BBH", OpKind.ADD | OP_REVEAL | OP_CONST,
+                                     ValueType.INT64, 1)
+                       + struct.pack("<Q", a) + struct.pack("<I", len(const)) + const)
+    assert resp[:5] == b"\x00\x01\x00\x00\x02"
+    assert _read_blob(resp, 5)[0] == out[0].envelope
+    assert out[0].fid is None and out[0].error_code == 0
+    assert decode_int64(topo.client_decrypt(out[0].envelope)) == 42
+    assert store.live_fids(temp) == [a]
+
+
+_operand = {"fid": st.integers(0, 2**64 - 1), "cipher": st.binary(max_size=40)}
+
+
+def _elements(codec):
+    return st.lists(st.tuples(
+        st.integers(0, 0x1F),
+        st.sampled_from(list(ValueType)),
+        st.lists(_operand[codec], max_size=4),
+        st.none() | st.integers(0, 2**32 - 1),
+        st.none() | st.binary(max_size=60),
+        st.booleans()), max_size=12)
+
+
+@pytest.mark.parametrize("codec", ["fid", "cipher"])
+def test_batch_codec_round_trip(codec):
+    """Whatever the client's operator-batch codec encodes, the privacy
+    zone's decoder reads back unchanged, over every flag combination and
+    across message splits."""
+    kind, write, read = {
+        "fid": (MSG_EXEC_BATCH, lambda f: struct.pack("<Q", f), _read_u64),
+        "cipher": (MSG_CIPHER_EXEC, _blob, _read_blob)}[codec]
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(elements=_elements(codec), batch_size=st.integers(1, 5))
+    def round_trip(elements, batch_size):
+        decoded = []
+
+        class Wire:
+            def request(self, raw):
+                assert raw[0] == kind
+                ops = _read_ops(raw[9:], read)
+                decoded.extend(ops)
+                # every element answered with a positional error
+                return (b"\x00" + struct.pack("<H", len(ops))
+                        + bytes([TypeMismatch.code]) * len(ops))
+
+        client = ProxyClient(Wire())
+        out = client._batch(kind, 3, elements, batch_size, write, read)
+        assert decoded == [tuple(e) for e in elements]
+        assert out == [(None, None, TypeMismatch.code)] * len(elements)
+
+    round_trip()
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+def test_invalid_flag_combinations_fail_positionally(backend):
+    """A reveal on a comparison, a reveal with a destination (FID batches
+    only: envelope batches carry none) and an inline constant with no
+    stored operand each fail with TypeMismatch in their own position and
+    write nothing, while the rest of the batch still runs."""
+    topo = ZoneTopology(999, backend=backend)
+    client = topo.client
+    perm = client.create_partition(1, 2, 0)
+    const = topo.client_encrypt(encode_int64(2))
+    bad = TypeMismatch.code
+    if backend == "fid":
+        a = client.ingest(7, topo.client_encrypt(encode_int64(40)))
+        out = client.exec_batch(7, [
+            OperatorRequest(OpKind.CMP_LT, ValueType.INT64, [a], constant=const,
+                            reveal=True),
+            OperatorRequest(OpKind.ADD, ValueType.INT64, [a], constant=const),
+            OperatorRequest(OpKind.ADD, ValueType.INT64, [a], perm, const, True),
+            OperatorRequest(OpKind.SUM_AGG, ValueType.INT64, [], constant=const),
+            OperatorRequest(OpKind.ADD, ValueType.INT64, [a], constant=const,
+                            reveal=True),
+        ], 8)
+        assert [r.error_code for r in out] == [bad, 0, bad, bad, 0]
+        assert decode_int64(topo.privacy.store.get(out[1].fid)) == 42
+        temp = decode_fid(topo.config, a)[0]
+        assert topo.privacy.store.live_fids(temp) == [a, out[1].fid]
+        revealed = out[4].envelope
+    else:
+        a = client.cipher_ingest(7, topo.client_encrypt(encode_int64(40)))
+        out = client.cipher_exec(7, [
+            (OpKind.CMP_LT, ValueType.INT64, [a], const, True),
+            (OpKind.ADD, ValueType.INT64, [a], const, False),
+            (OpKind.SUM_AGG, ValueType.INT64, [], const, False),
+            (OpKind.ADD, ValueType.INT64, [a], const, True),
+        ], 8)
+        assert [code for _, _, code in out] == [bad, 0, bad, 0]
+        stored = client.cipher_reveal(7, out[1][0])
+        assert decode_int64(topo.client_decrypt(stored)) == 42
+        revealed = out[3][0]
+    assert decode_int64(topo.client_decrypt(revealed)) == 42
+    assert topo.privacy.store.live_fids(perm) == []

@@ -258,6 +258,58 @@ def test_conflicting_update_writes_nothing(op, values, backend):
     assert store.live_fids(pid) == live
 
 
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_no_query_temporary_outlives_its_query(mode, backend):
+    """The runner's queries write nothing to their temporary partitions, so
+    no query sends MSG_END_QUERY and the store ends with only the tables'
+    partitions."""
+    spec = _small_spec(mode=mode, duration_ops=25)
+    topo = ZoneTopology(7, backend=backend, batch_size=spec.batch_size)
+    kinds = _count_kinds(topo)
+    report = topo.run_workload(spec)
+    assert report.ops_completed > 0 and report.invariant_holds
+    assert kinds[m.MSG_END_QUERY] == 0
+    assert topo.privacy.proxy._query_temps == {}
+    assert topo.privacy.store.partition_ids() == sorted(
+        t.partition_id for t in topo.integrity.db.tables_by_idx)
+
+
+@pytest.mark.parametrize("query", ["deep_reduction", "ingested_predicate"])
+def test_query_with_temporaries_still_ends_them(query):
+    """A reduction over more refs than batch_size keeps its partial sums in
+    the query's temporary partition, and so does a predicate constant
+    ingested there: ending either query sends MSG_END_QUERY, once, and
+    drops that partition."""
+    topo = ZoneTopology(8, batch_size=4)
+    db = topo.integrity.db
+    table = db.create_table("t", list(SCHEMA))
+    txn = db.begin()
+    for key in range(1, 11):
+        ref = topo.client.ingest(txn.query_id, topo.client_encrypt(encode_int64(key)),
+                                 table.partition_id)
+        db.insert_row(txn, table, [key, ref])
+    db.commit(txn)
+    kinds = _count_kinds(topo)
+    q = db.begin()
+    if query == "deep_reduction":
+        refs = [table.rows[key][-1].cells[1] for key in range(1, 11)]
+        env = db.backend.aggregate(q.query_id, OpKind.SUM_AGG, ValueType.INT64,
+                                   refs, 4, reveal=True)
+        assert decode_int64(topo.client_decrypt(env)) == 55
+    else:
+        const = topo.client.ingest(q.query_id, topo.client_encrypt(encode_int64(7)))
+        rows = db.select(q, table, Predicate("k", OpKind.CMP_GT, const))
+        assert [v.row_id for v in rows] == [8, 9, 10]
+    assert q.query_id in topo.privacy.proxy._query_temps
+    db.commit(q)
+    topo.client.end_query(q.query_id)
+    topo.client.end_query(q.query_id)
+    assert kinds[m.MSG_END_QUERY] == 1
+    assert topo.privacy.proxy._query_temps == {}
+    assert topo.privacy.store.partition_ids() == [table.partition_id]
+
+
 def test_structure_mismatch_detected():
     a = _small_spec(rows_per_table=30)
     b = _small_spec(rows_per_table=31)
@@ -385,14 +437,13 @@ def test_zipfian_distribution_skews_access():
 _PINNED = {
     # message kind -> count through the maintenance phase, (privacy WAL,
     # integrity WAL) durable bytes, (seals, opens)
-    "fid": ({m.MSG_INGEST: 160, m.MSG_REVEAL: 89, m.MSG_EXEC_BATCH: 49,
-             m.MSG_END_QUERY: 42, m.MSG_DELETE: 40,
-             m.MSG_FLUSH_LOG: 41, m.MSG_CREATE_PARTITION: 2,
+    "fid": ({m.MSG_INGEST: 120, m.MSG_REVEAL: 80, m.MSG_EXEC_BATCH: 49,
+             m.MSG_DELETE: 40, m.MSG_FLUSH_LOG: 41, m.MSG_CREATE_PARTITION: 2,
              m.MSG_LIST_LIVE: 2},
             (13682, 12740), (4, 2)),
-    "cipher": ({m.MSG_END_QUERY: 42, m.MSG_FLUSH_LOG: 41,
-                m.MSG_CREATE_PARTITION: 2, m.MSG_CIPHER_EXEC: 49,
-                m.MSG_CIPHER_INGEST: 160, m.MSG_CIPHER_REVEAL: 89},
+    "cipher": ({m.MSG_FLUSH_LOG: 41, m.MSG_CREATE_PARTITION: 2,
+                m.MSG_CIPHER_EXEC: 49, m.MSG_CIPHER_INGEST: 120,
+                m.MSG_CIPHER_REVEAL: 80},
                (54, 30440), (0, 0)),
 }
 
@@ -463,8 +514,7 @@ def test_run_report_excludes_checker_traffic():
 # invariant check starts: per-kind counts, (privacy WAL, integrity WAL)
 # durable bytes, (seals, opens)
 _PINNED_RANGE_SELECT = (
-    {m.MSG_INGEST: 1200, m.MSG_REVEAL: 100, m.MSG_EXEC_BATCH: 100,
-     m.MSG_END_QUERY: 102, m.MSG_FLUSH_LOG: 4,
+    {m.MSG_INGEST: 1200, m.MSG_EXEC_BATCH: 100, m.MSG_FLUSH_LOG: 4,
      m.MSG_CREATE_PARTITION: 2, m.MSG_PREFETCH: 2},
     (112394, 53450), (24, 4))
 
