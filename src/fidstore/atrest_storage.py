@@ -45,11 +45,6 @@ class SealedBlock:
     def to_bytes(self) -> bytes:
         return _SEALED_REC.pack(self.counter, self.nonce, self.tag, self.ciphertext)
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SealedBlock":
-        counter, nonce, tag, ciphertext = _SEALED_REC.unpack(data)
-        return cls(counter, nonce, tag, ciphertext)
-
 
 class FreshnessTable:
     """Latest accepted counter per block, held in trusted state.
@@ -88,26 +83,6 @@ class SealedBlockStore:
 
     def read(self, pid: int, block_index: int) -> SealedBlock | None:
         return self.blocks.get((pid, block_index))
-
-    def partition_file_bytes(self, pid: int) -> bytes:
-        """Per-partition sealed file: records in block-index order, one per
-        index up to the highest sealed block; counter 0 marks a hole."""
-        indices = [b for (p, b) in self.blocks if p == pid]
-        if not indices:
-            return b""
-        hole = SealedBlock(0, b"\x00" * NONCE_LEN, b"\x00" * TAG_LEN,
-                           b"\x00" * BLOCK_SIZE)
-        out = []
-        for bidx in range(max(indices) + 1):
-            out.append((self.blocks.get((pid, bidx)) or hole).to_bytes())
-        return b"".join(out)
-
-    def load_partition_file(self, pid: int, data: bytes) -> None:
-        rec = _SEALED_REC.size
-        for bidx in range(len(data) // rec):
-            sealed = SealedBlock.from_bytes(data[bidx * rec:(bidx + 1) * rec])
-            if sealed.counter != 0:
-                self.blocks[(pid, bidx)] = sealed
 
 
 class BlockSealer:

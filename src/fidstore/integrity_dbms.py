@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 from .durability import DurableBuffer, SnapshotStore
@@ -39,7 +39,7 @@ from .errors import (
     WrongPartitionKind,
     error_for_code,
 )
-from .fid_codec import FidConfig, decode_fid, fid_from_bytes, fid_to_bytes
+from .fid_codec import FidConfig, fid_from_bytes, fid_to_bytes
 from .privacy_proxy import COMPARISONS, OperatorRequest, OpKind, ValueType
 from .wal import frame_record, read_frames
 
@@ -133,21 +133,42 @@ class Predicate:
     constant: object
 
 
-def compare_pairs(run, query_id: int, op: OpKind, vtype: ValueType,
+def run_operators(call, query_id: int, op: OpKind, vtype: ValueType,
+                  operand_lists: list, per_msg: int, constant=None,
+                  destination=None, reveal: bool = False) -> list:
+    """The operator run loop of both backends: one request per operand
+    list, per_msg requests per round trip, through call (the client's
+    exec_batch or cipher_exec). Returns one boolean, revealed client
+    envelope or stored ref per operand list; raises the first element
+    error."""
+    reqs = [OperatorRequest(op, vtype, refs, destination, constant, reveal)
+            for refs in operand_lists]
+    out = call(query_id, reqs, per_msg)
+    for r in out:
+        if r.error_code:
+            raise error_for_code(r.error_code, f"operator {OpKind(op).name} failed")
+    if op in COMPARISONS:
+        return [r.boolean for r in out]
+    if reveal:
+        return [r.envelope for r in out]
+    return [r.fid for r in out]
+
+
+def compare_pairs(call, query_id: int, op: OpKind, vtype: ValueType,
                   pairs: list[tuple], batch_size: int) -> list[bool]:
-    """One comparison per (a, b) pair, batch_size operand fields per round
-    trip. run(query_id, op, vtype, operand_lists, per_msg, ...) is the
-    backend's operator batch; it returns one result per operand list."""
-    return run(query_id, op, vtype, [[a, b] for a, b in pairs],
-               max(1, batch_size // 2))
+    """One comparison per (a, b) pair through the client call, batch_size
+    operand fields per round trip."""
+    return run_operators(call, query_id, op, vtype, [[a, b] for a, b in pairs],
+                         max(1, batch_size // 2))
 
 
-def reduce_refs(run, query_id: int, op: OpKind, vtype: ValueType,
+def reduce_refs(call, query_id: int, op: OpKind, vtype: ValueType,
                 refs: list, batch_size: int, reveal: bool = False):
-    """Reduction tree with batch_size operand fields per round trip; each
-    level's partial results are the next level's operands. With reveal the
-    last level returns its result as a client envelope, so a single ref is
-    reduced once too; without, a single ref is its own result."""
+    """Reduction tree through the client call with batch_size operand
+    fields per round trip; each level's partial results are the next
+    level's operands. With reveal the last level returns its result as a
+    client envelope, so a single ref is reduced once too; without, a
+    single ref is its own result."""
     if op == OpKind.AVG_AGG:
         # partial averages cannot be averaged again, and the integrity zone
         # cannot mint the count constant a SUM/COUNT split would need
@@ -156,16 +177,10 @@ def reduce_refs(run, query_id: int, op: OpKind, vtype: ValueType,
     level = refs
     while len(level) > fan_in:
         groups = [level[lo:lo + fan_in] for lo in range(0, len(level), fan_in)]
-        level = run(query_id, op, vtype, groups, 1)
+        level = run_operators(call, query_id, op, vtype, groups, 1)
     if len(level) == 1 and not reveal:
         return level[0]
-    return run(query_id, op, vtype, [level], 1, reveal=reveal)[0]
-
-
-def _check_results(op: OpKind, codes: list[int]) -> None:
-    for code in codes:
-        if code:
-            raise error_for_code(code, f"operator {OpKind(op).name} failed")
+    return run_operators(call, query_id, op, vtype, [level], 1, reveal=reveal)[0]
 
 
 class FidBackend:
@@ -177,6 +192,7 @@ class FidBackend:
     def __init__(self, client, config: FidConfig):
         self.client = client
         self.config = config
+        self._offset_bits = config.offset_bits  # a FID's partition is fid >> this
 
     def ingest(self, query_id: int, envelope: bytes, partition_id: int) -> int:
         """A fresh ref for a client envelope's value, in partition_id."""
@@ -185,13 +201,27 @@ class FidBackend:
     def reveal(self, query_id: int, ref: int) -> bytes:
         return self.client.reveal(query_id, ref)
 
+    def check_claims(self, refs: list[int], partition_id: int) -> None:
+        """Raises WrongPartitionKind unless promote would accept every ref
+        of one row: each ref already in partition_id must be a fresh
+        unclaimed write there, named once."""
+        fresh = self.client.fresh
+        claimed = set()
+        for ref in refs:
+            if ref >> self._offset_bits == partition_id:
+                if ref not in fresh or ref in claimed:
+                    raise WrongPartitionKind(
+                        f"ref {ref:#x} is not a fresh unclaimed write to partition "
+                        f"{partition_id}")
+                claimed.add(ref)
+
     def promote(self, ref: int, partition_id: int) -> int:
         """A FID for ref's secret in partition_id that no other row version
         holds. A ref in that partition is kept only if this client wrote it
         there fresh and no cell has claimed it yet; the caller's cell claims
         it now. A temporary ref is copied over. Any other ref raises
         WrongPartitionKind and changes nothing."""
-        if decode_fid(self.config, ref)[0] != partition_id:
+        if ref >> self._offset_bits != partition_id:
             return self.client.promote(ref, partition_id)
         if ref not in self.client.fresh:
             raise WrongPartitionKind(
@@ -207,32 +237,23 @@ class FidBackend:
         except NotLive:
             return False  # already reclaimed by an earlier, interrupted pass
 
-    def _run(self, query_id, op, vtype, operand_lists, per_msg, constant=None,
-             destination=None, reveal=False) -> list:
-        reqs = [OperatorRequest(op, vtype, fids, destination, constant, reveal)
-                for fids in operand_lists]
-        out = self.client.exec_batch(query_id, reqs, per_msg)
-        _check_results(op, [r.error_code for r in out])
-        if op in COMPARISONS:
-            return [r.boolean for r in out]
-        if reveal:
-            return [r.envelope for r in out]
-        return [r.fid for r in out]
-
     def compare_many(self, query_id: int, op: OpKind, vtype: ValueType,
                      pairs: list[tuple[int, int]], batch_size: int) -> list[bool]:
-        return compare_pairs(self._run, query_id, op, vtype, pairs, batch_size)
+        return compare_pairs(self.client.exec_batch, query_id, op, vtype, pairs,
+                             batch_size)
 
     def aggregate(self, query_id: int, op: OpKind, vtype: ValueType,
                   refs: list[int], batch_size: int, reveal: bool = False):
         """The reduced ref, or with reveal its value as a client envelope."""
-        return reduce_refs(self._run, query_id, op, vtype, refs, batch_size, reveal)
+        return reduce_refs(self.client.exec_batch, query_id, op, vtype, refs,
+                           batch_size, reveal)
 
     def apply_constant(self, query_id: int, op: OpKind, vtype: ValueType,
                        ref: int, constant: bytes, partition_id: int) -> int:
         """op(ref's value, a client envelope's value) in one message, the
         result written fresh to partition_id."""
-        return self._run(query_id, op, vtype, [[ref]], 1, constant, partition_id)[0]
+        return run_operators(self.client.exec_batch, query_id, op, vtype, [[ref]],
+                             1, constant, partition_id)[0]
 
     def ref_to_wire(self, ref: int) -> bytes:
         return fid_to_bytes(ref)
@@ -260,29 +281,26 @@ class CipherBackend:
     def reveal(self, query_id: int, ref: bytes) -> bytes:
         return self.client.cipher_reveal(query_id, ref)
 
+    def check_claims(self, refs: list[bytes], partition_id: int) -> None:
+        pass  # promote keeps every envelope
+
     def promote(self, temp_ref: bytes, partition_id: int) -> bytes:
         return temp_ref  # the envelope itself is the stored form
 
     def release(self, ref: bytes) -> bool:
         return False
 
-    def _run(self, query_id, op, vtype, operand_lists, per_msg, constant=None,
-             destination=None, reveal=False) -> list:
-        reqs = [(op, vtype, envs, constant, reveal) for envs in operand_lists]
-        out = self.client.cipher_exec(query_id, reqs, per_msg)
-        _check_results(op, [code for _, _, code in out])
-        if op in COMPARISONS:
-            return [flag for _, flag, _ in out]
-        return [env for env, _, _ in out]
-
     def compare_many(self, query_id, op, vtype, pairs, batch_size):
-        return compare_pairs(self._run, query_id, op, vtype, pairs, batch_size)
+        return compare_pairs(self.client.cipher_exec, query_id, op, vtype, pairs,
+                             batch_size)
 
     def aggregate(self, query_id, op, vtype, refs, batch_size, reveal=False):
-        return reduce_refs(self._run, query_id, op, vtype, refs, batch_size, reveal)
+        return reduce_refs(self.client.cipher_exec, query_id, op, vtype, refs,
+                           batch_size, reveal)
 
     def apply_constant(self, query_id, op, vtype, ref, constant, partition_id):
-        return self._run(query_id, op, vtype, [[ref]], 1, constant)[0]
+        return run_operators(self.client.cipher_exec, query_id, op, vtype, [[ref]],
+                             1, constant)[0]
 
     def ref_to_wire(self, ref: bytes) -> bytes:
         return ref
@@ -427,10 +445,8 @@ class Database:
             raise SchemaMismatch(
                 f"{table.name} has {len(table.schema)} columns, got {len(values)}"
             )
-        cells = []
-        promoted = []
-        for col, value in zip(table.schema, values):
-            cells.append(self._prepare_cell(table, col, value, promoted))
+        cells = list(values)
+        promoted = self._store_cells(table, cells, range(len(cells)))
         row_id = table.next_row_id
         table.next_row_id += 1
         version = RowVersion(row_id, table.next_vseq, txn.txn_id, cells)
@@ -444,24 +460,38 @@ class Database:
         self._observe_cells(table, cells)
         return row_id
 
-    def _prepare_cell(self, table: Table, col: Column, value, promoted: list):
-        if col.ctype == ColumnType.PLAIN_INT:
-            if not isinstance(value, int):
-                raise SchemaMismatch(f"{col.name} expects int")
-            return value
-        if col.ctype == ColumnType.PLAIN_BYTES:
-            if not isinstance(value, (bytes, bytearray)):
-                raise SchemaMismatch(f"{col.name} expects bytes")
-            return bytes(value)
-        # sensitive: the caller hands us a fresh ref from ingest/operators,
-        # written either into the query's temporaries (promote copies it
-        # into the table's partition) or straight into the table's partition
-        # (promote keeps it and this cell claims it). Either way the stored
-        # ref belongs to this cell alone: promote refuses a ref another row
-        # version holds, which would be released twice.
-        ref = self.backend.promote(value, table.partition_id)
-        promoted.append(ref)
-        return ref
+    def _store_cells(self, table: Table, cells: list, changed) -> list:
+        """Checks the cells at the changed indices against the schema and
+        replaces each sensitive one's ref with the ref the row stores;
+        returns those refs.
+
+        The caller hands us fresh refs from ingest/operators, written either
+        into the query's temporaries (promote copies them into the table's
+        partition) or straight into the table's partition (promote keeps
+        them and the row claims them). Either way a stored ref belongs to
+        this row alone: promote refuses a ref another row version holds,
+        which would be released twice. The whole row is checked before any
+        ref is claimed or copied, so a refused row claims nothing and can
+        be retried."""
+        sensitive = []
+        for i in changed:
+            col = table.schema[i]
+            if col.ctype == ColumnType.PLAIN_INT:
+                if not isinstance(cells[i], int):
+                    raise SchemaMismatch(f"{col.name} expects int")
+            elif col.ctype == ColumnType.PLAIN_BYTES:
+                if not isinstance(cells[i], (bytes, bytearray)):
+                    raise SchemaMismatch(f"{col.name} expects bytes")
+                cells[i] = bytes(cells[i])
+            else:
+                sensitive.append(i)
+        backend, pid = self.backend, table.partition_id
+        backend.check_claims([cells[i] for i in sensitive], pid)
+        refs = []
+        for i in sensitive:
+            cells[i] = backend.promote(cells[i], pid)
+            refs.append(cells[i])
+        return refs
 
     def update_row(self, txn: Txn, table: Table, row_id: int,
                    new_values: dict) -> None:
@@ -470,15 +500,16 @@ class Database:
         head = self.check_update(txn, table, row_id)
         cells = list(head.cells)
         release = []
-        promoted = []
+        changed = []
         for name, value in new_values.items():
             idx = table.col_index.get(name)
             if idx is None:
                 raise SchemaMismatch(f"no column {name} in {table.name}")
-            col = table.schema[idx]
-            if col.ctype in SENSITIVE_TYPES:
+            if table.schema[idx].ctype in SENSITIVE_TYPES:
                 release.append(cells[idx])
-            cells[idx] = self._prepare_cell(table, col, value, promoted)
+            cells[idx] = value
+            changed.append(idx)
+        promoted = self._store_cells(table, cells, changed)
         version = RowVersion(row_id, table.next_vseq, txn.txn_id, cells)
         table.next_vseq += 1
         head.end_txn = txn.txn_id

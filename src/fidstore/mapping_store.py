@@ -90,8 +90,6 @@ class StoreStats:
     gets: int = 0
     bytes_data: int = 0
     bytes_metadata: int = 0
-    page_faults_simulated: int = 0
-    cache_hits: int = 0
 
     @property
     def puts(self) -> int:
@@ -389,9 +387,6 @@ class MappingStore:
                 for cls, n in enumerate(p.class_live):
                     s.bytes_data += n * self.classes[cls]
             s.bytes_metadata += live * 8
-        if self.blocks is not None:
-            s.cache_hits = self.blocks.hits
-            s.page_faults_simulated = self.blocks.faults
         return s
 
     # ------------------------------------------------------------------

@@ -31,26 +31,28 @@ partition.
 
 The ciphertext-scheme baseline used for benchmarking speaks the same
 protocol with its own message kinds: operands are AEAD envelopes instead
-of FIDs and every operator call pays decrypt-compute-encrypt.
+of FIDs and every operator call pays decrypt-compute-encrypt. Both
+operator messages share one codec on each side and one executor in the
+privacy zone, PrivacyProxy.exec_batch; they differ only in the operand
+space it runs over (FidSpace or EnvelopeSpace) and in how an operand and
+a value result are written on the wire.
 """
 
 from __future__ import annotations
 
 import struct
 
-from .errors import FidStoreError, UnknownPartition, error_for_code
+from .errors import FidStoreError, error_for_code
 from .privacy_proxy import (
     COMPARISONS,
     EnvelopeCodec,
     ClientEnvelope,
+    EnvelopeSpace,
     OperatorRequest,
     OperatorResponse,
     OpKind,
     QUERY_TEMP_TARGET,
     ValueType,
-    check_operator,
-    compare_values,
-    compute_value,
 )
 
 HEADER = struct.Struct("<BQ")
@@ -104,10 +106,9 @@ def _read_u64(data: bytes, pos: int) -> tuple[int, int]:
     return _U64.unpack_from(data, pos)[0], pos + 8
 
 
-def _read_ops(payload: bytes, read_operand) -> list[tuple]:
-    """Decode an operator batch (format in the module docstring) into raw
-    (op, type, operands, destination, constant, reveal) tuples; destination
-    and constant are None when the element carries none."""
+def _read_ops(payload: bytes, read_operand) -> list[OperatorRequest]:
+    """Decode an operator batch (format in the module docstring); an
+    unknown op or value type fails the whole message with ValueError."""
     (n,) = struct.unpack_from("<H", payload, 0)
     pos = 2
     ops = []
@@ -127,22 +128,9 @@ def _read_ops(payload: bytes, read_operand) -> list[tuple]:
         const = None
         if flags & OP_CONST:
             const, pos = _read_blob(payload, pos)
-        ops.append((op, vtype, operands, dest, const, bool(flags & OP_REVEAL)))
+        ops.append(OperatorRequest(OpKind(op), ValueType(vtype), operands, dest,
+                                   const, bool(flags & OP_REVEAL)))
     return ops
-
-
-def _encode_element(error: int = 0, flag: bool | None = None,
-                    value: bytes = b"", revealed: bytes | None = None) -> bytes:
-    """One operator-batch response element: an error status byte alone, or
-    status 0 then a result kind and the result: a boolean byte, a revealed
-    client envelope, or a value."""
-    if error:
-        return _U8.pack(error)
-    if flag is not None:
-        return bytes((0, _RESULT_BOOL, 1 if flag else 0))
-    if revealed is not None:
-        return bytes((0, _RESULT_REVEALED)) + _blob(revealed)
-    return bytes((0, _RESULT_VALUE)) + value
 
 
 class ProxyClient:
@@ -187,28 +175,27 @@ class ProxyClient:
         self._observe_fid(fid)
         return fid, pos
 
-    def _batch(self, kind: int, query_id: int, reqs: list, batch_size: int,
-               write_operand, read_result) -> list[tuple]:
+    def _batch(self, kind: int, query_id: int, reqs: list[OperatorRequest],
+               batch_size: int, write_operand, read_result) -> list[OperatorResponse]:
         """The operator-batch codec shared by the FID and envelope paths:
-        (op, type, operands, destination, constant, reveal) requests go out
-        in ceil(n / batch_size) messages; returns (result, boolean,
-        error_code) per request, where a revealed result is the client
-        envelope."""
+        the requests go out in ceil(n / batch_size) messages, and one
+        response comes back per request."""
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         out = []
         for lo in range(0, len(reqs), batch_size):
             chunk = reqs[lo:lo + batch_size]
             payload = [struct.pack("<H", len(chunk))]
-            for op, vtype, operands, dest, const, reveal in chunk:
+            for r in chunk:
+                dest, const = r.destination, r.constant
                 flags = ((OP_DEST if dest is not None else 0)
                          | (OP_CONST if const is not None else 0)
-                         | (OP_REVEAL if reveal else 0))
-                payload.append(_OP_HEAD.pack(int(op) | flags, int(vtype),
-                                             len(operands)))
+                         | (OP_REVEAL if r.reveal else 0))
+                payload.append(_OP_HEAD.pack(int(r.op) | flags, int(r.value_type),
+                                             len(r.operand_fids)))
                 if dest is not None:
                     payload.append(_U32.pack(dest))
-                payload.extend(write_operand(x) for x in operands)
+                payload.extend(write_operand(x) for x in r.operand_fids)
                 if const is not None:
                     payload.append(_blob(const))
             body = self._call(kind, query_id, b"".join(payload))
@@ -218,22 +205,22 @@ class ProxyClient:
                 status = body[pos]
                 pos += 1
                 if status != 0:
-                    out.append((None, None, status))
+                    out.append(OperatorResponse(error_code=status))
                     continue
                 result_kind = body[pos]
                 pos += 1
                 if result_kind == _RESULT_VALUE:
                     result, pos = read_result(body, pos)
-                    out.append((result, None, 0))
+                    out.append(OperatorResponse(fid=result))
                 elif result_kind == _RESULT_REVEALED:
                     env, pos = _read_blob(body, pos)
-                    out.append((env, None, 0))
+                    out.append(OperatorResponse(envelope=env))
                 else:
                     flag = bool(body[pos])
                     pos += 1
                     if self.trace is not None:
                         self.trace.cmp_bool(flag)
-                    out.append((None, flag, 0))
+                    out.append(OperatorResponse(boolean=flag))
         return out
 
     # -- client data path -------------------------------------------------
@@ -257,25 +244,16 @@ class ProxyClient:
 
     def exec_batch(self, query_id: int, reqs: list[OperatorRequest],
                    batch_size: int) -> list[OperatorResponse]:
-        elements = []
         for r in reqs:
-            elements.append((r.op, r.value_type, r.operand_fids, r.destination,
-                             r.constant, r.reveal))
             if (r.op not in COMPARISONS and not r.reveal
                     and r.destination in (None, QUERY_TEMP_TARGET)):
                 self._temp_queries.add(query_id)
-        out = self._batch(MSG_EXEC_BATCH, query_id, elements, batch_size,
+        out = self._batch(MSG_EXEC_BATCH, query_id, reqs, batch_size,
                           self._write_fid, self._read_fid)
-        responses = []
-        for r, (result, flag, code) in zip(reqs, out):
-            if r.reveal:
-                responses.append(OperatorResponse(boolean=flag, error_code=code,
-                                                  envelope=result))
-                continue
-            if result is not None and r.destination not in (None, QUERY_TEMP_TARGET):
-                self.fresh.add(result)
-            responses.append(OperatorResponse(result, flag, code))
-        return responses
+        for r, resp in zip(reqs, out):
+            if resp.fid is not None and r.destination not in (None, QUERY_TEMP_TARGET):
+                self.fresh.add(resp.fid)
+        return out
 
     def exec_operator(self, query_id: int, req: OperatorRequest) -> OperatorResponse:
         resp = self.exec_batch(query_id, [req], 1)[0]
@@ -338,26 +316,25 @@ class ProxyClient:
         env, _ = _read_blob(body, 0)
         return env
 
-    def cipher_exec(self, query_id: int, reqs: list[tuple],
-                    batch_size: int) -> list[tuple[bytes | None, bool | None, int]]:
-        """Operator batch over zone-envelope operands. Each request is
-        (op, type, envelopes, constant, reveal), constant an inline client
-        envelope or None; returns (result_envelope, boolean, error_code) per
-        element, the result under the client key when revealed."""
-        elements = [(op, vtype, envs, None, const, reveal)
-                    for op, vtype, envs, const, reveal in reqs]
-        return self._batch(MSG_CIPHER_EXEC, query_id, elements, batch_size,
+    def cipher_exec(self, query_id: int, reqs: list[OperatorRequest],
+                    batch_size: int) -> list[OperatorResponse]:
+        """exec_batch over zone envelopes: each request's operand_fids and
+        each response's fid carry envelopes. The privacy zone stores no
+        result, so a destination is checked but never written to."""
+        return self._batch(MSG_CIPHER_EXEC, query_id, reqs, batch_size,
                            _blob, _read_blob)
 
 
 class PrivacyDispatcher:
-    """Privacy-side request handler: one function per message kind."""
+    """Privacy-side request handler: one function per message kind. Both
+    operator messages run through the proxy's one executor; zone_codec
+    seals the cipher baseline's envelopes."""
 
-    def __init__(self, proxy, wal=None, atrest=None, zone_codec: EnvelopeCodec | None = None):
+    def __init__(self, proxy, wal, atrest, zone_codec: EnvelopeCodec):
         self.proxy = proxy
         self.wal = wal
         self.atrest = atrest
-        self.zone_codec = zone_codec
+        self.envelopes = EnvelopeSpace(zone_codec)
 
     def handle(self, raw: bytes) -> bytes:
         kind, query_id = HEADER.unpack_from(raw, 0)
@@ -381,16 +358,7 @@ class PrivacyDispatcher:
             (fid,) = _U64.unpack(payload)
             return _blob(proxy.reveal(fid).to_bytes())
         if kind == MSG_EXEC_BATCH:
-            reqs = [OperatorRequest(OpKind(op), ValueType(vtype), fids, dest,
-                                    const, reveal)
-                    for op, vtype, fids, dest, const, reveal
-                    in _read_ops(payload, _read_u64)]
-            out = [struct.pack("<H", len(reqs))]
-            for resp in proxy.exec_batch(reqs, query_id):
-                fid = b"" if resp.fid is None else _U64.pack(resp.fid)
-                out.append(_encode_element(resp.error_code, resp.boolean, fid,
-                                           resp.envelope))
-            return b"".join(out)
+            return self._exec(query_id, payload, proxy.fids, _read_u64, _U64.pack)
         if kind == MSG_END_QUERY:
             proxy.end_query(query_id)
             return b""
@@ -403,18 +371,14 @@ class PrivacyDispatcher:
             store.delete(fid)
             return b""
         if kind == MSG_FLUSH_LOG:
-            lsn = self.wal.flush() if self.wal is not None else 0
-            return _U64.pack(lsn)
+            return _U64.pack(self.wal.flush())
         if kind == MSG_CREATE_PARTITION:
             pkind, layout, width = struct.unpack("<BBI", payload)
             pid = store.create_partition(pkind, layout, width or None)
             return _U32.pack(pid)
         if kind == MSG_PREFETCH:
             (pid,) = _U32.unpack(payload)
-            if self.atrest is not None:
-                self.atrest.prefetch_partition(pid)
-            elif not store.has_partition(pid):
-                raise UnknownPartition(f"no partition {pid}")
+            self.atrest.prefetch_partition(pid)
             return b""
         if kind == MSG_IS_LIVE:
             (fid,) = _U64.unpack(payload)
@@ -425,39 +389,30 @@ class PrivacyDispatcher:
             return _U32.pack(len(fids)) + b"".join(_U64.pack(f) for f in fids)
         if kind == MSG_CIPHER_INGEST:
             env, _ = _read_blob(payload, 0)
-            plaintext = proxy.client_codec.decrypt(ClientEnvelope.from_bytes(env))
-            return _blob(self.zone_codec.encrypt(plaintext).to_bytes())
+            value = proxy.client_codec.decrypt(ClientEnvelope.from_bytes(env))
+            return _blob(self.envelopes.save(query_id, None, value))
         if kind == MSG_CIPHER_REVEAL:
-            env, _ = _read_blob(payload, 0)
-            plaintext = self.zone_codec.decrypt(ClientEnvelope.from_bytes(env))
-            return _blob(proxy.client_codec.encrypt(plaintext).to_bytes())
+            (value,) = self.envelopes.load([_read_blob(payload, 0)[0]])
+            return _blob(proxy.client_codec.encrypt(value).to_bytes())
         if kind == MSG_CIPHER_EXEC:
-            return self._cipher_exec(payload)
+            return self._exec(query_id, payload, self.envelopes, _read_blob, _blob)
         raise FidStoreError(f"unknown message kind {kind}")
 
-    def _cipher_exec(self, payload: bytes) -> bytes:
-        ops = _read_ops(payload, _read_blob)
-        out = [struct.pack("<H", len(ops))]
-        client_codec = self.proxy.client_codec
-        for op, vtype, envs, dest, const, reveal in ops:
-            try:
-                op = OpKind(op)
-                check_operator(op, len(envs), const is not None, dest, reveal)
-                values = [self.zone_codec.decrypt(ClientEnvelope.from_bytes(e))
-                          for e in envs]
-                if const is not None:
-                    values.append(client_codec.decrypt(ClientEnvelope.from_bytes(const)))
-                if op in COMPARISONS:
-                    out.append(_encode_element(
-                        flag=compare_values(op, ValueType(vtype), values)))
-                    continue
-                result = compute_value(op, ValueType(vtype), values)
-                if reveal:
-                    out.append(_encode_element(
-                        revealed=client_codec.encrypt(result).to_bytes()))
-                else:
-                    sealed = self.zone_codec.encrypt(result).to_bytes()
-                    out.append(_encode_element(value=_blob(sealed)))
-            except FidStoreError as exc:
-                out.append(_encode_element(exc.code or 255))
+    def _exec(self, query_id: int, payload: bytes, space, read_operand,
+              write_result) -> bytes:
+        """An operator batch over space; read_operand and write_result are
+        the wire forms of its operands and value results. Each response
+        element is an error status byte alone, or status 0 then a result
+        kind and the result."""
+        reqs = _read_ops(payload, read_operand)
+        out = [struct.pack("<H", len(reqs))]
+        for resp in self.proxy.exec_batch(reqs, query_id, space):
+            if resp.error_code:
+                out.append(_U8.pack(resp.error_code))
+            elif resp.boolean is not None:
+                out.append(bytes((0, _RESULT_BOOL, 1 if resp.boolean else 0)))
+            elif resp.envelope is not None:
+                out.append(bytes((0, _RESULT_REVEALED)) + _blob(resp.envelope))
+            else:
+                out.append(bytes((0, _RESULT_VALUE)) + write_result(resp.fid))
         return b"".join(out)

@@ -2,22 +2,27 @@
 runs plaintext expression operators, and handles the client encryption
 boundary.
 
-The operator path is exactly fetch-compute-store: Get() each operand,
-compute in plaintext, Put() the result into its destination. Comparisons
-are the one exception and return a plaintext boolean, mirroring how
-production systems index and filter. Nothing in this module ever hands
-plaintext to the untrusted side: results leave either as a fresh FID or
-inside an authenticated client envelope.
+One executor, PrivacyProxy.exec_operator, runs the operator elements of
+both backends, fetch-compute-store over an operand space: in FidSpace an
+operand is a FID read from the mapping store and a result is put into
+its destination partition; in EnvelopeSpace, the per-field AEAD
+baseline's, an operand is a zone envelope the space opens and a result is
+sealed into a fresh one. Comparisons are the one exception and return a
+plaintext boolean, mirroring how production systems index and filter.
+Nothing in this module ever hands plaintext to the untrusted side:
+results leave as a fresh FID, a zone envelope or an authenticated client
+envelope.
 
 Ingested values and operator results go to the calling query's temporary
 partition unless the caller names a destination; a named destination must
 be a permanent partition (a table's), so a value written straight into
 the table that will store it needs no separate promote. The dispatcher
-resolves every ingest target and operator destination through
-destination(), so no message writes into another query's temporaries.
-A query's temporary partition is created only when one of its values is
-written to it, so a query that names a destination for everything it
-writes never has one.
+resolves every ingest target and FidSpace resolves every operator
+destination through destination(), so no message writes into another
+query's temporaries. A query's temporary partition is created only when
+one of its values is written to it, so a query that names a destination
+for everything it writes never has one. EnvelopeSpace resolves no
+destination: the integrity zone stores the envelope itself.
 
 An operator may also take a client envelope as an inline constant, which
 is decrypted once and used as its last operand, and may reveal its value
@@ -88,8 +93,10 @@ class ValueType(IntEnum):
 
 @dataclass
 class OperatorRequest:
-    """destination: the permanent partition a value result goes to; None
-    puts it in the query's temporary partition. constant: a client envelope
+    """operand_fids: the stored operands, FIDs or, on the cipher path, zone
+    envelopes. destination: the permanent partition a value result goes
+    to; None puts it in the query's temporary partition (the cipher path
+    stores no result, so it ignores this). constant: a client envelope
     used as the last operand, after the stored ones. reveal: return the
     value result as a client envelope instead of storing it."""
 
@@ -103,8 +110,9 @@ class OperatorRequest:
 
 @dataclass
 class OperatorResponse:
-    """Exactly one of fid / boolean / envelope / error_code is meaningful;
-    envelope holds a revealed result."""
+    """Exactly one of fid / boolean / envelope / error_code is meaningful.
+    fid holds a stored value result: a FID or, on the cipher path, a zone
+    envelope. envelope holds a revealed result."""
 
     fid: int | None = None
     boolean: bool | None = None
@@ -273,14 +281,54 @@ def _compute_float(op: OpKind, nums: list[float]) -> bytes:
     return encode_float64(r)
 
 
+class FidSpace:
+    """Operands are FIDs: load reads their secrets from the mapping store,
+    save puts a result into its resolved destination partition."""
+
+    def __init__(self, store: MappingStore, destination):
+        self.store = store
+        self.destination = destination
+
+    def load(self, fids: list[int]) -> list[bytes]:
+        get = self.store.get
+        values = []
+        for fid in fids:
+            v = get(fid)
+            if v is None:
+                raise NotLive(f"operand fid {fid:#x} is not live")
+            values.append(v)
+        return values
+
+    def save(self, query_id: int, destination: int | None, value: bytes) -> int:
+        return self.store.put(self.destination(query_id, destination), value)
+
+
+class EnvelopeSpace:
+    """Operands are zone envelopes, the per-field AEAD baseline: load opens
+    each one, save seals a result into a fresh one that the integrity zone
+    stores, so no destination is resolved."""
+
+    def __init__(self, codec: EnvelopeCodec):
+        self.codec = codec
+
+    def load(self, envelopes: list[bytes]) -> list[bytes]:
+        decrypt = self.codec.decrypt
+        return [decrypt(ClientEnvelope.from_bytes(e)) for e in envelopes]
+
+    def save(self, query_id: int, destination: int | None, value: bytes) -> bytes:
+        return self.codec.encrypt(value).to_bytes()
+
+
 class PrivacyProxy:
     """Serves the untrusted engine: ingest/reveal at the client boundary,
-    operator execution over FIDs, one temporary partition per live query."""
+    operator execution over an operand space (FIDs by default), one
+    temporary partition per live query."""
 
     def __init__(self, store: MappingStore, client_key: bytes,
                  nonce_source=os.urandom):
         self.store = store
         self.client_codec = EnvelopeCodec(client_key, nonce_source)
+        self.fids = FidSpace(store, self.destination)
         self._query_temps: dict[int, int] = {}
 
     # -- query-scoped temporaries ---------------------------------------
@@ -325,18 +373,15 @@ class PrivacyProxy:
 
     # -- expression operators ----------------------------------------------
 
-    def exec_operator(self, req: OperatorRequest, query_id: int) -> OperatorResponse:
+    def exec_operator(self, req: OperatorRequest, query_id: int,
+                      space=None) -> OperatorResponse:
+        """Runs one element over space, the FID space if None."""
+        space = space or self.fids
         op = req.op
-        fids = req.operand_fids
-        check_operator(op, len(fids), req.constant is not None, req.destination,
-                       req.reveal)
-        values = []
-        get = self.store.get
-        for fid in fids:
-            v = get(fid)
-            if v is None:
-                raise NotLive(f"operand fid {fid:#x} is not live")
-            values.append(v)
+        operands = req.operand_fids
+        check_operator(op, len(operands), req.constant is not None,
+                       req.destination, req.reveal)
+        values = space.load(operands)
         if req.constant is not None:
             values.append(self.client_codec.decrypt(
                 ClientEnvelope.from_bytes(req.constant)))
@@ -346,16 +391,17 @@ class PrivacyProxy:
         if req.reveal:
             return OperatorResponse(
                 envelope=self.client_codec.encrypt(result).to_bytes())
-        out_fid = self.store.put(self.destination(query_id, req.destination), result)
-        return OperatorResponse(fid=out_fid)
+        return OperatorResponse(fid=space.save(query_id, req.destination, result))
 
-    def exec_batch(self, reqs: list[OperatorRequest], query_id: int) -> list[OperatorResponse]:
-        """Sequential per-element execution; element failures are reported
-        positionally and never abort the rest of the batch."""
+    def exec_batch(self, reqs: list[OperatorRequest], query_id: int,
+                   space=None) -> list[OperatorResponse]:
+        """Sequential per-element execution over space (the FID space if
+        None); element failures are reported positionally and never abort
+        the rest of the batch."""
         out = []
         for req in reqs:
             try:
-                out.append(self.exec_operator(req, query_id))
+                out.append(self.exec_operator(req, query_id, space))
             except Exception as exc:
                 code = getattr(exc, "code", 0)
                 if not code:

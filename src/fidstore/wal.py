@@ -140,8 +140,6 @@ class Wal:
         self.closed = False
         # reentrant: a bound-triggered checkpoint flushes from inside append
         self._lock = threading.RLock()
-        self.appended_records = 0
-        self.flushes = 0
 
     # -- append paths -------------------------------------------------
 
@@ -161,7 +159,6 @@ class Wal:
             self.buffer.append(framed)
             self._flushed_lsn_pending = record.lsn
             self.bytes_since_checkpoint += len(framed)
-            self.appended_records += 1
             return record.lsn
 
     def log_put(self, fid: int, value: bytes) -> int:
@@ -190,7 +187,6 @@ class Wal:
             except OSError as exc:
                 raise IoFailure(str(exc)) from exc
             self.durable_lsn = self._flushed_lsn_pending
-            self.flushes += 1
             return self.durable_lsn
 
     def close(self) -> None:
@@ -243,13 +239,11 @@ class RecoveryResult:
 
 
 def recover_store(snapshots: SnapshotStore, wal_buffer: DurableBuffer,
-                  config: FidConfig | None = None, *,
-                  max_value_len: int = 4096,
-                  size_bound_bytes: int = DEFAULT_SIZE_BOUND) -> RecoveryResult:
+                  config: FidConfig | None = None) -> RecoveryResult:
     """Rebuild a MappingStore from the last checkpoint image plus the
     durable log suffix. Running it twice over the same files yields the
     same state (replay application is idempotent and pure)."""
-    store = MappingStore(config, max_value_len=max_value_len)
+    store = MappingStore(config)
     marker = snapshots.get(CKPT_MARKER)
     ckpt_lsn = struct.unpack("<Q", marker)[0] if marker else 0
     for name in snapshots.names():
@@ -295,8 +289,7 @@ def recover_store(snapshots: SnapshotStore, wal_buffer: DurableBuffer,
     epoch_raw = snapshots.get(EPOCH_MARKER)
     epoch = struct.unpack("<Q", epoch_raw)[0] if epoch_raw else 0
 
-    wal = Wal(wal_buffer, size_bound_bytes=size_bound_bytes,
-              start_lsn=last_lsn + 1,
+    wal = Wal(wal_buffer, start_lsn=last_lsn + 1,
               bytes_since_checkpoint=wal_buffer.durable_len)
     return RecoveryResult(store=store, wal=wal, replayed_count=replayed,
                           freshness_entries=freshness_entries, epoch=epoch)

@@ -201,9 +201,9 @@ class PrivacyZoneHost:
     def _build(self, store, wal, freshness_entries) -> None:
         topo = self.topology
         if store is None:
-            store = MappingStore(topo.config, max_value_len=topo.max_value_len)
+            store = MappingStore(topo.config)
         if wal is None:
-            wal = Wal(self.wal_buffer, size_bound_bytes=topo.wal_size_bound)
+            wal = Wal(self.wal_buffer)
         nonce_source = self._nonce_source()
         self.store = store
         self.wal = wal
@@ -232,9 +232,7 @@ class PrivacyZoneHost:
 
     def recover(self) -> int:
         result = recover_store(self.snapshots, self.wal_buffer,
-                               self.topology.config,
-                               max_value_len=self.topology.max_value_len,
-                               size_bound_bytes=self.topology.wal_size_bound)
+                               self.topology.config)
         self.epoch = result.epoch + 1
         self.snapshots.put_atomic(EPOCH_MARKER, struct.pack("<Q", self.epoch))
         self._build(result.store, result.wal, result.freshness_entries)
@@ -339,16 +337,12 @@ class ZoneTopology:
 
     def __init__(self, seed: int, *, backend: str = "fid",
                  cache_capacity_blocks: int | None = None,
-                 batch_size: int = 256, data_dir: str | None = None,
-                 wal_size_bound: int = 64 * 1024 * 1024,
-                 prefix_bits: int = 16, max_value_len: int = 4096):
+                 batch_size: int = 256, data_dir: str | None = None):
         self.seed = seed
         self.backend_name = backend
         self.batch_size = batch_size
         self.cache_capacity_blocks = cache_capacity_blocks
-        self.wal_size_bound = wal_size_bound
-        self.config = FidConfig(prefix_bits)
-        self.max_value_len = max_value_len
+        self.config = FidConfig()
 
         key_rng = random.Random(f"keys:{seed}")
         self.client_key = key_rng.randbytes(32)
@@ -728,12 +722,6 @@ class _Runner:
             topo.trace.result_size(1)
         else:
             raise ValueError(f"unknown op {kind}")
-
-
-def run_workload(seed: int, spec: WorkloadSpec, **topology_kwargs) -> RunReport:
-    """Build a fresh topology and run one workload; deterministic per seed."""
-    topo = ZoneTopology(seed, batch_size=spec.batch_size, **topology_kwargs)
-    return topo.run_workload(spec)
 
 
 def trace_indistinguishability(spec_a: WorkloadSpec, spec_b: WorkloadSpec,

@@ -8,7 +8,6 @@ from fidstore.atrest_storage import (
     BLOCK_SIZE,
     SEALED_OVERHEAD,
     SealedBlock,
-    SealedBlockStore,
 )
 from fidstore.errors import AuthFailure, StaleBlock, UnknownPartition
 from fidstore.fid_codec import FidConfig
@@ -73,28 +72,6 @@ def test_amortized_overhead_arithmetic():
     per_field = SEALED_OVERHEAD / (BLOCK_SIZE // 8)  # 512 8-byte slots
     assert per_field < 0.08
     assert per_field < 28  # field-level AEAD metadata
-
-
-def test_sealed_file_layout():
-    store = SealedBlockStore()
-    _, layer = _layer()
-    layer.sealed = store
-    s0 = layer.seal_block(1, 0, os.urandom(BLOCK_SIZE))
-    s2 = layer.seal_block(1, 2, os.urandom(BLOCK_SIZE))
-    data = store.partition_file_bytes(1)
-    rec = 8 + 12 + 16 + BLOCK_SIZE
-    assert len(data) == 3 * rec
-    assert data[:8] == s0.counter.to_bytes(8, "little")
-    assert data[rec:rec + 8] == (0).to_bytes(8, "little")  # hole
-    assert data[2 * rec:2 * rec + 8] == s2.counter.to_bytes(8, "little")
-    assert data[8:20] == s0.nonce
-    assert data[20:36] == s0.tag
-
-    other = SealedBlockStore()
-    other.load_partition_file(1, data)
-    assert other.read(1, 0) == s0
-    assert other.read(1, 1) is None
-    assert other.read(1, 2) == s2
 
 
 def test_cache_hits_and_faults_counting():

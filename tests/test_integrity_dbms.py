@@ -133,6 +133,47 @@ def test_a_ref_another_row_version_holds_is_refused(topo):
     db.abort(reader)
 
 
+def test_a_refused_row_claims_nothing(topo):
+    """A row is checked whole before any of its refs is claimed: when one
+    cell names a ref another row holds, or names a ref a second time, the
+    insert or update is refused and the fresh refs in its other cells stay
+    fresh, so a retry with valid refs succeeds and nothing is orphaned."""
+    db = topo.integrity.db
+    table = db.create_table("t", [Column("id", ColumnType.PLAIN_INT),
+                                  Column("c", ColumnType.SENSITIVE_INT),
+                                  Column("a", ColumnType.SENSITIVE_INT)])
+    pid = table.partition_id
+
+    def ingest(query_id, value):
+        return topo.client.ingest(query_id, topo.client_encrypt(encode_int64(value)),
+                                  pid)
+
+    txn = db.begin()
+    a = ingest(txn.query_id, 1)
+    db.insert_row(txn, table, [1, ingest(txn.query_id, 2), a])
+    db.commit(txn)
+    txn = db.begin()
+    c = ingest(txn.query_id, 3)
+    for row in ([2, c, a], [2, c, c]):
+        with pytest.raises(WrongPartitionKind):
+            db.insert_row(txn, table, row)
+        assert c in topo.client.fresh
+        assert 2 not in table.rows and not txn.staged and not txn.promoted
+    c2 = ingest(txn.query_id, 4)
+    db.insert_row(txn, table, [2, c, c2])
+    c3 = ingest(txn.query_id, 5)
+    for values in ({"c": c3, "a": a}, {"c": c3, "a": c3}):
+        with pytest.raises(WrongPartitionKind):
+            db.update_row(txn, table, 1, values)
+        assert c3 in topo.client.fresh and len(table.rows[1]) == 1
+    c4 = ingest(txn.query_id, 6)
+    db.update_row(txn, table, 1, {"c": c3, "a": c4})
+    db.commit(txn)
+    assert topo.client.fresh == set()
+    report = topo.check_invariant()
+    assert report.holds and report.orphans == 0
+
+
 def test_plain_only_insert_no_privacy_calls(topo):
     db = topo.integrity.db
     table = db.create_table("t", [Column("id", ColumnType.PLAIN_INT),

@@ -27,9 +27,11 @@ from fidstore.messages import (
 )
 from fidstore.privacy_proxy import (
     OperatorRequest,
+    OperatorResponse,
     OpKind,
     ValueType,
     decode_int64,
+    encode_float64,
     encode_int64,
 )
 from fidstore.zone_sim import ZoneTopology
@@ -122,10 +124,9 @@ def test_cipher_backend_round_trip(topo):
     zone_env = topo.client.cipher_ingest(5, env)
     assert zone_env != env
     out = topo.client.cipher_exec(
-        5, [(OpKind.ADD, ValueType.INT64, [zone_env, zone_env], None, False)], 4)
-    result_env, flag, code = out[0]
-    assert code == 0 and flag is None
-    back = topo.client.cipher_reveal(5, result_env)
+        5, [OperatorRequest(OpKind.ADD, ValueType.INT64, [zone_env, zone_env])], 4)
+    assert out[0].error_code == 0 and out[0].boolean is None
+    back = topo.client.cipher_reveal(5, out[0].fid)
     assert decode_int64(topo.client_decrypt(back)) == 42
     crypto = topo.privacy.zone_codec.encrypts + topo.privacy.zone_codec.decrypts
     assert crypto >= 5  # ingest(1 enc) + op(2 dec + 1 enc) + reveal(1 dec)
@@ -218,8 +219,8 @@ def test_unflagged_elements_keep_their_wire_bytes(topo):
         OperatorRequest(OpKind.SUM_AGG, ValueType.INT64, [a, a, a]),
         OperatorRequest(OpKind.ADD, ValueType.INT64, [a, a], perm),
     ], 4)
-    topo.client.cipher_exec(8, [(OpKind.ADD, ValueType.INT64, [zone, zone], None,
-                                 False)], 4)
+    topo.client.cipher_exec(8, [OperatorRequest(OpKind.ADD, ValueType.INT64,
+                                                [zone, zone])], 4)
     fid = struct.pack("<Q", a)
     assert captured[0][0] == (
         struct.pack("<BQ", MSG_EXEC_BATCH, 8) + struct.pack("<H", 3)
@@ -260,8 +261,9 @@ _operand = {"fid": st.integers(0, 2**64 - 1), "cipher": st.binary(max_size=40)}
 
 
 def _elements(codec):
-    return st.lists(st.tuples(
-        st.integers(0, 0x1F),
+    return st.lists(st.builds(
+        OperatorRequest,
+        st.sampled_from(list(OpKind)),
         st.sampled_from(list(ValueType)),
         st.lists(_operand[codec], max_size=4),
         st.none() | st.integers(0, 2**32 - 1),
@@ -294,50 +296,95 @@ def test_batch_codec_round_trip(codec):
 
         client = ProxyClient(Wire())
         out = client._batch(kind, 3, elements, batch_size, write, read)
-        assert decoded == [tuple(e) for e in elements]
-        assert out == [(None, None, TypeMismatch.code)] * len(elements)
+        assert decoded == elements
+        assert out == [OperatorResponse(error_code=TypeMismatch.code)] * len(elements)
 
     round_trip()
 
 
 @pytest.mark.parametrize("backend", ["fid", "cipher"])
 def test_invalid_flag_combinations_fail_positionally(backend):
-    """A reveal on a comparison, a reveal with a destination (FID batches
-    only: envelope batches carry none) and an inline constant with no
-    stored operand each fail with TypeMismatch in their own position and
-    write nothing, while the rest of the batch still runs."""
+    """A reveal on a comparison, a reveal with a destination and an inline
+    constant with no stored operand each fail with TypeMismatch in their
+    own position and write nothing, while the rest of the batch still
+    runs, on FID and on envelope batches."""
     topo = ZoneTopology(999, backend=backend)
     client = topo.client
+    if backend == "fid":
+        ingest, run, reveal = client.ingest, client.exec_batch, client.reveal
+    else:
+        ingest, run, reveal = (client.cipher_ingest, client.cipher_exec,
+                               client.cipher_reveal)
     perm = client.create_partition(1, 2, 0)
     const = topo.client_encrypt(encode_int64(2))
     bad = TypeMismatch.code
+    a = ingest(7, topo.client_encrypt(encode_int64(40)))
+    out = run(7, [
+        OperatorRequest(OpKind.CMP_LT, ValueType.INT64, [a], constant=const,
+                        reveal=True),
+        OperatorRequest(OpKind.ADD, ValueType.INT64, [a], constant=const),
+        OperatorRequest(OpKind.ADD, ValueType.INT64, [a], perm, const, True),
+        OperatorRequest(OpKind.SUM_AGG, ValueType.INT64, [], constant=const),
+        OperatorRequest(OpKind.ADD, ValueType.INT64, [a], constant=const,
+                        reveal=True),
+    ], 8)
+    assert [r.error_code for r in out] == [bad, 0, bad, bad, 0]
+    assert decode_int64(topo.client_decrypt(reveal(7, out[1].fid))) == 42
+    assert decode_int64(topo.client_decrypt(out[4].envelope)) == 42
+    assert topo.privacy.store.live_fids(perm) == []
     if backend == "fid":
-        a = client.ingest(7, topo.client_encrypt(encode_int64(40)))
-        out = client.exec_batch(7, [
-            OperatorRequest(OpKind.CMP_LT, ValueType.INT64, [a], constant=const,
-                            reveal=True),
-            OperatorRequest(OpKind.ADD, ValueType.INT64, [a], constant=const),
-            OperatorRequest(OpKind.ADD, ValueType.INT64, [a], perm, const, True),
-            OperatorRequest(OpKind.SUM_AGG, ValueType.INT64, [], constant=const),
-            OperatorRequest(OpKind.ADD, ValueType.INT64, [a], constant=const,
-                            reveal=True),
-        ], 8)
-        assert [r.error_code for r in out] == [bad, 0, bad, bad, 0]
-        assert decode_int64(topo.privacy.store.get(out[1].fid)) == 42
         temp = decode_fid(topo.config, a)[0]
         assert topo.privacy.store.live_fids(temp) == [a, out[1].fid]
-        revealed = out[4].envelope
-    else:
-        a = client.cipher_ingest(7, topo.client_encrypt(encode_int64(40)))
-        out = client.cipher_exec(7, [
-            (OpKind.CMP_LT, ValueType.INT64, [a], const, True),
-            (OpKind.ADD, ValueType.INT64, [a], const, False),
-            (OpKind.SUM_AGG, ValueType.INT64, [], const, False),
-            (OpKind.ADD, ValueType.INT64, [a], const, True),
-        ], 8)
-        assert [code for _, _, code in out] == [bad, 0, bad, 0]
-        stored = client.cipher_reveal(7, out[1][0])
-        assert decode_int64(topo.client_decrypt(stored)) == 42
-        revealed = out[3][0]
-    assert decode_int64(topo.client_decrypt(revealed)) == 42
-    assert topo.privacy.store.live_fids(perm) == []
+
+
+_POOL = ([encode_int64(v) for v in (0, 3, -7, 2**63 - 1)]
+         + [encode_float64(v) for v in (0.0, 2.5, -1.25)]
+         + [b"xy", b"value-of-13-b"])
+
+_pooled = st.integers(0, len(_POOL) - 1)
+_element = st.tuples(
+    st.sampled_from(list(OpKind)),
+    st.sampled_from(list(ValueType)),
+    st.lists(_pooled, min_size=1, max_size=2)    # stored operands
+    | st.lists(_pooled, max_size=3),
+    st.booleans(),                               # a table partition as destination
+    st.none() | st.none() | _pooled,             # inline constant
+    st.booleans())                               # reveal
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(elements=st.lists(_element, min_size=1, max_size=12),
+       batch_size=st.integers(1, 4))
+def test_both_backends_run_the_same_operators(elements, batch_size):
+    """The same batch over the same plaintexts gives the same error codes,
+    booleans and result plaintexts through exec_batch on FIDs and through
+    cipher_exec on zone envelopes, whether a result is revealed or stored,
+    over every op kind and value type, bad arities, overflow, division by
+    zero and every combination of constant, destination and reveal."""
+    outcomes = []
+    for backend in ("fid", "cipher"):
+        topo = ZoneTopology(5, backend=backend)
+        client = topo.client
+        if backend == "fid":
+            ingest, run, reveal = client.ingest, client.exec_batch, client.reveal
+        else:
+            ingest, run, reveal = (client.cipher_ingest, client.cipher_exec,
+                                   client.cipher_reveal)
+        perm = client.create_partition(1, 2, 0)
+        refs = [ingest(1, topo.client_encrypt(v)) for v in _POOL]
+        reqs = [OperatorRequest(op, vtype, [refs[i] for i in operands],
+                                perm if dest else None,
+                                None if const is None else topo.client_encrypt(_POOL[const]),
+                                revealed)
+                for op, vtype, operands, dest, const, revealed in elements]
+        seen = []
+        for r in run(1, reqs, batch_size):
+            if r.envelope is not None:
+                value = ("revealed", topo.client_decrypt(r.envelope))
+            elif r.fid is not None:
+                value = ("stored", topo.client_decrypt(reveal(1, r.fid)))
+            else:
+                value = None
+            seen.append((r.error_code, r.boolean, value))
+        outcomes.append(seen)
+    assert outcomes[0] == outcomes[1]

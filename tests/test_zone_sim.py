@@ -436,32 +436,37 @@ def test_zipfian_distribution_skews_access():
 
 _PINNED = {
     # message kind -> count through the maintenance phase, (privacy WAL,
-    # integrity WAL) durable bytes, (seals, opens)
+    # integrity WAL) durable bytes, (seals, opens), (client codec, zone
+    # codec) encrypt+decrypt counts in the privacy zone
     "fid": ({m.MSG_INGEST: 120, m.MSG_REVEAL: 80, m.MSG_EXEC_BATCH: 49,
              m.MSG_DELETE: 40, m.MSG_FLUSH_LOG: 41, m.MSG_CREATE_PARTITION: 2,
              m.MSG_LIST_LIVE: 2},
-            (13682, 12740), (4, 2)),
+            (13682, 12740), (4, 2), (249, 0)),
     "cipher": ({m.MSG_FLUSH_LOG: 41, m.MSG_CREATE_PARTITION: 2,
                 m.MSG_CIPHER_EXEC: 49, m.MSG_CIPHER_INGEST: 120,
                 m.MSG_CIPHER_REVEAL: 80},
-               (54, 30440), (0, 0)),
+               (54, 30440), (0, 0), (249, 370)),
 }
 
 
 def _snapshot_at_check(topo) -> dict:
     """Counts messages per kind; when the invariant check starts, stores
-    them with both WALs' durable bytes and (seals, opens) under
+    them with both WALs' durable bytes, (seals, opens) and the privacy
+    zone's (client codec, zone codec) encrypt+decrypt counts under
     "at_check" in the returned dict."""
     kinds = _count_kinds(topo)
     seen = {}
     check = topo.check_invariant
 
     def snapshot_then_check():
-        sealer = topo.privacy.atrest.sealer
+        privacy = topo.privacy
+        sealer = privacy.atrest.sealer
+        client, zone = privacy.proxy.client_codec, privacy.zone_codec
         seen.setdefault("at_check", (
             dict(kinds),
             (topo.store_wal_buffer.durable_len, topo.dbwal_buffer.durable_len),
-            (sealer.seals, sealer.opens)))
+            (sealer.seals, sealer.opens),
+            (client.encrypts + client.decrypts, zone.encrypts + zone.decrypts)))
         return check()
 
     topo.check_invariant = snapshot_then_check
@@ -470,8 +475,9 @@ def _snapshot_at_check(topo) -> dict:
 
 @pytest.mark.parametrize("backend", sorted(_PINNED))
 def test_pinned_counts_through_maintenance(backend):
-    """Exact per-kind traffic, durable WAL bytes, seals/opens and revealed
-    values for one small seed, all taken when the invariant check starts."""
+    """Exact per-kind traffic, durable WAL bytes, seals/opens, envelope
+    crypto counts and revealed values for one small seed, all taken when
+    the invariant check starts."""
     spec = _small_spec()
     topo = ZoneTopology(3, backend=backend, batch_size=spec.batch_size,
                         cache_capacity_blocks=2)
@@ -512,11 +518,11 @@ def test_run_report_excludes_checker_traffic():
 
 # RANGE_SELECT over 24 data blocks behind a 4-block cache, taken when the
 # invariant check starts: per-kind counts, (privacy WAL, integrity WAL)
-# durable bytes, (seals, opens)
+# durable bytes, (seals, opens), (client codec, zone codec) crypto counts
 _PINNED_RANGE_SELECT = (
     {m.MSG_INGEST: 1200, m.MSG_EXEC_BATCH: 100, m.MSG_FLUSH_LOG: 4,
      m.MSG_CREATE_PARTITION: 2, m.MSG_PREFETCH: 2},
-    (112394, 53450), (24, 4))
+    (112394, 53450), (24, 4), (1300, 0))
 
 
 def _range_select_run():
