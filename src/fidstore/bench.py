@@ -6,10 +6,11 @@ round-robin batches so system noise drifts over all of them equally;
 medians of per-batch means are the reported statistic and ratios are
 always computed within a single run.
 
-bench_storage is pure layout arithmetic. bench_workload and the crash
-matrix run through the two-zone simulator and emit one CSV row per
-configuration; reruns with the same seed reproduce every non-timing
-column.
+bench_storage is pure layout arithmetic. The crash matrix runs through
+the two-zone simulator and emits one CSV row per crash point and seed;
+reruns with the same seed reproduce every column. Workload performance
+(round trips, bytes and crypto calls per transaction, timings) is
+measured per phase by perfbench/run.py, not here.
 """
 
 from __future__ import annotations
@@ -21,25 +22,10 @@ from dataclasses import dataclass, field
 
 from .atrest_storage import SEALED_OVERHEAD
 from .fid_codec import FidConfig
-from .mapping_store import (
-    BLOCK_SIZE,
-    DEFAULT_MAX_VALUE_LEN,
-    MappingStore,
-    PartitionKind,
-    ValueLayout,
-    class_index,
-    size_classes,
-)
+from .mapping_store import BLOCK_SIZE, MappingStore, PartitionKind, ValueLayout
 from .privacy_proxy import ENVELOPE_OVERHEAD, ClientEnvelope, EnvelopeCodec
 from .workload import Distribution, Mode, WorkloadSpec
-from .zone_sim import (
-    SENSITIVE_PAD_WIDTH,
-    CrashPoint,
-    CrashPointId,
-    CrashTarget,
-    RunReport,
-    ZoneTopology,
-)
+from .zone_sim import CrashPoint, CrashPointId, CrashTarget, ZoneTopology
 
 FID_METADATA_BYTES = 8
 
@@ -176,69 +162,6 @@ def bench_storage(fields_n: int, field_width: int = 4) -> StorageReport:
         metadata_reduction_pct=reduction,
     )
 
-
-def estimate_data_blocks(spec: WorkloadSpec) -> int:
-    """4 KiB blocks backing the preloaded tables. Each table partition holds
-    one int64 k and one padded c per row; each lands in its own size-class
-    bucket, and each bucket fills whole blocks."""
-    classes = size_classes(DEFAULT_MAX_VALUE_LEN)
-    per_table = 0
-    for length in (8, SENSITIVE_PAD_WIDTH):
-        nbytes = spec.rows_per_table * classes[class_index(length, classes)]
-        per_table += (nbytes + BLOCK_SIZE - 1) // BLOCK_SIZE
-    return max(1, spec.tables * per_table)
-
-
-def cache_blocks_for_pct(spec: WorkloadSpec, cache_pct: float) -> int:
-    return max(1, int(estimate_data_blocks(spec) * cache_pct / 100.0))
-
-
-def bench_workload(seed: int, spec: WorkloadSpec, *, backend: str = "fid",
-                   cache_pct: float | None = None,
-                   data_dir: str | None = None) -> tuple[RunReport, dict]:
-    """One simulator run; returns the report and its stable CSV row."""
-    capacity = None
-    if cache_pct is not None:
-        capacity = cache_blocks_for_pct(spec, cache_pct)
-    topo = ZoneTopology(seed, backend=backend, batch_size=spec.batch_size,
-                        cache_capacity_blocks=capacity, data_dir=data_dir)
-    report = topo.run_workload(spec)
-    row = {
-        "seed": seed,
-        "backend": backend,
-        "mode": spec.mode.value,
-        "dist": spec.distribution.value,
-        "theta": spec.theta,
-        "cache_pct": cache_pct if cache_pct is not None else 100.0,
-        "batch": spec.batch_size,
-        "ops": report.ops_completed,
-        "committed": report.txns_committed,
-        "aborted": report.txns_aborted,
-        "conflicts": report.write_conflicts,
-        "round_trips": report.round_trips,
-        "msg_bytes": report.msg_bytes,
-        "hit_rate": round(report.hit_rate, 6),
-        "page_faults": report.page_faults,
-        "store_seals": report.store_seals,
-        "store_opens": report.store_opens,
-        "envelope_encrypts": report.envelope_encrypts,
-        "envelope_decrypts": report.envelope_decrypts,
-        "cipher_field_crypto": report.cipher_field_crypto,
-        "promote_calls": report.promote_calls,
-        "invariant": report.invariant_holds,
-        "violations": report.violations,
-        "orphans": report.orphans,
-    }
-    return report, row
-
-
-WORKLOAD_CSV_COLUMNS = [
-    "seed", "backend", "mode", "dist", "theta", "cache_pct", "batch", "ops",
-    "committed", "aborted", "conflicts", "round_trips", "msg_bytes",
-    "hit_rate", "page_faults", "store_seals", "store_opens",
-    "envelope_encrypts", "envelope_decrypts", "cipher_field_crypto",
-    "promote_calls", "invariant", "violations", "orphans",
-]
 
 MATRIX_POINTS: list[tuple[CrashPointId, CrashTarget]] = [
     (CrashPointId.BEFORE_PRIVACY_FLUSH, CrashTarget.BOTH),

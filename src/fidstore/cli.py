@@ -1,28 +1,24 @@
-"""fidstore-bench: reproduce the cost, storage, and workload comparisons.
+"""fidstore-bench: reproduce the cost and storage comparisons and run the
+crash matrix.
 
 Subcommands: ops (per-operation latency vs AEAD), storage (layout
-arithmetic), workload (simulator sweep, CSV row per run), crash-matrix
-(exit nonzero on any external-synchrony violation). FIDSTORE_DIR selects
-a directory for file-backed runs; by default everything stays in memory.
+arithmetic), crash-matrix (exit nonzero on any external-synchrony
+violation). Workload performance comes from perfbench/run.py.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 
 from .bench import (
     MATRIX_CSV_COLUMNS,
-    WORKLOAD_CSV_COLUMNS,
     bench_ops,
     bench_storage,
-    bench_workload,
     default_matrix_spec,
     run_crash_matrix,
 )
-from .workload import Distribution, Mode, WorkloadSpec
 
 
 def _write_csv(path: str | None, columns: list[str], rows: list[dict]) -> None:
@@ -81,36 +77,6 @@ def _cmd_storage(args: argparse.Namespace) -> int:
     return 0
 
 
-def _spec_from_args(args: argparse.Namespace) -> WorkloadSpec:
-    return WorkloadSpec(
-        mode=Mode(args.mode),
-        distribution=Distribution(args.dist),
-        theta=args.theta,
-        tables=args.tables,
-        rows_per_table=args.rows,
-        duration_ops=args.ops,
-        threads_simulated=args.threads,
-        batch_size=args.batch,
-    )
-
-
-def _cmd_workload(args: argparse.Namespace) -> int:
-    data_dir = args.data_dir or os.environ.get("FIDSTORE_DIR")
-    rows = []
-    modes = [args.mode] if args.mode != "all" else [m.value for m in Mode]
-    for mode in modes:
-        args.mode = mode
-        spec = _spec_from_args(args)
-        _, row = bench_workload(args.seed, spec, backend=args.backend,
-                                cache_pct=args.cache_pct, data_dir=data_dir)
-        rows.append(row)
-        print(f"{mode:14s} backend={args.backend:6s} ops={row['ops']:6d} "
-              f"round_trips={row['round_trips']:7d} hit_rate={row['hit_rate']:.3f} "
-              f"crypto={row['store_seals'] + row['store_opens'] + row['cipher_field_crypto']}")
-    _write_csv(args.out, WORKLOAD_CSV_COLUMNS, rows)
-    return 0
-
-
 def _cmd_crash_matrix(args: argparse.Namespace) -> int:
     spec = default_matrix_spec(args.ops)
     printed = []
@@ -134,7 +100,8 @@ def _cmd_crash_matrix(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fidstore-bench",
-        description="cost/storage/workload benchmarks for the FID mapping store")
+        description="cost and storage benchmarks and the crash matrix for the FID "
+                    "mapping store; workload performance comes from perfbench/run.py")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ops = sub.add_parser("ops", help="put/get vs AEAD field op latency")
@@ -147,24 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_storage.add_argument("--width", type=int, default=4)
     p_storage.add_argument("--out", default=None)
     p_storage.set_defaults(fn=_cmd_storage)
-
-    p_work = sub.add_parser("workload", help="simulator workload sweep")
-    p_work.add_argument("--mode", default="read-write",
-                        choices=[m.value for m in Mode] + ["all"])
-    p_work.add_argument("--dist", default="uniform",
-                        choices=[d.value for d in Distribution])
-    p_work.add_argument("--theta", type=float, default=0.8)
-    p_work.add_argument("--tables", type=int, default=2)
-    p_work.add_argument("--rows", type=int, default=500)
-    p_work.add_argument("--ops", type=int, default=2000)
-    p_work.add_argument("--threads", type=int, default=1)
-    p_work.add_argument("--batch", type=int, default=256)
-    p_work.add_argument("--cache-pct", type=float, default=None)
-    p_work.add_argument("--seed", type=int, default=42)
-    p_work.add_argument("--backend", default="fid", choices=["fid", "cipher"])
-    p_work.add_argument("--data-dir", default=None)
-    p_work.add_argument("--out", default=None)
-    p_work.set_defaults(fn=_cmd_workload)
 
     p_matrix = sub.add_parser("crash-matrix", help="crash points x seeds")
     p_matrix.add_argument("--seeds", type=int, default=100)

@@ -42,7 +42,8 @@ from __future__ import annotations
 
 import struct
 
-from .errors import FidStoreError, error_for_code
+from .errors import FidStoreError, TypeMismatch, error_for_code
+from .mapping_store import PartitionKind, ValueLayout
 from .privacy_proxy import (
     COMPARISONS,
     EnvelopeCodec,
@@ -86,6 +87,13 @@ _U8 = struct.Struct("<B")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _OP_HEAD = struct.Struct("<BBH")
+_PROMOTE = struct.Struct("<QI")
+_CREATE = struct.Struct("<BBI")
+
+_OP_KINDS = {int(k): k for k in OpKind}
+_VALUE_TYPES = {int(t): t for t in ValueType}
+_PARTITION_KINDS = frozenset(PartitionKind)
+_LAYOUTS = frozenset(ValueLayout)
 
 
 def _req(kind: int, query_id: int, payload: bytes = b"") -> bytes:
@@ -96,10 +104,22 @@ def _blob(data: bytes) -> bytes:
     return _U32.pack(len(data)) + data
 
 
+def _unpack(s: struct.Struct, payload: bytes) -> tuple:
+    """payload as exactly the fields of s; any other length is malformed."""
+    if len(payload) != s.size:
+        raise TypeMismatch(f"payload of {len(payload)} bytes, expected {s.size}")
+    return s.unpack(payload)
+
+
 def _read_blob(data: bytes, pos: int) -> tuple[bytes, int]:
-    (n,) = _U32.unpack_from(data, pos)
-    pos += 4
-    return data[pos:pos + n], pos + n
+    try:
+        (n,) = _U32.unpack_from(data, pos)
+    except struct.error:
+        raise TypeMismatch("message ends inside a blob length") from None
+    end = pos + 4 + n
+    if end > len(data):
+        raise TypeMismatch("blob runs past the end of the message")
+    return data[pos + 4:end], end
 
 
 def _read_u64(data: bytes, pos: int) -> tuple[int, int]:
@@ -107,29 +127,33 @@ def _read_u64(data: bytes, pos: int) -> tuple[int, int]:
 
 
 def _read_ops(payload: bytes, read_operand) -> list[OperatorRequest]:
-    """Decode an operator batch (format in the module docstring); an
-    unknown op or value type fails the whole message with ValueError."""
-    (n,) = struct.unpack_from("<H", payload, 0)
-    pos = 2
+    """Decode an operator batch (format in the module docstring); a
+    truncated batch, or an element with an unknown op or value type, fails
+    the whole message with TypeMismatch."""
     ops = []
-    for _ in range(n):
-        op, vtype, argc = _OP_HEAD.unpack_from(payload, pos)
-        pos += _OP_HEAD.size
-        flags = op & _OP_FLAGS
-        op &= ~_OP_FLAGS
-        dest = None
-        if flags & OP_DEST:
-            (dest,) = _U32.unpack_from(payload, pos)
-            pos += 4
-        operands = []
-        for _ in range(argc):
-            operand, pos = read_operand(payload, pos)
-            operands.append(operand)
-        const = None
-        if flags & OP_CONST:
-            const, pos = _read_blob(payload, pos)
-        ops.append(OperatorRequest(OpKind(op), ValueType(vtype), operands, dest,
-                                   const, bool(flags & OP_REVEAL)))
+    try:
+        (n,) = struct.unpack_from("<H", payload, 0)
+        pos = 2
+        for _ in range(n):
+            op, vtype, argc = _OP_HEAD.unpack_from(payload, pos)
+            pos += _OP_HEAD.size
+            flags = op & _OP_FLAGS
+            op &= ~_OP_FLAGS
+            dest = None
+            if flags & OP_DEST:
+                (dest,) = _U32.unpack_from(payload, pos)
+                pos += 4
+            operands = []
+            for _ in range(argc):
+                operand, pos = read_operand(payload, pos)
+                operands.append(operand)
+            const = None
+            if flags & OP_CONST:
+                const, pos = _read_blob(payload, pos)
+            ops.append(OperatorRequest(_OP_KINDS[op], _VALUE_TYPES[vtype], operands,
+                                       dest, const, bool(flags & OP_REVEAL)))
+    except (struct.error, KeyError):
+        raise TypeMismatch("malformed operator batch") from None
     return ops
 
 
@@ -149,7 +173,6 @@ class ProxyClient:
     def __init__(self, channel, trace=None):
         self.channel = channel
         self.trace = trace
-        self.promote_calls = 0
         self.fresh: set[int] = set()
         self._temp_queries: set[int] = set()
 
@@ -272,11 +295,9 @@ class ProxyClient:
 
     def promote(self, temp_fid: int, perm_partition: int) -> int:
         self._observe_fid(temp_fid)
-        body = self._call(MSG_PROMOTE, 0,
-                          _U64.pack(temp_fid) + _U32.pack(perm_partition))
+        body = self._call(MSG_PROMOTE, 0, _PROMOTE.pack(temp_fid, perm_partition))
         (fid,) = _U64.unpack(body)
         self._observe_fid(fid)
-        self.promote_calls += 1
         return fid
 
     def delete(self, fid: int) -> None:
@@ -288,8 +309,7 @@ class ProxyClient:
         return _U64.unpack(body)[0]
 
     def create_partition(self, kind: int, layout: int, width: int = 0) -> int:
-        body = self._call(MSG_CREATE_PARTITION, 0,
-                          struct.pack("<BBI", kind, layout, width))
+        body = self._call(MSG_CREATE_PARTITION, 0, _CREATE.pack(kind, layout, width))
         return _U32.unpack(body)[0]
 
     def prefetch(self, partition_id: int) -> None:
@@ -328,7 +348,12 @@ class ProxyClient:
 class PrivacyDispatcher:
     """Privacy-side request handler: one function per message kind. Both
     operator messages run through the proxy's one executor; zone_codec
-    seals the cipher baseline's envelopes."""
+    seals the cipher baseline's envelopes.
+
+    A malformed request gets a status too: TypeMismatch, before anything is
+    stored or journaled, for a truncated request, a fixed-size payload of
+    another length or an unknown op, value type, partition kind or layout;
+    AuthFailure for an envelope too short for its nonce and tag."""
 
     def __init__(self, proxy, wal, atrest, zone_codec: EnvelopeCodec):
         self.proxy = proxy
@@ -337,10 +362,12 @@ class PrivacyDispatcher:
         self.envelopes = EnvelopeSpace(zone_codec)
 
     def handle(self, raw: bytes) -> bytes:
-        kind, query_id = HEADER.unpack_from(raw, 0)
-        payload = raw[HEADER.size:]
         try:
-            body = self._dispatch(kind, query_id, payload)
+            kind, query_id = HEADER.unpack_from(raw, 0)
+        except struct.error:
+            return _U8.pack(TypeMismatch.code)
+        try:
+            body = self._dispatch(kind, query_id, raw[HEADER.size:])
             return b"\x00" + body
         except FidStoreError as exc:
             return _U8.pack(exc.code or 255)
@@ -349,13 +376,13 @@ class PrivacyDispatcher:
         proxy = self.proxy
         store = proxy.store
         if kind == MSG_INGEST:
+            env, _ = _read_blob(payload, 4)  # fails unless the target fits
             (target,) = _U32.unpack_from(payload, 0)
-            env, _ = _read_blob(payload, 4)
             target = proxy.destination(query_id, target)
             fid = proxy.ingest(ClientEnvelope.from_bytes(env), target)
             return _U64.pack(fid)
         if kind == MSG_REVEAL:
-            (fid,) = _U64.unpack(payload)
+            (fid,) = _unpack(_U64, payload)
             return _blob(proxy.reveal(fid).to_bytes())
         if kind == MSG_EXEC_BATCH:
             return self._exec(query_id, payload, proxy.fids, _read_u64, _U64.pack)
@@ -363,28 +390,29 @@ class PrivacyDispatcher:
             proxy.end_query(query_id)
             return b""
         if kind == MSG_PROMOTE:
-            (fid,) = _U64.unpack_from(payload, 0)
-            (perm,) = _U32.unpack_from(payload, 8)
+            fid, perm = _unpack(_PROMOTE, payload)
             return _U64.pack(store.promote(fid, perm))
         if kind == MSG_DELETE:
-            (fid,) = _U64.unpack(payload)
+            (fid,) = _unpack(_U64, payload)
             store.delete(fid)
             return b""
         if kind == MSG_FLUSH_LOG:
             return _U64.pack(self.wal.flush())
         if kind == MSG_CREATE_PARTITION:
-            pkind, layout, width = struct.unpack("<BBI", payload)
+            pkind, layout, width = _unpack(_CREATE, payload)
+            if pkind not in _PARTITION_KINDS or layout not in _LAYOUTS:
+                raise TypeMismatch(f"unknown partition kind {pkind} or layout {layout}")
             pid = store.create_partition(pkind, layout, width or None)
             return _U32.pack(pid)
         if kind == MSG_PREFETCH:
-            (pid,) = _U32.unpack(payload)
+            (pid,) = _unpack(_U32, payload)
             self.atrest.prefetch_partition(pid)
             return b""
         if kind == MSG_IS_LIVE:
-            (fid,) = _U64.unpack(payload)
+            (fid,) = _unpack(_U64, payload)
             return _U8.pack(1 if store.is_live(fid) else 0)
         if kind == MSG_LIST_LIVE:
-            (pid,) = _U32.unpack(payload)
+            (pid,) = _unpack(_U32, payload)
             fids = store.live_fids(pid)
             return _U32.pack(len(fids)) + b"".join(_U64.pack(f) for f in fids)
         if kind == MSG_CIPHER_INGEST:

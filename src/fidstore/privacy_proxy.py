@@ -133,6 +133,8 @@ class ClientEnvelope:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ClientEnvelope":
+        if len(data) < ENVELOPE_OVERHEAD:
+            raise AuthFailure(f"{len(data)}-byte envelope has no room for nonce and tag")
         return cls(data[:NONCE_LEN], data[NONCE_LEN:NONCE_LEN + TAG_LEN],
                    data[NONCE_LEN + TAG_LEN:])
 

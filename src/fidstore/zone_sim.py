@@ -160,13 +160,12 @@ class ZoneCrashed(Exception):
 
 
 class Channel:
-    """The only integrity-to-privacy path; counts round trips and bytes."""
+    """The only integrity-to-privacy path; counts round trips."""
 
     def __init__(self, topology, trace: AdversaryTrace):
         self.topology = topology
         self.trace = trace
         self.round_trips = 0
-        self.bytes_moved = 0
 
     def request(self, raw: bytes) -> bytes:
         if self.topology.privacy.crashed:
@@ -177,7 +176,6 @@ class Channel:
         trace.msg(len(raw))
         response = self.topology.privacy.dispatcher.handle(raw)
         trace.msg(len(response))
-        self.bytes_moved += len(raw) + len(response)
         return response
 
 
@@ -284,7 +282,6 @@ class InvariantReport:
     holds: bool
     violations: list[int]
     orphans: int
-    checked_fids: int
 
 
 @dataclass
@@ -298,38 +295,19 @@ class RecoveryReport:
 
 @dataclass
 class RunReport:
-    seed: int
-    backend: str
-    mode: str
+    """A run's outcome: what completed, committed, aborted or conflicted,
+    where it crashed, whether the invariant held afterwards, and the values
+    it revealed. Traffic and crypto calls are not counted here: perfbench
+    measures them per phase (workload, maintenance, check, recovery)."""
+
     ops_completed: int = 0
     txns_committed: int = 0
     txns_aborted: int = 0
     write_conflicts: int = 0
-    round_trips: int = 0
-    msg_bytes: int = 0
-    envelope_encrypts: int = 0
-    envelope_decrypts: int = 0
-    cipher_field_crypto: int = 0
-    store_seals: int = 0
-    store_opens: int = 0
-    cache_hits: int = 0
-    page_faults: int = 0
-    prefetched_blocks: int = 0
-    promote_calls: int = 0
-    vacuum_reclaimed: int = 0
-    gc_reclaimed: int = 0
     crashed_at: str | None = None
     invariant_holds: bool | None = None
     violations: int = 0
-    orphans: int = 0
     revealed: list = field(default_factory=list)
-
-    @property
-    def hit_rate(self) -> float:
-        """Share of demand accesses served from the cache; prefetch loads
-        are not demand accesses."""
-        total = self.cache_hits + self.page_faults
-        return self.cache_hits / total if total else 1.0
 
 
 class ZoneTopology:
@@ -461,12 +439,11 @@ class ZoneTopology:
         list_live per table partition serves both counts."""
         db = self.integrity.db
         if self.backend_name != "fid":
-            return InvariantReport(True, [], 0, 0)
+            return InvariantReport(True, [], 0)
         live: set[int] = set()
         for table in db.tables_by_idx:
             live.update(self.client.list_live(table.partition_id))
         violations: list[int] = []
-        checked = 0
         for table in db.tables_by_idx:
             for chain in table.rows.values():
                 for version in reversed(chain):
@@ -476,13 +453,12 @@ class ZoneTopology:
                     if e is not None and e in db.committed:
                         continue
                     for i in table.sensitive:
-                        checked += 1
                         if version.cells[i] not in live:
                             violations.append(version.cells[i])
                     break
         orphans = len(live - db.referenced_refs())
         return InvariantReport(holds=not violations, violations=violations,
-                               orphans=orphans, checked_fids=checked)
+                               orphans=orphans)
 
     # ------------------------------------------------------------------
     # workload execution
@@ -493,22 +469,6 @@ class ZoneTopology:
     def run_program(self, program: WorkloadProgram) -> RunReport:
         runner = _Runner(self, program)
         return runner.run()
-
-    def counters(self) -> dict:
-        priv = self.privacy
-        return {
-            "round_trips": self.channel.round_trips,
-            "msg_bytes": self.channel.bytes_moved,
-            "envelope_encrypts": priv.proxy.client_codec.encrypts,
-            "envelope_decrypts": priv.proxy.client_codec.decrypts,
-            "cipher_field_crypto": priv.zone_codec.encrypts + priv.zone_codec.decrypts,
-            "store_seals": priv.atrest.sealer.seals,
-            "store_opens": priv.atrest.sealer.opens,
-            "cache_hits": priv.atrest.hits,
-            "page_faults": priv.atrest.faults,
-            "prefetched_blocks": priv.atrest.prefetched,
-            "promote_calls": self.client.promote_calls,
-        }
 
 
 class _Runner:
@@ -528,8 +488,7 @@ class _Runner:
         self.topo = topology
         self.program = program
         self.spec = program.spec
-        self.report = RunReport(seed=topology.seed, backend=topology.backend_name,
-                                mode=program.spec.mode.value)
+        self.report = RunReport()
         # partitions a range sum has prefetched: once the cache has filled,
         # a further prefetch would load nothing
         self.prefetched: set[int] = set()
@@ -578,7 +537,6 @@ class _Runner:
             report.crashed_at = (topo.fired.id.value if topo.fired
                                  else "privacy-unavailable")
             return report
-        base = topo.counters()
 
         schedule = flatten_schedule(self.program)
         active: dict[int, object] = {}
@@ -632,22 +590,17 @@ class _Runner:
             if spec.mode in (Mode.READ_WRITE, Mode.WRITE_ONLY, Mode.INSERT_ONLY):
                 try:
                     for t in tables:
-                        report.vacuum_reclaimed += db.vacuum(t)
-                    report.gc_reclaimed = db.orphan_gc()
+                        db.vacuum(t)
+                    db.orphan_gc()
                 except ZoneCrashed as exc:
                     report.crashed_at = str(exc)
                 except Unavailable:
                     report.crashed_at = (topo.fired.id.value if topo.fired
                                          else "privacy-unavailable")
-        # workload and maintenance traffic only: the checker's is not the
-        # workload's, and the cipher backend sends none
-        for key, value in topo.counters().items():
-            setattr(report, key, value - base[key])
         if not topo.privacy.crashed and not topo.integrity.crashed:
             invariant = topo.check_invariant()
             report.invariant_holds = invariant.holds
             report.violations = len(invariant.violations)
-            report.orphans = invariant.orphans
         return report
 
     def _end_query_quietly(self, txn) -> None:

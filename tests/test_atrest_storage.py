@@ -12,7 +12,7 @@ from fidstore.atrest_storage import (
 from fidstore.errors import AuthFailure, StaleBlock, UnknownPartition
 from fidstore.fid_codec import FidConfig
 from fidstore.mapping_store import MappingStore, PartitionKind, ValueLayout
-from fidstore.zone_sim import AdversaryTrace, RunReport, ZoneTopology
+from fidstore.zone_sim import AdversaryTrace, ZoneTopology
 
 
 def _layer(capacity=None, store=None):
@@ -176,15 +176,12 @@ def test_hit_rate_counts_demand_accesses_only():
     layer = topo.privacy.atrest
     layer.flush_dirty()
     layer._lru.clear()
-    before = topo.counters()
+    prefetched, hits, faults = layer.prefetched, layer.hits, layer.faults
     layer.prefetch_partition(pid)
+    assert (layer.prefetched - prefetched, layer.hits, layer.faults) == (16, hits, faults)
     for fid in fids:
         store.get(fid)
-    report = RunReport(seed=5, backend="fid", mode="range-select",
-                       **{k: v - before[k] for k, v in topo.counters().items()})
-    assert report.prefetched_blocks == 16
-    assert report.page_faults == 0
-    assert report.hit_rate == 1.0
+    assert (layer.hits - hits, layer.faults - faults) == (256, 0)
 
 
 def test_cold_gets_fault_once_per_block():

@@ -1,29 +1,10 @@
-import csv
 import dataclasses
 
 import pytest
 
 from fidstore import cli
-from fidstore.bench import (
-    WORKLOAD_CSV_COLUMNS,
-    default_matrix_spec,
-    estimate_data_blocks,
-    run_crash_matrix,
-)
-from fidstore.workload import Distribution, Mode, WorkloadSpec
-from fidstore.zone_sim import ZoneTopology
-
-
-@pytest.mark.parametrize("tables,rows", [(2, 200), (1, 37), (3, 64)])
-def test_estimate_data_blocks_matches_preloaded_store(tables, rows):
-    spec = WorkloadSpec(mode=Mode.READ_ONLY, tables=tables, rows_per_table=rows,
-                        duration_ops=0, batch_size=16)
-    topo = ZoneTopology(5, batch_size=spec.batch_size)
-    topo.run_workload(spec)
-    store = topo.privacy.store
-    blocks = sum(len(store.partition_blocks(t.partition_id))
-                 for t in topo.integrity.db.tables_by_idx)
-    assert estimate_data_blocks(spec) == blocks
+from fidstore.bench import default_matrix_spec, run_crash_matrix
+from fidstore.workload import Distribution, Mode
 
 
 def test_cli_storage(capsys):
@@ -38,20 +19,13 @@ def test_cli_ops(capsys):
     assert "encrypt/put ratio" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("backend", ["fid", "cipher"])
-def test_cli_workload_writes_csv(backend, tmp_path, capsys):
-    out = tmp_path / f"{backend}.csv"
-    assert cli.main(["workload", "--backend", backend, "--tables", "1",
-                     "--rows", "20", "--ops", "20", "--batch", "8",
-                     "--cache-pct", "50", "--out", str(out)]) == 0
-    with open(out, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    assert header == WORKLOAD_CSV_COLUMNS
-    assert len(rows) == 1
-    row = dict(zip(header, rows[0]))
-    assert row["backend"] == backend and row["invariant"] == "True"
+def test_cli_offers_exactly_ops_storage_and_crash_matrix(capsys):
+    """Workload performance comes from perfbench/run.py alone: the CLI has
+    no workload command."""
+    assert "{ops,storage,crash-matrix}" in cli.build_parser().format_usage()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["workload"])
+    assert exc.value.code == 2
 
 
 def test_cli_crash_matrix_passes(capsys):

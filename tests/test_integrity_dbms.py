@@ -9,6 +9,7 @@ from fidstore.errors import (
 )
 from fidstore.fid_codec import decode_fid
 from fidstore.integrity_dbms import Column, ColumnType, Predicate
+from fidstore.messages import MSG_PROMOTE
 from fidstore.privacy_proxy import OpKind, ValueType, decode_int64, encode_int64
 from fidstore.zone_sim import ZoneTopology
 
@@ -61,6 +62,11 @@ def test_snapshot_excludes_uncommitted(topo):
     db.abort(late)
 
 
+def _promotes(topo) -> int:
+    """MSG_PROMOTE messages sent so far, as the adversary trace saw them."""
+    return topo.trace.events.count(("OpKindObserved", MSG_PROMOTE))
+
+
 def test_insert_promotes_each_sensitive_field(topo):
     db = topo.integrity.db
     schema = SCHEMA + [Column("extra", ColumnType.SENSITIVE_INT)]
@@ -68,9 +74,9 @@ def test_insert_promotes_each_sensitive_field(topo):
     txn = db.begin()
     f1 = _ingest_int(topo, txn.query_id, 7)
     f2 = _ingest_int(topo, txn.query_id, 8)
-    before = topo.client.promote_calls
+    before = _promotes(topo)
     db.insert_row(txn, table, [1, f1, b"x", f2])
-    assert topo.client.promote_calls - before == 2
+    assert _promotes(topo) - before == 2
     db.commit(txn)
 
 
@@ -83,12 +89,12 @@ def test_promote_keeps_a_ref_already_in_the_table_partition(topo):
     direct = topo.client.ingest(txn.query_id, topo.client_encrypt(encode_int64(7)),
                                 table.partition_id)
     temp = _ingest_int(topo, txn.query_id, 8)
-    calls, trips = topo.client.promote_calls, topo.channel.round_trips
+    calls, trips = _promotes(topo), topo.channel.round_trips
     db.insert_row(txn, table, [1, direct, b"n"])
-    assert (topo.client.promote_calls, topo.channel.round_trips) == (calls, trips)
+    assert (_promotes(topo), topo.channel.round_trips) == (calls, trips)
     assert table.rows[1][-1].cells[1] == direct
     copy = db.backend.promote(temp, table.partition_id)
-    assert topo.client.promote_calls == calls + 1
+    assert _promotes(topo) == calls + 1
     assert copy != temp and decode_fid(topo.config, copy)[0] == table.partition_id
     db.commit(txn)
     topo.client.end_query(txn.query_id)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fidstore.errors import (
+    AuthFailure,
     DivideByZero,
     NotLive,
     TypeMismatch,
@@ -14,7 +15,11 @@ from fidstore.errors import (
 from fidstore.fid_codec import decode_fid
 from fidstore.messages import (
     MSG_CIPHER_EXEC,
+    MSG_CIPHER_REVEAL,
+    MSG_CREATE_PARTITION,
     MSG_EXEC_BATCH,
+    MSG_INGEST,
+    MSG_REVEAL,
     OP_CONST,
     OP_DEST,
     OP_REVEAL,
@@ -24,6 +29,7 @@ from fidstore.messages import (
     _read_blob,
     _read_ops,
     _read_u64,
+    _req,
 )
 from fidstore.privacy_proxy import (
     OperatorRequest,
@@ -56,6 +62,44 @@ def test_header_layout(topo):
     kind, query_id = struct.unpack_from("<BQ", raw, 0)
     assert kind == 8  # create-partition
     assert query_id == 0
+
+
+def _one_element(kind: int, op: int, vtype: int) -> bytes:
+    return _req(kind, 1, struct.pack("<HBBH", 1, op, vtype, 0))
+
+
+_MALFORMED = {
+    "unknown-op": (_one_element(MSG_EXEC_BATCH, 13, ValueType.INT64), TypeMismatch),
+    "unknown-value-type": (_one_element(MSG_EXEC_BATCH, OpKind.ADD, 9), TypeMismatch),
+    "cipher-unknown-op": (_one_element(MSG_CIPHER_EXEC, 13, ValueType.INT64),
+                          TypeMismatch),
+    "batch-without-its-elements": (_req(MSG_EXEC_BATCH, 1, struct.pack("<H", 2)),
+                                   TypeMismatch),
+    "one-byte-reveal": (_req(MSG_REVEAL, 1, b"\x01"), TypeMismatch),
+    "short-header": (bytes([MSG_REVEAL, 0, 0]), TypeMismatch),
+    "short-ingest-envelope": (_req(MSG_INGEST, 1, struct.pack("<I", QUERY_TEMP_TARGET)
+                                   + _blob(bytes(5))), AuthFailure),
+    "short-zone-envelope": (_req(MSG_CIPHER_REVEAL, 1, _blob(bytes(5))), AuthFailure),
+    "unknown-layout": (_req(MSG_CREATE_PARTITION, 1, struct.pack("<BBI", 1, 7, 0)),
+                       TypeMismatch),
+    "unknown-kind": (_req(MSG_CREATE_PARTITION, 1, struct.pack("<BBI", 5, 2, 0)),
+                     TypeMismatch),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_request_gets_a_status(topo, case):
+    """A request the privacy zone cannot decode is refused with a status
+    byte, never an exception, and leaves nothing behind: well-formed
+    requests still work, and so does recovery of everything journaled."""
+    raw, error = _MALFORMED[case]
+    assert topo.channel.request(raw) == bytes([error.code])
+    fid = topo.client.ingest(2, topo.client_encrypt(b"after"))
+    assert topo.client_decrypt(topo.client.reveal(2, fid)) == b"after"
+    topo.client.flush_log()
+    topo.privacy.crash()
+    topo.privacy.recover()
+    topo.client.create_partition(1, 2, 0)
 
 
 def test_fids_travel_little_endian(topo):

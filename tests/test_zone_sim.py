@@ -24,7 +24,6 @@ from fidstore.zone_sim import (
     CrashPoint,
     CrashPointId,
     CrashTarget,
-    InvariantReport,
     ZoneTopology,
     _Runner,
     trace_indistinguishability,
@@ -59,6 +58,27 @@ def test_same_seed_identical_trace_and_state():
     assert t1.dbwal_buffer.durable == t2.dbwal_buffer.durable
     for name in t1.priv_snapshots.names():
         assert t1.priv_snapshots.get(name) == t2.priv_snapshots.get(name)
+
+
+def test_file_backed_run_matches_the_in_memory_run(tmp_path):
+    """With a data directory each zone mirrors its journal to a file and the
+    integrity zone writes its catalog there; the run is the same as in
+    memory, and the files hold exactly the in-memory run's durable bytes."""
+    spec = _small_spec()
+    on_disk = ZoneTopology(11, batch_size=spec.batch_size, cache_capacity_blocks=4,
+                           data_dir=str(tmp_path))
+    in_memory = ZoneTopology(11, batch_size=spec.batch_size, cache_capacity_blocks=4)
+    disk_report = on_disk.run_workload(spec)
+    memory_report = in_memory.run_workload(spec)
+    assert on_disk.trace.events == in_memory.trace.events
+    assert disk_report.revealed == memory_report.revealed
+    assert disk_report.invariant_holds
+    store_wal = (tmp_path / "privacy" / "store.wal").read_bytes()
+    db_wal = (tmp_path / "integrity" / "db.wal").read_bytes()
+    assert store_wal == in_memory.store_wal_buffer.durable != b""
+    assert db_wal == in_memory.dbwal_buffer.durable != b""
+    catalog = (tmp_path / "integrity" / "catalog.json").read_bytes()
+    assert catalog == in_memory.db_snapshots.get("catalog.json")
 
 
 def test_different_seeds_differ():
@@ -491,31 +511,6 @@ def test_pinned_counts_through_maintenance(backend):
     assert sum(r[3] for r in expected) == 33_106_490
 
 
-def test_run_report_excludes_checker_traffic():
-    """The invariant check talks to the privacy zone, but its messages are
-    not workload traffic: a run whose check sends nothing reports the same
-    round trips and bytes."""
-    spec = _small_spec()
-    checked = ZoneTopology(4, batch_size=spec.batch_size)
-    check = checked.check_invariant
-    check_trips = []
-
-    def counted_check():
-        before = checked.channel.round_trips
-        result = check()
-        check_trips.append(checked.channel.round_trips - before)
-        return result
-
-    checked.check_invariant = counted_check
-    with_check = checked.run_workload(spec)
-    silent = ZoneTopology(4, batch_size=spec.batch_size)
-    silent.check_invariant = lambda: InvariantReport(True, [], 0, 0)
-    without_check = silent.run_workload(spec)
-    assert with_check.invariant_holds and check_trips[0] > 0
-    assert (with_check.round_trips, with_check.msg_bytes) == \
-        (without_check.round_trips, without_check.msg_bytes)
-
-
 # RANGE_SELECT over 24 data blocks behind a 4-block cache, taken when the
 # invariant check starts: per-kind counts, (privacy WAL, integrity WAL)
 # durable bytes, (seals, opens), (client codec, zone codec) crypto counts
@@ -542,7 +537,7 @@ def test_pinned_counts_range_select_cold_cache():
     seen = _snapshot_at_check(topo)
     report = topo.run_program(program)
     assert seen["at_check"] == _PINNED_RANGE_SELECT
-    assert report.store_opens < 2 * report.txns_committed
+    assert topo.privacy.atrest.sealer.opens < 2 * report.txns_committed
     expected = ShadowRunner(program, flatten_schedule(program)).run().revealed
     assert report.revealed == expected
 
@@ -552,9 +547,11 @@ def test_crash_after_read_only_commits_reads_back_replay_state():
     during the run are still pending when both zones crash. Recovery must
     bring every row back at its replayed value, through stale_dropped where
     a sealed copy no longer verifies, never as a wrong value."""
+    preloaded, preload_program = _range_select_run()
+    _Runner(preloaded, preload_program)._preload(preloaded.integrity.db)
     topo, program = _range_select_run()
-    report = topo.run_program(program)
-    assert report.store_seals > 0
+    topo.run_program(program)
+    assert topo.privacy.atrest.sealer.seals > preloaded.privacy.atrest.sealer.seals
     assert topo.store_wal_buffer.pending_len > 0
     topo.privacy.crash()
     topo.integrity.crash()
