@@ -15,9 +15,20 @@ phases).
 Commit ordering is the cross-domain contract: for a transaction that
 staged records, the privacy zone's journal is flushed (commit #1) strictly
 before this engine's own commit record becomes durable (commit #2), so a
-durable FID always has a durable secret. A transaction that staged nothing
-makes no FID visible, so its commit takes a commit sequence number and
-touches neither journal.
+durable FID always has a durable secret. That flush has group-commit
+semantics: one flush makes every secret written before it durable, so
+commit #1 is skipped when an earlier flush (another transaction's commit,
+create_table or vacuum) already covers every ref the transaction stored,
+and a transaction that stored no ref (a plain-only write, or any write on
+the cipher baseline, whose envelopes live in its rows) never sends it. A
+transaction that staged nothing makes no FID visible, so its commit takes
+a commit sequence number and touches neither journal.
+
+When the privacy zone restarts, it has lost every secret that was not yet
+durable, and a lost FID's slot may be handed out again. privacy_restarted
+aborts every active transaction that stored a ref and forgets the abort
+garbage, so no lost ref is ever committed or released; whatever of it did
+survive is an orphan for orphan_gc.
 """
 
 from __future__ import annotations
@@ -30,7 +41,6 @@ from enum import IntEnum
 from .durability import DurableBuffer, SnapshotStore
 from .errors import (
     IoFailure,
-    NotLive,
     RowNotVisible,
     SchemaMismatch,
     TypeMismatch,
@@ -229,13 +239,14 @@ class FidBackend:
         self.client.fresh.remove(ref)
         return ref
 
-    def release(self, ref: int) -> bool:
-        self.client.fresh.discard(ref)
-        try:
-            self.client.delete(ref)
-            return True
-        except NotLive:
-            return False  # already reclaimed by an earlier, interrupted pass
+    def release(self, refs: list[int], batch_size: int) -> int:
+        """Deletes the refs' secrets, batch_size refs per message; returns
+        how many were live. A ref that was not is counted as not reclaimed:
+        an earlier, interrupted pass already reclaimed it."""
+        fresh = self.client.fresh
+        for ref in refs:
+            fresh.discard(ref)
+        return sum(self.client.delete(refs, batch_size))
 
     def compare_many(self, query_id: int, op: OpKind, vtype: ValueType,
                      pairs: list[tuple[int, int]], batch_size: int) -> list[bool]:
@@ -287,8 +298,8 @@ class CipherBackend:
     def promote(self, temp_ref: bytes, partition_id: int) -> bytes:
         return temp_ref  # the envelope itself is the stored form
 
-    def release(self, ref: bytes) -> bool:
-        return False
+    def release(self, refs: list[bytes], batch_size: int) -> int:
+        return 0  # an envelope lives in its row and goes with it
 
     def compare_many(self, query_id, op, vtype, pairs, batch_size):
         return compare_pairs(self.client.cipher_exec, query_id, op, vtype, pairs,
@@ -388,11 +399,12 @@ class Database:
             return
         txn.state = TxnState.PREPARING
         self._hook("before_privacy_flush", txn)
-        try:
-            self.client.flush_log()  # commit #1: secrets become durable
-        except (Unavailable, IoFailure):
-            self.abort(txn)
-            raise
+        if not self.client.unflushed.isdisjoint(txn.promoted):
+            try:
+                self.client.flush_log()  # commit #1: secrets become durable
+            except (Unavailable, IoFailure):
+                self.abort(txn)
+                raise
         self.protocol_events.append(("privacy_flush_done", txn.txn_id))
         self._hook("after_privacy_flush", txn)
         frames = []
@@ -434,6 +446,21 @@ class Database:
         txn.state = TxnState.ABORTED
         txn.staged.clear()
         self.active_txns.pop(txn.txn_id, None)
+
+    def privacy_restarted(self) -> None:
+        """The privacy zone recovered from a crash and lost its unflushed
+        secrets: abort every active txn that stored a ref, drop every
+        table's abort garbage and clear the client's fresh and unflushed
+        sets. A lost ref may name a slot recovery hands out again, so none
+        may be committed, claimed or released; those that survived are
+        orphans for orphan_gc."""
+        for txn in list(self.active_txns.values()):
+            if txn.promoted:
+                self.abort(txn)
+        for table in self.tables_by_idx:
+            table.abort_garbage = []
+        self.client.fresh.clear()
+        self.client.unflushed.clear()
 
     # ------------------------------------------------------------------
     # row operations
@@ -624,19 +651,18 @@ class Database:
 
     def vacuum(self, table: Table) -> int:
         """Drop versions invisible to every snapshot; delete the store
-        mappings they were holding. Runs outside any transaction."""
+        mappings they were holding, and the table's abort garbage, in
+        batch_size refs per message. Runs outside any transaction."""
         min_snapshot = min((t.snapshot_seq for t in self.active_txns.values()),
                            default=None)
-        reclaimed = 0
+        release = []
         remove_records = []
         for row_id in list(table.rows):
             chain = table.rows[row_id]
             kept = []
             for version in chain:
                 if self._version_dead(version, min_snapshot):
-                    for ref in version.release_refs:
-                        if self.backend.release(ref):
-                            reclaimed += 1
+                    release.extend(version.release_refs)
                     remove_records.append(self._record(
                         DB_REMOVE, table=table.idx, row=row_id, vseq=version.vseq))
                     self._hook("during_vacuum", None)
@@ -645,13 +671,17 @@ class Database:
             table.rows[row_id] = kept
         garbage, table.abort_garbage = table.abort_garbage, []
         for ref in garbage:
-            if self.backend.release(ref):
-                reclaimed += 1
+            release.append(ref)
             self._hook("during_vacuum", None)
-        self.client.flush_log()
+        # the removals are durable before any ref is released: a crash in
+        # between leaves orphans, never a recovered version whose release
+        # refs name slots the store has freed and may hand out again
         if remove_records:
             self.dbwal.append(b"".join(self._frame(r) for r in remove_records))
             self.dbwal.sync()
+        reclaimed = self.backend.release(release, self.batch_size)
+        if reclaimed:
+            self.client.flush_log()
         return reclaimed
 
     def _version_dead(self, version: RowVersion, min_snapshot: int | None) -> bool:
@@ -674,11 +704,12 @@ class Database:
         reclaimed = 0
         for table in self.tables_by_idx:
             self._hook("during_orphan_gc", None)
+            orphans = []
             for fid in self.client.list_live(table.partition_id):
                 if fid not in referenced:
-                    if self.backend.release(fid):
-                        reclaimed += 1
+                    orphans.append(fid)
                     self._hook("during_orphan_gc", None)
+            reclaimed += self.backend.release(orphans, self.batch_size)
         if reclaimed:
             self.client.flush_log()
         return reclaimed

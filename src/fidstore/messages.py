@@ -27,7 +27,9 @@ a status byte, then for status 0 a result kind and the result: 0 and a
 value (a FID, or a zone envelope blob for MSG_CIPHER_EXEC), 1 and a
 boolean byte, or 2 and a revealed client envelope blob. MSG_INGEST always
 carries a u32 target, QUERY_TEMP_TARGET for the query's temporary
-partition.
+partition. MSG_DELETE carries n FIDs and its response n status bytes, one
+per FID in order: 0 for a deleted mapping, NotLive's code for a FID that
+had none.
 
 The ciphertext-scheme baseline used for benchmarking speaks the same
 protocol with its own message kinds: operands are AEAD envelopes instead
@@ -42,7 +44,13 @@ from __future__ import annotations
 
 import struct
 
-from .errors import FidStoreError, TypeMismatch, error_for_code
+from .errors import (
+    FidStoreError,
+    NotLive,
+    TypeMismatch,
+    WrongPartitionKind,
+    error_for_code,
+)
 from .mapping_store import PartitionKind, ValueLayout
 from .privacy_proxy import (
     COMPARISONS,
@@ -160,20 +168,31 @@ def _read_ops(payload: bytes, read_operand) -> list[OperatorRequest]:
 class ProxyClient:
     """Integrity-side stub: serializes calls, records the adversary view.
 
-    Each method is one round trip except exec_batch and cipher_exec, which
-    split their requests into ceil(n / batch_size) messages, and end_query,
-    which sends nothing for a query that never wrote to its temporary
-    partition (no temp-target ingest, no stored value result without a
-    destination): such a query has no temporaries to drop.
+    Each method is one round trip except exec_batch, cipher_exec and
+    delete, which split their requests into ceil(n / batch_size) messages,
+    and end_query, which sends nothing for a query that never wrote to its
+    temporary partition (no temp-target ingest, no stored value result
+    without a destination): such a query has no temporaries to drop.
 
     fresh holds the FIDs this client wrote to a named permanent partition
     that no row version has claimed yet (see FidBackend.promote).
+
+    unflushed holds the FIDs this client wrote to a permanent partition (an
+    ingest or a value result with a named partition, or a promote) since
+    the last successful flush_log. The privacy zone's journal flush has
+    group-commit semantics, so a FID outside this set already has a durable
+    secret, whichever caller's flush made it so; Database.commit sends
+    MSG_FLUSH_LOG only for a transaction holding a FID in it, and fires its
+    crash hooks around that flush whether or not it sends it. Both sets
+    describe the privacy zone's state before its last restart, so the
+    caller clears them when it restarts (Database.privacy_restarted).
     """
 
     def __init__(self, channel, trace=None):
         self.channel = channel
         self.trace = trace
         self.fresh: set[int] = set()
+        self.unflushed: set[int] = set()
         self._temp_queries: set[int] = set()
 
     # -- plumbing -------------------------------------------------------
@@ -257,6 +276,7 @@ class ProxyClient:
             self._temp_queries.add(query_id)
         else:
             self.fresh.add(fid)
+            self.unflushed.add(fid)
         return fid
 
     def reveal(self, query_id: int, fid: int) -> bytes:
@@ -276,6 +296,7 @@ class ProxyClient:
         for r, resp in zip(reqs, out):
             if resp.fid is not None and r.destination not in (None, QUERY_TEMP_TARGET):
                 self.fresh.add(resp.fid)
+                self.unflushed.add(resp.fid)
         return out
 
     def exec_operator(self, query_id: int, req: OperatorRequest) -> OperatorResponse:
@@ -298,14 +319,25 @@ class ProxyClient:
         body = self._call(MSG_PROMOTE, 0, _PROMOTE.pack(temp_fid, perm_partition))
         (fid,) = _U64.unpack(body)
         self._observe_fid(fid)
+        self.unflushed.add(fid)
         return fid
 
-    def delete(self, fid: int) -> None:
-        self._observe_fid(fid)
-        self._call(MSG_DELETE, 0, _U64.pack(fid))
+    def delete(self, fids: list[int], batch_size: int) -> list[bool]:
+        """Deletes each FID's mapping, batch_size FIDs per message; returns
+        per FID whether it had one (False for a FID that was not live)."""
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        out = []
+        for lo in range(0, len(fids), batch_size):
+            chunk = fids[lo:lo + batch_size]
+            payload = b"".join(self._write_fid(f) for f in chunk)
+            body = self._call(MSG_DELETE, 0, payload)
+            out.extend(status == 0 for status in body)
+        return out
 
     def flush_log(self) -> int:
         body = self._call(MSG_FLUSH_LOG, 0, b"")
+        self.unflushed.clear()
         return _U64.unpack(body)[0]
 
     def create_partition(self, kind: int, layout: int, width: int = 0) -> int:
@@ -353,7 +385,10 @@ class PrivacyDispatcher:
     A malformed request gets a status too: TypeMismatch, before anything is
     stored or journaled, for a truncated request, a fixed-size payload of
     another length or an unknown op, value type, partition kind or layout;
-    AuthFailure for an envelope too short for its nonce and tag."""
+    AuthFailure for an envelope too short for its nonce and tag.
+    MSG_CREATE_PARTITION for a temporary partition gets WrongPartitionKind:
+    temporaries belong to a query and are created by the proxy, never named
+    by the integrity zone."""
 
     def __init__(self, proxy, wal, atrest, zone_codec: EnvelopeCodec):
         self.proxy = proxy
@@ -393,15 +428,25 @@ class PrivacyDispatcher:
             fid, perm = _unpack(_PROMOTE, payload)
             return _U64.pack(store.promote(fid, perm))
         if kind == MSG_DELETE:
-            (fid,) = _unpack(_U64, payload)
-            store.delete(fid)
-            return b""
+            if len(payload) % _U64.size:
+                raise TypeMismatch(f"delete payload of {len(payload)} bytes")
+            out = bytearray()
+            for (fid,) in _U64.iter_unpack(payload):
+                try:
+                    store.delete(fid)
+                    out.append(0)
+                except NotLive:
+                    out.append(NotLive.code)
+            return bytes(out)
         if kind == MSG_FLUSH_LOG:
             return _U64.pack(self.wal.flush())
         if kind == MSG_CREATE_PARTITION:
             pkind, layout, width = _unpack(_CREATE, payload)
             if pkind not in _PARTITION_KINDS or layout not in _LAYOUTS:
                 raise TypeMismatch(f"unknown partition kind {pkind} or layout {layout}")
+            if pkind == PartitionKind.TEMPORARY:
+                raise WrongPartitionKind(
+                    "the integrity zone creates permanent partitions only")
             pid = store.create_partition(pkind, layout, width or None)
             return _U32.pack(pid)
         if kind == MSG_PREFETCH:

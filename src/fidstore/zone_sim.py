@@ -130,6 +130,11 @@ class CrashTarget(Enum):
 
 
 class CrashPointId(Enum):
+    """Where a scheduled crash fires. The two flush points fire in every
+    commit that staged records, whether or not it sends MSG_FLUSH_LOG: a
+    commit whose refs an earlier flush already made durable skips the
+    message, not the points around it."""
+
     BEFORE_PRIVACY_FLUSH = "before-privacy-flush"
     AFTER_PRIVACY_FLUSH_BEFORE_DB_COMMIT = "after-privacy-flush-before-db-commit"
     AFTER_DB_COMMIT = "after-db-commit"
@@ -418,10 +423,13 @@ class ZoneTopology:
     def recover_all(self) -> RecoveryReport:
         if not (self.privacy.crashed or self.integrity.crashed):
             raise NoCrashPending("no zone has crashed")
-        parallel = self.privacy.crashed and self.integrity.crashed
-        stalled = self.privacy.crashed and not self.integrity.crashed
-        privacy_replayed = self.privacy.recover() if self.privacy.crashed else 0
+        privacy_restarts = self.privacy.crashed
+        parallel = privacy_restarts and self.integrity.crashed
+        stalled = privacy_restarts and not self.integrity.crashed
+        privacy_replayed = self.privacy.recover() if privacy_restarts else 0
         db_replayed = self.integrity.recover() if self.integrity.crashed else 0
+        if privacy_restarts:
+            self.integrity.db.privacy_restarted()
         self.fired = None
         invariant = self.check_invariant()
         return RecoveryReport(privacy_replayed=privacy_replayed,

@@ -11,6 +11,7 @@ from fidstore.fid_codec import decode_fid
 from fidstore.integrity_dbms import Column, ColumnType, Predicate
 from fidstore.messages import MSG_PROMOTE
 from fidstore.privacy_proxy import OpKind, ValueType, decode_int64, encode_int64
+from fidstore.wal import KIND_DELETE, WalRecord, read_frames
 from fidstore.zone_sim import ZoneTopology
 
 SCHEMA = [
@@ -188,8 +189,9 @@ def test_plain_only_insert_no_privacy_calls(topo):
     txn = db.begin()
     db.insert_row(txn, table, [1, b"plain"])
     assert topo.channel.round_trips == trips_before
-    db.commit(txn)  # commit still orders the journals (one flush RPC)
-    assert topo.channel.round_trips == trips_before + 1
+    db.commit(txn)  # no secret to make durable: only the commit record
+    assert topo.channel.round_trips == trips_before
+    assert ("db_commit_durable", txn.txn_id) in topo.protocol_events
 
 
 def test_schema_validation(topo):
@@ -429,6 +431,65 @@ def test_orphan_gc_clean_database_and_idempotence(topo):
     with pytest.raises(ValueError):
         db.orphan_gc()
     db.abort(active)
+
+
+def _delete_records(topo) -> list[int]:
+    """The FIDs of the privacy journal's durable delete records, in order."""
+    frames = read_frames(topo.store_wal_buffer.durable)
+    return [rec.fid for rec in map(WalRecord.decode_body, frames)
+            if rec.kind == KIND_DELETE]
+
+
+def test_release_sends_batch_size_refs_per_message():
+    """vacuum and orphan_gc delete batch_size refs per MSG_DELETE, journal
+    one delete record per ref in order, fire their crash hooks per dead
+    version, garbage ref and partition, and count a ref that is no longer
+    live as not reclaimed."""
+    topo = ZoneTopology(322, batch_size=4)
+    db = topo.integrity.db
+    hooks = []
+    db.crash_hook = lambda site, txn: hooks.append(site)
+    table = db.create_table("t", list(SCHEMA))
+    setup = db.begin()
+    for key in range(1, 11):
+        _insert(topo, db, table, setup, key, key)
+    db.commit(setup)
+    old = [v.cells[1] for v in (table.rows[key][0] for key in range(1, 11))]
+    txn = db.begin()
+    for key in range(1, 11):
+        db.update_row(txn, table, key, {"k": _ingest_int(topo, txn.query_id, -key)})
+    db.commit(txn)
+    aborted = db.begin()
+    db.update_row(aborted, table, 1, {"k": _ingest_int(topo, aborted.query_id, 0)})
+    garbage = list(aborted.promoted)
+    db.abort(aborted)
+    topo.privacy.store.delete(old[0])  # reclaimed behind the engine's back
+    topo.client.flush_log()
+    deletes_before = _delete_records(topo)
+    trips, hooks[:] = topo.channel.round_trips, []
+    assert db.vacuum(table) == 10  # 11 refs, one of them not live
+    assert topo.channel.round_trips - trips == 3 + 1  # ceil(11 / 4) + flush
+    assert hooks == ["during_vacuum"] * 11
+    assert _delete_records(topo) == deletes_before + old[1:] + garbage
+
+    orphans = [topo.privacy.store.put(table.partition_id, encode_int64(i))
+               for i in range(5)]
+    trips, hooks[:] = topo.channel.round_trips, []
+    assert db.orphan_gc() == 5
+    assert topo.channel.round_trips - trips == 1 + 2 + 1  # list, ceil(5 / 4), flush
+    assert hooks == ["during_orphan_gc"] * 6
+    assert _delete_records(topo)[-5:] == sorted(orphans)  # list_live order
+
+
+def test_vacuum_that_releases_nothing_sends_nothing(topo):
+    db = topo.integrity.db
+    table = db.create_table("t", list(SCHEMA))
+    setup = db.begin()
+    _insert(topo, db, table, setup, 1, 1)
+    db.commit(setup)
+    trips = topo.channel.round_trips
+    assert db.vacuum(table) == 0
+    assert topo.channel.round_trips == trips
 
 
 def test_orphan_gc_reclaims_unreferenced(topo):

@@ -17,6 +17,8 @@ from fidstore.messages import (
     MSG_CIPHER_EXEC,
     MSG_CIPHER_REVEAL,
     MSG_CREATE_PARTITION,
+    MSG_DELETE,
+    MSG_END_QUERY,
     MSG_EXEC_BATCH,
     MSG_INGEST,
     MSG_REVEAL,
@@ -84,16 +86,23 @@ _MALFORMED = {
                        TypeMismatch),
     "unknown-kind": (_req(MSG_CREATE_PARTITION, 1, struct.pack("<BBI", 5, 2, 0)),
                      TypeMismatch),
+    "temporary-partition": (_req(MSG_CREATE_PARTITION, 1,
+                                 struct.pack("<BBI", 0, 2, 0)), WrongPartitionKind),
+    "delete-part-of-a-fid": (_req(MSG_DELETE, 0, bytes(12)), TypeMismatch),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
 def test_malformed_request_gets_a_status(topo, case):
     """A request the privacy zone cannot decode is refused with a status
-    byte, never an exception, and leaves nothing behind: well-formed
-    requests still work, and so does recovery of everything journaled."""
+    byte, never an exception, and leaves no partition that ending its
+    query does not drop: well-formed requests still work, and so does
+    recovery of everything journaled."""
     raw, error = _MALFORMED[case]
+    partitions = topo.privacy.store.partition_ids()
     assert topo.channel.request(raw) == bytes([error.code])
+    topo.channel.request(_req(MSG_END_QUERY, 1))
+    assert topo.privacy.store.partition_ids() == partitions
     fid = topo.client.ingest(2, topo.client_encrypt(b"after"))
     assert topo.client_decrypt(topo.client.reveal(2, fid)) == b"after"
     topo.client.flush_log()
@@ -123,12 +132,12 @@ def test_fids_travel_little_endian(topo):
 def test_error_codes_cross_the_wire(topo):
     with pytest.raises(UnknownPartition):
         topo.client.prefetch(12345)
-    with pytest.raises(NotLive):
-        topo.client.delete(0xABCDEF)
     pid = topo.client.create_partition(1, 2, 0)
     fid = topo.client.promote(
         topo.client.ingest(7, topo.client_encrypt(b"value-1")), pid)
-    topo.client.delete(fid)
+    before = topo.channel.round_trips
+    assert topo.client.delete([0xABCDEF, fid, fid], 8) == [False, True, False]
+    assert topo.channel.round_trips == before + 1
     with pytest.raises(NotLive):
         topo.client.reveal(7, fid)
 

@@ -4,7 +4,13 @@ from collections import Counter
 import pytest
 
 from fidstore import messages as m
-from fidstore.errors import NoCrashPending, StructureMismatch, Unavailable, WriteConflict
+from fidstore.errors import (
+    NoCrashPending,
+    StructureMismatch,
+    Unavailable,
+    WriteConflict,
+    WrongPartitionKind,
+)
 from fidstore.integrity_dbms import Column, ColumnType, Predicate
 from fidstore.privacy_proxy import (
     OperatorRequest,
@@ -191,6 +197,203 @@ def test_orphans_after_commit_gap_crash_then_gc():
     assert report.invariant.orphans == put_count == 1
     assert topo.integrity.db.orphan_gc() == 1
     assert topo.check_invariant().orphans == 0
+
+
+def _write_row(topo, db, table, txn, key, value):
+    fid = topo.client.ingest(txn.query_id, topo.client_encrypt(encode_int64(value)),
+                             table.partition_id)
+    db.insert_row(txn, table, [key, fid])
+
+
+def _read_k(topo, key):
+    db = topo.integrity.db
+    reader = db.begin()
+    version = db.visible_version(db.tables["t"], key, reader)
+    db.abort(reader)
+    if version is None:
+        return None
+    return decode_int64(topo.client_decrypt(
+        topo.client.reveal(reader.query_id, version.cells[1])))
+
+
+def test_commit_flushes_only_secrets_no_earlier_flush_covered():
+    """Group commit: T1's flush makes T2's secrets durable too, so T2
+    commits without one; T3 wrote after the last flush and sends one. Every
+    committed row survives a crash of both zones."""
+    topo = ZoneTopology(16)
+    db = topo.integrity.db
+    table = db.create_table("t", list(SCHEMA))
+    kinds = _count_kinds(topo)
+    t1, t2 = db.begin(), db.begin()
+    _write_row(topo, db, table, t1, 1, 10)
+    _write_row(topo, db, table, t2, 2, 20)
+    db.commit(t1)
+    assert kinds[m.MSG_FLUSH_LOG] == 1
+    db.commit(t2)
+    assert kinds[m.MSG_FLUSH_LOG] == 1
+    t3 = db.begin()
+    _write_row(topo, db, table, t3, 3, 30)
+    db.commit(t3)
+    assert kinds[m.MSG_FLUSH_LOG] == 2
+    events = topo.protocol_events
+    for txn in (t1, t2, t3):
+        assert (events.index(("privacy_flush_done", txn.txn_id))
+                < events.index(("db_commit_durable", txn.txn_id)))
+    topo.privacy.crash()
+    topo.integrity.crash()
+    report = topo.recover_all()
+    assert report.invariant.holds and report.invariant.orphans == 0
+    assert [_read_k(topo, key) for key in (1, 2, 3)] == [10, 20, 30]
+
+
+def test_cipher_commit_sends_nothing():
+    """The cipher baseline's envelopes live in its rows, so its commit
+    never waits on the privacy zone's journal."""
+    topo = ZoneTopology(17, backend="cipher")
+    db = topo.integrity.db
+    table = db.create_table("t", list(SCHEMA))
+    txn = db.begin()
+    env = db.backend.ingest(txn.query_id, topo.client_encrypt(encode_int64(5)),
+                            table.partition_id)
+    db.insert_row(txn, table, [1, env])
+    trips, durable = topo.channel.round_trips, topo.store_wal_buffer.durable_len
+    db.commit(txn)
+    assert topo.channel.round_trips == trips
+    assert topo.store_wal_buffer.durable_len == durable
+    assert ("db_commit_durable", txn.txn_id) in topo.protocol_events
+    topo.integrity.crash()
+    topo.recover_all()
+    reader = topo.integrity.db.begin()
+    version = topo.integrity.db.visible_version(
+        topo.integrity.db.tables["t"], 1, reader)
+    assert decode_int64(topo.client_decrypt(
+        topo.client.cipher_reveal(reader.query_id, version.cells[1]))) == 5
+
+
+def _covered_commit_crash(point_id, target):
+    """T1 and T2 write, T1 commits (its flush covers T2's secrets), then
+    a crash at point_id on T2's commit; returns the topology, T2, whether
+    T2's commit raised and the round trips T2's commit sent."""
+    topo = ZoneTopology(18)
+    db = topo.integrity.db
+    table = db.create_table("t", list(SCHEMA))
+    t1, t2 = db.begin(), db.begin()
+    _write_row(topo, db, table, t1, 1, 10)
+    _write_row(topo, db, table, t2, 2, 20)
+    db.commit(t1)
+    topo.inject_crash(CrashPoint(point_id, target))
+    trips = topo.channel.round_trips
+    from fidstore.zone_sim import ZoneCrashed
+    try:
+        db.commit(t2)
+        raised = False
+    except ZoneCrashed:
+        raised = True
+    assert topo.fired is not None
+    return topo, t2, raised, topo.channel.round_trips - trips
+
+
+def test_crash_at_the_flush_points_of_a_covered_commit():
+    """Both flush points fire in a commit that sends no flush. A crash of
+    both zones there leaves T2's secrets as orphans, never a violation; a
+    crash of the privacy zone alone cannot stop T2, whose secrets are
+    already durable."""
+    for point_id in (CrashPointId.BEFORE_PRIVACY_FLUSH,
+                     CrashPointId.AFTER_PRIVACY_FLUSH_BEFORE_DB_COMMIT):
+        topo, t2, raised, trips = _covered_commit_crash(point_id, CrashTarget.BOTH)
+        assert raised and trips == 0
+        report = topo.recover_all()
+        assert report.invariant.holds
+        assert report.invariant.orphans == 1  # T2's one secret
+        assert (_read_k(topo, 1), _read_k(topo, 2)) == (10, None)
+
+    topo, t2, raised, trips = _covered_commit_crash(
+        CrashPointId.BEFORE_PRIVACY_FLUSH, CrashTarget.PRIVACY)
+    assert not raised and trips == 0
+    assert t2.state.name == "COMMITTED"
+    report = topo.recover_all()
+    assert report.invariant.holds and report.invariant.orphans == 0
+    assert (_read_k(topo, 1), _read_k(topo, 2)) == (10, 20)
+
+
+def test_privacy_restart_aborts_txns_holding_refs():
+    """A privacy-only crash loses T's unflushed secret; once the privacy
+    zone is back, T can neither commit it nor claim another lost ref."""
+    topo = ZoneTopology(19)
+    db = topo.integrity.db
+    table = db.create_table("t", list(SCHEMA))
+    txn, other = db.begin(), db.begin()
+    _write_row(topo, db, table, txn, 1, 10)
+    lost = topo.client.ingest(other.query_id, topo.client_encrypt(encode_int64(3)),
+                              table.partition_id)
+    topo.privacy.crash()
+    topo.recover_all()
+    assert txn.state.name == "ABORTED"
+    with pytest.raises(ValueError):
+        db.commit(txn)
+    with pytest.raises(WrongPartitionKind):
+        db.insert_row(other, table, [2, lost])
+    db.abort(other)
+    report = topo.check_invariant()
+    assert report.holds and report.orphans == 0
+    assert topo.client.fresh == set() and topo.client.unflushed == set()
+
+
+def test_privacy_restart_forgets_abort_garbage():
+    """An aborted txn's secret lost in a privacy crash frees its slot for
+    the next write; vacuum must not release that slot's new secret."""
+    topo = ZoneTopology(5)
+    db = topo.integrity.db
+    table = db.create_table("t", list(SCHEMA))
+    aborted = db.begin()
+    _write_row(topo, db, table, aborted, 1, 10)
+    (lost,) = aborted.promoted
+    db.abort(aborted)
+    topo.privacy.crash()
+    topo.recover_all()
+    txn = db.begin()
+    _write_row(topo, db, table, txn, 2, 20)
+    assert txn.promoted == [lost]  # recovery handed the lost slot out again
+    db.commit(txn)
+    assert db.vacuum(table) == 0
+    assert topo.check_invariant().holds
+    assert _read_k(topo, 2) == 20
+
+
+def test_integrity_crash_after_vacuums_deletes_are_durable():
+    """Once vacuum's deletes are durable, its removals are too: a recovered
+    engine never releases a freed slot again after a new secret took it."""
+    topo = ZoneTopology(20)
+    db = topo.integrity.db
+    table = db.create_table("t", list(SCHEMA))
+    txn = db.begin()
+    _write_row(topo, db, table, txn, 1, 10)
+    db.commit(txn)
+    txn = db.begin()
+    db.update_row(txn, table, 1, {"k": topo.client.ingest(
+        txn.query_id, topo.client_encrypt(encode_int64(11)), table.partition_id)})
+    db.commit(txn)
+    flush = topo.client.flush_log
+    from fidstore.zone_sim import ZoneCrashed
+
+    def flush_then_crash():
+        flush()
+        topo.integrity.crash()
+        raise ZoneCrashed("after vacuum's flush")
+
+    topo.client.flush_log = flush_then_crash
+    with pytest.raises(ZoneCrashed):
+        db.vacuum(table)
+    topo.client.flush_log = flush
+    assert topo.recover_all().invariant.holds
+    db = topo.integrity.db
+    table = db.tables["t"]
+    txn = db.begin()
+    _write_row(topo, db, table, txn, 2, 20)  # takes the slot vacuum freed
+    db.commit(txn)
+    db.vacuum(table)
+    assert topo.check_invariant().holds
+    assert (_read_k(topo, 1), _read_k(topo, 2)) == (11, 20)
 
 
 def test_recover_without_crash_raises():
@@ -459,10 +662,10 @@ _PINNED = {
     # integrity WAL) durable bytes, (seals, opens), (client codec, zone
     # codec) encrypt+decrypt counts in the privacy zone
     "fid": ({m.MSG_INGEST: 120, m.MSG_REVEAL: 80, m.MSG_EXEC_BATCH: 49,
-             m.MSG_DELETE: 40, m.MSG_FLUSH_LOG: 41, m.MSG_CREATE_PARTITION: 2,
+             m.MSG_DELETE: 4, m.MSG_FLUSH_LOG: 33, m.MSG_CREATE_PARTITION: 2,
              m.MSG_LIST_LIVE: 2},
             (13682, 12740), (4, 2), (249, 0)),
-    "cipher": ({m.MSG_FLUSH_LOG: 41, m.MSG_CREATE_PARTITION: 2,
+    "cipher": ({m.MSG_FLUSH_LOG: 2, m.MSG_CREATE_PARTITION: 2,
                 m.MSG_CIPHER_EXEC: 49, m.MSG_CIPHER_INGEST: 120,
                 m.MSG_CIPHER_REVEAL: 80},
                (54, 30440), (0, 0), (249, 370)),
