@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .atrest_storage import SEALED_OVERHEAD
 from .fid_codec import FidConfig
@@ -170,7 +170,20 @@ MATRIX_POINTS: list[tuple[CrashPointId, CrashTarget]] = [
     (CrashPointId.DURING_VACUUM, CrashTarget.BOTH),
     (CrashPointId.DURING_ORPHAN_GC, CrashTarget.BOTH),
     (CrashPointId.RANDOM_BYTE, CrashTarget.PRIVACY),
+    (CrashPointId.PRIVACY_CHECKPOINT_BEFORE_TRUNCATE, CrashTarget.PRIVACY),
+    (CrashPointId.PRIVACY_CHECKPOINT_AFTER_TRUNCATE, CrashTarget.PRIVACY),
+    (CrashPointId.INTEGRITY_CHECKPOINT_BEFORE_TRUNCATE, CrashTarget.BOTH),
+    (CrashPointId.INTEGRITY_CHECKPOINT_AFTER_TRUNCATE, CrashTarget.BOTH),
 ]
+CHECKPOINT_POINTS = frozenset({
+    CrashPointId.PRIVACY_CHECKPOINT_BEFORE_TRUNCATE,
+    CrashPointId.PRIVACY_CHECKPOINT_AFTER_TRUNCATE,
+    CrashPointId.INTEGRITY_CHECKPOINT_BEFORE_TRUNCATE,
+    CrashPointId.INTEGRITY_CHECKPOINT_AFTER_TRUNCATE,
+})
+# Write-only ops of the matrix spec that take both zones' journals past the
+# checkpoint interval at least twice (about 2.3 and 3.6 MiB at 2 x 200 rows).
+CHECKPOINT_MATRIX_OPS = 10_000
 
 MATRIX_CSV_COLUMNS = [
     "crash_point", "target", "seed", "fired", "violations", "orphans_pre_gc",
@@ -185,19 +198,32 @@ def default_matrix_spec(ops: int = 10_000) -> WorkloadSpec:
                         threads_simulated=2, batch_size=64, abort_ratio=0.05)
 
 
+def checkpoint_matrix_spec(spec: WorkloadSpec) -> WorkloadSpec:
+    """The spec as write-only churn, long enough that both journals cross
+    the checkpoint interval twice."""
+    return replace(spec, mode=Mode.WRITE_ONLY,
+                   duration_ops=max(spec.duration_ops, CHECKPOINT_MATRIX_OPS))
+
+
 def run_crash_matrix(seeds_n: int, spec: WorkloadSpec | None = None,
                      base_seed: int = 1000,
                      points: list[tuple[CrashPointId, CrashTarget]] | None = None,
                      on_row=None) -> list[dict]:
     """Every crash point crossed with seeds_n seeds; after each recovery the
-    external-synchrony invariant must hold with zero dangling FIDs."""
+    external-synchrony invariant must hold with zero dangling FIDs. A
+    checkpoint point runs checkpoint_matrix_spec and crashes in the first
+    or second checkpoint of its zone."""
     spec = spec or default_matrix_spec()
     rows = []
     for point_id, target in points or MATRIX_POINTS:
+        in_checkpoint = point_id in CHECKPOINT_POINTS
+        run_spec = checkpoint_matrix_spec(spec) if in_checkpoint else spec
         for i in range(seeds_n):
             seed = base_seed + i
             topo = ZoneTopology(seed, batch_size=spec.batch_size)
-            if point_id == CrashPointId.RANDOM_BYTE:
+            if in_checkpoint:
+                occurrence = 1 + seed % 2
+            elif point_id == CrashPointId.RANDOM_BYTE:
                 occurrence = 40 + (seed % 200)  # statements into the run
             elif point_id == CrashPointId.DURING_ORPHAN_GC:
                 occurrence = 1 + (seed % spec.tables)  # per-partition scan hits
@@ -206,7 +232,7 @@ def run_crash_matrix(seeds_n: int, spec: WorkloadSpec | None = None,
             else:
                 occurrence = 3 + (seed % 10)  # qualifying commits into the run
             topo.inject_crash(CrashPoint(point_id, target, at_occurrence=occurrence))
-            report = topo.run_workload(spec)
+            report = topo.run_workload(run_spec)
             fired = topo.fired is not None
             row = {
                 "crash_point": point_id.value,

@@ -29,6 +29,29 @@ durable, and a lost FID's slot may be handed out again. privacy_restarted
 aborts every active transaction that stored a ref and forgets the abort
 garbage, so no lost ref is ever committed or released; whatever of it did
 survive is an orphan for orphan_gc.
+
+The engine's journal is checkpointed at the interval the privacy zone's
+journal uses (wal.CHECKPOINT_INTERVAL_BYTES). Once that many bytes were
+written since the last checkpoint, the commit or vacuum that synced them
+writes an image of the newest committed version of every row (its cells in
+the DB_INSERT encoding), the commit sequence numbers of the transactions
+that wrote them and the next_* counters, then truncates the journal to one
+DB_CHECKPOINT record. Recovery loads the image and replays the journal that
+follows it. No transaction outlives a crash, so no snapshot after recovery
+can see an older version; a ref only an older version holds is an orphan
+for orphan_gc if the crash comes before vacuum releases it.
+
+The cover rule is a generation number, not an LSN: LSNs are assigned when
+a record is staged, not when it commits, so they are not monotone in the
+journal, and replaying a DB_INSERT the image already holds would duplicate
+its version. The image and the DB_CHECKPOINT record that opens the
+truncated journal carry the same generation. A journal of an older
+generation is the one a crash between writing the image and truncating
+left behind; the image holds all of it, so recovery replays none of it and
+finishes the truncation.
+
+The checkpoint sends no message: every version in the image has a durable
+commit record, so commit #1 already made every secret it names durable.
 """
 
 from __future__ import annotations
@@ -38,8 +61,10 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 
+from . import wal
 from .durability import DurableBuffer, SnapshotStore
 from .errors import (
+    CorruptLog,
     IoFailure,
     RowNotVisible,
     SchemaMismatch,
@@ -54,14 +79,25 @@ from .privacy_proxy import COMPARISONS, OperatorRequest, OpKind, ValueType
 from .wal import frame_record, read_frames
 
 CATALOG = "catalog.json"
+CHECKPOINT_IMAGE = "db.ckpt"
 
 DB_INSERT = 1
 DB_END = 2
 DB_REMOVE = 3
 DB_COMMIT = 4
+DB_CHECKPOINT = 5
 
 _REC_HEAD = struct.Struct("<QB")
 _U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+# Checkpoint image: a head (generation, next txn id, next commit seq, next
+# lsn, table count, txn count), a (txn, commit seq) pair per txn that wrote
+# an imaged version, then per table its counters and its imaged versions,
+# each a version head and its cells in the DB_INSERT encoding.
+_IMAGE_HEAD = struct.Struct("<QQQQII")
+_TXN_SEQ = struct.Struct("<QQ")
+_TABLE_HEAD = struct.Struct("<QQQ")  # next row id, next vseq, versions
+_VERSION_HEAD = struct.Struct("<QQQ")  # row id, vseq, begin txn
 
 
 class ColumnType(IntEnum):
@@ -342,10 +378,13 @@ class Database:
         self.tables: dict[str, Table] = {}
         self.tables_by_idx: list[Table] = []
         self.active_txns: dict[int, Txn] = {}
+        # commit seq of every committed txn a row version names
         self.committed: dict[int, int] = {}
         self.next_txn_id = 1
         self.next_commit_seq = 1
         self.next_lsn = 1
+        self.generation = 0  # of the last checkpoint
+        self.bytes_since_checkpoint = 0
 
     # ------------------------------------------------------------------
     # schema
@@ -411,8 +450,9 @@ class Database:
         for rec in txn.staged:
             frames.append(self._frame(rec))
         frames.append(self._frame(self._record(DB_COMMIT, txn=txn.txn_id)))
+        data = b"".join(frames)
         pending_before = self.dbwal.pending_len
-        self.dbwal.append(b"".join(frames))
+        self.dbwal.append(data)
         try:
             self.dbwal.sync()  # commit #2: the FIDs become externally visible
         except OSError as exc:
@@ -423,10 +463,12 @@ class Database:
         self.protocol_events.append(("db_commit_durable", txn.txn_id))
         self._hook("after_db_commit", txn)
         self._finish_commit(txn)
+        self._synced(len(data))
 
     def _finish_commit(self, txn: Txn) -> None:
         txn.state = TxnState.COMMITTED
-        self.committed[txn.txn_id] = self.next_commit_seq
+        if txn.staged:  # a txn that wrote nothing names no row version
+            self.committed[txn.txn_id] = self.next_commit_seq
         self.next_commit_seq += 1
         self.active_txns.pop(txn.txn_id, None)
 
@@ -677,8 +719,11 @@ class Database:
         # between leaves orphans, never a recovered version whose release
         # refs name slots the store has freed and may hand out again
         if remove_records:
-            self.dbwal.append(b"".join(self._frame(r) for r in remove_records))
+            data = b"".join(self._frame(r) for r in remove_records)
+            self.dbwal.append(data)
             self.dbwal.sync()
+            self._forget_unnamed_txns()
+            self._synced(len(data))
         reclaimed = self.backend.release(release, self.batch_size)
         if reclaimed:
             self.client.flush_log()
@@ -692,6 +737,18 @@ class Database:
         if cs is None:
             return False  # ended by an in-flight txn; outcome unknown
         return min_snapshot is None or cs <= min_snapshot
+
+    def _forget_unnamed_txns(self) -> None:
+        """Drops the commit seq of every txn no row version names any more."""
+        named = set()
+        for table in self.tables_by_idx:
+            for chain in table.rows.values():
+                for version in chain:
+                    named.add(version.begin_txn)
+                    named.add(version.end_txn)
+        committed = self.committed
+        for txn_id in [t for t in committed if t not in named]:
+            del committed[txn_id]
 
     def orphan_gc(self) -> int:
         """Delete store entries no row version references. Quiescent only:
@@ -725,6 +782,72 @@ class Database:
                         referenced.add(version.cells[i])
             referenced.update(table.abort_garbage)
         return referenced
+
+    # ------------------------------------------------------------------
+    # checkpoint (cover rule and ordering in the module docstring)
+
+    def _synced(self, nbytes: int) -> None:
+        """Counts bytes a sync just made durable; checkpoints once the
+        interval is crossed. The log has no pending bytes here."""
+        self.bytes_since_checkpoint += nbytes
+        if self.bytes_since_checkpoint > wal.CHECKPOINT_INTERVAL_BYTES:
+            self.checkpoint()
+
+    def checkpoint(self) -> None:
+        """Writes the image of each row's newest committed version, then
+        truncates the journal to the record naming the image's generation."""
+        generation = self.generation + 1
+        self.snapshots.put_atomic(CHECKPOINT_IMAGE, self._image(generation))
+        self._hook("db_checkpoint_image", None)
+        self.dbwal.replace(self._checkpoint_frame(generation))
+        self.generation = generation
+        self.bytes_since_checkpoint = 0
+        self._hook("db_checkpoint_truncated", None)
+
+    def _checkpoint_frame(self, generation: int) -> bytes:
+        return self._frame(_REC_HEAD.pack(0, DB_CHECKPOINT) + _U64.pack(generation))
+
+    def _image(self, generation: int) -> bytes:
+        committed = self.committed
+        writers: dict[int, int] = {}
+        body = []
+        for table in self.tables_by_idx:
+            versions = []
+            for chain in table.rows.values():
+                for v in reversed(chain):
+                    begin = v.begin_txn
+                    if begin in committed:  # the row's newest committed version
+                        writers[begin] = committed[begin]
+                        versions.append(_VERSION_HEAD.pack(v.row_id, v.vseq, begin))
+                        versions.append(self._cells_wire(table, v.cells))
+                        break
+            body.append(_TABLE_HEAD.pack(table.next_row_id, table.next_vseq,
+                                         len(versions) // 2))
+            body.extend(versions)
+        head = _IMAGE_HEAD.pack(generation, self.next_txn_id, self.next_commit_seq,
+                                self.next_lsn, len(self.tables_by_idx), len(writers))
+        return b"".join([head, *(_TXN_SEQ.pack(t, s) for t, s in writers.items()),
+                         *body])
+
+    def _load_image(self, image: bytes) -> None:
+        (self.generation, self.next_txn_id, self.next_commit_seq, self.next_lsn,
+         n_tables, n_txns) = _IMAGE_HEAD.unpack_from(image, 0)
+        if n_tables > len(self.tables_by_idx):
+            raise CorruptLog(f"checkpoint image holds {n_tables} tables, the "
+                             f"catalog {len(self.tables_by_idx)}")
+        pos = _IMAGE_HEAD.size
+        for _ in range(n_txns):
+            txn_id, seq = _TXN_SEQ.unpack_from(image, pos)
+            self.committed[txn_id] = seq
+            pos += _TXN_SEQ.size
+        for table in self.tables_by_idx[:n_tables]:
+            table.next_row_id, table.next_vseq, n = _TABLE_HEAD.unpack_from(image, pos)
+            pos += _TABLE_HEAD.size
+            for _ in range(n):
+                row_id, vseq, begin = _VERSION_HEAD.unpack_from(image, pos)
+                cells, pos = self._cells_from_wire(table, image,
+                                                   pos + _VERSION_HEAD.size)
+                table.rows[row_id] = [RowVersion(row_id, vseq, begin, cells)]
 
     # ------------------------------------------------------------------
     # DbWal records
@@ -813,10 +936,11 @@ def _plain_compare(op: OpKind, a, b) -> bool:
 
 def recover_database(client, backend, dbwal: DurableBuffer,
                      snapshots: SnapshotStore, **db_kwargs) -> tuple[Database, int]:
-    """Rebuild the engine from catalog.json plus the durable DbWal. Any
-    transaction without a durable commit record is treated as aborted: its
-    row versions are never materialized, so its promoted secrets surface as
-    store orphans for orphan_gc."""
+    """Rebuild the engine from catalog.json, the checkpoint image and the
+    durable DbWal that follows it; returns the engine and the number of
+    journal records replayed. Any transaction without a durable commit
+    record is treated as aborted: its row versions are never materialized,
+    so its promoted secrets surface as store orphans for orphan_gc."""
     db = Database(client, backend, dbwal, snapshots, **db_kwargs)
     raw_catalog = snapshots.get(CATALOG)
     if raw_catalog:
@@ -827,12 +951,27 @@ def recover_database(client, backend, dbwal: DurableBuffer,
                           entry["partition_id"])
             db.tables[table.name] = table
             db.tables_by_idx.append(table)
+    image = snapshots.get(CHECKPOINT_IMAGE)
+    if image:
+        db._load_image(image)
 
     frames = read_frames(dbwal.durable)
+    log_generation = 0
+    if frames and _REC_HEAD.unpack_from(frames[0], 0)[1] == DB_CHECKPOINT:
+        (log_generation,) = _U64.unpack_from(frames[0], _REC_HEAD.size)
+        frames = frames[1:]
+    if log_generation > db.generation:
+        raise CorruptLog(f"journal of generation {log_generation} follows a "
+                         f"checkpoint image of generation {db.generation}")
+    if log_generation < db.generation:
+        # the crash fell between writing the image and truncating: the image
+        # holds every record of this journal, so finish the truncation
+        dbwal.replace(db._checkpoint_frame(db.generation))
+        frames = []
     records = []
     committed_order = []
-    max_txn = 0
-    max_lsn = 0
+    max_txn = db.next_txn_id - 1
+    max_lsn = db.next_lsn - 1
     for body in frames:
         lsn, kind = _REC_HEAD.unpack_from(body, 0)
         max_lsn = max(max_lsn, lsn)
@@ -842,7 +981,9 @@ def recover_database(client, backend, dbwal: DurableBuffer,
             committed_order.append(txn_id)
             max_txn = max(max_txn, txn_id)
 
-    committed = {txn_id: seq + 1 for seq, txn_id in enumerate(committed_order)}
+    committed = db.committed
+    for i, txn_id in enumerate(committed_order):
+        committed[txn_id] = db.next_commit_seq + i
     replayed = 0
     for lsn, kind, body in records:
         pos = _REC_HEAD.size
@@ -878,8 +1019,9 @@ def recover_database(client, backend, dbwal: DurableBuffer,
                     version.release_refs = release
         replayed += 1
 
-    db.committed = committed
+    db._forget_unnamed_txns()
     db.next_txn_id = max_txn + 1
-    db.next_commit_seq = len(committed_order) + 1
+    db.next_commit_seq += len(committed_order)
     db.next_lsn = max_lsn + 1
+    db.bytes_since_checkpoint = dbwal.durable_len
     return db, replayed

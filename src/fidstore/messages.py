@@ -269,12 +269,14 @@ class ProxyClient:
 
     def ingest(self, query_id: int, envelope: bytes,
                target: int = QUERY_TEMP_TARGET) -> int:
+        if target == QUERY_TEMP_TARGET:
+            # recorded first: a refused ingest may still have created the
+            # query's temporary partition
+            self._temp_queries.add(query_id)
         body = self._call(MSG_INGEST, query_id, _U32.pack(target) + _blob(envelope))
         (fid,) = _U64.unpack(body)
         self._observe_fid(fid)
-        if target == QUERY_TEMP_TARGET:
-            self._temp_queries.add(query_id)
-        else:
+        if target != QUERY_TEMP_TARGET:
             self.fresh.add(fid)
             self.unflushed.add(fid)
         return fid

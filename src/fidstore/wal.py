@@ -8,6 +8,12 @@ visibility in the table engine, never by undo.
 
 flush() has group-commit semantics: one call makes every record buffered
 so far durable, regardless of which transaction appended it.
+
+Both zones checkpoint their journal at one interval,
+CHECKPOINT_INTERVAL_BYTES of records written since the last checkpoint:
+this log through checkpoint_truncate, the integrity zone's log through
+Database.checkpoint (integrity_dbms). So each zone's recovery replays at
+most about one interval of records on top of its checkpoint image.
 """
 
 from __future__ import annotations
@@ -31,7 +37,9 @@ KIND_CREATE_PARTITION = 3
 KIND_CHECKPOINT = 4
 KIND_SEAL = 5
 
-DEFAULT_SIZE_BOUND = 64 * 1024 * 1024
+# Bytes a zone's journal may grow by between two checkpoints. Read at each
+# check, never bound at import, so a test may lower it for both zones.
+CHECKPOINT_INTERVAL_BYTES = 1024 * 1024
 
 CKPT_MARKER = "store.ckpt"
 FRESHNESS_SNAPSHOT = "store.freshness"
@@ -120,25 +128,23 @@ def read_frames(data: bytes) -> list[bytes]:
 
 
 class Wal:
-    """Mapping-store journal with a configurable size bound.
+    """Mapping-store journal, checkpointed at the interval both zones share.
 
-    When appending would push the log past size_bound_bytes, the configured
-    checkpoint callback runs first, truncating the log.
+    When appending a record would take the bytes written since the last
+    checkpoint past CHECKPOINT_INTERVAL_BYTES, the checkpoint callback runs
+    first and truncates the log, so the record opens the next interval.
     """
 
-    def __init__(self, buffer: DurableBuffer, *,
-                 size_bound_bytes: int = DEFAULT_SIZE_BOUND,
-                 start_lsn: int = 1,
+    def __init__(self, buffer: DurableBuffer, *, start_lsn: int = 1,
                  bytes_since_checkpoint: int = 0):
         self.buffer = buffer
-        self.size_bound_bytes = size_bound_bytes
         self.next_lsn = start_lsn
         self.durable_lsn = start_lsn - 1
         self._flushed_lsn_pending = start_lsn - 1
         self.bytes_since_checkpoint = bytes_since_checkpoint
         self.on_checkpoint = None  # set by the owning runtime
         self.closed = False
-        # reentrant: a bound-triggered checkpoint flushes from inside append
+        # reentrant: an interval checkpoint flushes from inside append
         self._lock = threading.RLock()
 
     # -- append paths -------------------------------------------------
@@ -151,7 +157,8 @@ class Wal:
             framed = frame_record(record.encode_body())
             if (self.on_checkpoint is not None
                     and record.kind != KIND_CHECKPOINT
-                    and self.bytes_since_checkpoint + len(framed) > self.size_bound_bytes):
+                    and self.bytes_since_checkpoint + len(framed)
+                    > CHECKPOINT_INTERVAL_BYTES):
                 self.on_checkpoint()
                 record.lsn = self.next_lsn
                 framed = frame_record(record.encode_body())
@@ -198,14 +205,16 @@ class Wal:
 
 
 def checkpoint_truncate(store: MappingStore, wal: Wal, snapshots: SnapshotStore,
-                        freshness=None) -> None:
+                        freshness=None, crash_hook=None) -> None:
     """Persist a store image and drop the log prefix it covers.
 
     Order matters for crash consistency: flush first (so the image never
     reflects un-journaled state), write images, then the marker, then swap
     in a fresh log seeded with a checkpoint record. Replay after a crash at
     any point in this sequence reconstructs the same state because record
-    application is idempotent.
+    application is idempotent. crash_hook, if given, is called with a site
+    name once the image and its marker are written and again once the log
+    is truncated.
     """
     if wal.bytes_since_checkpoint == 0 and wal.buffer.pending_len == 0:
         return
@@ -221,12 +230,15 @@ def checkpoint_truncate(store: MappingStore, wal: Wal, snapshots: SnapshotStore,
     if freshness is not None:
         snapshots.put_atomic(FRESHNESS_SNAPSHOT, freshness.snapshot_bytes())
     snapshots.put_atomic(CKPT_MARKER, struct.pack("<Q", covered))
-    ckpt = WalRecord(covered + 1, KIND_CHECKPOINT, durable_lsn=covered)
+    if crash_hook is not None:
+        crash_hook("privacy_checkpoint_image")
+    # the checkpoint record reuses the covered LSN, so LSNs, and the durable
+    # LSN a flush reports, run on as if no checkpoint had happened
+    ckpt = WalRecord(covered, KIND_CHECKPOINT, durable_lsn=covered)
     wal.buffer.replace(frame_record(ckpt.encode_body()))
-    wal.next_lsn = covered + 2
-    wal.durable_lsn = covered + 1
-    wal._flushed_lsn_pending = covered + 1
     wal.bytes_since_checkpoint = 0
+    if crash_hook is not None:
+        crash_hook("privacy_checkpoint_truncated")
 
 
 @dataclass

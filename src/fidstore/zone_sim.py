@@ -133,7 +133,11 @@ class CrashPointId(Enum):
     """Where a scheduled crash fires. The two flush points fire in every
     commit that staged records, whether or not it sends MSG_FLUSH_LOG: a
     commit whose refs an earlier flush already made durable skips the
-    message, not the points around it."""
+    message, not the points around it. The checkpoint points fire inside a
+    zone's checkpoint, once its image is written and once its journal is
+    truncated; the privacy zone's run inside the message whose journal
+    record crossed the interval, and a privacy crash there fails that
+    request."""
 
     BEFORE_PRIVACY_FLUSH = "before-privacy-flush"
     AFTER_PRIVACY_FLUSH_BEFORE_DB_COMMIT = "after-privacy-flush-before-db-commit"
@@ -141,6 +145,10 @@ class CrashPointId(Enum):
     DURING_VACUUM = "during-vacuum"
     DURING_ORPHAN_GC = "during-orphan-gc"
     RANDOM_BYTE = "random-byte"
+    PRIVACY_CHECKPOINT_BEFORE_TRUNCATE = "privacy-checkpoint-before-truncate"
+    PRIVACY_CHECKPOINT_AFTER_TRUNCATE = "privacy-checkpoint-after-truncate"
+    INTEGRITY_CHECKPOINT_BEFORE_TRUNCATE = "integrity-checkpoint-before-truncate"
+    INTEGRITY_CHECKPOINT_AFTER_TRUNCATE = "integrity-checkpoint-after-truncate"
 
 
 _HOOK_SITES = {
@@ -149,7 +157,14 @@ _HOOK_SITES = {
     CrashPointId.AFTER_DB_COMMIT: "after_db_commit",
     CrashPointId.DURING_VACUUM: "during_vacuum",
     CrashPointId.DURING_ORPHAN_GC: "during_orphan_gc",
+    CrashPointId.PRIVACY_CHECKPOINT_BEFORE_TRUNCATE: "privacy_checkpoint_image",
+    CrashPointId.PRIVACY_CHECKPOINT_AFTER_TRUNCATE: "privacy_checkpoint_truncated",
+    CrashPointId.INTEGRITY_CHECKPOINT_BEFORE_TRUNCATE: "db_checkpoint_image",
+    CrashPointId.INTEGRITY_CHECKPOINT_AFTER_TRUNCATE: "db_checkpoint_truncated",
 }
+# points that fire inside the privacy zone, while it serves a request
+_PRIVACY_ZONE_POINTS = frozenset({CrashPointId.PRIVACY_CHECKPOINT_BEFORE_TRUNCATE,
+                                  CrashPointId.PRIVACY_CHECKPOINT_AFTER_TRUNCATE})
 
 
 @dataclass
@@ -179,7 +194,12 @@ class Channel:
         trace = self.trace
         trace.op_kind(raw[0])
         trace.msg(len(raw))
-        response = self.topology.privacy.dispatcher.handle(raw)
+        try:
+            response = self.topology.privacy.dispatcher.handle(raw)
+        except ZoneCrashed:
+            if self.topology.integrity.crashed:
+                raise
+            raise Unavailable("privacy zone crashed (request timed out)") from None
         trace.msg(len(response))
         return response
 
@@ -227,7 +247,7 @@ class PrivacyZoneHost:
 
     def _checkpoint(self) -> None:
         checkpoint_truncate(self.store, self.wal, self.snapshots,
-                            self.atrest.freshness)
+                            self.atrest.freshness, self.topology._crash_hook)
 
     def crash(self, torn_bytes: int = 0) -> None:
         self.crashed = True
@@ -316,7 +336,11 @@ class RunReport:
 
 
 class ZoneTopology:
-    """Owns both zones, the channel, the trace, and the crash schedule."""
+    """Owns both zones, the channel, the trace, and the crash schedule.
+
+    With data_dir, each zone mirrors its journal and snapshots to files
+    under it. Opening a directory whose journals hold records recovers both
+    zones from it, as after a crash of both."""
 
     def __init__(self, seed: int, *, backend: str = "fid",
                  cache_capacity_blocks: int | None = None,
@@ -362,6 +386,9 @@ class ZoneTopology:
 
         self._armed: CrashPoint | None = None
         self.fired: CrashPoint | None = None
+        if self.store_wal_buffer.durable_len or self.dbwal_buffer.durable_len:
+            self.privacy.recover()
+            self.integrity.recover()
 
     # ------------------------------------------------------------------
     # client-side crypto (the user's machine, not a zone)
@@ -378,12 +405,14 @@ class ZoneTopology:
     def inject_crash(self, point: CrashPoint) -> None:
         if not isinstance(point.id, CrashPointId):
             raise ValueError(f"unknown crash point {point.id}")
+        if point.id in _PRIVACY_ZONE_POINTS and point.target == CrashTarget.INTEGRITY:
+            raise ValueError(f"{point.id.value} fires inside the privacy zone")
         if point.id == CrashPointId.RANDOM_BYTE and point.at_occurrence <= 0:
             self._fire(point, interrupt=False)
             return
         self._armed = point
 
-    def _crash_hook(self, site: str, txn) -> None:
+    def _crash_hook(self, site: str, txn=None) -> None:
         point = self._armed
         if point is None:
             return
@@ -416,9 +445,11 @@ class ZoneTopology:
             self.privacy.crash(torn)
         if point.target in (CrashTarget.INTEGRITY, CrashTarget.BOTH):
             self.integrity.crash()
-            if interrupt:
-                # unwind out of the engine: the process just died
-                raise ZoneCrashed(point.id.value)
+        elif point.id not in _PRIVACY_ZONE_POINTS:
+            return  # the integrity zone runs on
+        if interrupt:
+            # unwind out of the crashed zone's code: its process just died
+            raise ZoneCrashed(point.id.value)
 
     def recover_all(self) -> RecoveryReport:
         if not (self.privacy.crashed or self.integrity.crashed):

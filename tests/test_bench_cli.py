@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from fidstore import cli
-from fidstore.bench import default_matrix_spec, run_crash_matrix
+from fidstore.bench import MATRIX_POINTS, default_matrix_spec, run_crash_matrix
 from fidstore.workload import Distribution, Mode
 
 
@@ -30,7 +30,7 @@ def test_cli_offers_exactly_ops_storage_and_crash_matrix(capsys):
 
 def test_cli_crash_matrix_passes(capsys):
     assert cli.main(["crash-matrix", "--seeds", "1", "--ops", "300"]) == 0
-    assert "ok: 6 runs, 0 violations" in capsys.readouterr().out
+    assert f"ok: {len(MATRIX_POINTS)} runs, 0 violations" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("mode", [Mode.WRITE_ONLY, Mode.INSERT_ONLY],
@@ -42,6 +42,6 @@ def test_crash_matrix_write_modes(mode):
     spec = dataclasses.replace(default_matrix_spec(300), mode=mode,
                                distribution=Distribution.ZIPFIAN)
     rows = run_crash_matrix(1, spec=spec)
-    assert len(rows) == 6 and all(r["fired"] for r in rows)
+    assert len(rows) == len(MATRIX_POINTS) and all(r["fired"] for r in rows)
     assert sum(r["violations"] for r in rows) == 0
     assert sum(r["orphans_post_gc"] for r in rows) == 0

@@ -1,0 +1,286 @@
+"""Checkpoints of both zones' journals: crashes inside them, bounded
+replay, recovery against the plaintext oracle, and reopening a data
+directory. Each test lowers the one shared interval so that a small run
+crosses it several times in both zones."""
+
+from dataclasses import replace
+
+import pytest
+
+from fidstore import wal, zone_sim
+from fidstore.integrity_dbms import CHECKPOINT_IMAGE
+from fidstore.privacy_proxy import decode_int64
+from fidstore.workload import Mode, WorkloadSpec, flatten_schedule, generate_workload
+from fidstore.zone_sim import (
+    CrashPoint,
+    CrashPointId,
+    CrashTarget,
+    ZoneTopology,
+    unpad_sensitive,
+)
+
+from .oracles import ShadowRunner
+
+INTERVAL = 16 * 1024
+SPEC = WorkloadSpec(mode=Mode.READ_WRITE, tables=2, rows_per_table=60,
+                    duration_ops=600, threads_simulated=2, batch_size=16,
+                    abort_ratio=0.1)
+
+
+@pytest.fixture(autouse=True)
+def small_interval(monkeypatch):
+    monkeypatch.setattr(wal, "CHECKPOINT_INTERVAL_BYTES", INTERVAL)
+
+
+@pytest.fixture
+def privacy_checkpoints(monkeypatch):
+    """Counts the privacy zone's checkpoints."""
+    calls = []
+    checkpoint = zone_sim.checkpoint_truncate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return checkpoint(*args, **kwargs)
+
+    monkeypatch.setattr(zone_sim, "checkpoint_truncate", counting)
+    return calls
+
+
+def _read_rows(topo) -> list[dict]:
+    """(k, c) of every row a fresh snapshot sees, per table."""
+    db = topo.integrity.db
+    client = topo.client
+    reveal = client.cipher_reveal if topo.backend_name == "cipher" else client.reveal
+    reader = db.begin()
+    tables = []
+    for table in db.tables_by_idx:
+        rows = {}
+        for row_id in table.rows:
+            version = db.visible_version(table, row_id, reader)
+            if version is None:
+                continue
+            k = decode_int64(topo.client_decrypt(reveal(reader.query_id,
+                                                        version.cells[1])))
+            c = unpad_sensitive(topo.client_decrypt(reveal(reader.query_id,
+                                                           version.cells[2])))
+            rows[row_id] = (k, c)
+        tables.append(rows)
+    db.abort(reader)
+    client.end_query(reader.query_id)
+    return tables
+
+
+def _oracle_rows(program) -> list[dict]:
+    shadow = ShadowRunner(program, flatten_schedule(program)).run()
+    return [{row_id: (cells[1], cells[2])
+             for row_id, cells in shadow.db.quiescent_rows(t).items()}
+            for t in range(program.spec.tables)]
+
+
+def _newest_committed(db) -> dict:
+    """The newest committed version of every row, the one state recovery
+    must rebuild: no snapshot outlives a crash to see an older one."""
+    out = {}
+    for table in db.tables_by_idx:
+        for row_id, chain in table.rows.items():
+            for v in reversed(chain):
+                if v.begin_txn in db.committed:
+                    out[(table.idx, row_id)] = (v.vseq, v.begin_txn, list(v.cells))
+                    break
+    return out
+
+
+def _chains(db) -> dict:
+    return {(table.idx, row_id): [(v.vseq, v.begin_txn, list(v.cells)) for v in chain]
+            for table in db.tables_by_idx for row_id, chain in table.rows.items()}
+
+
+def _permanent_mapping(topo) -> dict:
+    store = topo.privacy.store
+    mapping = {}
+    for table in topo.integrity.db.tables_by_idx:
+        for fid in store.live_fids(table.partition_id):
+            mapping[fid] = store.get(fid)
+    return mapping
+
+
+def _crash_and_capture(point: CrashPoint):
+    """Runs SPEC with the crash armed; returns the topology and the newest
+    committed versions and permanent secrets at the moment it fired."""
+    topo = ZoneTopology(3, batch_size=SPEC.batch_size)
+    seen = {}
+    fire = topo._fire
+
+    def capture(p, interrupt=True):
+        seen["versions"] = _newest_committed(topo.integrity.db)
+        seen["mapping"] = _permanent_mapping(topo)
+        fire(p, interrupt)
+
+    topo._fire = capture
+    topo.inject_crash(point)
+    report = topo.run_workload(SPEC)
+    assert report.crashed_at == point.id.value
+    return topo, seen
+
+
+@pytest.mark.parametrize("point_id", [
+    CrashPointId.INTEGRITY_CHECKPOINT_BEFORE_TRUNCATE,
+    CrashPointId.INTEGRITY_CHECKPOINT_AFTER_TRUNCATE,
+], ids=lambda p: p.value)
+def test_crash_inside_integrity_checkpoint(point_id):
+    """A crash between writing the image and truncating the journal, or
+    right after truncating, recovers the newest committed version of every
+    row exactly once, with the same cells and secrets, and replays none of
+    the covered journal."""
+    topo, seen = _crash_and_capture(CrashPoint(point_id, CrashTarget.BOTH,
+                                               at_occurrence=2))
+    truncated = point_id == CrashPointId.INTEGRITY_CHECKPOINT_AFTER_TRUNCATE
+    assert topo.integrity.db.generation == (2 if truncated else 1)
+    recovery = topo.recover_all()
+    assert recovery.invariant.holds
+    assert recovery.db_replayed == 0
+    db = topo.integrity.db
+    assert db.generation == 2
+    # a journal the image covers is truncated by recovery: only its header
+    assert topo.dbwal_buffer.durable_len < 64
+    assert _chains(db) == {key: [v] for key, v in seen["versions"].items()}
+    store = topo.privacy.store
+    for _, _, cells in seen["versions"].values():
+        for fid in (cells[1], cells[2]):
+            assert store.get(fid) == seen["mapping"][fid]
+    db.orphan_gc()
+    assert topo.check_invariant().holds
+
+
+@pytest.mark.parametrize("target", [CrashTarget.PRIVACY, CrashTarget.BOTH],
+                         ids=lambda t: t.value)
+@pytest.mark.parametrize("point_id", [
+    CrashPointId.PRIVACY_CHECKPOINT_BEFORE_TRUNCATE,
+    CrashPointId.PRIVACY_CHECKPOINT_AFTER_TRUNCATE,
+], ids=lambda p: p.value)
+def test_crash_inside_privacy_checkpoint(point_id, target):
+    """A privacy crash inside the store checkpoint fails the request that
+    crossed the interval; recovery rebuilds exactly the image's secrets,
+    and every committed row keeps its values."""
+    topo, seen = _crash_and_capture(CrashPoint(point_id, target, at_occurrence=2))
+    recovery = topo.recover_all()
+    assert recovery.invariant.holds
+    assert recovery.privacy_replayed <= 1  # at most the checkpoint record
+    assert _permanent_mapping(topo) == seen["mapping"]
+    assert _newest_committed(topo.integrity.db) == seen["versions"]
+    topo.integrity.db.orphan_gc()
+    assert topo.check_invariant().holds
+
+
+def test_privacy_checkpoint_point_refuses_an_integrity_only_crash():
+    topo = ZoneTopology(3)
+    with pytest.raises(ValueError):
+        topo.inject_crash(CrashPoint(CrashPointId.PRIVACY_CHECKPOINT_AFTER_TRUNCATE,
+                                     CrashTarget.INTEGRITY))
+
+
+def test_replay_is_bounded_by_the_interval(privacy_checkpoints):
+    """A crash late in a run that crossed several checkpoints in both
+    zones: each zone replays at most one interval plus one append."""
+    topo = ZoneTopology(5, batch_size=SPEC.batch_size)
+    appends = []
+    append = topo.dbwal_buffer.append
+
+    def sized(data):
+        appends.append(len(data))
+        append(data)
+
+    topo.dbwal_buffer.append = sized
+    topo.inject_crash(CrashPoint(CrashPointId.AFTER_DB_COMMIT, CrashTarget.BOTH,
+                                 at_occurrence=1000))
+    report = topo.run_workload(replace(SPEC, duration_ops=1500))
+    assert report.crashed_at == "after-db-commit"
+    assert topo.integrity.db.generation >= 3
+    assert len(privacy_checkpoints) >= 3
+    db_bytes = topo.dbwal_buffer.durable_len
+    store_bytes = topo.store_wal_buffer.durable_len
+    recovery = topo.recover_all()
+    assert recovery.invariant.holds
+    assert 0 < recovery.db_replayed and 0 < recovery.privacy_replayed
+    assert db_bytes <= INTERVAL + max(appends) + 64
+    assert store_bytes <= INTERVAL
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+def test_checkpoints_change_no_message(backend, monkeypatch, privacy_checkpoints):
+    """Neither checkpoint sends a message or changes one: every request and
+    response, and the adversary trace, equal a run that never checkpoints."""
+    runs = []
+    for interval in (INTERVAL, 1 << 40):
+        monkeypatch.setattr(wal, "CHECKPOINT_INTERVAL_BYTES", interval)
+        topo = ZoneTopology(8, backend=backend, batch_size=SPEC.batch_size,
+                            cache_capacity_blocks=4)
+        messages = []
+        request = topo.channel.request
+
+        def recorded(raw, request=request, messages=messages):
+            response = request(raw)
+            messages.append((raw, response))
+            return response
+
+        topo.channel.request = recorded
+        topo.run_workload(SPEC)
+        runs.append((messages, topo.trace.events, topo.integrity.db.generation))
+    (checkpointed, trace, generation), (plain, plain_trace, none) = runs
+    assert generation >= 2 and none == 0
+    assert len(privacy_checkpoints) >= (2 if backend == "fid" else 0)
+    assert checkpointed == plain
+    assert trace == plain_trace
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+def test_recovered_rows_match_the_oracle(backend):
+    """Crash both zones after a run that checkpointed, recover twice: every
+    row reads back as the plaintext replay's final state."""
+    program = generate_workload(SPEC, 9)
+    topo = ZoneTopology(9, backend=backend, batch_size=SPEC.batch_size)
+    report = topo.run_program(program)
+    assert report.invariant_holds
+    assert topo.integrity.db.generation >= 2
+    expected = _oracle_rows(program)
+    for _ in range(2):
+        topo.privacy.crash()
+        topo.integrity.crash()
+        assert topo.recover_all().invariant.holds
+        assert _read_rows(topo) == expected
+
+
+def test_committed_holds_only_the_txns_versions_name():
+    topo = ZoneTopology(4, batch_size=SPEC.batch_size)
+    report = topo.run_workload(SPEC)
+    db = topo.integrity.db
+
+    def named():
+        return {t for table in db.tables_by_idx for chain in table.rows.values()
+                for v in chain for t in (v.begin_txn, v.end_txn)} - {None}
+
+    assert set(db.committed) == named()
+    assert len(db.committed) < report.txns_committed
+    topo.integrity.crash()
+    topo.recover_all()
+    db = topo.integrity.db
+    assert set(db.committed) == named()
+
+
+def test_reopening_a_data_directory_recovers_it(tmp_path):
+    program = generate_workload(SPEC, 6)
+    first = ZoneTopology(6, batch_size=SPEC.batch_size, data_dir=str(tmp_path))
+    first.run_program(program)
+    assert first.integrity.db.generation >= 1
+    assert (tmp_path / "integrity" / CHECKPOINT_IMAGE).exists()
+    rows = _read_rows(first)
+    assert rows == _oracle_rows(program)
+    del first
+
+    reopened = ZoneTopology(6, batch_size=SPEC.batch_size, data_dir=str(tmp_path))
+    db = reopened.integrity.db
+    assert [t.name for t in db.tables_by_idx] == ["sb0", "sb1"]
+    assert reopened.privacy.store.partition_ids() == [
+        t.partition_id for t in db.tables_by_idx]
+    assert _read_rows(reopened) == rows
+    assert reopened.check_invariant().holds

@@ -18,9 +18,7 @@ from fidstore.messages import (
     MSG_CIPHER_REVEAL,
     MSG_CREATE_PARTITION,
     MSG_DELETE,
-    MSG_END_QUERY,
     MSG_EXEC_BATCH,
-    MSG_INGEST,
     MSG_REVEAL,
     OP_CONST,
     OP_DEST,
@@ -79,8 +77,6 @@ _MALFORMED = {
                                    TypeMismatch),
     "one-byte-reveal": (_req(MSG_REVEAL, 1, b"\x01"), TypeMismatch),
     "short-header": (bytes([MSG_REVEAL, 0, 0]), TypeMismatch),
-    "short-ingest-envelope": (_req(MSG_INGEST, 1, struct.pack("<I", QUERY_TEMP_TARGET)
-                                   + _blob(bytes(5))), AuthFailure),
     "short-zone-envelope": (_req(MSG_CIPHER_REVEAL, 1, _blob(bytes(5))), AuthFailure),
     "unknown-layout": (_req(MSG_CREATE_PARTITION, 1, struct.pack("<BBI", 1, 7, 0)),
                        TypeMismatch),
@@ -95,13 +91,11 @@ _MALFORMED = {
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
 def test_malformed_request_gets_a_status(topo, case):
     """A request the privacy zone cannot decode is refused with a status
-    byte, never an exception, and leaves no partition that ending its
-    query does not drop: well-formed requests still work, and so does
-    recovery of everything journaled."""
+    byte, never an exception, and leaves no partition behind: well-formed
+    requests still work, and so does recovery of everything journaled."""
     raw, error = _MALFORMED[case]
     partitions = topo.privacy.store.partition_ids()
     assert topo.channel.request(raw) == bytes([error.code])
-    topo.channel.request(_req(MSG_END_QUERY, 1))
     assert topo.privacy.store.partition_ids() == partitions
     fid = topo.client.ingest(2, topo.client_encrypt(b"after"))
     assert topo.client_decrypt(topo.client.reveal(2, fid)) == b"after"
@@ -109,6 +103,20 @@ def test_malformed_request_gets_a_status(topo, case):
     topo.privacy.crash()
     topo.privacy.recover()
     topo.client.create_partition(1, 2, 0)
+
+
+def test_refused_ingests_leave_no_partition(topo):
+    """The privacy zone creates a query's temporary partition before it
+    checks an ingested envelope, so a refused ingest may leave one; the
+    client records the query first, and ending it drops the partition."""
+    partitions = topo.privacy.store.partition_ids()
+    for query_id in (1, 2, 3):
+        with pytest.raises(AuthFailure):
+            topo.client.ingest(query_id, bytes(5))
+    assert len(topo.privacy.store.partition_ids()) == len(partitions) + 3
+    for query_id in (1, 2, 3):
+        topo.client.end_query(query_id)
+    assert topo.privacy.store.partition_ids() == partitions
 
 
 def test_fids_travel_little_endian(topo):

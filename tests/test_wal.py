@@ -8,6 +8,7 @@ from fidstore.errors import CorruptLog, IoFailure, LogClosed
 from fidstore.fid_codec import FidConfig
 from fidstore.mapping_store import MappingStore, PartitionKind, ValueLayout
 from fidstore.wal import (
+    CHECKPOINT_INTERVAL_BYTES,
     KIND_PUT,
     Wal,
     WalRecord,
@@ -20,9 +21,9 @@ from fidstore.wal import (
 from .oracles import replay_store_records
 
 
-def _store_with_wal(size_bound=64 * 1024 * 1024):
+def _store_with_wal():
     buf = DurableBuffer()
-    wal = Wal(buf, size_bound_bytes=size_bound)
+    wal = Wal(buf)
     store = MappingStore(FidConfig(16), journal=wal)
     return store, wal, buf
 
@@ -168,17 +169,17 @@ def test_checkpoint_truncate_equivalence():
 
 def test_size_bound_triggers_truncation():
     buf = DurableBuffer()
-    wal = Wal(buf, size_bound_bytes=1 * 1024 * 1024)
+    wal = Wal(buf)
     store = MappingStore(FidConfig(16), journal=wal)
     snaps = SnapshotStore()
     wal.on_checkpoint = lambda: checkpoint_truncate(store, wal, snaps, None)
     pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.VARLEN)
     checkpoints_before = len(snaps.names())
     payload = bytes(1000)
-    for _ in range(2200):  # > 2 MiB of records against a 1 MiB bound
+    for _ in range(2200):  # > 2 MiB of records against the 1 MiB interval
         store.put(pid, payload)
     assert len(snaps.names()) > checkpoints_before
-    record_ceiling = 1024 * 1024 + 1100
+    record_ceiling = CHECKPOINT_INTERVAL_BYTES + 1100
     assert wal.bytes_since_checkpoint <= record_ceiling
     assert buf.durable_len + buf.pending_len <= record_ceiling
     # recovery from image + truncated log equals the live store

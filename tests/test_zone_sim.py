@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from fidstore import messages as m
+from fidstore import wal
 from fidstore.errors import (
     NoCrashPending,
     StructureMismatch,
@@ -11,7 +12,7 @@ from fidstore.errors import (
     WriteConflict,
     WrongPartitionKind,
 )
-from fidstore.integrity_dbms import Column, ColumnType, Predicate
+from fidstore.integrity_dbms import CHECKPOINT_IMAGE, Column, ColumnType, Predicate
 from fidstore.privacy_proxy import (
     OperatorRequest,
     OpKind,
@@ -66,10 +67,12 @@ def test_same_seed_identical_trace_and_state():
         assert t1.priv_snapshots.get(name) == t2.priv_snapshots.get(name)
 
 
-def test_file_backed_run_matches_the_in_memory_run(tmp_path):
+def test_file_backed_run_matches_the_in_memory_run(tmp_path, monkeypatch):
     """With a data directory each zone mirrors its journal to a file and the
-    integrity zone writes its catalog there; the run is the same as in
-    memory, and the files hold exactly the in-memory run's durable bytes."""
+    integrity zone writes its catalog and checkpoint image there; the run is
+    the same as in memory, and the files hold exactly the in-memory run's
+    durable bytes."""
+    monkeypatch.setattr(wal, "CHECKPOINT_INTERVAL_BYTES", 4096)
     spec = _small_spec()
     on_disk = ZoneTopology(11, batch_size=spec.batch_size, cache_capacity_blocks=4,
                            data_dir=str(tmp_path))
@@ -85,6 +88,9 @@ def test_file_backed_run_matches_the_in_memory_run(tmp_path):
     assert db_wal == in_memory.dbwal_buffer.durable != b""
     catalog = (tmp_path / "integrity" / "catalog.json").read_bytes()
     assert catalog == in_memory.db_snapshots.get("catalog.json")
+    assert in_memory.integrity.db.generation > 0
+    image = (tmp_path / "integrity" / CHECKPOINT_IMAGE).read_bytes()
+    assert image == in_memory.db_snapshots.get(CHECKPOINT_IMAGE)
 
 
 def test_different_seeds_differ():
