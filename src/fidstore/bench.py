@@ -21,11 +21,13 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .atrest_storage import SEALED_OVERHEAD
+from .errors import CorruptLog
 from .fid_codec import FidConfig
 from .mapping_store import BLOCK_SIZE, MappingStore, PartitionKind, ValueLayout
-from .privacy_proxy import ENVELOPE_OVERHEAD, ClientEnvelope, EnvelopeCodec
+from .privacy_proxy import (ENVELOPE_OVERHEAD, ClientEnvelope, EnvelopeCodec,
+                            encode_int64)
 from .workload import Distribution, Mode, WorkloadSpec
-from .zone_sim import CrashPoint, CrashPointId, CrashTarget, ZoneTopology
+from .zone_sim import CrashPoint, CrashPointId, CrashTarget, ZoneTopology, pad_sensitive
 
 FID_METADATA_BYTES = 8
 
@@ -188,7 +190,7 @@ CHECKPOINT_MATRIX_OPS = 10_000
 MATRIX_CSV_COLUMNS = [
     "crash_point", "target", "seed", "fired", "violations", "orphans_pre_gc",
     "gc_reclaimed", "orphans_post_gc", "privacy_replayed", "db_replayed",
-    "committed_before_crash",
+    "committed_before_crash", "restart_violations",
 ]
 
 
@@ -205,12 +207,34 @@ def checkpoint_matrix_spec(spec: WorkloadSpec) -> WorkloadSpec:
                    duration_ops=max(spec.duration_ops, CHECKPOINT_MATRIX_OPS))
 
 
+def restart_violations(topo: ZoneTopology) -> int:
+    """Commits one row, crashes both zones and recovers again; returns the
+    second recovery's dangling FIDs, counting a CorruptLog as one."""
+    db = topo.integrity.db
+    table = db.tables_by_idx[0]
+    txn = db.begin()
+    refs = [db.backend.ingest(txn.query_id, topo.client_encrypt(plaintext),
+                              table.partition_id)
+            for plaintext in (encode_int64(7), pad_sensitive(b"restart"))]
+    db.insert_row(txn, table, [table.next_row_id, *refs, b"sb-pad"])
+    db.commit(txn)
+    topo.client.end_query(txn.query_id)
+    topo.privacy.crash()
+    topo.integrity.crash()
+    try:
+        return len(topo.recover_all().invariant.violations)
+    except CorruptLog:
+        return 1
+
+
 def run_crash_matrix(seeds_n: int, spec: WorkloadSpec | None = None,
                      base_seed: int = 1000,
                      points: list[tuple[CrashPointId, CrashTarget]] | None = None,
                      on_row=None) -> list[dict]:
     """Every crash point crossed with seeds_n seeds; after each recovery the
-    external-synchrony invariant must hold with zero dangling FIDs. A
+    external-synchrony invariant must hold with zero dangling FIDs. A fired
+    run then restarts once more (restart_violations), so what the first
+    recovery left behind must survive a later commit and crash. A
     checkpoint point runs checkpoint_matrix_spec and crashes in the first
     or second checkpoint of its zone."""
     spec = spec or default_matrix_spec()
@@ -246,6 +270,7 @@ def run_crash_matrix(seeds_n: int, spec: WorkloadSpec | None = None,
                 "privacy_replayed": 0,
                 "db_replayed": 0,
                 "committed_before_crash": report.txns_committed,
+                "restart_violations": 0,
             }
             if fired:
                 recovery = topo.recover_all()
@@ -257,6 +282,7 @@ def run_crash_matrix(seeds_n: int, spec: WorkloadSpec | None = None,
                 after = topo.check_invariant()
                 row["violations"] += len(after.violations)
                 row["orphans_post_gc"] = after.orphans
+                row["restart_violations"] = restart_violations(topo)
             else:
                 row["violations"] = report.violations
             rows.append(row)

@@ -3,7 +3,8 @@ crash matrix.
 
 Subcommands: ops (per-operation latency vs AEAD), storage (layout
 arithmetic), crash-matrix (exit nonzero on any external-synchrony
-violation). Workload performance comes from perfbench/run.py.
+violation, after the recovery or after one more restart, or a corrupt
+journal). Workload performance comes from perfbench/run.py.
 """
 
 from __future__ import annotations
@@ -85,13 +86,15 @@ def _cmd_crash_matrix(args: argparse.Namespace) -> int:
         printed.append(row)
         print(f"{row['crash_point']:38s} seed={row['seed']} fired={row['fired']} "
               f"violations={row['violations']} orphans_pre={row['orphans_pre_gc']} "
-              f"orphans_post={row['orphans_post_gc']}")
+              f"orphans_post={row['orphans_post_gc']} "
+              f"restart_violations={row['restart_violations']}")
 
     rows = run_crash_matrix(args.seeds, spec, base_seed=args.seed, on_row=on_row)
     _write_csv(args.out, MATRIX_CSV_COLUMNS, rows)
-    violations = sum(r["violations"] for r in rows)
+    violations = sum(r["violations"] + r["restart_violations"] for r in rows)
     if violations:
-        print(f"FAIL: {violations} dangling-FID violations", file=sys.stderr)
+        print(f"FAIL: {violations} dangling-FID violations or corrupt journals",
+              file=sys.stderr)
         return 1
     print(f"ok: {len(rows)} runs, 0 violations")
     return 0

@@ -72,9 +72,9 @@ class DurableBuffer:
         self._pending.clear()
 
     def replace(self, data: bytes) -> None:
-        """Atomically swap the entire durable content (log truncation)."""
+        """Atomically swap the entire durable content (log truncation);
+        pending bytes stay pending."""
         self._durable = bytearray(data)
-        self._pending.clear()
         if self.path is not None:
             _atomic_write(self.path, data)
 
@@ -83,7 +83,9 @@ class SnapshotStore:
     """Named blobs with atomic whole-object replacement.
 
     A put is durable when it returns (write-to-temp + rename semantics), so
-    snapshots written before a crash always read back intact.
+    snapshots written before a crash always read back intact. A directory
+    holds snapshots only: reopening it skips the temporary files an
+    interrupted put leaves behind.
     """
 
     def __init__(self, dirpath: str | None = None):
@@ -92,6 +94,8 @@ class SnapshotStore:
         if dirpath is not None:
             os.makedirs(dirpath, exist_ok=True)
             for name in os.listdir(dirpath):
+                if name.startswith(".tmp-"):
+                    continue  # an interrupted _atomic_write
                 with open(os.path.join(dirpath, name), "rb") as fh:
                     self._blobs[name] = fh.read()
 

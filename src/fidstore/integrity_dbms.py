@@ -30,25 +30,15 @@ aborts every active transaction that stored a ref and forgets the abort
 garbage, so no lost ref is ever committed or released; whatever of it did
 survive is an orphan for orphan_gc.
 
-The engine's journal is checkpointed at the interval the privacy zone's
-journal uses (wal.CHECKPOINT_INTERVAL_BYTES). Once that many bytes were
-written since the last checkpoint, the commit or vacuum that synced them
-writes an image of the newest committed version of every row (its cells in
-the DB_INSERT encoding), the commit sequence numbers of the transactions
-that wrote them and the next_* counters, then truncates the journal to one
-DB_CHECKPOINT record. Recovery loads the image and replays the journal that
-follows it. No transaction outlives a crash, so no snapshot after recovery
-can see an older version; a ref only an older version holds is an orphan
-for orphan_gc if the crash comes before vacuum releases it.
-
-The cover rule is a generation number, not an LSN: LSNs are assigned when
-a record is staged, not when it commits, so they are not monotone in the
-journal, and replaying a DB_INSERT the image already holds would duplicate
-its version. The image and the DB_CHECKPOINT record that opens the
-truncated journal carry the same generation. A journal of an older
-generation is the one a crash between writing the image and truncating
-left behind; the image holds all of it, so recovery replays none of it and
-finishes the truncation.
+The engine's journal follows the checkpoint rule in wal, checked after
+the sync of a commit or vacuum. The image holds the newest committed
+version of every row (its cells in the DB_INSERT encoding), the commit
+sequence numbers of the transactions that wrote them and the next_*
+counters. A record gets its LSN when commit or vacuum frames it, not when
+it is staged, so LSNs increase along the journal and the image's next_lsn
+is its cover. No transaction outlives a crash, so no snapshot after
+recovery can see an older version; a ref only an older version holds is an
+orphan for orphan_gc if the crash comes before vacuum releases it.
 
 The checkpoint sends no message: every version in the image has a durable
 commit record, so commit #1 already made every secret it names durable.
@@ -76,7 +66,7 @@ from .errors import (
 )
 from .fid_codec import FidConfig, fid_from_bytes, fid_to_bytes
 from .privacy_proxy import COMPARISONS, OperatorRequest, OpKind, ValueType
-from .wal import frame_record, read_frames
+from .wal import REC_HEAD, frame_record
 
 CATALOG = "catalog.json"
 CHECKPOINT_IMAGE = "db.ckpt"
@@ -85,16 +75,13 @@ DB_INSERT = 1
 DB_END = 2
 DB_REMOVE = 3
 DB_COMMIT = 4
-DB_CHECKPOINT = 5
 
-_REC_HEAD = struct.Struct("<QB")
 _U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
-# Checkpoint image: a head (generation, next txn id, next commit seq, next
-# lsn, table count, txn count), a (txn, commit seq) pair per txn that wrote
-# an imaged version, then per table its counters and its imaged versions,
-# each a version head and its cells in the DB_INSERT encoding.
-_IMAGE_HEAD = struct.Struct("<QQQQII")
+# Checkpoint image: a head (next txn id, next commit seq, next lsn, table
+# count, txn count), a (txn, commit seq) pair per txn that wrote an imaged
+# version, then per table its counters and its imaged versions, each a
+# version head and its cells in the DB_INSERT encoding.
+_IMAGE_HEAD = struct.Struct("<QQQII")
 _TXN_SEQ = struct.Struct("<QQ")
 _TABLE_HEAD = struct.Struct("<QQQ")  # next row id, next vseq, versions
 _VERSION_HEAD = struct.Struct("<QQQ")  # row id, vseq, begin txn
@@ -382,9 +369,7 @@ class Database:
         self.committed: dict[int, int] = {}
         self.next_txn_id = 1
         self.next_commit_seq = 1
-        self.next_lsn = 1
-        self.generation = 0  # of the last checkpoint
-        self.bytes_since_checkpoint = 0
+        self.next_lsn = 1  # of the next record commit or vacuum frames
 
     # ------------------------------------------------------------------
     # schema
@@ -446,9 +431,7 @@ class Database:
                 raise
         self.protocol_events.append(("privacy_flush_done", txn.txn_id))
         self._hook("after_privacy_flush", txn)
-        frames = []
-        for rec in txn.staged:
-            frames.append(self._frame(rec))
+        frames = [self._frame(rec) for rec in txn.staged]
         frames.append(self._frame(self._record(DB_COMMIT, txn=txn.txn_id)))
         data = b"".join(frames)
         pending_before = self.dbwal.pending_len
@@ -463,7 +446,7 @@ class Database:
         self.protocol_events.append(("db_commit_durable", txn.txn_id))
         self._hook("after_db_commit", txn)
         self._finish_commit(txn)
-        self._synced(len(data))
+        self._synced()
 
     def _finish_commit(self, txn: Txn) -> None:
         txn.state = TxnState.COMMITTED
@@ -723,7 +706,7 @@ class Database:
             self.dbwal.append(data)
             self.dbwal.sync()
             self._forget_unnamed_txns()
-            self._synced(len(data))
+            self._synced()
         reclaimed = self.backend.release(release, self.batch_size)
         if reclaimed:
             self.client.flush_log()
@@ -786,28 +769,21 @@ class Database:
     # ------------------------------------------------------------------
     # checkpoint (cover rule and ordering in the module docstring)
 
-    def _synced(self, nbytes: int) -> None:
-        """Counts bytes a sync just made durable; checkpoints once the
-        interval is crossed. The log has no pending bytes here."""
-        self.bytes_since_checkpoint += nbytes
-        if self.bytes_since_checkpoint > wal.CHECKPOINT_INTERVAL_BYTES:
+    def _synced(self) -> None:
+        """Checkpoints if the sync that just ran took the journal past the
+        interval (wal.past_interval). The log has no pending bytes here."""
+        if wal.past_interval(self.dbwal):
             self.checkpoint()
 
     def checkpoint(self) -> None:
-        """Writes the image of each row's newest committed version, then
-        truncates the journal to the record naming the image's generation."""
-        generation = self.generation + 1
-        self.snapshots.put_atomic(CHECKPOINT_IMAGE, self._image(generation))
+        """Writes the image of each row's newest committed version, covering
+        every record framed so far, then truncates the journal to empty."""
+        self.snapshots.put_atomic(CHECKPOINT_IMAGE, self._image())
         self._hook("db_checkpoint_image", None)
-        self.dbwal.replace(self._checkpoint_frame(generation))
-        self.generation = generation
-        self.bytes_since_checkpoint = 0
+        self.dbwal.replace(b"")
         self._hook("db_checkpoint_truncated", None)
 
-    def _checkpoint_frame(self, generation: int) -> bytes:
-        return self._frame(_REC_HEAD.pack(0, DB_CHECKPOINT) + _U64.pack(generation))
-
-    def _image(self, generation: int) -> bytes:
+    def _image(self) -> bytes:
         committed = self.committed
         writers: dict[int, int] = {}
         body = []
@@ -824,14 +800,14 @@ class Database:
             body.append(_TABLE_HEAD.pack(table.next_row_id, table.next_vseq,
                                          len(versions) // 2))
             body.extend(versions)
-        head = _IMAGE_HEAD.pack(generation, self.next_txn_id, self.next_commit_seq,
-                                self.next_lsn, len(self.tables_by_idx), len(writers))
+        head = _IMAGE_HEAD.pack(self.next_txn_id, self.next_commit_seq, self.next_lsn,
+                                len(self.tables_by_idx), len(writers))
         return b"".join([head, *(_TXN_SEQ.pack(t, s) for t, s in writers.items()),
                          *body])
 
     def _load_image(self, image: bytes) -> None:
-        (self.generation, self.next_txn_id, self.next_commit_seq, self.next_lsn,
-         n_tables, n_txns) = _IMAGE_HEAD.unpack_from(image, 0)
+        (self.next_txn_id, self.next_commit_seq, self.next_lsn, n_tables,
+         n_txns) = _IMAGE_HEAD.unpack_from(image, 0)
         if n_tables > len(self.tables_by_idx):
             raise CorruptLog(f"checkpoint image holds {n_tables} tables, the "
                              f"catalog {len(self.tables_by_idx)}")
@@ -853,18 +829,19 @@ class Database:
     # DbWal records
 
     def _record(self, kind: int, txn: int = 0, table: int = 0, row: int = 0,
-                vseq: int = 0, cells: bytes = b"") -> bytes:
+                vseq: int = 0, cells: bytes = b"") -> tuple[int, bytes]:
+        """A record as (kind, payload); _frame gives it its LSN."""
+        if kind == DB_COMMIT:
+            return kind, struct.pack("<Q", txn)
+        if kind == DB_REMOVE:
+            return kind, struct.pack("<IQQ", table, row, vseq)
+        return kind, struct.pack("<QIQQ", txn, table, row, vseq) + cells
+
+    def _frame(self, record: tuple[int, bytes]) -> bytes:
+        kind, payload = record
         lsn = self.next_lsn
         self.next_lsn += 1
-        head = _REC_HEAD.pack(lsn, kind)
-        if kind == DB_COMMIT:
-            return head + struct.pack("<Q", txn)
-        if kind == DB_REMOVE:
-            return head + struct.pack("<IQQ", table, row, vseq)
-        return head + struct.pack("<QIQQ", txn, table, row, vseq) + cells
-
-    def _frame(self, record: bytes) -> bytes:
-        return frame_record(record)
+        return frame_record(REC_HEAD.pack(lsn, kind) + payload)
 
     def _refs_wire(self, refs: list) -> bytes:
         out = [struct.pack("<H", len(refs))]
@@ -937,8 +914,8 @@ def _plain_compare(op: OpKind, a, b) -> bool:
 def recover_database(client, backend, dbwal: DurableBuffer,
                      snapshots: SnapshotStore, **db_kwargs) -> tuple[Database, int]:
     """Rebuild the engine from catalog.json, the checkpoint image and the
-    durable DbWal that follows it; returns the engine and the number of
-    journal records replayed. Any transaction without a durable commit
+    durable DbWal records past its cover; returns the engine and the number
+    of journal records replayed. Any transaction without a durable commit
     record is treated as aborted: its row versions are never materialized,
     so its promoted secrets surface as store orphans for orphan_gc."""
     db = Database(client, backend, dbwal, snapshots, **db_kwargs)
@@ -955,38 +932,24 @@ def recover_database(client, backend, dbwal: DurableBuffer,
     if image:
         db._load_image(image)
 
-    frames = read_frames(dbwal.durable)
-    log_generation = 0
-    if frames and _REC_HEAD.unpack_from(frames[0], 0)[1] == DB_CHECKPOINT:
-        (log_generation,) = _U64.unpack_from(frames[0], _REC_HEAD.size)
-        frames = frames[1:]
-    if log_generation > db.generation:
-        raise CorruptLog(f"journal of generation {log_generation} follows a "
-                         f"checkpoint image of generation {db.generation}")
-    if log_generation < db.generation:
-        # the crash fell between writing the image and truncating: the image
-        # holds every record of this journal, so finish the truncation
-        dbwal.replace(db._checkpoint_frame(db.generation))
-        frames = []
     records = []
     committed_order = []
     max_txn = db.next_txn_id - 1
-    max_lsn = db.next_lsn - 1
-    for body in frames:
-        lsn, kind = _REC_HEAD.unpack_from(body, 0)
-        max_lsn = max(max_lsn, lsn)
-        records.append((lsn, kind, body))
+    for body in wal.journal_after(dbwal, db.next_lsn - 1):
+        lsn, kind = REC_HEAD.unpack_from(body, 0)
+        records.append((kind, body))
         if kind == DB_COMMIT:
-            (txn_id,) = struct.unpack_from("<Q", body, _REC_HEAD.size)
+            (txn_id,) = struct.unpack_from("<Q", body, REC_HEAD.size)
             committed_order.append(txn_id)
             max_txn = max(max_txn, txn_id)
+        db.next_lsn = lsn + 1
 
     committed = db.committed
     for i, txn_id in enumerate(committed_order):
         committed[txn_id] = db.next_commit_seq + i
     replayed = 0
-    for lsn, kind, body in records:
-        pos = _REC_HEAD.size
+    for kind, body in records:
+        pos = REC_HEAD.size
         if kind == DB_COMMIT:
             replayed += 1
             continue
@@ -1022,6 +985,4 @@ def recover_database(client, backend, dbwal: DurableBuffer,
     db._forget_unnamed_txns()
     db.next_txn_id = max_txn + 1
     db.next_commit_seq += len(committed_order)
-    db.next_lsn = max_lsn + 1
-    db.bytes_since_checkpoint = dbwal.durable_len
     return db, replayed

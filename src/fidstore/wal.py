@@ -1,19 +1,22 @@
 """Append-only redo log for permanent-partition mutations.
 
 Record framing is {u32 len, u32 crc32, body}, little-endian, crc over the
-body. A length/crc mismatch in the tail region means a torn write and ends
-replay; the same mismatch with intact frames after it means tampering and
-raises CorruptLog. The log is redo-only: aborts are handled by version
-visibility in the table engine, never by undo.
+body; both zones' record bodies open with REC_HEAD. A length/crc mismatch
+in the tail region means a torn write and ends replay; the same mismatch
+with intact frames after it means tampering and raises CorruptLog. The log
+is redo-only: aborts are handled by version visibility in the table engine,
+never by undo.
 
 flush() has group-commit semantics: one call makes every record buffered
 so far durable, regardless of which transaction appended it.
 
-Both zones checkpoint their journal at one interval,
-CHECKPOINT_INTERVAL_BYTES of records written since the last checkpoint:
-this log through checkpoint_truncate, the integrity zone's log through
-Database.checkpoint (integrity_dbms). So each zone's recovery replays at
-most about one interval of records on top of its checkpoint image.
+One checkpoint rule holds for both zones' journals: a zone checkpoints
+right after the sync that took its journal past CHECKPOINT_INTERVAL_BYTES
+(past_interval; here inside flush, so inside MSG_FLUSH_LOG). Its image
+holds the last LSN it covers, and the journal is truncated to empty. LSNs
+increase along each journal, and recovery reads it through journal_after,
+which replays only the records past the cover. So each zone replays at
+most one interval plus one sync on top of its image.
 """
 
 from __future__ import annotations
@@ -29,12 +32,11 @@ from .fid_codec import FidConfig
 from .mapping_store import MappingStore
 
 FRAME = struct.Struct("<II")
-REC_HEAD = struct.Struct("<QB")
+REC_HEAD = struct.Struct("<QB")  # lsn, kind: the head of every record body
 
 KIND_PUT = 1
 KIND_DELETE = 2
 KIND_CREATE_PARTITION = 3
-KIND_CHECKPOINT = 4
 KIND_SEAL = 5
 
 # Bytes a zone's journal may grow by between two checkpoints. Read at each
@@ -56,7 +58,6 @@ class WalRecord:
     partition_kind: int = 0
     layout: int = 0
     width: int = 0
-    durable_lsn: int = 0
     block_index: int = 0
     counter: int = 0
 
@@ -70,8 +71,6 @@ class WalRecord:
         if k == KIND_CREATE_PARTITION:
             return head + struct.pack("<IBBI", self.partition_id,
                                       self.partition_kind, self.layout, self.width)
-        if k == KIND_CHECKPOINT:
-            return head + struct.pack("<Q", self.durable_lsn)
         if k == KIND_SEAL:
             return head + struct.pack("<IQQ", self.partition_id,
                                       self.block_index, self.counter)
@@ -90,8 +89,6 @@ class WalRecord:
         elif kind == KIND_CREATE_PARTITION:
             (rec.partition_id, rec.partition_kind, rec.layout,
              rec.width) = struct.unpack_from("<IBBI", body, pos)
-        elif kind == KIND_CHECKPOINT:
-            (rec.durable_lsn,) = struct.unpack_from("<Q", body, pos)
         elif kind == KIND_SEAL:
             (rec.partition_id, rec.block_index,
              rec.counter) = struct.unpack_from("<IQQ", body, pos)
@@ -127,25 +124,52 @@ def read_frames(data: bytes) -> list[bytes]:
     return out
 
 
+def past_interval(buffer: DurableBuffer) -> bool:
+    """The checkpoint trigger both zones share, asked right after a sync: a
+    checkpoint truncates its journal to empty, so the journal's durable
+    length is the bytes synced since the last one."""
+    return buffer.durable_len > CHECKPOINT_INTERVAL_BYTES
+
+
+def journal_after(buffer: DurableBuffer, covered_lsn: int) -> list[bytes]:
+    """The bodies of the durable journal's records past covered_lsn, in
+    order; raises CorruptLog unless LSNs increase along the journal.
+
+    Cuts the journal to exactly the records it returns: a prefix the image
+    covers (left by a crash between writing the image and truncating) and a
+    torn tail both go, so records appended after recovery follow intact
+    frames and the journal's length counts toward the next checkpoint."""
+    bodies = []
+    start = end = prev_lsn = 0
+    for body in read_frames(buffer.durable):
+        lsn = REC_HEAD.unpack_from(body, 0)[0]
+        if lsn <= prev_lsn:
+            raise CorruptLog(f"lsn {lsn} not increasing after {prev_lsn}")
+        prev_lsn = lsn
+        end += FRAME.size + len(body)
+        if lsn <= covered_lsn:
+            start = end
+        else:
+            bodies.append(body)
+    if (start, end) != (0, buffer.durable_len):
+        buffer.replace(buffer.durable[start:end])
+    return bodies
+
+
 class Wal:
-    """Mapping-store journal, checkpointed at the interval both zones share.
+    """Mapping-store journal. A flush that takes the journal past the
+    checkpoint interval runs the checkpoint callback right after its sync,
+    before it replies."""
 
-    When appending a record would take the bytes written since the last
-    checkpoint past CHECKPOINT_INTERVAL_BYTES, the checkpoint callback runs
-    first and truncates the log, so the record opens the next interval.
-    """
-
-    def __init__(self, buffer: DurableBuffer, *, start_lsn: int = 1,
-                 bytes_since_checkpoint: int = 0):
+    def __init__(self, buffer: DurableBuffer, *, start_lsn: int = 1):
         self.buffer = buffer
         self.next_lsn = start_lsn
         self.durable_lsn = start_lsn - 1
-        self._flushed_lsn_pending = start_lsn - 1
-        self.bytes_since_checkpoint = bytes_since_checkpoint
         self.on_checkpoint = None  # set by the owning runtime
         self.closed = False
-        # reentrant: an interval checkpoint flushes from inside append
-        self._lock = threading.RLock()
+        # serializes appends with a flush and the checkpoint it runs, so the
+        # checkpoint sees no record appended after the sync
+        self._lock = threading.Lock()
 
     # -- append paths -------------------------------------------------
 
@@ -154,18 +178,8 @@ class Wal:
             raise LogClosed("wal is closed")
         with self._lock:
             record.lsn = self.next_lsn
-            framed = frame_record(record.encode_body())
-            if (self.on_checkpoint is not None
-                    and record.kind != KIND_CHECKPOINT
-                    and self.bytes_since_checkpoint + len(framed)
-                    > CHECKPOINT_INTERVAL_BYTES):
-                self.on_checkpoint()
-                record.lsn = self.next_lsn
-                framed = frame_record(record.encode_body())
             self.next_lsn += 1
-            self.buffer.append(framed)
-            self._flushed_lsn_pending = record.lsn
-            self.bytes_since_checkpoint += len(framed)
+            self.buffer.append(frame_record(record.encode_body()))
             return record.lsn
 
     def log_put(self, fid: int, value: bytes) -> int:
@@ -193,7 +207,9 @@ class Wal:
                 self.buffer.sync()
             except OSError as exc:
                 raise IoFailure(str(exc)) from exc
-            self.durable_lsn = self._flushed_lsn_pending
+            self.durable_lsn = self.next_lsn - 1
+            if self.on_checkpoint is not None and past_interval(self.buffer):
+                self.on_checkpoint()
             return self.durable_lsn
 
     def close(self) -> None:
@@ -206,20 +222,19 @@ class Wal:
 
 def checkpoint_truncate(store: MappingStore, wal: Wal, snapshots: SnapshotStore,
                         freshness=None, crash_hook=None) -> None:
-    """Persist a store image and drop the log prefix it covers.
+    """Persist a store image covering the durable LSN, then truncate the
+    journal to empty.
 
-    Order matters for crash consistency: flush first (so the image never
-    reflects un-journaled state), write images, then the marker, then swap
-    in a fresh log seeded with a checkpoint record. Replay after a crash at
-    any point in this sequence reconstructs the same state because record
-    application is idempotent. crash_hook, if given, is called with a site
-    name once the image and its marker are written and again once the log
-    is truncated.
+    The partition images and the freshness table go first, then the marker
+    holding the covered LSN. A record appended after the last flush is not
+    covered: it stays pending across the truncation and is replayed after
+    the image. Replay after a crash at any point in this sequence
+    reconstructs the same state because record application is idempotent.
+    crash_hook, if given, is called with a site name once the image and its
+    marker are written and again once the journal is truncated.
     """
-    if wal.bytes_since_checkpoint == 0 and wal.buffer.pending_len == 0:
-        return
-    wal.flush()
-    covered = wal.durable_lsn
+    if wal.buffer.durable_len == 0:
+        return  # the journal holds nothing an image would cover
     for pid in store.partition_ids():
         p = store.partition(pid)
         if p.kind != 1:  # PartitionKind.PERMANENT
@@ -229,14 +244,10 @@ def checkpoint_truncate(store: MappingStore, wal: Wal, snapshots: SnapshotStore,
         snapshots.put_atomic(f"part-{pid:05d}.state", state)
     if freshness is not None:
         snapshots.put_atomic(FRESHNESS_SNAPSHOT, freshness.snapshot_bytes())
-    snapshots.put_atomic(CKPT_MARKER, struct.pack("<Q", covered))
+    snapshots.put_atomic(CKPT_MARKER, struct.pack("<Q", wal.durable_lsn))
     if crash_hook is not None:
         crash_hook("privacy_checkpoint_image")
-    # the checkpoint record reuses the covered LSN, so LSNs, and the durable
-    # LSN a flush reports, run on as if no checkpoint had happened
-    ckpt = WalRecord(covered, KIND_CHECKPOINT, durable_lsn=covered)
-    wal.buffer.replace(frame_record(ckpt.encode_body()))
-    wal.bytes_since_checkpoint = 0
+    wal.buffer.replace(b"")
     if crash_hook is not None:
         crash_hook("privacy_checkpoint_truncated")
 
@@ -272,17 +283,11 @@ def recover_store(snapshots: SnapshotStore, wal_buffer: DurableBuffer,
             pid, bidx, counter = struct.unpack_from("<IQQ", snap, off)
             freshness_entries[(pid, bidx)] = counter
 
-    replayed = 0
     last_lsn = ckpt_lsn
-    prev_lsn = 0
-    for body in read_frames(wal_buffer.durable):
+    bodies = journal_after(wal_buffer, ckpt_lsn)
+    for body in bodies:
         rec = WalRecord.decode_body(body)
-        if rec.lsn <= prev_lsn:
-            raise CorruptLog(f"lsn {rec.lsn} not increasing after {prev_lsn}")
-        prev_lsn = rec.lsn
-        if rec.lsn <= ckpt_lsn:
-            continue  # already folded into the checkpoint image
-        last_lsn = max(last_lsn, rec.lsn)
+        last_lsn = rec.lsn
         if rec.kind == KIND_PUT:
             store.apply_put(rec.fid, rec.value)
         elif rec.kind == KIND_DELETE:
@@ -294,14 +299,11 @@ def recover_store(snapshots: SnapshotStore, wal_buffer: DurableBuffer,
             key = (rec.partition_id, rec.block_index)
             if freshness_entries.get(key, 0) < rec.counter:
                 freshness_entries[key] = rec.counter
-        # checkpoint records carry no state
-        replayed += 1
     store.rebuild_free_lists()
 
     epoch_raw = snapshots.get(EPOCH_MARKER)
     epoch = struct.unpack("<Q", epoch_raw)[0] if epoch_raw else 0
 
-    wal = Wal(wal_buffer, start_lsn=last_lsn + 1,
-              bytes_since_checkpoint=wal_buffer.durable_len)
-    return RecoveryResult(store=store, wal=wal, replayed_count=replayed,
+    wal = Wal(wal_buffer, start_lsn=last_lsn + 1)
+    return RecoveryResult(store=store, wal=wal, replayed_count=len(bodies),
                           freshness_entries=freshness_entries, epoch=epoch)

@@ -135,9 +135,9 @@ class CrashPointId(Enum):
     commit whose refs an earlier flush already made durable skips the
     message, not the points around it. The checkpoint points fire inside a
     zone's checkpoint, once its image is written and once its journal is
-    truncated; the privacy zone's run inside the message whose journal
-    record crossed the interval, and a privacy crash there fails that
-    request."""
+    truncated; the privacy zone's run inside the MSG_FLUSH_LOG whose sync
+    took its journal past the interval, and a privacy crash there fails
+    that request."""
 
     BEFORE_PRIVACY_FLUSH = "before-privacy-flush"
     AFTER_PRIVACY_FLUSH_BEFORE_DB_COMMIT = "after-privacy-flush-before-db-commit"
@@ -338,9 +338,10 @@ class RunReport:
 class ZoneTopology:
     """Owns both zones, the channel, the trace, and the crash schedule.
 
-    With data_dir, each zone mirrors its journal and snapshots to files
-    under it. Opening a directory whose journals hold records recovers both
-    zones from it, as after a crash of both."""
+    With data_dir, each zone mirrors its journal to a file in it and its
+    snapshots to a directory under it. Opening a directory that holds
+    durable state, in a journal or a snapshot, recovers both zones from it,
+    as after a crash of both."""
 
     def __init__(self, seed: int, *, backend: str = "fid",
                  cache_capacity_blocks: int | None = None,
@@ -366,11 +367,9 @@ class ZoneTopology:
         priv_wal_path = db_wal_path = None
         if data_dir is not None:
             priv_dir = os.path.join(data_dir, "privacy")
-            db_dir = os.path.join(data_dir, "integrity")
-            os.makedirs(priv_dir, exist_ok=True)
-            os.makedirs(db_dir, exist_ok=True)
-            priv_wal_path = os.path.join(priv_dir, "store.wal")
-            db_wal_path = os.path.join(db_dir, "db.wal")
+            db_dir = os.path.join(data_dir, "integrity")  # made by SnapshotStore
+            priv_wal_path = os.path.join(data_dir, "store.wal")
+            db_wal_path = os.path.join(data_dir, "db.wal")
         self.priv_snapshots = SnapshotStore(priv_dir)
         self.db_snapshots = SnapshotStore(db_dir)
         self.store_wal_buffer = DurableBuffer(priv_wal_path)
@@ -386,7 +385,8 @@ class ZoneTopology:
 
         self._armed: CrashPoint | None = None
         self.fired: CrashPoint | None = None
-        if self.store_wal_buffer.durable_len or self.dbwal_buffer.durable_len:
+        if (self.store_wal_buffer.durable_len or self.dbwal_buffer.durable_len
+                or self.priv_snapshots.names() or self.db_snapshots.names()):
             self.privacy.recover()
             self.integrity.recover()
 
@@ -528,9 +528,6 @@ class _Runner:
         self.program = program
         self.spec = program.spec
         self.report = RunReport()
-        # partitions a range sum has prefetched: once the cache has filled,
-        # a further prefetch would load nothing
-        self.prefetched: set[int] = set()
 
     # -- client-side value handling --------------------------------------
 
@@ -665,10 +662,6 @@ class _Runner:
             report.revealed.append(("point", op[1], key, value))
         elif kind == "range_sum":
             table, start, span = tables[op[1]], op[2], op[3]
-            if (self.spec.mode == Mode.RANGE_SELECT and db.backend.name == "fid"
-                    and table.partition_id not in self.prefetched):
-                self.prefetched.add(table.partition_id)
-                topo.client.prefetch(table.partition_id)
             refs = []
             for key in range(start, start + span):
                 version = db.visible_version(table, key, txn)

@@ -7,9 +7,11 @@ from dataclasses import replace
 
 import pytest
 
-from fidstore import wal, zone_sim
-from fidstore.integrity_dbms import CHECKPOINT_IMAGE
+from fidstore import wal
+from fidstore.errors import CorruptLog
+from fidstore.integrity_dbms import CATALOG, CHECKPOINT_IMAGE
 from fidstore.privacy_proxy import decode_int64
+from fidstore.wal import frame_record, read_frames
 from fidstore.workload import Mode, WorkloadSpec, flatten_schedule, generate_workload
 from fidstore.zone_sim import (
     CrashPoint,
@@ -30,20 +32,6 @@ SPEC = WorkloadSpec(mode=Mode.READ_WRITE, tables=2, rows_per_table=60,
 @pytest.fixture(autouse=True)
 def small_interval(monkeypatch):
     monkeypatch.setattr(wal, "CHECKPOINT_INTERVAL_BYTES", INTERVAL)
-
-
-@pytest.fixture
-def privacy_checkpoints(monkeypatch):
-    """Counts the privacy zone's checkpoints."""
-    calls = []
-    checkpoint = zone_sim.checkpoint_truncate
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return checkpoint(*args, **kwargs)
-
-    monkeypatch.setattr(zone_sim, "checkpoint_truncate", counting)
-    return calls
 
 
 def _read_rows(topo) -> list[dict]:
@@ -127,22 +115,21 @@ def _crash_and_capture(point: CrashPoint):
     CrashPointId.INTEGRITY_CHECKPOINT_BEFORE_TRUNCATE,
     CrashPointId.INTEGRITY_CHECKPOINT_AFTER_TRUNCATE,
 ], ids=lambda p: p.value)
-def test_crash_inside_integrity_checkpoint(point_id):
+def test_crash_inside_integrity_checkpoint(point_id, integrity_checkpoints):
     """A crash between writing the image and truncating the journal, or
     right after truncating, recovers the newest committed version of every
     row exactly once, with the same cells and secrets, and replays none of
     the covered journal."""
     topo, seen = _crash_and_capture(CrashPoint(point_id, CrashTarget.BOTH,
                                                at_occurrence=2))
-    truncated = point_id == CrashPointId.INTEGRITY_CHECKPOINT_AFTER_TRUNCATE
-    assert topo.integrity.db.generation == (2 if truncated else 1)
+    assert len(integrity_checkpoints) == 2
     recovery = topo.recover_all()
     assert recovery.invariant.holds
     assert recovery.db_replayed == 0
     db = topo.integrity.db
-    assert db.generation == 2
-    # a journal the image covers is truncated by recovery: only its header
-    assert topo.dbwal_buffer.durable_len < 64
+    # recovery cuts a journal the image covers, and writes no image itself
+    assert topo.dbwal_buffer.durable_len == 0
+    assert len(integrity_checkpoints) == 2
     assert _chains(db) == {key: [v] for key, v in seen["versions"].items()}
     store = topo.privacy.store
     for _, _, cells in seen["versions"].values():
@@ -159,13 +146,15 @@ def test_crash_inside_integrity_checkpoint(point_id):
     CrashPointId.PRIVACY_CHECKPOINT_AFTER_TRUNCATE,
 ], ids=lambda p: p.value)
 def test_crash_inside_privacy_checkpoint(point_id, target):
-    """A privacy crash inside the store checkpoint fails the request that
-    crossed the interval; recovery rebuilds exactly the image's secrets,
-    and every committed row keeps its values."""
+    """A privacy crash inside the store checkpoint fails the MSG_FLUSH_LOG
+    that crossed the interval; recovery rebuilds exactly the image's
+    secrets, cuts a journal prefix the image covers, and every committed
+    row keeps its values."""
     topo, seen = _crash_and_capture(CrashPoint(point_id, target, at_occurrence=2))
     recovery = topo.recover_all()
     assert recovery.invariant.holds
-    assert recovery.privacy_replayed <= 1  # at most the checkpoint record
+    assert recovery.privacy_replayed == 0
+    assert topo.store_wal_buffer.durable_len == 0
     assert _permanent_mapping(topo) == seen["mapping"]
     assert _newest_committed(topo.integrity.db) == seen["versions"]
     topo.integrity.db.orphan_gc()
@@ -179,35 +168,36 @@ def test_privacy_checkpoint_point_refuses_an_integrity_only_crash():
                                      CrashTarget.INTEGRITY))
 
 
-def test_replay_is_bounded_by_the_interval(privacy_checkpoints):
+def test_replay_is_bounded_by_the_interval(privacy_checkpoints,
+                                           integrity_checkpoints):
     """A crash late in a run that crossed several checkpoints in both
-    zones: each zone replays at most one interval plus one append."""
+    zones: each zone replays at most one interval plus one sync."""
     topo = ZoneTopology(5, batch_size=SPEC.batch_size)
-    appends = []
-    append = topo.dbwal_buffer.append
+    buffers = (topo.dbwal_buffer, topo.store_wal_buffer)
+    synced = {buffer: [0] for buffer in buffers}  # bytes each sync made durable
+    for buffer in buffers:
+        def sized(sync=buffer.sync, buffer=buffer):
+            synced[buffer].append(buffer.pending_len)
+            return sync()
 
-    def sized(data):
-        appends.append(len(data))
-        append(data)
-
-    topo.dbwal_buffer.append = sized
+        buffer.sync = sized
     topo.inject_crash(CrashPoint(CrashPointId.AFTER_DB_COMMIT, CrashTarget.BOTH,
                                  at_occurrence=1000))
     report = topo.run_workload(replace(SPEC, duration_ops=1500))
     assert report.crashed_at == "after-db-commit"
-    assert topo.integrity.db.generation >= 3
+    assert len(integrity_checkpoints) >= 3
     assert len(privacy_checkpoints) >= 3
-    db_bytes = topo.dbwal_buffer.durable_len
-    store_bytes = topo.store_wal_buffer.durable_len
+    durable = [buffer.durable_len for buffer in buffers]
     recovery = topo.recover_all()
     assert recovery.invariant.holds
     assert 0 < recovery.db_replayed and 0 < recovery.privacy_replayed
-    assert db_bytes <= INTERVAL + max(appends) + 64
-    assert store_bytes <= INTERVAL
+    for buffer, nbytes in zip(buffers, durable):
+        assert nbytes <= INTERVAL + max(synced[buffer])
 
 
 @pytest.mark.parametrize("backend", ["fid", "cipher"])
-def test_checkpoints_change_no_message(backend, monkeypatch, privacy_checkpoints):
+def test_checkpoints_change_no_message(backend, monkeypatch, privacy_checkpoints,
+                                       integrity_checkpoints):
     """Neither checkpoint sends a message or changes one: every request and
     response, and the adversary trace, equal a run that never checkpoints."""
     runs = []
@@ -225,23 +215,23 @@ def test_checkpoints_change_no_message(backend, monkeypatch, privacy_checkpoints
 
         topo.channel.request = recorded
         topo.run_workload(SPEC)
-        runs.append((messages, topo.trace.events, topo.integrity.db.generation))
-    (checkpointed, trace, generation), (plain, plain_trace, none) = runs
-    assert generation >= 2 and none == 0
+        runs.append((messages, topo.trace.events, len(integrity_checkpoints)))
+    (checkpointed, trace, before), (plain, plain_trace, after) = runs
+    assert before >= 2 and after == before
     assert len(privacy_checkpoints) >= (2 if backend == "fid" else 0)
     assert checkpointed == plain
     assert trace == plain_trace
 
 
 @pytest.mark.parametrize("backend", ["fid", "cipher"])
-def test_recovered_rows_match_the_oracle(backend):
+def test_recovered_rows_match_the_oracle(backend, integrity_checkpoints):
     """Crash both zones after a run that checkpointed, recover twice: every
     row reads back as the plaintext replay's final state."""
     program = generate_workload(SPEC, 9)
     topo = ZoneTopology(9, backend=backend, batch_size=SPEC.batch_size)
     report = topo.run_program(program)
     assert report.invariant_holds
-    assert topo.integrity.db.generation >= 2
+    assert len(integrity_checkpoints) >= 2
     expected = _oracle_rows(program)
     for _ in range(2):
         topo.privacy.crash()
@@ -267,15 +257,25 @@ def test_committed_holds_only_the_txns_versions_name():
     assert set(db.committed) == named()
 
 
-def test_reopening_a_data_directory_recovers_it(tmp_path):
+def _is_snapshot_name(name: str) -> bool:
+    return name.startswith("part-") or name in (
+        wal.CKPT_MARKER, wal.FRESHNESS_SNAPSHOT, wal.EPOCH_MARKER,
+        CATALOG, CHECKPOINT_IMAGE)
+
+
+def test_reopening_a_data_directory_recovers_it(tmp_path, integrity_checkpoints):
+    """A reopened directory recovers both zones. The snapshot stores load
+    snapshots only: the journals live outside them, and a temporary file an
+    interrupted atomic write left behind is skipped."""
     program = generate_workload(SPEC, 6)
     first = ZoneTopology(6, batch_size=SPEC.batch_size, data_dir=str(tmp_path))
     first.run_program(program)
-    assert first.integrity.db.generation >= 1
+    assert len(integrity_checkpoints) >= 1
     assert (tmp_path / "integrity" / CHECKPOINT_IMAGE).exists()
     rows = _read_rows(first)
     assert rows == _oracle_rows(program)
     del first
+    (tmp_path / "privacy" / ".tmp-leftover").write_bytes(b"half a partition image")
 
     reopened = ZoneTopology(6, batch_size=SPEC.batch_size, data_dir=str(tmp_path))
     db = reopened.integrity.db
@@ -284,3 +284,39 @@ def test_reopening_a_data_directory_recovers_it(tmp_path):
         t.partition_id for t in db.tables_by_idx]
     assert _read_rows(reopened) == rows
     assert reopened.check_invariant().holds
+    for snapshots in (reopened.priv_snapshots, reopened.db_snapshots):
+        assert snapshots.names()
+        assert all(_is_snapshot_name(name) for name in snapshots.names())
+
+
+def test_reopening_a_directory_whose_journals_were_just_truncated(tmp_path):
+    """Both journals empty right after a checkpoint of each zone: the
+    snapshots alone still recover the directory."""
+    program = generate_workload(SPEC, 6)
+    first = ZoneTopology(6, batch_size=SPEC.batch_size, data_dir=str(tmp_path))
+    first.run_program(program)
+    rows = _read_rows(first)
+    first.client.flush_log()
+    first.privacy._checkpoint()
+    first.integrity.db.checkpoint()
+    assert (tmp_path / "store.wal").read_bytes() == b""
+    assert (tmp_path / "db.wal").read_bytes() == b""
+    del first
+
+    reopened = ZoneTopology(6, batch_size=SPEC.batch_size, data_dir=str(tmp_path))
+    assert [t.name for t in reopened.integrity.db.tables_by_idx] == ["sb0", "sb1"]
+    assert _read_rows(reopened) == rows
+    assert reopened.check_invariant().holds
+
+
+def test_a_repeated_integrity_lsn_is_corrupt():
+    """LSNs increase along the integrity journal too: a record that repeats
+    the LSN before it fails recovery instead of replaying twice."""
+    topo = ZoneTopology(2, batch_size=SPEC.batch_size)
+    topo.run_workload(replace(SPEC, duration_ops=40))
+    journal = topo.dbwal_buffer.durable
+    last = read_frames(journal)[-1]
+    topo.dbwal_buffer.replace(journal + frame_record(last))
+    topo.integrity.crash()
+    with pytest.raises(CorruptLog, match="not increasing"):
+        topo.integrity.recover()

@@ -157,35 +157,112 @@ def test_checkpoint_truncate_equivalence():
         else:
             live.append(store.put(pid, rng.randbytes(rng.randrange(1, 64))))
     before = _live_mapping(store)
+    wal.flush()
     checkpoint_truncate(store, wal, snaps, None)
-    assert buf.durable_len < 100  # just the checkpoint record remains
+    assert buf.durable_len == 0
     result = recover_store(snaps, buf, FidConfig(16))
     assert _live_mapping(result.store) == before
-    # no new records: truncation is a no-op
-    size = buf.durable_len
+    assert result.replayed_count == 0
+    # nothing durable since: the checkpoint writes no image
+    marker = snaps.get("store.ckpt")
+    store.put(pid, b"pending")
     checkpoint_truncate(store, wal, snaps, None)
-    assert buf.durable_len == size
+    assert snaps.get("store.ckpt") is marker
 
 
 def test_size_bound_triggers_truncation():
+    """Only a flush checkpoints, right after the sync that took the journal
+    past the interval, so the journal never holds more than one interval
+    plus one flush."""
     buf = DurableBuffer()
     wal = Wal(buf)
     store = MappingStore(FidConfig(16), journal=wal)
     snaps = SnapshotStore()
-    wal.on_checkpoint = lambda: checkpoint_truncate(store, wal, snaps, None)
+    checkpoints = []
+
+    def checkpoint():
+        checkpoints.append(wal.durable_lsn)
+        checkpoint_truncate(store, wal, snaps, None)
+
+    wal.on_checkpoint = checkpoint
     pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.VARLEN)
-    checkpoints_before = len(snaps.names())
     payload = bytes(1000)
-    for _ in range(2200):  # > 2 MiB of records against the 1 MiB interval
+    flush_bytes = 0
+    for i in range(2200):  # > 2 MiB of records against the 1 MiB interval
         store.put(pid, payload)
-    assert len(snaps.names()) > checkpoints_before
-    record_ceiling = CHECKPOINT_INTERVAL_BYTES + 1100
-    assert wal.bytes_since_checkpoint <= record_ceiling
-    assert buf.durable_len + buf.pending_len <= record_ceiling
+        if i % 10 == 9:
+            flush_bytes = max(flush_bytes, buf.pending_len)
+            wal.flush()
+        assert buf.durable_len <= CHECKPOINT_INTERVAL_BYTES + flush_bytes
+    assert len(checkpoints) == 2
+    assert snaps.get("store.ckpt") == struct.pack("<Q", checkpoints[-1])
     # recovery from image + truncated log equals the live store
     wal.flush()
     assert _live_mapping(recover_store(snaps, buf, FidConfig(16)).store) == \
         _live_mapping(store)
+
+
+def test_checkpoint_keeps_a_record_appended_after_the_last_flush():
+    store, wal, buf = _store_with_wal()
+    snaps = SnapshotStore()
+    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.VARLEN)
+    store.put(pid, b"durable")
+    wal.flush()
+    late = store.put(pid, b"appended after the flush")
+    checkpoint_truncate(store, wal, snaps, None)
+    assert buf.durable_len == 0 and buf.pending_len > 0
+    wal.flush()
+    result = recover_store(snaps, buf, FidConfig(16))
+    assert result.replayed_count == 1
+    assert result.store.get(late) == b"appended after the flush"
+    assert _live_mapping(result.store) == _live_mapping(store)
+
+
+def test_crash_between_image_and_truncation_replays_nothing():
+    """The image covers the whole durable journal; recovery cuts that
+    covered prefix instead of replaying it."""
+    store, wal, buf = _store_with_wal()
+    snaps = SnapshotStore()
+    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.VARLEN)
+    for i in range(20):
+        store.put(pid, bytes([i]) * 9)
+    wal.flush()
+
+    def crash(site):
+        if site == "privacy_checkpoint_image":
+            raise RuntimeError(site)
+
+    with pytest.raises(RuntimeError):
+        checkpoint_truncate(store, wal, snaps, None, crash)
+    assert buf.durable_len > 0
+    result = recover_store(snaps, buf, FidConfig(16))
+    assert (buf.durable_len, result.replayed_count) == (0, 0)
+    assert _live_mapping(result.store) == _live_mapping(store)
+    assert result.wal.next_lsn == wal.next_lsn
+
+
+@pytest.mark.parametrize("torn_value", [b"two", b"two" * 200],
+                         ids=["corrupt-middle", "silent-loss"])
+def test_torn_tail_is_cut_so_later_records_survive(torn_value):
+    """A crash tears the unsynced tail; records the recovered log appends
+    and flushes survive the next recovery. Left in place, the torn frame
+    either made that recovery raise CorruptLog or, when its declared length
+    ran past the end, silently dropped every later record."""
+    store, wal, buf = _store_with_wal()
+    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.VARLEN)
+    store.put(pid, b"one")
+    wal.flush()
+    store.put(pid, torn_value)
+    buf.crash(torn_bytes=13)
+    durable = buf.durable_len
+    first = recover_store(SnapshotStore(), buf, FidConfig(16))
+    assert buf.durable_len == durable - 13
+    first.store.journal = first.wal
+    late = first.store.put(pid, b"three")
+    first.wal.flush()
+    second = recover_store(SnapshotStore(), buf, FidConfig(16))
+    assert second.store.get(late) == b"three"
+    assert _live_mapping(second.store) == _live_mapping(first.store)
 
 
 def test_crash_at_random_byte_matches_prefix_oracle():
