@@ -18,11 +18,12 @@ before this engine's own commit record becomes durable (commit #2), so a
 durable FID always has a durable secret. That flush has group-commit
 semantics: one flush makes every secret written before it durable, so
 commit #1 is skipped when an earlier flush (another transaction's commit,
-create_table or vacuum) already covers every ref the transaction stored,
-and a transaction that stored no ref (a plain-only write, or any write on
-the cipher baseline, whose envelopes live in its rows) never sends it. A
-transaction that staged nothing makes no FID visible, so its commit takes
-a commit sequence number and touches neither journal.
+create_table, vacuum or orphan_gc) already covers every ref the
+transaction stored, and a transaction that stored no ref (a plain-only
+write, or any write on the cipher baseline, whose envelopes live in its
+rows) never sends it. A transaction that staged nothing makes no FID
+visible, so its commit takes a commit sequence number and touches neither
+journal.
 
 When the privacy zone restarts, it has lost every secret that was not yet
 durable, and a lost FID's slot may be handed out again. privacy_restarted
@@ -30,18 +31,25 @@ aborts every active transaction that stored a ref and forgets the abort
 garbage, so no lost ref is ever committed or released; whatever of it did
 survive is an orphan for orphan_gc.
 
-The engine's journal follows the checkpoint rule in wal, checked after
-the sync of a commit or vacuum. The image holds the newest committed
-version of every row (its cells in the DB_INSERT encoding), the commit
-sequence numbers of the transactions that wrote them and the next_*
-counters. A record gets its LSN when commit or vacuum frames it, not when
-it is staged, so LSNs increase along the journal and the image's next_lsn
-is its cover. No transaction outlives a crash, so no snapshot after
-recovery can see an older version; a ref only an older version holds is an
-orphan for orphan_gc if the crash comes before vacuum releases it.
+The engine's journal follows the checkpoint rule in wal: it checkpoints
+after the sync of a commit or vacuum that took it past the interval, and
+at quiesce, when orphan_gc ends with no transaction active, if it holds
+records. orphan_gc's closing MSG_FLUSH_LOG carries the quiesce flag, so
+the privacy zone checkpoints there too, and after maintenance both zones'
+durable state is images and sealed blocks only. The image holds the
+newest committed version of every row (its cells in the DB_INSERT
+encoding, the bytes RowVersion.wire kept since the version was staged or
+decoded), the commit sequence numbers of the transactions that wrote them
+and the next_* counters. A record gets its LSN when commit or vacuum
+frames it, not when it is staged, so LSNs increase along the journal and
+the image's next_lsn is its cover. No transaction outlives a crash, so no
+snapshot after recovery can see an older version; a ref only an older
+version holds is an orphan for orphan_gc if the crash comes before vacuum
+releases it.
 
-The checkpoint sends no message: every version in the image has a durable
-commit record, so commit #1 already made every secret it names durable.
+The checkpoint sends no message of its own: every version in the image has
+a durable commit record, so commit #1 already made every secret it names
+durable.
 """
 
 from __future__ import annotations
@@ -111,14 +119,20 @@ class TxnState(IntEnum):
 
 
 class RowVersion:
-    __slots__ = ("row_id", "vseq", "begin_txn", "end_txn", "cells", "release_refs")
+    """One version of a row. wire is its cells in the DB_INSERT encoding,
+    built once when the version is staged (or kept from the image or
+    record it was decoded from), so a checkpoint image reuses it."""
 
-    def __init__(self, row_id, vseq, begin_txn, cells):
+    __slots__ = ("row_id", "vseq", "begin_txn", "end_txn", "cells", "wire",
+                 "release_refs")
+
+    def __init__(self, row_id, vseq, begin_txn, cells, wire):
         self.row_id = row_id
         self.vseq = vseq
         self.begin_txn = begin_txn
         self.end_txn = None
         self.cells = cells
+        self.wire = wire
         self.release_refs: list = []
 
 
@@ -263,13 +277,17 @@ class FidBackend:
         return ref
 
     def release(self, refs: list[int], batch_size: int) -> int:
-        """Deletes the refs' secrets, batch_size refs per message; returns
-        how many were live. A ref that was not is counted as not reclaimed:
-        an earlier, interrupted pass already reclaimed it."""
+        """Deletes the refs' secrets in ascending FID order, batch_size refs
+        per message, so the deletes walk each partition's blocks in address
+        order; returns how many were live. A ref that was not is counted as
+        not reclaimed: an earlier, interrupted pass already reclaimed it.
+
+        The order is a function of the FIDs alone, which follow allocation
+        order, not values, so it adds nothing to the adversary trace."""
         fresh = self.client.fresh
         for ref in refs:
             fresh.discard(ref)
-        return sum(self.client.delete(refs, batch_size))
+        return sum(self.client.delete(sorted(refs), batch_size))
 
     def compare_many(self, query_id: int, op: OpKind, vtype: ValueType,
                      pairs: list[tuple[int, int]], batch_size: int) -> list[bool]:
@@ -501,14 +519,15 @@ class Database:
         promoted = self._store_cells(table, cells, range(len(cells)))
         row_id = table.next_row_id
         table.next_row_id += 1
-        version = RowVersion(row_id, table.next_vseq, txn.txn_id, cells)
+        version = RowVersion(row_id, table.next_vseq, txn.txn_id, cells,
+                             self._cells_wire(table, cells))
         table.next_vseq += 1
         table.rows[row_id] = [version]
         txn.write_set.append((table, row_id, None, version, promoted))
         txn.promoted.extend(promoted)
         txn.staged.append(self._record(DB_INSERT, txn=txn.txn_id, table=table.idx,
                                        row=row_id, vseq=version.vseq,
-                                       cells=self._cells_wire(table, cells)))
+                                       cells=version.wire))
         self._observe_cells(table, cells)
         return row_id
 
@@ -562,7 +581,8 @@ class Database:
             cells[idx] = value
             changed.append(idx)
         promoted = self._store_cells(table, cells, changed)
-        version = RowVersion(row_id, table.next_vseq, txn.txn_id, cells)
+        version = RowVersion(row_id, table.next_vseq, txn.txn_id, cells,
+                             self._cells_wire(table, cells))
         table.next_vseq += 1
         head.end_txn = txn.txn_id
         head.release_refs = release
@@ -574,7 +594,7 @@ class Database:
                                        cells=self._refs_wire(release)))
         txn.staged.append(self._record(DB_INSERT, txn=txn.txn_id, table=table.idx,
                                        row=row_id, vseq=version.vseq,
-                                       cells=self._cells_wire(table, cells)))
+                                       cells=version.wire))
         self._observe_cells(table, cells)
 
     def check_update(self, txn: Txn, table: Table, row_id: int) -> RowVersion:
@@ -677,7 +697,8 @@ class Database:
     def vacuum(self, table: Table) -> int:
         """Drop versions invisible to every snapshot; delete the store
         mappings they were holding, and the table's abort garbage, in
-        batch_size refs per message. Runs outside any transaction."""
+        ascending FID order, batch_size refs per message (backend.release).
+        Runs outside any transaction."""
         min_snapshot = min((t.snapshot_seq for t in self.active_txns.values()),
                            default=None)
         release = []
@@ -734,24 +755,30 @@ class Database:
             del committed[txn_id]
 
     def orphan_gc(self) -> int:
-        """Delete store entries no row version references. Quiescent only:
-        an in-flight insert's secrets look like orphans until its commit."""
+        """Delete store entries no row version references, then checkpoint
+        both zones at quiesce. Quiescent only: an in-flight insert's secrets
+        look like orphans until its commit.
+
+        The closing MSG_FLUSH_LOG carries the quiesce flag, so the privacy
+        zone checkpoints right after its sync; then this engine checkpoints
+        if its journal holds records. Durable state after maintenance is
+        images and sealed blocks only."""
         if self.active_txns:
             raise ValueError("orphan_gc requires no active transactions")
-        if self.backend.name != "fid":
-            return 0  # the cipher baseline's envelopes live in its rows
-        referenced = self.referenced_refs()
         reclaimed = 0
-        for table in self.tables_by_idx:
-            self._hook("during_orphan_gc", None)
-            orphans = []
-            for fid in self.client.list_live(table.partition_id):
-                if fid not in referenced:
-                    orphans.append(fid)
-                    self._hook("during_orphan_gc", None)
-            reclaimed += self.backend.release(orphans, self.batch_size)
-        if reclaimed:
-            self.client.flush_log()
+        if self.backend.name == "fid":  # cipher envelopes live in their rows
+            referenced = self.referenced_refs()
+            for table in self.tables_by_idx:
+                self._hook("during_orphan_gc", None)
+                orphans = []
+                for fid in self.client.list_live(table.partition_id):
+                    if fid not in referenced:
+                        orphans.append(fid)
+                        self._hook("during_orphan_gc", None)
+                reclaimed += self.backend.release(orphans, self.batch_size)
+        self.client.flush_log(quiesce=True)
+        if self.dbwal.durable_len:
+            self.checkpoint()
         return reclaimed
 
     def referenced_refs(self) -> set:
@@ -795,7 +822,7 @@ class Database:
                     if begin in committed:  # the row's newest committed version
                         writers[begin] = committed[begin]
                         versions.append(_VERSION_HEAD.pack(v.row_id, v.vseq, begin))
-                        versions.append(self._cells_wire(table, v.cells))
+                        versions.append(v.wire)
                         break
             body.append(_TABLE_HEAD.pack(table.next_row_id, table.next_vseq,
                                          len(versions) // 2))
@@ -821,9 +848,10 @@ class Database:
             pos += _TABLE_HEAD.size
             for _ in range(n):
                 row_id, vseq, begin = _VERSION_HEAD.unpack_from(image, pos)
-                cells, pos = self._cells_from_wire(table, image,
-                                                   pos + _VERSION_HEAD.size)
-                table.rows[row_id] = [RowVersion(row_id, vseq, begin, cells)]
+                start = pos + _VERSION_HEAD.size
+                cells, pos = self._cells_from_wire(table, image, start)
+                table.rows[row_id] = [RowVersion(row_id, vseq, begin, cells,
+                                                 image[start:pos])]
 
     # ------------------------------------------------------------------
     # DbWal records
@@ -969,8 +997,9 @@ def recover_database(client, backend, dbwal: DurableBuffer,
             continue  # crashed before its commit record: aborted
         table = db.tables_by_idx[table_idx]
         if kind == DB_INSERT:
-            cells, _ = db._cells_from_wire(table, body, pos + struct.calcsize("<QIQQ"))
-            version = RowVersion(row_id, vseq, txn_id, cells)
+            start = pos + struct.calcsize("<QIQQ")
+            cells, end = db._cells_from_wire(table, body, start)
+            version = RowVersion(row_id, vseq, txn_id, cells, body[start:end])
             table.rows.setdefault(row_id, []).append(version)
             table.next_row_id = max(table.next_row_id, row_id + 1)
             table.next_vseq = max(table.next_vseq, vseq + 1)

@@ -29,7 +29,9 @@ boolean byte, or 2 and a revealed client envelope blob. MSG_INGEST always
 carries a u32 target, QUERY_TEMP_TARGET for the query's temporary
 partition. MSG_DELETE carries n FIDs and its response n status bytes, one
 per FID in order: 0 for a deleted mapping, NotLive's code for a FID that
-had none.
+had none. MSG_FLUSH_LOG carries nothing, or the one byte QUIESCE when no
+transaction is active (the flush that ends orphan_gc): the privacy zone
+then checkpoints after its sync if its journal holds records.
 
 The ciphertext-scheme baseline used for benchmarking speaks the same
 protocol with its own message kinds: operands are AEAD envelopes instead
@@ -86,6 +88,8 @@ OP_DEST = 0x80
 OP_REVEAL = 0x40
 OP_CONST = 0x20
 _OP_FLAGS = OP_DEST | OP_REVEAL | OP_CONST
+
+QUIESCE = b"\x01"  # MSG_FLUSH_LOG payload: checkpoint after the sync
 
 _RESULT_VALUE = 0
 _RESULT_BOOL = 1
@@ -337,8 +341,8 @@ class ProxyClient:
             out.extend(status == 0 for status in body)
         return out
 
-    def flush_log(self) -> int:
-        body = self._call(MSG_FLUSH_LOG, 0, b"")
+    def flush_log(self, quiesce: bool = False) -> int:
+        body = self._call(MSG_FLUSH_LOG, 0, QUIESCE if quiesce else b"")
         self.unflushed.clear()
         return _U64.unpack(body)[0]
 
@@ -441,7 +445,9 @@ class PrivacyDispatcher:
                     out.append(NotLive.code)
             return bytes(out)
         if kind == MSG_FLUSH_LOG:
-            return _U64.pack(self.wal.flush())
+            if payload not in (b"", QUIESCE):
+                raise TypeMismatch(f"flush payload of {len(payload)} bytes")
+            return _U64.pack(self.wal.flush(quiesce=payload == QUIESCE))
         if kind == MSG_CREATE_PARTITION:
             pkind, layout, width = _unpack(_CREATE, payload)
             if pkind not in _PARTITION_KINDS or layout not in _LAYOUTS:

@@ -11,12 +11,15 @@ flush() has group-commit semantics: one call makes every record buffered
 so far durable, regardless of which transaction appended it.
 
 One checkpoint rule holds for both zones' journals: a zone checkpoints
-right after the sync that took its journal past CHECKPOINT_INTERVAL_BYTES
-(past_interval; here inside flush, so inside MSG_FLUSH_LOG). Its image
-holds the last LSN it covers, and the journal is truncated to empty. LSNs
-increase along each journal, and recovery reads it through journal_after,
-which replays only the records past the cover. So each zone replays at
-most one interval plus one sync on top of its image.
+right after a sync that took its journal past CHECKPOINT_INTERVAL_BYTES
+(past_interval), or at quiesce, if its journal holds records. Here both
+happen inside flush, so inside MSG_FLUSH_LOG; quiesce is the flag on the
+flush that ends Database.orphan_gc, which runs with no transaction active.
+Its image holds the last LSN it covers, and the journal is truncated to
+empty. LSNs increase along each journal, and recovery reads it through
+journal_after, which replays only the records past the cover. So each zone
+replays at most one interval plus one sync on top of its image, and none
+after maintenance.
 """
 
 from __future__ import annotations
@@ -158,8 +161,8 @@ def journal_after(buffer: DurableBuffer, covered_lsn: int) -> list[bytes]:
 
 class Wal:
     """Mapping-store journal. A flush that takes the journal past the
-    checkpoint interval runs the checkpoint callback right after its sync,
-    before it replies."""
+    checkpoint interval, or a flush at quiesce, runs the checkpoint
+    callback right after its sync, before it replies."""
 
     def __init__(self, buffer: DurableBuffer, *, start_lsn: int = 1):
         self.buffer = buffer
@@ -198,8 +201,9 @@ class Wal:
 
     # -- durability ----------------------------------------------------
 
-    def flush(self) -> int:
-        """Blocking flush of everything buffered; returns highest durable lsn."""
+    def flush(self, quiesce: bool = False) -> int:
+        """Blocking flush of everything buffered; returns highest durable lsn.
+        Checkpoints after the sync past the interval, or with quiesce."""
         if self.closed:
             raise LogClosed("wal is closed")
         with self._lock:
@@ -208,7 +212,8 @@ class Wal:
             except OSError as exc:
                 raise IoFailure(str(exc)) from exc
             self.durable_lsn = self.next_lsn - 1
-            if self.on_checkpoint is not None and past_interval(self.buffer):
+            if self.on_checkpoint is not None and (quiesce
+                                                   or past_interval(self.buffer)):
                 self.on_checkpoint()
             return self.durable_lsn
 

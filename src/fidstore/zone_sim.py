@@ -135,9 +135,10 @@ class CrashPointId(Enum):
     commit whose refs an earlier flush already made durable skips the
     message, not the points around it. The checkpoint points fire inside a
     zone's checkpoint, once its image is written and once its journal is
-    truncated; the privacy zone's run inside the MSG_FLUSH_LOG whose sync
-    took its journal past the interval, and a privacy crash there fails
-    that request."""
+    truncated, whether the checkpoint runs past the interval or at quiesce
+    (the end of orphan_gc). The privacy zone's run inside the MSG_FLUSH_LOG
+    whose sync took its journal past the interval, or that carried the
+    quiesce flag, and a privacy crash there fails that request."""
 
     BEFORE_PRIVACY_FLUSH = "before-privacy-flush"
     AFTER_PRIVACY_FLUSH_BEFORE_DB_COMMIT = "after-privacy-flush-before-db-commit"

@@ -1,16 +1,18 @@
 """Checkpoints of both zones' journals: crashes inside them, bounded
-replay, recovery against the plaintext oracle, and reopening a data
-directory. Each test lowers the one shared interval so that a small run
-crosses it several times in both zones."""
+replay, recovery against the plaintext oracle, reopening a data directory,
+the quiesce checkpoint that ends maintenance, and the row encodings the
+engine image reuses. Each test lowers the one shared interval so that a
+small run crosses it several times in both zones."""
 
 from dataclasses import replace
 
 import pytest
 
 from fidstore import wal
+from fidstore.bench import restart_violations
 from fidstore.errors import CorruptLog
 from fidstore.integrity_dbms import CATALOG, CHECKPOINT_IMAGE
-from fidstore.privacy_proxy import decode_int64
+from fidstore.privacy_proxy import decode_int64, encode_int64
 from fidstore.wal import frame_record, read_frames
 from fidstore.workload import Mode, WorkloadSpec, flatten_schedule, generate_workload
 from fidstore.zone_sim import (
@@ -198,8 +200,10 @@ def test_replay_is_bounded_by_the_interval(privacy_checkpoints,
 @pytest.mark.parametrize("backend", ["fid", "cipher"])
 def test_checkpoints_change_no_message(backend, monkeypatch, privacy_checkpoints,
                                        integrity_checkpoints):
-    """Neither checkpoint sends a message or changes one: every request and
-    response, and the adversary trace, equal a run that never checkpoints."""
+    """Neither checkpoint past the interval sends a message or changes one:
+    every request and response, and the adversary trace, equal a run that
+    checkpoints only at quiesce, once per zone in orphan_gc's closing
+    flush."""
     runs = []
     for interval in (INTERVAL, 1 << 40):
         monkeypatch.setattr(wal, "CHECKPOINT_INTERVAL_BYTES", interval)
@@ -215,10 +219,13 @@ def test_checkpoints_change_no_message(backend, monkeypatch, privacy_checkpoints
 
         topo.channel.request = recorded
         topo.run_workload(SPEC)
-        runs.append((messages, topo.trace.events, len(integrity_checkpoints)))
-    (checkpointed, trace, before), (plain, plain_trace, after) = runs
-    assert before >= 2 and after == before
-    assert len(privacy_checkpoints) >= (2 if backend == "fid" else 0)
+        runs.append((messages, topo.trace.events, len(privacy_checkpoints),
+                     len(integrity_checkpoints)))
+    (checkpointed, trace, privacy_before, before), (
+        plain, plain_trace, privacy_after, after) = runs
+    assert before >= 3 and after == before + 1
+    assert privacy_before >= (3 if backend == "fid" else 1)
+    assert privacy_after == privacy_before + 1
     assert checkpointed == plain
     assert trace == plain_trace
 
@@ -290,15 +297,12 @@ def test_reopening_a_data_directory_recovers_it(tmp_path, integrity_checkpoints)
 
 
 def test_reopening_a_directory_whose_journals_were_just_truncated(tmp_path):
-    """Both journals empty right after a checkpoint of each zone: the
-    snapshots alone still recover the directory."""
+    """Both journals empty after the quiesce checkpoint that ends a run:
+    the snapshots alone still recover the directory."""
     program = generate_workload(SPEC, 6)
     first = ZoneTopology(6, batch_size=SPEC.batch_size, data_dir=str(tmp_path))
     first.run_program(program)
     rows = _read_rows(first)
-    first.client.flush_log()
-    first.privacy._checkpoint()
-    first.integrity.db.checkpoint()
     assert (tmp_path / "store.wal").read_bytes() == b""
     assert (tmp_path / "db.wal").read_bytes() == b""
     del first
@@ -310,13 +314,127 @@ def test_reopening_a_directory_whose_journals_were_just_truncated(tmp_path):
 
 
 def test_a_repeated_integrity_lsn_is_corrupt():
-    """LSNs increase along the integrity journal too: a record that repeats
-    the LSN before it fails recovery instead of replaying twice."""
+    """LSNs increase along the integrity journal too, also past the image
+    of the quiesce checkpoint: a record that repeats the LSN before it fails
+    recovery instead of replaying twice."""
     topo = ZoneTopology(2, batch_size=SPEC.batch_size)
     topo.run_workload(replace(SPEC, duration_ops=40))
+    assert topo.dbwal_buffer.durable_len == 0
+    _commit_plain_update(topo)
     journal = topo.dbwal_buffer.durable
     last = read_frames(journal)[-1]
     topo.dbwal_buffer.replace(journal + frame_record(last))
     topo.integrity.crash()
     with pytest.raises(CorruptLog, match="not increasing"):
         topo.integrity.recover()
+
+
+def _commit_plain_update(topo) -> None:
+    """Commits a new plain pad for row 1 of table 0: three journal records."""
+    db = topo.integrity.db
+    txn = db.begin()
+    db.update_row(txn, db.tables_by_idx[0], 1, {"pad": b"repad"})
+    db.commit(txn)
+
+
+WRITING_MODES = [Mode.READ_WRITE, Mode.WRITE_ONLY, Mode.INSERT_ONLY]
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+@pytest.mark.parametrize("mode", WRITING_MODES, ids=lambda m: m.value)
+def test_maintenance_ends_in_a_checkpoint_of_both_zones(mode, backend):
+    """After a writing run both journals are empty: durable state is images
+    and sealed blocks only, so recovering both zones replays nothing and
+    every row reads back as the plaintext replay's final state."""
+    spec = replace(SPEC, mode=mode)
+    program = generate_workload(spec, 12)
+    topo = ZoneTopology(12, backend=backend, batch_size=spec.batch_size,
+                        cache_capacity_blocks=4)
+    assert topo.run_program(program).invariant_holds
+    assert topo.store_wal_buffer.durable_len == 0
+    assert topo.dbwal_buffer.durable_len == 0
+    assert topo.store_wal_buffer.pending_len == topo.dbwal_buffer.pending_len == 0
+    topo.privacy.crash()
+    topo.integrity.crash()
+    recovery = topo.recover_all()
+    assert recovery.privacy_replayed == 0
+    assert recovery.db_replayed == 0
+    assert recovery.invariant.holds and not recovery.invariant.violations
+    assert _read_rows(topo) == _oracle_rows(program)
+
+
+@pytest.mark.parametrize("point_id, target", [
+    (CrashPointId.PRIVACY_CHECKPOINT_BEFORE_TRUNCATE, CrashTarget.PRIVACY),
+    (CrashPointId.PRIVACY_CHECKPOINT_BEFORE_TRUNCATE, CrashTarget.BOTH),
+    (CrashPointId.PRIVACY_CHECKPOINT_AFTER_TRUNCATE, CrashTarget.PRIVACY),
+    (CrashPointId.PRIVACY_CHECKPOINT_AFTER_TRUNCATE, CrashTarget.BOTH),
+    (CrashPointId.INTEGRITY_CHECKPOINT_BEFORE_TRUNCATE, CrashTarget.INTEGRITY),
+    (CrashPointId.INTEGRITY_CHECKPOINT_BEFORE_TRUNCATE, CrashTarget.BOTH),
+    (CrashPointId.INTEGRITY_CHECKPOINT_AFTER_TRUNCATE, CrashTarget.INTEGRITY),
+    (CrashPointId.INTEGRITY_CHECKPOINT_AFTER_TRUNCATE, CrashTarget.BOTH),
+], ids=lambda x: x.value)
+def test_crash_inside_the_quiesce_checkpoint(monkeypatch, point_id, target):
+    """With an interval no run reaches, the first checkpoint of each zone
+    is the one orphan_gc ends with. A crash at each of its four points
+    recovers with no violation, every row at the plaintext replay's final
+    state, and survives a later commit and crash."""
+    monkeypatch.setattr(wal, "CHECKPOINT_INTERVAL_BYTES", 1 << 40)
+    program = generate_workload(SPEC, 13)
+    topo = ZoneTopology(13, batch_size=SPEC.batch_size, cache_capacity_blocks=4)
+    db = topo.integrity.db
+    phases = []
+    orphan_gc = db.orphan_gc
+
+    def tracked():
+        phases.append("orphan_gc")
+        return orphan_gc()
+
+    db.orphan_gc = tracked
+    topo.inject_crash(CrashPoint(point_id, target))
+    report = topo.run_program(program)
+    assert report.crashed_at == point_id.value
+    assert phases == ["orphan_gc"]
+    recovery = topo.recover_all()
+    assert recovery.invariant.holds and not recovery.invariant.violations
+    assert _read_rows(topo) == _oracle_rows(program)
+    assert restart_violations(topo) == 0
+
+
+def _image_from_cells(db) -> bytes:
+    """The engine image with every version's encoding rebuilt from its
+    cells."""
+    for table in db.tables_by_idx:
+        for chain in table.rows.values():
+            for version in chain:
+                version.wire = db._cells_wire(table, version.cells)
+    return db._image()
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+def test_image_reuses_each_versions_encoding(backend):
+    """The image built from the encodings versions keep is byte-identical
+    to one re-encoded from their cells: after a run, and after a recovery
+    from an image plus a replay, whose versions keep the bytes they were
+    decoded from."""
+    topo = ZoneTopology(14, backend=backend, batch_size=SPEC.batch_size)
+    topo.run_workload(SPEC)
+    db = topo.integrity.db
+    image = db._image()
+    assert image == topo.db_snapshots.get(CHECKPOINT_IMAGE)  # the quiesce image
+    assert _image_from_cells(db) == image
+
+    txn = db.begin()
+    table = db.tables_by_idx[0]
+    for row_id in range(1, 6):
+        ref = db.backend.ingest(txn.query_id, topo.client_encrypt(encode_int64(row_id)),
+                                table.partition_id)
+        db.update_row(txn, table, row_id, {"k": ref})
+    db.commit(txn)
+    topo.privacy.crash()
+    topo.integrity.crash()
+    recovery = topo.recover_all()
+    assert recovery.db_replayed > 0
+    db = topo.integrity.db
+    image = db._image()
+    assert image != topo.db_snapshots.get(CHECKPOINT_IMAGE)
+    assert _image_from_cells(db) == image

@@ -443,10 +443,12 @@ def _delete_records(topo) -> list[int]:
 
 
 def test_release_sends_batch_size_refs_per_message():
-    """vacuum and orphan_gc delete batch_size refs per MSG_DELETE, journal
-    one delete record per ref in order, fire their crash hooks per dead
-    version, garbage ref and partition, and count a ref that is no longer
-    live as not reclaimed."""
+    """vacuum and orphan_gc delete batch_size refs per MSG_DELETE in
+    ascending FID order, journal one delete record per live ref in that
+    order, fire their crash hooks per dead version, garbage ref and
+    partition, and count a ref that is no longer live as not reclaimed.
+    orphan_gc's closing flush checkpoints, so its records are read when
+    the privacy checkpoint starts."""
     topo = ZoneTopology(322, batch_size=4)
     db = topo.integrity.db
     hooks = []
@@ -472,15 +474,25 @@ def test_release_sends_batch_size_refs_per_message():
     assert db.vacuum(table) == 10  # 11 refs, one of them not live
     assert topo.channel.round_trips - trips == 3 + 1  # ceil(11 / 4) + flush
     assert hooks == ["during_vacuum"] * 11
-    assert _delete_records(topo) == deletes_before + old[1:] + garbage
+    assert _delete_records(topo) == deletes_before + sorted(old[1:] + garbage)
 
     orphans = [topo.privacy.store.put(table.partition_id, encode_int64(i))
                for i in range(5)]
+    journal = []
+    checkpoint = topo.privacy.wal.on_checkpoint
+
+    def read_then_checkpoint():
+        journal.append(_delete_records(topo))
+        checkpoint()
+
+    topo.privacy.wal.on_checkpoint = read_then_checkpoint
     trips, hooks[:] = topo.channel.round_trips, []
     assert db.orphan_gc() == 5
     assert topo.channel.round_trips - trips == 1 + 2 + 1  # list, ceil(5 / 4), flush
-    assert hooks == ["during_orphan_gc"] * 6
-    assert _delete_records(topo)[-5:] == sorted(orphans)  # list_live order
+    assert hooks == ["during_orphan_gc"] * 6 + ["db_checkpoint_image",
+                                                "db_checkpoint_truncated"]
+    assert journal[-1][-5:] == sorted(orphans)
+    assert topo.store_wal_buffer.durable_len == 0
 
 
 def test_vacuum_that_releases_nothing_sends_nothing(topo):

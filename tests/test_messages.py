@@ -19,6 +19,7 @@ from fidstore.messages import (
     MSG_CREATE_PARTITION,
     MSG_DELETE,
     MSG_EXEC_BATCH,
+    MSG_FLUSH_LOG,
     MSG_REVEAL,
     OP_CONST,
     OP_DEST,
@@ -85,6 +86,8 @@ _MALFORMED = {
     "temporary-partition": (_req(MSG_CREATE_PARTITION, 1,
                                  struct.pack("<BBI", 0, 2, 0)), WrongPartitionKind),
     "delete-part-of-a-fid": (_req(MSG_DELETE, 0, bytes(12)), TypeMismatch),
+    "flush-unknown-flag": (_req(MSG_FLUSH_LOG, 0, b"\x02"), TypeMismatch),
+    "flush-long-payload": (_req(MSG_FLUSH_LOG, 0, b"\x01\x00"), TypeMismatch),
 }
 
 

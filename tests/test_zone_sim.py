@@ -1,4 +1,5 @@
 import json
+import struct
 from collections import Counter
 
 import pytest
@@ -70,10 +71,11 @@ def test_same_seed_identical_trace_and_state():
 
 def test_file_backed_run_matches_the_in_memory_run(tmp_path, monkeypatch,
                                                   integrity_checkpoints):
-    """With a data directory each zone mirrors its journal to a file and the
-    integrity zone writes its catalog and checkpoint image under it; the run
-    is the same as in memory, and the files hold exactly the in-memory run's
-    durable bytes."""
+    """With a data directory each zone mirrors its journal to a file and
+    writes its snapshots under it; the run is the same as in memory, and
+    the files hold exactly the in-memory run's durable bytes: after the run
+    the quiesce checkpoints' images and empty journals, and after one more
+    commit the journal records it synced."""
     monkeypatch.setattr(wal, "CHECKPOINT_INTERVAL_BYTES", 4096)
     spec = _small_spec()
     on_disk = ZoneTopology(11, batch_size=spec.batch_size, cache_capacity_blocks=4,
@@ -84,15 +86,31 @@ def test_file_backed_run_matches_the_in_memory_run(tmp_path, monkeypatch,
     assert on_disk.trace.events == in_memory.trace.events
     assert disk_report.revealed == memory_report.revealed
     assert disk_report.invariant_holds
+    assert len(integrity_checkpoints) >= 4  # an interval and a quiesce one each
+    for zone, snapshots in (("privacy", in_memory.priv_snapshots),
+                            ("integrity", in_memory.db_snapshots)):
+        names = snapshots.names()
+        assert sorted(p.name for p in (tmp_path / zone).iterdir()) == sorted(names)
+        for name in names:
+            assert (tmp_path / zone / name).read_bytes() == snapshots.get(name)
+    assert in_memory.db_snapshots.get(CHECKPOINT_IMAGE)
+    for topo in (on_disk, in_memory):
+        _commit_one_update(topo)
     store_wal = (tmp_path / "store.wal").read_bytes()
     db_wal = (tmp_path / "db.wal").read_bytes()
     assert store_wal == in_memory.store_wal_buffer.durable != b""
     assert db_wal == in_memory.dbwal_buffer.durable != b""
-    catalog = (tmp_path / "integrity" / "catalog.json").read_bytes()
-    assert catalog == in_memory.db_snapshots.get("catalog.json")
-    assert len(integrity_checkpoints) >= 2  # at least one per topology
-    image = (tmp_path / "integrity" / CHECKPOINT_IMAGE).read_bytes()
-    assert image == in_memory.db_snapshots.get(CHECKPOINT_IMAGE)
+
+
+def _commit_one_update(topo) -> None:
+    """Commits a new secret for row 1's k in table 0."""
+    db = topo.integrity.db
+    table = db.tables_by_idx[0]
+    txn = db.begin()
+    ref = topo.client.ingest(txn.query_id, topo.client_encrypt(encode_int64(5)),
+                             table.partition_id)
+    db.update_row(txn, table, 1, {"k": ref})
+    db.commit(txn)
 
 
 def test_different_seeds_differ():
@@ -440,6 +458,46 @@ def test_trace_indistinguishability_same_shape(mode, cache):
         assert trace_indistinguishability(a, b, seed, cache_capacity_blocks=cache)
 
 
+@pytest.mark.parametrize("cache", [None, 4], ids=["unbounded", "cache4"])
+def test_vacuum_deletes_in_ascending_fid_order(cache):
+    """Each vacuum call's MSG_DELETE payloads, in send order, name strictly
+    ascending FIDs, so its deletes walk the partition's blocks in address
+    order. FIDs follow allocation order, not values, so the order leaks
+    nothing: test_trace_indistinguishability_same_shape covers the write
+    modes with a cold cache."""
+    spec = _small_spec(mode=Mode.WRITE_ONLY, rows_per_table=300, duration_ops=200,
+                       abort_ratio=0.0)
+    topo = ZoneTopology(3, batch_size=spec.batch_size, cache_capacity_blocks=cache)
+    db = topo.integrity.db
+    per_vacuum = []
+    state = {"in_vacuum": False}
+    request = topo.channel.request
+
+    def recording(raw):
+        if raw[0] == m.MSG_DELETE and state["in_vacuum"]:
+            per_vacuum[-1].extend(
+                fid for (fid,) in struct.iter_unpack("<Q", raw[m.HEADER.size:]))
+        return request(raw)
+
+    vacuum = db.vacuum
+
+    def tracked(table):
+        per_vacuum.append([])
+        state["in_vacuum"] = True
+        try:
+            return vacuum(table)
+        finally:
+            state["in_vacuum"] = False
+
+    topo.channel.request = recording
+    db.vacuum = tracked
+    assert topo.run_program(generate_workload(spec, 3)).invariant_holds
+    assert len(per_vacuum) == spec.tables
+    for fids in per_vacuum:
+        assert len(fids) > 2 * spec.batch_size  # spans several messages
+        assert fids == sorted(set(fids))
+
+
 def _count_kinds(topo) -> Counter:
     """Counts the messages the channel carries from now on, per kind."""
     kinds = Counter()
@@ -668,16 +726,25 @@ def test_zipfian_distribution_skews_access():
 _PINNED = {
     # message kind -> count through the maintenance phase, (privacy WAL,
     # integrity WAL) durable bytes, (seals, opens), (client codec, zone
-    # codec) encrypt+decrypt counts in the privacy zone
+    # codec) encrypt+decrypt counts in the privacy zone. The last flush is
+    # orphan_gc's quiesce flush, after which both journals are empty.
     "fid": ({m.MSG_INGEST: 120, m.MSG_REVEAL: 80, m.MSG_EXEC_BATCH: 49,
-             m.MSG_DELETE: 4, m.MSG_FLUSH_LOG: 33, m.MSG_CREATE_PARTITION: 2,
+             m.MSG_DELETE: 4, m.MSG_FLUSH_LOG: 34, m.MSG_CREATE_PARTITION: 2,
              m.MSG_LIST_LIVE: 2},
-            (13682, 12740), (4, 2), (249, 0)),
-    "cipher": ({m.MSG_FLUSH_LOG: 2, m.MSG_CREATE_PARTITION: 2,
+            (0, 0), (4, 2), (249, 0)),
+    "cipher": ({m.MSG_FLUSH_LOG: 3, m.MSG_CREATE_PARTITION: 2,
                 m.MSG_CIPHER_EXEC: 49, m.MSG_CIPHER_INGEST: 120,
                 m.MSG_CIPHER_REVEAL: 80},
-               (54, 30440), (0, 0), (249, 370)),
+               (0, 0), (0, 0), (249, 370)),
 }
+# (privacy, integrity) snapshot bytes after the run: the images the
+# quiesce checkpoints wrote
+_PINNED_IMAGES = {"fid": (8993, 5043), "cipher": (72, 15606)}
+
+
+def _snapshot_bytes(topo) -> tuple[int, int]:
+    return tuple(sum(len(snapshots.get(name)) for name in snapshots.names())
+                 for snapshots in (topo.priv_snapshots, topo.db_snapshots))
 
 
 def _snapshot_at_check(topo) -> dict:
@@ -708,7 +775,7 @@ def _snapshot_at_check(topo) -> dict:
 def test_pinned_counts_through_maintenance(backend):
     """Exact per-kind traffic, durable WAL bytes, seals/opens, envelope
     crypto counts and revealed values for one small seed, all taken when
-    the invariant check starts."""
+    the invariant check starts, and the snapshot bytes after the run."""
     spec = _small_spec()
     topo = ZoneTopology(3, backend=backend, batch_size=spec.batch_size,
                         cache_capacity_blocks=2)
@@ -716,6 +783,7 @@ def test_pinned_counts_through_maintenance(backend):
     program = generate_workload(spec, 3)
     report = topo.run_program(program)
     assert seen["at_check"] == _PINNED[backend]
+    assert _snapshot_bytes(topo) == _PINNED_IMAGES[backend]
     expected = ShadowRunner(program, flatten_schedule(program)).run().revealed
     assert report.revealed == expected
     assert len(expected) == 89
