@@ -84,6 +84,10 @@ class SealedBlockStore:
     def read(self, pid: int, block_index: int) -> SealedBlock | None:
         return self.blocks.get((pid, block_index))
 
+    def delete(self, pid: int, block_index: int) -> bool:
+        """Remove a block's sealed copy; True if there was one."""
+        return self.blocks.pop((pid, block_index), None) is not None
+
 
 class BlockSealer:
     """AES-256-GCM over whole blocks with (block id, counter, epoch) AAD."""
@@ -134,6 +138,13 @@ class AtRestLayer:
     free cache slots and stops when the cache is full, so it never evicts a
     resident block. Its loads count as prefetched, not as simulated major
     faults, and stay out of the hit rate, which counts demand accesses only.
+
+    The store keeps each varlen size-class bucket dense, so a bucket that
+    shrinks past a block drops it (on_drop): the block leaves the cache
+    unsealed and its sealed copy is deleted, so the sealed area holds the
+    blocks that back live values and no more. Deleting a sealed copy
+    advances the block's counter, journaled like a seal, so a copy the
+    untrusted side keeps and puts back later fails freshness.
     """
 
     def __init__(self, store, key: bytes, *, capacity_blocks: int | None = None,
@@ -161,13 +172,24 @@ class AtRestLayer:
     def on_write(self, pid: int, block_index: int) -> None:
         self._access(pid, block_index, dirty=True, prefetch=False)
 
+    def on_drop(self, pid: int, block_index: int) -> None:
+        """The block no longer backs any value: forget it without sealing,
+        and retire its sealed copy, if any."""
+        self._lru.pop((pid, block_index), None)
+        if not self.sealed.delete(pid, block_index):
+            return  # no copy to retire: never sealed, or already retired
+        counter = self.freshness.next_counter(pid, block_index)
+        if self.journal is not None:
+            self.journal.log_seal(pid, block_index, counter)
+        if self.trace is not None:
+            self.trace.block_drop(pid, block_index)
+
     def _access(self, pid: int, block_index: int, dirty: bool, prefetch: bool) -> None:
         key = (pid, block_index)
         lru = self._lru
-        if key in lru:
-            if dirty:
-                lru[key] = True
-            lru[key] = lru.pop(key)  # move to MRU position
+        was_dirty = lru.pop(key, None)
+        if was_dirty is not None:
+            lru[key] = was_dirty or dirty  # back in at the MRU position
             if not prefetch:
                 self.hits += 1
             return

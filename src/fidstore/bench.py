@@ -6,11 +6,11 @@ round-robin batches so system noise drifts over all of them equally;
 medians of per-batch means are the reported statistic and ratios are
 always computed within a single run.
 
-bench_storage is pure layout arithmetic. The crash matrix runs through
-the two-zone simulator and emits one CSV row per crash point and seed;
-reruns with the same seed reproduce every column. Workload performance
-(round trips, bytes and crypto calls per transaction, timings) is
-measured per phase by perfbench/run.py, not here.
+The crash matrix runs through the two-zone simulator and emits one CSV
+row per crash point and seed; reruns with the same seed reproduce every
+column. Workload performance (round trips, bytes and crypto calls per
+transaction, timings) and durable size (space_amp) are measured per phase
+by perfbench/run.py, not here.
 """
 
 from __future__ import annotations
@@ -20,16 +20,12 @@ import statistics
 import time
 from dataclasses import dataclass, field, replace
 
-from .atrest_storage import SEALED_OVERHEAD
 from .errors import CorruptLog
 from .fid_codec import FidConfig
-from .mapping_store import BLOCK_SIZE, MappingStore, PartitionKind, ValueLayout
-from .privacy_proxy import (ENVELOPE_OVERHEAD, ClientEnvelope, EnvelopeCodec,
-                            encode_int64)
+from .mapping_store import MappingStore, PartitionKind, ValueLayout
+from .privacy_proxy import ClientEnvelope, EnvelopeCodec, encode_int64
 from .workload import Distribution, Mode, WorkloadSpec
 from .zone_sim import CrashPoint, CrashPointId, CrashTarget, ZoneTopology, pad_sensitive
-
-FID_METADATA_BYTES = 8
 
 
 @dataclass
@@ -121,47 +117,6 @@ def bench_ops(iters: int = 1_000_000, batch: int = 2000) -> CostReport:
         encrypt_ns_p99=p99(samples["enc"]),
         decrypt_ns_p99=p99(samples["dec"]),
         cpu_mhz=_cpu_mhz(),
-    )
-
-
-@dataclass
-class StorageReport:
-    fields: int
-    width: int
-    plaintext_total: int
-    ciphertext_total: int
-    fid_dbms_bytes: int
-    fid_store_bytes: int
-    fid_seal_overhead: int
-    fid_total: int
-    metadata_fid_per_field: int
-    metadata_aead_per_field: int
-    metadata_reduction_pct: float
-
-
-def bench_storage(fields_n: int, field_width: int = 4) -> StorageReport:
-    """Byte totals for the three layouts: plaintext, per-field envelopes,
-    and FID references with block-level sealing."""
-    if fields_n < 1:
-        raise ValueError("fields_n must be >= 1")
-    plaintext = fields_n * field_width
-    ciphertext = fields_n * (field_width + ENVELOPE_OVERHEAD)
-    fid_dbms = fields_n * FID_METADATA_BYTES
-    fid_store = fields_n * field_width
-    seal = ((fid_store + BLOCK_SIZE - 1) // BLOCK_SIZE) * SEALED_OVERHEAD
-    reduction = 100.0 * (1 - FID_METADATA_BYTES / (field_width + ENVELOPE_OVERHEAD))
-    return StorageReport(
-        fields=fields_n,
-        width=field_width,
-        plaintext_total=plaintext,
-        ciphertext_total=ciphertext,
-        fid_dbms_bytes=fid_dbms,
-        fid_store_bytes=fid_store,
-        fid_seal_overhead=seal,
-        fid_total=fid_dbms + fid_store + seal,
-        metadata_fid_per_field=FID_METADATA_BYTES,
-        metadata_aead_per_field=ENVELOPE_OVERHEAD,
-        metadata_reduction_pct=reduction,
     )
 
 

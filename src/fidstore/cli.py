@@ -1,10 +1,10 @@
-"""fidstore-bench: reproduce the cost and storage comparisons and run the
+"""fidstore-bench: reproduce the per-operation cost comparison and run the
 crash matrix.
 
-Subcommands: ops (per-operation latency vs AEAD), storage (layout
-arithmetic), crash-matrix (exit nonzero on any external-synchrony
-violation, after the recovery or after one more restart, or a corrupt
-journal). Workload performance comes from perfbench/run.py.
+Subcommands: ops (per-operation latency vs AEAD), crash-matrix (exit
+nonzero on any external-synchrony violation, after the recovery or after
+one more restart, or a corrupt journal). Workload performance and durable
+size come from perfbench/run.py.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import sys
 from .bench import (
     MATRIX_CSV_COLUMNS,
     bench_ops,
-    bench_storage,
     default_matrix_spec,
     run_crash_matrix,
 )
@@ -61,23 +60,6 @@ def _cmd_ops(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_storage(args: argparse.Namespace) -> int:
-    report = bench_storage(args.fields, args.width)
-    print(f"fields                   {report.fields} x {report.width} B")
-    print(f"plaintext total          {report.plaintext_total} B")
-    print(f"ciphertext total         {report.ciphertext_total} B "
-          f"({report.metadata_aead_per_field} B metadata/field)")
-    print(f"fid scheme total         {report.fid_total} B "
-          f"(dbms {report.fid_dbms_bytes} + store {report.fid_store_bytes}"
-          f" + seal {report.fid_seal_overhead})")
-    print(f"metadata per field       {report.metadata_fid_per_field} B vs "
-          f"{report.metadata_aead_per_field} B "
-          f"({report.metadata_reduction_pct:.1f}% reduction)")
-    if args.out:
-        _write_csv(args.out, list(vars(report)), [vars(report)])
-    return 0
-
-
 def _cmd_crash_matrix(args: argparse.Namespace) -> int:
     spec = default_matrix_spec(args.ops)
     printed = []
@@ -103,20 +85,14 @@ def _cmd_crash_matrix(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fidstore-bench",
-        description="cost and storage benchmarks and the crash matrix for the FID "
-                    "mapping store; workload performance comes from perfbench/run.py")
+        description="per-operation cost benchmark and the crash matrix for the "
+                    "FID mapping store; workload performance comes from perfbench/run.py")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ops = sub.add_parser("ops", help="put/get vs AEAD field op latency")
     p_ops.add_argument("--iters", type=int, default=1_000_000)
     p_ops.add_argument("--out", default=None)
     p_ops.set_defaults(fn=_cmd_ops)
-
-    p_storage = sub.add_parser("storage", help="storage layout arithmetic")
-    p_storage.add_argument("--fields", type=int, default=1_000_000)
-    p_storage.add_argument("--width", type=int, default=4)
-    p_storage.add_argument("--out", default=None)
-    p_storage.set_defaults(fn=_cmd_storage)
 
     p_matrix = sub.add_parser("crash-matrix", help="crash points x seeds")
     p_matrix.add_argument("--seeds", type=int, default=100)

@@ -2,10 +2,19 @@
 slab-style size-class buckets for variable-length ones.
 
 Slots are O(1) direct-indexed by the FID offset. Delete is logical: the
-slot joins the partition free list and the next same-partition put reuses
-it (LIFO) before any fresh slot is allocated, so a delete/put cycle never
-grows the data footprint. Equal secrets never share a slot: FID assignment
-depends only on allocation order, never on value bytes.
+offset joins the partition free list and the next same-partition put
+reuses it (LIFO) before any fresh offset is allocated. Equal secrets never
+share a slot: FID assignment depends only on allocation order, never on
+value bytes.
+
+A varlen value lives in its size class's bucket, which stays dense: a put
+appends, and a delete moves the class's last value into the freed bucket
+slot, so a bucket of n values spans exactly ceil(n * class size / 4096)
+blocks. The FID-to-(class, bucket slot) indirection never leaves the
+store, so a moved value keeps its FID. A block the bucket shrinks past is
+dropped from the page cache and the sealed area (on_drop), so durable
+state follows the live values, not the peak. Which blocks move and drop
+depends only on the live count per class, which the op sequence fixes.
 
 Temporary partitions are volatile scratch space dropped at end of query;
 permanent partitions journal every mutation for crash recovery and report
@@ -110,8 +119,7 @@ class Partition:
         "free_list",
         "slots",
         "buckets",
-        "class_free",
-        "class_live",
+        "owners",
         "reused",
         "tracked",
     )
@@ -127,11 +135,12 @@ class Partition:
         self.alloc_counter = 0
         self.free_list: list[int] = []
         # slots[off] is None when not live; otherwise FIXED: the value bytes,
-        # VARLEN: (class_idx, bucket_slot) into buckets
+        # VARLEN: (class_idx, bucket_slot) into buckets. A bucket holds only
+        # live values, packed from slot 0, and owners[cls][slot] is the
+        # offset whose value sits in buckets[cls][slot].
         self.slots: list = []
-        self.buckets: list[list[bytes | None]] = [[] for _ in range(n_classes)]
-        self.class_free: list[list[int]] = [[] for _ in range(n_classes)]
-        self.class_live: list[int] = [0] * n_classes
+        self.buckets: list[list[bytes]] = [[] for _ in range(n_classes)]
+        self.owners: list[list[int]] = [[] for _ in range(n_classes)]
         self.reused = 0
         self.tracked = kind == PartitionKind.PERMANENT
 
@@ -236,15 +245,14 @@ class MappingStore:
         free = p.free_list
         if not free and p.alloc_counter >= p.limit:
             raise PartitionFull(f"partition {partition_id} offsets exhausted")
-        cell = secret if width is not None else self._place(p, secret)
         if free:
             off = free.pop()
-            p.slots[off] = cell
             p.reused += 1
         else:
             off = p.alloc_counter
             p.alloc_counter = off + 1
-            p.slots.append(cell)
+            p.slots.append(None)
+        p.slots[off] = secret if width is not None else self._place(p, off, secret)
         fid = p.fid_base | off
         if p.tracked:
             self._track_write(p, off, fid, secret)
@@ -276,40 +284,60 @@ class MappingStore:
         off = fid & self._offset_mask
         if off >= len(p.slots) or p.slots[off] is None:
             raise NotLive(f"fid {fid:#x} is not live")
-        block_index = None
-        if p.tracked and self.blocks is not None:
-            block_index = self._block_of(p, off)
-        self._free(p, off)
         p.free_list.append(off)
-        if p.tracked:
-            if self.journal is not None:
-                self.journal.log_delete(fid)
-            if block_index is not None:
-                self.blocks.on_write(p.pid, block_index)
+        if p.tracked and self.journal is not None:
+            self.journal.log_delete(fid)
+        self._free(p, off)
 
-    def _place(self, p: Partition, value: bytes) -> tuple[int, int]:
-        """Store a varlen value in its size-class bucket, reusing a freed
-        bucket slot first; returns the (class, bucket slot) cell."""
+    def _place(self, p: Partition, off: int, value: bytes) -> tuple[int, int]:
+        """Append offset off's varlen value to its size-class bucket;
+        returns the (class, bucket slot) cell."""
         cls = class_index(len(value), self.classes)
-        cfree = p.class_free[cls]
         bucket = p.buckets[cls]
-        if cfree:
-            slot = cfree.pop()
-            bucket[slot] = value
-        else:
-            slot = len(bucket)
-            bucket.append(value)
-        p.class_live[cls] += 1
+        slot = len(bucket)
+        bucket.append(value)
+        p.owners[cls].append(off)
         return cls, slot
 
     def _free(self, p: Partition, off: int) -> None:
-        """Unmap a live offset, returning a varlen bucket slot to its class."""
-        if p.width is None:
-            cls, slot = p.slots[off]
-            p.buckets[cls][slot] = None
-            p.class_free[cls].append(slot)
-            p.class_live[cls] -= 1
+        """Unmap a live offset. A varlen bucket stays dense: the class's
+        last value moves into the freed bucket slot and the bucket shrinks
+        by one. The block hooks fire only once the bucket is updated, since
+        one may evict and seal through read_block: a write to each block
+        that changed, and a drop of a block now past the bucket's end."""
+        cell = p.slots[off]
         p.slots[off] = None
+        blocks = self.blocks if p.tracked else None
+        if p.width is not None:
+            if blocks is not None:
+                blocks.on_write(p.pid, (off * p.width) // BLOCK_SIZE)
+            return
+        cls, slot = cell
+        bucket = p.buckets[cls]
+        owners = p.owners[cls]
+        tail_value = bucket.pop()
+        tail_owner = owners.pop()
+        last = len(bucket)  # the tail value's old bucket slot
+        if slot != last:
+            bucket[slot] = tail_value
+            owners[slot] = tail_owner
+            p.slots[tail_owner] = cell
+        if blocks is None:
+            return
+        pid = p.pid
+        size = self.classes[cls]
+        base = cls << VARLEN_CLASS_SHIFT
+        hole = slot * size // BLOCK_SIZE
+        tail = last * size // BLOCK_SIZE
+        end = (last * size + BLOCK_SIZE - 1) // BLOCK_SIZE  # blocks still spanned
+        if hole < end:
+            blocks.on_write(pid, base | hole)
+            if hole < tail < end:
+                blocks.on_write(pid, base | tail)
+        gone = ((last + 1) * size + BLOCK_SIZE - 1) // BLOCK_SIZE
+        while end < gone:
+            blocks.on_drop(pid, base | end)
+            end += 1
 
     def _track_write(self, p: Partition, off: int, fid: int, secret: bytes) -> None:
         if self.journal is not None:
@@ -352,9 +380,8 @@ class MappingStore:
         p.slots.clear()
         for bucket in p.buckets:
             bucket.clear()
-        for cfree in p.class_free:
-            cfree.clear()
-        p.class_live = [0] * len(self.classes)
+        for owners in p.owners:
+            owners.clear()
         p.reused = 0
         return discarded
 
@@ -384,8 +411,8 @@ class MappingStore:
             if p.width is not None:
                 s.bytes_data += live * p.width
             else:
-                for cls, n in enumerate(p.class_live):
-                    s.bytes_data += n * self.classes[cls]
+                for cls, bucket in enumerate(p.buckets):
+                    s.bytes_data += len(bucket) * self.classes[cls]
             s.bytes_metadata += live * 8
         return s
 
@@ -431,8 +458,6 @@ class MappingStore:
             last = min((start + BLOCK_SIZE + size - 1) // size, len(bucket))
             for idx in range(first, last):
                 v = bucket[idx]
-                if v is None:
-                    continue
                 pos = idx * size - start
                 lo = max(pos, 0)
                 hi = min(pos + len(v), BLOCK_SIZE)
@@ -488,7 +513,7 @@ class MappingStore:
             if _get_state(state, off) == SLOT_LIVE:
                 cell = bytes(data[pos:pos + ln])
                 if p.width is None:
-                    cell = self._place(p, cell)
+                    cell = self._place(p, off, cell)
             p.slots.append(cell)
             pos += ln
         p.alloc_counter = alloc_counter
@@ -510,7 +535,7 @@ class MappingStore:
             slots.extend([None] * (off + 1 - len(slots)))
         elif slots[off] is not None:
             self._free(p, off)
-        slots[off] = value if p.width is not None else self._place(p, value)
+        slots[off] = value if p.width is not None else self._place(p, off, value)
         if off >= p.alloc_counter:
             p.alloc_counter = off + 1
 

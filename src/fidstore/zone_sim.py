@@ -85,7 +85,14 @@ def unpad_sensitive(padded: bytes) -> bytes:
 
 
 class AdversaryTrace:
-    """Ordered record of everything adversary-visible; args are plain ints."""
+    """Ordered record of everything adversary-visible; args are plain ints.
+
+    The leaked events: FidObserved (a FID the integrity zone holds),
+    MsgBytes and OpKindObserved (each message's length and kind),
+    ResultSize, CmpBool (a comparison outcome), and the untrusted block
+    area's BlockRead, BlockWrite and BlockDrop (a sealed copy deleted once
+    a size-class bucket shrinks past its block). Which block drops depends
+    only on the live count per size class, which the op sequence fixes."""
 
     __slots__ = ("events",)
 
@@ -100,6 +107,9 @@ class AdversaryTrace:
 
     def block_write(self, pid: int, block_index: int) -> None:
         self.events.append(("BlockWrite", (pid << 40) | block_index))
+
+    def block_drop(self, pid: int, block_index: int) -> None:
+        self.events.append(("BlockDrop", (pid << 40) | block_index))
 
     def msg(self, length: int) -> None:
         self.events.append(("MsgBytes", length))

@@ -2,6 +2,8 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fidstore.atrest_storage import (
     AtRestLayer,
@@ -11,7 +13,13 @@ from fidstore.atrest_storage import (
 )
 from fidstore.errors import AuthFailure, StaleBlock, UnknownPartition
 from fidstore.fid_codec import FidConfig
-from fidstore.mapping_store import MappingStore, PartitionKind, ValueLayout
+from fidstore.mapping_store import (
+    VARLEN_CLASS_SHIFT,
+    MappingStore,
+    PartitionKind,
+    ValueLayout,
+    class_index,
+)
 from fidstore.zone_sim import AdversaryTrace, ZoneTopology
 
 
@@ -242,3 +250,108 @@ def test_freshness_snapshot_round_trip():
         pid, bidx, counter = struct.unpack_from("<IQQ", snap, off)
         entries[(pid, bidx)] = counter
     assert entries == {(1, 0): 2, (2, 9): 1}
+
+
+# lengths from the 16-byte class and from the classes of a few values per
+# block, so buckets span several blocks within a short op sequence
+_length = st.integers(1, 16) | st.integers(1025, 4096)
+_store_op = st.one_of(
+    st.tuples(st.just("put"), _length),
+    st.tuples(st.just("delete"), st.integers(0, 1 << 16)),
+    st.tuples(st.just("apply_put"), st.integers(0, 1 << 16), _length),
+    st.tuples(st.just("apply_delete"), st.integers(0, 1 << 16)),
+    st.tuples(st.just("flush")),
+)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(ops=st.lists(_store_op, max_size=60), capacity=st.integers(2, 4))
+def test_varlen_buckets_stay_dense_under_any_op_sequence(ops, capacity):
+    """Puts, deletes, replayed puts (new offsets and overwrites) and
+    replayed deletes on a permanent varlen partition behind a small cache:
+    every bucket stays packed, the partition spans exactly the blocks its
+    live values need, no cached or sealed block lies past a bucket's end,
+    and every value reads back, also from a dump/load round trip."""
+    store = MappingStore(FidConfig(16))
+    _, layer = _layer(capacity=capacity, store=store)
+    store.blocks = layer
+    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.VARLEN)
+    p = store.partition(pid)
+    rng = random.Random(len(ops))
+    model: dict[int, bytes] = {}
+    for op in ops:
+        if op[0] == "put":
+            value = rng.randbytes(op[1])
+            model[store.put(pid, value)] = value
+        elif op[0] == "flush":
+            layer.flush_dirty()
+        elif op[0] == "delete":
+            if model:
+                fid = sorted(model)[op[1] % len(model)]
+                store.delete(fid)
+                del model[fid]
+        else:
+            # a replayed record names a live offset or one up to 2 past
+            # the allocated ones; the free lists are rebuilt after replay
+            fid = p.fid_base | (op[1] % (p.alloc_counter + 3))
+            if op[0] == "apply_put":
+                model[fid] = rng.randbytes(op[2])
+                store.apply_put(fid, model[fid])
+            else:
+                model.pop(fid, None)
+                store.apply_delete(fid)
+            store.rebuild_free_lists(pid)
+
+        spanned = set()
+        for cls, bucket in enumerate(p.buckets):
+            assert None not in bucket
+            n = -(-len(bucket) * store.classes[cls] // BLOCK_SIZE)
+            spanned.update((cls << VARLEN_CLASS_SHIFT) | i for i in range(n))
+        assert set(store.partition_blocks(pid)) == spanned
+        assert {b for _, b in layer._lru} <= spanned
+        assert {b for _, b in layer.sealed.blocks} <= spanned
+
+    for fid, value in model.items():
+        assert store.get(fid) == value
+    other = MappingStore(FidConfig(16))
+    other.load_partition(pid, *store.dump_partition(pid))
+    assert {fid: other.get(fid) for fid in model} == model
+    assert other.live_fids(pid) == sorted(model)
+
+
+@pytest.mark.parametrize("order", ["grow_then_restore", "restore_then_grow"])
+def test_dropped_block_copy_is_refused_when_put_back(order):
+    """A bucket shrinks past a sealed block, so its sealed copy is deleted
+    and its counter advanced. If the untrusted side keeps that copy and
+    puts it back, whether the bucket grows again before or after, faulting
+    the block refuses the copy and the value read is still right."""
+    store = MappingStore(FidConfig(16))
+    _, layer = _layer(capacity=2, store=store)
+    store.blocks = layer
+    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.VARLEN)
+    fids = [store.put(pid, bytes([i]) * 2048) for i in range(4)]  # 2 per block
+    layer.flush_dirty()
+    block = (class_index(2048, store.classes) << VARLEN_CLASS_SHIFT) | 1
+    old = layer.sealed.read(pid, block)
+    assert old is not None
+
+    store.delete(fids[3])
+    store.delete(fids[2])
+    assert store.partition_blocks(pid) == [block - 1]
+    assert layer.sealed.read(pid, block) is None
+    assert (pid, block) not in layer._lru
+
+    value = b"\x07" * 2048
+    if order == "grow_then_restore":
+        # a replayed put grows the bucket without touching the cache
+        store.apply_put(fids[2], value)
+        store.rebuild_free_lists(pid)
+        layer.sealed.write(pid, block, old)
+        assert store.get(fids[2]) == value  # the fault
+    else:
+        layer.sealed.write(pid, block, old)
+        assert store.put(pid, value) == fids[2]  # the fault
+        assert store.get(fids[2]) == value
+    assert layer.stale_dropped == 1
+    with pytest.raises(StaleBlock):
+        layer.open_block(pid, block, old)

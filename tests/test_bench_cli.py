@@ -7,22 +7,15 @@ from fidstore.bench import MATRIX_POINTS, default_matrix_spec, run_crash_matrix
 from fidstore.workload import Distribution, Mode
 
 
-def test_cli_storage(capsys):
-    assert cli.main(["storage", "--fields", "1000", "--width", "4"]) == 0
-    out = capsys.readouterr().out
-    assert "28 B metadata/field" in out
-    assert "fid scheme total         12036 B" in out  # 8000 + 4000 + one seal
-
-
 def test_cli_ops(capsys):
     assert cli.main(["ops", "--iters", "10000"]) == 0
     assert "encrypt/put ratio" in capsys.readouterr().out
 
 
-def test_cli_offers_exactly_ops_storage_and_crash_matrix(capsys):
-    """Workload performance comes from perfbench/run.py alone: the CLI has
-    no workload command."""
-    assert "{ops,storage,crash-matrix}" in cli.build_parser().format_usage()
+def test_cli_offers_exactly_ops_and_crash_matrix(capsys):
+    """Workload performance comes from perfbench/run.py alone, and durable
+    size from its space_amp: the CLI has no workload or storage command."""
+    assert "{ops,crash-matrix}" in cli.build_parser().format_usage()
     with pytest.raises(SystemExit) as exc:
         cli.main(["workload"])
     assert exc.value.code == 2

@@ -139,7 +139,7 @@ def test_partition_full():
         with pytest.raises(PartitionFull):
             store.put(pid, b"abcd")
         # a refused put takes no bucket slot
-        assert sum(p.class_live) == 0 and not any(p.buckets)
+        assert not any(p.buckets) and not any(p.owners)
 
 
 def test_width_and_size_validation(store):
@@ -299,9 +299,10 @@ def test_varlen_bucket_occupancy_matches_live_count(store):
             live.append(store.put(pid, rng.randbytes(rng.randrange(1, 300))))
     p = store.partition(pid)
     for cls, bucket in enumerate(p.buckets):
-        occupied = sum(1 for v in bucket if v is not None)
-        assert occupied == p.class_live[cls]
-    assert sum(p.class_live) == len(live)
+        assert None not in bucket
+        for slot, off in enumerate(p.owners[cls]):
+            assert p.slots[off] == (cls, slot)
+    assert sum(len(bucket) for bucket in p.buckets) == len(live)
 
 
 def test_dump_load_round_trip(store):

@@ -682,7 +682,7 @@ def test_trace_vocabulary_is_exactly_the_leakage_list():
                         cache_capacity_blocks=2)
     topo.run_workload(spec)
     kinds = {k for k, _ in topo.trace.events}
-    allowed = {"FidObserved", "BlockRead", "BlockWrite", "MsgBytes",
+    allowed = {"FidObserved", "BlockRead", "BlockWrite", "BlockDrop", "MsgBytes",
                "ResultSize", "CmpBool", "OpKindObserved"}
     assert kinds <= allowed
     assert "MsgBytes" in kinds and "FidObserved" in kinds
@@ -851,6 +851,34 @@ def test_crash_after_read_only_commits_reads_back_replay_state():
         assert got == {r: (cells[1], cells[2]) for r, cells in expected.items()}
     db.abort(reader)
     assert topo.privacy.atrest.stale_dropped > 0
+
+
+# (sealed blocks, blocks the table partitions span) after a cold WRITE_ONLY
+# run, and again after both zones crash and recover
+_PINNED_SEALED_AREA = ((10, 10), (10, 10))
+
+
+def test_sealed_area_holds_only_blocks_that_back_values():
+    """Vacuum shrinks the size-class buckets, and each block a bucket
+    shrinks past leaves the sealed area (a BlockDrop in the trace), so the
+    sealed area never outgrows the blocks the live values span, before or
+    after recovery."""
+    spec = _small_spec(mode=Mode.WRITE_ONLY, rows_per_table=100, duration_ops=200)
+    topo = ZoneTopology(3, batch_size=spec.batch_size, cache_capacity_blocks=4)
+    topo.run_program(generate_workload(spec, 3))
+
+    def sealed_and_spanned():
+        store = topo.privacy.store
+        return (len(topo.sealed_store.blocks),
+                sum(len(store.partition_blocks(t.partition_id))
+                    for t in topo.integrity.db.tables_by_idx))
+
+    after_run = sealed_and_spanned()
+    assert any(kind == "BlockDrop" for kind, _ in topo.trace.events)
+    topo.privacy.crash()
+    topo.integrity.crash()
+    assert topo.recover_all().invariant.holds
+    assert (after_run, sealed_and_spanned()) == _PINNED_SEALED_AREA
 
 
 @pytest.mark.parametrize("seed, occurrence", [(1, 204), (2, 205)])
