@@ -3,7 +3,7 @@ confidential-database simulator around it."""
 
 from .errors import FidStoreError
 from .fid_codec import FidConfig, decode_fid, encode_fid
-from .mapping_store import MappingStore, PartitionKind, StoreStats, ValueLayout
+from .mapping_store import MappingStore, PartitionKind, StoreStats
 
 __all__ = [
     "FidStoreError",
@@ -12,6 +12,5 @@ __all__ = [
     "decode_fid",
     "MappingStore",
     "PartitionKind",
-    "ValueLayout",
     "StoreStats",
 ]

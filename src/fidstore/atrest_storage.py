@@ -139,7 +139,7 @@ class AtRestLayer:
     resident block. Its loads count as prefetched, not as simulated major
     faults, and stay out of the hit rate, which counts demand accesses only.
 
-    The store keeps each varlen size-class bucket dense, so a bucket that
+    The store keeps each size-class bucket dense, so a bucket that
     shrinks past a block drops it (on_drop): the block leaves the cache
     unsealed and its sealed copy is deleted, so the sealed area holds the
     blocks that back live values and no more. Deleting a sealed copy

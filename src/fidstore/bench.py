@@ -1,10 +1,10 @@
 """Desk-scale measurement harness.
 
-bench_ops compares the mapping path (put/get) against AEAD field
-en/decryption on the same host, interleaving the four operations in
-round-robin batches so system noise drifts over all of them equally;
-medians of per-batch means are the reported statistic and ratios are
-always computed within a single run.
+bench_ops compares the mapping path (put/get of an 8-byte value, the size
+of a table row's k cell) against AEAD field en/decryption on the same
+host, interleaving the four operations in round-robin batches so system
+noise drifts over all of them equally; medians of per-batch means are the
+reported statistic and ratios are always computed within a single run.
 
 The crash matrix runs through the two-zone simulator and emits one CSV
 row per crash point and seed; reruns with the same seed reproduce every
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import CorruptLog
 from .fid_codec import FidConfig
-from .mapping_store import MappingStore, PartitionKind, ValueLayout
+from .mapping_store import MappingStore, PartitionKind
 from .privacy_proxy import ClientEnvelope, EnvelopeCodec, encode_int64
 from .workload import Distribution, Mode, WorkloadSpec
 from .zone_sim import CrashPoint, CrashPointId, CrashTarget, ZoneTopology, pad_sensitive
@@ -69,8 +69,8 @@ def bench_ops(iters: int = 1_000_000, batch: int = 2000) -> CostReport:
     if iters < 10_000:
         raise ValueError("iters too small for stable medians")
     store = MappingStore(FidConfig())
-    pid = store.create_partition(PartitionKind.TEMPORARY, ValueLayout.FIXED, 4)
-    payload = b"\x01\x02\x03\x04"
+    pid = store.create_partition(PartitionKind.TEMPORARY)
+    payload = encode_int64(42)  # 8 bytes, like a table row's k cell
     codec = EnvelopeCodec(os.urandom(32))
     env_bytes = codec.encrypt(payload).to_bytes()
     hot_fid = store.put(pid, payload)

@@ -21,10 +21,6 @@ class ValueTooLarge(FidStoreError):
     code = 3
 
 
-class WidthMismatch(FidStoreError):
-    code = 4
-
-
 class PartitionFull(FidStoreError):
     code = 5
 

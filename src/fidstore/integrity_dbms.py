@@ -85,6 +85,12 @@ DB_REMOVE = 3
 DB_COMMIT = 4
 
 _U32 = struct.Struct("<I")
+# DbWal record payloads, after REC_HEAD: a DB_INSERT or DB_END row record
+# (txn, table, row, vseq; then the cells or the refs to release), a
+# DB_REMOVE (table, row, vseq) and a DB_COMMIT (txn).
+_ROW_REC = struct.Struct("<QIQQ")
+_REMOVE_REC = struct.Struct("<IQQ")
+_COMMIT_REC = struct.Struct("<Q")
 # Checkpoint image: a head (next txn id, next commit seq, next lsn, table
 # count, txn count), a (txn, commit seq) pair per txn that wrote an imaged
 # version, then per table its counters and its imaged versions, each a
@@ -395,7 +401,7 @@ class Database:
     def create_table(self, name: str, schema: list[Column]) -> Table:
         if name in self.tables:
             raise SchemaMismatch(f"table {name} already exists")
-        partition_id = self.client.create_partition(1, 2, 0)  # permanent, varlen
+        partition_id = self.client.create_partition()
         # same ordering as commit: the partition's journal record must be
         # durable before the catalog durably references it
         self.client.flush_log()
@@ -860,10 +866,10 @@ class Database:
                 vseq: int = 0, cells: bytes = b"") -> tuple[int, bytes]:
         """A record as (kind, payload); _frame gives it its LSN."""
         if kind == DB_COMMIT:
-            return kind, struct.pack("<Q", txn)
+            return kind, _COMMIT_REC.pack(txn)
         if kind == DB_REMOVE:
-            return kind, struct.pack("<IQQ", table, row, vseq)
-        return kind, struct.pack("<QIQQ", txn, table, row, vseq) + cells
+            return kind, _REMOVE_REC.pack(table, row, vseq)
+        return kind, _ROW_REC.pack(txn, table, row, vseq) + cells
 
     def _frame(self, record: tuple[int, bytes]) -> bytes:
         kind, payload = record
@@ -967,7 +973,7 @@ def recover_database(client, backend, dbwal: DurableBuffer,
         lsn, kind = REC_HEAD.unpack_from(body, 0)
         records.append((kind, body))
         if kind == DB_COMMIT:
-            (txn_id,) = struct.unpack_from("<Q", body, REC_HEAD.size)
+            (txn_id,) = _COMMIT_REC.unpack_from(body, REC_HEAD.size)
             committed_order.append(txn_id)
             max_txn = max(max_txn, txn_id)
         db.next_lsn = lsn + 1
@@ -982,7 +988,7 @@ def recover_database(client, backend, dbwal: DurableBuffer,
             replayed += 1
             continue
         if kind == DB_REMOVE:
-            table_idx, row_id, vseq = struct.unpack_from("<IQQ", body, pos)
+            table_idx, row_id, vseq = _REMOVE_REC.unpack_from(body, pos)
             table = db.tables_by_idx[table_idx]
             chain = table.rows.get(row_id)
             if chain:
@@ -991,20 +997,20 @@ def recover_database(client, backend, dbwal: DurableBuffer,
                     del table.rows[row_id]
             replayed += 1
             continue
-        txn_id, table_idx, row_id, vseq = struct.unpack_from("<QIQQ", body, pos)
+        txn_id, table_idx, row_id, vseq = _ROW_REC.unpack_from(body, pos)
+        pos += _ROW_REC.size
         max_txn = max(max_txn, txn_id)
         if txn_id not in committed:
             continue  # crashed before its commit record: aborted
         table = db.tables_by_idx[table_idx]
         if kind == DB_INSERT:
-            start = pos + struct.calcsize("<QIQQ")
-            cells, end = db._cells_from_wire(table, body, start)
-            version = RowVersion(row_id, vseq, txn_id, cells, body[start:end])
+            cells, end = db._cells_from_wire(table, body, pos)
+            version = RowVersion(row_id, vseq, txn_id, cells, body[pos:end])
             table.rows.setdefault(row_id, []).append(version)
             table.next_row_id = max(table.next_row_id, row_id + 1)
             table.next_vseq = max(table.next_vseq, vseq + 1)
         elif kind == DB_END:
-            release, _ = db._refs_from_wire(body, pos + struct.calcsize("<QIQQ"))
+            release, _ = db._refs_from_wire(body, pos)
             for version in table.rows.get(row_id, ()):
                 if version.vseq == vseq:
                     version.end_txn = txn_id

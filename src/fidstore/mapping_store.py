@@ -1,5 +1,5 @@
-"""Partitioned FID-to-secret store: packed arrays for fixed-width values,
-slab-style size-class buckets for variable-length ones.
+"""Partitioned FID-to-secret store: every partition keeps its values in
+slab-style size-class buckets.
 
 Slots are O(1) direct-indexed by the FID offset. Delete is logical: the
 offset joins the partition free list and the next same-partition put
@@ -7,7 +7,7 @@ reuses it (LIFO) before any fresh offset is allocated. Equal secrets never
 share a slot: FID assignment depends only on allocation order, never on
 value bytes.
 
-A varlen value lives in its size class's bucket, which stays dense: a put
+A value lives in its size class's bucket, which stays dense: a put
 appends, and a delete moves the class's last value into the freed bucket
 slot, so a bucket of n values spans exactly ceil(n * class size / 4096)
 blocks. The FID-to-(class, bucket slot) indirection never leaves the
@@ -19,6 +19,10 @@ depends only on the live count per class, which the op sequence fixes.
 Temporary partitions are volatile scratch space dropped at end of query;
 permanent partitions journal every mutation for crash recovery and report
 block-level accesses to the page-cache layer.
+
+A permanent partition's checkpoint image is the superblock (magic, prefix
+bits, offset count) followed by one {u32 length, value} per offset, in
+offset order; length 0 marks a dead offset, since put refuses empty values.
 
 The store is single-threaded: no method takes a lock, so callers must not
 use one store from several threads at once.
@@ -36,7 +40,6 @@ from .errors import (
     PartitionSpaceExhausted,
     UnknownPartition,
     ValueTooLarge,
-    WidthMismatch,
     WrongPartitionKind,
 )
 from .fid_codec import FidConfig
@@ -45,25 +48,17 @@ BLOCK_SIZE = 4096
 MIN_CLASS = 16
 DEFAULT_MAX_VALUE_LEN = 4096
 
-SUPERBLOCK = struct.Struct("<8sBBBIQ9x")  # 32 bytes, little-endian
-MAGIC = b"FIDSTOR1"
+SUPERBLOCK = struct.Struct("<8sBQ")  # magic, prefix bits, offset count
+MAGIC = b"FIDSTOR2"
+_LEN = struct.Struct("<I")  # an image value's length prefix
 
-SLOT_UNUSED = 0
-SLOT_LIVE = 1
-SLOT_DELETED = 2
-
-# varlen block ids carry the size class in the high half
-VARLEN_CLASS_SHIFT = 32
+# block ids carry the size class in the high half
+CLASS_SHIFT = 32
 
 
 class PartitionKind(IntEnum):
     TEMPORARY = 0
     PERMANENT = 1
-
-
-class ValueLayout(IntEnum):
-    FIXED = 1
-    VARLEN = 2
 
 
 def size_classes(max_value_len: int) -> list[int]:
@@ -106,13 +101,11 @@ class StoreStats:
 
 
 class Partition:
-    """One FID namespace: allocator state plus slot storage for one layout."""
+    """One FID namespace: allocator state plus its size-class buckets."""
 
     __slots__ = (
         "pid",
         "kind",
-        "layout",
-        "width",
         "fid_base",
         "limit",
         "alloc_counter",
@@ -124,20 +117,18 @@ class Partition:
         "tracked",
     )
 
-    def __init__(self, pid: int, kind: PartitionKind, layout: ValueLayout,
-                 width: int | None, offset_bits: int, n_classes: int):
+    def __init__(self, pid: int, kind: PartitionKind, offset_bits: int,
+                 n_classes: int):
         self.pid = pid
         self.kind = kind
-        self.layout = layout
-        self.width = width if layout == ValueLayout.FIXED else None
         self.fid_base = pid << offset_bits
         self.limit = 1 << offset_bits
         self.alloc_counter = 0
         self.free_list: list[int] = []
-        # slots[off] is None when not live; otherwise FIXED: the value bytes,
-        # VARLEN: (class_idx, bucket_slot) into buckets. A bucket holds only
-        # live values, packed from slot 0, and owners[cls][slot] is the
-        # offset whose value sits in buckets[cls][slot].
+        # slots[off] is None when not live, else its (class, bucket slot)
+        # cell. A bucket holds only live values, packed from slot 0, and
+        # owners[cls][slot] is the offset whose value sits in
+        # buckets[cls][slot].
         self.slots: list = []
         self.buckets: list[list[bytes]] = [[] for _ in range(n_classes)]
         self.owners: list[list[int]] = [[] for _ in range(n_classes)]
@@ -169,15 +160,11 @@ class MappingStore:
     # ------------------------------------------------------------------
     # partition management
 
-    def create_partition(self, kind: PartitionKind, layout: ValueLayout,
-                         width: int | None = None) -> int:
-        if layout == ValueLayout.FIXED:
-            if not width or width < 1 or width > self.max_value_len:
-                raise WidthMismatch(f"bad fixed width {width}")
+    def create_partition(self, kind: PartitionKind) -> int:
         pid = self._next_free_id()
-        self._register(pid, kind, layout, width)
+        self._register(pid, kind)
         if self.journal is not None and kind == PartitionKind.PERMANENT:
-            self.journal.log_create(pid, int(kind), int(layout), width or 0)
+            self.journal.log_create(pid)
         return pid
 
     def _next_free_id(self) -> int:
@@ -194,10 +181,8 @@ class MappingStore:
             pid += 1
         raise PartitionSpaceExhausted(f"all {limit} partition ids in use")
 
-    def _register(self, pid: int, kind: PartitionKind, layout: ValueLayout,
-                  width: int | None) -> Partition:
-        p = Partition(pid, kind, layout, width, self._offset_bits,
-                      len(self.classes))
+    def _register(self, pid: int, kind: PartitionKind) -> Partition:
+        p = Partition(pid, kind, self._offset_bits, len(self.classes))
         self._parts[pid] = p
         return p
 
@@ -232,14 +217,7 @@ class MappingStore:
             p = self._parts[partition_id]
         except KeyError:
             raise UnknownPartition(f"no partition {partition_id}") from None
-        width = p.width
-        if width is not None:
-            if len(secret) != width:
-                raise WidthMismatch(
-                    f"partition {partition_id} holds {width}-byte values, "
-                    f"got {len(secret)}"
-                )
-        elif not 0 < len(secret) <= self.max_value_len:
+        if not 0 < len(secret) <= self.max_value_len:
             raise ValueTooLarge(
                 f"value of {len(secret)} bytes (max {self.max_value_len})")
         free = p.free_list
@@ -252,10 +230,13 @@ class MappingStore:
             off = p.alloc_counter
             p.alloc_counter = off + 1
             p.slots.append(None)
-        p.slots[off] = secret if width is not None else self._place(p, off, secret)
+        cell = p.slots[off] = self._place(p, off, secret)
         fid = p.fid_base | off
         if p.tracked:
-            self._track_write(p, off, fid, secret)
+            if self.journal is not None:
+                self.journal.log_put(fid, secret)
+            if self.blocks is not None:
+                self.blocks.on_write(p.pid, self._block_of(cell))
         return fid
 
     def get(self, fid: int) -> bytes | None:
@@ -268,13 +249,12 @@ class MappingStore:
         slots = p.slots
         if off >= len(slots):
             return None
-        value = slots[off]
-        if value is None:
+        cell = slots[off]
+        if cell is None:
             return None
-        if p.width is None:
-            value = p.buckets[value[0]][value[1]]
+        value = p.buckets[cell[0]][cell[1]]
         if p.tracked and self.blocks is not None:
-            self.blocks.on_read(p.pid, self._block_of(p, off))
+            self.blocks.on_read(p.pid, self._block_of(cell))
         return value
 
     def delete(self, fid: int) -> None:
@@ -290,7 +270,7 @@ class MappingStore:
         self._free(p, off)
 
     def _place(self, p: Partition, off: int, value: bytes) -> tuple[int, int]:
-        """Append offset off's varlen value to its size-class bucket;
+        """Append offset off's value to its size-class bucket;
         returns the (class, bucket slot) cell."""
         cls = class_index(len(value), self.classes)
         bucket = p.buckets[cls]
@@ -300,18 +280,13 @@ class MappingStore:
         return cls, slot
 
     def _free(self, p: Partition, off: int) -> None:
-        """Unmap a live offset. A varlen bucket stays dense: the class's
+        """Unmap a live offset. Its bucket stays dense: the class's
         last value moves into the freed bucket slot and the bucket shrinks
         by one. The block hooks fire only once the bucket is updated, since
         one may evict and seal through read_block: a write to each block
         that changed, and a drop of a block now past the bucket's end."""
         cell = p.slots[off]
         p.slots[off] = None
-        blocks = self.blocks if p.tracked else None
-        if p.width is not None:
-            if blocks is not None:
-                blocks.on_write(p.pid, (off * p.width) // BLOCK_SIZE)
-            return
         cls, slot = cell
         bucket = p.buckets[cls]
         owners = p.owners[cls]
@@ -322,11 +297,12 @@ class MappingStore:
             bucket[slot] = tail_value
             owners[slot] = tail_owner
             p.slots[tail_owner] = cell
-        if blocks is None:
+        blocks = self.blocks
+        if blocks is None or not p.tracked:
             return
         pid = p.pid
         size = self.classes[cls]
-        base = cls << VARLEN_CLASS_SHIFT
+        base = cls << CLASS_SHIFT
         hole = slot * size // BLOCK_SIZE
         tail = last * size // BLOCK_SIZE
         end = (last * size + BLOCK_SIZE - 1) // BLOCK_SIZE  # blocks still spanned
@@ -339,17 +315,9 @@ class MappingStore:
             blocks.on_drop(pid, base | end)
             end += 1
 
-    def _track_write(self, p: Partition, off: int, fid: int, secret: bytes) -> None:
-        if self.journal is not None:
-            self.journal.log_put(fid, secret)
-        if self.blocks is not None:
-            self.blocks.on_write(p.pid, self._block_of(p, off))
-
-    def _block_of(self, p: Partition, off: int) -> int:
-        if p.width is not None:
-            return (off * p.width) // BLOCK_SIZE
-        cls, slot = p.slots[off]
-        return (cls << VARLEN_CLASS_SHIFT) | ((slot * self.classes[cls]) // BLOCK_SIZE)
+    def _block_of(self, cell: tuple[int, int]) -> int:
+        cls, slot = cell
+        return (cls << CLASS_SHIFT) | ((slot * self.classes[cls]) // BLOCK_SIZE)
 
     # ------------------------------------------------------------------
     # lifetime management
@@ -408,11 +376,8 @@ class MappingStore:
             s.deleted_count += len(p.free_list)
             s.fresh_allocations += p.alloc_counter
             s.reused_slots += p.reused
-            if p.width is not None:
-                s.bytes_data += live * p.width
-            else:
-                for cls, bucket in enumerate(p.buckets):
-                    s.bytes_data += len(bucket) * self.classes[cls]
+            for cls, bucket in enumerate(p.buckets):
+                s.bytes_data += len(bucket) * self.classes[cls]
             s.bytes_metadata += live * 8
         return s
 
@@ -422,78 +387,52 @@ class MappingStore:
     def partition_blocks(self, pid: int) -> list[int]:
         """Block indices currently backing a partition, in address order."""
         p = self.partition(pid)
-        if p.width is not None:
-            nbytes = p.alloc_counter * p.width
-            return list(range((nbytes + BLOCK_SIZE - 1) // BLOCK_SIZE))
         out = []
         for cls, bucket in enumerate(p.buckets):
             nbytes = len(bucket) * self.classes[cls]
             for i in range((nbytes + BLOCK_SIZE - 1) // BLOCK_SIZE):
-                out.append((cls << VARLEN_CLASS_SHIFT) | i)
+                out.append((cls << CLASS_SHIFT) | i)
         return out
 
     def read_block(self, pid: int, block_index: int) -> bytes:
         """Assemble the 4096-byte plaintext image of one storage block."""
         p = self.partition(pid)
         buf = bytearray(BLOCK_SIZE)
-        if p.width is not None:
-            width = p.width
-            start = block_index * BLOCK_SIZE
-            first = start // width
-            last = min((start + BLOCK_SIZE + width - 1) // width, len(p.slots))
-            for idx in range(first, last):
-                v = p.slots[idx]
-                if v is None:
-                    continue
-                pos = idx * width - start
-                lo = max(pos, 0)
-                hi = min(pos + width, BLOCK_SIZE)
+        cls = block_index >> CLASS_SHIFT
+        size = self.classes[cls]
+        bucket = p.buckets[cls]
+        start = (block_index & 0xFFFFFFFF) * BLOCK_SIZE
+        first = start // size
+        last = min((start + BLOCK_SIZE + size - 1) // size, len(bucket))
+        for idx in range(first, last):
+            v = bucket[idx]
+            pos = idx * size - start
+            lo = max(pos, 0)
+            hi = min(pos + len(v), BLOCK_SIZE)
+            if hi > lo:
                 buf[lo:hi] = v[lo - pos:hi - pos]
-        else:
-            cls = block_index >> VARLEN_CLASS_SHIFT
-            size = self.classes[cls]
-            bucket = p.buckets[cls]
-            start = (block_index & 0xFFFFFFFF) * BLOCK_SIZE
-            first = start // size
-            last = min((start + BLOCK_SIZE + size - 1) // size, len(bucket))
-            for idx in range(first, last):
-                v = bucket[idx]
-                pos = idx * size - start
-                lo = max(pos, 0)
-                hi = min(pos + len(v), BLOCK_SIZE)
-                if hi > lo:
-                    buf[lo:hi] = v[lo - pos:hi - pos]
         return bytes(buf)
 
     # ------------------------------------------------------------------
     # persistence (checkpoint image format, bit-exact)
 
-    def dump_partition(self, pid: int) -> tuple[bytes, bytes]:
-        """Serialize a partition to (data file bytes, state sidecar bytes)."""
+    def dump_partition(self, pid: int) -> bytes:
+        """Serialize a partition to its checkpoint image (format in the
+        module docstring)."""
         p = self.partition(pid)
-        width = p.width if p.width is not None else 0
-        header = SUPERBLOCK.pack(MAGIC, self.config.prefix_bits, int(p.kind),
-                                 int(p.layout), width, p.alloc_counter)
-        chunks = [header]
-        states = bytearray((p.alloc_counter + 3) // 4)
-        zeros = b"\x00" * (width or 4)  # a dead fixed slot, or a zero length prefix
-        for off in range(p.alloc_counter):
-            cell = p.slots[off]
+        chunks = [SUPERBLOCK.pack(MAGIC, self.config.prefix_bits, p.alloc_counter)]
+        dead = _LEN.pack(0)
+        for cell in p.slots:
             if cell is None:
-                chunks.append(zeros)
-                _set_state(states, off, SLOT_DELETED)
-                continue
-            if width:
-                chunks.append(cell)
+                chunks.append(dead)
             else:
                 v = p.buckets[cell[0]][cell[1]]
-                chunks.append(struct.pack("<I", len(v)) + v)
-            _set_state(states, off, SLOT_LIVE)
-        return b"".join(chunks), bytes(states)
+                chunks.append(_LEN.pack(len(v)) + v)
+        return b"".join(chunks)
 
-    def load_partition(self, pid: int, data: bytes, state: bytes) -> None:
-        """Reconstruct a partition from its checkpoint image."""
-        magic, prefix_bits, kind, layout, width, alloc_counter = SUPERBLOCK.unpack_from(data, 0)
+    def load_partition(self, pid: int, data: bytes) -> None:
+        """Reconstruct a permanent partition from its checkpoint image."""
+        magic, prefix_bits, alloc_counter = SUPERBLOCK.unpack_from(data, 0)
         if magic != MAGIC:
             raise ValueError(f"bad partition magic {magic!r}")
         if prefix_bits != self.config.prefix_bits:
@@ -501,20 +440,12 @@ class MappingStore:
                 f"partition image uses prefix_bits={prefix_bits}, store uses "
                 f"{self.config.prefix_bits}"
             )
-        p = self._register(pid, PartitionKind(kind), ValueLayout(layout),
-                           width or None)
+        p = self._register(pid, PartitionKind.PERMANENT)
         pos = SUPERBLOCK.size
         for off in range(alloc_counter):
-            ln = p.width
-            if ln is None:
-                (ln,) = struct.unpack_from("<I", data, pos)
-                pos += 4
-            cell = None
-            if _get_state(state, off) == SLOT_LIVE:
-                cell = bytes(data[pos:pos + ln])
-                if p.width is None:
-                    cell = self._place(p, off, cell)
-            p.slots.append(cell)
+            (ln,) = _LEN.unpack_from(data, pos)
+            pos += _LEN.size
+            p.slots.append(self._place(p, off, bytes(data[pos:pos + ln])) if ln else None)
             pos += ln
         p.alloc_counter = alloc_counter
         self.rebuild_free_lists(pid)
@@ -522,10 +453,9 @@ class MappingStore:
     # ------------------------------------------------------------------
     # replay (blind, idempotent application of journal records)
 
-    def apply_create(self, pid: int, kind: int, layout: int, width: int) -> None:
-        if pid in self._parts:
-            return
-        self._register(pid, PartitionKind(kind), ValueLayout(layout), width or None)
+    def apply_create(self, pid: int) -> None:
+        if pid not in self._parts:
+            self._register(pid, PartitionKind.PERMANENT)
 
     def apply_put(self, fid: int, value: bytes) -> None:
         off = fid & self._offset_mask
@@ -535,7 +465,7 @@ class MappingStore:
             slots.extend([None] * (off + 1 - len(slots)))
         elif slots[off] is not None:
             self._free(p, off)
-        slots[off] = value if p.width is not None else self._place(p, off, value)
+        slots[off] = self._place(p, off, value)
         if off >= p.alloc_counter:
             p.alloc_counter = off + 1
 
@@ -553,10 +483,3 @@ class MappingStore:
             p.free_list = [off for off in range(p.alloc_counter)
                            if p.slots[off] is None]
 
-
-def _set_state(buf: bytearray, slot: int, value: int) -> None:
-    buf[slot >> 2] |= value << ((slot & 3) * 2)
-
-
-def _get_state(buf: bytes, slot: int) -> int:
-    return (buf[slot >> 2] >> ((slot & 3) * 2)) & 3

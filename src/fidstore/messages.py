@@ -31,7 +31,10 @@ partition. MSG_DELETE carries n FIDs and its response n status bytes, one
 per FID in order: 0 for a deleted mapping, NotLive's code for a FID that
 had none. MSG_FLUSH_LOG carries nothing, or the one byte QUIESCE when no
 transaction is active (the flush that ends orphan_gc): the privacy zone
-then checkpoints after its sync if its journal holds records.
+then checkpoints after its sync if its journal holds records. Its response
+is the status byte alone, so it tells the integrity zone nothing about the
+privacy zone's journal. MSG_CREATE_PARTITION carries nothing and creates a
+permanent partition; its response is the u32 partition id.
 
 The ciphertext-scheme baseline used for benchmarking speaks the same
 protocol with its own message kinds: operands are AEAD envelopes instead
@@ -50,10 +53,9 @@ from .errors import (
     FidStoreError,
     NotLive,
     TypeMismatch,
-    WrongPartitionKind,
     error_for_code,
 )
-from .mapping_store import PartitionKind, ValueLayout
+from .mapping_store import PartitionKind
 from .privacy_proxy import (
     COMPARISONS,
     EnvelopeCodec,
@@ -100,12 +102,9 @@ _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _OP_HEAD = struct.Struct("<BBH")
 _PROMOTE = struct.Struct("<QI")
-_CREATE = struct.Struct("<BBI")
 
 _OP_KINDS = {int(k): k for k in OpKind}
 _VALUE_TYPES = {int(t): t for t in ValueType}
-_PARTITION_KINDS = frozenset(PartitionKind)
-_LAYOUTS = frozenset(ValueLayout)
 
 
 def _req(kind: int, query_id: int, payload: bytes = b"") -> bytes:
@@ -341,13 +340,13 @@ class ProxyClient:
             out.extend(status == 0 for status in body)
         return out
 
-    def flush_log(self, quiesce: bool = False) -> int:
-        body = self._call(MSG_FLUSH_LOG, 0, QUIESCE if quiesce else b"")
+    def flush_log(self, quiesce: bool = False) -> None:
+        self._call(MSG_FLUSH_LOG, 0, QUIESCE if quiesce else b"")
         self.unflushed.clear()
-        return _U64.unpack(body)[0]
 
-    def create_partition(self, kind: int, layout: int, width: int = 0) -> int:
-        body = self._call(MSG_CREATE_PARTITION, 0, _CREATE.pack(kind, layout, width))
+    def create_partition(self) -> int:
+        """A new permanent partition's id."""
+        body = self._call(MSG_CREATE_PARTITION, 0, b"")
         return _U32.unpack(body)[0]
 
     def prefetch(self, partition_id: int) -> None:
@@ -390,11 +389,10 @@ class PrivacyDispatcher:
 
     A malformed request gets a status too: TypeMismatch, before anything is
     stored or journaled, for a truncated request, a fixed-size payload of
-    another length or an unknown op, value type, partition kind or layout;
-    AuthFailure for an envelope too short for its nonce and tag.
-    MSG_CREATE_PARTITION for a temporary partition gets WrongPartitionKind:
-    temporaries belong to a query and are created by the proxy, never named
-    by the integrity zone."""
+    another length (MSG_CREATE_PARTITION with any payload) or an unknown op
+    or value type; AuthFailure for an envelope too short for its nonce and
+    tag. The integrity zone can create permanent partitions only:
+    temporaries belong to a query and are created by the proxy."""
 
     def __init__(self, proxy, wal, atrest, zone_codec: EnvelopeCodec):
         self.proxy = proxy
@@ -447,16 +445,12 @@ class PrivacyDispatcher:
         if kind == MSG_FLUSH_LOG:
             if payload not in (b"", QUIESCE):
                 raise TypeMismatch(f"flush payload of {len(payload)} bytes")
-            return _U64.pack(self.wal.flush(quiesce=payload == QUIESCE))
+            self.wal.flush(quiesce=payload == QUIESCE)
+            return b""
         if kind == MSG_CREATE_PARTITION:
-            pkind, layout, width = _unpack(_CREATE, payload)
-            if pkind not in _PARTITION_KINDS or layout not in _LAYOUTS:
-                raise TypeMismatch(f"unknown partition kind {pkind} or layout {layout}")
-            if pkind == PartitionKind.TEMPORARY:
-                raise WrongPartitionKind(
-                    "the integrity zone creates permanent partitions only")
-            pid = store.create_partition(pkind, layout, width or None)
-            return _U32.pack(pid)
+            if payload:
+                raise TypeMismatch(f"create payload of {len(payload)} bytes")
+            return _U32.pack(store.create_partition(PartitionKind.PERMANENT))
         if kind == MSG_PREFETCH:
             (pid,) = _unpack(_U32, payload)
             self.atrest.prefetch_partition(pid)

@@ -49,7 +49,7 @@ from .errors import (
     TypeMismatch,
     WrongPartitionKind,
 )
-from .mapping_store import MappingStore, PartitionKind, ValueLayout
+from .mapping_store import MappingStore, PartitionKind
 
 NONCE_LEN = 12
 TAG_LEN = 16
@@ -338,8 +338,7 @@ class PrivacyProxy:
     def query_temp(self, query_id: int) -> int:
         pid = self._query_temps.get(query_id)
         if pid is None:
-            pid = self.store.create_partition(PartitionKind.TEMPORARY,
-                                              ValueLayout.VARLEN)
+            pid = self.store.create_partition(PartitionKind.TEMPORARY)
             self._query_temps[query_id] = pid
         return pid
 

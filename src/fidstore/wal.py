@@ -7,6 +7,15 @@ with intact frames after it means tampering and raises CorruptLog. The log
 is redo-only: aborts are handled by version visibility in the table engine,
 never by undo.
 
+The privacy zone's record bodies after REC_HEAD:
+
+- KIND_PUT: u64 fid, then the value;
+- KIND_DELETE: u64 fid;
+- KIND_CREATE_PARTITION: u32 partition id (always a permanent partition:
+  temporaries are never journaled);
+- KIND_SEAL: u32 partition, u64 block index, u64 counter; a seal, or the
+  counter advance of a dropped block's retired sealed copy.
+
 flush() has group-commit semantics: one call makes every record buffered
 so far durable, regardless of which transaction appended it.
 
@@ -32,7 +41,7 @@ from dataclasses import dataclass, field
 from .durability import DurableBuffer, SnapshotStore
 from .errors import CorruptLog, IoFailure, LogClosed
 from .fid_codec import FidConfig
-from .mapping_store import MappingStore
+from .mapping_store import MappingStore, PartitionKind
 
 FRAME = struct.Struct("<II")
 REC_HEAD = struct.Struct("<QB")  # lsn, kind: the head of every record body
@@ -58,9 +67,6 @@ class WalRecord:
     fid: int = 0
     value: bytes = b""
     partition_id: int = 0
-    partition_kind: int = 0
-    layout: int = 0
-    width: int = 0
     block_index: int = 0
     counter: int = 0
 
@@ -72,8 +78,7 @@ class WalRecord:
         if k == KIND_DELETE:
             return head + struct.pack("<Q", self.fid)
         if k == KIND_CREATE_PARTITION:
-            return head + struct.pack("<IBBI", self.partition_id,
-                                      self.partition_kind, self.layout, self.width)
+            return head + struct.pack("<I", self.partition_id)
         if k == KIND_SEAL:
             return head + struct.pack("<IQQ", self.partition_id,
                                       self.block_index, self.counter)
@@ -90,8 +95,7 @@ class WalRecord:
         elif kind == KIND_DELETE:
             (rec.fid,) = struct.unpack_from("<Q", body, pos)
         elif kind == KIND_CREATE_PARTITION:
-            (rec.partition_id, rec.partition_kind, rec.layout,
-             rec.width) = struct.unpack_from("<IBBI", body, pos)
+            (rec.partition_id,) = struct.unpack_from("<I", body, pos)
         elif kind == KIND_SEAL:
             (rec.partition_id, rec.block_index,
              rec.counter) = struct.unpack_from("<IQQ", body, pos)
@@ -191,9 +195,8 @@ class Wal:
     def log_delete(self, fid: int) -> int:
         return self.append(WalRecord(0, KIND_DELETE, fid=fid))
 
-    def log_create(self, pid: int, kind: int, layout: int, width: int) -> int:
-        return self.append(WalRecord(0, KIND_CREATE_PARTITION, partition_id=pid,
-                                     partition_kind=kind, layout=layout, width=width))
+    def log_create(self, pid: int) -> int:
+        return self.append(WalRecord(0, KIND_CREATE_PARTITION, partition_id=pid))
 
     def log_seal(self, pid: int, block_index: int, counter: int) -> int:
         return self.append(WalRecord(0, KIND_SEAL, partition_id=pid,
@@ -241,12 +244,8 @@ def checkpoint_truncate(store: MappingStore, wal: Wal, snapshots: SnapshotStore,
     if wal.buffer.durable_len == 0:
         return  # the journal holds nothing an image would cover
     for pid in store.partition_ids():
-        p = store.partition(pid)
-        if p.kind != 1:  # PartitionKind.PERMANENT
-            continue
-        data, state = store.dump_partition(pid)
-        snapshots.put_atomic(f"part-{pid:05d}.dat", data)
-        snapshots.put_atomic(f"part-{pid:05d}.state", state)
+        if store.partition(pid).kind == PartitionKind.PERMANENT:
+            snapshots.put_atomic(f"part-{pid:05d}.dat", store.dump_partition(pid))
     if freshness is not None:
         snapshots.put_atomic(FRESHNESS_SNAPSHOT, freshness.snapshot_bytes())
     snapshots.put_atomic(CKPT_MARKER, struct.pack("<Q", wal.durable_lsn))
@@ -275,11 +274,8 @@ def recover_store(snapshots: SnapshotStore, wal_buffer: DurableBuffer,
     marker = snapshots.get(CKPT_MARKER)
     ckpt_lsn = struct.unpack("<Q", marker)[0] if marker else 0
     for name in snapshots.names():
-        if not name.endswith(".dat") or not name.startswith("part-"):
-            continue
-        pid = int(name[5:10])
-        state = snapshots.get(f"part-{pid:05d}.state") or b""
-        store.load_partition(pid, snapshots.get(name), state)
+        if name.endswith(".dat") and name.startswith("part-"):
+            store.load_partition(int(name[5:10]), snapshots.get(name))
 
     freshness_entries: dict[tuple[int, int], int] = {}
     snap = snapshots.get(FRESHNESS_SNAPSHOT)
@@ -298,8 +294,7 @@ def recover_store(snapshots: SnapshotStore, wal_buffer: DurableBuffer,
         elif rec.kind == KIND_DELETE:
             store.apply_delete(rec.fid)
         elif rec.kind == KIND_CREATE_PARTITION:
-            store.apply_create(rec.partition_id, rec.partition_kind,
-                               rec.layout, rec.width)
+            store.apply_create(rec.partition_id)
         elif rec.kind == KIND_SEAL:
             key = (rec.partition_id, rec.block_index)
             if freshness_entries.get(key, 0) < rec.counter:

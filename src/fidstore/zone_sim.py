@@ -91,8 +91,11 @@ class AdversaryTrace:
     MsgBytes and OpKindObserved (each message's length and kind),
     ResultSize, CmpBool (a comparison outcome), and the untrusted block
     area's BlockRead, BlockWrite and BlockDrop (a sealed copy deleted once
-    a size-class bucket shrinks past its block). Which block drops depends
-    only on the live count per size class, which the op sequence fixes."""
+    a size-class bucket shrinks past its block, or at recovery once replay
+    leaves its block past a bucket's end). Which block drops depends only
+    on the live count per size class, which the op sequence and the crash
+    point fix. The MSG_FLUSH_LOG reply is the status byte alone, so the
+    privacy journal's length does not reach the integrity zone."""
 
     __slots__ = ("events",)
 
@@ -270,8 +273,20 @@ class PrivacyZoneHost:
         self.epoch = result.epoch + 1
         self.snapshots.put_atomic(EPOCH_MARKER, struct.pack("<Q", self.epoch))
         self._build(result.store, result.wal, result.freshness_entries)
+        self._retire_unspanned()
         self.crashed = False
         return result.replayed_count
+
+    def _retire_unspanned(self) -> None:
+        """Retire each sealed copy whose block no partition spans any more:
+        a block sealed from puts that were not yet durable outlives the
+        replay that drops them."""
+        store = self.store
+        spanned = {(pid, b) for pid in store.partition_ids()
+                   for b in store.partition_blocks(pid)}
+        for key in sorted(self.sealed_store.blocks):
+            if key not in spanned:
+                self.atrest.on_drop(*key)
 
 
 class IntegrityZoneHost:

@@ -14,10 +14,9 @@ from fidstore.atrest_storage import (
 from fidstore.errors import AuthFailure, StaleBlock, UnknownPartition
 from fidstore.fid_codec import FidConfig
 from fidstore.mapping_store import (
-    VARLEN_CLASS_SHIFT,
+    CLASS_SHIFT,
     MappingStore,
     PartitionKind,
-    ValueLayout,
     class_index,
 )
 from fidstore.zone_sim import AdversaryTrace, ZoneTopology
@@ -86,7 +85,7 @@ def test_cache_hits_and_faults_counting():
     store = MappingStore(FidConfig(16))
     _, layer = _layer(capacity=4, store=store)
     store.blocks = layer
-    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.FIXED, 512)
+    pid = store.create_partition(PartitionKind.PERMANENT)
     # 8 slots per block; touch 6 distinct blocks cold
     fids = [store.put(pid, bytes(512)) for _ in range(48)]
     assert layer.faults == 6
@@ -105,7 +104,7 @@ def test_eviction_off_critical_path():
     store = MappingStore(FidConfig(16))
     _, layer = _layer(capacity=None, store=store)
     store.blocks = layer
-    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.FIXED, 8)
+    pid = store.create_partition(PartitionKind.PERMANENT)
     fids = [store.put(pid, bytes(8)) for _ in range(1000)]
     seals, opens = layer.sealer.seals, layer.sealer.opens
     for fid in fids:
@@ -118,7 +117,7 @@ def test_prefetch_then_sequential_gets_no_faults():
     store = MappingStore(FidConfig(16))
     _, layer = _layer(capacity=64, store=store)
     store.blocks = layer
-    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.FIXED, 256)
+    pid = store.create_partition(PartitionKind.PERMANENT)
     fids = [store.put(pid, bytes(256)) for _ in range(256)]  # 16 blocks
     layer.flush_dirty()
     layer._lru.clear()  # cold cache
@@ -140,7 +139,7 @@ def _cold_partition(capacity):
     store = MappingStore(FidConfig(16))
     _, layer = _layer(capacity=None, store=store)
     store.blocks = layer
-    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.FIXED, 256)
+    pid = store.create_partition(PartitionKind.PERMANENT)
     fids = [store.put(pid, bytes(256)) for _ in range(256)]
     layer.flush_dirty()
     layer._lru.clear()
@@ -171,7 +170,8 @@ def test_prefetch_fills_exactly_the_free_slots():
     assert layer.prefetched == 5
     assert layer.sealer.opens == opens + 5
     assert len(layer._lru) == 6
-    assert set(layer._lru) == {(pid, b) for b in (0, 1, 2, 3, 4, 15)}
+    base = class_index(256, store.classes) << CLASS_SHIFT
+    assert set(layer._lru) == {(pid, base | b) for b in (0, 1, 2, 3, 4, 15)}
     assert layer.sealer.seals == seals
     assert [k for k, _ in layer.trace.events] == ["BlockRead"] * 5
 
@@ -179,7 +179,7 @@ def test_prefetch_fills_exactly_the_free_slots():
 def test_hit_rate_counts_demand_accesses_only():
     topo = ZoneTopology(5, cache_capacity_blocks=64)
     store = topo.privacy.store
-    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.FIXED, 256)
+    pid = store.create_partition(PartitionKind.PERMANENT)
     fids = [store.put(pid, bytes(256)) for _ in range(256)]  # 16 blocks
     layer = topo.privacy.atrest
     layer.flush_dirty()
@@ -196,7 +196,7 @@ def test_cold_gets_fault_once_per_block():
     store = MappingStore(FidConfig(16))
     _, layer = _layer(capacity=64, store=store)
     store.blocks = layer
-    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.FIXED, 256)
+    pid = store.create_partition(PartitionKind.PERMANENT)
     fids = [store.put(pid, bytes(256)) for _ in range(256)]
     layer.flush_dirty()
     layer._lru.clear()
@@ -211,7 +211,7 @@ def test_zipfian_beats_uniform_hit_rate():
         store = MappingStore(FidConfig(16))
         _, layer = _layer(capacity=8, store=store)
         store.blocks = layer
-        pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.FIXED, 64)
+        pid = store.create_partition(PartitionKind.PERMANENT)
         fids = [store.put(pid, bytes(64)) for _ in range(4096)]  # 64 blocks
         rng = random.Random(seed)
         if zipf:
@@ -275,7 +275,7 @@ def test_varlen_buckets_stay_dense_under_any_op_sequence(ops, capacity):
     store = MappingStore(FidConfig(16))
     _, layer = _layer(capacity=capacity, store=store)
     store.blocks = layer
-    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.VARLEN)
+    pid = store.create_partition(PartitionKind.PERMANENT)
     p = store.partition(pid)
     rng = random.Random(len(ops))
     model: dict[int, bytes] = {}
@@ -306,7 +306,7 @@ def test_varlen_buckets_stay_dense_under_any_op_sequence(ops, capacity):
         for cls, bucket in enumerate(p.buckets):
             assert None not in bucket
             n = -(-len(bucket) * store.classes[cls] // BLOCK_SIZE)
-            spanned.update((cls << VARLEN_CLASS_SHIFT) | i for i in range(n))
+            spanned.update((cls << CLASS_SHIFT) | i for i in range(n))
         assert set(store.partition_blocks(pid)) == spanned
         assert {b for _, b in layer._lru} <= spanned
         assert {b for _, b in layer.sealed.blocks} <= spanned
@@ -314,7 +314,7 @@ def test_varlen_buckets_stay_dense_under_any_op_sequence(ops, capacity):
     for fid, value in model.items():
         assert store.get(fid) == value
     other = MappingStore(FidConfig(16))
-    other.load_partition(pid, *store.dump_partition(pid))
+    other.load_partition(pid, store.dump_partition(pid))
     assert {fid: other.get(fid) for fid in model} == model
     assert other.live_fids(pid) == sorted(model)
 
@@ -328,10 +328,10 @@ def test_dropped_block_copy_is_refused_when_put_back(order):
     store = MappingStore(FidConfig(16))
     _, layer = _layer(capacity=2, store=store)
     store.blocks = layer
-    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.VARLEN)
+    pid = store.create_partition(PartitionKind.PERMANENT)
     fids = [store.put(pid, bytes([i]) * 2048) for i in range(4)]  # 2 per block
     layer.flush_dirty()
-    block = (class_index(2048, store.classes) << VARLEN_CLASS_SHIFT) | 1
+    block = (class_index(2048, store.classes) << CLASS_SHIFT) | 1
     old = layer.sealed.read(pid, block)
     assert old is not None
 

@@ -1,4 +1,5 @@
 import random
+import struct
 
 import pytest
 
@@ -8,14 +9,13 @@ from fidstore.errors import (
     PartitionSpaceExhausted,
     UnknownPartition,
     ValueTooLarge,
-    WidthMismatch,
     WrongPartitionKind,
 )
 from fidstore.fid_codec import FidConfig, decode_fid
 from fidstore.mapping_store import (
+    MAGIC,
     MappingStore,
     PartitionKind,
-    ValueLayout,
     size_classes,
 )
 
@@ -28,21 +28,21 @@ def store():
 
 
 def test_same_plaintext_distinct_fids(store):
-    tmp = store.create_partition(PartitionKind.TEMPORARY, ValueLayout.FIXED, 4)
+    tmp = store.create_partition(PartitionKind.TEMPORARY)
     f1 = store.put(tmp, b"\x2a\x00\x00\x00")
     f2 = store.put(tmp, b"\x2a\x00\x00\x00")
     assert f1 != f2
 
 
 def test_monotonic_offsets_from_zero(store):
-    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.FIXED, 4)
+    pid = store.create_partition(PartitionKind.PERMANENT)
     cfg = store.config
     offsets = [decode_fid(cfg, store.put(pid, b"abcd"))[1] for _ in range(10)]
     assert offsets == list(range(10))
 
 
 def test_delete_then_put_reuses_slot(store):
-    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.FIXED, 4)
+    pid = store.create_partition(PartitionKind.PERMANENT)
     store.put(pid, b"v001")
     f1 = store.put(pid, b"v002")
     store.put(pid, b"v003")
@@ -54,7 +54,7 @@ def test_delete_then_put_reuses_slot(store):
 
 
 def test_read_your_write_and_absent(store):
-    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.VARLEN)
+    pid = store.create_partition(PartitionKind.PERMANENT)
     fid = store.put(pid, b"abc")
     assert store.get(fid) == b"abc"
     assert store.get(fid + 1) is None          # never allocated
@@ -62,7 +62,7 @@ def test_read_your_write_and_absent(store):
 
 
 def test_delete_semantics(store):
-    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.VARLEN)
+    pid = store.create_partition(PartitionKind.PERMANENT)
     fid = store.put(pid, b"abc")
     store.delete(fid)
     assert store.get(fid) is None
@@ -71,7 +71,7 @@ def test_delete_semantics(store):
 
 
 def test_data_bytes_do_not_grow_on_same_class_reuse(store):
-    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.VARLEN)
+    pid = store.create_partition(PartitionKind.PERMANENT)
     for _ in range(50):
         store.put(pid, b"x" * 30)
     before = store.stats().bytes_data
@@ -84,8 +84,8 @@ def test_data_bytes_do_not_grow_on_same_class_reuse(store):
 
 
 def test_promote_copies_and_keeps_temp_live(store):
-    tmp = store.create_partition(PartitionKind.TEMPORARY, ValueLayout.VARLEN)
-    perm = store.create_partition(PartitionKind.PERMANENT, ValueLayout.VARLEN)
+    tmp = store.create_partition(PartitionKind.TEMPORARY)
+    perm = store.create_partition(PartitionKind.PERMANENT)
     t = store.put(tmp, b"hello")
     p = store.promote(t, perm)
     assert store.get(p) == b"hello"
@@ -94,8 +94,8 @@ def test_promote_copies_and_keeps_temp_live(store):
 
 
 def test_promote_kind_checks(store):
-    tmp = store.create_partition(PartitionKind.TEMPORARY, ValueLayout.VARLEN)
-    perm = store.create_partition(PartitionKind.PERMANENT, ValueLayout.VARLEN)
+    tmp = store.create_partition(PartitionKind.TEMPORARY)
+    perm = store.create_partition(PartitionKind.PERMANENT)
     p = store.put(perm, b"xx")
     with pytest.raises(WrongPartitionKind):
         store.promote(p, perm)
@@ -108,7 +108,7 @@ def test_promote_kind_checks(store):
 
 
 def test_drop_temporary(store):
-    tmp = store.create_partition(PartitionKind.TEMPORARY, ValueLayout.VARLEN)
+    tmp = store.create_partition(PartitionKind.TEMPORARY)
     fids = [store.put(tmp, bytes([i]) * 8) for i in range(7)]
     store.delete(fids[2])
     assert store.drop_temporary(tmp) == 6
@@ -116,7 +116,7 @@ def test_drop_temporary(store):
     for fid in fids:
         assert store.get(fid) is None
     assert store.partition(tmp).alloc_counter == 0
-    perm = store.create_partition(PartitionKind.PERMANENT, ValueLayout.VARLEN)
+    perm = store.create_partition(PartitionKind.PERMANENT)
     with pytest.raises(WrongPartitionKind):
         store.drop_temporary(perm)
 
@@ -124,31 +124,29 @@ def test_drop_temporary(store):
 def test_partition_space_exhausted():
     store = MappingStore(FidConfig(4))
     for _ in range(16):
-        store.create_partition(PartitionKind.TEMPORARY, ValueLayout.VARLEN)
+        store.create_partition(PartitionKind.TEMPORARY)
     with pytest.raises(PartitionSpaceExhausted):
-        store.create_partition(PartitionKind.TEMPORARY, ValueLayout.VARLEN)
+        store.create_partition(PartitionKind.TEMPORARY)
 
 
 def test_partition_full():
     store = MappingStore(FidConfig(32))  # 32-bit offsets would take too long;
-    for layout, width in ((ValueLayout.FIXED, 4), (ValueLayout.VARLEN, None)):
-        pid = store.create_partition(PartitionKind.PERMANENT, layout, width)
-        p = store.partition(pid)
-        p.alloc_counter = p.limit  # simulate an exhausted offset space
-        p.slots = [None] * 0
-        with pytest.raises(PartitionFull):
-            store.put(pid, b"abcd")
-        # a refused put takes no bucket slot
-        assert not any(p.buckets) and not any(p.owners)
+    pid = store.create_partition(PartitionKind.PERMANENT)
+    p = store.partition(pid)
+    p.alloc_counter = p.limit  # simulate an exhausted offset space
+    p.slots = [None] * 0
+    with pytest.raises(PartitionFull):
+        store.put(pid, b"abcd")
+    # a refused put takes no bucket slot
+    assert not any(p.buckets) and not any(p.owners)
 
 
-def test_width_and_size_validation(store):
-    fixed = store.create_partition(PartitionKind.PERMANENT, ValueLayout.FIXED, 8)
-    with pytest.raises(WidthMismatch):
-        store.put(fixed, b"short")
-    var = store.create_partition(PartitionKind.PERMANENT, ValueLayout.VARLEN)
+def test_size_validation(store):
+    pid = store.create_partition(PartitionKind.PERMANENT)
     with pytest.raises(ValueTooLarge):
-        store.put(var, b"x" * 5000)
+        store.put(pid, b"x" * 5000)
+    with pytest.raises(ValueTooLarge):
+        store.put(pid, b"")  # an image marks a dead offset by length 0
     with pytest.raises(UnknownPartition):
         store.put(99, b"abcd")
 
@@ -167,8 +165,8 @@ def test_fid_data_independence(store):
     identical FID sequence."""
     def run(payload_of):
         s = MappingStore(FidConfig(16))
-        tmp = s.create_partition(PartitionKind.TEMPORARY, ValueLayout.VARLEN)
-        perm = s.create_partition(PartitionKind.PERMANENT, ValueLayout.VARLEN)
+        tmp = s.create_partition(PartitionKind.TEMPORARY)
+        perm = s.create_partition(PartitionKind.PERMANENT)
         rng = random.Random(99)
         fids = []
         live = []
@@ -200,7 +198,7 @@ def test_oracle_equivalence_random_ops():
     pairs = []  # (kind, store_pid, model_pid)
     for kind in (PartitionKind.TEMPORARY, PartitionKind.PERMANENT,
                  PartitionKind.TEMPORARY, PartitionKind.PERMANENT):
-        sp = store.create_partition(kind, ValueLayout.VARLEN)
+        sp = store.create_partition(kind)
         mp = model.create_partition(int(kind))
         assert sp == mp
         pairs.append((kind, sp))
@@ -254,7 +252,7 @@ def test_oracle_equivalence_random_ops():
 
 def test_slot_reuse_only_from_freed_offsets():
     store = MappingStore(FidConfig(16))
-    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.FIXED, 4)
+    pid = store.create_partition(PartitionKind.PERMANENT)
     rng = random.Random(5)
     live = [store.put(pid, b"aaaa") for _ in range(200)]
     freed = set()
@@ -276,7 +274,7 @@ def test_slot_reuse_only_from_freed_offsets():
 
 
 def test_metadata_accounting(store):
-    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.FIXED, 4)
+    pid = store.create_partition(PartitionKind.PERMANENT)
     fids = [store.put(pid, b"abcd") for _ in range(100)]
     assert store.stats().bytes_metadata == 100 * 8
     for fid in fids[:40]:
@@ -289,7 +287,7 @@ def test_metadata_accounting(store):
 
 
 def test_varlen_bucket_occupancy_matches_live_count(store):
-    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.VARLEN)
+    pid = store.create_partition(PartitionKind.PERMANENT)
     rng = random.Random(11)
     live = []
     for _ in range(3000):
@@ -306,37 +304,44 @@ def test_varlen_bucket_occupancy_matches_live_count(store):
 
 
 def test_dump_load_round_trip(store):
-    for layout, width in ((ValueLayout.FIXED, 16), (ValueLayout.VARLEN, None)):
-        pid = store.create_partition(PartitionKind.PERMANENT, layout, width)
-        rng = random.Random(pid)
-        fids = []
-        for _ in range(100):
-            v = rng.randbytes(width or rng.randrange(1, 200))
-            fids.append(store.put(pid, v))
-        for fid in fids[::3]:
-            store.delete(fid)
-        data, state = store.dump_partition(pid)
+    pid = store.create_partition(PartitionKind.PERMANENT)
+    rng = random.Random(pid)
+    fids = []
+    for _ in range(100):
+        fids.append(store.put(pid, rng.randbytes(rng.randrange(1, 200))))
+    for fid in fids[::3]:
+        store.delete(fid)
 
-        other = MappingStore(FidConfig(16))
-        other.load_partition(pid, data, state)
-        for fid in fids:
-            assert other.get(fid) == store.get(fid)
-        assert other.partition(pid).alloc_counter == store.partition(pid).alloc_counter
-        assert sorted(other.partition(pid).free_list) == \
-            sorted(store.partition(pid).free_list)
+    other = MappingStore(FidConfig(16))
+    other.load_partition(pid, store.dump_partition(pid))
+    for fid in fids:
+        assert other.get(fid) == store.get(fid)
+    assert other.partition(pid).alloc_counter == store.partition(pid).alloc_counter
+    assert sorted(other.partition(pid).free_list) == \
+        sorted(store.partition(pid).free_list)
 
 
 def test_superblock_layout_bit_exact(store):
-    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.FIXED, 4)
+    pid = store.create_partition(PartitionKind.PERMANENT)
     store.put(pid, b"abcd")
-    store.put(pid, b"efgh")
-    data, state = store.dump_partition(pid)
-    assert data[:8] == b"FIDSTOR1"
-    assert data[8] == 16            # prefix_bits
-    assert data[9] == 1             # permanent
-    assert data[10] == 1            # fixed layout
-    assert data[11:15] == (4).to_bytes(4, "little")
-    assert data[15:23] == (2).to_bytes(8, "little")
-    assert len(data) == 32 + 2 * 4
-    assert data[32:36] == b"abcd"
-    assert state == bytes([0b0101])  # two live slots, 2 bits each
+    dead = store.put(pid, b"efg")
+    store.put(pid, b"hi")
+    store.delete(dead)
+    data = store.dump_partition(pid)
+    assert data == (b"FIDSTOR2"
+                    + bytes([16])                   # prefix_bits
+                    + (3).to_bytes(8, "little")     # offsets
+                    + (4).to_bytes(4, "little") + b"abcd"
+                    + bytes(4)                      # a dead offset: length 0
+                    + (2).to_bytes(4, "little") + b"hi")
+
+
+def test_image_with_the_old_magic_is_refused(store):
+    """An image in the format that carried a kind, a layout and a width
+    (32-byte superblock, magic FIDSTOR1) is refused, not misread."""
+    assert MAGIC != b"FIDSTOR1"
+    old = (struct.pack("<8sBBBIQ9x", b"FIDSTOR1", 16, 1, 2, 0, 1)
+           + struct.pack("<I", 4) + b"abcd")
+    with pytest.raises(ValueError, match="magic"):
+        store.load_partition(0, old)
+    assert not store.has_partition(0)

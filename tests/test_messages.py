@@ -25,6 +25,7 @@ from fidstore.messages import (
     OP_DEST,
     OP_REVEAL,
     QUERY_TEMP_TARGET,
+    QUIESCE,
     ProxyClient,
     _blob,
     _read_blob,
@@ -58,7 +59,7 @@ def test_header_layout(topo):
         return original(raw)
 
     topo.channel.request = spy
-    topo.client.create_partition(1, 2, 0)
+    topo.client.create_partition()
     raw = captured[0]
     kind, query_id = struct.unpack_from("<BQ", raw, 0)
     assert kind == 8  # create-partition
@@ -79,12 +80,11 @@ _MALFORMED = {
     "one-byte-reveal": (_req(MSG_REVEAL, 1, b"\x01"), TypeMismatch),
     "short-header": (bytes([MSG_REVEAL, 0, 0]), TypeMismatch),
     "short-zone-envelope": (_req(MSG_CIPHER_REVEAL, 1, _blob(bytes(5))), AuthFailure),
-    "unknown-layout": (_req(MSG_CREATE_PARTITION, 1, struct.pack("<BBI", 1, 7, 0)),
-                       TypeMismatch),
+    # the payload a client sent when a create named a kind, layout and width
+    "create-with-payload": (_req(MSG_CREATE_PARTITION, 1, struct.pack("<BBI", 1, 2, 0)),
+                            TypeMismatch),
     "unknown-kind": (_req(MSG_CREATE_PARTITION, 1, struct.pack("<BBI", 5, 2, 0)),
                      TypeMismatch),
-    "temporary-partition": (_req(MSG_CREATE_PARTITION, 1,
-                                 struct.pack("<BBI", 0, 2, 0)), WrongPartitionKind),
     "delete-part-of-a-fid": (_req(MSG_DELETE, 0, bytes(12)), TypeMismatch),
     "flush-unknown-flag": (_req(MSG_FLUSH_LOG, 0, b"\x02"), TypeMismatch),
     "flush-long-payload": (_req(MSG_FLUSH_LOG, 0, b"\x01\x00"), TypeMismatch),
@@ -105,7 +105,7 @@ def test_malformed_request_gets_a_status(topo, case):
     topo.client.flush_log()
     topo.privacy.crash()
     topo.privacy.recover()
-    topo.client.create_partition(1, 2, 0)
+    topo.client.create_partition()
 
 
 def test_refused_ingests_leave_no_partition(topo):
@@ -123,7 +123,7 @@ def test_refused_ingests_leave_no_partition(topo):
 
 
 def test_fids_travel_little_endian(topo):
-    pid = topo.client.create_partition(1, 2, 0)
+    pid = topo.client.create_partition()
     tmp_fid = topo.client.ingest(1, topo.client_encrypt(encode_int64(5)))
     captured = []
     original = topo.channel.request
@@ -143,7 +143,7 @@ def test_fids_travel_little_endian(topo):
 def test_error_codes_cross_the_wire(topo):
     with pytest.raises(UnknownPartition):
         topo.client.prefetch(12345)
-    pid = topo.client.create_partition(1, 2, 0)
+    pid = topo.client.create_partition()
     fid = topo.client.promote(
         topo.client.ingest(7, topo.client_encrypt(b"value-1")), pid)
     before = topo.channel.round_trips
@@ -196,6 +196,27 @@ def test_cipher_backend_round_trip(topo):
     assert crypto >= 5  # ingest(1 enc) + op(2 dec + 1 enc) + reveal(1 dec)
 
 
+def test_flush_reply_is_the_status_byte_alone():
+    """The MSG_FLUSH_LOG reply tells the integrity zone nothing about the
+    privacy journal: it is the status byte alone while the journal is
+    empty, and after it grows by put, seal and drop records."""
+    topo = ZoneTopology(999, cache_capacity_blocks=1)
+    flush = _req(MSG_FLUSH_LOG, 0)
+    replies = [topo.channel.request(flush)]
+    pid = topo.client.create_partition()
+    fids = [topo.client.ingest(1, topo.client_encrypt(bytes([i + 1]) * 2048), pid)
+            for i in range(4)]  # 2 per block; the second block's puts seal the first
+    topo.privacy.atrest.flush_dirty()
+    topo.client.delete(fids[2:], 8)  # the bucket shrinks past a sealed block
+    kinds = [kind for kind, _ in topo.trace.events]
+    assert "BlockWrite" in kinds and "BlockDrop" in kinds
+    replies.append(topo.channel.request(flush))
+    replies.append(topo.channel.request(_req(MSG_FLUSH_LOG, 0, QUIESCE)))
+    assert replies == [b"\x00"] * 3
+    # the create, 4 puts, 2 deletes, at least 2 seals and the drop
+    assert topo.privacy.wal.durable_lsn >= 10
+
+
 def test_end_query_via_wire_is_idempotent(topo):
     fid = topo.client.ingest(6, topo.client_encrypt(b"temp-value"))
     assert topo.client.is_live(fid)
@@ -217,7 +238,7 @@ def test_destination_must_be_own_temp_or_permanent(topo):
     assert out[0].error_code == WrongPartitionKind.code
     assert topo.privacy.store.live_fids(temp5) == [victim]
 
-    perm = topo.client.create_partition(1, 2, 0)
+    perm = topo.client.create_partition()
     own = topo.client.ingest(6, topo.client_encrypt(encode_int64(3)),
                              QUERY_TEMP_TARGET)
     temp6 = decode_fid(topo.config, own)[0]
@@ -237,7 +258,7 @@ def test_operator_destination_on_the_wire(topo):
     """Only an element that names a destination carries one: its op byte
     has OP_DEST set and a u32 partition id follows the element head."""
     a = topo.client.ingest(8, topo.client_encrypt(encode_int64(4)))
-    perm = topo.client.create_partition(1, 2, 0)
+    perm = topo.client.create_partition()
     captured = []
     original = topo.channel.request
 
@@ -276,7 +297,7 @@ def test_unflagged_elements_keep_their_wire_bytes(topo):
     on both operator messages."""
     a = topo.client.ingest(8, topo.client_encrypt(encode_int64(4)))
     zone = topo.client.cipher_ingest(8, topo.client_encrypt(encode_int64(4)))
-    perm = topo.client.create_partition(1, 2, 0)
+    perm = topo.client.create_partition()
     captured = _capture(topo)
     topo.client.exec_batch(8, [
         OperatorRequest(OpKind.CMP_LT, ValueType.INT64, [a, a]),
@@ -379,7 +400,7 @@ def test_invalid_flag_combinations_fail_positionally(backend):
     else:
         ingest, run, reveal = (client.cipher_ingest, client.cipher_exec,
                                client.cipher_reveal)
-    perm = client.create_partition(1, 2, 0)
+    perm = client.create_partition()
     const = topo.client_encrypt(encode_int64(2))
     bad = TypeMismatch.code
     a = ingest(7, topo.client_encrypt(encode_int64(40)))
@@ -434,7 +455,7 @@ def test_both_backends_run_the_same_operators(elements, batch_size):
         else:
             ingest, run, reveal = (client.cipher_ingest, client.cipher_exec,
                                    client.cipher_reveal)
-        perm = client.create_partition(1, 2, 0)
+        perm = client.create_partition()
         refs = [ingest(1, topo.client_encrypt(v)) for v in _POOL]
         reqs = [OperatorRequest(op, vtype, [refs[i] for i in operands],
                                 perm if dest else None,

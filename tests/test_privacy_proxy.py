@@ -12,7 +12,7 @@ from fidstore.errors import (
     TypeMismatch,
 )
 from fidstore.fid_codec import FidConfig
-from fidstore.mapping_store import MappingStore, PartitionKind, ValueLayout
+from fidstore.mapping_store import MappingStore, PartitionKind
 from fidstore.privacy_proxy import (
     ClientEnvelope,
     EnvelopeCodec,
@@ -256,7 +256,7 @@ def test_batch_reports_errors_positionally(setup):
 
 def test_end_query_drops_only_that_query(setup):
     store, proxy, client = setup
-    perm = store.create_partition(PartitionKind.PERMANENT, ValueLayout.VARLEN)
+    perm = store.create_partition(PartitionKind.PERMANENT)
     keep = store.put(perm, b"keep-me")
     f1 = proxy.ingest(client.encrypt(b"q1-value"), proxy.query_temp(1))
     f2 = proxy.ingest(client.encrypt(b"q2-value"), proxy.query_temp(2))

@@ -6,7 +6,7 @@ import pytest
 from fidstore.durability import DurableBuffer, SnapshotStore
 from fidstore.errors import CorruptLog, IoFailure, LogClosed
 from fidstore.fid_codec import FidConfig
-from fidstore.mapping_store import MappingStore, PartitionKind, ValueLayout
+from fidstore.mapping_store import MappingStore, PartitionKind
 from fidstore.wal import (
     CHECKPOINT_INTERVAL_BYTES,
     KIND_PUT,
@@ -75,7 +75,7 @@ def test_empty_log_recovers_empty():
 
 def test_replay_k_puts():
     store, wal, buf = _store_with_wal()
-    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.VARLEN)
+    pid = store.create_partition(PartitionKind.PERMANENT)
     for i in range(25):
         store.put(pid, bytes([i]) * 10)
     wal.flush()
@@ -86,7 +86,7 @@ def test_replay_k_puts():
 
 def test_unflushed_records_do_not_survive():
     store, wal, buf = _store_with_wal()
-    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.VARLEN)
+    pid = store.create_partition(PartitionKind.PERMANENT)
     store.put(pid, b"durable")
     wal.flush()
     store.put(pid, b"volatile")
@@ -99,7 +99,7 @@ def test_unflushed_records_do_not_survive():
 
 def test_append_continues_after_recovery():
     store, wal, buf = _store_with_wal()
-    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.VARLEN)
+    pid = store.create_partition(PartitionKind.PERMANENT)
     store.put(pid, b"one")
     wal.flush()
     last = wal.durable_lsn
@@ -126,7 +126,7 @@ def test_torn_tail_discarded_corrupt_middle_raises():
 
 def test_recovery_is_idempotent():
     store, wal, buf = _store_with_wal()
-    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.VARLEN)
+    pid = store.create_partition(PartitionKind.PERMANENT)
     fids = [store.put(pid, bytes([i]) * 5) for i in range(10)]
     store.delete(fids[3])
     wal.flush()
@@ -138,7 +138,7 @@ def test_recovery_is_idempotent():
 
 def test_recovered_partition_ids_match():
     store, wal, buf = _store_with_wal()
-    ids = [store.create_partition(PartitionKind.PERMANENT, ValueLayout.VARLEN)
+    ids = [store.create_partition(PartitionKind.PERMANENT)
            for _ in range(5)]
     wal.flush()
     result = recover_store(SnapshotStore(), buf, FidConfig(16))
@@ -148,7 +148,7 @@ def test_recovered_partition_ids_match():
 def test_checkpoint_truncate_equivalence():
     store, wal, buf = _store_with_wal()
     snaps = SnapshotStore()
-    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.VARLEN)
+    pid = store.create_partition(PartitionKind.PERMANENT)
     rng = random.Random(3)
     live = []
     for _ in range(300):
@@ -185,7 +185,7 @@ def test_size_bound_triggers_truncation():
         checkpoint_truncate(store, wal, snaps, None)
 
     wal.on_checkpoint = checkpoint
-    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.VARLEN)
+    pid = store.create_partition(PartitionKind.PERMANENT)
     payload = bytes(1000)
     flush_bytes = 0
     for i in range(2200):  # > 2 MiB of records against the 1 MiB interval
@@ -205,7 +205,7 @@ def test_size_bound_triggers_truncation():
 def test_checkpoint_keeps_a_record_appended_after_the_last_flush():
     store, wal, buf = _store_with_wal()
     snaps = SnapshotStore()
-    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.VARLEN)
+    pid = store.create_partition(PartitionKind.PERMANENT)
     store.put(pid, b"durable")
     wal.flush()
     late = store.put(pid, b"appended after the flush")
@@ -223,7 +223,7 @@ def test_crash_between_image_and_truncation_replays_nothing():
     covered prefix instead of replaying it."""
     store, wal, buf = _store_with_wal()
     snaps = SnapshotStore()
-    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.VARLEN)
+    pid = store.create_partition(PartitionKind.PERMANENT)
     for i in range(20):
         store.put(pid, bytes([i]) * 9)
     wal.flush()
@@ -249,7 +249,7 @@ def test_torn_tail_is_cut_so_later_records_survive(torn_value):
     either made that recovery raise CorruptLog or, when its declared length
     ran past the end, silently dropped every later record."""
     store, wal, buf = _store_with_wal()
-    pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.VARLEN)
+    pid = store.create_partition(PartitionKind.PERMANENT)
     store.put(pid, b"one")
     wal.flush()
     store.put(pid, torn_value)
@@ -273,7 +273,7 @@ def test_crash_at_random_byte_matches_prefix_oracle():
     for seed in range(60):
         rng = random.Random(seed)
         store, wal, buf = _store_with_wal()
-        pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.VARLEN)
+        pid = store.create_partition(PartitionKind.PERMANENT)
         live = []
         for _ in range(rng.randrange(50, 250)):
             roll = rng.random()
@@ -299,7 +299,7 @@ def test_recovery_replay_time_is_linear():
 
     def replay_time(n):
         store, wal, buf = _store_with_wal()
-        pid = store.create_partition(PartitionKind.PERMANENT, ValueLayout.FIXED, 8)
+        pid = store.create_partition(PartitionKind.PERMANENT)
         for i in range(n):
             store.put(pid, struct.pack("<q", i))
         wal.flush()

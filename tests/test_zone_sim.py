@@ -35,6 +35,7 @@ from fidstore.zone_sim import (
     CrashTarget,
     ZoneTopology,
     _Runner,
+    pad_sensitive,
     trace_indistinguishability,
     unpad_sensitive,
 )
@@ -739,7 +740,7 @@ _PINNED = {
 }
 # (privacy, integrity) snapshot bytes after the run: the images the
 # quiesce checkpoints wrote
-_PINNED_IMAGES = {"fid": (8993, 5043), "cipher": (72, 15606)}
+_PINNED_IMAGES = {"fid": (8922, 5043), "cipher": (42, 15606)}
 
 
 def _snapshot_bytes(topo) -> tuple[int, int]:
@@ -796,7 +797,7 @@ def test_pinned_counts_through_maintenance(backend):
 _PINNED_RANGE_SELECT = (
     {m.MSG_INGEST: 1200, m.MSG_EXEC_BATCH: 100, m.MSG_FLUSH_LOG: 4,
      m.MSG_CREATE_PARTITION: 2},
-    (112394, 53450), (24, 4), (1300, 0))
+    (112382, 53450), (24, 4), (1300, 0))
 
 
 def _range_select_run():
@@ -879,6 +880,28 @@ def test_sealed_area_holds_only_blocks_that_back_values():
     topo.integrity.crash()
     assert topo.recover_all().invariant.holds
     assert (after_run, sealed_and_spanned()) == _PINNED_SEALED_AREA
+
+
+def test_recovery_retires_sealed_copies_past_a_buckets_end():
+    """Blocks sealed from puts that never became durable survive a crash of
+    both zones, but replay drops the puts. Recovery retires each such
+    sealed copy (a BlockDrop), so the sealed area again holds only the
+    blocks the recovered buckets span."""
+    topo = ZoneTopology(3, cache_capacity_blocks=1)
+    pid = topo.client.create_partition()
+    topo.client.flush_log()
+    for i in range(200):
+        envelope = topo.client_encrypt(pad_sensitive(encode_int64(i)))
+        topo.client.ingest(1, envelope, pid)
+    topo.privacy.atrest.flush_dirty()
+    assert len(topo.sealed_store.blocks) == 7  # 200 values of 128 B
+    topo.privacy.crash()
+    topo.integrity.crash()
+    before = len(topo.trace.events)
+    assert topo.recover_all().invariant.holds
+    assert topo.privacy.store.partition_blocks(pid) == []
+    assert topo.sealed_store.blocks == {}
+    assert [kind for kind, _ in topo.trace.events[before:]].count("BlockDrop") == 7
 
 
 @pytest.mark.parametrize("seed, occurrence", [(1, 204), (2, 205)])
