@@ -168,9 +168,10 @@ def restart_violations(topo: ZoneTopology) -> int:
     db = topo.integrity.db
     table = db.tables_by_idx[0]
     txn = db.begin()
-    refs = [db.backend.ingest(txn.query_id, topo.client_encrypt(plaintext),
-                              table.partition_id)
-            for plaintext in (encode_int64(7), pad_sensitive(b"restart"))]
+    envelopes = [topo.client_encrypt(plaintext)
+                 for plaintext in (encode_int64(7), pad_sensitive(b"restart"))]
+    refs = db.backend.ingest(txn.query_id, envelopes, table.partition_id,
+                             db.batch_size)
     db.insert_row(txn, table, [table.next_row_id, *refs, b"sb-pad"])
     db.commit(txn)
     topo.client.end_query(txn.query_id)

@@ -247,9 +247,11 @@ class FidBackend:
         self.config = config
         self._offset_bits = config.offset_bits  # a FID's partition is fid >> this
 
-    def ingest(self, query_id: int, envelope: bytes, partition_id: int) -> int:
-        """A fresh ref for a client envelope's value, in partition_id."""
-        return self.client.ingest(query_id, envelope, partition_id)
+    def ingest(self, query_id: int, envelopes: list[bytes], partition_id: int,
+               batch_size: int) -> list[int]:
+        """A fresh ref in partition_id per client envelope's value, in
+        order, batch_size envelopes per message."""
+        return self.client.ingest(query_id, envelopes, batch_size, partition_id)
 
     def reveal(self, query_id: int, ref: int) -> bytes:
         return self.client.reveal(query_id, ref)
@@ -333,8 +335,9 @@ class CipherBackend:
     def __init__(self, client):
         self.client = client
 
-    def ingest(self, query_id: int, envelope: bytes, partition_id: int) -> bytes:
-        return self.client.cipher_ingest(query_id, envelope)
+    def ingest(self, query_id: int, envelopes: list[bytes], partition_id: int,
+               batch_size: int) -> list[bytes]:
+        return self.client.cipher_ingest(query_id, envelopes, batch_size)
 
     def reveal(self, query_id: int, ref: bytes) -> bytes:
         return self.client.cipher_reveal(query_id, ref)

@@ -25,14 +25,25 @@ reveal on a comparison or together with a destination) fails on its own
 with TypeMismatch, like any other element error. Each response element is
 a status byte, then for status 0 a result kind and the result: 0 and a
 value (a FID, or a zone envelope blob for MSG_CIPHER_EXEC), 1 and a
-boolean byte, or 2 and a revealed client envelope blob. MSG_INGEST always
-carries a u32 target, QUERY_TEMP_TARGET for the query's temporary
-partition. MSG_DELETE carries n FIDs and its response n status bytes, one
-per FID in order: 0 for a deleted mapping, NotLive's code for a FID that
-had none. MSG_FLUSH_LOG carries nothing, or the one byte QUIESCE when no
-transaction is active (the flush that ends orphan_gc): the privacy zone
-then checkpoints after its sync if its journal holds records. Its response
-is the status byte alone, so it tells the integrity zone nothing about the
+boolean byte, or 2 and a revealed client envelope blob.
+
+MSG_INGEST is {u32 target, n blobs}: the partition the values go to,
+QUERY_TEMP_TARGET for the query's temporary partition, then n >= 1 client
+envelopes {u32 len, envelope} up to the end of the payload. Its response
+is n u64 FIDs, one per envelope in order. MSG_CIPHER_INGEST is the n blobs
+alone, and its response n zone envelope blobs. Either ingest is all or
+nothing: the privacy zone parses the whole payload and authenticates every
+envelope before it stores or seals the first value, so a request with a
+bad envelope or a byte after its last blob stores and journals nothing.
+With one envelope, request and response are {u32 target, blob} and one
+FID, or one blob each way on the cipher path.
+
+MSG_DELETE carries n FIDs and its response n status bytes, one per FID in
+order: 0 for a deleted mapping, NotLive's code for a FID that had none.
+MSG_FLUSH_LOG carries nothing, or the one byte QUIESCE when no transaction
+is active (the flush that ends orphan_gc): the privacy zone then
+checkpoints after its sync if its journal holds records. Its response is
+the status byte alone, so it tells the integrity zone nothing about the
 privacy zone's journal. MSG_CREATE_PARTITION carries nothing and creates a
 permanent partition; its response is the u32 partition id.
 
@@ -133,6 +144,26 @@ def _read_blob(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[pos + 4:end], end
 
 
+def _read_blobs(data: bytes, pos: int) -> list[bytes]:
+    """The blobs from pos up to the end of data: at least one, and no byte
+    left over."""
+    blobs = []
+    while True:
+        blob, pos = _read_blob(data, pos)
+        blobs.append(blob)
+        if pos == len(data):
+            return blobs
+
+
+def _chunks(items: list, batch_size: int):
+    """items in consecutive slices of batch_size, the split of every client
+    call that takes a batch_size."""
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    for lo in range(0, len(items), batch_size):
+        yield items[lo:lo + batch_size]
+
+
 def _read_u64(data: bytes, pos: int) -> tuple[int, int]:
     return _U64.unpack_from(data, pos)[0], pos + 8
 
@@ -171,9 +202,10 @@ def _read_ops(payload: bytes, read_operand) -> list[OperatorRequest]:
 class ProxyClient:
     """Integrity-side stub: serializes calls, records the adversary view.
 
-    Each method is one round trip except exec_batch, cipher_exec and
-    delete, which split their requests into ceil(n / batch_size) messages,
-    and end_query, which sends nothing for a query that never wrote to its
+    Each method is one round trip except ingest, cipher_ingest, exec_batch,
+    cipher_exec and delete, which take a list and a batch_size and split
+    the list into ceil(n / batch_size) messages (all through _chunks), and
+    end_query, which sends nothing for a query that never wrote to its
     temporary partition (no temp-target ingest, no stored value result
     without a destination): such a query has no temporaries to drop.
 
@@ -225,11 +257,8 @@ class ProxyClient:
         """The operator-batch codec shared by the FID and envelope paths:
         the requests go out in ceil(n / batch_size) messages, and one
         response comes back per request."""
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         out = []
-        for lo in range(0, len(reqs), batch_size):
-            chunk = reqs[lo:lo + batch_size]
+        for chunk in _chunks(reqs, batch_size):
             payload = [struct.pack("<H", len(chunk))]
             for r in chunk:
                 dest, const = r.destination, r.constant
@@ -270,19 +299,27 @@ class ProxyClient:
 
     # -- client data path -------------------------------------------------
 
-    def ingest(self, query_id: int, envelope: bytes,
-               target: int = QUERY_TEMP_TARGET) -> int:
+    def ingest(self, query_id: int, envelopes: list[bytes], batch_size: int,
+               target: int = QUERY_TEMP_TARGET) -> list[int]:
+        """A fresh FID per client envelope, in order, written to target,
+        batch_size envelopes per message."""
         if target == QUERY_TEMP_TARGET:
             # recorded first: a refused ingest may still have created the
             # query's temporary partition
             self._temp_queries.add(query_id)
-        body = self._call(MSG_INGEST, query_id, _U32.pack(target) + _blob(envelope))
-        (fid,) = _U64.unpack(body)
-        self._observe_fid(fid)
-        if target != QUERY_TEMP_TARGET:
-            self.fresh.add(fid)
-            self.unflushed.add(fid)
-        return fid
+        head = _U32.pack(target)
+        out = []
+        for chunk in _chunks(envelopes, batch_size):
+            body = self._call(MSG_INGEST, query_id,
+                              head + b"".join(_blob(e) for e in chunk))
+            fids = [fid for (fid,) in _U64.iter_unpack(body)]
+            for fid in fids:
+                self._observe_fid(fid)
+            if target != QUERY_TEMP_TARGET:
+                self.fresh.update(fids)
+                self.unflushed.update(fids)
+            out.extend(fids)
+        return out
 
     def reveal(self, query_id: int, fid: int) -> bytes:
         self._observe_fid(fid)
@@ -330,11 +367,8 @@ class ProxyClient:
     def delete(self, fids: list[int], batch_size: int) -> list[bool]:
         """Deletes each FID's mapping, batch_size FIDs per message; returns
         per FID whether it had one (False for a FID that was not live)."""
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         out = []
-        for lo in range(0, len(fids), batch_size):
-            chunk = fids[lo:lo + batch_size]
+        for chunk in _chunks(fids, batch_size):
             payload = b"".join(self._write_fid(f) for f in chunk)
             body = self._call(MSG_DELETE, 0, payload)
             out.extend(status == 0 for status in body)
@@ -363,10 +397,16 @@ class ProxyClient:
 
     # -- ciphertext-scheme baseline ------------------------------------------
 
-    def cipher_ingest(self, query_id: int, client_envelope: bytes) -> bytes:
-        body = self._call(MSG_CIPHER_INGEST, query_id, _blob(client_envelope))
-        env, _ = _read_blob(body, 0)
-        return env
+    def cipher_ingest(self, query_id: int, envelopes: list[bytes],
+                      batch_size: int) -> list[bytes]:
+        """A zone envelope per client envelope, in order, batch_size
+        envelopes per message."""
+        out = []
+        for chunk in _chunks(envelopes, batch_size):
+            body = self._call(MSG_CIPHER_INGEST, query_id,
+                              b"".join(_blob(e) for e in chunk))
+            out.extend(_read_blobs(body, 0))
+        return out
 
     def cipher_reveal(self, query_id: int, zone_envelope: bytes) -> bytes:
         body = self._call(MSG_CIPHER_REVEAL, query_id, _blob(zone_envelope))
@@ -389,10 +429,13 @@ class PrivacyDispatcher:
 
     A malformed request gets a status too: TypeMismatch, before anything is
     stored or journaled, for a truncated request, a fixed-size payload of
-    another length (MSG_CREATE_PARTITION with any payload) or an unknown op
-    or value type; AuthFailure for an envelope too short for its nonce and
-    tag. The integrity zone can create permanent partitions only:
-    temporaries belong to a query and are created by the proxy."""
+    another length (MSG_CREATE_PARTITION with any payload), an ingest with
+    no envelope or with bytes after its last one, or an unknown op or value
+    type; AuthFailure for an envelope too short for its nonce and tag or
+    one that fails its tag. An ingest is all or nothing: every envelope of
+    the request is authenticated before the first is stored. The integrity
+    zone can create permanent partitions only: temporaries belong to a
+    query and are created by the proxy."""
 
     def __init__(self, proxy, wal, atrest, zone_codec: EnvelopeCodec):
         self.proxy = proxy
@@ -415,11 +458,11 @@ class PrivacyDispatcher:
         proxy = self.proxy
         store = proxy.store
         if kind == MSG_INGEST:
-            env, _ = _read_blob(payload, 4)  # fails unless the target fits
+            blobs = _read_blobs(payload, 4)  # fails unless the target fits
             (target,) = _U32.unpack_from(payload, 0)
             target = proxy.destination(query_id, target)
-            fid = proxy.ingest(ClientEnvelope.from_bytes(env), target)
-            return _U64.pack(fid)
+            fids = proxy.ingest([ClientEnvelope.from_bytes(b) for b in blobs], target)
+            return b"".join(_U64.pack(fid) for fid in fids)
         if kind == MSG_REVEAL:
             (fid,) = _unpack(_U64, payload)
             return _blob(proxy.reveal(fid).to_bytes())
@@ -463,9 +506,11 @@ class PrivacyDispatcher:
             fids = store.live_fids(pid)
             return _U32.pack(len(fids)) + b"".join(_U64.pack(f) for f in fids)
         if kind == MSG_CIPHER_INGEST:
-            env, _ = _read_blob(payload, 0)
-            value = proxy.client_codec.decrypt(ClientEnvelope.from_bytes(env))
-            return _blob(self.envelopes.save(query_id, None, value))
+            decrypt = proxy.client_codec.decrypt
+            values = [decrypt(ClientEnvelope.from_bytes(b))
+                      for b in _read_blobs(payload, 0)]
+            save = self.envelopes.save
+            return b"".join(_blob(save(query_id, None, v)) for v in values)
         if kind == MSG_CIPHER_REVEAL:
             (value,) = self.envelopes.load([_read_blob(payload, 0)[0]])
             return _blob(proxy.client_codec.encrypt(value).to_bytes())

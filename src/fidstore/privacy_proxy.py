@@ -362,9 +362,15 @@ class PrivacyProxy:
 
     # -- client boundary --------------------------------------------------
 
-    def ingest(self, envelope: ClientEnvelope, target_partition: int) -> int:
-        plaintext = self.client_codec.decrypt(envelope)
-        return self.store.put(target_partition, plaintext)
+    def ingest(self, envelopes: list[ClientEnvelope],
+               target_partition: int) -> list[int]:
+        """A fresh FID in target_partition per envelope, in order. Every
+        envelope is authenticated before the first put, so one that fails
+        stores nothing."""
+        decrypt = self.client_codec.decrypt
+        plaintexts = [decrypt(e) for e in envelopes]
+        put = self.store.put
+        return [put(target_partition, p) for p in plaintexts]
 
     def reveal(self, fid: int) -> ClientEnvelope:
         value = self.store.get(fid)

@@ -543,11 +543,18 @@ class _Runner:
     same code here.
 
     Every secret a row will hold is written straight into its table's
-    partition, so storing it costs no promote. An update's delta travels
-    inside its operator message and a range sum's result comes back inside
-    its last operator message, so no query writes to its temporaries and
-    ending one sends nothing. An update checks for a write conflict before
-    it writes anything to the privacy zone."""
+    partition, so storing it costs no promote. Secrets are ingested in
+    batches: the preload sends each table's values in row order, k1, c1,
+    k2, c2, ..., batch_size envelopes per MSG_INGEST, and an insert sends
+    its row's k and c in one. A batch stores its values in the order it
+    lists them, so the FIDs, journal records and sealed blocks are the same
+    at any batch_size; only the grouping into messages changes.
+
+    An update's delta travels inside its operator message and a range
+    sum's result comes back inside its last operator message, so no query
+    writes to its temporaries and ending one sends nothing. An update
+    checks for a write conflict before it writes anything to the privacy
+    zone."""
 
     def __init__(self, topology: ZoneTopology, program: WorkloadProgram):
         self.topo = topology
@@ -557,10 +564,11 @@ class _Runner:
 
     # -- client-side value handling --------------------------------------
 
-    def _ingest(self, db: Database, query_id: int, plaintext: bytes,
-                partition_id: int):
-        return db.backend.ingest(query_id, self.topo.client_encrypt(plaintext),
-                                 partition_id)
+    def _ingest(self, db: Database, query_id: int, plaintexts: list[bytes],
+                partition_id: int) -> list:
+        encrypt = self.topo.client_encrypt
+        return db.backend.ingest(query_id, [encrypt(p) for p in plaintexts],
+                                 partition_id, self.spec.batch_size)
 
     def _open_int(self, envelope: bytes) -> int:
         return decode_int64(self.topo.client_decrypt(envelope))
@@ -573,11 +581,11 @@ class _Runner:
             tables.append(db.create_table(f"sb{i}", list(TABLE_SCHEMA)))
         for t, rows in zip(tables, self.program.preload):
             txn = db.begin()
-            for key, (k_value, c_value) in enumerate(rows, start=1):
-                kref = self._ingest(db, txn.query_id, encode_int64(k_value),
-                                    t.partition_id)
-                cref = self._ingest(db, txn.query_id, pad_sensitive(c_value),
-                                    t.partition_id)
+            plaintexts = []
+            for k_value, c_value in rows:
+                plaintexts += (encode_int64(k_value), pad_sensitive(c_value))
+            refs = self._ingest(db, txn.query_id, plaintexts, t.partition_id)
+            for key, (kref, cref) in enumerate(zip(refs[::2], refs[1::2]), start=1):
                 db.insert_row(txn, t, [key, kref, cref, b"sb-pad"])
             db.commit(txn)
             self.topo.client.end_query(txn.query_id)
@@ -596,6 +604,10 @@ class _Runner:
             report.crashed_at = str(exc)
             return report
         except Unavailable:
+            # the preload's txn, which holds no ref while its batch is in
+            # flight, so privacy_restarted would leave it active
+            for txn in list(db.active_txns.values()):
+                db.abort(txn)
             report.crashed_at = (topo.fired.id.value if topo.fired
                                  else "privacy-unavailable")
             return report
@@ -718,17 +730,16 @@ class _Runner:
             if version is None:
                 return
             db.check_update(txn, table, key)
-            new_ref = self._ingest(db, txn.query_id, pad_sensitive(values[0]),
-                                   table.partition_id)
+            (new_ref,) = self._ingest(db, txn.query_id, [pad_sensitive(values[0])],
+                                      table.partition_id)
             db.update_row(txn, table, key, {"c": new_ref})
             topo.trace.result_size(1)
         elif kind == "insert":
             table = tables[op[1]]
             k_value, c_value = values
-            kref = self._ingest(db, txn.query_id, encode_int64(k_value),
-                                table.partition_id)
-            cref = self._ingest(db, txn.query_id, pad_sensitive(c_value),
-                                table.partition_id)
+            kref, cref = self._ingest(
+                db, txn.query_id, [encode_int64(k_value), pad_sensitive(c_value)],
+                table.partition_id)
             db.insert_row(txn, table, [op[2], kref, cref, b"sb-pad"])
             topo.trace.result_size(1)
         else:

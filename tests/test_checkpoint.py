@@ -426,8 +426,9 @@ def test_image_reuses_each_versions_encoding(backend):
     txn = db.begin()
     table = db.tables_by_idx[0]
     for row_id in range(1, 6):
-        ref = db.backend.ingest(txn.query_id, topo.client_encrypt(encode_int64(row_id)),
-                                table.partition_id)
+        (ref,) = db.backend.ingest(
+            txn.query_id, [topo.client_encrypt(encode_int64(row_id))],
+            table.partition_id, 1)
         db.update_row(txn, table, row_id, {"k": ref})
     db.commit(txn)
     topo.privacy.crash()

@@ -10,7 +10,13 @@ from fidstore.errors import (
 from fidstore.fid_codec import decode_fid
 from fidstore.integrity_dbms import Column, ColumnType, Predicate
 from fidstore.messages import MSG_PROMOTE
-from fidstore.privacy_proxy import OpKind, ValueType, decode_int64, encode_int64
+from fidstore.privacy_proxy import (
+    QUERY_TEMP_TARGET,
+    OpKind,
+    ValueType,
+    decode_int64,
+    encode_int64,
+)
 from fidstore.wal import KIND_DELETE, WalRecord, read_frames
 from fidstore.zone_sim import ZoneTopology
 
@@ -26,8 +32,11 @@ def topo():
     return ZoneTopology(321, batch_size=32)
 
 
-def _ingest_int(topo, query_id, value):
-    return topo.client.ingest(query_id, topo.client_encrypt(encode_int64(value)))
+def _ingest_int(topo, query_id, value, target=QUERY_TEMP_TARGET):
+    """An int64 secret's FID, ingested alone in one MSG_INGEST."""
+    envelope = topo.client_encrypt(encode_int64(value))
+    (fid,) = topo.client.ingest(query_id, [envelope], 1, target)
+    return fid
 
 
 def _reveal_int(topo, query_id, fid):
@@ -87,8 +96,7 @@ def test_promote_keeps_a_ref_already_in_the_table_partition(topo):
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
     txn = db.begin()
-    direct = topo.client.ingest(txn.query_id, topo.client_encrypt(encode_int64(7)),
-                                table.partition_id)
+    direct = _ingest_int(topo, txn.query_id, 7, table.partition_id)
     temp = _ingest_int(topo, txn.query_id, 8)
     calls, trips = _promotes(topo), topo.channel.round_trips
     db.insert_row(txn, table, [1, direct, b"n"])
@@ -115,8 +123,7 @@ def test_a_ref_another_row_version_holds_is_refused(topo):
     pid = table.partition_id
 
     def ingest(query_id, value):
-        return topo.client.ingest(query_id, topo.client_encrypt(encode_int64(value)),
-                                  pid)
+        return _ingest_int(topo, query_id, value, pid)
 
     txn = db.begin()
     k1 = ingest(txn.query_id, 1)
@@ -152,8 +159,7 @@ def test_a_refused_row_claims_nothing(topo):
     pid = table.partition_id
 
     def ingest(query_id, value):
-        return topo.client.ingest(query_id, topo.client_encrypt(encode_int64(value)),
-                                  pid)
+        return _ingest_int(topo, query_id, value, pid)
 
     txn = db.begin()
     a = ingest(txn.query_id, 1)
@@ -566,8 +572,8 @@ def test_tree_aggregate_rejects_avg(name):
     client = topo.client
     ingest = client.cipher_ingest if name == "cipher" else client.ingest
     reveal = client.cipher_reveal if name == "cipher" else client.reveal
-    refs = [ingest(1, topo.client_encrypt(encode_int64(v)))
-            for v in (1, 2, 3, 4, 100)]
+    refs = ingest(1, [topo.client_encrypt(encode_int64(v)) for v in (1, 2, 3, 4, 100)],
+                  1)
     backend = topo.integrity.db.backend
     before = topo.channel.round_trips
     with pytest.raises(TypeMismatch):

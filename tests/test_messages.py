@@ -15,11 +15,13 @@ from fidstore.errors import (
 from fidstore.fid_codec import decode_fid
 from fidstore.messages import (
     MSG_CIPHER_EXEC,
+    MSG_CIPHER_INGEST,
     MSG_CIPHER_REVEAL,
     MSG_CREATE_PARTITION,
     MSG_DELETE,
     MSG_EXEC_BATCH,
     MSG_FLUSH_LOG,
+    MSG_INGEST,
     MSG_REVEAL,
     OP_CONST,
     OP_DEST,
@@ -29,6 +31,7 @@ from fidstore.messages import (
     ProxyClient,
     _blob,
     _read_blob,
+    _read_blobs,
     _read_ops,
     _read_u64,
     _req,
@@ -88,24 +91,103 @@ _MALFORMED = {
     "delete-part-of-a-fid": (_req(MSG_DELETE, 0, bytes(12)), TypeMismatch),
     "flush-unknown-flag": (_req(MSG_FLUSH_LOG, 0, b"\x02"), TypeMismatch),
     "flush-long-payload": (_req(MSG_FLUSH_LOG, 0, b"\x01\x00"), TypeMismatch),
+    # cases built from the topology, which holds the client key
+    "ingest-trailing-bytes": (lambda topo: _req(
+        MSG_INGEST, 1, struct.pack("<I", QUERY_TEMP_TARGET)
+        + _blob(topo.client_encrypt(b"x")) + b"garbage!"), TypeMismatch),
+    "cipher-ingest-trailing-bytes": (lambda topo: _req(
+        MSG_CIPHER_INGEST, 1, _blob(topo.client_encrypt(b"x")) + b"\x00\x00"),
+        TypeMismatch),
+    "ingest-bad-envelope-in-batch": (lambda topo: _req(
+        MSG_INGEST, 1, struct.pack("<I", topo.client.create_partition())
+        + b"".join(_blob(e) for e in _second_of_three_tampered(topo))),
+        AuthFailure),
 }
+
+
+def _second_of_three_tampered(topo) -> list[bytes]:
+    envelopes = [topo.client_encrypt(encode_int64(v)) for v in (1, 2, 3)]
+    tampered = bytearray(envelopes[1])
+    tampered[12] ^= 1  # the first byte of the tag
+    envelopes[1] = bytes(tampered)
+    return envelopes
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
 def test_malformed_request_gets_a_status(topo, case):
     """A request the privacy zone cannot decode is refused with a status
-    byte, never an exception, and leaves no partition behind: well-formed
-    requests still work, and so does recovery of everything journaled."""
+    byte, never an exception, and stores, journals and creates nothing:
+    well-formed requests still work, and so does recovery of everything
+    journaled."""
     raw, error = _MALFORMED[case]
-    partitions = topo.privacy.store.partition_ids()
+    if callable(raw):
+        raw = raw(topo)
+    store, journal = topo.privacy.store, topo.store_wal_buffer
+    partitions = store.partition_ids()
+    live, pending = store.stats().live_count, journal.pending_len
     assert topo.channel.request(raw) == bytes([error.code])
-    assert topo.privacy.store.partition_ids() == partitions
-    fid = topo.client.ingest(2, topo.client_encrypt(b"after"))
+    assert store.partition_ids() == partitions
+    assert (store.stats().live_count, journal.pending_len) == (live, pending)
+    fid = topo.client.ingest(2, [topo.client_encrypt(b"after")], 1)[0]
     assert topo.client_decrypt(topo.client.reveal(2, fid)) == b"after"
     topo.client.flush_log()
     topo.privacy.crash()
     topo.privacy.recover()
     topo.client.create_partition()
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+def test_one_envelope_ingest_keeps_its_wire_bytes(topo, backend):
+    """A one-envelope ingest has the single-envelope layout: {u32 target,
+    u32 len, envelope} and a u64 FID back on the FID path, {u32 len,
+    envelope} and a zone envelope blob back on the cipher path."""
+    env = topo.client_encrypt(encode_int64(4))
+    perm = topo.client.create_partition()
+    captured = _capture(topo)
+    if backend == "fid":
+        (fid,) = topo.client.ingest(3, [env], 1, perm)
+        assert captured == [(struct.pack("<BQII", MSG_INGEST, 3, perm, len(env)) + env,
+                             b"\x00" + struct.pack("<Q", fid))]
+    else:
+        (zone,) = topo.client.cipher_ingest(3, [env], 1)
+        assert captured == [(struct.pack("<BQI", MSG_CIPHER_INGEST, 3, len(env)) + env,
+                             b"\x00" + struct.pack("<I", len(zone)) + zone)]
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+def test_ingest_splits_by_batch_size(backend):
+    """n envelopes go out in ceil(n / batch_size) messages of consecutive
+    envelopes, and one result per envelope comes back, in order."""
+    topo = ZoneTopology(999, backend=backend)
+    client = topo.client
+    ingest, reveal, kind, skip = {
+        "fid": (client.ingest, client.reveal, MSG_INGEST, 13),
+        "cipher": (client.cipher_ingest, client.cipher_reveal, MSG_CIPHER_INGEST, 9),
+    }[backend]
+    values = [encode_int64(v) for v in range(5)]
+    captured = _capture(topo)
+    refs = ingest(3, [topo.client_encrypt(v) for v in values], 2)
+    assert [raw[0] for raw, _ in captured] == [kind] * 3
+    assert [len(_read_blobs(raw[skip:], 0)) for raw, _ in captured] == [2, 2, 1]
+    assert [topo.client_decrypt(reveal(3, ref)) for ref in refs] == values
+
+
+def test_every_split_refuses_batch_size_zero(topo):
+    """Each call that splits a list by batch_size refuses a batch_size
+    below 1 before it sends anything."""
+    client = topo.client
+    env = topo.client_encrypt(b"x")
+    req = OperatorRequest(OpKind.ADD, ValueType.INT64, [1, 1])
+    calls = [lambda: client.ingest(1, [env], 0),
+             lambda: client.cipher_ingest(1, [env], 0),
+             lambda: client.exec_batch(1, [req], 0),
+             lambda: client.cipher_exec(1, [req], 0),
+             lambda: client.delete([1], 0)]
+    before = topo.channel.round_trips
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+    assert topo.channel.round_trips == before
 
 
 def test_refused_ingests_leave_no_partition(topo):
@@ -115,7 +197,7 @@ def test_refused_ingests_leave_no_partition(topo):
     partitions = topo.privacy.store.partition_ids()
     for query_id in (1, 2, 3):
         with pytest.raises(AuthFailure):
-            topo.client.ingest(query_id, bytes(5))
+            topo.client.ingest(query_id, [bytes(5)], 1)
     assert len(topo.privacy.store.partition_ids()) == len(partitions) + 3
     for query_id in (1, 2, 3):
         topo.client.end_query(query_id)
@@ -124,7 +206,7 @@ def test_refused_ingests_leave_no_partition(topo):
 
 def test_fids_travel_little_endian(topo):
     pid = topo.client.create_partition()
-    tmp_fid = topo.client.ingest(1, topo.client_encrypt(encode_int64(5)))
+    tmp_fid = topo.client.ingest(1, [topo.client_encrypt(encode_int64(5))], 1)[0]
     captured = []
     original = topo.channel.request
 
@@ -145,7 +227,7 @@ def test_error_codes_cross_the_wire(topo):
         topo.client.prefetch(12345)
     pid = topo.client.create_partition()
     fid = topo.client.promote(
-        topo.client.ingest(7, topo.client_encrypt(b"value-1")), pid)
+        topo.client.ingest(7, [topo.client_encrypt(b"value-1")], 1)[0], pid)
     before = topo.channel.round_trips
     assert topo.client.delete([0xABCDEF, fid, fid], 8) == [False, True, False]
     assert topo.channel.round_trips == before + 1
@@ -154,8 +236,8 @@ def test_error_codes_cross_the_wire(topo):
 
 
 def test_operator_batch_positional_errors(topo):
-    a = topo.client.ingest(3, topo.client_encrypt(encode_int64(9)))
-    z = topo.client.ingest(3, topo.client_encrypt(encode_int64(0)))
+    a = topo.client.ingest(3, [topo.client_encrypt(encode_int64(9))], 1)[0]
+    z = topo.client.ingest(3, [topo.client_encrypt(encode_int64(0))], 1)[0]
     out = topo.client.exec_batch(3, [
         OperatorRequest(OpKind.DIV, ValueType.INT64, [a, z]),
         OperatorRequest(OpKind.ADD, ValueType.INT64, [a, a]),
@@ -165,8 +247,8 @@ def test_operator_batch_positional_errors(topo):
 
 
 def test_booleans_are_one_byte(topo):
-    a = topo.client.ingest(4, topo.client_encrypt(encode_int64(1)))
-    b = topo.client.ingest(4, topo.client_encrypt(encode_int64(2)))
+    a = topo.client.ingest(4, [topo.client_encrypt(encode_int64(1))], 1)[0]
+    b = topo.client.ingest(4, [topo.client_encrypt(encode_int64(2))], 1)[0]
     captured = []
     original = topo.channel.request
 
@@ -185,7 +267,7 @@ def test_booleans_are_one_byte(topo):
 
 def test_cipher_backend_round_trip(topo):
     env = topo.client_encrypt(encode_int64(21))
-    zone_env = topo.client.cipher_ingest(5, env)
+    zone_env = topo.client.cipher_ingest(5, [env], 1)[0]
     assert zone_env != env
     out = topo.client.cipher_exec(
         5, [OperatorRequest(OpKind.ADD, ValueType.INT64, [zone_env, zone_env])], 4)
@@ -204,8 +286,9 @@ def test_flush_reply_is_the_status_byte_alone():
     flush = _req(MSG_FLUSH_LOG, 0)
     replies = [topo.channel.request(flush)]
     pid = topo.client.create_partition()
-    fids = [topo.client.ingest(1, topo.client_encrypt(bytes([i + 1]) * 2048), pid)
-            for i in range(4)]  # 2 per block; the second block's puts seal the first
+    # 2 per block; the second block's puts seal the first
+    fids = topo.client.ingest(1, [topo.client_encrypt(bytes([i + 1]) * 2048)
+                                  for i in range(4)], 1, pid)
     topo.privacy.atrest.flush_dirty()
     topo.client.delete(fids[2:], 8)  # the bucket shrinks past a sealed block
     kinds = [kind for kind, _ in topo.trace.events]
@@ -218,7 +301,7 @@ def test_flush_reply_is_the_status_byte_alone():
 
 
 def test_end_query_via_wire_is_idempotent(topo):
-    fid = topo.client.ingest(6, topo.client_encrypt(b"temp-value"))
+    fid = topo.client.ingest(6, [topo.client_encrypt(b"temp-value")], 1)[0]
     assert topo.client.is_live(fid)
     topo.client.end_query(6)
     assert not topo.client.is_live(fid)
@@ -229,18 +312,18 @@ def test_destination_must_be_own_temp_or_permanent(topo):
     """Ingest and operator results go to the caller's own temporaries or to
     a permanent partition; naming another query's temporary partition is
     refused and leaves that partition as it was."""
-    victim = topo.client.ingest(5, topo.client_encrypt(encode_int64(1)))
+    victim = topo.client.ingest(5, [topo.client_encrypt(encode_int64(1))], 1)[0]
     temp5 = decode_fid(topo.config, victim)[0]
     with pytest.raises(WrongPartitionKind):
-        topo.client.ingest(6, topo.client_encrypt(encode_int64(2)), temp5)
+        topo.client.ingest(6, [topo.client_encrypt(encode_int64(2))], 1, temp5)[0]
     out = topo.client.exec_batch(6, [OperatorRequest(
         OpKind.ADD, ValueType.INT64, [victim, victim], temp5)], 4)
     assert out[0].error_code == WrongPartitionKind.code
     assert topo.privacy.store.live_fids(temp5) == [victim]
 
     perm = topo.client.create_partition()
-    own = topo.client.ingest(6, topo.client_encrypt(encode_int64(3)),
-                             QUERY_TEMP_TARGET)
+    own = topo.client.ingest(6, [topo.client_encrypt(encode_int64(3))], 1,
+                             QUERY_TEMP_TARGET)[0]
     temp6 = decode_fid(topo.config, own)[0]
     out = topo.client.exec_batch(6, [
         OperatorRequest(OpKind.ADD, ValueType.INT64, [own, own]),
@@ -257,7 +340,7 @@ def test_destination_must_be_own_temp_or_permanent(topo):
 def test_operator_destination_on_the_wire(topo):
     """Only an element that names a destination carries one: its op byte
     has OP_DEST set and a u32 partition id follows the element head."""
-    a = topo.client.ingest(8, topo.client_encrypt(encode_int64(4)))
+    a = topo.client.ingest(8, [topo.client_encrypt(encode_int64(4))], 1)[0]
     perm = topo.client.create_partition()
     captured = []
     original = topo.channel.request
@@ -295,8 +378,8 @@ def test_unflagged_elements_keep_their_wire_bytes(topo):
     """An element with neither an inline constant nor a reveal carries no
     byte for either: its head, its destination if any and its operands,
     on both operator messages."""
-    a = topo.client.ingest(8, topo.client_encrypt(encode_int64(4)))
-    zone = topo.client.cipher_ingest(8, topo.client_encrypt(encode_int64(4)))
+    a = topo.client.ingest(8, [topo.client_encrypt(encode_int64(4))], 1)[0]
+    zone = topo.client.cipher_ingest(8, [topo.client_encrypt(encode_int64(4))], 1)[0]
     perm = topo.client.create_partition()
     captured = _capture(topo)
     topo.client.exec_batch(8, [
@@ -323,7 +406,7 @@ def test_flagged_elements_on_the_wire(topo):
     """An inline constant follows the stored operands as a length-prefixed
     client envelope and is not counted in argc; a revealed result comes
     back as result kind 2 and a client envelope, and is not stored."""
-    a = topo.client.ingest(9, topo.client_encrypt(encode_int64(40)))
+    a = topo.client.ingest(9, [topo.client_encrypt(encode_int64(40))], 1)[0]
     const = topo.client_encrypt(encode_int64(2))
     store = topo.privacy.store
     temp = decode_fid(topo.config, a)[0]
@@ -403,7 +486,7 @@ def test_invalid_flag_combinations_fail_positionally(backend):
     perm = client.create_partition()
     const = topo.client_encrypt(encode_int64(2))
     bad = TypeMismatch.code
-    a = ingest(7, topo.client_encrypt(encode_int64(40)))
+    a = ingest(7, [topo.client_encrypt(encode_int64(40))], 1)[0]
     out = run(7, [
         OperatorRequest(OpKind.CMP_LT, ValueType.INT64, [a], constant=const,
                         reveal=True),
@@ -456,7 +539,7 @@ def test_both_backends_run_the_same_operators(elements, batch_size):
             ingest, run, reveal = (client.cipher_ingest, client.cipher_exec,
                                    client.cipher_reveal)
         perm = client.create_partition()
-        refs = [ingest(1, topo.client_encrypt(v)) for v in _POOL]
+        refs = [ingest(1, [topo.client_encrypt(v)], 1)[0] for v in _POOL]
         reqs = [OperatorRequest(op, vtype, [refs[i] for i in operands],
                                 perm if dest else None,
                                 None if const is None else topo.client_encrypt(_POOL[const]),

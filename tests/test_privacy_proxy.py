@@ -50,31 +50,36 @@ def test_envelope_overhead_is_28_bytes(setup):
 
 def test_ingest_round_trip(setup):
     store, proxy, client = setup
-    fid = proxy.ingest(client.encrypt(encode_int64(5)), proxy.query_temp(1))
+    fid = proxy.ingest([client.encrypt(encode_int64(5))], proxy.query_temp(1))[0]
     assert decode_int64(store.get(fid)) == 5
 
 
 def test_ingest_tampered_envelope(setup):
-    _, proxy, client = setup
+    """One envelope failing its tag fails the whole ingest before any put,
+    wherever it stands in the batch."""
+    store, proxy, client = setup
     env = client.encrypt(b"payload")
     flipped = bytearray(env.ciphertext)
     flipped[0] ^= 1
     bad = ClientEnvelope(env.nonce, env.tag, bytes(flipped))
-    with pytest.raises(AuthFailure):
-        proxy.ingest(bad, proxy.query_temp(1))
+    pid = proxy.query_temp(1)
+    for batch in ([bad], [env, bad, env], [env, env, bad]):
+        with pytest.raises(AuthFailure):
+            proxy.ingest(batch, pid)
+        assert store.live_fids(pid) == []
 
 
 def test_ingest_same_plaintext_distinct_fids(setup):
     _, proxy, client = setup
     pid = proxy.query_temp(1)
-    f1 = proxy.ingest(client.encrypt(b"same"), pid)
-    f2 = proxy.ingest(client.encrypt(b"same"), pid)
+    f1 = proxy.ingest([client.encrypt(b"same")], pid)[0]
+    f2 = proxy.ingest([client.encrypt(b"same")], pid)[0]
     assert f1 != f2
 
 
 def test_reveal_fresh_nonces_same_plaintext(setup):
     _, proxy, client = setup
-    fid = proxy.ingest(client.encrypt(b"secret-x"), proxy.query_temp(1))
+    fid = proxy.ingest([client.encrypt(b"secret-x")], proxy.query_temp(1))[0]
     e1, e2 = proxy.reveal(fid), proxy.reveal(fid)
     assert e1.nonce != e2.nonce
     assert e1.ciphertext != e2.ciphertext
@@ -83,7 +88,7 @@ def test_reveal_fresh_nonces_same_plaintext(setup):
 
 def test_reveal_not_live(setup):
     store, proxy, client = setup
-    fid = proxy.ingest(client.encrypt(b"gone"), proxy.query_temp(1))
+    fid = proxy.ingest([client.encrypt(b"gone")], proxy.query_temp(1))[0]
     store.delete(fid)
     with pytest.raises(NotLive):
         proxy.reveal(fid)
@@ -258,8 +263,8 @@ def test_end_query_drops_only_that_query(setup):
     store, proxy, client = setup
     perm = store.create_partition(PartitionKind.PERMANENT)
     keep = store.put(perm, b"keep-me")
-    f1 = proxy.ingest(client.encrypt(b"q1-value"), proxy.query_temp(1))
-    f2 = proxy.ingest(client.encrypt(b"q2-value"), proxy.query_temp(2))
+    f1 = proxy.ingest([client.encrypt(b"q1-value")], proxy.query_temp(1))[0]
+    f2 = proxy.ingest([client.encrypt(b"q2-value")], proxy.query_temp(2))[0]
     proxy.end_query(1)
     assert store.get(f1) is None
     assert store.get(f2) == b"q2-value"

@@ -1,8 +1,11 @@
 import json
 import struct
 from collections import Counter
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fidstore import messages as m
 from fidstore.bench import restart_violations
@@ -16,6 +19,7 @@ from fidstore.errors import (
 )
 from fidstore.integrity_dbms import CHECKPOINT_IMAGE, Column, ColumnType, Predicate
 from fidstore.privacy_proxy import (
+    QUERY_TEMP_TARGET,
     OperatorRequest,
     OpKind,
     ValueType,
@@ -54,6 +58,13 @@ def _small_spec(**kw):
                     abort_ratio=0.1)
     defaults.update(kw)
     return WorkloadSpec(**defaults)
+
+
+def _ingest_int(topo, query_id, value, target=QUERY_TEMP_TARGET):
+    """An int64 secret's FID, ingested alone in one MSG_INGEST."""
+    envelope = topo.client_encrypt(encode_int64(value))
+    (fid,) = topo.client.ingest(query_id, [envelope], 1, target)
+    return fid
 
 
 def test_same_seed_identical_trace_and_state():
@@ -108,8 +119,7 @@ def _commit_one_update(topo) -> None:
     db = topo.integrity.db
     table = db.tables_by_idx[0]
     txn = db.begin()
-    ref = topo.client.ingest(txn.query_id, topo.client_encrypt(encode_int64(5)),
-                             table.partition_id)
+    ref = _ingest_int(topo, txn.query_id, 5, table.partition_id)
     db.update_row(txn, table, 1, {"k": ref})
     db.commit(txn)
 
@@ -145,7 +155,7 @@ def test_crash_privacy_mid_query_aborts_txn():
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
     txn = db.begin()
-    fid = topo.client.ingest(txn.query_id, topo.client_encrypt(encode_int64(4)))
+    fid = _ingest_int(topo, txn.query_id, 4)
     db.insert_row(txn, table, [1, fid])
     topo.inject_crash(CrashPoint(CrashPointId.RANDOM_BYTE, CrashTarget.PRIVACY,
                                  at_occurrence=0))
@@ -163,13 +173,13 @@ def test_crash_both_after_db_commit_preserves_txn():
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
     setup = db.begin()
-    fid = topo.client.ingest(setup.query_id, topo.client_encrypt(encode_int64(41)))
+    fid = _ingest_int(topo, setup.query_id, 41)
     db.insert_row(setup, table, [1, fid])
     db.commit(setup)
 
     topo.inject_crash(CrashPoint(CrashPointId.AFTER_DB_COMMIT, CrashTarget.BOTH))
     txn = db.begin()
-    fid = topo.client.ingest(txn.query_id, topo.client_encrypt(encode_int64(42)))
+    fid = _ingest_int(topo, txn.query_id, 42)
     db.insert_row(txn, table, [2, fid])
     from fidstore.zone_sim import ZoneCrashed
     with pytest.raises(ZoneCrashed):
@@ -192,7 +202,7 @@ def test_crash_before_privacy_flush_absent_everywhere():
     topo.inject_crash(CrashPoint(CrashPointId.BEFORE_PRIVACY_FLUSH,
                                  CrashTarget.BOTH))
     txn = db.begin()
-    fid = topo.client.ingest(txn.query_id, topo.client_encrypt(encode_int64(7)))
+    fid = _ingest_int(topo, txn.query_id, 7)
     db.insert_row(txn, table, [1, fid])
     from fidstore.zone_sim import ZoneCrashed
     with pytest.raises(ZoneCrashed):
@@ -213,7 +223,7 @@ def test_orphans_after_commit_gap_crash_then_gc():
     topo.inject_crash(CrashPoint(
         CrashPointId.AFTER_PRIVACY_FLUSH_BEFORE_DB_COMMIT, CrashTarget.BOTH))
     txn = db.begin()
-    fid = topo.client.ingest(txn.query_id, topo.client_encrypt(encode_int64(7)))
+    fid = _ingest_int(topo, txn.query_id, 7)
     db.insert_row(txn, table, [1, fid])
     put_count = len(txn.promoted)
     from fidstore.zone_sim import ZoneCrashed
@@ -227,8 +237,7 @@ def test_orphans_after_commit_gap_crash_then_gc():
 
 
 def _write_row(topo, db, table, txn, key, value):
-    fid = topo.client.ingest(txn.query_id, topo.client_encrypt(encode_int64(value)),
-                             table.partition_id)
+    fid = _ingest_int(topo, txn.query_id, value, table.partition_id)
     db.insert_row(txn, table, [key, fid])
 
 
@@ -280,8 +289,8 @@ def test_cipher_commit_sends_nothing():
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
     txn = db.begin()
-    env = db.backend.ingest(txn.query_id, topo.client_encrypt(encode_int64(5)),
-                            table.partition_id)
+    env = db.backend.ingest(txn.query_id, [topo.client_encrypt(encode_int64(5))],
+                            table.partition_id, 1)[0]
     db.insert_row(txn, table, [1, env])
     trips, durable = topo.channel.round_trips, topo.store_wal_buffer.durable_len
     db.commit(txn)
@@ -351,8 +360,7 @@ def test_privacy_restart_aborts_txns_holding_refs():
     table = db.create_table("t", list(SCHEMA))
     txn, other = db.begin(), db.begin()
     _write_row(topo, db, table, txn, 1, 10)
-    lost = topo.client.ingest(other.query_id, topo.client_encrypt(encode_int64(3)),
-                              table.partition_id)
+    lost = _ingest_int(topo, other.query_id, 3, table.partition_id)
     topo.privacy.crash()
     topo.recover_all()
     assert txn.state.name == "ABORTED"
@@ -397,8 +405,8 @@ def test_integrity_crash_after_vacuums_deletes_are_durable():
     _write_row(topo, db, table, txn, 1, 10)
     db.commit(txn)
     txn = db.begin()
-    db.update_row(txn, table, 1, {"k": topo.client.ingest(
-        txn.query_id, topo.client_encrypt(encode_int64(11)), table.partition_id)})
+    db.update_row(txn, table, 1,
+                  {"k": _ingest_int(topo, txn.query_id, 11, table.partition_id)})
     db.commit(txn)
     flush = topo.client.flush_log
     from fidstore.zone_sim import ZoneCrashed
@@ -434,7 +442,7 @@ def test_invariant_detector_self_test():
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
     txn = db.begin()
-    fid = topo.client.ingest(txn.query_id, topo.client_encrypt(encode_int64(3)))
+    fid = _ingest_int(topo, txn.query_id, 3)
     db.insert_row(txn, table, [1, fid])
     db.commit(txn)
     assert topo.check_invariant().holds
@@ -576,8 +584,7 @@ def test_query_with_temporaries_still_ends_them(query):
     table = db.create_table("t", list(SCHEMA))
     txn = db.begin()
     for key in range(1, 11):
-        ref = topo.client.ingest(txn.query_id, topo.client_encrypt(encode_int64(key)),
-                                 table.partition_id)
+        ref = _ingest_int(topo, txn.query_id, key, table.partition_id)
         db.insert_row(txn, table, [key, ref])
     db.commit(txn)
     kinds = _count_kinds(topo)
@@ -588,7 +595,7 @@ def test_query_with_temporaries_still_ends_them(query):
                                    refs, 4, reveal=True)
         assert decode_int64(topo.client_decrypt(env)) == 55
     else:
-        const = topo.client.ingest(q.query_id, topo.client_encrypt(encode_int64(7)))
+        const = _ingest_int(topo, q.query_id, 7)
         rows = db.select(q, table, Predicate("k", OpKind.CMP_GT, const))
         assert [v.row_id for v in rows] == [8, 9, 10]
     assert q.query_id in topo.privacy.proxy._query_temps
@@ -616,13 +623,11 @@ def test_comparison_outcome_flip_breaks_indistinguishability():
         db = topo.integrity.db
         table = db.create_table("t", list(SCHEMA))
         txn = db.begin()
-        fid = topo.client.ingest(txn.query_id,
-                                 topo.client_encrypt(encode_int64(value)))
+        fid = _ingest_int(topo, txn.query_id, value)
         db.insert_row(txn, table, [1, fid])
         db.commit(txn)
         query = db.begin()
-        const = topo.client.ingest(query.query_id,
-                                   topo.client_encrypt(encode_int64(10)))
+        const = _ingest_int(topo, query.query_id, 10)
         rows = db.select(query, table, Predicate("k", OpKind.CMP_GT, const))
         db.abort(query)
         return topo.trace.events, len(rows)
@@ -658,7 +663,7 @@ def test_plaintext_never_crosses_the_boundary():
                                   Column("c", ColumnType.SENSITIVE_BYTES)])
     txn = db.begin()
     for i in range(40):
-        fid = topo.client.ingest(txn.query_id, topo.client_encrypt(sentinel))
+        fid = topo.client.ingest(txn.query_id, [topo.client_encrypt(sentinel)], 1)[0]
         db.insert_row(txn, table, [i, fid])
     db.commit(txn)
     topo.privacy.atrest.flush_dirty()  # force sealed writes to untrusted area
@@ -729,12 +734,12 @@ _PINNED = {
     # integrity WAL) durable bytes, (seals, opens), (client codec, zone
     # codec) encrypt+decrypt counts in the privacy zone. The last flush is
     # orphan_gc's quiesce flush, after which both journals are empty.
-    "fid": ({m.MSG_INGEST: 120, m.MSG_REVEAL: 80, m.MSG_EXEC_BATCH: 49,
+    "fid": ({m.MSG_INGEST: 8, m.MSG_REVEAL: 80, m.MSG_EXEC_BATCH: 49,
              m.MSG_DELETE: 4, m.MSG_FLUSH_LOG: 34, m.MSG_CREATE_PARTITION: 2,
              m.MSG_LIST_LIVE: 2},
             (0, 0), (4, 2), (249, 0)),
     "cipher": ({m.MSG_FLUSH_LOG: 3, m.MSG_CREATE_PARTITION: 2,
-                m.MSG_CIPHER_EXEC: 49, m.MSG_CIPHER_INGEST: 120,
+                m.MSG_CIPHER_EXEC: 49, m.MSG_CIPHER_INGEST: 8,
                 m.MSG_CIPHER_REVEAL: 80},
                (0, 0), (0, 0), (249, 370)),
 }
@@ -795,7 +800,7 @@ def test_pinned_counts_through_maintenance(backend):
 # invariant check starts: per-kind counts, (privacy WAL, integrity WAL)
 # durable bytes, (seals, opens), (client codec, zone codec) crypto counts
 _PINNED_RANGE_SELECT = (
-    {m.MSG_INGEST: 1200, m.MSG_EXEC_BATCH: 100, m.MSG_FLUSH_LOG: 4,
+    {m.MSG_INGEST: 76, m.MSG_EXEC_BATCH: 100, m.MSG_FLUSH_LOG: 4,
      m.MSG_CREATE_PARTITION: 2},
     (112382, 53450), (24, 4), (1300, 0))
 
@@ -819,6 +824,87 @@ def test_pinned_counts_range_select_cold_cache():
     assert topo.privacy.atrest.sealer.opens < 2 * report.txns_committed
     expected = ShadowRunner(program, flatten_schedule(program)).run().revealed
     assert report.revealed == expected
+
+
+def test_an_insert_sends_its_row_in_one_ingest(monkeypatch):
+    """An insert's k and c travel in one MSG_INGEST."""
+    spec = _small_spec(mode=Mode.INSERT_ONLY)
+    topo = ZoneTopology(3, batch_size=spec.batch_size)
+    kinds = _count_kinds(topo)
+    sent = []
+    exec_op = _Runner._exec_op
+
+    def counting_exec_op(runner, db, tables, txn, op, values):
+        before = kinds[m.MSG_INGEST]
+        exec_op(runner, db, tables, txn, op, values)
+        sent.append((op[0], kinds[m.MSG_INGEST] - before))
+
+    monkeypatch.setattr(_Runner, "_exec_op", counting_exec_op)
+    report = topo.run_program(generate_workload(spec, 3))
+    assert report.ops_completed == spec.duration_ops
+    assert sent == [("insert", 1)] * spec.duration_ops
+
+
+def _preload_state(seed: int, spec: WorkloadSpec, cache: int | None) -> tuple:
+    """Preloads spec's tables; returns every row version's cells, both
+    journals' bytes, the sealed blocks, the untrusted block events and then,
+    after a quiesce flush, the privacy zone's image."""
+    topo = ZoneTopology(seed, batch_size=spec.batch_size, cache_capacity_blocks=cache)
+    db = topo.integrity.db
+    tables = _Runner(topo, generate_workload(spec, seed))._preload(db)
+    cells = [[v.cells for chain in t.rows.values() for v in chain] for t in tables]
+    state = (cells, topo.store_wal_buffer.durable, topo.store_wal_buffer.pending_len,
+             topo.dbwal_buffer.durable, dict(topo.sealed_store.blocks),
+             [e for e in topo.trace.events if e[0].startswith("Block")])
+    topo.client.flush_log(quiesce=True)
+    snapshots = topo.priv_snapshots
+    return state + ({name: snapshots.get(name) for name in snapshots.names()},)
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(seed=st.integers(0, 2**16), tables=st.integers(1, 2),
+       rows=st.integers(1, 150), batch_size=st.integers(2, 256),
+       cache=st.sampled_from([None, 1, 3]))
+@example(seed=3, tables=2, rows=150, batch_size=256, cache=1)
+def test_preload_batching_changes_no_durable_byte(seed, tables, rows, batch_size,
+                                                  cache):
+    """The preload stores the same values in the same order at any batch
+    size: one ingest per value and batch_size values per message give the
+    same FIDs, journal bytes, sealed blocks, block I/O and image."""
+    spec = _small_spec(tables=tables, rows_per_table=rows, batch_size=1)
+    one = _preload_state(seed, spec, cache)
+    batched = _preload_state(seed, replace(spec, batch_size=batch_size), cache)
+    assert batched == one
+
+
+def test_privacy_crash_between_preload_ingests():
+    """A privacy crash between two of the preload's ingest messages loses
+    what no sync covered and leaves no dangling FID; what an earlier sync
+    made durable, and no row claims, orphan_gc reclaims."""
+    spec = _small_spec()
+    topo = ZoneTopology(3, batch_size=spec.batch_size)
+    request = topo.channel.request
+    ingests = []
+
+    def request_then_crash(raw):
+        response = request(raw)
+        if raw[0] == m.MSG_INGEST:
+            ingests.append(raw)
+            topo.client.flush_log()  # another client's commit syncs the batch
+            topo.privacy.crash()
+        return response
+
+    topo.channel.request = request_then_crash
+    report = topo.run_program(generate_workload(spec, 3))
+    assert report.crashed_at == "privacy-unavailable"
+    assert len(ingests) == 1
+    topo.channel.request = request
+    recovery = topo.recover_all()
+    assert recovery.invariant.violations == []
+    assert recovery.invariant.orphans == spec.batch_size
+    assert topo.integrity.db.orphan_gc() == spec.batch_size
+    after = topo.check_invariant()
+    assert after.holds and after.orphans == 0
 
 
 def test_crash_after_read_only_commits_reads_back_replay_state():
@@ -892,7 +978,7 @@ def test_recovery_retires_sealed_copies_past_a_buckets_end():
     topo.client.flush_log()
     for i in range(200):
         envelope = topo.client_encrypt(pad_sensitive(encode_int64(i)))
-        topo.client.ingest(1, envelope, pid)
+        topo.client.ingest(1, [envelope], 1, pid)
     topo.privacy.atrest.flush_dirty()
     assert len(topo.sealed_store.blocks) == 7  # 200 values of 128 B
     topo.privacy.crash()
