@@ -33,6 +33,7 @@ SEALED_OVERHEAD = 8 + NONCE_LEN + TAG_LEN  # counter + nonce + tag = 36 bytes
 
 _AAD = struct.Struct("<IQQQ")  # partition, block_index, counter, epoch
 _SEALED_REC = struct.Struct(f"<Q{NONCE_LEN}s{TAG_LEN}s{BLOCK_SIZE}s")
+_FRESHNESS_ENTRY = struct.Struct("<IQQ")  # partition, block_index, counter
 
 
 @dataclass(frozen=True)
@@ -51,10 +52,18 @@ class FreshnessTable:
 
     The table snapshot rides the store checkpoint and seal events are
     journaled, so counter values survive crashes and are never reissued.
+    The snapshot is one _FRESHNESS_ENTRY per block, in block order.
     """
 
-    def __init__(self, entries: dict[tuple[int, int], int] | None = None):
-        self.counters: dict[tuple[int, int], int] = dict(entries or {})
+    def __init__(self):
+        self.counters: dict[tuple[int, int], int] = {}
+
+    @classmethod
+    def from_snapshot(cls, data: bytes | None) -> "FreshnessTable":
+        table = cls()
+        for pid, bidx, counter in _FRESHNESS_ENTRY.iter_unpack(data or b""):
+            table.counters[(pid, bidx)] = counter
+        return table
 
     def next_counter(self, pid: int, block_index: int) -> int:
         c = self.counters.get((pid, block_index), 0) + 1
@@ -64,11 +73,15 @@ class FreshnessTable:
     def expected(self, pid: int, block_index: int) -> int:
         return self.counters.get((pid, block_index), 0)
 
+    def replay_seal(self, pid: int, block_index: int, counter: int) -> None:
+        """Folds in a journaled seal: counters only move forward."""
+        key = (pid, block_index)
+        if self.counters.get(key, 0) < counter:
+            self.counters[key] = counter
+
     def snapshot_bytes(self) -> bytes:
-        out = []
-        for (pid, bidx), counter in sorted(self.counters.items()):
-            out.append(struct.pack("<IQQ", pid, bidx, counter))
-        return b"".join(out)
+        return b"".join(_FRESHNESS_ENTRY.pack(pid, bidx, counter)
+                        for (pid, bidx), counter in sorted(self.counters.items()))
 
 
 class SealedBlockStore:
@@ -199,11 +212,8 @@ class AtRestLayer:
             self.faults += 1
         sealed = self.sealed.read(pid, block_index)
         if sealed is not None:
-            if self.trace is not None:
-                self.trace.block_read(pid, block_index)
             try:
-                self.sealer.open(pid, block_index, sealed,
-                                 self.freshness.expected(pid, block_index))
+                self.open_block(pid, block_index, sealed)
             except (AuthFailure, StaleBlock):
                 # sealed copy predates the last recovery (its seal event
                 # never became durable); the replayed store is authoritative
@@ -233,12 +243,12 @@ class AtRestLayer:
 
     def open_block(self, pid: int, block_index: int,
                    sealed: SealedBlock) -> bytes:
-        """Verify and decrypt a sealed block; strict freshness semantics."""
-        plaintext = self.sealer.open(pid, block_index, sealed,
-                                     self.freshness.expected(pid, block_index))
+        """Verify and decrypt a sealed block; strict freshness semantics.
+        The read is adversary visible whether or not the block verifies."""
         if self.trace is not None:
             self.trace.block_read(pid, block_index)
-        return plaintext
+        return self.sealer.open(pid, block_index, sealed,
+                                self.freshness.expected(pid, block_index))
 
     def prefetch_partition(self, pid: int) -> int:
         """Warm the cache with a partition's blocks (off the critical path),

@@ -34,13 +34,14 @@ def _write_csv(path: str | None, columns: list[str], rows: list[dict]) -> None:
 
 def _cmd_ops(args: argparse.Namespace) -> int:
     report = bench_ops(args.iters)
-    print(f"iterations              {report.iters}")
-    for name, ns, p99 in (
+    rows = [
         ("put", report.put_ns, report.put_ns_p99),
         ("get", report.get_ns, report.get_ns_p99),
         ("aead_encrypt_field", report.encrypt_ns, report.encrypt_ns_p99),
         ("aead_decrypt_field", report.decrypt_ns, report.decrypt_ns_p99),
-    ):
+    ]
+    print(f"iterations              {report.iters}")
+    for name, ns, p99 in rows:
         cycles = report.cycles(ns)
         cyc = f"{cycles:10.0f} cycles" if cycles is not None else "      n/a"
         print(f"{name:22s}  median {ns:8.1f} ns  p99 {p99:8.1f} ns  {cyc}")
@@ -48,14 +49,8 @@ def _cmd_ops(args: argparse.Namespace) -> int:
     print(f"decrypt/get ratio       {report.decrypt_over_get:.2f}x")
     if args.out:
         _write_csv(args.out, ["op", "median_ns", "p99_ns", "cycles"], [
-            {"op": n, "median_ns": ns, "p99_ns": p99,
-             "cycles": report.cycles(ns)}
-            for n, ns, p99 in (
-                ("put", report.put_ns, report.put_ns_p99),
-                ("get", report.get_ns, report.get_ns_p99),
-                ("aead_encrypt_field", report.encrypt_ns, report.encrypt_ns_p99),
-                ("aead_decrypt_field", report.decrypt_ns, report.decrypt_ns_p99),
-            )
+            {"op": n, "median_ns": ns, "p99_ns": p99, "cycles": report.cycles(ns)}
+            for n, ns, p99 in rows
         ])
     return 0
 

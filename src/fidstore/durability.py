@@ -107,19 +107,8 @@ class SnapshotStore:
     def get(self, name: str) -> bytes | None:
         return self._blobs.get(name)
 
-    def delete(self, name: str) -> None:
-        self._blobs.pop(name, None)
-        if self.dirpath is not None:
-            try:
-                os.remove(os.path.join(self.dirpath, name))
-            except FileNotFoundError:
-                pass
-
     def names(self) -> list[str]:
         return sorted(self._blobs)
-
-    def crash(self) -> None:
-        """Atomic writes all survive; nothing to discard."""
 
 
 def _atomic_write(path: str, data: bytes) -> None:

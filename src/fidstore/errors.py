@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all components, with stable wire codes."""
+"""Exception hierarchy shared by all components, with stable wire codes.
+
+Codes 4 and 9 named errors that are gone; they are not reused.
+"""
 
 from __future__ import annotations
 
@@ -35,10 +38,6 @@ class NotLive(FidStoreError):
 
 class WrongPartitionKind(FidStoreError):
     code = 8
-
-
-class LogClosed(FidStoreError):
-    code = 9
 
 
 class IoFailure(FidStoreError):

@@ -74,7 +74,6 @@ from .errors import (
 )
 from .fid_codec import FidConfig, fid_from_bytes, fid_to_bytes
 from .privacy_proxy import COMPARISONS, OperatorRequest, OpKind, ValueType
-from .wal import REC_HEAD, frame_record
 
 CATALOG = "catalog.json"
 CHECKPOINT_IMAGE = "db.ckpt"
@@ -85,9 +84,10 @@ DB_REMOVE = 3
 DB_COMMIT = 4
 
 _U32 = struct.Struct("<I")
-# DbWal record payloads, after REC_HEAD: a DB_INSERT or DB_END row record
-# (txn, table, row, vseq; then the cells or the refs to release), a
-# DB_REMOVE (table, row, vseq) and a DB_COMMIT (txn).
+# DbWal record payloads, which wal.frame_record frames with their LSN and
+# kind: a DB_INSERT or DB_END row record (txn, table, row, vseq; then the
+# cells or the refs to release), a DB_REMOVE (table, row, vseq) and a
+# DB_COMMIT (txn).
 _ROW_REC = struct.Struct("<QIQQ")
 _REMOVE_REC = struct.Struct("<IQQ")
 _COMMIT_REC = struct.Struct("<Q")
@@ -379,8 +379,7 @@ class Database:
 
     def __init__(self, client, backend, dbwal: DurableBuffer,
                  snapshots: SnapshotStore, *, batch_size: int = 256,
-                 trace=None, crash_hook=None,
-                 protocol_events: list | None = None):
+                 trace=None, crash_hook=None):
         self.client = client
         self.backend = backend
         self.dbwal = dbwal
@@ -388,7 +387,6 @@ class Database:
         self.batch_size = batch_size
         self.trace = trace
         self.crash_hook = crash_hook
-        self.protocol_events = protocol_events if protocol_events is not None else []
         self.tables: dict[str, Table] = {}
         self.tables_by_idx: list[Table] = []
         self.active_txns: dict[int, Txn] = {}
@@ -456,21 +454,13 @@ class Database:
             except (Unavailable, IoFailure):
                 self.abort(txn)
                 raise
-        self.protocol_events.append(("privacy_flush_done", txn.txn_id))
         self._hook("after_privacy_flush", txn)
-        frames = [self._frame(rec) for rec in txn.staged]
-        frames.append(self._frame(self._record(DB_COMMIT, txn=txn.txn_id)))
-        data = b"".join(frames)
-        pending_before = self.dbwal.pending_len
-        self.dbwal.append(data)
         try:
-            self.dbwal.sync()  # commit #2: the FIDs become externally visible
-        except OSError as exc:
-            # retract this txn's frames so a later commit cannot sync them
-            self.dbwal.truncate_pending(pending_before)
+            # commit #2: the FIDs become externally visible
+            self._journal(txn.staged + [self._record(DB_COMMIT, txn=txn.txn_id)])
+        except IoFailure:
             self.abort(txn)
-            raise IoFailure(str(exc)) from exc
-        self.protocol_events.append(("db_commit_durable", txn.txn_id))
+            raise
         self._hook("after_db_commit", txn)
         self._finish_commit(txn)
         self._synced()
@@ -732,9 +722,7 @@ class Database:
         # between leaves orphans, never a recovered version whose release
         # refs name slots the store has freed and may hand out again
         if remove_records:
-            data = b"".join(self._frame(r) for r in remove_records)
-            self.dbwal.append(data)
-            self.dbwal.sync()
+            self._journal(remove_records)
             self._forget_unnamed_txns()
             self._synced()
         reclaimed = self.backend.release(release, self.batch_size)
@@ -867,18 +855,27 @@ class Database:
 
     def _record(self, kind: int, txn: int = 0, table: int = 0, row: int = 0,
                 vseq: int = 0, cells: bytes = b"") -> tuple[int, bytes]:
-        """A record as (kind, payload); _frame gives it its LSN."""
+        """A record as (kind, payload); _journal gives it its LSN."""
         if kind == DB_COMMIT:
             return kind, _COMMIT_REC.pack(txn)
         if kind == DB_REMOVE:
             return kind, _REMOVE_REC.pack(table, row, vseq)
         return kind, _ROW_REC.pack(txn, table, row, vseq) + cells
 
-    def _frame(self, record: tuple[int, bytes]) -> bytes:
-        kind, payload = record
+    def _journal(self, records: list[tuple[int, bytes]]) -> None:
+        """Frames the records with the next LSNs, appends them in one piece
+        and syncs. A failed sync retracts them, so a later sync cannot make
+        them durable, and raises IoFailure."""
         lsn = self.next_lsn
-        self.next_lsn += 1
-        return frame_record(REC_HEAD.pack(lsn, kind) + payload)
+        self.next_lsn += len(records)
+        pending_before = self.dbwal.pending_len
+        self.dbwal.append(b"".join(wal.frame_record(lsn + i, kind, payload)
+                                   for i, (kind, payload) in enumerate(records)))
+        try:
+            self.dbwal.sync()
+        except OSError as exc:
+            self.dbwal.truncate_pending(pending_before)
+            raise IoFailure(str(exc)) from exc
 
     def _refs_wire(self, refs: list) -> bytes:
         out = [struct.pack("<H", len(refs))]
@@ -969,14 +966,12 @@ def recover_database(client, backend, dbwal: DurableBuffer,
     if image:
         db._load_image(image)
 
-    records = []
+    records = wal.journal_after(dbwal, db.next_lsn - 1)
     committed_order = []
     max_txn = db.next_txn_id - 1
-    for body in wal.journal_after(dbwal, db.next_lsn - 1):
-        lsn, kind = REC_HEAD.unpack_from(body, 0)
-        records.append((kind, body))
+    for lsn, kind, payload in records:
         if kind == DB_COMMIT:
-            (txn_id,) = _COMMIT_REC.unpack_from(body, REC_HEAD.size)
+            (txn_id,) = _COMMIT_REC.unpack_from(payload)
             committed_order.append(txn_id)
             max_txn = max(max_txn, txn_id)
         db.next_lsn = lsn + 1
@@ -985,13 +980,12 @@ def recover_database(client, backend, dbwal: DurableBuffer,
     for i, txn_id in enumerate(committed_order):
         committed[txn_id] = db.next_commit_seq + i
     replayed = 0
-    for kind, body in records:
-        pos = REC_HEAD.size
+    for _, kind, payload in records:
         if kind == DB_COMMIT:
             replayed += 1
             continue
         if kind == DB_REMOVE:
-            table_idx, row_id, vseq = _REMOVE_REC.unpack_from(body, pos)
+            table_idx, row_id, vseq = _REMOVE_REC.unpack_from(payload)
             table = db.tables_by_idx[table_idx]
             chain = table.rows.get(row_id)
             if chain:
@@ -1000,20 +994,20 @@ def recover_database(client, backend, dbwal: DurableBuffer,
                     del table.rows[row_id]
             replayed += 1
             continue
-        txn_id, table_idx, row_id, vseq = _ROW_REC.unpack_from(body, pos)
-        pos += _ROW_REC.size
+        txn_id, table_idx, row_id, vseq = _ROW_REC.unpack_from(payload)
+        pos = _ROW_REC.size
         max_txn = max(max_txn, txn_id)
         if txn_id not in committed:
             continue  # crashed before its commit record: aborted
         table = db.tables_by_idx[table_idx]
         if kind == DB_INSERT:
-            cells, end = db._cells_from_wire(table, body, pos)
-            version = RowVersion(row_id, vseq, txn_id, cells, body[pos:end])
+            cells, end = db._cells_from_wire(table, payload, pos)
+            version = RowVersion(row_id, vseq, txn_id, cells, payload[pos:end])
             table.rows.setdefault(row_id, []).append(version)
             table.next_row_id = max(table.next_row_id, row_id + 1)
             table.next_vseq = max(table.next_vseq, vseq + 1)
         elif kind == DB_END:
-            release, _ = db._refs_from_wire(body, pos)
+            release, _ = db._refs_from_wire(payload, pos)
             for version in table.rows.get(row_id, ()):
                 if version.vseq == vseq:
                     version.end_txn = txn_id

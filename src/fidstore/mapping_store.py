@@ -46,7 +46,7 @@ from .fid_codec import FidConfig
 
 BLOCK_SIZE = 4096
 MIN_CLASS = 16
-DEFAULT_MAX_VALUE_LEN = 4096
+MAX_VALUE_LEN = 4096
 
 SUPERBLOCK = struct.Struct("<8sBQ")  # magic, prefix bits, offset count
 MAGIC = b"FIDSTOR2"
@@ -144,11 +144,9 @@ class MappingStore:
     """The crypto-free mapping core: put/get/delete/promote over partitions."""
 
     def __init__(self, config: FidConfig | None = None, *,
-                 max_value_len: int = DEFAULT_MAX_VALUE_LEN,
                  journal=None, blocks=None):
         self.config = config or FidConfig()
-        self.max_value_len = max_value_len
-        self.classes = size_classes(max_value_len)
+        self.classes = size_classes(MAX_VALUE_LEN)
         self.journal = journal      # duck-typed: log_put/log_delete/log_create
         self.blocks = blocks        # duck-typed: on_read/on_write per block
         self._parts: dict[int, Partition] = {}
@@ -217,9 +215,8 @@ class MappingStore:
             p = self._parts[partition_id]
         except KeyError:
             raise UnknownPartition(f"no partition {partition_id}") from None
-        if not 0 < len(secret) <= self.max_value_len:
-            raise ValueTooLarge(
-                f"value of {len(secret)} bytes (max {self.max_value_len})")
+        if not 0 < len(secret) <= MAX_VALUE_LEN:
+            raise ValueTooLarge(f"value of {len(secret)} bytes (max {MAX_VALUE_LEN})")
         free = p.free_list
         if not free and p.alloc_counter >= p.limit:
             raise PartitionFull(f"partition {partition_id} offsets exhausted")

@@ -1,20 +1,22 @@
 """Append-only redo log for permanent-partition mutations.
 
 Record framing is {u32 len, u32 crc32, body}, little-endian, crc over the
-body; both zones' record bodies open with REC_HEAD. A length/crc mismatch
-in the tail region means a torn write and ends replay; the same mismatch
-with intact frames after it means tampering and raises CorruptLog. The log
-is redo-only: aborts are handled by version visibility in the table engine,
-never by undo.
+body; every body of both zones' journals is REC_HEAD {u64 lsn, u8 kind}
+and then the kind's payload, and this module alone frames and parses it
+(frame_record, journal_after). A length/crc mismatch in the tail region
+means a torn write and ends replay; the same mismatch with intact frames
+after it means tampering and raises CorruptLog. The log is redo-only:
+aborts are handled by version visibility in the table engine, never by
+undo.
 
-The privacy zone's record bodies after REC_HEAD:
+The privacy zone's payloads, one struct per kind:
 
-- KIND_PUT: u64 fid, then the value;
-- KIND_DELETE: u64 fid;
-- KIND_CREATE_PARTITION: u32 partition id (always a permanent partition:
-  temporaries are never journaled);
-- KIND_SEAL: u32 partition, u64 block index, u64 counter; a seal, or the
-  counter advance of a dropped block's retired sealed copy.
+- KIND_PUT: PUT_REC {u64 fid}, then the value;
+- KIND_DELETE: DELETE_REC {u64 fid};
+- KIND_CREATE_PARTITION: CREATE_REC {u32 partition id} (always a permanent
+  partition: temporaries are never journaled);
+- KIND_SEAL: SEAL_REC {u32 partition, u64 block index, u64 counter}; a
+  seal, or the counter advance of a dropped block's retired sealed copy.
 
 flush() has group-commit semantics: one call makes every record buffered
 so far durable, regardless of which transaction appended it.
@@ -29,6 +31,10 @@ empty. LSNs increase along each journal, and recovery reads it through
 journal_after, which replays only the records past the cover. So each zone
 replays at most one interval plus one sync on top of its image, and none
 after maintenance.
+
+Besides the partition images, the privacy zone's snapshots hold the
+freshness table (FreshnessTable owns its bytes) and the epoch marker
+{u64 epoch}, which advance_epoch alone reads and writes.
 """
 
 from __future__ import annotations
@@ -36,10 +42,11 @@ from __future__ import annotations
 import struct
 import threading
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .atrest_storage import FreshnessTable
 from .durability import DurableBuffer, SnapshotStore
-from .errors import CorruptLog, IoFailure, LogClosed
+from .errors import CorruptLog, IoFailure
 from .fid_codec import FidConfig
 from .mapping_store import MappingStore, PartitionKind
 
@@ -51,6 +58,13 @@ KIND_DELETE = 2
 KIND_CREATE_PARTITION = 3
 KIND_SEAL = 5
 
+PUT_REC = struct.Struct("<Q")  # fid; the value follows
+DELETE_REC = struct.Struct("<Q")  # fid
+CREATE_REC = struct.Struct("<I")  # partition id
+SEAL_REC = struct.Struct("<IQQ")  # partition, block index, counter
+
+_U64 = struct.Struct("<Q")  # the checkpoint marker's LSN; the epoch marker
+
 # Bytes a zone's journal may grow by between two checkpoints. Read at each
 # check, never bound at import, so a test may lower it for both zones.
 CHECKPOINT_INTERVAL_BYTES = 1024 * 1024
@@ -60,51 +74,9 @@ FRESHNESS_SNAPSHOT = "store.freshness"
 EPOCH_MARKER = "store.epoch"
 
 
-@dataclass
-class WalRecord:
-    lsn: int
-    kind: int
-    fid: int = 0
-    value: bytes = b""
-    partition_id: int = 0
-    block_index: int = 0
-    counter: int = 0
-
-    def encode_body(self) -> bytes:
-        head = REC_HEAD.pack(self.lsn, self.kind)
-        k = self.kind
-        if k == KIND_PUT:
-            return head + struct.pack("<Q", self.fid) + self.value
-        if k == KIND_DELETE:
-            return head + struct.pack("<Q", self.fid)
-        if k == KIND_CREATE_PARTITION:
-            return head + struct.pack("<I", self.partition_id)
-        if k == KIND_SEAL:
-            return head + struct.pack("<IQQ", self.partition_id,
-                                      self.block_index, self.counter)
-        raise ValueError(f"unknown record kind {k}")
-
-    @classmethod
-    def decode_body(cls, body: bytes) -> "WalRecord":
-        lsn, kind = REC_HEAD.unpack_from(body, 0)
-        pos = REC_HEAD.size
-        rec = cls(lsn=lsn, kind=kind)
-        if kind == KIND_PUT:
-            (rec.fid,) = struct.unpack_from("<Q", body, pos)
-            rec.value = body[pos + 8:]
-        elif kind == KIND_DELETE:
-            (rec.fid,) = struct.unpack_from("<Q", body, pos)
-        elif kind == KIND_CREATE_PARTITION:
-            (rec.partition_id,) = struct.unpack_from("<I", body, pos)
-        elif kind == KIND_SEAL:
-            (rec.partition_id, rec.block_index,
-             rec.counter) = struct.unpack_from("<IQQ", body, pos)
-        else:
-            raise CorruptLog(f"unknown record kind {kind}")
-        return rec
-
-
-def frame_record(body: bytes) -> bytes:
+def frame_record(lsn: int, kind: int, payload: bytes) -> bytes:
+    """One journal record's bytes: the frame around REC_HEAD and payload."""
+    body = REC_HEAD.pack(lsn, kind) + payload
     return FRAME.pack(len(body), zlib.crc32(body)) + body
 
 
@@ -138,18 +110,21 @@ def past_interval(buffer: DurableBuffer) -> bool:
     return buffer.durable_len > CHECKPOINT_INTERVAL_BYTES
 
 
-def journal_after(buffer: DurableBuffer, covered_lsn: int) -> list[bytes]:
-    """The bodies of the durable journal's records past covered_lsn, in
-    order; raises CorruptLog unless LSNs increase along the journal.
+def journal_after(buffer: DurableBuffer,
+                  covered_lsn: int) -> list[tuple[int, int, bytes]]:
+    """The durable journal's records past covered_lsn, in order, each as
+    (lsn, kind, payload); raises CorruptLog unless LSNs increase along the
+    journal.
 
     Cuts the journal to exactly the records it returns: a prefix the image
     covers (left by a crash between writing the image and truncating) and a
     torn tail both go, so records appended after recovery follow intact
     frames and the journal's length counts toward the next checkpoint."""
-    bodies = []
+    records = []
     start = end = prev_lsn = 0
+    head = REC_HEAD.size
     for body in read_frames(buffer.durable):
-        lsn = REC_HEAD.unpack_from(body, 0)[0]
+        lsn, kind = REC_HEAD.unpack_from(body, 0)
         if lsn <= prev_lsn:
             raise CorruptLog(f"lsn {lsn} not increasing after {prev_lsn}")
         prev_lsn = lsn
@@ -157,10 +132,10 @@ def journal_after(buffer: DurableBuffer, covered_lsn: int) -> list[bytes]:
         if lsn <= covered_lsn:
             start = end
         else:
-            bodies.append(body)
+            records.append((lsn, kind, body[head:]))
     if (start, end) != (0, buffer.durable_len):
         buffer.replace(buffer.durable[start:end])
-    return bodies
+    return records
 
 
 class Wal:
@@ -173,42 +148,37 @@ class Wal:
         self.next_lsn = start_lsn
         self.durable_lsn = start_lsn - 1
         self.on_checkpoint = None  # set by the owning runtime
-        self.closed = False
         # serializes appends with a flush and the checkpoint it runs, so the
         # checkpoint sees no record appended after the sync
         self._lock = threading.Lock()
 
     # -- append paths -------------------------------------------------
 
-    def append(self, record: WalRecord) -> int:
-        if self.closed:
-            raise LogClosed("wal is closed")
+    def append(self, kind: int, payload: bytes) -> int:
+        """Buffers one record; returns its LSN."""
         with self._lock:
-            record.lsn = self.next_lsn
-            self.next_lsn += 1
-            self.buffer.append(frame_record(record.encode_body()))
-            return record.lsn
+            lsn = self.next_lsn
+            self.next_lsn = lsn + 1
+            self.buffer.append(frame_record(lsn, kind, payload))
+            return lsn
 
     def log_put(self, fid: int, value: bytes) -> int:
-        return self.append(WalRecord(0, KIND_PUT, fid=fid, value=value))
+        return self.append(KIND_PUT, PUT_REC.pack(fid) + value)
 
     def log_delete(self, fid: int) -> int:
-        return self.append(WalRecord(0, KIND_DELETE, fid=fid))
+        return self.append(KIND_DELETE, DELETE_REC.pack(fid))
 
     def log_create(self, pid: int) -> int:
-        return self.append(WalRecord(0, KIND_CREATE_PARTITION, partition_id=pid))
+        return self.append(KIND_CREATE_PARTITION, CREATE_REC.pack(pid))
 
     def log_seal(self, pid: int, block_index: int, counter: int) -> int:
-        return self.append(WalRecord(0, KIND_SEAL, partition_id=pid,
-                                     block_index=block_index, counter=counter))
+        return self.append(KIND_SEAL, SEAL_REC.pack(pid, block_index, counter))
 
     # -- durability ----------------------------------------------------
 
     def flush(self, quiesce: bool = False) -> int:
         """Blocking flush of everything buffered; returns highest durable lsn.
         Checkpoints after the sync past the interval, or with quiesce."""
-        if self.closed:
-            raise LogClosed("wal is closed")
         with self._lock:
             try:
                 self.buffer.sync()
@@ -220,16 +190,14 @@ class Wal:
                 self.on_checkpoint()
             return self.durable_lsn
 
-    def close(self) -> None:
-        self.closed = True
-
 
 # ----------------------------------------------------------------------
 # checkpoint and recovery
 
 
 def checkpoint_truncate(store: MappingStore, wal: Wal, snapshots: SnapshotStore,
-                        freshness=None, crash_hook=None) -> None:
+                        freshness: FreshnessTable | None = None,
+                        crash_hook=None) -> None:
     """Persist a store image covering the durable LSN, then truncate the
     journal to empty.
 
@@ -248,7 +216,7 @@ def checkpoint_truncate(store: MappingStore, wal: Wal, snapshots: SnapshotStore,
             snapshots.put_atomic(f"part-{pid:05d}.dat", store.dump_partition(pid))
     if freshness is not None:
         snapshots.put_atomic(FRESHNESS_SNAPSHOT, freshness.snapshot_bytes())
-    snapshots.put_atomic(CKPT_MARKER, struct.pack("<Q", wal.durable_lsn))
+    snapshots.put_atomic(CKPT_MARKER, _U64.pack(wal.durable_lsn))
     if crash_hook is not None:
         crash_hook("privacy_checkpoint_image")
     wal.buffer.replace(b"")
@@ -261,49 +229,47 @@ class RecoveryResult:
     store: MappingStore
     wal: Wal
     replayed_count: int
-    freshness_entries: dict = field(default_factory=dict)
-    epoch: int = 0
+    freshness: FreshnessTable
 
 
 def recover_store(snapshots: SnapshotStore, wal_buffer: DurableBuffer,
                   config: FidConfig | None = None) -> RecoveryResult:
-    """Rebuild a MappingStore from the last checkpoint image plus the
-    durable log suffix. Running it twice over the same files yields the
-    same state (replay application is idempotent and pure)."""
+    """Rebuild a MappingStore and the freshness table from the last
+    checkpoint image plus the durable log suffix. Running it twice over the
+    same files yields the same state (replay application is idempotent and
+    pure)."""
     store = MappingStore(config)
     marker = snapshots.get(CKPT_MARKER)
-    ckpt_lsn = struct.unpack("<Q", marker)[0] if marker else 0
+    last_lsn = _U64.unpack(marker)[0] if marker else 0
     for name in snapshots.names():
         if name.endswith(".dat") and name.startswith("part-"):
             store.load_partition(int(name[5:10]), snapshots.get(name))
+    freshness = FreshnessTable.from_snapshot(snapshots.get(FRESHNESS_SNAPSHOT))
 
-    freshness_entries: dict[tuple[int, int], int] = {}
-    snap = snapshots.get(FRESHNESS_SNAPSHOT)
-    if snap:
-        for off in range(0, len(snap), 20):
-            pid, bidx, counter = struct.unpack_from("<IQQ", snap, off)
-            freshness_entries[(pid, bidx)] = counter
-
-    last_lsn = ckpt_lsn
-    bodies = journal_after(wal_buffer, ckpt_lsn)
-    for body in bodies:
-        rec = WalRecord.decode_body(body)
-        last_lsn = rec.lsn
-        if rec.kind == KIND_PUT:
-            store.apply_put(rec.fid, rec.value)
-        elif rec.kind == KIND_DELETE:
-            store.apply_delete(rec.fid)
-        elif rec.kind == KIND_CREATE_PARTITION:
-            store.apply_create(rec.partition_id)
-        elif rec.kind == KIND_SEAL:
-            key = (rec.partition_id, rec.block_index)
-            if freshness_entries.get(key, 0) < rec.counter:
-                freshness_entries[key] = rec.counter
+    records = journal_after(wal_buffer, last_lsn)
+    for lsn, kind, payload in records:
+        last_lsn = lsn
+        if kind == KIND_PUT:
+            store.apply_put(PUT_REC.unpack_from(payload)[0], payload[PUT_REC.size:])
+        elif kind == KIND_DELETE:
+            store.apply_delete(DELETE_REC.unpack_from(payload)[0])
+        elif kind == KIND_CREATE_PARTITION:
+            store.apply_create(CREATE_REC.unpack_from(payload)[0])
+        elif kind == KIND_SEAL:
+            freshness.replay_seal(*SEAL_REC.unpack_from(payload))
+        else:
+            raise CorruptLog(f"unknown record kind {kind}")
     store.rebuild_free_lists()
 
-    epoch_raw = snapshots.get(EPOCH_MARKER)
-    epoch = struct.unpack("<Q", epoch_raw)[0] if epoch_raw else 0
-
     wal = Wal(wal_buffer, start_lsn=last_lsn + 1)
-    return RecoveryResult(store=store, wal=wal, replayed_count=len(bodies),
-                          freshness_entries=freshness_entries, epoch=epoch)
+    return RecoveryResult(store=store, wal=wal, replayed_count=len(records),
+                          freshness=freshness)
+
+
+def advance_epoch(snapshots: SnapshotStore) -> int:
+    """Advances the recovery epoch marker by one and returns the new epoch
+    (1 after the first recovery)."""
+    raw = snapshots.get(EPOCH_MARKER)
+    epoch = (_U64.unpack(raw)[0] if raw else 0) + 1
+    snapshots.put_atomic(EPOCH_MARKER, _U64.pack(epoch))
+    return epoch

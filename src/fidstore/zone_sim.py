@@ -46,7 +46,7 @@ from .privacy_proxy import (
     decode_int64,
     encode_int64,
 )
-from .wal import EPOCH_MARKER, Wal, checkpoint_truncate, recover_store
+from .wal import Wal, advance_epoch, checkpoint_truncate, recover_store
 from .workload import (
     Mode,
     WorkloadProgram,
@@ -229,18 +229,15 @@ class PrivacyZoneHost:
         self.sealed_store = sealed_store
         self.crashed = False
         self.epoch = 0
-        self._build(store=None, wal=None, freshness_entries={})
+        self._build(MappingStore(topology.config), Wal(wal_buffer), FreshnessTable())
 
     def _nonce_source(self):
         rng = random.Random(f"nonce:{self.topology.seed}:{self.epoch}")
         return rng.randbytes
 
-    def _build(self, store, wal, freshness_entries) -> None:
+    def _build(self, store: MappingStore, wal: Wal,
+               freshness: FreshnessTable) -> None:
         topo = self.topology
-        if store is None:
-            store = MappingStore(topo.config)
-        if wal is None:
-            wal = Wal(self.wal_buffer)
         nonce_source = self._nonce_source()
         self.store = store
         self.wal = wal
@@ -248,7 +245,7 @@ class PrivacyZoneHost:
             store, topo.zone_block_key,
             capacity_blocks=topo.cache_capacity_blocks,
             nonce_source=nonce_source,
-            freshness=FreshnessTable(freshness_entries),
+            freshness=freshness,
             sealed_store=self.sealed_store,
             journal=wal, trace=topo.trace, epoch=self.epoch)
         store.journal = wal
@@ -270,9 +267,8 @@ class PrivacyZoneHost:
     def recover(self) -> int:
         result = recover_store(self.snapshots, self.wal_buffer,
                                self.topology.config)
-        self.epoch = result.epoch + 1
-        self.snapshots.put_atomic(EPOCH_MARKER, struct.pack("<Q", self.epoch))
-        self._build(result.store, result.wal, result.freshness_entries)
+        self.epoch = advance_epoch(self.snapshots)
+        self._build(result.store, result.wal, result.freshness)
         self._retire_unspanned()
         self.crashed = False
         return result.replayed_count
@@ -310,19 +306,18 @@ class IntegrityZoneHost:
         topo = self.topology
         return Database(self.client, self._backend(), self.dbwal_buffer,
                         self.snapshots, batch_size=topo.batch_size,
-                        trace=topo.trace, crash_hook=topo._crash_hook,
-                        protocol_events=topo.protocol_events)
+                        trace=topo.trace, crash_hook=topo._crash_hook)
 
-    def crash(self, torn_bytes: int = 0) -> None:
+    def crash(self) -> None:
         self.crashed = True
-        self.dbwal_buffer.crash(torn_bytes)
+        self.dbwal_buffer.crash()
 
     def recover(self) -> int:
         topo = self.topology
         db, replayed = recover_database(
             self.client, self._backend(), self.dbwal_buffer, self.snapshots,
             batch_size=topo.batch_size, trace=topo.trace,
-            crash_hook=topo._crash_hook, protocol_events=topo.protocol_events)
+            crash_hook=topo._crash_hook)
         self.db = db
         self.crashed = False
         return replayed
@@ -387,7 +382,6 @@ class ZoneTopology:
         self._sim_rng = random.Random(f"sim:{seed}")
 
         self.trace = AdversaryTrace()
-        self.protocol_events: list[tuple[str, int]] = []
 
         priv_dir = db_dir = None
         priv_wal_path = db_wal_path = None

@@ -55,8 +55,11 @@ def test_replay_superseded_block_is_stale():
     _, layer = _layer()
     old = layer.seal_block(3, 7, os.urandom(BLOCK_SIZE))
     layer.seal_block(3, 7, os.urandom(BLOCK_SIZE))
+    layer.trace = AdversaryTrace()
     with pytest.raises(StaleBlock):
         layer.open_block(3, 7, old)
+    # the untrusted side saw the read whether or not the block verified
+    assert layer.trace.events == [("BlockRead", (3 << 40) | 7)]
 
 
 def test_corruption_is_auth_failure():
@@ -250,6 +253,13 @@ def test_freshness_snapshot_round_trip():
         pid, bidx, counter = struct.unpack_from("<IQQ", snap, off)
         entries[(pid, bidx)] = counter
     assert entries == {(1, 0): 2, (2, 9): 1}
+    loaded = FreshnessTable.from_snapshot(snap)
+    assert loaded.counters == entries
+    loaded.replay_seal(1, 0, 1)  # an older journaled seal moves nothing
+    loaded.replay_seal(2, 9, 4)
+    loaded.replay_seal(3, 3, 1)
+    assert loaded.counters == {(1, 0): 2, (2, 9): 4, (3, 3): 1}
+    assert FreshnessTable.from_snapshot(None).counters == {}
 
 
 # lengths from the 16-byte class and from the classes of a few values per

@@ -13,7 +13,7 @@ from fidstore.bench import restart_violations
 from fidstore.errors import CorruptLog
 from fidstore.integrity_dbms import CATALOG, CHECKPOINT_IMAGE
 from fidstore.privacy_proxy import decode_int64, encode_int64
-from fidstore.wal import frame_record, read_frames
+from fidstore.wal import FRAME, read_frames
 from fidstore.workload import Mode, WorkloadSpec, flatten_schedule, generate_workload
 from fidstore.zone_sim import (
     CrashPoint,
@@ -322,8 +322,8 @@ def test_a_repeated_integrity_lsn_is_corrupt():
     assert topo.dbwal_buffer.durable_len == 0
     _commit_plain_update(topo)
     journal = topo.dbwal_buffer.durable
-    last = read_frames(journal)[-1]
-    topo.dbwal_buffer.replace(journal + frame_record(last))
+    last = journal[-(FRAME.size + len(read_frames(journal)[-1])):]
+    topo.dbwal_buffer.replace(journal + last)
     topo.integrity.crash()
     with pytest.raises(CorruptLog, match="not increasing"):
         topo.integrity.recover()

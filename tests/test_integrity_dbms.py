@@ -1,6 +1,10 @@
+import struct
+import zlib
+
 import pytest
 
 from fidstore.errors import (
+    IoFailure,
     NotLive,
     SchemaMismatch,
     TypeMismatch,
@@ -17,7 +21,7 @@ from fidstore.privacy_proxy import (
     decode_int64,
     encode_int64,
 )
-from fidstore.wal import KIND_DELETE, WalRecord, read_frames
+from fidstore.wal import DELETE_REC, KIND_DELETE, journal_after
 from fidstore.zone_sim import ZoneTopology
 
 SCHEMA = [
@@ -46,6 +50,14 @@ def _reveal_int(topo, query_id, fid):
 def _insert(topo, db, table, txn, key, value):
     fid = _ingest_int(topo, txn.query_id, value)
     return db.insert_row(txn, table, [key, fid, b"n"])
+
+
+def _record_hooks(db) -> list[tuple[str, int | None]]:
+    """(site, txn id) for every crash-hook site db passes from now on."""
+    events = []
+    db.crash_hook = lambda site, txn: events.append(
+        (site, txn.txn_id if txn is not None else None))
+    return events
 
 
 def test_begin_ids_distinct(topo):
@@ -191,13 +203,14 @@ def test_plain_only_insert_no_privacy_calls(topo):
     db = topo.integrity.db
     table = db.create_table("t", [Column("id", ColumnType.PLAIN_INT),
                                   Column("note", ColumnType.PLAIN_BYTES)])
+    events = _record_hooks(db)
     trips_before = topo.channel.round_trips
     txn = db.begin()
     db.insert_row(txn, table, [1, b"plain"])
     assert topo.channel.round_trips == trips_before
     db.commit(txn)  # no secret to make durable: only the commit record
     assert topo.channel.round_trips == trips_before
-    assert ("db_commit_durable", txn.txn_id) in topo.protocol_events
+    assert ("after_db_commit", txn.txn_id) in events
 
 
 def test_schema_validation(topo):
@@ -280,6 +293,7 @@ def test_first_updater_wins(topo):
 def test_commit_ordering_events(topo):
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
+    events = _record_hooks(db)
     for i in range(5):
         txn = db.begin()
         _insert(topo, db, table, txn, i + 1, i)
@@ -287,12 +301,11 @@ def test_commit_ordering_events(topo):
     reader = db.begin()
     assert db.visible_version(table, 1, reader) is not None
     db.commit(reader)
-    events = topo.protocol_events
     txn_ids = {t for _, t in events}
-    assert reader.txn_id not in txn_ids
+    assert len(txn_ids) == 5 and reader.txn_id not in txn_ids
     for txn_id in txn_ids:
-        flush_idx = events.index(("privacy_flush_done", txn_id))
-        commit_idx = events.index(("db_commit_durable", txn_id))
+        flush_idx = events.index(("after_privacy_flush", txn_id))
+        commit_idx = events.index(("after_db_commit", txn_id))
         assert flush_idx < commit_idx
 
 
@@ -309,11 +322,11 @@ def test_read_only_commit_sends_nothing(topo):
     version = db.visible_version(table, 1, reader)
     assert _reveal_int(topo, reader.query_id, version.cells[1]) == 7
     trips, durable = topo.channel.round_trips, db.dbwal.durable_len
-    events, seq = len(topo.protocol_events), db.next_commit_seq
+    events, seq = _record_hooks(db), db.next_commit_seq
     db.commit(reader)
     assert topo.channel.round_trips == trips
     assert db.dbwal.durable_len == durable
-    assert len(topo.protocol_events) == events
+    assert events == []
     assert reader.state.name == "COMMITTED"
     assert reader.txn_id not in db.committed
     assert db.committed == {setup.txn_id: seq - 1}
@@ -443,9 +456,9 @@ def test_orphan_gc_clean_database_and_idempotence(topo):
 
 def _delete_records(topo) -> list[int]:
     """The FIDs of the privacy journal's durable delete records, in order."""
-    frames = read_frames(topo.store_wal_buffer.durable)
-    return [rec.fid for rec in map(WalRecord.decode_body, frames)
-            if rec.kind == KIND_DELETE]
+    return [DELETE_REC.unpack(payload)[0]
+            for _, kind, payload in journal_after(topo.store_wal_buffer, 0)
+            if kind == KIND_DELETE]
 
 
 def test_release_sends_batch_size_refs_per_message():
@@ -610,3 +623,111 @@ def test_stale_temp_fid_raises_not_live(topo):
     with pytest.raises(NotLive):
         db.insert_row(txn, table, [1, fid, b"x"])
     db.abort(txn)
+
+
+def _hand_frame(lsn: int, kind: int, payload: bytes) -> bytes:
+    body = struct.pack("<QB", lsn, kind) + payload
+    return struct.pack("<II", len(body), zlib.crc32(body)) + body
+
+
+@pytest.mark.parametrize("kind", ["insert", "end", "remove", "commit"])
+def test_engine_record_bytes(topo, kind):
+    """Each engine journal record kind's durable bytes, packed by hand:
+    frame {u32 len, u32 crc32}, head {u64 lsn, u8 kind}, then its payload.
+    The journal holds an insert and its commit, an update (end, insert,
+    commit) and the vacuum's remove of the superseded version."""
+    db = topo.integrity.db
+    table = db.create_table("t", list(SCHEMA))
+    writer = db.begin()
+    _insert(topo, db, table, writer, 1, 100)
+    db.commit(writer)
+    old = table.rows[1][0].cells[1]
+    updater = db.begin()
+    new = _ingest_int(topo, updater.query_id, 200, table.partition_id)
+    db.update_row(updater, table, 1, {"k": new})
+    db.commit(updater)
+    assert db.vacuum(table) == 1
+
+    def cells(fid):
+        return (struct.pack("<HqI", 3, 1, 8) + struct.pack("<Q", fid)
+                + struct.pack("<I", 1) + b"n")
+
+    frames = {
+        "insert": [_hand_frame(1, 1, struct.pack("<QIQQ", writer.txn_id, 0, 1, 1)
+                               + cells(old)),
+                   _hand_frame(4, 1, struct.pack("<QIQQ", updater.txn_id, 0, 1, 2)
+                               + cells(new))],
+        "commit": [_hand_frame(2, 4, struct.pack("<Q", writer.txn_id)),
+                   _hand_frame(5, 4, struct.pack("<Q", updater.txn_id))],
+        "end": [_hand_frame(3, 2, struct.pack("<QIQQ", updater.txn_id, 0, 1, 1)
+                            + struct.pack("<HIQ", 1, 8, old))],
+        "remove": [_hand_frame(6, 3, struct.pack("<IQQ", 0, 1, 1))],
+    }
+    journal = db.dbwal.durable
+    got, pos = [], 0
+    while pos < len(journal):
+        (length,) = struct.unpack_from("<I", journal, pos)
+        frame = journal[pos:pos + 8 + length]
+        if frame in frames[kind]:
+            got.append(frame)
+        pos += 8 + length
+    assert pos == len(journal) == sum(map(len, sum(frames.values(), [])))
+    assert got == frames[kind]
+
+
+def test_commit_sync_failure_retracts_its_records(topo):
+    """A failed engine journal sync aborts the txn and retracts its records,
+    so the next commit's sync cannot make them durable."""
+    db = topo.integrity.db
+    table = db.create_table("t", list(SCHEMA))
+    setup = db.begin()
+    _insert(topo, db, table, setup, 1, 10)
+    db.commit(setup)
+    failed = db.begin()
+    _insert(topo, db, table, failed, 2, 20)
+    pending = db.dbwal.pending_len
+    db.dbwal.inject_sync_failure()
+    with pytest.raises(IoFailure):
+        db.commit(failed)
+    assert db.dbwal.pending_len == pending
+    assert failed.state.name == "ABORTED" and 2 not in table.rows
+    later = db.begin()
+    _insert(topo, db, table, later, 3, 30)
+    db.commit(later)
+    topo.privacy.crash()
+    topo.integrity.crash()
+    report = topo.recover_all()
+    assert report.invariant.holds
+    table = topo.integrity.db.tables["t"]
+    assert sorted(table.rows) == [1, 3]
+
+
+def test_vacuum_sync_failure_releases_nothing(topo):
+    """A failed sync of vacuum's removal records raises IoFailure, retracts
+    them and releases no ref; the versions they removed come back from the
+    journal after a crash, and the invariant holds."""
+    db = topo.integrity.db
+    table = db.create_table("t", list(SCHEMA))
+    setup = db.begin()
+    for key in range(1, 4):
+        _insert(topo, db, table, setup, key, key)
+    db.commit(setup)
+    old = [table.rows[key][0].cells[1] for key in range(1, 4)]
+    txn = db.begin()
+    for key in range(1, 4):
+        db.update_row(txn, table, key, {"k": _ingest_int(topo, txn.query_id, -key)})
+    db.commit(txn)
+    pending, trips = db.dbwal.pending_len, topo.channel.round_trips
+    db.dbwal.inject_sync_failure()
+    with pytest.raises(IoFailure):
+        db.vacuum(table)
+    assert db.dbwal.pending_len == pending
+    assert topo.channel.round_trips == trips  # no MSG_DELETE, no flush
+    assert all(topo.client.is_live(fid) for fid in old)
+    topo.privacy.crash()
+    topo.integrity.crash()
+    report = topo.recover_all()
+    assert report.invariant.holds and report.invariant.orphans == 0
+    db = topo.integrity.db
+    assert db.vacuum(db.tables["t"]) == 3
+    assert not any(topo.client.is_live(fid) for fid in old)

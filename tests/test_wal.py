@@ -1,17 +1,20 @@
 import random
 import struct
+import zlib
 
 import pytest
 
 from fidstore.durability import DurableBuffer, SnapshotStore
-from fidstore.errors import CorruptLog, IoFailure, LogClosed
+from fidstore.errors import CorruptLog, IoFailure
 from fidstore.fid_codec import FidConfig
 from fidstore.mapping_store import MappingStore, PartitionKind
 from fidstore.wal import (
     CHECKPOINT_INTERVAL_BYTES,
+    EPOCH_MARKER,
     KIND_PUT,
+    PUT_REC,
     Wal,
-    WalRecord,
+    advance_epoch,
     checkpoint_truncate,
     frame_record,
     read_frames,
@@ -51,11 +54,10 @@ def test_flush_empty_buffer_is_noop():
     assert buf.durable_len == size
 
 
-def test_append_after_close():
-    _, wal, _ = _store_with_wal()
-    wal.close()
-    with pytest.raises(LogClosed):
-        wal.log_put(1, b"x")
+def test_advance_epoch_counts_recoveries():
+    snaps = SnapshotStore()
+    assert [advance_epoch(snaps) for _ in range(3)] == [1, 2, 3]
+    assert snaps.get(EPOCH_MARKER) == struct.pack("<Q", 3)
 
 
 def test_flush_io_failure_surfaces():
@@ -111,9 +113,8 @@ def test_append_continues_after_recovery():
 
 
 def test_torn_tail_discarded_corrupt_middle_raises():
-    bodies = [WalRecord(i + 1, KIND_PUT, fid=i, value=b"v").encode_body()
+    frames = [frame_record(i + 1, KIND_PUT, PUT_REC.pack(i) + b"v")
               for i in range(3)]
-    frames = [frame_record(b) for b in bodies]
     # torn tail: final frame cut short
     data = b"".join(frames[:2]) + frames[2][:-1]
     assert len(read_frames(data)) == 2
@@ -311,3 +312,31 @@ def test_recovery_replay_time_is_linear():
     t1 = max(replay_time(5000), 1e-4)
     t4 = replay_time(20000)
     assert t4 / t1 < 16, f"replay scaled superlinearly: {t4 / t1:.1f}x for 4x records"
+
+
+def _hand_frame(lsn: int, kind: int, payload: bytes) -> bytes:
+    body = struct.pack("<QB", lsn, kind) + payload
+    return struct.pack("<II", len(body), zlib.crc32(body)) + body
+
+
+@pytest.mark.parametrize("kind", ["put", "delete", "create", "seal"])
+def test_privacy_record_bytes(kind):
+    """Each privacy record kind's durable bytes, packed by hand: frame
+    {u32 len, u32 crc32}, head {u64 lsn, u8 kind}, then its payload."""
+    buf = DurableBuffer()
+    wal = Wal(buf, start_lsn=7)
+    if kind == "put":
+        wal.log_put(0x0003_0000_0000_0011, b"secret")
+        expected = _hand_frame(7, 1, struct.pack("<Q", 0x0003_0000_0000_0011)
+                               + b"secret")
+    elif kind == "delete":
+        wal.log_delete(0x0003_0000_0000_0011)
+        expected = _hand_frame(7, 2, struct.pack("<Q", 0x0003_0000_0000_0011))
+    elif kind == "create":
+        wal.log_create(5)
+        expected = _hand_frame(7, 3, struct.pack("<I", 5))
+    else:
+        wal.log_seal(5, 9, 12)
+        expected = _hand_frame(7, 5, struct.pack("<IQQ", 5, 9, 12))
+    wal.flush()
+    assert buf.durable == expected

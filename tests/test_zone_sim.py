@@ -260,6 +260,8 @@ def test_commit_flushes_only_secrets_no_earlier_flush_covered():
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
     kinds = _count_kinds(topo)
+    events = []
+    db.crash_hook = lambda site, txn: events.append((site, txn.txn_id))
     t1, t2 = db.begin(), db.begin()
     _write_row(topo, db, table, t1, 1, 10)
     _write_row(topo, db, table, t2, 2, 20)
@@ -271,10 +273,9 @@ def test_commit_flushes_only_secrets_no_earlier_flush_covered():
     _write_row(topo, db, table, t3, 3, 30)
     db.commit(t3)
     assert kinds[m.MSG_FLUSH_LOG] == 2
-    events = topo.protocol_events
     for txn in (t1, t2, t3):
-        assert (events.index(("privacy_flush_done", txn.txn_id))
-                < events.index(("db_commit_durable", txn.txn_id)))
+        assert (events.index(("after_privacy_flush", txn.txn_id))
+                < events.index(("after_db_commit", txn.txn_id)))
     topo.privacy.crash()
     topo.integrity.crash()
     report = topo.recover_all()
@@ -293,10 +294,12 @@ def test_cipher_commit_sends_nothing():
                             table.partition_id, 1)[0]
     db.insert_row(txn, table, [1, env])
     trips, durable = topo.channel.round_trips, topo.store_wal_buffer.durable_len
+    sites = []
+    db.crash_hook = lambda site, txn: sites.append(site)
     db.commit(txn)
     assert topo.channel.round_trips == trips
     assert topo.store_wal_buffer.durable_len == durable
-    assert ("db_commit_durable", txn.txn_id) in topo.protocol_events
+    assert sites == ["before_privacy_flush", "after_privacy_flush", "after_db_commit"]
     topo.integrity.crash()
     topo.recover_all()
     reader = topo.integrity.db.begin()
