@@ -4,6 +4,13 @@ The simulator's crash model is synced-only: bytes survive a crash iff a
 sync completed for them, except that a crash injected during an in-flight
 sync may persist an arbitrary prefix of the bytes being synced (a torn
 write). Both primitives work purely in memory or mirrored to real files.
+
+Failures are fail-stop: an OSError from a durable write stops the zone
+that made it, and crash recovery takes over. Nothing retries the write
+(the kernel may have dropped the pages of a failed fsync) or retracts it.
+Each primitive updates its in-memory copy only once the file operation
+returns, and a crash cuts a journal file back to that copy, so memory and
+disk never diverge.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ class DurableBuffer:
         self.path = path
         self._durable = bytearray()
         self._pending = bytearray()
-        self._fail_next_sync = False
         if path is not None and os.path.exists(path):
             with open(path, "rb") as fh:
                 self._durable = bytearray(fh.read())
@@ -39,44 +45,35 @@ class DurableBuffer:
     def append(self, data: bytes) -> None:
         self._pending += data
 
-    def truncate_pending(self, keep: int) -> None:
-        """Retract trailing unsynced bytes down to `keep` pending bytes."""
-        del self._pending[keep:]
-
-    def inject_sync_failure(self) -> None:
-        self._fail_next_sync = True
-
     def sync(self) -> int:
         """Move all pending bytes into the durable region; returns new length."""
-        if self._fail_next_sync:
-            self._fail_next_sync = False
-            raise OSError("injected sync failure")
         if self._pending:
-            self._durable += self._pending
             if self.path is not None:
                 with open(self.path, "ab") as fh:
                     fh.write(self._pending)
                     fh.flush()
                     os.fsync(fh.fileno())
+            self._durable += self._pending
             self._pending.clear()
         return len(self._durable)
 
     def crash(self, torn_bytes: int = 0) -> None:
-        """Discard unsynced state, optionally keeping a torn prefix of it."""
-        if torn_bytes > 0:
-            kept = self._pending[:torn_bytes]
-            self._durable += kept
-            if self.path is not None:
-                with open(self.path, "ab") as fh:
-                    fh.write(kept)
+        """Discard unsynced state, optionally keeping a torn prefix of it; the
+        file loses whatever a failed sync wrote."""
+        kept = self._pending[:max(torn_bytes, 0)]
         self._pending.clear()
+        if self.path is not None:
+            with open(self.path, "ab") as fh:
+                fh.truncate(len(self._durable))
+                fh.write(kept)
+        self._durable += kept
 
     def replace(self, data: bytes) -> None:
         """Atomically swap the entire durable content (log truncation);
         pending bytes stay pending."""
-        self._durable = bytearray(data)
         if self.path is not None:
             _atomic_write(self.path, data)
+        self._durable = bytearray(data)
 
 
 class SnapshotStore:
@@ -100,9 +97,9 @@ class SnapshotStore:
                     self._blobs[name] = fh.read()
 
     def put_atomic(self, name: str, data: bytes) -> None:
-        self._blobs[name] = bytes(data)
         if self.dirpath is not None:
             _atomic_write(os.path.join(self.dirpath, name), data)
+        self._blobs[name] = bytes(data)
 
     def get(self, name: str) -> bytes | None:
         return self._blobs.get(name)

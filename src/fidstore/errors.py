@@ -1,6 +1,7 @@
 """Exception hierarchy shared by all components, with stable wire codes.
 
-Codes 4 and 9 named errors that are gone; they are not reused.
+Codes 4, 9 and 10 are retired, never reused: a width mismatch, a closed
+log and a failed durable write (which now stops its zone; see durability).
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ class NotLive(FidStoreError):
 
 class WrongPartitionKind(FidStoreError):
     code = 8
-
-
-class IoFailure(FidStoreError):
-    code = 10
 
 
 class CorruptLog(FidStoreError):

@@ -50,6 +50,11 @@ releases it.
 The checkpoint sends no message of its own: every version in the image has
 a durable commit record, so commit #1 already made every secret it names
 durable.
+
+A failed durable write stops its zone (durability's fail-stop rule). Here
+crash_hook gets site "io_failure" and crashes the engine, so a commit whose
+own sync failed has an unknown outcome, as after a timeout; a commit whose
+flush met a stopped privacy zone aborts on Unavailable.
 """
 
 from __future__ import annotations
@@ -63,7 +68,6 @@ from . import wal
 from .durability import DurableBuffer, SnapshotStore
 from .errors import (
     CorruptLog,
-    IoFailure,
     RowNotVisible,
     SchemaMismatch,
     TypeMismatch,
@@ -424,7 +428,8 @@ class Database:
                 for t in self.tables_by_idx
             ],
         }
-        self.snapshots.put_atomic(CATALOG, json.dumps(doc, indent=1).encode())
+        self._durable_write(self.snapshots.put_atomic, CATALOG,
+                            json.dumps(doc, indent=1).encode())
 
     # ------------------------------------------------------------------
     # transactions
@@ -451,16 +456,12 @@ class Database:
         if not self.client.unflushed.isdisjoint(txn.promoted):
             try:
                 self.client.flush_log()  # commit #1: secrets become durable
-            except (Unavailable, IoFailure):
+            except Unavailable:
                 self.abort(txn)
                 raise
         self._hook("after_privacy_flush", txn)
-        try:
-            # commit #2: the FIDs become externally visible
-            self._journal(txn.staged + [self._record(DB_COMMIT, txn=txn.txn_id)])
-        except IoFailure:
-            self.abort(txn)
-            raise
+        # commit #2: the FIDs become externally visible
+        self._journal(txn.staged + [self._record(DB_COMMIT, txn=txn.txn_id)])
         self._hook("after_db_commit", txn)
         self._finish_commit(txn)
         self._synced()
@@ -802,9 +803,9 @@ class Database:
     def checkpoint(self) -> None:
         """Writes the image of each row's newest committed version, covering
         every record framed so far, then truncates the journal to empty."""
-        self.snapshots.put_atomic(CHECKPOINT_IMAGE, self._image())
+        self._durable_write(self.snapshots.put_atomic, CHECKPOINT_IMAGE, self._image())
         self._hook("db_checkpoint_image", None)
-        self.dbwal.replace(b"")
+        self._durable_write(self.dbwal.replace, b"")
         self._hook("db_checkpoint_truncated", None)
 
     def _image(self) -> bytes:
@@ -864,18 +865,21 @@ class Database:
 
     def _journal(self, records: list[tuple[int, bytes]]) -> None:
         """Frames the records with the next LSNs, appends them in one piece
-        and syncs. A failed sync retracts them, so a later sync cannot make
-        them durable, and raises IoFailure."""
+        and syncs."""
         lsn = self.next_lsn
         self.next_lsn += len(records)
-        pending_before = self.dbwal.pending_len
         self.dbwal.append(b"".join(wal.frame_record(lsn + i, kind, payload)
                                    for i, (kind, payload) in enumerate(records)))
+        self._durable_write(self.dbwal.sync)
+
+    def _durable_write(self, write, *args) -> None:
+        """Runs one durable write; an OSError out of it goes to crash_hook as
+        site "io_failure", which stops this zone, and propagates if it returns."""
         try:
-            self.dbwal.sync()
-        except OSError as exc:
-            self.dbwal.truncate_pending(pending_before)
-            raise IoFailure(str(exc)) from exc
+            write(*args)
+        except OSError:
+            self._hook("io_failure", None)
+            raise
 
     def _refs_wire(self, refs: list) -> bytes:
         out = [struct.pack("<H", len(refs))]

@@ -40,13 +40,12 @@ freshness table (FreshnessTable owns its bytes) and the epoch marker
 from __future__ import annotations
 
 import struct
-import threading
 import zlib
 from dataclasses import dataclass
 
 from .atrest_storage import FreshnessTable
 from .durability import DurableBuffer, SnapshotStore
-from .errors import CorruptLog, IoFailure
+from .errors import CorruptLog
 from .fid_codec import FidConfig
 from .mapping_store import MappingStore, PartitionKind
 
@@ -148,19 +147,15 @@ class Wal:
         self.next_lsn = start_lsn
         self.durable_lsn = start_lsn - 1
         self.on_checkpoint = None  # set by the owning runtime
-        # serializes appends with a flush and the checkpoint it runs, so the
-        # checkpoint sees no record appended after the sync
-        self._lock = threading.Lock()
 
     # -- append paths -------------------------------------------------
 
     def append(self, kind: int, payload: bytes) -> int:
         """Buffers one record; returns its LSN."""
-        with self._lock:
-            lsn = self.next_lsn
-            self.next_lsn = lsn + 1
-            self.buffer.append(frame_record(lsn, kind, payload))
-            return lsn
+        lsn = self.next_lsn
+        self.next_lsn = lsn + 1
+        self.buffer.append(frame_record(lsn, kind, payload))
+        return lsn
 
     def log_put(self, fid: int, value: bytes) -> int:
         return self.append(KIND_PUT, PUT_REC.pack(fid) + value)
@@ -179,16 +174,11 @@ class Wal:
     def flush(self, quiesce: bool = False) -> int:
         """Blocking flush of everything buffered; returns highest durable lsn.
         Checkpoints after the sync past the interval, or with quiesce."""
-        with self._lock:
-            try:
-                self.buffer.sync()
-            except OSError as exc:
-                raise IoFailure(str(exc)) from exc
-            self.durable_lsn = self.next_lsn - 1
-            if self.on_checkpoint is not None and (quiesce
-                                                   or past_interval(self.buffer)):
-                self.on_checkpoint()
-            return self.durable_lsn
+        self.buffer.sync()
+        self.durable_lsn = self.next_lsn - 1
+        if self.on_checkpoint is not None and (quiesce or past_interval(self.buffer)):
+            self.on_checkpoint()
+        return self.durable_lsn
 
 
 # ----------------------------------------------------------------------

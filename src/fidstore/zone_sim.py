@@ -12,6 +12,7 @@ Crash semantics are synced-only: a crashed zone loses exactly its unsynced
 state. Recovery replays each zone's journal; when both zones crashed the
 replays are independent (parallel in the modeled timeline), and a
 privacy-only crash stalls the integrity zone for the replay duration.
+An I/O failure crashes the zone that wrote (durability's fail-stop rule).
 """
 
 from __future__ import annotations
@@ -214,6 +215,10 @@ class Channel:
             if self.topology.integrity.crashed:
                 raise
             raise Unavailable("privacy zone crashed (request timed out)") from None
+        except OSError as exc:
+            # fail-stop: a durable write of the privacy zone failed
+            self.topology.privacy.crash()
+            raise Unavailable("privacy zone stopped on an I/O error") from exc
         trace.msg(len(response))
         return response
 
@@ -433,6 +438,10 @@ class ZoneTopology:
         self._armed = point
 
     def _crash_hook(self, site: str, txn=None) -> None:
+        if site == "io_failure":
+            # fail-stop: a durable write of the integrity zone failed
+            self.integrity.crash()
+            raise ZoneCrashed(site)
         point = self._armed
         if point is None:
             return

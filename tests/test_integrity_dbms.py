@@ -4,7 +4,6 @@ import zlib
 import pytest
 
 from fidstore.errors import (
-    IoFailure,
     NotLive,
     SchemaMismatch,
     TypeMismatch,
@@ -673,61 +672,3 @@ def test_engine_record_bytes(topo, kind):
         pos += 8 + length
     assert pos == len(journal) == sum(map(len, sum(frames.values(), [])))
     assert got == frames[kind]
-
-
-def test_commit_sync_failure_retracts_its_records(topo):
-    """A failed engine journal sync aborts the txn and retracts its records,
-    so the next commit's sync cannot make them durable."""
-    db = topo.integrity.db
-    table = db.create_table("t", list(SCHEMA))
-    setup = db.begin()
-    _insert(topo, db, table, setup, 1, 10)
-    db.commit(setup)
-    failed = db.begin()
-    _insert(topo, db, table, failed, 2, 20)
-    pending = db.dbwal.pending_len
-    db.dbwal.inject_sync_failure()
-    with pytest.raises(IoFailure):
-        db.commit(failed)
-    assert db.dbwal.pending_len == pending
-    assert failed.state.name == "ABORTED" and 2 not in table.rows
-    later = db.begin()
-    _insert(topo, db, table, later, 3, 30)
-    db.commit(later)
-    topo.privacy.crash()
-    topo.integrity.crash()
-    report = topo.recover_all()
-    assert report.invariant.holds
-    table = topo.integrity.db.tables["t"]
-    assert sorted(table.rows) == [1, 3]
-
-
-def test_vacuum_sync_failure_releases_nothing(topo):
-    """A failed sync of vacuum's removal records raises IoFailure, retracts
-    them and releases no ref; the versions they removed come back from the
-    journal after a crash, and the invariant holds."""
-    db = topo.integrity.db
-    table = db.create_table("t", list(SCHEMA))
-    setup = db.begin()
-    for key in range(1, 4):
-        _insert(topo, db, table, setup, key, key)
-    db.commit(setup)
-    old = [table.rows[key][0].cells[1] for key in range(1, 4)]
-    txn = db.begin()
-    for key in range(1, 4):
-        db.update_row(txn, table, key, {"k": _ingest_int(topo, txn.query_id, -key)})
-    db.commit(txn)
-    pending, trips = db.dbwal.pending_len, topo.channel.round_trips
-    db.dbwal.inject_sync_failure()
-    with pytest.raises(IoFailure):
-        db.vacuum(table)
-    assert db.dbwal.pending_len == pending
-    assert topo.channel.round_trips == trips  # no MSG_DELETE, no flush
-    assert all(topo.client.is_live(fid) for fid in old)
-    topo.privacy.crash()
-    topo.integrity.crash()
-    report = topo.recover_all()
-    assert report.invariant.holds and report.invariant.orphans == 0
-    db = topo.integrity.db
-    assert db.vacuum(db.tables["t"]) == 3
-    assert not any(topo.client.is_live(fid) for fid in old)

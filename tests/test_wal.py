@@ -1,3 +1,4 @@
+import os
 import random
 import struct
 import zlib
@@ -5,7 +6,7 @@ import zlib
 import pytest
 
 from fidstore.durability import DurableBuffer, SnapshotStore
-from fidstore.errors import CorruptLog, IoFailure
+from fidstore.errors import CorruptLog
 from fidstore.fid_codec import FidConfig
 from fidstore.mapping_store import MappingStore, PartitionKind
 from fidstore.wal import (
@@ -60,12 +61,54 @@ def test_advance_epoch_counts_recoveries():
     assert snaps.get(EPOCH_MARKER) == struct.pack("<Q", 3)
 
 
-def test_flush_io_failure_surfaces():
-    _, wal, buf = _store_with_wal()
-    wal.log_put(1, b"x")
-    buf.inject_sync_failure()
-    with pytest.raises(IoFailure):
+def test_failed_flush_leaves_the_durable_copy_as_it_was(tmp_path, fail_io):
+    """A failed fsync propagates out of Wal.flush as the OSError it is, and
+    the durable copy holds only what earlier syncs made durable. A crash
+    cuts the file back to that copy, so the failed put is lost, and the
+    records appended after recovery follow intact frames with increasing
+    LSNs."""
+    path = str(tmp_path / "store.wal")
+    buf = DurableBuffer(path)
+    wal = Wal(buf)
+    store = MappingStore(FidConfig(16), journal=wal)
+    pid = store.create_partition(PartitionKind.PERMANENT)
+    kept = store.put(pid, b"a")
+    wal.flush()
+    synced = buf.durable
+    store.put(pid, b"b")
+    fail_io("fsync")
+    with pytest.raises(OSError):
         wal.flush()
+    assert buf.durable == synced and wal.durable_lsn == 2
+    buf.crash()
+    assert buf.pending_len == 0
+    assert DurableBuffer(path).durable == buf.durable == synced
+    result = recover_store(SnapshotStore(), buf, FidConfig(16))
+    assert _live_mapping(result.store) == {kept: b"a"}
+    result.store.journal = result.wal
+    later = result.store.put(pid, b"c")
+    result.wal.flush()
+    reopened = recover_store(SnapshotStore(), DurableBuffer(path), FidConfig(16))
+    assert _live_mapping(reopened.store) == {kept: b"a", later: b"c"}
+
+
+def test_failed_replace_keeps_the_old_copy(tmp_path, fail_io):
+    """A journal truncation or a snapshot write whose os.replace fails
+    leaves the old bytes, both in memory and in the file."""
+    buf = DurableBuffer(str(tmp_path / "db.wal"))
+    buf.append(b"journal")
+    buf.sync()
+    snaps = SnapshotStore(str(tmp_path / "snaps"))
+    snaps.put_atomic("image", b"old")
+    fail_io("replace")
+    with pytest.raises(OSError):
+        buf.replace(b"")
+    fail_io("replace")
+    with pytest.raises(OSError):
+        snaps.put_atomic("image", b"new")
+    assert buf.durable == (tmp_path / "db.wal").read_bytes() == b"journal"
+    assert snaps.get("image") == (tmp_path / "snaps" / "image").read_bytes() == b"old"
+    assert sorted(os.listdir(tmp_path / "snaps")) == ["image"]
 
 
 def test_empty_log_recovers_empty():
