@@ -2,12 +2,11 @@
 confidential-database simulator around it."""
 
 from .errors import FidStoreError
-from .fid_codec import FidConfig, decode_fid, encode_fid
+from .fid_codec import decode_fid, encode_fid
 from .mapping_store import MappingStore, PartitionKind, StoreStats
 
 __all__ = [
     "FidStoreError",
-    "FidConfig",
     "encode_fid",
     "decode_fid",
     "MappingStore",

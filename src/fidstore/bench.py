@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .errors import CorruptLog
-from .fid_codec import FidConfig
 from .mapping_store import MappingStore, PartitionKind
 from .privacy_proxy import ClientEnvelope, EnvelopeCodec, encode_int64
 from .workload import Distribution, Mode, WorkloadSpec
@@ -68,7 +67,7 @@ def bench_ops(iters: int = 1_000_000, batch: int = 2000) -> CostReport:
     """Median/p99 per-op latency for put, get, AEAD field encrypt/decrypt."""
     if iters < 10_000:
         raise ValueError("iters too small for stable medians")
-    store = MappingStore(FidConfig())
+    store = MappingStore()
     pid = store.create_partition(PartitionKind.TEMPORARY)
     payload = encode_int64(42)  # 8 bytes, like a table row's k cell
     codec = EnvelopeCodec(os.urandom(32))

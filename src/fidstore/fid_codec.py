@@ -1,65 +1,45 @@
-"""64-bit field identifiers: a partition prefix in the high bits, a
-monotonically allocated offset in the low bits.
+"""64-bit field identifiers: a 16-bit partition prefix in the high bits
+over a 48-bit offset, allocated in order, in the low bits.
 
 A FID is a plain int. Its value is a pure function of (partition,
 allocation order) and never of the stored bytes, so observing FIDs reveals
 nothing about the secrets they name.
+
+The layout is fixed, and these constants are its one definition: the
+mapping store splits a FID into (partition, offset) with them, and
+FidBackend reads a FID's partition from its high bits. A partition image's
+superblock records PREFIX_BITS, and an image with another width is refused
+on load.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 from .errors import OutOfRange
 
 FID_BITS = 64
+PREFIX_BITS = 16
+OFFSET_BITS = FID_BITS - PREFIX_BITS
+OFFSET_MASK = (1 << OFFSET_BITS) - 1
+MAX_PARTITIONS = 1 << PREFIX_BITS
+MAX_OFFSET = 1 << OFFSET_BITS
 
 _FID_STRUCT = struct.Struct("<Q")
 
 
-@dataclass(frozen=True)
-class FidConfig:
-    """Bit layout of a FID. Immutable once a store has been created with it:
-    changing prefix_bits invalidates every FID minted under the old layout."""
-
-    prefix_bits: int = 16
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.prefix_bits <= 32:
-            raise ValueError(f"prefix_bits must be in [1, 32], got {self.prefix_bits}")
-
-    @property
-    def offset_bits(self) -> int:
-        return FID_BITS - self.prefix_bits
-
-    @property
-    def max_partitions(self) -> int:
-        return 1 << self.prefix_bits
-
-    @property
-    def max_offset(self) -> int:
-        return 1 << self.offset_bits
-
-    @property
-    def offset_mask(self) -> int:
-        return (1 << self.offset_bits) - 1
-
-
-def encode_fid(config: FidConfig, partition: int, offset: int) -> int:
+def encode_fid(partition: int, offset: int) -> int:
     """Compose a FID from a partition number and an in-partition offset."""
-    if not 0 <= partition < config.max_partitions:
-        raise OutOfRange(
-            f"partition {partition} does not fit in {config.prefix_bits} bits"
-        )
-    if not 0 <= offset < config.max_offset:
-        raise OutOfRange(f"offset {offset} does not fit in {config.offset_bits} bits")
-    return (partition << config.offset_bits) | offset
+    if not 0 <= partition < MAX_PARTITIONS:
+        raise OutOfRange(f"partition {partition} does not fit in {PREFIX_BITS} bits")
+    if not 0 <= offset < MAX_OFFSET:
+        raise OutOfRange(f"offset {offset} does not fit in {OFFSET_BITS} bits")
+    return (partition << OFFSET_BITS) | offset
 
 
-def decode_fid(config: FidConfig, fid: int) -> tuple[int, int]:
+def decode_fid(fid: int) -> tuple[int, int]:
     """Inverse of encode_fid; any 64-bit value decodes."""
-    return fid >> config.offset_bits, fid & config.offset_mask
+    return fid >> OFFSET_BITS, fid & OFFSET_MASK
 
 
 def fid_to_bytes(fid: int) -> bytes:

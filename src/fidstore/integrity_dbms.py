@@ -76,7 +76,7 @@ from .errors import (
     WrongPartitionKind,
     error_for_code,
 )
-from .fid_codec import FidConfig, fid_from_bytes, fid_to_bytes
+from .fid_codec import OFFSET_BITS, fid_from_bytes, fid_to_bytes
 from .privacy_proxy import COMPARISONS, OperatorRequest, OpKind, ValueType
 
 CATALOG = "catalog.json"
@@ -241,15 +241,13 @@ def reduce_refs(call, query_id: int, op: OpKind, vtype: ValueType,
 
 
 class FidBackend:
-    """Sensitive refs are FIDs resolved through the mapping store; config
-    is the FID layout, which names the partition a FID lives in."""
+    """Sensitive refs are FIDs resolved through the mapping store. A FID's
+    partition is its high bits, fid >> OFFSET_BITS (fid_codec's layout)."""
 
     name = "fid"
 
-    def __init__(self, client, config: FidConfig):
+    def __init__(self, client):
         self.client = client
-        self.config = config
-        self._offset_bits = config.offset_bits  # a FID's partition is fid >> this
 
     def ingest(self, query_id: int, envelopes: list[bytes], partition_id: int,
                batch_size: int) -> list[int]:
@@ -267,7 +265,7 @@ class FidBackend:
         fresh = self.client.fresh
         claimed = set()
         for ref in refs:
-            if ref >> self._offset_bits == partition_id:
+            if ref >> OFFSET_BITS == partition_id:
                 if ref not in fresh or ref in claimed:
                     raise WrongPartitionKind(
                         f"ref {ref:#x} is not a fresh unclaimed write to partition "
@@ -280,7 +278,7 @@ class FidBackend:
         there fresh and no cell has claimed it yet; the caller's cell claims
         it now. A temporary ref is copied over. Any other ref raises
         WrongPartitionKind and changes nothing."""
-        if ref >> self._offset_bits != partition_id:
+        if ref >> OFFSET_BITS != partition_id:
             return self.client.promote(ref, partition_id)
         if ref not in self.client.fresh:
             raise WrongPartitionKind(
@@ -452,17 +450,17 @@ class Database:
             self._finish_commit(txn)
             return
         txn.state = TxnState.PREPARING
-        self._hook("before_privacy_flush", txn)
+        self._hook("before-privacy-flush", txn)
         if not self.client.unflushed.isdisjoint(txn.promoted):
             try:
                 self.client.flush_log()  # commit #1: secrets become durable
             except Unavailable:
                 self.abort(txn)
                 raise
-        self._hook("after_privacy_flush", txn)
+        self._hook("after-privacy-flush-before-db-commit", txn)
         # commit #2: the FIDs become externally visible
         self._journal(txn.staged + [self._record(DB_COMMIT, txn=txn.txn_id)])
-        self._hook("after_db_commit", txn)
+        self._hook("after-db-commit", txn)
         self._finish_commit(txn)
         self._synced()
 
@@ -711,14 +709,14 @@ class Database:
                     release.extend(version.release_refs)
                     remove_records.append(self._record(
                         DB_REMOVE, table=table.idx, row=row_id, vseq=version.vseq))
-                    self._hook("during_vacuum", None)
+                    self._hook("during-vacuum", None)
                 else:
                     kept.append(version)
             table.rows[row_id] = kept
         garbage, table.abort_garbage = table.abort_garbage, []
         for ref in garbage:
             release.append(ref)
-            self._hook("during_vacuum", None)
+            self._hook("during-vacuum", None)
         # the removals are durable before any ref is released: a crash in
         # between leaves orphans, never a recovered version whose release
         # refs name slots the store has freed and may hand out again
@@ -767,12 +765,12 @@ class Database:
         if self.backend.name == "fid":  # cipher envelopes live in their rows
             referenced = self.referenced_refs()
             for table in self.tables_by_idx:
-                self._hook("during_orphan_gc", None)
+                self._hook("during-orphan-gc", None)
                 orphans = []
                 for fid in self.client.list_live(table.partition_id):
                     if fid not in referenced:
                         orphans.append(fid)
-                        self._hook("during_orphan_gc", None)
+                        self._hook("during-orphan-gc", None)
                 reclaimed += self.backend.release(orphans, self.batch_size)
         self.client.flush_log(quiesce=True)
         if self.dbwal.durable_len:
@@ -804,9 +802,9 @@ class Database:
         """Writes the image of each row's newest committed version, covering
         every record framed so far, then truncates the journal to empty."""
         self._durable_write(self.snapshots.put_atomic, CHECKPOINT_IMAGE, self._image())
-        self._hook("db_checkpoint_image", None)
+        self._hook("integrity-checkpoint-before-truncate", None)
         self._durable_write(self.dbwal.replace, b"")
-        self._hook("db_checkpoint_truncated", None)
+        self._hook("integrity-checkpoint-after-truncate", None)
 
     def _image(self) -> bytes:
         committed = self.committed

@@ -1,11 +1,12 @@
 """Partitioned FID-to-secret store: every partition keeps its values in
 slab-style size-class buckets.
 
-Slots are O(1) direct-indexed by the FID offset. Delete is logical: the
-offset joins the partition free list and the next same-partition put
-reuses it (LIFO) before any fresh offset is allocated. Equal secrets never
-share a slot: FID assignment depends only on allocation order, never on
-value bytes.
+A FID splits into (partition, offset) by fid_codec's fixed layout, and
+slots are O(1) direct-indexed by the offset; a partition holds at most
+MAX_OFFSET offsets. Delete is logical: the offset joins the partition free
+list and the next same-partition put reuses it (LIFO) before any fresh
+offset is allocated. Equal secrets never share a slot: FID assignment
+depends only on allocation order, never on value bytes.
 
 A value lives in its size class's bucket, which stays dense: a put
 appends, and a delete moves the class's last value into the freed bucket
@@ -23,6 +24,7 @@ block-level accesses to the page-cache layer.
 A permanent partition's checkpoint image is the superblock (magic, prefix
 bits, offset count) followed by one {u32 length, value} per offset, in
 offset order; length 0 marks a dead offset, since put refuses empty values.
+load_partition refuses an image whose prefix bits are not PREFIX_BITS.
 
 The store is single-threaded: no method takes a lock, so callers must not
 use one store from several threads at once.
@@ -42,7 +44,7 @@ from .errors import (
     ValueTooLarge,
     WrongPartitionKind,
 )
-from .fid_codec import FidConfig
+from .fid_codec import MAX_OFFSET, MAX_PARTITIONS, OFFSET_BITS, OFFSET_MASK, PREFIX_BITS
 
 BLOCK_SIZE = 4096
 MIN_CLASS = 16
@@ -107,7 +109,6 @@ class Partition:
         "pid",
         "kind",
         "fid_base",
-        "limit",
         "alloc_counter",
         "free_list",
         "slots",
@@ -117,12 +118,10 @@ class Partition:
         "tracked",
     )
 
-    def __init__(self, pid: int, kind: PartitionKind, offset_bits: int,
-                 n_classes: int):
+    def __init__(self, pid: int, kind: PartitionKind, n_classes: int):
         self.pid = pid
         self.kind = kind
-        self.fid_base = pid << offset_bits
-        self.limit = 1 << offset_bits
+        self.fid_base = pid << OFFSET_BITS
         self.alloc_counter = 0
         self.free_list: list[int] = []
         # slots[off] is None when not live, else its (class, bucket slot)
@@ -143,15 +142,11 @@ class Partition:
 class MappingStore:
     """The crypto-free mapping core: put/get/delete/promote over partitions."""
 
-    def __init__(self, config: FidConfig | None = None, *,
-                 journal=None, blocks=None):
-        self.config = config or FidConfig()
+    def __init__(self, *, journal=None, blocks=None):
         self.classes = size_classes(MAX_VALUE_LEN)
         self.journal = journal      # duck-typed: log_put/log_delete/log_create
         self.blocks = blocks        # duck-typed: on_read/on_write per block
         self._parts: dict[int, Partition] = {}
-        self._offset_bits = self.config.offset_bits
-        self._offset_mask = self.config.offset_mask
         self._next_probe = 0
         self.gets = 0
 
@@ -166,21 +161,20 @@ class MappingStore:
         return pid
 
     def _next_free_id(self) -> int:
-        limit = self.config.max_partitions
-        if len(self._parts) >= limit:
-            raise PartitionSpaceExhausted(f"all {limit} partition ids in use")
+        if len(self._parts) >= MAX_PARTITIONS:
+            raise PartitionSpaceExhausted(f"all {MAX_PARTITIONS} partition ids in use")
         pid = self._next_probe
-        for _ in range(limit):
-            if pid >= limit:
+        for _ in range(MAX_PARTITIONS):
+            if pid >= MAX_PARTITIONS:
                 pid = 0
             if pid not in self._parts:
                 self._next_probe = pid + 1
                 return pid
             pid += 1
-        raise PartitionSpaceExhausted(f"all {limit} partition ids in use")
+        raise PartitionSpaceExhausted(f"all {MAX_PARTITIONS} partition ids in use")
 
     def _register(self, pid: int, kind: PartitionKind) -> Partition:
-        p = Partition(pid, kind, self._offset_bits, len(self.classes))
+        p = Partition(pid, kind, len(self.classes))
         self._parts[pid] = p
         return p
 
@@ -218,7 +212,7 @@ class MappingStore:
         if not 0 < len(secret) <= MAX_VALUE_LEN:
             raise ValueTooLarge(f"value of {len(secret)} bytes (max {MAX_VALUE_LEN})")
         free = p.free_list
-        if not free and p.alloc_counter >= p.limit:
+        if not free and p.alloc_counter >= MAX_OFFSET:
             raise PartitionFull(f"partition {partition_id} offsets exhausted")
         if free:
             off = free.pop()
@@ -239,10 +233,10 @@ class MappingStore:
     def get(self, fid: int) -> bytes | None:
         """Returns the secret bytes, or None when the FID has no live mapping."""
         self.gets += 1
-        p = self._parts.get(fid >> self._offset_bits)
+        p = self._parts.get(fid >> OFFSET_BITS)
         if p is None:
             return None
-        off = fid & self._offset_mask
+        off = fid & OFFSET_MASK
         slots = p.slots
         if off >= len(slots):
             return None
@@ -255,10 +249,10 @@ class MappingStore:
         return value
 
     def delete(self, fid: int) -> None:
-        p = self._parts.get(fid >> self._offset_bits)
+        p = self._parts.get(fid >> OFFSET_BITS)
         if p is None:
             raise NotLive(f"fid {fid:#x} has no partition")
-        off = fid & self._offset_mask
+        off = fid & OFFSET_MASK
         if off >= len(p.slots) or p.slots[off] is None:
             raise NotLive(f"fid {fid:#x} is not live")
         p.free_list.append(off)
@@ -320,7 +314,7 @@ class MappingStore:
     # lifetime management
 
     def promote(self, temp_fid: int, perm_partition: int) -> int:
-        src = self._parts.get(temp_fid >> self._offset_bits)
+        src = self._parts.get(temp_fid >> OFFSET_BITS)
         if src is None:
             raise NotLive(f"fid {temp_fid:#x} has no partition")
         if src.kind != PartitionKind.TEMPORARY:
@@ -354,10 +348,10 @@ class MappingStore:
     # inspection
 
     def is_live(self, fid: int) -> bool:
-        p = self._parts.get(fid >> self._offset_bits)
+        p = self._parts.get(fid >> OFFSET_BITS)
         if p is None:
             return False
-        off = fid & self._offset_mask
+        off = fid & OFFSET_MASK
         return off < len(p.slots) and p.slots[off] is not None
 
     def live_fids(self, partition_id: int) -> list[int]:
@@ -417,7 +411,7 @@ class MappingStore:
         """Serialize a partition to its checkpoint image (format in the
         module docstring)."""
         p = self.partition(pid)
-        chunks = [SUPERBLOCK.pack(MAGIC, self.config.prefix_bits, p.alloc_counter)]
+        chunks = [SUPERBLOCK.pack(MAGIC, PREFIX_BITS, p.alloc_counter)]
         dead = _LEN.pack(0)
         for cell in p.slots:
             if cell is None:
@@ -432,11 +426,9 @@ class MappingStore:
         magic, prefix_bits, alloc_counter = SUPERBLOCK.unpack_from(data, 0)
         if magic != MAGIC:
             raise ValueError(f"bad partition magic {magic!r}")
-        if prefix_bits != self.config.prefix_bits:
+        if prefix_bits != PREFIX_BITS:
             raise ValueError(
-                f"partition image uses prefix_bits={prefix_bits}, store uses "
-                f"{self.config.prefix_bits}"
-            )
+                f"partition image uses prefix_bits={prefix_bits}, FIDs use {PREFIX_BITS}")
         p = self._register(pid, PartitionKind.PERMANENT)
         pos = SUPERBLOCK.size
         for off in range(alloc_counter):
@@ -455,8 +447,8 @@ class MappingStore:
             self._register(pid, PartitionKind.PERMANENT)
 
     def apply_put(self, fid: int, value: bytes) -> None:
-        off = fid & self._offset_mask
-        p = self.partition(fid >> self._offset_bits)
+        off = fid & OFFSET_MASK
+        p = self.partition(fid >> OFFSET_BITS)
         slots = p.slots
         if len(slots) <= off:
             slots.extend([None] * (off + 1 - len(slots)))
@@ -467,8 +459,8 @@ class MappingStore:
             p.alloc_counter = off + 1
 
     def apply_delete(self, fid: int) -> None:
-        off = fid & self._offset_mask
-        p = self.partition(fid >> self._offset_bits)
+        off = fid & OFFSET_MASK
+        p = self.partition(fid >> OFFSET_BITS)
         if off < len(p.slots) and p.slots[off] is not None:
             self._free(p, off)
 

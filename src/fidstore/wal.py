@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from .atrest_storage import FreshnessTable
 from .durability import DurableBuffer, SnapshotStore
 from .errors import CorruptLog
-from .fid_codec import FidConfig
 from .mapping_store import MappingStore, PartitionKind
 
 FRAME = struct.Struct("<II")
@@ -196,8 +195,9 @@ def checkpoint_truncate(store: MappingStore, wal: Wal, snapshots: SnapshotStore,
     covered: it stays pending across the truncation and is replayed after
     the image. Replay after a crash at any point in this sequence
     reconstructs the same state because record application is idempotent.
-    crash_hook, if given, is called with a site name once the image and its
-    marker are written and again once the journal is truncated.
+    crash_hook, if given, is called with the crash point's name once the
+    image and its marker are written and again once the journal is
+    truncated.
     """
     if wal.buffer.durable_len == 0:
         return  # the journal holds nothing an image would cover
@@ -208,10 +208,10 @@ def checkpoint_truncate(store: MappingStore, wal: Wal, snapshots: SnapshotStore,
         snapshots.put_atomic(FRESHNESS_SNAPSHOT, freshness.snapshot_bytes())
     snapshots.put_atomic(CKPT_MARKER, _U64.pack(wal.durable_lsn))
     if crash_hook is not None:
-        crash_hook("privacy_checkpoint_image")
+        crash_hook("privacy-checkpoint-before-truncate")
     wal.buffer.replace(b"")
     if crash_hook is not None:
-        crash_hook("privacy_checkpoint_truncated")
+        crash_hook("privacy-checkpoint-after-truncate")
 
 
 @dataclass
@@ -222,13 +222,12 @@ class RecoveryResult:
     freshness: FreshnessTable
 
 
-def recover_store(snapshots: SnapshotStore, wal_buffer: DurableBuffer,
-                  config: FidConfig | None = None) -> RecoveryResult:
+def recover_store(snapshots: SnapshotStore, wal_buffer: DurableBuffer) -> RecoveryResult:
     """Rebuild a MappingStore and the freshness table from the last
     checkpoint image plus the durable log suffix. Running it twice over the
     same files yields the same state (replay application is idempotent and
     pure)."""
-    store = MappingStore(config)
+    store = MappingStore()
     marker = snapshots.get(CKPT_MARKER)
     last_lsn = _U64.unpack(marker)[0] if marker else 0
     for name in snapshots.names():

@@ -27,7 +27,6 @@ from enum import Enum
 from .atrest_storage import AtRestLayer, FreshnessTable, SealedBlockStore
 from .durability import DurableBuffer, SnapshotStore
 from .errors import NoCrashPending, StructureMismatch, Unavailable, WriteConflict
-from .fid_codec import FidConfig
 from .integrity_dbms import (
     CipherBackend,
     Column,
@@ -152,7 +151,11 @@ class CrashPointId(Enum):
     truncated, whether the checkpoint runs past the interval or at quiesce
     (the end of orphan_gc). The privacy zone's run inside the MSG_FLUSH_LOG
     whose sync took its journal past the interval, or that carried the
-    quiesce flag, and a privacy crash there fails that request."""
+    quiesce flag, and a privacy crash there fails that request.
+
+    Each value is also the site string its hook fires with, from Database
+    and wal.checkpoint_truncate; "io_failure" is the one site that is not a
+    crash point."""
 
     BEFORE_PRIVACY_FLUSH = "before-privacy-flush"
     AFTER_PRIVACY_FLUSH_BEFORE_DB_COMMIT = "after-privacy-flush-before-db-commit"
@@ -166,17 +169,6 @@ class CrashPointId(Enum):
     INTEGRITY_CHECKPOINT_AFTER_TRUNCATE = "integrity-checkpoint-after-truncate"
 
 
-_HOOK_SITES = {
-    CrashPointId.BEFORE_PRIVACY_FLUSH: "before_privacy_flush",
-    CrashPointId.AFTER_PRIVACY_FLUSH_BEFORE_DB_COMMIT: "after_privacy_flush",
-    CrashPointId.AFTER_DB_COMMIT: "after_db_commit",
-    CrashPointId.DURING_VACUUM: "during_vacuum",
-    CrashPointId.DURING_ORPHAN_GC: "during_orphan_gc",
-    CrashPointId.PRIVACY_CHECKPOINT_BEFORE_TRUNCATE: "privacy_checkpoint_image",
-    CrashPointId.PRIVACY_CHECKPOINT_AFTER_TRUNCATE: "privacy_checkpoint_truncated",
-    CrashPointId.INTEGRITY_CHECKPOINT_BEFORE_TRUNCATE: "db_checkpoint_image",
-    CrashPointId.INTEGRITY_CHECKPOINT_AFTER_TRUNCATE: "db_checkpoint_truncated",
-}
 # points that fire inside the privacy zone, while it serves a request
 _PRIVACY_ZONE_POINTS = frozenset({CrashPointId.PRIVACY_CHECKPOINT_BEFORE_TRUNCATE,
                                   CrashPointId.PRIVACY_CHECKPOINT_AFTER_TRUNCATE})
@@ -234,7 +226,7 @@ class PrivacyZoneHost:
         self.sealed_store = sealed_store
         self.crashed = False
         self.epoch = 0
-        self._build(MappingStore(topology.config), Wal(wal_buffer), FreshnessTable())
+        self._build(MappingStore(), Wal(wal_buffer), FreshnessTable())
 
     def _nonce_source(self):
         rng = random.Random(f"nonce:{self.topology.seed}:{self.epoch}")
@@ -270,8 +262,7 @@ class PrivacyZoneHost:
         self.wal_buffer.crash(torn_bytes)
 
     def recover(self) -> int:
-        result = recover_store(self.snapshots, self.wal_buffer,
-                               self.topology.config)
+        result = recover_store(self.snapshots, self.wal_buffer)
         self.epoch = advance_epoch(self.snapshots)
         self._build(result.store, result.wal, result.freshness)
         self._retire_unspanned()
@@ -305,7 +296,7 @@ class IntegrityZoneHost:
     def _backend(self):
         if self.topology.backend_name == "cipher":
             return CipherBackend(self.client)
-        return FidBackend(self.client, self.topology.config)
+        return FidBackend(self.client)
 
     def _fresh_db(self) -> Database:
         topo = self.topology
@@ -376,7 +367,6 @@ class ZoneTopology:
         self.backend_name = backend
         self.batch_size = batch_size
         self.cache_capacity_blocks = cache_capacity_blocks
-        self.config = FidConfig()
 
         key_rng = random.Random(f"keys:{seed}")
         self.client_key = key_rng.randbytes(32)
@@ -443,9 +433,7 @@ class ZoneTopology:
             self.integrity.crash()
             raise ZoneCrashed(site)
         point = self._armed
-        if point is None:
-            return
-        if _HOOK_SITES.get(point.id) != site:
+        if point is None or point.id.value != site:
             return
         if (point.id == CrashPointId.AFTER_PRIVACY_FLUSH_BEFORE_DB_COMMIT
                 and txn is not None and not txn.promoted):

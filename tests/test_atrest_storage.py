@@ -12,7 +12,6 @@ from fidstore.atrest_storage import (
     SealedBlock,
 )
 from fidstore.errors import AuthFailure, StaleBlock, UnknownPartition
-from fidstore.fid_codec import FidConfig
 from fidstore.mapping_store import (
     CLASS_SHIFT,
     MappingStore,
@@ -23,7 +22,7 @@ from fidstore.zone_sim import AdversaryTrace, ZoneTopology
 
 
 def _layer(capacity=None, store=None):
-    store = store or MappingStore(FidConfig(16))
+    store = store or MappingStore()
     layer = AtRestLayer(store, os.urandom(32), capacity_blocks=capacity)
     return store, layer
 
@@ -85,7 +84,7 @@ def test_amortized_overhead_arithmetic():
 
 
 def test_cache_hits_and_faults_counting():
-    store = MappingStore(FidConfig(16))
+    store = MappingStore()
     _, layer = _layer(capacity=4, store=store)
     store.blocks = layer
     pid = store.create_partition(PartitionKind.PERMANENT)
@@ -104,7 +103,7 @@ def test_cache_hits_and_faults_counting():
 
 def test_eviction_off_critical_path():
     """A get on a cached block performs zero seal/open operations."""
-    store = MappingStore(FidConfig(16))
+    store = MappingStore()
     _, layer = _layer(capacity=None, store=store)
     store.blocks = layer
     pid = store.create_partition(PartitionKind.PERMANENT)
@@ -117,7 +116,7 @@ def test_eviction_off_critical_path():
 
 
 def test_prefetch_then_sequential_gets_no_faults():
-    store = MappingStore(FidConfig(16))
+    store = MappingStore()
     _, layer = _layer(capacity=64, store=store)
     store.blocks = layer
     pid = store.create_partition(PartitionKind.PERMANENT)
@@ -139,7 +138,7 @@ def test_prefetch_then_sequential_gets_no_faults():
 def _cold_partition(capacity):
     """A partition of 16 sealed blocks (256 B values, 16 per block) behind
     an empty cache of `capacity` blocks."""
-    store = MappingStore(FidConfig(16))
+    store = MappingStore()
     _, layer = _layer(capacity=None, store=store)
     store.blocks = layer
     pid = store.create_partition(PartitionKind.PERMANENT)
@@ -196,7 +195,7 @@ def test_hit_rate_counts_demand_accesses_only():
 
 
 def test_cold_gets_fault_once_per_block():
-    store = MappingStore(FidConfig(16))
+    store = MappingStore()
     _, layer = _layer(capacity=64, store=store)
     store.blocks = layer
     pid = store.create_partition(PartitionKind.PERMANENT)
@@ -211,7 +210,7 @@ def test_cold_gets_fault_once_per_block():
 
 def test_zipfian_beats_uniform_hit_rate():
     def hit_rate(zipf: bool, seed: int) -> float:
-        store = MappingStore(FidConfig(16))
+        store = MappingStore()
         _, layer = _layer(capacity=8, store=store)
         store.blocks = layer
         pid = store.create_partition(PartitionKind.PERMANENT)
@@ -282,7 +281,7 @@ def test_varlen_buckets_stay_dense_under_any_op_sequence(ops, capacity):
     every bucket stays packed, the partition spans exactly the blocks its
     live values need, no cached or sealed block lies past a bucket's end,
     and every value reads back, also from a dump/load round trip."""
-    store = MappingStore(FidConfig(16))
+    store = MappingStore()
     _, layer = _layer(capacity=capacity, store=store)
     store.blocks = layer
     pid = store.create_partition(PartitionKind.PERMANENT)
@@ -323,7 +322,7 @@ def test_varlen_buckets_stay_dense_under_any_op_sequence(ops, capacity):
 
     for fid, value in model.items():
         assert store.get(fid) == value
-    other = MappingStore(FidConfig(16))
+    other = MappingStore()
     other.load_partition(pid, store.dump_partition(pid))
     assert {fid: other.get(fid) for fid in model} == model
     assert other.live_fids(pid) == sorted(model)
@@ -335,7 +334,7 @@ def test_dropped_block_copy_is_refused_when_put_back(order):
     and its counter advanced. If the untrusted side keeps that copy and
     puts it back, whether the bucket grows again before or after, faulting
     the block refuses the copy and the value read is still right."""
-    store = MappingStore(FidConfig(16))
+    store = MappingStore()
     _, layer = _layer(capacity=2, store=store)
     store.blocks = layer
     pid = store.create_partition(PartitionKind.PERMANENT)

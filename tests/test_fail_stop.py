@@ -241,3 +241,24 @@ def test_io_failure_stops_its_zone(tmp_path, fail_io, site, action, call, nth,
     assert sorted(reopened.client.list_live(table.partition_id)) == sorted(
         db.referenced_refs())
     assert reopened.check_invariant().holds
+
+
+def test_failed_epoch_write_in_recovery_then_retry(tmp_path, fail_io):
+    """A failed write of the epoch marker during recovery leaves the
+    privacy zone down; a second recover_all completes at epoch 1, and a
+    reopen of the directory recovers once more, to epoch 2."""
+    topo, _, _ = _setup(tmp_path)
+    topo.privacy.crash()
+    topo.integrity.crash()
+    failed = fail_io("replace")
+    with pytest.raises(OSError):
+        topo.recover_all()
+    assert "advance_epoch" in failed["stack"]
+    assert os.path.basename(failed["args"][1]) == "store.epoch"
+    assert topo.privacy.crashed
+
+    assert topo.recover_all().invariant.holds
+    assert topo.privacy.epoch == 1
+    reopened = _open(tmp_path)
+    assert reopened.check_invariant().holds
+    assert reopened.privacy.epoch == 2

@@ -4,7 +4,8 @@ import pytest
 
 from fidstore.errors import OutOfRange
 from fidstore.fid_codec import (
-    FidConfig,
+    MAX_OFFSET,
+    MAX_PARTITIONS,
     decode_fid,
     encode_fid,
     fid_from_bytes,
@@ -13,59 +14,46 @@ from fidstore.fid_codec import (
 
 
 def test_zero_case():
-    cfg = FidConfig(16)
-    assert encode_fid(cfg, 0, 0) == 0
-    assert decode_fid(cfg, 0) == (0, 0)
+    assert encode_fid(0, 0) == 0
+    assert decode_fid(0) == (0, 0)
 
 
 def test_known_value_shift_or():
     # oracle: partition 3 in the high 16 bits, offset 7 in the low 48
-    cfg = FidConfig(16)
     expected = 3 * (2 ** 48) + 7
     assert expected == 0x0003_0000_0000_0007
-    assert encode_fid(cfg, 3, 7) == expected
-    assert decode_fid(cfg, 0x0003_0000_0000_0007) == (3, 7)
+    assert encode_fid(3, 7) == expected
+    assert decode_fid(0x0003_0000_0000_0007) == (3, 7)
 
 
 def test_offset_width_boundary():
-    cfg = FidConfig(16)
     with pytest.raises(OutOfRange):
-        encode_fid(cfg, 0, 2 ** 48)
+        encode_fid(0, 2 ** 48)
     with pytest.raises(OutOfRange):
-        encode_fid(cfg, 2 ** 16, 0)
+        encode_fid(2 ** 16, 0)
     # the largest representable pair is fine
-    assert decode_fid(cfg, encode_fid(cfg, 2 ** 16 - 1, 2 ** 48 - 1)) == (
+    assert decode_fid(encode_fid(2 ** 16 - 1, 2 ** 48 - 1)) == (
         2 ** 16 - 1, 2 ** 48 - 1)
 
 
 def test_round_trip_random_pairs():
     rng = random.Random(0xF1D)
-    for prefix_bits in (1, 4, 8, 16, 24, 32):
-        cfg = FidConfig(prefix_bits)
-        for _ in range(100_000 // 6):
-            p = rng.randrange(cfg.max_partitions)
-            o = rng.randrange(cfg.max_offset)
-            assert decode_fid(cfg, encode_fid(cfg, p, o)) == (p, o)
+    for _ in range(100_000):
+        p = rng.randrange(MAX_PARTITIONS)
+        o = rng.randrange(MAX_OFFSET)
+        assert decode_fid(encode_fid(p, o)) == (p, o)
 
 
 def test_partition_segmentation():
-    cfg = FidConfig(16)
     rng = random.Random(1)
     for _ in range(1000):
-        p1, p2 = rng.sample(range(cfg.max_partitions), 2)
-        o = rng.randrange(cfg.max_offset)
-        assert encode_fid(cfg, p1, o) != encode_fid(cfg, p2, o)
-
-
-def test_prefix_bits_validation():
-    with pytest.raises(ValueError):
-        FidConfig(0)
-    with pytest.raises(ValueError):
-        FidConfig(33)
+        p1, p2 = rng.sample(range(MAX_PARTITIONS), 2)
+        o = rng.randrange(MAX_OFFSET)
+        assert encode_fid(p1, o) != encode_fid(p2, o)
 
 
 def test_wire_form_little_endian():
-    fid = encode_fid(FidConfig(16), 3, 7)
+    fid = encode_fid(3, 7)
     raw = fid_to_bytes(fid)
     assert len(raw) == 8
     assert raw == bytes([7, 0, 0, 0, 0, 0, 3, 0])

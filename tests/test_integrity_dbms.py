@@ -115,7 +115,7 @@ def test_promote_keeps_a_ref_already_in_the_table_partition(topo):
     assert table.rows[1][-1].cells[1] == direct
     copy = db.backend.promote(temp, table.partition_id)
     assert _promotes(topo) == calls + 1
-    assert copy != temp and decode_fid(topo.config, copy)[0] == table.partition_id
+    assert copy != temp and decode_fid(copy)[0] == table.partition_id
     db.commit(txn)
     topo.client.end_query(txn.query_id)
     reader = db.begin()
@@ -209,7 +209,7 @@ def test_plain_only_insert_no_privacy_calls(topo):
     assert topo.channel.round_trips == trips_before
     db.commit(txn)  # no secret to make durable: only the commit record
     assert topo.channel.round_trips == trips_before
-    assert ("after_db_commit", txn.txn_id) in events
+    assert ("after-db-commit", txn.txn_id) in events
 
 
 def test_schema_validation(topo):
@@ -303,8 +303,8 @@ def test_commit_ordering_events(topo):
     txn_ids = {t for _, t in events}
     assert len(txn_ids) == 5 and reader.txn_id not in txn_ids
     for txn_id in txn_ids:
-        flush_idx = events.index(("after_privacy_flush", txn_id))
-        commit_idx = events.index(("after_db_commit", txn_id))
+        flush_idx = events.index(("after-privacy-flush-before-db-commit", txn_id))
+        commit_idx = events.index(("after-db-commit", txn_id))
         assert flush_idx < commit_idx
 
 
@@ -491,7 +491,7 @@ def test_release_sends_batch_size_refs_per_message():
     trips, hooks[:] = topo.channel.round_trips, []
     assert db.vacuum(table) == 10  # 11 refs, one of them not live
     assert topo.channel.round_trips - trips == 3 + 1  # ceil(11 / 4) + flush
-    assert hooks == ["during_vacuum"] * 11
+    assert hooks == ["during-vacuum"] * 11
     assert _delete_records(topo) == deletes_before + sorted(old[1:] + garbage)
 
     orphans = [topo.privacy.store.put(table.partition_id, encode_int64(i))
@@ -507,8 +507,8 @@ def test_release_sends_batch_size_refs_per_message():
     trips, hooks[:] = topo.channel.round_trips, []
     assert db.orphan_gc() == 5
     assert topo.channel.round_trips - trips == 1 + 2 + 1  # list, ceil(5 / 4), flush
-    assert hooks == ["during_orphan_gc"] * 6 + ["db_checkpoint_image",
-                                                "db_checkpoint_truncated"]
+    assert hooks == ["during-orphan-gc"] * 6 + [
+        "integrity-checkpoint-before-truncate", "integrity-checkpoint-after-truncate"]
     assert journal[-1][-5:] == sorted(orphans)
     assert topo.store_wal_buffer.durable_len == 0
 

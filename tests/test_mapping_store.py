@@ -11,7 +11,8 @@ from fidstore.errors import (
     ValueTooLarge,
     WrongPartitionKind,
 )
-from fidstore.fid_codec import FidConfig, decode_fid
+from fidstore import mapping_store
+from fidstore.fid_codec import MAX_OFFSET, OFFSET_BITS, OFFSET_MASK, decode_fid
 from fidstore.mapping_store import (
     MAGIC,
     MappingStore,
@@ -24,7 +25,7 @@ from .oracles import ModelStore
 
 @pytest.fixture
 def store():
-    return MappingStore(FidConfig(16))
+    return MappingStore()
 
 
 def test_same_plaintext_distinct_fids(store):
@@ -36,8 +37,7 @@ def test_same_plaintext_distinct_fids(store):
 
 def test_monotonic_offsets_from_zero(store):
     pid = store.create_partition(PartitionKind.PERMANENT)
-    cfg = store.config
-    offsets = [decode_fid(cfg, store.put(pid, b"abcd"))[1] for _ in range(10)]
+    offsets = [decode_fid(store.put(pid, b"abcd"))[1] for _ in range(10)]
     assert offsets == list(range(10))
 
 
@@ -90,7 +90,7 @@ def test_promote_copies_and_keeps_temp_live(store):
     p = store.promote(t, perm)
     assert store.get(p) == b"hello"
     assert store.get(t) == b"hello"
-    assert decode_fid(store.config, p)[0] == perm
+    assert decode_fid(p)[0] == perm
 
 
 def test_promote_kind_checks(store):
@@ -121,8 +121,11 @@ def test_drop_temporary(store):
         store.drop_temporary(perm)
 
 
-def test_partition_space_exhausted():
-    store = MappingStore(FidConfig(4))
+def test_partition_space_exhausted(monkeypatch):
+    # creating all 65 536 ids would take a second; _next_free_id reads the
+    # module's limit at call time
+    monkeypatch.setattr(mapping_store, "MAX_PARTITIONS", 16)
+    store = MappingStore()
     for _ in range(16):
         store.create_partition(PartitionKind.TEMPORARY)
     with pytest.raises(PartitionSpaceExhausted):
@@ -130,11 +133,10 @@ def test_partition_space_exhausted():
 
 
 def test_partition_full():
-    store = MappingStore(FidConfig(32))  # 32-bit offsets would take too long;
+    store = MappingStore()
     pid = store.create_partition(PartitionKind.PERMANENT)
     p = store.partition(pid)
-    p.alloc_counter = p.limit  # simulate an exhausted offset space
-    p.slots = [None] * 0
+    p.alloc_counter = MAX_OFFSET  # simulate an exhausted offset space
     with pytest.raises(PartitionFull):
         store.put(pid, b"abcd")
     # a refused put takes no bucket slot
@@ -164,7 +166,7 @@ def test_fid_data_independence(store):
     """Same call sequence with different equal-length payloads yields the
     identical FID sequence."""
     def run(payload_of):
-        s = MappingStore(FidConfig(16))
+        s = MappingStore()
         tmp = s.create_partition(PartitionKind.TEMPORARY)
         perm = s.create_partition(PartitionKind.PERMANENT)
         rng = random.Random(99)
@@ -191,7 +193,7 @@ def test_fid_data_independence(store):
 
 def test_oracle_equivalence_random_ops():
     """10^5 random put/get/delete/promote/drop ops match the naive model."""
-    store = MappingStore(FidConfig(16))
+    store = MappingStore()
     model = ModelStore(16)
     rng = random.Random(0xACE)
 
@@ -231,7 +233,7 @@ def test_oracle_equivalence_random_ops():
         elif roll < 0.95:
             src = live[rng.randrange(len(live))]
             kind, pid = pairs[1]  # a permanent partition
-            if (src >> store.config.offset_bits) in (pairs[0][1], pairs[2][1]):
+            if (src >> OFFSET_BITS) in (pairs[0][1], pairs[2][1]):
                 fs = store.promote(src, pid)
                 fm = model.promote(src, pid)
                 assert fs == fm
@@ -242,8 +244,7 @@ def test_oracle_equivalence_random_ops():
             ns = store.drop_temporary(tmp_pid)
             nm = model.drop_temporary(tmp_pid)
             assert ns == nm
-            shift = store.config.offset_bits
-            live = [f for f in live if (f >> shift) != tmp_pid]
+            live = [f for f in live if (f >> OFFSET_BITS) != tmp_pid]
     # final sweep: every fid ever issued agrees
     for fid in history:
         assert store.get(fid) == model.get(fid)
@@ -251,7 +252,7 @@ def test_oracle_equivalence_random_ops():
 
 
 def test_slot_reuse_only_from_freed_offsets():
-    store = MappingStore(FidConfig(16))
+    store = MappingStore()
     pid = store.create_partition(PartitionKind.PERMANENT)
     rng = random.Random(5)
     live = [store.put(pid, b"aaaa") for _ in range(200)]
@@ -260,11 +261,11 @@ def test_slot_reuse_only_from_freed_offsets():
         if live and rng.random() < 0.5:
             fid = live.pop(rng.randrange(len(live)))
             store.delete(fid)
-            freed.add(fid & store.config.offset_mask)
+            freed.add(fid & OFFSET_MASK)
         else:
             counter_before = store.partition(pid).alloc_counter
             fid = store.put(pid, b"bbbb")
-            off = fid & store.config.offset_mask
+            off = fid & OFFSET_MASK
             if freed:
                 assert off in freed, "fresh allocation while free list non-empty"
                 freed.discard(off)
@@ -312,7 +313,7 @@ def test_dump_load_round_trip(store):
     for fid in fids[::3]:
         store.delete(fid)
 
-    other = MappingStore(FidConfig(16))
+    other = MappingStore()
     other.load_partition(pid, store.dump_partition(pid))
     for fid in fids:
         assert other.get(fid) == store.get(fid)
@@ -345,3 +346,17 @@ def test_image_with_the_old_magic_is_refused(store):
     with pytest.raises(ValueError, match="magic"):
         store.load_partition(0, old)
     assert not store.has_partition(0)
+
+
+def test_image_with_another_prefix_width_is_refused(store):
+    """The superblock's prefix byte is the one check of the FID layout on
+    input read from disk: an image minted under another width is refused."""
+    pid = store.create_partition(PartitionKind.PERMANENT)
+    store.put(pid, b"abcd")
+    image = bytearray(store.dump_partition(pid))
+    assert image[len(MAGIC)] == 16
+    image[len(MAGIC)] = 24
+    other = MappingStore()
+    with pytest.raises(ValueError, match="prefix_bits=24"):
+        other.load_partition(pid, bytes(image))
+    assert not other.has_partition(pid)

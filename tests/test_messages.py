@@ -313,7 +313,7 @@ def test_destination_must_be_own_temp_or_permanent(topo):
     a permanent partition; naming another query's temporary partition is
     refused and leaves that partition as it was."""
     victim = topo.client.ingest(5, [topo.client_encrypt(encode_int64(1))], 1)[0]
-    temp5 = decode_fid(topo.config, victim)[0]
+    temp5 = decode_fid(victim)[0]
     with pytest.raises(WrongPartitionKind):
         topo.client.ingest(6, [topo.client_encrypt(encode_int64(2))], 1, temp5)[0]
     out = topo.client.exec_batch(6, [OperatorRequest(
@@ -324,13 +324,13 @@ def test_destination_must_be_own_temp_or_permanent(topo):
     perm = topo.client.create_partition()
     own = topo.client.ingest(6, [topo.client_encrypt(encode_int64(3))], 1,
                              QUERY_TEMP_TARGET)[0]
-    temp6 = decode_fid(topo.config, own)[0]
+    temp6 = decode_fid(own)[0]
     out = topo.client.exec_batch(6, [
         OperatorRequest(OpKind.ADD, ValueType.INT64, [own, own]),
         OperatorRequest(OpKind.ADD, ValueType.INT64, [own, own], QUERY_TEMP_TARGET),
         OperatorRequest(OpKind.ADD, ValueType.INT64, [own, own], perm),
     ], 4)
-    assert [decode_fid(topo.config, r.fid)[0] for r in out] == [temp6, temp6, perm]
+    assert [decode_fid(r.fid)[0] for r in out] == [temp6, temp6, perm]
     topo.client.end_query(6)
     assert not topo.client.is_live(out[0].fid)
     assert topo.client.is_live(out[2].fid)
@@ -409,7 +409,7 @@ def test_flagged_elements_on_the_wire(topo):
     a = topo.client.ingest(9, [topo.client_encrypt(encode_int64(40))], 1)[0]
     const = topo.client_encrypt(encode_int64(2))
     store = topo.privacy.store
-    temp = decode_fid(topo.config, a)[0]
+    temp = decode_fid(a)[0]
     captured = _capture(topo)
     out = topo.client.exec_batch(9, [OperatorRequest(
         OpKind.ADD, ValueType.INT64, [a], constant=const, reveal=True)], 4)
@@ -501,7 +501,7 @@ def test_invalid_flag_combinations_fail_positionally(backend):
     assert decode_int64(topo.client_decrypt(out[4].envelope)) == 42
     assert topo.privacy.store.live_fids(perm) == []
     if backend == "fid":
-        temp = decode_fid(topo.config, a)[0]
+        temp = decode_fid(a)[0]
         assert topo.privacy.store.live_fids(temp) == [a, out[1].fid]
 
 

@@ -11,7 +11,6 @@ from fidstore.errors import (
     Overflow,
     TypeMismatch,
 )
-from fidstore.fid_codec import FidConfig
 from fidstore.mapping_store import MappingStore, PartitionKind
 from fidstore.privacy_proxy import (
     ClientEnvelope,
@@ -28,7 +27,7 @@ from fidstore.privacy_proxy import (
 
 @pytest.fixture
 def setup():
-    store = MappingStore(FidConfig(16))
+    store = MappingStore()
     key = os.urandom(32)
     proxy = PrivacyProxy(store, key)
     client = EnvelopeCodec(key)
@@ -205,7 +204,7 @@ def test_listing_fidelity_gets_and_puts(setup):
 def test_batch_matches_sequential(setup):
     store, proxy, _ = setup
     rng = random.Random(77)
-    seq_store = MappingStore(FidConfig(16))
+    seq_store = MappingStore()
     seq_proxy = PrivacyProxy(seq_store, os.urandom(32))
 
     def build(proxy_obj, n):

@@ -7,7 +7,6 @@ import pytest
 
 from fidstore.durability import DurableBuffer, SnapshotStore
 from fidstore.errors import CorruptLog
-from fidstore.fid_codec import FidConfig
 from fidstore.mapping_store import MappingStore, PartitionKind
 from fidstore.wal import (
     CHECKPOINT_INTERVAL_BYTES,
@@ -28,7 +27,7 @@ from .oracles import replay_store_records
 def _store_with_wal():
     buf = DurableBuffer()
     wal = Wal(buf)
-    store = MappingStore(FidConfig(16), journal=wal)
+    store = MappingStore(journal=wal)
     return store, wal, buf
 
 
@@ -70,7 +69,7 @@ def test_failed_flush_leaves_the_durable_copy_as_it_was(tmp_path, fail_io):
     path = str(tmp_path / "store.wal")
     buf = DurableBuffer(path)
     wal = Wal(buf)
-    store = MappingStore(FidConfig(16), journal=wal)
+    store = MappingStore(journal=wal)
     pid = store.create_partition(PartitionKind.PERMANENT)
     kept = store.put(pid, b"a")
     wal.flush()
@@ -83,12 +82,12 @@ def test_failed_flush_leaves_the_durable_copy_as_it_was(tmp_path, fail_io):
     buf.crash()
     assert buf.pending_len == 0
     assert DurableBuffer(path).durable == buf.durable == synced
-    result = recover_store(SnapshotStore(), buf, FidConfig(16))
+    result = recover_store(SnapshotStore(), buf)
     assert _live_mapping(result.store) == {kept: b"a"}
     result.store.journal = result.wal
     later = result.store.put(pid, b"c")
     result.wal.flush()
-    reopened = recover_store(SnapshotStore(), DurableBuffer(path), FidConfig(16))
+    reopened = recover_store(SnapshotStore(), DurableBuffer(path))
     assert _live_mapping(reopened.store) == {kept: b"a", later: b"c"}
 
 
@@ -113,7 +112,7 @@ def test_failed_replace_keeps_the_old_copy(tmp_path, fail_io):
 
 def test_empty_log_recovers_empty():
     snaps = SnapshotStore()
-    result = recover_store(snaps, DurableBuffer(), FidConfig(16))
+    result = recover_store(snaps, DurableBuffer())
     assert result.replayed_count == 0
     assert result.store.partition_ids() == []
 
@@ -124,7 +123,7 @@ def test_replay_k_puts():
     for i in range(25):
         store.put(pid, bytes([i]) * 10)
     wal.flush()
-    result = recover_store(SnapshotStore(), buf, FidConfig(16))
+    result = recover_store(SnapshotStore(), buf)
     assert result.store.stats().live_count == 25
     assert _live_mapping(result.store) == _live_mapping(store)
 
@@ -136,7 +135,7 @@ def test_unflushed_records_do_not_survive():
     wal.flush()
     store.put(pid, b"volatile")
     buf.crash()
-    result = recover_store(SnapshotStore(), buf, FidConfig(16))
+    result = recover_store(SnapshotStore(), buf)
     values = set(_live_mapping(result.store).values())
     assert b"durable" in values
     assert b"volatile" not in values
@@ -149,7 +148,7 @@ def test_append_continues_after_recovery():
     wal.flush()
     last = wal.durable_lsn
     buf.crash()
-    result = recover_store(SnapshotStore(), buf, FidConfig(16))
+    result = recover_store(SnapshotStore(), buf)
     assert result.wal.next_lsn == last + 1
     nxt = result.wal.log_put(123, b"x")
     assert nxt == last + 1
@@ -174,8 +173,8 @@ def test_recovery_is_idempotent():
     fids = [store.put(pid, bytes([i]) * 5) for i in range(10)]
     store.delete(fids[3])
     wal.flush()
-    r1 = recover_store(SnapshotStore(), buf, FidConfig(16))
-    r2 = recover_store(SnapshotStore(), buf, FidConfig(16))
+    r1 = recover_store(SnapshotStore(), buf)
+    r2 = recover_store(SnapshotStore(), buf)
     assert _live_mapping(r1.store) == _live_mapping(r2.store)
     assert r1.replayed_count == r2.replayed_count
 
@@ -185,7 +184,7 @@ def test_recovered_partition_ids_match():
     ids = [store.create_partition(PartitionKind.PERMANENT)
            for _ in range(5)]
     wal.flush()
-    result = recover_store(SnapshotStore(), buf, FidConfig(16))
+    result = recover_store(SnapshotStore(), buf)
     assert result.store.partition_ids() == ids
 
 
@@ -204,7 +203,7 @@ def test_checkpoint_truncate_equivalence():
     wal.flush()
     checkpoint_truncate(store, wal, snaps, None)
     assert buf.durable_len == 0
-    result = recover_store(snaps, buf, FidConfig(16))
+    result = recover_store(snaps, buf)
     assert _live_mapping(result.store) == before
     assert result.replayed_count == 0
     # nothing durable since: the checkpoint writes no image
@@ -220,7 +219,7 @@ def test_size_bound_triggers_truncation():
     plus one flush."""
     buf = DurableBuffer()
     wal = Wal(buf)
-    store = MappingStore(FidConfig(16), journal=wal)
+    store = MappingStore(journal=wal)
     snaps = SnapshotStore()
     checkpoints = []
 
@@ -242,7 +241,7 @@ def test_size_bound_triggers_truncation():
     assert snaps.get("store.ckpt") == struct.pack("<Q", checkpoints[-1])
     # recovery from image + truncated log equals the live store
     wal.flush()
-    assert _live_mapping(recover_store(snaps, buf, FidConfig(16)).store) == \
+    assert _live_mapping(recover_store(snaps, buf).store) == \
         _live_mapping(store)
 
 
@@ -256,7 +255,7 @@ def test_checkpoint_keeps_a_record_appended_after_the_last_flush():
     checkpoint_truncate(store, wal, snaps, None)
     assert buf.durable_len == 0 and buf.pending_len > 0
     wal.flush()
-    result = recover_store(snaps, buf, FidConfig(16))
+    result = recover_store(snaps, buf)
     assert result.replayed_count == 1
     assert result.store.get(late) == b"appended after the flush"
     assert _live_mapping(result.store) == _live_mapping(store)
@@ -273,13 +272,13 @@ def test_crash_between_image_and_truncation_replays_nothing():
     wal.flush()
 
     def crash(site):
-        if site == "privacy_checkpoint_image":
+        if site == "privacy-checkpoint-before-truncate":
             raise RuntimeError(site)
 
     with pytest.raises(RuntimeError):
         checkpoint_truncate(store, wal, snaps, None, crash)
     assert buf.durable_len > 0
-    result = recover_store(snaps, buf, FidConfig(16))
+    result = recover_store(snaps, buf)
     assert (buf.durable_len, result.replayed_count) == (0, 0)
     assert _live_mapping(result.store) == _live_mapping(store)
     assert result.wal.next_lsn == wal.next_lsn
@@ -299,12 +298,12 @@ def test_torn_tail_is_cut_so_later_records_survive(torn_value):
     store.put(pid, torn_value)
     buf.crash(torn_bytes=13)
     durable = buf.durable_len
-    first = recover_store(SnapshotStore(), buf, FidConfig(16))
+    first = recover_store(SnapshotStore(), buf)
     assert buf.durable_len == durable - 13
     first.store.journal = first.wal
     late = first.store.put(pid, b"three")
     first.wal.flush()
-    second = recover_store(SnapshotStore(), buf, FidConfig(16))
+    second = recover_store(SnapshotStore(), buf)
     assert second.store.get(late) == b"three"
     assert _live_mapping(second.store) == _live_mapping(first.store)
 
@@ -331,7 +330,7 @@ def test_crash_at_random_byte_matches_prefix_oracle():
         buf.crash(torn_bytes=torn)
 
         expected = replay_store_records(buf.durable)
-        result = recover_store(SnapshotStore(), buf, FidConfig(16))
+        result = recover_store(SnapshotStore(), buf)
         got = _live_mapping(result.store)
         if got != expected:
             failures += 1
@@ -348,7 +347,7 @@ def test_recovery_replay_time_is_linear():
             store.put(pid, struct.pack("<q", i))
         wal.flush()
         t0 = time.perf_counter()
-        recover_store(SnapshotStore(), buf, FidConfig(16))
+        recover_store(SnapshotStore(), buf)
         return time.perf_counter() - t0
 
     replay_time(2000)  # warm-up

@@ -274,8 +274,8 @@ def test_commit_flushes_only_secrets_no_earlier_flush_covered():
     db.commit(t3)
     assert kinds[m.MSG_FLUSH_LOG] == 2
     for txn in (t1, t2, t3):
-        assert (events.index(("after_privacy_flush", txn.txn_id))
-                < events.index(("after_db_commit", txn.txn_id)))
+        assert (events.index(("after-privacy-flush-before-db-commit", txn.txn_id))
+                < events.index(("after-db-commit", txn.txn_id)))
     topo.privacy.crash()
     topo.integrity.crash()
     report = topo.recover_all()
@@ -299,7 +299,10 @@ def test_cipher_commit_sends_nothing():
     db.commit(txn)
     assert topo.channel.round_trips == trips
     assert topo.store_wal_buffer.durable_len == durable
-    assert sites == ["before_privacy_flush", "after_privacy_flush", "after_db_commit"]
+    assert [CrashPointId(site) for site in sites] == [
+        CrashPointId.BEFORE_PRIVACY_FLUSH,
+        CrashPointId.AFTER_PRIVACY_FLUSH_BEFORE_DB_COMMIT,
+        CrashPointId.AFTER_DB_COMMIT]
     topo.integrity.crash()
     topo.recover_all()
     reader = topo.integrity.db.begin()
