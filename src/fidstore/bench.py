@@ -20,11 +20,18 @@ import statistics
 import time
 from dataclasses import dataclass, field, replace
 
-from .errors import CorruptLog
+from .errors import CorruptLog, Unavailable
 from .mapping_store import MappingStore, PartitionKind
 from .privacy_proxy import ClientEnvelope, EnvelopeCodec, encode_int64
 from .workload import Distribution, Mode, WorkloadSpec
-from .zone_sim import CrashPoint, CrashPointId, CrashTarget, ZoneTopology, pad_sensitive
+from .zone_sim import (
+    CrashPoint,
+    CrashPointId,
+    CrashTarget,
+    ZoneCrashed,
+    ZoneTopology,
+    pad_sensitive,
+)
 
 
 @dataclass
@@ -130,6 +137,11 @@ MATRIX_POINTS: list[tuple[CrashPointId, CrashTarget]] = [
     (CrashPointId.PRIVACY_CHECKPOINT_AFTER_TRUNCATE, CrashTarget.PRIVACY),
     (CrashPointId.INTEGRITY_CHECKPOINT_BEFORE_TRUNCATE, CrashTarget.BOTH),
     (CrashPointId.INTEGRITY_CHECKPOINT_AFTER_TRUNCATE, CrashTarget.BOTH),
+    # a privacy-only crash after an integrity commit whose secrets no flush
+    # made durable: recovery restores them from their recipes
+    (CrashPointId.AFTER_DB_COMMIT, CrashTarget.PRIVACY),
+    (CrashPointId.DURING_RESTORE, CrashTarget.BOTH),
+    (CrashPointId.DURING_RESTORE, CrashTarget.PRIVACY),
 ]
 CHECKPOINT_POINTS = frozenset({
     CrashPointId.PRIVACY_CHECKPOINT_BEFORE_TRUNCATE,
@@ -191,11 +203,15 @@ def run_crash_matrix(seeds_n: int, spec: WorkloadSpec | None = None,
     run then restarts once more (restart_violations), so what the first
     recovery left behind must survive a later commit and crash. A
     checkpoint point runs checkpoint_matrix_spec and crashes in the first
-    or second checkpoint of its zone."""
+    or second checkpoint of its zone. DURING_RESTORE needs a restore to
+    crash in: the run ends in a privacy-only crash after a commit, and
+    the point fires in the recovery from it, which a second recover_all
+    then completes."""
     spec = spec or default_matrix_spec()
     rows = []
     for point_id, target in points or MATRIX_POINTS:
         in_checkpoint = point_id in CHECKPOINT_POINTS
+        in_restore = point_id == CrashPointId.DURING_RESTORE
         run_spec = checkpoint_matrix_spec(spec) if in_checkpoint else spec
         for i in range(seeds_n):
             seed = base_seed + i
@@ -210,9 +226,20 @@ def run_crash_matrix(seeds_n: int, spec: WorkloadSpec | None = None,
                 occurrence = 1 + (seed % 5)
             else:
                 occurrence = 3 + (seed % 10)  # qualifying commits into the run
-            topo.inject_crash(CrashPoint(point_id, target, at_occurrence=occurrence))
+            if in_restore:
+                topo.inject_crash(CrashPoint(CrashPointId.AFTER_DB_COMMIT,
+                                             CrashTarget.PRIVACY, occurrence))
+            else:
+                topo.inject_crash(CrashPoint(point_id, target, at_occurrence=occurrence))
             report = topo.run_workload(run_spec)
             fired = topo.fired is not None
+            if fired and in_restore:
+                topo.inject_crash(CrashPoint(point_id, target))
+                try:
+                    topo.recover_all()
+                    fired = False  # nothing was pending, so nothing restored
+                except (ZoneCrashed, Unavailable):
+                    pass
             row = {
                 "crash_point": point_id.value,
                 "target": target.value,

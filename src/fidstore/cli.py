@@ -61,7 +61,8 @@ def _cmd_crash_matrix(args: argparse.Namespace) -> int:
 
     def on_row(row: dict) -> None:
         printed.append(row)
-        print(f"{row['crash_point']:38s} seed={row['seed']} fired={row['fired']} "
+        print(f"{row['crash_point']:38s} {row['target']:9s} seed={row['seed']} "
+              f"fired={row['fired']} "
               f"violations={row['violations']} orphans_pre={row['orphans_pre_gc']} "
               f"orphans_post={row['orphans_post_gc']} "
               f"restart_violations={row['restart_violations']}")

@@ -9,27 +9,36 @@ older snapshots and records which refs it will release. Physical
 reclamation happens off the write path: vacuum removes versions invisible
 to every snapshot and only then deletes their replaced refs from the
 mapping store; orphan_gc sweeps store entries no row version references
-(the leftovers of transactions that crashed between the two commit
-phases).
+(the secrets of transactions that never committed, made durable by a
+flush another caller sent).
 
-Commit ordering is the cross-domain contract: for a transaction that
-staged records, the privacy zone's journal is flushed (commit #1) strictly
-before this engine's own commit record becomes durable (commit #2), so a
-durable FID always has a durable secret. That flush has group-commit
-semantics: one flush makes every secret written before it durable, so
-commit #1 is skipped when an earlier flush (another transaction's commit,
-create_table, vacuum or orphan_gc) already covers every ref the
-transaction stored, and a transaction that stored no ref (a plain-only
-write, or any write on the cipher baseline, whose envelopes live in its
-rows) never sends it. A transaction that staged nothing makes no FID
-visible, so its commit takes a commit sequence number and touches neither
-journal.
+The cross-domain contract is an invariant: a durably visible FID has a
+durable secret, or a durable recipe whose operands are durable or backed
+by a recipe. A recipe is the bytes that wrote a fresh FID (messages): the
+client envelope of an ingest, or the operator element whose value result
+went to the table's partition. A commit syncs only this engine's journal,
+as the cipher baseline's does, and sends no message: one DB_RECIPE record
+beside its row records holds the recipe of each fresh FID its rows claim,
+and the recipes become pending (Database.recipes) once the commit record
+is durable. A MSG_FLUSH_LOG that returns makes every secret written before
+it durable, so it clears every pending recipe. The privacy journal syncs
+at create_table, at the start of vacuum and after its deletes, at the end
+of orphan_gc, before an integrity checkpoint writes its image, and after
+a restore; at the start of vacuum and before an image only while a recipe
+is pending. A transaction that staged nothing makes no FID visible, so
+its commit takes a commit sequence number and touches neither journal.
 
 When the privacy zone restarts, it has lost every secret that was not yet
-durable, and a lost FID's slot may be handed out again. privacy_restarted
-aborts every active transaction that stored a ref and forgets the abort
-garbage, so no lost ref is ever committed or released; whatever of it did
-survive is an orphan for orphan_gc.
+durable, and a lost FID's slot may be handed out again. Before any other
+request, restore_recipes sends every pending recipe (MSG_RESTORE), and the
+privacy zone writes each lost FID again at exactly that FID, in commit
+order, so an operand comes back before the results computed from it. It
+skips a FID that is live, which is safe because every MSG_DELETE batch is
+followed by a flush that returns before the next write (vacuum and
+orphan_gc): a live FID never holds a secret older than a recipe's. Then
+privacy_restarted aborts every active transaction that stored a ref and
+forgets the abort garbage, so no lost ref is ever committed or released;
+whatever of it did survive is an orphan for orphan_gc.
 
 The engine's journal follows the checkpoint rule in wal: it checkpoints
 after the sync of a commit or vacuum that took it past the interval, and
@@ -47,14 +56,13 @@ snapshot after recovery can see an older version; a ref only an older
 version holds is an orphan for orphan_gc if the crash comes before vacuum
 releases it.
 
-The checkpoint sends no message of its own: every version in the image has
-a durable commit record, so commit #1 already made every secret it names
-durable.
+The image holds FIDs only, never a recipe. So a checkpoint sends one
+MSG_FLUSH_LOG before it writes its image if a recipe is pending, and
+recovery restores at most one checkpoint interval of recipes.
 
 A failed durable write stops its zone (durability's fail-stop rule). Here
 crash_hook gets site "io_failure" and crashes the engine, so a commit whose
-own sync failed has an unknown outcome, as after a timeout; a commit whose
-flush met a stopped privacy zone aborts on Unavailable.
+own sync failed has an unknown outcome, as after a timeout.
 """
 
 from __future__ import annotations
@@ -86,15 +94,19 @@ DB_INSERT = 1
 DB_END = 2
 DB_REMOVE = 3
 DB_COMMIT = 4
+DB_RECIPE = 5
 
 _U32 = struct.Struct("<I")
 # DbWal record payloads, which wal.frame_record frames with their LSN and
 # kind: a DB_INSERT or DB_END row record (txn, table, row, vseq; then the
-# cells or the refs to release), a DB_REMOVE (table, row, vseq) and a
-# DB_COMMIT (txn).
+# cells or the refs to release), a DB_REMOVE (table, row, vseq), a
+# DB_COMMIT (txn) and a DB_RECIPE (txn; then per fresh FID the txn's cells
+# claimed, in claim order, a _RECIPE_ITEM head and its recipe, in the
+# messages format).
 _ROW_REC = struct.Struct("<QIQQ")
 _REMOVE_REC = struct.Struct("<IQQ")
 _COMMIT_REC = struct.Struct("<Q")
+_RECIPE_ITEM = struct.Struct("<QI")  # fid, recipe length
 # Checkpoint image: a head (next txn id, next commit seq, next lsn, table
 # count, txn count), a (txn, commit seq) pair per txn that wrote an imaged
 # version, then per table its counters and its imaged versions, each a
@@ -148,7 +160,7 @@ class RowVersion:
 
 class Txn:
     __slots__ = ("txn_id", "state", "snapshot_seq", "write_set", "staged",
-                 "promoted", "query_id")
+                 "promoted", "recipes", "query_id")
 
     def __init__(self, txn_id, snapshot_seq):
         self.txn_id = txn_id
@@ -158,6 +170,7 @@ class Txn:
         self.write_set: list = []
         self.staged: list = []
         self.promoted: list = []
+        self.recipes: list = []  # (fid, recipe) of each fresh FID a cell claimed
         self.query_id = txn_id
 
 
@@ -272,19 +285,21 @@ class FidBackend:
                         f"{partition_id}")
                 claimed.add(ref)
 
-    def promote(self, ref: int, partition_id: int) -> int:
+    def promote(self, ref: int, partition_id: int) -> tuple[int, bytes | None]:
         """A FID for ref's secret in partition_id that no other row version
-        holds. A ref in that partition is kept only if this client wrote it
-        there fresh and no cell has claimed it yet; the caller's cell claims
-        it now. A temporary ref is copied over. Any other ref raises
-        WrongPartitionKind and changes nothing."""
+        holds, and its recipe. A ref in that partition is kept only if this
+        client wrote it there fresh and no cell has claimed it yet; the
+        caller's cell claims it now, with the recipe that wrote it. A
+        temporary ref is copied over by MSG_PROMOTE, which makes the copy
+        durable before it replies, so it needs no recipe. Any other ref
+        raises WrongPartitionKind and changes nothing."""
         if ref >> OFFSET_BITS != partition_id:
-            return self.client.promote(ref, partition_id)
-        if ref not in self.client.fresh:
+            return self.client.promote(ref, partition_id), None
+        recipe = self.client.fresh.pop(ref, None)
+        if recipe is None:
             raise WrongPartitionKind(
                 f"ref {ref:#x} is not a fresh unclaimed write to partition {partition_id}")
-        self.client.fresh.remove(ref)
-        return ref
+        return ref, recipe
 
     def release(self, refs: list[int], batch_size: int) -> int:
         """Deletes the refs' secrets in ascending FID order, batch_size refs
@@ -296,7 +311,7 @@ class FidBackend:
         order, not values, so it adds nothing to the adversary trace."""
         fresh = self.client.fresh
         for ref in refs:
-            fresh.discard(ref)
+            fresh.pop(ref, None)
         return sum(self.client.delete(sorted(refs), batch_size))
 
     def compare_many(self, query_id: int, op: OpKind, vtype: ValueType,
@@ -347,8 +362,8 @@ class CipherBackend:
     def check_claims(self, refs: list[bytes], partition_id: int) -> None:
         pass  # promote keeps every envelope
 
-    def promote(self, temp_ref: bytes, partition_id: int) -> bytes:
-        return temp_ref  # the envelope itself is the stored form
+    def promote(self, temp_ref: bytes, partition_id: int) -> tuple[bytes, None]:
+        return temp_ref, None  # the envelope itself is the stored form
 
     def release(self, refs: list[bytes], batch_size: int) -> int:
         return 0  # an envelope lives in its row and goes with it
@@ -397,6 +412,9 @@ class Database:
         self.next_txn_id = 1
         self.next_commit_seq = 1
         self.next_lsn = 1  # of the next record commit or vacuum frames
+        # fid -> recipe of each FID committed since the last privacy flush
+        # this engine saw return, in commit order (restore_recipes)
+        self.recipes: dict[int, bytes] = {}
 
     # ------------------------------------------------------------------
     # schema
@@ -405,9 +423,9 @@ class Database:
         if name in self.tables:
             raise SchemaMismatch(f"table {name} already exists")
         partition_id = self.client.create_partition()
-        # same ordering as commit: the partition's journal record must be
-        # durable before the catalog durably references it
-        self.client.flush_log()
+        # the partition's journal record must be durable before the catalog
+        # durably references it
+        self.flush_privacy()
         table = Table(name, len(self.tables_by_idx), schema, partition_id)
         self.tables[name] = table
         self.tables_by_idx.append(table)
@@ -451,15 +469,16 @@ class Database:
             return
         txn.state = TxnState.PREPARING
         self._hook("before-privacy-flush", txn)
-        if not self.client.unflushed.isdisjoint(txn.promoted):
-            try:
-                self.client.flush_log()  # commit #1: secrets become durable
-            except Unavailable:
-                self.abort(txn)
-                raise
         self._hook("after-privacy-flush-before-db-commit", txn)
-        # commit #2: the FIDs become externally visible
-        self._journal(txn.staged + [self._record(DB_COMMIT, txn=txn.txn_id)])
+        # the FIDs become externally visible, the fresh ones with their
+        # recipes
+        records = txn.staged
+        if txn.recipes:
+            records = records + [(DB_RECIPE, _COMMIT_REC.pack(txn.txn_id) + b"".join(
+                _RECIPE_ITEM.pack(fid, len(recipe)) + recipe
+                for fid, recipe in txn.recipes))]
+        self._journal(records + [self._record(DB_COMMIT, txn=txn.txn_id)])
+        self.recipes.update(txn.recipes)
         self._hook("after-db-commit", txn)
         self._finish_commit(txn)
         self._synced()
@@ -488,20 +507,37 @@ class Database:
         txn.staged.clear()
         self.active_txns.pop(txn.txn_id, None)
 
+    def flush_privacy(self, quiesce: bool = False) -> None:
+        """Sends MSG_FLUSH_LOG. Once it returns, every secret written before
+        it is durable, so no recipe is pending any more."""
+        self.client.flush_log(quiesce)
+        self.recipes.clear()
+
+    def restore_recipes(self) -> None:
+        """After a privacy restart, before any other request: sends every
+        pending recipe in commit order, batch_size per MSG_RESTORE, so the
+        privacy zone writes each lost FID again, then a flush that makes
+        the restored secrets durable."""
+        if not self.recipes:
+            return
+        self.client.restore(list(self.recipes.items()), self.batch_size)
+        self._hook("during-restore", None)
+        self.flush_privacy()
+
     def privacy_restarted(self) -> None:
-        """The privacy zone recovered from a crash and lost its unflushed
-        secrets: abort every active txn that stored a ref, drop every
-        table's abort garbage and clear the client's fresh and unflushed
-        sets. A lost ref may name a slot recovery hands out again, so none
-        may be committed, claimed or released; those that survived are
-        orphans for orphan_gc."""
+        """The privacy zone recovered from a crash, and restore_recipes
+        wrote back every committed FID it lost; the secrets of active txns
+        are lost for good: abort every active txn that stored a ref, drop
+        every table's abort garbage and clear the client's fresh map. A
+        lost ref may name a slot recovery hands out again, so none may be
+        committed, claimed or released; those that survived are orphans
+        for orphan_gc."""
         for txn in list(self.active_txns.values()):
             if txn.promoted:
                 self.abort(txn)
         for table in self.tables_by_idx:
             table.abort_garbage = []
         self.client.fresh.clear()
-        self.client.unflushed.clear()
 
     # ------------------------------------------------------------------
     # row operations
@@ -514,7 +550,7 @@ class Database:
                 f"{table.name} has {len(table.schema)} columns, got {len(values)}"
             )
         cells = list(values)
-        promoted = self._store_cells(table, cells, range(len(cells)))
+        promoted = self._store_cells(txn, table, cells, range(len(cells)))
         row_id = table.next_row_id
         table.next_row_id += 1
         version = RowVersion(row_id, table.next_vseq, txn.txn_id, cells,
@@ -529,10 +565,10 @@ class Database:
         self._observe_cells(table, cells)
         return row_id
 
-    def _store_cells(self, table: Table, cells: list, changed) -> list:
+    def _store_cells(self, txn: Txn, table: Table, cells: list, changed) -> list:
         """Checks the cells at the changed indices against the schema and
         replaces each sensitive one's ref with the ref the row stores;
-        returns those refs.
+        returns those refs, and adds each fresh one's recipe to the txn's.
 
         The caller hands us fresh refs from ingest/operators, written either
         into the query's temporaries (promote copies them into the table's
@@ -557,9 +593,13 @@ class Database:
         backend, pid = self.backend, table.partition_id
         backend.check_claims([cells[i] for i in sensitive], pid)
         refs = []
+        recipes = []
         for i in sensitive:
-            cells[i] = backend.promote(cells[i], pid)
+            cells[i], recipe = backend.promote(cells[i], pid)
             refs.append(cells[i])
+            if recipe is not None:
+                recipes.append((cells[i], recipe))
+        txn.recipes += recipes
         return refs
 
     def update_row(self, txn: Txn, table: Table, row_id: int,
@@ -578,7 +618,7 @@ class Database:
                 release.append(cells[idx])
             cells[idx] = value
             changed.append(idx)
-        promoted = self._store_cells(table, cells, changed)
+        promoted = self._store_cells(txn, table, cells, changed)
         version = RowVersion(row_id, table.next_vseq, txn.txn_id, cells,
                              self._cells_wire(table, cells))
         table.next_vseq += 1
@@ -696,7 +736,14 @@ class Database:
         """Drop versions invisible to every snapshot; delete the store
         mappings they were holding, and the table's abort garbage, in
         ascending FID order, batch_size refs per message (backend.release).
-        Runs outside any transaction."""
+        Runs outside any transaction.
+
+        While a recipe is pending it first flushes the privacy journal, so
+        every secret is durable before a removal is: recovery drops the
+        recipe of a FID whose version is removed, yet that FID may be an
+        operand of a recipe it keeps."""
+        if self.recipes:
+            self.flush_privacy()
         min_snapshot = min((t.snapshot_seq for t in self.active_txns.values()),
                            default=None)
         release = []
@@ -726,7 +773,7 @@ class Database:
             self._synced()
         reclaimed = self.backend.release(release, self.batch_size)
         if reclaimed:
-            self.client.flush_log()
+            self.flush_privacy()
         return reclaimed
 
     def _version_dead(self, version: RowVersion, min_snapshot: int | None) -> bool:
@@ -772,7 +819,7 @@ class Database:
                         orphans.append(fid)
                         self._hook("during-orphan-gc", None)
                 reclaimed += self.backend.release(orphans, self.batch_size)
-        self.client.flush_log(quiesce=True)
+        self.flush_privacy(quiesce=True)
         if self.dbwal.durable_len:
             self.checkpoint()
         return reclaimed
@@ -794,13 +841,22 @@ class Database:
 
     def _synced(self) -> None:
         """Checkpoints if the sync that just ran took the journal past the
-        interval (wal.past_interval). The log has no pending bytes here."""
+        interval (wal.past_interval). The log has no pending bytes here. A
+        checkpoint whose flush finds the privacy zone down is put off to
+        the next sync, and the journal keeps its recipes until then."""
         if wal.past_interval(self.dbwal):
-            self.checkpoint()
+            try:
+                self.checkpoint()
+            except Unavailable:
+                pass
 
     def checkpoint(self) -> None:
         """Writes the image of each row's newest committed version, covering
-        every record framed so far, then truncates the journal to empty."""
+        every record framed so far, then truncates the journal to empty.
+        The image holds FIDs only, so a pending recipe's secret is made
+        durable first, by one MSG_FLUSH_LOG."""
+        if self.recipes:
+            self.flush_privacy()
         self._durable_write(self.snapshots.put_atomic, CHECKPOINT_IMAGE, self._image())
         self._hook("integrity-checkpoint-before-truncate", None)
         self._durable_write(self.dbwal.replace, b"")
@@ -953,7 +1009,14 @@ def recover_database(client, backend, dbwal: DurableBuffer,
     durable DbWal records past its cover; returns the engine and the number
     of journal records replayed. Any transaction without a durable commit
     record is treated as aborted: its row versions are never materialized,
-    so its promoted secrets surface as store orphans for orphan_gc."""
+    so its promoted secrets surface as store orphans for orphan_gc.
+
+    The pending recipes are rebuilt from the DB_RECIPE records of committed
+    txns: per FID the newest, in LSN order, and only for a FID a recovered
+    row version holds. Dropping the others is safe: vacuum flushes the
+    privacy journal before it makes a removal durable while a recipe is
+    pending, so no kept recipe has an operand that a removed version held
+    and the privacy zone lost."""
     db = Database(client, backend, dbwal, snapshots, **db_kwargs)
     raw_catalog = snapshots.get(CATALOG)
     if raw_catalog:
@@ -982,9 +1045,23 @@ def recover_database(client, backend, dbwal: DurableBuffer,
     for i, txn_id in enumerate(committed_order):
         committed[txn_id] = db.next_commit_seq + i
     replayed = 0
+    recipes: dict[int, bytes] = {}
     for _, kind, payload in records:
         if kind == DB_COMMIT:
             replayed += 1
+            continue
+        if kind == DB_RECIPE:
+            (txn_id,) = _COMMIT_REC.unpack_from(payload)
+            max_txn = max(max_txn, txn_id)
+            if txn_id in committed:
+                pos = _COMMIT_REC.size
+                while pos < len(payload):
+                    fid, n = _RECIPE_ITEM.unpack_from(payload, pos)
+                    pos += _RECIPE_ITEM.size
+                    recipes.pop(fid, None)  # the newest goes last
+                    recipes[fid] = payload[pos:pos + n]
+                    pos += n
+                replayed += 1
             continue
         if kind == DB_REMOVE:
             table_idx, row_id, vseq = _REMOVE_REC.unpack_from(payload)
@@ -1016,6 +1093,8 @@ def recover_database(client, backend, dbwal: DurableBuffer,
                     version.release_refs = release
         replayed += 1
 
+    held = db.referenced_refs()
+    db.recipes = {fid: r for fid, r in recipes.items() if fid in held}
     db._forget_unnamed_txns()
     db.next_txn_id = max_txn + 1
     db.next_commit_seq += len(committed_order)

@@ -329,6 +329,27 @@ class MappingStore:
             raise NotLive(f"fid {temp_fid:#x} is not live")
         return self.put(perm_partition, value)
 
+    def restore(self, fid: int, secret: bytes) -> None:
+        """Puts secret at exactly fid, a FID of a permanent partition that
+        is not live, through put: the offset moves to the end of the free
+        list, where put takes it next, so the put is journaled and the block
+        hooks fire as for any other. An offset at or past the allocation
+        counter first moves the counter past it, and the offsets it skips
+        join the free list."""
+        p = self.partition(fid >> OFFSET_BITS)
+        off = fid & OFFSET_MASK
+        free = p.free_list
+        if off >= p.alloc_counter:
+            p.slots.extend([None] * (off + 1 - p.alloc_counter))
+            free.extend(range(p.alloc_counter, off + 1))
+            p.alloc_counter = off + 1
+        elif p.slots[off] is not None:
+            raise ValueError(f"fid {fid:#x} is live")
+        else:
+            free.remove(off)
+            free.append(off)
+        self.put(p.pid, secret)
+
     def drop_temporary(self, partition_id: int) -> int:
         p = self.partition(partition_id)
         if p.kind != PartitionKind.TEMPORARY:
@@ -353,6 +374,11 @@ class MappingStore:
             return False
         off = fid & OFFSET_MASK
         return off < len(p.slots) and p.slots[off] is not None
+
+    def in_permanent(self, fid: int) -> bool:
+        """True iff fid's partition exists and is permanent."""
+        p = self._parts.get(fid >> OFFSET_BITS)
+        return p is not None and p.kind == PartitionKind.PERMANENT
 
     def live_fids(self, partition_id: int) -> list[int]:
         p = self.partition(partition_id)

@@ -14,6 +14,9 @@ its head and its operands alone:
 - OP_DEST: the u32 destination follows the head and names the permanent
   partition the element's value result is written to (MSG_EXEC_BATCH
   only). Without it the result goes to the query's temporary partition.
+  A result written to a permanent partition takes its stored operands from
+  permanent partitions only, so its recipe can be re-run at recovery; an
+  element with a temporary operand fails with TypeMismatch.
 - OP_CONST: a client envelope {u32 len, bytes} follows the stored
   operands and is the element's last operand. The privacy zone decrypts
   it once and never stores it.
@@ -44,8 +47,30 @@ MSG_FLUSH_LOG carries nothing, or the one byte QUIESCE when no transaction
 is active (the flush that ends orphan_gc): the privacy zone then
 checkpoints after its sync if its journal holds records. Its response is
 the status byte alone, so it tells the integrity zone nothing about the
-privacy zone's journal. MSG_CREATE_PARTITION carries nothing and creates a
-permanent partition; its response is the u32 partition id.
+privacy zone's journal. A commit never sends it: the integrity zone sends
+it after create_table's new partition, at the start of vacuum and after
+its deletes, at the end of orphan_gc, before an integrity checkpoint
+writes its image, and after a restore; at the start of vacuum and before
+an image only while a recipe is pending. MSG_PROMOTE, the one write
+without a recipe, syncs the privacy journal itself before it replies.
+MSG_CREATE_PARTITION carries nothing and creates a permanent partition;
+its response is the u32 partition id.
+
+A recipe is the bytes that wrote a FID in a permanent partition, which
+the integrity zone journals with the commit that claims the FID and sends
+again after a privacy restart until a flush has made the write durable:
+RECIPE_INGEST (u8 1) and the client envelope of an ingest, or
+RECIPE_EXEC (u8 2) and the operator element, as MSG_EXEC_BATCH carried it,
+whose value result went to the FID's partition. MSG_RESTORE is
+{u64 fid, u32 len, recipe} items up to the end of the payload, and its
+response is the status byte alone. The privacy zone accepts it only
+between its recovery and its first request of another kind, and checks
+every item before it stores the first: the FID must be in a permanent
+partition, the element a value op naming that partition over permanent
+operands, and every envelope must authenticate. It skips a FID that is
+live and writes every other at exactly that FID (PrivacyProxy.restore).
+So a restore writes only non-live FIDs of permanent partitions, with
+values an ingest or an operator message could have written there.
 
 The ciphertext-scheme baseline used for benchmarking speaks the same
 protocol with its own message kinds: operands are AEAD envelopes instead
@@ -92,6 +117,7 @@ MSG_CREATE_PARTITION = 8
 MSG_PREFETCH = 9
 MSG_IS_LIVE = 10
 MSG_LIST_LIVE = 11
+MSG_RESTORE = 12
 MSG_CIPHER_EXEC = 20
 MSG_CIPHER_INGEST = 21
 MSG_CIPHER_REVEAL = 22
@@ -103,6 +129,11 @@ OP_CONST = 0x20
 _OP_FLAGS = OP_DEST | OP_REVEAL | OP_CONST
 
 QUIESCE = b"\x01"  # MSG_FLUSH_LOG payload: checkpoint after the sync
+
+# a recipe's first byte: the kind of write it re-runs (format in the module
+# docstring)
+RECIPE_INGEST = b"\x01"
+RECIPE_EXEC = b"\x02"
 
 _RESULT_VALUE = 0
 _RESULT_BOOL = 1
@@ -168,6 +199,44 @@ def _read_u64(data: bytes, pos: int) -> tuple[int, int]:
     return _U64.unpack_from(data, pos)[0], pos + 8
 
 
+def _write_op(r: OperatorRequest, write_operand) -> bytes:
+    """One operator element's bytes (format in the module docstring)."""
+    dest, const = r.destination, r.constant
+    flags = ((OP_DEST if dest is not None else 0)
+             | (OP_CONST if const is not None else 0)
+             | (OP_REVEAL if r.reveal else 0))
+    parts = [_OP_HEAD.pack(int(r.op) | flags, int(r.value_type), len(r.operand_fids))]
+    if dest is not None:
+        parts.append(_U32.pack(dest))
+    parts.extend(write_operand(x) for x in r.operand_fids)
+    if const is not None:
+        parts.append(_blob(const))
+    return b"".join(parts)
+
+
+def _read_op(data: bytes, pos: int, read_operand) -> tuple[OperatorRequest, int]:
+    """The operator element at pos and the position after it; raises
+    struct.error or KeyError on a truncated element or an unknown op or
+    value type."""
+    op, vtype, argc = _OP_HEAD.unpack_from(data, pos)
+    pos += _OP_HEAD.size
+    flags = op & _OP_FLAGS
+    op &= ~_OP_FLAGS
+    dest = None
+    if flags & OP_DEST:
+        (dest,) = _U32.unpack_from(data, pos)
+        pos += 4
+    operands = []
+    for _ in range(argc):
+        operand, pos = read_operand(data, pos)
+        operands.append(operand)
+    const = None
+    if flags & OP_CONST:
+        const, pos = _read_blob(data, pos)
+    return OperatorRequest(_OP_KINDS[op], _VALUE_TYPES[vtype], operands, dest, const,
+                           bool(flags & OP_REVEAL)), pos
+
+
 def _read_ops(payload: bytes, read_operand) -> list[OperatorRequest]:
     """Decode an operator batch (format in the module docstring); a
     truncated batch, or an element with an unknown op or value type, fails
@@ -177,57 +246,66 @@ def _read_ops(payload: bytes, read_operand) -> list[OperatorRequest]:
         (n,) = struct.unpack_from("<H", payload, 0)
         pos = 2
         for _ in range(n):
-            op, vtype, argc = _OP_HEAD.unpack_from(payload, pos)
-            pos += _OP_HEAD.size
-            flags = op & _OP_FLAGS
-            op &= ~_OP_FLAGS
-            dest = None
-            if flags & OP_DEST:
-                (dest,) = _U32.unpack_from(payload, pos)
-                pos += 4
-            operands = []
-            for _ in range(argc):
-                operand, pos = read_operand(payload, pos)
-                operands.append(operand)
-            const = None
-            if flags & OP_CONST:
-                const, pos = _read_blob(payload, pos)
-            ops.append(OperatorRequest(_OP_KINDS[op], _VALUE_TYPES[vtype], operands,
-                                       dest, const, bool(flags & OP_REVEAL)))
+            op, pos = _read_op(payload, pos, read_operand)
+            ops.append(op)
     except (struct.error, KeyError):
         raise TypeMismatch("malformed operator batch") from None
     return ops
+
+
+def _read_restore(payload: bytes) -> list[tuple[int, object]]:
+    """Decode a MSG_RESTORE payload (format in the module docstring) into
+    (fid, recipe) items, each recipe a ClientEnvelope or an
+    OperatorRequest; TypeMismatch for a malformed item or a byte after the
+    last one, AuthFailure for an envelope too short for its nonce and tag."""
+    items = []
+    pos = 0
+    while True:
+        try:
+            fid, pos = _read_u64(payload, pos)
+        except struct.error:
+            raise TypeMismatch("restore item ends inside its FID") from None
+        recipe, pos = _read_blob(payload, pos)
+        kind = recipe[:1]
+        if kind == RECIPE_INGEST:
+            items.append((fid, ClientEnvelope.from_bytes(recipe[1:])))
+        elif kind == RECIPE_EXEC:
+            try:
+                req, end = _read_op(recipe, 1, _read_u64)
+            except (struct.error, KeyError):
+                raise TypeMismatch("malformed operator recipe") from None
+            if end != len(recipe):
+                raise TypeMismatch("bytes after an operator recipe")
+            items.append((fid, req))
+        else:
+            raise TypeMismatch(f"unknown recipe kind {kind!r}")
+        if pos == len(payload):
+            return items
 
 
 class ProxyClient:
     """Integrity-side stub: serializes calls, records the adversary view.
 
     Each method is one round trip except ingest, cipher_ingest, exec_batch,
-    cipher_exec and delete, which take a list and a batch_size and split
-    the list into ceil(n / batch_size) messages (all through _chunks), and
-    end_query, which sends nothing for a query that never wrote to its
-    temporary partition (no temp-target ingest, no stored value result
-    without a destination): such a query has no temporaries to drop.
+    cipher_exec, delete and restore, which take a list and a batch_size and
+    split the list into ceil(n / batch_size) messages (all through
+    _chunks), and end_query, which sends nothing for a query that never
+    wrote to its temporary partition (no temp-target ingest, no stored
+    value result without a destination): such a query has no temporaries to
+    drop.
 
-    fresh holds the FIDs this client wrote to a named permanent partition
-    that no row version has claimed yet (see FidBackend.promote).
-
-    unflushed holds the FIDs this client wrote to a permanent partition (an
-    ingest or a value result with a named partition, or a promote) since
-    the last successful flush_log. The privacy zone's journal flush has
-    group-commit semantics, so a FID outside this set already has a durable
-    secret, whichever caller's flush made it so; Database.commit sends
-    MSG_FLUSH_LOG only for a transaction holding a FID in it, and fires its
-    crash hooks around that flush whether or not it sends it. Both sets
-    describe the privacy zone's state before its last restart, so the
-    caller clears them when it restarts (Database.privacy_restarted).
+    fresh maps each FID this client wrote to a named permanent partition,
+    and that no row version has claimed yet (see FidBackend.promote), to
+    its recipe: the bytes that wrote it, which the integrity journal keeps
+    so recovery can write it again (MSG_RESTORE). It describes the privacy
+    zone's state before its last restart, so the caller clears it when the
+    zone restarts (Database.privacy_restarted).
     """
 
     def __init__(self, channel, trace=None):
         self.channel = channel
         self.trace = trace
-        self.fresh: set[int] = set()
-        self.unflushed: set[int] = set()
+        self.fresh: dict[int, bytes] = {}
         self._temp_queries: set[int] = set()
 
     # -- plumbing -------------------------------------------------------
@@ -253,26 +331,19 @@ class ProxyClient:
         return fid, pos
 
     def _batch(self, kind: int, query_id: int, reqs: list[OperatorRequest],
-               batch_size: int, write_operand, read_result) -> list[OperatorResponse]:
+               batch_size: int, write_operand,
+               read_result) -> tuple[list[bytes], list[OperatorResponse]]:
         """The operator-batch codec shared by the FID and envelope paths:
         the requests go out in ceil(n / batch_size) messages, and one
-        response comes back per request."""
+        response comes back per request. Returns each request's element
+        bytes and its response."""
+        elements = []
         out = []
         for chunk in _chunks(reqs, batch_size):
-            payload = [struct.pack("<H", len(chunk))]
-            for r in chunk:
-                dest, const = r.destination, r.constant
-                flags = ((OP_DEST if dest is not None else 0)
-                         | (OP_CONST if const is not None else 0)
-                         | (OP_REVEAL if r.reveal else 0))
-                payload.append(_OP_HEAD.pack(int(r.op) | flags, int(r.value_type),
-                                             len(r.operand_fids)))
-                if dest is not None:
-                    payload.append(_U32.pack(dest))
-                payload.extend(write_operand(x) for x in r.operand_fids)
-                if const is not None:
-                    payload.append(_blob(const))
-            body = self._call(kind, query_id, b"".join(payload))
+            sent = [_write_op(r, write_operand) for r in chunk]
+            elements.extend(sent)
+            body = self._call(kind, query_id,
+                              struct.pack("<H", len(chunk)) + b"".join(sent))
             (n,) = struct.unpack_from("<H", body, 0)
             pos = 2
             for _ in range(n):
@@ -295,7 +366,7 @@ class ProxyClient:
                     if self.trace is not None:
                         self.trace.cmp_bool(flag)
                     out.append(OperatorResponse(boolean=flag))
-        return out
+        return elements, out
 
     # -- client data path -------------------------------------------------
 
@@ -316,8 +387,9 @@ class ProxyClient:
             for fid in fids:
                 self._observe_fid(fid)
             if target != QUERY_TEMP_TARGET:
-                self.fresh.update(fids)
-                self.unflushed.update(fids)
+                fresh = self.fresh
+                for fid, envelope in zip(fids, chunk):
+                    fresh[fid] = RECIPE_INGEST + envelope
             out.extend(fids)
         return out
 
@@ -333,12 +405,11 @@ class ProxyClient:
             if (r.op not in COMPARISONS and not r.reveal
                     and r.destination in (None, QUERY_TEMP_TARGET)):
                 self._temp_queries.add(query_id)
-        out = self._batch(MSG_EXEC_BATCH, query_id, reqs, batch_size,
-                          self._write_fid, self._read_fid)
-        for r, resp in zip(reqs, out):
+        elements, out = self._batch(MSG_EXEC_BATCH, query_id, reqs, batch_size,
+                                    self._write_fid, self._read_fid)
+        for r, element, resp in zip(reqs, elements, out):
             if resp.fid is not None and r.destination not in (None, QUERY_TEMP_TARGET):
-                self.fresh.add(resp.fid)
-                self.unflushed.add(resp.fid)
+                self.fresh[resp.fid] = RECIPE_EXEC + element
         return out
 
     def exec_operator(self, query_id: int, req: OperatorRequest) -> OperatorResponse:
@@ -361,7 +432,6 @@ class ProxyClient:
         body = self._call(MSG_PROMOTE, 0, _PROMOTE.pack(temp_fid, perm_partition))
         (fid,) = _U64.unpack(body)
         self._observe_fid(fid)
-        self.unflushed.add(fid)
         return fid
 
     def delete(self, fids: list[int], batch_size: int) -> list[bool]:
@@ -376,7 +446,13 @@ class ProxyClient:
 
     def flush_log(self, quiesce: bool = False) -> None:
         self._call(MSG_FLUSH_LOG, 0, QUIESCE if quiesce else b"")
-        self.unflushed.clear()
+
+    def restore(self, items: list[tuple[int, bytes]], batch_size: int) -> None:
+        """Writes each recipe's value again at its FID where the privacy
+        zone lost it, batch_size (fid, recipe) items per message."""
+        for chunk in _chunks(items, batch_size):
+            self._call(MSG_RESTORE, 0, b"".join(self._write_fid(fid) + _blob(recipe)
+                                                for fid, recipe in chunk))
 
     def create_partition(self) -> int:
         """A new permanent partition's id."""
@@ -419,7 +495,7 @@ class ProxyClient:
         each response's fid carry envelopes. The privacy zone stores no
         result, so a destination is checked but never written to."""
         return self._batch(MSG_CIPHER_EXEC, query_id, reqs, batch_size,
-                           _blob, _read_blob)
+                           _blob, _read_blob)[1]
 
 
 class PrivacyDispatcher:
@@ -435,13 +511,18 @@ class PrivacyDispatcher:
     one that fails its tag. An ingest is all or nothing: every envelope of
     the request is authenticated before the first is stored. The integrity
     zone can create permanent partitions only: temporaries belong to a
-    query and are created by the proxy."""
+    query and are created by the proxy.
+
+    restoring is the recovery window: recovery sets it, and the dispatcher
+    accepts MSG_RESTORE until the first request of another kind and
+    refuses it with TypeMismatch at any other time."""
 
     def __init__(self, proxy, wal, atrest, zone_codec: EnvelopeCodec):
         self.proxy = proxy
         self.wal = wal
         self.atrest = atrest
         self.envelopes = EnvelopeSpace(zone_codec)
+        self.restoring = False
 
     def handle(self, raw: bytes) -> bytes:
         try:
@@ -457,6 +538,12 @@ class PrivacyDispatcher:
     def _dispatch(self, kind: int, query_id: int, payload: bytes) -> bytes:
         proxy = self.proxy
         store = proxy.store
+        if kind == MSG_RESTORE:
+            if not self.restoring:
+                raise TypeMismatch("restore outside the recovery window")
+            proxy.restore(_read_restore(payload))
+            return b""
+        self.restoring = False
         if kind == MSG_INGEST:
             blobs = _read_blobs(payload, 4)  # fails unless the target fits
             (target,) = _U32.unpack_from(payload, 0)
@@ -473,7 +560,9 @@ class PrivacyDispatcher:
             return b""
         if kind == MSG_PROMOTE:
             fid, perm = _unpack(_PROMOTE, payload)
-            return _U64.pack(store.promote(fid, perm))
+            fid = store.promote(fid, perm)
+            self.wal.flush()  # the one write without a recipe: durable before the reply
+            return _U64.pack(fid)
         if kind == MSG_DELETE:
             if len(payload) % _U64.size:
                 raise TypeMismatch(f"delete payload of {len(payload)} bytes")

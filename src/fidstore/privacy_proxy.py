@@ -29,6 +29,12 @@ is decrypted once and used as its last operand, and may reveal its value
 result, which then leaves as a client envelope. Neither the constant nor
 a revealed result is ever stored: each costs the one decrypt or encrypt
 an ingest or reveal of it would.
+
+After a crash, restore writes each lost FID of a table again from its
+recipe, the ingest envelope or operator element that first wrote it, into
+exactly that FID. So a value result bound for a permanent partition takes
+its stored operands from permanent partitions only: a temporary operand
+would be gone when its recipe runs again.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from .errors import (
     TypeMismatch,
     WrongPartitionKind,
 )
+from .fid_codec import OFFSET_BITS
 from .mapping_store import MappingStore, PartitionKind
 
 NONCE_LEN = 12
@@ -283,6 +290,12 @@ def _compute_float(op: OpKind, nums: list[float]) -> bytes:
     return encode_float64(r)
 
 
+def require_permanent(store: MappingStore, fids: list[int]) -> None:
+    """Raises TypeMismatch unless every FID is in a permanent partition."""
+    if not all(map(store.in_permanent, fids)):
+        raise TypeMismatch("a stored value result takes permanent operands only")
+
+
 class FidSpace:
     """Operands are FIDs: load reads their secrets from the mapping store,
     save puts a result into its resolved destination partition."""
@@ -301,8 +314,16 @@ class FidSpace:
             values.append(v)
         return values
 
-    def save(self, query_id: int, destination: int | None, value: bytes) -> int:
-        return self.store.put(self.destination(query_id, destination), value)
+    def save(self, query_id: int, destination: int | None, value: bytes,
+             operands: list[int] = ()) -> int:
+        """Puts a result computed from operands. One bound for a named
+        (permanent) partition takes its operands from permanent partitions
+        only, so recovery can re-run its recipe (MSG_RESTORE): TypeMismatch
+        otherwise, and nothing is stored."""
+        pid = self.destination(query_id, destination)
+        if destination is not None and destination != QUERY_TEMP_TARGET:
+            require_permanent(self.store, operands)
+        return self.store.put(pid, value)
 
 
 class EnvelopeSpace:
@@ -317,7 +338,8 @@ class EnvelopeSpace:
         decrypt = self.codec.decrypt
         return [decrypt(ClientEnvelope.from_bytes(e)) for e in envelopes]
 
-    def save(self, query_id: int, destination: int | None, value: bytes) -> bytes:
+    def save(self, query_id: int, destination: int | None, value: bytes,
+             operands: list[bytes] = ()) -> bytes:
         return self.codec.encrypt(value).to_bytes()
 
 
@@ -398,7 +420,8 @@ class PrivacyProxy:
         if req.reveal:
             return OperatorResponse(
                 envelope=self.client_codec.encrypt(result).to_bytes())
-        return OperatorResponse(fid=space.save(query_id, req.destination, result))
+        return OperatorResponse(fid=space.save(query_id, req.destination, result,
+                                               operands))
 
     def exec_batch(self, reqs: list[OperatorRequest], query_id: int,
                    space=None) -> list[OperatorResponse]:
@@ -415,3 +438,46 @@ class PrivacyProxy:
                     raise
                 out.append(OperatorResponse(error_code=code))
         return out
+
+    # -- recovery ------------------------------------------------------------
+
+    def restore(self, items: list[tuple[int, object]]) -> None:
+        """Re-runs the recipes of writes a crash lost, each into exactly its
+        FID (MSG_RESTORE). A recipe is the ClientEnvelope an ingest stored,
+        or the OperatorRequest whose value result went to the FID's
+        partition.
+
+        Every item is checked before the first is stored: its FID must be in
+        a permanent partition, its element a value op that names that
+        partition as its destination, over permanent operands, and every
+        envelope must authenticate. A FID that is already live is skipped
+        before any operand is read; any other gets its value computed and
+        put at exactly that FID (MappingStore.restore). A recipe whose
+        computation fails raises after the items before it are stored."""
+        decrypt = self.client_codec.decrypt
+        work = []
+        for fid, recipe in items:
+            pid = fid >> OFFSET_BITS
+            self.destination(0, pid)  # raises unless pid is a permanent partition
+            if isinstance(recipe, OperatorRequest):
+                if recipe.op in COMPARISONS or recipe.destination != pid:
+                    raise TypeMismatch("a restored FID comes from a value op that "
+                                       "names its partition")
+                check_operator(recipe.op, len(recipe.operand_fids),
+                               recipe.constant is not None, pid, recipe.reveal)
+                require_permanent(self.store, recipe.operand_fids)
+                constant = (None if recipe.constant is None else
+                            decrypt(ClientEnvelope.from_bytes(recipe.constant)))
+                work.append((fid, recipe, constant))
+            else:
+                work.append((fid, None, decrypt(recipe)))
+        store = self.store
+        for fid, req, value in work:
+            if store.is_live(fid):
+                continue
+            if req is not None:
+                values = self.fids.load(req.operand_fids)
+                if value is not None:
+                    values.append(value)
+                value = compute_value(req.op, req.value_type, values)
+            store.restore(fid, value)

@@ -19,7 +19,13 @@ The privacy zone's payloads, one struct per kind:
   seal, or the counter advance of a dropped block's retired sealed copy.
 
 flush() has group-commit semantics: one call makes every record buffered
-so far durable, regardless of which transaction appended it.
+so far durable, regardless of which transaction appended it. No commit
+waits for it: the privacy journal syncs when MSG_FLUSH_LOG asks (see
+messages) and before MSG_PROMOTE replies. A committed put that a crash
+loses from the unsynced tail comes back from its recipe in the integrity
+journal (MSG_RESTORE), and every integrity checkpoint flushes this journal
+before it drops its recipes, so the restore work after a crash is bounded
+by one integrity checkpoint interval of puts.
 
 One checkpoint rule holds for both zones' journals: a zone checkpoints
 right after a sync that took its journal past CHECKPOINT_INTERVAL_BYTES

@@ -12,6 +12,8 @@ Crash semantics are synced-only: a crashed zone loses exactly its unsynced
 state. Recovery replays each zone's journal; when both zones crashed the
 replays are independent (parallel in the modeled timeline), and a
 privacy-only crash stalls the integrity zone for the replay duration.
+After a privacy restart, the engine's first requests restore the
+committed secrets the privacy zone lost, from their recipes.
 An I/O failure crashes the zone that wrote (durability's fail-stop rule).
 """
 
@@ -95,7 +97,14 @@ class AdversaryTrace:
     leaves its block past a bucket's end). Which block drops depends only
     on the live count per size class, which the op sequence and the crash
     point fix. The MSG_FLUSH_LOG reply is the status byte alone, so the
-    privacy journal's length does not reach the integrity zone."""
+    privacy journal's length does not reach the integrity zone.
+
+    Between checkpoints, the integrity journal holds the recipes of fresh
+    FIDs: client envelopes and operator elements that the channel already
+    carried, so a snapshot of that journal shows nothing the message trace
+    does not. The next integrity checkpoint truncates them away, and its
+    image holds FIDs only. The cipher baseline keeps its envelopes in its
+    rows for good."""
 
     __slots__ = ("events",)
 
@@ -143,15 +152,17 @@ class CrashTarget(Enum):
 
 
 class CrashPointId(Enum):
-    """Where a scheduled crash fires. The two flush points fire in every
-    commit that staged records, whether or not it sends MSG_FLUSH_LOG: a
-    commit whose refs an earlier flush already made durable skips the
-    message, not the points around it. The checkpoint points fire inside a
+    """Where a scheduled crash fires. The two flush points still fire in
+    every commit that staged records, before its commit record is journaled,
+    though a commit sends no MSG_FLUSH_LOG any more: its fresh FIDs' recipes
+    ride in its own journal records. The checkpoint points fire inside a
     zone's checkpoint, once its image is written and once its journal is
     truncated, whether the checkpoint runs past the interval or at quiesce
     (the end of orphan_gc). The privacy zone's run inside the MSG_FLUSH_LOG
     whose sync took its journal past the interval, or that carried the
     quiesce flag, and a privacy crash there fails that request.
+    DURING_RESTORE fires in recovery, once the privacy zone has written the
+    restored secrets and before the flush that makes them durable.
 
     Each value is also the site string its hook fires with, from Database
     and wal.checkpoint_truncate; "io_failure" is the one site that is not a
@@ -162,6 +173,7 @@ class CrashPointId(Enum):
     AFTER_DB_COMMIT = "after-db-commit"
     DURING_VACUUM = "during-vacuum"
     DURING_ORPHAN_GC = "during-orphan-gc"
+    DURING_RESTORE = "during-restore"
     RANDOM_BYTE = "random-byte"
     PRIVACY_CHECKPOINT_BEFORE_TRUNCATE = "privacy-checkpoint-before-truncate"
     PRIVACY_CHECKPOINT_AFTER_TRUNCATE = "privacy-checkpoint-after-truncate"
@@ -265,6 +277,7 @@ class PrivacyZoneHost:
         result = recover_store(self.snapshots, self.wal_buffer)
         self.epoch = advance_epoch(self.snapshots)
         self._build(result.store, result.wal, result.freshness)
+        self.dispatcher.restoring = True  # until its first other request
         self._retire_unspanned()
         self.crashed = False
         return result.replayed_count
@@ -404,6 +417,7 @@ class ZoneTopology:
                 or self.priv_snapshots.names() or self.db_snapshots.names()):
             self.privacy.recover()
             self.integrity.recover()
+            self.integrity.db.restore_recipes()
 
     # ------------------------------------------------------------------
     # client-side crypto (the user's machine, not a zone)
@@ -469,6 +483,11 @@ class ZoneTopology:
             raise ZoneCrashed(point.id.value)
 
     def recover_all(self) -> RecoveryReport:
+        """Recovers each crashed zone. After a privacy restart the engine
+        first restores what the privacy zone lost of its pending recipes,
+        then aborts its active txns that stored a ref. A crash during the
+        restore propagates (ZoneCrashed, or Unavailable when only the
+        privacy zone crashed); recover_all again finishes the recovery."""
         if not (self.privacy.crashed or self.integrity.crashed):
             raise NoCrashPending("no zone has crashed")
         privacy_restarts = self.privacy.crashed
@@ -477,6 +496,7 @@ class ZoneTopology:
         privacy_replayed = self.privacy.recover() if privacy_restarts else 0
         db_replayed = self.integrity.recover() if self.integrity.crashed else 0
         if privacy_restarts:
+            self.integrity.db.restore_recipes()
             self.integrity.db.privacy_restarted()
         self.fired = None
         invariant = self.check_invariant()

@@ -12,8 +12,9 @@ from fidstore import wal
 from fidstore.bench import restart_violations
 from fidstore.errors import CorruptLog
 from fidstore.integrity_dbms import CATALOG, CHECKPOINT_IMAGE
+from fidstore.messages import HEADER, MSG_FLUSH_LOG
 from fidstore.privacy_proxy import decode_int64, encode_int64
-from fidstore.wal import FRAME, read_frames
+from fidstore.wal import FRAME, KIND_PUT, PUT_REC, journal_after, read_frames
 from fidstore.workload import Mode, WorkloadSpec, flatten_schedule, generate_workload
 from fidstore.zone_sim import (
     CrashPoint,
@@ -150,14 +151,22 @@ def test_crash_inside_integrity_checkpoint(point_id, integrity_checkpoints):
 def test_crash_inside_privacy_checkpoint(point_id, target):
     """A privacy crash inside the store checkpoint fails the MSG_FLUSH_LOG
     that crossed the interval; recovery rebuilds exactly the image's
-    secrets, cuts a journal prefix the image covers, and every committed
-    row keeps its values."""
+    secrets and cuts a journal prefix the image covers, and every committed
+    row keeps its values. After a privacy-only crash the engine runs on
+    until a request needs the privacy zone, since a commit needs nothing
+    from it; recovery restores the secrets of those commits from their
+    recipes, and they are all the journal holds then."""
     topo, seen = _crash_and_capture(CrashPoint(point_id, target, at_occurrence=2))
+    if target == CrashTarget.PRIVACY:
+        seen["versions"] = _newest_committed(topo.integrity.db)
     recovery = topo.recover_all()
     assert recovery.invariant.holds
     assert recovery.privacy_replayed == 0
-    assert topo.store_wal_buffer.durable_len == 0
-    assert _permanent_mapping(topo) == seen["mapping"]
+    mapping = _permanent_mapping(topo)
+    assert {fid: mapping.get(fid) for fid in seen["mapping"]} == seen["mapping"]
+    restored = [PUT_REC.unpack_from(payload)[0] for _, kind, payload
+                in journal_after(topo.store_wal_buffer, 0) if kind == KIND_PUT]
+    assert sorted(restored) == sorted(set(mapping) - set(seen["mapping"]))
     assert _newest_committed(topo.integrity.db) == seen["versions"]
     topo.integrity.db.orphan_gc()
     assert topo.check_invariant().holds
@@ -173,7 +182,11 @@ def test_privacy_checkpoint_point_refuses_an_integrity_only_crash():
 def test_replay_is_bounded_by_the_interval(privacy_checkpoints,
                                            integrity_checkpoints):
     """A crash late in a run that crossed several checkpoints in both
-    zones: each zone replays at most one interval plus one sync."""
+    zones: each zone replays at most one interval plus one sync, and the
+    recipes recovery restores fit in the integrity journal's part of it.
+    The privacy journal syncs only when the engine flushes it, at an
+    integrity checkpoint in this run, so it crosses its interval less
+    often than the integrity journal."""
     topo = ZoneTopology(5, batch_size=SPEC.batch_size)
     buffers = (topo.dbwal_buffer, topo.store_wal_buffer)
     synced = {buffer: [0] for buffer in buffers}  # bytes each sync made durable
@@ -184,26 +197,57 @@ def test_replay_is_bounded_by_the_interval(privacy_checkpoints,
 
         buffer.sync = sized
     topo.inject_crash(CrashPoint(CrashPointId.AFTER_DB_COMMIT, CrashTarget.BOTH,
-                                 at_occurrence=1000))
-    report = topo.run_workload(replace(SPEC, duration_ops=1500))
+                                 at_occurrence=1300))
+    report = topo.run_workload(replace(SPEC, duration_ops=2000))
     assert report.crashed_at == "after-db-commit"
     assert len(integrity_checkpoints) >= 3
     assert len(privacy_checkpoints) >= 3
     durable = [buffer.durable_len for buffer in buffers]
+    restored = []
+    restore = topo.client.restore
+
+    def recorded(items, batch_size):
+        restored.extend(items)
+        return restore(items, batch_size)
+
+    topo.client.restore = recorded
     recovery = topo.recover_all()
     assert recovery.invariant.holds
     assert 0 < recovery.db_replayed and 0 < recovery.privacy_replayed
     for buffer, nbytes in zip(buffers, durable):
         assert nbytes <= INTERVAL + max(synced[buffer])
+    assert restored
+    assert sum(len(recipe) for _, recipe in restored) < durable[0]
+
+
+_PLAIN_FLUSH = (HEADER.pack(MSG_FLUSH_LOG, 0), b"\x00")
+_PLAIN_FLUSH_EVENTS = [("OpKindObserved", MSG_FLUSH_LOG),
+                       ("MsgBytes", len(_PLAIN_FLUSH[0])), ("MsgBytes", 1)]
+
+
+def _without_plain_flushes(messages: list, events: list) -> tuple[list, list]:
+    """The messages and trace events of a run, less every MSG_FLUSH_LOG
+    without the quiesce flag."""
+    kept = []
+    i = 0
+    while i < len(events):
+        if events[i:i + 3] == _PLAIN_FLUSH_EVENTS:
+            i += 3
+        else:
+            kept.append(events[i])
+            i += 1
+    return [m for m in messages if m != _PLAIN_FLUSH], kept
 
 
 @pytest.mark.parametrize("backend", ["fid", "cipher"])
 def test_checkpoints_change_no_message(backend, monkeypatch, privacy_checkpoints,
                                        integrity_checkpoints):
-    """Neither checkpoint past the interval sends a message or changes one:
-    every request and response, and the adversary trace, equal a run that
+    """Neither checkpoint past the interval changes a message: every other
+    request and response, and the adversary trace, equal a run that
     checkpoints only at quiesce, once per zone in orphan_gc's closing
-    flush."""
+    flush. The one message a checkpoint adds is the plain MSG_FLUSH_LOG an
+    integrity checkpoint sends while a recipe is pending, so the cipher
+    baseline, which keeps no recipe, sends exactly the same messages."""
     runs = []
     for interval in (INTERVAL, 1 << 40):
         monkeypatch.setattr(wal, "CHECKPOINT_INTERVAL_BYTES", interval)
@@ -226,6 +270,10 @@ def test_checkpoints_change_no_message(backend, monkeypatch, privacy_checkpoints
     assert before >= 3 and after == before + 1
     assert privacy_before >= (3 if backend == "fid" else 1)
     assert privacy_after == privacy_before + 1
+    if backend == "fid":
+        assert checkpointed.count(_PLAIN_FLUSH) > plain.count(_PLAIN_FLUSH)
+        checkpointed, trace = _without_plain_flushes(checkpointed, trace)
+        plain, plain_trace = _without_plain_flushes(plain, plain_trace)
     assert checkpointed == plain
     assert trace == plain_trace
 

@@ -30,7 +30,7 @@ def _open(tmp_path) -> ZoneTopology:
 
 def _ref(topo, txn, table, value: int) -> int:
     """A fresh ref for value, written straight into the table's partition,
-    so the commit that stores it sends MSG_FLUSH_LOG."""
+    so the commit that stores it journals its recipe."""
     envelope = topo.client_encrypt(encode_int64(value))
     (ref,) = topo.integrity.db.backend.ingest(txn.query_id, [envelope],
                                               table.partition_id, BATCH)
@@ -63,8 +63,12 @@ def _setup(tmp_path):
 
 def _state(topo) -> tuple:
     """What recovery rebuilds: each row's newest committed version and the
-    table partitions' secrets."""
-    return _newest_committed(topo.integrity.db), _permanent_mapping(topo)
+    secrets of the table partitions that row versions hold. An orphan whose
+    put was never synced is not durable, so a reopen may lack it."""
+    db = topo.integrity.db
+    held = db.referenced_refs()
+    return _newest_committed(db), {fid: value for fid, value
+                                   in _permanent_mapping(topo).items() if fid in held}
 
 
 def _k_values(topo) -> dict:
@@ -96,27 +100,31 @@ def _recover_and_reopen(topo, tmp_path) -> ZoneTopology:
 
 
 def test_failed_privacy_flush_stops_the_privacy_zone(tmp_path, fail_io):
-    """A failed privacy journal sync crashes the privacy zone: the commit
-    that sent the flush aborts on Unavailable, and so does any request
-    until recovery. The failed sync's bytes are not replayed, so the
-    journal's LSNs still increase after a later commit, and the directory
-    reopens without CorruptLog."""
+    """A failed privacy journal sync crashes the privacy zone: vacuum's
+    flush, sent first while recipes are pending, raises
+    Unavailable, and so does any request until recovery. Recovery restores
+    the committed secrets the failed sync lost from their recipes. The
+    failed sync's bytes are not replayed, so the journal's LSNs still
+    increase after a later commit, and the directory reopens without
+    CorruptLog."""
     topo, table, _ = _setup(tmp_path)
     db = topo.integrity.db
     txn = db.begin()
     _insert(topo, txn, table, 4)
     failed = fail_io("fsync")
     with pytest.raises(Unavailable):
-        db.commit(txn)
+        db.vacuum(table)
     assert "_dispatch" in failed["stack"] and "flush" in failed["stack"]
+    assert "vacuum" in failed["stack"]
     assert topo.privacy.crashed and not topo.integrity.crashed
-    assert txn.state == TxnState.ABORTED
+    assert db.dbwal.pending_len == 0 and len(table.rows[1]) == 2  # removed nothing
     later = db.begin()
     with pytest.raises(Unavailable):
         _insert(topo, later, table, 5)
     db.abort(later)
 
     topo.recover_all()
+    assert txn.state == TxnState.ABORTED  # its secret was lost
     db = topo.integrity.db
     txn = db.begin()
     _insert(topo, txn, table, 6)
@@ -134,12 +142,12 @@ def test_failed_integrity_commit_sync_stops_the_integrity_zone(tmp_path, fail_io
     commit raises ZoneCrashed, so its outcome is unknown, never a txn
     reported ABORTED that a later recovery brings back. The bytes of the
     failed sync are lost, so recovery drops the txn and its flushed secret
-    is an orphan."""
+    is an orphan while the privacy zone holds it."""
     topo, table, _ = _setup(tmp_path)
     db = topo.integrity.db
     txn = db.begin()
     _insert(topo, txn, table, 4)
-    failed = fail_io("fsync", 2)  # the first is the privacy flush's
+    failed = fail_io("fsync")  # a commit syncs only this journal
     with pytest.raises(ZoneCrashed, match="io_failure"):
         db.commit(txn)
     assert "_journal" in failed["stack"] and "commit" in failed["stack"]
@@ -157,11 +165,11 @@ def test_failed_vacuum_sync_then_recovery_reclaims_exactly(tmp_path, fail_io):
     left for orphan_gc."""
     topo, table, old = _setup(tmp_path)
     trips = topo.channel.round_trips
-    failed = fail_io("fsync")
+    failed = fail_io("fsync", 2)  # the first is the privacy flush's
     with pytest.raises(ZoneCrashed, match="io_failure"):
         topo.integrity.db.vacuum(table)
-    assert "vacuum" in failed["stack"]
-    assert topo.channel.round_trips == trips  # no MSG_DELETE, no flush
+    assert "vacuum" in failed["stack"] and "_journal" in failed["stack"]
+    assert topo.channel.round_trips == trips + 1  # the flush, no MSG_DELETE
     assert topo.integrity.crashed and not topo.privacy.crashed
     _recover_and_reopen(topo, tmp_path)
     assert topo.check_invariant().orphans == 0
@@ -197,15 +205,15 @@ def _orphan_gc(topo, table):
 # partition image, freshness table and marker, then truncates its journal;
 # then the engine writes its image and truncates its journal.
 IO_SITES = [
-    ("privacy-journal-sync", _commit_a_row, "fsync", 1, "privacy", "_dispatch", None),
+    ("privacy-journal-sync", _vacuum, "fsync", 1, "privacy", "_dispatch", None),
     ("privacy-checkpoint-image", _orphan_gc, "replace", 1, "privacy",
      "checkpoint_truncate", "part-00000.dat"),
     ("privacy-checkpoint-marker", _orphan_gc, "replace", 3, "privacy",
      "checkpoint_truncate", "store.ckpt"),
     ("privacy-checkpoint-truncation", _orphan_gc, "replace", 4, "privacy",
      "checkpoint_truncate", "store.wal"),
-    ("integrity-commit-sync", _commit_a_row, "fsync", 2, "integrity", "commit", None),
-    ("integrity-vacuum-sync", _vacuum, "fsync", 1, "integrity", "vacuum", None),
+    ("integrity-commit-sync", _commit_a_row, "fsync", 1, "integrity", "commit", None),
+    ("integrity-vacuum-sync", _vacuum, "fsync", 2, "integrity", "vacuum", None),
     ("integrity-checkpoint-image", _orphan_gc, "replace", 5, "integrity",
      "checkpoint", "db.ckpt"),
     ("integrity-checkpoint-truncation", _orphan_gc, "replace", 6, "integrity",

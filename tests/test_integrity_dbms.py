@@ -103,7 +103,9 @@ def test_insert_promotes_each_sensitive_field(topo):
 
 def test_promote_keeps_a_ref_already_in_the_table_partition(topo):
     """A ref written straight into the table's partition is stored as it
-    is, with no round trip; a temporary ref is still copied over."""
+    is, with no round trip; a temporary ref is still copied over, and
+    MSG_PROMOTE syncs the privacy journal before it replies, since the copy
+    has no recipe."""
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
     txn = db.begin()
@@ -113,9 +115,10 @@ def test_promote_keeps_a_ref_already_in_the_table_partition(topo):
     db.insert_row(txn, table, [1, direct, b"n"])
     assert (_promotes(topo), topo.channel.round_trips) == (calls, trips)
     assert table.rows[1][-1].cells[1] == direct
-    copy = db.backend.promote(temp, table.partition_id)
+    copy, recipe = db.backend.promote(temp, table.partition_id)
     assert _promotes(topo) == calls + 1
     assert copy != temp and decode_fid(copy)[0] == table.partition_id
+    assert recipe is None and topo.store_wal_buffer.pending_len == 0
     db.commit(txn)
     topo.client.end_query(txn.query_id)
     reader = db.begin()
@@ -150,9 +153,9 @@ def test_a_ref_another_row_version_holds_is_refused(topo):
     db.commit(txn)
     db.vacuum(table)
     assert topo.check_invariant().holds
-    assert topo.client.fresh == {unclaimed}
+    assert list(topo.client.fresh) == [unclaimed]
     assert db.orphan_gc() == 1
-    assert topo.client.fresh == set()
+    assert topo.client.fresh == {}
     reader = db.begin()
     assert _reveal_int(topo, reader.query_id, k1) == 1
     db.abort(reader)
@@ -193,7 +196,7 @@ def test_a_refused_row_claims_nothing(topo):
     c4 = ingest(txn.query_id, 6)
     db.update_row(txn, table, 1, {"c": c3, "a": c4})
     db.commit(txn)
-    assert topo.client.fresh == set()
+    assert topo.client.fresh == {}
     report = topo.check_invariant()
     assert report.holds and report.orphans == 0
 
@@ -629,12 +632,13 @@ def _hand_frame(lsn: int, kind: int, payload: bytes) -> bytes:
     return struct.pack("<II", len(body), zlib.crc32(body)) + body
 
 
-@pytest.mark.parametrize("kind", ["insert", "end", "remove", "commit"])
+@pytest.mark.parametrize("kind", ["insert", "end", "remove", "commit", "recipe"])
 def test_engine_record_bytes(topo, kind):
     """Each engine journal record kind's durable bytes, packed by hand:
     frame {u32 len, u32 crc32}, head {u64 lsn, u8 kind}, then its payload.
-    The journal holds an insert and its commit, an update (end, insert,
-    commit) and the vacuum's remove of the superseded version."""
+    The journal holds an insert of a promoted ref and its commit, an update
+    to a fresh ref (end, insert, the txn's recipes, commit) and the
+    vacuum's remove of the superseded version."""
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
     writer = db.begin()
@@ -642,7 +646,8 @@ def test_engine_record_bytes(topo, kind):
     db.commit(writer)
     old = table.rows[1][0].cells[1]
     updater = db.begin()
-    new = _ingest_int(topo, updater.query_id, 200, table.partition_id)
+    envelope = topo.client_encrypt(encode_int64(200))
+    (new,) = topo.client.ingest(updater.query_id, [envelope], 1, table.partition_id)
     db.update_row(updater, table, 1, {"k": new})
     db.commit(updater)
     assert db.vacuum(table) == 1
@@ -657,10 +662,13 @@ def test_engine_record_bytes(topo, kind):
                    _hand_frame(4, 1, struct.pack("<QIQQ", updater.txn_id, 0, 1, 2)
                                + cells(new))],
         "commit": [_hand_frame(2, 4, struct.pack("<Q", writer.txn_id)),
-                   _hand_frame(5, 4, struct.pack("<Q", updater.txn_id))],
+                   _hand_frame(6, 4, struct.pack("<Q", updater.txn_id))],
+        "recipe": [_hand_frame(5, 5, struct.pack("<QQI", updater.txn_id, new,
+                                                 1 + len(envelope))
+                               + b"\x01" + envelope)],
         "end": [_hand_frame(3, 2, struct.pack("<QIQQ", updater.txn_id, 0, 1, 1)
                             + struct.pack("<HIQ", 1, 8, old))],
-        "remove": [_hand_frame(6, 3, struct.pack("<IQQ", 0, 1, 1))],
+        "remove": [_hand_frame(7, 3, struct.pack("<IQQ", 0, 1, 1))],
     }
     journal = db.dbwal.durable
     got, pos = [], 0

@@ -12,7 +12,7 @@ from fidstore.errors import (
     UnknownPartition,
     WrongPartitionKind,
 )
-from fidstore.fid_codec import decode_fid
+from fidstore.fid_codec import decode_fid, encode_fid
 from fidstore.messages import (
     MSG_CIPHER_EXEC,
     MSG_CIPHER_INGEST,
@@ -22,19 +22,24 @@ from fidstore.messages import (
     MSG_EXEC_BATCH,
     MSG_FLUSH_LOG,
     MSG_INGEST,
+    MSG_RESTORE,
     MSG_REVEAL,
     OP_CONST,
     OP_DEST,
     OP_REVEAL,
     QUERY_TEMP_TARGET,
     QUIESCE,
+    RECIPE_EXEC,
+    RECIPE_INGEST,
     ProxyClient,
     _blob,
     _read_blob,
     _read_blobs,
+    _read_op,
     _read_ops,
     _read_u64,
     _req,
+    _write_op,
 )
 from fidstore.privacy_proxy import (
     OperatorRequest,
@@ -45,6 +50,7 @@ from fidstore.privacy_proxy import (
     encode_float64,
     encode_int64,
 )
+from fidstore.wal import KIND_PUT, PUT_REC, journal_after
 from fidstore.zone_sim import ZoneTopology
 
 
@@ -102,7 +108,37 @@ _MALFORMED = {
         MSG_INGEST, 1, struct.pack("<I", topo.client.create_partition())
         + b"".join(_blob(e) for e in _second_of_three_tampered(topo))),
         AuthFailure),
+    # MSG_RESTORE, refused before anything is stored
+    "restore-outside-recovery": (lambda topo: _restore(
+        topo.client.create_partition(), [topo.client_encrypt(b"x")]), TypeMismatch),
+    "restore-temporary-partition": (lambda topo: _restore(
+        _restore_window(topo).privacy.proxy.query_temp(7),
+        [topo.client_encrypt(b"x")]), WrongPartitionKind),
+    "restore-bad-envelope-in-batch": (lambda topo: _restore(
+        _restore_window(topo).client_pid, _second_of_three_tampered(topo)),
+        AuthFailure),
+    "restore-trailing-bytes": (lambda topo: _restore(
+        _restore_window(topo).client_pid, [topo.client_encrypt(b"x")]) + b"garbage!",
+        TypeMismatch),
 }
+
+
+def _restore(pid: int, envelopes: list[bytes]) -> bytes:
+    """A MSG_RESTORE of ingest recipes for offsets 0, 1, ... of pid."""
+    return _req(MSG_RESTORE, 0, b"".join(
+        struct.pack("<Q", encode_fid(pid, i)) + _blob(RECIPE_INGEST + e)
+        for i, e in enumerate(envelopes)))
+
+
+def _restore_window(topo):
+    """Creates a permanent partition, makes it durable and restarts the
+    privacy zone, which then accepts MSG_RESTORE until its next request of
+    another kind; the partition's id is topo.client_pid."""
+    topo.client_pid = topo.client.create_partition()
+    topo.client.flush_log()
+    topo.privacy.crash()
+    topo.privacy.recover()
+    return topo
 
 
 def _second_of_three_tampered(topo) -> list[bytes]:
@@ -278,6 +314,49 @@ def test_cipher_backend_round_trip(topo):
     assert crypto >= 5  # ingest(1 enc) + op(2 dec + 1 enc) + reveal(1 dec)
 
 
+def test_restore_skips_a_live_fid_and_writes_the_others_at_their_fids():
+    """In the recovery window MSG_RESTORE re-runs each recipe into exactly
+    its FID: a live FID keeps its value and journals nothing, an ingest
+    recipe and an operator recipe over a permanent operand write their
+    values. A FID past the allocation counter moves it, and the offsets it
+    skips are handed out next. The first request of another kind closes
+    the window."""
+    topo = ZoneTopology(999)
+    pid = topo.client.create_partition()
+    (live,) = topo.client.ingest(1, [topo.client_encrypt(encode_int64(40))], 1, pid)
+    topo.client.flush_log()
+    topo.privacy.crash()
+    topo.privacy.recover()
+    journal = topo.store_wal_buffer
+    element = OperatorRequest(OpKind.ADD, ValueType.INT64, [live], pid,
+                              topo.client_encrypt(encode_int64(2)))
+    payload = b"".join(
+        struct.pack("<Q", fid) + _blob(recipe) for fid, recipe in [
+            (live, RECIPE_INGEST + topo.client_encrypt(encode_int64(7))),
+            (encode_fid(pid, 3), RECIPE_INGEST + topo.client_encrypt(encode_int64(8))),
+            (encode_fid(pid, 1), RECIPE_EXEC + _one_op(element)),
+        ])
+    before = journal.durable_len
+    assert topo.channel.request(_req(MSG_RESTORE, 0, payload)) == b"\x00"
+    journal.sync()
+    puts = [PUT_REC.unpack_from(body)[0] for _, kind, body
+            in journal_after(journal, 0) if kind == KIND_PUT]
+    assert puts == [live, encode_fid(pid, 3), encode_fid(pid, 1)]
+    assert journal.durable_len > before
+    store = topo.privacy.store
+    assert {fid: decode_int64(store.get(fid)) for fid in store.live_fids(pid)} == {
+        live: 40, encode_fid(pid, 1): 42, encode_fid(pid, 3): 8}
+    (next_fid,) = topo.client.ingest(1, [topo.client_encrypt(encode_int64(9))], 1, pid)
+    assert next_fid == encode_fid(pid, 2)
+    assert topo.channel.request(_req(MSG_RESTORE, 0, payload)) == bytes(
+        [TypeMismatch.code])
+
+
+def _one_op(req: OperatorRequest) -> bytes:
+    """One operator element's bytes, as the client's batch codec writes it."""
+    return _write_op(req, lambda fid: struct.pack("<Q", fid))
+
+
 def test_flush_reply_is_the_status_byte_alone():
     """The MSG_FLUSH_LOG reply tells the integrity zone nothing about the
     privacy journal: it is the status byte alone while the journal is
@@ -311,7 +390,10 @@ def test_end_query_via_wire_is_idempotent(topo):
 def test_destination_must_be_own_temp_or_permanent(topo):
     """Ingest and operator results go to the caller's own temporaries or to
     a permanent partition; naming another query's temporary partition is
-    refused and leaves that partition as it was."""
+    refused and leaves that partition as it was. A result for a permanent
+    partition takes permanent operands only, so its recipe can be re-run
+    at recovery: one computed from a temporary is refused with
+    TypeMismatch and stores nothing."""
     victim = topo.client.ingest(5, [topo.client_encrypt(encode_int64(1))], 1)[0]
     temp5 = decode_fid(victim)[0]
     with pytest.raises(WrongPartitionKind):
@@ -325,12 +407,16 @@ def test_destination_must_be_own_temp_or_permanent(topo):
     own = topo.client.ingest(6, [topo.client_encrypt(encode_int64(3))], 1,
                              QUERY_TEMP_TARGET)[0]
     temp6 = decode_fid(own)[0]
+    stored = topo.client.ingest(6, [topo.client_encrypt(encode_int64(4))], 1, perm)[0]
     out = topo.client.exec_batch(6, [
         OperatorRequest(OpKind.ADD, ValueType.INT64, [own, own]),
         OperatorRequest(OpKind.ADD, ValueType.INT64, [own, own], QUERY_TEMP_TARGET),
-        OperatorRequest(OpKind.ADD, ValueType.INT64, [own, own], perm),
+        OperatorRequest(OpKind.ADD, ValueType.INT64, [stored, stored], perm),
+        OperatorRequest(OpKind.ADD, ValueType.INT64, [stored, own], perm),
     ], 4)
-    assert [decode_fid(r.fid)[0] for r in out] == [temp6, temp6, perm]
+    assert [decode_fid(r.fid)[0] for r in out[:3]] == [temp6, temp6, perm]
+    assert out[3].error_code == TypeMismatch.code
+    assert topo.privacy.store.live_fids(perm) == [stored, out[2].fid]
     topo.client.end_query(6)
     assert not topo.client.is_live(out[0].fid)
     assert topo.client.is_live(out[2].fid)
@@ -463,8 +549,9 @@ def test_batch_codec_round_trip(codec):
                         + bytes([TypeMismatch.code]) * len(ops))
 
         client = ProxyClient(Wire())
-        out = client._batch(kind, 3, elements, batch_size, write, read)
+        sent, out = client._batch(kind, 3, elements, batch_size, write, read)
         assert decoded == elements
+        assert [_read_op(e, 0, read)[0] for e in sent] == elements
         assert out == [OperatorResponse(error_code=TypeMismatch.code)] * len(elements)
 
     round_trip()
@@ -528,18 +615,20 @@ def test_both_backends_run_the_same_operators(elements, batch_size):
     booleans and result plaintexts through exec_batch on FIDs and through
     cipher_exec on zone envelopes, whether a result is revealed or stored,
     over every op kind and value type, bad arities, overflow, division by
-    zero and every combination of constant, destination and reveal."""
+    zero and every combination of constant, destination and reveal. The
+    FIDs are in a table's partition, since a result with a destination
+    takes permanent operands only."""
     outcomes = []
     for backend in ("fid", "cipher"):
         topo = ZoneTopology(5, backend=backend)
         client = topo.client
-        if backend == "fid":
-            ingest, run, reveal = client.ingest, client.exec_batch, client.reveal
-        else:
-            ingest, run, reveal = (client.cipher_ingest, client.cipher_exec,
-                                   client.cipher_reveal)
         perm = client.create_partition()
-        refs = [ingest(1, [topo.client_encrypt(v)], 1)[0] for v in _POOL]
+        if backend == "fid":
+            run, reveal = client.exec_batch, client.reveal
+            refs = client.ingest(1, [topo.client_encrypt(v) for v in _POOL], 1, perm)
+        else:
+            run, reveal = client.cipher_exec, client.cipher_reveal
+            refs = client.cipher_ingest(1, [topo.client_encrypt(v) for v in _POOL], 1)
         reqs = [OperatorRequest(op, vtype, [refs[i] for i in operands],
                                 perm if dest else None,
                                 None if const is None else topo.client_encrypt(_POOL[const]),
