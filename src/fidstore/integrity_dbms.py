@@ -17,16 +17,23 @@ durable secret, or a durable recipe whose operands are durable or backed
 by a recipe. A recipe is the bytes that wrote a fresh FID (messages): the
 client envelope of an ingest, or the operator element whose value result
 went to the table's partition. A commit syncs only this engine's journal,
-as the cipher baseline's does, and sends no message: one DB_RECIPE record
-beside its row records holds the recipe of each fresh FID its rows claim,
-and the recipes become pending (Database.recipes) once the commit record
-is durable. A MSG_FLUSH_LOG that returns makes every secret written before
-it durable, so it clears every pending recipe. The privacy journal syncs
-at create_table, at the start of vacuum and after its deletes, at the end
-of orphan_gc, before an integrity checkpoint writes its image, and after
-a restore; at the start of vacuum and before an image only while a recipe
-is pending. A transaction that staged nothing makes no FID visible, so
-its commit takes a commit sequence number and touches neither journal.
+as the cipher baseline's does: one DB_RECIPE record beside its row
+records holds the recipe of each fresh FID its rows claim, in claim
+order, and the recipes become pending (Database.recipes) once the commit
+record is durable. Restore re-runs them in that order, so each operand a
+recipe reads must come back before it: written before the last flush
+returned, or the FID of a pending recipe or of an earlier one of the
+commit's. Only a commit with any other operand (one claimed later in the
+txn, by another txn, or never) sends a message: it flushes the privacy
+journal first and journals no recipe. No workload does this. A
+MSG_FLUSH_LOG that returns makes every secret written before it durable,
+so it clears every pending recipe. The privacy journal syncs at
+create_table, at the start of vacuum and after its deletes, at the end of
+orphan_gc, before an integrity checkpoint writes its image, after a
+restore and in such a commit; at the start of vacuum and before an image
+only while a recipe is pending. A transaction that staged nothing makes
+no FID visible, so its commit takes a commit sequence number and touches
+neither journal.
 
 When the privacy zone restarts, it has lost every secret that was not yet
 durable, and a lost FID's slot may be handed out again. Before any other
@@ -85,6 +92,7 @@ from .errors import (
     error_for_code,
 )
 from .fid_codec import OFFSET_BITS, fid_from_bytes, fid_to_bytes
+from .messages import RECIPE_EXEC, recipe_operands
 from .privacy_proxy import COMPARISONS, OperatorRequest, OpKind, ValueType
 
 CATALOG = "catalog.json"
@@ -469,19 +477,42 @@ class Database:
             return
         txn.state = TxnState.PREPARING
         self._hook("before-privacy-flush", txn)
+        recipes = txn.recipes
+        if recipes and not self._restorable(recipes):
+            # every secret the rows hold becomes durable, so none needs
+            # a recipe
+            self.flush_privacy()
+            recipes = []
         self._hook("after-privacy-flush-before-db-commit", txn)
         # the FIDs become externally visible, the fresh ones with their
         # recipes
         records = txn.staged
-        if txn.recipes:
+        if recipes:
             records = records + [(DB_RECIPE, _COMMIT_REC.pack(txn.txn_id) + b"".join(
                 _RECIPE_ITEM.pack(fid, len(recipe)) + recipe
-                for fid, recipe in txn.recipes))]
+                for fid, recipe in recipes))]
         self._journal(records + [self._record(DB_COMMIT, txn=txn.txn_id)])
-        self.recipes.update(txn.recipes)
+        self.recipes.update(recipes)
         self._hook("after-db-commit", txn)
         self._finish_commit(txn)
         self._synced()
+
+    def _restorable(self, recipes: list) -> bool:
+        """True iff restore_recipes could re-run recipes, in order, after
+        the pending ones: each operand a recipe reads was written before
+        the client's last flush returned (not in client.unsynced), or is
+        the FID of a pending recipe or of an earlier one of recipes."""
+        unsynced = self.client.unsynced
+        pending = self.recipes
+        earlier = set()
+        for fid, recipe in recipes:
+            if recipe[:1] == RECIPE_EXEC:  # an ingest reads no operand
+                for operand in recipe_operands(recipe):
+                    if operand in unsynced and operand not in pending \
+                            and operand not in earlier:
+                        return False
+            earlier.add(fid)
+        return True
 
     def _finish_commit(self, txn: Txn) -> None:
         txn.state = TxnState.COMMITTED
@@ -528,16 +559,17 @@ class Database:
         """The privacy zone recovered from a crash, and restore_recipes
         wrote back every committed FID it lost; the secrets of active txns
         are lost for good: abort every active txn that stored a ref, drop
-        every table's abort garbage and clear the client's fresh map. A
-        lost ref may name a slot recovery hands out again, so none may be
-        committed, claimed or released; those that survived are orphans
-        for orphan_gc."""
+        every table's abort garbage and clear the client's fresh map and
+        unsynced set. A lost ref may name a slot recovery hands out again,
+        so none may be committed, claimed or released; those that survived
+        are orphans for orphan_gc."""
         for txn in list(self.active_txns.values()):
             if txn.promoted:
                 self.abort(txn)
         for table in self.tables_by_idx:
             table.abort_garbage = []
         self.client.fresh.clear()
+        self.client.unsynced.clear()
 
     # ------------------------------------------------------------------
     # row operations

@@ -47,11 +47,13 @@ MSG_FLUSH_LOG carries nothing, or the one byte QUIESCE when no transaction
 is active (the flush that ends orphan_gc): the privacy zone then
 checkpoints after its sync if its journal holds records. Its response is
 the status byte alone, so it tells the integrity zone nothing about the
-privacy zone's journal. A commit never sends it: the integrity zone sends
-it after create_table's new partition, at the start of vacuum and after
-its deletes, at the end of orphan_gc, before an integrity checkpoint
-writes its image, and after a restore; at the start of vacuum and before
-an image only while a recipe is pending. MSG_PROMOTE, the one write
+privacy zone's journal. The integrity zone sends it after create_table's
+new partition, at the start of vacuum and after its deletes, at the end
+of orphan_gc, before an integrity checkpoint writes its image, and after
+a restore; at the start of vacuum and before an image only while a recipe
+is pending. A commit sends it only when one of its recipes reads an
+operand that no flush has made durable and no recipe restores first
+(Database.commit), which no workload does. MSG_PROMOTE, the one write
 without a recipe, syncs the privacy journal itself before it replies.
 MSG_CREATE_PARTITION carries nothing and creates a permanent partition;
 its response is the u32 partition id.
@@ -66,11 +68,14 @@ whose value result went to the FID's partition. MSG_RESTORE is
 response is the status byte alone. The privacy zone accepts it only
 between its recovery and its first request of another kind, and checks
 every item before it stores the first: the FID must be in a permanent
-partition, the element a value op naming that partition over permanent
-operands, and every envelope must authenticate. It skips a FID that is
-live and writes every other at exactly that FID (PrivacyProxy.restore).
-So a restore writes only non-live FIDs of permanent partitions, with
-values an ingest or an operator message could have written there.
+partition, at an offset below the partition's recovered allocation
+counter plus wal.MAX_UNSYNCED_PUTS (more than a crash can lose), the
+element a value op naming that partition over permanent operands, and
+every envelope must authenticate. It skips a FID that is live and writes
+every other at exactly that FID (PrivacyProxy.restore). So a restore
+writes only non-live FIDs of permanent partitions at offsets the zone
+could have allocated before its crash, with values an ingest or an
+operator message could have written there.
 
 The ciphertext-scheme baseline used for benchmarking speaks the same
 protocol with its own message kinds: operands are AEAD envelopes instead
@@ -253,6 +258,14 @@ def _read_ops(payload: bytes, read_operand) -> list[OperatorRequest]:
     return ops
 
 
+def recipe_operands(recipe: bytes) -> list[int]:
+    """The FIDs a recipe reads: the stored operands of an operator
+    element, none for an ingest."""
+    if recipe[:1] != RECIPE_EXEC:
+        return []
+    return _read_op(recipe, 1, _read_u64)[0].operand_fids
+
+
 def _read_restore(payload: bytes) -> list[tuple[int, object]]:
     """Decode a MSG_RESTORE payload (format in the module docstring) into
     (fid, recipe) items, each recipe a ClientEnvelope or an
@@ -300,12 +313,18 @@ class ProxyClient:
     so recovery can write it again (MSG_RESTORE). It describes the privacy
     zone's state before its last restart, so the caller clears it when the
     zone restarts (Database.privacy_restarted).
+
+    unsynced holds every FID this client wrote to a named permanent
+    partition since its last MSG_FLUSH_LOG returned, claimed or not: the
+    writes a privacy crash may lose, against which Database.commit checks
+    the operands of its recipes. The caller clears it with fresh.
     """
 
     def __init__(self, channel, trace=None):
         self.channel = channel
         self.trace = trace
         self.fresh: dict[int, bytes] = {}
+        self.unsynced: set[int] = set()
         self._temp_queries: set[int] = set()
 
     # -- plumbing -------------------------------------------------------
@@ -390,6 +409,7 @@ class ProxyClient:
                 fresh = self.fresh
                 for fid, envelope in zip(fids, chunk):
                     fresh[fid] = RECIPE_INGEST + envelope
+                self.unsynced.update(fids)
             out.extend(fids)
         return out
 
@@ -410,6 +430,7 @@ class ProxyClient:
         for r, element, resp in zip(reqs, elements, out):
             if resp.fid is not None and r.destination not in (None, QUERY_TEMP_TARGET):
                 self.fresh[resp.fid] = RECIPE_EXEC + element
+                self.unsynced.add(resp.fid)
         return out
 
     def exec_operator(self, query_id: int, req: OperatorRequest) -> OperatorResponse:
@@ -446,6 +467,7 @@ class ProxyClient:
 
     def flush_log(self, quiesce: bool = False) -> None:
         self._call(MSG_FLUSH_LOG, 0, QUIESCE if quiesce else b"")
+        self.unsynced.clear()
 
     def restore(self, items: list[tuple[int, bytes]], batch_size: int) -> None:
         """Writes each recipe's value again at its FID where the privacy

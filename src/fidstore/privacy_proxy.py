@@ -55,7 +55,8 @@ from .errors import (
     TypeMismatch,
     WrongPartitionKind,
 )
-from .fid_codec import OFFSET_BITS
+from . import wal
+from .fid_codec import OFFSET_BITS, OFFSET_MASK
 from .mapping_store import MappingStore, PartitionKind
 
 NONCE_LEN = 12
@@ -314,16 +315,8 @@ class FidSpace:
             values.append(v)
         return values
 
-    def save(self, query_id: int, destination: int | None, value: bytes,
-             operands: list[int] = ()) -> int:
-        """Puts a result computed from operands. One bound for a named
-        (permanent) partition takes its operands from permanent partitions
-        only, so recovery can re-run its recipe (MSG_RESTORE): TypeMismatch
-        otherwise, and nothing is stored."""
-        pid = self.destination(query_id, destination)
-        if destination is not None and destination != QUERY_TEMP_TARGET:
-            require_permanent(self.store, operands)
-        return self.store.put(pid, value)
+    def save(self, query_id: int, destination: int | None, value: bytes) -> int:
+        return self.store.put(self.destination(query_id, destination), value)
 
 
 class EnvelopeSpace:
@@ -338,8 +331,7 @@ class EnvelopeSpace:
         decrypt = self.codec.decrypt
         return [decrypt(ClientEnvelope.from_bytes(e)) for e in envelopes]
 
-    def save(self, query_id: int, destination: int | None, value: bytes,
-             operands: list[bytes] = ()) -> bytes:
+    def save(self, query_id: int, destination: int | None, value: bytes) -> bytes:
         return self.codec.encrypt(value).to_bytes()
 
 
@@ -354,6 +346,8 @@ class PrivacyProxy:
         self.client_codec = EnvelopeCodec(client_key, nonce_source)
         self.fids = FidSpace(store, self.destination)
         self._query_temps: dict[int, int] = {}
+        # pid -> its allocation counter when a restore first named it
+        self._restore_base: dict[int, int] = {}
 
     # -- query-scoped temporaries ---------------------------------------
 
@@ -404,12 +398,19 @@ class PrivacyProxy:
 
     def exec_operator(self, req: OperatorRequest, query_id: int,
                       space=None) -> OperatorResponse:
-        """Runs one element over space, the FID space if None."""
+        """Runs one element over space, the FID space if None. A FID
+        result bound for a named (permanent) partition takes its operands
+        from permanent partitions only, so recovery can re-run its recipe
+        (MSG_RESTORE): TypeMismatch otherwise, once the destination is
+        known to be permanent and before any operand is read."""
         space = space or self.fids
         op = req.op
         operands = req.operand_fids
         check_operator(op, len(operands), req.constant is not None,
                        req.destination, req.reveal)
+        if space is self.fids and req.destination not in (None, QUERY_TEMP_TARGET):
+            self.destination(query_id, req.destination)  # WrongPartitionKind first
+            require_permanent(self.store, operands)
         values = space.load(operands)
         if req.constant is not None:
             values.append(self.client_codec.decrypt(
@@ -420,8 +421,7 @@ class PrivacyProxy:
         if req.reveal:
             return OperatorResponse(
                 envelope=self.client_codec.encrypt(result).to_bytes())
-        return OperatorResponse(fid=space.save(query_id, req.destination, result,
-                                               operands))
+        return OperatorResponse(fid=space.save(query_id, req.destination, result))
 
     def exec_batch(self, reqs: list[OperatorRequest], query_id: int,
                    space=None) -> list[OperatorResponse]:
@@ -448,17 +448,29 @@ class PrivacyProxy:
         partition.
 
         Every item is checked before the first is stored: its FID must be in
-        a permanent partition, its element a value op that names that
-        partition as its destination, over permanent operands, and every
-        envelope must authenticate. A FID that is already live is skipped
-        before any operand is read; any other gets its value computed and
-        put at exactly that FID (MappingStore.restore). A recipe whose
-        computation fails raises after the items before it are stored."""
+        a permanent partition, at an offset below the partition's recovered
+        allocation counter plus wal.MAX_UNSYNCED_PUTS, its element a value
+        op that names that partition as its destination, over permanent
+        operands, and every envelope must authenticate. The offset bound
+        holds because the privacy journal never holds that many unsynced
+        puts, so a crash loses fewer allocations; it keeps a restore from
+        growing a partition past what it could have held before the crash.
+        The recovered counter is the one a partition has when a restore
+        first names it, since the recovery window admits no other write. A
+        FID that is already live is skipped before any operand is read;
+        any other gets its value computed and put at exactly that FID
+        (MappingStore.restore). A recipe whose computation fails raises
+        after the items before it are stored."""
         decrypt = self.client_codec.decrypt
+        store = self.store
         work = []
         for fid, recipe in items:
             pid = fid >> OFFSET_BITS
             self.destination(0, pid)  # raises unless pid is a permanent partition
+            base = self._restore_base.setdefault(pid, store.partition(pid).alloc_counter)
+            if fid & OFFSET_MASK >= base + wal.MAX_UNSYNCED_PUTS:
+                raise TypeMismatch(f"fid {fid:#x} lies past every offset a crash "
+                                   "could have lost")
             if isinstance(recipe, OperatorRequest):
                 if recipe.op in COMPARISONS or recipe.destination != pid:
                     raise TypeMismatch("a restored FID comes from a value op that "
@@ -471,7 +483,6 @@ class PrivacyProxy:
                 work.append((fid, recipe, constant))
             else:
                 work.append((fid, None, decrypt(recipe)))
-        store = self.store
         for fid, req, value in work:
             if store.is_live(fid):
                 continue

@@ -25,7 +25,11 @@ messages) and before MSG_PROMOTE replies. A committed put that a crash
 loses from the unsynced tail comes back from its recipe in the integrity
 journal (MSG_RESTORE), and every integrity checkpoint flushes this journal
 before it drops its recipes, so the restore work after a crash is bounded
-by one integrity checkpoint interval of puts.
+by one integrity checkpoint interval of puts. The journal also syncs
+itself, inside the put, once MAX_UNSYNCED_PUTS puts are pending, so a
+crash loses fewer allocations than that from any partition; MSG_RESTORE
+refuses a FID beyond that many offsets past its partition's recovered
+allocation counter. No workload reaches the cap between two flushes.
 
 One checkpoint rule holds for both zones' journals: a zone checkpoints
 right after a sync that took its journal past CHECKPOINT_INTERVAL_BYTES
@@ -72,6 +76,9 @@ _U64 = struct.Struct("<Q")  # the checkpoint marker's LSN; the epoch marker
 # Bytes a zone's journal may grow by between two checkpoints. Read at each
 # check, never bound at import, so a test may lower it for both zones.
 CHECKPOINT_INTERVAL_BYTES = 1024 * 1024
+# Puts the journal may hold unsynced: the put that reaches it syncs. Read
+# at each check, like the interval.
+MAX_UNSYNCED_PUTS = 1 << 16
 
 CKPT_MARKER = "store.ckpt"
 FRESHNESS_SNAPSHOT = "store.freshness"
@@ -151,6 +158,7 @@ class Wal:
         self.buffer = buffer
         self.next_lsn = start_lsn
         self.durable_lsn = start_lsn - 1
+        self.unsynced_puts = 0
         self.on_checkpoint = None  # set by the owning runtime
 
     # -- append paths -------------------------------------------------
@@ -163,7 +171,11 @@ class Wal:
         return lsn
 
     def log_put(self, fid: int, value: bytes) -> int:
-        return self.append(KIND_PUT, PUT_REC.pack(fid) + value)
+        lsn = self.append(KIND_PUT, PUT_REC.pack(fid) + value)
+        self.unsynced_puts += 1
+        if self.unsynced_puts >= MAX_UNSYNCED_PUTS:
+            self._sync()
+        return lsn
 
     def log_delete(self, fid: int) -> int:
         return self.append(KIND_DELETE, DELETE_REC.pack(fid))
@@ -179,11 +191,15 @@ class Wal:
     def flush(self, quiesce: bool = False) -> int:
         """Blocking flush of everything buffered; returns highest durable lsn.
         Checkpoints after the sync past the interval, or with quiesce."""
-        self.buffer.sync()
-        self.durable_lsn = self.next_lsn - 1
+        self._sync()
         if self.on_checkpoint is not None and (quiesce or past_interval(self.buffer)):
             self.on_checkpoint()
         return self.durable_lsn
+
+    def _sync(self) -> None:
+        self.buffer.sync()
+        self.durable_lsn = self.next_lsn - 1
+        self.unsynced_puts = 0
 
 
 # ----------------------------------------------------------------------

@@ -154,13 +154,15 @@ class CrashTarget(Enum):
 class CrashPointId(Enum):
     """Where a scheduled crash fires. The two flush points still fire in
     every commit that staged records, before its commit record is journaled,
-    though a commit sends no MSG_FLUSH_LOG any more: its fresh FIDs' recipes
-    ride in its own journal records. The checkpoint points fire inside a
-    zone's checkpoint, once its image is written and once its journal is
-    truncated, whether the checkpoint runs past the interval or at quiesce
-    (the end of orphan_gc). The privacy zone's run inside the MSG_FLUSH_LOG
-    whose sync took its journal past the interval, or that carried the
-    quiesce flag, and a privacy crash there fails that request.
+    though a commit sends MSG_FLUSH_LOG, between them, only when a recipe
+    reads an operand that would not come back before it: otherwise its
+    fresh FIDs' recipes ride in its own journal records. The checkpoint
+    points fire inside a zone's checkpoint, once its image is written and
+    once its journal is truncated, whether the checkpoint runs past the
+    interval or at quiesce (the end of orphan_gc). The privacy zone's run
+    inside the MSG_FLUSH_LOG whose sync took its journal past the interval,
+    or that carried the quiesce flag, and a privacy crash there fails that
+    request.
     DURING_RESTORE fires in recovery, once the privacy zone has written the
     restored secrets and before the flush that makes them durable.
 

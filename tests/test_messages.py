@@ -12,7 +12,8 @@ from fidstore.errors import (
     UnknownPartition,
     WrongPartitionKind,
 )
-from fidstore.fid_codec import decode_fid, encode_fid
+from fidstore import wal
+from fidstore.fid_codec import MAX_OFFSET, decode_fid, encode_fid
 from fidstore.messages import (
     MSG_CIPHER_EXEC,
     MSG_CIPHER_INGEST,
@@ -120,6 +121,11 @@ _MALFORMED = {
     "restore-trailing-bytes": (lambda topo: _restore(
         _restore_window(topo).client_pid, [topo.client_encrypt(b"x")]) + b"garbage!",
         TypeMismatch),
+    # one item near the top of the offset space, after a good one
+    "restore-offset-past-any-lost-put": (lambda topo: _restore(
+        _restore_window(topo).client_pid, [topo.client_encrypt(b"x")])
+        + struct.pack("<Q", encode_fid(topo.client_pid, MAX_OFFSET - 1))
+        + _blob(RECIPE_INGEST + topo.client_encrypt(b"y")), TypeMismatch),
 }
 
 
@@ -350,6 +356,45 @@ def test_restore_skips_a_live_fid_and_writes_the_others_at_their_fids():
     assert next_fid == encode_fid(pid, 2)
     assert topo.channel.request(_req(MSG_RESTORE, 0, payload)) == bytes(
         [TypeMismatch.code])
+
+
+def test_restore_reaches_no_further_than_a_crash_could_lose(monkeypatch):
+    """The privacy journal syncs inside the put that makes
+    wal.MAX_UNSYNCED_PUTS of them pending, so a crash loses fewer
+    allocations than that, and MSG_RESTORE refuses a FID that many offsets
+    or more past its partition's recovered allocation counter, however far
+    earlier items of the window moved the counter."""
+    monkeypatch.setattr(wal, "MAX_UNSYNCED_PUTS", 4)
+    topo = ZoneTopology(999)
+    pid = topo.client.create_partition()
+    topo.client.flush_log()
+    journal = topo.store_wal_buffer
+
+    def ingest(value):
+        topo.client.ingest(1, [topo.client_encrypt(encode_int64(value))], 1, pid)
+
+    for value in range(3):
+        ingest(value)
+    assert journal.pending_len > 0
+    ingest(3)
+    assert journal.pending_len == 0  # the fourth put synced
+    ingest(4)
+    ingest(5)
+    topo.privacy.crash()
+    topo.privacy.recover()
+    assert topo.privacy.store.partition(pid).alloc_counter == 4
+
+    def restore(offset, value):
+        return topo.channel.request(_req(MSG_RESTORE, 0, struct.pack(
+            "<Q", encode_fid(pid, offset)) + _blob(
+            RECIPE_INGEST + topo.client_encrypt(encode_int64(value)))))
+
+    assert restore(8, 8) == bytes([TypeMismatch.code])
+    assert restore(7, 7) == b"\x00"
+    assert restore(8, 8) == bytes([TypeMismatch.code])  # still 4 past 4
+    store = topo.privacy.store
+    assert store.live_fids(pid) == [encode_fid(pid, i) for i in (0, 1, 2, 3, 7)]
+    assert decode_int64(store.get(encode_fid(pid, 7))) == 7
 
 
 def _one_op(req: OperatorRequest) -> bytes:

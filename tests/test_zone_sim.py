@@ -603,6 +603,65 @@ def test_a_commit_during_a_privacy_outage_is_restored():
     assert _read_k(topo, 1) == 10
 
 
+
+def _add_one_to(topo, txn, table, ref):
+    """ref's value plus one, written fresh to the table's partition."""
+    return topo.integrity.db.backend.apply_constant(
+        txn.query_id, OpKind.ADD, ValueType.INT64, ref,
+        topo.client_encrypt(encode_int64(1)), table.partition_id)
+
+
+@pytest.mark.parametrize("source", ["ingest", "operator"])
+@pytest.mark.parametrize("operand", ["claimed_first", "claimed_later",
+                                     "never_claimed", "claimed_by_other_txn"])
+def test_a_recipe_is_journaled_only_if_its_operand_comes_back_first(operand,
+                                                                     source):
+    """A = 10 and B = A + 1 go to the table's partition, and the committed
+    txn's row holds B; A is an ingest, or a committed 9 plus one. Restore
+    re-runs recipes in claim order, so B's recipe is journaled only if A's
+    comes before it: a row of the same txn claimed A first. If A is
+    claimed after B, by another txn that has not committed, or never, the
+    commit flushes the privacy journal first instead and journals no
+    recipe. Either way a privacy crash and recover_all bring every
+    committed row back."""
+    topo = ZoneTopology(26)
+    db = topo.integrity.db
+    table = db.create_table("t", list(SCHEMA))
+    first = []
+    if source == "operator":
+        txn = db.begin()
+        _write_row(topo, db, table, txn, 0, 9)
+        db.commit(txn)
+        first = [txn.promoted[0]]
+    txn, other = db.begin(), db.begin()
+    if source == "operator":
+        a = _add_one_to(topo, txn, table, first[0])
+    else:
+        a = _ingest_int(topo, txn.query_id, 10, table.partition_id)
+    b = _add_one_to(topo, txn, table, a)
+    row_a = None
+    if operand == "claimed_first":
+        row_a = db.insert_row(txn, table, [2, a])
+    if operand == "claimed_by_other_txn":
+        db.insert_row(other, table, [2, a])
+    row_b = db.insert_row(txn, table, [1, b])
+    if operand == "claimed_later":
+        row_a = db.insert_row(txn, table, [2, a])
+    kinds = _count_kinds(topo)
+    db.commit(txn)
+    flushed = operand != "claimed_first"
+    assert kinds[m.MSG_FLUSH_LOG] == int(flushed)
+    assert list(db.recipes) == ([] if flushed else first + [a, b])
+    topo.privacy.crash()
+    report = topo.recover_all()
+    assert report.invariant.holds
+    assert report.invariant.orphans == int(row_a is None)  # A, if no row holds it
+    assert other.state.name == ("ABORTED" if operand == "claimed_by_other_txn"
+                                else "ACTIVE")
+    assert _read_k(topo, row_b) == 11
+    assert row_a is None or _read_k(topo, row_a) == 10
+
+
 def test_no_client_envelope_outlives_maintenance(monkeypatch):
     """Between checkpoints the integrity journal holds the client envelopes
     of fresh secrets' recipes; once maintenance ends in both zones'
@@ -1119,28 +1178,43 @@ def test_privacy_crash_between_preload_ingests():
 def test_crash_after_read_only_commits_reads_back_replay_state(monkeypatch):
     """Read-only commits do not flush, so seal records of blocks sealed
     during the run are still pending when both zones crash. Recovery must
-    bring every row back at its replayed value, through stale_dropped where
-    a sealed copy no longer verifies, never as a wrong value. A flush after
-    the preload makes its secrets durable, as an integrity checkpoint would
-    in a longer run, so the sealed copies recovery meets are stale rather
-    than past a bucket's end."""
-    preload = _Runner._preload
+    bring every row back at its replayed value, never as a wrong value.
+    The preload's secrets are not synced either: replay leaves the
+    partitions empty, recovery retires every sealed copy past a bucket's
+    end, and restore writes each secret back from its recipe, so no sealed
+    copy is ever opened."""
+    _crash_after_read_only_commits(monkeypatch, flushed=False)
 
-    def preload_then_flush(runner, db):
-        tables = preload(runner, db)
-        db.flush_privacy()
-        return tables
 
-    monkeypatch.setattr(_Runner, "_preload", preload_then_flush)
+def test_crash_after_read_only_commits_drops_stale_sealed_copies(monkeypatch):
+    """As above, with a flush after the preload, as an integrity checkpoint
+    would send in a longer run: the preload's secrets are durable, and
+    recovery meets sealed copies that no longer verify (stale_dropped)."""
+    _crash_after_read_only_commits(monkeypatch, flushed=True)
+
+
+def _crash_after_read_only_commits(monkeypatch, flushed: bool) -> None:
+    if flushed:
+        preload = _Runner._preload
+
+        def preload_then_flush(runner, db):
+            tables = preload(runner, db)
+            db.flush_privacy()
+            return tables
+
+        monkeypatch.setattr(_Runner, "_preload", preload_then_flush)
     preloaded, preload_program = _range_select_run()
     _Runner(preloaded, preload_program)._preload(preloaded.integrity.db)
     topo, program = _range_select_run()
     topo.run_program(program)
     assert topo.privacy.atrest.sealer.seals > preloaded.privacy.atrest.sealer.seals
     assert topo.store_wal_buffer.pending_len > 0
+    secrets = 2 * sum(len(rows) for rows in program.preload)
+    assert len(topo.integrity.db.recipes) == (0 if flushed else secrets)
     topo.privacy.crash()
     topo.integrity.crash()
     assert topo.recover_all().invariant.holds
+    assert topo.integrity.db.recipes == {}
 
     shadow = ShadowRunner(program, flatten_schedule(program)).run()
     db = topo.integrity.db
@@ -1157,7 +1231,7 @@ def test_crash_after_read_only_commits_reads_back_replay_state(monkeypatch):
             got[row_id] = (k, c)
         assert got == {r: (cells[1], cells[2]) for r, cells in expected.items()}
     db.abort(reader)
-    assert topo.privacy.atrest.stale_dropped > 0
+    assert (topo.privacy.atrest.stale_dropped > 0) == flushed
 
 
 # (sealed blocks, blocks the table partitions span) after a cold WRITE_ONLY
