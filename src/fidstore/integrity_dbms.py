@@ -5,7 +5,10 @@ conflicts. Sensitive cells hold only field identifiers (or, for the
 ciphertext baseline, AEAD envelopes); plaintext never enters this zone.
 
 Updates never touch old secrets: the superseded version stays readable for
-older snapshots and records which refs it will release. Physical
+older snapshots, and its successor, the next version in its row's chain,
+says which refs it will release: its sensitive cells that the successor
+does not hold (promote refuses a ref another version holds, so a changed
+cell never keeps its ref and an unchanged one always does). Physical
 reclamation happens off the write path: vacuum removes versions invisible
 to every snapshot and only then deletes their replaced refs from the
 mapping store; orphan_gc sweeps store entries no row version references
@@ -99,18 +102,19 @@ CATALOG = "catalog.json"
 CHECKPOINT_IMAGE = "db.ckpt"
 
 DB_INSERT = 1
-DB_END = 2
+# kind 2 is retired and never reused: it ended a version and named the
+# refs it released, which recovery now reads off the version chain
 DB_REMOVE = 3
 DB_COMMIT = 4
 DB_RECIPE = 5
 
 _U32 = struct.Struct("<I")
 # DbWal record payloads, which wal.frame_record frames with their LSN and
-# kind: a DB_INSERT or DB_END row record (txn, table, row, vseq; then the
-# cells or the refs to release), a DB_REMOVE (table, row, vseq), a
-# DB_COMMIT (txn) and a DB_RECIPE (txn; then per fresh FID the txn's cells
-# claimed, in claim order, a _RECIPE_ITEM head and its recipe, in the
-# messages format).
+# kind: a DB_INSERT row record (txn, table, row, vseq; then the cells), a
+# DB_REMOVE (table, row, vseq), a DB_COMMIT (txn) and a DB_RECIPE (txn;
+# then per fresh FID the txn's cells claimed, in claim order, a
+# _RECIPE_ITEM head and its recipe, in the messages format). A version's
+# end is not journaled: the DB_INSERT of its successor implies it.
 _ROW_REC = struct.Struct("<QIQQ")
 _REMOVE_REC = struct.Struct("<IQQ")
 _COMMIT_REC = struct.Struct("<Q")
@@ -153,8 +157,7 @@ class RowVersion:
     built once when the version is staged (or kept from the image or
     record it was decoded from), so a checkpoint image reuses it."""
 
-    __slots__ = ("row_id", "vseq", "begin_txn", "end_txn", "cells", "wire",
-                 "release_refs")
+    __slots__ = ("row_id", "vseq", "begin_txn", "end_txn", "cells", "wire")
 
     def __init__(self, row_id, vseq, begin_txn, cells, wire):
         self.row_id = row_id
@@ -163,7 +166,6 @@ class RowVersion:
         self.end_txn = None
         self.cells = cells
         self.wire = wire
-        self.release_refs: list = []
 
 
 class Txn:
@@ -279,10 +281,17 @@ class FidBackend:
     def reveal(self, query_id: int, ref: int) -> bytes:
         return self.client.reveal(query_id, ref)
 
-    def check_claims(self, refs: list[int], partition_id: int) -> None:
-        """Raises WrongPartitionKind unless promote would accept every ref
-        of one row: each ref already in partition_id must be a fresh
-        unclaimed write there, named once."""
+    def promote(self, refs: list[int],
+                partition_id: int) -> list[tuple[int, bytes | None]]:
+        """Per ref of one row, in order, a FID for its secret in
+        partition_id that no other row version holds, and its recipe. A
+        ref in that partition is kept only if this client wrote it there
+        fresh, no cell has claimed it yet and the row names it once; the
+        row's cell claims it now, with the recipe that wrote it. A
+        temporary ref is copied over by MSG_PROMOTE, which makes the copy
+        durable before it replies, so it needs no recipe. The whole row is
+        checked first: any other ref raises WrongPartitionKind before any
+        ref is claimed or copied."""
         fresh = self.client.fresh
         claimed = set()
         for ref in refs:
@@ -292,22 +301,8 @@ class FidBackend:
                         f"ref {ref:#x} is not a fresh unclaimed write to partition "
                         f"{partition_id}")
                 claimed.add(ref)
-
-    def promote(self, ref: int, partition_id: int) -> tuple[int, bytes | None]:
-        """A FID for ref's secret in partition_id that no other row version
-        holds, and its recipe. A ref in that partition is kept only if this
-        client wrote it there fresh and no cell has claimed it yet; the
-        caller's cell claims it now, with the recipe that wrote it. A
-        temporary ref is copied over by MSG_PROMOTE, which makes the copy
-        durable before it replies, so it needs no recipe. Any other ref
-        raises WrongPartitionKind and changes nothing."""
-        if ref >> OFFSET_BITS != partition_id:
-            return self.client.promote(ref, partition_id), None
-        recipe = self.client.fresh.pop(ref, None)
-        if recipe is None:
-            raise WrongPartitionKind(
-                f"ref {ref:#x} is not a fresh unclaimed write to partition {partition_id}")
-        return ref, recipe
+        return [(ref, fresh.pop(ref)) if ref in claimed
+                else (self.client.promote(ref, partition_id), None) for ref in refs]
 
     def release(self, refs: list[int], batch_size: int) -> int:
         """Deletes the refs' secrets in ascending FID order, batch_size refs
@@ -367,11 +362,8 @@ class CipherBackend:
     def reveal(self, query_id: int, ref: bytes) -> bytes:
         return self.client.cipher_reveal(query_id, ref)
 
-    def check_claims(self, refs: list[bytes], partition_id: int) -> None:
-        pass  # promote keeps every envelope
-
-    def promote(self, temp_ref: bytes, partition_id: int) -> tuple[bytes, None]:
-        return temp_ref, None  # the envelope itself is the stored form
+    def promote(self, refs: list[bytes], partition_id: int) -> list[tuple[bytes, None]]:
+        return [(ref, None) for ref in refs]  # the envelope is the stored form
 
     def release(self, refs: list[bytes], batch_size: int) -> int:
         return 0  # an envelope lives in its row and goes with it
@@ -532,7 +524,6 @@ class Database:
                 del table.rows[row_id]
             if old_v is not None:
                 old_v.end_txn = None
-                old_v.release_refs = []
             table.abort_garbage.extend(promoted)
         txn.state = TxnState.ABORTED
         txn.staged.clear()
@@ -622,17 +613,12 @@ class Database:
                 cells[i] = bytes(cells[i])
             else:
                 sensitive.append(i)
-        backend, pid = self.backend, table.partition_id
-        backend.check_claims([cells[i] for i in sensitive], pid)
-        refs = []
-        recipes = []
-        for i in sensitive:
-            cells[i], recipe = backend.promote(cells[i], pid)
-            refs.append(cells[i])
+        stored = self.backend.promote([cells[i] for i in sensitive], table.partition_id)
+        for i, (ref, recipe) in zip(sensitive, stored):
+            cells[i] = ref
             if recipe is not None:
-                recipes.append((cells[i], recipe))
-        txn.recipes += recipes
-        return refs
+                txn.recipes.append((ref, recipe))
+        return [ref for ref, _ in stored]
 
     def update_row(self, txn: Txn, table: Table, row_id: int,
                    new_values: dict) -> None:
@@ -640,14 +626,11 @@ class Database:
             raise ValueError("update on inactive txn")
         head = self.check_update(txn, table, row_id)
         cells = list(head.cells)
-        release = []
         changed = []
         for name, value in new_values.items():
             idx = table.col_index.get(name)
             if idx is None:
                 raise SchemaMismatch(f"no column {name} in {table.name}")
-            if table.schema[idx].ctype in SENSITIVE_TYPES:
-                release.append(cells[idx])
             cells[idx] = value
             changed.append(idx)
         promoted = self._store_cells(txn, table, cells, changed)
@@ -655,13 +638,9 @@ class Database:
                              self._cells_wire(table, cells))
         table.next_vseq += 1
         head.end_txn = txn.txn_id
-        head.release_refs = release
         table.rows[row_id].append(version)
         txn.write_set.append((table, row_id, head, version, promoted))
         txn.promoted.extend(promoted)
-        txn.staged.append(self._record(DB_END, txn=txn.txn_id, table=table.idx,
-                                       row=row_id, vseq=head.vseq,
-                                       cells=self._refs_wire(release)))
         txn.staged.append(self._record(DB_INSERT, txn=txn.txn_id, table=table.idx,
                                        row=row_id, vseq=version.vseq,
                                        cells=version.wire))
@@ -765,8 +744,8 @@ class Database:
     # maintenance
 
     def vacuum(self, table: Table) -> int:
-        """Drop versions invisible to every snapshot; delete the store
-        mappings they were holding, and the table's abort garbage, in
+        """Drop versions invisible to every snapshot; delete the refs each
+        held that its successor does not, and the table's abort garbage, in
         ascending FID order, batch_size refs per message (backend.release).
         Runs outside any transaction.
 
@@ -783,9 +762,14 @@ class Database:
         for row_id in list(table.rows):
             chain = table.rows[row_id]
             kept = []
-            for version in chain:
+            for i, version in enumerate(chain):
                 if self._version_dead(version, min_snapshot):
-                    release.extend(version.release_refs)
+                    # the next version is the one its end_txn inserted: the
+                    # refs it does not hold are the ones the update replaced
+                    cells, successor = version.cells, chain[i + 1].cells
+                    for c in table.sensitive:
+                        if cells[c] != successor[c]:
+                            release.append(cells[c])
                     remove_records.append(self._record(
                         DB_REMOVE, table=table.idx, row=row_id, vseq=version.vseq))
                     self._hook("during-vacuum", None)
@@ -797,7 +781,7 @@ class Database:
             release.append(ref)
             self._hook("during-vacuum", None)
         # the removals are durable before any ref is released: a crash in
-        # between leaves orphans, never a recovered version whose release
+        # between leaves orphans, never a recovered version whose released
         # refs name slots the store has freed and may hand out again
         if remove_records:
             self._journal(remove_records)
@@ -967,25 +951,6 @@ class Database:
             self._hook("io_failure", None)
             raise
 
-    def _refs_wire(self, refs: list) -> bytes:
-        out = [struct.pack("<H", len(refs))]
-        for ref in refs:
-            wire = self.backend.ref_to_wire(ref)
-            out.append(_U32.pack(len(wire)))
-            out.append(wire)
-        return b"".join(out)
-
-    def _refs_from_wire(self, data: bytes, pos: int) -> tuple[list, int]:
-        (n,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        refs = []
-        for _ in range(n):
-            (ln,) = _U32.unpack_from(data, pos)
-            pos += 4
-            refs.append(self.backend.ref_from_wire(data[pos:pos + ln]))
-            pos += ln
-        return refs, pos
-
     def _cells_wire(self, table: Table, cells: list) -> bytes:
         out = [struct.pack("<H", len(cells))]
         for col, cell in zip(table.schema, cells):
@@ -1002,9 +967,11 @@ class Database:
 
     def _cells_from_wire(self, table: Table, data: bytes, pos: int) -> tuple[list, int]:
         (n,) = struct.unpack_from("<H", data, pos)
+        if n != len(table.schema):
+            raise CorruptLog(f"{n} cells for {len(table.schema)} columns in {table.name}")
         pos += 2
         cells = []
-        for col in table.schema[:n]:
+        for col in table.schema:
             if col.ctype == ColumnType.PLAIN_INT:
                 (v,) = struct.unpack_from("<q", data, pos)
                 pos += 8
@@ -1041,14 +1008,20 @@ def recover_database(client, backend, dbwal: DurableBuffer,
     durable DbWal records past its cover; returns the engine and the number
     of journal records replayed. Any transaction without a durable commit
     record is treated as aborted: its row versions are never materialized,
-    so its promoted secrets surface as store orphans for orphan_gc.
+    so its promoted secrets surface as store orphans for orphan_gc. A
+    committed DB_INSERT ends the newest version of its row so far: under
+    first-updater-wins a row's committed versions are journaled in chain
+    order, so that is the version its txn superseded.
 
     The pending recipes are rebuilt from the DB_RECIPE records of committed
     txns: per FID the newest, in LSN order, and only for a FID a recovered
     row version holds. Dropping the others is safe: vacuum flushes the
     privacy journal before it makes a removal durable while a recipe is
     pending, so no kept recipe has an operand that a removed version held
-    and the privacy zone lost."""
+    and the privacy zone lost.
+
+    A record of an unknown kind, one naming a table the catalog does not
+    hold, or one whose payload does not parse raises CorruptLog."""
     db = Database(client, backend, dbwal, snapshots, **db_kwargs)
     raw_catalog = snapshots.get(CATALOG)
     if raw_catalog:
@@ -1066,64 +1039,66 @@ def recover_database(client, backend, dbwal: DurableBuffer,
     records = wal.journal_after(dbwal, db.next_lsn - 1)
     committed_order = []
     max_txn = db.next_txn_id - 1
-    for lsn, kind, payload in records:
-        if kind == DB_COMMIT:
-            (txn_id,) = _COMMIT_REC.unpack_from(payload)
-            committed_order.append(txn_id)
-            max_txn = max(max_txn, txn_id)
-        db.next_lsn = lsn + 1
-
-    committed = db.committed
-    for i, txn_id in enumerate(committed_order):
-        committed[txn_id] = db.next_commit_seq + i
     replayed = 0
     recipes: dict[int, bytes] = {}
-    for _, kind, payload in records:
-        if kind == DB_COMMIT:
-            replayed += 1
-            continue
-        if kind == DB_RECIPE:
-            (txn_id,) = _COMMIT_REC.unpack_from(payload)
-            max_txn = max(max_txn, txn_id)
-            if txn_id in committed:
-                pos = _COMMIT_REC.size
-                while pos < len(payload):
-                    fid, n = _RECIPE_ITEM.unpack_from(payload, pos)
-                    pos += _RECIPE_ITEM.size
-                    recipes.pop(fid, None)  # the newest goes last
-                    recipes[fid] = payload[pos:pos + n]
-                    pos += n
+    committed = db.committed
+    try:
+        for lsn, kind, payload in records:
+            if kind == DB_COMMIT:
+                (txn_id,) = _COMMIT_REC.unpack(payload)
+                committed_order.append(txn_id)
+                max_txn = max(max_txn, txn_id)
+            db.next_lsn = lsn + 1
+        for i, txn_id in enumerate(committed_order):
+            committed[txn_id] = db.next_commit_seq + i
+        for _, kind, payload in records:
+            if kind == DB_COMMIT:
                 replayed += 1
-            continue
-        if kind == DB_REMOVE:
-            table_idx, row_id, vseq = _REMOVE_REC.unpack_from(payload)
-            table = db.tables_by_idx[table_idx]
-            chain = table.rows.get(row_id)
-            if chain:
-                table.rows[row_id] = [v for v in chain if v.vseq != vseq]
-                if not table.rows[row_id]:
-                    del table.rows[row_id]
-            replayed += 1
-            continue
-        txn_id, table_idx, row_id, vseq = _ROW_REC.unpack_from(payload)
-        pos = _ROW_REC.size
-        max_txn = max(max_txn, txn_id)
-        if txn_id not in committed:
-            continue  # crashed before its commit record: aborted
-        table = db.tables_by_idx[table_idx]
-        if kind == DB_INSERT:
-            cells, end = db._cells_from_wire(table, payload, pos)
-            version = RowVersion(row_id, vseq, txn_id, cells, payload[pos:end])
-            table.rows.setdefault(row_id, []).append(version)
-            table.next_row_id = max(table.next_row_id, row_id + 1)
-            table.next_vseq = max(table.next_vseq, vseq + 1)
-        elif kind == DB_END:
-            release, _ = db._refs_from_wire(payload, pos)
-            for version in table.rows.get(row_id, ()):
-                if version.vseq == vseq:
-                    version.end_txn = txn_id
-                    version.release_refs = release
-        replayed += 1
+            elif kind == DB_RECIPE:
+                (txn_id,) = _COMMIT_REC.unpack_from(payload)
+                max_txn = max(max_txn, txn_id)
+                if txn_id in committed:
+                    pos = _COMMIT_REC.size
+                    while pos < len(payload):
+                        fid, n = _RECIPE_ITEM.unpack_from(payload, pos)
+                        pos += _RECIPE_ITEM.size
+                        if pos + n > len(payload):
+                            raise CorruptLog(f"the recipe of {fid:#x} overruns its record")
+                        recipes.pop(fid, None)  # the newest goes last
+                        recipes[fid] = payload[pos:pos + n]
+                        pos += n
+                    replayed += 1
+            elif kind == DB_REMOVE:
+                table_idx, row_id, vseq = _REMOVE_REC.unpack(payload)
+                table = _table_at(db, table_idx)
+                chain = table.rows.get(row_id)
+                if chain:
+                    table.rows[row_id] = [v for v in chain if v.vseq != vseq]
+                    if not table.rows[row_id]:
+                        del table.rows[row_id]
+                replayed += 1
+            elif kind == DB_INSERT:
+                txn_id, table_idx, row_id, vseq = _ROW_REC.unpack_from(payload)
+                max_txn = max(max_txn, txn_id)
+                table = _table_at(db, table_idx)
+                if txn_id not in committed:
+                    continue  # crashed before its commit record: aborted
+                pos = _ROW_REC.size
+                cells, end = db._cells_from_wire(table, payload, pos)
+                if end != len(payload):
+                    raise CorruptLog(f"the cells of row {row_id} end at {end}, "
+                                     f"its record at {len(payload)}")
+                chain = table.rows.setdefault(row_id, [])
+                if chain:
+                    chain[-1].end_txn = txn_id
+                chain.append(RowVersion(row_id, vseq, txn_id, cells, payload[pos:end]))
+                table.next_row_id = max(table.next_row_id, row_id + 1)
+                table.next_vseq = max(table.next_vseq, vseq + 1)
+                replayed += 1
+            else:
+                raise CorruptLog(f"unknown integrity record kind {kind}")
+    except struct.error as exc:
+        raise CorruptLog(f"an integrity record does not parse: {exc}") from None
 
     held = db.referenced_refs()
     db.recipes = {fid: r for fid, r in recipes.items() if fid in held}
@@ -1131,3 +1106,9 @@ def recover_database(client, backend, dbwal: DurableBuffer,
     db.next_txn_id = max_txn + 1
     db.next_commit_seq += len(committed_order)
     return db, replayed
+
+
+def _table_at(db: Database, idx: int) -> Table:
+    if idx >= len(db.tables_by_idx):
+        raise CorruptLog(f"a record names table {idx} of {len(db.tables_by_idx)}")
+    return db.tables_by_idx[idx]

@@ -378,7 +378,8 @@ def test_a_repeated_integrity_lsn_is_corrupt():
 
 
 def _commit_plain_update(topo) -> None:
-    """Commits a new plain pad for row 1 of table 0: three journal records."""
+    """Commits a new plain pad for row 1 of table 0: two journal records,
+    its insert and its commit."""
     db = topo.integrity.db
     txn = db.begin()
     db.update_row(txn, db.tables_by_idx[0], 1, {"pad": b"repad"})

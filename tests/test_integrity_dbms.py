@@ -4,6 +4,7 @@ import zlib
 import pytest
 
 from fidstore.errors import (
+    CorruptLog,
     NotLive,
     SchemaMismatch,
     TypeMismatch,
@@ -20,8 +21,8 @@ from fidstore.privacy_proxy import (
     decode_int64,
     encode_int64,
 )
-from fidstore.wal import DELETE_REC, KIND_DELETE, journal_after
-from fidstore.zone_sim import ZoneTopology
+from fidstore.wal import DELETE_REC, KIND_DELETE, journal_after, read_frames
+from fidstore.zone_sim import CrashPoint, CrashPointId, CrashTarget, ZoneTopology
 
 SCHEMA = [
     Column("id", ColumnType.PLAIN_INT),
@@ -115,7 +116,7 @@ def test_promote_keeps_a_ref_already_in_the_table_partition(topo):
     db.insert_row(txn, table, [1, direct, b"n"])
     assert (_promotes(topo), topo.channel.round_trips) == (calls, trips)
     assert table.rows[1][-1].cells[1] == direct
-    copy, recipe = db.backend.promote(temp, table.partition_id)
+    [(copy, recipe)] = db.backend.promote([temp], table.partition_id)
     assert _promotes(topo) == calls + 1
     assert copy != temp and decode_fid(copy)[0] == table.partition_id
     assert recipe is None and topo.store_wal_buffer.pending_len == 0
@@ -606,7 +607,6 @@ def test_recovery_txn_ids_advance(topo):
     db.commit(txn)
     highest = txn.txn_id
 
-    from fidstore.zone_sim import CrashPoint, CrashPointId, CrashTarget
     topo.inject_crash(CrashPoint(CrashPointId.RANDOM_BYTE, CrashTarget.BOTH,
                                  at_occurrence=0))
     assert topo.integrity.crashed
@@ -632,13 +632,14 @@ def _hand_frame(lsn: int, kind: int, payload: bytes) -> bytes:
     return struct.pack("<II", len(body), zlib.crc32(body)) + body
 
 
-@pytest.mark.parametrize("kind", ["insert", "end", "remove", "commit", "recipe"])
+@pytest.mark.parametrize("kind", ["insert", "remove", "commit", "recipe"])
 def test_engine_record_bytes(topo, kind):
     """Each engine journal record kind's durable bytes, packed by hand:
     frame {u32 len, u32 crc32}, head {u64 lsn, u8 kind}, then its payload.
     The journal holds an insert of a promoted ref and its commit, an update
-    to a fresh ref (end, insert, the txn's recipes, commit) and the
-    vacuum's remove of the superseded version."""
+    to a fresh ref (insert, the txn's recipes, commit) and the vacuum's
+    remove of the superseded version. No record ends a version: the
+    update's insert implies it."""
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
     writer = db.begin()
@@ -659,16 +660,14 @@ def test_engine_record_bytes(topo, kind):
     frames = {
         "insert": [_hand_frame(1, 1, struct.pack("<QIQQ", writer.txn_id, 0, 1, 1)
                                + cells(old)),
-                   _hand_frame(4, 1, struct.pack("<QIQQ", updater.txn_id, 0, 1, 2)
+                   _hand_frame(3, 1, struct.pack("<QIQQ", updater.txn_id, 0, 1, 2)
                                + cells(new))],
         "commit": [_hand_frame(2, 4, struct.pack("<Q", writer.txn_id)),
-                   _hand_frame(6, 4, struct.pack("<Q", updater.txn_id))],
-        "recipe": [_hand_frame(5, 5, struct.pack("<QQI", updater.txn_id, new,
+                   _hand_frame(5, 4, struct.pack("<Q", updater.txn_id))],
+        "recipe": [_hand_frame(4, 5, struct.pack("<QQI", updater.txn_id, new,
                                                  1 + len(envelope))
                                + b"\x01" + envelope)],
-        "end": [_hand_frame(3, 2, struct.pack("<QIQQ", updater.txn_id, 0, 1, 1)
-                            + struct.pack("<HIQ", 1, 8, old))],
-        "remove": [_hand_frame(7, 3, struct.pack("<IQQ", 0, 1, 1))],
+        "remove": [_hand_frame(6, 3, struct.pack("<IQQ", 0, 1, 1))],
     }
     journal = db.dbwal.durable
     got, pos = [], 0
@@ -680,3 +679,136 @@ def test_engine_record_bytes(topo, kind):
         pos += 8 + length
     assert pos == len(journal) == sum(map(len, sum(frames.values(), [])))
     assert got == frames[kind]
+
+
+def _row_cells(fid: int, note: bytes = b"n") -> bytes:
+    """A SCHEMA row's cells in the DB_INSERT encoding: id 1, k fid."""
+    return (struct.pack("<HqI", 3, 1, 8) + struct.pack("<Q", fid)
+            + struct.pack("<I", len(note)) + note)
+
+
+# hand-framed records a recovery past LSN 2 must refuse, kind 1 insert,
+# 3 remove, 4 commit, 5 recipe; txn 9 commits where a case needs it
+_MALFORMED = {
+    "unknown-kind": [(9, b"")],
+    "retired-end-kind": [(2, struct.pack("<QIQQ", 9, 0, 1, 1)
+                          + struct.pack("<HIQ", 1, 8, 1 << 48)),
+                         (4, struct.pack("<Q", 9))],
+    "insert-names-no-table": [(1, struct.pack("<QIQQ", 9, 7, 1, 2)
+                               + _row_cells(1 << 48)), (4, struct.pack("<Q", 9))],
+    "remove-names-no-table": [(3, struct.pack("<IQQ", 7, 1, 1))],
+    "short-insert": [(1, struct.pack("<QI", 9, 0))],
+    "short-remove": [(3, struct.pack("<IQ", 0, 1))],
+    "short-commit": [(4, struct.pack("<I", 9))],
+    "short-recipe-item": [(5, struct.pack("<QQ", 9, 1 << 48)),
+                          (4, struct.pack("<Q", 9))],
+    "recipe-overruns-record": [(5, struct.pack("<QQI", 9, 1 << 48, 64) + b"\x01"),
+                               (4, struct.pack("<Q", 9))],
+    "cells-overrun-record": [(1, struct.pack("<QIQQ", 9, 0, 1, 2)
+                              + _row_cells(1 << 48)[:-1]), (4, struct.pack("<Q", 9))],
+    "bytes-past-cells": [(1, struct.pack("<QIQQ", 9, 0, 1, 2)
+                          + _row_cells(1 << 48) + b"x"), (4, struct.pack("<Q", 9))],
+    "too-few-cells": [(1, struct.pack("<QIQQ", 9, 0, 1, 2) + struct.pack("<Hq", 1, 1)),
+                      (4, struct.pack("<Q", 9))],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_recovery_refuses_a_malformed_record(topo, case):
+    """Recovery raises CorruptLog on a record with a valid checksum that it
+    cannot apply: an unknown or retired kind, a table the catalog does not
+    hold, or a payload too short or too long for its kind, instead of
+    counting it as replayed or failing on it with another error."""
+    db = topo.integrity.db
+    table = db.create_table("t", list(SCHEMA))
+    txn = db.begin()
+    _insert(topo, db, table, txn, 1, 1)
+    db.commit(txn)
+    journal = topo.dbwal_buffer.durable
+    assert len(read_frames(journal)) == 2
+    topo.dbwal_buffer.replace(journal + b"".join(
+        _hand_frame(lsn, kind, payload)
+        for lsn, (kind, payload) in enumerate(_MALFORMED[case], start=3)))
+    topo.integrity.crash()
+    with pytest.raises(CorruptLog):
+        topo.integrity.recover()
+
+
+def _supersession_setup(topo) -> tuple:
+    """Commits rows 1 to 3, then: one txn updates row 1 twice, an update of
+    row 2 aborts and a plain update of row 3 commits. Row 1's refs are
+    written straight to the table's partition, so they ride as recipes.
+    Returns the table and the refs the aborted update promoted."""
+    db = topo.integrity.db
+    table = db.create_table("t", list(SCHEMA))
+    pid = table.partition_id
+    txn = db.begin()
+    db.insert_row(txn, table, [1, _ingest_int(topo, txn.query_id, 1, pid), b"n"])
+    for key in (2, 3):
+        _insert(topo, db, table, txn, key, key)
+    db.commit(txn)
+    twice = db.begin()
+    for value in (10, 11):
+        db.update_row(twice, table, 1, {"k": _ingest_int(topo, twice.query_id, value, pid)})
+    db.commit(twice)
+    aborted = db.begin()
+    db.update_row(aborted, table, 2, {"k": _ingest_int(topo, aborted.query_id, 20, pid)})
+    db.abort(aborted)
+    plain = db.begin()
+    db.update_row(plain, table, 3, {"note": b"m"})
+    db.commit(plain)
+    return table, aborted.promoted
+
+
+def _committed_chains(db) -> dict:
+    """(vseq, begin txn, end txn) of each committed version of each row,
+    the end only if its txn committed."""
+    committed = db.committed
+    return {(t.idx, row_id): [(v.vseq, v.begin_txn,
+                               v.end_txn if v.end_txn in committed else None)
+                              for v in chain if v.begin_txn in committed]
+            for t in db.tables_by_idx for row_id, chain in t.rows.items()}
+
+
+def _vacuum_released(topo) -> list:
+    """Vacuums table 0; returns the refs it released, in order."""
+    db = topo.integrity.db
+    release = db.backend.release
+    released = []
+
+    def record_then_release(refs, batch_size):
+        released.extend(refs)
+        return release(refs, batch_size)
+
+    db.backend.release = record_then_release
+    db.vacuum(db.tables_by_idx[0])
+    return released
+
+
+@pytest.mark.parametrize("target", [CrashTarget.INTEGRITY, CrashTarget.BOTH],
+                         ids=lambda t: t.value)
+def test_recovery_rebuilds_supersession_exactly(target):
+    """No record ends a version, yet a crash before vacuum loses no end:
+    recovery rebuilds every chain's (vseq, begin, end) as the engine held
+    it, vacuum then releases exactly the refs a twin that did not crash
+    releases for its superseded versions (the twin also releases the
+    aborted update's refs, which recovery leaves as orphans), and
+    orphan_gc leaves no orphan."""
+    twin = ZoneTopology(321, batch_size=32)
+    _, garbage = _supersession_setup(twin)
+    twin_released = _vacuum_released(twin)
+    topo = ZoneTopology(321, batch_size=32)
+    _supersession_setup(topo)
+    before = _committed_chains(topo.integrity.db)
+    _, (_, begin, end), (_, last_begin, _) = before[(0, 1)]
+    assert begin == end == last_begin  # one txn began and ended the middle version
+    topo.inject_crash(CrashPoint(CrashPointId.RANDOM_BYTE, target, at_occurrence=0,
+                                 torn_bytes=0))
+    assert topo.recover_all().invariant.holds
+    db = topo.integrity.db
+    assert _committed_chains(db) == before
+    released = _vacuum_released(topo)
+    assert len(released) == 2 and sorted(released + garbage) == sorted(twin_released)
+    db.orphan_gc()
+    report = topo.check_invariant()
+    assert report.holds and report.orphans == 0

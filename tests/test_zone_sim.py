@@ -997,18 +997,20 @@ def test_zipfian_distribution_skews_access():
 _PINNED = {
     # message kind -> count through the maintenance phase, (privacy WAL,
     # integrity WAL) durable bytes, (seals, opens), (client codec, zone
-    # codec) encrypt+decrypt counts in the privacy zone. A commit sends no
-    # flush: the six are create_table's two, vacuum's first (recipes were
-    # pending) and one after each table's deletes, and orphan_gc's quiesce
-    # flush, after which both journals are empty.
+    # codec) encrypt+decrypt counts in the privacy zone; then the integrity
+    # WAL's durable bytes when the first vacuum starts, the size of the
+    # write path's journal. A commit sends no flush: the six are
+    # create_table's two, vacuum's first (recipes were pending) and one
+    # after each table's deletes, and orphan_gc's quiesce flush, after
+    # which both journals are empty.
     "fid": ({m.MSG_INGEST: 8, m.MSG_REVEAL: 80, m.MSG_EXEC_BATCH: 49,
              m.MSG_DELETE: 4, m.MSG_FLUSH_LOG: 6, m.MSG_CREATE_PARTITION: 2,
              m.MSG_LIST_LIVE: 2},
-            (0, 0), (4, 2), (249, 0)),
+            (0, 0), (4, 2), (249, 0), 25800),
     "cipher": ({m.MSG_FLUSH_LOG: 3, m.MSG_CREATE_PARTITION: 2,
                 m.MSG_CIPHER_EXEC: 49, m.MSG_CIPHER_INGEST: 8,
                 m.MSG_CIPHER_REVEAL: 80},
-               (0, 0), (0, 0), (249, 370)),
+               (0, 0), (0, 0), (249, 370), 26100),
 }
 # (privacy, integrity) snapshot bytes after the run: the images the
 # quiesce checkpoints wrote
@@ -1048,14 +1050,23 @@ def _snapshot_at_check(topo) -> dict:
 def test_pinned_counts_through_maintenance(backend):
     """Exact per-kind traffic, durable WAL bytes, seals/opens, envelope
     crypto counts and revealed values for one small seed, all taken when
-    the invariant check starts, and the snapshot bytes after the run."""
+    the invariant check starts, the integrity WAL's durable bytes when the
+    first vacuum starts, and the snapshot bytes after the run."""
     spec = _small_spec()
     topo = ZoneTopology(3, backend=backend, batch_size=spec.batch_size,
                         cache_capacity_blocks=2)
     seen = _snapshot_at_check(topo)
+    db = topo.integrity.db
+    vacuum = db.vacuum
+
+    def measure_then_vacuum(table):
+        seen.setdefault("at_vacuum", topo.dbwal_buffer.durable_len)
+        return vacuum(table)
+
+    db.vacuum = measure_then_vacuum
     program = generate_workload(spec, 3)
     report = topo.run_program(program)
-    assert seen["at_check"] == _PINNED[backend]
+    assert seen["at_check"] + (seen["at_vacuum"],) == _PINNED[backend]
     assert _snapshot_bytes(topo) == _PINNED_IMAGES[backend]
     expected = ShadowRunner(program, flatten_schedule(program)).run().revealed
     assert report.revealed == expected
