@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 import struct
+import weakref
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidTag
@@ -158,13 +159,17 @@ class AtRestLayer:
     blocks that back live values and no more. Deleting a sealed copy
     advances the block's counter, journaled like a seal, so a copy the
     untrusted side keeps and puts back later fails freshness.
+
+    The store owns the layer (its blocks hook); the layer reads the store
+    through a weak proxy, so the pair forms no reference cycle and a
+    crashed zone's plaintext is freed as soon as its host drops the store.
     """
 
     def __init__(self, store, key: bytes, *, capacity_blocks: int | None = None,
                  nonce_source=os.urandom, freshness: FreshnessTable | None = None,
                  sealed_store: SealedBlockStore | None = None,
                  journal=None, trace=None, epoch: int = 0):
-        self.store = store
+        self.store = weakref.proxy(store)
         self.sealer = BlockSealer(key, nonce_source, epoch)
         self.freshness = freshness or FreshnessTable()
         self.sealed = sealed_store or SealedBlockStore()

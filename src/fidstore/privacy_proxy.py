@@ -344,10 +344,16 @@ class PrivacyProxy:
                  nonce_source=os.urandom):
         self.store = store
         self.client_codec = EnvelopeCodec(client_key, nonce_source)
-        self.fids = FidSpace(store, self.destination)
         self._query_temps: dict[int, int] = {}
         # pid -> its allocation counter when a restore first named it
         self._restore_base: dict[int, int] = {}
+
+    @property
+    def fids(self) -> FidSpace:
+        """The FID operand space. Built per use: kept on the proxy, its
+        bound destination method would make a reference cycle that keeps a
+        crashed zone's store alive until the cyclic collector runs."""
+        return FidSpace(self.store, self.destination)
 
     # -- query-scoped temporaries ---------------------------------------
 
@@ -408,7 +414,8 @@ class PrivacyProxy:
         operands = req.operand_fids
         check_operator(op, len(operands), req.constant is not None,
                        req.destination, req.reveal)
-        if space is self.fids and req.destination not in (None, QUERY_TEMP_TARGET):
+        if (isinstance(space, FidSpace)
+                and req.destination not in (None, QUERY_TEMP_TARGET)):
             self.destination(query_id, req.destination)  # WrongPartitionKind first
             require_permanent(self.store, operands)
         values = space.load(operands)

@@ -248,7 +248,11 @@ def recover_store(snapshots: SnapshotStore, wal_buffer: DurableBuffer) -> Recove
     """Rebuild a MappingStore and the freshness table from the last
     checkpoint image plus the durable log suffix. Running it twice over the
     same files yields the same state (replay application is idempotent and
-    pure)."""
+    pure).
+
+    A record of an unknown kind, or one whose payload is not exactly its
+    kind's struct (for KIND_PUT: the struct and a value of at least one
+    byte, as put stores no empty value), raises CorruptLog."""
     store = MappingStore()
     marker = snapshots.get(CKPT_MARKER)
     last_lsn = _U64.unpack(marker)[0] if marker else 0
@@ -261,13 +265,16 @@ def recover_store(snapshots: SnapshotStore, wal_buffer: DurableBuffer) -> Recove
     for lsn, kind, payload in records:
         last_lsn = lsn
         if kind == KIND_PUT:
+            if len(payload) <= PUT_REC.size:
+                raise CorruptLog(f"put record {lsn} holds {len(payload)} bytes: "
+                                 "no value after its fid")
             store.apply_put(PUT_REC.unpack_from(payload)[0], payload[PUT_REC.size:])
         elif kind == KIND_DELETE:
-            store.apply_delete(DELETE_REC.unpack_from(payload)[0])
+            store.apply_delete(*_fields(DELETE_REC, lsn, payload))
         elif kind == KIND_CREATE_PARTITION:
-            store.apply_create(CREATE_REC.unpack_from(payload)[0])
+            store.apply_create(*_fields(CREATE_REC, lsn, payload))
         elif kind == KIND_SEAL:
-            freshness.replay_seal(*SEAL_REC.unpack_from(payload))
+            freshness.replay_seal(*_fields(SEAL_REC, lsn, payload))
         else:
             raise CorruptLog(f"unknown record kind {kind}")
     store.rebuild_free_lists()
@@ -275,6 +282,15 @@ def recover_store(snapshots: SnapshotStore, wal_buffer: DurableBuffer) -> Recove
     wal = Wal(wal_buffer, start_lsn=last_lsn + 1)
     return RecoveryResult(store=store, wal=wal, replayed_count=len(records),
                           freshness=freshness)
+
+
+def _fields(rec: struct.Struct, lsn: int, payload: bytes) -> tuple:
+    """A record's payload unpacked by its kind's struct, which it must
+    fill exactly."""
+    if len(payload) != rec.size:
+        raise CorruptLog(f"record {lsn} holds {len(payload)} bytes for a "
+                         f"{rec.size}-byte payload")
+    return rec.unpack(payload)
 
 
 def advance_epoch(snapshots: SnapshotStore) -> int:

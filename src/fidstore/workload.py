@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -68,14 +69,14 @@ class ZipfianSampler:
         return bisect.bisect_left(self.cumulative, rng.random())
 
 
-@dataclass
+@dataclass(slots=True)
 class TxnTemplate:
     ops: list[tuple]      # structural: kind, table, keys, spans
     values: list[tuple]   # secret payloads aligned with ops (() for reads)
     abort: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class WorkloadProgram:
     spec: WorkloadSpec
     # per table: list of (k_value, c_value) secret pairs for the preload
@@ -163,31 +164,37 @@ def generate_workload(spec: WorkloadSpec, seed: int) -> WorkloadProgram:
     return WorkloadProgram(spec=spec, preload=preload, txns=txns)
 
 
-def flatten_schedule(program: WorkloadProgram) -> list[tuple]:
+def _client_stream(txns: list[TxnTemplate], tid: int,
+                   threads: int) -> Iterator[tuple]:
+    """One simulated client's entries: every threads-th txn from tid on."""
+    for txn_index in range(tid, len(txns), threads):
+        yield ("begin", tid, txn_index)
+        for op_index in range(len(txns[txn_index].ops)):
+            yield ("op", tid, txn_index, op_index)
+        yield ("finish", tid, txn_index)
+
+
+def flatten_schedule(program: WorkloadProgram) -> Iterator[tuple]:
     """Deterministic round-robin interleaving over simulated client threads.
 
     Entries: ("begin", thread, txn_index), ("op", thread, txn_index, op_index),
-    ("finish", thread, txn_index). The engine under test and the shadow
-    oracle both consume exactly this sequence.
+    ("finish", thread, txn_index). Each pass takes the next entry of every
+    client that has one left, in thread order. The engine under test and the
+    shadow oracle both consume exactly this sequence.
+
+    The entries are generated lazily, so the schedule is never held whole:
+    the iterator is consumed once, and a second pass needs a second call.
     """
     threads = max(1, program.spec.threads_simulated)
-    streams: list[list[tuple]] = [[] for _ in range(threads)]
-    for txn_index, template in enumerate(program.txns):
-        tid = txn_index % threads
-        streams[tid].append(("begin", tid, txn_index))
-        for op_index in range(len(template.ops)):
-            streams[tid].append(("op", tid, txn_index, op_index))
-        streams[tid].append(("finish", tid, txn_index))
-    schedule = []
-    cursors = [0] * threads
-    remaining = sum(len(s) for s in streams)
-    while remaining:
-        for tid in range(threads):
-            if cursors[tid] < len(streams[tid]):
-                schedule.append(streams[tid][cursors[tid]])
-                cursors[tid] += 1
-                remaining -= 1
-    return schedule
+    streams = [_client_stream(program.txns, tid, threads) for tid in range(threads)]
+    while streams:
+        live = []
+        for stream in streams:
+            entry = next(stream, None)
+            if entry is not None:
+                live.append(stream)
+                yield entry
+        streams = live
 
 
 def shape_signature(program: WorkloadProgram) -> tuple:

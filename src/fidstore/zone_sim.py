@@ -23,6 +23,7 @@ import json
 import os
 import random
 import struct
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -86,6 +87,13 @@ def unpad_sensitive(padded: bytes) -> bytes:
     return padded[2:2 + n]
 
 
+# The adversary-visible event kinds; an event's kind code is its index here.
+EVENT_KINDS = ("FidObserved", "MsgBytes", "OpKindObserved", "ResultSize",
+               "CmpBool", "BlockRead", "BlockWrite", "BlockDrop")
+(_FID, _MSG, _OP_KIND, _RESULT_SIZE,
+ _CMP_BOOL, _BLOCK_READ, _BLOCK_WRITE, _BLOCK_DROP) = range(len(EVENT_KINDS))
+
+
 class AdversaryTrace:
     """Ordered record of everything adversary-visible; args are plain ints.
 
@@ -104,45 +112,73 @@ class AdversaryTrace:
     carried, so a snapshot of that journal shows nothing the message trace
     does not. The next integrity checkpoint truncates them away, and its
     image holds FIDs only. The cipher baseline keeps its envelopes in its
-    rows for good."""
+    rows for good.
 
-    __slots__ = ("events",)
+    Storage is two flat buffers, one entry per event: its kind code (an
+    index into EVENT_KINDS) in a bytearray and its argument in an
+    array("Q"), 9 bytes an event. A block event's argument is
+    (partition << 40) | block index. events decodes a fresh list of
+    (kind name, arg) pairs on each read, so it is a copy, not a view to
+    append to. Two traces are equal iff both buffers are."""
+
+    __slots__ = ("_kinds", "_args")
 
     def __init__(self):
-        self.events: list[tuple[str, int]] = []
+        self._kinds = bytearray()
+        self._args = array("Q")
 
     def fid(self, fid: int) -> None:
-        self.events.append(("FidObserved", fid))
+        self._kinds.append(_FID)
+        self._args.append(fid)
 
     def block_read(self, pid: int, block_index: int) -> None:
-        self.events.append(("BlockRead", (pid << 40) | block_index))
+        self._kinds.append(_BLOCK_READ)
+        self._args.append((pid << 40) | block_index)
 
     def block_write(self, pid: int, block_index: int) -> None:
-        self.events.append(("BlockWrite", (pid << 40) | block_index))
+        self._kinds.append(_BLOCK_WRITE)
+        self._args.append((pid << 40) | block_index)
 
     def block_drop(self, pid: int, block_index: int) -> None:
-        self.events.append(("BlockDrop", (pid << 40) | block_index))
+        self._kinds.append(_BLOCK_DROP)
+        self._args.append((pid << 40) | block_index)
 
     def msg(self, length: int) -> None:
-        self.events.append(("MsgBytes", length))
+        self._kinds.append(_MSG)
+        self._args.append(length)
 
     def result_size(self, n: int) -> None:
-        self.events.append(("ResultSize", n))
+        self._kinds.append(_RESULT_SIZE)
+        self._args.append(n)
 
     def cmp_bool(self, value: bool) -> None:
-        self.events.append(("CmpBool", int(value)))
+        self._kinds.append(_CMP_BOOL)
+        self._args.append(int(value))
 
     def op_kind(self, kind: int) -> None:
-        self.events.append(("OpKindObserved", kind))
+        self._kinds.append(_OP_KIND)
+        self._args.append(kind)
+
+    def _decoded(self):
+        return zip(map(EVENT_KINDS.__getitem__, self._kinds), self._args)
+
+    @property
+    def events(self) -> list[tuple[str, int]]:
+        return list(self._decoded())
 
     def dump_jsonl(self) -> str:
         return "\n".join(
             json.dumps({"t": i, "kind": k, "arg": a})
-            for i, (k, a) in enumerate(self.events)
+            for i, (k, a) in enumerate(self._decoded())
         )
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AdversaryTrace):
+            return NotImplemented
+        return self._kinds == other._kinds and self._args == other._args
+
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._kinds)
 
 
 class CrashTarget(Enum):
@@ -762,7 +798,9 @@ class _Runner:
 def trace_indistinguishability(spec_a: WorkloadSpec, spec_b: WorkloadSpec,
                                seed: int, **topology_kwargs) -> bool:
     """True iff two structure-identical workloads (differing only in secret
-    values) produce event-for-event identical adversary traces."""
+    values) produce event-for-event identical adversary traces: each runs
+    on a fresh topology, and the two traces' buffers are compared whole,
+    with no per-event decoding."""
     prog_a = generate_workload(spec_a, seed)
     prog_b = generate_workload(spec_b, seed)
     if shape_signature(prog_a) != shape_signature(prog_b):
@@ -771,4 +809,4 @@ def trace_indistinguishability(spec_a: WorkloadSpec, spec_b: WorkloadSpec,
     topo_a.run_program(prog_a)
     topo_b = ZoneTopology(seed, batch_size=spec_b.batch_size, **topology_kwargs)
     topo_b.run_program(prog_b)
-    return topo_a.trace.events == topo_b.trace.events
+    return topo_a.trace == topo_b.trace

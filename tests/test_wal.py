@@ -382,3 +382,35 @@ def test_privacy_record_bytes(kind):
         expected = _hand_frame(7, 5, struct.pack("<IQQ", 5, 9, 12))
     wal.flush()
     assert buf.durable == expected
+
+
+# Hand-framed privacy records whose payload is not exactly their kind's
+# struct: (kind, payload). A put needs its fid and a value of one byte or
+# more, since put stores no empty value.
+_FID = struct.pack("<Q", 0x0000_0000_0000_0001)
+_MALFORMED = {
+    "short_put": (1, b"\x01\x00"),
+    "put_of_no_value": (1, _FID),
+    "short_delete": (2, b"\x01\x00\x00"),
+    "long_delete": (2, _FID + b"\x00"),
+    "short_create": (3, b"\x07\x00"),
+    "long_create": (3, struct.pack("<I", 7) + b"\x00"),
+    "short_seal": (5, struct.pack("<IQ", 0, 0)),
+    "long_seal": (5, struct.pack("<IQQ", 0, 0, 1) + b"\x00"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_recovery_refuses_a_malformed_record(case):
+    """Recovery raises CorruptLog on a record with a valid checksum whose
+    payload is too short or too long for its kind, instead of failing on
+    it with another error or replaying it."""
+    store, wal, buf = _store_with_wal()
+    pid = store.create_partition(PartitionKind.PERMANENT)
+    store.put(pid, b"kept")
+    wal.flush()
+    assert recover_store(SnapshotStore(), buf).replayed_count == 2
+    kind, payload = _MALFORMED[case]
+    buf.replace(buf.durable + _hand_frame(3, kind, payload))
+    with pytest.raises(CorruptLog):
+        recover_store(SnapshotStore(), buf)

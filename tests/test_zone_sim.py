@@ -1,5 +1,10 @@
+import gc
+import hashlib
+import inspect
 import json
 import struct
+import tracemalloc
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -40,6 +45,7 @@ from fidstore.workload import (
     generate_workload,
 )
 from fidstore.zone_sim import (
+    AdversaryTrace,
     CrashPoint,
     CrashPointId,
     CrashTarget,
@@ -968,6 +974,100 @@ def test_trace_jsonl_dump_parses():
         doc = json.loads(line)
         assert doc["t"] == i
         assert isinstance(doc["kind"], str)
+
+
+# (events, sha256 of dump_jsonl) of seed 3's small read-write program: fid
+# behind a 2-block cache, so block events occur, and cipher. Taken from the
+# list-of-tuples trace that the flat buffers replaced.
+_PINNED_TRACE = {
+    "fid": (1204, "9c756900fe2deb9eb23b80fab7ef6b932fcc1febf691d70e6c311dac15c9921b"),
+    "cipher": (555, "c894df17cb32d528239de2f019d63458885c104706c3b3320225c1fc0546aaeb"),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(_PINNED_TRACE))
+def test_pinned_trace_dump(backend):
+    """The adversary trace's JSONL dump, byte for byte, and its length."""
+    spec = _small_spec()
+    topo = ZoneTopology(3, backend=backend, batch_size=spec.batch_size,
+                        cache_capacity_blocks=2 if backend == "fid" else None)
+    topo.run_program(generate_workload(spec, 3))
+    dump = topo.trace.dump_jsonl().encode()
+    assert (len(topo.trace), hashlib.sha256(dump).hexdigest()) == _PINNED_TRACE[backend]
+    kinds = {k for k, _ in topo.trace.events}
+    assert ("BlockRead" in kinds) == (backend == "fid")
+
+
+def test_trace_keeps_at_most_16_bytes_an_event():
+    """What the trace's own code keeps allocated over a run, as
+    tracemalloc attributes it to the trace's lines, is at most 16 bytes
+    per event it holds."""
+    spec = _small_spec(rows_per_table=100, duration_ops=200)
+    program = generate_workload(spec, 8)
+    lines, first = inspect.getsourcelines(AdversaryTrace)
+    tracemalloc.start()
+    try:
+        topo = ZoneTopology(8, batch_size=spec.batch_size, cache_capacity_blocks=4)
+        topo.run_program(program)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    own = snapshot.filter_traces([tracemalloc.Filter(True, inspect.getsourcefile(
+        AdversaryTrace))])
+    kept = sum(stat.size for stat in own.statistics("lineno")
+               if first <= stat.traceback[0].lineno < first + len(lines))
+    events = len(topo.trace)
+    assert events > 5000
+    assert 9 * events <= kept <= 16 * events  # a kind byte and a u64 each
+
+
+def test_trace_equality_compares_events():
+    a, b = AdversaryTrace(), AdversaryTrace()
+    for trace in (a, b):
+        trace.fid(1 << 63)
+        trace.block_read(3, 7)
+    assert a == b and a.events == b.events == [("FidObserved", 1 << 63),
+                                               ("BlockRead", (3 << 40) | 7)]
+    b.msg(1)
+    assert a != b
+    a.result_size(1)
+    assert a != b and len(a) == len(b) == 3
+
+
+def test_flatten_schedule_is_a_round_robin_iterator():
+    """Clients take turns, one entry each, in thread order; a client whose
+    txns are done drops out. The schedule is generated lazily."""
+    spec = _small_spec(threads_simulated=2, duration_ops=3)
+    program = generate_workload(spec, 1)
+    for template, n_ops in zip(program.txns, (2, 1, 1)):
+        del template.ops[n_ops:]
+    schedule = flatten_schedule(program)
+    assert iter(schedule) is schedule and not isinstance(schedule, list)
+    assert list(schedule) == [
+        ("begin", 0, 0), ("begin", 1, 1), ("op", 0, 0, 0), ("op", 1, 1, 0),
+        ("op", 0, 0, 1), ("finish", 1, 1), ("finish", 0, 0),
+        ("begin", 0, 2), ("op", 0, 2, 0), ("finish", 0, 2)]
+
+
+def test_a_recovered_privacy_zone_frees_its_old_state_without_gc():
+    """After recover_all, reference counting alone frees the crashed privacy
+    zone's store, at-rest layer, proxy and journal, and every plaintext in
+    them: none of them sits in a reference cycle."""
+    spec = _small_spec()
+    topo = ZoneTopology(3, batch_size=spec.batch_size, cache_capacity_blocks=2)
+    topo.run_program(generate_workload(spec, 3))
+    gc.collect()
+    gc.disable()
+    try:
+        privacy = topo.privacy
+        old = {name: weakref.ref(getattr(privacy, name))
+               for name in ("store", "atrest", "proxy", "wal")}
+        privacy.crash()
+        topo.integrity.crash()
+        topo.recover_all()
+        assert [name for name, ref in old.items() if ref() is not None] == []
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("mode", list(Mode))
