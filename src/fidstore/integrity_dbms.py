@@ -55,16 +55,16 @@ after the sync of a commit or vacuum that took it past the interval, and
 at quiesce, when orphan_gc ends with no transaction active, if it holds
 records. orphan_gc's closing MSG_FLUSH_LOG carries the quiesce flag, so
 the privacy zone checkpoints there too, and after maintenance both zones'
-durable state is images and sealed blocks only. The image holds the
-newest committed version of every row (its cells in the DB_INSERT
-encoding, the bytes RowVersion.wire kept since the version was staged or
-decoded), the commit sequence numbers of the transactions that wrote them
-and the next_* counters. A record gets its LSN when commit or vacuum
-frames it, not when it is staged, so LSNs increase along the journal and
-the image's next_lsn is its cover. No transaction outlives a crash, so no
-snapshot after recovery can see an older version; a ref only an older
-version holds is an orphan for orphan_gc if the crash comes before vacuum
-releases it.
+durable state is images and sealed blocks only. The image holds every
+table (its DB_TABLE encoding), the newest committed version of every row
+(its cells in the DB_INSERT encoding, the bytes RowVersion.wire kept since
+the version was staged or decoded), the commit sequence numbers of the
+transactions that wrote them and the next_* counters. A record gets its
+LSN when it is journaled, not when it is staged, so LSNs increase along
+the journal and the image's next_lsn is its cover. No transaction
+outlives a crash, so no snapshot after recovery can see an older version;
+a ref only an older version holds is an orphan for orphan_gc if the crash
+comes before vacuum releases it.
 
 The image holds FIDs only, never a recipe. So a checkpoint sends one
 MSG_FLUSH_LOG before it writes its image if a recipe is pending, and
@@ -77,7 +77,6 @@ own sync failed has an unknown outcome, as after a timeout.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -98,7 +97,6 @@ from .fid_codec import OFFSET_BITS, fid_from_bytes, fid_to_bytes
 from .messages import RECIPE_EXEC, recipe_operands
 from .privacy_proxy import COMPARISONS, OperatorRequest, OpKind, ValueType
 
-CATALOG = "catalog.json"
 CHECKPOINT_IMAGE = "db.ckpt"
 
 DB_INSERT = 1
@@ -107,22 +105,27 @@ DB_INSERT = 1
 DB_REMOVE = 3
 DB_COMMIT = 4
 DB_RECIPE = 5
+DB_TABLE = 6
 
 _U32 = struct.Struct("<I")
 # DbWal record payloads, which wal.frame_record frames with their LSN and
 # kind: a DB_INSERT row record (txn, table, row, vseq; then the cells), a
-# DB_REMOVE (table, row, vseq), a DB_COMMIT (txn) and a DB_RECIPE (txn;
-# then per fresh FID the txn's cells claimed, in claim order, a
-# _RECIPE_ITEM head and its recipe, in the messages format). A version's
-# end is not journaled: the DB_INSERT of its successor implies it.
+# DB_REMOVE (table, row, vseq), a DB_COMMIT (txn), a DB_RECIPE (txn; then
+# per fresh FID the txn's cells claimed, in claim order, a _RECIPE_ITEM
+# head and its recipe, in the messages format) and a DB_TABLE (_TABLE_DEF,
+# the UTF-8 name, then per column _COLUMN and its name). A version's end is
+# not journaled: the DB_INSERT of its successor implies it.
 _ROW_REC = struct.Struct("<QIQQ")
 _REMOVE_REC = struct.Struct("<IQQ")
 _COMMIT_REC = struct.Struct("<Q")
 _RECIPE_ITEM = struct.Struct("<QI")  # fid, recipe length
+_TABLE_DEF = struct.Struct("<III")  # partition id, column count, name length
+_COLUMN = struct.Struct("<BI")  # column type, name length
 # Checkpoint image: a head (next txn id, next commit seq, next lsn, table
 # count, txn count), a (txn, commit seq) pair per txn that wrote an imaged
-# version, then per table its counters and its imaged versions, each a
-# version head and its cells in the DB_INSERT encoding.
+# version, then per table its DB_TABLE encoding, its counters and its
+# imaged versions, each a version head and its cells in the DB_INSERT
+# encoding.
 _IMAGE_HEAD = struct.Struct("<QQQII")
 _TXN_SEQ = struct.Struct("<QQ")
 _TABLE_HEAD = struct.Struct("<QQQ")  # next row id, next vseq, versions
@@ -196,6 +199,15 @@ class Table:
         self.abort_garbage: list = []
         self.col_index = {c.name: i for i, c in enumerate(schema)}
         self.sensitive = [i for i, c in enumerate(schema) if c.ctype in SENSITIVE_TYPES]
+
+    def wire(self) -> bytes:
+        """The DB_TABLE encoding: its record's payload and its image entry."""
+        name = self.name.encode()
+        out = [_TABLE_DEF.pack(self.partition_id, len(self.schema), len(name)), name]
+        for col in self.schema:
+            col_name = col.name.encode()
+            out += (_COLUMN.pack(col.ctype, len(col_name)), col_name)
+        return b"".join(out)
 
 
 @dataclass
@@ -423,29 +435,34 @@ class Database:
         if name in self.tables:
             raise SchemaMismatch(f"table {name} already exists")
         partition_id = self.client.create_partition()
-        # the partition's journal record must be durable before the catalog
-        # durably references it
+        # the partition's journal record must be durable before the table's
+        # durably names it
         self.flush_privacy()
+        table = self._add_table(name, schema, partition_id)
+        self._journal([(DB_TABLE, table.wire())])
+        return table
+
+    def _add_table(self, name: str, schema: list[Column], partition_id: int) -> Table:
+        if name in self.tables:  # create_table checks first: only recovery gets here
+            raise CorruptLog(f"table {name} is created twice")
         table = Table(name, len(self.tables_by_idx), schema, partition_id)
         self.tables[name] = table
         self.tables_by_idx.append(table)
-        self._write_catalog()
         return table
 
-    def _write_catalog(self) -> None:
-        doc = {
-            "backend": self.backend.name,
-            "tables": [
-                {
-                    "name": t.name,
-                    "schema": [[c.name, int(c.ctype)] for c in t.schema],
-                    "partition_id": t.partition_id,
-                }
-                for t in self.tables_by_idx
-            ],
-        }
-        self._durable_write(self.snapshots.put_atomic, CATALOG,
-                            json.dumps(doc, indent=1).encode())
+    def _read_table(self, data: bytes, pos: int) -> tuple[Table, int]:
+        """Adds the table whose DB_TABLE encoding starts at pos; returns it and
+        the encoding's end. struct.error or ValueError if it does not parse."""
+        partition_id, n_cols, n = _TABLE_DEF.unpack_from(data, pos)
+        (name,) = struct.unpack_from(f"{n}s", data, pos + _TABLE_DEF.size)
+        pos += _TABLE_DEF.size + n
+        schema = []
+        for _ in range(n_cols):
+            ctype, n = _COLUMN.unpack_from(data, pos)
+            (col_name,) = struct.unpack_from(f"{n}s", data, pos + _COLUMN.size)
+            pos += _COLUMN.size + n
+            schema.append(Column(col_name.decode(), ColumnType(ctype)))
+        return self._add_table(name.decode(), schema, partition_id), pos
 
     # ------------------------------------------------------------------
     # transactions
@@ -892,6 +909,7 @@ class Database:
                         versions.append(_VERSION_HEAD.pack(v.row_id, v.vseq, begin))
                         versions.append(v.wire)
                         break
+            body.append(table.wire())
             body.append(_TABLE_HEAD.pack(table.next_row_id, table.next_vseq,
                                          len(versions) // 2))
             body.extend(versions)
@@ -903,15 +921,13 @@ class Database:
     def _load_image(self, image: bytes) -> None:
         (self.next_txn_id, self.next_commit_seq, self.next_lsn, n_tables,
          n_txns) = _IMAGE_HEAD.unpack_from(image, 0)
-        if n_tables > len(self.tables_by_idx):
-            raise CorruptLog(f"checkpoint image holds {n_tables} tables, the "
-                             f"catalog {len(self.tables_by_idx)}")
         pos = _IMAGE_HEAD.size
         for _ in range(n_txns):
             txn_id, seq = _TXN_SEQ.unpack_from(image, pos)
             self.committed[txn_id] = seq
             pos += _TXN_SEQ.size
-        for table in self.tables_by_idx[:n_tables]:
+        for _ in range(n_tables):
+            table, pos = self._read_table(image, pos)
             table.next_row_id, table.next_vseq, n = _TABLE_HEAD.unpack_from(image, pos)
             pos += _TABLE_HEAD.size
             for _ in range(n):
@@ -920,6 +936,8 @@ class Database:
                 cells, pos = self._cells_from_wire(table, image, start)
                 table.rows[row_id] = [RowVersion(row_id, vseq, begin, cells,
                                                  image[start:pos])]
+        if pos != len(image):
+            raise CorruptLog(f"the image is {len(image)} bytes, its tables end at {pos}")
 
     # ------------------------------------------------------------------
     # DbWal records
@@ -1004,14 +1022,14 @@ def _plain_compare(op: OpKind, a, b) -> bool:
 
 def recover_database(client, backend, dbwal: DurableBuffer,
                      snapshots: SnapshotStore, **db_kwargs) -> tuple[Database, int]:
-    """Rebuild the engine from catalog.json, the checkpoint image and the
-    durable DbWal records past its cover; returns the engine and the number
-    of journal records replayed. Any transaction without a durable commit
-    record is treated as aborted: its row versions are never materialized,
-    so its promoted secrets surface as store orphans for orphan_gc. A
-    committed DB_INSERT ends the newest version of its row so far: under
-    first-updater-wins a row's committed versions are journaled in chain
-    order, so that is the version its txn superseded.
+    """Rebuild the engine, its tables too, from the checkpoint image and then
+    the durable DbWal records past its cover, in LSN order; returns the
+    engine and the number of journal records replayed. Any transaction
+    without a durable commit record is treated as aborted: its row versions
+    are never materialized, so its promoted secrets surface as store
+    orphans for orphan_gc. A committed DB_INSERT ends the newest version of
+    its row so far: under first-updater-wins a row's committed versions are
+    journaled in chain order, so that is the version its txn superseded.
 
     The pending recipes are rebuilt from the DB_RECIPE records of committed
     txns: per FID the newest, in LSN order, and only for a FID a recovered
@@ -1020,29 +1038,19 @@ def recover_database(client, backend, dbwal: DurableBuffer,
     pending, so no kept recipe has an operand that a removed version held
     and the privacy zone lost.
 
-    A record of an unknown kind, one naming a table the catalog does not
-    hold, or one whose payload does not parse raises CorruptLog."""
+    An image or record that does not parse, an unknown kind, a table no
+    earlier image or record creates and one created twice raise CorruptLog."""
     db = Database(client, backend, dbwal, snapshots, **db_kwargs)
-    raw_catalog = snapshots.get(CATALOG)
-    if raw_catalog:
-        doc = json.loads(raw_catalog)
-        for entry in doc.get("tables", []):
-            schema = [Column(n, ColumnType(t)) for n, t in entry["schema"]]
-            table = Table(entry["name"], len(db.tables_by_idx), schema,
-                          entry["partition_id"])
-            db.tables[table.name] = table
-            db.tables_by_idx.append(table)
-    image = snapshots.get(CHECKPOINT_IMAGE)
-    if image:
-        db._load_image(image)
-
-    records = wal.journal_after(dbwal, db.next_lsn - 1)
     committed_order = []
-    max_txn = db.next_txn_id - 1
     replayed = 0
     recipes: dict[int, bytes] = {}
     committed = db.committed
     try:
+        image = snapshots.get(CHECKPOINT_IMAGE)
+        if image:
+            db._load_image(image)
+        max_txn = db.next_txn_id - 1
+        records = wal.journal_after(dbwal, db.next_lsn - 1)
         for lsn, kind, payload in records:
             if kind == DB_COMMIT:
                 (txn_id,) = _COMMIT_REC.unpack(payload)
@@ -1061,26 +1069,28 @@ def recover_database(client, backend, dbwal: DurableBuffer,
                     pos = _COMMIT_REC.size
                     while pos < len(payload):
                         fid, n = _RECIPE_ITEM.unpack_from(payload, pos)
-                        pos += _RECIPE_ITEM.size
-                        if pos + n > len(payload):
-                            raise CorruptLog(f"the recipe of {fid:#x} overruns its record")
+                        pos += _RECIPE_ITEM.size + n
                         recipes.pop(fid, None)  # the newest goes last
-                        recipes[fid] = payload[pos:pos + n]
-                        pos += n
+                        (recipes[fid],) = struct.unpack_from(f"{n}s", payload, pos - n)
                     replayed += 1
             elif kind == DB_REMOVE:
                 table_idx, row_id, vseq = _REMOVE_REC.unpack(payload)
-                table = _table_at(db, table_idx)
+                table = db.tables_by_idx[table_idx]
                 chain = table.rows.get(row_id)
                 if chain:
                     table.rows[row_id] = [v for v in chain if v.vseq != vseq]
                     if not table.rows[row_id]:
                         del table.rows[row_id]
                 replayed += 1
+            elif kind == DB_TABLE:
+                table, end = db._read_table(payload, 0)
+                if end != len(payload):
+                    raise CorruptLog(f"bytes after table {table.name}'s columns")
+                replayed += 1
             elif kind == DB_INSERT:
                 txn_id, table_idx, row_id, vseq = _ROW_REC.unpack_from(payload)
                 max_txn = max(max_txn, txn_id)
-                table = _table_at(db, table_idx)
+                table = db.tables_by_idx[table_idx]
                 if txn_id not in committed:
                     continue  # crashed before its commit record: aborted
                 pos = _ROW_REC.size
@@ -1097,8 +1107,8 @@ def recover_database(client, backend, dbwal: DurableBuffer,
                 replayed += 1
             else:
                 raise CorruptLog(f"unknown integrity record kind {kind}")
-    except struct.error as exc:
-        raise CorruptLog(f"an integrity record does not parse: {exc}") from None
+    except (struct.error, ValueError, IndexError) as exc:  # IndexError: no such table
+        raise CorruptLog(f"the engine's image or journal does not parse: {exc}") from None
 
     held = db.referenced_refs()
     db.recipes = {fid: r for fid, r in recipes.items() if fid in held}
@@ -1106,9 +1116,3 @@ def recover_database(client, backend, dbwal: DurableBuffer,
     db.next_txn_id = max_txn + 1
     db.next_commit_seq += len(committed_order)
     return db, replayed
-
-
-def _table_at(db: Database, idx: int) -> Table:
-    if idx >= len(db.tables_by_idx):
-        raise CorruptLog(f"a record names table {idx} of {len(db.tables_by_idx)}")
-    return db.tables_by_idx[idx]

@@ -24,7 +24,8 @@ block-level accesses to the page-cache layer.
 A permanent partition's checkpoint image is the superblock (magic, prefix
 bits, offset count) followed by one {u32 length, value} per offset, in
 offset order; length 0 marks a dead offset, since put refuses empty values.
-load_partition refuses an image whose prefix bits are not PREFIX_BITS.
+put, restore, replay (apply_put) and load_partition all place through
+_put_at's checks; load_partition raises CorruptLog on a malformed image.
 
 The store is single-threaded: no method takes a lock, so callers must not
 use one store from several threads at once.
@@ -37,7 +38,10 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 from .errors import (
+    CorruptLog,
+    FidStoreError,
     NotLive,
+    OutOfRange,
     PartitionFull,
     PartitionSpaceExhausted,
     UnknownPartition,
@@ -174,6 +178,8 @@ class MappingStore:
         raise PartitionSpaceExhausted(f"all {MAX_PARTITIONS} partition ids in use")
 
     def _register(self, pid: int, kind: PartitionKind) -> Partition:
+        if pid >= MAX_PARTITIONS:
+            raise OutOfRange(f"partition id {pid} (max {MAX_PARTITIONS - 1})")
         p = Partition(pid, kind, len(self.classes))
         self._parts[pid] = p
         return p
@@ -209,19 +215,12 @@ class MappingStore:
             p = self._parts[partition_id]
         except KeyError:
             raise UnknownPartition(f"no partition {partition_id}") from None
-        if not 0 < len(secret) <= MAX_VALUE_LEN:
-            raise ValueTooLarge(f"value of {len(secret)} bytes (max {MAX_VALUE_LEN})")
         free = p.free_list
-        if not free and p.alloc_counter >= MAX_OFFSET:
-            raise PartitionFull(f"partition {partition_id} offsets exhausted")
+        off = free[-1] if free else p.alloc_counter
+        cell = self._put_at(p, off, secret)
         if free:
-            off = free.pop()
+            free.pop()
             p.reused += 1
-        else:
-            off = p.alloc_counter
-            p.alloc_counter = off + 1
-            p.slots.append(None)
-        cell = p.slots[off] = self._place(p, off, secret)
         fid = p.fid_base | off
         if p.tracked:
             if self.journal is not None:
@@ -260,15 +259,27 @@ class MappingStore:
             self.journal.log_delete(fid)
         self._free(p, off)
 
-    def _place(self, p: Partition, off: int, value: bytes) -> tuple[int, int]:
-        """Append offset off's value to its size-class bucket;
-        returns the (class, bucket slot) cell."""
-        cls = class_index(len(value), self.classes)
+    def _put_at(self, p: Partition, off: int, value: bytes) -> tuple[int, int]:
+        """Puts value at offset off; returns its (class, bucket slot) cell.
+        Checks the value and the offset before it changes anything. An
+        offset past the counter moves the counter and slots past it; a live
+        one is freed first (only replay). The free list is the caller's."""
+        n = len(value)
+        if not 0 < n <= MAX_VALUE_LEN:
+            raise ValueTooLarge(f"value of {n} bytes (max {MAX_VALUE_LEN})")
+        if off >= MAX_OFFSET:
+            raise PartitionFull(f"partition {p.pid} offsets exhausted")
+        if off >= p.alloc_counter:
+            p.slots.extend([None] * (off + 1 - p.alloc_counter))
+            p.alloc_counter = off + 1
+        elif p.slots[off] is not None:
+            self._free(p, off)
+        cls = class_index(n, self.classes)
         bucket = p.buckets[cls]
-        slot = len(bucket)
+        cell = p.slots[off] = cls, len(bucket)
         bucket.append(value)
         p.owners[cls].append(off)
-        return cls, slot
+        return cell
 
     def _free(self, p: Partition, off: int) -> None:
         """Unmap a live offset. Its bucket stays dense: the class's
@@ -331,39 +342,33 @@ class MappingStore:
 
     def restore(self, fid: int, secret: bytes) -> None:
         """Puts secret at exactly fid, a FID of a permanent partition that
-        is not live, through put: the offset moves to the end of the free
-        list, where put takes it next, so the put is journaled and the block
-        hooks fire as for any other. An offset at or past the allocation
-        counter first moves the counter past it, and the offsets it skips
-        join the free list."""
+        is not live, through put, so the put is journaled and the block
+        hooks fire as for any other. restore only arranges the free list:
+        the offset goes to its end, where put takes it next. The offsets put
+        skipped to reach it join the list after; a refused put takes it off."""
         p = self.partition(fid >> OFFSET_BITS)
         off = fid & OFFSET_MASK
         free = p.free_list
-        if off >= p.alloc_counter:
-            p.slots.extend([None] * (off + 1 - p.alloc_counter))
-            free.extend(range(p.alloc_counter, off + 1))
-            p.alloc_counter = off + 1
-        elif p.slots[off] is not None:
-            raise ValueError(f"fid {fid:#x} is live")
-        else:
+        counter = p.alloc_counter
+        if off < counter:
+            if p.slots[off] is not None:
+                raise ValueError(f"fid {fid:#x} is live")
             free.remove(off)
-            free.append(off)
-        self.put(p.pid, secret)
+        free.append(off)
+        try:
+            self.put(p.pid, secret)
+        except FidStoreError:
+            if off >= counter:
+                free.pop()
+            raise
+        free.extend(range(counter, off))
 
     def drop_temporary(self, partition_id: int) -> int:
         p = self.partition(partition_id)
         if p.kind != PartitionKind.TEMPORARY:
             raise WrongPartitionKind(f"partition {partition_id} is not temporary")
-        discarded = p.live
-        p.alloc_counter = 0
-        p.free_list.clear()
-        p.slots.clear()
-        for bucket in p.buckets:
-            bucket.clear()
-        for owners in p.owners:
-            owners.clear()
-        p.reused = 0
-        return discarded
+        self._register(partition_id, p.kind)  # an empty partition in its place
+        return p.live
 
     # ------------------------------------------------------------------
     # inspection
@@ -448,41 +453,38 @@ class MappingStore:
         return b"".join(chunks)
 
     def load_partition(self, pid: int, data: bytes) -> None:
-        """Reconstruct a permanent partition from its checkpoint image."""
-        magic, prefix_bits, alloc_counter = SUPERBLOCK.unpack_from(data, 0)
-        if magic != MAGIC:
-            raise ValueError(f"bad partition magic {magic!r}")
-        if prefix_bits != PREFIX_BITS:
-            raise ValueError(
-                f"partition image uses prefix_bits={prefix_bits}, FIDs use {PREFIX_BITS}")
-        p = self._register(pid, PartitionKind.PERMANENT)
-        pos = SUPERBLOCK.size
-        for off in range(alloc_counter):
-            (ln,) = _LEN.unpack_from(data, pos)
-            pos += _LEN.size
-            p.slots.append(self._place(p, off, bytes(data[pos:pos + ln])) if ln else None)
-            pos += ln
+        """Reconstruct a permanent partition from its checkpoint image;
+        CorruptLog if the store could not have written it."""
+        try:
+            magic, prefix_bits, alloc_counter = SUPERBLOCK.unpack_from(data, 0)
+            if magic != MAGIC:
+                raise CorruptLog(f"bad partition magic {magic!r}")
+            if prefix_bits != PREFIX_BITS:
+                raise CorruptLog(f"prefix_bits={prefix_bits}, FIDs use {PREFIX_BITS}")
+            p = self._register(pid, PartitionKind.PERMANENT)
+            pos = SUPERBLOCK.size
+            for off in range(alloc_counter):
+                (ln,) = _LEN.unpack_from(data, pos)
+                pos += _LEN.size + ln
+                if ln:
+                    self._put_at(p, off, bytes(data[pos - ln:pos]))
+            if pos != len(data):
+                raise CorruptLog(f"the image is {len(data)} bytes, its offsets end at {pos}")
+        except (struct.error, FidStoreError) as exc:
+            raise CorruptLog(f"partition {pid}'s image: {exc}") from None
+        p.slots.extend([None] * (alloc_counter - p.alloc_counter))
         p.alloc_counter = alloc_counter
         self.rebuild_free_lists(pid)
 
     # ------------------------------------------------------------------
-    # replay (blind, idempotent application of journal records)
+    # replay (idempotent application of journal records)
 
     def apply_create(self, pid: int) -> None:
         if pid not in self._parts:
             self._register(pid, PartitionKind.PERMANENT)
 
     def apply_put(self, fid: int, value: bytes) -> None:
-        off = fid & OFFSET_MASK
-        p = self.partition(fid >> OFFSET_BITS)
-        slots = p.slots
-        if len(slots) <= off:
-            slots.extend([None] * (off + 1 - len(slots)))
-        elif slots[off] is not None:
-            self._free(p, off)
-        slots[off] = self._place(p, off, value)
-        if off >= p.alloc_counter:
-            p.alloc_counter = off + 1
+        self._put_at(self.partition(fid >> OFFSET_BITS), fid & OFFSET_MASK, value)
 
     def apply_delete(self, fid: int) -> None:
         off = fid & OFFSET_MASK

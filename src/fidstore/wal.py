@@ -55,7 +55,8 @@ from dataclasses import dataclass
 
 from .atrest_storage import FreshnessTable
 from .durability import DurableBuffer, SnapshotStore
-from .errors import CorruptLog
+from .errors import CorruptLog, FidStoreError
+from .fid_codec import OFFSET_BITS, OFFSET_MASK
 from .mapping_store import MappingStore, PartitionKind
 
 FRAME = struct.Struct("<II")
@@ -207,8 +208,7 @@ class Wal:
 
 
 def checkpoint_truncate(store: MappingStore, wal: Wal, snapshots: SnapshotStore,
-                        freshness: FreshnessTable | None = None,
-                        crash_hook=None) -> None:
+                        freshness: FreshnessTable, crash_hook) -> None:
     """Persist a store image covering the durable LSN, then truncate the
     journal to empty.
 
@@ -217,23 +217,19 @@ def checkpoint_truncate(store: MappingStore, wal: Wal, snapshots: SnapshotStore,
     covered: it stays pending across the truncation and is replayed after
     the image. Replay after a crash at any point in this sequence
     reconstructs the same state because record application is idempotent.
-    crash_hook, if given, is called with the crash point's name once the
-    image and its marker are written and again once the journal is
-    truncated.
+    crash_hook is called with the crash point's name once the image and its
+    marker are written and again once the journal is truncated.
     """
     if wal.buffer.durable_len == 0:
         return  # the journal holds nothing an image would cover
     for pid in store.partition_ids():
         if store.partition(pid).kind == PartitionKind.PERMANENT:
             snapshots.put_atomic(f"part-{pid:05d}.dat", store.dump_partition(pid))
-    if freshness is not None:
-        snapshots.put_atomic(FRESHNESS_SNAPSHOT, freshness.snapshot_bytes())
+    snapshots.put_atomic(FRESHNESS_SNAPSHOT, freshness.snapshot_bytes())
     snapshots.put_atomic(CKPT_MARKER, _U64.pack(wal.durable_lsn))
-    if crash_hook is not None:
-        crash_hook("privacy-checkpoint-before-truncate")
+    crash_hook("privacy-checkpoint-before-truncate")
     wal.buffer.replace(b"")
-    if crash_hook is not None:
-        crash_hook("privacy-checkpoint-after-truncate")
+    crash_hook("privacy-checkpoint-after-truncate")
 
 
 @dataclass
@@ -250,9 +246,10 @@ def recover_store(snapshots: SnapshotStore, wal_buffer: DurableBuffer) -> Recove
     same files yields the same state (replay application is idempotent and
     pure).
 
-    A record of an unknown kind, or one whose payload is not exactly its
-    kind's struct (for KIND_PUT: the struct and a value of at least one
-    byte, as put stores no empty value), raises CorruptLog."""
+    A record of an unknown kind, one whose payload is not its kind's struct
+    (for KIND_PUT, the struct and a value), one the store refuses, or a put
+    MAX_UNSYNCED_PUTS or more offsets past its partition's allocation
+    counter, which no crash can leave, raises CorruptLog."""
     store = MappingStore()
     marker = snapshots.get(CKPT_MARKER)
     last_lsn = _U64.unpack(marker)[0] if marker else 0
@@ -264,33 +261,29 @@ def recover_store(snapshots: SnapshotStore, wal_buffer: DurableBuffer) -> Recove
     records = journal_after(wal_buffer, last_lsn)
     for lsn, kind, payload in records:
         last_lsn = lsn
-        if kind == KIND_PUT:
-            if len(payload) <= PUT_REC.size:
-                raise CorruptLog(f"put record {lsn} holds {len(payload)} bytes: "
-                                 "no value after its fid")
-            store.apply_put(PUT_REC.unpack_from(payload)[0], payload[PUT_REC.size:])
-        elif kind == KIND_DELETE:
-            store.apply_delete(*_fields(DELETE_REC, lsn, payload))
-        elif kind == KIND_CREATE_PARTITION:
-            store.apply_create(*_fields(CREATE_REC, lsn, payload))
-        elif kind == KIND_SEAL:
-            freshness.replay_seal(*_fields(SEAL_REC, lsn, payload))
-        else:
-            raise CorruptLog(f"unknown record kind {kind}")
+        try:
+            if kind == KIND_PUT:
+                (fid,) = PUT_REC.unpack_from(payload)
+                off = fid & OFFSET_MASK
+                if off >= store.partition(fid >> OFFSET_BITS).alloc_counter \
+                        + MAX_UNSYNCED_PUTS:
+                    raise CorruptLog(f"offset {off} lies past every unsynced put")
+                store.apply_put(fid, payload[PUT_REC.size:])
+            elif kind == KIND_DELETE:
+                store.apply_delete(*DELETE_REC.unpack(payload))
+            elif kind == KIND_CREATE_PARTITION:
+                store.apply_create(*CREATE_REC.unpack(payload))
+            elif kind == KIND_SEAL:
+                freshness.replay_seal(*SEAL_REC.unpack(payload))
+            else:
+                raise CorruptLog(f"unknown kind {kind}")
+        except (struct.error, FidStoreError) as exc:
+            raise CorruptLog(f"privacy record {lsn}: {exc}") from None
     store.rebuild_free_lists()
 
     wal = Wal(wal_buffer, start_lsn=last_lsn + 1)
     return RecoveryResult(store=store, wal=wal, replayed_count=len(records),
                           freshness=freshness)
-
-
-def _fields(rec: struct.Struct, lsn: int, payload: bytes) -> tuple:
-    """A record's payload unpacked by its kind's struct, which it must
-    fill exactly."""
-    if len(payload) != rec.size:
-        raise CorruptLog(f"record {lsn} holds {len(payload)} bytes for a "
-                         f"{rec.size}-byte payload")
-    return rec.unpack(payload)
 
 
 def advance_epoch(snapshots: SnapshotStore) -> int:

@@ -333,7 +333,7 @@ class PrivacyZoneHost:
 
 
 class IntegrityZoneHost:
-    """The table engine plus its own journal and catalog."""
+    """The table engine plus its own journal and checkpoint image."""
 
     def __init__(self, topology, snapshots: SnapshotStore,
                  dbwal_buffer: DurableBuffer):

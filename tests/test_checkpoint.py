@@ -4,6 +4,7 @@ the quiesce checkpoint that ends maintenance, and the row encodings the
 engine image reuses. Each test lowers the one shared interval so that a
 small run crosses it several times in both zones."""
 
+import os
 from dataclasses import replace
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from fidstore import wal
 from fidstore.bench import restart_violations
 from fidstore.errors import CorruptLog
-from fidstore.integrity_dbms import CATALOG, CHECKPOINT_IMAGE
+from fidstore.integrity_dbms import CHECKPOINT_IMAGE
 from fidstore.messages import HEADER, MSG_FLUSH_LOG
 from fidstore.privacy_proxy import decode_int64, encode_int64
 from fidstore.wal import FRAME, KIND_PUT, PUT_REC, journal_after, read_frames
@@ -315,7 +316,7 @@ def test_committed_holds_only_the_txns_versions_name():
 def _is_snapshot_name(name: str) -> bool:
     return name.startswith("part-") or name in (
         wal.CKPT_MARKER, wal.FRESHNESS_SNAPSHOT, wal.EPOCH_MARKER,
-        CATALOG, CHECKPOINT_IMAGE)
+        CHECKPOINT_IMAGE)
 
 
 def test_reopening_a_data_directory_recovers_it(tmp_path, integrity_checkpoints):
@@ -359,6 +360,59 @@ def test_reopening_a_directory_whose_journals_were_just_truncated(tmp_path):
     assert [t.name for t in reopened.integrity.db.tables_by_idx] == ["sb0", "sb1"]
     assert _read_rows(reopened) == rows
     assert reopened.check_invariant().holds
+
+
+def _quiesced_round(tmp_path) -> ZoneTopology:
+    """A small round on a data directory. Its maintenance ends in the
+    quiesce checkpoint of both zones, so both journals are empty."""
+    topo = ZoneTopology(6, batch_size=SPEC.batch_size, data_dir=str(tmp_path))
+    topo.run_program(generate_workload(SPEC, 6))
+    assert topo.store_wal_buffer.durable_len == topo.dbwal_buffer.durable_len == 0
+    return topo
+
+
+def test_a_quiesced_round_leaves_only_the_images(tmp_path):
+    """The engine keeps its tables in its image and journal, so after a
+    quiesced round integrity/ holds db.ckpt alone. privacy/ holds the
+    partition images, the marker and the freshness table, and the epoch
+    marker once a recovery ran. A reopen rebuilds each table's name,
+    schema and partition."""
+    first = _quiesced_round(tmp_path)
+    tables = [(t.name, t.schema, t.partition_id)
+              for t in first.integrity.db.tables_by_idx]
+    images = [f"part-{pid:05d}.dat" for _, _, pid in tables]
+    privacy = sorted(images + [wal.CKPT_MARKER, wal.FRESHNESS_SNAPSHOT])
+    assert sorted(os.listdir(tmp_path / "integrity")) == [CHECKPOINT_IMAGE]
+    assert sorted(os.listdir(tmp_path / "privacy")) == privacy
+    del first
+
+    reopened = ZoneTopology(6, batch_size=SPEC.batch_size, data_dir=str(tmp_path))
+    assert [(t.name, t.schema, t.partition_id)
+            for t in reopened.integrity.db.tables_by_idx] == tables
+    assert sorted(os.listdir(tmp_path / "integrity")) == [CHECKPOINT_IMAGE]
+    assert sorted(os.listdir(tmp_path / "privacy")) == sorted(
+        privacy + [wal.EPOCH_MARKER])
+
+
+@pytest.mark.parametrize("image, damage", [
+    ("privacy/part-00000.dat", "cut"),
+    ("privacy/part-00000.dat", "flip"),
+    ("integrity/db.ckpt", "cut"),
+], ids=["partition-cut", "partition-flipped", "engine-cut"])
+def test_a_damaged_image_is_corrupt(tmp_path, image, damage):
+    """A partition image or the engine's image cut in half, or a partition
+    image with byte 20 flipped (the high byte of offset 0's length), fails
+    the reopen with CorruptLog, not with the error of the parse it broke."""
+    _quiesced_round(tmp_path)
+    path = tmp_path / image
+    data = bytearray(path.read_bytes())
+    if damage == "cut":
+        del data[len(data) // 2:]
+    else:
+        data[20] ^= 0xFF
+    path.write_bytes(bytes(data))
+    with pytest.raises(CorruptLog):
+        ZoneTopology(6, batch_size=SPEC.batch_size, data_dir=str(tmp_path))
 
 
 def test_a_repeated_integrity_lsn_is_corrupt():

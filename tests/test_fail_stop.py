@@ -203,7 +203,8 @@ def _orphan_gc(topo, table):
 # the failing call, the file a failing os.replace targets). orphan_gc ends
 # in the quiesce checkpoint of both zones: the privacy zone writes its
 # partition image, freshness table and marker, then truncates its journal;
-# then the engine writes its image and truncates its journal.
+# then the engine writes its image and truncates its journal. create_table
+# syncs the privacy journal, then journals its table in its own.
 IO_SITES = [
     ("privacy-journal-sync", _vacuum, "fsync", 1, "privacy", "_dispatch", None),
     ("privacy-checkpoint-image", _orphan_gc, "replace", 1, "privacy",
@@ -218,8 +219,8 @@ IO_SITES = [
      "checkpoint", "db.ckpt"),
     ("integrity-checkpoint-truncation", _orphan_gc, "replace", 6, "integrity",
      "checkpoint", "db.wal"),
-    ("catalog", _create_table, "replace", 1, "integrity", "_write_catalog",
-     "catalog.json"),
+    ("integrity-create-table-sync", _create_table, "fsync", 2, "integrity",
+     "create_table", None),
 ]
 
 

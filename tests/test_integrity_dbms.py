@@ -632,11 +632,12 @@ def _hand_frame(lsn: int, kind: int, payload: bytes) -> bytes:
     return struct.pack("<II", len(body), zlib.crc32(body)) + body
 
 
-@pytest.mark.parametrize("kind", ["insert", "remove", "commit", "recipe"])
+@pytest.mark.parametrize("kind", ["table", "insert", "remove", "commit", "recipe"])
 def test_engine_record_bytes(topo, kind):
     """Each engine journal record kind's durable bytes, packed by hand:
     frame {u32 len, u32 crc32}, head {u64 lsn, u8 kind}, then its payload.
-    The journal holds an insert of a promoted ref and its commit, an update
+    The journal holds the table's creation, an insert of a promoted ref
+    and its commit, an update
     to a fresh ref (insert, the txn's recipes, commit) and the vacuum's
     remove of the superseded version. No record ends a version: the
     update's insert implies it."""
@@ -658,16 +659,20 @@ def test_engine_record_bytes(topo, kind):
                 + struct.pack("<I", 1) + b"n")
 
     frames = {
-        "insert": [_hand_frame(1, 1, struct.pack("<QIQQ", writer.txn_id, 0, 1, 1)
+        "table": [_hand_frame(1, 6, struct.pack("<III", table.partition_id, 3, 1) + b"t"
+                              + struct.pack("<BI", 1, 2) + b"id"
+                              + struct.pack("<BI", 3, 1) + b"k"
+                              + struct.pack("<BI", 2, 4) + b"note")],
+        "insert": [_hand_frame(2, 1, struct.pack("<QIQQ", writer.txn_id, 0, 1, 1)
                                + cells(old)),
-                   _hand_frame(3, 1, struct.pack("<QIQQ", updater.txn_id, 0, 1, 2)
+                   _hand_frame(4, 1, struct.pack("<QIQQ", updater.txn_id, 0, 1, 2)
                                + cells(new))],
-        "commit": [_hand_frame(2, 4, struct.pack("<Q", writer.txn_id)),
-                   _hand_frame(5, 4, struct.pack("<Q", updater.txn_id))],
-        "recipe": [_hand_frame(4, 5, struct.pack("<QQI", updater.txn_id, new,
+        "commit": [_hand_frame(3, 4, struct.pack("<Q", writer.txn_id)),
+                   _hand_frame(6, 4, struct.pack("<Q", updater.txn_id))],
+        "recipe": [_hand_frame(5, 5, struct.pack("<QQI", updater.txn_id, new,
                                                  1 + len(envelope))
                                + b"\x01" + envelope)],
-        "remove": [_hand_frame(6, 3, struct.pack("<IQQ", 0, 1, 1))],
+        "remove": [_hand_frame(7, 3, struct.pack("<IQQ", 0, 1, 1))],
     }
     journal = db.dbwal.durable
     got, pos = [], 0
@@ -687,8 +692,11 @@ def _row_cells(fid: int, note: bytes = b"n") -> bytes:
             + struct.pack("<I", len(note)) + note)
 
 
-# hand-framed records a recovery past LSN 2 must refuse, kind 1 insert,
-# 3 remove, 4 commit, 5 recipe; txn 9 commits where a case needs it
+# hand-framed records a recovery past LSN 3 must refuse, kind 1 insert,
+# 3 remove, 4 commit, 5 recipe, 6 table; txn 9 commits where a case needs
+# it. A table record is a {u32 partition, u32 columns, u32 name length}
+# head and the name, then per column {u8 type, u32 name length} and the
+# name.
 _MALFORMED = {
     "unknown-kind": [(9, b"")],
     "retired-end-kind": [(2, struct.pack("<QIQQ", 9, 0, 1, 1)
@@ -710,14 +718,22 @@ _MALFORMED = {
                           + _row_cells(1 << 48) + b"x"), (4, struct.pack("<Q", 9))],
     "too-few-cells": [(1, struct.pack("<QIQQ", 9, 0, 1, 2) + struct.pack("<Hq", 1, 1)),
                       (4, struct.pack("<Q", 9))],
+    "short-table": [(6, struct.pack("<II", 1, 0))],
+    "table-name-overruns-record": [(6, struct.pack("<III", 1, 0, 9) + b"u")],
+    "unknown-column-type": [(6, struct.pack("<III", 1, 1, 1) + b"u"
+                             + struct.pack("<BI", 9, 1) + b"x")],
+    "bytes-past-columns": [(6, struct.pack("<III", 1, 1, 1) + b"u"
+                            + struct.pack("<BI", 1, 1) + b"x" + b"!")],
+    "table-created-twice": [(6, struct.pack("<III", 1, 0, 1) + b"t")],
 }
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
 def test_recovery_refuses_a_malformed_record(topo, case):
     """Recovery raises CorruptLog on a record with a valid checksum that it
-    cannot apply: an unknown or retired kind, a table the catalog does not
-    hold, or a payload too short or too long for its kind, instead of
+    cannot apply: an unknown or retired kind, a table no earlier record
+    creates or one created twice, an unknown column type, or a payload too
+    short or too long for its kind, instead of
     counting it as replayed or failing on it with another error."""
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
@@ -725,10 +741,10 @@ def test_recovery_refuses_a_malformed_record(topo, case):
     _insert(topo, db, table, txn, 1, 1)
     db.commit(txn)
     journal = topo.dbwal_buffer.durable
-    assert len(read_frames(journal)) == 2
+    assert len(read_frames(journal)) == 3  # the table, the insert, the commit
     topo.dbwal_buffer.replace(journal + b"".join(
         _hand_frame(lsn, kind, payload)
-        for lsn, (kind, payload) in enumerate(_MALFORMED[case], start=3)))
+        for lsn, (kind, payload) in enumerate(_MALFORMED[case], start=4)))
     topo.integrity.crash()
     with pytest.raises(CorruptLog):
         topo.integrity.recover()

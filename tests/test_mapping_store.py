@@ -4,6 +4,7 @@ import struct
 import pytest
 
 from fidstore.errors import (
+    CorruptLog,
     NotLive,
     PartitionFull,
     PartitionSpaceExhausted,
@@ -343,7 +344,7 @@ def test_image_with_the_old_magic_is_refused(store):
     assert MAGIC != b"FIDSTOR1"
     old = (struct.pack("<8sBBBIQ9x", b"FIDSTOR1", 16, 1, 2, 0, 1)
            + struct.pack("<I", 4) + b"abcd")
-    with pytest.raises(ValueError, match="magic"):
+    with pytest.raises(CorruptLog, match="magic"):
         store.load_partition(0, old)
     assert not store.has_partition(0)
 
@@ -357,6 +358,6 @@ def test_image_with_another_prefix_width_is_refused(store):
     assert image[len(MAGIC)] == 16
     image[len(MAGIC)] = 24
     other = MappingStore()
-    with pytest.raises(ValueError, match="prefix_bits=24"):
+    with pytest.raises(CorruptLog, match="prefix_bits=24"):
         other.load_partition(pid, bytes(image))
     assert not other.has_partition(pid)

@@ -10,10 +10,12 @@ from fidstore.errors import (
     NotLive,
     TypeMismatch,
     UnknownPartition,
+    ValueTooLarge,
     WrongPartitionKind,
 )
 from fidstore import wal
 from fidstore.fid_codec import MAX_OFFSET, decode_fid, encode_fid
+from fidstore.mapping_store import MAX_VALUE_LEN
 from fidstore.messages import (
     MSG_CIPHER_EXEC,
     MSG_CIPHER_INGEST,
@@ -121,6 +123,11 @@ _MALFORMED = {
     "restore-trailing-bytes": (lambda topo: _restore(
         _restore_window(topo).client_pid, [topo.client_encrypt(b"x")]) + b"garbage!",
         TypeMismatch),
+    # put refuses the value after restore has moved the offset, which lies
+    # past the counter, to the free list's end: restore takes it off again
+    "restore-value-too-long": (lambda topo: _restore(
+        _restore_window(topo).client_pid,
+        [topo.client_encrypt(bytes(MAX_VALUE_LEN + 1))]), ValueTooLarge),
     # one item near the top of the offset space, after a good one
     "restore-offset-past-any-lost-put": (lambda topo: _restore(
         _restore_window(topo).client_pid, [topo.client_encrypt(b"x")])

@@ -5,13 +5,16 @@ import zlib
 
 import pytest
 
+from fidstore.atrest_storage import FreshnessTable
 from fidstore.durability import DurableBuffer, SnapshotStore
 from fidstore.errors import CorruptLog
+from fidstore.fid_codec import OFFSET_BITS
 from fidstore.mapping_store import MappingStore, PartitionKind
 from fidstore.wal import (
     CHECKPOINT_INTERVAL_BYTES,
     EPOCH_MARKER,
     KIND_PUT,
+    MAX_UNSYNCED_PUTS,
     PUT_REC,
     Wal,
     advance_epoch,
@@ -22,6 +25,10 @@ from fidstore.wal import (
 )
 
 from .oracles import replay_store_records
+
+
+def _no_crash(site: str) -> None:
+    pass
 
 
 def _store_with_wal():
@@ -201,7 +208,7 @@ def test_checkpoint_truncate_equivalence():
             live.append(store.put(pid, rng.randbytes(rng.randrange(1, 64))))
     before = _live_mapping(store)
     wal.flush()
-    checkpoint_truncate(store, wal, snaps, None)
+    checkpoint_truncate(store, wal, snaps, FreshnessTable(), _no_crash)
     assert buf.durable_len == 0
     result = recover_store(snaps, buf)
     assert _live_mapping(result.store) == before
@@ -209,7 +216,7 @@ def test_checkpoint_truncate_equivalence():
     # nothing durable since: the checkpoint writes no image
     marker = snaps.get("store.ckpt")
     store.put(pid, b"pending")
-    checkpoint_truncate(store, wal, snaps, None)
+    checkpoint_truncate(store, wal, snaps, FreshnessTable(), _no_crash)
     assert snaps.get("store.ckpt") is marker
 
 
@@ -225,7 +232,7 @@ def test_size_bound_triggers_truncation():
 
     def checkpoint():
         checkpoints.append(wal.durable_lsn)
-        checkpoint_truncate(store, wal, snaps, None)
+        checkpoint_truncate(store, wal, snaps, FreshnessTable(), _no_crash)
 
     wal.on_checkpoint = checkpoint
     pid = store.create_partition(PartitionKind.PERMANENT)
@@ -252,7 +259,7 @@ def test_checkpoint_keeps_a_record_appended_after_the_last_flush():
     store.put(pid, b"durable")
     wal.flush()
     late = store.put(pid, b"appended after the flush")
-    checkpoint_truncate(store, wal, snaps, None)
+    checkpoint_truncate(store, wal, snaps, FreshnessTable(), _no_crash)
     assert buf.durable_len == 0 and buf.pending_len > 0
     wal.flush()
     result = recover_store(snaps, buf)
@@ -276,7 +283,7 @@ def test_crash_between_image_and_truncation_replays_nothing():
             raise RuntimeError(site)
 
     with pytest.raises(RuntimeError):
-        checkpoint_truncate(store, wal, snaps, None, crash)
+        checkpoint_truncate(store, wal, snaps, FreshnessTable(), crash)
     assert buf.durable_len > 0
     result = recover_store(snaps, buf)
     assert (buf.durable_len, result.replayed_count) == (0, 0)
@@ -384,10 +391,13 @@ def test_privacy_record_bytes(kind):
     assert buf.durable == expected
 
 
-# Hand-framed privacy records whose payload is not exactly their kind's
-# struct: (kind, payload). A put needs its fid and a value of one byte or
-# more, since put stores no empty value.
+# Hand-framed privacy records that recovery must refuse: (kind, payload).
+# A payload must be exactly its kind's struct, and a put needs its fid and a
+# value of one byte or more, since put stores no empty value. The store
+# must accept what a record asks: partition 0 holds one value, so its
+# allocation counter is 1 there.
 _FID = struct.pack("<Q", 0x0000_0000_0000_0001)
+_MISSING = struct.pack("<Q", 5 << OFFSET_BITS)  # partition 5 does not exist
 _MALFORMED = {
     "short_put": (1, b"\x01\x00"),
     "put_of_no_value": (1, _FID),
@@ -397,14 +407,20 @@ _MALFORMED = {
     "long_create": (3, struct.pack("<I", 7) + b"\x00"),
     "short_seal": (5, struct.pack("<IQ", 0, 0)),
     "long_seal": (5, struct.pack("<IQQ", 0, 0, 1) + b"\x00"),
+    "put_past_every_unsynced_put": (1, struct.pack("<Q", 1 + MAX_UNSYNCED_PUTS) + b"x"),
+    "put_of_a_value_too_long": (1, _FID + bytes(100_000)),
+    "create_past_the_prefix": (3, struct.pack("<I", 70_000)),
+    "put_to_a_missing_partition": (1, _MISSING + b"x"),
+    "delete_in_a_missing_partition": (2, _MISSING),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
 def test_recovery_refuses_a_malformed_record(case):
     """Recovery raises CorruptLog on a record with a valid checksum whose
-    payload is too short or too long for its kind, instead of failing on
-    it with another error or replaying it."""
+    payload is too short or too long for its kind, or that asks the store
+    for what it refuses or no crash could leave, instead of failing on it
+    with another error or replaying it."""
     store, wal, buf = _store_with_wal()
     pid = store.create_partition(PartitionKind.PERMANENT)
     store.put(pid, b"kept")
