@@ -30,7 +30,6 @@ from .zone_sim import (
     CrashTarget,
     ZoneCrashed,
     ZoneTopology,
-    pad_sensitive,
 )
 
 
@@ -179,11 +178,8 @@ def restart_violations(topo: ZoneTopology) -> int:
     db = topo.integrity.db
     table = db.tables_by_idx[0]
     txn = db.begin()
-    envelopes = [topo.client_encrypt(plaintext)
-                 for plaintext in (encode_int64(7), pad_sensitive(b"restart"))]
-    refs = db.backend.ingest(txn.query_id, envelopes, table.partition_id,
-                             db.batch_size)
-    db.insert_row(txn, table, [table.next_row_id, *refs, b"sb-pad"])
+    topo.insert_rows(txn, table, [(table.next_row_id, 7, b"restart", b"")],
+                     db.batch_size)
     db.commit(txn)
     topo.client.end_query(txn.query_id)
     topo.privacy.crash()

@@ -739,24 +739,6 @@ class Database:
         return [v for v in visible
                 if _plain_compare(predicate.op, v.cells[idx], predicate.constant)]
 
-    def sum_column(self, txn: Txn, table: Table, column: str,
-                   predicate: Predicate | None = None, zero_ref=None):
-        """Aggregate a sensitive int column; the result is a ref the caller
-        reveals client-side. zero_ref serves as the empty-input sum."""
-        idx = table.col_index[column]
-        if table.schema[idx].ctype != ColumnType.SENSITIVE_INT:
-            raise SchemaMismatch(f"{column} is not a sensitive int column")
-        rows = self.select(txn, table, predicate)
-        refs = [v.cells[idx] for v in rows]
-        if self.trace is not None:
-            self.trace.result_size(len(refs))
-        if not refs:
-            if zero_ref is None:
-                raise ValueError("empty aggregation needs a zero constant ref")
-            return zero_ref
-        return self.backend.aggregate(txn.query_id, OpKind.SUM_AGG,
-                                      ValueType.INT64, refs, self.batch_size)
-
     # ------------------------------------------------------------------
     # maintenance
 

@@ -32,10 +32,10 @@ from .durability import DurableBuffer, SnapshotStore
 from .errors import NoCrashPending, StructureMismatch, Unavailable, WriteConflict
 from .integrity_dbms import (
     CipherBackend,
-    Column,
     ColumnType,
     Database,
     FidBackend,
+    Table,
     recover_database,
 )
 from .mapping_store import MappingStore
@@ -51,6 +51,11 @@ from .privacy_proxy import (
 )
 from .wal import Wal, advance_epoch, checkpoint_truncate, recover_store
 from .workload import (
+    ADD,
+    INSERT,
+    READ,
+    SET,
+    SUM,
     Mode,
     WorkloadProgram,
     WorkloadSpec,
@@ -60,15 +65,6 @@ from .workload import (
 )
 
 SENSITIVE_PAD_WIDTH = 128
-
-TABLE_SCHEMA = [
-    Column("id", ColumnType.PLAIN_INT),
-    Column("k", ColumnType.SENSITIVE_INT),
-    Column("c", ColumnType.SENSITIVE_BYTES),
-    Column("pad", ColumnType.PLAIN_BYTES),
-]
-_COL_K = 1
-
 
 def pad_sensitive(value: bytes, width: int = SENSITIVE_PAD_WIDTH) -> bytes:
     """Length-prefix and zero-pad a variable-size value to a fixed width so
@@ -85,6 +81,13 @@ def pad_sensitive(value: bytes, width: int = SENSITIVE_PAD_WIDTH) -> bytes:
 def unpad_sensitive(padded: bytes) -> bytes:
     (n,) = struct.unpack_from("<H", padded, 0)
     return padded[2:2 + n]
+
+
+# a sensitive column type's plaintext encoding, and its inverse
+_ENCODE = {ColumnType.SENSITIVE_INT: encode_int64,
+           ColumnType.SENSITIVE_BYTES: pad_sensitive}
+_DECODE = {ColumnType.SENSITIVE_INT: decode_int64,
+           ColumnType.SENSITIVE_BYTES: unpad_sensitive}
 
 
 # The adversary-visible event kinds; an event's kind code is its index here.
@@ -466,6 +469,30 @@ class ZoneTopology:
     def client_decrypt(self, envelope: bytes) -> bytes:
         return self._client_codec.decrypt(ClientEnvelope.from_bytes(envelope))
 
+    def insert_rows(self, txn, table: Table, rows: list[tuple],
+                    batch_size: int) -> None:
+        """The one row writer: inserts plaintext rows, one value per column,
+        into table in txn. Each sensitive cell is encoded from its column
+        type, encrypted and ingested straight into the table's partition (no
+        promote), in row then column order, batch_size envelopes per
+        MSG_INGEST across the rows. A batch stores its values in the order it
+        lists them, so the FIDs, journal records and sealed blocks are the
+        same at any batch_size."""
+        db = self.integrity.db
+        schema, sensitive = table.schema, table.sensitive
+        encrypt = self.client_encrypt
+        envelopes = []
+        for row in rows:
+            for i in sensitive:
+                envelopes += (encrypt(_ENCODE[schema[i].ctype](row[i])),)
+        refs = iter(db.backend.ingest(txn.query_id, envelopes, table.partition_id,
+                                      batch_size))
+        for row in rows:
+            cells = list(row)
+            for i, ref in zip(sensitive, refs):
+                cells[i] = ref
+            db.insert_row(txn, table, cells)
+
     # ------------------------------------------------------------------
     # crash machinery
 
@@ -591,19 +618,14 @@ class _Runner:
     call goes through the database's backend, so both backends run the
     same code here.
 
-    Every secret a row will hold is written straight into its table's
-    partition, so storing it costs no promote. Secrets are ingested in
-    batches: the preload sends each table's values in row order, k1, c1,
-    k2, c2, ..., batch_size envelopes per MSG_INGEST, and an insert sends
-    its row's k and c in one. A batch stores its values in the order it
-    lists them, so the FIDs, journal records and sealed blocks are the same
-    at any batch_size; only the grouping into messages changes.
-
-    An update's delta travels inside its operator message and a range
-    sum's result comes back inside its last operator message, so no query
-    writes to its temporaries and ending one sends nothing. An update
-    checks for a write conflict before it writes anything to the privacy
-    zone."""
+    The preload creates the program's tables and writes each one's rows in
+    one txn through ZoneTopology.insert_rows, which an INSERT statement
+    uses too. _execute runs one statement of the closed set that workload
+    documents, encoding and decoding each secret from its column's type.
+    An ADD's delta travels inside its operator message and a SUM's result
+    comes back inside its last operator message, so no statement writes to
+    its query's temporaries and ending one sends nothing. ADD and SET check
+    for a write conflict before they write anything to the privacy zone."""
 
     def __init__(self, topology: ZoneTopology, program: WorkloadProgram):
         self.topo = topology
@@ -611,31 +633,14 @@ class _Runner:
         self.spec = program.spec
         self.report = RunReport()
 
-    # -- client-side value handling --------------------------------------
-
-    def _ingest(self, db: Database, query_id: int, plaintexts: list[bytes],
-                partition_id: int) -> list:
-        encrypt = self.topo.client_encrypt
-        return db.backend.ingest(query_id, [encrypt(p) for p in plaintexts],
-                                 partition_id, self.spec.batch_size)
-
-    def _open_int(self, envelope: bytes) -> int:
-        return decode_int64(self.topo.client_decrypt(envelope))
-
     # -- setup -------------------------------------------------------------
 
     def _preload(self, db: Database) -> list:
-        tables = []
-        for i in range(self.spec.tables):
-            tables.append(db.create_table(f"sb{i}", list(TABLE_SCHEMA)))
-        for t, rows in zip(tables, self.program.preload):
+        decls = self.program.tables
+        tables = [db.create_table(decl.name, list(decl.columns)) for decl in decls]
+        for table, decl in zip(tables, decls):
             txn = db.begin()
-            plaintexts = []
-            for k_value, c_value in rows:
-                plaintexts += (encode_int64(k_value), pad_sensitive(c_value))
-            refs = self._ingest(db, txn.query_id, plaintexts, t.partition_id)
-            for key, (kref, cref) in enumerate(zip(refs[::2], refs[1::2]), start=1):
-                db.insert_row(txn, t, [key, kref, cref, b"sb-pad"])
+            self.topo.insert_rows(txn, table, decl.rows, self.spec.batch_size)
             db.commit(txn)
             self.topo.client.end_query(txn.query_id)
         return tables
@@ -676,10 +681,9 @@ class _Runner:
                     if txn_index in dead:
                         continue
                     txn = active[txn_index]
-                    template = self.program.txns[txn_index]
+                    statement = self.program.txns[txn_index].statements[op_index]
                     try:
-                        self._exec_op(db, tables, txn, template.ops[op_index],
-                                      template.values[op_index])
+                        self._execute(db, tables, txn, statement)
                         report.ops_completed += 1
                     except WriteConflict:
                         report.write_conflicts += 1
@@ -732,81 +736,70 @@ class _Runner:
         except Unavailable:
             pass
 
-    def _exec_op(self, db: Database, tables, txn, op: tuple, values: tuple) -> None:
-        kind = op[0]
+    def _execute(self, db: Database, tables, txn, statement: tuple) -> None:
+        kind, t = statement[0], statement[1]
+        table = tables[t]
         topo = self.topo
-        report = self.report
-        if kind == "point_select":
-            table, key = tables[op[1]], op[2]
-            version = db.visible_version(table, key, txn)
-            if version is None:
-                topo.trace.result_size(0)
-                report.revealed.append(("point", op[1], key, None))
-                return
-            value = self._open_int(db.backend.reveal(txn.query_id,
-                                                     version.cells[_COL_K]))
+        if kind == INSERT:
+            topo.insert_rows(txn, table, [statement[2]], self.spec.batch_size)
             topo.trace.result_size(1)
-            report.revealed.append(("point", op[1], key, value))
-        elif kind == "range_sum":
-            table, start, span = tables[op[1]], op[2], op[3]
+            return
+        column = table.col_index[statement[2]]
+        if kind == SUM:
+            start = statement[3]
             refs = []
-            for key in range(start, start + span):
+            for key in range(start, statement[4]):
                 version = db.visible_version(table, key, txn)
                 if version is not None:
-                    refs.append(version.cells[_COL_K])
+                    refs.append(version.cells[column])
             topo.trace.result_size(len(refs))
-            if not refs:
-                report.revealed.append(("sum", op[1], start, 0))
-                return
-            value = self._open_int(db.backend.aggregate(
-                txn.query_id, OpKind.SUM_AGG, ValueType.INT64, refs,
-                self.spec.batch_size, reveal=True))
-            report.revealed.append(("sum", op[1], start, value))
-        elif kind == "update_add":
-            table, key = tables[op[1]], op[2]
-            version = db.visible_version(table, key, txn)
-            if version is None:
-                return
-            db.check_update(txn, table, key)
-            new_ref = db.backend.apply_constant(
-                txn.query_id, OpKind.ADD, ValueType.INT64, version.cells[_COL_K],
-                topo.client_encrypt(encode_int64(values[0])), table.partition_id)
-            db.update_row(txn, table, key, {"k": new_ref})
-            topo.trace.result_size(1)
-        elif kind == "update_bytes":
-            table, key = tables[op[1]], op[2]
-            version = db.visible_version(table, key, txn)
-            if version is None:
-                return
-            db.check_update(txn, table, key)
-            (new_ref,) = self._ingest(db, txn.query_id, [pad_sensitive(values[0])],
-                                      table.partition_id)
-            db.update_row(txn, table, key, {"c": new_ref})
-            topo.trace.result_size(1)
-        elif kind == "insert":
-            table = tables[op[1]]
-            k_value, c_value = values
-            kref, cref = self._ingest(
-                db, txn.query_id, [encode_int64(k_value), pad_sensitive(c_value)],
-                table.partition_id)
-            db.insert_row(txn, table, [op[2], kref, cref, b"sb-pad"])
-            topo.trace.result_size(1)
+            total = 0
+            if refs:
+                total = decode_int64(topo.client_decrypt(db.backend.aggregate(
+                    txn.query_id, OpKind.SUM_AGG, ValueType.INT64, refs,
+                    self.spec.batch_size, reveal=True)))
+            self.report.revealed.append(("sum", t, start, total))
+            return
+        key = statement[3]
+        version = db.visible_version(table, key, txn)
+        ctype = table.schema[column].ctype
+        if kind == READ:
+            value = None
+            if version is not None:
+                value = _DECODE[ctype](topo.client_decrypt(
+                    db.backend.reveal(txn.query_id, version.cells[column])))
+            topo.trace.result_size(0 if version is None else 1)
+            self.report.revealed.append(("point", t, key, value))
+            return
+        if kind not in (ADD, SET):
+            raise ValueError(f"unknown statement {kind}")
+        if version is None:
+            return
+        db.check_update(txn, table, key)
+        envelope = topo.client_encrypt(_ENCODE[ctype](statement[4]))
+        if kind == ADD:
+            ref = db.backend.apply_constant(
+                txn.query_id, OpKind.ADD, ValueType.INT64, version.cells[column],
+                envelope, table.partition_id)
         else:
-            raise ValueError(f"unknown op {kind}")
+            (ref,) = db.backend.ingest(txn.query_id, [envelope],
+                                       table.partition_id, self.spec.batch_size)
+        db.update_row(txn, table, key, {statement[2]: ref})
+        topo.trace.result_size(1)
 
 
-def trace_indistinguishability(spec_a: WorkloadSpec, spec_b: WorkloadSpec,
-                               seed: int, **topology_kwargs) -> bool:
-    """True iff two structure-identical workloads (differing only in secret
+def trace_indistinguishability(program_a: WorkloadProgram,
+                               program_b: WorkloadProgram, seed: int,
+                               **topology_kwargs) -> bool:
+    """True iff two structure-identical programs (differing only in secret
     values) produce event-for-event identical adversary traces: each runs
     on a fresh topology, and the two traces' buffers are compared whole,
-    with no per-event decoding."""
-    prog_a = generate_workload(spec_a, seed)
-    prog_b = generate_workload(spec_b, seed)
-    if shape_signature(prog_a) != shape_signature(prog_b):
+    with no per-event decoding. Programs whose shape_signature differs
+    raise StructureMismatch."""
+    if shape_signature(program_a) != shape_signature(program_b):
         raise StructureMismatch("workloads differ structurally")
-    topo_a = ZoneTopology(seed, batch_size=spec_a.batch_size, **topology_kwargs)
-    topo_a.run_program(prog_a)
-    topo_b = ZoneTopology(seed, batch_size=spec_b.batch_size, **topology_kwargs)
-    topo_b.run_program(prog_b)
+    topo_a = ZoneTopology(seed, batch_size=program_a.spec.batch_size, **topology_kwargs)
+    topo_a.run_program(program_a)
+    topo_b = ZoneTopology(seed, batch_size=program_b.spec.batch_size, **topology_kwargs)
+    topo_b.run_program(program_b)
     return topo_a.trace == topo_b.trace

@@ -213,9 +213,10 @@ class ShadowDb:
 
 
 class ShadowRunner:
-    """Replays a workload program against the ShadowDb, consuming exactly
-    the schedule the real runner executes and producing the same revealed
-    list when the system under test is correct."""
+    """Interprets a workload program's statements against the ShadowDb over
+    plaintext cells, consuming exactly the schedule the real runner executes
+    and producing the same revealed list when the system under test is
+    correct."""
 
     def __init__(self, program, schedule):
         self.program = program
@@ -228,14 +229,15 @@ class ShadowRunner:
 
     def run(self) -> "ShadowRunner":
         db = self.db
-        spec = self.program.spec
         next_txn_id = 1
-        for t in range(spec.tables):
+        self.columns = [{c.name: i for i, c in enumerate(decl.columns)}
+                        for decl in self.program.tables]
+        for t, decl in enumerate(self.program.tables):
             db.create_table(t)
             txn = db.begin(next_txn_id)
             next_txn_id += 1
-            for key, (k_value, c_value) in enumerate(self.program.preload[t], start=1):
-                db.insert(txn, t, [key, k_value, c_value, b"sb-pad"])
+            for row in decl.rows:
+                db.insert(txn, t, list(row))
             db.commit(txn)
         active: dict[int, dict] = {}
         dead: set[int] = set()
@@ -249,9 +251,8 @@ class ShadowRunner:
                 if txn_index in dead:
                     continue
                 txn = active[txn_index]
-                template = self.program.txns[txn_index]
-                if not self._exec(txn, template.ops[op_index],
-                                  template.values[op_index]):
+                statement = self.program.txns[txn_index].statements[op_index]
+                if not self._exec(txn, statement):
                     self.conflicts += 1
                     db.abort(txn)
                     self.aborted += 1
@@ -270,32 +271,32 @@ class ShadowRunner:
                     self.committed += 1
         return self
 
-    def _exec(self, txn: dict, op: tuple, values: tuple) -> bool:
+    def _exec(self, txn: dict, statement: tuple) -> bool:
+        """Runs one statement; False on a write conflict."""
         db = self.db
-        kind = op[0]
-        if kind == "point_select":
-            cells = db.visible_cells(op[1], op[2], txn)
-            self.revealed.append(("point", op[1], op[2],
-                                  cells[1] if cells else None))
-        elif kind == "range_sum":
+        kind, t = statement[0], statement[1]
+        if kind == "insert":
+            db.insert(txn, t, list(statement[2]))
+            return True
+        col = self.columns[t][statement[2]]
+        if kind == "sum":
+            _, _, _, start, end = statement
             total = 0
-            seen = False
-            for key in range(op[2], op[2] + op[3]):
-                cells = db.visible_cells(op[1], key, txn)
+            for key in range(start, end):
+                cells = db.visible_cells(t, key, txn)
                 if cells is not None:
-                    total += cells[1]
-                    seen = True
-            self.revealed.append(("sum", op[1], op[2], total if seen else 0))
-        elif kind == "update_add":
-            cells = db.visible_cells(op[1], op[2], txn)
-            if cells is None:
-                return True
-            return db.update(txn, op[1], op[2], {1: cells[1] + values[0]})
-        elif kind == "update_bytes":
-            cells = db.visible_cells(op[1], op[2], txn)
-            if cells is None:
-                return True
-            return db.update(txn, op[1], op[2], {2: values[0]})
-        elif kind == "insert":
-            db.insert(txn, op[1], [op[2], values[0], values[1], b"sb-pad"])
-        return True
+                    total += cells[col]
+            self.revealed.append(("sum", t, start, total))
+            return True
+        key = statement[3]
+        cells = db.visible_cells(t, key, txn)
+        if kind == "read":
+            self.revealed.append(("point", t, key, cells[col] if cells else None))
+            return True
+        if cells is None:
+            return True
+        if kind == "add":
+            return db.update(txn, t, key, {col: cells[col] + statement[4]})
+        if kind == "set":
+            return db.update(txn, t, key, {col: statement[4]})
+        raise ValueError(f"unknown statement {kind}")

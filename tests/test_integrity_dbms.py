@@ -22,7 +22,14 @@ from fidstore.privacy_proxy import (
     encode_int64,
 )
 from fidstore.wal import DELETE_REC, KIND_DELETE, journal_after, read_frames
-from fidstore.zone_sim import CrashPoint, CrashPointId, CrashTarget, ZoneTopology
+from fidstore.workload import SUM, TableDecl, WorkloadProgram, WorkloadSpec
+from fidstore.zone_sim import (
+    CrashPoint,
+    CrashPointId,
+    CrashTarget,
+    ZoneTopology,
+    _Runner,
+)
 
 SCHEMA = [
     Column("id", ColumnType.PLAIN_INT),
@@ -562,20 +569,22 @@ def test_select_predicate_matches_plaintext_reference(topo):
 
 
 def test_sum_closed_form_and_empty(topo):
+    """A SUM statement over 1 000 rows reveals their closed-form total; one
+    over an empty key range reveals 0 and sends no message."""
+    program = WorkloadProgram(
+        spec=WorkloadSpec(batch_size=32),
+        tables=[TableDecl("t", tuple(SCHEMA),
+                          [(key, key, b"n") for key in range(1, 1001)])],
+        txns=[])
+    runner = _Runner(topo, program)
     db = topo.integrity.db
-    table = db.create_table("t", list(SCHEMA))
-    setup = db.begin()
-    for key in range(1, 1001):
-        _insert(topo, db, table, setup, key, key)
-    db.commit(setup)
-
+    tables = runner._preload(db)
     txn = db.begin()
-    agg = db.sum_column(txn, table, "k")
-    assert _reveal_int(topo, txn.query_id, agg) == 500500
-    empty = db.create_table("empty", list(SCHEMA))
-    zero = _ingest_int(topo, txn.query_id, 0)
-    agg = db.sum_column(txn, empty, "k", zero_ref=zero)
-    assert _reveal_int(topo, txn.query_id, agg) == 0
+    runner._execute(db, tables, txn, (SUM, 0, "k", 1, 1001))
+    trips = topo.channel.round_trips
+    runner._execute(db, tables, txn, (SUM, 0, "k", 1001, 1011))
+    assert topo.channel.round_trips == trips
+    assert runner.report.revealed == [("sum", 0, 1, 500500), ("sum", 0, 1001, 0)]
     db.abort(txn)
 
 

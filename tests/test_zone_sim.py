@@ -38,9 +38,13 @@ from fidstore.privacy_proxy import (
     encode_int64,
 )
 from fidstore.workload import (
+    ADD,
+    INSERT,
+    SET,
     Distribution,
     Mode,
     WorkloadSpec,
+    ZipfianSampler,
     flatten_schedule,
     generate_workload,
 )
@@ -733,8 +737,8 @@ def test_trace_indistinguishability_same_shape(mode, cache):
     base = _small_spec(mode=mode, rows_per_table=300, duration_ops=200,
                        abort_ratio=0.0)
     for seed in (21, 22, 23):
-        a = WorkloadSpec(**{**vars(base), "value_seed": 1111})
-        b = WorkloadSpec(**{**vars(base), "value_seed": 2222})
+        a = generate_workload(replace(base, value_seed=1111), seed)
+        b = generate_workload(replace(base, value_seed=2222), seed)
         assert trace_indistinguishability(a, b, seed, cache_capacity_blocks=cache)
 
 
@@ -806,10 +810,10 @@ def test_runner_write_path_sends_no_promote(mode):
 
 
 @pytest.mark.parametrize("backend", ["fid", "cipher"])
-@pytest.mark.parametrize("op,values", [("update_add", (5,)),
-                                       ("update_bytes", (b"new-c",))],
+@pytest.mark.parametrize("statement", [(ADD, 0, "k", 1, 5),
+                                       (SET, 0, "c", 1, b"new-c")],
                          ids=["update_add", "update_bytes"])
-def test_conflicting_update_writes_nothing(op, values, backend):
+def test_conflicting_update_writes_nothing(statement, backend):
     """An update that loses first-updater-wins raises before it sends any
     message, so it leaves no secret in the table's partition."""
     spec = _small_spec(tables=1, rows_per_table=4, duration_ops=0)
@@ -818,11 +822,11 @@ def test_conflicting_update_writes_nothing(op, values, backend):
     db = topo.integrity.db
     tables = runner._preload(db)
     first, second = db.begin(), db.begin()
-    runner._exec_op(db, tables, first, (op, 0, 1), values)
+    runner._execute(db, tables, first, statement)
     store, pid = topo.privacy.store, tables[0].partition_id
     live, trips = store.live_fids(pid), topo.channel.round_trips
     with pytest.raises(WriteConflict):
-        runner._exec_op(db, tables, second, (op, 0, 1), values)
+        runner._execute(db, tables, second, statement)
     assert topo.channel.round_trips == trips
     assert store.live_fids(pid) == live
 
@@ -879,10 +883,22 @@ def test_query_with_temporaries_still_ends_them(query):
 
 
 def test_structure_mismatch_detected():
-    a = _small_spec(rows_per_table=30)
-    b = _small_spec(rows_per_table=31)
+    """Programs that differ in rows, or in one secret's length, are refused
+    before they run; programs that differ in their values alone are not."""
+    a = generate_workload(_small_spec(rows_per_table=30), 5)
+    b = generate_workload(_small_spec(rows_per_table=31), 5)
     with pytest.raises(StructureMismatch):
         trace_indistinguishability(a, b, 5)
+    spec = _small_spec(mode=Mode.WRITE_ONLY, duration_ops=10)
+    longer = generate_workload(spec, 5)
+    statements = next(t.statements for t in longer.txns
+                      if any(s[0] == SET for s in t.statements))
+    at = next(i for i, s in enumerate(statements) if s[0] == SET)
+    statements[at] = statements[at][:4] + (statements[at][4] + b"x",)
+    with pytest.raises(StructureMismatch):
+        trace_indistinguishability(generate_workload(spec, 5), longer, 5)
+    other_values = generate_workload(replace(spec, value_seed=99), 5)
+    assert trace_indistinguishability(generate_workload(spec, 5), other_values, 5)
 
 
 def test_comparison_outcome_flip_breaks_indistinguishability():
@@ -976,24 +992,44 @@ def test_trace_jsonl_dump_parses():
         assert isinstance(doc["kind"], str)
 
 
-# (events, sha256 of dump_jsonl) of seed 3's small read-write program: fid
-# behind a 2-block cache, so block events occur, and cipher. Taken from the
-# list-of-tuples trace that the flat buffers replaced.
+# (mode, distribution, backend) and (events, sha256 of dump_jsonl) of seed
+# 3's small program, per case: read-write on fid and on cipher (named by
+# their backend), and every other mode, and write-only under zipfian too, on
+# fid. Fid runs behind a 2-block cache, so block events occur. The two
+# read-write values were taken from the list-of-tuples trace that the flat
+# buffers replaced; the others from the op-tuple programs that the statement
+# form replaced.
 _PINNED_TRACE = {
-    "fid": (1204, "9c756900fe2deb9eb23b80fab7ef6b932fcc1febf691d70e6c311dac15c9921b"),
-    "cipher": (555, "c894df17cb32d528239de2f019d63458885c104706c3b3320225c1fc0546aaeb"),
+    "fid": (Mode.READ_WRITE, Distribution.UNIFORM, "fid", 1204,
+            "9c756900fe2deb9eb23b80fab7ef6b932fcc1febf691d70e6c311dac15c9921b"),
+    "cipher": (Mode.READ_WRITE, Distribution.UNIFORM, "cipher", 555,
+               "c894df17cb32d528239de2f019d63458885c104706c3b3320225c1fc0546aaeb"),
+    "read-only": (Mode.READ_ONLY, Distribution.UNIFORM, "fid", 1448,
+                  "9d354319fa38d5b956ca47bb5bd4d463e071babfbbac6d390c82cc3b35992413"),
+    "write-only": (Mode.WRITE_ONLY, Distribution.UNIFORM, "fid", 1153,
+                   "23da9403fa254174a4fd18549b68682268d4206812b575fef869639846c84640"),
+    "write-only-zipfian": (
+        Mode.WRITE_ONLY, Distribution.ZIPFIAN, "fid", 1149,
+        "682854245eb4c5ac5aeba05d122494dcf7394190025a8d023c66d168678bd23f"),
+    "insert-only": (Mode.INSERT_ONLY, Distribution.UNIFORM, "fid", 730,
+                    "c740b534c28d6a9832840fbfa6a0cce7f8437334f02da4734ae02024b331b744"),
+    "point-select": (Mode.POINT_SELECT, Distribution.UNIFORM, "fid", 488,
+                     "233c86ec62dca173ac17df38a436ec8a7f9ecbf609264eb6f7f6d6de66cb6444"),
+    "range-select": (Mode.RANGE_SELECT, Distribution.UNIFORM, "fid", 848,
+                     "798342d69b64ed2b7cfbc33de86b661733fdf4d307d8b60aa32700259cbf3ab0"),
 }
 
 
-@pytest.mark.parametrize("backend", sorted(_PINNED_TRACE))
-def test_pinned_trace_dump(backend):
+@pytest.mark.parametrize("case", list(_PINNED_TRACE))
+def test_pinned_trace_dump(case):
     """The adversary trace's JSONL dump, byte for byte, and its length."""
-    spec = _small_spec()
+    mode, distribution, backend, *pinned = _PINNED_TRACE[case]
+    spec = _small_spec(mode=mode, distribution=distribution)
     topo = ZoneTopology(3, backend=backend, batch_size=spec.batch_size,
                         cache_capacity_blocks=2 if backend == "fid" else None)
     topo.run_program(generate_workload(spec, 3))
     dump = topo.trace.dump_jsonl().encode()
-    assert (len(topo.trace), hashlib.sha256(dump).hexdigest()) == _PINNED_TRACE[backend]
+    assert [len(topo.trace), hashlib.sha256(dump).hexdigest()] == pinned
     kinds = {k for k, _ in topo.trace.events}
     assert ("BlockRead" in kinds) == (backend == "fid")
 
@@ -1039,8 +1075,8 @@ def test_flatten_schedule_is_a_round_robin_iterator():
     txns are done drops out. The schedule is generated lazily."""
     spec = _small_spec(threads_simulated=2, duration_ops=3)
     program = generate_workload(spec, 1)
-    for template, n_ops in zip(program.txns, (2, 1, 1)):
-        del template.ops[n_ops:]
+    for template, n_statements in zip(program.txns, (2, 1, 1)):
+        del template.statements[n_statements:]
     schedule = flatten_schedule(program)
     assert iter(schedule) is schedule and not isinstance(schedule, list)
     assert list(schedule) == [
@@ -1072,14 +1108,56 @@ def test_a_recovered_privacy_zone_frees_its_old_state_without_gc():
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_all_modes_run_clean(mode):
+    """Every mode on both backends agrees with the plaintext oracle: the
+    revealed values, the committed, aborted and conflicting txns, and each
+    visible row's (k, c) after the run."""
     spec = _small_spec(mode=mode, duration_ops=25, abort_ratio=0.05)
-    topo = ZoneTopology(77, batch_size=spec.batch_size,
-                        cache_capacity_blocks=64)
-    report = topo.run_workload(spec)
-    assert report.crashed_at is None
-    assert report.invariant_holds
-    assert report.violations == 0
-    assert report.ops_completed > 0
+    program = generate_workload(spec, 77)
+    shadow = ShadowRunner(program, flatten_schedule(program)).run()
+    for backend in ("fid", "cipher"):
+        topo = ZoneTopology(77, backend=backend, batch_size=spec.batch_size,
+                            cache_capacity_blocks=64)
+        report = topo.run_program(program)
+        assert report.crashed_at is None
+        assert report.invariant_holds
+        assert report.violations == 0
+        assert report.ops_completed > 0
+        assert report.revealed == shadow.revealed
+        assert ((report.txns_committed, report.txns_aborted, report.write_conflicts)
+                == (shadow.committed, shadow.aborted, shadow.conflicts))
+        assert _visible_rows(topo) == [
+            {row_id: (cells[1], cells[2]) for row_id, cells in
+             shadow.db.quiescent_rows(t).items()}
+            for t in range(spec.tables)]
+
+
+def _visible_rows(topo) -> list[dict]:
+    """Per table: row id -> (k, c) of each row a fresh txn sees."""
+    db = topo.integrity.db
+    client = topo.client
+    reveal = client.cipher_reveal if topo.backend_name == "cipher" else client.reveal
+    reader = db.begin()
+    tables = [{} for _ in db.tables_by_idx]
+    for rows, table in zip(tables, db.tables_by_idx):
+        for row_id in table.rows:
+            version = db.visible_version(table, row_id, reader)
+            if version is not None:
+                k, c = (topo.client_decrypt(reveal(reader.query_id, version.cells[i]))
+                        for i in (1, 2))
+                rows[row_id] = (decode_int64(k), unpad_sensitive(c))
+    db.abort(reader)
+    return tables
+
+
+def test_zipfian_sampler_stays_below_n():
+    """The largest draw random() returns lands on the last rank: the
+    cumulative weights end at exactly 1.0, not at a rounded sum below it."""
+
+    class LargestDraw:
+        def random(self):
+            return 1 - 2**-53
+
+    assert ZipfianSampler(500, 0.8).sample(LargestDraw()) == 499
 
 
 def test_zipfian_distribution_skews_access():
@@ -1211,17 +1289,17 @@ def test_an_insert_sends_its_row_in_one_ingest(monkeypatch):
     topo = ZoneTopology(3, batch_size=spec.batch_size)
     kinds = _count_kinds(topo)
     sent = []
-    exec_op = _Runner._exec_op
+    execute = _Runner._execute
 
-    def counting_exec_op(runner, db, tables, txn, op, values):
+    def counting_execute(runner, db, tables, txn, statement):
         before = kinds[m.MSG_INGEST]
-        exec_op(runner, db, tables, txn, op, values)
-        sent.append((op[0], kinds[m.MSG_INGEST] - before))
+        execute(runner, db, tables, txn, statement)
+        sent.append((statement[0], len(statement[2]), kinds[m.MSG_INGEST] - before))
 
-    monkeypatch.setattr(_Runner, "_exec_op", counting_exec_op)
+    monkeypatch.setattr(_Runner, "_execute", counting_execute)
     report = topo.run_program(generate_workload(spec, 3))
     assert report.ops_completed == spec.duration_ops
-    assert sent == [("insert", 1)] * spec.duration_ops
+    assert sent == [(INSERT, 4, 1)] * spec.duration_ops
 
 
 def _preload_state(seed: int, spec: WorkloadSpec, cache: int | None) -> tuple:
@@ -1320,7 +1398,7 @@ def _crash_after_read_only_commits(monkeypatch, flushed: bool) -> None:
     topo.run_program(program)
     assert topo.privacy.atrest.sealer.seals > preloaded.privacy.atrest.sealer.seals
     assert topo.store_wal_buffer.pending_len > 0
-    secrets = 2 * sum(len(rows) for rows in program.preload)
+    secrets = 2 * sum(len(decl.rows) for decl in program.tables)
     assert len(topo.integrity.db.recipes) == (0 if flushed else secrets)
     topo.privacy.crash()
     topo.integrity.crash()
@@ -1328,20 +1406,10 @@ def _crash_after_read_only_commits(monkeypatch, flushed: bool) -> None:
     assert topo.integrity.db.recipes == {}
 
     shadow = ShadowRunner(program, flatten_schedule(program)).run()
-    db = topo.integrity.db
-    reader = db.begin()
-    for t, table in enumerate(db.tables_by_idx):
-        expected = shadow.db.quiescent_rows(t)
-        got = {}
-        for row_id in table.rows:
-            version = db.visible_version(table, row_id, reader)
-            k = decode_int64(topo.client_decrypt(
-                topo.client.reveal(reader.query_id, version.cells[1])))
-            c = unpad_sensitive(topo.client_decrypt(
-                topo.client.reveal(reader.query_id, version.cells[2])))
-            got[row_id] = (k, c)
-        assert got == {r: (cells[1], cells[2]) for r, cells in expected.items()}
-    db.abort(reader)
+    assert _visible_rows(topo) == [
+        {row_id: (cells[1], cells[2]) for row_id, cells in
+         shadow.db.quiescent_rows(t).items()}
+        for t in range(program.spec.tables)]
     assert (topo.privacy.atrest.stale_dropped > 0) == flushed
 
 
