@@ -10,9 +10,17 @@ bytes per field that envelope schemes pay.
 Each seal binds (partition, block index, counter, epoch) as AEAD
 associated data. Counters strictly increase per block, so replaying a
 superseded sealed block fails freshness (StaleBlock) and any bit flip
-fails the tag (AuthFailure). The epoch increments at every recovery, which
-cryptographically retires sealed blocks whose seal events had not reached
-the durable journal before a crash.
+fails the tag (AuthFailure). The epoch increments at every recovery and
+the sealed record does not carry it: trusted state names the counter and
+epoch of each copy it will open. Between recoveries that is the at-rest
+layer's current copy of each block; across a recovery it is the privacy
+checkpoint's slot map (see wal), so a copy a checkpoint keeps opens in any
+later epoch, while a copy sealed after the last checkpoint is never opened
+again: recovery deletes it, and so rebuilds no value from a block whose
+seal the journal may have lost.
+
+The privacy checkpoint's slot maps are sealed by BlockSealer too
+(seal_map), under the block index MAP_INDEX, which no size class reaches.
 """
 
 from __future__ import annotations
@@ -25,7 +33,8 @@ from dataclasses import dataclass
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .errors import AuthFailure, StaleBlock, UnknownPartition
+from .durability import atomic_write, read_dir
+from .errors import AuthFailure, CorruptLog, StaleBlock, UnknownPartition
 from .mapping_store import BLOCK_SIZE
 
 NONCE_LEN = 12
@@ -35,6 +44,8 @@ SEALED_OVERHEAD = 8 + NONCE_LEN + TAG_LEN  # counter + nonce + tag = 36 bytes
 _AAD = struct.Struct("<IQQQ")  # partition, block_index, counter, epoch
 _SEALED_REC = struct.Struct(f"<Q{NONCE_LEN}s{TAG_LEN}s{BLOCK_SIZE}s")
 _FRESHNESS_ENTRY = struct.Struct("<IQQ")  # partition, block_index, counter
+# the block index a slot map is sealed under: past every size class's blocks
+MAP_INDEX = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -47,13 +58,19 @@ class SealedBlock:
     def to_bytes(self) -> bytes:
         return _SEALED_REC.pack(self.counter, self.nonce, self.tag, self.ciphertext)
 
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "SealedBlock":
+        return cls(*_SEALED_REC.unpack(data))
+
 
 class FreshnessTable:
-    """Latest accepted counter per block, held in trusted state.
+    """Latest issued counter per block, held in trusted state.
 
-    The table snapshot rides the store checkpoint and seal events are
-    journaled, so counter values survive crashes and are never reissued.
-    The snapshot is one _FRESHNESS_ENTRY per block, in block order.
+    The table snapshot rides the store checkpoint, and the cache's seals
+    are journaled, so no counter that a copy recovery keeps
+    carries is issued again; a copy whose counter a crash lost is one that
+    recovery deletes. The snapshot is one _FRESHNESS_ENTRY per block, in
+    block order.
     """
 
     def __init__(self):
@@ -71,9 +88,6 @@ class FreshnessTable:
         self.counters[(pid, block_index)] = c
         return c
 
-    def expected(self, pid: int, block_index: int) -> int:
-        return self.counters.get((pid, block_index), 0)
-
     def replay_seal(self, pid: int, block_index: int, counter: int) -> None:
         """Folds in a journaled seal: counters only move forward."""
         key = (pid, block_index)
@@ -87,20 +101,65 @@ class FreshnessTable:
 
 class SealedBlockStore:
     """The untrusted block area: everything written here is adversary
-    readable and survives any crash."""
+    readable and survives any crash.
 
-    def __init__(self):
-        self.blocks: dict[tuple[int, int], SealedBlock] = {}
+    blocks holds every copy on disk, one entry per copy, keyed (partition,
+    block index, counter): a block's current copy, and the copy the last
+    privacy checkpoint keeps of it (kept), which stays until the next
+    checkpoint's marker is written, even once a newer copy supersedes it or
+    its block is dropped. So right after a checkpoint the area holds exactly
+    one copy per block the partitions span. With dirpath, each copy is also
+    a file there, named by its key, written atomically like a snapshot."""
+
+    def __init__(self, dirpath: str | None = None):
+        self.dirpath = dirpath
+        self.blocks: dict[tuple[int, int, int], SealedBlock] = {}
+        self.kept: set[tuple[int, int, int]] = set()
+        for name, data in (read_dir(dirpath) if dirpath is not None else {}).items():
+            try:
+                key = tuple(int(part, 16) for part in name.split("-"))
+                sealed = SealedBlock.from_bytes(data)
+            except (ValueError, struct.error):
+                raise CorruptLog(f"sealed copy {name} is malformed") from None
+            if len(key) != 3 or _name(key) != name:
+                raise CorruptLog(f"sealed copy {name} is misnamed")
+            self.blocks[key] = sealed
 
     def write(self, pid: int, block_index: int, sealed: SealedBlock) -> None:
-        self.blocks[(pid, block_index)] = sealed
+        key = (pid, block_index, sealed.counter)
+        if self.dirpath is not None:
+            atomic_write(os.path.join(self.dirpath, _name(key)), sealed.to_bytes())
+        self.blocks[key] = sealed
 
-    def read(self, pid: int, block_index: int) -> SealedBlock | None:
-        return self.blocks.get((pid, block_index))
+    def read(self, pid: int, block_index: int, counter: int) -> SealedBlock | None:
+        return self.blocks.get((pid, block_index, counter))
 
-    def delete(self, pid: int, block_index: int) -> bool:
-        """Remove a block's sealed copy; True if there was one."""
-        return self.blocks.pop((pid, block_index), None) is not None
+    def discard(self, pid: int, block_index: int, counter: int) -> None:
+        """Deletes a superseded or retired copy, unless the last checkpoint
+        keeps it."""
+        key = (pid, block_index, counter)
+        if key not in self.kept:
+            self._delete(key)
+
+    def retain(self, keys: set, trace) -> None:
+        """Makes keys the kept copies and deletes every other copy, in key
+        order, each a BlockDrop in trace when one is given."""
+        self.kept = set(keys)
+        for key in sorted(self.blocks.keys() - self.kept):
+            self._delete(key)
+            if trace is not None:
+                trace.block_drop(key[0], key[1])
+
+    def _delete(self, key: tuple[int, int, int]) -> None:
+        if key not in self.blocks:
+            return
+        if self.dirpath is not None:
+            os.remove(os.path.join(self.dirpath, _name(key)))
+        del self.blocks[key]
+
+
+def _name(key: tuple[int, int, int]) -> str:
+    return "%x-%x-%x" % key
 
 
 class BlockSealer:
@@ -115,8 +174,6 @@ class BlockSealer:
 
     def seal(self, pid: int, block_index: int, counter: int,
              plaintext: bytes) -> SealedBlock:
-        if len(plaintext) != BLOCK_SIZE:
-            raise ValueError(f"plaintext must be exactly {BLOCK_SIZE} bytes")
         nonce = self._nonce_source(NONCE_LEN)
         aad = _AAD.pack(pid, block_index, counter, self.epoch)
         out = self._aead.encrypt(nonce, plaintext, aad)
@@ -124,8 +181,10 @@ class BlockSealer:
         return SealedBlock(counter, nonce, out[-TAG_LEN:], out[:-TAG_LEN])
 
     def open(self, pid: int, block_index: int, sealed: SealedBlock,
-             expected_counter: int) -> bytes:
-        aad = _AAD.pack(pid, block_index, sealed.counter, self.epoch)
+             expected_counter: int | None, epoch: int) -> bytes:
+        """Verifies sealed as a seal of epoch and decrypts it; StaleBlock
+        unless it carries expected_counter (None: no copy is expected)."""
+        aad = _AAD.pack(pid, block_index, sealed.counter, epoch)
         try:
             plaintext = self._aead.decrypt(sealed.nonce,
                                            sealed.ciphertext + sealed.tag, aad)
@@ -141,24 +200,51 @@ class BlockSealer:
             )
         return plaintext
 
+    def seal_map(self, pid: int, lsn: int, plaintext: bytes) -> bytes:
+        """A partition's slot map sealed for the checkpoint covering lsn:
+        nonce, tag and ciphertext, bound to (pid, MAP_INDEX, lsn, epoch)."""
+        sealed = self.seal(pid, MAP_INDEX, lsn, plaintext)
+        return sealed.nonce + sealed.tag + sealed.ciphertext
+
+    def open_map(self, pid: int, lsn: int, epoch: int, data: bytes) -> bytes:
+        """Opens what seal_map returned at lsn in epoch; AuthFailure if it is
+        anything else."""
+        if len(data) < NONCE_LEN + TAG_LEN:
+            raise AuthFailure(f"partition {pid}'s slot map is {len(data)} bytes")
+        sealed = SealedBlock(lsn, data[:NONCE_LEN], data[NONCE_LEN:NONCE_LEN + TAG_LEN],
+                             data[NONCE_LEN + TAG_LEN:])
+        return self.open(pid, MAP_INDEX, sealed, lsn, epoch)
+
 
 class AtRestLayer:
     """LRU page cache over 4 KiB blocks plus the seal/open machinery.
 
     The cache models the trusted-memory budget: an access to a resident
-    block is free of crypto; a miss on a previously sealed block opens it
-    (one decrypt per block, not per field); evicting a dirty block seals
-    it. Prefetch is speculative: it loads a partition's blocks only into
-    free cache slots and stops when the cache is full, so it never evicts a
-    resident block. Its loads count as prefetched, not as simulated major
-    faults, and stay out of the hit rate, which counts demand accesses only.
+    block is free of crypto; a miss on a block with a current sealed copy
+    opens that copy (one decrypt per block, not per field); evicting a
+    dirty block seals it as the block's new current copy. Prefetch is
+    speculative: it loads a partition's blocks only into free cache slots
+    and stops when the cache is full, so it never evicts a resident block.
+    Its loads count as prefetched, not as simulated major faults, and stay
+    out of the hit rate, which counts demand accesses only.
+
+    copies is trusted state: the (counter, epoch) of each block's current
+    copy, the one a fault opens. It starts from what recovery hands over:
+    the copies the last privacy checkpoint kept of the blocks replay left
+    as they were, so a kept copy opens across recoveries. A block replay
+    changed has no current copy until a seal gives it one.
 
     The store keeps each size-class bucket dense, so a bucket that
     shrinks past a block drops it (on_drop): the block leaves the cache
-    unsealed and its sealed copy is deleted, so the sealed area holds the
-    blocks that back live values and no more. Deleting a sealed copy
-    advances the block's counter, journaled like a seal, so a copy the
-    untrusted side keeps and puts back later fails freshness.
+    unsealed and its current copy is retired, so the sealed area holds the
+    blocks that back live values and no more. A retired copy is never
+    opened again, since copies no longer names it; a put-back copy of it is
+    ignored.
+
+    The privacy checkpoint asks checkpoint_copies for one copy per block,
+    sealing a block that lacks a current copy. It leaves every dirty flag
+    as it was, so in a run without a recovery the cache evicts, seals and
+    drops exactly as it would without the checkpoint.
 
     The store owns the layer (its blocks hook); the layer reads the store
     through a weak proxy, so the pair forms no reference cycle and a
@@ -166,9 +252,11 @@ class AtRestLayer:
     """
 
     def __init__(self, store, key: bytes, *, capacity_blocks: int | None = None,
-                 nonce_source=os.urandom, freshness: FreshnessTable | None = None,
+                 nonce_source=os.urandom,
+                 freshness: FreshnessTable | None = None,
                  sealed_store: SealedBlockStore | None = None,
-                 journal=None, trace=None, epoch: int = 0):
+                 journal=None, trace=None, epoch: int = 0,
+                 copies: dict[tuple[int, int], tuple[int, int]] | None = None):
         self.store = weakref.proxy(store)
         self.sealer = BlockSealer(key, nonce_source, epoch)
         self.freshness = freshness or FreshnessTable()
@@ -176,6 +264,7 @@ class AtRestLayer:
         self.journal = journal
         self.trace = trace
         self.capacity_blocks = capacity_blocks
+        self.copies = copies or {}
         self._lru: dict[tuple[int, int], bool] = {}  # key -> dirty, in LRU order
         self.hits = 0
         self.faults = 0
@@ -192,13 +281,13 @@ class AtRestLayer:
 
     def on_drop(self, pid: int, block_index: int) -> None:
         """The block no longer backs any value: forget it without sealing,
-        and retire its sealed copy, if any."""
-        self._lru.pop((pid, block_index), None)
-        if not self.sealed.delete(pid, block_index):
+        and retire its current copy, if any."""
+        key = (pid, block_index)
+        self._lru.pop(key, None)
+        copy = self.copies.pop(key, None)
+        if copy is None:
             return  # no copy to retire: never sealed, or already retired
-        counter = self.freshness.next_counter(pid, block_index)
-        if self.journal is not None:
-            self.journal.log_seal(pid, block_index, counter)
+        self.sealed.discard(pid, block_index, copy[0])
         if self.trace is not None:
             self.trace.block_drop(pid, block_index)
 
@@ -215,13 +304,15 @@ class AtRestLayer:
             self.prefetched += 1
         else:
             self.faults += 1
-        sealed = self.sealed.read(pid, block_index)
-        if sealed is not None:
+        copy = self.copies.get(key)
+        if copy is not None:
             try:
-                self.open_block(pid, block_index, sealed)
+                self.open_block(pid, block_index,
+                                self.sealed.read(pid, block_index, copy[0]))
             except (AuthFailure, StaleBlock):
-                # sealed copy predates the last recovery (its seal event
-                # never became durable); the replayed store is authoritative
+                # the untrusted side lost or altered the current copy; the
+                # store's plaintext is authoritative, and the next eviction
+                # seals it again
                 self.stale_dropped += 1
                 dirty = True
         lru[key] = dirty
@@ -236,24 +327,69 @@ class AtRestLayer:
     # -- public operations ----------------------------------------------
 
     def seal_block(self, pid: int, block_index: int, plaintext: bytes) -> SealedBlock:
-        """Seal one block image and publish it to untrusted storage."""
+        """Seal one block image and publish it to untrusted storage as the
+        block's current copy; the copy it supersedes is discarded."""
+        sealed = self._seal(pid, block_index, plaintext)
+        if self.journal is not None:
+            self.journal.log_seal(pid, block_index, sealed.counter)
+        self._make_current(pid, block_index, sealed.counter)
+        return sealed
+
+    def _seal(self, pid: int, block_index: int, plaintext: bytes) -> SealedBlock:
+        if len(plaintext) != BLOCK_SIZE:
+            raise ValueError(f"plaintext must be exactly {BLOCK_SIZE} bytes")
         counter = self.freshness.next_counter(pid, block_index)
         sealed = self.sealer.seal(pid, block_index, counter, plaintext)
         self.sealed.write(pid, block_index, sealed)
-        if self.journal is not None:
-            self.journal.log_seal(pid, block_index, counter)
         if self.trace is not None:
             self.trace.block_write(pid, block_index)
         return sealed
 
+    def _make_current(self, pid: int, block_index: int, counter: int) -> None:
+        old = self.copies.get((pid, block_index))
+        self.copies[(pid, block_index)] = (counter, self.sealer.epoch)
+        if old is not None:
+            self.sealed.discard(pid, block_index, old[0])
+
     def open_block(self, pid: int, block_index: int,
-                   sealed: SealedBlock) -> bytes:
-        """Verify and decrypt a sealed block; strict freshness semantics.
-        The read is adversary visible whether or not the block verifies."""
+                   sealed: SealedBlock | None) -> bytes:
+        """Verify and decrypt a sealed block as the block's current copy;
+        strict freshness semantics, and StaleBlock when the block has no
+        current copy or the copy is gone. The read is adversary visible
+        whether or not the block verifies."""
+        counter, epoch = self.copies.get((pid, block_index), (None, self.sealer.epoch))
+        if sealed is None:
+            raise StaleBlock(f"block ({pid}, {block_index}) has no sealed copy")
         if self.trace is not None:
             self.trace.block_read(pid, block_index)
-        return self.sealer.open(pid, block_index, sealed,
-                                self.freshness.expected(pid, block_index))
+        return self.sealer.open(pid, block_index, sealed, counter, epoch)
+
+    def checkpoint_copies(self, pid: int) -> list[tuple[int, int, int]]:
+        """The copy a privacy checkpoint keeps of each block of partition
+        pid, as (block index, counter, epoch) in address order. A block that
+        lacks a current copy, because it is dirty or no copy backs it, is
+        sealed first. A dirty block stays dirty, and its new copy becomes
+        current only if it had one. In a run without a recovery every clean
+        block has a current copy, so the cache then seals and retires what
+        it would have without the checkpoint; after a recovery a clean block
+        that replay changed has none, and the copy sealed for it here is one
+        that a later drop of the block retires. These seals are not journaled:
+        the freshness table the checkpoint writes before its marker holds
+        their counters, and without the marker recovery deletes the copies."""
+        out = []
+        copies = self.copies
+        for block_index in self.store.partition_blocks(pid):
+            key = (pid, block_index)
+            dirty = self._lru.get(key)
+            copy = copies.get(key)
+            if dirty or copy is None:
+                sealed = self._seal(pid, block_index,
+                                    self.store.read_block(pid, block_index))
+                if copy is not None or not dirty:
+                    self._make_current(pid, block_index, sealed.counter)
+                copy = sealed.counter, self.sealer.epoch
+            out.append((block_index, *copy))
+        return out
 
     def prefetch_partition(self, pid: int) -> int:
         """Warm the cache with a partition's blocks (off the critical path),

@@ -132,6 +132,7 @@ MATRIX_POINTS: list[tuple[CrashPointId, CrashTarget]] = [
     (CrashPointId.DURING_VACUUM, CrashTarget.BOTH),
     (CrashPointId.DURING_ORPHAN_GC, CrashTarget.BOTH),
     (CrashPointId.RANDOM_BYTE, CrashTarget.PRIVACY),
+    (CrashPointId.PRIVACY_CHECKPOINT_AFTER_SEAL, CrashTarget.PRIVACY),
     (CrashPointId.PRIVACY_CHECKPOINT_BEFORE_TRUNCATE, CrashTarget.PRIVACY),
     (CrashPointId.PRIVACY_CHECKPOINT_AFTER_TRUNCATE, CrashTarget.PRIVACY),
     (CrashPointId.INTEGRITY_CHECKPOINT_BEFORE_TRUNCATE, CrashTarget.BOTH),
@@ -143,6 +144,7 @@ MATRIX_POINTS: list[tuple[CrashPointId, CrashTarget]] = [
     (CrashPointId.DURING_RESTORE, CrashTarget.PRIVACY),
 ]
 CHECKPOINT_POINTS = frozenset({
+    CrashPointId.PRIVACY_CHECKPOINT_AFTER_SEAL,
     CrashPointId.PRIVACY_CHECKPOINT_BEFORE_TRUNCATE,
     CrashPointId.PRIVACY_CHECKPOINT_AFTER_TRUNCATE,
     CrashPointId.INTEGRITY_CHECKPOINT_BEFORE_TRUNCATE,

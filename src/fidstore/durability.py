@@ -18,6 +18,8 @@ from __future__ import annotations
 import os
 import tempfile
 
+_TMP_PREFIX = ".tmp-"
+
 
 class DurableBuffer:
     """Append-only byte log split into durable and pending regions."""
@@ -72,7 +74,7 @@ class DurableBuffer:
         """Atomically swap the entire durable content (log truncation);
         pending bytes stay pending."""
         if self.path is not None:
-            _atomic_write(self.path, data)
+            atomic_write(self.path, data)
         self._durable = bytearray(data)
 
 
@@ -87,30 +89,44 @@ class SnapshotStore:
 
     def __init__(self, dirpath: str | None = None):
         self.dirpath = dirpath
-        self._blobs: dict[str, bytes] = {}
-        if dirpath is not None:
-            os.makedirs(dirpath, exist_ok=True)
-            for name in os.listdir(dirpath):
-                if name.startswith(".tmp-"):
-                    continue  # an interrupted _atomic_write
-                with open(os.path.join(dirpath, name), "rb") as fh:
-                    self._blobs[name] = fh.read()
+        self._blobs = read_dir(dirpath) if dirpath is not None else {}
 
     def put_atomic(self, name: str, data: bytes) -> None:
         if self.dirpath is not None:
-            _atomic_write(os.path.join(self.dirpath, name), data)
+            atomic_write(os.path.join(self.dirpath, name), data)
         self._blobs[name] = bytes(data)
 
     def get(self, name: str) -> bytes | None:
         return self._blobs.get(name)
 
+    def delete(self, name: str) -> None:
+        """Removes a snapshot; a name it does not hold is a no-op."""
+        if name not in self._blobs:
+            return
+        if self.dirpath is not None:
+            os.remove(os.path.join(self.dirpath, name))
+        del self._blobs[name]
+
     def names(self) -> list[str]:
         return sorted(self._blobs)
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+def read_dir(dirpath: str) -> dict[str, bytes]:
+    """Every file of directory dirpath, made if missing, by name, less the
+    temporary files an interrupted atomic_write leaves behind."""
+    os.makedirs(dirpath, exist_ok=True)
+    out = {}
+    for name in os.listdir(dirpath):
+        if name.startswith(_TMP_PREFIX):
+            continue  # an interrupted atomic_write
+        with open(os.path.join(dirpath, name), "rb") as fh:
+            out[name] = fh.read()
+    return out
+
+
+def atomic_write(path: str, data: bytes) -> None:
     dirname = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".tmp-")
+    fd, tmp = tempfile.mkstemp(dir=dirname, prefix=_TMP_PREFIX)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

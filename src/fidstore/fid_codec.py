@@ -7,9 +7,9 @@ nothing about the secrets they name.
 
 The layout is fixed, and these constants are its one definition: the
 mapping store splits a FID into (partition, offset) with them, and
-FidBackend reads a FID's partition from its high bits. A partition image's
-superblock records PREFIX_BITS, and an image with another width is refused
-on load.
+FidBackend reads a FID's partition from its high bits. A partition's slot
+map (its checkpoint image) records PREFIX_BITS, and a map with another width
+is refused on load.
 """
 
 from __future__ import annotations

@@ -59,7 +59,8 @@ durable state is images and sealed blocks only. The image holds every
 table (its DB_TABLE encoding), the newest committed version of every row
 (its cells in the DB_INSERT encoding, the bytes RowVersion.wire kept since
 the version was staged or decoded), the commit sequence numbers of the
-transactions that wrote them and the next_* counters. A record gets its
+transactions that wrote them and the next_* counters, in one CRC frame
+(wal.frame), so recovery refuses a damaged image. A record gets its
 LSN when it is journaled, not when it is staged, so LSNs increase along
 the journal and the image's next_lsn is its cover. No transaction
 outlives a crash, so no snapshot after recovery can see an older version;
@@ -872,7 +873,8 @@ class Database:
         durable first, by one MSG_FLUSH_LOG."""
         if self.recipes:
             self.flush_privacy()
-        self._durable_write(self.snapshots.put_atomic, CHECKPOINT_IMAGE, self._image())
+        self._durable_write(self.snapshots.put_atomic, CHECKPOINT_IMAGE,
+                            wal.frame(self._image()))
         self._hook("integrity-checkpoint-before-truncate", None)
         self._durable_write(self.dbwal.replace, b"")
         self._hook("integrity-checkpoint-after-truncate", None)
@@ -1029,8 +1031,8 @@ def recover_database(client, backend, dbwal: DurableBuffer,
     committed = db.committed
     try:
         image = snapshots.get(CHECKPOINT_IMAGE)
-        if image:
-            db._load_image(image)
+        if image is not None:
+            db._load_image(wal.unframe(image, CHECKPOINT_IMAGE))
         max_txn = db.next_txn_id - 1
         records = wal.journal_after(dbwal, db.next_lsn - 1)
         for lsn, kind, payload in records:

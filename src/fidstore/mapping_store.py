@@ -21,11 +21,17 @@ Temporary partitions are volatile scratch space dropped at end of query;
 permanent partitions journal every mutation for crash recovery and report
 block-level accesses to the page-cache layer.
 
-A permanent partition's checkpoint image is the superblock (magic, prefix
-bits, offset count) followed by one {u32 length, value} per offset, in
-offset order; length 0 marks a dead offset, since put refuses empty values.
-put, restore, replay (apply_put) and load_partition all place through
-_put_at's checks; load_partition raises CorruptLog on a malformed image.
+A permanent partition's checkpoint image holds no value: the values are
+in its sealed blocks (see atrest_storage), and slot_map describes how they
+lie there, for wal to seal beside them. The slot map is SLOT_HEAD {u64
+allocation counter, u8 prefix bits, u8 owner width, u8 class count}, a
+u32 live count per size class up to the last that holds a value, then per
+class with values its bucket slots' owner offsets (owner width bytes each,
+the narrowest of 1, 2, 4 and 8 that holds every offset the counter allows)
+and their u16 value lengths, in bucket order. load_slot_map rebuilds
+the buckets from it and the opened blocks. put, restore, replay (apply_put)
+and load_slot_map all place through _put_at's checks; load_slot_map raises
+CorruptLog on a map or blocks the store could not have written.
 
 The store is single-threaded: no method takes a lock, so callers must not
 use one store from several threads at once.
@@ -54,9 +60,9 @@ BLOCK_SIZE = 4096
 MIN_CLASS = 16
 MAX_VALUE_LEN = 4096
 
-SUPERBLOCK = struct.Struct("<8sBQ")  # magic, prefix bits, offset count
-MAGIC = b"FIDSTOR2"
-_LEN = struct.Struct("<I")  # an image value's length prefix
+# allocation counter, prefix bits, owner width, class count
+SLOT_HEAD = struct.Struct("<QBBB")
+_OWNER_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # owner width -> struct code
 
 # block ids carry the size class in the high half
 CLASS_SHIFT = 32
@@ -436,42 +442,69 @@ class MappingStore:
         return bytes(buf)
 
     # ------------------------------------------------------------------
-    # persistence (checkpoint image format, bit-exact)
+    # persistence (the slot map, bit-exact; format in the module docstring)
 
-    def dump_partition(self, pid: int) -> bytes:
-        """Serialize a partition to its checkpoint image (format in the
-        module docstring)."""
+    def slot_map(self, pid: int) -> bytes:
+        """Where partition pid's values lie in its blocks, and how long each
+        is: the slot map."""
         p = self.partition(pid)
-        chunks = [SUPERBLOCK.pack(MAGIC, PREFIX_BITS, p.alloc_counter)]
-        dead = _LEN.pack(0)
-        for cell in p.slots:
-            if cell is None:
-                chunks.append(dead)
-            else:
-                v = p.buckets[cell[0]][cell[1]]
-                chunks.append(_LEN.pack(len(v)) + v)
+        width = next(w for w in _OWNER_CODES if p.alloc_counter <= 1 << 8 * w)
+        code = _OWNER_CODES[width]
+        counts = [len(bucket) for bucket in p.buckets]
+        while counts and not counts[-1]:
+            counts.pop()
+        chunks = [SLOT_HEAD.pack(p.alloc_counter, PREFIX_BITS, width, len(counts)),
+                  struct.pack(f"<{len(counts)}I", *counts)]
+        for n, bucket, owners in zip(counts, p.buckets, p.owners):
+            if n:
+                chunks.append(struct.pack(f"<{n}{code}", *owners))
+                chunks.append(struct.pack(f"<{n}H", *map(len, bucket)))
         return b"".join(chunks)
 
-    def load_partition(self, pid: int, data: bytes) -> None:
-        """Reconstruct a permanent partition from its checkpoint image;
-        CorruptLog if the store could not have written it."""
+    def load_slot_map(self, pid: int, data: bytes, blocks: dict[int, bytes]) -> None:
+        """Registers permanent partition pid from its slot map and the
+        plaintext of every block it spans, by block index, placing each
+        value through _put_at in bucket order; CorruptLog unless the store
+        could have written both."""
+        if pid in self._parts:
+            raise CorruptLog(f"partition {pid} is imaged twice")
         try:
-            magic, prefix_bits, alloc_counter = SUPERBLOCK.unpack_from(data, 0)
-            if magic != MAGIC:
-                raise CorruptLog(f"bad partition magic {magic!r}")
+            alloc_counter, prefix_bits, width, n_classes = SLOT_HEAD.unpack_from(data, 0)
             if prefix_bits != PREFIX_BITS:
                 raise CorruptLog(f"prefix_bits={prefix_bits}, FIDs use {PREFIX_BITS}")
+            code = _OWNER_CODES.get(width)
+            if code is None or alloc_counter > MAX_OFFSET or n_classes > len(self.classes):
+                raise CorruptLog(f"owner width {width}, {alloc_counter} offsets, "
+                                 f"{n_classes} classes")
+            pos = SLOT_HEAD.size + 4 * n_classes
+            counts = struct.unpack_from(f"<{n_classes}I", data, SLOT_HEAD.size)
             p = self._register(pid, PartitionKind.PERMANENT)
-            pos = SUPERBLOCK.size
-            for off in range(alloc_counter):
-                (ln,) = _LEN.unpack_from(data, pos)
-                pos += _LEN.size + ln
-                if ln:
-                    self._put_at(p, off, bytes(data[pos - ln:pos]))
-            if pos != len(data):
-                raise CorruptLog(f"the image is {len(data)} bytes, its offsets end at {pos}")
-        except (struct.error, FidStoreError) as exc:
-            raise CorruptLog(f"partition {pid}'s image: {exc}") from None
+            spanned = 0
+            for cls, n in enumerate(counts):
+                if not n:
+                    continue
+                owners = struct.unpack_from(f"<{n}{code}", data, pos)
+                pos += n * width
+                lengths = struct.unpack_from(f"<{n}H", data, pos)
+                pos += 2 * n
+                size = self.classes[cls]
+                n_blocks = (n * size + BLOCK_SIZE - 1) // BLOCK_SIZE
+                base = cls << CLASS_SHIFT
+                image = b"".join([blocks[base | i] for i in range(n_blocks)])
+                spanned += n_blocks
+                for slot, (off, length) in enumerate(zip(owners, lengths)):
+                    if (off >= alloc_counter or class_index(length, self.classes) != cls
+                            or off < p.alloc_counter and p.slots[off] is not None):
+                        raise CorruptLog(f"slot {slot} of class {cls}: offset {off}, "
+                                         f"{length} bytes")
+                    start = slot * size
+                    self._put_at(p, off, image[start:start + length])
+            if pos != len(data) or spanned != len(blocks):
+                raise CorruptLog(f"the map is {len(data)} bytes and names {len(blocks)} "
+                                 f"blocks; its slots end at {pos} in {spanned} blocks")
+        except (struct.error, KeyError, FidStoreError) as exc:
+            self._parts.pop(pid, None)
+            raise CorruptLog(f"partition {pid}'s slot map: {exc}") from None
         p.slots.extend([None] * (alloc_counter - p.alloc_counter))
         p.alloc_counter = alloc_counter
         self.rebuild_free_lists(pid)

@@ -7,7 +7,10 @@ and then the kind's payload, and this module alone frames and parses it
 means a torn write and ends replay; the same mismatch with intact frames
 after it means tampering and raises CorruptLog. The log is redo-only:
 aborts are handled by version visibility in the table engine, never by
-undo.
+undo. The same frame wraps each snapshot not sealed (frame, unframe): the
+engine's image, and here the checkpoint marker, the freshness table and
+the epoch marker; a loader raises CorruptLog unless the snapshot is
+exactly one intact frame.
 
 The privacy zone's payloads, one struct per kind:
 
@@ -15,8 +18,8 @@ The privacy zone's payloads, one struct per kind:
 - KIND_DELETE: DELETE_REC {u64 fid};
 - KIND_CREATE_PARTITION: CREATE_REC {u32 partition id} (always a permanent
   partition: temporaries are never journaled);
-- KIND_SEAL: SEAL_REC {u32 partition, u64 block index, u64 counter}; a
-  seal, or the counter advance of a dropped block's retired sealed copy.
+- KIND_SEAL: SEAL_REC {u32 partition, u64 block index, u64 counter}: the
+  at-rest layer sealed a block's new current copy.
 
 flush() has group-commit semantics: one call makes every record buffered
 so far durable, regardless of which transaction appended it. No commit
@@ -42,9 +45,27 @@ journal_after, which replays only the records past the cover. So each zone
 replays at most one interval plus one sync on top of its image, and none
 after maintenance.
 
-Besides the partition images, the privacy zone's snapshots hold the
-freshness table (FreshnessTable owns its bytes) and the epoch marker
-{u64 epoch}, which advance_epoch alone reads and writes.
+The privacy checkpoint writes no plaintext. It seals, through the at-rest
+layer, every block of a permanent partition that lacks a current sealed
+copy (AtRestLayer.checkpoint_copies), then writes per permanent partition a
+slot map sealed under (partition, MAP_INDEX, covered LSN, epoch) and named
+by the covered LSN (map_name): a u32 copy count, a COPY_REC {u64 block
+index, u64 counter, u64 epoch} per block copy it keeps, in address order,
+then MappingStore.slot_map. Then come the freshness table (FreshnessTable
+owns its bytes), and last the marker: MARKER_HEAD {u64 covered LSN, u64
+epoch}, then a u32 per permanent partition, that list sealed like a slot
+map under the partition id MARKER_PID, which no partition reaches, so no
+partition can be struck from it. Only once the marker is written do the
+kept copies replace the last checkpoint's (SealedBlockStore.retain) and
+older maps go, so a crash anywhere before leaves the last checkpoint
+whole. recover_store opens the marker's list, exactly its maps and the
+copies they name, rebuilds each partition through
+MappingStore.load_slot_map and then replays the journal, so a wrong, old
+or missing copy, map or list raises CorruptLog before recovery deletes a
+copy. The epoch marker {u64 epoch} is advance_epoch's alone.
+
+Between checkpoints the journal still holds every put's value in
+plaintext.
 """
 
 from __future__ import annotations
@@ -53,10 +74,10 @@ import struct
 import zlib
 from dataclasses import dataclass
 
-from .atrest_storage import FreshnessTable
+from .atrest_storage import AtRestLayer, BlockSealer, FreshnessTable, SealedBlockStore
 from .durability import DurableBuffer, SnapshotStore
-from .errors import CorruptLog, FidStoreError
-from .fid_codec import OFFSET_BITS, OFFSET_MASK
+from .errors import AuthFailure, CorruptLog, FidStoreError, StaleBlock
+from .fid_codec import MAX_PARTITIONS, OFFSET_BITS, OFFSET_MASK
 from .mapping_store import MappingStore, PartitionKind
 
 FRAME = struct.Struct("<II")
@@ -72,7 +93,11 @@ DELETE_REC = struct.Struct("<Q")  # fid
 CREATE_REC = struct.Struct("<I")  # partition id
 SEAL_REC = struct.Struct("<IQQ")  # partition, block index, counter
 
-_U64 = struct.Struct("<Q")  # the checkpoint marker's LSN; the epoch marker
+_U64 = struct.Struct("<Q")  # the epoch marker
+_U32 = struct.Struct("<I")  # a slot map's copy count
+MARKER_HEAD = struct.Struct("<QQ")  # covered lsn, epoch of the slot maps' seals
+COPY_REC = struct.Struct("<QQQ")  # block index, counter, epoch of a kept copy
+MARKER_PID = MAX_PARTITIONS  # the marker's partition list is sealed under it
 
 # Bytes a zone's journal may grow by between two checkpoints. Read at each
 # check, never bound at import, so a test may lower it for both zones.
@@ -86,10 +111,25 @@ FRESHNESS_SNAPSHOT = "store.freshness"
 EPOCH_MARKER = "store.epoch"
 
 
+def frame(body: bytes) -> bytes:
+    """body in one CRC frame."""
+    return FRAME.pack(len(body), zlib.crc32(body)) + body
+
+
+def unframe(data: bytes, name: str) -> bytes:
+    """The body of snapshot name, framed whole by frame; CorruptLog unless
+    data is exactly one intact frame."""
+    if len(data) >= FRAME.size:
+        length, crc = FRAME.unpack_from(data, 0)
+        body = data[FRAME.size:]
+        if length == len(body) and zlib.crc32(body) == crc:
+            return body
+    raise CorruptLog(f"snapshot {name} is damaged")
+
+
 def frame_record(lsn: int, kind: int, payload: bytes) -> bytes:
     """One journal record's bytes: the frame around REC_HEAD and payload."""
-    body = REC_HEAD.pack(lsn, kind) + payload
-    return FRAME.pack(len(body), zlib.crc32(body)) + body
+    return frame(REC_HEAD.pack(lsn, kind) + payload)
 
 
 def read_frames(data: bytes) -> list[bytes]:
@@ -207,26 +247,50 @@ class Wal:
 # checkpoint and recovery
 
 
+def map_name(pid: int, lsn: int) -> str:
+    """The snapshot name of partition pid's slot map in the checkpoint that
+    covers lsn."""
+    return f"part-{pid:05d}-{lsn:016x}.map"
+
+
 def checkpoint_truncate(store: MappingStore, wal: Wal, snapshots: SnapshotStore,
-                        freshness: FreshnessTable, crash_hook) -> None:
+                        atrest: AtRestLayer, crash_hook) -> None:
     """Persist a store image covering the durable LSN, then truncate the
     journal to empty.
 
-    The partition images and the freshness table go first, then the marker
-    holding the covered LSN. A record appended after the last flush is not
-    covered: it stays pending across the truncation and is replayed after
-    the image. Replay after a crash at any point in this sequence
-    reconstructs the same state because record application is idempotent.
-    crash_hook is called with the crash point's name once the image and its
-    marker are written and again once the journal is truncated.
+    The seals come first, then the slot maps and the freshness table, then
+    the marker holding the covered LSN; then the kept copies and maps
+    replace the old ones (format and order in the module docstring). A
+    record appended after the last flush is not covered: it stays pending
+    across the truncation and is replayed after the image. Replay after a
+    crash at any point in this sequence reconstructs the same state because
+    record application is idempotent. crash_hook is called with the crash
+    point's name once the seals are written, once the image and its marker
+    are written and once the journal is truncated.
     """
     if wal.buffer.durable_len == 0:
         return  # the journal holds nothing an image would cover
-    for pid in store.partition_ids():
-        if store.partition(pid).kind == PartitionKind.PERMANENT:
-            snapshots.put_atomic(f"part-{pid:05d}.dat", store.dump_partition(pid))
-    snapshots.put_atomic(FRESHNESS_SNAPSHOT, freshness.snapshot_bytes())
-    snapshots.put_atomic(CKPT_MARKER, _U64.pack(wal.durable_lsn))
+    pids = [pid for pid in store.partition_ids()
+            if store.partition(pid).kind == PartitionKind.PERMANENT]
+    kept = {pid: atrest.checkpoint_copies(pid) for pid in pids}
+    crash_hook("privacy-checkpoint-after-seal")
+    lsn = wal.durable_lsn
+    sealer = atrest.sealer
+    for pid in pids:
+        body = b"".join([_U32.pack(len(kept[pid])),
+                         *(COPY_REC.pack(*copy) for copy in kept[pid]),
+                         store.slot_map(pid)])
+        snapshots.put_atomic(map_name(pid, lsn), sealer.seal_map(pid, lsn, body))
+    snapshots.put_atomic(FRESHNESS_SNAPSHOT, frame(atrest.freshness.snapshot_bytes()))
+    pid_list = sealer.seal_map(MARKER_PID, lsn, struct.pack(f"<{len(pids)}I", *pids))
+    snapshots.put_atomic(CKPT_MARKER, frame(MARKER_HEAD.pack(lsn, sealer.epoch)
+                                            + pid_list))
+    atrest.sealed.retain({(pid, block_index, counter) for pid in pids
+                          for block_index, counter, _ in kept[pid]}, atrest.trace)
+    maps = {map_name(pid, lsn) for pid in pids}
+    for name in snapshots.names():
+        if name.endswith(".map") and name not in maps:
+            snapshots.delete(name)
     crash_hook("privacy-checkpoint-before-truncate")
     wal.buffer.replace(b"")
     crash_hook("privacy-checkpoint-after-truncate")
@@ -238,25 +302,64 @@ class RecoveryResult:
     wal: Wal
     replayed_count: int
     freshness: FreshnessTable
+    copies: dict[tuple[int, int], tuple[int, int]]
 
 
-def recover_store(snapshots: SnapshotStore, wal_buffer: DurableBuffer) -> RecoveryResult:
+def recover_store(snapshots: SnapshotStore, wal_buffer: DurableBuffer,
+                  sealed: SealedBlockStore, key: bytes, trace=None) -> RecoveryResult:
     """Rebuild a MappingStore and the freshness table from the last
-    checkpoint image plus the durable log suffix. Running it twice over the
-    same files yields the same state (replay application is idempotent and
-    pure).
+    checkpoint (its slot maps and the sealed copies they keep, opened with
+    key) plus the durable log suffix, then delete every sealed copy the
+    checkpoint does not keep. Running it twice over the same files yields
+    the same state (replay application is idempotent and pure). Each copy
+    it opens is a BlockRead in trace, and each copy it deletes a BlockDrop.
 
-    A record of an unknown kind, one whose payload is not its kind's struct
-    (for KIND_PUT, the struct and a value), one the store refuses, or a put
-    MAX_UNSYNCED_PUTS or more offsets past its partition's allocation
-    counter, which no crash can leave, raises CorruptLog."""
+    The result's copies are the current copies the at-rest layer starts
+    from: the kept copy of each block that replay left as the copy holds
+    it. A block replay changed has none, so the next checkpoint seals it.
+
+    A damaged snapshot, a marker whose partition list fails to open, a map
+    or kept copy that is missing, fails to open or is not the one the
+    marker and map name, a record of an unknown kind, one
+    whose payload is not its kind's struct (for KIND_PUT, the struct and a
+    value), one the store refuses, or a put MAX_UNSYNCED_PUTS or more
+    offsets past its partition's allocation counter, which no crash can
+    leave, raises CorruptLog."""
     store = MappingStore()
+    sealer = BlockSealer(key)
+    last_lsn = 0
+    kept: dict[tuple[int, int], tuple[int, int, bytes]] = {}  # counter, epoch, plaintext
     marker = snapshots.get(CKPT_MARKER)
-    last_lsn = _U64.unpack(marker)[0] if marker else 0
-    for name in snapshots.names():
-        if name.endswith(".dat") and name.startswith("part-"):
-            store.load_partition(int(name[5:10]), snapshots.get(name))
-    freshness = FreshnessTable.from_snapshot(snapshots.get(FRESHNESS_SNAPSHOT))
+    raw = snapshots.get(FRESHNESS_SNAPSHOT)
+    try:
+        if marker is not None:
+            body = unframe(marker, CKPT_MARKER)
+            last_lsn, epoch = MARKER_HEAD.unpack_from(body)
+            pid_list = sealer.open_map(MARKER_PID, last_lsn, epoch,
+                                       body[MARKER_HEAD.size:])
+            for pid in struct.unpack(f"<{len(pid_list) // 4}I", pid_list):
+                data = snapshots.get(map_name(pid, last_lsn))
+                if data is None:
+                    raise CorruptLog(f"partition {pid}'s slot map is missing")
+                data = sealer.open_map(pid, last_lsn, epoch, data)
+                (n,) = _U32.unpack_from(data)
+                blocks = {}
+                for block_index, counter, copy_epoch in COPY_REC.iter_unpack(
+                        data[_U32.size:_U32.size + n * COPY_REC.size]):
+                    copy = sealed.read(pid, block_index, counter)
+                    if copy is None:
+                        raise CorruptLog(f"block ({pid}, {block_index:#x})'s copy "
+                                         f"{counter} is missing")
+                    if trace is not None:
+                        trace.block_read(pid, block_index)
+                    blocks[block_index] = sealer.open(pid, block_index, copy, counter,
+                                                      copy_epoch)
+                    kept[(pid, block_index)] = counter, copy_epoch, blocks[block_index]
+                store.load_slot_map(pid, data[_U32.size + n * COPY_REC.size:], blocks)
+        freshness = FreshnessTable.from_snapshot(
+            None if raw is None else unframe(raw, FRESHNESS_SNAPSHOT))
+    except (struct.error, AuthFailure, StaleBlock) as exc:
+        raise CorruptLog(f"the privacy checkpoint: {exc}") from None
 
     records = journal_after(wal_buffer, last_lsn)
     for lsn, kind, payload in records:
@@ -281,15 +384,24 @@ def recover_store(snapshots: SnapshotStore, wal_buffer: DurableBuffer) -> Recove
             raise CorruptLog(f"privacy record {lsn}: {exc}") from None
     store.rebuild_free_lists()
 
+    spanned = {(pid, b) for pid in store.partition_ids()
+               for b in store.partition_blocks(pid)}
+    copies = {key: (counter, epoch) for key, (counter, epoch, plaintext) in kept.items()
+              if key in spanned and store.read_block(*key) == plaintext}
+    sealed.retain({(pid, b, counter) for (pid, b), (counter, _, _) in kept.items()},
+                  trace)
     wal = Wal(wal_buffer, start_lsn=last_lsn + 1)
     return RecoveryResult(store=store, wal=wal, replayed_count=len(records),
-                          freshness=freshness)
+                          freshness=freshness, copies=copies)
 
 
 def advance_epoch(snapshots: SnapshotStore) -> int:
     """Advances the recovery epoch marker by one and returns the new epoch
     (1 after the first recovery)."""
     raw = snapshots.get(EPOCH_MARKER)
-    epoch = (_U64.unpack(raw)[0] if raw else 0) + 1
-    snapshots.put_atomic(EPOCH_MARKER, _U64.pack(epoch))
+    try:
+        epoch = (0 if raw is None else _U64.unpack(unframe(raw, EPOCH_MARKER))[0]) + 1
+    except struct.error:
+        raise CorruptLog(f"snapshot {EPOCH_MARKER} is damaged") from None
+    snapshots.put_atomic(EPOCH_MARKER, frame(_U64.pack(epoch)))
     return epoch

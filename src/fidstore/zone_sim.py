@@ -103,12 +103,24 @@ class AdversaryTrace:
     The leaked events: FidObserved (a FID the integrity zone holds),
     MsgBytes and OpKindObserved (each message's length and kind),
     ResultSize, CmpBool (a comparison outcome), and the untrusted block
-    area's BlockRead, BlockWrite and BlockDrop (a sealed copy deleted once
-    a size-class bucket shrinks past its block, or at recovery once replay
-    leaves its block past a bucket's end). Which block drops depends only
-    on the live count per size class, which the op sequence and the crash
-    point fix. The MSG_FLUSH_LOG reply is the status byte alone, so the
-    privacy journal's length does not reach the integrity zone.
+    area's BlockRead, BlockWrite and BlockDrop (a block's current copy
+    retired once a size-class bucket shrinks past its block). Which block
+    drops depends only on the live count per size class, which the op
+    sequence and the crash point fix. The MSG_FLUSH_LOG reply is the status
+    byte alone, so the privacy journal's length does not reach the
+    integrity zone.
+
+    A privacy checkpoint adds block events of its own, inside the
+    MSG_FLUSH_LOG that runs it: a BlockWrite for each block it seals (each
+    block of a permanent partition that lacks a current copy: a dirty
+    resident block, or one no copy backs), then, once its marker is
+    written, a BlockDrop for each copy it no longer keeps (the last
+    checkpoint's copies that a newer copy superseded or whose block
+    dropped). Which blocks these are depends on the cache's dirty set,
+    which the op sequence fixes. A recovery reads each kept copy (a
+    BlockRead) and deletes every copy sealed after the last checkpoint (a
+    BlockDrop each). Sealed slot maps, like every snapshot, are not
+    traced.
 
     Between checkpoints, the integrity journal holds the recipes of fresh
     FIDs: client envelopes and operator elements that the channel already
@@ -198,7 +210,9 @@ class CrashPointId(Enum):
     fresh FIDs' recipes ride in its own journal records. The checkpoint
     points fire inside a zone's checkpoint, once its image is written and
     once its journal is truncated, whether the checkpoint runs past the
-    interval or at quiesce (the end of orphan_gc). The privacy zone's run
+    interval or at quiesce (the end of orphan_gc); the privacy zone's
+    checkpoint also has PRIVACY_CHECKPOINT_AFTER_SEAL, between its seals
+    and its slot maps and marker. The privacy zone's run
     inside the MSG_FLUSH_LOG whose sync took its journal past the interval,
     or that carried the quiesce flag, and a privacy crash there fails that
     request.
@@ -216,6 +230,7 @@ class CrashPointId(Enum):
     DURING_ORPHAN_GC = "during-orphan-gc"
     DURING_RESTORE = "during-restore"
     RANDOM_BYTE = "random-byte"
+    PRIVACY_CHECKPOINT_AFTER_SEAL = "privacy-checkpoint-after-seal"
     PRIVACY_CHECKPOINT_BEFORE_TRUNCATE = "privacy-checkpoint-before-truncate"
     PRIVACY_CHECKPOINT_AFTER_TRUNCATE = "privacy-checkpoint-after-truncate"
     INTEGRITY_CHECKPOINT_BEFORE_TRUNCATE = "integrity-checkpoint-before-truncate"
@@ -223,7 +238,8 @@ class CrashPointId(Enum):
 
 
 # points that fire inside the privacy zone, while it serves a request
-_PRIVACY_ZONE_POINTS = frozenset({CrashPointId.PRIVACY_CHECKPOINT_BEFORE_TRUNCATE,
+_PRIVACY_ZONE_POINTS = frozenset({CrashPointId.PRIVACY_CHECKPOINT_AFTER_SEAL,
+                                  CrashPointId.PRIVACY_CHECKPOINT_BEFORE_TRUNCATE,
                                   CrashPointId.PRIVACY_CHECKPOINT_AFTER_TRUNCATE})
 
 
@@ -279,25 +295,27 @@ class PrivacyZoneHost:
         self.sealed_store = sealed_store
         self.crashed = False
         self.epoch = 0
-        self._build(MappingStore(), Wal(wal_buffer), FreshnessTable())
+        self._build(MappingStore(), Wal(wal_buffer), FreshnessTable(), {})
 
-    def _nonce_source(self):
-        rng = random.Random(f"nonce:{self.topology.seed}:{self.epoch}")
+    def _nonce_source(self, stream: str):
+        rng = random.Random(f"{stream}:{self.topology.seed}:{self.epoch}")
         return rng.randbytes
 
-    def _build(self, store: MappingStore, wal: Wal,
-               freshness: FreshnessTable) -> None:
+    def _build(self, store: MappingStore, wal: Wal, freshness: FreshnessTable,
+               copies: dict) -> None:
         topo = self.topology
-        nonce_source = self._nonce_source()
+        # the block sealer draws from a stream of its own: the proxy's
+        # envelope nonces reach messages, so a checkpoint's seals change none
+        nonce_source = self._nonce_source("nonce")
         self.store = store
         self.wal = wal
         self.atrest = AtRestLayer(
             store, topo.zone_block_key,
             capacity_blocks=topo.cache_capacity_blocks,
-            nonce_source=nonce_source,
+            nonce_source=self._nonce_source("block-nonce"),
             freshness=freshness,
             sealed_store=self.sealed_store,
-            journal=wal, trace=topo.trace, epoch=self.epoch)
+            journal=wal, trace=topo.trace, epoch=self.epoch, copies=copies)
         store.journal = wal
         store.blocks = self.atrest
         wal.on_checkpoint = self._checkpoint
@@ -307,32 +325,22 @@ class PrivacyZoneHost:
                                             self.zone_codec)
 
     def _checkpoint(self) -> None:
-        checkpoint_truncate(self.store, self.wal, self.snapshots,
-                            self.atrest.freshness, self.topology._crash_hook)
+        checkpoint_truncate(self.store, self.wal, self.snapshots, self.atrest,
+                            self.topology._crash_hook)
 
     def crash(self, torn_bytes: int = 0) -> None:
         self.crashed = True
         self.wal_buffer.crash(torn_bytes)
 
     def recover(self) -> int:
-        result = recover_store(self.snapshots, self.wal_buffer)
+        topo = self.topology
+        result = recover_store(self.snapshots, self.wal_buffer, self.sealed_store,
+                               topo.zone_block_key, topo.trace)
         self.epoch = advance_epoch(self.snapshots)
-        self._build(result.store, result.wal, result.freshness)
+        self._build(result.store, result.wal, result.freshness, result.copies)
         self.dispatcher.restoring = True  # until its first other request
-        self._retire_unspanned()
         self.crashed = False
         return result.replayed_count
-
-    def _retire_unspanned(self) -> None:
-        """Retire each sealed copy whose block no partition spans any more:
-        a block sealed from puts that were not yet durable outlives the
-        replay that drops them."""
-        store = self.store
-        spanned = {(pid, b) for pid in store.partition_ids()
-                   for b in store.partition_blocks(pid)}
-        for key in sorted(self.sealed_store.blocks):
-            if key not in spanned:
-                self.atrest.on_drop(*key)
 
 
 class IntegrityZoneHost:
@@ -410,9 +418,10 @@ class ZoneTopology:
     """Owns both zones, the channel, the trace, and the crash schedule.
 
     With data_dir, each zone mirrors its journal to a file in it and its
-    snapshots to a directory under it. Opening a directory that holds
-    durable state, in a journal or a snapshot, recovers both zones from it,
-    as after a crash of both."""
+    snapshots to a directory under it, and the sealed block area is a
+    directory of its own there. Opening a directory that holds durable
+    state, in a journal, a snapshot or a sealed copy, recovers both zones
+    from it, as after a crash of both."""
 
     def __init__(self, seed: int, *, backend: str = "fid",
                  cache_capacity_blocks: int | None = None,
@@ -432,10 +441,11 @@ class ZoneTopology:
 
         self.trace = AdversaryTrace()
 
-        priv_dir = db_dir = None
+        priv_dir = db_dir = sealed_dir = None
         priv_wal_path = db_wal_path = None
         if data_dir is not None:
             priv_dir = os.path.join(data_dir, "privacy")
+            sealed_dir = os.path.join(data_dir, "sealed")
             db_dir = os.path.join(data_dir, "integrity")  # made by SnapshotStore
             priv_wal_path = os.path.join(data_dir, "store.wal")
             db_wal_path = os.path.join(data_dir, "db.wal")
@@ -443,7 +453,7 @@ class ZoneTopology:
         self.db_snapshots = SnapshotStore(db_dir)
         self.store_wal_buffer = DurableBuffer(priv_wal_path)
         self.dbwal_buffer = DurableBuffer(db_wal_path)
-        self.sealed_store = SealedBlockStore()
+        self.sealed_store = SealedBlockStore(sealed_dir)
 
         self.channel = Channel(self, self.trace)
         self.privacy = PrivacyZoneHost(self, self.priv_snapshots,
@@ -455,7 +465,8 @@ class ZoneTopology:
         self._armed: CrashPoint | None = None
         self.fired: CrashPoint | None = None
         if (self.store_wal_buffer.durable_len or self.dbwal_buffer.durable_len
-                or self.priv_snapshots.names() or self.db_snapshots.names()):
+                or self.priv_snapshots.names() or self.db_snapshots.names()
+                or self.sealed_store.blocks):
             self.privacy.recover()
             self.integrity.recover()
             self.integrity.db.restore_recipes()
@@ -608,8 +619,12 @@ class ZoneTopology:
         return self.run_program(generate_workload(spec, self.seed))
 
     def run_program(self, program: WorkloadProgram) -> RunReport:
-        runner = _Runner(self, program)
-        return runner.run()
+        """Runs program; ValueError unless its spec's batch size is the
+        topology's, the one batch size of every ingest and aggregate."""
+        if program.spec.batch_size != self.batch_size:
+            raise ValueError(f"the program batches {program.spec.batch_size} values, "
+                             f"the topology {self.batch_size}")
+        return _Runner(self, program).run()
 
 
 class _Runner:
@@ -625,12 +640,14 @@ class _Runner:
     An ADD's delta travels inside its operator message and a SUM's result
     comes back inside its last operator message, so no statement writes to
     its query's temporaries and ending one sends nothing. ADD and SET check
-    for a write conflict before they write anything to the privacy zone."""
+    for a write conflict before they write anything to the privacy zone.
+    Every message batches ZoneTopology.batch_size values."""
 
     def __init__(self, topology: ZoneTopology, program: WorkloadProgram):
         self.topo = topology
         self.program = program
         self.spec = program.spec
+        self.batch_size = topology.batch_size
         self.report = RunReport()
 
     # -- setup -------------------------------------------------------------
@@ -640,7 +657,7 @@ class _Runner:
         tables = [db.create_table(decl.name, list(decl.columns)) for decl in decls]
         for table, decl in zip(tables, decls):
             txn = db.begin()
-            self.topo.insert_rows(txn, table, decl.rows, self.spec.batch_size)
+            self.topo.insert_rows(txn, table, decl.rows, self.batch_size)
             db.commit(txn)
             self.topo.client.end_query(txn.query_id)
         return tables
@@ -741,7 +758,7 @@ class _Runner:
         table = tables[t]
         topo = self.topo
         if kind == INSERT:
-            topo.insert_rows(txn, table, [statement[2]], self.spec.batch_size)
+            topo.insert_rows(txn, table, [statement[2]], self.batch_size)
             topo.trace.result_size(1)
             return
         column = table.col_index[statement[2]]
@@ -757,7 +774,7 @@ class _Runner:
             if refs:
                 total = decode_int64(topo.client_decrypt(db.backend.aggregate(
                     txn.query_id, OpKind.SUM_AGG, ValueType.INT64, refs,
-                    self.spec.batch_size, reveal=True)))
+                    self.batch_size, reveal=True)))
             self.report.revealed.append(("sum", t, start, total))
             return
         key = statement[3]
@@ -783,7 +800,7 @@ class _Runner:
                 envelope, table.partition_id)
         else:
             (ref,) = db.backend.ingest(txn.query_id, [envelope],
-                                       table.partition_id, self.spec.batch_size)
+                                       table.partition_id, self.batch_size)
         db.update_row(txn, table, key, {statement[2]: ref})
         topo.trace.result_size(1)
 

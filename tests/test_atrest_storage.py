@@ -279,8 +279,9 @@ def test_varlen_buckets_stay_dense_under_any_op_sequence(ops, capacity):
     """Puts, deletes, replayed puts (new offsets and overwrites) and
     replayed deletes on a permanent varlen partition behind a small cache:
     every bucket stays packed, the partition spans exactly the blocks its
-    live values need, no cached or sealed block lies past a bucket's end,
-    and every value reads back, also from a dump/load round trip."""
+    live values need, no cached block or current copy lies past a bucket's
+    end, the sealed area holds exactly the current copies, and every value
+    reads back, also from the slot map and the block images."""
     store = MappingStore()
     _, layer = _layer(capacity=capacity, store=store)
     store.blocks = layer
@@ -318,22 +319,26 @@ def test_varlen_buckets_stay_dense_under_any_op_sequence(ops, capacity):
             spanned.update((cls << CLASS_SHIFT) | i for i in range(n))
         assert set(store.partition_blocks(pid)) == spanned
         assert {b for _, b in layer._lru} <= spanned
-        assert {b for _, b in layer.sealed.blocks} <= spanned
+        assert {b for _, b in layer.copies} <= spanned
+        assert {(b, c) for _, b, c in layer.sealed.blocks} == {
+            (b, c) for (_, b), (c, _) in layer.copies.items()}
 
     for fid, value in model.items():
         assert store.get(fid) == value
     other = MappingStore()
-    other.load_partition(pid, store.dump_partition(pid))
+    other.load_slot_map(pid, store.slot_map(pid), {
+        b: store.read_block(pid, b) for b in store.partition_blocks(pid)})
     assert {fid: other.get(fid) for fid in model} == model
     assert other.live_fids(pid) == sorted(model)
 
 
 @pytest.mark.parametrize("order", ["grow_then_restore", "restore_then_grow"])
 def test_dropped_block_copy_is_refused_when_put_back(order):
-    """A bucket shrinks past a sealed block, so its sealed copy is deleted
-    and its counter advanced. If the untrusted side keeps that copy and
+    """A bucket shrinks past a sealed block, so its current copy is deleted
+    and the block has none. If the untrusted side keeps that copy and
     puts it back, whether the bucket grows again before or after, faulting
-    the block refuses the copy and the value read is still right."""
+    the block never opens it, since the block has no current copy, the
+    value read is still right, and opening the copy raises StaleBlock."""
     store = MappingStore()
     _, layer = _layer(capacity=2, store=store)
     store.blocks = layer
@@ -341,16 +346,18 @@ def test_dropped_block_copy_is_refused_when_put_back(order):
     fids = [store.put(pid, bytes([i]) * 2048) for i in range(4)]  # 2 per block
     layer.flush_dirty()
     block = (class_index(2048, store.classes) << CLASS_SHIFT) | 1
-    old = layer.sealed.read(pid, block)
+    counter, _ = layer.copies[(pid, block)]
+    old = layer.sealed.read(pid, block, counter)
     assert old is not None
 
     store.delete(fids[3])
     store.delete(fids[2])
     assert store.partition_blocks(pid) == [block - 1]
-    assert layer.sealed.read(pid, block) is None
-    assert (pid, block) not in layer._lru
+    assert layer.sealed.read(pid, block, counter) is None
+    assert (pid, block) not in layer._lru and (pid, block) not in layer.copies
 
     value = b"\x07" * 2048
+    opens = layer.sealer.opens
     if order == "grow_then_restore":
         # a replayed put grows the bucket without touching the cache
         store.apply_put(fids[2], value)
@@ -361,6 +368,6 @@ def test_dropped_block_copy_is_refused_when_put_back(order):
         layer.sealed.write(pid, block, old)
         assert store.put(pid, value) == fids[2]  # the fault
         assert store.get(fids[2]) == value
-    assert layer.stale_dropped == 1
+    assert (layer.sealer.opens, layer.stale_dropped) == (opens, 0)
     with pytest.raises(StaleBlock):
         layer.open_block(pid, block, old)

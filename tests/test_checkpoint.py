@@ -9,19 +9,20 @@ from dataclasses import replace
 
 import pytest
 
-from fidstore import wal
+from fidstore import wal, zone_sim
 from fidstore.bench import restart_violations
 from fidstore.errors import CorruptLog
 from fidstore.integrity_dbms import CHECKPOINT_IMAGE
 from fidstore.messages import HEADER, MSG_FLUSH_LOG
 from fidstore.privacy_proxy import decode_int64, encode_int64
-from fidstore.wal import FRAME, KIND_PUT, PUT_REC, journal_after, read_frames
+from fidstore.wal import FRAME, KIND_PUT, PUT_REC, REC_HEAD, journal_after, read_frames
 from fidstore.workload import Mode, WorkloadSpec, flatten_schedule, generate_workload
 from fidstore.zone_sim import (
     CrashPoint,
     CrashPointId,
     CrashTarget,
     ZoneTopology,
+    pad_sensitive,
     unpad_sensitive,
 )
 
@@ -146,6 +147,7 @@ def test_crash_inside_integrity_checkpoint(point_id, integrity_checkpoints):
 @pytest.mark.parametrize("target", [CrashTarget.PRIVACY, CrashTarget.BOTH],
                          ids=lambda t: t.value)
 @pytest.mark.parametrize("point_id", [
+    CrashPointId.PRIVACY_CHECKPOINT_AFTER_SEAL,
     CrashPointId.PRIVACY_CHECKPOINT_BEFORE_TRUNCATE,
     CrashPointId.PRIVACY_CHECKPOINT_AFTER_TRUNCATE,
 ], ids=lambda p: p.value)
@@ -153,20 +155,29 @@ def test_crash_inside_privacy_checkpoint(point_id, target):
     """A privacy crash inside the store checkpoint fails the MSG_FLUSH_LOG
     that crossed the interval; recovery rebuilds exactly the image's
     secrets and cuts a journal prefix the image covers, and every committed
-    row keeps its values. After a privacy-only crash the engine runs on
-    until a request needs the privacy zone, since a commit needs nothing
-    from it; recovery restores the secrets of those commits from their
-    recipes, and they are all the journal holds then."""
+    row keeps its values. A crash between the checkpoint's seals and its
+    marker leaves the last checkpoint whole: recovery rebuilds from it,
+    replays the journal since, and deletes the new seals. After a
+    privacy-only crash the engine runs on until a request needs the privacy
+    zone, since a commit needs nothing from it; recovery restores the
+    secrets of those commits from their recipes, and they are all the
+    journal gains then."""
     topo, seen = _crash_and_capture(CrashPoint(point_id, target, at_occurrence=2))
     if target == CrashTarget.PRIVACY:
         seen["versions"] = _newest_committed(topo.integrity.db)
+    journaled = {REC_HEAD.unpack_from(body)[0]
+                 for body in read_frames(topo.store_wal_buffer.durable)}
+    sealed = set(topo.sealed_store.blocks)
     recovery = topo.recover_all()
     assert recovery.invariant.holds
-    assert recovery.privacy_replayed == 0
+    after_seal = point_id == CrashPointId.PRIVACY_CHECKPOINT_AFTER_SEAL
+    assert (recovery.privacy_replayed > 0) == after_seal
+    assert after_seal == (sealed != topo.sealed_store.kept)
     mapping = _permanent_mapping(topo)
     assert {fid: mapping.get(fid) for fid in seen["mapping"]} == seen["mapping"]
-    restored = [PUT_REC.unpack_from(payload)[0] for _, kind, payload
-                in journal_after(topo.store_wal_buffer, 0) if kind == KIND_PUT]
+    restored = [PUT_REC.unpack_from(payload)[0] for lsn, kind, payload
+                in journal_after(topo.store_wal_buffer, 0)
+                if kind == KIND_PUT and lsn not in journaled]
     assert sorted(restored) == sorted(set(mapping) - set(seen["mapping"]))
     assert _newest_committed(topo.integrity.db) == seen["versions"]
     topo.integrity.db.orphan_gc()
@@ -240,20 +251,51 @@ def _without_plain_flushes(messages: list, events: list) -> tuple[list, list]:
     return [m for m in messages if m != _PLAIN_FLUSH], kept
 
 
+def _strip_checkpoint_events(monkeypatch, topo):
+    """Makes each privacy checkpoint of topo record the span of trace
+    events it emits; returns a function of the trace's events that drops
+    those spans."""
+    spans = []
+    checkpoint = zone_sim.checkpoint_truncate
+
+    def recorded(*args):
+        start = len(topo.trace)
+        try:
+            checkpoint(*args)
+        finally:
+            spans.append((start, len(topo.trace)))
+
+    monkeypatch.setattr(zone_sim, "checkpoint_truncate", recorded)
+
+    def strip(events: list, emitted: list | None = None) -> list:
+        """events less the checkpoints' own, which go to emitted if given."""
+        inside = {i for start, end in spans for i in range(start, end)}
+        if emitted is not None:
+            emitted.extend(e for i, e in enumerate(events) if i in inside)
+        return [e for i, e in enumerate(events) if i not in inside]
+
+    return strip
+
+
 @pytest.mark.parametrize("backend", ["fid", "cipher"])
 def test_checkpoints_change_no_message(backend, monkeypatch, privacy_checkpoints,
                                        integrity_checkpoints):
     """Neither checkpoint past the interval changes a message: every other
-    request and response, and the adversary trace, equal a run that
-    checkpoints only at quiesce, once per zone in orphan_gc's closing
-    flush. The one message a checkpoint adds is the plain MSG_FLUSH_LOG an
-    integrity checkpoint sends while a recipe is pending, so the cipher
-    baseline, which keeps no recipe, sends exactly the same messages."""
+    request and response, and the adversary trace less the block events a
+    privacy checkpoint emits itself, equal a run that checkpoints only at
+    quiesce, once per zone in orphan_gc's closing flush. The one message a
+    checkpoint adds is the plain MSG_FLUSH_LOG an integrity checkpoint
+    sends while a recipe is pending, so the cipher baseline, which keeps no
+    recipe, sends exactly the same messages. A privacy checkpoint seals and
+    deletes blocks, but in a run without a recovery, like this one, leaves
+    the cache to evict, seal and drop as it would have, and it draws no
+    nonce the proxy would."""
     runs = []
     for interval in (INTERVAL, 1 << 40):
         monkeypatch.setattr(wal, "CHECKPOINT_INTERVAL_BYTES", interval)
         topo = ZoneTopology(8, backend=backend, batch_size=SPEC.batch_size,
                             cache_capacity_blocks=4)
+        strip = _strip_checkpoint_events(monkeypatch, topo)
         messages = []
         request = topo.channel.request
 
@@ -264,7 +306,7 @@ def test_checkpoints_change_no_message(backend, monkeypatch, privacy_checkpoints
 
         topo.channel.request = recorded
         topo.run_workload(SPEC)
-        runs.append((messages, topo.trace.events, len(privacy_checkpoints),
+        runs.append((messages, strip(topo.trace.events), len(privacy_checkpoints),
                      len(integrity_checkpoints)))
     (checkpointed, trace, privacy_before, before), (
         plain, plain_trace, privacy_after, after) = runs
@@ -314,7 +356,7 @@ def test_committed_holds_only_the_txns_versions_name():
 
 
 def _is_snapshot_name(name: str) -> bool:
-    return name.startswith("part-") or name in (
+    return name.startswith("part-") and name.endswith(".map") or name in (
         wal.CKPT_MARKER, wal.FRESHNESS_SNAPSHOT, wal.EPOCH_MARKER,
         CHECKPOINT_IMAGE)
 
@@ -371,19 +413,31 @@ def _quiesced_round(tmp_path) -> ZoneTopology:
     return topo
 
 
+def _map_names(tmp_path) -> list[str]:
+    return sorted(name for name in os.listdir(tmp_path / "privacy")
+                  if name.endswith(".map"))
+
+
 def test_a_quiesced_round_leaves_only_the_images(tmp_path):
     """The engine keeps its tables in its image and journal, so after a
-    quiesced round integrity/ holds db.ckpt alone. privacy/ holds the
-    partition images, the marker and the freshness table, and the epoch
-    marker once a recovery ran. A reopen rebuilds each table's name,
-    schema and partition."""
+    quiesced round integrity/ holds db.ckpt alone. privacy/ holds one
+    sealed slot map per table partition, named by the covered LSN, the
+    marker and the freshness table, and the epoch marker once a recovery
+    ran; sealed/ holds exactly one copy per block the partitions span. A
+    reopen rebuilds each table's name, schema and partition."""
     first = _quiesced_round(tmp_path)
     tables = [(t.name, t.schema, t.partition_id)
               for t in first.integrity.db.tables_by_idx]
-    images = [f"part-{pid:05d}.dat" for _, _, pid in tables]
-    privacy = sorted(images + [wal.CKPT_MARKER, wal.FRESHNESS_SNAPSHOT])
+    lsn = first.privacy.wal.durable_lsn
+    maps = [wal.map_name(pid, lsn) for _, _, pid in tables]
+    privacy = sorted(maps + [wal.CKPT_MARKER, wal.FRESHNESS_SNAPSHOT])
+    store = first.privacy.store
+    spanned = sorted((pid, b) for _, _, pid in tables
+                     for b in store.partition_blocks(pid))
     assert sorted(os.listdir(tmp_path / "integrity")) == [CHECKPOINT_IMAGE]
     assert sorted(os.listdir(tmp_path / "privacy")) == privacy
+    assert sorted((pid, b) for pid, b, _ in first.sealed_store.blocks) == spanned
+    assert len(os.listdir(tmp_path / "sealed")) == len(spanned)
     del first
 
     reopened = ZoneTopology(6, batch_size=SPEC.batch_size, data_dir=str(tmp_path))
@@ -392,19 +446,21 @@ def test_a_quiesced_round_leaves_only_the_images(tmp_path):
     assert sorted(os.listdir(tmp_path / "integrity")) == [CHECKPOINT_IMAGE]
     assert sorted(os.listdir(tmp_path / "privacy")) == sorted(
         privacy + [wal.EPOCH_MARKER])
+    assert len(os.listdir(tmp_path / "sealed")) == len(spanned)
 
 
 @pytest.mark.parametrize("image, damage", [
-    ("privacy/part-00000.dat", "cut"),
-    ("privacy/part-00000.dat", "flip"),
+    ("map", "cut"),
+    ("map", "flip"),
     ("integrity/db.ckpt", "cut"),
 ], ids=["partition-cut", "partition-flipped", "engine-cut"])
 def test_a_damaged_image_is_corrupt(tmp_path, image, damage):
-    """A partition image or the engine's image cut in half, or a partition
-    image with byte 20 flipped (the high byte of offset 0's length), fails
-    the reopen with CorruptLog, not with the error of the parse it broke."""
+    """A partition's slot map or the engine's image cut in half, or a slot
+    map with byte 20 flipped (inside its tag), fails the reopen with
+    CorruptLog, not with the error of the parse it broke."""
     _quiesced_round(tmp_path)
-    path = tmp_path / image
+    path = (tmp_path / "privacy" / _map_names(tmp_path)[0] if image == "map"
+            else tmp_path / image)
     data = bytearray(path.read_bytes())
     if damage == "cut":
         del data[len(data) // 2:]
@@ -413,6 +469,219 @@ def test_a_damaged_image_is_corrupt(tmp_path, image, damage):
     path.write_bytes(bytes(data))
     with pytest.raises(CorruptLog):
         ZoneTopology(6, batch_size=SPEC.batch_size, data_dir=str(tmp_path))
+
+
+@pytest.mark.parametrize("strike", ["last-pid", "every-pid", "older-lsn"])
+def test_a_marker_rewritten_with_its_crc_is_corrupt(tmp_path, strike):
+    """The marker's partition list is sealed under its covered LSN and
+    epoch, so a marker rewritten behind a valid CRC, with a partition
+    struck from its list, with no list at all, or naming another LSN, fails
+    the reopen with CorruptLog; recovery skips no partition and deletes
+    none of the copies its map keeps."""
+    _quiesced_round(tmp_path)
+    path = tmp_path / "privacy" / wal.CKPT_MARKER
+    body = wal.unframe(path.read_bytes(), wal.CKPT_MARKER)
+    head, pid_list = body[:wal.MARKER_HEAD.size], body[wal.MARKER_HEAD.size:]
+    lsn, epoch = wal.MARKER_HEAD.unpack(head)
+    if strike == "last-pid":
+        body = head + pid_list[:-4]
+    elif strike == "every-pid":
+        body = head
+    else:
+        body = wal.MARKER_HEAD.pack(lsn - 1, epoch) + pid_list
+    path.write_bytes(wal.frame(body))
+    copies = sorted(os.listdir(tmp_path / "sealed"))
+    with pytest.raises(CorruptLog):
+        ZoneTopology(6, batch_size=SPEC.batch_size, data_dir=str(tmp_path))
+    assert sorted(os.listdir(tmp_path / "sealed")) == copies
+
+
+def test_no_secret_in_any_file_once_quiesced(tmp_path):
+    """On a data directory, a committed canary secret and every preloaded
+    padded c value are in no file once maintenance quiesced both zones, and
+    again after a crash of both, a recovery and another quiesce: the
+    privacy checkpoint keeps values only in sealed blocks, its slot maps are
+    sealed, and the engine holds FIDs. A fresh reopen of the directory
+    reads every committed value back. Between checkpoints the privacy
+    journal still holds each put's value in plaintext (sealing the journal
+    is the next step), so this holds only once a checkpoint has truncated
+    it."""
+    canary = b"canary:7d1c5e0b9a"
+    program = generate_workload(SPEC, 6)
+    topo = ZoneTopology(6, batch_size=SPEC.batch_size, data_dir=str(tmp_path))
+    topo.run_program(program)
+    db = topo.integrity.db
+    table = db.tables_by_idx[0]
+    row_id = table.next_row_id
+    txn = db.begin()
+    topo.insert_rows(txn, table, [(row_id, 41, canary, b"")], SPEC.batch_size)
+    db.commit(txn)
+    topo.client.end_query(txn.query_id)
+    expected = _oracle_rows(program)
+    expected[0][row_id] = (41, canary)
+    secrets = [canary] + [pad_sensitive(row[2]) for decl in program.tables
+                          for row in decl.rows]
+
+    def files() -> dict:
+        return {path: path.read_bytes() for path in tmp_path.rglob("*")
+                if path.is_file()}
+
+    db.orphan_gc()
+    for _ in range(2):
+        assert topo.store_wal_buffer.durable_len == 0
+        assert len(files()) > 5
+        assert [p.name for p, data in files().items()
+                if any(secret in data for secret in secrets)] == []
+        topo.privacy.crash()
+        topo.integrity.crash()
+        assert topo.recover_all().invariant.holds
+        topo.integrity.db.orphan_gc()
+    assert _read_rows(topo) == expected
+    del topo
+    reopened = ZoneTopology(6, batch_size=SPEC.batch_size, data_dir=str(tmp_path))
+    assert _read_rows(reopened) == expected
+
+
+def _kept_copy_path(tmp_path, topo):
+    """The file of one copy the last checkpoint keeps, of table 0's block 0."""
+    pid = topo.integrity.db.tables_by_idx[0].partition_id
+    (key,) = [k for k in topo.sealed_store.kept if k[:2] == (pid, 0)]
+    return tmp_path / "sealed" / ("%x-%x-%x" % key)
+
+
+@pytest.mark.parametrize("tamper", ["flip", "rollback", "rollback-renamed", "delete"])
+def test_a_tampered_kept_copy_fails_recovery(tmp_path, tamper):
+    """Recovery opens exactly the copies the slot maps name and rebuilds
+    values from them, so a kept copy with a flipped byte, an older copy of
+    the block put back in its place (under the kept copy's name, or under
+    its own with the kept one gone) or a deleted kept copy fails the reopen
+    with CorruptLog, with no silent rebuild. The older copy is the block's
+    copy from the checkpoint before, which the later one deleted."""
+    first = _quiesced_round(tmp_path)
+    old_path = _kept_copy_path(tmp_path, first)
+    old = old_path.read_bytes()
+    db = first.integrity.db
+    table = db.tables_by_idx[0]
+    txn = db.begin()
+    for row_id in range(1, 4):  # new secrets in table 0's first blocks
+        db.update_row(txn, table, row_id, {"k": db.backend.ingest(
+            txn.query_id, [first.client_encrypt(encode_int64(-row_id))],
+            table.partition_id, SPEC.batch_size)[0]})
+    db.commit(txn)
+    db.vacuum(table)
+    db.orphan_gc()
+    path = _kept_copy_path(tmp_path, first)
+    assert path != old_path and not old_path.exists()
+    del first
+    if tamper == "flip":
+        data = bytearray(path.read_bytes())
+        data[100] ^= 0x01
+        path.write_bytes(bytes(data))
+    elif tamper == "rollback":
+        path.write_bytes(old)
+    elif tamper == "rollback-renamed":
+        path.unlink()
+        old_path.write_bytes(old)
+    else:
+        path.unlink()
+    with pytest.raises(CorruptLog):
+        ZoneTopology(6, batch_size=SPEC.batch_size, data_dir=str(tmp_path))
+
+
+def test_a_damaged_engine_lsn_or_freshness_table_is_corrupt(tmp_path):
+    """The engine's image and the freshness table are CRC-framed: a flipped
+    next_lsn in db.ckpt, or a freshness table cut by one entry, fails the
+    reopen with CorruptLog instead of recovering silently."""
+    _quiesced_round(tmp_path)
+    for path, damage in ((tmp_path / "integrity" / CHECKPOINT_IMAGE, "flip"),
+                         (tmp_path / "privacy" / wal.FRESHNESS_SNAPSHOT, "cut")):
+        good = path.read_bytes()
+        if damage == "flip":
+            damaged = bytearray(good)
+            damaged[wal.FRAME.size + 16] ^= 0x01  # next_lsn's low byte
+        else:
+            damaged = good[:-20]  # one (partition, block, counter) entry
+        path.write_bytes(bytes(damaged))
+        with pytest.raises(CorruptLog, match="damaged"):
+            ZoneTopology(6, batch_size=SPEC.batch_size, data_dir=str(tmp_path))
+        path.write_bytes(good)
+    assert ZoneTopology(6, batch_size=SPEC.batch_size,
+                        data_dir=str(tmp_path)).check_invariant().holds
+
+
+def test_blocks_replay_changed_are_sealed_by_the_next_checkpoint():
+    """Replay fires no block hook, so recovery hands the at-rest layer no
+    current copy for a block replay changed. The next checkpoint seals each
+    such block, so a second crash recovers every committed value from the
+    copies it keeps."""
+    program = generate_workload(SPEC, 15)
+    topo = ZoneTopology(15, batch_size=SPEC.batch_size, cache_capacity_blocks=4)
+    topo.run_program(program)  # ends in a quiesce checkpoint
+    db = topo.integrity.db
+    expected = _oracle_rows(program)
+    txn = db.begin()
+    for t, table in enumerate(db.tables_by_idx):
+        for row_id in range(1, 30, 3):
+            value = 1000 * t + row_id
+            (ref,) = db.backend.ingest(txn.query_id, [topo.client_encrypt(
+                encode_int64(value))], table.partition_id, SPEC.batch_size)
+            db.update_row(txn, table, row_id, {"k": ref})
+            expected[t][row_id] = (value, expected[t][row_id][1])
+    db.commit(txn)
+    db.flush_privacy()  # the puts are durable in the privacy journal
+    topo.privacy.crash()
+    topo.integrity.crash()
+    recovery = topo.recover_all()
+    assert recovery.privacy_replayed > 0
+    atrest = topo.privacy.atrest
+    store = topo.privacy.store
+    spanned = {(t.partition_id, b) for t in topo.integrity.db.tables_by_idx
+               for b in store.partition_blocks(t.partition_id)}
+    missing = spanned - set(atrest.copies)
+    assert missing  # replay changed some blocks
+    seals = atrest.sealer.seals
+    topo.integrity.db.orphan_gc()  # the quiesce checkpoint
+    assert atrest.sealer.seals - seals >= len(missing)
+    for _ in range(2):
+        topo.privacy.crash()
+        topo.integrity.crash()
+        assert topo.recover_all().privacy_replayed == 0
+        assert _read_rows(topo) == expected
+
+
+def test_a_checkpoints_copies_stay_until_the_next_marker():
+    """A kept copy stays in the sealed area while evictions seal newer
+    copies of its block, so a crash before the next marker still finds it;
+    right after each checkpoint the area holds exactly one copy per
+    spanned block."""
+    topo = ZoneTopology(16, batch_size=SPEC.batch_size, cache_capacity_blocks=2)
+    sealed = topo.sealed_store
+    topo.run_workload(replace(SPEC, mode=Mode.WRITE_ONLY))
+
+    def one_copy_per_spanned_block():
+        store = topo.privacy.store
+        spanned = sorted((t.partition_id, b) for t in topo.integrity.db.tables_by_idx
+                         for b in store.partition_blocks(t.partition_id))
+        assert sorted(key[:2] for key in sealed.blocks) == spanned
+        assert sealed.kept == set(sealed.blocks)
+
+    one_copy_per_spanned_block()
+    kept = set(sealed.kept)
+    db = topo.integrity.db
+    txn = db.begin()
+    for table in db.tables_by_idx:
+        for row_id in range(1, 61, 2):
+            (ref,) = db.backend.ingest(txn.query_id, [topo.client_encrypt(
+                encode_int64(row_id))], table.partition_id, SPEC.batch_size)
+            db.update_row(txn, table, row_id, {"k": ref})
+    db.commit(txn)
+    assert kept <= set(sealed.blocks)
+    assert len(sealed.blocks) > len(kept)  # evictions sealed newer copies
+    for table in db.tables_by_idx:
+        db.vacuum(table)
+    db.orphan_gc()
+    one_copy_per_spanned_block()
+    assert sealed.kept != kept
 
 
 def test_a_repeated_integrity_lsn_is_corrupt():
@@ -467,6 +736,8 @@ def test_maintenance_ends_in_a_checkpoint_of_both_zones(mode, backend):
 
 
 @pytest.mark.parametrize("point_id, target", [
+    (CrashPointId.PRIVACY_CHECKPOINT_AFTER_SEAL, CrashTarget.PRIVACY),
+    (CrashPointId.PRIVACY_CHECKPOINT_AFTER_SEAL, CrashTarget.BOTH),
     (CrashPointId.PRIVACY_CHECKPOINT_BEFORE_TRUNCATE, CrashTarget.PRIVACY),
     (CrashPointId.PRIVACY_CHECKPOINT_BEFORE_TRUNCATE, CrashTarget.BOTH),
     (CrashPointId.PRIVACY_CHECKPOINT_AFTER_TRUNCATE, CrashTarget.PRIVACY),
@@ -478,7 +749,7 @@ def test_maintenance_ends_in_a_checkpoint_of_both_zones(mode, backend):
 ], ids=lambda x: x.value)
 def test_crash_inside_the_quiesce_checkpoint(monkeypatch, point_id, target):
     """With an interval no run reaches, the first checkpoint of each zone
-    is the one orphan_gc ends with. A crash at each of its four points
+    is the one orphan_gc ends with. A crash at each of its five points
     recovers with no violation, every row at the plaintext replay's final
     state, and survives a later commit and crash."""
     monkeypatch.setattr(wal, "CHECKPOINT_INTERVAL_BYTES", 1 << 40)
@@ -523,7 +794,7 @@ def test_image_reuses_each_versions_encoding(backend):
     topo.run_workload(SPEC)
     db = topo.integrity.db
     image = db._image()
-    assert image == topo.db_snapshots.get(CHECKPOINT_IMAGE)  # the quiesce image
+    assert wal.frame(image) == topo.db_snapshots.get(CHECKPOINT_IMAGE)  # at quiesce
     assert _image_from_cells(db) == image
 
     txn = db.begin()
@@ -540,5 +811,5 @@ def test_image_reuses_each_versions_encoding(backend):
     assert recovery.db_replayed > 0
     db = topo.integrity.db
     image = db._image()
-    assert image != topo.db_snapshots.get(CHECKPOINT_IMAGE)
+    assert wal.frame(image) != topo.db_snapshots.get(CHECKPOINT_IMAGE)
     assert _image_from_cells(db) == image

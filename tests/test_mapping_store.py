@@ -15,7 +15,8 @@ from fidstore.errors import (
 from fidstore import mapping_store
 from fidstore.fid_codec import MAX_OFFSET, OFFSET_BITS, OFFSET_MASK, decode_fid
 from fidstore.mapping_store import (
-    MAGIC,
+    BLOCK_SIZE,
+    SLOT_HEAD,
     MappingStore,
     PartitionKind,
     size_classes,
@@ -305,7 +306,14 @@ def test_varlen_bucket_occupancy_matches_live_count(store):
     assert sum(len(bucket) for bucket in p.buckets) == len(live)
 
 
-def test_dump_load_round_trip(store):
+def _blocks(store, pid) -> dict[int, bytes]:
+    return {b: store.read_block(pid, b) for b in store.partition_blocks(pid)}
+
+
+def test_slot_map_round_trip(store):
+    """A partition rebuilt from its slot map and its block images holds
+    every value at its FID, in the same bucket slots, with the same
+    allocation counter and free offsets."""
     pid = store.create_partition(PartitionKind.PERMANENT)
     rng = random.Random(pid)
     fids = []
@@ -315,49 +323,73 @@ def test_dump_load_round_trip(store):
         store.delete(fid)
 
     other = MappingStore()
-    other.load_partition(pid, store.dump_partition(pid))
+    other.load_slot_map(pid, store.slot_map(pid), _blocks(store, pid))
     for fid in fids:
         assert other.get(fid) == store.get(fid)
-    assert other.partition(pid).alloc_counter == store.partition(pid).alloc_counter
-    assert sorted(other.partition(pid).free_list) == \
-        sorted(store.partition(pid).free_list)
+    p, q = store.partition(pid), other.partition(pid)
+    assert (q.alloc_counter, q.owners, q.buckets) == (p.alloc_counter, p.owners,
+                                                      p.buckets)
+    assert sorted(q.free_list) == sorted(p.free_list)
+    assert other.slot_map(pid) == store.slot_map(pid)
 
 
-def test_superblock_layout_bit_exact(store):
+def test_slot_map_layout_bit_exact(store):
     pid = store.create_partition(PartitionKind.PERMANENT)
     store.put(pid, b"abcd")
     dead = store.put(pid, b"efg")
     store.put(pid, b"hi")
+    store.put(pid, bytes(20))
     store.delete(dead)
-    data = store.dump_partition(pid)
-    assert data == (b"FIDSTOR2"
-                    + bytes([16])                   # prefix_bits
-                    + (3).to_bytes(8, "little")     # offsets
-                    + (4).to_bytes(4, "little") + b"abcd"
-                    + bytes(4)                      # a dead offset: length 0
-                    + (2).to_bytes(4, "little") + b"hi")
+    assert store.slot_map(pid) == (
+        (4).to_bytes(8, "little")              # allocation counter
+        + bytes([16, 1, 2])                    # prefix bits, owner width, classes
+        + struct.pack("<2I", 2, 1)             # values per class
+        + bytes([0, 2]) + struct.pack("<2H", 4, 2)  # class 16: owners, lengths
+        + bytes([3]) + struct.pack("<H", 20))       # class 32
 
 
-def test_image_with_the_old_magic_is_refused(store):
-    """An image in the format that carried a kind, a layout and a width
-    (32-byte superblock, magic FIDSTOR1) is refused, not misread."""
-    assert MAGIC != b"FIDSTOR1"
-    old = (struct.pack("<8sBBBIQ9x", b"FIDSTOR1", 16, 1, 2, 0, 1)
-           + struct.pack("<I", 4) + b"abcd")
-    with pytest.raises(CorruptLog, match="magic"):
-        store.load_partition(0, old)
-    assert not store.has_partition(0)
+def test_slot_map_owner_width_is_the_narrowest_that_holds_every_offset(store):
+    """An owner takes 1 byte up to 256 offsets and 2 from 257 on; an empty
+    partition's map lists no class."""
+    empty = store.create_partition(PartitionKind.PERMANENT)
+    assert store.slot_map(empty) == SLOT_HEAD.pack(0, 16, 1, 0)
+    pid = store.create_partition(PartitionKind.PERMANENT)
+    for n in (256, 257):
+        while store.partition(pid).alloc_counter < n:
+            store.put(pid, b"x")
+        head = store.slot_map(pid)[:SLOT_HEAD.size]
+        assert SLOT_HEAD.unpack(head) == (n, 16, 1 if n == 256 else 2, 1)
+
+
+def test_a_slot_map_naming_an_offset_twice_is_refused(store):
+    """A map that places one offset in two bucket slots, or names a block
+    the slots do not span, is refused, and no partition is left behind."""
+    pid = store.create_partition(PartitionKind.PERMANENT)
+    store.put(pid, b"abcd")
+    store.put(pid, b"efgh")
+    data = bytearray(store.slot_map(pid))
+    owners = SLOT_HEAD.size + 4  # past the one class count
+    assert data[owners:owners + 2] == bytes([0, 1])
+    data[owners + 1] = 0
+    other = MappingStore()
+    with pytest.raises(CorruptLog, match="offset 0"):
+        other.load_slot_map(pid, bytes(data), _blocks(store, pid))
+    assert not other.has_partition(pid)
+    extra = {**_blocks(store, pid), 1: bytes(BLOCK_SIZE)}
+    with pytest.raises(CorruptLog):
+        other.load_slot_map(pid, store.slot_map(pid), extra)
+    assert not other.has_partition(pid)
 
 
 def test_image_with_another_prefix_width_is_refused(store):
-    """The superblock's prefix byte is the one check of the FID layout on
-    input read from disk: an image minted under another width is refused."""
+    """The slot map's prefix byte is the one check of the FID layout on
+    input read from disk: a map minted under another width is refused."""
     pid = store.create_partition(PartitionKind.PERMANENT)
     store.put(pid, b"abcd")
-    image = bytearray(store.dump_partition(pid))
-    assert image[len(MAGIC)] == 16
-    image[len(MAGIC)] = 24
+    image = bytearray(store.slot_map(pid))
+    assert image[8] == 16
+    image[8] = 24
     other = MappingStore()
     with pytest.raises(CorruptLog, match="prefix_bits=24"):
-        other.load_partition(pid, bytes(image))
+        other.load_slot_map(pid, bytes(image), _blocks(store, pid))
     assert not other.has_partition(pid)

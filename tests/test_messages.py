@@ -412,7 +412,7 @@ def _one_op(req: OperatorRequest) -> bytes:
 def test_flush_reply_is_the_status_byte_alone():
     """The MSG_FLUSH_LOG reply tells the integrity zone nothing about the
     privacy journal: it is the status byte alone while the journal is
-    empty, and after it grows by put, seal and drop records."""
+    empty, and after it grows by put, delete and seal records."""
     topo = ZoneTopology(999, cache_capacity_blocks=1)
     flush = _req(MSG_FLUSH_LOG, 0)
     replies = [topo.channel.request(flush)]
@@ -427,8 +427,8 @@ def test_flush_reply_is_the_status_byte_alone():
     replies.append(topo.channel.request(flush))
     replies.append(topo.channel.request(_req(MSG_FLUSH_LOG, 0, QUIESCE)))
     assert replies == [b"\x00"] * 3
-    # the create, 4 puts, 2 deletes, at least 2 seals and the drop
-    assert topo.privacy.wal.durable_lsn >= 10
+    # the create, 4 puts, 2 deletes and at least 2 seals
+    assert topo.privacy.wal.durable_lsn >= 9
 
 
 def test_end_query_via_wire_is_idempotent(topo):

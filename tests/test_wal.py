@@ -5,7 +5,7 @@ import zlib
 
 import pytest
 
-from fidstore.atrest_storage import FreshnessTable
+from fidstore.atrest_storage import AtRestLayer, SealedBlockStore
 from fidstore.durability import DurableBuffer, SnapshotStore
 from fidstore.errors import CorruptLog
 from fidstore.fid_codec import OFFSET_BITS
@@ -19,6 +19,7 @@ from fidstore.wal import (
     Wal,
     advance_epoch,
     checkpoint_truncate,
+    frame,
     frame_record,
     read_frames,
     recover_store,
@@ -27,8 +28,22 @@ from fidstore.wal import (
 from .oracles import replay_store_records
 
 
+KEY = bytes(range(32))
+
+
 def _no_crash(site: str) -> None:
     pass
+
+
+def _recover(snaps: SnapshotStore, buf: DurableBuffer,
+             sealed: SealedBlockStore | None = None):
+    return recover_store(snaps, buf, sealed or SealedBlockStore(), KEY)
+
+
+def _at_rest(store: MappingStore) -> AtRestLayer:
+    """The layer a checkpoint of store seals through; no block hook is
+    attached, so the checkpoint seals every block the first time."""
+    return AtRestLayer(store, KEY, sealed_store=SealedBlockStore())
 
 
 def _store_with_wal():
@@ -64,7 +79,7 @@ def test_flush_empty_buffer_is_noop():
 def test_advance_epoch_counts_recoveries():
     snaps = SnapshotStore()
     assert [advance_epoch(snaps) for _ in range(3)] == [1, 2, 3]
-    assert snaps.get(EPOCH_MARKER) == struct.pack("<Q", 3)
+    assert snaps.get(EPOCH_MARKER) == frame(struct.pack("<Q", 3))
 
 
 def test_failed_flush_leaves_the_durable_copy_as_it_was(tmp_path, fail_io):
@@ -89,12 +104,12 @@ def test_failed_flush_leaves_the_durable_copy_as_it_was(tmp_path, fail_io):
     buf.crash()
     assert buf.pending_len == 0
     assert DurableBuffer(path).durable == buf.durable == synced
-    result = recover_store(SnapshotStore(), buf)
+    result = _recover(SnapshotStore(), buf)
     assert _live_mapping(result.store) == {kept: b"a"}
     result.store.journal = result.wal
     later = result.store.put(pid, b"c")
     result.wal.flush()
-    reopened = recover_store(SnapshotStore(), DurableBuffer(path))
+    reopened = _recover(SnapshotStore(), DurableBuffer(path))
     assert _live_mapping(reopened.store) == {kept: b"a", later: b"c"}
 
 
@@ -119,7 +134,7 @@ def test_failed_replace_keeps_the_old_copy(tmp_path, fail_io):
 
 def test_empty_log_recovers_empty():
     snaps = SnapshotStore()
-    result = recover_store(snaps, DurableBuffer())
+    result = _recover(snaps, DurableBuffer())
     assert result.replayed_count == 0
     assert result.store.partition_ids() == []
 
@@ -130,7 +145,7 @@ def test_replay_k_puts():
     for i in range(25):
         store.put(pid, bytes([i]) * 10)
     wal.flush()
-    result = recover_store(SnapshotStore(), buf)
+    result = _recover(SnapshotStore(), buf)
     assert result.store.stats().live_count == 25
     assert _live_mapping(result.store) == _live_mapping(store)
 
@@ -142,7 +157,7 @@ def test_unflushed_records_do_not_survive():
     wal.flush()
     store.put(pid, b"volatile")
     buf.crash()
-    result = recover_store(SnapshotStore(), buf)
+    result = _recover(SnapshotStore(), buf)
     values = set(_live_mapping(result.store).values())
     assert b"durable" in values
     assert b"volatile" not in values
@@ -155,7 +170,7 @@ def test_append_continues_after_recovery():
     wal.flush()
     last = wal.durable_lsn
     buf.crash()
-    result = recover_store(SnapshotStore(), buf)
+    result = _recover(SnapshotStore(), buf)
     assert result.wal.next_lsn == last + 1
     nxt = result.wal.log_put(123, b"x")
     assert nxt == last + 1
@@ -180,8 +195,8 @@ def test_recovery_is_idempotent():
     fids = [store.put(pid, bytes([i]) * 5) for i in range(10)]
     store.delete(fids[3])
     wal.flush()
-    r1 = recover_store(SnapshotStore(), buf)
-    r2 = recover_store(SnapshotStore(), buf)
+    r1 = _recover(SnapshotStore(), buf)
+    r2 = _recover(SnapshotStore(), buf)
     assert _live_mapping(r1.store) == _live_mapping(r2.store)
     assert r1.replayed_count == r2.replayed_count
 
@@ -191,7 +206,7 @@ def test_recovered_partition_ids_match():
     ids = [store.create_partition(PartitionKind.PERMANENT)
            for _ in range(5)]
     wal.flush()
-    result = recover_store(SnapshotStore(), buf)
+    result = _recover(SnapshotStore(), buf)
     assert result.store.partition_ids() == ids
 
 
@@ -208,15 +223,16 @@ def test_checkpoint_truncate_equivalence():
             live.append(store.put(pid, rng.randbytes(rng.randrange(1, 64))))
     before = _live_mapping(store)
     wal.flush()
-    checkpoint_truncate(store, wal, snaps, FreshnessTable(), _no_crash)
+    atrest = _at_rest(store)
+    checkpoint_truncate(store, wal, snaps, atrest, _no_crash)
     assert buf.durable_len == 0
-    result = recover_store(snaps, buf)
+    result = _recover(snaps, buf, atrest.sealed)
     assert _live_mapping(result.store) == before
     assert result.replayed_count == 0
     # nothing durable since: the checkpoint writes no image
     marker = snaps.get("store.ckpt")
     store.put(pid, b"pending")
-    checkpoint_truncate(store, wal, snaps, FreshnessTable(), _no_crash)
+    checkpoint_truncate(store, wal, snaps, atrest, _no_crash)
     assert snaps.get("store.ckpt") is marker
 
 
@@ -228,11 +244,12 @@ def test_size_bound_triggers_truncation():
     wal = Wal(buf)
     store = MappingStore(journal=wal)
     snaps = SnapshotStore()
+    atrest = _at_rest(store)
     checkpoints = []
 
     def checkpoint():
         checkpoints.append(wal.durable_lsn)
-        checkpoint_truncate(store, wal, snaps, FreshnessTable(), _no_crash)
+        checkpoint_truncate(store, wal, snaps, atrest, _no_crash)
 
     wal.on_checkpoint = checkpoint
     pid = store.create_partition(PartitionKind.PERMANENT)
@@ -245,10 +262,10 @@ def test_size_bound_triggers_truncation():
             wal.flush()
         assert buf.durable_len <= CHECKPOINT_INTERVAL_BYTES + flush_bytes
     assert len(checkpoints) == 2
-    assert snaps.get("store.ckpt") == struct.pack("<Q", checkpoints[-1])
+    assert snaps.get("store.ckpt")[8:16] == struct.pack("<Q", checkpoints[-1])
     # recovery from image + truncated log equals the live store
     wal.flush()
-    assert _live_mapping(recover_store(snaps, buf).store) == \
+    assert _live_mapping(_recover(snaps, buf, atrest.sealed).store) == \
         _live_mapping(store)
 
 
@@ -259,10 +276,11 @@ def test_checkpoint_keeps_a_record_appended_after_the_last_flush():
     store.put(pid, b"durable")
     wal.flush()
     late = store.put(pid, b"appended after the flush")
-    checkpoint_truncate(store, wal, snaps, FreshnessTable(), _no_crash)
+    atrest = _at_rest(store)
+    checkpoint_truncate(store, wal, snaps, atrest, _no_crash)
     assert buf.durable_len == 0 and buf.pending_len > 0
     wal.flush()
-    result = recover_store(snaps, buf)
+    result = _recover(snaps, buf, atrest.sealed)
     assert result.replayed_count == 1
     assert result.store.get(late) == b"appended after the flush"
     assert _live_mapping(result.store) == _live_mapping(store)
@@ -282,10 +300,11 @@ def test_crash_between_image_and_truncation_replays_nothing():
         if site == "privacy-checkpoint-before-truncate":
             raise RuntimeError(site)
 
+    atrest = _at_rest(store)
     with pytest.raises(RuntimeError):
-        checkpoint_truncate(store, wal, snaps, FreshnessTable(), crash)
+        checkpoint_truncate(store, wal, snaps, atrest, crash)
     assert buf.durable_len > 0
-    result = recover_store(snaps, buf)
+    result = _recover(snaps, buf, atrest.sealed)
     assert (buf.durable_len, result.replayed_count) == (0, 0)
     assert _live_mapping(result.store) == _live_mapping(store)
     assert result.wal.next_lsn == wal.next_lsn
@@ -305,12 +324,12 @@ def test_torn_tail_is_cut_so_later_records_survive(torn_value):
     store.put(pid, torn_value)
     buf.crash(torn_bytes=13)
     durable = buf.durable_len
-    first = recover_store(SnapshotStore(), buf)
+    first = _recover(SnapshotStore(), buf)
     assert buf.durable_len == durable - 13
     first.store.journal = first.wal
     late = first.store.put(pid, b"three")
     first.wal.flush()
-    second = recover_store(SnapshotStore(), buf)
+    second = _recover(SnapshotStore(), buf)
     assert second.store.get(late) == b"three"
     assert _live_mapping(second.store) == _live_mapping(first.store)
 
@@ -337,7 +356,7 @@ def test_crash_at_random_byte_matches_prefix_oracle():
         buf.crash(torn_bytes=torn)
 
         expected = replay_store_records(buf.durable)
-        result = recover_store(SnapshotStore(), buf)
+        result = _recover(SnapshotStore(), buf)
         got = _live_mapping(result.store)
         if got != expected:
             failures += 1
@@ -354,7 +373,7 @@ def test_recovery_replay_time_is_linear():
             store.put(pid, struct.pack("<q", i))
         wal.flush()
         t0 = time.perf_counter()
-        recover_store(SnapshotStore(), buf)
+        _recover(SnapshotStore(), buf)
         return time.perf_counter() - t0
 
     replay_time(2000)  # warm-up
@@ -425,8 +444,8 @@ def test_recovery_refuses_a_malformed_record(case):
     pid = store.create_partition(PartitionKind.PERMANENT)
     store.put(pid, b"kept")
     wal.flush()
-    assert recover_store(SnapshotStore(), buf).replayed_count == 2
+    assert _recover(SnapshotStore(), buf).replayed_count == 2
     kind, payload = _MALFORMED[case]
     buf.replace(buf.durable + _hand_frame(3, kind, payload))
     with pytest.raises(CorruptLog):
-        recover_store(SnapshotStore(), buf)
+        _recover(SnapshotStore(), buf)

@@ -61,6 +61,7 @@ from fidstore.zone_sim import (
 )
 
 from .oracles import ShadowRunner
+from .test_checkpoint import _strip_checkpoint_events
 
 SCHEMA = [
     Column("id", ColumnType.PLAIN_INT),
@@ -931,8 +932,9 @@ def test_comparison_outcome_flip_breaks_indistinguishability():
 def test_plaintext_never_crosses_the_boundary():
     """Sentinel secrets must not appear in any cross-zone message, in
     untrusted sealed storage, in the integrity zone's durable state, or in
-    the trace. (Privacy-zone files are excluded: they model storage behind
-    transparent disk encryption.)"""
+    the trace. (The privacy zone's journal and snapshots are excluded here;
+    test_no_secret_in_any_file_once_quiesced checks every file once a
+    checkpoint has sealed what the journal held.)"""
     sentinel = bytes(range(16, 32))
     topo = ZoneTopology(44, cache_capacity_blocks=1)
     captured = []
@@ -959,7 +961,7 @@ def test_plaintext_never_crosses_the_boundary():
     blobs.append(topo.dbwal_buffer.durable)
     for name in topo.db_snapshots.names():
         blobs.append(topo.db_snapshots.get(name))
-    for (pid, _), sealed in topo.sealed_store.blocks.items():
+    for sealed in topo.sealed_store.blocks.values():
         blobs.append(sealed.to_bytes())
     blobs.append(topo.trace.dump_jsonl().encode())
     for blob in blobs:
@@ -981,9 +983,20 @@ def test_trace_vocabulary_is_exactly_the_leakage_list():
     assert "MsgBytes" in kinds and "FidObserved" in kinds
 
 
+def test_run_program_refuses_another_batch_size():
+    """A topology has one batch size: a program whose spec batches another
+    number of values is refused before it sends anything."""
+    spec = _small_spec(batch_size=16)
+    topo = ZoneTopology(66, batch_size=32)
+    with pytest.raises(ValueError, match="batches 16"):
+        topo.run_program(generate_workload(spec, 66))
+    assert topo.channel.round_trips == 0
+
+
 def test_trace_jsonl_dump_parses():
-    topo = ZoneTopology(66)
-    topo.run_workload(_small_spec(duration_ops=5, tables=1, rows_per_table=5))
+    spec = _small_spec(duration_ops=5, tables=1, rows_per_table=5)
+    topo = ZoneTopology(66, batch_size=spec.batch_size)
+    topo.run_workload(spec)
     lines = topo.trace.dump_jsonl().splitlines()
     assert lines
     for i, line in enumerate(lines[:50]):
@@ -992,45 +1005,64 @@ def test_trace_jsonl_dump_parses():
         assert isinstance(doc["kind"], str)
 
 
-# (mode, distribution, backend) and (events, sha256 of dump_jsonl) of seed
-# 3's small program, per case: read-write on fid and on cipher (named by
-# their backend), and every other mode, and write-only under zipfian too, on
-# fid. Fid runs behind a 2-block cache, so block events occur. The two
+# (mode, distribution, backend), (events, sha256 of dump_jsonl) of seed 3's
+# small program less the block events its privacy checkpoints emit, and
+# those events, per case: read-write on fid and on cipher (named by their
+# backend), and every other mode, and write-only under zipfian too, on fid.
+# Fid runs behind a 2-block cache, so block events occur. The two
 # read-write values were taken from the list-of-tuples trace that the flat
 # buffers replaced; the others from the op-tuple programs that the statement
-# form replaced.
+# form replaced. Each run's one privacy checkpoint, at quiesce, seals the
+# blocks the cache holds dirty (a table partition's block 0 of class 0 is
+# arg (partition << 40) | 0; class 3, 128 bytes, is 3 << 32 more).
+_B = 1 << 40
 _PINNED_TRACE = {
     "fid": (Mode.READ_WRITE, Distribution.UNIFORM, "fid", 1204,
-            "9c756900fe2deb9eb23b80fab7ef6b932fcc1febf691d70e6c311dac15c9921b"),
+            "9c756900fe2deb9eb23b80fab7ef6b932fcc1febf691d70e6c311dac15c9921b",
+            [("BlockWrite", 0), ("BlockWrite", _B)]),
     "cipher": (Mode.READ_WRITE, Distribution.UNIFORM, "cipher", 555,
-               "c894df17cb32d528239de2f019d63458885c104706c3b3320225c1fc0546aaeb"),
+               "c894df17cb32d528239de2f019d63458885c104706c3b3320225c1fc0546aaeb",
+               []),
     "read-only": (Mode.READ_ONLY, Distribution.UNIFORM, "fid", 1448,
-                  "9d354319fa38d5b956ca47bb5bd4d463e071babfbbac6d390c82cc3b35992413"),
+                  "9d354319fa38d5b956ca47bb5bd4d463e071babfbbac6d390c82cc3b35992413",
+                  []),
     "write-only": (Mode.WRITE_ONLY, Distribution.UNIFORM, "fid", 1153,
-                   "23da9403fa254174a4fd18549b68682268d4206812b575fef869639846c84640"),
+                   "23da9403fa254174a4fd18549b68682268d4206812b575fef869639846c84640",
+                   [("BlockWrite", _B), ("BlockWrite", _B | 3 << 32)]),
     "write-only-zipfian": (
         Mode.WRITE_ONLY, Distribution.ZIPFIAN, "fid", 1149,
-        "682854245eb4c5ac5aeba05d122494dcf7394190025a8d023c66d168678bd23f"),
+        "682854245eb4c5ac5aeba05d122494dcf7394190025a8d023c66d168678bd23f",
+        [("BlockWrite", _B | 3 << 32)]),
     "insert-only": (Mode.INSERT_ONLY, Distribution.UNIFORM, "fid", 730,
-                    "c740b534c28d6a9832840fbfa6a0cce7f8437334f02da4734ae02024b331b744"),
+                    "c740b534c28d6a9832840fbfa6a0cce7f8437334f02da4734ae02024b331b744",
+                    [("BlockWrite", _B), ("BlockWrite", _B | 3 << 32 | 1)]),
     "point-select": (Mode.POINT_SELECT, Distribution.UNIFORM, "fid", 488,
-                     "233c86ec62dca173ac17df38a436ec8a7f9ecbf609264eb6f7f6d6de66cb6444"),
+                     "233c86ec62dca173ac17df38a436ec8a7f9ecbf609264eb6f7f6d6de66cb6444",
+                     []),
     "range-select": (Mode.RANGE_SELECT, Distribution.UNIFORM, "fid", 848,
-                     "798342d69b64ed2b7cfbc33de86b661733fdf4d307d8b60aa32700259cbf3ab0"),
+                     "798342d69b64ed2b7cfbc33de86b661733fdf4d307d8b60aa32700259cbf3ab0",
+                     []),
 }
 
 
 @pytest.mark.parametrize("case", list(_PINNED_TRACE))
-def test_pinned_trace_dump(case):
-    """The adversary trace's JSONL dump, byte for byte, and its length."""
-    mode, distribution, backend, *pinned = _PINNED_TRACE[case]
+def test_pinned_trace_dump(case, monkeypatch):
+    """The adversary trace's JSONL dump, byte for byte, and its length,
+    less the privacy checkpoint's own block events, which are pinned apart:
+    a checkpoint changes no other event."""
+    mode, distribution, backend, *pinned, checkpoint_events = _PINNED_TRACE[case]
     spec = _small_spec(mode=mode, distribution=distribution)
     topo = ZoneTopology(3, backend=backend, batch_size=spec.batch_size,
                         cache_capacity_blocks=2 if backend == "fid" else None)
+    strip = _strip_checkpoint_events(monkeypatch, topo)
     topo.run_program(generate_workload(spec, 3))
-    dump = topo.trace.dump_jsonl().encode()
-    assert [len(topo.trace), hashlib.sha256(dump).hexdigest()] == pinned
-    kinds = {k for k, _ in topo.trace.events}
+    emitted = []
+    events = strip(topo.trace.events, emitted)
+    dump = "\n".join(json.dumps({"t": i, "kind": k, "arg": a})
+                     for i, (k, a) in enumerate(events)).encode()
+    assert [len(events), hashlib.sha256(dump).hexdigest()] == pinned
+    assert emitted == checkpoint_events
+    kinds = {k for k, _ in events}
     assert ("BlockRead" in kinds) == (backend == "fid")
 
 
@@ -1184,15 +1216,20 @@ _PINNED = {
     "fid": ({m.MSG_INGEST: 8, m.MSG_REVEAL: 80, m.MSG_EXEC_BATCH: 49,
              m.MSG_DELETE: 4, m.MSG_FLUSH_LOG: 6, m.MSG_CREATE_PARTITION: 2,
              m.MSG_LIST_LIVE: 2},
-            (0, 0), (4, 2), (249, 0), 25918),
+            (0, 0), (9, 2), (249, 0), 25918),
     "cipher": ({m.MSG_FLUSH_LOG: 3, m.MSG_CREATE_PARTITION: 2,
                 m.MSG_CIPHER_EXEC: 49, m.MSG_CIPHER_INGEST: 8,
                 m.MSG_CIPHER_REVEAL: 80},
-               (0, 0), (0, 0), (249, 370), 26218),
+               (0, 0), (3, 0), (249, 370), 26218),
 }
+# The seals count the quiesce checkpoint's: on fid, 4 cache evictions, then
+# the checkpoint's 2 dirty blocks, 2 slot maps and its marker's partition
+# list; on cipher, the slot maps of its 2 empty partitions and the list.
 # (privacy, integrity) snapshot bytes after the run: the images the
-# quiesce checkpoints wrote; the engine's holds its tables
-_PINNED_IMAGES = {"fid": (8922, 4708), "cipher": (42, 15268)}
+# quiesce checkpoints wrote. The privacy zone's are its sealed slot maps,
+# the framed marker and the framed freshness table; the engine's holds its
+# tables, in one 8-byte frame.
+_PINNED_IMAGES = {"fid": (722, 4716), "cipher": (154, 15276)}
 
 
 def _snapshot_bytes(topo) -> tuple[int, int]:
@@ -1369,16 +1406,17 @@ def test_crash_after_read_only_commits_reads_back_replay_state(monkeypatch):
     during the run are still pending when both zones crash. Recovery must
     bring every row back at its replayed value, never as a wrong value.
     The preload's secrets are not synced either: replay leaves the
-    partitions empty, recovery retires every sealed copy past a bucket's
-    end, and restore writes each secret back from its recipe, so no sealed
-    copy is ever opened."""
+    partitions empty, recovery deletes every sealed copy, since no
+    checkpoint keeps one, and restore writes each secret back from its
+    recipe, so no sealed copy is ever opened."""
     _crash_after_read_only_commits(monkeypatch, flushed=False)
 
 
 def test_crash_after_read_only_commits_drops_stale_sealed_copies(monkeypatch):
     """As above, with a flush after the preload, as an integrity checkpoint
-    would send in a longer run: the preload's secrets are durable, and
-    recovery meets sealed copies that no longer verify (stale_dropped)."""
+    would send in a longer run: the preload's secrets are durable and replay
+    rebuilds them, but no checkpoint kept a sealed copy, so recovery deletes
+    every copy as stale, and no fault later meets one (no stale_dropped)."""
     _crash_after_read_only_commits(monkeypatch, flushed=True)
 
 
@@ -1400,17 +1438,21 @@ def _crash_after_read_only_commits(monkeypatch, flushed: bool) -> None:
     assert topo.store_wal_buffer.pending_len > 0
     secrets = 2 * sum(len(decl.rows) for decl in program.tables)
     assert len(topo.integrity.db.recipes) == (0 if flushed else secrets)
+    copies = len(topo.sealed_store.blocks)
+    assert copies > 0
     topo.privacy.crash()
     topo.integrity.crash()
+    before = len(topo.trace)
     assert topo.recover_all().invariant.holds
     assert topo.integrity.db.recipes == {}
+    assert [k for k, _ in topo.trace.events[before:]].count("BlockDrop") == copies
 
     shadow = ShadowRunner(program, flatten_schedule(program)).run()
     assert _visible_rows(topo) == [
         {row_id: (cells[1], cells[2]) for row_id, cells in
          shadow.db.quiescent_rows(t).items()}
         for t in range(program.spec.tables)]
-    assert (topo.privacy.atrest.stale_dropped > 0) == flushed
+    assert topo.privacy.atrest.stale_dropped == 0
 
 
 # (sealed blocks, blocks the table partitions span) after a cold WRITE_ONLY
