@@ -242,9 +242,10 @@ class AtRestLayer:
     ignored.
 
     The privacy checkpoint asks checkpoint_copies for one copy per block,
-    sealing a block that lacks a current copy. It leaves every dirty flag
-    as it was, so in a run without a recovery the cache evicts, seals and
-    drops exactly as it would without the checkpoint.
+    sealing a block that lacks a current copy and writing it back, as a
+    page cache's checkpoint writes back its dirty pages: the copy becomes
+    current and the block clean, so the cache seals a block at most once
+    per write, at the checkpoint or at its eviction, never at both.
 
     The store owns the layer (its blocks hook); the layer reads the store
     through a weak proxy, so the pair forms no reference cycle and a
@@ -368,27 +369,24 @@ class AtRestLayer:
         """The copy a privacy checkpoint keeps of each block of partition
         pid, as (block index, counter, epoch) in address order. A block that
         lacks a current copy, because it is dirty or no copy backs it, is
-        sealed first. A dirty block stays dirty, and its new copy becomes
-        current only if it had one. In a run without a recovery every clean
-        block has a current copy, so the cache then seals and retires what
-        it would have without the checkpoint; after a recovery a clean block
-        that replay changed has none, and the copy sealed for it here is one
-        that a later drop of the block retires. These seals are not journaled:
-        the freshness table the checkpoint writes before its marker holds
-        their counters, and without the marker recovery deletes the copies."""
+        sealed first, and that seal writes the block back: the copy becomes
+        the block's current one and a resident block turns clean, so its
+        eviction seals nothing until a write dirties it again. These seals
+        are not journaled: the freshness table the checkpoint writes before
+        its marker holds their counters, and without the marker recovery
+        deletes the copies."""
         out = []
         copies = self.copies
+        lru = self._lru
         for block_index in self.store.partition_blocks(pid):
             key = (pid, block_index)
-            dirty = self._lru.get(key)
-            copy = copies.get(key)
-            if dirty or copy is None:
+            if lru.get(key) or key not in copies:
                 sealed = self._seal(pid, block_index,
                                     self.store.read_block(pid, block_index))
-                if copy is not None or not dirty:
-                    self._make_current(pid, block_index, sealed.counter)
-                copy = sealed.counter, self.sealer.epoch
-            out.append((block_index, *copy))
+                self._make_current(pid, block_index, sealed.counter)
+                if key in lru:
+                    lru[key] = False
+            out.append((block_index, *copies[key]))
         return out
 
     def prefetch_partition(self, pid: int) -> int:
@@ -406,7 +404,8 @@ class AtRestLayer:
         return n
 
     def flush_dirty(self) -> int:
-        """Seal every dirty resident block (used at shutdown/quiesce)."""
+        """Seal every dirty resident block. No zone calls it: a privacy
+        checkpoint writes dirty blocks back itself (checkpoint_copies)."""
         n = 0
         for key, dirty in list(self._lru.items()):
             if dirty:

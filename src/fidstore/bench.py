@@ -157,7 +157,7 @@ CHECKPOINT_MATRIX_OPS = 10_000
 MATRIX_CSV_COLUMNS = [
     "crash_point", "target", "seed", "fired", "violations", "orphans_pre_gc",
     "gc_reclaimed", "orphans_post_gc", "privacy_replayed", "db_replayed",
-    "committed_before_crash", "restart_violations",
+    "committed_before_crash", "restart_violations", "lost_values",
 ]
 
 
@@ -192,6 +192,52 @@ def restart_violations(topo: ZoneTopology) -> int:
         return 1
 
 
+def row_states(topo: ZoneTopology) -> tuple[dict, dict]:
+    """Every table row's state as (committed, in_flight), each keyed by
+    (table index, row id): the row's newest committed version, and the
+    newest version an active txn wrote, as (vseq, writer txn, cells, the
+    values of its sensitive cells). The values are read from the privacy
+    zone's store in trusted memory (MappingStore.peek), so this works on a
+    crashed zone before its recovery and changes no cache state; on the
+    cipher path the cells hold the envelopes themselves."""
+    db = topo.integrity.db
+    store = topo.privacy.store if topo.backend_name == "fid" else None
+    committed, in_flight = {}, {}
+    for table in db.tables_by_idx:
+        for row_id, chain in table.rows.items():
+            for v in reversed(chain):
+                if v.begin_txn in db.committed:
+                    states = committed
+                elif v.begin_txn in db.active_txns:
+                    states = in_flight
+                else:
+                    continue
+                key = (table.idx, row_id)
+                if key not in states:
+                    values = () if store is None else tuple(
+                        store.peek(v.cells[i]) for i in table.sensitive)
+                    states[key] = (v.vseq, v.begin_txn, tuple(v.cells), values)
+                if states is committed:
+                    break
+    return committed, in_flight
+
+
+def lost_values(before: tuple[dict, dict], topo: ZoneTopology) -> int:
+    """Table rows whose newest committed version, or one of its secrets,
+    recovery did not bring back as row_states saw it before the crash
+    (before). A row an active txn wrote may come back as that txn's version
+    too, since the crash may come after its commit record is durable."""
+    committed, in_flight = before
+    after, _ = row_states(topo)
+    lost = 0
+    for key in committed.keys() | in_flight.keys() | after.keys():
+        state = after.get(key)
+        if state != committed.get(key) and (key not in in_flight
+                                            or state != in_flight[key]):
+            lost += 1
+    return lost
+
+
 def run_crash_matrix(seeds_n: int, spec: WorkloadSpec | None = None,
                      base_seed: int = 1000,
                      points: list[tuple[CrashPointId, CrashTarget]] | None = None,
@@ -204,7 +250,9 @@ def run_crash_matrix(seeds_n: int, spec: WorkloadSpec | None = None,
     or second checkpoint of its zone. DURING_RESTORE needs a restore to
     crash in: the run ends in a privacy-only crash after a commit, and
     the point fires in the recovery from it, which a second recover_all
-    then completes."""
+    then completes. Every fired run also counts lost_values: the table rows
+    recovery did not bring back, with their secrets, as they stood when the
+    run stopped at its crash."""
     spec = spec or default_matrix_spec()
     rows = []
     for point_id, target in points or MATRIX_POINTS:
@@ -231,6 +279,7 @@ def run_crash_matrix(seeds_n: int, spec: WorkloadSpec | None = None,
                 topo.inject_crash(CrashPoint(point_id, target, at_occurrence=occurrence))
             report = topo.run_workload(run_spec)
             fired = topo.fired is not None
+            before = row_states(topo) if fired else None
             if fired and in_restore:
                 topo.inject_crash(CrashPoint(point_id, target))
                 try:
@@ -251,9 +300,11 @@ def run_crash_matrix(seeds_n: int, spec: WorkloadSpec | None = None,
                 "db_replayed": 0,
                 "committed_before_crash": report.txns_committed,
                 "restart_violations": 0,
+                "lost_values": 0,
             }
             if fired:
                 recovery = topo.recover_all()
+                row["lost_values"] = lost_values(before, topo)
                 row["violations"] = len(recovery.invariant.violations)
                 row["orphans_pre_gc"] = recovery.invariant.orphans
                 row["privacy_replayed"] = recovery.privacy_replayed

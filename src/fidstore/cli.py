@@ -3,8 +3,9 @@ crash matrix.
 
 Subcommands: ops (per-operation latency vs AEAD), crash-matrix (exit
 nonzero on any external-synchrony violation, after the recovery or after
-one more restart, or a corrupt journal). Workload performance and durable
-size come from perfbench/run.py.
+one more restart, a corrupt journal, or a committed row or secret that
+recovery did not bring back). Workload performance and durable size come
+from perfbench/run.py.
 """
 
 from __future__ import annotations
@@ -65,14 +66,16 @@ def _cmd_crash_matrix(args: argparse.Namespace) -> int:
               f"fired={row['fired']} "
               f"violations={row['violations']} orphans_pre={row['orphans_pre_gc']} "
               f"orphans_post={row['orphans_post_gc']} "
-              f"restart_violations={row['restart_violations']}")
+              f"restart_violations={row['restart_violations']} "
+              f"lost_values={row['lost_values']}")
 
     rows = run_crash_matrix(args.seeds, spec, base_seed=args.seed, on_row=on_row)
     _write_csv(args.out, MATRIX_CSV_COLUMNS, rows)
-    violations = sum(r["violations"] + r["restart_violations"] for r in rows)
+    violations = sum(r["violations"] + r["restart_violations"] + r["lost_values"]
+                     for r in rows)
     if violations:
-        print(f"FAIL: {violations} dangling-FID violations or corrupt journals",
-              file=sys.stderr)
+        print(f"FAIL: {violations} dangling-FID violations, corrupt journals or "
+              f"lost values", file=sys.stderr)
         return 1
     print(f"ok: {len(rows)} runs, 0 violations")
     return 0

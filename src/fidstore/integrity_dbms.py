@@ -52,24 +52,27 @@ whatever of it did survive is an orphan for orphan_gc.
 
 The engine's journal follows the checkpoint rule in wal: it checkpoints
 after the sync of a commit or vacuum that took it past the interval, and
-at quiesce, when orphan_gc ends with no transaction active, if it holds
-records. orphan_gc's closing MSG_FLUSH_LOG carries the quiesce flag, so
-the privacy zone checkpoints there too, and after maintenance both zones'
-durable state is images and sealed blocks only. The image holds every
-table (its DB_TABLE encoding), the newest committed version of every row
-(its cells in the DB_INSERT encoding, the bytes RowVersion.wire kept since
-the version was staged or decoded), the commit sequence numbers of the
-transactions that wrote them and the next_* counters, in one CRC frame
-(wal.frame), so recovery refuses a damaged image. A record gets its
-LSN when it is journaled, not when it is staged, so LSNs increase along
-the journal and the image's next_lsn is its cover. No transaction
-outlives a crash, so no snapshot after recovery can see an older version;
-a ref only an older version holds is an orphan for orphan_gc if the crash
-comes before vacuum releases it.
+when orphan_gc ends with no transaction active, if it holds records. Both
+zones checkpoint together whenever the image names a secret no flush has
+made durable: the MSG_FLUSH_LOG a checkpoint then sends, like orphan_gc's
+closing one, carries the checkpoint flag, so the privacy zone checkpoints
+right after that sync and its journal keeps none of those secrets in
+plaintext. After maintenance both zones' durable state is images and
+sealed blocks only. The image holds every table (its DB_TABLE encoding),
+the newest committed version of every row (its cells in the DB_INSERT
+encoding, the bytes RowVersion.wire kept since the version was staged or
+decoded), the commit sequence numbers of the transactions that wrote them
+and the next_* counters, in one CRC frame (wal.frame), so recovery refuses
+a damaged image. A record gets its LSN when it is journaled, not when it
+is staged, so LSNs increase along the journal and the image's next_lsn is
+its cover. No transaction outlives a crash, so no snapshot after recovery
+can see an older version; a ref only an older version holds is an orphan
+for orphan_gc if the crash comes before vacuum releases it.
 
 The image holds FIDs only, never a recipe. So a checkpoint sends one
-MSG_FLUSH_LOG before it writes its image if a recipe is pending, and
-recovery restores at most one checkpoint interval of recipes.
+MSG_FLUSH_LOG, with the checkpoint flag, before it writes its image if a
+recipe is pending, and recovery restores at most one checkpoint interval
+of recipes.
 
 A failed durable write stops its zone (durability's fail-stop rule). Here
 crash_hook gets site "io_failure" and crashes the engine, so a commit whose
@@ -547,10 +550,11 @@ class Database:
         txn.staged.clear()
         self.active_txns.pop(txn.txn_id, None)
 
-    def flush_privacy(self, quiesce: bool = False) -> None:
-        """Sends MSG_FLUSH_LOG. Once it returns, every secret written before
-        it is durable, so no recipe is pending any more."""
-        self.client.flush_log(quiesce)
+    def flush_privacy(self, checkpoint: bool = False) -> None:
+        """Sends MSG_FLUSH_LOG, with the checkpoint flag if checkpoint. Once
+        it returns, every secret written before it is durable, so no recipe
+        is pending any more."""
+        self.client.flush_log(checkpoint)
         self.recipes.clear()
 
     def restore_recipes(self) -> None:
@@ -815,13 +819,14 @@ class Database:
 
     def orphan_gc(self) -> int:
         """Delete store entries no row version references, then checkpoint
-        both zones at quiesce. Quiescent only: an in-flight insert's secrets
-        look like orphans until its commit.
+        both zones. Quiescent only: an in-flight insert's secrets look like
+        orphans until its commit.
 
-        The closing MSG_FLUSH_LOG carries the quiesce flag, so the privacy
-        zone checkpoints right after its sync; then this engine checkpoints
-        if its journal holds records. Durable state after maintenance is
-        images and sealed blocks only."""
+        The closing MSG_FLUSH_LOG carries the checkpoint flag, so the
+        privacy zone checkpoints right after its sync; then this engine
+        checkpoints if its journal holds records, and sends no second flush,
+        since that one left no recipe pending. Durable state after
+        maintenance is images and sealed blocks only."""
         if self.active_txns:
             raise ValueError("orphan_gc requires no active transactions")
         reclaimed = 0
@@ -835,7 +840,7 @@ class Database:
                         orphans.append(fid)
                         self._hook("during-orphan-gc", None)
                 reclaimed += self.backend.release(orphans, self.batch_size)
-        self.flush_privacy(quiesce=True)
+        self.flush_privacy(checkpoint=True)
         if self.dbwal.durable_len:
             self.checkpoint()
         return reclaimed
@@ -870,9 +875,12 @@ class Database:
         """Writes the image of each row's newest committed version, covering
         every record framed so far, then truncates the journal to empty.
         The image holds FIDs only, so a pending recipe's secret is made
-        durable first, by one MSG_FLUSH_LOG."""
+        durable first, by one MSG_FLUSH_LOG. It carries the checkpoint flag,
+        so the privacy zone checkpoints with this engine: its journal then
+        holds no record older than this image, so no plaintext of a secret
+        the image names."""
         if self.recipes:
-            self.flush_privacy()
+            self.flush_privacy(checkpoint=True)
         self._durable_write(self.snapshots.put_atomic, CHECKPOINT_IMAGE,
                             wal.frame(self._image()))
         self._hook("integrity-checkpoint-before-truncate", None)

@@ -386,6 +386,16 @@ class MappingStore:
         off = fid & OFFSET_MASK
         return off < len(p.slots) and p.slots[off] is not None
 
+    def peek(self, fid: int) -> bytes | None:
+        """The value get would return, read without the cache hook or the
+        get counter: a check's look at trusted memory, which loads, seals
+        and traces nothing."""
+        if not self.is_live(fid):
+            return None
+        p = self._parts[fid >> OFFSET_BITS]
+        cls, slot = p.slots[fid & OFFSET_MASK]
+        return p.buckets[cls][slot]
+
     def in_permanent(self, fid: int) -> bool:
         """True iff fid's partition exists and is permanent."""
         p = self._parts.get(fid >> OFFSET_BITS)

@@ -43,8 +43,9 @@ FID, or one blob each way on the cipher path.
 
 MSG_DELETE carries n FIDs and its response n status bytes, one per FID in
 order: 0 for a deleted mapping, NotLive's code for a FID that had none.
-MSG_FLUSH_LOG carries nothing, or the one byte QUIESCE when no transaction
-is active (the flush that ends orphan_gc): the privacy zone then
+MSG_FLUSH_LOG carries nothing, or the one byte CHECKPOINT when the engine
+checkpoints too (the flush an integrity checkpoint sends while a recipe is
+pending, and the one that ends orphan_gc): the privacy zone then
 checkpoints after its sync if its journal holds records. Its response is
 the status byte alone, so it tells the integrity zone nothing about the
 privacy zone's journal. The integrity zone sends it after create_table's
@@ -133,7 +134,7 @@ OP_REVEAL = 0x40
 OP_CONST = 0x20
 _OP_FLAGS = OP_DEST | OP_REVEAL | OP_CONST
 
-QUIESCE = b"\x01"  # MSG_FLUSH_LOG payload: checkpoint after the sync
+CHECKPOINT = b"\x01"  # MSG_FLUSH_LOG payload: checkpoint after the sync
 
 # a recipe's first byte: the kind of write it re-runs (format in the module
 # docstring)
@@ -465,8 +466,8 @@ class ProxyClient:
             out.extend(status == 0 for status in body)
         return out
 
-    def flush_log(self, quiesce: bool = False) -> None:
-        self._call(MSG_FLUSH_LOG, 0, QUIESCE if quiesce else b"")
+    def flush_log(self, checkpoint: bool = False) -> None:
+        self._call(MSG_FLUSH_LOG, 0, CHECKPOINT if checkpoint else b"")
         self.unsynced.clear()
 
     def restore(self, items: list[tuple[int, bytes]], batch_size: int) -> None:
@@ -597,9 +598,9 @@ class PrivacyDispatcher:
                     out.append(NotLive.code)
             return bytes(out)
         if kind == MSG_FLUSH_LOG:
-            if payload not in (b"", QUIESCE):
+            if payload not in (b"", CHECKPOINT):
                 raise TypeMismatch(f"flush payload of {len(payload)} bytes")
-            self.wal.flush(quiesce=payload == QUIESCE)
+            self.wal.flush(checkpoint=payload == CHECKPOINT)
             return b""
         if kind == MSG_CREATE_PARTITION:
             if payload:

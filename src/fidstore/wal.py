@@ -26,46 +26,61 @@ so far durable, regardless of which transaction appended it. No commit
 waits for it: the privacy journal syncs when MSG_FLUSH_LOG asks (see
 messages) and before MSG_PROMOTE replies. A committed put that a crash
 loses from the unsynced tail comes back from its recipe in the integrity
-journal (MSG_RESTORE), and every integrity checkpoint flushes this journal
-before it drops its recipes, so the restore work after a crash is bounded
-by one integrity checkpoint interval of puts. The journal also syncs
-itself, inside the put, once MAX_UNSYNCED_PUTS puts are pending, so a
-crash loses fewer allocations than that from any partition; MSG_RESTORE
-refuses a FID beyond that many offsets past its partition's recovered
-allocation counter. No workload reaches the cap between two flushes.
+journal (MSG_RESTORE), and every integrity checkpoint flushes and
+checkpoints this journal before it drops its recipes, so the restore work
+after a crash is bounded by one integrity checkpoint interval of puts. The
+journal also syncs itself, inside the put, once MAX_UNSYNCED_PUTS puts are
+pending, so a crash loses fewer allocations than that from any partition;
+MSG_RESTORE refuses a FID beyond that many offsets past its partition's
+recovered allocation counter. No workload reaches the cap between two
+flushes.
 
 One checkpoint rule holds for both zones' journals: a zone checkpoints
 right after a sync that took its journal past CHECKPOINT_INTERVAL_BYTES
-(past_interval), or at quiesce, if its journal holds records. Here both
-happen inside flush, so inside MSG_FLUSH_LOG; quiesce is the flag on the
-flush that ends Database.orphan_gc, which runs with no transaction active.
-Its image holds the last LSN it covers, and the journal is truncated to
-empty. LSNs increase along each journal, and recovery reads it through
-journal_after, which replays only the records past the cover. So each zone
-replays at most one interval plus one sync on top of its image, and none
-after maintenance.
+(past_interval), or when the other zone asks, if its journal holds
+records. Here both happen inside flush, so inside MSG_FLUSH_LOG; the ask
+is its checkpoint flag, which the engine sets on the flush an integrity
+checkpoint sends while a recipe is pending and on the flush that ends
+Database.orphan_gc. So the privacy zone checkpoints with every integrity
+checkpoint whose image names a secret no flush has made durable yet, and
+after it this journal holds no record older than that image. A checkpoint
+with no recipe pending sends no flush, and a record a plain flush made
+durable before it (vacuum's, a restore's) stays until the next privacy
+checkpoint. The privacy zone's own interval still applies, since the
+engine does not drive every flush of this journal (vacuum's deletes, the
+cipher baseline). An image holds the last LSN it covers, and the journal
+is truncated to empty. LSNs increase along each journal, and recovery
+reads it through journal_after, which replays only the records past the
+cover. So each zone replays at most one interval plus one sync on top of
+its image, and none after maintenance.
 
 The privacy checkpoint writes no plaintext. It seals, through the at-rest
 layer, every block of a permanent partition that lacks a current sealed
-copy (AtRestLayer.checkpoint_copies), then writes per permanent partition a
-slot map sealed under (partition, MAP_INDEX, covered LSN, epoch) and named
-by the covered LSN (map_name): a u32 copy count, a COPY_REC {u64 block
-index, u64 counter, u64 epoch} per block copy it keeps, in address order,
-then MappingStore.slot_map. Then come the freshness table (FreshnessTable
-owns its bytes), and last the marker: MARKER_HEAD {u64 covered LSN, u64
-epoch}, then a u32 per permanent partition, that list sealed like a slot
-map under the partition id MARKER_PID, which no partition reaches, so no
-partition can be struck from it. Only once the marker is written do the
-kept copies replace the last checkpoint's (SealedBlockStore.retain) and
-older maps go, so a crash anywhere before leaves the last checkpoint
-whole. recover_store opens the marker's list, exactly its maps and the
-copies they name, rebuilds each partition through
-MappingStore.load_slot_map and then replays the journal, so a wrong, old
-or missing copy, map or list raises CorruptLog before recovery deletes a
-copy. The epoch marker {u64 epoch} is advance_epoch's alone.
+copy, and writes each such block back: the copy becomes the block's
+current one and the block turns clean, so no eviction seals it again until
+it is written (AtRestLayer.checkpoint_copies). Then it writes per
+permanent partition a slot map sealed under (partition, MAP_INDEX, covered
+LSN, epoch) and named by the covered LSN (map_name): a u32 copy count, a
+COPY_REC {u64 block index, u64 counter, u64 epoch} per block copy it
+keeps, in address order, then MappingStore.slot_map. Then come the
+freshness table (FreshnessTable owns its bytes), and last the marker:
+MARKER_HEAD {u64 covered LSN, u64 epoch}, then a u32 per permanent
+partition, that list sealed like a slot map under the partition id
+MARKER_PID, which no partition reaches, so no partition can be struck from
+it. Only once the marker is written do the kept copies replace the last
+checkpoint's (SealedBlockStore.retain) and older maps go, so a crash
+anywhere before leaves the last checkpoint whole. recover_store opens the
+marker's list, exactly its maps and the copies they name, rebuilds each
+partition through MappingStore.load_slot_map and then replays the journal,
+so a wrong, old or missing copy, map or list raises CorruptLog before
+recovery deletes a copy. The epoch marker {u64 epoch} is advance_epoch's
+alone.
 
-Between checkpoints the journal still holds every put's value in
-plaintext.
+Between checkpoints the journal holds every put's value in plaintext:
+the durable puts since the last privacy checkpoint. A program whose puts
+all come before an integrity checkpoint that finds their recipes pending,
+like a scan whose preload crosses the interval, therefore keeps no
+plaintext on disk from that checkpoint on.
 """
 
 from __future__ import annotations
@@ -192,8 +207,8 @@ def journal_after(buffer: DurableBuffer,
 
 class Wal:
     """Mapping-store journal. A flush that takes the journal past the
-    checkpoint interval, or a flush at quiesce, runs the checkpoint
-    callback right after its sync, before it replies."""
+    checkpoint interval, or a flush with the checkpoint flag, runs the
+    checkpoint callback right after its sync, before it replies."""
 
     def __init__(self, buffer: DurableBuffer, *, start_lsn: int = 1):
         self.buffer = buffer
@@ -229,11 +244,12 @@ class Wal:
 
     # -- durability ----------------------------------------------------
 
-    def flush(self, quiesce: bool = False) -> int:
+    def flush(self, checkpoint: bool = False) -> int:
         """Blocking flush of everything buffered; returns highest durable lsn.
-        Checkpoints after the sync past the interval, or with quiesce."""
+        Checkpoints after the sync past the interval, or with checkpoint."""
         self._sync()
-        if self.on_checkpoint is not None and (quiesce or past_interval(self.buffer)):
+        if self.on_checkpoint is not None and (checkpoint
+                                               or past_interval(self.buffer)):
             self.on_checkpoint()
         return self.durable_lsn
 

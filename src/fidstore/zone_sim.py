@@ -116,8 +116,10 @@ class AdversaryTrace:
     resident block, or one no copy backs), then, once its marker is
     written, a BlockDrop for each copy it no longer keeps (the last
     checkpoint's copies that a newer copy superseded or whose block
-    dropped). Which blocks these are depends on the cache's dirty set,
-    which the op sequence fixes. A recovery reads each kept copy (a
+    dropped). Its seals write the blocks back, so an eviction after it
+    writes no block the checkpoint sealed unless a write dirtied it since.
+    Which blocks these are depends on the cache's dirty set, which the op
+    sequence fixes. A recovery reads each kept copy (a
     BlockRead) and deletes every copy sealed after the last checkpoint (a
     BlockDrop each). Sealed slot maps, like every snapshot, are not
     traced.
@@ -210,12 +212,12 @@ class CrashPointId(Enum):
     fresh FIDs' recipes ride in its own journal records. The checkpoint
     points fire inside a zone's checkpoint, once its image is written and
     once its journal is truncated, whether the checkpoint runs past the
-    interval or at quiesce (the end of orphan_gc); the privacy zone's
-    checkpoint also has PRIVACY_CHECKPOINT_AFTER_SEAL, between its seals
-    and its slot maps and marker. The privacy zone's run
-    inside the MSG_FLUSH_LOG whose sync took its journal past the interval,
-    or that carried the quiesce flag, and a privacy crash there fails that
-    request.
+    interval or at the end of orphan_gc; the privacy zone's checkpoint also
+    has PRIVACY_CHECKPOINT_AFTER_SEAL, between its seals and its slot maps
+    and marker. The privacy zone's run inside the MSG_FLUSH_LOG whose sync
+    took its journal past the interval, or that carried the checkpoint flag
+    (an integrity checkpoint's, or orphan_gc's closing one), and a privacy
+    crash there fails that request.
     DURING_RESTORE fires in recovery, once the privacy zone has written the
     restored secrets and before the flush that makes them durable.
 

@@ -3,8 +3,15 @@ import dataclasses
 import pytest
 
 from fidstore import cli
-from fidstore.bench import MATRIX_POINTS, default_matrix_spec, run_crash_matrix
+from fidstore.bench import (
+    MATRIX_POINTS,
+    default_matrix_spec,
+    lost_values,
+    row_states,
+    run_crash_matrix,
+)
 from fidstore.workload import Distribution, Mode
+from fidstore.zone_sim import ZoneTopology
 
 
 def test_cli_ops(capsys):
@@ -38,3 +45,28 @@ def test_crash_matrix_write_modes(mode):
     assert len(rows) == len(MATRIX_POINTS) and all(r["fired"] for r in rows)
     assert sum(r["violations"] for r in rows) == 0
     assert sum(r["orphans_post_gc"] for r in rows) == 0
+    assert sum(r["lost_values"] for r in rows) == 0
+
+
+def test_lost_values_counts_each_row_recovery_did_not_bring_back():
+    """After a crash of both zones and a recovery no row is lost; a row
+    whose secret is gone, or a row that is gone, counts once each, and
+    reading the states touches no block."""
+    spec = default_matrix_spec(200)
+    topo = ZoneTopology(5, batch_size=spec.batch_size, cache_capacity_blocks=2)
+    topo.run_workload(spec)
+    events = len(topo.trace)
+    before = row_states(topo)
+    assert len(topo.trace) == events
+    committed, in_flight = before
+    assert len(committed) == spec.tables * spec.rows_per_table and not in_flight
+    assert all(None not in values for *_, values in committed.values())
+    topo.privacy.crash()
+    topo.integrity.crash()
+    topo.recover_all()
+    assert lost_values(before, topo) == 0
+    table = topo.integrity.db.tables_by_idx[0]
+    topo.privacy.store.delete(table.rows[1][-1].cells[1])
+    assert lost_values(before, topo) == 1
+    del table.rows[2]
+    assert lost_values(before, topo) == 2

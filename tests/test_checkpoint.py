@@ -1,8 +1,9 @@
 """Checkpoints of both zones' journals: crashes inside them, bounded
 replay, recovery against the plaintext oracle, reopening a data directory,
-the quiesce checkpoint that ends maintenance, and the row encodings the
-engine image reuses. Each test lowers the one shared interval so that a
-small run crosses it several times in both zones."""
+the quiesce checkpoint that ends maintenance, the privacy checkpoint that
+comes with each integrity checkpoint and writes back what it seals, and
+the row encodings the engine image reuses. Each test lowers the one shared
+interval so that a small run crosses it several times in both zones."""
 
 import os
 from dataclasses import replace
@@ -12,8 +13,9 @@ import pytest
 from fidstore import wal, zone_sim
 from fidstore.bench import restart_violations
 from fidstore.errors import CorruptLog
+from fidstore.fid_codec import OFFSET_MASK
 from fidstore.integrity_dbms import CHECKPOINT_IMAGE
-from fidstore.messages import HEADER, MSG_FLUSH_LOG
+from fidstore.messages import CHECKPOINT, HEADER, MSG_FLUSH_LOG
 from fidstore.privacy_proxy import decode_int64, encode_int64
 from fidstore.wal import FRAME, KIND_PUT, PUT_REC, REC_HEAD, journal_after, read_frames
 from fidstore.workload import Mode, WorkloadSpec, flatten_schedule, generate_workload
@@ -196,9 +198,12 @@ def test_replay_is_bounded_by_the_interval(privacy_checkpoints,
     """A crash late in a run that crossed several checkpoints in both
     zones: each zone replays at most one interval plus one sync, and the
     recipes recovery restores fit in the integrity journal's part of it.
-    The privacy journal syncs only when the engine flushes it, at an
-    integrity checkpoint in this run, so it crosses its interval less
-    often than the integrity journal."""
+    Every integrity checkpoint's flush checkpoints the privacy zone too, so
+    privacy replay reaches back no further than the last integrity
+    checkpoint: here the privacy journal holds no record that
+    checkpoint's flush made durable. The restore's closing flush makes the
+    restored secrets durable past that checkpoint, and a second crash
+    replays them, again within one sync."""
     topo = ZoneTopology(5, batch_size=SPEC.batch_size)
     buffers = (topo.dbwal_buffer, topo.store_wal_buffer)
     synced = {buffer: [0] for buffer in buffers}  # bytes each sync made durable
@@ -208,6 +213,15 @@ def test_replay_is_bounded_by_the_interval(privacy_checkpoints,
             return sync()
 
         buffer.sync = sized
+    db = topo.integrity.db
+    covered = []  # the privacy journal's durable LSN after each integrity checkpoint
+    checkpoint = db.checkpoint
+
+    def recorded():
+        checkpoint()
+        covered.append(topo.privacy.wal.durable_lsn)
+
+    db.checkpoint = recorded
     topo.inject_crash(CrashPoint(CrashPointId.AFTER_DB_COMMIT, CrashTarget.BOTH,
                                  at_occurrence=1300))
     report = topo.run_workload(replace(SPEC, duration_ops=2000))
@@ -215,40 +229,54 @@ def test_replay_is_bounded_by_the_interval(privacy_checkpoints,
     assert len(integrity_checkpoints) >= 3
     assert len(privacy_checkpoints) >= 3
     durable = [buffer.durable_len for buffer in buffers]
+    journaled = [REC_HEAD.unpack_from(body)[0]
+                 for body in read_frames(topo.store_wal_buffer.durable)]
+    assert all(lsn > covered[-1] for lsn in journaled)
     restored = []
     restore = topo.client.restore
 
-    def recorded(items, batch_size):
+    def recorded_restore(items, batch_size):
         restored.extend(items)
         return restore(items, batch_size)
 
-    topo.client.restore = recorded
+    topo.client.restore = recorded_restore
     recovery = topo.recover_all()
     assert recovery.invariant.holds
-    assert 0 < recovery.db_replayed and 0 < recovery.privacy_replayed
+    assert 0 < recovery.db_replayed
+    assert recovery.privacy_replayed == len(journaled)
     for buffer, nbytes in zip(buffers, durable):
         assert nbytes <= INTERVAL + max(synced[buffer])
     assert restored
     assert sum(len(recipe) for _, recipe in restored) < durable[0]
 
+    durable = topo.store_wal_buffer.durable_len  # the restored secrets
+    journaled = read_frames(topo.store_wal_buffer.durable)
+    topo.privacy.crash()
+    topo.integrity.crash()
+    recovery = topo.recover_all()
+    assert recovery.invariant.holds
+    assert recovery.privacy_replayed == len(journaled) > 0
+    assert durable <= INTERVAL + max(synced[topo.store_wal_buffer])
 
-_PLAIN_FLUSH = (HEADER.pack(MSG_FLUSH_LOG, 0), b"\x00")
-_PLAIN_FLUSH_EVENTS = [("OpKindObserved", MSG_FLUSH_LOG),
-                       ("MsgBytes", len(_PLAIN_FLUSH[0])), ("MsgBytes", 1)]
+
+_CHECKPOINT_FLUSH = (HEADER.pack(MSG_FLUSH_LOG, 0) + CHECKPOINT, b"\x00")
+_CHECKPOINT_FLUSH_EVENTS = [("OpKindObserved", MSG_FLUSH_LOG),
+                            ("MsgBytes", len(_CHECKPOINT_FLUSH[0])), ("MsgBytes", 1)]
+_BLOCK_EVENTS = ("BlockRead", "BlockWrite", "BlockDrop")
 
 
-def _without_plain_flushes(messages: list, events: list) -> tuple[list, list]:
+def _without_checkpoint_flushes(messages: list, events: list) -> tuple[list, list]:
     """The messages and trace events of a run, less every MSG_FLUSH_LOG
-    without the quiesce flag."""
+    with the checkpoint flag."""
     kept = []
     i = 0
     while i < len(events):
-        if events[i:i + 3] == _PLAIN_FLUSH_EVENTS:
+        if events[i:i + 3] == _CHECKPOINT_FLUSH_EVENTS:
             i += 3
         else:
             kept.append(events[i])
             i += 1
-    return [m for m in messages if m != _PLAIN_FLUSH], kept
+    return [m for m in messages if m != _CHECKPOINT_FLUSH], kept
 
 
 def _strip_checkpoint_events(monkeypatch, topo):
@@ -280,16 +308,17 @@ def _strip_checkpoint_events(monkeypatch, topo):
 @pytest.mark.parametrize("backend", ["fid", "cipher"])
 def test_checkpoints_change_no_message(backend, monkeypatch, privacy_checkpoints,
                                        integrity_checkpoints):
-    """Neither checkpoint past the interval changes a message: every other
-    request and response, and the adversary trace less the block events a
-    privacy checkpoint emits itself, equal a run that checkpoints only at
-    quiesce, once per zone in orphan_gc's closing flush. The one message a
-    checkpoint adds is the plain MSG_FLUSH_LOG an integrity checkpoint
-    sends while a recipe is pending, so the cipher baseline, which keeps no
-    recipe, sends exactly the same messages. A privacy checkpoint seals and
-    deletes blocks, but in a run without a recovery, like this one, leaves
-    the cache to evict, seal and drop as it would have, and it draws no
-    nonce the proxy would."""
+    """Checkpoints past the interval add one message kind's worth of
+    traffic and change no other message: every other request and response,
+    and the adversary trace less the block events, equal a run that
+    checkpoints only once per zone, in orphan_gc's closing flush. The
+    messages a checkpoint adds are the MSG_FLUSH_LOGs an integrity
+    checkpoint sends while a recipe is pending, each with the checkpoint
+    flag, so the cipher baseline, which keeps no recipe, sends exactly the
+    same messages, and its trace less the privacy checkpoints' own events
+    is the same too. On fid a privacy checkpoint writes back what it seals,
+    so the cache's evictions seal fewer blocks, and it draws no nonce the
+    proxy would."""
     runs = []
     for interval in (INTERVAL, 1 << 40):
         monkeypatch.setattr(wal, "CHECKPOINT_INTERVAL_BYTES", interval)
@@ -313,10 +342,19 @@ def test_checkpoints_change_no_message(backend, monkeypatch, privacy_checkpoints
     assert before >= 3 and after == before + 1
     assert privacy_before >= (3 if backend == "fid" else 1)
     assert privacy_after == privacy_before + 1
+    assert plain.count(_CHECKPOINT_FLUSH) == 1  # orphan_gc's
     if backend == "fid":
-        assert checkpointed.count(_PLAIN_FLUSH) > plain.count(_PLAIN_FLUSH)
-        checkpointed, trace = _without_plain_flushes(checkpointed, trace)
-        plain, plain_trace = _without_plain_flushes(plain, plain_trace)
+        assert checkpointed.count(_CHECKPOINT_FLUSH) > 1
+        checkpointed, trace = _without_checkpoint_flushes(checkpointed, trace)
+        plain, plain_trace = _without_checkpoint_flushes(plain, plain_trace)
+        # an eviction seals no block a checkpoint wrote back since its write
+        evicted, plain_evicted = (sum(e[0] == "BlockWrite" for e in t)
+                                  for t in (trace, plain_trace))
+        assert evicted < plain_evicted
+        trace = [e for e in trace if e[0] not in _BLOCK_EVENTS]
+        plain_trace = [e for e in plain_trace if e[0] not in _BLOCK_EVENTS]
+    else:
+        assert checkpointed.count(_CHECKPOINT_FLUSH) == 1
     assert checkpointed == plain
     assert trace == plain_trace
 
@@ -653,7 +691,10 @@ def test_a_checkpoints_copies_stay_until_the_next_marker():
     """A kept copy stays in the sealed area while evictions seal newer
     copies of its block, so a crash before the next marker still finds it;
     right after each checkpoint the area holds exactly one copy per
-    spanned block."""
+    spanned block. The checkpoint wrote every block back, so only blocks
+    written since are sealed again: each updated row gets a new k and c,
+    which dirties both size classes' tail blocks of both partitions, more
+    than the 2-block cache holds."""
     topo = ZoneTopology(16, batch_size=SPEC.batch_size, cache_capacity_blocks=2)
     sealed = topo.sealed_store
     topo.run_workload(replace(SPEC, mode=Mode.WRITE_ONLY))
@@ -671,17 +712,152 @@ def test_a_checkpoints_copies_stay_until_the_next_marker():
     txn = db.begin()
     for table in db.tables_by_idx:
         for row_id in range(1, 61, 2):
-            (ref,) = db.backend.ingest(txn.query_id, [topo.client_encrypt(
-                encode_int64(row_id))], table.partition_id, SPEC.batch_size)
-            db.update_row(txn, table, row_id, {"k": ref})
-    db.commit(txn)
-    assert kept <= set(sealed.blocks)
+            k, c = db.backend.ingest(txn.query_id, [
+                topo.client_encrypt(encode_int64(row_id)),
+                topo.client_encrypt(pad_sensitive(b"c%d" % row_id))],
+                table.partition_id, SPEC.batch_size)
+            db.update_row(txn, table, row_id, {"k": k, "c": c})
+    assert sealed.kept == kept <= set(sealed.blocks)
     assert len(sealed.blocks) > len(kept)  # evictions sealed newer copies
+    db.commit(txn)
     for table in db.tables_by_idx:
         db.vacuum(table)
     db.orphan_gc()
     one_copy_per_spanned_block()
     assert sealed.kept != kept
+
+
+def test_a_scan_without_maintenance_leaves_no_plaintext(tmp_path, privacy_checkpoints,
+                                                        integrity_checkpoints):
+    """A range-select program runs no maintenance, so it never quiesces;
+    its preload crosses the interval, and the integrity checkpoint there
+    checkpoints the privacy zone too, so on its data directory no file
+    holds a preloaded k or padded c value and the privacy journal is empty
+    once the run ends, and again after a crash of both zones and a
+    recovery. At 35 rows a table the preload's integrity journal crosses
+    the interval at the second table's commit, while the privacy journal
+    stays under it, as in a full-size scan."""
+    spec = replace(SPEC, mode=Mode.RANGE_SELECT, rows_per_table=35, duration_ops=200)
+    program = generate_workload(spec, 18)
+    topo = ZoneTopology(18, batch_size=spec.batch_size, cache_capacity_blocks=2,
+                        data_dir=str(tmp_path))
+    def no_maintenance():
+        raise AssertionError("a range-select run runs no maintenance")
+
+    topo.integrity.db.orphan_gc = no_maintenance
+    assert topo.run_program(program).invariant_holds
+    assert len(integrity_checkpoints) == len(privacy_checkpoints) == 1
+    secrets = [value for decl in program.tables for row in decl.rows
+               for value in (encode_int64(row[1]), pad_sensitive(row[2]))]
+
+    def assert_no_plaintext():
+        assert (tmp_path / "store.wal").read_bytes() == b""
+        files = [path for path in tmp_path.rglob("*") if path.is_file()]
+        assert len(files) > 5
+        assert [path.name for path in files
+                if any(secret in path.read_bytes() for secret in secrets)] == []
+
+    assert_no_plaintext()
+    topo.privacy.crash()
+    topo.integrity.crash()
+    assert topo.recover_all().invariant.holds
+    assert_no_plaintext()
+    assert _read_rows(topo) == _oracle_rows(program)
+
+
+def _blocks_of_live_values(topo) -> dict:
+    """(partition, block index) -> a live FID whose value sits in it, for
+    every block of the tables' partitions."""
+    store = topo.privacy.store
+    out = {}
+    for table in topo.integrity.db.tables_by_idx:
+        p = store.partition(table.partition_id)
+        for fid in store.live_fids(p.pid):
+            out.setdefault((p.pid, store._block_of(p.slots[fid & OFFSET_MASK])), fid)
+    return out
+
+
+def test_a_privacy_checkpoint_writes_back_what_it_seals():
+    """Behind a 2-block cache, an integrity checkpoint's flush checkpoints
+    the privacy zone, which seals both dirty resident blocks as their
+    current copies and leaves them clean. Evicting them then seals nothing
+    (no seal, no KIND_SEAL record, no BlockWrite), and a fault on one opens
+    the checkpoint's copy. A block written after the checkpoint is sealed
+    once, when it is evicted, and not again when it is evicted clean. A
+    crash of both zones recovers every row at the plaintext replay's final
+    state and these updates."""
+    program = generate_workload(SPEC, 17)
+    topo = ZoneTopology(17, batch_size=SPEC.batch_size, cache_capacity_blocks=2)
+    assert topo.run_program(program).invariant_holds
+    atrest, store, db = topo.privacy.atrest, topo.privacy.store, topo.integrity.db
+    expected = _oracle_rows(program)
+
+    def update_k(row_id: int, values: list) -> list:
+        """Commits k = values[t] for row_id of the first len(values) tables
+        t; returns the blocks the new values went to."""
+        txn = db.begin()
+        blocks = []
+        for t, value in enumerate(values):
+            table = db.tables_by_idx[t]
+            (ref,) = db.backend.ingest(txn.query_id, [topo.client_encrypt(
+                encode_int64(value))], table.partition_id, SPEC.batch_size)
+            db.update_row(txn, table, row_id, {"k": ref})
+            expected[t][row_id] = (value, expected[t][row_id][1])
+            p = store.partition(table.partition_id)
+            blocks.append((p.pid, store._block_of(p.slots[ref & OFFSET_MASK])))
+        db.commit(txn)
+        topo.client.end_query(txn.query_id)
+        return blocks
+
+    def block_events(kind: str, key) -> int:
+        return topo.trace.events.count((kind, (key[0] << 40) | key[1]))
+
+    written = update_k(1, [-1, -2])
+    assert sorted(atrest._lru) == sorted(written) and all(atrest._lru.values())
+    assert db.recipes
+    db.checkpoint()  # its flush carries the checkpoint flag
+    assert not db.recipes and not any(atrest._lru.values())
+    for key in written:
+        assert (*key, atrest.copies[key][0]) in topo.sealed_store.kept
+
+    journaled = []
+    log_seal = topo.privacy.wal.log_seal
+
+    def recorded(pid, block_index, counter):
+        journaled.append((pid, block_index))
+        return log_seal(pid, block_index, counter)
+
+    topo.privacy.wal.log_seal = recorded
+    blocks = _blocks_of_live_values(topo)
+    others = [key for key in blocks if key not in written]
+    seals, opens, lsn = atrest.sealer.seals, atrest.sealer.opens, topo.privacy.wal.next_lsn
+    block_writes = sum(e[0] == "BlockWrite" for e in topo.trace.events)
+    for key in others[:2]:
+        store.get(blocks[key])
+    assert not set(written) & set(atrest._lru)  # both evicted
+    assert atrest.sealer.seals == seals and not journaled
+    assert topo.privacy.wal.next_lsn == lsn
+    assert sum(e[0] == "BlockWrite" for e in topo.trace.events) == block_writes
+    reads = block_events("BlockRead", written[0])
+    store.get(blocks[written[0]])
+    assert block_events("BlockRead", written[0]) == reads + 1
+    assert (*written[0], atrest.copies[written[0]][0]) in topo.sealed_store.kept
+
+    (later,) = update_k(2, [-3])
+    sealed_before = block_events("BlockWrite", later)
+    assert atrest._lru[later]
+    for _ in range(2):  # evicted dirty, then faulted back and evicted clean
+        for key in [k for k in blocks if k[0] != later[0]][:2]:
+            store.get(blocks[key])
+        assert later not in atrest._lru
+        assert block_events("BlockWrite", later) == sealed_before + 1
+        assert journaled == [later]
+        store.get(blocks[later])
+
+    topo.privacy.crash()
+    topo.integrity.crash()
+    assert topo.recover_all().invariant.holds
+    assert _read_rows(topo) == expected
 
 
 def test_a_repeated_integrity_lsn_is_corrupt():

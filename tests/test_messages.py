@@ -31,7 +31,7 @@ from fidstore.messages import (
     OP_DEST,
     OP_REVEAL,
     QUERY_TEMP_TARGET,
-    QUIESCE,
+    CHECKPOINT,
     RECIPE_EXEC,
     RECIPE_INGEST,
     ProxyClient,
@@ -425,7 +425,7 @@ def test_flush_reply_is_the_status_byte_alone():
     kinds = [kind for kind, _ in topo.trace.events]
     assert "BlockWrite" in kinds and "BlockDrop" in kinds
     replies.append(topo.channel.request(flush))
-    replies.append(topo.channel.request(_req(MSG_FLUSH_LOG, 0, QUIESCE)))
+    replies.append(topo.channel.request(_req(MSG_FLUSH_LOG, 0, CHECKPOINT)))
     assert replies == [b"\x00"] * 3
     # the create, 4 puts, 2 deletes and at least 2 seals
     assert topo.privacy.wal.durable_lsn >= 9

@@ -444,9 +444,9 @@ def test_integrity_crash_after_vacuums_deletes_are_durable():
     flushes = []
     from fidstore.zone_sim import ZoneCrashed
 
-    def flush_then_crash(quiesce=False):
-        flush(quiesce)
-        flushes.append(quiesce)
+    def flush_then_crash(checkpoint=False):
+        flush(checkpoint)
+        flushes.append(checkpoint)
         if len(flushes) == 2:  # the first makes the recipes' secrets durable
             topo.integrity.crash()
             raise ZoneCrashed("after vacuum's flush")
@@ -1211,7 +1211,7 @@ _PINNED = {
     # WAL's durable bytes when the first vacuum starts, the size of the
     # write path's journal. A commit sends no flush: the six are
     # create_table's two, vacuum's first (recipes were pending) and one
-    # after each table's deletes, and orphan_gc's quiesce flush, after
+    # after each table's deletes, and orphan_gc's checkpoint flush, after
     # which both journals are empty.
     "fid": ({m.MSG_INGEST: 8, m.MSG_REVEAL: 80, m.MSG_EXEC_BATCH: 49,
              m.MSG_DELETE: 4, m.MSG_FLUSH_LOG: 6, m.MSG_CREATE_PARTITION: 2,
@@ -1342,7 +1342,7 @@ def test_an_insert_sends_its_row_in_one_ingest(monkeypatch):
 def _preload_state(seed: int, spec: WorkloadSpec, cache: int | None) -> tuple:
     """Preloads spec's tables; returns every row version's cells, both
     journals' bytes, the sealed blocks, the untrusted block events and then,
-    after a quiesce flush, the privacy zone's image."""
+    after a checkpoint flush, the privacy zone's image."""
     topo = ZoneTopology(seed, batch_size=spec.batch_size, cache_capacity_blocks=cache)
     db = topo.integrity.db
     tables = _Runner(topo, generate_workload(spec, seed))._preload(db)
@@ -1350,7 +1350,7 @@ def _preload_state(seed: int, spec: WorkloadSpec, cache: int | None) -> tuple:
     state = (cells, topo.store_wal_buffer.durable, topo.store_wal_buffer.pending_len,
              topo.dbwal_buffer.durable, dict(topo.sealed_store.blocks),
              [e for e in topo.trace.events if e[0].startswith("Block")])
-    topo.client.flush_log(quiesce=True)
+    topo.client.flush_log(checkpoint=True)
     snapshots = topo.priv_snapshots
     return state + ({name: snapshots.get(name) for name in snapshots.names()},)
 
