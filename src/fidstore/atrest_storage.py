@@ -8,7 +8,8 @@ the per-field amortized overhead is 36/fields-per-block instead of the 28
 bytes per field that envelope schemes pay.
 
 Each seal binds (partition, block index, counter, epoch) as AEAD
-associated data. Counters strictly increase per block, so replaying a
+associated data. The at-rest layer keeps one counter and each seal takes
+the next value, so counters strictly increase per block: replaying a
 superseded sealed block fails freshness (StaleBlock) and any bit flip
 fails the tag (AuthFailure). The epoch increments at every recovery and
 the sealed record does not carry it: trusted state names the counter and
@@ -16,8 +17,9 @@ epoch of each copy it will open. Between recoveries that is the at-rest
 layer's current copy of each block; across a recovery it is the privacy
 checkpoint's slot map (see wal), so a copy a checkpoint keeps opens in any
 later epoch, while a copy sealed after the last checkpoint is never opened
-again: recovery deletes it, and so rebuilds no value from a block whose
-seal the journal may have lost.
+again: recovery deletes it, and so rebuilds no value from a block that
+may hold a put the journal lost. Recovery starts the counter at the
+highest one the slot maps keep, so no later seal reuses a kept copy's name.
 
 The privacy checkpoint's slot maps are sealed by BlockSealer too
 (seal_map), under the block index MAP_INDEX, which no size class reaches.
@@ -43,7 +45,6 @@ SEALED_OVERHEAD = 8 + NONCE_LEN + TAG_LEN  # counter + nonce + tag = 36 bytes
 
 _AAD = struct.Struct("<IQQQ")  # partition, block_index, counter, epoch
 _SEALED_REC = struct.Struct(f"<Q{NONCE_LEN}s{TAG_LEN}s{BLOCK_SIZE}s")
-_FRESHNESS_ENTRY = struct.Struct("<IQQ")  # partition, block_index, counter
 # the block index a slot map is sealed under: past every size class's blocks
 MAP_INDEX = (1 << 64) - 1
 
@@ -61,42 +62,6 @@ class SealedBlock:
     @classmethod
     def from_bytes(cls, data: bytes) -> "SealedBlock":
         return cls(*_SEALED_REC.unpack(data))
-
-
-class FreshnessTable:
-    """Latest issued counter per block, held in trusted state.
-
-    The table snapshot rides the store checkpoint, and the cache's seals
-    are journaled, so no counter that a copy recovery keeps
-    carries is issued again; a copy whose counter a crash lost is one that
-    recovery deletes. The snapshot is one _FRESHNESS_ENTRY per block, in
-    block order.
-    """
-
-    def __init__(self):
-        self.counters: dict[tuple[int, int], int] = {}
-
-    @classmethod
-    def from_snapshot(cls, data: bytes | None) -> "FreshnessTable":
-        table = cls()
-        for pid, bidx, counter in _FRESHNESS_ENTRY.iter_unpack(data or b""):
-            table.counters[(pid, bidx)] = counter
-        return table
-
-    def next_counter(self, pid: int, block_index: int) -> int:
-        c = self.counters.get((pid, block_index), 0) + 1
-        self.counters[(pid, block_index)] = c
-        return c
-
-    def replay_seal(self, pid: int, block_index: int, counter: int) -> None:
-        """Folds in a journaled seal: counters only move forward."""
-        key = (pid, block_index)
-        if self.counters.get(key, 0) < counter:
-            self.counters[key] = counter
-
-    def snapshot_bytes(self) -> bytes:
-        return b"".join(_FRESHNESS_ENTRY.pack(pid, bidx, counter)
-                        for (pid, bidx), counter in sorted(self.counters.items()))
 
 
 class SealedBlockStore:
@@ -232,7 +197,9 @@ class AtRestLayer:
     copy, the one a fault opens. It starts from what recovery hands over:
     the copies the last privacy checkpoint kept of the blocks replay left
     as they were, so a kept copy opens across recoveries. A block replay
-    changed has no current copy until a seal gives it one.
+    changed has no current copy until a seal gives it one. counter is the
+    last counter a seal took; recovery hands over the highest one the
+    checkpoint's slot maps keep, so a seal never names a kept copy.
 
     The store keeps each size-class bucket dense, so a bucket that
     shrinks past a block drops it (on_drop): the block leaves the cache
@@ -254,15 +221,13 @@ class AtRestLayer:
 
     def __init__(self, store, key: bytes, *, capacity_blocks: int | None = None,
                  nonce_source=os.urandom,
-                 freshness: FreshnessTable | None = None,
                  sealed_store: SealedBlockStore | None = None,
-                 journal=None, trace=None, epoch: int = 0,
+                 trace=None, epoch: int = 0, counter: int = 0,
                  copies: dict[tuple[int, int], tuple[int, int]] | None = None):
         self.store = weakref.proxy(store)
         self.sealer = BlockSealer(key, nonce_source, epoch)
-        self.freshness = freshness or FreshnessTable()
         self.sealed = sealed_store or SealedBlockStore()
-        self.journal = journal
+        self.counter = counter
         self.trace = trace
         self.capacity_blocks = capacity_blocks
         self.copies = copies or {}
@@ -331,16 +296,14 @@ class AtRestLayer:
         """Seal one block image and publish it to untrusted storage as the
         block's current copy; the copy it supersedes is discarded."""
         sealed = self._seal(pid, block_index, plaintext)
-        if self.journal is not None:
-            self.journal.log_seal(pid, block_index, sealed.counter)
         self._make_current(pid, block_index, sealed.counter)
         return sealed
 
     def _seal(self, pid: int, block_index: int, plaintext: bytes) -> SealedBlock:
         if len(plaintext) != BLOCK_SIZE:
             raise ValueError(f"plaintext must be exactly {BLOCK_SIZE} bytes")
-        counter = self.freshness.next_counter(pid, block_index)
-        sealed = self.sealer.seal(pid, block_index, counter, plaintext)
+        self.counter += 1
+        sealed = self.sealer.seal(pid, block_index, self.counter, plaintext)
         self.sealed.write(pid, block_index, sealed)
         if self.trace is not None:
             self.trace.block_write(pid, block_index)
@@ -371,10 +334,10 @@ class AtRestLayer:
         lacks a current copy, because it is dirty or no copy backs it, is
         sealed first, and that seal writes the block back: the copy becomes
         the block's current one and a resident block turns clean, so its
-        eviction seals nothing until a write dirties it again. These seals
-        are not journaled: the freshness table the checkpoint writes before
-        its marker holds their counters, and without the marker recovery
-        deletes the copies."""
+        eviction seals nothing until a write dirties it again. The slot maps
+        the checkpoint seals before its marker hold these counters, as they
+        hold every kept copy's; without the marker recovery deletes the
+        copies."""
         out = []
         copies = self.copies
         lru = self._lru

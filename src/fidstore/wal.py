@@ -8,18 +8,18 @@ means a torn write and ends replay; the same mismatch with intact frames
 after it means tampering and raises CorruptLog. The log is redo-only:
 aborts are handled by version visibility in the table engine, never by
 undo. The same frame wraps each snapshot not sealed (frame, unframe): the
-engine's image, and here the checkpoint marker, the freshness table and
-the epoch marker; a loader raises CorruptLog unless the snapshot is
-exactly one intact frame.
+engine's image, and here the checkpoint marker and the epoch marker; a
+loader raises CorruptLog unless the snapshot is exactly one intact frame.
 
 The privacy zone's payloads, one struct per kind:
 
 - KIND_PUT: PUT_REC {u64 fid}, then the value;
 - KIND_DELETE: DELETE_REC {u64 fid};
 - KIND_CREATE_PARTITION: CREATE_REC {u32 partition id} (always a permanent
-  partition: temporaries are never journaled);
-- KIND_SEAL: SEAL_REC {u32 partition, u64 block index, u64 counter}: the
-  at-rest layer sealed a block's new current copy.
+  partition: temporaries are never journaled).
+
+So the journal holds store mutations only; the at-rest layer never writes
+to it (its seal counter comes back from the slot maps, see recover_store).
 
 flush() has group-commit semantics: one call makes every record buffered
 so far durable, regardless of which transaction appended it. No commit
@@ -62,9 +62,8 @@ it is written (AtRestLayer.checkpoint_copies). Then it writes per
 permanent partition a slot map sealed under (partition, MAP_INDEX, covered
 LSN, epoch) and named by the covered LSN (map_name): a u32 copy count, a
 COPY_REC {u64 block index, u64 counter, u64 epoch} per block copy it
-keeps, in address order, then MappingStore.slot_map. Then come the
-freshness table (FreshnessTable owns its bytes), and last the marker:
-MARKER_HEAD {u64 covered LSN, u64 epoch}, then a u32 per permanent
+keeps, in address order, then MappingStore.slot_map. Last comes the
+marker: MARKER_HEAD {u64 covered LSN, u64 epoch}, then a u32 per permanent
 partition, that list sealed like a slot map under the partition id
 MARKER_PID, which no partition reaches, so no partition can be struck from
 it. Only once the marker is written do the kept copies replace the last
@@ -89,7 +88,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 
-from .atrest_storage import AtRestLayer, BlockSealer, FreshnessTable, SealedBlockStore
+from .atrest_storage import AtRestLayer, BlockSealer, SealedBlockStore
 from .durability import DurableBuffer, SnapshotStore
 from .errors import AuthFailure, CorruptLog, FidStoreError, StaleBlock
 from .fid_codec import MAX_PARTITIONS, OFFSET_BITS, OFFSET_MASK
@@ -101,12 +100,11 @@ REC_HEAD = struct.Struct("<QB")  # lsn, kind: the head of every record body
 KIND_PUT = 1
 KIND_DELETE = 2
 KIND_CREATE_PARTITION = 3
-KIND_SEAL = 5
+# Kinds 4 and 5 are retired and never reused.
 
 PUT_REC = struct.Struct("<Q")  # fid; the value follows
 DELETE_REC = struct.Struct("<Q")  # fid
 CREATE_REC = struct.Struct("<I")  # partition id
-SEAL_REC = struct.Struct("<IQQ")  # partition, block index, counter
 
 _U64 = struct.Struct("<Q")  # the epoch marker
 _U32 = struct.Struct("<I")  # a slot map's copy count
@@ -122,7 +120,6 @@ CHECKPOINT_INTERVAL_BYTES = 1024 * 1024
 MAX_UNSYNCED_PUTS = 1 << 16
 
 CKPT_MARKER = "store.ckpt"
-FRESHNESS_SNAPSHOT = "store.freshness"
 EPOCH_MARKER = "store.epoch"
 
 
@@ -239,9 +236,6 @@ class Wal:
     def log_create(self, pid: int) -> int:
         return self.append(KIND_CREATE_PARTITION, CREATE_REC.pack(pid))
 
-    def log_seal(self, pid: int, block_index: int, counter: int) -> int:
-        return self.append(KIND_SEAL, SEAL_REC.pack(pid, block_index, counter))
-
     # -- durability ----------------------------------------------------
 
     def flush(self, checkpoint: bool = False) -> int:
@@ -274,13 +268,14 @@ def checkpoint_truncate(store: MappingStore, wal: Wal, snapshots: SnapshotStore,
     """Persist a store image covering the durable LSN, then truncate the
     journal to empty.
 
-    The seals come first, then the slot maps and the freshness table, then
-    the marker holding the covered LSN; then the kept copies and maps
-    replace the old ones (format and order in the module docstring). A
-    record appended after the last flush is not covered: it stays pending
-    across the truncation and is replayed after the image. Replay after a
-    crash at any point in this sequence reconstructs the same state because
-    record application is idempotent. crash_hook is called with the crash
+    The seals come first, then the slot maps, which name the counter and
+    epoch of every copy the checkpoint keeps, then the marker holding the
+    covered LSN; then the kept copies and maps replace the old ones (format
+    and order in the module docstring). A record appended after the last
+    flush is not covered: it stays pending across the truncation and is
+    replayed after the image. Replay after a crash at any point in this
+    sequence reconstructs the same state because record application is
+    idempotent. crash_hook is called with the crash
     point's name once the seals are written, once the image and its marker
     are written and once the journal is truncated.
     """
@@ -297,7 +292,6 @@ def checkpoint_truncate(store: MappingStore, wal: Wal, snapshots: SnapshotStore,
                          *(COPY_REC.pack(*copy) for copy in kept[pid]),
                          store.slot_map(pid)])
         snapshots.put_atomic(map_name(pid, lsn), sealer.seal_map(pid, lsn, body))
-    snapshots.put_atomic(FRESHNESS_SNAPSHOT, frame(atrest.freshness.snapshot_bytes()))
     pid_list = sealer.seal_map(MARKER_PID, lsn, struct.pack(f"<{len(pids)}I", *pids))
     snapshots.put_atomic(CKPT_MARKER, frame(MARKER_HEAD.pack(lsn, sealer.epoch)
                                             + pid_list))
@@ -317,22 +311,25 @@ class RecoveryResult:
     store: MappingStore
     wal: Wal
     replayed_count: int
-    freshness: FreshnessTable
+    counter: int
     copies: dict[tuple[int, int], tuple[int, int]]
 
 
 def recover_store(snapshots: SnapshotStore, wal_buffer: DurableBuffer,
                   sealed: SealedBlockStore, key: bytes, trace=None) -> RecoveryResult:
-    """Rebuild a MappingStore and the freshness table from the last
-    checkpoint (its slot maps and the sealed copies they keep, opened with
-    key) plus the durable log suffix, then delete every sealed copy the
-    checkpoint does not keep. Running it twice over the same files yields
-    the same state (replay application is idempotent and pure). Each copy
-    it opens is a BlockRead in trace, and each copy it deletes a BlockDrop.
+    """Rebuild a MappingStore from the last checkpoint (its slot maps and
+    the sealed copies they keep, opened with key) plus the durable log
+    suffix, then delete every sealed copy the checkpoint does not keep.
+    Running it twice over the same files yields the same state (replay
+    application is idempotent and pure). Each copy it opens is a BlockRead
+    in trace, and each copy it deletes a BlockDrop.
 
     The result's copies are the current copies the at-rest layer starts
     from: the kept copy of each block that replay left as the copy holds
     it. A block replay changed has none, so the next checkpoint seals it.
+    The result's counter is the highest counter among the kept copies (0
+    when there are none): the at-rest layer's seals go on from it, so none
+    reuses a kept copy's name, and every copy above it is deleted here.
 
     A damaged snapshot, a marker whose partition list fails to open, a map
     or kept copy that is missing, fails to open or is not the one the
@@ -346,7 +343,6 @@ def recover_store(snapshots: SnapshotStore, wal_buffer: DurableBuffer,
     last_lsn = 0
     kept: dict[tuple[int, int], tuple[int, int, bytes]] = {}  # counter, epoch, plaintext
     marker = snapshots.get(CKPT_MARKER)
-    raw = snapshots.get(FRESHNESS_SNAPSHOT)
     try:
         if marker is not None:
             body = unframe(marker, CKPT_MARKER)
@@ -372,8 +368,6 @@ def recover_store(snapshots: SnapshotStore, wal_buffer: DurableBuffer,
                                                       copy_epoch)
                     kept[(pid, block_index)] = counter, copy_epoch, blocks[block_index]
                 store.load_slot_map(pid, data[_U32.size + n * COPY_REC.size:], blocks)
-        freshness = FreshnessTable.from_snapshot(
-            None if raw is None else unframe(raw, FRESHNESS_SNAPSHOT))
     except (struct.error, AuthFailure, StaleBlock) as exc:
         raise CorruptLog(f"the privacy checkpoint: {exc}") from None
 
@@ -392,8 +386,6 @@ def recover_store(snapshots: SnapshotStore, wal_buffer: DurableBuffer,
                 store.apply_delete(*DELETE_REC.unpack(payload))
             elif kind == KIND_CREATE_PARTITION:
                 store.apply_create(*CREATE_REC.unpack(payload))
-            elif kind == KIND_SEAL:
-                freshness.replay_seal(*SEAL_REC.unpack(payload))
             else:
                 raise CorruptLog(f"unknown kind {kind}")
         except (struct.error, FidStoreError) as exc:
@@ -408,7 +400,8 @@ def recover_store(snapshots: SnapshotStore, wal_buffer: DurableBuffer,
                   trace)
     wal = Wal(wal_buffer, start_lsn=last_lsn + 1)
     return RecoveryResult(store=store, wal=wal, replayed_count=len(records),
-                          freshness=freshness, copies=copies)
+                          counter=max((c for c, _, _ in kept.values()), default=0),
+                          copies=copies)
 
 
 def advance_epoch(snapshots: SnapshotStore) -> int:

@@ -27,7 +27,7 @@ from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .atrest_storage import AtRestLayer, FreshnessTable, SealedBlockStore
+from .atrest_storage import AtRestLayer, SealedBlockStore
 from .durability import DurableBuffer, SnapshotStore
 from .errors import NoCrashPending, StructureMismatch, Unavailable, WriteConflict
 from .integrity_dbms import (
@@ -122,7 +122,10 @@ class AdversaryTrace:
     sequence fixes. A recovery reads each kept copy (a
     BlockRead) and deletes every copy sealed after the last checkpoint (a
     BlockDrop each). Sealed slot maps, like every snapshot, are not
-    traced.
+    traced. A sealed copy's counter, in its name and record, is the at-rest
+    layer's count of seals, which a recovery resumes from the highest kept
+    copy's, so it is a function of the BlockWrite sequence the trace
+    already holds.
 
     Between checkpoints, the integrity journal holds the recipes of fresh
     FIDs: client envelopes and operator elements that the channel already
@@ -297,13 +300,13 @@ class PrivacyZoneHost:
         self.sealed_store = sealed_store
         self.crashed = False
         self.epoch = 0
-        self._build(MappingStore(), Wal(wal_buffer), FreshnessTable(), {})
+        self._build(MappingStore(), Wal(wal_buffer), 0, {})
 
     def _nonce_source(self, stream: str):
         rng = random.Random(f"{stream}:{self.topology.seed}:{self.epoch}")
         return rng.randbytes
 
-    def _build(self, store: MappingStore, wal: Wal, freshness: FreshnessTable,
+    def _build(self, store: MappingStore, wal: Wal, counter: int,
                copies: dict) -> None:
         topo = self.topology
         # the block sealer draws from a stream of its own: the proxy's
@@ -315,9 +318,8 @@ class PrivacyZoneHost:
             store, topo.zone_block_key,
             capacity_blocks=topo.cache_capacity_blocks,
             nonce_source=self._nonce_source("block-nonce"),
-            freshness=freshness,
-            sealed_store=self.sealed_store,
-            journal=wal, trace=topo.trace, epoch=self.epoch, copies=copies)
+            sealed_store=self.sealed_store, trace=topo.trace,
+            epoch=self.epoch, counter=counter, copies=copies)
         store.journal = wal
         store.blocks = self.atrest
         wal.on_checkpoint = self._checkpoint
@@ -339,7 +341,7 @@ class PrivacyZoneHost:
         result = recover_store(self.snapshots, self.wal_buffer, self.sealed_store,
                                topo.zone_block_key, topo.trace)
         self.epoch = advance_epoch(self.snapshots)
-        self._build(result.store, result.wal, result.freshness, result.copies)
+        self._build(result.store, result.wal, result.counter, result.copies)
         self.dispatcher.restoring = True  # until its first other request
         self.crashed = False
         return result.replayed_count

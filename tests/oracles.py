@@ -107,7 +107,7 @@ def replay_store_records(data: bytes, prefix_bits: int = 16) -> dict[int, bytes]
         elif kind == 2:  # delete
             (fid,) = struct.unpack_from("<Q", body, pos)
             mapping.pop(fid, None)
-        # create/checkpoint/seal records carry no mapping state
+        # create records carry no mapping state
     return mapping
 
 

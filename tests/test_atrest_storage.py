@@ -237,30 +237,6 @@ def test_zipfian_beats_uniform_hit_rate():
         assert hit_rate(True, seed) > hit_rate(False, seed)
 
 
-def test_freshness_snapshot_round_trip():
-    from fidstore.atrest_storage import FreshnessTable
-
-    table = FreshnessTable()
-    table.next_counter(1, 0)
-    table.next_counter(1, 0)
-    table.next_counter(2, 9)
-    snap = table.snapshot_bytes()
-    assert len(snap) == 2 * 20
-    entries = {}
-    import struct
-    for off in range(0, len(snap), 20):
-        pid, bidx, counter = struct.unpack_from("<IQQ", snap, off)
-        entries[(pid, bidx)] = counter
-    assert entries == {(1, 0): 2, (2, 9): 1}
-    loaded = FreshnessTable.from_snapshot(snap)
-    assert loaded.counters == entries
-    loaded.replay_seal(1, 0, 1)  # an older journaled seal moves nothing
-    loaded.replay_seal(2, 9, 4)
-    loaded.replay_seal(3, 3, 1)
-    assert loaded.counters == {(1, 0): 2, (2, 9): 4, (3, 3): 1}
-    assert FreshnessTable.from_snapshot(None).counters == {}
-
-
 # lengths from the 16-byte class and from the classes of a few values per
 # block, so buckets span several blocks within a short op sequence
 _length = st.integers(1, 16) | st.integers(1025, 4096)

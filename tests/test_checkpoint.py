@@ -14,7 +14,7 @@ from fidstore import wal, zone_sim
 from fidstore.bench import restart_violations
 from fidstore.errors import CorruptLog
 from fidstore.fid_codec import OFFSET_MASK
-from fidstore.integrity_dbms import CHECKPOINT_IMAGE
+from fidstore.integrity_dbms import CHECKPOINT_IMAGE, Column, ColumnType
 from fidstore.messages import CHECKPOINT, HEADER, MSG_FLUSH_LOG
 from fidstore.privacy_proxy import decode_int64, encode_int64
 from fidstore.wal import FRAME, KIND_PUT, PUT_REC, REC_HEAD, journal_after, read_frames
@@ -395,8 +395,7 @@ def test_committed_holds_only_the_txns_versions_name():
 
 def _is_snapshot_name(name: str) -> bool:
     return name.startswith("part-") and name.endswith(".map") or name in (
-        wal.CKPT_MARKER, wal.FRESHNESS_SNAPSHOT, wal.EPOCH_MARKER,
-        CHECKPOINT_IMAGE)
+        wal.CKPT_MARKER, wal.EPOCH_MARKER, CHECKPOINT_IMAGE)
 
 
 def test_reopening_a_data_directory_recovers_it(tmp_path, integrity_checkpoints):
@@ -460,15 +459,15 @@ def test_a_quiesced_round_leaves_only_the_images(tmp_path):
     """The engine keeps its tables in its image and journal, so after a
     quiesced round integrity/ holds db.ckpt alone. privacy/ holds one
     sealed slot map per table partition, named by the covered LSN, the
-    marker and the freshness table, and the epoch marker once a recovery
-    ran; sealed/ holds exactly one copy per block the partitions span. A
-    reopen rebuilds each table's name, schema and partition."""
+    marker, and the epoch marker once a recovery ran; sealed/ holds exactly
+    one copy per block the partitions span. A reopen rebuilds each table's
+    name, schema and partition."""
     first = _quiesced_round(tmp_path)
     tables = [(t.name, t.schema, t.partition_id)
               for t in first.integrity.db.tables_by_idx]
     lsn = first.privacy.wal.durable_lsn
     maps = [wal.map_name(pid, lsn) for _, _, pid in tables]
-    privacy = sorted(maps + [wal.CKPT_MARKER, wal.FRESHNESS_SNAPSHOT])
+    privacy = sorted(maps + [wal.CKPT_MARKER])
     store = first.privacy.store
     spanned = sorted((pid, b) for _, _, pid in tables
                      for b in store.partition_blocks(pid))
@@ -626,23 +625,18 @@ def test_a_tampered_kept_copy_fails_recovery(tmp_path, tamper):
         ZoneTopology(6, batch_size=SPEC.batch_size, data_dir=str(tmp_path))
 
 
-def test_a_damaged_engine_lsn_or_freshness_table_is_corrupt(tmp_path):
-    """The engine's image and the freshness table are CRC-framed: a flipped
-    next_lsn in db.ckpt, or a freshness table cut by one entry, fails the
-    reopen with CorruptLog instead of recovering silently."""
+def test_a_damaged_engine_lsn_is_corrupt(tmp_path):
+    """The engine's image is CRC-framed: a flipped next_lsn in db.ckpt
+    fails the reopen with CorruptLog instead of recovering silently."""
     _quiesced_round(tmp_path)
-    for path, damage in ((tmp_path / "integrity" / CHECKPOINT_IMAGE, "flip"),
-                         (tmp_path / "privacy" / wal.FRESHNESS_SNAPSHOT, "cut")):
-        good = path.read_bytes()
-        if damage == "flip":
-            damaged = bytearray(good)
-            damaged[wal.FRAME.size + 16] ^= 0x01  # next_lsn's low byte
-        else:
-            damaged = good[:-20]  # one (partition, block, counter) entry
-        path.write_bytes(bytes(damaged))
-        with pytest.raises(CorruptLog, match="damaged"):
-            ZoneTopology(6, batch_size=SPEC.batch_size, data_dir=str(tmp_path))
-        path.write_bytes(good)
+    path = tmp_path / "integrity" / CHECKPOINT_IMAGE
+    good = path.read_bytes()
+    damaged = bytearray(good)
+    damaged[wal.FRAME.size + 16] ^= 0x01  # next_lsn's low byte
+    path.write_bytes(bytes(damaged))
+    with pytest.raises(CorruptLog, match="damaged"):
+        ZoneTopology(6, batch_size=SPEC.batch_size, data_dir=str(tmp_path))
+    path.write_bytes(good)
     assert ZoneTopology(6, batch_size=SPEC.batch_size,
                         data_dir=str(tmp_path)).check_invariant().holds
 
@@ -781,7 +775,7 @@ def test_a_privacy_checkpoint_writes_back_what_it_seals():
     """Behind a 2-block cache, an integrity checkpoint's flush checkpoints
     the privacy zone, which seals both dirty resident blocks as their
     current copies and leaves them clean. Evicting them then seals nothing
-    (no seal, no KIND_SEAL record, no BlockWrite), and a fault on one opens
+    (no seal, no journal record, no BlockWrite), and a fault on one opens
     the checkpoint's copy. A block written after the checkpoint is sealed
     once, when it is evicted, and not again when it is evicted clean. A
     crash of both zones recovers every row at the plaintext replay's final
@@ -820,14 +814,6 @@ def test_a_privacy_checkpoint_writes_back_what_it_seals():
     for key in written:
         assert (*key, atrest.copies[key][0]) in topo.sealed_store.kept
 
-    journaled = []
-    log_seal = topo.privacy.wal.log_seal
-
-    def recorded(pid, block_index, counter):
-        journaled.append((pid, block_index))
-        return log_seal(pid, block_index, counter)
-
-    topo.privacy.wal.log_seal = recorded
     blocks = _blocks_of_live_values(topo)
     others = [key for key in blocks if key not in written]
     seals, opens, lsn = atrest.sealer.seals, atrest.sealer.opens, topo.privacy.wal.next_lsn
@@ -835,7 +821,7 @@ def test_a_privacy_checkpoint_writes_back_what_it_seals():
     for key in others[:2]:
         store.get(blocks[key])
     assert not set(written) & set(atrest._lru)  # both evicted
-    assert atrest.sealer.seals == seals and not journaled
+    assert atrest.sealer.seals == seals
     assert topo.privacy.wal.next_lsn == lsn
     assert sum(e[0] == "BlockWrite" for e in topo.trace.events) == block_writes
     reads = block_events("BlockRead", written[0])
@@ -845,19 +831,69 @@ def test_a_privacy_checkpoint_writes_back_what_it_seals():
 
     (later,) = update_k(2, [-3])
     sealed_before = block_events("BlockWrite", later)
+    seals = atrest.sealer.seals
     assert atrest._lru[later]
     for _ in range(2):  # evicted dirty, then faulted back and evicted clean
         for key in [k for k in blocks if k[0] != later[0]][:2]:
             store.get(blocks[key])
         assert later not in atrest._lru
         assert block_events("BlockWrite", later) == sealed_before + 1
-        assert journaled == [later]
+        assert atrest.sealer.seals == seals + 1
         store.get(blocks[later])
 
     topo.privacy.crash()
     topo.integrity.crash()
     assert topo.recover_all().invariant.holds
     assert _read_rows(topo) == expected
+
+
+def test_seals_after_a_recovery_go_on_past_the_kept_counters():
+    """The at-rest layer's seal counter goes on after a recovery from the
+    highest counter the checkpoint's slot maps keep. One table whose
+    partition spans block 0 alone: its quiesce checkpoint keeps copy
+    (p, 0, 1). After a privacy crash and recovery, a commit dirties block
+    0, and a checkpoint seals it again and crashes before its marker. That
+    seal takes counter 2: had the counter restarted, it would take 1 and
+    overwrite the kept copy with a seal of the new epoch, which the next
+    recovery could not open. Recovery opens the kept copy and every row
+    reads back its committed k."""
+    topo = ZoneTopology(5, batch_size=8)
+    db = topo.integrity.db
+    table = db.create_table("t", [Column("id", ColumnType.PLAIN_INT),
+                                  Column("k", ColumnType.SENSITIVE_INT)])
+    expected = {}
+
+    def insert(values) -> None:
+        txn = db.begin()
+        for value in values:
+            (ref,) = db.backend.ingest(txn.query_id, [topo.client_encrypt(
+                encode_int64(value))], table.partition_id, 8)
+            expected[db.insert_row(txn, table, [value, ref])] = value
+        db.commit(txn)
+        topo.client.end_query(txn.query_id)
+
+    insert([1, 2, 3])
+    db.orphan_gc()  # the quiesce checkpoint
+    pid = table.partition_id
+    assert list(topo.privacy.store.partition_blocks(pid)) == [0]
+    assert topo.sealed_store.kept == {(pid, 0, 1)}
+    topo.privacy.crash()
+    assert topo.recover_all().invariant.holds
+    assert topo.privacy.atrest.counter == 1
+
+    insert([4])
+    assert topo.privacy.atrest._lru[(pid, 0)]  # dirty
+    topo.inject_crash(CrashPoint(CrashPointId.PRIVACY_CHECKPOINT_AFTER_SEAL))
+    with pytest.raises(zone_sim.ZoneCrashed):
+        db.orphan_gc()
+    assert set(topo.sealed_store.blocks) == {(pid, 0, 1), (pid, 0, 2)}
+    assert topo.recover_all().invariant.holds
+    db = topo.integrity.db
+    reader = db.begin()
+    k = {row_id: decode_int64(topo.client_decrypt(topo.client.reveal(
+        reader.query_id, db.visible_version(table, row_id, reader).cells[1])))
+        for row_id in db.tables["t"].rows}
+    assert k == expected
 
 
 def test_a_repeated_integrity_lsn_is_corrupt():

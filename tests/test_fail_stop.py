@@ -203,8 +203,8 @@ def _orphan_gc(topo, table):
 # the failing call, the file a failing os.replace targets). orphan_gc ends
 # in the quiesce checkpoint of both zones: the privacy zone seals the one
 # block its partition spans (copy 1 of partition 0's block 0), writes its
-# slot map (named by the covered LSN, 7), freshness table and marker, then
-# truncates its journal; then the engine writes its image and truncates its
+# slot map (named by the covered LSN, 7) and marker, then truncates its
+# journal; then the engine writes its image and truncates its
 # journal. create_table syncs the privacy journal, then journals its table
 # in its own.
 IO_SITES = [
@@ -213,15 +213,15 @@ IO_SITES = [
      "checkpoint_copies", "0-0-1"),
     ("privacy-checkpoint-image", _orphan_gc, "replace", 2, "privacy",
      "checkpoint_truncate", "part-00000-0000000000000007.map"),
-    ("privacy-checkpoint-marker", _orphan_gc, "replace", 4, "privacy",
+    ("privacy-checkpoint-marker", _orphan_gc, "replace", 3, "privacy",
      "checkpoint_truncate", "store.ckpt"),
-    ("privacy-checkpoint-truncation", _orphan_gc, "replace", 5, "privacy",
+    ("privacy-checkpoint-truncation", _orphan_gc, "replace", 4, "privacy",
      "checkpoint_truncate", "store.wal"),
     ("integrity-commit-sync", _commit_a_row, "fsync", 1, "integrity", "commit", None),
     ("integrity-vacuum-sync", _vacuum, "fsync", 2, "integrity", "vacuum", None),
-    ("integrity-checkpoint-image", _orphan_gc, "replace", 6, "integrity",
+    ("integrity-checkpoint-image", _orphan_gc, "replace", 5, "integrity",
      "checkpoint", "db.ckpt"),
-    ("integrity-checkpoint-truncation", _orphan_gc, "replace", 7, "integrity",
+    ("integrity-checkpoint-truncation", _orphan_gc, "replace", 6, "integrity",
      "checkpoint", "db.wal"),
     ("integrity-create-table-sync", _create_table, "fsync", 2, "integrity",
      "create_table", None),
