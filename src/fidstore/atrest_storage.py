@@ -18,7 +18,7 @@ layer's current copy of each block; across a recovery it is the privacy
 checkpoint's slot map (see wal), so a copy a checkpoint keeps opens in any
 later epoch, while a copy sealed after the last checkpoint is never opened
 again: recovery deletes it, and so rebuilds no value from a block that
-may hold a put the journal lost. Recovery starts the counter at the
+may hold a put no checkpoint covers. Recovery starts the counter at the
 highest one the slot maps keep, so no later seal reuses a kept copy's name.
 
 The privacy checkpoint's slot maps are sealed by BlockSealer too
@@ -295,11 +295,6 @@ class AtRestLayer:
     def seal_block(self, pid: int, block_index: int, plaintext: bytes) -> SealedBlock:
         """Seal one block image and publish it to untrusted storage as the
         block's current copy; the copy it supersedes is discarded."""
-        sealed = self._seal(pid, block_index, plaintext)
-        self._make_current(pid, block_index, sealed.counter)
-        return sealed
-
-    def _seal(self, pid: int, block_index: int, plaintext: bytes) -> SealedBlock:
         if len(plaintext) != BLOCK_SIZE:
             raise ValueError(f"plaintext must be exactly {BLOCK_SIZE} bytes")
         self.counter += 1
@@ -307,13 +302,11 @@ class AtRestLayer:
         self.sealed.write(pid, block_index, sealed)
         if self.trace is not None:
             self.trace.block_write(pid, block_index)
-        return sealed
-
-    def _make_current(self, pid: int, block_index: int, counter: int) -> None:
         old = self.copies.get((pid, block_index))
-        self.copies[(pid, block_index)] = (counter, self.sealer.epoch)
+        self.copies[(pid, block_index)] = (self.counter, self.sealer.epoch)
         if old is not None:
             self.sealed.discard(pid, block_index, old[0])
+        return sealed
 
     def open_block(self, pid: int, block_index: int,
                    sealed: SealedBlock | None) -> bytes:
@@ -344,9 +337,8 @@ class AtRestLayer:
         for block_index in self.store.partition_blocks(pid):
             key = (pid, block_index)
             if lru.get(key) or key not in copies:
-                sealed = self._seal(pid, block_index,
-                                    self.store.read_block(pid, block_index))
-                self._make_current(pid, block_index, sealed.counter)
+                self.seal_block(pid, block_index,
+                                self.store.read_block(pid, block_index))
                 if key in lru:
                     lru[key] = False
             out.append((block_index, *copies[key]))

@@ -6,11 +6,11 @@ host, interleaving the four operations in round-robin batches so system
 noise drifts over all of them equally; medians of per-batch means are the
 reported statistic and ratios are always computed within a single run.
 
-The crash matrix runs through the two-zone simulator and emits one CSV
-row per crash point and seed; reruns with the same seed reproduce every
-column. Workload performance (round trips, bytes and crypto calls per
-transaction, timings) and durable size (space_amp) are measured per phase
-by perfbench/run.py, not here.
+The crash matrix runs through the two-zone simulator and emits one CSV row
+per crash point, cache size and seed; reruns with the same seed reproduce
+every column. Workload performance (round trips, bytes and crypto calls
+per transaction, timings) and durable size (space_amp) are measured per
+phase by perfbench/run.py, not here.
 """
 
 from __future__ import annotations
@@ -155,9 +155,9 @@ CHECKPOINT_POINTS = frozenset({
 CHECKPOINT_MATRIX_OPS = 10_000
 
 MATRIX_CSV_COLUMNS = [
-    "crash_point", "target", "seed", "fired", "violations", "orphans_pre_gc",
-    "gc_reclaimed", "orphans_post_gc", "privacy_replayed", "db_replayed",
-    "committed_before_crash", "restart_violations", "lost_values",
+    "crash_point", "target", "cache_blocks", "seed", "fired", "violations",
+    "orphans_pre_gc", "gc_reclaimed", "orphans_post_gc", "privacy_replayed",
+    "db_replayed", "committed_before_crash", "restart_violations", "lost_values",
 ]
 
 
@@ -165,6 +165,17 @@ def default_matrix_spec(ops: int = 10_000) -> WorkloadSpec:
     return WorkloadSpec(mode=Mode.READ_WRITE, distribution=Distribution.UNIFORM,
                         tables=2, rows_per_table=200, duration_ops=ops,
                         threads_simulated=2, batch_size=64, abort_ratio=0.05)
+
+
+def matrix_caches(spec: WorkloadSpec, seed: int) -> tuple[int | None, int]:
+    """The page-cache sizes the matrix runs every crash point at: unbounded
+    (None), and a quarter of the blocks the preload of spec's program spans
+    (4 for default_matrix_spec), as perfbench's cold workloads have."""
+    topo = ZoneTopology(seed, batch_size=spec.batch_size)
+    topo.run_workload(replace(spec, duration_ops=0))
+    store = topo.privacy.store
+    blocks = sum(len(store.partition_blocks(pid)) for pid in store.partition_ids())
+    return None, max(1, blocks // 4)
 
 
 def checkpoint_matrix_spec(spec: WorkloadSpec) -> WorkloadSpec:
@@ -242,10 +253,11 @@ def run_crash_matrix(seeds_n: int, spec: WorkloadSpec | None = None,
                      base_seed: int = 1000,
                      points: list[tuple[CrashPointId, CrashTarget]] | None = None,
                      on_row=None) -> list[dict]:
-    """Every crash point crossed with seeds_n seeds; after each recovery the
-    external-synchrony invariant must hold with zero dangling FIDs. A fired
-    run then restarts once more (restart_violations), so what the first
-    recovery left behind must survive a later commit and crash. A
+    """Every crash point crossed with the matrix_caches cache sizes and
+    seeds_n seeds; after each recovery the external-synchrony invariant
+    must hold with zero dangling FIDs. A fired run then restarts once more
+    (restart_violations), so what the first recovery left behind must
+    survive a later commit and crash. A
     checkpoint point runs checkpoint_matrix_spec and crashes in the first
     or second checkpoint of its zone. DURING_RESTORE needs a restore to
     crash in: the run ends in a privacy-only crash after a commit, and
@@ -255,13 +267,16 @@ def run_crash_matrix(seeds_n: int, spec: WorkloadSpec | None = None,
     run stopped at its crash."""
     spec = spec or default_matrix_spec()
     rows = []
-    for point_id, target in points or MATRIX_POINTS:
+    cells = [(cache, point) for cache in matrix_caches(spec, base_seed)
+             for point in points or MATRIX_POINTS]
+    for cache, (point_id, target) in cells:
         in_checkpoint = point_id in CHECKPOINT_POINTS
         in_restore = point_id == CrashPointId.DURING_RESTORE
         run_spec = checkpoint_matrix_spec(spec) if in_checkpoint else spec
         for i in range(seeds_n):
             seed = base_seed + i
-            topo = ZoneTopology(seed, batch_size=spec.batch_size)
+            topo = ZoneTopology(seed, batch_size=spec.batch_size,
+                                cache_capacity_blocks=cache)
             if in_checkpoint:
                 occurrence = 1 + seed % 2
             elif point_id == CrashPointId.RANDOM_BYTE:
@@ -287,21 +302,10 @@ def run_crash_matrix(seeds_n: int, spec: WorkloadSpec | None = None,
                     fired = False  # nothing was pending, so nothing restored
                 except (ZoneCrashed, Unavailable):
                     pass
-            row = {
-                "crash_point": point_id.value,
-                "target": target.value,
-                "seed": seed,
-                "fired": fired,
-                "violations": 0,
-                "orphans_pre_gc": 0,
-                "gc_reclaimed": 0,
-                "orphans_post_gc": 0,
-                "privacy_replayed": 0,
-                "db_replayed": 0,
-                "committed_before_crash": report.txns_committed,
-                "restart_violations": 0,
-                "lost_values": 0,
-            }
+            row = dict.fromkeys(MATRIX_CSV_COLUMNS, 0)
+            row.update(crash_point=point_id.value, target=target.value,
+                       cache_blocks=cache, seed=seed, fired=fired,
+                       committed_before_crash=report.txns_committed)
             if fired:
                 recovery = topo.recover_all()
                 row["lost_values"] = lost_values(before, topo)

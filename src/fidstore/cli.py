@@ -62,7 +62,8 @@ def _cmd_crash_matrix(args: argparse.Namespace) -> int:
 
     def on_row(row: dict) -> None:
         printed.append(row)
-        print(f"{row['crash_point']:38s} {row['target']:9s} seed={row['seed']} "
+        print(f"{row['crash_point']:38s} {row['target']:9s} "
+              f"cache={row['cache_blocks'] or 'all'} seed={row['seed']} "
               f"fired={row['fired']} "
               f"violations={row['violations']} orphans_pre={row['orphans_pre_gc']} "
               f"orphans_post={row['orphans_post_gc']} "

@@ -13,30 +13,29 @@ reclamation happens off the write path: vacuum removes versions invisible
 to every snapshot and only then deletes their replaced refs from the
 mapping store; orphan_gc sweeps store entries no row version references
 (the secrets of transactions that never committed, made durable by a
-flush another caller sent).
+checkpoint another caller asked for).
 
 The cross-domain contract is an invariant: a durably visible FID has a
 durable secret, or a durable recipe whose operands are durable or backed
-by a recipe. A recipe is the bytes that wrote a fresh FID (messages): the
-client envelope of an ingest, or the operator element whose value result
-went to the table's partition. A commit syncs only this engine's journal,
-as the cipher baseline's does: one DB_RECIPE record beside its row
-records holds the recipe of each fresh FID its rows claim, in claim
-order, and the recipes become pending (Database.recipes) once the commit
-record is durable. Restore re-runs them in that order, so each operand a
-recipe reads must come back before it: written before the last flush
+by a recipe. A secret is durable once a privacy checkpoint seals it: the
+privacy journal holds deletes and partition creations, never a value. A
+recipe is the bytes that wrote a fresh FID (messages): the client envelope
+of an ingest, or the operator element whose value result went to the
+table's partition. A commit syncs only this engine's journal, as the
+cipher baseline's does: one DB_RECIPE record beside its row records holds
+the recipe of each fresh FID its rows claim, in claim order, and the
+recipes become pending (Database.recipes) once the commit record is
+durable. Restore re-runs them in that order, so each operand a recipe
+reads must come back before it: written before the last privacy checkpoint
 returned, or the FID of a pending recipe or of an earlier one of the
 commit's. Only a commit with any other operand (one claimed later in the
-txn, by another txn, or never) sends a message: it flushes the privacy
-journal first and journals no recipe. No workload does this. A
-MSG_FLUSH_LOG that returns makes every secret written before it durable,
-so it clears every pending recipe. The privacy journal syncs at
-create_table, at the start of vacuum and after its deletes, at the end of
-orphan_gc, before an integrity checkpoint writes its image, after a
-restore and in such a commit; at the start of vacuum and before an image
-only while a recipe is pending. A transaction that staged nothing makes
-no FID visible, so its commit takes a commit sequence number and touches
-neither journal.
+txn, by another txn, or never) sends a message: it checkpoints the privacy
+zone first and journals no recipe. No workload does this. A MSG_FLUSH_LOG
+with the checkpoint flag makes every secret written before it durable, so
+once it returns no recipe is pending; a plain one makes only delete and
+create records durable (where the engine sends each: messages). A
+transaction that staged nothing makes no FID visible, so its commit takes
+a commit sequence number and touches neither journal.
 
 When the privacy zone restarts, it has lost every secret that was not yet
 durable, and a lost FID's slot may be handed out again. Before any other
@@ -45,29 +44,30 @@ privacy zone writes each lost FID again at exactly that FID, in commit
 order, so an operand comes back before the results computed from it. It
 skips a FID that is live, which is safe because every MSG_DELETE batch is
 followed by a flush that returns before the next write (vacuum and
-orphan_gc): a live FID never holds a secret older than a recipe's. Then
-privacy_restarted aborts every active transaction that stored a ref and
-forgets the abort garbage, so no lost ref is ever committed or released;
-whatever of it did survive is an orphan for orphan_gc.
+orphan_gc), which makes the deletes durable: a live FID never holds a
+secret older than a recipe's. Then privacy_restarted aborts every active
+transaction that stored a ref and forgets the abort garbage, so no lost
+ref is ever committed or released; whatever of it did survive is an orphan
+for orphan_gc.
 
 The engine's journal follows the checkpoint rule in wal: it checkpoints
 after the sync of a commit or vacuum that took it past the interval, and
 when orphan_gc ends with no transaction active, if it holds records. Both
-zones checkpoint together whenever the image names a secret no flush has
-made durable: the MSG_FLUSH_LOG a checkpoint then sends, like orphan_gc's
-closing one, carries the checkpoint flag, so the privacy zone checkpoints
-right after that sync and its journal keeps none of those secrets in
-plaintext. After maintenance both zones' durable state is images and
-sealed blocks only. The image holds every table (its DB_TABLE encoding),
-the newest committed version of every row (its cells in the DB_INSERT
-encoding, the bytes RowVersion.wire kept since the version was staged or
-decoded), the commit sequence numbers of the transactions that wrote them
-and the next_* counters, in one CRC frame (wal.frame), so recovery refuses
-a damaged image. A record gets its LSN when it is journaled, not when it
-is staged, so LSNs increase along the journal and the image's next_lsn is
-its cover. No transaction outlives a crash, so no snapshot after recovery
-can see an older version; a ref only an older version holds is an orphan
-for orphan_gc if the crash comes before vacuum releases it.
+zones checkpoint together whenever the image names a secret no checkpoint
+has made durable: the MSG_FLUSH_LOG a checkpoint then sends, like
+orphan_gc's closing one, carries the checkpoint flag, so the privacy zone
+checkpoints right after that sync and seals those secrets. After
+maintenance both zones' durable state is images and sealed blocks only.
+The image holds every table (its DB_TABLE encoding), the newest committed
+version of every row (its cells in the DB_INSERT encoding, the bytes
+RowVersion.wire kept since the version was staged or decoded), the commit
+sequence numbers of the transactions that wrote them and the next_*
+counters, in one CRC frame (wal.frame), so recovery refuses a damaged
+image. A record gets its LSN when it is journaled, not when it is staged,
+so LSNs increase along the journal and the image's next_lsn is its cover.
+No transaction outlives a crash, so no snapshot after recovery can see an
+older version; a ref only an older version holds is an orphan for
+orphan_gc if the crash comes before vacuum releases it.
 
 The image holds FIDs only, never a recipe. So a checkpoint sends one
 MSG_FLUSH_LOG, with the checkpoint flag, before it writes its image if a
@@ -428,8 +428,8 @@ class Database:
         self.next_txn_id = 1
         self.next_commit_seq = 1
         self.next_lsn = 1  # of the next record commit or vacuum frames
-        # fid -> recipe of each FID committed since the last privacy flush
-        # this engine saw return, in commit order (restore_recipes)
+        # fid -> recipe of each FID committed since the last privacy
+        # checkpoint this engine saw return, in commit order (restore_recipes)
         self.recipes: dict[int, bytes] = {}
 
     # ------------------------------------------------------------------
@@ -494,7 +494,7 @@ class Database:
         if recipes and not self._restorable(recipes):
             # every secret the rows hold becomes durable, so none needs
             # a recipe
-            self.flush_privacy()
+            self.flush_privacy(checkpoint=True)
             recipes = []
         self._hook("after-privacy-flush-before-db-commit", txn)
         # the FIDs become externally visible, the fresh ones with their
@@ -513,7 +513,7 @@ class Database:
     def _restorable(self, recipes: list) -> bool:
         """True iff restore_recipes could re-run recipes, in order, after
         the pending ones: each operand a recipe reads was written before
-        the client's last flush returned (not in client.unsynced), or is
+        the client's last checkpoint returned (not in client.unsynced), or is
         the FID of a pending recipe or of an earlier one of recipes."""
         unsynced = self.client.unsynced
         pending = self.recipes
@@ -552,21 +552,22 @@ class Database:
 
     def flush_privacy(self, checkpoint: bool = False) -> None:
         """Sends MSG_FLUSH_LOG, with the checkpoint flag if checkpoint. Once
-        it returns, every secret written before it is durable, so no recipe
-        is pending any more."""
+        a checkpoint returns, every secret written before it is durable, so
+        no recipe is pending any more."""
         self.client.flush_log(checkpoint)
-        self.recipes.clear()
+        if checkpoint:
+            self.recipes.clear()
 
     def restore_recipes(self) -> None:
         """After a privacy restart, before any other request: sends every
         pending recipe in commit order, batch_size per MSG_RESTORE, so the
-        privacy zone writes each lost FID again, then a flush that makes
-        the restored secrets durable."""
+        privacy zone writes each lost FID again, then a checkpoint that
+        makes the restored secrets durable."""
         if not self.recipes:
             return
         self.client.restore(list(self.recipes.items()), self.batch_size)
         self._hook("during-restore", None)
-        self.flush_privacy()
+        self.flush_privacy(checkpoint=True)
 
     def privacy_restarted(self) -> None:
         """The privacy zone recovered from a crash, and restore_recipes
@@ -753,12 +754,13 @@ class Database:
         ascending FID order, batch_size refs per message (backend.release).
         Runs outside any transaction.
 
-        While a recipe is pending it first flushes the privacy journal, so
+        While a recipe is pending it first checkpoints the privacy zone, so
         every secret is durable before a removal is: recovery drops the
         recipe of a FID whose version is removed, yet that FID may be an
-        operand of a recipe it keeps."""
+        operand of a recipe it keeps. A plain flush after the deletes
+        makes them durable before the next write."""
         if self.recipes:
-            self.flush_privacy()
+            self.flush_privacy(checkpoint=True)
         min_snapshot = min((t.snapshot_seq for t in self.active_txns.values()),
                            default=None)
         release = []
@@ -876,9 +878,8 @@ class Database:
         every record framed so far, then truncates the journal to empty.
         The image holds FIDs only, so a pending recipe's secret is made
         durable first, by one MSG_FLUSH_LOG. It carries the checkpoint flag,
-        so the privacy zone checkpoints with this engine: its journal then
-        holds no record older than this image, so no plaintext of a secret
-        the image names."""
+        so the privacy zone checkpoints with this engine and seals every
+        secret the image names."""
         if self.recipes:
             self.flush_privacy(checkpoint=True)
         self._durable_write(self.snapshots.put_atomic, CHECKPOINT_IMAGE,
@@ -1025,8 +1026,8 @@ def recover_database(client, backend, dbwal: DurableBuffer,
 
     The pending recipes are rebuilt from the DB_RECIPE records of committed
     txns: per FID the newest, in LSN order, and only for a FID a recovered
-    row version holds. Dropping the others is safe: vacuum flushes the
-    privacy journal before it makes a removal durable while a recipe is
+    row version holds. Dropping the others is safe: vacuum checkpoints the
+    privacy zone before it makes a removal durable while a recipe is
     pending, so no kept recipe has an operand that a removed version held
     and the privacy zone lost.
 

@@ -18,7 +18,8 @@ state follows the live values, not the peak. Which blocks move and drop
 depends only on the live count per class, which the op sequence fixes.
 
 Temporary partitions are volatile scratch space dropped at end of query;
-permanent partitions journal every mutation for crash recovery and report
+permanent partitions journal every delete and creation for crash recovery,
+count their puts toward the next checkpoint (see wal) and report
 block-level accesses to the page-cache layer.
 
 A permanent partition's checkpoint image holds no value: the values are
@@ -29,9 +30,9 @@ u32 live count per size class up to the last that holds a value, then per
 class with values its bucket slots' owner offsets (owner width bytes each,
 the narrowest of 1, 2, 4 and 8 that holds every offset the counter allows)
 and their u16 value lengths, in bucket order. load_slot_map rebuilds
-the buckets from it and the opened blocks. put, restore, replay (apply_put)
-and load_slot_map all place through _put_at's checks; load_slot_map raises
-CorruptLog on a map or blocks the store could not have written.
+the buckets from it and the opened blocks. put, restore and load_slot_map
+all place through _put_at's checks; load_slot_map raises CorruptLog on a
+map or blocks the store could not have written.
 
 The store is single-threaded: no method takes a lock, so callers must not
 use one store from several threads at once.
@@ -154,7 +155,7 @@ class MappingStore:
 
     def __init__(self, *, journal=None, blocks=None):
         self.classes = size_classes(MAX_VALUE_LEN)
-        self.journal = journal      # duck-typed: log_put/log_delete/log_create
+        self.journal = journal      # duck-typed: note_put/log_delete/log_create
         self.blocks = blocks        # duck-typed: on_read/on_write per block
         self._parts: dict[int, Partition] = {}
         self._next_probe = 0
@@ -227,13 +228,13 @@ class MappingStore:
         if free:
             free.pop()
             p.reused += 1
-        fid = p.fid_base | off
         if p.tracked:
-            if self.journal is not None:
-                self.journal.log_put(fid, secret)
+            # the block is dirty before the count may run a checkpoint
             if self.blocks is not None:
                 self.blocks.on_write(p.pid, self._block_of(cell))
-        return fid
+            if self.journal is not None:
+                self.journal.note_put()
+        return p.fid_base | off
 
     def get(self, fid: int) -> bytes | None:
         """Returns the secret bytes, or None when the FID has no live mapping."""
@@ -266,10 +267,10 @@ class MappingStore:
         self._free(p, off)
 
     def _put_at(self, p: Partition, off: int, value: bytes) -> tuple[int, int]:
-        """Puts value at offset off; returns its (class, bucket slot) cell.
-        Checks the value and the offset before it changes anything. An
-        offset past the counter moves the counter and slots past it; a live
-        one is freed first (only replay). The free list is the caller's."""
+        """Puts value at offset off, which is not live; returns its (class,
+        bucket slot) cell. Checks the value and the offset before it changes
+        anything. An offset past the counter moves the counter and slots
+        past it. The free list is the caller's."""
         n = len(value)
         if not 0 < n <= MAX_VALUE_LEN:
             raise ValueTooLarge(f"value of {n} bytes (max {MAX_VALUE_LEN})")
@@ -278,8 +279,6 @@ class MappingStore:
         if off >= p.alloc_counter:
             p.slots.extend([None] * (off + 1 - p.alloc_counter))
             p.alloc_counter = off + 1
-        elif p.slots[off] is not None:
-            self._free(p, off)
         cls = class_index(n, self.classes)
         bucket = p.buckets[cls]
         cell = p.slots[off] = cls, len(bucket)
@@ -348,7 +347,7 @@ class MappingStore:
 
     def restore(self, fid: int, secret: bytes) -> None:
         """Puts secret at exactly fid, a FID of a permanent partition that
-        is not live, through put, so the put is journaled and the block
+        is not live, through put, so the put is counted and the block
         hooks fire as for any other. restore only arranges the free list:
         the offset goes to its end, where put takes it next. The offsets put
         skipped to reach it join the list after; a refused put takes it off."""
@@ -525,9 +524,6 @@ class MappingStore:
     def apply_create(self, pid: int) -> None:
         if pid not in self._parts:
             self._register(pid, PartitionKind.PERMANENT)
-
-    def apply_put(self, fid: int, value: bytes) -> None:
-        self._put_at(self.partition(fid >> OFFSET_BITS), fid & OFFSET_MASK, value)
 
     def apply_delete(self, fid: int) -> None:
         off = fid & OFFSET_MASK

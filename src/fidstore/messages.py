@@ -43,25 +43,26 @@ FID, or one blob each way on the cipher path.
 
 MSG_DELETE carries n FIDs and its response n status bytes, one per FID in
 order: 0 for a deleted mapping, NotLive's code for a FID that had none.
-MSG_FLUSH_LOG carries nothing, or the one byte CHECKPOINT when the engine
-checkpoints too (the flush an integrity checkpoint sends while a recipe is
-pending, and the one that ends orphan_gc): the privacy zone then
-checkpoints after its sync if its journal holds records. Its response is
-the status byte alone, so it tells the integrity zone nothing about the
-privacy zone's journal. The integrity zone sends it after create_table's
-new partition, at the start of vacuum and after its deletes, at the end
-of orphan_gc, before an integrity checkpoint writes its image, and after
-a restore; at the start of vacuum and before an image only while a recipe
-is pending. A commit sends it only when one of its recipes reads an
-operand that no flush has made durable and no recipe restores first
-(Database.commit), which no workload does. MSG_PROMOTE, the one write
-without a recipe, syncs the privacy journal itself before it replies.
-MSG_CREATE_PARTITION carries nothing and creates a permanent partition;
-its response is the u32 partition id.
+MSG_FLUSH_LOG carries nothing, or the one byte CHECKPOINT. A plain flush
+makes the privacy journal's delete and create records durable, never a
+secret; with CHECKPOINT the privacy zone then checkpoints too (wal), so
+every secret written before it is durable. Its response is the status byte
+alone, so it tells the integrity zone nothing about the privacy zone's
+journal. The integrity zone sends a plain flush after create_table's new
+partition and after vacuum's deletes, and CHECKPOINT at the start of
+vacuum, at the end of orphan_gc, before an integrity checkpoint writes its
+image and after a restore; at the start of vacuum and before an image only
+while a recipe is pending. A commit sends CHECKPOINT only when one of its
+recipes reads an operand that no checkpoint has made durable and no recipe
+restores first (Database.commit), which no workload does. MSG_PROMOTE, the
+one write without a recipe, checkpoints the privacy zone itself before it
+replies. MSG_CREATE_PARTITION carries nothing and creates a permanent
+partition; its response is the u32 partition id.
 
 A recipe is the bytes that wrote a FID in a permanent partition, which
 the integrity zone journals with the commit that claims the FID and sends
-again after a privacy restart until a flush has made the write durable:
+again after a privacy restart until a checkpoint has made the write
+durable:
 RECIPE_INGEST (u8 1) and the client envelope of an ingest, or
 RECIPE_EXEC (u8 2) and the operator element, as MSG_EXEC_BATCH carried it,
 whose value result went to the FID's partition. MSG_RESTORE is
@@ -70,7 +71,8 @@ response is the status byte alone. The privacy zone accepts it only
 between its recovery and its first request of another kind, and checks
 every item before it stores the first: the FID must be in a permanent
 partition, at an offset below the partition's recovered allocation
-counter plus wal.MAX_UNSYNCED_PUTS (more than a crash can lose), the
+counter plus wal.MAX_UNSYNCED_PUTS (more puts than come between two
+privacy checkpoints, so more than a crash can lose), the
 element a value op naming that partition over permanent operands, and
 every envelope must authenticate. It skips a FID that is live and writes
 every other at exactly that FID (PrivacyProxy.restore). So a restore
@@ -316,9 +318,10 @@ class ProxyClient:
     zone restarts (Database.privacy_restarted).
 
     unsynced holds every FID this client wrote to a named permanent
-    partition since its last MSG_FLUSH_LOG returned, claimed or not: the
-    writes a privacy crash may lose, against which Database.commit checks
-    the operands of its recipes. The caller clears it with fresh.
+    partition since its last MSG_FLUSH_LOG with CHECKPOINT returned,
+    claimed or not: the writes a privacy crash may lose, against which
+    Database.commit checks the operands of its recipes. The caller clears
+    it with fresh.
     """
 
     def __init__(self, channel, trace=None):
@@ -468,7 +471,8 @@ class ProxyClient:
 
     def flush_log(self, checkpoint: bool = False) -> None:
         self._call(MSG_FLUSH_LOG, 0, CHECKPOINT if checkpoint else b"")
-        self.unsynced.clear()
+        if checkpoint:
+            self.unsynced.clear()
 
     def restore(self, items: list[tuple[int, bytes]], batch_size: int) -> None:
         """Writes each recipe's value again at its FID where the privacy
@@ -584,7 +588,8 @@ class PrivacyDispatcher:
         if kind == MSG_PROMOTE:
             fid, perm = _unpack(_PROMOTE, payload)
             fid = store.promote(fid, perm)
-            self.wal.flush()  # the one write without a recipe: durable before the reply
+            # the one write without a recipe: durable before the reply
+            self.wal.flush(checkpoint=True)
             return _U64.pack(fid)
         if kind == MSG_DELETE:
             if len(payload) % _U64.size:

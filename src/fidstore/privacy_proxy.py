@@ -459,9 +459,10 @@ class PrivacyProxy:
         allocation counter plus wal.MAX_UNSYNCED_PUTS, its element a value
         op that names that partition as its destination, over permanent
         operands, and every envelope must authenticate. The offset bound
-        holds because the privacy journal never holds that many unsynced
-        puts, so a crash loses fewer allocations; it keeps a restore from
-        growing a partition past what it could have held before the crash.
+        holds because fewer than that many puts come between two privacy
+        checkpoints (the put that reaches it checkpoints), so a crash loses
+        fewer allocations; it keeps a restore from growing a partition past
+        what it could have held before the crash.
         The recovered counter is the one a partition has when a restore
         first names it, since the recovery window admits no other write. A
         FID that is already live is skipped before any operand is read;

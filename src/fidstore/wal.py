@@ -1,4 +1,5 @@
-"""Append-only redo log for permanent-partition mutations.
+"""Append-only redo logs: both zones' record framing, and the privacy
+zone's journal of permanent-partition deletes and creations.
 
 Record framing is {u32 len, u32 crc32, body}, little-endian, crc over the
 body; every body of both zones' journals is REC_HEAD {u64 lsn, u8 kind}
@@ -13,46 +14,44 @@ loader raises CorruptLog unless the snapshot is exactly one intact frame.
 
 The privacy zone's payloads, one struct per kind:
 
-- KIND_PUT: PUT_REC {u64 fid}, then the value;
 - KIND_DELETE: DELETE_REC {u64 fid};
 - KIND_CREATE_PARTITION: CREATE_REC {u32 partition id} (always a permanent
   partition: temporaries are never journaled).
 
-So the journal holds store mutations only; the at-rest layer never writes
-to it (its seal counter comes back from the slot maps, see recover_store).
+So the journal holds FIDs and partition ids, never a value, and the
+at-rest layer never writes to it (its seal counter comes back from the
+slot maps, see recover_store). A put is not journaled: a secret is durable
+once a privacy checkpoint seals it, and until then the integrity journal
+holds the recipe that wrote it (messages), which MSG_RESTORE re-runs after
+a crash. The journal counts the puts to permanent partitions since the
+last checkpoint instead (note_put), and the put that reaches
+MAX_UNSYNCED_PUTS runs a checkpoint, once its block is marked dirty, so a
+crash loses fewer allocations than that from any partition; MSG_RESTORE
+refuses a FID beyond that many offsets past its partition's recovered
+allocation counter. No workload reaches the cap between two checkpoints.
 
 flush() has group-commit semantics: one call makes every record buffered
 so far durable, regardless of which transaction appended it. No commit
 waits for it: the privacy journal syncs when MSG_FLUSH_LOG asks (see
-messages) and before MSG_PROMOTE replies. A committed put that a crash
-loses from the unsynced tail comes back from its recipe in the integrity
-journal (MSG_RESTORE), and every integrity checkpoint flushes and
-checkpoints this journal before it drops its recipes, so the restore work
-after a crash is bounded by one integrity checkpoint interval of puts. The
-journal also syncs itself, inside the put, once MAX_UNSYNCED_PUTS puts are
-pending, so a crash loses fewer allocations than that from any partition;
-MSG_RESTORE refuses a FID beyond that many offsets past its partition's
-recovered allocation counter. No workload reaches the cap between two
-flushes.
+messages). Only a flush that checkpoints makes a put durable.
 
 One checkpoint rule holds for both zones' journals: a zone checkpoints
 right after a sync that took its journal past CHECKPOINT_INTERVAL_BYTES
-(past_interval), or when the other zone asks, if its journal holds
-records. Here both happen inside flush, so inside MSG_FLUSH_LOG; the ask
-is its checkpoint flag, which the engine sets on the flush an integrity
-checkpoint sends while a recipe is pending and on the flush that ends
-Database.orphan_gc. So the privacy zone checkpoints with every integrity
-checkpoint whose image names a secret no flush has made durable yet, and
-after it this journal holds no record older than that image. A checkpoint
-with no recipe pending sends no flush, and a record a plain flush made
-durable before it (vacuum's, a restore's) stays until the next privacy
-checkpoint. The privacy zone's own interval still applies, since the
-engine does not drive every flush of this journal (vacuum's deletes, the
-cipher baseline). An image holds the last LSN it covers, and the journal
-is truncated to empty. LSNs increase along each journal, and recovery
-reads it through journal_after, which replays only the records past the
-cover. So each zone replays at most one interval plus one sync on top of
-its image, and none after maintenance.
+(past_interval), or when the other zone asks. Here both happen inside
+flush, so inside MSG_FLUSH_LOG; the ask is its checkpoint flag, which the
+engine sets on each flush that must make secrets durable (messages), and
+which MSG_PROMOTE and the put cap set themselves. An asked checkpoint runs
+if the journal holds records or a put came since the last checkpoint, so
+after it this journal holds no record older than the ask, and every secret
+put before the ask is sealed. A record a plain flush made durable (a
+delete's, a partition's) stays until the next privacy checkpoint. The
+privacy zone's own interval still applies, since the engine does not drive
+every flush of this journal (vacuum's deletes, the cipher baseline). An
+image holds an LSN of its own, past every record it covers, and the
+journal is truncated to empty. LSNs increase along each journal, and
+recovery reads it through journal_after, which replays only the records
+past the cover. So each zone replays at most one interval plus one sync on
+top of its image, and none after maintenance.
 
 The privacy checkpoint writes no plaintext. It seals, through the at-rest
 layer, every block of a permanent partition that lacks a current sealed
@@ -74,12 +73,6 @@ partition through MappingStore.load_slot_map and then replays the journal,
 so a wrong, old or missing copy, map or list raises CorruptLog before
 recovery deletes a copy. The epoch marker {u64 epoch} is advance_epoch's
 alone.
-
-Between checkpoints the journal holds every put's value in plaintext:
-the durable puts since the last privacy checkpoint. A program whose puts
-all come before an integrity checkpoint that finds their recipes pending,
-like a scan whose preload crosses the interval, therefore keeps no
-plaintext on disk from that checkpoint on.
 """
 
 from __future__ import annotations
@@ -91,18 +84,17 @@ from dataclasses import dataclass
 from .atrest_storage import AtRestLayer, BlockSealer, SealedBlockStore
 from .durability import DurableBuffer, SnapshotStore
 from .errors import AuthFailure, CorruptLog, FidStoreError, StaleBlock
-from .fid_codec import MAX_PARTITIONS, OFFSET_BITS, OFFSET_MASK
+from .fid_codec import MAX_PARTITIONS
 from .mapping_store import MappingStore, PartitionKind
 
 FRAME = struct.Struct("<II")
 REC_HEAD = struct.Struct("<QB")  # lsn, kind: the head of every record body
 
-KIND_PUT = 1
+# Kinds 1 (KIND_PUT: PUT_REC {u64 fid}, then the value), 4 and 5 are retired
+# and never reused.
 KIND_DELETE = 2
 KIND_CREATE_PARTITION = 3
-# Kinds 4 and 5 are retired and never reused.
 
-PUT_REC = struct.Struct("<Q")  # fid; the value follows
 DELETE_REC = struct.Struct("<Q")  # fid
 CREATE_REC = struct.Struct("<I")  # partition id
 
@@ -115,8 +107,8 @@ MARKER_PID = MAX_PARTITIONS  # the marker's partition list is sealed under it
 # Bytes a zone's journal may grow by between two checkpoints. Read at each
 # check, never bound at import, so a test may lower it for both zones.
 CHECKPOINT_INTERVAL_BYTES = 1024 * 1024
-# Puts the journal may hold unsynced: the put that reaches it syncs. Read
-# at each check, like the interval.
+# Puts to permanent partitions allowed between two privacy checkpoints: the
+# put that reaches it checkpoints. Read at each check, like the interval.
 MAX_UNSYNCED_PUTS = 1 << 16
 
 CKPT_MARKER = "store.ckpt"
@@ -205,13 +197,14 @@ def journal_after(buffer: DurableBuffer,
 class Wal:
     """Mapping-store journal. A flush that takes the journal past the
     checkpoint interval, or a flush with the checkpoint flag, runs the
-    checkpoint callback right after its sync, before it replies."""
+    checkpoint callback right after its sync, before it replies. puts
+    counts the puts to permanent partitions since the last checkpoint."""
 
     def __init__(self, buffer: DurableBuffer, *, start_lsn: int = 1):
         self.buffer = buffer
         self.next_lsn = start_lsn
         self.durable_lsn = start_lsn - 1
-        self.unsynced_puts = 0
+        self.puts = 0
         self.on_checkpoint = None  # set by the owning runtime
 
     # -- append paths -------------------------------------------------
@@ -223,12 +216,12 @@ class Wal:
         self.buffer.append(frame_record(lsn, kind, payload))
         return lsn
 
-    def log_put(self, fid: int, value: bytes) -> int:
-        lsn = self.append(KIND_PUT, PUT_REC.pack(fid) + value)
-        self.unsynced_puts += 1
-        if self.unsynced_puts >= MAX_UNSYNCED_PUTS:
-            self._sync()
-        return lsn
+    def note_put(self) -> None:
+        """Counts a put to a permanent partition, once its block is marked
+        dirty; the put that reaches MAX_UNSYNCED_PUTS checkpoints."""
+        self.puts += 1
+        if self.puts >= MAX_UNSYNCED_PUTS:
+            self.flush(checkpoint=True)
 
     def log_delete(self, fid: int) -> int:
         return self.append(KIND_DELETE, DELETE_REC.pack(fid))
@@ -241,16 +234,12 @@ class Wal:
     def flush(self, checkpoint: bool = False) -> int:
         """Blocking flush of everything buffered; returns highest durable lsn.
         Checkpoints after the sync past the interval, or with checkpoint."""
-        self._sync()
+        self.buffer.sync()
+        self.durable_lsn = self.next_lsn - 1
         if self.on_checkpoint is not None and (checkpoint
                                                or past_interval(self.buffer)):
             self.on_checkpoint()
         return self.durable_lsn
-
-    def _sync(self) -> None:
-        self.buffer.sync()
-        self.durable_lsn = self.next_lsn - 1
-        self.unsynced_puts = 0
 
 
 # ----------------------------------------------------------------------
@@ -265,27 +254,31 @@ def map_name(pid: int, lsn: int) -> str:
 
 def checkpoint_truncate(store: MappingStore, wal: Wal, snapshots: SnapshotStore,
                         atrest: AtRestLayer, crash_hook) -> None:
-    """Persist a store image covering the durable LSN, then truncate the
-    journal to empty.
+    """Persist a store image covering the durable journal, under an LSN of
+    its own past every record, then truncate the journal to empty, and
+    reset the journal's put count. Does nothing if the journal holds no
+    record and no put came since the last checkpoint.
 
     The seals come first, then the slot maps, which name the counter and
     epoch of every copy the checkpoint keeps, then the marker holding the
     covered LSN; then the kept copies and maps replace the old ones (format
     and order in the module docstring). A record appended after the last
-    flush is not covered: it stays pending across the truncation and is
-    replayed after the image. Replay after a crash at any point in this
-    sequence reconstructs the same state because record application is
+    flush is covered too, since the image holds its effect: it stays
+    pending across the truncation, and recovery cuts it once a sync makes
+    it durable. Replay after a crash at any point in this sequence
+    reconstructs the same state because record application is
     idempotent. crash_hook is called with the crash
     point's name once the seals are written, once the image and its marker
     are written and once the journal is truncated.
     """
-    if wal.buffer.durable_len == 0:
-        return  # the journal holds nothing an image would cover
+    if not wal.buffer.durable_len and not wal.puts:
+        return  # the last image still holds everything
     pids = [pid for pid in store.partition_ids()
             if store.partition(pid).kind == PartitionKind.PERMANENT]
     kept = {pid: atrest.checkpoint_copies(pid) for pid in pids}
     crash_hook("privacy-checkpoint-after-seal")
-    lsn = wal.durable_lsn
+    lsn = wal.durable_lsn = wal.next_lsn
+    wal.next_lsn += 1
     sealer = atrest.sealer
     for pid in pids:
         body = b"".join([_U32.pack(len(kept[pid])),
@@ -303,6 +296,7 @@ def checkpoint_truncate(store: MappingStore, wal: Wal, snapshots: SnapshotStore,
             snapshots.delete(name)
     crash_hook("privacy-checkpoint-before-truncate")
     wal.buffer.replace(b"")
+    wal.puts = 0
     crash_hook("privacy-checkpoint-after-truncate")
 
 
@@ -319,10 +313,12 @@ def recover_store(snapshots: SnapshotStore, wal_buffer: DurableBuffer,
                   sealed: SealedBlockStore, key: bytes, trace=None) -> RecoveryResult:
     """Rebuild a MappingStore from the last checkpoint (its slot maps and
     the sealed copies they keep, opened with key) plus the durable log
-    suffix, then delete every sealed copy the checkpoint does not keep.
-    Running it twice over the same files yields the same state (replay
-    application is idempotent and pure). Each copy it opens is a BlockRead
-    in trace, and each copy it deletes a BlockDrop.
+    suffix, then delete every sealed copy the checkpoint does not keep. A
+    put the checkpoint does not hold is gone: the committed ones come back
+    from their recipes (MSG_RESTORE). Running it twice over the same files
+    yields the same state (replay application is idempotent and pure). Each
+    copy it opens is a BlockRead in trace, and each copy it deletes a
+    BlockDrop.
 
     The result's copies are the current copies the at-rest layer starts
     from: the kept copy of each block that replay left as the copy holds
@@ -333,11 +329,8 @@ def recover_store(snapshots: SnapshotStore, wal_buffer: DurableBuffer,
 
     A damaged snapshot, a marker whose partition list fails to open, a map
     or kept copy that is missing, fails to open or is not the one the
-    marker and map name, a record of an unknown kind, one
-    whose payload is not its kind's struct (for KIND_PUT, the struct and a
-    value), one the store refuses, or a put MAX_UNSYNCED_PUTS or more
-    offsets past its partition's allocation counter, which no crash can
-    leave, raises CorruptLog."""
+    marker and map name, a record of an unknown kind, one whose payload is
+    not its kind's struct, or one the store refuses raises CorruptLog."""
     store = MappingStore()
     sealer = BlockSealer(key)
     last_lsn = 0
@@ -375,14 +368,7 @@ def recover_store(snapshots: SnapshotStore, wal_buffer: DurableBuffer,
     for lsn, kind, payload in records:
         last_lsn = lsn
         try:
-            if kind == KIND_PUT:
-                (fid,) = PUT_REC.unpack_from(payload)
-                off = fid & OFFSET_MASK
-                if off >= store.partition(fid >> OFFSET_BITS).alloc_counter \
-                        + MAX_UNSYNCED_PUTS:
-                    raise CorruptLog(f"offset {off} lies past every unsynced put")
-                store.apply_put(fid, payload[PUT_REC.size:])
-            elif kind == KIND_DELETE:
+            if kind == KIND_DELETE:
                 store.apply_delete(*DELETE_REC.unpack(payload))
             elif kind == KIND_CREATE_PARTITION:
                 store.apply_create(*CREATE_REC.unpack(payload))

@@ -9,12 +9,13 @@ pure function of (seed, workload spec, crash schedule): same inputs, same
 trace, same durable bytes.
 
 Crash semantics are synced-only: a crashed zone loses exactly its unsynced
-state. Recovery replays each zone's journal; when both zones crashed the
-replays are independent (parallel in the modeled timeline), and a
-privacy-only crash stalls the integrity zone for the replay duration.
-After a privacy restart, the engine's first requests restore the
-committed secrets the privacy zone lost, from their recipes.
-An I/O failure crashes the zone that wrote (durability's fail-stop rule).
+state, and the privacy zone every put since its last checkpoint too, since
+no put is journaled. Recovery replays each zone's journal; when both zones
+crashed the replays are independent (parallel in the modeled timeline),
+and a privacy-only crash stalls the integrity zone for the replay
+duration. After a privacy restart, the engine's first requests restore the
+committed secrets the privacy zone lost, from their recipes. An I/O
+failure crashes the zone that wrote (durability's fail-stop rule).
 """
 
 from __future__ import annotations
@@ -110,23 +111,25 @@ class AdversaryTrace:
     byte alone, so the privacy journal's length does not reach the
     integrity zone.
 
-    A privacy checkpoint adds block events of its own, inside the
-    MSG_FLUSH_LOG that runs it: a BlockWrite for each block it seals (each
-    block of a permanent partition that lacks a current copy: a dirty
-    resident block, or one no copy backs), then, once its marker is
-    written, a BlockDrop for each copy it no longer keeps (the last
-    checkpoint's copies that a newer copy superseded or whose block
-    dropped). Its seals write the blocks back, so an eviction after it
-    writes no block the checkpoint sealed unless a write dirtied it since.
-    Which blocks these are depends on the cache's dirty set, which the op
-    sequence fixes. A recovery reads each kept copy (a
+    A privacy checkpoint adds block events of its own, inside the message
+    that runs it (a MSG_FLUSH_LOG, MSG_PROMOTE, or the write whose put
+    reached wal.MAX_UNSYNCED_PUTS): a BlockWrite for each block it seals
+    (each block of a permanent partition that lacks a current copy: a dirty
+    resident block, or one no copy backs), then, once its marker is written,
+    a BlockDrop for each copy it no longer keeps (the last checkpoint's
+    copies that a newer copy superseded or whose block dropped). Its seals
+    write the blocks back, so an eviction after it writes no block the
+    checkpoint sealed unless a write dirtied it since. Which blocks these
+    are depends on the cache's dirty set, and whether an asked checkpoint
+    runs at all on the puts and journal records since the last one, both of
+    which the op sequence fixes. A recovery reads each kept copy (a
     BlockRead) and deletes every copy sealed after the last checkpoint (a
-    BlockDrop each). Sealed slot maps, like every snapshot, are not
-    traced. A sealed copy's counter, in its name and record, is the at-rest
-    layer's count of seals, which a recovery resumes from the highest kept
-    copy's, so it is a function of the BlockWrite sequence the trace
-    already holds.
+    BlockDrop each). Sealed slot maps, like every snapshot, are not traced.
+    A sealed copy's counter, in its name and record, is the at-rest layer's
+    count of seals, which a recovery resumes from the highest kept copy's,
+    so it is a function of the BlockWrite sequence the trace already holds.
 
+    The privacy journal holds FIDs and partition ids only, never a value.
     Between checkpoints, the integrity journal holds the recipes of fresh
     FIDs: client envelopes and operator elements that the channel already
     carried, so a snapshot of that journal shows nothing the message trace
@@ -219,10 +222,14 @@ class CrashPointId(Enum):
     has PRIVACY_CHECKPOINT_AFTER_SEAL, between its seals and its slot maps
     and marker. The privacy zone's run inside the MSG_FLUSH_LOG whose sync
     took its journal past the interval, or that carried the checkpoint flag
-    (an integrity checkpoint's, or orphan_gc's closing one), and a privacy
-    crash there fails that request.
+    (an integrity checkpoint's, vacuum's opening one, orphan_gc's closing
+    one or a restore's), inside MSG_PROMOTE, or inside the put that reached
+    wal.MAX_UNSYNCED_PUTS, and a privacy crash there fails that request.
     DURING_RESTORE fires in recovery, once the privacy zone has written the
-    restored secrets and before the flush that makes them durable.
+    restored secrets and before the checkpoint that makes them durable.
+    RANDOM_BYTE crashes the privacy zone at a statement boundary and keeps
+    a random prefix of its journal's unsynced tail, a torn tail of delete
+    and create records: no put is journaled.
 
     Each value is also the site string its hook fires with, from Database
     and wal.checkpoint_truncate; "io_failure" is the one site that is not a

@@ -94,18 +94,15 @@ def read_wal_frames(data: bytes) -> list[bytes]:
     return out
 
 
-def replay_store_records(data: bytes, prefix_bits: int = 16) -> dict[int, bytes]:
-    """Prefix-replay model: apply the durable put/delete/create records to a
-    plain dict, returning fid -> value for every live mapping."""
-    mapping: dict[int, bytes] = {}
+def replay_store_records(data: bytes, image: dict[int, bytes]) -> dict[int, bytes]:
+    """Prefix-replay model: apply the durable delete records to a copy of
+    image, the fid -> value mapping of the last checkpoint, returning fid ->
+    value for every live mapping. No record carries a value."""
+    mapping = dict(image)
     for body in read_wal_frames(data):
         lsn, kind = struct.unpack_from("<QB", body, 0)
-        pos = 9
-        if kind == 1:  # put
-            (fid,) = struct.unpack_from("<Q", body, pos)
-            mapping[fid] = body[pos + 8:]
-        elif kind == 2:  # delete
-            (fid,) = struct.unpack_from("<Q", body, pos)
+        if kind == 2:  # delete
+            (fid,) = struct.unpack_from("<Q", body, 9)
             mapping.pop(fid, None)
         # create records carry no mapping state
     return mapping

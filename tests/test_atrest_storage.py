@@ -243,7 +243,7 @@ _length = st.integers(1, 16) | st.integers(1025, 4096)
 _store_op = st.one_of(
     st.tuples(st.just("put"), _length),
     st.tuples(st.just("delete"), st.integers(0, 1 << 16)),
-    st.tuples(st.just("apply_put"), st.integers(0, 1 << 16), _length),
+    st.tuples(st.just("restore"), st.integers(0, 1 << 16), _length),
     st.tuples(st.just("apply_delete"), st.integers(0, 1 << 16)),
     st.tuples(st.just("flush")),
 )
@@ -252,8 +252,9 @@ _store_op = st.one_of(
 @settings(max_examples=120, deadline=None, database=None)
 @given(ops=st.lists(_store_op, max_size=60), capacity=st.integers(2, 4))
 def test_varlen_buckets_stay_dense_under_any_op_sequence(ops, capacity):
-    """Puts, deletes, replayed puts (new offsets and overwrites) and
-    replayed deletes on a permanent varlen partition behind a small cache:
+    """Puts, deletes, restores (at a free offset or one past the allocated
+    ones) and replayed deletes on a permanent varlen partition behind a
+    small cache:
     every bucket stays packed, the partition spans exactly the blocks its
     live values need, no cached block or current copy lies past a bucket's
     end, the sealed area holds exactly the current copies, and every value
@@ -277,16 +278,18 @@ def test_varlen_buckets_stay_dense_under_any_op_sequence(ops, capacity):
                 store.delete(fid)
                 del model[fid]
         else:
-            # a replayed record names a live offset or one up to 2 past
-            # the allocated ones; the free lists are rebuilt after replay
+            # a restore or a replayed delete names a live offset or one up
+            # to 2 past the allocated ones; a restore skips a live one, and
+            # the free lists are rebuilt after replay
             fid = p.fid_base | (op[1] % (p.alloc_counter + 3))
-            if op[0] == "apply_put":
-                model[fid] = rng.randbytes(op[2])
-                store.apply_put(fid, model[fid])
+            if op[0] == "restore":
+                if fid not in model:
+                    model[fid] = rng.randbytes(op[2])
+                    store.restore(fid, model[fid])
             else:
                 model.pop(fid, None)
                 store.apply_delete(fid)
-            store.rebuild_free_lists(pid)
+                store.rebuild_free_lists(pid)
 
         spanned = set()
         for cls, bucket in enumerate(p.buckets):
@@ -335,11 +338,10 @@ def test_dropped_block_copy_is_refused_when_put_back(order):
     value = b"\x07" * 2048
     opens = layer.sealer.opens
     if order == "grow_then_restore":
-        # a replayed put grows the bucket without touching the cache
-        store.apply_put(fids[2], value)
-        store.rebuild_free_lists(pid)
+        # a restore grows the bucket at the freed FID: the block's fault
+        store.restore(fids[2], value)
         layer.sealed.write(pid, block, old)
-        assert store.get(fids[2]) == value  # the fault
+        assert store.get(fids[2]) == value
     else:
         layer.sealed.write(pid, block, old)
         assert store.put(pid, value) == fids[2]  # the fault

@@ -30,7 +30,8 @@ def test_cli_offers_exactly_ops_and_crash_matrix(capsys):
 
 def test_cli_crash_matrix_passes(capsys):
     assert cli.main(["crash-matrix", "--seeds", "1", "--ops", "300"]) == 0
-    assert f"ok: {len(MATRIX_POINTS)} runs, 0 violations" in capsys.readouterr().out
+    # every point at an unbounded cache and at a quarter of the preload's blocks
+    assert f"ok: {2 * len(MATRIX_POINTS)} runs, 0 violations" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("mode", [Mode.WRITE_ONLY, Mode.INSERT_ONLY],
@@ -42,7 +43,8 @@ def test_crash_matrix_write_modes(mode):
     spec = dataclasses.replace(default_matrix_spec(300), mode=mode,
                                distribution=Distribution.ZIPFIAN)
     rows = run_crash_matrix(1, spec=spec)
-    assert len(rows) == len(MATRIX_POINTS) and all(r["fired"] for r in rows)
+    assert len(rows) == 2 * len(MATRIX_POINTS) and all(r["fired"] for r in rows)
+    assert {r["cache_blocks"] for r in rows} == {None, 4}
     assert sum(r["violations"] for r in rows) == 0
     assert sum(r["orphans_post_gc"] for r in rows) == 0
     assert sum(r["lost_values"] for r in rows) == 0

@@ -10,14 +10,15 @@ from dataclasses import replace
 
 import pytest
 
-from fidstore import wal, zone_sim
-from fidstore.bench import restart_violations
+from fidstore import atrest_storage, durability, wal, zone_sim
+from fidstore.bench import lost_values, restart_violations, row_states
 from fidstore.errors import CorruptLog
 from fidstore.fid_codec import OFFSET_MASK
 from fidstore.integrity_dbms import CHECKPOINT_IMAGE, Column, ColumnType
+from fidstore.mapping_store import MappingStore
 from fidstore.messages import CHECKPOINT, HEADER, MSG_FLUSH_LOG
 from fidstore.privacy_proxy import decode_int64, encode_int64
-from fidstore.wal import FRAME, KIND_PUT, PUT_REC, REC_HEAD, journal_after, read_frames
+from fidstore.wal import FRAME, REC_HEAD, read_frames
 from fidstore.workload import Mode, WorkloadSpec, flatten_schedule, generate_workload
 from fidstore.zone_sim import (
     CrashPoint,
@@ -153,37 +154,71 @@ def test_crash_inside_integrity_checkpoint(point_id, integrity_checkpoints):
     CrashPointId.PRIVACY_CHECKPOINT_BEFORE_TRUNCATE,
     CrashPointId.PRIVACY_CHECKPOINT_AFTER_TRUNCATE,
 ], ids=lambda p: p.value)
-def test_crash_inside_privacy_checkpoint(point_id, target):
+def test_crash_inside_privacy_checkpoint(point_id, target, monkeypatch):
     """A privacy crash inside the store checkpoint fails the MSG_FLUSH_LOG
-    that crossed the interval; recovery rebuilds exactly the image's
-    secrets and cuts a journal prefix the image covers, and every committed
-    row keeps its values. A crash between the checkpoint's seals and its
-    marker leaves the last checkpoint whole: recovery rebuilds from it,
-    replays the journal since, and deletes the new seals. After a
-    privacy-only crash the engine runs on until a request needs the privacy
-    zone, since a commit needs nothing from it; recovery restores the
-    secrets of those commits from their recipes, and they are all the
-    journal gains then."""
+    that asked for it; recovery rebuilds exactly the image's secrets and
+    cuts a journal prefix the image covers, and every committed row keeps
+    its values. A crash between the checkpoint's seals and its marker
+    leaves the last checkpoint whole: recovery rebuilds from it, deletes
+    the new seals and restores from their recipes the committed secrets
+    put since, which were live at the crash. After a privacy-only crash the
+    engine runs on until a request needs the privacy zone, since a commit
+    needs nothing from it; recovery restores the secrets of those commits
+    from their recipes, and after a crash past the marker they are all the
+    store gains."""
     topo, seen = _crash_and_capture(CrashPoint(point_id, target, at_occurrence=2))
     if target == CrashTarget.PRIVACY:
         seen["versions"] = _newest_committed(topo.integrity.db)
-    journaled = {REC_HEAD.unpack_from(body)[0]
-                 for body in read_frames(topo.store_wal_buffer.durable)}
-    sealed = set(topo.sealed_store.blocks)
+    # a crash before the marker leaves seals the last checkpoint does not keep
+    unkept = set(topo.sealed_store.blocks) != topo.sealed_store.kept
+    restored = []
+    restore = MappingStore.restore
+
+    def recorded(store, fid, secret):
+        restored.append(fid)
+        restore(store, fid, secret)
+
+    monkeypatch.setattr(MappingStore, "restore", recorded)
     recovery = topo.recover_all()
     assert recovery.invariant.holds
     after_seal = point_id == CrashPointId.PRIVACY_CHECKPOINT_AFTER_SEAL
-    assert (recovery.privacy_replayed > 0) == after_seal
-    assert after_seal == (sealed != topo.sealed_store.kept)
+    assert after_seal == unkept
+    assert after_seal == bool(set(restored) & set(seen["mapping"]))
     mapping = _permanent_mapping(topo)
-    assert {fid: mapping.get(fid) for fid in seen["mapping"]} == seen["mapping"]
-    restored = [PUT_REC.unpack_from(payload)[0] for lsn, kind, payload
-                in journal_after(topo.store_wal_buffer, 0)
-                if kind == KIND_PUT and lsn not in journaled]
-    assert sorted(restored) == sorted(set(mapping) - set(seen["mapping"]))
+    held = {fid for _, _, cells in seen["versions"].values() for fid in cells[1:3]}
+    kept = seen["mapping"] if not after_seal else {
+        fid: value for fid, value in seen["mapping"].items() if fid in held}
+    assert {fid: mapping.get(fid) for fid in kept} == kept
+    new = set(mapping) - set(seen["mapping"])
+    assert new <= set(restored) and (after_seal or new == set(restored))
     assert _newest_committed(topo.integrity.db) == seen["versions"]
     topo.integrity.db.orphan_gc()
     assert topo.check_invariant().holds
+
+
+def test_the_put_cap_checkpoints_so_a_crash_restores_every_row(monkeypatch,
+                                                               privacy_checkpoints):
+    """With wal.MAX_UNSYNCED_PUTS lowered to 40 and an interval no run
+    reaches, nothing but the cap checkpoints the privacy zone before
+    maintenance, yet the run puts hundreds of values: each 40th put
+    checkpoints, so a privacy crash loses fewer than 40 allocations of any
+    partition, and recover_all restores every committed row from its
+    recipes, none past the offset bound MSG_RESTORE checks."""
+    monkeypatch.setattr(wal, "MAX_UNSYNCED_PUTS", 40)
+    monkeypatch.setattr(wal, "CHECKPOINT_INTERVAL_BYTES", 1 << 40)
+    spec = replace(SPEC, mode=Mode.WRITE_ONLY, duration_ops=300)
+    topo = ZoneTopology(23, batch_size=spec.batch_size)
+    topo.inject_crash(CrashPoint(CrashPointId.AFTER_DB_COMMIT, CrashTarget.PRIVACY,
+                                 at_occurrence=250))
+    assert topo.run_workload(spec).crashed_at == "after-db-commit"
+    puts = sum(topo.privacy.store.partition(t.partition_id).alloc_counter
+               for t in topo.integrity.db.tables_by_idx)
+    assert len(privacy_checkpoints) >= puts // 40 >= 5
+    assert topo.privacy.wal.puts < 40
+    before = row_states(topo)
+    recovery = topo.recover_all()
+    assert recovery.invariant.holds
+    assert lost_values(before, topo) == 0
 
 
 def test_privacy_checkpoint_point_refuses_an_integrity_only_crash():
@@ -201,9 +236,9 @@ def test_replay_is_bounded_by_the_interval(privacy_checkpoints,
     Every integrity checkpoint's flush checkpoints the privacy zone too, so
     privacy replay reaches back no further than the last integrity
     checkpoint: here the privacy journal holds no record that
-    checkpoint's flush made durable. The restore's closing flush makes the
-    restored secrets durable past that checkpoint, and a second crash
-    replays them, again within one sync."""
+    checkpoint's flush made durable. The restore's closing flush
+    checkpoints, so the restored secrets survive a second crash, which
+    replays no record."""
     topo = ZoneTopology(5, batch_size=SPEC.batch_size)
     buffers = (topo.dbwal_buffer, topo.store_wal_buffer)
     synced = {buffer: [0] for buffer in buffers}  # bytes each sync made durable
@@ -249,14 +284,14 @@ def test_replay_is_bounded_by_the_interval(privacy_checkpoints,
     assert restored
     assert sum(len(recipe) for _, recipe in restored) < durable[0]
 
-    durable = topo.store_wal_buffer.durable_len  # the restored secrets
-    journaled = read_frames(topo.store_wal_buffer.durable)
+    assert topo.store_wal_buffer.durable_len == 0
+    mapping = _permanent_mapping(topo)  # the restored secrets among them
     topo.privacy.crash()
     topo.integrity.crash()
     recovery = topo.recover_all()
     assert recovery.invariant.holds
-    assert recovery.privacy_replayed == len(journaled) > 0
-    assert durable <= INTERVAL + max(synced[topo.store_wal_buffer])
+    assert recovery.privacy_replayed == 0
+    assert _permanent_mapping(topo) == mapping
 
 
 _CHECKPOINT_FLUSH = (HEADER.pack(MSG_FLUSH_LOG, 0) + CHECKPOINT, b"\x00")
@@ -311,8 +346,9 @@ def test_checkpoints_change_no_message(backend, monkeypatch, privacy_checkpoints
     """Checkpoints past the interval add one message kind's worth of
     traffic and change no other message: every other request and response,
     and the adversary trace less the block events, equal a run that
-    checkpoints only once per zone, in orphan_gc's closing flush. The
-    messages a checkpoint adds are the MSG_FLUSH_LOGs an integrity
+    checkpoints only in maintenance: the privacy zone in vacuum's opening
+    flush, sent while a recipe is pending, and both zones in orphan_gc's
+    closing flush. The messages a checkpoint adds are the MSG_FLUSH_LOGs an integrity
     checkpoint sends while a recipe is pending, each with the checkpoint
     flag, so the cipher baseline, which keeps no recipe, sends exactly the
     same messages, and its trace less the privacy checkpoints' own events
@@ -341,8 +377,9 @@ def test_checkpoints_change_no_message(backend, monkeypatch, privacy_checkpoints
         plain, plain_trace, privacy_after, after) = runs
     assert before >= 3 and after == before + 1
     assert privacy_before >= (3 if backend == "fid" else 1)
-    assert privacy_after == privacy_before + 1
-    assert plain.count(_CHECKPOINT_FLUSH) == 1  # orphan_gc's
+    maintenance = 2 if backend == "fid" else 1  # the cipher keeps no recipe
+    assert privacy_after == privacy_before + maintenance
+    assert plain.count(_CHECKPOINT_FLUSH) == maintenance
     if backend == "fid":
         assert checkpointed.count(_CHECKPOINT_FLUSH) > 1
         checkpointed, trace = _without_checkpoint_flushes(checkpointed, trace)
@@ -539,10 +576,8 @@ def test_no_secret_in_any_file_once_quiesced(tmp_path):
     again after a crash of both, a recovery and another quiesce: the
     privacy checkpoint keeps values only in sealed blocks, its slot maps are
     sealed, and the engine holds FIDs. A fresh reopen of the directory
-    reads every committed value back. Between checkpoints the privacy
-    journal still holds each put's value in plaintext (sealing the journal
-    is the next step), so this holds only once a checkpoint has truncated
-    it."""
+    reads every committed value back. The privacy journal holds no value
+    between checkpoints either (test_no_plaintext_on_disk_at_any_moment)."""
     canary = b"canary:7d1c5e0b9a"
     program = generate_workload(SPEC, 6)
     topo = ZoneTopology(6, batch_size=SPEC.batch_size, data_dir=str(tmp_path))
@@ -643,9 +678,12 @@ def test_a_damaged_engine_lsn_is_corrupt(tmp_path):
 
 def test_blocks_replay_changed_are_sealed_by_the_next_checkpoint():
     """Replay fires no block hook, so recovery hands the at-rest layer no
-    current copy for a block replay changed. The next checkpoint seals each
-    such block, so a second crash recovers every committed value from the
-    copies it keeps."""
+    current copy for a block replay changed: here the deletes of the refs
+    vacuum released, which move values within their buckets. The next
+    checkpoint, the one that ends the restore of the recipes the engine
+    recovers, seals each such block, so a second crash recovers every
+    committed value from the copies it keeps. The recovery is recover_all's,
+    step by step."""
     program = generate_workload(SPEC, 15)
     topo = ZoneTopology(15, batch_size=SPEC.batch_size, cache_capacity_blocks=4)
     topo.run_program(program)  # ends in a quiesce checkpoint
@@ -660,20 +698,24 @@ def test_blocks_replay_changed_are_sealed_by_the_next_checkpoint():
             db.update_row(txn, table, row_id, {"k": ref})
             expected[t][row_id] = (value, expected[t][row_id][1])
     db.commit(txn)
-    db.flush_privacy()  # the puts are durable in the privacy journal
+    for table in db.tables_by_idx:
+        # checkpoints the puts, then journals the deletes of the old refs
+        assert db.vacuum(table)
     topo.privacy.crash()
     topo.integrity.crash()
-    recovery = topo.recover_all()
-    assert recovery.privacy_replayed > 0
+    assert topo.privacy.recover() > 0  # the deletes
     atrest = topo.privacy.atrest
     store = topo.privacy.store
-    spanned = {(t.partition_id, b) for t in topo.integrity.db.tables_by_idx
+    spanned = {(t.partition_id, b) for t in db.tables_by_idx
                for b in store.partition_blocks(t.partition_id)}
     missing = spanned - set(atrest.copies)
     assert missing  # replay changed some blocks
     seals = atrest.sealer.seals
-    topo.integrity.db.orphan_gc()  # the quiesce checkpoint
+    topo.integrity.recover()
+    topo.integrity.db.restore_recipes()  # every FID is live: only the checkpoint
+    topo.integrity.db.privacy_restarted()
     assert atrest.sealer.seals - seals >= len(missing)
+    assert not spanned - set(atrest.copies)
     for _ in range(2):
         topo.privacy.crash()
         topo.integrity.crash()
@@ -719,6 +761,81 @@ def test_a_checkpoints_copies_stay_until_the_next_marker():
     db.orphan_gc()
     one_copy_per_spanned_block()
     assert sealed.kept != kept
+
+
+def _plaintext_files(root, secrets: list[bytes],
+                     scanned: dict | None = None) -> list[str]:
+    """The names of the files under root that hold one of secrets. A file
+    whose bytes scanned, if given, holds from an earlier call is clean and
+    not searched again; scanned keeps each file's bytes."""
+    found = []
+    for path in root.rglob("*"):
+        if not path.is_file():
+            continue
+        data = path.read_bytes()
+        if scanned is not None:
+            if scanned.get(path) == data:
+                continue
+            scanned[path] = data
+        if any(secret in data for secret in secrets):
+            found.append(path.name)
+    return found
+
+
+@pytest.mark.parametrize("point", [
+    None,
+    CrashPoint(CrashPointId.PRIVACY_CHECKPOINT_AFTER_SEAL, CrashTarget.PRIVACY),
+    CrashPoint(CrashPointId.PRIVACY_CHECKPOINT_BEFORE_TRUNCATE, CrashTarget.PRIVACY),
+    CrashPoint(CrashPointId.PRIVACY_CHECKPOINT_AFTER_TRUNCATE, CrashTarget.BOTH),
+    CrashPoint(CrashPointId.AFTER_DB_COMMIT, CrashTarget.PRIVACY, at_occurrence=40),
+], ids=lambda p: "no-crash" if p is None else f"{p.id.value}-{p.target.value}")
+def test_no_plaintext_on_disk_at_any_moment(tmp_path, monkeypatch, point):
+    """On a data directory, after every durable write of a write-only round
+    (each journal sync, each snapshot, sealed copy and truncation), no file
+    holds a preloaded or SET 32-byte c value: a secret reaches disk only
+    sealed, and the privacy journal holds FIDs and partition ids. So too
+    through a crash at a privacy checkpoint, or after a commit, its
+    recovery and restore, a quiesce, and a crash and recovery of both
+    zones."""
+    spec = replace(SPEC, mode=Mode.WRITE_ONLY, rows_per_table=30, duration_ops=120)
+    program = generate_workload(spec, 21)
+    secrets = [row[2] for decl in program.tables for row in decl.rows] + [
+        s[4] for txn in program.txns for s in txn.statements if s[2] == "c"]
+    assert len(secrets) > 2 * spec.rows_per_table
+    (tmp_path / "probe").mkdir()
+    (tmp_path / "probe" / "file").write_bytes(b"x" + pad_sensitive(secrets[-1]))
+    assert _plaintext_files(tmp_path / "probe", secrets) == ["file"]
+    data_dir = tmp_path / "data"
+    found = []
+    scans = []
+    clean: dict = {}  # each file's bytes as the last scan found them
+
+    def scanning(write):
+        def durable_write(*args):
+            result = write(*args)
+            scans.append(1)
+            found.extend(_plaintext_files(data_dir, secrets, clean))
+            return result
+        return durable_write
+
+    monkeypatch.setattr(durability.DurableBuffer, "sync",
+                        scanning(durability.DurableBuffer.sync))
+    monkeypatch.setattr(durability, "atomic_write", scanning(durability.atomic_write))
+    monkeypatch.setattr(atrest_storage, "atomic_write",
+                        scanning(atrest_storage.atomic_write))
+    topo = ZoneTopology(21, batch_size=spec.batch_size, cache_capacity_blocks=2,
+                        data_dir=str(data_dir))
+    if point is not None:
+        topo.inject_crash(point)
+    report = topo.run_program(program)
+    if point is not None:
+        assert report.crashed_at == point.id.value
+        assert topo.recover_all().invariant.holds
+        topo.integrity.db.orphan_gc()
+    topo.privacy.crash()
+    topo.integrity.crash()
+    assert topo.recover_all().invariant.holds
+    assert len(scans) > 20 and found == []
 
 
 def test_a_scan_without_maintenance_leaves_no_plaintext(tmp_path, privacy_checkpoints,
@@ -960,10 +1077,12 @@ def test_maintenance_ends_in_a_checkpoint_of_both_zones(mode, backend):
     (CrashPointId.INTEGRITY_CHECKPOINT_AFTER_TRUNCATE, CrashTarget.BOTH),
 ], ids=lambda x: x.value)
 def test_crash_inside_the_quiesce_checkpoint(monkeypatch, point_id, target):
-    """With an interval no run reaches, the first checkpoint of each zone
-    is the one orphan_gc ends with. A crash at each of its five points
-    recovers with no violation, every row at the plaintext replay's final
-    state, and survives a later commit and crash."""
+    """With an interval no run reaches, the engine's first checkpoint is
+    the one orphan_gc ends with, and the privacy zone's second: its first
+    is vacuum's opening flush, sent while the run's recipes are pending. A
+    crash at each of the quiesce checkpoint's five points recovers with no
+    violation, every row at the plaintext replay's final state, and
+    survives a later commit and crash."""
     monkeypatch.setattr(wal, "CHECKPOINT_INTERVAL_BYTES", 1 << 40)
     program = generate_workload(SPEC, 13)
     topo = ZoneTopology(13, batch_size=SPEC.batch_size, cache_capacity_blocks=4)
@@ -976,7 +1095,8 @@ def test_crash_inside_the_quiesce_checkpoint(monkeypatch, point_id, target):
         return orphan_gc()
 
     db.orphan_gc = tracked
-    topo.inject_crash(CrashPoint(point_id, target))
+    occurrence = 2 if point_id.value.startswith("privacy") else 1
+    topo.inject_crash(CrashPoint(point_id, target, at_occurrence=occurrence))
     report = topo.run_program(program)
     assert report.crashed_at == point_id.value
     assert phases == ["orphan_gc"]

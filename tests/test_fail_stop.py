@@ -100,13 +100,13 @@ def _recover_and_reopen(topo, tmp_path) -> ZoneTopology:
 
 
 def test_failed_privacy_flush_stops_the_privacy_zone(tmp_path, fail_io):
-    """A failed privacy journal sync crashes the privacy zone: vacuum's
-    flush, sent first while recipes are pending, raises
-    Unavailable, and so does any request until recovery. Recovery restores
-    the committed secrets the failed sync lost from their recipes. The
-    failed sync's bytes are not replayed, so the journal's LSNs still
-    increase after a later commit, and the directory reopens without
-    CorruptLog."""
+    """A failed durable write in vacuum's opening flush, which checkpoints
+    the privacy zone while recipes are pending, crashes the privacy zone:
+    the checkpoint's first seal fails, the flush raises Unavailable, and so
+    does any request until recovery. Recovery restores from their recipes
+    the committed secrets the failed checkpoint did not seal. The failed
+    seal leaves no file, so the journal's LSNs still increase after a later
+    commit, and the directory reopens without CorruptLog."""
     topo, table, _ = _setup(tmp_path)
     db = topo.integrity.db
     txn = db.begin()
@@ -115,7 +115,7 @@ def test_failed_privacy_flush_stops_the_privacy_zone(tmp_path, fail_io):
     with pytest.raises(Unavailable):
         db.vacuum(table)
     assert "_dispatch" in failed["stack"] and "flush" in failed["stack"]
-    assert "vacuum" in failed["stack"]
+    assert "vacuum" in failed["stack"] and "checkpoint_copies" in failed["stack"]
     assert topo.privacy.crashed and not topo.integrity.crashed
     assert db.dbwal.pending_len == 0 and len(table.rows[1]) == 2  # removed nothing
     later = db.begin()
@@ -165,7 +165,7 @@ def test_failed_vacuum_sync_then_recovery_reclaims_exactly(tmp_path, fail_io):
     left for orphan_gc."""
     topo, table, old = _setup(tmp_path)
     trips = topo.channel.round_trips
-    failed = fail_io("fsync", 2)  # the first is the privacy flush's
+    failed = fail_io("fsync", 5)  # the first 4 are the privacy checkpoint's
     with pytest.raises(ZoneCrashed, match="io_failure"):
         topo.integrity.db.vacuum(table)
     assert "vacuum" in failed["stack"] and "_journal" in failed["stack"]
@@ -203,22 +203,25 @@ def _orphan_gc(topo, table):
 # the failing call, the file a failing os.replace targets). orphan_gc ends
 # in the quiesce checkpoint of both zones: the privacy zone seals the one
 # block its partition spans (copy 1 of partition 0's block 0), writes its
-# slot map (named by the covered LSN, 7) and marker, then truncates its
-# journal; then the engine writes its image and truncates its
-# journal. create_table syncs the privacy journal, then journals its table
-# in its own.
+# slot map (named by the checkpoint's own LSN, 2, past the create record's)
+# and marker, then truncates its journal; then the engine writes its image
+# and truncates its journal. vacuum's opening flush runs the same privacy
+# checkpoint, since the setup's recipes are pending (4 fsyncs); then vacuum
+# syncs its removals and the privacy journal syncs its deletes.
+# create_table syncs the privacy journal, then journals its table in its
+# own.
 IO_SITES = [
-    ("privacy-journal-sync", _vacuum, "fsync", 1, "privacy", "_dispatch", None),
+    ("privacy-journal-sync", _vacuum, "fsync", 6, "privacy", "_dispatch", None),
     ("privacy-checkpoint-seal", _orphan_gc, "replace", 1, "privacy",
      "checkpoint_copies", "0-0-1"),
     ("privacy-checkpoint-image", _orphan_gc, "replace", 2, "privacy",
-     "checkpoint_truncate", "part-00000-0000000000000007.map"),
+     "checkpoint_truncate", "part-00000-0000000000000002.map"),
     ("privacy-checkpoint-marker", _orphan_gc, "replace", 3, "privacy",
      "checkpoint_truncate", "store.ckpt"),
     ("privacy-checkpoint-truncation", _orphan_gc, "replace", 4, "privacy",
      "checkpoint_truncate", "store.wal"),
     ("integrity-commit-sync", _commit_a_row, "fsync", 1, "integrity", "commit", None),
-    ("integrity-vacuum-sync", _vacuum, "fsync", 2, "integrity", "vacuum", None),
+    ("integrity-vacuum-sync", _vacuum, "fsync", 5, "integrity", "vacuum", None),
     ("integrity-checkpoint-image", _orphan_gc, "replace", 5, "integrity",
      "checkpoint", "db.ckpt"),
     ("integrity-checkpoint-truncation", _orphan_gc, "replace", 6, "integrity",

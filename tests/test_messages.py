@@ -53,7 +53,6 @@ from fidstore.privacy_proxy import (
     encode_float64,
     encode_int64,
 )
-from fidstore.wal import KIND_PUT, PUT_REC, journal_after
 from fidstore.zone_sim import ZoneTopology
 
 
@@ -329,15 +328,15 @@ def test_cipher_backend_round_trip(topo):
 
 def test_restore_skips_a_live_fid_and_writes_the_others_at_their_fids():
     """In the recovery window MSG_RESTORE re-runs each recipe into exactly
-    its FID: a live FID keeps its value and journals nothing, an ingest
+    its FID: a live FID keeps its value and counts no put, an ingest
     recipe and an operator recipe over a permanent operand write their
-    values. A FID past the allocation counter moves it, and the offsets it
-    skips are handed out next. The first request of another kind closes
-    the window."""
+    values, and no put is journaled. A FID past the allocation counter
+    moves it, and the offsets it skips are handed out next. The first
+    request of another kind closes the window."""
     topo = ZoneTopology(999)
     pid = topo.client.create_partition()
     (live,) = topo.client.ingest(1, [topo.client_encrypt(encode_int64(40))], 1, pid)
-    topo.client.flush_log()
+    topo.client.flush_log(checkpoint=True)
     topo.privacy.crash()
     topo.privacy.recover()
     journal = topo.store_wal_buffer
@@ -349,13 +348,9 @@ def test_restore_skips_a_live_fid_and_writes_the_others_at_their_fids():
             (encode_fid(pid, 3), RECIPE_INGEST + topo.client_encrypt(encode_int64(8))),
             (encode_fid(pid, 1), RECIPE_EXEC + _one_op(element)),
         ])
-    before = journal.durable_len
     assert topo.channel.request(_req(MSG_RESTORE, 0, payload)) == b"\x00"
-    journal.sync()
-    puts = [PUT_REC.unpack_from(body)[0] for _, kind, body
-            in journal_after(journal, 0) if kind == KIND_PUT]
-    assert puts == [live, encode_fid(pid, 3), encode_fid(pid, 1)]
-    assert journal.durable_len > before
+    assert topo.privacy.wal.puts == 2
+    assert journal.pending_len == journal.durable_len == 0
     store = topo.privacy.store
     assert {fid: decode_int64(store.get(fid)) for fid in store.live_fids(pid)} == {
         live: 40, encode_fid(pid, 1): 42, encode_fid(pid, 3): 8}
@@ -366,25 +361,26 @@ def test_restore_skips_a_live_fid_and_writes_the_others_at_their_fids():
 
 
 def test_restore_reaches_no_further_than_a_crash_could_lose(monkeypatch):
-    """The privacy journal syncs inside the put that makes
-    wal.MAX_UNSYNCED_PUTS of them pending, so a crash loses fewer
-    allocations than that, and MSG_RESTORE refuses a FID that many offsets
+    """The privacy zone checkpoints inside the put that makes
+    wal.MAX_UNSYNCED_PUTS of them since its last checkpoint, so a crash
+    loses fewer allocations than that, and MSG_RESTORE refuses a FID that many offsets
     or more past its partition's recovered allocation counter, however far
     earlier items of the window moved the counter."""
     monkeypatch.setattr(wal, "MAX_UNSYNCED_PUTS", 4)
     topo = ZoneTopology(999)
     pid = topo.client.create_partition()
     topo.client.flush_log()
-    journal = topo.store_wal_buffer
 
     def ingest(value):
         topo.client.ingest(1, [topo.client_encrypt(encode_int64(value))], 1, pid)
 
     for value in range(3):
         ingest(value)
-    assert journal.pending_len > 0
+    assert topo.privacy.wal.puts == 3
+    assert topo.priv_snapshots.get(wal.CKPT_MARKER) is None
     ingest(3)
-    assert journal.pending_len == 0  # the fourth put synced
+    assert topo.privacy.wal.puts == 0  # the fourth put checkpointed
+    assert topo.priv_snapshots.get(wal.CKPT_MARKER) is not None
     ingest(4)
     ingest(5)
     topo.privacy.crash()
@@ -412,8 +408,9 @@ def _one_op(req: OperatorRequest) -> bytes:
 def test_flush_reply_is_the_status_byte_alone():
     """The MSG_FLUSH_LOG reply tells the integrity zone nothing about the
     privacy journal: it is the status byte alone while the journal is
-    empty, and after it grows by create, put and delete records while the
-    at-rest layer seals and drops blocks, which it journals nothing of."""
+    empty, and after it grows by create and delete records while the
+    at-rest layer seals and drops blocks, which it journals nothing of, and
+    after a checkpoint."""
     topo = ZoneTopology(999, cache_capacity_blocks=1)
     flush = _req(MSG_FLUSH_LOG, 0)
     replies = [topo.channel.request(flush)]
@@ -428,8 +425,8 @@ def test_flush_reply_is_the_status_byte_alone():
     replies.append(topo.channel.request(flush))
     replies.append(topo.channel.request(_req(MSG_FLUSH_LOG, 0, CHECKPOINT)))
     assert replies == [b"\x00"] * 3
-    # the create, 4 puts and 2 deletes
-    assert topo.privacy.wal.durable_lsn == 7
+    # the create and 2 deletes, then the checkpoint's own LSN
+    assert topo.privacy.wal.durable_lsn == 4
 
 
 def test_end_query_via_wire_is_idempotent(topo):

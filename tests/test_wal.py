@@ -5,6 +5,7 @@ import zlib
 
 import pytest
 
+import fidstore.wal as wal_module
 from fidstore.atrest_storage import AtRestLayer, SealedBlockStore
 from fidstore.durability import DurableBuffer, SnapshotStore
 from fidstore.errors import CorruptLog
@@ -12,10 +13,9 @@ from fidstore.fid_codec import OFFSET_BITS
 from fidstore.mapping_store import MappingStore, PartitionKind
 from fidstore.wal import (
     CHECKPOINT_INTERVAL_BYTES,
+    DELETE_REC,
     EPOCH_MARKER,
-    KIND_PUT,
-    MAX_UNSYNCED_PUTS,
-    PUT_REC,
+    KIND_DELETE,
     Wal,
     advance_epoch,
     checkpoint_truncate,
@@ -53,6 +53,20 @@ def _store_with_wal():
     return store, wal, buf
 
 
+def _checkpointing(store: MappingStore, wal: Wal, capacity_blocks: int | None = None):
+    """Wires wal's checkpoint to store and a block hook to store, as the
+    privacy zone does; returns the snapshots and the at-rest layer the
+    checkpoint writes to. A put is durable once a flush with the
+    checkpoint flag returns."""
+    snaps = SnapshotStore()
+    atrest = AtRestLayer(store, KEY, sealed_store=SealedBlockStore(),
+                         capacity_blocks=capacity_blocks)
+    store.blocks = atrest
+    wal.on_checkpoint = lambda: checkpoint_truncate(store, wal, snaps, atrest,
+                                                    _no_crash)
+    return snaps, atrest
+
+
 def _live_mapping(store: MappingStore) -> dict[int, bytes]:
     out = {}
     for pid in store.partition_ids():
@@ -63,13 +77,13 @@ def _live_mapping(store: MappingStore) -> dict[int, bytes]:
 
 def test_lsns_monotonic_from_one():
     _, wal, _ = _store_with_wal()
-    lsns = [wal.log_put(i, b"v") for i in range(3)]
+    lsns = [wal.log_delete(i) for i in range(3)]
     assert lsns == [1, 2, 3]
 
 
 def test_flush_empty_buffer_is_noop():
     _, wal, buf = _store_with_wal()
-    wal.log_put(1, b"a")
+    wal.log_delete(1)
     first = wal.flush()
     size = buf.durable_len
     assert wal.flush() == first
@@ -85,32 +99,32 @@ def test_advance_epoch_counts_recoveries():
 def test_failed_flush_leaves_the_durable_copy_as_it_was(tmp_path, fail_io):
     """A failed fsync propagates out of Wal.flush as the OSError it is, and
     the durable copy holds only what earlier syncs made durable. A crash
-    cuts the file back to that copy, so the failed put is lost, and the
+    cuts the file back to that copy, so the failed record is lost, and the
     records appended after recovery follow intact frames with increasing
     LSNs."""
     path = str(tmp_path / "store.wal")
     buf = DurableBuffer(path)
     wal = Wal(buf)
     store = MappingStore(journal=wal)
-    pid = store.create_partition(PartitionKind.PERMANENT)
-    kept = store.put(pid, b"a")
+    kept = store.create_partition(PartitionKind.PERMANENT)
     wal.flush()
     synced = buf.durable
-    store.put(pid, b"b")
+    store.create_partition(PartitionKind.PERMANENT)
     fail_io("fsync")
     with pytest.raises(OSError):
         wal.flush()
-    assert buf.durable == synced and wal.durable_lsn == 2
+    assert buf.durable == synced and wal.durable_lsn == 1
     buf.crash()
     assert buf.pending_len == 0
     assert DurableBuffer(path).durable == buf.durable == synced
     result = _recover(SnapshotStore(), buf)
-    assert _live_mapping(result.store) == {kept: b"a"}
+    assert result.store.partition_ids() == [kept]
     result.store.journal = result.wal
-    later = result.store.put(pid, b"c")
+    later = result.store.create_partition(PartitionKind.PERMANENT)
     result.wal.flush()
     reopened = _recover(SnapshotStore(), DurableBuffer(path))
-    assert _live_mapping(reopened.store) == {kept: b"a", later: b"c"}
+    assert reopened.store.partition_ids() == [kept, later]
+    assert reopened.wal.next_lsn == 3
 
 
 def test_failed_replace_keeps_the_old_copy(tmp_path, fail_io):
@@ -140,44 +154,53 @@ def test_empty_log_recovers_empty():
 
 
 def test_replay_k_puts():
+    """25 puts are durable once a checkpoint seals them, and the k delete
+    records flushed after it replay on top of the image."""
     store, wal, buf = _store_with_wal()
+    snaps, atrest = _checkpointing(store, wal)
     pid = store.create_partition(PartitionKind.PERMANENT)
-    for i in range(25):
-        store.put(pid, bytes([i]) * 10)
+    fids = [store.put(pid, bytes([i]) * 10) for i in range(25)]
+    wal.flush(checkpoint=True)
+    for fid in fids[::3]:
+        store.delete(fid)
     wal.flush()
-    result = _recover(SnapshotStore(), buf)
-    assert result.store.stats().live_count == 25
+    result = _recover(snaps, buf, atrest.sealed)
+    assert (result.store.stats().live_count, result.replayed_count) == (16, 9)
     assert _live_mapping(result.store) == _live_mapping(store)
 
 
 def test_unflushed_records_do_not_survive():
+    """Neither a put no checkpoint covers nor a delete no flush made
+    durable survives a crash."""
     store, wal, buf = _store_with_wal()
+    snaps, atrest = _checkpointing(store, wal)
     pid = store.create_partition(PartitionKind.PERMANENT)
     store.put(pid, b"durable")
-    wal.flush()
+    doomed = store.put(pid, b"deleted, but not durably")
+    wal.flush(checkpoint=True)
     store.put(pid, b"volatile")
+    wal.flush()
+    store.delete(doomed)
     buf.crash()
-    result = _recover(SnapshotStore(), buf)
+    result = _recover(snaps, buf, atrest.sealed)
     values = set(_live_mapping(result.store).values())
-    assert b"durable" in values
-    assert b"volatile" not in values
+    assert values == {b"durable", b"deleted, but not durably"}
 
 
 def test_append_continues_after_recovery():
     store, wal, buf = _store_with_wal()
-    pid = store.create_partition(PartitionKind.PERMANENT)
-    store.put(pid, b"one")
+    store.create_partition(PartitionKind.PERMANENT)
     wal.flush()
     last = wal.durable_lsn
     buf.crash()
     result = _recover(SnapshotStore(), buf)
     assert result.wal.next_lsn == last + 1
-    nxt = result.wal.log_put(123, b"x")
+    nxt = result.wal.log_delete(123)
     assert nxt == last + 1
 
 
 def test_torn_tail_discarded_corrupt_middle_raises():
-    frames = [frame_record(i + 1, KIND_PUT, PUT_REC.pack(i) + b"v")
+    frames = [frame_record(i + 1, KIND_DELETE, DELETE_REC.pack(i))
               for i in range(3)]
     # torn tail: final frame cut short
     data = b"".join(frames[:2]) + frames[2][:-1]
@@ -191,12 +214,15 @@ def test_torn_tail_discarded_corrupt_middle_raises():
 
 def test_recovery_is_idempotent():
     store, wal, buf = _store_with_wal()
+    snaps, atrest = _checkpointing(store, wal)
     pid = store.create_partition(PartitionKind.PERMANENT)
     fids = [store.put(pid, bytes([i]) * 5) for i in range(10)]
+    wal.flush(checkpoint=True)
     store.delete(fids[3])
     wal.flush()
-    r1 = _recover(SnapshotStore(), buf)
-    r2 = _recover(SnapshotStore(), buf)
+    r1 = _recover(snaps, buf, atrest.sealed)
+    r2 = _recover(snaps, buf, atrest.sealed)
+    assert r1.replayed_count == 1
     assert _live_mapping(r1.store) == _live_mapping(r2.store)
     assert r1.replayed_count == r2.replayed_count
 
@@ -229,60 +255,92 @@ def test_checkpoint_truncate_equivalence():
     result = _recover(snaps, buf, atrest.sealed)
     assert _live_mapping(result.store) == before
     assert result.replayed_count == 0
-    # nothing durable since: the checkpoint writes no image
+    # no record and no put since: the checkpoint writes no image
     marker = snaps.get("store.ckpt")
-    store.put(pid, b"pending")
     checkpoint_truncate(store, wal, snaps, atrest, _no_crash)
     assert snaps.get("store.ckpt") is marker
+    # a put since: the next one does, under an LSN of its own
+    store.blocks = atrest
+    late = store.put(pid, b"a put no record names")
+    checkpoint_truncate(store, wal, snaps, atrest, _no_crash)
+    (first_lsn,) = struct.unpack_from("<Q", marker, 8)
+    assert snaps.get("store.ckpt")[8:16] == struct.pack("<Q", first_lsn + 1)
+    assert wal.durable_lsn == first_lsn + 1 == wal.next_lsn - 1
+    result = _recover(snaps, buf, atrest.sealed)
+    assert result.store.get(late) == b"a put no record names"
 
 
-def test_size_bound_triggers_truncation():
+def test_the_put_that_reaches_the_cap_is_in_the_checkpoint_it_runs(monkeypatch):
+    """The put that reaches wal.MAX_UNSYNCED_PUTS checkpoints only once its
+    block is marked dirty, so the checkpoint seals the block with the value
+    in it. With the cap at 1 every put checkpoints, and behind a 1-block
+    cache the puts alternate between two size classes' blocks, so each
+    goes to a block that left the cache clean, with a current copy; a crash
+    right after loses none of them."""
+    monkeypatch.setattr(wal_module, "MAX_UNSYNCED_PUTS", 1)
+    store, wal, buf = _store_with_wal()
+    snaps, atrest = _checkpointing(store, wal, capacity_blocks=1)
+    pid = store.create_partition(PartitionKind.PERMANENT)
+    values = {}
+    for i in range(1, 7):
+        value = bytes([i]) * (8 if i % 2 else 40)  # class 16, or class 64
+        values[store.put(pid, value)] = value
+    assert wal.puts == 0 and len(atrest.copies) == 2
+    buf.crash()
+    assert _live_mapping(_recover(snaps, buf, atrest.sealed).store) == values
+
+
+def test_size_bound_triggers_truncation(monkeypatch):
     """Only a flush checkpoints, right after the sync that took the journal
     past the interval, so the journal never holds more than one interval
-    plus one flush."""
-    buf = DurableBuffer()
-    wal = Wal(buf)
-    store = MappingStore(journal=wal)
-    snaps = SnapshotStore()
-    atrest = _at_rest(store)
+    plus one flush. The interval is lowered to 4 KiB, since a delete
+    record is 25 bytes."""
+    monkeypatch.setattr(wal_module, "CHECKPOINT_INTERVAL_BYTES", 4096)
+    store, wal, buf = _store_with_wal()
+    snaps, atrest = _checkpointing(store, wal)
     checkpoints = []
+    checkpoint = wal.on_checkpoint
 
-    def checkpoint():
+    def counted():
+        checkpoint()
         checkpoints.append(wal.durable_lsn)
-        checkpoint_truncate(store, wal, snaps, atrest, _no_crash)
 
-    wal.on_checkpoint = checkpoint
+    wal.on_checkpoint = counted
     pid = store.create_partition(PartitionKind.PERMANENT)
-    payload = bytes(1000)
     flush_bytes = 0
-    for i in range(2200):  # > 2 MiB of records against the 1 MiB interval
-        store.put(pid, payload)
+    for i in range(400):  # > 8 KiB of delete records against the interval
+        store.delete(store.put(pid, bytes([i % 256]) * 8))
+        store.put(pid, bytes([i % 256]) * 8)
         if i % 10 == 9:
             flush_bytes = max(flush_bytes, buf.pending_len)
             wal.flush()
-        assert buf.durable_len <= CHECKPOINT_INTERVAL_BYTES + flush_bytes
+        assert buf.durable_len <= 4096 + flush_bytes
     assert len(checkpoints) == 2
     assert snaps.get("store.ckpt")[8:16] == struct.pack("<Q", checkpoints[-1])
-    # recovery from image + truncated log equals the live store
-    wal.flush()
+    # once a checkpoint seals the last puts, recovery equals the live store
+    wal.flush(checkpoint=True)
     assert _live_mapping(_recover(snaps, buf, atrest.sealed).store) == \
         _live_mapping(store)
 
 
 def test_checkpoint_keeps_a_record_appended_after_the_last_flush():
+    """A record appended after the last flush stays pending across the
+    truncation. The image holds its effect and an LSN past it, so once a
+    sync makes it durable, recovery cuts it instead of replaying it."""
     store, wal, buf = _store_with_wal()
     snaps = SnapshotStore()
     pid = store.create_partition(PartitionKind.PERMANENT)
-    store.put(pid, b"durable")
+    gone = store.put(pid, b"deleted after the flush")
+    store.put(pid, b"kept")
     wal.flush()
-    late = store.put(pid, b"appended after the flush")
+    store.delete(gone)
     atrest = _at_rest(store)
     checkpoint_truncate(store, wal, snaps, atrest, _no_crash)
     assert buf.durable_len == 0 and buf.pending_len > 0
     wal.flush()
     result = _recover(snaps, buf, atrest.sealed)
-    assert result.replayed_count == 1
-    assert result.store.get(late) == b"appended after the flush"
+    assert (result.replayed_count, buf.durable_len) == (0, 0)
+    assert not result.store.is_live(gone)
     assert _live_mapping(result.store) == _live_mapping(store)
 
 
@@ -310,40 +368,42 @@ def test_crash_between_image_and_truncation_replays_nothing():
     assert result.wal.next_lsn == wal.next_lsn
 
 
-@pytest.mark.parametrize("torn_value", [b"two", b"two" * 200],
-                         ids=["corrupt-middle", "silent-loss"])
-def test_torn_tail_is_cut_so_later_records_survive(torn_value):
-    """A crash tears the unsynced tail; records the recovered log appends
-    and flushes survive the next recovery. Left in place, the torn frame
-    either made that recovery raise CorruptLog or, when its declared length
-    ran past the end, silently dropped every later record."""
+@pytest.mark.parametrize("torn", [13, 3], ids=["corrupt-middle", "silent-loss"])
+def test_torn_tail_is_cut_so_later_records_survive(torn):
+    """A crash tears the unsynced tail, here a delete record; records the
+    recovered log appends and flushes survive the next recovery. Left in
+    place, the torn frame either made that recovery raise CorruptLog (torn
+    inside its body) or, when its declared length ran past the end (torn
+    inside its length, which then takes a byte of the next frame), silently
+    dropped every later record."""
     store, wal, buf = _store_with_wal()
     pid = store.create_partition(PartitionKind.PERMANENT)
-    store.put(pid, b"one")
     wal.flush()
-    store.put(pid, torn_value)
-    buf.crash(torn_bytes=13)
+    store.delete(store.put(pid, b"one"))
+    buf.crash(torn_bytes=torn)
     durable = buf.durable_len
     first = _recover(SnapshotStore(), buf)
-    assert buf.durable_len == durable - 13
+    assert buf.durable_len == durable - torn
     first.store.journal = first.wal
-    late = first.store.put(pid, b"three")
+    late = first.store.create_partition(PartitionKind.PERMANENT)
     first.wal.flush()
     second = _recover(SnapshotStore(), buf)
-    assert second.store.get(late) == b"three"
-    assert _live_mapping(second.store) == _live_mapping(first.store)
+    assert second.store.partition_ids() == [pid, late]
+    assert second.replayed_count == 2
 
 
 def test_crash_at_random_byte_matches_prefix_oracle():
     """Randomized workload, crash at a random byte inside the unsynced
     tail; the recovered state must equal the oracle's replay of exactly
-    the surviving complete records."""
+    the surviving complete records over the last checkpoint's mapping."""
     failures = 0
     for seed in range(60):
         rng = random.Random(seed)
         store, wal, buf = _store_with_wal()
+        snaps, atrest = _checkpointing(store, wal)
         pid = store.create_partition(PartitionKind.PERMANENT)
         live = []
+        image = {}
         for _ in range(rng.randrange(50, 250)):
             roll = rng.random()
             if roll < 0.6 or not live:
@@ -351,12 +411,15 @@ def test_crash_at_random_byte_matches_prefix_oracle():
             elif roll < 0.8:
                 store.delete(live.pop(rng.randrange(len(live))))
             if rng.random() < 0.1:
-                wal.flush()
+                checkpoint = rng.random() < 0.3
+                wal.flush(checkpoint=checkpoint)
+                if checkpoint:
+                    image = _live_mapping(store)
         torn = rng.randrange(buf.pending_len + 1)
         buf.crash(torn_bytes=torn)
 
-        expected = replay_store_records(buf.durable)
-        result = _recover(SnapshotStore(), buf)
+        expected = replay_store_records(buf.durable, image)
+        result = _recover(snaps, buf, atrest.sealed)
         got = _live_mapping(result.store)
         if got != expected:
             failures += 1
@@ -367,13 +430,17 @@ def test_recovery_replay_time_is_linear():
     import time
 
     def replay_time(n):
+        """Recovery of an image of n values and n delete records."""
         store, wal, buf = _store_with_wal()
+        snaps, atrest = _checkpointing(store, wal)
         pid = store.create_partition(PartitionKind.PERMANENT)
-        for i in range(n):
-            store.put(pid, struct.pack("<q", i))
+        fids = [store.put(pid, struct.pack("<q", i)) for i in range(2 * n)]
+        wal.flush(checkpoint=True)
+        for fid in fids[::2]:
+            store.delete(fid)
         wal.flush()
         t0 = time.perf_counter()
-        _recover(SnapshotStore(), buf)
+        _recover(snaps, buf, atrest.sealed)
         return time.perf_counter() - t0
 
     replay_time(2000)  # warm-up
@@ -387,17 +454,13 @@ def _hand_frame(lsn: int, kind: int, payload: bytes) -> bytes:
     return struct.pack("<II", len(body), zlib.crc32(body)) + body
 
 
-@pytest.mark.parametrize("kind", ["put", "delete", "create"])
+@pytest.mark.parametrize("kind", ["delete", "create"])
 def test_privacy_record_bytes(kind):
     """Each privacy record kind's durable bytes, packed by hand: frame
     {u32 len, u32 crc32}, head {u64 lsn, u8 kind}, then its payload."""
     buf = DurableBuffer()
     wal = Wal(buf, start_lsn=7)
-    if kind == "put":
-        wal.log_put(0x0003_0000_0000_0011, b"secret")
-        expected = _hand_frame(7, 1, struct.pack("<Q", 0x0003_0000_0000_0011)
-                               + b"secret")
-    elif kind == "delete":
+    if kind == "delete":
         wal.log_delete(0x0003_0000_0000_0011)
         expected = _hand_frame(7, 2, struct.pack("<Q", 0x0003_0000_0000_0011))
     else:
@@ -408,17 +471,17 @@ def test_privacy_record_bytes(kind):
 
 
 # Hand-framed privacy records that recovery must refuse: (kind, payload).
-# A payload must be exactly its kind's struct, and a put needs its fid and a
-# value of one byte or more, since put stores no empty value. The store
-# must accept what a record asks: partition 0 holds one value, so its
-# allocation counter is 1 there. Kind 5, a block seal's {u32 partition,
-# u64 block index, u64 counter}, is retired: a record of it is an unknown
-# kind at any length, its old 20 bytes too.
+# A payload must be exactly its kind's struct, and the store must accept
+# what a record asks: partition 0 exists. Kinds 1 and 5 are retired: a
+# record of either is an unknown kind at any length, its old one too. Kind
+# 1 was a put, PUT_REC {u64 fid} and then the value; kind 5 a block seal's
+# {u32 partition, u64 block index, u64 counter}.
 _FID = struct.pack("<Q", 0x0000_0000_0000_0001)
 _MISSING = struct.pack("<Q", 5 << OFFSET_BITS)  # partition 5 does not exist
 _MALFORMED = {
     "short_put": (1, b"\x01\x00"),
     "put_of_no_value": (1, _FID),
+    "retired_put": (1, _FID + b"secret"),
     "short_delete": (2, b"\x01\x00\x00"),
     "long_delete": (2, _FID + b"\x00"),
     "short_create": (3, b"\x07\x00"),
@@ -426,10 +489,7 @@ _MALFORMED = {
     "short_seal": (5, struct.pack("<IQ", 0, 0)),
     "long_seal": (5, struct.pack("<IQQ", 0, 0, 1) + b"\x00"),
     "retired_seal": (5, struct.pack("<IQQ", 0, 0, 1)),
-    "put_past_every_unsynced_put": (1, struct.pack("<Q", 1 + MAX_UNSYNCED_PUTS) + b"x"),
-    "put_of_a_value_too_long": (1, _FID + bytes(100_000)),
     "create_past_the_prefix": (3, struct.pack("<I", 70_000)),
-    "put_to_a_missing_partition": (1, _MISSING + b"x"),
     "delete_in_a_missing_partition": (2, _MISSING),
 }
 
@@ -441,11 +501,10 @@ def test_recovery_refuses_a_malformed_record(case):
     that asks the store for what it refuses or no crash could leave,
     instead of failing on it with another error or replaying it."""
     store, wal, buf = _store_with_wal()
-    pid = store.create_partition(PartitionKind.PERMANENT)
-    store.put(pid, b"kept")
+    store.create_partition(PartitionKind.PERMANENT)
     wal.flush()
-    assert _recover(SnapshotStore(), buf).replayed_count == 2
+    assert _recover(SnapshotStore(), buf).replayed_count == 1
     kind, payload = _MALFORMED[case]
     buf.replace(buf.durable + _hand_frame(3, kind, payload))
-    with pytest.raises(CorruptLog, match="unknown kind" if kind == 5 else None):
+    with pytest.raises(CorruptLog, match="unknown kind" if kind in (1, 5) else None):
         _recover(SnapshotStore(), buf)

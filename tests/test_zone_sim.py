@@ -53,6 +53,7 @@ from fidstore.zone_sim import (
     CrashPoint,
     CrashPointId,
     CrashTarget,
+    ZoneCrashed,
     ZoneTopology,
     _Runner,
     pad_sensitive,
@@ -104,7 +105,9 @@ def test_file_backed_run_matches_the_in_memory_run(tmp_path, monkeypatch,
     writes its snapshots under it; the run is the same as in memory, and
     the files hold exactly the in-memory run's durable bytes: after the run
     the quiesce checkpoints' images and empty journals, and after one more
-    commit and a flush the journal records they synced."""
+    commit and a vacuum the journal records they synced: the engine's
+    commit and removal, and the privacy zone's delete of the superseded
+    ref."""
     monkeypatch.setattr(wal, "CHECKPOINT_INTERVAL_BYTES", 4096)
     spec = _small_spec()
     on_disk = ZoneTopology(11, batch_size=spec.batch_size, cache_capacity_blocks=4,
@@ -125,7 +128,7 @@ def test_file_backed_run_matches_the_in_memory_run(tmp_path, monkeypatch,
     assert in_memory.db_snapshots.get(CHECKPOINT_IMAGE)
     for topo in (on_disk, in_memory):
         _commit_one_update(topo)
-        topo.integrity.db.flush_privacy()
+        assert topo.integrity.db.vacuum(topo.integrity.db.tables_by_idx[0]) == 1
     store_wal = (tmp_path / "store.wal").read_bytes()
     db_wal = (tmp_path / "db.wal").read_bytes()
     assert store_wal == in_memory.store_wal_buffer.durable != b""
@@ -363,8 +366,8 @@ def _covered_commit_crash(point_id, target):
 def test_crash_at_the_flush_points_of_a_covered_commit():
     """Both flush points fire in a commit, which sends no flush. A crash of
     both zones there loses T2 and every secret written since the last
-    flush; recovery restores T1's from its recipe, and T2's, never synced,
-    is no orphan. A crash of the privacy zone alone cannot stop T2, whose
+    checkpoint; recovery restores T1's from its recipe, and T2's, never
+    sealed, is no orphan. A crash of the privacy zone alone cannot stop T2, whose
     commit needs nothing from it: recovery restores both txns' secrets."""
     for point_id in (CrashPointId.BEFORE_PRIVACY_FLUSH,
                      CrashPointId.AFTER_PRIVACY_FLUSH_BEFORE_DB_COMMIT):
@@ -1012,30 +1015,47 @@ def test_trace_jsonl_dump_parses():
 # Fid runs behind a 2-block cache, so block events occur. The two
 # read-write values were taken from the list-of-tuples trace that the flat
 # buffers replaced; the others from the op-tuple programs that the statement
-# form replaced. Each run's one privacy checkpoint, at quiesce, seals the
-# blocks the cache holds dirty (a table partition's block 0 of class 0 is
-# arg (partition << 40) | 0; class 3, 128 bytes, is 3 << 32 more).
+# form replaced. A privacy checkpoint seals the blocks the cache holds dirty
+# (a table partition's block 0 of class 0 is arg (partition << 40) | 0;
+# class 3, 128 bytes, is 3 << 32 more), and a second one drops the copies
+# the first kept that it superseded. The four fid write cases were re-pinned
+# when the privacy journal stopped holding puts: vacuum's opening flush, sent
+# while the run's recipes are pending, now checkpoints, so their runs make
+# two privacy checkpoints, vacuum's and orphan_gc's, where they made one,
+# and the blocks vacuum's checkpoint writes back are not sealed again by a
+# later eviction (2 fewer BlockWrites in write-only, write-only-zipfian and
+# insert-only). Every event before the first vacuum is as before.
 _B = 1 << 40
 _PINNED_TRACE = {
     "fid": (Mode.READ_WRITE, Distribution.UNIFORM, "fid", 1204,
-            "9c756900fe2deb9eb23b80fab7ef6b932fcc1febf691d70e6c311dac15c9921b",
-            [("BlockWrite", 0), ("BlockWrite", _B)]),
+            "5a497a03fe57bdee43e77f3a6c3004b52fc2a5e15dea228cd20a5224cb01a0c3",
+            [("BlockWrite", 0), ("BlockWrite", _B), ("BlockWrite", 0),
+             ("BlockWrite", _B), ("BlockDrop", 0), ("BlockDrop", _B)]),
     "cipher": (Mode.READ_WRITE, Distribution.UNIFORM, "cipher", 555,
                "c894df17cb32d528239de2f019d63458885c104706c3b3320225c1fc0546aaeb",
                []),
     "read-only": (Mode.READ_ONLY, Distribution.UNIFORM, "fid", 1448,
                   "9d354319fa38d5b956ca47bb5bd4d463e071babfbbac6d390c82cc3b35992413",
                   []),
-    "write-only": (Mode.WRITE_ONLY, Distribution.UNIFORM, "fid", 1153,
-                   "23da9403fa254174a4fd18549b68682268d4206812b575fef869639846c84640",
-                   [("BlockWrite", _B), ("BlockWrite", _B | 3 << 32)]),
+    "write-only": (Mode.WRITE_ONLY, Distribution.UNIFORM, "fid", 1151,
+                   "a12f7cdb82988949d8d4bfef77c97bd2110d47c51cb60a64482eb6f11edcf63f",
+                   [("BlockWrite", _B), ("BlockWrite", _B | 3 << 32 | 1),
+                    ("BlockWrite", _B), ("BlockWrite", _B | 3 << 32),
+                    ("BlockDrop", 0), ("BlockDrop", 3 << 32), ("BlockDrop", 3 << 32 | 1),
+                    ("BlockDrop", _B), ("BlockDrop", _B | 3 << 32),
+                    ("BlockDrop", _B | 3 << 32 | 1)]),
     "write-only-zipfian": (
-        Mode.WRITE_ONLY, Distribution.ZIPFIAN, "fid", 1149,
-        "682854245eb4c5ac5aeba05d122494dcf7394190025a8d023c66d168678bd23f",
-        [("BlockWrite", _B | 3 << 32)]),
-    "insert-only": (Mode.INSERT_ONLY, Distribution.UNIFORM, "fid", 730,
-                    "c740b534c28d6a9832840fbfa6a0cce7f8437334f02da4734ae02024b331b744",
-                    [("BlockWrite", _B), ("BlockWrite", _B | 3 << 32 | 1)]),
+        Mode.WRITE_ONLY, Distribution.ZIPFIAN, "fid", 1147,
+        "ebca80fd8f496f1f8ee3ba667e858fa97cdbcec8d7eab2db10bdba7bef3919e9",
+        [("BlockWrite", 3 << 32 | 1), ("BlockWrite", _B), ("BlockWrite", _B | 3 << 32),
+         ("BlockDrop", 0), ("BlockDrop", 3 << 32), ("BlockDrop", 3 << 32 | 1),
+         ("BlockDrop", _B), ("BlockDrop", _B | 3 << 32), ("BlockDrop", _B | 3 << 32 | 1)]),
+    "insert-only": (Mode.INSERT_ONLY, Distribution.UNIFORM, "fid", 728,
+                    "d71f7883ded2103ec8f8ba3fe53482790a8c24d4c5c48282530773189f95d677",
+                    [("BlockWrite", _B), ("BlockWrite", _B | 3 << 32 | 1),
+                     ("BlockWrite", _B), ("BlockWrite", _B | 3 << 32 | 1),
+                     ("BlockDrop", 0), ("BlockDrop", 3 << 32 | 1), ("BlockDrop", _B),
+                     ("BlockDrop", _B | 3 << 32 | 1)]),
     "point-select": (Mode.POINT_SELECT, Distribution.UNIFORM, "fid", 488,
                      "233c86ec62dca173ac17df38a436ec8a7f9ecbf609264eb6f7f6d6de66cb6444",
                      []),
@@ -1210,21 +1230,24 @@ _PINNED = {
     # codec) encrypt+decrypt counts in the privacy zone; then the integrity
     # WAL's durable bytes when the first vacuum starts, the size of the
     # write path's journal. A commit sends no flush: the six are
-    # create_table's two, vacuum's first (recipes were pending) and one
-    # after each table's deletes, and orphan_gc's checkpoint flush, after
-    # which both journals are empty.
+    # create_table's two, vacuum's first (recipes were pending), which
+    # checkpoints the privacy zone, and one after each table's deletes, and
+    # orphan_gc's checkpoint flush, after which both journals are empty.
     "fid": ({m.MSG_INGEST: 8, m.MSG_REVEAL: 80, m.MSG_EXEC_BATCH: 49,
              m.MSG_DELETE: 4, m.MSG_FLUSH_LOG: 6, m.MSG_CREATE_PARTITION: 2,
              m.MSG_LIST_LIVE: 2},
-            (0, 0), (9, 2), (249, 0), 25918),
+            (0, 0), (14, 2), (249, 0), 25918),
     "cipher": ({m.MSG_FLUSH_LOG: 3, m.MSG_CREATE_PARTITION: 2,
                 m.MSG_CIPHER_EXEC: 49, m.MSG_CIPHER_INGEST: 8,
                 m.MSG_CIPHER_REVEAL: 80},
                (0, 0), (3, 0), (249, 370), 26218),
 }
-# The seals count the quiesce checkpoint's: on fid, 4 cache evictions, then
-# the checkpoint's 2 dirty blocks, 2 slot maps and its marker's partition
-# list; on cipher, the slot maps of its 2 empty partitions and the list.
+# The seals count the privacy checkpoints': on fid, 4 cache evictions, then
+# vacuum's checkpoint and the quiesce one, each 2 dirty blocks, 2 slot maps
+# and its marker's partition list (9 before the put record was deleted,
+# when vacuum's opening flush did not checkpoint); on cipher, which keeps
+# no recipe, the quiesce checkpoint's slot maps of its 2 empty partitions
+# and the list.
 # (privacy, integrity) snapshot bytes after the run: the images the
 # quiesce checkpoints wrote. The privacy zone's are its sealed slot maps,
 # which name the counter of each copy the checkpoint keeps, and the framed
@@ -1373,8 +1396,8 @@ def test_preload_batching_changes_no_durable_byte(seed, tables, rows, batch_size
 
 def test_privacy_crash_between_preload_ingests():
     """A privacy crash between two of the preload's ingest messages loses
-    what no sync covered and leaves no dangling FID; what an earlier sync
-    made durable, and no row claims, orphan_gc reclaims."""
+    what no checkpoint covered and leaves no dangling FID; what an earlier
+    checkpoint made durable, and no row claims, orphan_gc reclaims."""
     spec = _small_spec()
     topo = ZoneTopology(3, batch_size=spec.batch_size)
     request = topo.channel.request
@@ -1384,7 +1407,8 @@ def test_privacy_crash_between_preload_ingests():
         response = request(raw)
         if raw[0] == m.MSG_INGEST:
             ingests.append(raw)
-            topo.client.flush_log()  # another client's commit syncs the batch
+            # another client's maintenance checkpoints the batch
+            topo.client.flush_log(checkpoint=True)
             topo.privacy.crash()
         return response
 
@@ -1405,7 +1429,7 @@ def test_crash_after_read_only_commits_reads_back_replay_state(monkeypatch):
     """Read-only commits do not flush or checkpoint, so no checkpoint keeps
     a block sealed during the run when both zones crash. Recovery must
     bring every row back at its replayed value, never as a wrong value.
-    The preload's secrets are not synced either: replay leaves the
+    No checkpoint holds the preload's secrets either: recovery leaves the
     partitions empty, recovery deletes every sealed copy, since no
     checkpoint keeps one, and restore writes each secret back from its
     recipe, so no sealed copy is ever opened."""
@@ -1413,10 +1437,12 @@ def test_crash_after_read_only_commits_reads_back_replay_state(monkeypatch):
 
 
 def test_crash_after_read_only_commits_drops_stale_sealed_copies(monkeypatch):
-    """As above, with a flush after the preload, as an integrity checkpoint
-    would send in a longer run: the preload's secrets are durable and replay
-    rebuilds them, but no checkpoint kept a sealed copy, so recovery deletes
-    every copy as stale, and no fault later meets one (no stale_dropped)."""
+    """As above, with a privacy checkpoint between the preload's two
+    commits, as an integrity checkpoint would ask for in a longer run: the
+    first table's secrets are durable in the copies it keeps, and recovery
+    rebuilds them from those. Every copy sealed after it is deleted as
+    stale, the second table's secrets come back from their recipes, and no
+    fault later meets a stale copy (no stale_dropped)."""
     _crash_after_read_only_commits(monkeypatch, flushed=True)
 
 
@@ -1424,27 +1450,33 @@ def _crash_after_read_only_commits(monkeypatch, flushed: bool) -> None:
     if flushed:
         preload = _Runner._preload
 
-        def preload_then_flush(runner, db):
-            tables = preload(runner, db)
-            db.flush_privacy()
-            return tables
+        def preload_with_a_checkpoint(runner, db):
+            commit = db.commit
 
-        monkeypatch.setattr(_Runner, "_preload", preload_then_flush)
+            def commit_then_checkpoint(txn):
+                commit(txn)
+                db.commit = commit  # the first table's commit only
+                db.flush_privacy(checkpoint=True)
+
+            db.commit = commit_then_checkpoint
+            return preload(runner, db)
+
+        monkeypatch.setattr(_Runner, "_preload", preload_with_a_checkpoint)
     preloaded, preload_program = _range_select_run()
     _Runner(preloaded, preload_program)._preload(preloaded.integrity.db)
     topo, program = _range_select_run()
     topo.run_program(program)
     assert topo.privacy.atrest.sealer.seals > preloaded.privacy.atrest.sealer.seals
     secrets = 2 * sum(len(decl.rows) for decl in program.tables)
-    assert len(topo.integrity.db.recipes) == (0 if flushed else secrets)
-    copies = len(topo.sealed_store.blocks)
-    assert copies > 0
+    assert len(topo.integrity.db.recipes) == (secrets // 2 if flushed else secrets)
+    stale = len(topo.sealed_store.blocks) - len(topo.sealed_store.kept)
+    assert stale > 0 and bool(topo.sealed_store.kept) == flushed
     topo.privacy.crash()
     topo.integrity.crash()
     before = len(topo.trace)
     assert topo.recover_all().invariant.holds
     assert topo.integrity.db.recipes == {}
-    assert [k for k, _ in topo.trace.events[before:]].count("BlockDrop") == copies
+    assert [k for k, _ in topo.trace.events[before:]].count("BlockDrop") == stale
 
     shadow = ShadowRunner(program, flatten_schedule(program)).run()
     assert _visible_rows(topo) == [
@@ -1484,8 +1516,8 @@ def test_sealed_area_holds_only_blocks_that_back_values():
 
 def test_recovery_retires_sealed_copies_past_a_buckets_end():
     """Blocks sealed from puts that never became durable survive a crash of
-    both zones, but replay drops the puts. Recovery retires each such
-    sealed copy (a BlockDrop), so the sealed area again holds only the
+    both zones, but recovery does not bring the puts back. It retires each
+    such sealed copy (a BlockDrop), so the sealed area again holds only the
     blocks the recovered buckets span."""
     topo = ZoneTopology(3, cache_capacity_blocks=1)
     pid = topo.client.create_partition()
@@ -1504,18 +1536,30 @@ def test_recovery_retires_sealed_copies_past_a_buckets_end():
     assert [kind for kind, _ in topo.trace.events[before:]].count("BlockDrop") == 7
 
 
-@pytest.mark.parametrize("seed, occurrence", [(1, 204), (2, 205)])
-def test_a_torn_tail_is_cut_before_the_next_commit(seed, occurrence):
-    """A privacy crash in the middle of an unsynced record leaves a torn
-    tail. Recovery cuts it before the restore appends, so the restored
-    secrets and those of a row committed afterwards survive the next crash
-    of both zones."""
+@pytest.mark.parametrize("seed, ops", [(1, 204), (2, 205)])
+def test_a_torn_tail_is_cut_before_the_next_commit(seed, ops):
+    """A crash in the middle of an unsynced record, here one of the delete
+    records of vacuum's first MSG_DELETE, before the flush that would sync
+    them, leaves a torn tail. Recovery cuts it before the restore, so the
+    restored secrets and those of a row committed afterwards survive the
+    next crash of both zones."""
     spec = WorkloadSpec(mode=Mode.WRITE_ONLY, tables=2, rows_per_table=50,
-                        duration_ops=300, threads_simulated=2, batch_size=16)
+                        duration_ops=ops, threads_simulated=2, batch_size=16)
     topo = ZoneTopology(seed, batch_size=spec.batch_size)
-    topo.inject_crash(CrashPoint(CrashPointId.RANDOM_BYTE, CrashTarget.PRIVACY,
-                                 at_occurrence=occurrence, torn_bytes=13))
+    request = topo.channel.request
+
+    def request_then_tear(raw):
+        response = request(raw)
+        if raw[0] == m.MSG_DELETE:
+            assert topo.store_wal_buffer.pending_len > 13
+            topo.inject_crash(CrashPoint(CrashPointId.RANDOM_BYTE, CrashTarget.BOTH,
+                                         at_occurrence=0, torn_bytes=13))
+            raise ZoneCrashed("random-byte")
+        return response
+
+    topo.channel.request = request_then_tear
     assert topo.run_workload(spec).crashed_at == "random-byte"
+    topo.channel.request = request
     torn = topo.store_wal_buffer.durable_len
     at_restore = []
     restore = topo.client.restore
