@@ -3,7 +3,7 @@ confidential-database simulator around it."""
 
 from .errors import FidStoreError
 from .fid_codec import decode_fid, encode_fid
-from .mapping_store import MappingStore, PartitionKind, StoreStats
+from .mapping_store import MappingStore, PartitionKind
 
 __all__ = [
     "FidStoreError",
@@ -11,5 +11,4 @@ __all__ = [
     "decode_fid",
     "MappingStore",
     "PartitionKind",
-    "StoreStats",
 ]

@@ -14,8 +14,6 @@ is refused on load.
 
 from __future__ import annotations
 
-import struct
-
 from .errors import OutOfRange
 
 FID_BITS = 64
@@ -24,8 +22,6 @@ OFFSET_BITS = FID_BITS - PREFIX_BITS
 OFFSET_MASK = (1 << OFFSET_BITS) - 1
 MAX_PARTITIONS = 1 << PREFIX_BITS
 MAX_OFFSET = 1 << OFFSET_BITS
-
-_FID_STRUCT = struct.Struct("<Q")
 
 
 def encode_fid(partition: int, offset: int) -> int:
@@ -40,12 +36,3 @@ def encode_fid(partition: int, offset: int) -> int:
 def decode_fid(fid: int) -> tuple[int, int]:
     """Inverse of encode_fid; any 64-bit value decodes."""
     return fid >> OFFSET_BITS, fid & OFFSET_MASK
-
-
-def fid_to_bytes(fid: int) -> bytes:
-    """FIDs travel as 8-byte little-endian unsigned values everywhere."""
-    return _FID_STRUCT.pack(fid)
-
-
-def fid_from_bytes(data: bytes) -> int:
-    return _FID_STRUCT.unpack(data)[0]

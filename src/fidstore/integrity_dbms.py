@@ -60,14 +60,25 @@ checkpoints right after that sync and seals those secrets. After
 maintenance both zones' durable state is images and sealed blocks only.
 The image holds every table (its DB_TABLE encoding), the newest committed
 version of every row (its cells in the DB_INSERT encoding, the bytes
-RowVersion.wire kept since the version was staged or decoded), the commit
-sequence numbers of the transactions that wrote them and the next_*
-counters, in one CRC frame (wal.frame), so recovery refuses a damaged
-image. A record gets its LSN when it is journaled, not when it is staged,
-so LSNs increase along the journal and the image's next_lsn is its cover.
-No transaction outlives a crash, so no snapshot after recovery can see an
+RowVersion.wire kept since the version was staged or decoded, after a
+version head of its row id, vseq and writer txn) and the next_* counters,
+in one CRC frame (wal.frame), so recovery refuses a damaged image. A
+record gets its LSN when it is journaled, not when it is staged, so LSNs
+increase along the journal and the image's next_lsn is its cover. No
+transaction outlives a crash, so no snapshot after recovery can see an
 older version; a ref only an older version holds is an orphan for
-orphan_gc if the crash comes before vacuum releases it.
+orphan_gc if the crash comes before vacuum releases it. For the same
+reason the image holds no commit seq (recover_database).
+
+Both encodings are as compact as the schema allows, with no format flag:
+a table's cells are one struct (Table.cells), with no cell count and a
+length only before a PLAIN_BYTES cell or a cipher envelope, and a version
+head writes each field at the narrowest width its counter needs, as a
+slot map writes its owner offsets. The widths leak nothing: the counters
+that fix them (row ids, vseqs, txn ids) are set by the op sequence, no
+secret value reaches the image, and a cipher envelope's length was in the
+image before. recover_database refuses an image or record in any other
+layout with CorruptLog; it keeps no reader for an older one.
 
 The image holds FIDs only, never a recipe. So a checkpoint sends one
 MSG_FLUSH_LOG, with the checkpoint flag, before it writes its image if a
@@ -97,7 +108,8 @@ from .errors import (
     WrongPartitionKind,
     error_for_code,
 )
-from .fid_codec import OFFSET_BITS, fid_from_bytes, fid_to_bytes
+from .fid_codec import OFFSET_BITS
+from .mapping_store import UINT_CODES, narrowest_width
 from .messages import RECIPE_EXEC, recipe_operands
 from .privacy_proxy import COMPARISONS, OperatorRequest, OpKind, ValueType
 
@@ -111,29 +123,33 @@ DB_COMMIT = 4
 DB_RECIPE = 5
 DB_TABLE = 6
 
-_U32 = struct.Struct("<I")
 # DbWal record payloads, which wal.frame_record frames with their LSN and
 # kind: a DB_INSERT row record (txn, table, row, vseq; then the cells), a
 # DB_REMOVE (table, row, vseq), a DB_COMMIT (txn), a DB_RECIPE (txn; then
 # per fresh FID the txn's cells claimed, in claim order, a _RECIPE_ITEM
 # head and its recipe, in the messages format) and a DB_TABLE (_TABLE_DEF,
 # the UTF-8 name, then per column _COLUMN and its name). A version's end is
-# not journaled: the DB_INSERT of its successor implies it.
+# not journaled: the DB_INSERT of its successor implies it. The cells are
+# Table.cells, fixed by the table's schema and the backend: one field per
+# column, an i64 for a PLAIN_INT, a u64 for a FID and a u32 length for a
+# PLAIN_BYTES cell or a cipher envelope, then the bytes of each of those
+# last, in column order.
 _ROW_REC = struct.Struct("<QIQQ")
 _REMOVE_REC = struct.Struct("<IQQ")
 _COMMIT_REC = struct.Struct("<Q")
 _RECIPE_ITEM = struct.Struct("<QI")  # fid, recipe length
 _TABLE_DEF = struct.Struct("<III")  # partition id, column count, name length
 _COLUMN = struct.Struct("<BI")  # column type, name length
-# Checkpoint image: a head (next txn id, next commit seq, next lsn, table
-# count, txn count), a (txn, commit seq) pair per txn that wrote an imaged
-# version, then per table its DB_TABLE encoding, its counters and its
-# imaged versions, each a version head and its cells in the DB_INSERT
-# encoding.
-_IMAGE_HEAD = struct.Struct("<QQQII")
-_TXN_SEQ = struct.Struct("<QQ")
-_TABLE_HEAD = struct.Struct("<QQQ")  # next row id, next vseq, versions
-_VERSION_HEAD = struct.Struct("<QQQ")  # row id, vseq, begin txn
+# Checkpoint image: _IMAGE_HEAD (next txn id, next commit seq, next lsn,
+# table count, then the widths of a version head's row id, vseq and begin
+# txn), then per table its DB_TABLE encoding, _TABLE_HEAD and its imaged
+# versions, each a version head and its cells in the DB_INSERT encoding.
+# A version head writes each field at its width, the narrowest of 1, 2, 4
+# and 8 bytes (mapping_store.narrowest_width) that holds every value below
+# its counter: the largest next row id and next vseq of any table, and
+# next txn id. Commit seqs are not imaged (recover_database says why).
+_IMAGE_HEAD = struct.Struct("<QQQIBBB")
+_TABLE_HEAD = struct.Struct("<QQI")  # next row id, next vseq, versions
 
 
 class ColumnType(IntEnum):
@@ -144,6 +160,8 @@ class ColumnType(IntEnum):
 
 
 SENSITIVE_TYPES = frozenset({ColumnType.SENSITIVE_INT, ColumnType.SENSITIVE_BYTES})
+# a plain column's struct code in the cells encoding; None: variable-length
+_PLAIN_CODES = {ColumnType.PLAIN_INT: "q", ColumnType.PLAIN_BYTES: None}
 
 
 @dataclass(frozen=True)
@@ -192,7 +210,11 @@ class Txn:
 
 
 class Table:
-    def __init__(self, name: str, idx: int, schema: list[Column], partition_id: int):
+    """ref_code is the struct code of a sensitive cell's ref, or None if a
+    ref is variable-length bytes (the backends' ref_code)."""
+
+    def __init__(self, name: str, idx: int, schema: list[Column], partition_id: int,
+                 ref_code: str | None):
         self.name = name
         self.idx = idx
         self.schema = schema
@@ -203,6 +225,30 @@ class Table:
         self.abort_garbage: list = []
         self.col_index = {c.name: i for i, c in enumerate(schema)}
         self.sensitive = [i for i, c in enumerate(schema) if c.ctype in SENSITIVE_TYPES]
+        codes = [_PLAIN_CODES.get(c.ctype, ref_code) for c in schema]
+        # the cells encoding: one field per column, a variable-length
+        # column's the length of the bytes that follow the fields
+        self.cells = struct.Struct("<" + "".join(code or "I" for code in codes))
+        self.varlen = [i for i, code in enumerate(codes) if code is None]
+
+    def encode(self, cells: list) -> bytes:
+        """cells in the DB_INSERT encoding."""
+        fields = list(cells)
+        for i in self.varlen:
+            fields[i] = len(cells[i])
+        return self.cells.pack(*fields) + b"".join([cells[i] for i in self.varlen])
+
+    def decode(self, data: bytes, pos: int) -> tuple[list, int]:
+        """The cells whose DB_INSERT encoding starts at pos, and its end:
+        struct.error if data ends in the fields, an end past data's if it
+        ends in the bytes, which the caller's check of the end refuses."""
+        cells = list(self.cells.unpack_from(data, pos))
+        pos += self.cells.size
+        for i in self.varlen:
+            end = pos + cells[i]
+            cells[i] = data[pos:end]
+            pos = end
+        return cells, pos
 
     def wire(self) -> bytes:
         """The DB_TABLE encoding: its record's payload and its image entry."""
@@ -284,6 +330,7 @@ class FidBackend:
     partition is its high bits, fid >> OFFSET_BITS (fid_codec's layout)."""
 
     name = "fid"
+    ref_code = "Q"  # a FID is a u64 cell
 
     def __init__(self, client):
         self.client = client
@@ -351,12 +398,6 @@ class FidBackend:
         return run_operators(self.client.exec_batch, query_id, op, vtype, [[ref]],
                              1, constant, partition_id)[0]
 
-    def ref_to_wire(self, ref: int) -> bytes:
-        return fid_to_bytes(ref)
-
-    def ref_from_wire(self, data: bytes) -> int:
-        return fid_from_bytes(data)
-
     def observe(self, trace, ref: int) -> None:
         if trace is not None:
             trace.fid(ref)
@@ -367,6 +408,7 @@ class CipherBackend:
     operator call decrypts its operands and re-encrypts its result."""
 
     name = "cipher"
+    ref_code = None  # an envelope is a variable-length cell
 
     def __init__(self, client):
         self.client = client
@@ -395,12 +437,6 @@ class CipherBackend:
     def apply_constant(self, query_id, op, vtype, ref, constant, partition_id):
         return run_operators(self.client.cipher_exec, query_id, op, vtype, [[ref]],
                              1, constant)[0]
-
-    def ref_to_wire(self, ref: bytes) -> bytes:
-        return ref
-
-    def ref_from_wire(self, data: bytes) -> bytes:
-        return data
 
     def observe(self, trace, ref) -> None:
         pass
@@ -449,7 +485,8 @@ class Database:
     def _add_table(self, name: str, schema: list[Column], partition_id: int) -> Table:
         if name in self.tables:  # create_table checks first: only recovery gets here
             raise CorruptLog(f"table {name} is created twice")
-        table = Table(name, len(self.tables_by_idx), schema, partition_id)
+        table = Table(name, len(self.tables_by_idx), schema, partition_id,
+                      self.backend.ref_code)
         self.tables[name] = table
         self.tables_by_idx.append(table)
         return table
@@ -600,7 +637,7 @@ class Database:
         row_id = table.next_row_id
         table.next_row_id += 1
         version = RowVersion(row_id, table.next_vseq, txn.txn_id, cells,
-                             self._cells_wire(table, cells))
+                             table.encode(cells))
         table.next_vseq += 1
         table.rows[row_id] = [version]
         txn.write_set.append((table, row_id, None, version, promoted))
@@ -658,7 +695,7 @@ class Database:
             changed.append(idx)
         promoted = self._store_cells(txn, table, cells, changed)
         version = RowVersion(row_id, table.next_vseq, txn.txn_id, cells,
-                             self._cells_wire(table, cells))
+                             table.encode(cells))
         table.next_vseq += 1
         head.end_txn = txn.txn_id
         table.rows[row_id].append(version)
@@ -888,49 +925,65 @@ class Database:
         self._durable_write(self.dbwal.replace, b"")
         self._hook("integrity-checkpoint-after-truncate", None)
 
+    def _widths(self) -> tuple[int, int, int]:
+        """The widths of an image's version head fields: row id, vseq and
+        begin txn."""
+        tables = self.tables_by_idx
+        return (narrowest_width(max((t.next_row_id for t in tables), default=1)),
+                narrowest_width(max((t.next_vseq for t in tables), default=1)),
+                narrowest_width(self.next_txn_id))
+
     def _image(self) -> bytes:
+        widths = self._widths()
+        head = _version_head(widths)
         committed = self.committed
-        writers: dict[int, int] = {}
         body = []
         for table in self.tables_by_idx:
             versions = []
             for chain in table.rows.values():
                 for v in reversed(chain):
-                    begin = v.begin_txn
-                    if begin in committed:  # the row's newest committed version
-                        writers[begin] = committed[begin]
-                        versions.append(_VERSION_HEAD.pack(v.row_id, v.vseq, begin))
-                        versions.append(v.wire)
+                    if v.begin_txn in committed:  # the row's newest committed version
+                        versions += (head.pack(v.row_id, v.vseq, v.begin_txn), v.wire)
                         break
-            body.append(table.wire())
-            body.append(_TABLE_HEAD.pack(table.next_row_id, table.next_vseq,
-                                         len(versions) // 2))
-            body.extend(versions)
-        head = _IMAGE_HEAD.pack(self.next_txn_id, self.next_commit_seq, self.next_lsn,
-                                len(self.tables_by_idx), len(writers))
-        return b"".join([head, *(_TXN_SEQ.pack(t, s) for t, s in writers.items()),
-                         *body])
+            body += (table.wire(), _TABLE_HEAD.pack(table.next_row_id, table.next_vseq,
+                                                    len(versions) // 2), *versions)
+        return b"".join([_IMAGE_HEAD.pack(self.next_txn_id, self.next_commit_seq,
+                                          self.next_lsn, len(self.tables_by_idx),
+                                          *widths), *body])
 
     def _load_image(self, image: bytes) -> None:
+        """Loads an image; CorruptLog (or struct.error, ValueError or
+        LookupError, which recover_database turns into it) unless it parses
+        to its last byte, with the widths its counters need, no row twice
+        and every row id, vseq and txn id below its counter. Each imaged
+        writer gets commit seq next_commit_seq - 1 (recover_database)."""
         (self.next_txn_id, self.next_commit_seq, self.next_lsn, n_tables,
-         n_txns) = _IMAGE_HEAD.unpack_from(image, 0)
+         *widths) = _IMAGE_HEAD.unpack_from(image, 0)
+        head = _version_head(widths)
+        seq = self.next_commit_seq - 1
+        committed = self.committed
         pos = _IMAGE_HEAD.size
-        for _ in range(n_txns):
-            txn_id, seq = _TXN_SEQ.unpack_from(image, pos)
-            self.committed[txn_id] = seq
-            pos += _TXN_SEQ.size
         for _ in range(n_tables):
             table, pos = self._read_table(image, pos)
             table.next_row_id, table.next_vseq, n = _TABLE_HEAD.unpack_from(image, pos)
             pos += _TABLE_HEAD.size
+            rows = table.rows
             for _ in range(n):
-                row_id, vseq, begin = _VERSION_HEAD.unpack_from(image, pos)
-                start = pos + _VERSION_HEAD.size
-                cells, pos = self._cells_from_wire(table, image, start)
-                table.rows[row_id] = [RowVersion(row_id, vseq, begin, cells,
-                                                 image[start:pos])]
-        if pos != len(image):
-            raise CorruptLog(f"the image is {len(image)} bytes, its tables end at {pos}")
+                row_id, vseq, begin = head.unpack_from(image, pos)
+                # a repeated row, or a counter that would hand out a
+                # value again, lets a later row or txn overwrite this one
+                if (row_id in rows or row_id >= table.next_row_id
+                        or vseq >= table.next_vseq or begin >= self.next_txn_id):
+                    raise CorruptLog(f"version ({row_id}, {vseq}, {begin}) of "
+                                     f"{table.name}")
+                start = pos + head.size
+                cells, pos = table.decode(image, start)
+                rows[row_id] = [RowVersion(row_id, vseq, begin, cells, image[start:pos])]
+                committed[begin] = seq
+        if pos != len(image) or tuple(widths) != self._widths():
+            raise CorruptLog(f"the image is {len(image)} bytes with widths {widths}; "
+                             f"its tables end at {pos}, their counters need "
+                             f"{self._widths()}")
 
     # ------------------------------------------------------------------
     # DbWal records
@@ -962,41 +1015,10 @@ class Database:
             self._hook("io_failure", None)
             raise
 
-    def _cells_wire(self, table: Table, cells: list) -> bytes:
-        out = [struct.pack("<H", len(cells))]
-        for col, cell in zip(table.schema, cells):
-            if col.ctype == ColumnType.PLAIN_INT:
-                out.append(struct.pack("<q", cell))
-            elif col.ctype == ColumnType.PLAIN_BYTES:
-                out.append(_U32.pack(len(cell)))
-                out.append(cell)
-            else:
-                wire = self.backend.ref_to_wire(cell)
-                out.append(_U32.pack(len(wire)))
-                out.append(wire)
-        return b"".join(out)
 
-    def _cells_from_wire(self, table: Table, data: bytes, pos: int) -> tuple[list, int]:
-        (n,) = struct.unpack_from("<H", data, pos)
-        if n != len(table.schema):
-            raise CorruptLog(f"{n} cells for {len(table.schema)} columns in {table.name}")
-        pos += 2
-        cells = []
-        for col in table.schema:
-            if col.ctype == ColumnType.PLAIN_INT:
-                (v,) = struct.unpack_from("<q", data, pos)
-                pos += 8
-                cells.append(v)
-            else:
-                (ln,) = _U32.unpack_from(data, pos)
-                pos += 4
-                raw = data[pos:pos + ln]
-                pos += ln
-                if col.ctype == ColumnType.PLAIN_BYTES:
-                    cells.append(raw)
-                else:
-                    cells.append(self.backend.ref_from_wire(raw))
-        return cells, pos
+def _version_head(widths) -> struct.Struct:
+    """An image's version head (row id, vseq, begin txn) at widths."""
+    return struct.Struct("<" + "".join(UINT_CODES[w] for w in widths))
 
 
 def _plain_compare(op: OpKind, a, b) -> bool:
@@ -1024,6 +1046,15 @@ def recover_database(client, backend, dbwal: DurableBuffer,
     its row so far: under first-updater-wins a row's committed versions are
     journaled in chain order, so that is the version its txn superseded.
 
+    The image holds no commit seq: each imaged writer gets seq
+    next_commit_seq - 1. That is safe because no snapshot survives a
+    crash: every txn begun after recovery has a snapshot at or past that
+    seq, so it sees and may update each imaged version, and every commit
+    the journal replays takes a seq past it. The imaged writers' order
+    among themselves is lost, and nothing reads it: an image holds one
+    version per row, and a seq orders a version only against snapshots and
+    later commits.
+
     The pending recipes are rebuilt from the DB_RECIPE records of committed
     txns: per FID the newest, in LSN order, and only for a FID a recovered
     row version holds. Dropping the others is safe: vacuum checkpoints the
@@ -1031,7 +1062,8 @@ def recover_database(client, backend, dbwal: DurableBuffer,
     pending, so no kept recipe has an operand that a removed version held
     and the privacy zone lost.
 
-    An image or record that does not parse, an unknown kind, a table no
+    An image or record that does not parse or that this engine could not
+    have written (Database._load_image), an unknown kind, a table no
     earlier image or record creates and one created twice raise CorruptLog."""
     db = Database(client, backend, dbwal, snapshots, **db_kwargs)
     committed_order = []
@@ -1087,7 +1119,7 @@ def recover_database(client, backend, dbwal: DurableBuffer,
                 if txn_id not in committed:
                     continue  # crashed before its commit record: aborted
                 pos = _ROW_REC.size
-                cells, end = db._cells_from_wire(table, payload, pos)
+                cells, end = table.decode(payload, pos)
                 if end != len(payload):
                     raise CorruptLog(f"the cells of row {row_id} end at {end}, "
                                      f"its record at {len(payload)}")
@@ -1100,7 +1132,7 @@ def recover_database(client, backend, dbwal: DurableBuffer,
                 replayed += 1
             else:
                 raise CorruptLog(f"unknown integrity record kind {kind}")
-    except (struct.error, ValueError, IndexError) as exc:  # IndexError: no such table
+    except (struct.error, ValueError, LookupError) as exc:  # e.g. no such table or width
         raise CorruptLog(f"the engine's image or journal does not parse: {exc}") from None
 
     held = db.referenced_refs()

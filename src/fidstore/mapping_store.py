@@ -41,7 +41,6 @@ use one store from several threads at once.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from enum import IntEnum
 
 from .errors import (
@@ -63,7 +62,7 @@ MAX_VALUE_LEN = 4096
 
 # allocation counter, prefix bits, owner width, class count
 SLOT_HEAD = struct.Struct("<QBBB")
-_OWNER_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # owner width -> struct code
+UINT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # width -> unsigned struct code
 
 # block ids carry the size class in the high half
 CLASS_SHIFT = 32
@@ -85,32 +84,17 @@ def size_classes(max_value_len: int) -> list[int]:
     return classes
 
 
+def narrowest_width(counter: int) -> int:
+    """The narrowest of 1, 2, 4 and 8 bytes that holds every value below
+    counter."""
+    return next(w for w in UINT_CODES if counter <= 1 << 8 * w)
+
+
 def class_index(length: int, classes: list[int]) -> int:
     if length <= MIN_CLASS:
         return 0
     idx = (length - 1).bit_length() - 4
     return min(idx, len(classes) - 1)
-
-
-@dataclass
-class StoreStats:
-    """Aggregate accounting used by the benchmarks and tests.
-
-    bytes_metadata counts exactly 8 bytes per live externally held FID;
-    the AEAD-envelope scheme this design replaces pays 28 bytes per field.
-    """
-
-    live_count: int = 0
-    deleted_count: int = 0
-    fresh_allocations: int = 0
-    reused_slots: int = 0
-    gets: int = 0
-    bytes_data: int = 0
-    bytes_metadata: int = 0
-
-    @property
-    def puts(self) -> int:
-        return self.fresh_allocations + self.reused_slots
 
 
 class Partition:
@@ -125,7 +109,6 @@ class Partition:
         "slots",
         "buckets",
         "owners",
-        "reused",
         "tracked",
     )
 
@@ -142,7 +125,6 @@ class Partition:
         self.slots: list = []
         self.buckets: list[list[bytes]] = [[] for _ in range(n_classes)]
         self.owners: list[list[int]] = [[] for _ in range(n_classes)]
-        self.reused = 0
         self.tracked = kind == PartitionKind.PERMANENT
 
     @property
@@ -159,7 +141,6 @@ class MappingStore:
         self.blocks = blocks        # duck-typed: on_read/on_write per block
         self._parts: dict[int, Partition] = {}
         self._next_probe = 0
-        self.gets = 0
 
     # ------------------------------------------------------------------
     # partition management
@@ -227,7 +208,6 @@ class MappingStore:
         cell = self._put_at(p, off, secret)
         if free:
             free.pop()
-            p.reused += 1
         if p.tracked:
             # the block is dirty before the count may run a checkpoint
             if self.blocks is not None:
@@ -238,7 +218,6 @@ class MappingStore:
 
     def get(self, fid: int) -> bytes | None:
         """Returns the secret bytes, or None when the FID has no live mapping."""
-        self.gets += 1
         p = self._parts.get(fid >> OFFSET_BITS)
         if p is None:
             return None
@@ -405,19 +384,6 @@ class MappingStore:
         base = p.fid_base
         return [base | off for off, cell in enumerate(p.slots) if cell is not None]
 
-    def stats(self) -> StoreStats:
-        s = StoreStats(gets=self.gets)
-        for p in self._parts.values():
-            live = p.live
-            s.live_count += live
-            s.deleted_count += len(p.free_list)
-            s.fresh_allocations += p.alloc_counter
-            s.reused_slots += p.reused
-            for cls, bucket in enumerate(p.buckets):
-                s.bytes_data += len(bucket) * self.classes[cls]
-            s.bytes_metadata += live * 8
-        return s
-
     # ------------------------------------------------------------------
     # block assembly for the at-rest layer
 
@@ -457,8 +423,8 @@ class MappingStore:
         """Where partition pid's values lie in its blocks, and how long each
         is: the slot map."""
         p = self.partition(pid)
-        width = next(w for w in _OWNER_CODES if p.alloc_counter <= 1 << 8 * w)
-        code = _OWNER_CODES[width]
+        width = narrowest_width(p.alloc_counter)
+        code = UINT_CODES[width]
         counts = [len(bucket) for bucket in p.buckets]
         while counts and not counts[-1]:
             counts.pop()
@@ -481,7 +447,7 @@ class MappingStore:
             alloc_counter, prefix_bits, width, n_classes = SLOT_HEAD.unpack_from(data, 0)
             if prefix_bits != PREFIX_BITS:
                 raise CorruptLog(f"prefix_bits={prefix_bits}, FIDs use {PREFIX_BITS}")
-            code = _OWNER_CODES.get(width)
+            code = UINT_CODES.get(width)
             if code is None or alloc_counter > MAX_OFFSET or n_classes > len(self.classes):
                 raise CorruptLog(f"owner width {width}, {alloc_counter} offsets, "
                                  f"{n_classes} classes")

@@ -135,7 +135,11 @@ class AdversaryTrace:
     carried, so a snapshot of that journal shows nothing the message trace
     does not. The next integrity checkpoint truncates them away, and its
     image holds FIDs only. The cipher baseline keeps its envelopes in its
-    rows for good.
+    rows for good. Neither the engine's journal nor its image crosses the
+    channel, so their encoding reaches the trace only through checkpoint
+    cadence: a smaller record crosses the interval at another commit, and
+    moves the MSG_FLUSH_LOG of any checkpoint that finds a recipe pending,
+    with the block events of the privacy checkpoint it runs.
 
     Storage is two flat buffers, one entry per event: its kind code (an
     index into EVENT_KINDS) in a bytearray and its argument in an

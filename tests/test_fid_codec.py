@@ -8,9 +8,8 @@ from fidstore.fid_codec import (
     MAX_PARTITIONS,
     decode_fid,
     encode_fid,
-    fid_from_bytes,
-    fid_to_bytes,
 )
+from fidstore.integrity_dbms import Column, ColumnType, FidBackend, Table
 
 
 def test_zero_case():
@@ -53,8 +52,9 @@ def test_partition_segmentation():
 
 
 def test_wire_form_little_endian():
+    """A FID cell is 8 little-endian bytes in the engine's rows."""
     fid = encode_fid(3, 7)
-    raw = fid_to_bytes(fid)
-    assert len(raw) == 8
+    table = Table("t", 0, [Column("k", ColumnType.SENSITIVE_INT)], 3, FidBackend.ref_code)
+    raw = table.encode([fid])
     assert raw == bytes([7, 0, 0, 0, 0, 0, 3, 0])
-    assert fid_from_bytes(raw) == fid
+    assert table.decode(raw, 0) == ([fid], 8)

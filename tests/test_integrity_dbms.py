@@ -663,9 +663,8 @@ def test_engine_record_bytes(topo, kind):
     db.commit(updater)
     assert db.vacuum(table) == 1
 
-    def cells(fid):
-        return (struct.pack("<HqI", 3, 1, 8) + struct.pack("<Q", fid)
-                + struct.pack("<I", 1) + b"n")
+    def cells(fid):  # id, k, note's length, then note
+        return struct.pack("<qQI", 1, fid, 1) + b"n"
 
     frames = {
         "table": [_hand_frame(1, 6, struct.pack("<III", table.partition_id, 3, 1) + b"t"
@@ -696,9 +695,9 @@ def test_engine_record_bytes(topo, kind):
 
 
 def _row_cells(fid: int, note: bytes = b"n") -> bytes:
-    """A SCHEMA row's cells in the DB_INSERT encoding: id 1, k fid."""
-    return (struct.pack("<HqI", 3, 1, 8) + struct.pack("<Q", fid)
-            + struct.pack("<I", len(note)) + note)
+    """A SCHEMA row's cells in the DB_INSERT encoding: id 1, k fid, note's
+    length, then note."""
+    return struct.pack("<qQI", 1, fid, len(note)) + note
 
 
 # hand-framed records a recovery past LSN 3 must refuse, kind 1 insert,
@@ -725,7 +724,7 @@ _MALFORMED = {
                               + _row_cells(1 << 48)[:-1]), (4, struct.pack("<Q", 9))],
     "bytes-past-cells": [(1, struct.pack("<QIQQ", 9, 0, 1, 2)
                           + _row_cells(1 << 48) + b"x"), (4, struct.pack("<Q", 9))],
-    "too-few-cells": [(1, struct.pack("<QIQQ", 9, 0, 1, 2) + struct.pack("<Hq", 1, 1)),
+    "too-few-cells": [(1, struct.pack("<QIQQ", 9, 0, 1, 2) + struct.pack("<q", 1)),
                       (4, struct.pack("<Q", 9))],
     "short-table": [(6, struct.pack("<II", 1, 0))],
     "table-name-overruns-record": [(6, struct.pack("<III", 1, 0, 9) + b"u")],

@@ -74,15 +74,20 @@ def test_delete_semantics(store):
 
 def test_data_bytes_do_not_grow_on_same_class_reuse(store):
     pid = store.create_partition(PartitionKind.PERMANENT)
+
+    def data_bytes():  # the bytes the partition's size-class buckets span
+        return sum(len(bucket) * size
+                   for bucket, size in zip(store.partition(pid).buckets, store.classes))
+
     for _ in range(50):
         store.put(pid, b"x" * 30)
-    before = store.stats().bytes_data
+    before = data_bytes()
     victim = store.put(pid, b"y" * 30)
-    grown = store.stats().bytes_data
+    grown = data_bytes()
     assert grown > before
     store.delete(victim)
     store.put(pid, b"z" * 25)  # same 32-byte class
-    assert store.stats().bytes_data == grown
+    assert data_bytes() == grown
 
 
 def test_promote_copies_and_keeps_temp_live(store):
@@ -279,14 +284,12 @@ def test_slot_reuse_only_from_freed_offsets():
 def test_metadata_accounting(store):
     pid = store.create_partition(PartitionKind.PERMANENT)
     fids = [store.put(pid, b"abcd") for _ in range(100)]
-    assert store.stats().bytes_metadata == 100 * 8
+    assert store.live_fids(pid) == fids
     for fid in fids[:40]:
         store.delete(fid)
-    stats = store.stats()
-    assert stats.bytes_metadata == 60 * 8
-    assert stats.live_count == 60
-    assert stats.deleted_count == 40
-    assert stats.reused_slots + stats.fresh_allocations == 100
+    p = store.partition(pid)
+    assert store.live_fids(pid) == fids[40:]
+    assert (len(p.free_list), p.alloc_counter) == (40, 100)
 
 
 def test_varlen_bucket_occupancy_matches_live_count(store):

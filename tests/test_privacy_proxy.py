@@ -190,15 +190,17 @@ def test_listing_fidelity_gets_and_puts(setup):
     """The operator path is exactly {get operands, compute, put result}."""
     store, proxy, _ = setup
     a, b = _put_ints(proxy, 1, 4, 9)
-    stats0 = store.stats()
+    calls = []
+    for name in ("get", "put"):
+        def counted(*args, _call=getattr(store, name), _name=name):
+            calls.append(_name)
+            return _call(*args)
+        setattr(store, name, counted)
     proxy.exec_operator(OperatorRequest(OpKind.ADD, ValueType.INT64, [a, b]), 1)
-    stats1 = store.stats()
-    assert stats1.gets - stats0.gets == 2
-    assert stats1.puts - stats0.puts == 1
+    assert calls == ["get", "get", "put"]
+    calls.clear()
     proxy.exec_operator(OperatorRequest(OpKind.CMP_LT, ValueType.INT64, [a, b]), 1)
-    stats2 = store.stats()
-    assert stats2.gets - stats1.gets == 2
-    assert stats2.puts - stats1.puts == 0  # comparisons put nothing
+    assert calls == ["get", "get"]  # comparisons put nothing
 
 
 def test_batch_matches_sequential(setup):

@@ -165,7 +165,7 @@ def test_replay_k_puts():
         store.delete(fid)
     wal.flush()
     result = _recover(snaps, buf, atrest.sealed)
-    assert (result.store.stats().live_count, result.replayed_count) == (16, 9)
+    assert (len(result.store.live_fids(pid)), result.replayed_count) == (16, 9)
     assert _live_mapping(result.store) == _live_mapping(store)
 
 

@@ -1233,14 +1233,16 @@ _PINNED = {
     # create_table's two, vacuum's first (recipes were pending), which
     # checkpoints the privacy zone, and one after each table's deletes, and
     # orphan_gc's checkpoint flush, after which both journals are empty.
+    # An insert's cells take 10 bytes less on fid (no cell count, no length
+    # before a FID or a PLAIN_INT) and 2 less on cipher (no count).
     "fid": ({m.MSG_INGEST: 8, m.MSG_REVEAL: 80, m.MSG_EXEC_BATCH: 49,
              m.MSG_DELETE: 4, m.MSG_FLUSH_LOG: 6, m.MSG_CREATE_PARTITION: 2,
              m.MSG_LIST_LIVE: 2},
-            (0, 0), (14, 2), (249, 0), 25918),
+            (0, 0), (14, 2), (249, 0), 24968),
     "cipher": ({m.MSG_FLUSH_LOG: 3, m.MSG_CREATE_PARTITION: 2,
                 m.MSG_CIPHER_EXEC: 49, m.MSG_CIPHER_INGEST: 8,
                 m.MSG_CIPHER_REVEAL: 80},
-               (0, 0), (3, 0), (249, 370), 26218),
+               (0, 0), (3, 0), (249, 370), 26028),
 }
 # The seals count the privacy checkpoints': on fid, 4 cache evictions, then
 # vacuum's checkpoint and the quiesce one, each 2 dirty blocks, 2 slot maps
@@ -1251,8 +1253,11 @@ _PINNED = {
 # (privacy, integrity) snapshot bytes after the run: the images the
 # quiesce checkpoints wrote. The privacy zone's are its sealed slot maps,
 # which name the counter of each copy the checkpoint keeps, and the framed
-# marker; the engine's holds its tables, in one 8-byte frame.
-_PINNED_IMAGES = {"fid": (634, 4716), "cipher": (146, 15276)}
+# marker; the engine's holds its tables, in one 8-byte frame. Its version
+# heads take 1 or 2 bytes a field and its cells no count (4 716 and 15 276
+# bytes when each head took 24 bytes, each writer a 16-byte commit seq pair
+# and each cell a u32 length).
+_PINNED_IMAGES = {"fid": (634, 2383), "cipher": (146, 13423)}
 
 
 def _snapshot_bytes(topo) -> tuple[int, int]:
@@ -1316,11 +1321,12 @@ def test_pinned_counts_through_maintenance(backend):
 # invariant check starts: per-kind counts, (privacy WAL, integrity WAL)
 # durable bytes, (seals, opens), (client codec, zone codec) crypto counts.
 # Only create_table flushes: the preload's secrets stay unsynced, and the
-# integrity journal holds their recipes.
+# integrity journal holds their recipes (600 inserts, 10 bytes each less
+# than when the cells had a count and a length before each).
 _PINNED_RANGE_SELECT = (
     {m.MSG_INGEST: 76, m.MSG_EXEC_BATCH: 100, m.MSG_FLUSH_LOG: 2,
      m.MSG_CREATE_PARTITION: 2},
-    (42, 184418), (24, 4), (1300, 0))
+    (42, 178418), (24, 4), (1300, 0))
 
 
 def _range_select_run():
