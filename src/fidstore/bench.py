@@ -210,7 +210,8 @@ def row_states(topo: ZoneTopology) -> tuple[dict, dict]:
     values of its sensitive cells). The values are read from the privacy
     zone's store in trusted memory (MappingStore.peek), so this works on a
     crashed zone before its recovery and changes no cache state; on the
-    cipher path the cells hold the envelopes themselves."""
+    cipher path the cells hold the envelopes themselves. A pending write's
+    placeholder has no value."""
     db = topo.integrity.db
     store = topo.privacy.store if topo.backend_name == "fid" else None
     committed, in_flight = {}, {}
@@ -226,7 +227,8 @@ def row_states(topo: ZoneTopology) -> tuple[dict, dict]:
                 key = (table.idx, row_id)
                 if key not in states:
                     values = () if store is None else tuple(
-                        store.peek(v.cells[i]) for i in table.sensitive)
+                        None if v.cells[i] is None else store.peek(v.cells[i])
+                        for i in table.sensitive)
                     states[key] = (v.vseq, v.begin_txn, tuple(v.cells), values)
                 if states is committed:
                     break

@@ -15,6 +15,19 @@ mapping store; orphan_gc sweeps store entries no row version references
 (the secrets of transactions that never committed, made durable by a
 checkpoint another caller asked for).
 
+A transaction holds its writes. update_row takes a sensitive new value as
+an operator request, an ADD over the old ref or a STORE of a client
+envelope, each into the table's partition, and installs the new version
+at once with a placeholder in that cell, so first-updater-wins, the write
+set and abort work as for any other write. commit sends all of the
+transaction's writes in one operator call (send_writes), before its first
+crash point, then fills the placeholders, claims the fresh refs with
+their recipes and stages the DB_INSERTs, so the durability order below is
+unchanged. So a write-only transaction crosses to the privacy zone once,
+and an aborted one never. The writes go earlier only when the transaction
+reads, sums or writes again a version it wrote that still holds a
+placeholder (visible_version, update_row): that depends on keys alone.
+
 The cross-domain contract is an invariant: a durably visible FID has a
 durable secret, or a durable recipe whose operands are durable or backed
 by a recipe. A secret is durable once a privacy checkpoint seals it: the
@@ -160,6 +173,9 @@ class ColumnType(IntEnum):
 
 
 SENSITIVE_TYPES = frozenset({ColumnType.SENSITIVE_INT, ColumnType.SENSITIVE_BYTES})
+# a sensitive column type's operator value type
+VALUE_TYPES = {ColumnType.SENSITIVE_INT: ValueType.INT64,
+               ColumnType.SENSITIVE_BYTES: ValueType.BYTES}
 # a plain column's struct code in the cells encoding; None: variable-length
 _PLAIN_CODES = {ColumnType.PLAIN_INT: "q", ColumnType.PLAIN_BYTES: None}
 
@@ -180,7 +196,9 @@ class TxnState(IntEnum):
 class RowVersion:
     """One version of a row. wire is its cells in the DB_INSERT encoding,
     built once when the version is staged (or kept from the image or
-    record it was decoded from), so a checkpoint image reuses it."""
+    record it was decoded from), so a checkpoint image reuses it. A
+    version whose writes its txn still holds (Txn.pending) has a None
+    placeholder in each of their cells and no wire until they are sent."""
 
     __slots__ = ("row_id", "vseq", "begin_txn", "end_txn", "cells", "wire")
 
@@ -195,7 +213,7 @@ class RowVersion:
 
 class Txn:
     __slots__ = ("txn_id", "state", "snapshot_seq", "write_set", "staged",
-                 "promoted", "recipes", "query_id")
+                 "promoted", "recipes", "pending", "query_id")
 
     def __init__(self, txn_id, snapshot_seq):
         self.txn_id = txn_id
@@ -206,6 +224,9 @@ class Txn:
         self.staged: list = []
         self.promoted: list = []
         self.recipes: list = []  # (fid, recipe) of each fresh FID a cell claimed
+        # (table, version, [(column, OperatorRequest)], promoted_refs) of each
+        # version whose writes are not sent yet (Database.send_writes)
+        self.pending: list = []
         self.query_id = txn_id
 
 
@@ -275,20 +296,25 @@ class Predicate:
     constant: object
 
 
-def run_operators(call, query_id: int, op: OpKind, vtype: ValueType,
-                  operand_lists: list, per_msg: int, constant=None,
-                  destination=None, reveal: bool = False) -> list:
-    """The operator run loop of both backends: one request per operand
-    list, per_msg requests per round trip, through call (the client's
-    exec_batch or cipher_exec). Returns one boolean, revealed client
-    envelope or stored ref per operand list; raises the first element
-    error."""
-    reqs = [OperatorRequest(op, vtype, refs, destination, constant, reveal)
-            for refs in operand_lists]
+def run_requests(call, query_id: int, reqs: list[OperatorRequest],
+                 per_msg: int) -> list:
+    """The operator run loop of both backends: per_msg requests per round
+    trip, through call (the client's exec_batch or cipher_exec). Returns
+    one response per request; raises the first element error."""
     out = call(query_id, reqs, per_msg)
-    for r in out:
+    for req, r in zip(reqs, out):
         if r.error_code:
-            raise error_for_code(r.error_code, f"operator {OpKind(op).name} failed")
+            raise error_for_code(r.error_code, f"operator {OpKind(req.op).name} failed")
+    return out
+
+
+def run_operators(call, query_id: int, op: OpKind, vtype: ValueType,
+                  operand_lists: list, per_msg: int, reveal: bool = False) -> list:
+    """One request of op per operand list (run_requests). Returns one
+    boolean, revealed client envelope or stored ref per operand list."""
+    out = run_requests(call, query_id,
+                       [OperatorRequest(op, vtype, refs, reveal=reveal)
+                        for refs in operand_lists], per_msg)
     if op in COMPARISONS:
         return [r.boolean for r in out]
     if reveal:
@@ -391,12 +417,12 @@ class FidBackend:
         return reduce_refs(self.client.exec_batch, query_id, op, vtype, refs,
                            batch_size, reveal)
 
-    def apply_constant(self, query_id: int, op: OpKind, vtype: ValueType,
-                       ref: int, constant: bytes, partition_id: int) -> int:
-        """op(ref's value, a client envelope's value) in one message, the
-        result written fresh to partition_id."""
-        return run_operators(self.client.exec_batch, query_id, op, vtype, [[ref]],
-                             1, constant, partition_id)[0]
+    def write(self, query_id: int, reqs: list[OperatorRequest],
+              batch_size: int) -> list[int]:
+        """The fresh ref each request's value result was written to, in
+        order, batch_size requests per message."""
+        return [r.fid for r in run_requests(self.client.exec_batch, query_id,
+                                            reqs, batch_size)]
 
     def observe(self, trace, ref: int) -> None:
         if trace is not None:
@@ -434,9 +460,9 @@ class CipherBackend:
         return reduce_refs(self.client.cipher_exec, query_id, op, vtype, refs,
                            batch_size, reveal)
 
-    def apply_constant(self, query_id, op, vtype, ref, constant, partition_id):
-        return run_operators(self.client.cipher_exec, query_id, op, vtype, [[ref]],
-                             1, constant)[0]
+    def write(self, query_id, reqs, batch_size):
+        return [r.fid for r in run_requests(self.client.cipher_exec, query_id,
+                                            reqs, batch_size)]
 
     def observe(self, trace, ref) -> None:
         pass
@@ -483,8 +509,12 @@ class Database:
         return table
 
     def _add_table(self, name: str, schema: list[Column], partition_id: int) -> Table:
-        if name in self.tables:  # create_table checks first: only recovery gets here
+        # create_table's name is checked first and its partition is new:
+        # only recovery gets here with either named twice
+        if name in self.tables:
             raise CorruptLog(f"table {name} is created twice")
+        if any(t.partition_id == partition_id for t in self.tables_by_idx):
+            raise CorruptLog(f"table {name} names another table's partition")
         table = Table(name, len(self.tables_by_idx), schema, partition_id,
                       self.backend.ref_code)
         self.tables[name] = table
@@ -519,8 +549,12 @@ class Database:
             self.crash_hook(site, txn)
 
     def commit(self, txn: Txn) -> None:
+        """Sends the txn's pending writes (send_writes; on an error the txn
+        stays active, for the caller to abort), then makes its records
+        durable as the module docstring says."""
         if txn.state != TxnState.ACTIVE:
             raise ValueError(f"commit on txn in state {txn.state}")
+        self.send_writes(txn)
         if not txn.staged:
             # nothing staged makes no FID visible: no flush, no commit record
             self._finish_commit(txn)
@@ -585,6 +619,7 @@ class Database:
             table.abort_garbage.extend(promoted)
         txn.state = TxnState.ABORTED
         txn.staged.clear()
+        txn.pending.clear()  # never sent: nothing to release
         self.active_txns.pop(txn.txn_id, None)
 
     def flush_privacy(self, checkpoint: bool = False) -> None:
@@ -613,7 +648,9 @@ class Database:
         every table's abort garbage and clear the client's fresh map and
         unsynced set. A lost ref may name a slot recovery hands out again,
         so none may be committed, claimed or released; those that survived
-        are orphans for orphan_gc."""
+        are orphans for orphan_gc. A txn whose writes are all still pending
+        stored no ref and stays active: the committed refs its requests read
+        are back once restore_recipes returns."""
         for txn in list(self.active_txns.values()):
             if txn.promoted:
                 self.abort(txn)
@@ -636,16 +673,11 @@ class Database:
         promoted = self._store_cells(txn, table, cells, range(len(cells)))
         row_id = table.next_row_id
         table.next_row_id += 1
-        version = RowVersion(row_id, table.next_vseq, txn.txn_id, cells,
-                             table.encode(cells))
+        version = RowVersion(row_id, table.next_vseq, txn.txn_id, cells, None)
         table.next_vseq += 1
         table.rows[row_id] = [version]
         txn.write_set.append((table, row_id, None, version, promoted))
-        txn.promoted.extend(promoted)
-        txn.staged.append(self._record(DB_INSERT, txn=txn.txn_id, table=table.idx,
-                                       row=row_id, vseq=version.vseq,
-                                       cells=version.wire))
-        self._observe_cells(table, cells)
+        self._stage(txn, table, version)
         return row_id
 
     def _store_cells(self, txn: Txn, table: Table, cells: list, changed) -> list:
@@ -673,44 +705,98 @@ class Database:
                 cells[i] = bytes(cells[i])
             else:
                 sensitive.append(i)
+        return self._claim(txn, table, cells, sensitive)
+
+    def _claim(self, txn: Txn, table: Table, cells: list, sensitive: list) -> list:
+        """Replaces the ref in each of the sensitive cells with the one the
+        row stores (backend.promote, which checks the whole row first) and
+        returns those refs, added to the txn's, with each fresh one's
+        recipe added to the txn's in claim order."""
         stored = self.backend.promote([cells[i] for i in sensitive], table.partition_id)
         for i, (ref, recipe) in zip(sensitive, stored):
             cells[i] = ref
             if recipe is not None:
                 txn.recipes.append((ref, recipe))
-        return [ref for ref, _ in stored]
+        refs = [ref for ref, _ in stored]
+        txn.promoted.extend(refs)
+        return refs
+
+    def _stage(self, txn: Txn, table: Table, version: RowVersion) -> None:
+        """Encodes a version whose cells are all set, stages its DB_INSERT
+        and shows its sensitive refs to the trace."""
+        version.wire = table.encode(version.cells)
+        txn.staged.append(self._record(DB_INSERT, txn=txn.txn_id, table=table.idx,
+                                       row=version.row_id, vseq=version.vseq,
+                                       cells=version.wire))
+        self._observe_cells(table, version.cells)
 
     def update_row(self, txn: Txn, table: Table, row_id: int,
                    new_values: dict) -> None:
+        """Supersedes the row's newest version. A sensitive new value is a
+        ref, claimed now as insert_row claims one, or an OperatorRequest
+        whose value result is the new ref: an ADD over the old ref or a
+        STORE of a client envelope, with the table's partition as its
+        destination. The txn holds such a write, with a placeholder in its
+        cell, until send_writes sends it; the new version is installed at
+        once either way, so conflicts and abort treat both alike. A
+        placeholder in the row's newest version, this txn's own, sends the
+        txn's pending writes first."""
         if txn.state != TxnState.ACTIVE:
             raise ValueError("update on inactive txn")
         head = self.check_update(txn, table, row_id)
+        if head.wire is None:
+            self.send_writes(txn)
         cells = list(head.cells)
         changed = []
+        pending = []
         for name, value in new_values.items():
             idx = table.col_index.get(name)
             if idx is None:
                 raise SchemaMismatch(f"no column {name} in {table.name}")
+            if isinstance(value, OperatorRequest):
+                if idx not in table.sensitive:
+                    raise SchemaMismatch(f"{name} holds no ref")
+                pending.append((idx, value))
+                value = None
+            else:
+                changed.append(idx)
             cells[idx] = value
-            changed.append(idx)
         promoted = self._store_cells(txn, table, cells, changed)
-        version = RowVersion(row_id, table.next_vseq, txn.txn_id, cells,
-                             table.encode(cells))
+        version = RowVersion(row_id, table.next_vseq, txn.txn_id, cells, None)
         table.next_vseq += 1
         head.end_txn = txn.txn_id
         table.rows[row_id].append(version)
         txn.write_set.append((table, row_id, head, version, promoted))
-        txn.promoted.extend(promoted)
-        txn.staged.append(self._record(DB_INSERT, txn=txn.txn_id, table=table.idx,
-                                       row=row_id, vseq=version.vseq,
-                                       cells=version.wire))
-        self._observe_cells(table, cells)
+        if pending:
+            txn.pending.append((table, version, pending, promoted))
+        else:
+            self._stage(txn, table, version)
+
+    def send_writes(self, txn: Txn) -> None:
+        """Sends the txn's pending writes in one operator call
+        (backend.write, batch_size elements per message), then, in the
+        order the txn made them, fills each placeholder with its fresh ref,
+        claims the refs with their recipes and stages the versions'
+        DB_INSERTs. An error leaves every write pending."""
+        pending = txn.pending
+        if not pending:
+            return
+        refs = iter(self.backend.write(
+            txn.query_id, [req for _, _, writes, _ in pending for _, req in writes],
+            self.batch_size))
+        txn.pending = []
+        for table, version, writes, promoted in pending:
+            cells = version.cells
+            for i, _ in writes:
+                cells[i] = next(refs)
+            promoted += self._claim(txn, table, cells, [i for i, _ in writes])
+            self._stage(txn, table, version)
 
     def check_update(self, txn: Txn, table: Table, row_id: int) -> RowVersion:
         """The row's newest version if txn may supersede it; raises
-        WriteConflict under first-updater-wins otherwise. Callers check
-        before they write the row's new secrets, so a conflicting update
-        leaves nothing behind in the privacy zone."""
+        WriteConflict under first-updater-wins otherwise. update_row checks
+        before it installs or sends anything, so a conflicting update leaves
+        nothing behind in the privacy zone."""
         chain = table.rows.get(row_id)
         if not chain:
             raise RowNotVisible(f"row {row_id} does not exist")
@@ -753,6 +839,8 @@ class Database:
             return None
         for version in reversed(chain):
             if self._visible(version, txn):
+                if version.wire is None:  # this txn's own, a write still pending
+                    self.send_writes(txn)
                 return version
         return None
 
@@ -773,10 +861,9 @@ class Database:
             raise SchemaMismatch(f"no column {predicate.column}")
         col = table.schema[idx]
         if col.ctype in SENSITIVE_TYPES:
-            vtype = (ValueType.INT64 if col.ctype == ColumnType.SENSITIVE_INT
-                     else ValueType.BYTES)
             pairs = [(v.cells[idx], predicate.constant) for v in visible]
-            flags = self.backend.compare_many(txn.query_id, predicate.op, vtype,
+            flags = self.backend.compare_many(txn.query_id, predicate.op,
+                                              VALUE_TYPES[col.ctype],
                                               pairs, self.batch_size)
             return [v for v, keep in zip(visible, flags) if keep]
         return [v for v in visible
@@ -886,7 +973,8 @@ class Database:
 
     def referenced_refs(self) -> set:
         """Every sensitive ref a row version or a table's abort garbage
-        still holds; store entries outside this set are orphans."""
+        still holds; store entries outside this set are orphans. A pending
+        write's placeholder is no ref."""
         referenced = set()
         for table in self.tables_by_idx:
             for chain in table.rows.values():
@@ -894,6 +982,7 @@ class Database:
                     for i in table.sensitive:
                         referenced.add(version.cells[i])
             referenced.update(table.abort_garbage)
+        referenced.discard(None)
         return referenced
 
     # ------------------------------------------------------------------
@@ -1064,7 +1153,10 @@ def recover_database(client, backend, dbwal: DurableBuffer,
 
     An image or record that does not parse or that this engine could not
     have written (Database._load_image), an unknown kind, a table no
-    earlier image or record creates and one created twice raise CorruptLog."""
+    earlier image or record creates, one created twice and one naming
+    another's partition raise CorruptLog. Whether the privacy zone holds a
+    table's partition only the privacy zone can say: ZoneTopology.recover_all
+    asks it."""
     db = Database(client, backend, dbwal, snapshots, **db_kwargs)
     committed_order = []
     replayed = 0

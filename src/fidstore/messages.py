@@ -19,13 +19,26 @@ its head and its operands alone:
   element with a temporary operand fails with TypeMismatch.
 - OP_CONST: a client envelope {u32 len, bytes} follows the stored
   operands and is the element's last operand. The privacy zone decrypts
-  it once and never stores it.
+  it once and never stores it, except as the value of a STORE.
 - OP_REVEAL: the value result comes back as a client envelope and is
   never stored.
 
-An element that combines the flags wrongly (a constant with argc 0, a
-reveal on a comparison or together with a destination) fails on its own
-with TypeMismatch, like any other element error. Each response element is
+A constant goes beside a stored operand, except in STORE, which takes
+argc 0 and OP_CONST, and whose value result is the constant's value:
+with OP_DEST it writes a client's value into a table's partition, as an
+ingest does. An element that breaks a rule (a constant with argc 0 on
+any other op, a STORE with a stored operand, without a constant or with
+OP_REVEAL, a reveal on a comparison or together with a destination)
+fails on its own with TypeMismatch, like any other element error.
+
+The integrity zone holds a transaction's writes (Database.update_row) and
+sends them when it commits: an ADD over the old value with OP_CONST and
+OP_DEST, or a STORE with OP_DEST, all of the transaction's in one batch
+message (batch_size elements each), MSG_EXEC_BATCH on the fid path and
+MSG_CIPHER_EXEC on the cipher one. It sends them earlier only when the
+transaction reads, sums or writes again a row it wrote, so when a
+transaction's writes cross depends on its keys alone. An aborted
+transaction sends none. Each response element is
 a status byte, then for status 0 a result kind and the result: 0 and a
 value (a FID, or a zone envelope blob for MSG_CIPHER_EXEC), 1 and a
 boolean byte, or 2 and a revealed client envelope blob.

@@ -28,7 +28,12 @@ An operator may also take a client envelope as an inline constant, which
 is decrypted once and used as its last operand, and may reveal its value
 result, which then leaves as a client envelope. Neither the constant nor
 a revealed result is ever stored: each costs the one decrypt or encrypt
-an ingest or reveal of it would.
+an ingest or reveal of it would. STORE is the one op whose constant is
+its only operand: its value result is the constant's value, so a STORE
+with a destination writes a client's value into a table's partition as an
+ingest would, inside an operator batch. That lets a transaction's writes,
+an ADD over the old value or a STORE of a new one, all travel in the one
+batch its commit sends (integrity_dbms).
 
 After a crash, restore writes each lost FID of a table again from its
 recipe, the ingest envelope or operator element that first wrote it, into
@@ -86,6 +91,7 @@ class OpKind(IntEnum):
     MIN_AGG = 10
     MAX_AGG = 11
     AVG_AGG = 12
+    STORE = 13  # its inline constant alone, stored as it is
 
 
 COMPARISONS = frozenset({OpKind.CMP_LT, OpKind.CMP_EQ, OpKind.CMP_GT})
@@ -204,7 +210,13 @@ def check_operator(op: OpKind, n_stored: int, constant: bool,
     """Raises TypeMismatch unless an operator element is well formed: the
     op's arity over its stored operands plus the inline constant, a
     constant only beside a stored operand, and a reveal only of a value
-    result that names no destination."""
+    result that names no destination. STORE is the one op that takes the
+    constant alone: no stored operand, and no reveal, since it exists to
+    store its value."""
+    if op == OpKind.STORE:
+        if n_stored or not constant or reveal:
+            raise TypeMismatch("STORE takes an inline constant alone and stores it")
+        return
     if constant and not n_stored:
         raise TypeMismatch("an inline constant needs a stored operand")
     if reveal and (op in COMPARISONS or destination is not None):
@@ -232,6 +244,11 @@ def compare_values(op: OpKind, vtype: ValueType, values: list[bytes]) -> bool:
 
 
 def compute_value(op: OpKind, vtype: ValueType, values: list[bytes]) -> bytes:
+    if op == OpKind.STORE:  # the identity; an int64 or float64 is 8 bytes
+        if vtype != ValueType.BYTES and len(values[0]) != 8:
+            raise TypeMismatch(f"{vtype.name} value must be 8 bytes, got "
+                               f"{len(values[0])}")
+        return values[0]
     if vtype == ValueType.INT64:
         return _compute_int(op, [decode_int64(v) for v in values])
     if vtype == ValueType.FLOAT64:

@@ -30,9 +30,17 @@ from enum import Enum
 
 from .atrest_storage import AtRestLayer, SealedBlockStore
 from .durability import DurableBuffer, SnapshotStore
-from .errors import NoCrashPending, StructureMismatch, Unavailable, WriteConflict
+from .errors import (
+    CorruptLog,
+    NoCrashPending,
+    StructureMismatch,
+    Unavailable,
+    UnknownPartition,
+    WriteConflict,
+)
 from .integrity_dbms import (
     CipherBackend,
+    VALUE_TYPES,
     ColumnType,
     Database,
     FidBackend,
@@ -44,6 +52,7 @@ from .messages import PrivacyDispatcher, ProxyClient
 from .privacy_proxy import (
     EnvelopeCodec,
     ClientEnvelope,
+    OperatorRequest,
     OpKind,
     PrivacyProxy,
     ValueType,
@@ -110,6 +119,13 @@ class AdversaryTrace:
     sequence and the crash point fix. The MSG_FLUSH_LOG reply is the status
     byte alone, so the privacy journal's length does not reach the
     integrity zone.
+
+    A txn's ADDs and SETs cross as one operator batch when it commits, or
+    earlier when one of its statements reaches a row it wrote (a READ, a
+    SUM over it, or a second write), so when they cross is a function of
+    the txn's keys; an aborted or conflicting txn's never cross. The
+    FidObserved events of the new versions' cells follow that batch's
+    reply, one version after another in the order the txn wrote them.
 
     A privacy checkpoint adds block events of its own, inside the message
     that runs it (a MSG_FLUSH_LOG, MSG_PROMOTE, or the write whose put
@@ -578,7 +594,11 @@ class ZoneTopology:
         first restores what the privacy zone lost of its pending recipes,
         then aborts its active txns that stored a ref. A crash during the
         restore propagates (ZoneCrashed, or Unavailable when only the
-        privacy zone crashed); recover_all again finishes the recovery."""
+        privacy zone crashed); recover_all again finishes the recovery.
+        The closing invariant check lists each table's partition, so a
+        recovered table that names a partition the privacy zone does not
+        hold raises CorruptLog (the cipher baseline stores nothing in its
+        tables' partitions and lists none)."""
         if not (self.privacy.crashed or self.integrity.crashed):
             raise NoCrashPending("no zone has crashed")
         privacy_restarts = self.privacy.crashed
@@ -590,7 +610,11 @@ class ZoneTopology:
             self.integrity.db.restore_recipes()
             self.integrity.db.privacy_restarted()
         self.fired = None
-        invariant = self.check_invariant()
+        try:
+            invariant = self.check_invariant()
+        except UnknownPartition as exc:
+            raise CorruptLog(f"a recovered table names a partition the privacy "
+                             f"zone does not hold: {exc}") from None
         return RecoveryReport(privacy_replayed=privacy_replayed,
                               db_replayed=db_replayed,
                               parallel_replays=parallel,
@@ -652,11 +676,15 @@ class _Runner:
     one txn through ZoneTopology.insert_rows, which an INSERT statement
     uses too. _execute runs one statement of the closed set that workload
     documents, encoding and decoding each secret from its column's type.
-    An ADD's delta travels inside its operator message and a SUM's result
-    comes back inside its last operator message, so no statement writes to
-    its query's temporaries and ending one sends nothing. ADD and SET check
-    for a write conflict before they write anything to the privacy zone.
-    Every message batches ZoneTopology.batch_size values."""
+    ADD and SET send nothing: each hands Database.update_row an operator
+    request, an ADD of the delta as an inline constant or a STORE of the
+    new value, which the txn holds until its commit sends all of its
+    writes in one operator batch, or until a later statement of the txn
+    reaches a row it wrote. A SUM's result comes back inside its last
+    operator message, so no statement writes to its query's temporaries
+    and ending one sends nothing. A conflicting ADD or SET fails in
+    update_row, before anything of its is sent. Every message batches
+    ZoneTopology.batch_size values."""
 
     def __init__(self, topology: ZoneTopology, program: WorkloadProgram):
         self.topo = topology
@@ -728,13 +756,16 @@ class _Runner:
                     if txn_index in dead:
                         active.pop(txn_index, None)
                         continue
-                    txn = active.pop(txn_index)
+                    txn = active[txn_index]
                     if self.program.txns[txn_index].abort:
                         db.abort(txn)
                         report.txns_aborted += 1
                     else:
+                        # still in active if its writes fail to go, so
+                        # that the Unavailable handler aborts it
                         db.commit(txn)
                         report.txns_committed += 1
+                    del active[txn_index]
                     self._end_query_quietly(txn)
         except ZoneCrashed as exc:
             report.crashed_at = str(exc)
@@ -807,16 +838,15 @@ class _Runner:
             raise ValueError(f"unknown statement {kind}")
         if version is None:
             return
-        db.check_update(txn, table, key)
         envelope = topo.client_encrypt(_ENCODE[ctype](statement[4]))
         if kind == ADD:
-            ref = db.backend.apply_constant(
-                txn.query_id, OpKind.ADD, ValueType.INT64, version.cells[column],
-                envelope, table.partition_id)
+            request = OperatorRequest(OpKind.ADD, ValueType.INT64,
+                                      [version.cells[column]], table.partition_id,
+                                      envelope)
         else:
-            (ref,) = db.backend.ingest(txn.query_id, [envelope],
-                                       table.partition_id, self.batch_size)
-        db.update_row(txn, table, key, {statement[2]: ref})
+            request = OperatorRequest(OpKind.STORE, VALUE_TYPES[ctype], [],
+                                      table.partition_id, envelope)
+        db.update_row(txn, table, key, {statement[2]: request})
         topo.trace.result_size(1)
 
 

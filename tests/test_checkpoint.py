@@ -1359,3 +1359,29 @@ def test_a_damaged_engine_image_is_refused_or_read_exactly(quiesced_image, data)
     if ([t.wire() for t in db.tables_by_idx], _chains(db)) == clean:
         assert topo.check_invariant().holds
         assert _read_rows(topo) == _oracle_rows(program)
+
+
+@pytest.mark.parametrize("target", [CrashTarget.INTEGRITY, CrashTarget.BOTH],
+                         ids=lambda t: t.value)
+@pytest.mark.parametrize("backend, named", [("fid", "unknown"), ("fid", "shared"),
+                                            ("cipher", "shared")])
+def test_a_table_naming_a_partition_it_does_not_own_is_corrupt(backend, named,
+                                                               target):
+    """A quiesced round's image with its first table's partition id
+    flipped, re-framed under a valid CRC: a table that names a partition
+    the privacy zone does not hold, or the other table's, makes recover_all
+    raise CorruptLog, with either zone crashed too."""
+    topo = ZoneTopology(6, backend=backend, batch_size=SPEC.batch_size)
+    topo.run_program(generate_workload(SPEC, 6))
+    body = bytearray(wal.unframe(topo.db_snapshots.get(CHECKPOINT_IMAGE),
+                                 CHECKPOINT_IMAGE))
+    first, other = (t.partition_id for t in topo.integrity.db.tables_by_idx)
+    flipped = first ^ 0x80 if named == "unknown" else other
+    assert (flipped in topo.privacy.store.partition_ids()) == (named == "shared")
+    struct.pack_into("<I", body, _IMAGE_HEAD.size, flipped)  # its _TABLE_DEF's first field
+    topo.db_snapshots.put_atomic(CHECKPOINT_IMAGE, wal.frame(bytes(body)))
+    topo.integrity.crash()
+    if target == CrashTarget.BOTH:
+        topo.privacy.crash()
+    with pytest.raises(CorruptLog):
+        topo.recover_all()

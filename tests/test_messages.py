@@ -81,10 +81,14 @@ def _one_element(kind: int, op: int, vtype: int) -> bytes:
     return _req(kind, 1, struct.pack("<HBBH", 1, op, vtype, 0))
 
 
+# 31, the largest op the op byte's five low bits hold, names no OpKind
+_UNKNOWN_OP = 31
+
 _MALFORMED = {
-    "unknown-op": (_one_element(MSG_EXEC_BATCH, 13, ValueType.INT64), TypeMismatch),
+    "unknown-op": (_one_element(MSG_EXEC_BATCH, _UNKNOWN_OP, ValueType.INT64),
+                   TypeMismatch),
     "unknown-value-type": (_one_element(MSG_EXEC_BATCH, OpKind.ADD, 9), TypeMismatch),
-    "cipher-unknown-op": (_one_element(MSG_CIPHER_EXEC, 13, ValueType.INT64),
+    "cipher-unknown-op": (_one_element(MSG_CIPHER_EXEC, _UNKNOWN_OP, ValueType.INT64),
                           TypeMismatch),
     "batch-without-its-elements": (_req(MSG_EXEC_BATCH, 1, struct.pack("<H", 2)),
                                    TypeMismatch),
@@ -127,6 +131,13 @@ _MALFORMED = {
     "restore-value-too-long": (lambda topo: _restore(
         _restore_window(topo).client_pid,
         [topo.client_encrypt(bytes(MAX_VALUE_LEN + 1))]), ValueTooLarge),
+    # a good ingest item, then a STORE recipe whose constant fails its tag
+    "restore-store-bad-envelope": (lambda topo: _restore(
+        _restore_window(topo).client_pid, [topo.client_encrypt(b"x")])
+        + struct.pack("<Q", encode_fid(topo.client_pid, 1)) + _blob(
+            RECIPE_EXEC + _one_op(OperatorRequest(
+                OpKind.STORE, ValueType.BYTES, [], topo.client_pid,
+                _second_of_three_tampered(topo)[1]))), AuthFailure),
     # one item near the top of the offset space, after a good one
     "restore-offset-past-any-lost-put": (lambda topo: _restore(
         _restore_window(topo).client_pid, [topo.client_encrypt(b"x")])
@@ -643,6 +654,33 @@ def test_invalid_flag_combinations_fail_positionally(backend):
     if backend == "fid":
         temp = decode_fid(a)[0]
         assert topo.privacy.store.live_fids(temp) == [a, out[1].fid]
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+def test_malformed_store_elements_fail_positionally(backend):
+    """A STORE with a stored operand, without a constant or with a reveal
+    fails alone with TypeMismatch and writes nothing; a well-formed STORE
+    beside them writes its constant's value, on FID and envelope batches."""
+    topo = ZoneTopology(998, backend=backend)
+    client = topo.client
+    run, reveal = ((client.exec_batch, client.reveal) if backend == "fid"
+                   else (client.cipher_exec, client.cipher_reveal))
+    perm = client.create_partition()
+    const = topo.client_encrypt(encode_int64(9))
+    operand = (client.ingest(7, [const], 1, perm)[0] if backend == "fid"
+               else client.cipher_ingest(7, [const], 1)[0])
+    live = topo.privacy.store.live_fids(perm)
+    out = run(7, [
+        OperatorRequest(OpKind.STORE, ValueType.INT64, [operand], perm, const),
+        OperatorRequest(OpKind.STORE, ValueType.INT64, [], perm),
+        OperatorRequest(OpKind.STORE, ValueType.INT64, [], None, const, True),
+        OperatorRequest(OpKind.STORE, ValueType.INT64, [], perm, const),
+    ], 8)
+    bad = TypeMismatch.code
+    assert [r.error_code for r in out] == [bad, bad, bad, 0]
+    assert decode_int64(topo.client_decrypt(reveal(7, out[3].fid))) == 9
+    assert topo.privacy.store.live_fids(perm) == live + (
+        [out[3].fid] if backend == "fid" else [])
 
 
 _POOL = ([encode_int64(v) for v in (0, 3, -7, 2**63 - 1)]

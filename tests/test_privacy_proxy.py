@@ -11,6 +11,7 @@ from fidstore.errors import (
     Overflow,
     TypeMismatch,
 )
+from fidstore.fid_codec import OFFSET_BITS
 from fidstore.mapping_store import MappingStore, PartitionKind
 from fidstore.privacy_proxy import (
     ClientEnvelope,
@@ -19,6 +20,7 @@ from fidstore.privacy_proxy import (
     OpKind,
     PrivacyProxy,
     ValueType,
+    check_operator,
     decode_float64,
     decode_int64,
     encode_int64,
@@ -138,6 +140,38 @@ def test_type_and_arity_checks(setup):
         proxy.exec_operator(OperatorRequest(OpKind.ADD, ValueType.INT64, [a]), 1)
     with pytest.raises(TypeMismatch):
         proxy.exec_operator(OperatorRequest(OpKind.ADD, ValueType.BYTES, [a, b]), 1)
+
+
+@pytest.mark.parametrize("n_stored, constant, reveal", [(1, True, False),
+                                                        (0, False, False),
+                                                        (0, True, True)],
+                         ids=["stored-operand", "no-constant", "reveal"])
+def test_a_malformed_store_is_refused(n_stored, constant, reveal):
+    """STORE takes its inline constant alone and stores it: a stored
+    operand, a missing constant or a reveal is refused, with a destination
+    or without."""
+    for destination in (None, 3):
+        with pytest.raises(TypeMismatch):
+            check_operator(OpKind.STORE, n_stored, constant, destination, reveal)
+    check_operator(OpKind.STORE, 0, True, 3, False)
+
+
+def test_store_writes_its_constant_as_it_is(setup):
+    """A STORE's value result is its constant's value: any bytes, or 8
+    bytes for an int64, into the destination; its constant is decrypted
+    once."""
+    store, proxy, client = setup
+    pid = store.create_partition(PartitionKind.PERMANENT)
+    decrypts = proxy.client_codec.decrypts
+    for vtype, value in ((ValueType.BYTES, b"any length"),
+                         (ValueType.INT64, encode_int64(-5))):
+        resp = proxy.exec_operator(OperatorRequest(
+            OpKind.STORE, vtype, [], pid, client.encrypt(value).to_bytes()), 1)
+        assert resp.fid >> OFFSET_BITS == pid and store.get(resp.fid) == value
+    assert proxy.client_codec.decrypts == decrypts + 2
+    with pytest.raises(TypeMismatch):
+        proxy.exec_operator(OperatorRequest(
+            OpKind.STORE, ValueType.INT64, [], pid, client.encrypt(b"xy").to_bytes()), 1)
 
 
 def test_operand_not_live(setup):

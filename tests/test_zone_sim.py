@@ -40,9 +40,12 @@ from fidstore.privacy_proxy import (
 from fidstore.workload import (
     ADD,
     INSERT,
+    READ,
     SET,
+    SUM,
     Distribution,
     Mode,
+    TxnTemplate,
     WorkloadSpec,
     ZipfianSampler,
     flatten_schedule,
@@ -470,15 +473,15 @@ def test_integrity_crash_after_vacuums_deletes_are_durable():
 
 
 def _add_one(topo, db, table, txn, key):
-    """Updates row key's k to k + 1 in one operator message, the result
-    written fresh to the table's partition; returns the new FID."""
+    """Updates row key's k to k + 1 and sends the txn's writes, this ADD's
+    in one operator message, the result written fresh to the table's
+    partition; returns the new FID."""
     version = db.visible_version(table, key, txn)
-    ref = db.backend.apply_constant(txn.query_id, OpKind.ADD, ValueType.INT64,
-                                    version.cells[1],
-                                    topo.client_encrypt(encode_int64(1)),
-                                    table.partition_id)
-    db.update_row(txn, table, key, {"k": ref})
-    return ref
+    db.update_row(txn, table, key, {"k": OperatorRequest(
+        OpKind.ADD, ValueType.INT64, [version.cells[1]], table.partition_id,
+        topo.client_encrypt(encode_int64(1)))})
+    db.send_writes(txn)
+    return db.visible_version(table, key, txn).cells[1]
 
 
 @pytest.mark.parametrize("target", [CrashTarget.PRIVACY, CrashTarget.BOTH],
@@ -620,9 +623,10 @@ def test_a_commit_during_a_privacy_outage_is_restored():
 
 def _add_one_to(topo, txn, table, ref):
     """ref's value plus one, written fresh to the table's partition."""
-    return topo.integrity.db.backend.apply_constant(
-        txn.query_id, OpKind.ADD, ValueType.INT64, ref,
-        topo.client_encrypt(encode_int64(1)), table.partition_id)
+    (response,) = topo.client.exec_batch(txn.query_id, [OperatorRequest(
+        OpKind.ADD, ValueType.INT64, [ref], table.partition_id,
+        topo.client_encrypt(encode_int64(1)))], 1)
+    return response.fid
 
 
 @pytest.mark.parametrize("source", ["ingest", "operator"])
@@ -835,6 +839,172 @@ def test_conflicting_update_writes_nothing(statement, backend):
     assert store.live_fids(pid) == live
 
 
+# A txn holds its writes until it commits (integrity_dbms): the tests below
+# run statements as the runner does, on one table of six rows.
+_EXEC_KIND = {"fid": m.MSG_EXEC_BATCH, "cipher": m.MSG_CIPHER_EXEC}
+_REVEAL_KIND = {"fid": m.MSG_REVEAL, "cipher": m.MSG_CIPHER_REVEAL}
+
+
+def _six_rows(backend, txns=()):
+    """A topology and its runner over a one-table program of six rows and
+    the given TxnTemplates, run by one client."""
+    spec = _small_spec(tables=1, rows_per_table=6, duration_ops=0,
+                       threads_simulated=1)
+    program = generate_workload(spec, 8)
+    program.txns = list(txns)
+    topo = ZoneTopology(8, backend=backend, batch_size=spec.batch_size)
+    return topo, _Runner(topo, program)
+
+
+def _rows_after(program, writes) -> dict:
+    """Row id -> (k, c) of the program's preload after the (ADD or SET)
+    statements, in order."""
+    rows = {row[0]: (row[1], row[2]) for row in program.tables[0].rows}
+    for kind, _, column, key, value in writes:
+        k, c = rows[key]
+        rows[key] = (k + value, c) if kind == ADD else (k, value)
+    return rows
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+def test_a_write_only_txn_crosses_once_at_its_commit(backend):
+    """A txn's writes send nothing until its commit sends them all in one
+    operator message; an aborted txn and one that loses a write conflict
+    send nothing at all."""
+    topo, runner = _six_rows(backend)
+    db = topo.integrity.db
+    tables = runner._preload(db)
+    kinds = _count_kinds(topo)
+    writes = [(ADD, 0, "k", 1, 5), (SET, 0, "c", 2, b"new-c"), (ADD, 0, "k", 3, -4)]
+    txn = db.begin()
+    for statement in writes:
+        runner._execute(db, tables, txn, statement)
+    assert not kinds
+    db.commit(txn)
+    assert kinds == Counter({_EXEC_KIND[backend]: 1})
+    aborted = db.begin()
+    for statement in writes:
+        runner._execute(db, tables, aborted, statement)
+    db.abort(aborted)
+    first, second = db.begin(), db.begin()
+    runner._execute(db, tables, first, (ADD, 0, "k", 4, 1))
+    with pytest.raises(WriteConflict):
+        runner._execute(db, tables, second, (ADD, 0, "k", 4, 2))
+    db.abort(second)
+    assert kinds == Counter({_EXEC_KIND[backend]: 1})
+    db.commit(first)
+    assert kinds == Counter({_EXEC_KIND[backend]: 2})
+    assert topo.check_invariant().holds
+    expected = _rows_after(runner.program, writes + [(ADD, 0, "k", 4, 1)])
+    assert _visible_rows(topo) == [expected]
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+def test_a_txn_reads_back_what_it_wrote(backend):
+    """A READ or SUM of a row the txn wrote, or a second write to it,
+    sends the txn's writes first and sees the new value; a statement over
+    rows the txn did not write sends none of them."""
+    statements = [(ADD, 0, "k", 1, 5), (READ, 0, "k", 2), (SUM, 0, "k", 1, 4),
+                  (READ, 0, "k", 1), (SET, 0, "c", 2, b"set"), (ADD, 0, "k", 2, 3)]
+    topo, runner = _six_rows(backend, [TxnTemplate(statements, False)])
+    sent = []
+    request, preload = topo.channel.request, runner._preload
+
+    def recorded(raw):
+        sent.append(raw[0])
+        return request(raw)
+
+    def preload_then_record(db):
+        tables = preload(db)
+        topo.channel.request = recorded
+        return tables
+
+    runner._preload = preload_then_record
+    report = runner.run()
+    program = runner.program
+    shadow = ShadowRunner(program, flatten_schedule(program)).run()
+    assert report.revealed == shadow.revealed
+    k = {row[0]: row[1] for row in program.tables[0].rows}
+    assert [r[3] for r in report.revealed] == [k[2], k[1] + 5 + k[2] + k[3], k[1] + 5]
+    exec_, reveal = _EXEC_KIND[backend], _REVEAL_KIND[backend]
+    # the READ of row 2 sends no write; the SUM reaches row 1's and sends
+    # it; the ADD to row 2 reaches the SET's; the commit sends the ADD;
+    # then maintenance flushes
+    assert sent[:7] == [reveal, exec_, exec_, reveal, exec_, exec_, m.MSG_FLUSH_LOG]
+    assert _visible_rows(topo) == [{row_id: (cells[1], cells[2]) for row_id, cells
+                                    in shadow.db.quiescent_rows(0).items()}]
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+def test_a_txn_that_writes_a_row_twice_matches_the_oracle(backend):
+    """Txns that write one row twice or more, commit or abort, give the
+    oracle's rows, and so does a recovery of both zones from the journal
+    that holds each version."""
+    txns = [TxnTemplate([(ADD, 0, "k", 1, 5), (ADD, 0, "k", 1, 7),
+                         (SET, 0, "c", 1, b"one"), (SET, 0, "c", 1, b"two")], False),
+            TxnTemplate([(ADD, 0, "k", 1, 100), (ADD, 0, "k", 1, 1)], True),
+            TxnTemplate([(SET, 0, "c", 3, b"three"), (ADD, 0, "k", 3, -2),
+                         (ADD, 0, "k", 1, -1), (SET, 0, "c", 3, b"four")], False)]
+    topo, runner = _six_rows(backend, txns)
+    report = runner.run()
+    program = runner.program
+    shadow = ShadowRunner(program, flatten_schedule(program)).run()
+    expected = [{row_id: (cells[1], cells[2]) for row_id, cells
+                 in shadow.db.quiescent_rows(0).items()}]
+    assert (report.txns_committed, report.txns_aborted) == (2, 1)
+    assert report.invariant_holds
+    assert _visible_rows(topo) == expected
+    topo.privacy.crash()
+    topo.integrity.crash()
+    assert topo.recover_all().invariant.holds
+    assert _visible_rows(topo) == expected
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+def test_a_privacy_crash_while_a_txn_holds_only_pending_writes(backend):
+    """A txn whose writes are all pending stored no ref, so a privacy
+    crash does not abort it: recovery restores the committed secret its
+    ADD reads, from its recipe, and the txn then commits with the
+    invariant holding and the rows as the oracle's."""
+    topo, runner = _six_rows(backend)
+    db = topo.integrity.db
+    tables = runner._preload(db)
+    committed = [(ADD, 0, "k", 1, 1)]
+    txn = db.begin()
+    runner._execute(db, tables, txn, committed[0])
+    db.commit(txn)
+    pending = [(ADD, 0, "k", 1, 5), (SET, 0, "c", 2, b"after")]
+    txn = db.begin()
+    for statement in pending:
+        runner._execute(db, tables, txn, statement)
+    assert txn.pending and not txn.promoted
+    topo.privacy.crash()
+    report = topo.recover_all()
+    assert report.invariant.holds
+    assert txn.state.name == "ACTIVE"
+    db.commit(txn)
+    invariant = topo.check_invariant()
+    assert invariant.holds and invariant.orphans == 0
+    expected = _rows_after(runner.program, committed + pending)
+    assert _visible_rows(topo) == [expected]
+
+
+def test_a_store_recipe_is_restored_after_a_privacy_crash():
+    """A SET commits a STORE element as its new secret's recipe; after a
+    privacy crash the restore re-runs it and the row reads its value."""
+    topo, runner = _six_rows("fid")
+    db = topo.integrity.db
+    tables = runner._preload(db)
+    txn = db.begin()
+    runner._execute(db, tables, txn, (SET, 0, "c", 2, b"stored"))
+    db.commit(txn)
+    fid, recipe = list(db.recipes.items())[-1]  # after the preload's
+    assert recipe[:1] == m.RECIPE_EXEC and recipe[1] & 0x1F == OpKind.STORE
+    topo.privacy.crash()
+    assert topo.recover_all().invariant.holds
+    assert _visible_rows(topo)[0][2] == (runner.program.tables[0].rows[1][1], b"stored")
+
+
 @pytest.mark.parametrize("backend", ["fid", "cipher"])
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
 def test_no_query_temporary_outlives_its_query(mode, backend):
@@ -1025,28 +1195,34 @@ def test_trace_jsonl_dump_parses():
 # and the blocks vacuum's checkpoint writes back are not sealed again by a
 # later eviction (2 fewer BlockWrites in write-only, write-only-zipfian and
 # insert-only). Every event before the first vacuum is as before.
+# fid, cipher, write-only and write-only-zipfian were re-pinned (from 1204,
+# 555, 1151 and 1147 events) when txns began to hold their writes until
+# commit: an aborted or conflicting txn's writes no longer cross, a txn's
+# writes cross together in one message at its commit, and the FidObserved
+# events of the new versions' cells follow that message. Their checkpoint
+# events are unchanged.
 _B = 1 << 40
 _PINNED_TRACE = {
-    "fid": (Mode.READ_WRITE, Distribution.UNIFORM, "fid", 1204,
-            "5a497a03fe57bdee43e77f3a6c3004b52fc2a5e15dea228cd20a5224cb01a0c3",
+    "fid": (Mode.READ_WRITE, Distribution.UNIFORM, "fid", 1164,
+            "db3d688e274a08ba29903b8fc6970df9d7b25db22e6581056ed714d038ba00fa",
             [("BlockWrite", 0), ("BlockWrite", _B), ("BlockWrite", 0),
              ("BlockWrite", _B), ("BlockDrop", 0), ("BlockDrop", _B)]),
-    "cipher": (Mode.READ_WRITE, Distribution.UNIFORM, "cipher", 555,
-               "c894df17cb32d528239de2f019d63458885c104706c3b3320225c1fc0546aaeb",
+    "cipher": (Mode.READ_WRITE, Distribution.UNIFORM, "cipher", 540,
+               "621225a3fcc502fa675f35db29fe2bc06f27d1d3900a8895cdd979780e993ac2",
                []),
     "read-only": (Mode.READ_ONLY, Distribution.UNIFORM, "fid", 1448,
                   "9d354319fa38d5b956ca47bb5bd4d463e071babfbbac6d390c82cc3b35992413",
                   []),
-    "write-only": (Mode.WRITE_ONLY, Distribution.UNIFORM, "fid", 1151,
-                   "a12f7cdb82988949d8d4bfef77c97bd2110d47c51cb60a64482eb6f11edcf63f",
+    "write-only": (Mode.WRITE_ONLY, Distribution.UNIFORM, "fid", 941,
+                   "ccfcadedce831a8284e3c1fcfebbbaec445b77183770abdf7a11d91fee1ed3d2",
                    [("BlockWrite", _B), ("BlockWrite", _B | 3 << 32 | 1),
                     ("BlockWrite", _B), ("BlockWrite", _B | 3 << 32),
                     ("BlockDrop", 0), ("BlockDrop", 3 << 32), ("BlockDrop", 3 << 32 | 1),
                     ("BlockDrop", _B), ("BlockDrop", _B | 3 << 32),
                     ("BlockDrop", _B | 3 << 32 | 1)]),
     "write-only-zipfian": (
-        Mode.WRITE_ONLY, Distribution.ZIPFIAN, "fid", 1147,
-        "ebca80fd8f496f1f8ee3ba667e858fa97cdbcec8d7eab2db10bdba7bef3919e9",
+        Mode.WRITE_ONLY, Distribution.ZIPFIAN, "fid", 998,
+        "33a07c6b5436641e3dcf3cee5e32231005e954a9d824cfdfac1de48332957e0d",
         [("BlockWrite", 3 << 32 | 1), ("BlockWrite", _B), ("BlockWrite", _B | 3 << 32),
          ("BlockDrop", 0), ("BlockDrop", 3 << 32), ("BlockDrop", 3 << 32 | 1),
          ("BlockDrop", _B), ("BlockDrop", _B | 3 << 32), ("BlockDrop", _B | 3 << 32 | 1)]),
@@ -1234,15 +1410,19 @@ _PINNED = {
     # checkpoints the privacy zone, and one after each table's deletes, and
     # orphan_gc's checkpoint flush, after which both journals are empty.
     # An insert's cells take 10 bytes less on fid (no cell count, no length
-    # before a FID or a PLAIN_INT) and 2 less on cipher (no count).
-    "fid": ({m.MSG_INGEST: 8, m.MSG_REVEAL: 80, m.MSG_EXEC_BATCH: 49,
+    # before a FID or a PLAIN_INT) and 2 less on cipher (no count). A txn
+    # holds its ADD until its commit, so the 5 of aborted txns are never
+    # sent: 5 operator messages and 5 constant decrypts fewer (49 and 249
+    # when each ADD was sent as it ran), and on cipher 10 zone envelope
+    # opens and seals fewer (370); every committed byte is as before.
+    "fid": ({m.MSG_INGEST: 8, m.MSG_REVEAL: 80, m.MSG_EXEC_BATCH: 44,
              m.MSG_DELETE: 4, m.MSG_FLUSH_LOG: 6, m.MSG_CREATE_PARTITION: 2,
              m.MSG_LIST_LIVE: 2},
-            (0, 0), (14, 2), (249, 0), 24968),
+            (0, 0), (14, 2), (244, 0), 24968),
     "cipher": ({m.MSG_FLUSH_LOG: 3, m.MSG_CREATE_PARTITION: 2,
-                m.MSG_CIPHER_EXEC: 49, m.MSG_CIPHER_INGEST: 8,
+                m.MSG_CIPHER_EXEC: 44, m.MSG_CIPHER_INGEST: 8,
                 m.MSG_CIPHER_REVEAL: 80},
-               (0, 0), (3, 0), (249, 370), 26028),
+               (0, 0), (3, 0), (244, 360), 26028),
 }
 # The seals count the privacy checkpoints': on fid, 4 cache evictions, then
 # vacuum's checkpoint and the quiesce one, each 2 dirty blocks, 2 slot maps
