@@ -191,8 +191,7 @@ def restart_violations(topo: ZoneTopology) -> int:
     db = topo.integrity.db
     table = db.tables_by_idx[0]
     txn = db.begin()
-    topo.insert_rows(txn, table, [(table.next_row_id, 7, b"restart", b"")],
-                     db.batch_size)
+    topo.insert_rows(txn, table, [(table.next_row_id, 7, b"restart", b"")])
     db.commit(txn)
     topo.client.end_query(txn.query_id)
     topo.privacy.crash()

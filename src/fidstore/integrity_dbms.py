@@ -7,26 +7,31 @@ ciphertext baseline, AEAD envelopes); plaintext never enters this zone.
 Updates never touch old secrets: the superseded version stays readable for
 older snapshots, and its successor, the next version in its row's chain,
 says which refs it will release: its sensitive cells that the successor
-does not hold (promote refuses a ref another version holds, so a changed
-cell never keeps its ref and an unchanged one always does). Physical
-reclamation happens off the write path: vacuum removes versions invisible
-to every snapshot and only then deletes their replaced refs from the
-mapping store; orphan_gc sweeps store entries no row version references
-(the secrets of transactions that never committed, made durable by a
-checkpoint another caller asked for).
+does not hold (every ref a row holds is one this engine wrote for that
+cell, so a changed cell never keeps its ref and an unchanged one always
+does). Physical reclamation happens off the write path: vacuum removes
+versions invisible to every snapshot and only then deletes their replaced
+refs from the mapping store; orphan_gc sweeps store entries no row version
+references (the secrets of transactions that never committed, made durable
+by a checkpoint another caller asked for).
 
-A transaction holds its writes. update_row takes a sensitive new value as
-an operator request, an ADD over the old ref or a STORE of a client
-envelope, each into the table's partition, and installs the new version
-at once with a placeholder in that cell, so first-updater-wins, the write
-set and abort work as for any other write. commit sends all of the
-transaction's writes in one operator call (send_writes), before its first
-crash point, then fills the placeholders, claims the fresh refs with
-their recipes and stages the DB_INSERTs, so the durability order below is
-unchanged. So a write-only transaction crosses to the privacy zone once,
-and an aborted one never. The writes go earlier only when the transaction
-reads, sums or writes again a version it wrote that still holds a
-placeholder (visible_version, update_row): that depends on keys alone.
+The engine is the only author of the refs its rows hold. A sensitive value
+handed to insert_row or update_row is a ClientEnvelope, which MSG_INGEST
+writes into the table's partition, or an OperatorRequest into that
+partition (an ADD over the old ref or a STORE of a client envelope) whose
+every stored operand is the ref of the cell it replaces, so an insert's
+reads none. Anything else, a FID or a zone envelope above all, raises
+before any message is sent. A transaction holds its writes: the new
+version is installed at once with a placeholder in each written cell, so
+first-updater-wins, the write set and abort work as for any other write.
+commit sends all of the transaction's writes in one backend call
+(send_writes), before its first crash point, then fills the placeholders,
+claims the fresh refs with the recipes of the calls that wrote them and
+stages the DB_INSERTs, so the durability order below is unchanged. So a
+write-only transaction crosses to the privacy zone once, and an aborted
+one never. The writes go earlier only when the transaction reads, sums or
+writes again a version it wrote that still holds a placeholder
+(visible_version, update_row): that depends on keys alone.
 
 The cross-domain contract is an invariant: a durably visible FID has a
 durable secret, or a durable recipe whose operands are durable or backed
@@ -39,16 +44,17 @@ cipher baseline's does: one DB_RECIPE record beside its row records holds
 the recipe of each fresh FID its rows claim, in claim order, and the
 recipes become pending (Database.recipes) once the commit record is
 durable. Restore re-runs them in that order, so each operand a recipe
-reads must come back before it: written before the last privacy checkpoint
-returned, or the FID of a pending recipe or of an earlier one of the
-commit's. Only a commit with any other operand (one claimed later in the
-txn, by another txn, or never) sends a message: it checkpoints the privacy
-zone first and journals no recipe. No workload does this. A MSG_FLUSH_LOG
-with the checkpoint flag makes every secret written before it durable, so
-once it returns no recipe is pending; a plain one makes only delete and
-create records durable (where the engine sends each: messages). A
-transaction that staged nothing makes no FID visible, so its commit takes
-a commit sequence number and touches neither journal.
+reads must come back before it, and by construction it does: an operand
+is the ref of the cell its write replaced, which is either a committed
+visible ref, whose secret a privacy checkpoint made durable or whose
+recipe is pending, or the transaction's own earlier write, claimed
+earlier in the same commit (a write over a placeholder sends the pending
+writes first). A MSG_FLUSH_LOG with the checkpoint flag makes every secret
+written before it durable, so once it returns no recipe is pending; a
+plain one makes only delete and create records durable (where the engine
+sends each: messages). A commit sends neither. A transaction that staged
+nothing makes no FID visible, so its commit takes a commit sequence
+number and touches neither journal.
 
 When the privacy zone restarts, it has lost every secret that was not yet
 durable, and a lost FID's slot may be handed out again. Before any other
@@ -121,10 +127,15 @@ from .errors import (
     WrongPartitionKind,
     error_for_code,
 )
-from .fid_codec import OFFSET_BITS
 from .mapping_store import UINT_CODES, narrowest_width
-from .messages import RECIPE_EXEC, recipe_operands
-from .privacy_proxy import COMPARISONS, OperatorRequest, OpKind, ValueType
+from .messages import RECIPE_INGEST
+from .privacy_proxy import (
+    COMPARISONS,
+    ClientEnvelope,
+    OperatorRequest,
+    OpKind,
+    ValueType,
+)
 
 CHECKPOINT_IMAGE = "db.ckpt"
 
@@ -198,7 +209,9 @@ class RowVersion:
     built once when the version is staged (or kept from the image or
     record it was decoded from), so a checkpoint image reuses it. A
     version whose writes its txn still holds (Txn.pending) has a None
-    placeholder in each of their cells and no wire until they are sent."""
+    placeholder in each of their cells and no wire until they are sent;
+    send_writes fills the placeholders in column order, the order of the
+    writes."""
 
     __slots__ = ("row_id", "vseq", "begin_txn", "end_txn", "cells", "wire")
 
@@ -213,7 +226,7 @@ class RowVersion:
 
 class Txn:
     __slots__ = ("txn_id", "state", "snapshot_seq", "write_set", "staged",
-                 "promoted", "recipes", "pending", "query_id")
+                 "promoted", "recipes", "pending", "writes", "query_id")
 
     def __init__(self, txn_id, snapshot_seq):
         self.txn_id = txn_id
@@ -224,9 +237,10 @@ class Txn:
         self.staged: list = []
         self.promoted: list = []
         self.recipes: list = []  # (fid, recipe) of each fresh FID a cell claimed
-        # (table, version, [(column, OperatorRequest)], promoted_refs) of each
-        # version whose writes are not sent yet (Database.send_writes)
+        # (table, version, promoted_refs) of each version whose writes are
+        # not sent yet, and those writes (Database._writes), in order
         self.pending: list = []
+        self.writes: list = []
         self.query_id = txn_id
 
 
@@ -351,6 +365,31 @@ def reduce_refs(call, query_id: int, op: OpKind, vtype: ValueType,
     return run_operators(call, query_id, op, vtype, [level], 1, reveal=reveal)[0]
 
 
+def run_writes(writes: list, ingest, execute) -> list:
+    """The write loop of both backends. writes are (partition id, value)
+    pairs, each value a client envelope's bytes or an OperatorRequest into
+    that partition. ingest(partition id, envelopes) runs once per partition, in
+    the order the partitions first appear, then execute(requests) once for
+    all requests; each returns one (ref, recipe) per item, in order.
+    Returns one (ref, recipe) per write, in writes' order."""
+    out = [None] * len(writes)
+    envelopes: dict[int, list[int]] = {}
+    requests = []
+    for i, (partition_id, value) in enumerate(writes):
+        if isinstance(value, OperatorRequest):
+            requests.append(i)
+        else:
+            envelopes.setdefault(partition_id, []).append(i)
+    done = [(idx, ingest(pid, [writes[i][1] for i in idx]))
+            for pid, idx in envelopes.items()]
+    if requests:
+        done.append((requests, execute([writes[i][1] for i in requests])))
+    for idx, results in done:
+        for i, result in zip(idx, results):
+            out[i] = result
+    return out
+
+
 class FidBackend:
     """Sensitive refs are FIDs resolved through the mapping store. A FID's
     partition is its high bits, fid >> OFFSET_BITS (fid_codec's layout)."""
@@ -361,37 +400,26 @@ class FidBackend:
     def __init__(self, client):
         self.client = client
 
-    def ingest(self, query_id: int, envelopes: list[bytes], partition_id: int,
-               batch_size: int) -> list[int]:
-        """A fresh ref in partition_id per client envelope's value, in
-        order, batch_size envelopes per message."""
-        return self.client.ingest(query_id, envelopes, batch_size, partition_id)
-
     def reveal(self, query_id: int, ref: int) -> bytes:
         return self.client.reveal(query_id, ref)
 
-    def promote(self, refs: list[int],
-                partition_id: int) -> list[tuple[int, bytes | None]]:
-        """Per ref of one row, in order, a FID for its secret in
-        partition_id that no other row version holds, and its recipe. A
-        ref in that partition is kept only if this client wrote it there
-        fresh, no cell has claimed it yet and the row names it once; the
-        row's cell claims it now, with the recipe that wrote it. A
-        temporary ref is copied over by MSG_PROMOTE, which makes the copy
-        durable before it replies, so it needs no recipe. The whole row is
-        checked first: any other ref raises WrongPartitionKind before any
-        ref is claimed or copied."""
-        fresh = self.client.fresh
-        claimed = set()
-        for ref in refs:
-            if ref >> OFFSET_BITS == partition_id:
-                if ref not in fresh or ref in claimed:
-                    raise WrongPartitionKind(
-                        f"ref {ref:#x} is not a fresh unclaimed write to partition "
-                        f"{partition_id}")
-                claimed.add(ref)
-        return [(ref, fresh.pop(ref)) if ref in claimed
-                else (self.client.promote(ref, partition_id), None) for ref in refs]
+    def promote(self, query_id: int, writes: list,
+                batch_size: int) -> list[tuple[int, bytes]]:
+        """Writes each (partition id, value) of writes (run_writes), batch_size
+        values per message: the envelopes by MSG_INGEST, the requests by
+        MSG_EXEC_BATCH. Returns per write its fresh FID and the recipe of the
+        call that wrote it: RECIPE_INGEST and the envelope, or RECIPE_EXEC and
+        the element as the client encoded it. Raises the first error; the
+        FIDs the call's other writes stored are then orphans for orphan_gc.
+        (perfbench's probes wrap this method by the name promote.)"""
+        client = self.client
+
+        def ingest(partition_id, envelopes):
+            fids = client.ingest(query_id, envelopes, batch_size, partition_id)
+            return [(fid, RECIPE_INGEST + e) for fid, e in zip(fids, envelopes)]
+
+        return run_writes(writes, ingest,
+                          lambda reqs: client.exec_writes(query_id, reqs, batch_size))
 
     def release(self, refs: list[int], batch_size: int) -> int:
         """Deletes the refs' secrets in ascending FID order, batch_size refs
@@ -401,9 +429,6 @@ class FidBackend:
 
         The order is a function of the FIDs alone, which follow allocation
         order, not values, so it adds nothing to the adversary trace."""
-        fresh = self.client.fresh
-        for ref in refs:
-            fresh.pop(ref, None)
         return sum(self.client.delete(sorted(refs), batch_size))
 
     def compare_many(self, query_id: int, op: OpKind, vtype: ValueType,
@@ -416,13 +441,6 @@ class FidBackend:
         """The reduced ref, or with reveal its value as a client envelope."""
         return reduce_refs(self.client.exec_batch, query_id, op, vtype, refs,
                            batch_size, reveal)
-
-    def write(self, query_id: int, reqs: list[OperatorRequest],
-              batch_size: int) -> list[int]:
-        """The fresh ref each request's value result was written to, in
-        order, batch_size requests per message."""
-        return [r.fid for r in run_requests(self.client.exec_batch, query_id,
-                                            reqs, batch_size)]
 
     def observe(self, trace, ref: int) -> None:
         if trace is not None:
@@ -439,15 +457,25 @@ class CipherBackend:
     def __init__(self, client):
         self.client = client
 
-    def ingest(self, query_id: int, envelopes: list[bytes], partition_id: int,
-               batch_size: int) -> list[bytes]:
-        return self.client.cipher_ingest(query_id, envelopes, batch_size)
-
     def reveal(self, query_id: int, ref: bytes) -> bytes:
         return self.client.cipher_reveal(query_id, ref)
 
-    def promote(self, refs: list[bytes], partition_id: int) -> list[tuple[bytes, None]]:
-        return [(ref, None) for ref in refs]  # the envelope is the stored form
+    def promote(self, query_id: int, writes: list,
+                batch_size: int) -> list[tuple[bytes, None]]:
+        """FidBackend.promote over zone envelopes, by MSG_CIPHER_INGEST and
+        MSG_CIPHER_EXEC. A zone envelope is the stored form, so none has a
+        recipe."""
+        client = self.client
+
+        def ingest(partition_id, envelopes):
+            return [(ref, None) for ref in client.cipher_ingest(query_id, envelopes,
+                                                                batch_size)]
+
+        def execute(reqs):
+            return [(r.fid, None) for r in run_requests(client.cipher_exec, query_id,
+                                                        reqs, batch_size)]
+
+        return run_writes(writes, ingest, execute)
 
     def release(self, refs: list[bytes], batch_size: int) -> int:
         return 0  # an envelope lives in its row and goes with it
@@ -459,10 +487,6 @@ class CipherBackend:
     def aggregate(self, query_id, op, vtype, refs, batch_size, reveal=False):
         return reduce_refs(self.client.cipher_exec, query_id, op, vtype, refs,
                            batch_size, reveal)
-
-    def write(self, query_id, reqs, batch_size):
-        return [r.fid for r in run_requests(self.client.cipher_exec, query_id,
-                                            reqs, batch_size)]
 
     def observe(self, trace, ref) -> None:
         pass
@@ -561,16 +585,11 @@ class Database:
             return
         txn.state = TxnState.PREPARING
         self._hook("before-privacy-flush", txn)
-        recipes = txn.recipes
-        if recipes and not self._restorable(recipes):
-            # every secret the rows hold becomes durable, so none needs
-            # a recipe
-            self.flush_privacy(checkpoint=True)
-            recipes = []
         self._hook("after-privacy-flush-before-db-commit", txn)
         # the FIDs become externally visible, the fresh ones with their
         # recipes
         records = txn.staged
+        recipes = txn.recipes
         if recipes:
             records = records + [(DB_RECIPE, _COMMIT_REC.pack(txn.txn_id) + b"".join(
                 _RECIPE_ITEM.pack(fid, len(recipe)) + recipe
@@ -580,23 +599,6 @@ class Database:
         self._hook("after-db-commit", txn)
         self._finish_commit(txn)
         self._synced()
-
-    def _restorable(self, recipes: list) -> bool:
-        """True iff restore_recipes could re-run recipes, in order, after
-        the pending ones: each operand a recipe reads was written before
-        the client's last checkpoint returned (not in client.unsynced), or is
-        the FID of a pending recipe or of an earlier one of recipes."""
-        unsynced = self.client.unsynced
-        pending = self.recipes
-        earlier = set()
-        for fid, recipe in recipes:
-            if recipe[:1] == RECIPE_EXEC:  # an ingest reads no operand
-                for operand in recipe_operands(recipe):
-                    if operand in unsynced and operand not in pending \
-                            and operand not in earlier:
-                        return False
-            earlier.add(fid)
-        return True
 
     def _finish_commit(self, txn: Txn) -> None:
         txn.state = TxnState.COMMITTED
@@ -620,6 +622,7 @@ class Database:
         txn.state = TxnState.ABORTED
         txn.staged.clear()
         txn.pending.clear()  # never sent: nothing to release
+        txn.writes.clear()
         self.active_txns.pop(txn.txn_id, None)
 
     def flush_privacy(self, checkpoint: bool = False) -> None:
@@ -644,25 +647,25 @@ class Database:
     def privacy_restarted(self) -> None:
         """The privacy zone recovered from a crash, and restore_recipes
         wrote back every committed FID it lost; the secrets of active txns
-        are lost for good: abort every active txn that stored a ref, drop
-        every table's abort garbage and clear the client's fresh map and
-        unsynced set. A lost ref may name a slot recovery hands out again,
-        so none may be committed, claimed or released; those that survived
-        are orphans for orphan_gc. A txn whose writes are all still pending
-        stored no ref and stays active: the committed refs its requests read
-        are back once restore_recipes returns."""
+        are lost for good: abort every active txn that stored a ref and drop
+        every table's abort garbage. A lost ref may name a slot recovery
+        hands out again, so none may be committed or released; those that
+        survived are orphans for orphan_gc. A txn whose writes, inserts
+        too, are all still pending stored no ref and stays active: the
+        committed refs its requests read are back once restore_recipes
+        returns."""
         for txn in list(self.active_txns.values()):
             if txn.promoted:
                 self.abort(txn)
         for table in self.tables_by_idx:
             table.abort_garbage = []
-        self.client.fresh.clear()
-        self.client.unsynced.clear()
 
     # ------------------------------------------------------------------
     # row operations
 
     def insert_row(self, txn: Txn, table: Table, values: list) -> int:
+        """Installs a new row, one value per column; its sensitive values
+        are pending writes (_writes), sent by send_writes."""
         if txn.state != TxnState.ACTIVE:
             raise ValueError("insert on inactive txn")
         if len(values) != len(table.schema):
@@ -670,56 +673,95 @@ class Database:
                 f"{table.name} has {len(table.schema)} columns, got {len(values)}"
             )
         cells = list(values)
-        promoted = self._store_cells(txn, table, cells, range(len(cells)))
+        writes = self._writes(table, cells, range(len(cells)), None)
         row_id = table.next_row_id
         table.next_row_id += 1
-        version = RowVersion(row_id, table.next_vseq, txn.txn_id, cells, None)
-        table.next_vseq += 1
-        table.rows[row_id] = [version]
-        txn.write_set.append((table, row_id, None, version, promoted))
-        self._stage(txn, table, version)
+        self._install(txn, table, row_id, None, cells, writes)
         return row_id
 
-    def _store_cells(self, txn: Txn, table: Table, cells: list, changed) -> list:
-        """Checks the cells at the changed indices against the schema and
-        replaces each sensitive one's ref with the ref the row stores;
-        returns those refs, and adds each fresh one's recipe to the txn's.
+    def update_row(self, txn: Txn, table: Table, row_id: int,
+                   new_values: dict) -> None:
+        """Supersedes the row's newest version; each sensitive new value is
+        a pending write (_writes), an operator request's stored operands
+        the ref of the cell it replaces. A placeholder in the row's newest
+        version, this txn's own, sends the txn's pending writes first."""
+        if txn.state != TxnState.ACTIVE:
+            raise ValueError("update on inactive txn")
+        head = self.check_update(txn, table, row_id)
+        if head.wire is None:
+            self.send_writes(txn)
+        cells = list(head.cells)
+        changed = []
+        for name, value in new_values.items():
+            idx = table.col_index.get(name)
+            if idx is None:
+                raise SchemaMismatch(f"no column {name} in {table.name}")
+            cells[idx] = value
+            changed.append(idx)
+        writes = self._writes(table, cells, sorted(changed), head.cells)
+        head.end_txn = txn.txn_id
+        self._install(txn, table, row_id, head, cells, writes)
 
-        The caller hands us fresh refs from ingest/operators, written either
-        into the query's temporaries (promote copies them into the table's
-        partition) or straight into the table's partition (promote keeps
-        them and the row claims them). Either way a stored ref belongs to
-        this row alone: promote refuses a ref another row version holds,
-        which would be released twice. The whole row is checked before any
-        ref is claimed or copied, so a refused row claims nothing and can
-        be retried."""
-        sensitive = []
+    def _writes(self, table: Table, cells: list, changed, replaced) -> list:
+        """Checks the cells at the changed indices, in ascending order,
+        against the schema and returns the (partition id, value) write of
+        each sensitive one, whose cell becomes a None placeholder. A
+        sensitive value is a ClientEnvelope (its bytes are the write's
+        value), or an OperatorRequest whose value result goes to the table's
+        partition and whose every stored operand is the ref of the cell it
+        replaces (in replaced, the superseded version's cells; an insert has
+        none).
+        Anything else raises, before any message is sent and with nothing
+        installed: a ref this engine did not write for this cell could be
+        released twice, or name a value no recipe restores."""
+        writes = []
         for i in changed:
             col = table.schema[i]
+            value = cells[i]
             if col.ctype == ColumnType.PLAIN_INT:
-                if not isinstance(cells[i], int):
+                if not isinstance(value, int):
                     raise SchemaMismatch(f"{col.name} expects int")
-            elif col.ctype == ColumnType.PLAIN_BYTES:
-                if not isinstance(cells[i], (bytes, bytearray)):
+                continue
+            if col.ctype == ColumnType.PLAIN_BYTES:
+                if not isinstance(value, (bytes, bytearray)):
                     raise SchemaMismatch(f"{col.name} expects bytes")
-                cells[i] = bytes(cells[i])
+                cells[i] = bytes(value)
+                continue
+            if isinstance(value, OperatorRequest):
+                old = None if replaced is None else replaced[i]
+                if (value.destination != table.partition_id or value.reveal
+                        or value.op in COMPARISONS):
+                    raise WrongPartitionKind(
+                        f"{col.name}: an operator write stores its value in "
+                        f"partition {table.partition_id}")
+                if any(ref != old for ref in value.operand_fids):
+                    raise WrongPartitionKind(
+                        f"{col.name}: an operator write reads only the ref of "
+                        "the cell it replaces")
+            elif isinstance(value, ClientEnvelope):
+                value = value.to_bytes()
             else:
-                sensitive.append(i)
-        return self._claim(txn, table, cells, sensitive)
+                raise SchemaMismatch(f"{col.name} takes a client envelope or an "
+                                     "operator request, never a ref")
+            writes.append((table.partition_id, value))
+            cells[i] = None
+        return writes
 
-    def _claim(self, txn: Txn, table: Table, cells: list, sensitive: list) -> list:
-        """Replaces the ref in each of the sensitive cells with the one the
-        row stores (backend.promote, which checks the whole row first) and
-        returns those refs, added to the txn's, with each fresh one's
-        recipe added to the txn's in claim order."""
-        stored = self.backend.promote([cells[i] for i in sensitive], table.partition_id)
-        for i, (ref, recipe) in zip(sensitive, stored):
-            cells[i] = ref
-            if recipe is not None:
-                txn.recipes.append((ref, recipe))
-        refs = [ref for ref, _ in stored]
-        txn.promoted.extend(refs)
-        return refs
+    def _install(self, txn: Txn, table: Table, row_id: int, old: RowVersion | None,
+                 cells: list, writes: list) -> None:
+        """Appends the row's new version and its write-set entry; the txn
+        holds its writes (Txn.pending), or the version is staged at once if
+        it has none."""
+        version = RowVersion(row_id, table.next_vseq, txn.txn_id, cells, None)
+        table.next_vseq += 1
+        table.rows.setdefault(row_id, []).append(version)
+        promoted = []
+        txn.write_set.append((table, row_id, old, version, promoted))
+        if writes:
+            txn.pending.append((table, version, promoted))
+            txn.writes += writes
+        else:
+            self._stage(txn, table, version)
 
     def _stage(self, txn: Txn, table: Table, version: RowVersion) -> None:
         """Encodes a version whose cells are all set, stages its DB_INSERT
@@ -730,66 +772,28 @@ class Database:
                                        cells=version.wire))
         self._observe_cells(table, version.cells)
 
-    def update_row(self, txn: Txn, table: Table, row_id: int,
-                   new_values: dict) -> None:
-        """Supersedes the row's newest version. A sensitive new value is a
-        ref, claimed now as insert_row claims one, or an OperatorRequest
-        whose value result is the new ref: an ADD over the old ref or a
-        STORE of a client envelope, with the table's partition as its
-        destination. The txn holds such a write, with a placeholder in its
-        cell, until send_writes sends it; the new version is installed at
-        once either way, so conflicts and abort treat both alike. A
-        placeholder in the row's newest version, this txn's own, sends the
-        txn's pending writes first."""
-        if txn.state != TxnState.ACTIVE:
-            raise ValueError("update on inactive txn")
-        head = self.check_update(txn, table, row_id)
-        if head.wire is None:
-            self.send_writes(txn)
-        cells = list(head.cells)
-        changed = []
-        pending = []
-        for name, value in new_values.items():
-            idx = table.col_index.get(name)
-            if idx is None:
-                raise SchemaMismatch(f"no column {name} in {table.name}")
-            if isinstance(value, OperatorRequest):
-                if idx not in table.sensitive:
-                    raise SchemaMismatch(f"{name} holds no ref")
-                pending.append((idx, value))
-                value = None
-            else:
-                changed.append(idx)
-            cells[idx] = value
-        promoted = self._store_cells(txn, table, cells, changed)
-        version = RowVersion(row_id, table.next_vseq, txn.txn_id, cells, None)
-        table.next_vseq += 1
-        head.end_txn = txn.txn_id
-        table.rows[row_id].append(version)
-        txn.write_set.append((table, row_id, head, version, promoted))
-        if pending:
-            txn.pending.append((table, version, pending, promoted))
-        else:
-            self._stage(txn, table, version)
-
     def send_writes(self, txn: Txn) -> None:
-        """Sends the txn's pending writes in one operator call
-        (backend.write, batch_size elements per message), then, in the
-        order the txn made them, fills each placeholder with its fresh ref,
-        claims the refs with their recipes and stages the versions'
-        DB_INSERTs. An error leaves every write pending."""
+        """Sends the txn's pending writes in one backend call
+        (backend.promote, batch_size values per message), then, in the order
+        the txn made them, fills each placeholder with its fresh ref, claims
+        the refs with their recipes and stages the versions' DB_INSERTs. An
+        error leaves every write pending, and the refs the call did store
+        are orphans for orphan_gc."""
         pending = txn.pending
         if not pending:
             return
-        refs = iter(self.backend.write(
-            txn.query_id, [req for _, _, writes, _ in pending for _, req in writes],
-            self.batch_size))
-        txn.pending = []
-        for table, version, writes, promoted in pending:
+        stored = iter(self.backend.promote(txn.query_id, txn.writes, self.batch_size))
+        txn.pending, txn.writes = [], []
+        for table, version, promoted in pending:
             cells = version.cells
-            for i, _ in writes:
-                cells[i] = next(refs)
-            promoted += self._claim(txn, table, cells, [i for i, _ in writes])
+            for i in table.sensitive:
+                if cells[i] is None:
+                    ref, recipe = next(stored)
+                    cells[i] = ref
+                    promoted.append(ref)
+                    if recipe is not None:
+                        txn.recipes.append((ref, recipe))
+            txn.promoted.extend(promoted)
             self._stage(txn, table, version)
 
     def check_update(self, txn: Txn, table: Table, row_id: int) -> RowVersion:
@@ -882,9 +886,14 @@ class Database:
         every secret is durable before a removal is: recovery drops the
         recipe of a FID whose version is removed, yet that FID may be an
         operand of a recipe it keeps. A plain flush after the deletes
-        makes them durable before the next write."""
+        makes them durable before the next write.
+
+        Its crash point fires once the pass has begun, so in every pass,
+        even one with nothing to remove, then at each dead version and
+        garbage ref, all before the removals are durable."""
         if self.recipes:
             self.flush_privacy(checkpoint=True)
+        self._hook("during-vacuum", None)
         min_snapshot = min((t.snapshot_seq for t in self.active_txns.values()),
                            default=None)
         release = []

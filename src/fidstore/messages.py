@@ -31,11 +31,13 @@ any other op, a STORE with a stored operand, without a constant or with
 OP_REVEAL, a reveal on a comparison or together with a destination)
 fails on its own with TypeMismatch, like any other element error.
 
-The integrity zone holds a transaction's writes (Database.update_row) and
-sends them when it commits: an ADD over the old value with OP_CONST and
-OP_DEST, or a STORE with OP_DEST, all of the transaction's in one batch
-message (batch_size elements each), MSG_EXEC_BATCH on the fid path and
-MSG_CIPHER_EXEC on the cipher one. It sends them earlier only when the
+The integrity zone holds a transaction's writes (Database.insert_row and
+update_row) and sends them when it commits: an ADD over the old value
+with OP_CONST and OP_DEST, or a STORE with OP_DEST, all of the
+transaction's in one batch message (batch_size elements each),
+MSG_EXEC_BATCH on the fid path and MSG_CIPHER_EXEC on the cipher one, and
+an inserted value's client envelope by MSG_INGEST into its table's
+partition (MSG_CIPHER_INGEST). It sends them earlier only when the
 transaction reads, sums or writes again a row it wrote, so when a
 transaction's writes cross depends on its keys alone. An aborted
 transaction sends none. Each response element is
@@ -65,12 +67,13 @@ journal. The integrity zone sends a plain flush after create_table's new
 partition and after vacuum's deletes, and CHECKPOINT at the start of
 vacuum, at the end of orphan_gc, before an integrity checkpoint writes its
 image and after a restore; at the start of vacuum and before an image only
-while a recipe is pending. A commit sends CHECKPOINT only when one of its
-recipes reads an operand that no checkpoint has made durable and no recipe
-restores first (Database.commit), which no workload does. MSG_PROMOTE, the
-one write without a recipe, checkpoints the privacy zone itself before it
-replies. MSG_CREATE_PARTITION carries nothing and creates a permanent
-partition; its response is the u32 partition id.
+while a recipe is pending. A commit never sends MSG_FLUSH_LOG: every
+recipe it journals reads only operands that come back before it
+(integrity_dbms). MSG_PROMOTE copies a temporary FID's value into a
+permanent partition and checkpoints the privacy zone before it replies,
+since the copy has no recipe; the engine never sends it.
+MSG_CREATE_PARTITION carries nothing and creates a permanent partition; its
+response is the u32 partition id.
 
 A recipe is the bytes that wrote a FID in a permanent partition, which
 the integrity zone journals with the commit that claims the FID and sends
@@ -274,14 +277,6 @@ def _read_ops(payload: bytes, read_operand) -> list[OperatorRequest]:
     return ops
 
 
-def recipe_operands(recipe: bytes) -> list[int]:
-    """The FIDs a recipe reads: the stored operands of an operator
-    element, none for an ingest."""
-    if recipe[:1] != RECIPE_EXEC:
-        return []
-    return _read_op(recipe, 1, _read_u64)[0].operand_fids
-
-
 def _read_restore(payload: bytes) -> list[tuple[int, object]]:
     """Decode a MSG_RESTORE payload (format in the module docstring) into
     (fid, recipe) items, each recipe a ClientEnvelope or an
@@ -321,27 +316,15 @@ class ProxyClient:
     _chunks), and end_query, which sends nothing for a query that never
     wrote to its temporary partition (no temp-target ingest, no stored
     value result without a destination): such a query has no temporaries to
-    drop.
-
-    fresh maps each FID this client wrote to a named permanent partition,
-    and that no row version has claimed yet (see FidBackend.promote), to
-    its recipe: the bytes that wrote it, which the integrity journal keeps
-    so recovery can write it again (MSG_RESTORE). It describes the privacy
-    zone's state before its last restart, so the caller clears it when the
-    zone restarts (Database.privacy_restarted).
-
-    unsynced holds every FID this client wrote to a named permanent
-    partition since its last MSG_FLUSH_LOG with CHECKPOINT returned,
-    claimed or not: the writes a privacy crash may lose, against which
-    Database.commit checks the operands of its recipes. The caller clears
-    it with fresh.
+    drop. The client keeps no record of what it wrote: the engine takes
+    each fresh FID's recipe from the call that wrote it (exec_writes, or
+    the envelope it ingested) and journals it with the commit that claims
+    the FID.
     """
 
     def __init__(self, channel, trace=None):
         self.channel = channel
         self.trace = trace
-        self.fresh: dict[int, bytes] = {}
-        self.unsynced: set[int] = set()
         self._temp_queries: set[int] = set()
 
     # -- plumbing -------------------------------------------------------
@@ -422,11 +405,6 @@ class ProxyClient:
             fids = [fid for (fid,) in _U64.iter_unpack(body)]
             for fid in fids:
                 self._observe_fid(fid)
-            if target != QUERY_TEMP_TARGET:
-                fresh = self.fresh
-                for fid, envelope in zip(fids, chunk):
-                    fresh[fid] = RECIPE_INGEST + envelope
-                self.unsynced.update(fids)
             out.extend(fids)
         return out
 
@@ -442,13 +420,22 @@ class ProxyClient:
             if (r.op not in COMPARISONS and not r.reveal
                     and r.destination in (None, QUERY_TEMP_TARGET)):
                 self._temp_queries.add(query_id)
+        return self._batch(MSG_EXEC_BATCH, query_id, reqs, batch_size,
+                           self._write_fid, self._read_fid)[1]
+
+    def exec_writes(self, query_id: int, reqs: list[OperatorRequest],
+                    batch_size: int) -> list[tuple[int, bytes]]:
+        """exec_batch for requests whose value results go to permanent
+        partitions: per request its fresh FID and its recipe, RECIPE_EXEC
+        and the element as sent. Raises the first element error, once the
+        whole batch has run."""
         elements, out = self._batch(MSG_EXEC_BATCH, query_id, reqs, batch_size,
                                     self._write_fid, self._read_fid)
-        for r, element, resp in zip(reqs, elements, out):
-            if resp.fid is not None and r.destination not in (None, QUERY_TEMP_TARGET):
-                self.fresh[resp.fid] = RECIPE_EXEC + element
-                self.unsynced.add(resp.fid)
-        return out
+        for r, resp in zip(reqs, out):
+            if resp.error_code:
+                raise error_for_code(resp.error_code, f"operator {r.op} failed")
+        return [(resp.fid, RECIPE_EXEC + element)
+                for element, resp in zip(elements, out)]
 
     def exec_operator(self, query_id: int, req: OperatorRequest) -> OperatorResponse:
         resp = self.exec_batch(query_id, [req], 1)[0]
@@ -484,8 +471,6 @@ class ProxyClient:
 
     def flush_log(self, checkpoint: bool = False) -> None:
         self._call(MSG_FLUSH_LOG, 0, CHECKPOINT if checkpoint else b"")
-        if checkpoint:
-            self.unsynced.clear()
 
     def restore(self, items: list[tuple[int, bytes]], batch_size: int) -> None:
         """Writes each recipe's value again at its FID where the privacy

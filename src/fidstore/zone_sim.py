@@ -120,12 +120,14 @@ class AdversaryTrace:
     byte alone, so the privacy journal's length does not reach the
     integrity zone.
 
-    A txn's ADDs and SETs cross as one operator batch when it commits, or
-    earlier when one of its statements reaches a row it wrote (a READ, a
-    SUM over it, or a second write), so when they cross is a function of
-    the txn's keys; an aborted or conflicting txn's never cross. The
-    FidObserved events of the new versions' cells follow that batch's
-    reply, one version after another in the order the txn wrote them.
+    A txn's writes cross together when it commits, or earlier when one of
+    its statements reaches a row it wrote (a READ, a SUM over it, or a
+    second write), so when they cross is a function of the txn's keys: its
+    INSERTs' envelopes as MSG_INGEST, then its ADDs and SETs as one
+    operator batch. An aborted or conflicting txn's writes, INSERTs too,
+    never cross. The FidObserved events of the new versions' cells follow
+    those replies, one version after another in the order the txn wrote
+    them.
 
     A privacy checkpoint adds block events of its own, inside the message
     that runs it (a MSG_FLUSH_LOG, MSG_PROMOTE, or the write whose put
@@ -231,25 +233,24 @@ class CrashTarget(Enum):
 
 
 class CrashPointId(Enum):
-    """Where a scheduled crash fires. The two flush points still fire in
-    every commit that staged records, before its commit record is journaled,
-    though a commit sends MSG_FLUSH_LOG, between them, only when a recipe
-    reads an operand that would not come back before it: otherwise its
-    fresh FIDs' recipes ride in its own journal records. The checkpoint
-    points fire inside a zone's checkpoint, once its image is written and
-    once its journal is truncated, whether the checkpoint runs past the
-    interval or at the end of orphan_gc; the privacy zone's checkpoint also
-    has PRIVACY_CHECKPOINT_AFTER_SEAL, between its seals and its slot maps
-    and marker. The privacy zone's run inside the MSG_FLUSH_LOG whose sync
-    took its journal past the interval, or that carried the checkpoint flag
-    (an integrity checkpoint's, vacuum's opening one, orphan_gc's closing
-    one or a restore's), inside MSG_PROMOTE, or inside the put that reached
-    wal.MAX_UNSYNCED_PUTS, and a privacy crash there fails that request.
-    DURING_RESTORE fires in recovery, once the privacy zone has written the
-    restored secrets and before the checkpoint that makes them durable.
-    RANDOM_BYTE crashes the privacy zone at a statement boundary and keeps
-    a random prefix of its journal's unsynced tail, a torn tail of delete
-    and create records: no put is journaled.
+    """Where a scheduled crash fires. The two flush points fire in every
+    commit that staged records, after its writes are sent and before its
+    commit record is journaled; nothing crosses between them, since a
+    commit's fresh FIDs' recipes ride in its own journal records. The
+    checkpoint points fire inside a zone's checkpoint, once its image is
+    written and once its journal is truncated, whether the checkpoint runs
+    past the interval or at the end of orphan_gc; the privacy zone's
+    checkpoint also has PRIVACY_CHECKPOINT_AFTER_SEAL, between its seals and
+    its slot maps and marker. The privacy zone's run inside the
+    MSG_FLUSH_LOG whose sync took its journal past the interval, or that
+    carried the checkpoint flag (an integrity checkpoint's, vacuum's opening
+    one, orphan_gc's closing one or a restore's), inside MSG_PROMOTE, or
+    inside the put that reached wal.MAX_UNSYNCED_PUTS, and a privacy crash
+    there fails that request. DURING_RESTORE fires in recovery, once the
+    privacy zone has written the restored secrets and before the checkpoint
+    that makes them durable. RANDOM_BYTE crashes the privacy zone at a
+    statement boundary and keeps a random prefix of its journal's unsynced
+    tail, a torn tail of delete and create records: no put is journaled.
 
     Each value is also the site string its hook fires with, from Database
     and wal.checkpoint_truncate; "io_failure" is the one site that is not a
@@ -511,28 +512,22 @@ class ZoneTopology:
     def client_decrypt(self, envelope: bytes) -> bytes:
         return self._client_codec.decrypt(ClientEnvelope.from_bytes(envelope))
 
-    def insert_rows(self, txn, table: Table, rows: list[tuple],
-                    batch_size: int) -> None:
+    def insert_rows(self, txn, table: Table, rows: list[tuple]) -> None:
         """The one row writer: inserts plaintext rows, one value per column,
         into table in txn. Each sensitive cell is encoded from its column
-        type, encrypted and ingested straight into the table's partition (no
-        promote), in row then column order, batch_size envelopes per
-        MSG_INGEST across the rows. A batch stores its values in the order it
-        lists them, so the FIDs, journal records and sealed blocks are the
-        same at any batch_size."""
+        type and encrypted, in row then column order, and the txn holds the
+        client envelopes as pending writes (Database.insert_row) until its
+        commit ingests them into the table's partition, with the rest of
+        its writes, batch_size envelopes per MSG_INGEST across the rows. A
+        batch stores its values in the order it lists them, so the FIDs,
+        journal records and sealed blocks are the same at any batch_size."""
         db = self.integrity.db
         schema, sensitive = table.schema, table.sensitive
-        encrypt = self.client_encrypt
-        envelopes = []
-        for row in rows:
-            for i in sensitive:
-                envelopes += (encrypt(_ENCODE[schema[i].ctype](row[i])),)
-        refs = iter(db.backend.ingest(txn.query_id, envelopes, table.partition_id,
-                                      batch_size))
+        encrypt = self._client_codec.encrypt
         for row in rows:
             cells = list(row)
-            for i, ref in zip(sensitive, refs):
-                cells[i] = ref
+            for i in sensitive:
+                cells[i] = encrypt(_ENCODE[schema[i].ctype](row[i]))
             db.insert_row(txn, table, cells)
 
     # ------------------------------------------------------------------
@@ -676,10 +671,11 @@ class _Runner:
     one txn through ZoneTopology.insert_rows, which an INSERT statement
     uses too. _execute runs one statement of the closed set that workload
     documents, encoding and decoding each secret from its column's type.
-    ADD and SET send nothing: each hands Database.update_row an operator
-    request, an ADD of the delta as an inline constant or a STORE of the
-    new value, which the txn holds until its commit sends all of its
-    writes in one operator batch, or until a later statement of the txn
+    INSERT, ADD and SET send nothing: an INSERT hands Database.insert_row
+    a client envelope per sensitive value, and ADD and SET hand
+    Database.update_row an operator request, an ADD of the delta as an
+    inline constant or a STORE of the new value. The txn holds them all
+    until its commit sends them, or until a later statement of the txn
     reaches a row it wrote. A SUM's result comes back inside its last
     operator message, so no statement writes to its query's temporaries
     and ending one sends nothing. A conflicting ADD or SET fails in
@@ -700,7 +696,7 @@ class _Runner:
         tables = [db.create_table(decl.name, list(decl.columns)) for decl in decls]
         for table, decl in zip(tables, decls):
             txn = db.begin()
-            self.topo.insert_rows(txn, table, decl.rows, self.batch_size)
+            self.topo.insert_rows(txn, table, decl.rows)
             db.commit(txn)
             self.topo.client.end_query(txn.query_id)
         return tables
@@ -804,7 +800,7 @@ class _Runner:
         table = tables[t]
         topo = self.topo
         if kind == INSERT:
-            topo.insert_rows(txn, table, [statement[2]], self.batch_size)
+            topo.insert_rows(txn, table, [statement[2]])
             topo.trace.result_size(1)
             return
         column = table.col_index[statement[2]]

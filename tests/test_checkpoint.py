@@ -31,7 +31,7 @@ from fidstore.integrity_dbms import (
 )
 from fidstore.mapping_store import UINT_CODES, MappingStore
 from fidstore.messages import CHECKPOINT, HEADER, MSG_FLUSH_LOG
-from fidstore.privacy_proxy import decode_int64, encode_int64
+from fidstore.privacy_proxy import ClientEnvelope, decode_int64, encode_int64
 from fidstore.wal import FRAME, REC_HEAD, read_frames
 from fidstore.workload import Mode, WorkloadSpec, flatten_schedule, generate_workload
 from fidstore.zone_sim import (
@@ -54,6 +54,11 @@ SPEC = WorkloadSpec(mode=Mode.READ_WRITE, tables=2, rows_per_table=60,
 @pytest.fixture(autouse=True)
 def small_interval(monkeypatch):
     monkeypatch.setattr(wal, "CHECKPOINT_INTERVAL_BYTES", INTERVAL)
+
+
+def _envelope(topo, plaintext: bytes) -> ClientEnvelope:
+    """plaintext as the client envelope a row write takes."""
+    return ClientEnvelope.from_bytes(topo.client_encrypt(plaintext))
 
 
 def _read_rows(topo) -> list[dict]:
@@ -600,7 +605,7 @@ def test_no_secret_in_any_file_once_quiesced(tmp_path):
     table = db.tables_by_idx[0]
     row_id = table.next_row_id
     txn = db.begin()
-    topo.insert_rows(txn, table, [(row_id, 41, canary, b"")], SPEC.batch_size)
+    topo.insert_rows(txn, table, [(row_id, 41, canary, b"")])
     db.commit(txn)
     topo.client.end_query(txn.query_id)
     expected = _oracle_rows(program)
@@ -650,9 +655,8 @@ def test_a_tampered_kept_copy_fails_recovery(tmp_path, tamper):
     table = db.tables_by_idx[0]
     txn = db.begin()
     for row_id in range(1, 4):  # new secrets in table 0's first blocks
-        db.update_row(txn, table, row_id, {"k": db.backend.ingest(
-            txn.query_id, [first.client_encrypt(encode_int64(-row_id))],
-            table.partition_id, SPEC.batch_size)[0]})
+        db.update_row(txn, table, row_id,
+                      {"k": _envelope(first, encode_int64(-row_id))})
     db.commit(txn)
     db.vacuum(table)
     db.orphan_gc()
@@ -708,9 +712,7 @@ def test_blocks_replay_changed_are_sealed_by_the_next_checkpoint():
     for t, table in enumerate(db.tables_by_idx):
         for row_id in range(1, 30, 3):
             value = 1000 * t + row_id
-            (ref,) = db.backend.ingest(txn.query_id, [topo.client_encrypt(
-                encode_int64(value))], table.partition_id, SPEC.batch_size)
-            db.update_row(txn, table, row_id, {"k": ref})
+            db.update_row(txn, table, row_id, {"k": _envelope(topo, encode_int64(value))})
             expected[t][row_id] = (value, expected[t][row_id][1])
     db.commit(txn)
     for table in db.tables_by_idx:
@@ -763,11 +765,10 @@ def test_a_checkpoints_copies_stay_until_the_next_marker():
     txn = db.begin()
     for table in db.tables_by_idx:
         for row_id in range(1, 61, 2):
-            k, c = db.backend.ingest(txn.query_id, [
-                topo.client_encrypt(encode_int64(row_id)),
-                topo.client_encrypt(pad_sensitive(b"c%d" % row_id))],
-                table.partition_id, SPEC.batch_size)
-            db.update_row(txn, table, row_id, {"k": k, "c": c})
+            db.update_row(txn, table, row_id, {
+                "k": _envelope(topo, encode_int64(row_id)),
+                "c": _envelope(topo, pad_sensitive(b"c%d" % row_id))})
+    db.send_writes(txn)
     assert sealed.kept == kept <= set(sealed.blocks)
     assert len(sealed.blocks) > len(kept)  # evictions sealed newer copies
     db.commit(txn)
@@ -922,16 +923,17 @@ def test_a_privacy_checkpoint_writes_back_what_it_seals():
         """Commits k = values[t] for row_id of the first len(values) tables
         t; returns the blocks the new values went to."""
         txn = db.begin()
-        blocks = []
+        tables = db.tables_by_idx[:len(values)]
         for t, value in enumerate(values):
-            table = db.tables_by_idx[t]
-            (ref,) = db.backend.ingest(txn.query_id, [topo.client_encrypt(
-                encode_int64(value))], table.partition_id, SPEC.batch_size)
-            db.update_row(txn, table, row_id, {"k": ref})
+            db.update_row(txn, tables[t], row_id,
+                          {"k": _envelope(topo, encode_int64(value))})
             expected[t][row_id] = (value, expected[t][row_id][1])
+        db.commit(txn)
+        blocks = []
+        for table in tables:
+            ref = table.rows[row_id][-1].cells[1]
             p = store.partition(table.partition_id)
             blocks.append((p.pid, store._block_of(p.slots[ref & OFFSET_MASK])))
-        db.commit(txn)
         topo.client.end_query(txn.query_id)
         return blocks
 
@@ -998,9 +1000,8 @@ def test_seals_after_a_recovery_go_on_past_the_kept_counters():
     def insert(values) -> None:
         txn = db.begin()
         for value in values:
-            (ref,) = db.backend.ingest(txn.query_id, [topo.client_encrypt(
-                encode_int64(value))], table.partition_id, 8)
-            expected[db.insert_row(txn, table, [value, ref])] = value
+            expected[db.insert_row(
+                txn, table, [value, _envelope(topo, encode_int64(value))])] = value
         db.commit(txn)
         topo.client.end_query(txn.query_id)
 
@@ -1147,10 +1148,7 @@ def test_image_reuses_each_versions_encoding(backend):
     txn = db.begin()
     table = db.tables_by_idx[0]
     for row_id in range(1, 6):
-        (ref,) = db.backend.ingest(
-            txn.query_id, [topo.client_encrypt(encode_int64(row_id))],
-            table.partition_id, 1)
-        db.update_row(txn, table, row_id, {"k": ref})
+        db.update_row(txn, table, row_id, {"k": _envelope(topo, encode_int64(row_id))})
     db.commit(txn)
     topo.privacy.crash()
     topo.integrity.crash()

@@ -10,7 +10,7 @@ import pytest
 
 from fidstore.errors import Unavailable
 from fidstore.integrity_dbms import Column, ColumnType, TxnState
-from fidstore.privacy_proxy import decode_int64, encode_int64
+from fidstore.privacy_proxy import ClientEnvelope, decode_int64, encode_int64
 from fidstore.zone_sim import ZoneCrashed, ZoneTopology
 
 from .test_checkpoint import _newest_committed, _permanent_mapping
@@ -28,18 +28,16 @@ def _open(tmp_path) -> ZoneTopology:
     return ZoneTopology(SEED, batch_size=BATCH, data_dir=str(tmp_path))
 
 
-def _ref(topo, txn, table, value: int) -> int:
-    """A fresh ref for value, written straight into the table's partition,
-    so the commit that stores it journals its recipe."""
-    envelope = topo.client_encrypt(encode_int64(value))
-    (ref,) = topo.integrity.db.backend.ingest(txn.query_id, [envelope],
-                                              table.partition_id, BATCH)
-    return ref
+def _envelope(topo, value: int) -> ClientEnvelope:
+    """value as the client envelope a row write takes: the commit that
+    stores it ingests it into the table's partition and journals its
+    recipe."""
+    return ClientEnvelope.from_bytes(topo.client_encrypt(encode_int64(value)))
 
 
 def _insert(topo, txn, table, value: int) -> int:
     return topo.integrity.db.insert_row(
-        txn, table, [value, _ref(topo, txn, table, value), b"n"])
+        txn, table, [value, _envelope(topo, value), b"n"])
 
 
 def _setup(tmp_path):
@@ -56,7 +54,7 @@ def _setup(tmp_path):
     old = [table.rows[row][0].cells[1] for row in (1, 2, 3)]
     txn = db.begin()
     for row in (1, 2, 3):
-        db.update_row(txn, table, row, {"k": _ref(topo, txn, table, -row)})
+        db.update_row(txn, table, row, {"k": _envelope(topo, -row)})
     db.commit(txn)
     return topo, table, old
 
@@ -103,10 +101,12 @@ def test_failed_privacy_flush_stops_the_privacy_zone(tmp_path, fail_io):
     """A failed durable write in vacuum's opening flush, which checkpoints
     the privacy zone while recipes are pending, crashes the privacy zone:
     the checkpoint's first seal fails, the flush raises Unavailable, and so
-    does any request until recovery. Recovery restores from their recipes
-    the committed secrets the failed checkpoint did not seal. The failed
-    seal leaves no file, so the journal's LSNs still increase after a later
-    commit, and the directory reopens without CorruptLog."""
+    does any request until recovery, such as a commit that sends its
+    inserts. Recovery restores from their recipes the committed secrets the
+    failed checkpoint did not seal, and a txn whose insert is still pending
+    stored nothing, so it survives and commits. The failed seal leaves no
+    file, so the journal's LSNs still increase after a later commit, and
+    the directory reopens without CorruptLog."""
     topo, table, _ = _setup(tmp_path)
     db = topo.integrity.db
     txn = db.begin()
@@ -119,17 +119,18 @@ def test_failed_privacy_flush_stops_the_privacy_zone(tmp_path, fail_io):
     assert topo.privacy.crashed and not topo.integrity.crashed
     assert db.dbwal.pending_len == 0 and len(table.rows[1]) == 2  # removed nothing
     later = db.begin()
+    _insert(topo, later, table, 5)
     with pytest.raises(Unavailable):
-        _insert(topo, later, table, 5)
+        db.commit(later)
     db.abort(later)
 
     topo.recover_all()
-    assert txn.state == TxnState.ABORTED  # its secret was lost
-    db = topo.integrity.db
+    assert txn.state == TxnState.ACTIVE  # it stored nothing the crash lost
+    db.commit(txn)
     txn = db.begin()
     _insert(topo, txn, table, 6)
     db.commit(txn)
-    expected = {1: -1, 2: -2, 3: -3, 5: 6}
+    expected = {1: -1, 2: -2, 3: -3, 4: 4, 6: 6}
     assert _k_values(topo) == expected
     topo.privacy.crash()
     topo.integrity.crash()

@@ -11,11 +11,12 @@ from fidstore.errors import (
     WriteConflict,
     WrongPartitionKind,
 )
-from fidstore.fid_codec import decode_fid
 from fidstore.integrity_dbms import Column, ColumnType, Predicate
-from fidstore.messages import MSG_PROMOTE
+from fidstore.messages import MSG_INGEST
 from fidstore.privacy_proxy import (
     QUERY_TEMP_TARGET,
+    ClientEnvelope,
+    OperatorRequest,
     OpKind,
     ValueType,
     decode_int64,
@@ -54,9 +55,13 @@ def _reveal_int(topo, query_id, fid):
     return decode_int64(topo.client_decrypt(topo.client.reveal(query_id, fid)))
 
 
+def _envelope(topo, value):
+    """An int64 secret as the client envelope a row write takes."""
+    return ClientEnvelope.from_bytes(topo.client_encrypt(encode_int64(value)))
+
+
 def _insert(topo, db, table, txn, key, value):
-    fid = _ingest_int(topo, txn.query_id, value)
-    return db.insert_row(txn, table, [key, fid, b"n"])
+    return db.insert_row(txn, table, [key, _envelope(topo, value), b"n"])
 
 
 def _record_hooks(db) -> list[tuple[str, int | None]]:
@@ -91,122 +96,136 @@ def test_snapshot_excludes_uncommitted(topo):
     db.abort(late)
 
 
-def _promotes(topo) -> int:
-    """MSG_PROMOTE messages sent so far, as the adversary trace saw them."""
-    return topo.trace.events.count(("OpKindObserved", MSG_PROMOTE))
+def _kinds(topo) -> list[int]:
+    """The kind of every message sent so far, as the adversary trace saw it."""
+    return [arg for kind, arg in topo.trace.events if kind == "OpKindObserved"]
 
 
 def test_insert_promotes_each_sensitive_field(topo):
+    """insert_row sends nothing: the txn holds its row's client envelopes
+    until its commit writes them in one backend call, one MSG_INGEST for
+    the row's two sensitive fields, and nothing is promoted."""
     db = topo.integrity.db
     schema = SCHEMA + [Column("extra", ColumnType.SENSITIVE_INT)]
     table = db.create_table("t", schema)
     txn = db.begin()
-    f1 = _ingest_int(topo, txn.query_id, 7)
-    f2 = _ingest_int(topo, txn.query_id, 8)
-    before = _promotes(topo)
-    db.insert_row(txn, table, [1, f1, b"x", f2])
-    assert _promotes(topo) - before == 2
+    before = len(_kinds(topo))
+    db.insert_row(txn, table, [1, _envelope(topo, 7), b"x", _envelope(topo, 8)])
+    assert len(_kinds(topo)) == before and table.rows[1][0].cells[1] is None
     db.commit(txn)
-
-
-def test_promote_keeps_a_ref_already_in_the_table_partition(topo):
-    """A ref written straight into the table's partition is stored as it
-    is, with no round trip; a temporary ref is still copied over, and
-    MSG_PROMOTE syncs the privacy journal before it replies, since the copy
-    has no recipe."""
-    db = topo.integrity.db
-    table = db.create_table("t", list(SCHEMA))
-    txn = db.begin()
-    direct = _ingest_int(topo, txn.query_id, 7, table.partition_id)
-    temp = _ingest_int(topo, txn.query_id, 8)
-    calls, trips = _promotes(topo), topo.channel.round_trips
-    db.insert_row(txn, table, [1, direct, b"n"])
-    assert (_promotes(topo), topo.channel.round_trips) == (calls, trips)
-    assert table.rows[1][-1].cells[1] == direct
-    [(copy, recipe)] = db.backend.promote([temp], table.partition_id)
-    assert _promotes(topo) == calls + 1
-    assert copy != temp and decode_fid(copy)[0] == table.partition_id
-    assert recipe is None and topo.store_wal_buffer.pending_len == 0
-    db.commit(txn)
-    topo.client.end_query(txn.query_id)
+    assert _kinds(topo)[before:] == [MSG_INGEST]
     reader = db.begin()
-    assert _reveal_int(topo, reader.query_id, direct) == 7
+    cells = db.visible_version(table, 1, reader).cells
+    assert [_reveal_int(topo, reader.query_id, cells[i]) for i in (1, 3)] == [7, 8]
     db.abort(reader)
 
 
 def test_a_ref_another_row_version_holds_is_refused(topo):
-    """A ref in the table's partition is stored only by the one cell that
-    claims it fresh: inserting row 2 with row 1's ref raises and changes
-    nothing, so updating row 2 and vacuuming cannot release row 1's secret.
-    A fresh ref no cell claimed leaves the fresh set once orphan GC
-    releases it."""
+    """A row stores only refs its engine wrote for it: inserting row 2 or
+    updating it with row 1's FID raises before any message and changes
+    nothing, so updating row 2 and vacuuming cannot release row 1's
+    secret."""
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
-    pid = table.partition_id
-
-    def ingest(query_id, value):
-        return _ingest_int(topo, query_id, value, pid)
-
     txn = db.begin()
-    k1 = ingest(txn.query_id, 1)
-    db.insert_row(txn, table, [1, k1, b"n"])
+    _insert(topo, db, table, txn, 1, 1)
+    _insert(topo, db, table, txn, 2, 2)
     db.commit(txn)
+    k1 = table.rows[1][0].cells[1]
     txn = db.begin()
-    with pytest.raises(WrongPartitionKind):
-        db.insert_row(txn, table, [2, k1, b"n"])
-    assert 2 not in table.rows and not txn.staged
-    db.insert_row(txn, table, [2, ingest(txn.query_id, 2), b"n"])
-    db.update_row(txn, table, 2, {"k": ingest(txn.query_id, 3)})
-    unclaimed = ingest(txn.query_id, 4)
+    trips = topo.channel.round_trips
+    with pytest.raises(SchemaMismatch):
+        db.insert_row(txn, table, [3, k1, b"n"])
+    with pytest.raises(SchemaMismatch):
+        db.update_row(txn, table, 2, {"k": k1})
+    assert topo.channel.round_trips == trips
+    assert 3 not in table.rows and len(table.rows[2]) == 1
+    assert not (txn.write_set or txn.pending or txn.staged)
+    db.update_row(txn, table, 2, {"k": _envelope(topo, 3)})
     db.commit(txn)
     db.vacuum(table)
     assert topo.check_invariant().holds
-    assert list(topo.client.fresh) == [unclaimed]
-    assert db.orphan_gc() == 1
-    assert topo.client.fresh == {}
     reader = db.begin()
     assert _reveal_int(topo, reader.query_id, k1) == 1
     db.abort(reader)
 
 
 def test_a_refused_row_claims_nothing(topo):
-    """A row is checked whole before any of its refs is claimed: when one
-    cell names a ref another row holds, or names a ref a second time, the
-    insert or update is refused and the fresh refs in its other cells stay
-    fresh, so a retry with valid refs succeeds and nothing is orphaned."""
+    """A row is checked whole before anything is installed: when one cell
+    holds a ref, the insert or update is refused, no write of its other
+    cells is held, and a retry with client envelopes succeeds with nothing
+    orphaned."""
     db = topo.integrity.db
     table = db.create_table("t", [Column("id", ColumnType.PLAIN_INT),
                                   Column("c", ColumnType.SENSITIVE_INT),
                                   Column("a", ColumnType.SENSITIVE_INT)])
-    pid = table.partition_id
-
-    def ingest(query_id, value):
-        return _ingest_int(topo, query_id, value, pid)
-
     txn = db.begin()
-    a = ingest(txn.query_id, 1)
-    db.insert_row(txn, table, [1, ingest(txn.query_id, 2), a])
+    db.insert_row(txn, table, [1, _envelope(topo, 1), _envelope(topo, 2)])
     db.commit(txn)
+    a = table.rows[1][0].cells[2]
     txn = db.begin()
-    c = ingest(txn.query_id, 3)
-    for row in ([2, c, a], [2, c, c]):
-        with pytest.raises(WrongPartitionKind):
-            db.insert_row(txn, table, row)
-        assert c in topo.client.fresh
-        assert 2 not in table.rows and not txn.staged and not txn.promoted
-    c2 = ingest(txn.query_id, 4)
-    db.insert_row(txn, table, [2, c, c2])
-    c3 = ingest(txn.query_id, 5)
-    for values in ({"c": c3, "a": a}, {"c": c3, "a": c3}):
-        with pytest.raises(WrongPartitionKind):
-            db.update_row(txn, table, 1, values)
-        assert c3 in topo.client.fresh and len(table.rows[1]) == 1
-    c4 = ingest(txn.query_id, 6)
-    db.update_row(txn, table, 1, {"c": c3, "a": c4})
+    with pytest.raises(SchemaMismatch):
+        db.insert_row(txn, table, [2, _envelope(topo, 3), a])
+    with pytest.raises(SchemaMismatch):
+        db.update_row(txn, table, 1, {"c": _envelope(topo, 4), "a": a})
+    assert 2 not in table.rows and len(table.rows[1]) == 1
+    assert not (txn.write_set or txn.pending or txn.promoted)
+    db.insert_row(txn, table, [2, _envelope(topo, 3), _envelope(topo, 5)])
+    db.update_row(txn, table, 1, {"c": _envelope(topo, 4), "a": _envelope(topo, 6)})
     db.commit(txn)
-    assert topo.client.fresh == {}
     report = topo.check_invariant()
     assert report.holds and report.orphans == 0
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+def test_the_engine_refuses_a_value_it_did_not_write(backend):
+    """Every ref a row holds is one its engine wrote for that cell. A stored
+    ref (a FID, or on the cipher path a zone envelope) handed to insert_row
+    or update_row, and an operator write that reads any ref but the one of
+    the cell it replaces, that an insert makes at all, or that does not
+    store a value in the table's partition, each raise before any message
+    is sent, with nothing installed or held."""
+    topo = ZoneTopology(321, backend=backend, batch_size=32)
+    db = topo.integrity.db
+    table = db.create_table("t", list(SCHEMA))
+    txn = db.begin()
+    _insert(topo, db, table, txn, 1, 1)
+    _insert(topo, db, table, txn, 2, 2)
+    db.commit(txn)
+    k1, k2 = (table.rows[key][0].cells[1] for key in (1, 2))
+    pid = table.partition_id
+    delta = topo.client_encrypt(encode_int64(5))
+
+    def add(*operands, destination=pid, op=OpKind.ADD):
+        return OperatorRequest(op, ValueType.INT64, list(operands), destination, delta)
+
+    txn = db.begin()
+    trips = topo.channel.round_trips
+    refused = [
+        (SchemaMismatch, lambda: db.insert_row(txn, table, [3, k1, b"n"])),
+        (SchemaMismatch, lambda: db.update_row(txn, table, 2, {"k": k1})),
+        (WrongPartitionKind, lambda: db.update_row(txn, table, 2, {"k": add(k1)})),
+        (WrongPartitionKind, lambda: db.update_row(txn, table, 2, {"k": add(k2, k1)})),
+        (WrongPartitionKind, lambda: db.insert_row(txn, table, [3, add(k1), b"n"])),
+        (WrongPartitionKind, lambda: db.update_row(
+            txn, table, 2, {"k": add(k2, destination=None)})),
+        (WrongPartitionKind, lambda: db.update_row(
+            txn, table, 2, {"k": add(k2, op=OpKind.CMP_LT)})),
+    ]
+    for error, call in refused:
+        with pytest.raises(error):
+            call()
+    assert topo.channel.round_trips == trips
+    assert 3 not in table.rows and len(table.rows[2]) == 1
+    assert not (txn.write_set or txn.pending or txn.staged)
+    db.update_row(txn, table, 2, {"k": add(k2)})
+    db.commit(txn)
+    reader = db.begin()
+    got = [db.visible_version(table, key, reader).cells[1] for key in (1, 2)]
+    reveal = db.backend.reveal
+    assert [decode_int64(topo.client_decrypt(reveal(reader.query_id, ref)))
+            for ref in got] == [1, 7]
+    db.abort(reader)
 
 
 def test_plain_only_insert_no_privacy_calls(topo):
@@ -243,8 +262,8 @@ def test_update_then_abort_restores_reads(topo):
 
     txn = db.begin()
     for _ in range(5):
-        new_fid = _ingest_int(topo, txn.query_id, 999)
-        db.update_row(txn, table, 1, {"k": new_fid})
+        db.update_row(txn, table, 1, {"k": _envelope(topo, 999)})
+        db.send_writes(txn)
     db.abort(txn)
 
     reader = db.begin()
@@ -262,7 +281,7 @@ def test_update_commit_old_fid_reclaimed_only_after_vacuum(topo):
     old_fid = table.rows[1][0].cells[1]
 
     txn = db.begin()
-    db.update_row(txn, table, 1, {"k": _ingest_int(topo, txn.query_id, 200)})
+    db.update_row(txn, table, 1, {"k": _envelope(topo, 200)})
     db.commit(txn)
 
     reader = db.begin()
@@ -284,19 +303,19 @@ def test_first_updater_wins(topo):
     db.commit(setup)
 
     t1, t2 = db.begin(), db.begin()
-    db.update_row(t1, table, 1, {"k": _ingest_int(topo, t1.query_id, 6)})
+    db.update_row(t1, table, 1, {"k": _envelope(topo, 6)})
     with pytest.raises(WriteConflict):
-        db.update_row(t2, table, 1, {"k": _ingest_int(topo, t2.query_id, 7)})
+        db.update_row(t2, table, 1, {"k": _envelope(topo, 7)})
     db.abort(t2)
     db.commit(t1)
     # a txn whose snapshot predates t1's commit also conflicts
     t3 = db.begin()
     db.commit(db.begin())  # advance commit sequence
     stale = db.begin()
-    db.update_row(stale, table, 1, {"k": _ingest_int(topo, stale.query_id, 8)})
+    db.update_row(stale, table, 1, {"k": _envelope(topo, 8)})
     db.commit(stale)
     with pytest.raises(WriteConflict):
-        db.update_row(t3, table, 1, {"k": _ingest_int(topo, t3.query_id, 9)})
+        db.update_row(t3, table, 1, {"k": _envelope(topo, 9)})
     db.abort(t3)
 
 
@@ -356,7 +375,7 @@ def test_abort_many_updates_restores_all(topo):
     for key in range(1, 11):
         for _ in range(10):
             db.update_row(txn, table, key,
-                          {"k": _ingest_int(topo, txn.query_id, 0)})
+                          {"k": _envelope(topo, 0)})
     db.abort(txn)
 
     reader = db.begin()
@@ -387,7 +406,8 @@ def test_abort_then_vacuum_deletes_new_fids(topo):
     db.commit(setup)
 
     txn = db.begin()
-    db.update_row(txn, table, 1, {"k": _ingest_int(topo, txn.query_id, 77)})
+    db.update_row(txn, table, 1, {"k": _envelope(topo, 77)})
+    db.send_writes(txn)  # as a read of its own row would
     promoted = list(txn.promoted)
     db.abort(txn)
     assert all(topo.client.is_live(f) for f in promoted)
@@ -405,7 +425,7 @@ def test_vacuum_respects_old_snapshots(topo):
     old_reader = db.begin()  # snapshot before the update
 
     txn = db.begin()
-    db.update_row(txn, table, 1, {"k": _ingest_int(topo, txn.query_id, 60)})
+    db.update_row(txn, table, 1, {"k": _envelope(topo, 60)})
     db.commit(txn)
 
     assert db.vacuum(table) == 0  # old version still visible to old_reader
@@ -424,7 +444,7 @@ def test_vacuum_k_updates_reclaims_k(topo):
     k = 7
     for i in range(k):
         txn = db.begin()
-        db.update_row(txn, table, 1, {"k": _ingest_int(topo, txn.query_id, i)})
+        db.update_row(txn, table, 1, {"k": _envelope(topo, i)})
         db.commit(txn)
     assert db.vacuum(table) == k
 
@@ -438,7 +458,7 @@ def test_live_set_after_vacuum_matches_visible_rows(topo):
     db.commit(setup)
     for key in range(1, 21, 2):
         txn = db.begin()
-        db.update_row(txn, table, key, {"k": _ingest_int(topo, txn.query_id, -key)})
+        db.update_row(txn, table, key, {"k": _envelope(topo, -key)})
         db.commit(txn)
     db.vacuum(table)
     reader = db.begin()
@@ -474,8 +494,9 @@ def _delete_records(topo) -> list[int]:
 def test_release_sends_batch_size_refs_per_message():
     """vacuum and orphan_gc delete batch_size refs per MSG_DELETE in
     ascending FID order, journal one delete record per live ref in that
-    order, fire their crash hooks per dead version, garbage ref and
-    partition, and count a ref that is no longer live as not reclaimed.
+    order, fire their crash hooks once a vacuum begins and per dead
+    version, garbage ref and partition, and count a ref that is no longer
+    live as not reclaimed.
     orphan_gc's closing flush checkpoints, so its records are read when
     the privacy checkpoint starts."""
     topo = ZoneTopology(322, batch_size=4)
@@ -490,19 +511,20 @@ def test_release_sends_batch_size_refs_per_message():
     old = [v.cells[1] for v in (table.rows[key][0] for key in range(1, 11))]
     txn = db.begin()
     for key in range(1, 11):
-        db.update_row(txn, table, key, {"k": _ingest_int(topo, txn.query_id, -key)})
+        db.update_row(txn, table, key, {"k": _envelope(topo, -key)})
     db.commit(txn)
     aborted = db.begin()
-    db.update_row(aborted, table, 1, {"k": _ingest_int(topo, aborted.query_id, 0)})
+    db.update_row(aborted, table, 1, {"k": _envelope(topo, 0)})
+    db.send_writes(aborted)
     garbage = list(aborted.promoted)
     db.abort(aborted)
     topo.privacy.store.delete(old[0])  # reclaimed behind the engine's back
-    topo.client.flush_log()
+    db.flush_privacy(checkpoint=True)  # no recipe pending: vacuum opens with no flush
     deletes_before = _delete_records(topo)
     trips, hooks[:] = topo.channel.round_trips, []
     assert db.vacuum(table) == 10  # 11 refs, one of them not live
     assert topo.channel.round_trips - trips == 3 + 1  # ceil(11 / 4) + flush
-    assert hooks == ["during-vacuum"] * 11
+    assert hooks == ["during-vacuum"] * (1 + 11)
     assert _delete_records(topo) == deletes_before + sorted(old[1:] + garbage)
 
     orphans = [topo.privacy.store.put(table.partition_id, encode_int64(i))
@@ -530,6 +552,7 @@ def test_vacuum_that_releases_nothing_sends_nothing(topo):
     setup = db.begin()
     _insert(topo, db, table, setup, 1, 1)
     db.commit(setup)
+    db.flush_privacy(checkpoint=True)  # no recipe pending
     trips = topo.channel.round_trips
     assert db.vacuum(table) == 0
     assert topo.channel.round_trips == trips
@@ -626,14 +649,19 @@ def test_recovery_txn_ids_advance(topo):
 
 
 def test_stale_temp_fid_raises_not_live(topo):
+    """A predicate constant ingested into its query's temporary partition
+    is gone once the query ends: a select that names it raises NotLive."""
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
     txn = db.begin()
-    fid = _ingest_int(topo, txn.query_id, 5)
-    topo.client.end_query(txn.query_id)  # drops the temp partition under it
+    _insert(topo, db, table, txn, 1, 5)
+    db.commit(txn)
+    query = db.begin()
+    const = _ingest_int(topo, query.query_id, 5)
+    topo.client.end_query(query.query_id)  # drops the temp partition under it
     with pytest.raises(NotLive):
-        db.insert_row(txn, table, [1, fid, b"x"])
-    db.abort(txn)
+        db.select(query, table, Predicate("k", OpKind.CMP_EQ, const))
+    db.abort(query)
 
 
 def _hand_frame(lsn: int, kind: int, payload: bytes) -> bytes:
@@ -645,23 +673,28 @@ def _hand_frame(lsn: int, kind: int, payload: bytes) -> bytes:
 def test_engine_record_bytes(topo, kind):
     """Each engine journal record kind's durable bytes, packed by hand:
     frame {u32 len, u32 crc32}, head {u64 lsn, u8 kind}, then its payload.
-    The journal holds the table's creation, an insert of a promoted ref
-    and its commit, an update
-    to a fresh ref (insert, the txn's recipes, commit) and the vacuum's
-    remove of the superseded version. No record ends a version: the
-    update's insert implies it."""
+    The journal holds the table's creation, an insert and an update of
+    the row, each its row record, the txn's recipes and its commit, and the
+    vacuum's remove of the superseded version. No record ends a version:
+    the update's insert implies it."""
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
     writer = db.begin()
-    _insert(topo, db, table, writer, 1, 100)
+    first = _envelope(topo, 100)
+    db.insert_row(writer, table, [1, first, b"n"])
     db.commit(writer)
     old = table.rows[1][0].cells[1]
     updater = db.begin()
-    envelope = topo.client_encrypt(encode_int64(200))
-    (new,) = topo.client.ingest(updater.query_id, [envelope], 1, table.partition_id)
-    db.update_row(updater, table, 1, {"k": new})
+    second = _envelope(topo, 200)
+    db.update_row(updater, table, 1, {"k": second})
     db.commit(updater)
+    new = table.rows[1][-1].cells[1]
     assert db.vacuum(table) == 1
+
+    def recipe(lsn, txn, fid, envelope):
+        envelope = envelope.to_bytes()
+        return _hand_frame(lsn, 5, struct.pack("<QQI", txn.txn_id, fid,
+                                               1 + len(envelope)) + b"\x01" + envelope)
 
     def cells(fid):  # id, k, note's length, then note
         return struct.pack("<qQI", 1, fid, 1) + b"n"
@@ -673,14 +706,12 @@ def test_engine_record_bytes(topo, kind):
                               + struct.pack("<BI", 2, 4) + b"note")],
         "insert": [_hand_frame(2, 1, struct.pack("<QIQQ", writer.txn_id, 0, 1, 1)
                                + cells(old)),
-                   _hand_frame(4, 1, struct.pack("<QIQQ", updater.txn_id, 0, 1, 2)
+                   _hand_frame(5, 1, struct.pack("<QIQQ", updater.txn_id, 0, 1, 2)
                                + cells(new))],
-        "commit": [_hand_frame(3, 4, struct.pack("<Q", writer.txn_id)),
-                   _hand_frame(6, 4, struct.pack("<Q", updater.txn_id))],
-        "recipe": [_hand_frame(5, 5, struct.pack("<QQI", updater.txn_id, new,
-                                                 1 + len(envelope))
-                               + b"\x01" + envelope)],
-        "remove": [_hand_frame(7, 3, struct.pack("<IQQ", 0, 1, 1))],
+        "commit": [_hand_frame(4, 4, struct.pack("<Q", writer.txn_id)),
+                   _hand_frame(7, 4, struct.pack("<Q", updater.txn_id))],
+        "recipe": [recipe(3, writer, old, first), recipe(6, updater, new, second)],
+        "remove": [_hand_frame(8, 3, struct.pack("<IQQ", 0, 1, 1))],
     }
     journal = db.dbwal.durable
     got, pos = [], 0
@@ -700,7 +731,7 @@ def _row_cells(fid: int, note: bytes = b"n") -> bytes:
     return struct.pack("<qQI", 1, fid, len(note)) + note
 
 
-# hand-framed records a recovery past LSN 3 must refuse, kind 1 insert,
+# hand-framed records a recovery past LSN 4 must refuse, kind 1 insert,
 # 3 remove, 4 commit, 5 recipe, 6 table; txn 9 commits where a case needs
 # it. A table record is a {u32 partition, u32 columns, u32 name length}
 # head and the name, then per column {u8 type, u32 name length} and the
@@ -749,10 +780,10 @@ def test_recovery_refuses_a_malformed_record(topo, case):
     _insert(topo, db, table, txn, 1, 1)
     db.commit(txn)
     journal = topo.dbwal_buffer.durable
-    assert len(read_frames(journal)) == 3  # the table, the insert, the commit
+    assert len(read_frames(journal)) == 4  # the table, the insert, its recipe, the commit
     topo.dbwal_buffer.replace(journal + b"".join(
         _hand_frame(lsn, kind, payload)
-        for lsn, (kind, payload) in enumerate(_MALFORMED[case], start=4)))
+        for lsn, (kind, payload) in enumerate(_MALFORMED[case], start=5)))
     topo.integrity.crash()
     with pytest.raises(CorruptLog):
         topo.integrity.recover()
@@ -760,23 +791,21 @@ def test_recovery_refuses_a_malformed_record(topo, case):
 
 def _supersession_setup(topo) -> tuple:
     """Commits rows 1 to 3, then: one txn updates row 1 twice, an update of
-    row 2 aborts and a plain update of row 3 commits. Row 1's refs are
-    written straight to the table's partition, so they ride as recipes.
+    row 2 sends its write and aborts, and a plain update of row 3 commits.
     Returns the table and the refs the aborted update promoted."""
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
-    pid = table.partition_id
     txn = db.begin()
-    db.insert_row(txn, table, [1, _ingest_int(topo, txn.query_id, 1, pid), b"n"])
-    for key in (2, 3):
+    for key in (1, 2, 3):
         _insert(topo, db, table, txn, key, key)
     db.commit(txn)
     twice = db.begin()
     for value in (10, 11):
-        db.update_row(twice, table, 1, {"k": _ingest_int(topo, twice.query_id, value, pid)})
+        db.update_row(twice, table, 1, {"k": _envelope(topo, value)})
     db.commit(twice)
     aborted = db.begin()
-    db.update_row(aborted, table, 2, {"k": _ingest_int(topo, aborted.query_id, 20, pid)})
+    db.update_row(aborted, table, 2, {"k": _envelope(topo, 20)})
+    db.send_writes(aborted)
     db.abort(aborted)
     plain = db.begin()
     db.update_row(plain, table, 3, {"note": b"m"})

@@ -16,11 +16,11 @@ from fidstore import messages as m
 from fidstore.bench import restart_violations
 from fidstore import wal
 from fidstore.errors import (
+    AuthFailure,
     NoCrashPending,
     StructureMismatch,
     Unavailable,
     WriteConflict,
-    WrongPartitionKind,
 )
 from fidstore.integrity_dbms import (
     CHECKPOINT_IMAGE,
@@ -31,6 +31,7 @@ from fidstore.integrity_dbms import (
 )
 from fidstore.privacy_proxy import (
     QUERY_TEMP_TARGET,
+    ClientEnvelope,
     OperatorRequest,
     OpKind,
     ValueType,
@@ -65,7 +66,7 @@ from fidstore.zone_sim import (
 )
 
 from .oracles import ShadowRunner
-from .test_checkpoint import _strip_checkpoint_events
+from .test_checkpoint import _permanent_mapping, _strip_checkpoint_events
 
 SCHEMA = [
     Column("id", ColumnType.PLAIN_INT),
@@ -86,6 +87,11 @@ def _ingest_int(topo, query_id, value, target=QUERY_TEMP_TARGET):
     envelope = topo.client_encrypt(encode_int64(value))
     (fid,) = topo.client.ingest(query_id, [envelope], 1, target)
     return fid
+
+
+def _envelope(topo, value) -> ClientEnvelope:
+    """An int64 secret as the client envelope a row write takes."""
+    return ClientEnvelope.from_bytes(topo.client_encrypt(encode_int64(value)))
 
 
 def test_same_seed_identical_trace_and_state():
@@ -143,8 +149,7 @@ def _commit_one_update(topo) -> None:
     db = topo.integrity.db
     table = db.tables_by_idx[0]
     txn = db.begin()
-    ref = _ingest_int(topo, txn.query_id, 5, table.partition_id)
-    db.update_row(txn, table, 1, {"k": ref})
+    db.update_row(txn, table, 1, {"k": _envelope(topo, 5)})
     db.commit(txn)
 
 
@@ -181,8 +186,8 @@ def test_crash_privacy_mid_query_aborts_txn():
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
     txn = db.begin()
-    fid = _ingest_int(topo, txn.query_id, 4)
-    db.insert_row(txn, table, [1, fid])
+    db.insert_row(txn, table, [1, _envelope(topo, 4)])
+    db.send_writes(txn)
     topo.inject_crash(CrashPoint(CrashPointId.RANDOM_BYTE, CrashTarget.PRIVACY,
                                  at_occurrence=0))
     with pytest.raises(Unavailable):
@@ -201,14 +206,12 @@ def test_crash_both_after_db_commit_preserves_txn():
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
     setup = db.begin()
-    fid = _ingest_int(topo, setup.query_id, 41)
-    db.insert_row(setup, table, [1, fid])
+    db.insert_row(setup, table, [1, _envelope(topo, 41)])
     db.commit(setup)
 
     topo.inject_crash(CrashPoint(CrashPointId.AFTER_DB_COMMIT, CrashTarget.BOTH))
     txn = db.begin()
-    fid = _ingest_int(topo, txn.query_id, 42)
-    db.insert_row(txn, table, [2, fid])
+    db.insert_row(txn, table, [2, _envelope(topo, 42)])
     from fidstore.zone_sim import ZoneCrashed
     with pytest.raises(ZoneCrashed):
         db.commit(txn)
@@ -230,8 +233,7 @@ def test_crash_before_privacy_flush_absent_everywhere():
     topo.inject_crash(CrashPoint(CrashPointId.BEFORE_PRIVACY_FLUSH,
                                  CrashTarget.BOTH))
     txn = db.begin()
-    fid = _ingest_int(topo, txn.query_id, 7, table.partition_id)
-    db.insert_row(txn, table, [1, fid])
+    db.insert_row(txn, table, [1, _envelope(topo, 7)])
     from fidstore.zone_sim import ZoneCrashed
     with pytest.raises(ZoneCrashed):
         db.commit(txn)
@@ -251,8 +253,9 @@ def test_orphans_after_commit_gap_crash_then_gc():
     topo.inject_crash(CrashPoint(
         CrashPointId.AFTER_PRIVACY_FLUSH_BEFORE_DB_COMMIT, CrashTarget.BOTH))
     txn = db.begin()
-    fid = _ingest_int(topo, txn.query_id, 7)
-    db.insert_row(txn, table, [1, fid])
+    db.insert_row(txn, table, [1, _envelope(topo, 7)])
+    db.send_writes(txn)
+    db.flush_privacy(checkpoint=True)  # the secret is durable, its row is not
     put_count = len(txn.promoted)
     from fidstore.zone_sim import ZoneCrashed
     with pytest.raises(ZoneCrashed):
@@ -265,8 +268,7 @@ def test_orphans_after_commit_gap_crash_then_gc():
 
 
 def _write_row(topo, db, table, txn, key, value):
-    fid = _ingest_int(topo, txn.query_id, value, table.partition_id)
-    db.insert_row(txn, table, [key, fid])
+    db.insert_row(txn, table, [key, _envelope(topo, value)])
 
 
 def _read_k(topo, key):
@@ -281,9 +283,10 @@ def _read_k(topo, key):
 
 
 def test_a_fid_commit_sends_no_message():
-    """A fid commit syncs only the integrity journal, which holds each
-    fresh secret's recipe, and sends nothing to the privacy zone; its
-    flush points still fire before its commit record is durable. When
+    """Once its writes are sent, a fid commit syncs only the integrity
+    journal, which holds each fresh secret's recipe, and sends nothing more
+    to the privacy zone; its flush points still fire before its commit
+    record is durable. When
     both zones crash before any flush, recovery restores every committed
     secret from its recipe."""
     topo = ZoneTopology(16)
@@ -296,6 +299,8 @@ def test_a_fid_commit_sends_no_message():
     _write_row(topo, db, table, t2, 2, 20)
     t3 = db.begin()
     _write_row(topo, db, table, t3, 3, 30)
+    for txn in (t1, t2, t3):
+        db.send_writes(txn)
     trips, privacy_durable = topo.channel.round_trips, topo.store_wal_buffer.durable
     for txn in (t1, t2, t3):
         db.commit(txn)
@@ -315,15 +320,14 @@ def test_a_fid_commit_sends_no_message():
 
 
 def test_cipher_commit_sends_nothing():
-    """The cipher baseline's envelopes live in its rows, so its commit
-    never waits on the privacy zone's journal."""
+    """The cipher baseline's envelopes live in its rows, so once its writes
+    are sent its commit never waits on the privacy zone's journal."""
     topo = ZoneTopology(17, backend="cipher")
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
     txn = db.begin()
-    env = db.backend.ingest(txn.query_id, [topo.client_encrypt(encode_int64(5))],
-                            table.partition_id, 1)[0]
-    db.insert_row(txn, table, [1, env])
+    db.insert_row(txn, table, [1, _envelope(topo, 5)])
+    db.send_writes(txn)
     trips, durable = topo.channel.round_trips, topo.store_wal_buffer.durable_len
     sites = []
     db.crash_hook = lambda site, txn: sites.append(site)
@@ -344,9 +348,9 @@ def test_cipher_commit_sends_nothing():
 
 
 def _covered_commit_crash(point_id, target):
-    """T1 and T2 write, T1 commits, then a crash at point_id on T2's
-    commit; returns the topology, T2, whether T2's commit raised and the
-    round trips T2's commit sent."""
+    """T1 and T2 write, T1 commits, T2 sends its writes, then a crash at
+    point_id on T2's commit; returns the topology, T2, whether T2's commit
+    raised and the round trips T2's commit sent."""
     topo = ZoneTopology(18)
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
@@ -354,6 +358,7 @@ def _covered_commit_crash(point_id, target):
     _write_row(topo, db, table, t1, 1, 10)
     _write_row(topo, db, table, t2, 2, 20)
     db.commit(t1)
+    db.send_writes(t2)
     topo.inject_crash(CrashPoint(point_id, target))
     trips = topo.channel.round_trips
     from fidstore.zone_sim import ZoneCrashed
@@ -391,25 +396,25 @@ def test_crash_at_the_flush_points_of_a_covered_commit():
 
 
 def test_privacy_restart_aborts_txns_holding_refs():
-    """A privacy-only crash loses T's unflushed secret; once the privacy
-    zone is back, T can neither commit it nor claim another lost ref."""
+    """A privacy-only crash loses T's unflushed secret, so once the privacy
+    zone is back T cannot commit it; a txn whose insert is still pending
+    stored nothing and commits."""
     topo = ZoneTopology(19)
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
     txn, other = db.begin(), db.begin()
     _write_row(topo, db, table, txn, 1, 10)
-    lost = _ingest_int(topo, other.query_id, 3, table.partition_id)
+    db.send_writes(txn)
+    _write_row(topo, db, table, other, 2, 3)
     topo.privacy.crash()
     topo.recover_all()
     assert txn.state.name == "ABORTED"
     with pytest.raises(ValueError):
         db.commit(txn)
-    with pytest.raises(WrongPartitionKind):
-        db.insert_row(other, table, [2, lost])
-    db.abort(other)
+    db.commit(other)
     report = topo.check_invariant()
     assert report.holds and report.orphans == 0
-    assert topo.client.fresh == {}
+    assert (_read_k(topo, 1), _read_k(topo, 2)) == (None, 3)
 
 
 def test_privacy_restart_forgets_abort_garbage():
@@ -420,12 +425,14 @@ def test_privacy_restart_forgets_abort_garbage():
     table = db.create_table("t", list(SCHEMA))
     aborted = db.begin()
     _write_row(topo, db, table, aborted, 1, 10)
+    db.send_writes(aborted)
     (lost,) = aborted.promoted
     db.abort(aborted)
     topo.privacy.crash()
     topo.recover_all()
     txn = db.begin()
     _write_row(topo, db, table, txn, 2, 20)
+    db.send_writes(txn)
     assert txn.promoted == [lost]  # recovery handed the lost slot out again
     db.commit(txn)
     assert db.vacuum(table) == 0
@@ -443,8 +450,7 @@ def test_integrity_crash_after_vacuums_deletes_are_durable():
     _write_row(topo, db, table, txn, 1, 10)
     db.commit(txn)
     txn = db.begin()
-    db.update_row(txn, table, 1,
-                  {"k": _ingest_int(topo, txn.query_id, 11, table.partition_id)})
+    db.update_row(txn, table, 1, {"k": _envelope(topo, 11)})
     db.commit(txn)
     flush = topo.client.flush_log
     flushes = []
@@ -592,15 +598,16 @@ def test_a_crash_inside_vacuum_leaves_each_kept_recipe_its_operands():
 
 
 def test_a_commit_during_a_privacy_outage_is_restored():
-    """A commit needs nothing from the privacy zone, so a txn whose secret
-    the privacy zone lost in a crash still commits while the zone is down;
-    recovery writes the secret back from its recipe before any other
-    request."""
+    """Once its writes are sent, a commit needs nothing from the privacy
+    zone, so a txn whose secret the privacy zone lost in a crash still
+    commits while the zone is down; recovery writes the secret back from
+    its recipe before any other request."""
     topo = ZoneTopology(23)
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
     txn = db.begin()
     _write_row(topo, db, table, txn, 1, 10)
+    db.send_writes(txn)
     topo.privacy.crash()
     db.commit(txn)
     assert txn.state.name == "COMMITTED"
@@ -621,63 +628,40 @@ def test_a_commit_during_a_privacy_outage_is_restored():
 
 
 
-def _add_one_to(topo, txn, table, ref):
-    """ref's value plus one, written fresh to the table's partition."""
-    (response,) = topo.client.exec_batch(txn.query_id, [OperatorRequest(
-        OpKind.ADD, ValueType.INT64, [ref], table.partition_id,
-        topo.client_encrypt(encode_int64(1)))], 1)
-    return response.fid
-
-
 @pytest.mark.parametrize("source", ["ingest", "operator"])
-@pytest.mark.parametrize("operand", ["claimed_first", "claimed_later",
-                                     "never_claimed", "claimed_by_other_txn"])
-def test_a_recipe_is_journaled_only_if_its_operand_comes_back_first(operand,
-                                                                     source):
-    """A = 10 and B = A + 1 go to the table's partition, and the committed
-    txn's row holds B; A is an ingest, or a committed 9 plus one. Restore
-    re-runs recipes in claim order, so B's recipe is journaled only if A's
-    comes before it: a row of the same txn claimed A first. If A is
-    claimed after B, by another txn that has not committed, or never, the
-    commit flushes the privacy journal first instead and journals no
-    recipe. Either way a privacy crash and recover_all bring every
-    committed row back."""
+def test_a_recipe_is_journaled_only_if_its_operand_comes_back_first(source):
+    """A txn writes A = 10 into row 1, then B = A + 1 over it, and commits;
+    A is an inserted envelope, or a committed 9 plus one. The ADD reaches
+    the txn's own placeholder, so A is sent and claimed before B is, and
+    B's recipe, whose one operand is A, is journaled after A's, with no
+    flush. A privacy crash loses both, and restore re-runs the recipes in
+    that claim order, so every committed version comes back."""
     topo = ZoneTopology(26)
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
     first = []
     if source == "operator":
         txn = db.begin()
-        _write_row(topo, db, table, txn, 0, 9)
+        _write_row(topo, db, table, txn, 1, 9)
         db.commit(txn)
         first = [txn.promoted[0]]
-    txn, other = db.begin(), db.begin()
+    txn = db.begin()
     if source == "operator":
-        a = _add_one_to(topo, txn, table, first[0])
+        _add_one(topo, db, table, txn, 1)
     else:
-        a = _ingest_int(topo, txn.query_id, 10, table.partition_id)
-    b = _add_one_to(topo, txn, table, a)
-    row_a = None
-    if operand == "claimed_first":
-        row_a = db.insert_row(txn, table, [2, a])
-    if operand == "claimed_by_other_txn":
-        db.insert_row(other, table, [2, a])
-    row_b = db.insert_row(txn, table, [1, b])
-    if operand == "claimed_later":
-        row_a = db.insert_row(txn, table, [2, a])
+        _write_row(topo, db, table, txn, 1, 10)
+    b = _add_one(topo, db, table, txn, 1)
+    a = table.rows[1][-2].cells[1]
     kinds = _count_kinds(topo)
     db.commit(txn)
-    flushed = operand != "claimed_first"
-    assert kinds[m.MSG_FLUSH_LOG] == int(flushed)
-    assert list(db.recipes) == ([] if flushed else first + [a, b])
+    assert kinds[m.MSG_FLUSH_LOG] == 0
+    assert list(db.recipes) == first + [a, b]
     topo.privacy.crash()
     report = topo.recover_all()
-    assert report.invariant.holds
-    assert report.invariant.orphans == int(row_a is None)  # A, if no row holds it
-    assert other.state.name == ("ABORTED" if operand == "claimed_by_other_txn"
-                                else "ACTIVE")
-    assert _read_k(topo, row_b) == 11
-    assert row_a is None or _read_k(topo, row_a) == 10
+    assert report.invariant.holds and report.invariant.orphans == 0
+    assert _read_k(topo, 1) == 11
+    store = topo.privacy.store
+    assert [decode_int64(store.peek(f)) for f in (a, b)] == [10, 11]
 
 
 def test_no_client_envelope_outlives_maintenance(monkeypatch):
@@ -688,14 +672,15 @@ def test_no_client_envelope_outlives_maintenance(monkeypatch):
     spec = _small_spec(mode=Mode.WRITE_ONLY, duration_ops=60)
     topo = ZoneTopology(24, batch_size=spec.batch_size, cache_capacity_blocks=2)
     sent = []
-    encrypt = topo.client_encrypt
+    codec = topo._client_codec
+    encrypt = codec.encrypt
 
     def recorded(plaintext):
         envelope = encrypt(plaintext)
-        sent.append(envelope)
+        sent.append(envelope.to_bytes())
         return envelope
 
-    topo.client_encrypt = recorded
+    codec.encrypt = recorded
     journals = []
     vacuum = Database.vacuum
 
@@ -725,8 +710,7 @@ def test_invariant_detector_self_test():
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
     txn = db.begin()
-    fid = _ingest_int(topo, txn.query_id, 3)
-    db.insert_row(txn, table, [1, fid])
+    db.insert_row(txn, table, [1, _envelope(topo, 3)])
     db.commit(txn)
     assert topo.check_invariant().holds
     # test hook: delete a referenced secret behind the engine's back
@@ -842,7 +826,10 @@ def test_conflicting_update_writes_nothing(statement, backend):
 # A txn holds its writes until it commits (integrity_dbms): the tests below
 # run statements as the runner does, on one table of six rows.
 _EXEC_KIND = {"fid": m.MSG_EXEC_BATCH, "cipher": m.MSG_CIPHER_EXEC}
+_INGEST_KIND = {"fid": m.MSG_INGEST, "cipher": m.MSG_CIPHER_INGEST}
 _REVEAL_KIND = {"fid": m.MSG_REVEAL, "cipher": m.MSG_CIPHER_REVEAL}
+# a row the tests below insert into the six: id 7, k, c and pad
+_ROW_7 = (7, 70, b"seven", b"sb-pad")
 
 
 def _six_rows(backend, txns=()):
@@ -857,10 +844,15 @@ def _six_rows(backend, txns=()):
 
 
 def _rows_after(program, writes) -> dict:
-    """Row id -> (k, c) of the program's preload after the (ADD or SET)
-    statements, in order."""
+    """Row id -> (k, c) of the program's preload after the (ADD, SET or
+    INSERT) statements, in order; an inserted row's id is its first
+    value."""
     rows = {row[0]: (row[1], row[2]) for row in program.tables[0].rows}
-    for kind, _, column, key, value in writes:
+    for kind, _, *rest in writes:
+        if kind == INSERT:
+            rows[rest[0][0]] = rest[0][1:3]
+            continue
+        _, key, value = rest
         k, c = rows[key]
         rows[key] = (k + value, c) if kind == ADD else (k, value)
     return rows
@@ -868,22 +860,26 @@ def _rows_after(program, writes) -> dict:
 
 @pytest.mark.parametrize("backend", ["fid", "cipher"])
 def test_a_write_only_txn_crosses_once_at_its_commit(backend):
-    """A txn's writes send nothing until its commit sends them all in one
-    operator message; an aborted txn and one that loses a write conflict
-    send nothing at all."""
+    """A txn's writes send nothing until its commit sends them all: its
+    updates in one operator message, its insert's envelopes in one ingest.
+    An aborted txn, inserts too, and one that loses a write conflict send
+    nothing at all and store nothing."""
     topo, runner = _six_rows(backend)
     db = topo.integrity.db
     tables = runner._preload(db)
     kinds = _count_kinds(topo)
-    writes = [(ADD, 0, "k", 1, 5), (SET, 0, "c", 2, b"new-c"), (ADD, 0, "k", 3, -4)]
+    writes = [(ADD, 0, "k", 1, 5), (INSERT, 0, _ROW_7), (SET, 0, "c", 2, b"new-c"),
+              (ADD, 0, "k", 3, -4)]
     txn = db.begin()
     for statement in writes:
         runner._execute(db, tables, txn, statement)
     assert not kinds
     db.commit(txn)
-    assert kinds == Counter({_EXEC_KIND[backend]: 1})
+    sent = Counter({_EXEC_KIND[backend]: 1, _INGEST_KIND[backend]: 1})
+    assert kinds == sent
+    live = _permanent_mapping(topo)
     aborted = db.begin()
-    for statement in writes:
+    for statement in writes[:2] + [(INSERT, 0, (8,) + _ROW_7[1:])]:
         runner._execute(db, tables, aborted, statement)
     db.abort(aborted)
     first, second = db.begin(), db.begin()
@@ -891,9 +887,9 @@ def test_a_write_only_txn_crosses_once_at_its_commit(backend):
     with pytest.raises(WriteConflict):
         runner._execute(db, tables, second, (ADD, 0, "k", 4, 2))
     db.abort(second)
-    assert kinds == Counter({_EXEC_KIND[backend]: 1})
+    assert kinds == sent and _permanent_mapping(topo) == live
     db.commit(first)
-    assert kinds == Counter({_EXEC_KIND[backend]: 2})
+    assert kinds == sent + Counter({_EXEC_KIND[backend]: 1})
     assert topo.check_invariant().holds
     expected = _rows_after(runner.program, writes + [(ADD, 0, "k", 4, 1)])
     assert _visible_rows(topo) == [expected]
@@ -901,10 +897,11 @@ def test_a_write_only_txn_crosses_once_at_its_commit(backend):
 
 @pytest.mark.parametrize("backend", ["fid", "cipher"])
 def test_a_txn_reads_back_what_it_wrote(backend):
-    """A READ or SUM of a row the txn wrote, or a second write to it,
-    sends the txn's writes first and sees the new value; a statement over
-    rows the txn did not write sends none of them."""
-    statements = [(ADD, 0, "k", 1, 5), (READ, 0, "k", 2), (SUM, 0, "k", 1, 4),
+    """A READ or SUM of a row the txn wrote or inserted, or a second write
+    to it, sends the txn's writes first and sees the new value; a statement
+    over rows the txn did not write sends none of them."""
+    statements = [(INSERT, 0, _ROW_7), (READ, 0, "k", 7), (SUM, 0, "k", 5, 8),
+                  (ADD, 0, "k", 1, 5), (READ, 0, "k", 2), (SUM, 0, "k", 1, 4),
                   (READ, 0, "k", 1), (SET, 0, "c", 2, b"set"), (ADD, 0, "k", 2, 3)]
     topo, runner = _six_rows(backend, [TxnTemplate(statements, False)])
     sent = []
@@ -925,12 +922,14 @@ def test_a_txn_reads_back_what_it_wrote(backend):
     shadow = ShadowRunner(program, flatten_schedule(program)).run()
     assert report.revealed == shadow.revealed
     k = {row[0]: row[1] for row in program.tables[0].rows}
-    assert [r[3] for r in report.revealed] == [k[2], k[1] + 5 + k[2] + k[3], k[1] + 5]
+    assert [r[3] for r in report.revealed] == [
+        70, k[5] + k[6] + 70, k[2], k[1] + 5 + k[2] + k[3], k[1] + 5]
     exec_, reveal = _EXEC_KIND[backend], _REVEAL_KIND[backend]
-    # the READ of row 2 sends no write; the SUM reaches row 1's and sends
-    # it; the ADD to row 2 reaches the SET's; the commit sends the ADD;
-    # then maintenance flushes
-    assert sent[:7] == [reveal, exec_, exec_, reveal, exec_, exec_, m.MSG_FLUSH_LOG]
+    # the READ of row 7 sends its insert; the READ of row 2 sends no write;
+    # the SUM reaches row 1's and sends it; the ADD to row 2 reaches the
+    # SET's; the commit sends the ADD; then maintenance flushes
+    assert sent[:10] == [_INGEST_KIND[backend], reveal, exec_, reveal, exec_, exec_,
+                         reveal, exec_, exec_, m.MSG_FLUSH_LOG]
     assert _visible_rows(topo) == [{row_id: (cells[1], cells[2]) for row_id, cells
                                     in shadow.db.quiescent_rows(0).items()}]
 
@@ -962,10 +961,10 @@ def test_a_txn_that_writes_a_row_twice_matches_the_oracle(backend):
 
 @pytest.mark.parametrize("backend", ["fid", "cipher"])
 def test_a_privacy_crash_while_a_txn_holds_only_pending_writes(backend):
-    """A txn whose writes are all pending stored no ref, so a privacy
-    crash does not abort it: recovery restores the committed secret its
-    ADD reads, from its recipe, and the txn then commits with the
-    invariant holding and the rows as the oracle's."""
+    """A txn whose writes, an insert among them, are all pending stored no
+    ref, so a privacy crash does not abort it: recovery restores the
+    committed secret its ADD reads, from its recipe, and the txn then
+    commits with the invariant holding and the rows as the oracle's."""
     topo, runner = _six_rows(backend)
     db = topo.integrity.db
     tables = runner._preload(db)
@@ -973,7 +972,7 @@ def test_a_privacy_crash_while_a_txn_holds_only_pending_writes(backend):
     txn = db.begin()
     runner._execute(db, tables, txn, committed[0])
     db.commit(txn)
-    pending = [(ADD, 0, "k", 1, 5), (SET, 0, "c", 2, b"after")]
+    pending = [(ADD, 0, "k", 1, 5), (INSERT, 0, _ROW_7), (SET, 0, "c", 2, b"after")]
     txn = db.begin()
     for statement in pending:
         runner._execute(db, tables, txn, statement)
@@ -987,6 +986,37 @@ def test_a_privacy_crash_while_a_txn_holds_only_pending_writes(backend):
     assert invariant.holds and invariant.orphans == 0
     expected = _rows_after(runner.program, committed + pending)
     assert _visible_rows(topo) == [expected]
+
+
+def test_a_write_batch_with_a_failing_element_journals_nothing():
+    """A commit whose write batch holds a STORE with an envelope that fails
+    its tag raises once the batch has run: the txn journals nothing, claims
+    nothing and still holds every write, and the FIDs the batch's other
+    elements wrote are orphans, which orphan_gc reclaims once it aborts.
+    The client keeps no record of them."""
+    topo, runner = _six_rows("fid")
+    db = topo.integrity.db
+    tables = runner._preload(db)
+    table, store = tables[0], topo.privacy.store
+    bad = bytearray(topo.client_encrypt(pad_sensitive(b"bad")))
+    bad[-1] ^= 1
+    txn = db.begin()
+    runner._execute(db, tables, txn, (ADD, 0, "k", 1, 5))
+    db.update_row(txn, table, 2, {"c": OperatorRequest(
+        OpKind.STORE, ValueType.BYTES, [], table.partition_id, bytes(bad))})
+    runner._execute(db, tables, txn, (ADD, 0, "k", 3, 1))
+    journal, live = db.dbwal.durable_len, set(store.live_fids(table.partition_id))
+    with pytest.raises(AuthFailure):
+        db.commit(txn)
+    assert db.dbwal.durable_len == journal and db.dbwal.pending_len == 0
+    assert txn.state.name == "ACTIVE" and len(txn.pending) == 3
+    assert not (txn.recipes or txn.promoted or txn.staged)
+    assert len(set(store.live_fids(table.partition_id)) - live) == 2
+    assert vars(topo.client).keys() == {"channel", "trace", "_temp_queries"}
+    db.abort(txn)
+    assert db.orphan_gc() == 2
+    assert topo.check_invariant().orphans == 0
+    assert _visible_rows(topo) == [_rows_after(runner.program, [])]
 
 
 def test_a_store_recipe_is_restored_after_a_privacy_crash():
@@ -1033,8 +1063,7 @@ def test_query_with_temporaries_still_ends_them(query):
     table = db.create_table("t", list(SCHEMA))
     txn = db.begin()
     for key in range(1, 11):
-        ref = _ingest_int(topo, txn.query_id, key, table.partition_id)
-        db.insert_row(txn, table, [key, ref])
+        db.insert_row(txn, table, [key, _envelope(topo, key)])
     db.commit(txn)
     kinds = _count_kinds(topo)
     q = db.begin()
@@ -1084,8 +1113,7 @@ def test_comparison_outcome_flip_breaks_indistinguishability():
         db = topo.integrity.db
         table = db.create_table("t", list(SCHEMA))
         txn = db.begin()
-        fid = _ingest_int(topo, txn.query_id, value)
-        db.insert_row(txn, table, [1, fid])
+        db.insert_row(txn, table, [1, _envelope(topo, value)])
         db.commit(txn)
         query = db.begin()
         const = _ingest_int(topo, query.query_id, 10)
@@ -1125,8 +1153,8 @@ def test_plaintext_never_crosses_the_boundary():
                                   Column("c", ColumnType.SENSITIVE_BYTES)])
     txn = db.begin()
     for i in range(40):
-        fid = topo.client.ingest(txn.query_id, [topo.client_encrypt(sentinel)], 1)[0]
-        db.insert_row(txn, table, [i, fid])
+        db.insert_row(txn, table,
+                      [i, ClientEnvelope.from_bytes(topo.client_encrypt(sentinel))])
     db.commit(txn)
     topo.privacy.atrest.flush_dirty()  # force sealed writes to untrusted area
 
@@ -1226,12 +1254,9 @@ _PINNED_TRACE = {
         [("BlockWrite", 3 << 32 | 1), ("BlockWrite", _B), ("BlockWrite", _B | 3 << 32),
          ("BlockDrop", 0), ("BlockDrop", 3 << 32), ("BlockDrop", 3 << 32 | 1),
          ("BlockDrop", _B), ("BlockDrop", _B | 3 << 32), ("BlockDrop", _B | 3 << 32 | 1)]),
-    "insert-only": (Mode.INSERT_ONLY, Distribution.UNIFORM, "fid", 728,
-                    "d71f7883ded2103ec8f8ba3fe53482790a8c24d4c5c48282530773189f95d677",
-                    [("BlockWrite", _B), ("BlockWrite", _B | 3 << 32 | 1),
-                     ("BlockWrite", _B), ("BlockWrite", _B | 3 << 32 | 1),
-                     ("BlockDrop", 0), ("BlockDrop", 3 << 32 | 1), ("BlockDrop", _B),
-                     ("BlockDrop", _B | 3 << 32 | 1)]),
+    "insert-only": (Mode.INSERT_ONLY, Distribution.UNIFORM, "fid", 666,
+                    "bc4eb9f1cc754b7ba3bc79405baacbb9b4ecd28421eff5ca896f634461754440",
+                    [("BlockWrite", _B), ("BlockWrite", _B | 3 << 32 | 1)]),
     "point-select": (Mode.POINT_SELECT, Distribution.UNIFORM, "fid", 488,
                      "233c86ec62dca173ac17df38a436ec8a7f9ecbf609264eb6f7f6d6de66cb6444",
                      []),
@@ -1530,22 +1555,33 @@ def test_pinned_counts_range_select_cold_cache():
 
 
 def test_an_insert_sends_its_row_in_one_ingest(monkeypatch):
-    """An insert's k and c travel in one MSG_INGEST."""
+    """An INSERT statement sends nothing: its txn's commit sends the row's
+    k and c in one MSG_INGEST, and an aborted txn's insert never crosses."""
     spec = _small_spec(mode=Mode.INSERT_ONLY)
     topo = ZoneTopology(3, batch_size=spec.batch_size)
     kinds = _count_kinds(topo)
     sent = []
     execute = _Runner._execute
+    at_commit = []
+    commit = Database.commit
 
     def counting_execute(runner, db, tables, txn, statement):
         before = kinds[m.MSG_INGEST]
         execute(runner, db, tables, txn, statement)
         sent.append((statement[0], len(statement[2]), kinds[m.MSG_INGEST] - before))
 
+    def counting_commit(db, txn):
+        before = kinds[m.MSG_INGEST]
+        commit(db, txn)
+        at_commit.append(kinds[m.MSG_INGEST] - before)
+
     monkeypatch.setattr(_Runner, "_execute", counting_execute)
+    monkeypatch.setattr(Database, "commit", counting_commit)
     report = topo.run_program(generate_workload(spec, 3))
-    assert report.ops_completed == spec.duration_ops
-    assert sent == [(INSERT, 4, 1)] * spec.duration_ops
+    assert report.ops_completed == spec.duration_ops and report.txns_aborted
+    assert sent == [(INSERT, 4, 0)] * spec.duration_ops
+    assert at_commit[spec.tables:] == [1] * report.txns_committed
+    assert kinds[m.MSG_INGEST] == sum(at_commit)
 
 
 def _preload_state(seed: int, spec: WorkloadSpec, cache: int | None) -> tuple:
