@@ -3,9 +3,10 @@ crash matrix.
 
 Subcommands: ops (per-operation latency vs AEAD), crash-matrix (exit
 nonzero on any external-synchrony violation, after the recovery or after
-one more restart, a corrupt journal, or a committed row or secret that
-recovery did not bring back). Workload performance and durable size come
-from perfbench/run.py.
+one more restart, a corrupt journal, a committed row or secret that
+recovery did not bring back, or a row whose crash point never fired, which
+checks nothing). Workload performance and durable size come from
+perfbench/run.py.
 """
 
 from __future__ import annotations
@@ -74,9 +75,17 @@ def _cmd_crash_matrix(args: argparse.Namespace) -> int:
     _write_csv(args.out, MATRIX_CSV_COLUMNS, rows)
     violations = sum(r["violations"] + r["restart_violations"] + r["lost_values"]
                      for r in rows)
+    unfired = [r for r in rows if not r["fired"]]
     if violations:
         print(f"FAIL: {violations} dangling-FID violations, corrupt journals or "
               f"lost values", file=sys.stderr)
+    if unfired:
+        runs = ", ".join(f"{r['crash_point']}/{r['target']} "
+                         f"cache={r['cache_blocks'] or 'all'} seed={r['seed']}"
+                         for r in unfired)
+        print(f"FAIL: {len(unfired)} of {len(rows)} runs never reached their "
+              f"crash point: {runs}", file=sys.stderr)
+    if violations or unfired:
         return 1
     print(f"ok: {len(rows)} runs, 0 violations")
     return 0

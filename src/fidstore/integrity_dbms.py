@@ -25,13 +25,13 @@ before any message is sent. A transaction holds its writes: the new
 version is installed at once with a placeholder in each written cell, so
 first-updater-wins, the write set and abort work as for any other write.
 commit sends all of the transaction's writes in one backend call
-(send_writes), before its first crash point, then fills the placeholders,
-claims the fresh refs with the recipes of the calls that wrote them and
-stages the DB_INSERTs, so the durability order below is unchanged. So a
-write-only transaction crosses to the privacy zone once, and an aborted
-one never. The writes go earlier only when the transaction reads, sums or
-writes again a version it wrote that still holds a placeholder
-(visible_version, update_row): that depends on keys alone.
+(send_writes), before its crash point, then fills the placeholders, claims
+the fresh refs with the recipes of the calls that wrote them and stages
+the versions, so the durability order below is unchanged. So a write-only
+transaction crosses to the privacy zone once, and an aborted one never.
+The writes go earlier only when the transaction reads, sums or writes
+again a version it wrote that still holds a placeholder (visible_version,
+update_row): that depends on keys alone.
 
 The cross-domain contract is an invariant: a durably visible FID has a
 durable secret, or a durable recipe whose operands are durable or backed
@@ -40,21 +40,22 @@ privacy journal holds deletes and partition creations, never a value. A
 recipe is the bytes that wrote a fresh FID (messages): the client envelope
 of an ingest, or the operator element whose value result went to the
 table's partition. A commit syncs only this engine's journal, as the
-cipher baseline's does: one DB_RECIPE record beside its row records holds
-the recipe of each fresh FID its rows claim, in claim order, and the
-recipes become pending (Database.recipes) once the commit record is
-durable. Restore re-runs them in that order, so each operand a recipe
-reads must come back before it, and by construction it does: an operand
-is the ref of the cell its write replaced, which is either a committed
-visible ref, whose secret a privacy checkpoint made durable or whose
-recipe is pending, or the transaction's own earlier write, claimed
-earlier in the same commit (a write over a placeholder sends the pending
-writes first). A MSG_FLUSH_LOG with the checkpoint flag makes every secret
-written before it durable, so once it returns no recipe is pending; a
-plain one makes only delete and create records durable (where the engine
-sends each: messages). A commit sends neither. A transaction that staged
-nothing makes no FID visible, so its commit takes a commit sequence
-number and touches neither journal.
+cipher baseline's does, and appends one record to it: the DB_COMMIT holds
+the transaction's row versions and then the recipe of each fresh FID they
+claim, in claim order. Once that sync returns the transaction is committed
+and its recipes are pending (Database.recipes); before it, nothing of the
+transaction is durable. Restore re-runs the recipes in that order, so
+each operand a recipe reads must come back before it, and by construction
+it does: an operand is the ref of the cell its write replaced, which is
+either a committed visible ref, whose secret a privacy checkpoint made
+durable or whose recipe is pending, or the transaction's own earlier
+write, claimed earlier in the same commit (a write over a placeholder
+sends the pending writes first). A MSG_FLUSH_LOG with the checkpoint
+flag makes every secret written before it durable, so once it returns no
+recipe is pending; a plain one makes only delete and create records
+durable (where the engine sends each: messages). A commit sends neither.
+A transaction that staged nothing makes no FID visible, so its commit
+takes a commit sequence number and touches neither journal.
 
 When the privacy zone restarts, it has lost every secret that was not yet
 durable, and a lost FID's slot may be handed out again. Before any other
@@ -69,7 +70,9 @@ transaction that stored a ref and forgets the abort garbage, so no lost
 ref is ever committed or released; whatever of it did survive is an orphan
 for orphan_gc.
 
-The engine's journal follows the checkpoint rule in wal: it checkpoints
+Every sync of the engine's journal appends exactly one record: a
+create_table's DB_TABLE, a commit's DB_COMMIT or a vacuum pass's
+DB_REMOVE. The journal follows the checkpoint rule in wal: it checkpoints
 after the sync of a commit or vacuum that took it past the interval, and
 when orphan_gc ends with no transaction active, if it holds records. Both
 zones checkpoint together whenever the image names a secret no checkpoint
@@ -78,16 +81,16 @@ orphan_gc's closing one, carries the checkpoint flag, so the privacy zone
 checkpoints right after that sync and seals those secrets. After
 maintenance both zones' durable state is images and sealed blocks only.
 The image holds every table (its DB_TABLE encoding), the newest committed
-version of every row (its cells in the DB_INSERT encoding, the bytes
-RowVersion.wire kept since the version was staged or decoded, after a
-version head of its row id, vseq and writer txn) and the next_* counters,
-in one CRC frame (wal.frame), so recovery refuses a damaged image. A
-record gets its LSN when it is journaled, not when it is staged, so LSNs
-increase along the journal and the image's next_lsn is its cover. No
-transaction outlives a crash, so no snapshot after recovery can see an
-older version; a ref only an older version holds is an orphan for
-orphan_gc if the crash comes before vacuum releases it. For the same
-reason the image holds no commit seq (recover_database).
+version of every row (its cells as its commit record holds them, the
+bytes RowVersion.wire kept since the version was staged or decoded, after
+a version head of its row id, vseq and writer txn) and the next_*
+counters, in one CRC frame (wal.frame), so recovery refuses a damaged
+image. A record gets its LSN when it is journaled, so LSNs increase along
+the journal and the image's next_lsn is its cover. No transaction
+outlives a crash, so no snapshot after recovery can see an older version;
+a ref only an older version holds is an orphan for orphan_gc if the crash
+comes before vacuum releases it. For the same reason the image holds no
+commit seq (recover_database).
 
 Both encodings are as compact as the schema allows, with no format flag:
 a table's cells are one struct (Table.cells), with no cell count and a
@@ -139,35 +142,36 @@ from .privacy_proxy import (
 
 CHECKPOINT_IMAGE = "db.ckpt"
 
-DB_INSERT = 1
-# kind 2 is retired and never reused: it ended a version and named the
-# refs it released, which recovery now reads off the version chain
-DB_REMOVE = 3
-DB_COMMIT = 4
-DB_RECIPE = 5
+# kinds 1 to 5 are retired and never reused: a row record, a version end
+# (2), a version removal, a commit and a txn's recipes each took a record
+# of their own, so a commit took several
 DB_TABLE = 6
+DB_COMMIT = 7
+DB_REMOVE = 8
 
 # DbWal record payloads, which wal.frame_record frames with their LSN and
-# kind: a DB_INSERT row record (txn, table, row, vseq; then the cells), a
-# DB_REMOVE (table, row, vseq), a DB_COMMIT (txn), a DB_RECIPE (txn; then
-# per fresh FID the txn's cells claimed, in claim order, a _RECIPE_ITEM
-# head and its recipe, in the messages format) and a DB_TABLE (_TABLE_DEF,
-# the UTF-8 name, then per column _COLUMN and its name). A version's end is
-# not journaled: the DB_INSERT of its successor implies it. The cells are
-# Table.cells, fixed by the table's schema and the backend: one field per
-# column, an i64 for a PLAIN_INT, a u64 for a FID and a u32 length for a
-# PLAIN_BYTES cell or a cipher envelope, then the bytes of each of those
-# last, in column order.
-_ROW_REC = struct.Struct("<QIQQ")
-_REMOVE_REC = struct.Struct("<IQQ")
-_COMMIT_REC = struct.Struct("<Q")
+# kind, one record per sync: a DB_COMMIT (_COMMIT_HEAD; then per row
+# version the txn wrote _ROW_HEAD and its cells; then per fresh FID the
+# txn's cells claimed, in claim order, a _RECIPE_ITEM head and its recipe,
+# in the messages format, up to the end), a DB_REMOVE (_REMOVE_HEAD, then
+# a _REMOVE_ITEM per version a vacuum pass removed) and a DB_TABLE
+# (_TABLE_DEF, the UTF-8 name, then per column _COLUMN and its name). A
+# version's end is not journaled: the next committed version of its row
+# implies it. The cells are Table.cells, fixed by the table's schema and
+# the backend: one field per column, an i64 for a PLAIN_INT, a u64 for a
+# FID and a u32 length for a PLAIN_BYTES cell or a cipher envelope, then
+# the bytes of each of those last, in column order.
+_COMMIT_HEAD = struct.Struct("<QI")  # txn, row versions
+_ROW_HEAD = struct.Struct("<IQQ")  # table, row, vseq
 _RECIPE_ITEM = struct.Struct("<QI")  # fid, recipe length
+_REMOVE_HEAD = struct.Struct("<I")  # table
+_REMOVE_ITEM = struct.Struct("<QQ")  # row, vseq
 _TABLE_DEF = struct.Struct("<III")  # partition id, column count, name length
 _COLUMN = struct.Struct("<BI")  # column type, name length
 # Checkpoint image: _IMAGE_HEAD (next txn id, next commit seq, next lsn,
 # table count, then the widths of a version head's row id, vseq and begin
 # txn), then per table its DB_TABLE encoding, _TABLE_HEAD and its imaged
-# versions, each a version head and its cells in the DB_INSERT encoding.
+# versions, each a version head and its cells (Table.encode).
 # A version head writes each field at its width, the narrowest of 1, 2, 4
 # and 8 bytes (mapping_store.narrowest_width) that holds every value below
 # its counter: the largest next row id and next vseq of any table, and
@@ -205,10 +209,10 @@ class TxnState(IntEnum):
 
 
 class RowVersion:
-    """One version of a row. wire is its cells in the DB_INSERT encoding,
-    built once when the version is staged (or kept from the image or
-    record it was decoded from), so a checkpoint image reuses it. A
-    version whose writes its txn still holds (Txn.pending) has a None
+    """One version of a row. wire is its cells (Table.encode), built once
+    when the version is staged (or kept from the image or commit record it
+    was decoded from), so its commit record and a checkpoint image reuse
+    it. A version whose writes its txn still holds (Txn.pending) has a None
     placeholder in each of their cells and no wire until they are sent;
     send_writes fills the placeholders in column order, the order of the
     writes."""
@@ -225,6 +229,12 @@ class RowVersion:
 
 
 class Txn:
+    """A transaction. staged holds the commit record's entry of each
+    version it wrote whose cells are all set (_ROW_HEAD and the version's
+    wire), and recipes the (fid, recipe) of each fresh FID a cell claimed,
+    in claim order: the two parts of its commit record. promoted holds
+    every ref its sent writes stored."""
+
     __slots__ = ("txn_id", "state", "snapshot_seq", "write_set", "staged",
                  "promoted", "recipes", "pending", "writes", "query_id")
 
@@ -236,7 +246,7 @@ class Txn:
         self.write_set: list = []
         self.staged: list = []
         self.promoted: list = []
-        self.recipes: list = []  # (fid, recipe) of each fresh FID a cell claimed
+        self.recipes: list = []
         # (table, version, promoted_refs) of each version whose writes are
         # not sent yet, and those writes (Database._writes), in order
         self.pending: list = []
@@ -267,14 +277,14 @@ class Table:
         self.varlen = [i for i, code in enumerate(codes) if code is None]
 
     def encode(self, cells: list) -> bytes:
-        """cells in the DB_INSERT encoding."""
+        """cells in the table's cells encoding (Table.cells)."""
         fields = list(cells)
         for i in self.varlen:
             fields[i] = len(cells[i])
         return self.cells.pack(*fields) + b"".join([cells[i] for i in self.varlen])
 
     def decode(self, data: bytes, pos: int) -> tuple[list, int]:
-        """The cells whose DB_INSERT encoding starts at pos, and its end:
+        """The cells whose encoding starts at pos, and its end:
         struct.error if data ends in the fields, an end past data's if it
         ends in the bytes, which the caller's check of the end refuses."""
         cells = list(self.cells.unpack_from(data, pos))
@@ -529,7 +539,7 @@ class Database:
         # durably names it
         self.flush_privacy()
         table = self._add_table(name, schema, partition_id)
-        self._journal([(DB_TABLE, table.wire())])
+        self._journal(DB_TABLE, table.wire())
         return table
 
     def _add_table(self, name: str, schema: list[Column], partition_id: int) -> Table:
@@ -574,27 +584,24 @@ class Database:
 
     def commit(self, txn: Txn) -> None:
         """Sends the txn's pending writes (send_writes; on an error the txn
-        stays active, for the caller to abort), then makes its records
-        durable as the module docstring says."""
+        stays active, for the caller to abort), then journals its commit
+        record, its row versions and the recipes of their fresh FIDs, in
+        one sync, as the module docstring says."""
         if txn.state != TxnState.ACTIVE:
             raise ValueError(f"commit on txn in state {txn.state}")
         self.send_writes(txn)
         if not txn.staged:
-            # nothing staged makes no FID visible: no flush, no commit record
+            # nothing staged makes no FID visible: no commit record
             self._finish_commit(txn)
             return
         txn.state = TxnState.PREPARING
-        self._hook("before-privacy-flush", txn)
-        self._hook("after-privacy-flush-before-db-commit", txn)
+        self._hook("before-db-commit", txn)
         # the FIDs become externally visible, the fresh ones with their
         # recipes
-        records = txn.staged
         recipes = txn.recipes
-        if recipes:
-            records = records + [(DB_RECIPE, _COMMIT_REC.pack(txn.txn_id) + b"".join(
-                _RECIPE_ITEM.pack(fid, len(recipe)) + recipe
-                for fid, recipe in recipes))]
-        self._journal(records + [self._record(DB_COMMIT, txn=txn.txn_id)])
+        self._journal(DB_COMMIT, b"".join([
+            _COMMIT_HEAD.pack(txn.txn_id, len(txn.staged)), *txn.staged,
+            *(_RECIPE_ITEM.pack(fid, len(recipe)) + recipe for fid, recipe in recipes)]))
         self.recipes.update(recipes)
         self._hook("after-db-commit", txn)
         self._finish_commit(txn)
@@ -764,19 +771,19 @@ class Database:
             self._stage(txn, table, version)
 
     def _stage(self, txn: Txn, table: Table, version: RowVersion) -> None:
-        """Encodes a version whose cells are all set, stages its DB_INSERT
-        and shows its sensitive refs to the trace."""
+        """Encodes a version whose cells are all set, stages its entry in
+        the txn's commit record and shows its sensitive refs to the
+        trace."""
         version.wire = table.encode(version.cells)
-        txn.staged.append(self._record(DB_INSERT, txn=txn.txn_id, table=table.idx,
-                                       row=version.row_id, vseq=version.vseq,
-                                       cells=version.wire))
+        txn.staged.append(_ROW_HEAD.pack(table.idx, version.row_id, version.vseq)
+                          + version.wire)
         self._observe_cells(table, version.cells)
 
     def send_writes(self, txn: Txn) -> None:
         """Sends the txn's pending writes in one backend call
         (backend.promote, batch_size values per message), then, in the order
         the txn made them, fills each placeholder with its fresh ref, claims
-        the refs with their recipes and stages the versions' DB_INSERTs. An
+        the refs with their recipes and stages the versions. An
         error leaves every write pending, and the refs the call did store
         are orphans for orphan_gc."""
         pending = txn.pending
@@ -880,7 +887,8 @@ class Database:
         """Drop versions invisible to every snapshot; delete the refs each
         held that its successor does not, and the table's abort garbage, in
         ascending FID order, batch_size refs per message (backend.release).
-        Runs outside any transaction.
+        Runs outside any transaction. The pass journals its removals as one
+        DB_REMOVE record, in one sync, before it releases any ref.
 
         While a recipe is pending it first checkpoints the privacy zone, so
         every secret is durable before a removal is: recovery drops the
@@ -897,7 +905,7 @@ class Database:
         min_snapshot = min((t.snapshot_seq for t in self.active_txns.values()),
                            default=None)
         release = []
-        remove_records = []
+        removed = []
         for row_id in list(table.rows):
             chain = table.rows[row_id]
             kept = []
@@ -909,8 +917,7 @@ class Database:
                     for c in table.sensitive:
                         if cells[c] != successor[c]:
                             release.append(cells[c])
-                    remove_records.append(self._record(
-                        DB_REMOVE, table=table.idx, row=row_id, vseq=version.vseq))
+                    removed.append(_REMOVE_ITEM.pack(row_id, version.vseq))
                     self._hook("during-vacuum", None)
                 else:
                     kept.append(version)
@@ -922,8 +929,8 @@ class Database:
         # the removals are durable before any ref is released: a crash in
         # between leaves orphans, never a recovered version whose released
         # refs name slots the store has freed and may hand out again
-        if remove_records:
-            self._journal(remove_records)
+        if removed:
+            self._journal(DB_REMOVE, _REMOVE_HEAD.pack(table.idx) + b"".join(removed))
             self._forget_unnamed_txns()
             self._synced()
         reclaimed = self.backend.release(release, self.batch_size)
@@ -1086,22 +1093,10 @@ class Database:
     # ------------------------------------------------------------------
     # DbWal records
 
-    def _record(self, kind: int, txn: int = 0, table: int = 0, row: int = 0,
-                vseq: int = 0, cells: bytes = b"") -> tuple[int, bytes]:
-        """A record as (kind, payload); _journal gives it its LSN."""
-        if kind == DB_COMMIT:
-            return kind, _COMMIT_REC.pack(txn)
-        if kind == DB_REMOVE:
-            return kind, _REMOVE_REC.pack(table, row, vseq)
-        return kind, _ROW_REC.pack(txn, table, row, vseq) + cells
-
-    def _journal(self, records: list[tuple[int, bytes]]) -> None:
-        """Frames the records with the next LSNs, appends them in one piece
-        and syncs."""
-        lsn = self.next_lsn
-        self.next_lsn += len(records)
-        self.dbwal.append(b"".join(wal.frame_record(lsn + i, kind, payload)
-                                   for i, (kind, payload) in enumerate(records)))
+    def _journal(self, kind: int, payload: bytes) -> None:
+        """Frames one record with the next LSN, appends it and syncs."""
+        self.dbwal.append(wal.frame_record(self.next_lsn, kind, payload))
+        self.next_lsn += 1
         self._durable_write(self.dbwal.sync)
 
     def _durable_write(self, write, *args) -> None:
@@ -1136,13 +1131,16 @@ def _plain_compare(op: OpKind, a, b) -> bool:
 def recover_database(client, backend, dbwal: DurableBuffer,
                      snapshots: SnapshotStore, **db_kwargs) -> tuple[Database, int]:
     """Rebuild the engine, its tables too, from the checkpoint image and then
-    the durable DbWal records past its cover, in LSN order; returns the
-    engine and the number of journal records replayed. Any transaction
-    without a durable commit record is treated as aborted: its row versions
-    are never materialized, so its promoted secrets surface as store
-    orphans for orphan_gc. A committed DB_INSERT ends the newest version of
-    its row so far: under first-updater-wins a row's committed versions are
-    journaled in chain order, so that is the version its txn superseded.
+    the durable DbWal records past its cover, in one pass in LSN order;
+    returns the engine and the number of journal records replayed. A
+    commit is one record, synced whole, so every durable DB_COMMIT is a
+    committed txn, which takes the next commit seq as it is read; a txn
+    whose record is not durable (a torn one included, which the journal
+    drops) never materializes, so its promoted secrets surface as store
+    orphans for orphan_gc. Each row version a DB_COMMIT holds ends the
+    newest version of its row so far: under first-updater-wins a row's
+    committed versions are journaled in chain order, so that is the version
+    its txn superseded.
 
     The image holds no commit seq: each imaged writer gets seq
     next_commit_seq - 1. That is safe because no snapshot survives a
@@ -1153,84 +1151,72 @@ def recover_database(client, backend, dbwal: DurableBuffer,
     version per row, and a seq orders a version only against snapshots and
     later commits.
 
-    The pending recipes are rebuilt from the DB_RECIPE records of committed
-    txns: per FID the newest, in LSN order, and only for a FID a recovered
-    row version holds. Dropping the others is safe: vacuum checkpoints the
-    privacy zone before it makes a removal durable while a recipe is
-    pending, so no kept recipe has an operand that a removed version held
-    and the privacy zone lost.
+    The pending recipes are rebuilt from the DB_COMMIT records: per FID the
+    newest, in LSN order, and only for a FID a recovered row version holds.
+    Dropping the others is safe: vacuum checkpoints the privacy zone before
+    it makes a removal durable while a recipe is pending, so no kept recipe
+    has an operand that a removed version held and the privacy zone lost.
 
     An image or record that does not parse or that this engine could not
-    have written (Database._load_image), an unknown kind, a table no
+    have written (Database._load_image; a commit of no row version, or of a
+    txn that already committed), an unknown or retired kind, a table no
     earlier image or record creates, one created twice and one naming
-    another's partition raise CorruptLog. Whether the privacy zone holds a
-    table's partition only the privacy zone can say: ZoneTopology.recover_all
-    asks it."""
+    another's partition raise CorruptLog. Whether the privacy zone
+    holds a table's partition only the privacy zone can say:
+    ZoneTopology.recover_all asks it."""
     db = Database(client, backend, dbwal, snapshots, **db_kwargs)
-    committed_order = []
-    replayed = 0
     recipes: dict[int, bytes] = {}
     committed = db.committed
     try:
         image = snapshots.get(CHECKPOINT_IMAGE)
         if image is not None:
             db._load_image(wal.unframe(image, CHECKPOINT_IMAGE))
-        max_txn = db.next_txn_id - 1
         records = wal.journal_after(dbwal, db.next_lsn - 1)
         for lsn, kind, payload in records:
-            if kind == DB_COMMIT:
-                (txn_id,) = _COMMIT_REC.unpack(payload)
-                committed_order.append(txn_id)
-                max_txn = max(max_txn, txn_id)
             db.next_lsn = lsn + 1
-        for i, txn_id in enumerate(committed_order):
-            committed[txn_id] = db.next_commit_seq + i
-        for _, kind, payload in records:
             if kind == DB_COMMIT:
-                replayed += 1
-            elif kind == DB_RECIPE:
-                (txn_id,) = _COMMIT_REC.unpack_from(payload)
-                max_txn = max(max_txn, txn_id)
-                if txn_id in committed:
-                    pos = _COMMIT_REC.size
-                    while pos < len(payload):
-                        fid, n = _RECIPE_ITEM.unpack_from(payload, pos)
-                        pos += _RECIPE_ITEM.size + n
-                        recipes.pop(fid, None)  # the newest goes last
-                        (recipes[fid],) = struct.unpack_from(f"{n}s", payload, pos - n)
-                    replayed += 1
+                txn_id, n_rows = _COMMIT_HEAD.unpack_from(payload)
+                if not n_rows or txn_id in committed:
+                    raise CorruptLog(f"txn {txn_id} commits {n_rows} row versions, "
+                                     "or commits twice")
+                committed[txn_id] = db.next_commit_seq
+                db.next_commit_seq += 1
+                db.next_txn_id = max(db.next_txn_id, txn_id + 1)
+                pos = _COMMIT_HEAD.size
+                for _ in range(n_rows):
+                    table_idx, row_id, vseq = _ROW_HEAD.unpack_from(payload, pos)
+                    table = db.tables_by_idx[table_idx]
+                    start = pos + _ROW_HEAD.size
+                    cells, pos = table.decode(payload, start)
+                    chain = table.rows.setdefault(row_id, [])
+                    if chain:
+                        chain[-1].end_txn = txn_id
+                    chain.append(RowVersion(row_id, vseq, txn_id, cells,
+                                            payload[start:pos]))
+                    table.next_row_id = max(table.next_row_id, row_id + 1)
+                    table.next_vseq = max(table.next_vseq, vseq + 1)
+                while pos < len(payload):
+                    fid, n = _RECIPE_ITEM.unpack_from(payload, pos)
+                    pos += _RECIPE_ITEM.size + n
+                    recipes.pop(fid, None)  # the newest goes last
+                    recipes[fid] = payload[pos - n:pos]
+                if pos != len(payload):
+                    raise CorruptLog(f"txn {txn_id}'s commit record ends at "
+                                     f"{len(payload)}, its last item at {pos}")
             elif kind == DB_REMOVE:
-                table_idx, row_id, vseq = _REMOVE_REC.unpack(payload)
+                (table_idx,) = _REMOVE_HEAD.unpack_from(payload)
                 table = db.tables_by_idx[table_idx]
-                chain = table.rows.get(row_id)
-                if chain:
-                    table.rows[row_id] = [v for v in chain if v.vseq != vseq]
-                    if not table.rows[row_id]:
-                        del table.rows[row_id]
-                replayed += 1
+                for row_id, vseq in _REMOVE_ITEM.iter_unpack(
+                        payload[_REMOVE_HEAD.size:]):
+                    chain = table.rows.get(row_id)
+                    if chain:
+                        table.rows[row_id] = [v for v in chain if v.vseq != vseq]
+                        if not table.rows[row_id]:
+                            del table.rows[row_id]
             elif kind == DB_TABLE:
                 table, end = db._read_table(payload, 0)
                 if end != len(payload):
                     raise CorruptLog(f"bytes after table {table.name}'s columns")
-                replayed += 1
-            elif kind == DB_INSERT:
-                txn_id, table_idx, row_id, vseq = _ROW_REC.unpack_from(payload)
-                max_txn = max(max_txn, txn_id)
-                table = db.tables_by_idx[table_idx]
-                if txn_id not in committed:
-                    continue  # crashed before its commit record: aborted
-                pos = _ROW_REC.size
-                cells, end = table.decode(payload, pos)
-                if end != len(payload):
-                    raise CorruptLog(f"the cells of row {row_id} end at {end}, "
-                                     f"its record at {len(payload)}")
-                chain = table.rows.setdefault(row_id, [])
-                if chain:
-                    chain[-1].end_txn = txn_id
-                chain.append(RowVersion(row_id, vseq, txn_id, cells, payload[pos:end]))
-                table.next_row_id = max(table.next_row_id, row_id + 1)
-                table.next_vseq = max(table.next_vseq, vseq + 1)
-                replayed += 1
             else:
                 raise CorruptLog(f"unknown integrity record kind {kind}")
     except (struct.error, ValueError, LookupError) as exc:  # e.g. no such table or width
@@ -1239,6 +1225,4 @@ def recover_database(client, backend, dbwal: DurableBuffer,
     held = db.referenced_refs()
     db.recipes = {fid: r for fid, r in recipes.items() if fid in held}
     db._forget_unnamed_txns()
-    db.next_txn_id = max_txn + 1
-    db.next_commit_seq += len(committed_order)
-    return db, replayed
+    return db, len(records)

@@ -76,9 +76,9 @@ MSG_CREATE_PARTITION carries nothing and creates a permanent partition; its
 response is the u32 partition id.
 
 A recipe is the bytes that wrote a FID in a permanent partition, which
-the integrity zone journals with the commit that claims the FID and sends
-again after a privacy restart until a checkpoint has made the write
-durable:
+the integrity zone journals in the one commit record of the transaction
+that claims the FID, and sends again after a privacy restart until a
+checkpoint has made the write durable:
 RECIPE_INGEST (u8 1) and the client envelope of an ingest, or
 RECIPE_EXEC (u8 2) and the operator element, as MSG_EXEC_BATCH carried it,
 whose value result went to the FID's partition. MSG_RESTORE is

@@ -155,9 +155,11 @@ class AdversaryTrace:
     image holds FIDs only. The cipher baseline keeps its envelopes in its
     rows for good. Neither the engine's journal nor its image crosses the
     channel, so their encoding reaches the trace only through checkpoint
-    cadence: a smaller record crosses the interval at another commit, and
-    moves the MSG_FLUSH_LOG of any checkpoint that finds a recipe pending,
-    with the block events of the privacy checkpoint it runs.
+    cadence: each commit appends one record, and the one whose sync takes
+    the journal past the interval checkpoints. A smaller encoding moves
+    that commit later, and with it the MSG_FLUSH_LOG of any checkpoint that
+    finds a recipe pending and the block events of the privacy checkpoint
+    it runs.
 
     Storage is two flat buffers, one entry per event: its kind code (an
     index into EVENT_KINDS) in a bytearray and its argument in an
@@ -233,31 +235,30 @@ class CrashTarget(Enum):
 
 
 class CrashPointId(Enum):
-    """Where a scheduled crash fires. The two flush points fire in every
-    commit that staged records, after its writes are sent and before its
-    commit record is journaled; nothing crosses between them, since a
-    commit's fresh FIDs' recipes ride in its own journal records. The
-    checkpoint points fire inside a zone's checkpoint, once its image is
-    written and once its journal is truncated, whether the checkpoint runs
-    past the interval or at the end of orphan_gc; the privacy zone's
-    checkpoint also has PRIVACY_CHECKPOINT_AFTER_SEAL, between its seals and
-    its slot maps and marker. The privacy zone's run inside the
-    MSG_FLUSH_LOG whose sync took its journal past the interval, or that
-    carried the checkpoint flag (an integrity checkpoint's, vacuum's opening
-    one, orphan_gc's closing one or a restore's), inside MSG_PROMOTE, or
-    inside the put that reached wal.MAX_UNSYNCED_PUTS, and a privacy crash
-    there fails that request. DURING_RESTORE fires in recovery, once the
-    privacy zone has written the restored secrets and before the checkpoint
-    that makes them durable. RANDOM_BYTE crashes the privacy zone at a
-    statement boundary and keeps a random prefix of its journal's unsynced
-    tail, a torn tail of delete and create records: no put is journaled.
+    """Where a scheduled crash fires. BEFORE_DB_COMMIT fires in every
+    commit that staged a row version, after its writes are sent and before
+    its commit record, which holds its fresh FIDs' recipes, is journaled;
+    AFTER_DB_COMMIT once that record is durable. The checkpoint points fire
+    inside a zone's checkpoint, once its image is written and once its
+    journal is truncated, whether the checkpoint runs past the interval or
+    at the end of orphan_gc; the privacy zone's checkpoint also has
+    PRIVACY_CHECKPOINT_AFTER_SEAL, between its seals and its slot maps and
+    marker. The privacy zone's run inside the MSG_FLUSH_LOG whose sync took
+    its journal past the interval, or that carried the checkpoint flag (an
+    integrity checkpoint's, vacuum's opening one, orphan_gc's closing one
+    or a restore's), inside MSG_PROMOTE, or inside the put that reached
+    wal.MAX_UNSYNCED_PUTS, and a privacy crash there fails that request.
+    DURING_RESTORE fires in recovery, once the privacy zone has written the
+    restored secrets and before the checkpoint that makes them durable.
+    RANDOM_BYTE crashes the privacy zone at a statement boundary and keeps
+    a random prefix of its journal's unsynced tail, a torn tail of delete
+    and create records: no put is journaled.
 
     Each value is also the site string its hook fires with, from Database
     and wal.checkpoint_truncate; "io_failure" is the one site that is not a
     crash point."""
 
-    BEFORE_PRIVACY_FLUSH = "before-privacy-flush"
-    AFTER_PRIVACY_FLUSH_BEFORE_DB_COMMIT = "after-privacy-flush-before-db-commit"
+    BEFORE_DB_COMMIT = "before-db-commit"
     AFTER_DB_COMMIT = "after-db-commit"
     DURING_VACUUM = "during-vacuum"
     DURING_ORPHAN_GC = "during-orphan-gc"
@@ -551,9 +552,6 @@ class ZoneTopology:
         point = self._armed
         if point is None or point.id.value != site:
             return
-        if (point.id == CrashPointId.AFTER_PRIVACY_FLUSH_BEFORE_DB_COMMIT
-                and txn is not None and not txn.promoted):
-            return  # the interesting case needs in-flight secrets
         point.at_occurrence -= 1
         if point.at_occurrence <= 0:
             self._fire(point)

@@ -34,6 +34,25 @@ def test_cli_crash_matrix_passes(capsys):
     assert f"ok: {2 * len(MATRIX_POINTS)} runs, 0 violations" in capsys.readouterr().out
 
 
+def test_cli_crash_matrix_fails_a_run_that_did_not_fire(monkeypatch, capsys):
+    """A crash point the run never reached checks nothing, so one unfired
+    row fails the matrix, with no violation anywhere."""
+    def one_unfired(seeds_n, spec, base_seed, on_row):
+        rows = run_crash_matrix(seeds_n, spec, base_seed, points=MATRIX_POINTS[:2])
+        rows[-1]["fired"] = False
+        for row in rows:
+            on_row(row)
+        return rows
+
+    monkeypatch.setattr(cli, "run_crash_matrix", one_unfired)
+    assert cli.main(["crash-matrix", "--seeds", "1", "--ops", "300"]) == 1
+    out, err = capsys.readouterr()
+    assert "violations=0" in out and "ok:" not in out
+    (line,) = err.splitlines()
+    assert line.startswith("FAIL: 1 of 4 runs never reached their crash point: "
+                           f"{MATRIX_POINTS[1][0].value}/")
+
+
 @pytest.mark.parametrize("mode", [Mode.WRITE_ONLY, Mode.INSERT_ONLY],
                          ids=lambda m: m.value)
 def test_crash_matrix_write_modes(mode):

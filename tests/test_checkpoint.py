@@ -21,11 +21,10 @@ from fidstore.errors import CorruptLog
 from fidstore.fid_codec import OFFSET_MASK
 from fidstore.integrity_dbms import (
     _IMAGE_HEAD,
-    _ROW_REC,
     _TABLE_HEAD,
     CHECKPOINT_IMAGE,
     DB_COMMIT,
-    DB_INSERT,
+    DB_REMOVE,
     Column,
     ColumnType,
 )
@@ -1200,6 +1199,13 @@ _OLD_IMAGE_HEAD = struct.Struct("<QQQII")  # txn id, seq, lsn, tables, writers
 _OLD_TXN_SEQ = struct.Struct("<QQ")
 _OLD_TABLE_HEAD = struct.Struct("<QQQ")  # next row id, next vseq, versions
 _OLD_VERSION_HEAD = struct.Struct("<QQQ")  # row id, vseq, begin txn
+# The journal layout before a commit became one record: a record per row
+# version (kind 1, _OLD_ROW_REC and its cells), one for the txn's recipes
+# (kind 5, its txn, then {u64 fid, u32 length} and the recipe per FID), one
+# for its commit (kind 4, its txn), and one per removed version (kind 3).
+_OLD_ROW_REC = struct.Struct("<QIQQ")  # txn, table, row, vseq
+_OLD_TXN = struct.Struct("<Q")
+_OLD_REMOVE_REC = struct.Struct("<IQQ")  # table, row, vseq
 
 
 def _old_cells(table, cells) -> bytes:
@@ -1234,24 +1240,36 @@ def _old_image(db) -> bytes:
 
 @pytest.mark.parametrize("backend", ["fid", "cipher"])
 def test_the_older_engine_layout_is_refused(backend):
-    """Recovery keeps no reader for the layout the engine wrote before: an
-    image in it, and a committed DB_INSERT whose cells are in it, each
-    raise CorruptLog, while the same state in the current layout
-    recovers."""
+    """Recovery keeps no reader for the layouts the engine wrote before: an
+    image with cell counts and full-width heads, a journal of a record per
+    row version, recipe list, commit and removed version, and such a
+    journal whose cells have counts, each raise CorruptLog, while the same
+    state in the current layout (one commit record, one remove record)
+    recovers: the row's new version alone, with its recipe on fid."""
     topo = ZoneTopology(6, backend=backend, batch_size=SPEC.batch_size)
     topo.run_program(generate_workload(SPEC, 6))  # quiesced: one version a row
     db = topo.integrity.db
     image = topo.db_snapshots.get(CHECKPOINT_IMAGE)
     table = db.tables_by_idx[0]
-    cells = table.rows[1][-1].cells[:3] + [b"journaled"]
-    txn, lsn = db.next_txn_id, db.next_lsn
+    old = table.rows[1][-1]
+    cells = old.cells[:3] + [b"journaled"]
+    txn, lsn, vseq = db.next_txn_id, db.next_lsn, table.next_vseq
+    recipes = {cells[1]: b"\x01r"} if backend == "fid" else {}
+    items = b"".join(struct.pack("<QI", fid, len(r)) + r for fid, r in recipes.items())
 
-    def insert(encoded) -> bytes:
-        return (wal.frame_record(lsn, DB_INSERT, _ROW_REC.pack(txn, 0, 1, table.next_vseq)
-                                 + encoded)
-                + wal.frame_record(lsn + 1, DB_COMMIT, struct.pack("<Q", txn)))
+    def parent(encoded) -> bytes:
+        row = wal.frame_record(lsn, 1, _OLD_ROW_REC.pack(txn, 0, 1, vseq) + encoded)
+        recipe = [wal.frame_record(lsn + 1, 5, _OLD_TXN.pack(txn) + items)] if items else []
+        return b"".join([
+            row, *recipe, wal.frame_record(lsn + 2, 4, _OLD_TXN.pack(txn)),
+            wal.frame_record(lsn + 3, 3, _OLD_REMOVE_REC.pack(0, 1, old.vseq))])
 
-    cases = [(wal.frame(_old_image(db)), b""), (image, insert(_old_cells(table, cells)))]
+    current = (wal.frame_record(lsn, DB_COMMIT, struct.pack("<QIIQQ", txn, 1, 0, 1, vseq)
+                                + table.encode(cells) + items)
+               + wal.frame_record(lsn + 1, DB_REMOVE,
+                                  struct.pack("<IQQ", 0, 1, old.vseq)))
+    cases = [(wal.frame(_old_image(db)), b""), (image, parent(table.encode(cells))),
+             (image, parent(_old_cells(table, cells)))]
     for old_image, journal in cases:
         topo.integrity.crash()
         topo.db_snapshots.put_atomic(CHECKPOINT_IMAGE, old_image)
@@ -1259,9 +1277,12 @@ def test_the_older_engine_layout_is_refused(backend):
         with pytest.raises(CorruptLog):
             topo.integrity.recover()
     topo.db_snapshots.put_atomic(CHECKPOINT_IMAGE, image)
-    topo.dbwal_buffer.replace(insert(table.encode(cells)))
+    topo.dbwal_buffer.replace(current)
     assert topo.integrity.recover() == 2
-    assert topo.integrity.db.tables_by_idx[0].rows[1][-1].cells == cells
+    db = topo.integrity.db
+    assert [(v.vseq, v.begin_txn, v.cells) for v in db.tables_by_idx[0].rows[1]] == [
+        (vseq, txn, cells)]
+    assert db.recipes == recipes
 
 
 @pytest.fixture(scope="module", params=["fid", "cipher"])

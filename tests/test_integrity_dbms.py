@@ -333,9 +333,9 @@ def test_commit_ordering_events(topo):
     txn_ids = {t for _, t in events}
     assert len(txn_ids) == 5 and reader.txn_id not in txn_ids
     for txn_id in txn_ids:
-        flush_idx = events.index(("after-privacy-flush-before-db-commit", txn_id))
+        before_idx = events.index(("before-db-commit", txn_id))
         commit_idx = events.index(("after-db-commit", txn_id))
-        assert flush_idx < commit_idx
+        assert before_idx < commit_idx
 
 
 def test_read_only_commit_sends_nothing(topo):
@@ -669,14 +669,33 @@ def _hand_frame(lsn: int, kind: int, payload: bytes) -> bytes:
     return struct.pack("<II", len(body), zlib.crc32(body)) + body
 
 
-@pytest.mark.parametrize("kind", ["table", "insert", "remove", "commit", "recipe"])
+def _row_cells(fid: int, note: bytes = b"n") -> bytes:
+    """A SCHEMA row's cells (Table.encode): id 1, k fid, note's length,
+    then note."""
+    return struct.pack("<qQI", 1, fid, len(note)) + note
+
+
+def _commit(rows: list[bytes], recipes: bytes = b"", txn: int = 9) -> tuple:
+    """A commit record of txn holding rows, each {u32 table, u64 row, u64
+    vseq} and its cells, then recipes."""
+    return 7, struct.pack("<QI", txn, len(rows)) + b"".join(rows) + recipes
+
+
+def _row(cells: bytes, table: int = 0, row: int = 1, vseq: int = 2) -> bytes:
+    return struct.pack("<IQQ", table, row, vseq) + cells
+
+
+@pytest.mark.parametrize("kind", ["table", "commit", "remove"])
 def test_engine_record_bytes(topo, kind):
     """Each engine journal record kind's durable bytes, packed by hand:
     frame {u32 len, u32 crc32}, head {u64 lsn, u8 kind}, then its payload.
-    The journal holds the table's creation, an insert and an update of
-    the row, each its row record, the txn's recipes and its commit, and the
-    vacuum's remove of the superseded version. No record ends a version:
-    the update's insert implies it."""
+    The journal holds the table's creation, the commit of an insert and
+    the commit of an update of the row, each one record: {u64 txn, u32
+    rows}, per row {u32 table, u64 row, u64 vseq} and its cells, then per
+    fresh FID {u64 fid, u32 length} and its recipe. Then the vacuum's
+    remove of the superseded version, one record: {u32 table}, then per
+    version {u64 row, u64 vseq}. No record ends a version: the update's
+    row implies it."""
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
     writer = db.begin()
@@ -691,27 +710,19 @@ def test_engine_record_bytes(topo, kind):
     new = table.rows[1][-1].cells[1]
     assert db.vacuum(table) == 1
 
-    def recipe(lsn, txn, fid, envelope):
-        envelope = envelope.to_bytes()
-        return _hand_frame(lsn, 5, struct.pack("<QQI", txn.txn_id, fid,
-                                               1 + len(envelope)) + b"\x01" + envelope)
-
-    def cells(fid):  # id, k, note's length, then note
-        return struct.pack("<qQI", 1, fid, 1) + b"n"
+    def commit(lsn, txn, vseq, fid, envelope):
+        recipe = b"\x01" + envelope.to_bytes()
+        return _hand_frame(lsn, *_commit([_row(_row_cells(fid), vseq=vseq)],
+                                         struct.pack("<QI", fid, len(recipe)) + recipe,
+                                         txn.txn_id))
 
     frames = {
         "table": [_hand_frame(1, 6, struct.pack("<III", table.partition_id, 3, 1) + b"t"
                               + struct.pack("<BI", 1, 2) + b"id"
                               + struct.pack("<BI", 3, 1) + b"k"
                               + struct.pack("<BI", 2, 4) + b"note")],
-        "insert": [_hand_frame(2, 1, struct.pack("<QIQQ", writer.txn_id, 0, 1, 1)
-                               + cells(old)),
-                   _hand_frame(5, 1, struct.pack("<QIQQ", updater.txn_id, 0, 1, 2)
-                               + cells(new))],
-        "commit": [_hand_frame(4, 4, struct.pack("<Q", writer.txn_id)),
-                   _hand_frame(7, 4, struct.pack("<Q", updater.txn_id))],
-        "recipe": [recipe(3, writer, old, first), recipe(6, updater, new, second)],
-        "remove": [_hand_frame(8, 3, struct.pack("<IQQ", 0, 1, 1))],
+        "commit": [commit(2, writer, 1, old, first), commit(3, updater, 2, new, second)],
+        "remove": [_hand_frame(4, 8, struct.pack("<I", 0) + struct.pack("<QQ", 1, 1))],
     }
     journal = db.dbwal.durable
     got, pos = [], 0
@@ -725,38 +736,43 @@ def test_engine_record_bytes(topo, kind):
     assert got == frames[kind]
 
 
-def _row_cells(fid: int, note: bytes = b"n") -> bytes:
-    """A SCHEMA row's cells in the DB_INSERT encoding: id 1, k fid, note's
-    length, then note."""
-    return struct.pack("<qQI", 1, fid, len(note)) + note
+_RECIPE = struct.pack("<QI", 1 << 48, 2) + b"\x01x"  # {u64 fid, u32 length}, recipe
 
-
-# hand-framed records a recovery past LSN 4 must refuse, kind 1 insert,
-# 3 remove, 4 commit, 5 recipe, 6 table; txn 9 commits where a case needs
-# it. A table record is a {u32 partition, u32 columns, u32 name length}
-# head and the name, then per column {u8 type, u32 name length} and the
-# name.
+# hand-framed records a recovery past LSN 2 must refuse, kind 6 table, 7
+# commit (_commit), 8 remove ({u32 table}, then {u64 row, u64 vseq} per
+# version); kinds 1 to 5 are retired, each case in the layout it had: 1 a
+# row {u64 txn, u32 table, u64 row, u64 vseq} and its cells, 2 a version's
+# end, 3 a remove {u32 table, u64 row, u64 vseq}, 4 a commit {u64 txn}, 5
+# a txn's recipes {u64 txn} and its items. A table record is a {u32
+# partition, u32 columns, u32 name length} head and the name, then per
+# column {u8 type, u32 name length} and the name. Every record is CRC-valid.
 _MALFORMED = {
     "unknown-kind": [(9, b"")],
     "retired-end-kind": [(2, struct.pack("<QIQQ", 9, 0, 1, 1)
-                          + struct.pack("<HIQ", 1, 8, 1 << 48)),
-                         (4, struct.pack("<Q", 9))],
-    "insert-names-no-table": [(1, struct.pack("<QIQQ", 9, 7, 1, 2)
-                               + _row_cells(1 << 48)), (4, struct.pack("<Q", 9))],
-    "remove-names-no-table": [(3, struct.pack("<IQQ", 7, 1, 1))],
-    "short-insert": [(1, struct.pack("<QI", 9, 0))],
-    "short-remove": [(3, struct.pack("<IQ", 0, 1))],
-    "short-commit": [(4, struct.pack("<I", 9))],
-    "short-recipe-item": [(5, struct.pack("<QQ", 9, 1 << 48)),
-                          (4, struct.pack("<Q", 9))],
-    "recipe-overruns-record": [(5, struct.pack("<QQI", 9, 1 << 48, 64) + b"\x01"),
-                               (4, struct.pack("<Q", 9))],
-    "cells-overrun-record": [(1, struct.pack("<QIQQ", 9, 0, 1, 2)
-                              + _row_cells(1 << 48)[:-1]), (4, struct.pack("<Q", 9))],
-    "bytes-past-cells": [(1, struct.pack("<QIQQ", 9, 0, 1, 2)
-                          + _row_cells(1 << 48) + b"x"), (4, struct.pack("<Q", 9))],
-    "too-few-cells": [(1, struct.pack("<QIQQ", 9, 0, 1, 2) + struct.pack("<q", 1)),
-                      (4, struct.pack("<Q", 9))],
+                          + struct.pack("<HIQ", 1, 8, 1 << 48))],
+    "retired-insert-kind": [(1, struct.pack("<QIQQ", 9, 0, 1, 2) + _row_cells(1 << 48))],
+    "retired-remove-kind": [(3, struct.pack("<IQQ", 0, 1, 1))],
+    "retired-commit-kind": [(4, struct.pack("<Q", 9))],
+    "retired-recipe-kind": [(5, struct.pack("<Q", 9) + _RECIPE)],
+    "insert-names-no-table": [_commit([_row(_row_cells(1 << 48), table=7)])],
+    "remove-names-no-table": [(8, struct.pack("<IQQ", 7, 1, 1))],
+    "short-commit": [(7, struct.pack("<Q", 9))],
+    "commit-of-no-row": [_commit([])],
+    "txn-commits-twice": [_commit([_row(_row_cells(1 << 48))]),
+                          _commit([_row(_row_cells(1 << 48), vseq=3)])],
+    "short-insert": [_commit([struct.pack("<IQ", 0, 1)])],
+    "row-count-overruns-record": [(7, struct.pack("<QI", 9, 2)
+                                   + _row(_row_cells(1 << 48)))],
+    "too-few-cells": [_commit([_row(struct.pack("<q", 1))])],
+    "cells-overrun-record": [_commit([_row(_row_cells(1 << 48)[:-1])])],
+    "bytes-past-cells": [_commit([_row(_row_cells(1 << 48))], b"x")],
+    "short-recipe-item": [_commit([_row(_row_cells(1 << 48))],
+                                  struct.pack("<Q", 1 << 48))],
+    "recipe-overruns-record": [_commit([_row(_row_cells(1 << 48))],
+                                       struct.pack("<QI", 1 << 48, 64) + b"\x01")],
+    "bytes-past-recipes": [_commit([_row(_row_cells(1 << 48))], _RECIPE + b"x")],
+    "short-remove": [(8, struct.pack("<IQ", 0, 1))],
+    "bytes-past-removals": [(8, struct.pack("<IQQ", 0, 1, 1) + b"x")],
     "short-table": [(6, struct.pack("<II", 1, 0))],
     "table-name-overruns-record": [(6, struct.pack("<III", 1, 0, 9) + b"u")],
     "unknown-column-type": [(6, struct.pack("<III", 1, 1, 1) + b"u"
@@ -771,22 +787,111 @@ _MALFORMED = {
 def test_recovery_refuses_a_malformed_record(topo, case):
     """Recovery raises CorruptLog on a record with a valid checksum that it
     cannot apply: an unknown or retired kind, a table no earlier record
-    creates or one created twice, an unknown column type, or a payload too
-    short or too long for its kind, instead of
-    counting it as replayed or failing on it with another error."""
+    creates or one created twice, an unknown column type, a commit of no
+    row or of a txn that already committed, a row count, cells or recipe
+    that run past the record, or a payload too short or too long for its
+    kind, instead of counting it as replayed or failing on it with another
+    error."""
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
     txn = db.begin()
     _insert(topo, db, table, txn, 1, 1)
     db.commit(txn)
     journal = topo.dbwal_buffer.durable
-    assert len(read_frames(journal)) == 4  # the table, the insert, its recipe, the commit
+    assert len(read_frames(journal)) == 2  # the table, the commit
     topo.dbwal_buffer.replace(journal + b"".join(
         _hand_frame(lsn, kind, payload)
-        for lsn, (kind, payload) in enumerate(_MALFORMED[case], start=5)))
+        for lsn, (kind, payload) in enumerate(_MALFORMED[case], start=3)))
     topo.integrity.crash()
     with pytest.raises(CorruptLog):
         topo.integrity.recover()
+
+
+def test_recovery_reads_the_hand_framed_layouts(topo):
+    """The well-formed twins of _MALFORMED's commit and remove cases
+    recover: a commit of row 1's second version with its recipe, then the
+    removal of its first version."""
+    db = topo.integrity.db
+    table = db.create_table("t", list(SCHEMA))
+    txn = db.begin()
+    _insert(topo, db, table, txn, 1, 1)
+    db.commit(txn)
+    topo.dbwal_buffer.replace(topo.dbwal_buffer.durable + b"".join(
+        _hand_frame(lsn, kind, payload) for lsn, (kind, payload) in enumerate(
+            [_commit([_row(_row_cells(1 << 48))], _RECIPE),
+             (8, struct.pack("<IQQ", 0, 1, 1))], start=3)))
+    topo.integrity.crash()
+    assert topo.integrity.recover() == 4
+    db = topo.integrity.db
+    (version,) = db.tables["t"].rows[1]
+    assert (version.vseq, version.begin_txn, version.cells) == (2, 9, [1, 1 << 48, b"n"])
+    assert db.recipes == {1 << 48: b"\x01x"}
+
+
+def _engine_state(db) -> tuple:
+    """What a recovery rebuilds of the engine: each row's chain as (vseq,
+    begin txn, end txn, cells), each table's next row id and vseq, the
+    next_* counters, the commit seqs and the pending recipes."""
+    return ({(t.idx, row_id): [(v.vseq, v.begin_txn, v.end_txn, v.cells) for v in chain]
+             for t in db.tables_by_idx for row_id, chain in t.rows.items()},
+            [(t.next_row_id, t.next_vseq) for t in db.tables_by_idx],
+            (db.next_txn_id, db.next_commit_seq, db.next_lsn), db.committed,
+            db.recipes)
+
+
+def _torn_commit_setup(backend) -> tuple:
+    """Commits rows 1 and 2, then an update of row 1; then a last txn
+    updates row 2 by an ADD, inserts row 3 and commits. Returns the
+    topology, the last txn and the engine journal's length before its
+    commit."""
+    topo = ZoneTopology(321, backend=backend, batch_size=32)
+    db = topo.integrity.db
+    table = db.create_table("t", list(SCHEMA))
+    txn = db.begin()
+    for key in (1, 2):
+        _insert(topo, db, table, txn, key, key)
+    db.commit(txn)
+    txn = db.begin()
+    db.update_row(txn, table, 1, {"k": _envelope(topo, 10)})
+    db.commit(txn)
+    last = db.begin()
+    db.update_row(last, table, 2, {"k": OperatorRequest(
+        OpKind.ADD, ValueType.INT64, [table.rows[2][-1].cells[1]], table.partition_id,
+        topo.client_encrypt(encode_int64(1)))})
+    _insert(topo, db, table, last, 3, 3)
+    start = topo.dbwal_buffer.durable_len
+    db.commit(last)
+    return topo, last, start
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+def test_a_torn_commit_record_recovers_the_state_before_it(backend):
+    """A crash that cuts the engine journal at any offset inside its last
+    commit record recovers exactly what the journal without that record
+    recovers: rows, next_* counters, commit seqs and pending recipes.
+    Nothing of the txn survives: on fid its two fresh FIDs are orphans,
+    which orphan_gc reclaims; the cipher baseline stores none."""
+    topo, last, start = _torn_commit_setup(backend)
+    journal = topo.dbwal_buffer.durable
+    states = []
+    for cut in (start, len(journal)):
+        topo.integrity.crash()
+        topo.dbwal_buffer.replace(journal[:cut])
+        topo.integrity.recover()
+        states.append(_engine_state(topo.integrity.db))
+    before, after = states
+    assert (0, 3) not in before[0] and (0, 3) in after[0]
+    fresh = 2 if backend == "fid" else 0
+    for cut in range(start + 1, len(journal)):
+        topo, last, _ = _torn_commit_setup(backend)
+        assert topo.dbwal_buffer.durable == journal
+        topo.integrity.crash()
+        topo.dbwal_buffer.replace(journal[:cut])
+        report = topo.recover_all()
+        assert _engine_state(topo.integrity.db) == before, cut
+        assert report.invariant.holds and report.invariant.orphans == fresh
+        assert topo.integrity.db.orphan_gc() == fresh
+        assert topo.check_invariant().orphans == 0
 
 
 def _supersession_setup(topo) -> tuple:

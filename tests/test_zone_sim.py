@@ -226,12 +226,11 @@ def test_crash_both_after_db_commit_preserves_txn():
     db.abort(reader)
 
 
-def test_crash_before_privacy_flush_absent_everywhere():
+def test_crash_before_db_commit_absent_everywhere():
     topo = ZoneTopology(12)
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
-    topo.inject_crash(CrashPoint(CrashPointId.BEFORE_PRIVACY_FLUSH,
-                                 CrashTarget.BOTH))
+    topo.inject_crash(CrashPoint(CrashPointId.BEFORE_DB_COMMIT, CrashTarget.BOTH))
     txn = db.begin()
     db.insert_row(txn, table, [1, _envelope(topo, 7)])
     from fidstore.zone_sim import ZoneCrashed
@@ -250,8 +249,7 @@ def test_orphans_after_commit_gap_crash_then_gc():
     topo = ZoneTopology(13)
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
-    topo.inject_crash(CrashPoint(
-        CrashPointId.AFTER_PRIVACY_FLUSH_BEFORE_DB_COMMIT, CrashTarget.BOTH))
+    topo.inject_crash(CrashPoint(CrashPointId.BEFORE_DB_COMMIT, CrashTarget.BOTH))
     txn = db.begin()
     db.insert_row(txn, table, [1, _envelope(topo, 7)])
     db.send_writes(txn)
@@ -285,10 +283,9 @@ def _read_k(topo, key):
 def test_a_fid_commit_sends_no_message():
     """Once its writes are sent, a fid commit syncs only the integrity
     journal, which holds each fresh secret's recipe, and sends nothing more
-    to the privacy zone; its flush points still fire before its commit
-    record is durable. When
-    both zones crash before any flush, recovery restores every committed
-    secret from its recipe."""
+    to the privacy zone; its crash point fires before its commit record is
+    durable. When both zones crash before any flush, recovery restores
+    every committed secret from its recipe."""
     topo = ZoneTopology(16)
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
@@ -308,7 +305,7 @@ def test_a_fid_commit_sends_no_message():
     assert topo.store_wal_buffer.durable == privacy_durable
     assert len(db.recipes) == 3
     for txn in (t1, t2, t3):
-        assert (events.index(("after-privacy-flush-before-db-commit", txn.txn_id))
+        assert (events.index(("before-db-commit", txn.txn_id))
                 < events.index(("after-db-commit", txn.txn_id)))
     topo.privacy.crash()
     topo.integrity.crash()
@@ -335,9 +332,7 @@ def test_cipher_commit_sends_nothing():
     assert topo.channel.round_trips == trips
     assert topo.store_wal_buffer.durable_len == durable
     assert [CrashPointId(site) for site in sites] == [
-        CrashPointId.BEFORE_PRIVACY_FLUSH,
-        CrashPointId.AFTER_PRIVACY_FLUSH_BEFORE_DB_COMMIT,
-        CrashPointId.AFTER_DB_COMMIT]
+        CrashPointId.BEFORE_DB_COMMIT, CrashPointId.AFTER_DB_COMMIT]
     topo.integrity.crash()
     topo.recover_all()
     reader = topo.integrity.db.begin()
@@ -371,23 +366,23 @@ def _covered_commit_crash(point_id, target):
     return topo, t2, raised, topo.channel.round_trips - trips
 
 
-def test_crash_at_the_flush_points_of_a_covered_commit():
-    """Both flush points fire in a commit, which sends no flush. A crash of
+def test_crash_before_a_covered_commit():
+    """BEFORE_DB_COMMIT fires in a commit, which sends no flush. A crash of
     both zones there loses T2 and every secret written since the last
     checkpoint; recovery restores T1's from its recipe, and T2's, never
-    sealed, is no orphan. A crash of the privacy zone alone cannot stop T2, whose
-    commit needs nothing from it: recovery restores both txns' secrets."""
-    for point_id in (CrashPointId.BEFORE_PRIVACY_FLUSH,
-                     CrashPointId.AFTER_PRIVACY_FLUSH_BEFORE_DB_COMMIT):
-        topo, t2, raised, trips = _covered_commit_crash(point_id, CrashTarget.BOTH)
-        assert raised and trips == 0
-        report = topo.recover_all()
-        assert report.invariant.holds
-        assert report.invariant.orphans == 0
-        assert (_read_k(topo, 1), _read_k(topo, 2)) == (10, None)
+    sealed, is no orphan. A crash of the privacy zone alone cannot stop T2,
+    whose commit needs nothing from it: recovery restores both txns'
+    secrets."""
+    topo, t2, raised, trips = _covered_commit_crash(CrashPointId.BEFORE_DB_COMMIT,
+                                                    CrashTarget.BOTH)
+    assert raised and trips == 0
+    report = topo.recover_all()
+    assert report.invariant.holds
+    assert report.invariant.orphans == 0
+    assert (_read_k(topo, 1), _read_k(topo, 2)) == (10, None)
 
     topo, t2, raised, trips = _covered_commit_crash(
-        CrashPointId.BEFORE_PRIVACY_FLUSH, CrashTarget.PRIVACY)
+        CrashPointId.BEFORE_DB_COMMIT, CrashTarget.PRIVACY)
     assert not raised and trips == 0
     assert t2.state.name == "COMMITTED"
     report = topo.recover_all()
@@ -1440,14 +1435,19 @@ _PINNED = {
     # sent: 5 operator messages and 5 constant decrypts fewer (49 and 249
     # when each ADD was sent as it ran), and on cipher 10 zone envelope
     # opens and seals fewer (370); every committed byte is as before.
+    # A commit is one record, so each row version takes 25 bytes less (no
+    # frame, record head or txn of its own), a commit with recipes 21 less
+    # and one without 4 more, and a vacuum pass one record: 24 968 and
+    # 26 028 bytes at the first vacuum when a commit took a record per row
+    # version, one for its recipes and one for itself.
     "fid": ({m.MSG_INGEST: 8, m.MSG_REVEAL: 80, m.MSG_EXEC_BATCH: 44,
              m.MSG_DELETE: 4, m.MSG_FLUSH_LOG: 6, m.MSG_CREATE_PARTITION: 2,
              m.MSG_LIST_LIVE: 2},
-            (0, 0), (14, 2), (244, 0), 24968),
+            (0, 0), (14, 2), (244, 0), 21816),
     "cipher": ({m.MSG_FLUSH_LOG: 3, m.MSG_CREATE_PARTITION: 2,
                 m.MSG_CIPHER_EXEC: 44, m.MSG_CIPHER_INGEST: 8,
                 m.MSG_CIPHER_REVEAL: 80},
-               (0, 0), (3, 0), (244, 360), 26028),
+               (0, 0), (3, 0), (244, 360), 23801),
 }
 # The seals count the privacy checkpoints': on fid, 4 cache evictions, then
 # vacuum's checkpoint and the quiesce one, each 2 dirty blocks, 2 slot maps
@@ -1527,11 +1527,14 @@ def test_pinned_counts_through_maintenance(backend):
 # durable bytes, (seals, opens), (client codec, zone codec) crypto counts.
 # Only create_table flushes: the preload's secrets stay unsynced, and the
 # integrity journal holds their recipes (600 inserts, 10 bytes each less
-# than when the cells had a count and a length before each).
+# than when the cells had a count and a length before each, and 25 less
+# again, 178 418 B in all, when each took a record of its own; each of
+# the 2 preload commits takes 21 less, one commit head in place of a
+# commit record and a recipe record's head).
 _PINNED_RANGE_SELECT = (
     {m.MSG_INGEST: 76, m.MSG_EXEC_BATCH: 100, m.MSG_FLUSH_LOG: 2,
      m.MSG_CREATE_PARTITION: 2},
-    (42, 178418), (24, 4), (1300, 0))
+    (42, 163376), (24, 4), (1300, 0))
 
 
 def _range_select_run():
@@ -1552,6 +1555,36 @@ def test_pinned_counts_range_select_cold_cache():
     assert topo.privacy.atrest.sealer.opens < 2 * report.txns_committed
     expected = ShadowRunner(program, flatten_schedule(program)).run().revealed
     assert report.revealed == expected
+
+
+def test_a_benchmark_sized_preload_ends_in_a_checkpoint():
+    """A fid preload of the benchmark's shape, 2 tables of 2 000 rows at
+    batch 256, takes the engine journal past wal.CHECKPOINT_INTERVAL_BYTES
+    with its second commit, so it ends with both zones checkpointed: an
+    engine image, an empty engine journal, no recipe pending and every
+    block of both partitions sealed. A cold scan's space_amp rests on this:
+    without the checkpoint the journal keeps every recipe and no block has
+    a sealed copy."""
+    spec = WorkloadSpec(mode=Mode.RANGE_SELECT, tables=2, rows_per_table=2000,
+                        duration_ops=0, threads_simulated=4, batch_size=256)
+    topo = ZoneTopology(1, batch_size=spec.batch_size)
+    db = topo.integrity.db
+    journal = []
+    commit = db.commit
+
+    def commit_then_measure(txn):
+        commit(txn)
+        journal.append(topo.dbwal_buffer.durable_len)
+
+    db.commit = commit_then_measure
+    tables = _Runner(topo, generate_workload(spec, 1))._preload(db)
+    assert journal[0] < wal.CHECKPOINT_INTERVAL_BYTES and journal[1] == 0
+    assert topo.db_snapshots.get(CHECKPOINT_IMAGE) is not None
+    assert not db.recipes
+    store = topo.privacy.store
+    spanned = {(t.partition_id, b) for t in tables
+               for b in store.partition_blocks(t.partition_id)}
+    assert {(pid, b) for pid, b, _ in topo.sealed_store.kept} == spanned
 
 
 def test_an_insert_sends_its_row_in_one_ingest(monkeypatch):
