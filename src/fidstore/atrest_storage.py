@@ -74,12 +74,17 @@ class SealedBlockStore:
     checkpoint's marker is written, even once a newer copy supersedes it or
     its block is dropped. So right after a checkpoint the area holds exactly
     one copy per block the partitions span. With dirpath, each copy is also
-    a file there, named by its key, written atomically like a snapshot."""
+    a file there, named by its key, written atomically like a snapshot.
+
+    Like a durability primitive, each write and each copy that discard or
+    retain deletes first calls hook, if set, as hook(method, name, b""):
+    "write", "discard" or "retain", and the copy's file name."""
 
     def __init__(self, dirpath: str | None = None):
         self.dirpath = dirpath
         self.blocks: dict[tuple[int, int, int], SealedBlock] = {}
         self.kept: set[tuple[int, int, int]] = set()
+        self.hook = None
         for name, data in (read_dir(dirpath) if dirpath is not None else {}).items():
             try:
                 key = tuple(int(part, 16) for part in name.split("-"))
@@ -92,6 +97,8 @@ class SealedBlockStore:
 
     def write(self, pid: int, block_index: int, sealed: SealedBlock) -> None:
         key = (pid, block_index, sealed.counter)
+        if self.hook is not None:
+            self.hook("write", _name(key), b"")
         if self.dirpath is not None:
             atomic_write(os.path.join(self.dirpath, _name(key)), sealed.to_bytes())
         self.blocks[key] = sealed
@@ -104,20 +111,22 @@ class SealedBlockStore:
         keeps it."""
         key = (pid, block_index, counter)
         if key not in self.kept:
-            self._delete(key)
+            self._delete(key, "discard")
 
     def retain(self, keys: set, trace) -> None:
         """Makes keys the kept copies and deletes every other copy, in key
         order, each a BlockDrop in trace when one is given."""
         self.kept = set(keys)
         for key in sorted(self.blocks.keys() - self.kept):
-            self._delete(key)
+            self._delete(key, "retain")
             if trace is not None:
                 trace.block_drop(key[0], key[1])
 
-    def _delete(self, key: tuple[int, int, int]) -> None:
+    def _delete(self, key: tuple[int, int, int], method: str) -> None:
         if key not in self.blocks:
             return
+        if self.hook is not None:
+            self.hook(method, _name(key), b"")
         if self.dirpath is not None:
             os.remove(os.path.join(self.dirpath, _name(key)))
         del self.blocks[key]

@@ -7,30 +7,32 @@ noise drifts over all of them equally; medians of per-batch means are the
 reported statistic and ratios are always computed within a single run.
 
 The crash matrix runs through the two-zone simulator and emits one CSV row
-per crash point, cache size and seed; reruns with the same seed reproduce
-every column. Workload performance (round trips, bytes and crypto calls
-per transaction, timings) and durable size (space_amp) are measured per
-phase by perfbench/run.py, not here.
+per crash, cache size and seed: a crash just before one durable write,
+named by the write's ordinal and label (zone_sim's crash schedule), that
+its run's plan picks from a dry run's write record. Reruns with the same
+seed reproduce every column. Each row forks off a run shared up to its
+write (sweep), so the matrix needs os.fork. Workload performance (round
+trips, bytes and crypto calls per transaction, timings) and durable size
+(space_amp) are measured per phase by perfbench/run.py, not here.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import random
 import statistics
 import time
+import traceback
 from dataclasses import dataclass, field, replace
 
-from .errors import CorruptLog, Unavailable
+from .errors import CorruptLog, Unavailable, ZoneCrashed
+from .integrity_dbms import DB_COMMIT
 from .mapping_store import MappingStore, PartitionKind
 from .privacy_proxy import ClientEnvelope, EnvelopeCodec, encode_int64
+from .wal import DELETE_REC, FRAME, KIND_DELETE, frame_record, read_frames
 from .workload import Distribution, Mode, WorkloadSpec
-from .zone_sim import (
-    CrashPoint,
-    CrashPointId,
-    CrashTarget,
-    ZoneCrashed,
-    ZoneTopology,
-)
+from .zone_sim import CrashPoint, CrashTarget, DurableWrite, ZoneTopology
 
 
 @dataclass
@@ -125,35 +127,20 @@ def bench_ops(iters: int = 1_000_000, batch: int = 2000) -> CostReport:
     )
 
 
-MATRIX_POINTS: list[tuple[CrashPointId, CrashTarget]] = [
-    (CrashPointId.BEFORE_DB_COMMIT, CrashTarget.BOTH),
-    (CrashPointId.AFTER_DB_COMMIT, CrashTarget.BOTH),
-    (CrashPointId.DURING_VACUUM, CrashTarget.BOTH),
-    (CrashPointId.DURING_ORPHAN_GC, CrashTarget.BOTH),
-    (CrashPointId.RANDOM_BYTE, CrashTarget.PRIVACY),
-    (CrashPointId.PRIVACY_CHECKPOINT_AFTER_SEAL, CrashTarget.PRIVACY),
-    (CrashPointId.PRIVACY_CHECKPOINT_BEFORE_TRUNCATE, CrashTarget.PRIVACY),
-    (CrashPointId.PRIVACY_CHECKPOINT_AFTER_TRUNCATE, CrashTarget.PRIVACY),
-    (CrashPointId.INTEGRITY_CHECKPOINT_BEFORE_TRUNCATE, CrashTarget.BOTH),
-    (CrashPointId.INTEGRITY_CHECKPOINT_AFTER_TRUNCATE, CrashTarget.BOTH),
-    # a privacy-only crash after an integrity commit whose secrets no flush
-    # made durable: recovery restores them from their recipes
-    (CrashPointId.AFTER_DB_COMMIT, CrashTarget.PRIVACY),
-    (CrashPointId.DURING_RESTORE, CrashTarget.BOTH),
-    (CrashPointId.DURING_RESTORE, CrashTarget.PRIVACY),
-]
-CHECKPOINT_POINTS = frozenset({
-    CrashPointId.PRIVACY_CHECKPOINT_AFTER_SEAL,
-    CrashPointId.PRIVACY_CHECKPOINT_BEFORE_TRUNCATE,
-    CrashPointId.PRIVACY_CHECKPOINT_AFTER_TRUNCATE,
-    CrashPointId.INTEGRITY_CHECKPOINT_BEFORE_TRUNCATE,
-    CrashPointId.INTEGRITY_CHECKPOINT_AFTER_TRUNCATE,
-})
-# Write-only ops of the matrix spec after which both zones have checkpointed
-# at least twice: at 2 x 200 rows and seeds 1000-1002 the engine journal
-# syncs about 3.6 MiB before maintenance and checkpoints 3 times, and the
-# privacy zone checkpoints with each of them.
-CHECKPOINT_MATRIX_OPS = 10_000
+# Write-only ops of the matrix spec past which the engine journal has
+# crossed the checkpoint interval with recipes pending, so that both zones
+# checkpoint there: at 2 x 200 rows and seeds 1000-1002 the engine's first
+# checkpoint comes at about the run's 2 550th durable write, of about
+# 4 150, and maintenance checkpoints both again.
+CHECKPOINT_MATRIX_OPS = 4_000
+# Sampling rates of the crash matrix, each drawn per write in write order
+# from a generator seeded by the run, its seed and cache size: the DB_COMMIT
+# syncs that also get a privacy-only crash, those that also get a torn
+# crash of both zones, and the checkpoint run's eviction seals and
+# discards that get their crashes.
+PRIVACY_COMMIT_RATE = 1 / 32
+TORN_COMMIT_RATE = 1 / 32
+EVICTION_RATE = 1 / 32
 
 MATRIX_CSV_COLUMNS = [
     "crash_point", "target", "cache_blocks", "seed", "fired", "violations",
@@ -169,7 +156,7 @@ def default_matrix_spec(ops: int = 10_000) -> WorkloadSpec:
 
 
 def matrix_caches(spec: WorkloadSpec, seed: int) -> tuple[int | None, int]:
-    """The page-cache sizes the matrix runs every crash point at: unbounded
+    """The page-cache sizes the matrix runs every plan at: unbounded
     (None), and a quarter of the blocks the preload of spec's program spans
     (4 for default_matrix_spec), as perfbench's cold workloads have."""
     topo = ZoneTopology(seed, batch_size=spec.batch_size)
@@ -180,21 +167,29 @@ def matrix_caches(spec: WorkloadSpec, seed: int) -> tuple[int | None, int]:
 
 
 def checkpoint_matrix_spec(spec: WorkloadSpec) -> WorkloadSpec:
-    """The spec as write-only churn, long enough that both journals cross
-    the checkpoint interval twice."""
+    """The spec as write-only churn, long enough that the engine journal
+    crosses the checkpoint interval with recipes pending."""
     return replace(spec, mode=Mode.WRITE_ONLY,
                    duration_ops=max(spec.duration_ops, CHECKPOINT_MATRIX_OPS))
 
 
-def restart_violations(topo: ZoneTopology) -> int:
-    """Commits one row, crashes both zones and recovers again; returns the
-    second recovery's dangling FIDs, counting a CorruptLog as one."""
+def commit_one_row(topo: ZoneTopology) -> None:
+    """Commits one new row to the first table, if there is one: its recipe
+    is pending until the next privacy checkpoint."""
     db = topo.integrity.db
+    if not db.tables_by_idx:
+        return  # a crash came before the first table
     table = db.tables_by_idx[0]
     txn = db.begin()
     topo.insert_rows(txn, table, [(table.next_row_id, 7, b"restart", b"")])
     db.commit(txn)
     topo.client.end_query(txn.query_id)
+
+
+def restart_violations(topo: ZoneTopology) -> int:
+    """Commits one row, crashes both zones and recovers again; returns the
+    second recovery's dangling FIDs, counting a CorruptLog as one."""
+    commit_one_row(topo)
     topo.privacy.crash()
     topo.integrity.crash()
     try:
@@ -251,78 +246,204 @@ def lost_values(before: tuple[dict, dict], topo: ZoneTopology) -> int:
     return lost
 
 
-def run_crash_matrix(seeds_n: int, spec: WorkloadSpec | None = None,
-                     base_seed: int = 1000,
-                     points: list[tuple[CrashPointId, CrashTarget]] | None = None,
-                     on_row=None) -> list[dict]:
-    """Every crash point crossed with the matrix_caches cache sizes and
-    seeds_n seeds; after each recovery the external-synchrony invariant
-    must hold with zero dangling FIDs. A fired run then restarts once more
-    (restart_violations), so what the first recovery left behind must
-    survive a later commit and crash. A
-    checkpoint point runs checkpoint_matrix_spec and crashes in the first
-    or second checkpoint of its zone. DURING_RESTORE needs a restore to
-    crash in: the run ends in a privacy-only crash after a commit, and
-    the point fires in the recovery from it, which a second recover_all
-    then completes. Every fired run also counts lost_values: the table rows
-    recovery did not bring back, with their secrets, as they stood when the
-    run stopped at its crash."""
-    spec = spec or default_matrix_spec()
-    rows = []
-    cells = [(cache, point) for cache in matrix_caches(spec, base_seed)
-             for point in points or MATRIX_POINTS]
-    for cache, (point_id, target) in cells:
-        in_checkpoint = point_id in CHECKPOINT_POINTS
-        in_restore = point_id == CrashPointId.DURING_RESTORE
-        run_spec = checkpoint_matrix_spec(spec) if in_checkpoint else spec
-        for i in range(seeds_n):
-            seed = base_seed + i
-            topo = ZoneTopology(seed, batch_size=spec.batch_size,
-                                cache_capacity_blocks=cache)
-            if in_checkpoint:
-                occurrence = 1 + seed % 2
-            elif point_id == CrashPointId.RANDOM_BYTE:
-                occurrence = 40 + (seed % 200)  # statements into the run
-            elif point_id == CrashPointId.DURING_ORPHAN_GC:
-                occurrence = 1 + (seed % spec.tables)  # per-partition scan hits
-            elif point_id == CrashPointId.DURING_VACUUM:
-                occurrence = 1 + (seed % 5)
-            else:
-                occurrence = 3 + (seed % 10)  # qualifying commits into the run
-            if in_restore:
-                topo.inject_crash(CrashPoint(CrashPointId.AFTER_DB_COMMIT,
-                                             CrashTarget.PRIVACY, occurrence))
-            else:
-                topo.inject_crash(CrashPoint(point_id, target, at_occurrence=occurrence))
-            report = topo.run_workload(run_spec)
-            fired = topo.fired is not None
-            before = row_states(topo) if fired else None
-            if fired and in_restore:
-                topo.inject_crash(CrashPoint(point_id, target))
-                try:
-                    topo.recover_all()
-                    fired = False  # nothing was pending, so nothing restored
-                except (ZoneCrashed, Unavailable):
-                    pass
-            row = dict.fromkeys(MATRIX_CSV_COLUMNS, 0)
-            row.update(crash_point=point_id.value, target=target.value,
-                       cache_blocks=cache, seed=seed, fired=fired,
-                       committed_before_crash=report.txns_committed)
-            if fired:
-                recovery = topo.recover_all()
-                row["lost_values"] = lost_values(before, topo)
-                row["violations"] = len(recovery.invariant.violations)
-                row["orphans_pre_gc"] = recovery.invariant.orphans
-                row["privacy_replayed"] = recovery.privacy_replayed
-                row["db_replayed"] = recovery.db_replayed
-                row["gc_reclaimed"] = topo.integrity.db.orphan_gc()
-                after = topo.check_invariant()
-                row["violations"] += len(after.violations)
-                row["orphans_post_gc"] = after.orphans
-                row["restart_violations"] = restart_violations(topo)
-            else:
-                row["violations"] = report.violations
-            rows.append(row)
+class MatrixRun:
+    """The run the crash matrix crashes: spec's program on a fresh armed
+    topology, then a restart (commit_one_row, a crash of both zones,
+    recover_all), so the write record numbers recovery's writes, a
+    restore's among them. before is the row states the restart's crash is
+    checked against, report the program's RunReport."""
+
+    def __init__(self, seed: int, spec: WorkloadSpec, cache: int | None):
+        self.seed, self.spec, self.cache = seed, spec, cache
+        self.topo = ZoneTopology(seed, batch_size=spec.batch_size,
+                                 cache_capacity_blocks=cache)
+        self.writes = self.topo.record_writes()
+        self.before = self.report = None
+
+    def run(self) -> None:
+        """Runs to the end or to a scheduled crash; a crash inside the
+        restart's recovery propagates (ZoneCrashed or Unavailable)."""
+        topo = self.topo
+        self.report = topo.run_workload(self.spec)
+        if topo.fired is None:
+            commit_one_row(topo)
+        if topo.fired is None:  # a privacy-only crash lets that commit's sync run
+            self.before = row_states(topo)
+            topo.privacy.crash()
+            topo.integrity.crash()
+            topo.recover_all()
+
+    def crash_row(self, point: CrashPoint) -> dict:
+        """The CSV row of a run point stopped: recover_all, its invariant,
+        lost values and orphans; then a commit, vacuum of every table and
+        orphan_gc, so a version recovery brought back releases its refs
+        after that commit may have reused their slots, and the invariant
+        and orphans after; then one more restart (restart_violations). A
+        torn row counts as fired only if the journal it tore ends in a
+        torn record that recovery cuts."""
+        topo, write = self.topo, self.topo.fired
+        row = dict.fromkeys(MATRIX_CSV_COLUMNS, 0)
+        label = write.label if write is not None else f"#{point.ordinal}"
+        row.update(crash_point=label + (f" torn {point.torn_bytes}"
+                                        if point.torn_bytes else ""),
+                   target=point.target.value, cache_blocks=self.cache,
+                   seed=self.seed, fired=write is not None,
+                   committed_before_crash=self.report.txns_committed)
+        if write is None:
+            return row
+        before = self.before or row_states(topo)
+        torn = {"privacy": topo.store_wal_buffer, "integrity": topo.dbwal_buffer
+                }[write.zone] if point.torn_bytes else None
+        tore = torn is not None and _torn_tail(torn) > 0
+        recovery = topo.recover_all()
+        if torn is not None:
+            row["fired"] = tore and not _torn_tail(torn)
+        row["lost_values"] = lost_values(before, topo)
+        row["orphans_pre_gc"] = recovery.invariant.orphans
+        row["privacy_replayed"] = recovery.privacy_replayed
+        row["db_replayed"] = recovery.db_replayed
+        commit_one_row(topo)
+        db = topo.integrity.db
+        for table in db.tables_by_idx:
+            db.vacuum(table)
+        row["gc_reclaimed"] = db.orphan_gc()
+        after = topo.check_invariant()
+        row["violations"] = len(recovery.invariant.violations) + len(after.violations)
+        row["orphans_post_gc"] = after.orphans
+        row["restart_violations"] = restart_violations(topo)
+        return row
+
+
+def _torn_tail(buffer) -> int:
+    """The bytes past the last intact record of buffer's durable journal."""
+    data = buffer.durable
+    return len(data) - sum(FRAME.size + len(body) for body in read_frames(data))
+
+
+_DELETE_RECORD = len(frame_record(0, KIND_DELETE, bytes(DELETE_REC.size)))
+
+
+def default_plan(writes: list[DurableWrite], rng: random.Random) -> list[CrashPoint]:
+    """The default spec's crashes: both zones before every write; the
+    privacy zone alone before a sample of the DB_COMMIT syncs; and a torn
+    crash of both at every sync of a privacy delete batch and at a sample
+    of DB_COMMIT syncs, tearing inside a record (an engine sync holds one
+    record, a delete batch records of one size)."""
+    plan = []
+    for write in writes:
+        plan.append(CrashPoint(write.ordinal))
+        commit = write.zone == "integrity" and write.kind == DB_COMMIT
+        if commit and rng.random() < PRIVACY_COMMIT_RATE:
+            plan.append(CrashPoint(write.ordinal, CrashTarget.PRIVACY))
+        deletes = write.zone == "privacy" and write.kind == KIND_DELETE
+        if deletes or commit and rng.random() < TORN_COMMIT_RATE:
+            torn = rng.randrange(1, write.size)
+            plan.append(CrashPoint(write.ordinal, torn_bytes=torn - (
+                deletes and not torn % _DELETE_RECORD)))
+    return plan
+
+
+def checkpoint_plan(writes: list[DurableWrite], rng: random.Random) -> list[CrashPoint]:
+    """The checkpoint run's crashes: both zones, and the privacy zone alone,
+    before every write that is not a sync, except that a sealed copy's
+    write or discard outside a checkpoint (an eviction's seal, or a retired
+    copy) is sampled. A checkpoint's seals are the writes and discards
+    right before its first slot map."""
+    seals, run = set(), []
+    for write in writes:
+        if write.method in ("write", "discard"):
+            run.append(write.ordinal)
+            continue
+        if write.method == "put_atomic" and write.name.startswith("part-"):
+            seals.update(run)
+        run = []
+    return [CrashPoint(write.ordinal, target) for write in writes
+            if write.method != "sync" and (
+                write.method not in ("write", "discard") or write.ordinal in seals
+                or rng.random() < EVICTION_RATE)
+            for target in (CrashTarget.BOTH, CrashTarget.PRIVACY)]
+
+
+def sweep(seed: int, spec: WorkloadSpec, cache: int | None,
+          plan: list[CrashPoint], expected: list[DurableWrite] | None = None,
+          on_row=None) -> list[dict]:
+    """Each point of plan run as if on a run of its own, but all sharing one
+    MatrixRun up to the point's write: just before it the run forks, the
+    child crashes there, runs crash_row and sends the row back through a
+    pipe, and the parent waits for it, one child at a time, then runs the
+    write. RuntimeError if the run's writes are not expected's (the dry
+    run the plan was drawn from) or a child fails."""
+    run = MatrixRun(seed, spec, cache)
+    topo = run.topo
+    at = {}
+    for point in plan:
+        at.setdefault(point.ordinal, []).append(point)
+    rows, child = [], []
+
+    def on_write(write: DurableWrite) -> None:
+        if expected is not None and expected[write.ordinal - 1:write.ordinal] != [write]:
+            raise RuntimeError(f"the run diverged from its dry run at {write.label}")
+        for point in at.get(write.ordinal, ()):
+            read_fd, write_fd = os.pipe()
+            if os.fork() == 0:
+                os.close(read_fd)
+                child.append((write_fd, point))
+                topo.on_write = None
+                topo.inject_crash(point)
+                return
+            os.close(write_fd)
+            with os.fdopen(read_fd, "rb") as fh:
+                reply = json.loads(fh.read() or b"{}")
+            os.wait()
+            if "row" not in reply:
+                raise RuntimeError(f"crash row {point} failed:\n{reply.get('error')}")
+            rows.append(reply["row"])
             if on_row is not None:
-                on_row(row)
+                on_row(reply["row"])
+
+    topo.on_write = on_write
+    try:
+        run.run()
+    except (ZoneCrashed, Unavailable):
+        if not child:
+            raise
+    if child:
+        fd, point = child[0]
+        try:
+            reply = {"row": run.crash_row(point)}
+        except BaseException:
+            reply = {"error": traceback.format_exc()}
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(json.dumps(reply).encode())
+        os._exit(0)
+    if expected is not None and len(run.writes) != len(expected):
+        raise RuntimeError("the run diverged from its dry run at its end")
+    return rows
+
+
+def run_crash_matrix(seeds_n: int, spec: WorkloadSpec | None = None,
+                     base_seed: int = 1000, on_row=None,
+                     on_census=None) -> list[dict]:
+    """For seeds_n seeds, each matrix_caches cache size and two runs, the
+    default (spec, default_plan) and the checkpoint run
+    (checkpoint_matrix_spec, checkpoint_plan): a dry run records the run's
+    writes, its plan draws the crashes from them with a generator seeded by
+    the run, seed and cache size, and sweep runs each. on_census, if given,
+    gets (seed, cache, run, writes, plan) before each sweep. After each
+    recovery the external-synchrony invariant must hold with zero dangling
+    FIDs and no lost value, also after one more restart."""
+    spec = spec or default_matrix_spec()
+    runs = (("default", spec, default_plan),
+            ("checkpoint", checkpoint_matrix_spec(spec), checkpoint_plan))
+    rows = []
+    caches = matrix_caches(spec, base_seed)
+    for seed in range(base_seed, base_seed + seeds_n):
+        for cache in caches:
+            for name, run_spec, make_plan in runs:
+                dry = MatrixRun(seed, run_spec, cache)
+                dry.run()
+                plan = make_plan(dry.writes, random.Random(f"matrix:{name}:{seed}:{cache}"))
+                if on_census is not None:
+                    on_census(seed, cache, name, dry.writes, plan)
+                rows += sweep(seed, run_spec, cache, plan, dry.writes, on_row)
     return rows

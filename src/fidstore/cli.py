@@ -1,12 +1,13 @@
 """fidstore-bench: reproduce the per-operation cost comparison and run the
 crash matrix.
 
-Subcommands: ops (per-operation latency vs AEAD), crash-matrix (exit
-nonzero on any external-synchrony violation, after the recovery or after
-one more restart, a corrupt journal, a committed row or secret that
-recovery did not bring back, or a row whose crash point never fired, which
-checks nothing). Workload performance and durable size come from
-perfbench/run.py.
+Subcommands: ops (per-operation latency vs AEAD), crash-matrix (a crash
+before each durable write its plans pick, each row named by the write's
+ordinal and label; exit nonzero on any external-synchrony violation, after
+the recovery or after one more restart, a corrupt journal, a committed row
+or secret that recovery did not bring back, or a row whose crash never
+fired or whose tear left nothing to cut, which checks nothing). Workload
+performance and durable size come from perfbench/run.py.
 """
 
 from __future__ import annotations
@@ -61,9 +62,22 @@ def _cmd_crash_matrix(args: argparse.Namespace) -> int:
     spec = default_matrix_spec(args.ops)
     printed = []
 
+    def on_census(seed: int, cache, run: str, writes: list, plan: list) -> None:
+        crashed = {point.ordinal for point in plan}
+        counts = {}
+        for write in writes:
+            n = counts.setdefault(f"{write.zone} {write.method}", [0, 0])
+            n[0] += 1
+            n[1] += write.ordinal in crashed
+        print(f"census seed={seed} cache={cache or 'all'} run={run}: {len(writes)} "
+              f"durable writes, {len(crashed)} crashed before")
+        for key, (n, ran) in counts.items():
+            share = "all" if ran == n else "sampled" if ran else "none"
+            print(f"  {key:22s} {n:6d} writes, {ran:6d} run ({share})")
+
     def on_row(row: dict) -> None:
         printed.append(row)
-        print(f"{row['crash_point']:38s} {row['target']:9s} "
+        print(f"{row['crash_point']:44s} {row['target']:9s} "
               f"cache={row['cache_blocks'] or 'all'} seed={row['seed']} "
               f"fired={row['fired']} "
               f"violations={row['violations']} orphans_pre={row['orphans_pre_gc']} "
@@ -71,7 +85,8 @@ def _cmd_crash_matrix(args: argparse.Namespace) -> int:
               f"restart_violations={row['restart_violations']} "
               f"lost_values={row['lost_values']}")
 
-    rows = run_crash_matrix(args.seeds, spec, base_seed=args.seed, on_row=on_row)
+    rows = run_crash_matrix(args.seeds, spec, base_seed=args.seed, on_row=on_row,
+                            on_census=on_census)
     _write_csv(args.out, MATRIX_CSV_COLUMNS, rows)
     violations = sum(r["violations"] + r["restart_violations"] + r["lost_values"]
                      for r in rows)
@@ -84,7 +99,7 @@ def _cmd_crash_matrix(args: argparse.Namespace) -> int:
                          f"cache={r['cache_blocks'] or 'all'} seed={r['seed']}"
                          for r in unfired)
         print(f"FAIL: {len(unfired)} of {len(rows)} runs never reached their "
-              f"crash point: {runs}", file=sys.stderr)
+              f"crash or tore nothing: {runs}", file=sys.stderr)
     if violations or unfired:
         return 1
     print(f"ok: {len(rows)} runs, 0 violations")
@@ -103,7 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ops.add_argument("--out", default=None)
     p_ops.set_defaults(fn=_cmd_ops)
 
-    p_matrix = sub.add_parser("crash-matrix", help="crash points x seeds")
+    p_matrix = sub.add_parser(
+        "crash-matrix",
+        help="a crash before each durable write of the matrix runs x seeds")
     p_matrix.add_argument("--seeds", type=int, default=100)
     p_matrix.add_argument("--ops", type=int, default=10_000)
     p_matrix.add_argument("--seed", type=int, default=1000,

@@ -1,9 +1,16 @@
 """Durability primitives with an explicit synced/unsynced boundary.
 
 The simulator's crash model is synced-only: bytes survive a crash iff a
-sync completed for them, except that a crash injected during an in-flight
-sync may persist an arbitrary prefix of the bytes being synced (a torn
-write). Both primitives work purely in memory or mirrored to real files.
+sync completed for them, except that a crash injected at a sync may
+persist a prefix of the bytes being synced (a torn write). Both primitives
+work purely in memory or mirrored to real files.
+
+Each durable write, a sync with bytes pending, a replace, a put_atomic and
+a delete that removes a snapshot, first calls the primitive's hook, if one
+is set, as hook(method, name, data): the method's name, the snapshot's name
+(None for a journal) and the bytes it writes. That is where a crash
+schedule crashes a zone just before a write (zone_sim); with no hook set a
+write pays one attribute test.
 
 Failures are fail-stop: an OSError from a durable write stops the zone
 that made it, and crash recovery takes over. Nothing retries the write
@@ -28,6 +35,7 @@ class DurableBuffer:
         self.path = path
         self._durable = bytearray()
         self._pending = bytearray()
+        self.hook = None
         if path is not None and os.path.exists(path):
             with open(path, "rb") as fh:
                 self._durable = bytearray(fh.read())
@@ -50,6 +58,8 @@ class DurableBuffer:
     def sync(self) -> int:
         """Move all pending bytes into the durable region; returns new length."""
         if self._pending:
+            if self.hook is not None:
+                self.hook("sync", None, self._pending)
             if self.path is not None:
                 with open(self.path, "ab") as fh:
                     fh.write(self._pending)
@@ -73,6 +83,8 @@ class DurableBuffer:
     def replace(self, data: bytes) -> None:
         """Atomically swap the entire durable content (log truncation);
         pending bytes stay pending."""
+        if self.hook is not None:
+            self.hook("replace", None, data)
         if self.path is not None:
             atomic_write(self.path, data)
         self._durable = bytearray(data)
@@ -90,8 +102,11 @@ class SnapshotStore:
     def __init__(self, dirpath: str | None = None):
         self.dirpath = dirpath
         self._blobs = read_dir(dirpath) if dirpath is not None else {}
+        self.hook = None
 
     def put_atomic(self, name: str, data: bytes) -> None:
+        if self.hook is not None:
+            self.hook("put_atomic", name, data)
         if self.dirpath is not None:
             atomic_write(os.path.join(self.dirpath, name), data)
         self._blobs[name] = bytes(data)
@@ -103,6 +118,8 @@ class SnapshotStore:
         """Removes a snapshot; a name it does not hold is a no-op."""
         if name not in self._blobs:
             return
+        if self.hook is not None:
+            self.hook("delete", name, b"")
         if self.dirpath is not None:
             os.remove(os.path.join(self.dirpath, name))
         del self._blobs[name]

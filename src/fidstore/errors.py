@@ -91,6 +91,11 @@ class StructureMismatch(FidStoreError):
     code = 22
 
 
+class ZoneCrashed(Exception):
+    """Control-flow signal, never a wire error: the zone running the
+    raising code just died, in a crash or on a failed durable write."""
+
+
 _BY_CODE = {
     cls.code: cls
     for cls in list(globals().values())

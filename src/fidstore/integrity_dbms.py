@@ -25,7 +25,7 @@ before any message is sent. A transaction holds its writes: the new
 version is installed at once with a placeholder in each written cell, so
 first-updater-wins, the write set and abort work as for any other write.
 commit sends all of the transaction's writes in one backend call
-(send_writes), before its crash point, then fills the placeholders, claims
+(send_writes), before it journals anything, then fills the placeholders, claims
 the fresh refs with the recipes of the calls that wrote them and stages
 the versions, so the durability order below is unchanged. So a write-only
 transaction crosses to the privacy zone once, and an aborted one never.
@@ -108,8 +108,11 @@ recipe is pending, and recovery restores at most one checkpoint interval
 of recipes.
 
 A failed durable write stops its zone (durability's fail-stop rule). Here
-crash_hook gets site "io_failure" and crashes the engine, so a commit whose
-own sync failed has an unknown outcome, as after a timeout.
+the engine stops (stopped), drops its journal's unsynced bytes and raises
+ZoneCrashed("io_failure"), so a commit whose own sync failed has an unknown
+outcome, as after a timeout. A scheduled crash stops it the same way, just
+before one of its durable writes (zone_sim): the engine names no crash
+site.
 """
 
 from __future__ import annotations
@@ -127,6 +130,7 @@ from .errors import (
     TypeMismatch,
     Unavailable,
     WriteConflict,
+    ZoneCrashed,
     WrongPartitionKind,
     error_for_code,
 )
@@ -508,14 +512,14 @@ class Database:
 
     def __init__(self, client, backend, dbwal: DurableBuffer,
                  snapshots: SnapshotStore, *, batch_size: int = 256,
-                 trace=None, crash_hook=None):
+                 trace=None):
         self.client = client
         self.backend = backend
         self.dbwal = dbwal
         self.snapshots = snapshots
         self.batch_size = batch_size
         self.trace = trace
-        self.crash_hook = crash_hook
+        self.stopped = False  # by a crash or a failed durable write
         self.tables: dict[str, Table] = {}
         self.tables_by_idx: list[Table] = []
         self.active_txns: dict[int, Txn] = {}
@@ -578,10 +582,6 @@ class Database:
         self.active_txns[txn.txn_id] = txn
         return txn
 
-    def _hook(self, site: str, txn: Txn | None) -> None:
-        if self.crash_hook is not None:
-            self.crash_hook(site, txn)
-
     def commit(self, txn: Txn) -> None:
         """Sends the txn's pending writes (send_writes; on an error the txn
         stays active, for the caller to abort), then journals its commit
@@ -595,7 +595,6 @@ class Database:
             self._finish_commit(txn)
             return
         txn.state = TxnState.PREPARING
-        self._hook("before-db-commit", txn)
         # the FIDs become externally visible, the fresh ones with their
         # recipes
         recipes = txn.recipes
@@ -603,7 +602,6 @@ class Database:
             _COMMIT_HEAD.pack(txn.txn_id, len(txn.staged)), *txn.staged,
             *(_RECIPE_ITEM.pack(fid, len(recipe)) + recipe for fid, recipe in recipes)]))
         self.recipes.update(recipes)
-        self._hook("after-db-commit", txn)
         self._finish_commit(txn)
         self._synced()
 
@@ -648,7 +646,6 @@ class Database:
         if not self.recipes:
             return
         self.client.restore(list(self.recipes.items()), self.batch_size)
-        self._hook("during-restore", None)
         self.flush_privacy(checkpoint=True)
 
     def privacy_restarted(self) -> None:
@@ -894,14 +891,9 @@ class Database:
         every secret is durable before a removal is: recovery drops the
         recipe of a FID whose version is removed, yet that FID may be an
         operand of a recipe it keeps. A plain flush after the deletes
-        makes them durable before the next write.
-
-        Its crash point fires once the pass has begun, so in every pass,
-        even one with nothing to remove, then at each dead version and
-        garbage ref, all before the removals are durable."""
+        makes them durable before the next write."""
         if self.recipes:
             self.flush_privacy(checkpoint=True)
-        self._hook("during-vacuum", None)
         min_snapshot = min((t.snapshot_seq for t in self.active_txns.values()),
                            default=None)
         release = []
@@ -918,14 +910,11 @@ class Database:
                         if cells[c] != successor[c]:
                             release.append(cells[c])
                     removed.append(_REMOVE_ITEM.pack(row_id, version.vseq))
-                    self._hook("during-vacuum", None)
                 else:
                     kept.append(version)
             table.rows[row_id] = kept
         garbage, table.abort_garbage = table.abort_garbage, []
-        for ref in garbage:
-            release.append(ref)
-            self._hook("during-vacuum", None)
+        release += garbage
         # the removals are durable before any ref is released: a crash in
         # between leaves orphans, never a recovered version whose released
         # refs name slots the store has freed and may hand out again
@@ -975,12 +964,8 @@ class Database:
         if self.backend.name == "fid":  # cipher envelopes live in their rows
             referenced = self.referenced_refs()
             for table in self.tables_by_idx:
-                self._hook("during-orphan-gc", None)
-                orphans = []
-                for fid in self.client.list_live(table.partition_id):
-                    if fid not in referenced:
-                        orphans.append(fid)
-                        self._hook("during-orphan-gc", None)
+                orphans = [fid for fid in self.client.list_live(table.partition_id)
+                           if fid not in referenced]
                 reclaimed += self.backend.release(orphans, self.batch_size)
         self.flush_privacy(checkpoint=True)
         if self.dbwal.durable_len:
@@ -1026,9 +1011,7 @@ class Database:
             self.flush_privacy(checkpoint=True)
         self._durable_write(self.snapshots.put_atomic, CHECKPOINT_IMAGE,
                             wal.frame(self._image()))
-        self._hook("integrity-checkpoint-before-truncate", None)
         self._durable_write(self.dbwal.replace, b"")
-        self._hook("integrity-checkpoint-after-truncate", None)
 
     def _widths(self) -> tuple[int, int, int]:
         """The widths of an image's version head fields: row id, vseq and
@@ -1100,13 +1083,15 @@ class Database:
         self._durable_write(self.dbwal.sync)
 
     def _durable_write(self, write, *args) -> None:
-        """Runs one durable write; an OSError out of it goes to crash_hook as
-        site "io_failure", which stops this zone, and propagates if it returns."""
+        """Runs one durable write; an OSError out of it stops this zone: the
+        journal drops its unsynced bytes and ZoneCrashed("io_failure")
+        propagates."""
         try:
             write(*args)
-        except OSError:
-            self._hook("io_failure", None)
-            raise
+        except OSError as exc:
+            self.stopped = True
+            self.dbwal.crash()
+            raise ZoneCrashed("io_failure") from exc
 
 
 def _version_head(widths) -> struct.Struct:

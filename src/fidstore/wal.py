@@ -253,7 +253,7 @@ def map_name(pid: int, lsn: int) -> str:
 
 
 def checkpoint_truncate(store: MappingStore, wal: Wal, snapshots: SnapshotStore,
-                        atrest: AtRestLayer, crash_hook) -> None:
+                        atrest: AtRestLayer) -> None:
     """Persist a store image covering the durable journal, under an LSN of
     its own past every record, then truncate the journal to empty, and
     reset the journal's put count. Does nothing if the journal holds no
@@ -265,18 +265,21 @@ def checkpoint_truncate(store: MappingStore, wal: Wal, snapshots: SnapshotStore,
     and order in the module docstring). A record appended after the last
     flush is covered too, since the image holds its effect: it stays
     pending across the truncation, and recovery cuts it once a sync makes
-    it durable. Replay after a crash at any point in this sequence
-    reconstructs the same state because record application is
-    idempotent. crash_hook is called with the crash
-    point's name once the seals are written, once the image and its marker
-    are written and once the journal is truncated.
+    it durable.
+
+    Each step is a durable write: each seal's copy (and the discard of
+    the copy it supersedes), each slot map's put_atomic, the marker's
+    put_atomic, each copy retain deletes, each old map's delete, then the
+    journal's replace. A crash just before any of them recovers the same
+    committed state, because record application is idempotent: before the
+    marker from the last checkpoint, whose copies and maps are all still
+    there, and the recipes; from the marker on, from this one.
     """
     if not wal.buffer.durable_len and not wal.puts:
         return  # the last image still holds everything
     pids = [pid for pid in store.partition_ids()
             if store.partition(pid).kind == PartitionKind.PERMANENT]
     kept = {pid: atrest.checkpoint_copies(pid) for pid in pids}
-    crash_hook("privacy-checkpoint-after-seal")
     lsn = wal.durable_lsn = wal.next_lsn
     wal.next_lsn += 1
     sealer = atrest.sealer
@@ -294,10 +297,8 @@ def checkpoint_truncate(store: MappingStore, wal: Wal, snapshots: SnapshotStore,
     for name in snapshots.names():
         if name.endswith(".map") and name not in maps:
             snapshots.delete(name)
-    crash_hook("privacy-checkpoint-before-truncate")
     wal.buffer.replace(b"")
     wal.puts = 0
-    crash_hook("privacy-checkpoint-after-truncate")
 
 
 @dataclass

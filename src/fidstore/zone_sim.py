@@ -1,6 +1,6 @@
 """Deterministic two-domain harness: an integrity zone (table engine) and
 a privacy zone (proxy + mapping store) joined by a byte-serialized message
-channel, with crash injection at the commit and maintenance sites.
+channel, with crash injection before any durable write.
 
 Everything observable outside the trusted domains lands in the adversary
 trace: message sizes, message kinds, FIDs, comparison outcomes, result
@@ -16,6 +16,23 @@ and a privacy-only crash stalls the integrity zone for the replay
 duration. After a privacy restart, the engine's first requests restore the
 committed secrets the privacy zone lost, from their recipes. An I/O
 failure crashes the zone that wrote (durability's fail-stop rule).
+
+A crash is scheduled by durable-write ordinal. Every write that changes
+durable state in either zone goes through seven methods: DurableBuffer's
+sync (with bytes pending) and replace, SnapshotStore's put_atomic and
+delete, and SealedBlockStore's write and each copy its discard or retain
+deletes. An armed topology numbers them from 1 in the order they run,
+recovery's writes included (the count carries on through recover_all),
+and a CrashPoint(k, target, torn_bytes) crashes its target zones just
+before write k; at a sync, torn_bytes of the pending bytes reach the disk
+first. Since a crash loses all volatile state, what recovery sees is fixed
+by which writes completed and that torn prefix, so the ordinals reach
+every crash state of a run. No zone names a crash site. A test picks its
+ordinal by a rule such as "the first put_atomic of store.ckpt" from a
+write record (record_writes): a dry run's, or the run's own as it makes
+its writes (on_write), which is the same since a run is deterministic. An
+unarmed topology records nothing, and each durable write pays one
+attribute test.
 """
 
 from __future__ import annotations
@@ -37,6 +54,7 @@ from .errors import (
     Unavailable,
     UnknownPartition,
     WriteConflict,
+    ZoneCrashed,
 )
 from .integrity_dbms import (
     CipherBackend,
@@ -59,7 +77,7 @@ from .privacy_proxy import (
     decode_int64,
     encode_int64,
 )
-from .wal import Wal, advance_epoch, checkpoint_truncate, recover_store
+from .wal import FRAME, REC_HEAD, Wal, advance_epoch, checkpoint_truncate, recover_store
 from .workload import (
     ADD,
     INSERT,
@@ -116,8 +134,8 @@ class AdversaryTrace:
     area's BlockRead, BlockWrite and BlockDrop (a block's current copy
     retired once a size-class bucket shrinks past its block). Which block
     drops depends only on the live count per size class, which the op
-    sequence and the crash point fix. The MSG_FLUSH_LOG reply is the status
-    byte alone, so the privacy journal's length does not reach the
+    sequence and the crash schedule fix. The MSG_FLUSH_LOG reply is the
+    status byte alone, so the privacy journal's length does not reach the
     integrity zone.
 
     A txn's writes cross together when it commits, or earlier when one of
@@ -234,59 +252,44 @@ class CrashTarget(Enum):
     BOTH = "both"
 
 
-class CrashPointId(Enum):
-    """Where a scheduled crash fires. BEFORE_DB_COMMIT fires in every
-    commit that staged a row version, after its writes are sent and before
-    its commit record, which holds its fresh FIDs' recipes, is journaled;
-    AFTER_DB_COMMIT once that record is durable. The checkpoint points fire
-    inside a zone's checkpoint, once its image is written and once its
-    journal is truncated, whether the checkpoint runs past the interval or
-    at the end of orphan_gc; the privacy zone's checkpoint also has
-    PRIVACY_CHECKPOINT_AFTER_SEAL, between its seals and its slot maps and
-    marker. The privacy zone's run inside the MSG_FLUSH_LOG whose sync took
-    its journal past the interval, or that carried the checkpoint flag (an
-    integrity checkpoint's, vacuum's opening one, orphan_gc's closing one
-    or a restore's), inside MSG_PROMOTE, or inside the put that reached
-    wal.MAX_UNSYNCED_PUTS, and a privacy crash there fails that request.
-    DURING_RESTORE fires in recovery, once the privacy zone has written the
-    restored secrets and before the checkpoint that makes them durable.
-    RANDOM_BYTE crashes the privacy zone at a statement boundary and keeps
-    a random prefix of its journal's unsynced tail, a torn tail of delete
-    and create records: no put is journaled.
-
-    Each value is also the site string its hook fires with, from Database
-    and wal.checkpoint_truncate; "io_failure" is the one site that is not a
-    crash point."""
-
-    BEFORE_DB_COMMIT = "before-db-commit"
-    AFTER_DB_COMMIT = "after-db-commit"
-    DURING_VACUUM = "during-vacuum"
-    DURING_ORPHAN_GC = "during-orphan-gc"
-    DURING_RESTORE = "during-restore"
-    RANDOM_BYTE = "random-byte"
-    PRIVACY_CHECKPOINT_AFTER_SEAL = "privacy-checkpoint-after-seal"
-    PRIVACY_CHECKPOINT_BEFORE_TRUNCATE = "privacy-checkpoint-before-truncate"
-    PRIVACY_CHECKPOINT_AFTER_TRUNCATE = "privacy-checkpoint-after-truncate"
-    INTEGRITY_CHECKPOINT_BEFORE_TRUNCATE = "integrity-checkpoint-before-truncate"
-    INTEGRITY_CHECKPOINT_AFTER_TRUNCATE = "integrity-checkpoint-after-truncate"
-
-
-# points that fire inside the privacy zone, while it serves a request
-_PRIVACY_ZONE_POINTS = frozenset({CrashPointId.PRIVACY_CHECKPOINT_AFTER_SEAL,
-                                  CrashPointId.PRIVACY_CHECKPOINT_BEFORE_TRUNCATE,
-                                  CrashPointId.PRIVACY_CHECKPOINT_AFTER_TRUNCATE})
-
-
-@dataclass
+@dataclass(frozen=True)
 class CrashPoint:
-    id: CrashPointId
+    """A crash of target just before durable write ordinal (the module
+    docstring numbers them). A torn crash (torn_bytes > 0) must come at a
+    sync by a zone it crashes: that many of the pending bytes, fewer than
+    all, reach the disk first. An integrity-only crash must come at an
+    integrity write, since the privacy zone writes only inside its own
+    requests and recoveries. A point that breaks either rule raises
+    ValueError when its write comes."""
+
+    ordinal: int
     target: CrashTarget = CrashTarget.BOTH
-    at_occurrence: int = 1
-    torn_bytes: int | None = None  # RANDOM_BYTE: cut inside the pending tail
+    torn_bytes: int = 0
 
 
-class ZoneCrashed(Exception):
-    """Control-flow signal: the integrity zone's process died."""
+@dataclass(frozen=True)
+class DurableWrite:
+    """One durable write, as an armed topology numbered it: the zone that
+    made it ("privacy" or "integrity"), the method, the file it writes
+    (store.wal or db.wal for a journal, else the snapshot's or sealed
+    copy's name), the bytes a sync, replace or put_atomic writes (0 for the
+    rest) and, for a sync, the kind of the first journal record it
+    holds."""
+
+    ordinal: int
+    zone: str
+    method: str
+    name: str
+    size: int
+    kind: int | None = None
+
+    @property
+    def label(self) -> str:
+        return f"#{self.ordinal} {self.zone} {self.method} {self.name}"
+
+
+# a journal record's kind byte, at the end of REC_HEAD after the frame head
+_KIND_AT = FRAME.size + REC_HEAD.size - 1
 
 
 class Channel:
@@ -358,8 +361,7 @@ class PrivacyZoneHost:
                                             self.zone_codec)
 
     def _checkpoint(self) -> None:
-        checkpoint_truncate(self.store, self.wal, self.snapshots, self.atrest,
-                            self.topology._crash_hook)
+        checkpoint_truncate(self.store, self.wal, self.snapshots, self.atrest)
 
     def crash(self, torn_bytes: int = 0) -> None:
         self.crashed = True
@@ -384,7 +386,6 @@ class IntegrityZoneHost:
         self.topology = topology
         self.snapshots = snapshots
         self.dbwal_buffer = dbwal_buffer
-        self.crashed = False
         self.client = ProxyClient(topology.channel, topology.trace)
         self.db = self._fresh_db()
 
@@ -397,20 +398,22 @@ class IntegrityZoneHost:
         topo = self.topology
         return Database(self.client, self._backend(), self.dbwal_buffer,
                         self.snapshots, batch_size=topo.batch_size,
-                        trace=topo.trace, crash_hook=topo._crash_hook)
+                        trace=topo.trace)
 
-    def crash(self) -> None:
-        self.crashed = True
-        self.dbwal_buffer.crash()
+    @property
+    def crashed(self) -> bool:  # by a crash, or a failed write (Database.stopped)
+        return self.db.stopped
+
+    def crash(self, torn_bytes: int = 0) -> None:
+        self.db.stopped = True
+        self.dbwal_buffer.crash(torn_bytes)
 
     def recover(self) -> int:
         topo = self.topology
         db, replayed = recover_database(
             self.client, self._backend(), self.dbwal_buffer, self.snapshots,
-            batch_size=topo.batch_size, trace=topo.trace,
-            crash_hook=topo._crash_hook)
+            batch_size=topo.batch_size, trace=topo.trace)
         self.db = db
-        self.crashed = False
         return replayed
 
 
@@ -470,7 +473,6 @@ class ZoneTopology:
         self.zone_block_key = key_rng.randbytes(32)
         self._client_nonce = random.Random(f"client-nonce:{seed}").randbytes
         self._client_codec = EnvelopeCodec(self.client_key, self._client_nonce)
-        self._sim_rng = random.Random(f"sim:{seed}")
 
         self.trace = AdversaryTrace()
 
@@ -495,8 +497,10 @@ class ZoneTopology:
                                            self.dbwal_buffer)
         self.client = self.integrity.client
 
-        self._armed: CrashPoint | None = None
-        self.fired: CrashPoint | None = None
+        self.writes: list[DurableWrite] | None = None  # the record, once armed
+        self._schedule: dict[int, CrashPoint] = {}
+        self.fired: DurableWrite | None = None  # the write the last crash preceded
+        self.on_write = None  # shown each write, before a crash scheduled at it
         if (self.store_wal_buffer.durable_len or self.dbwal_buffer.durable_len
                 or self.priv_snapshots.names() or self.db_snapshots.names()
                 or self.sealed_store.blocks):
@@ -534,60 +538,65 @@ class ZoneTopology:
     # ------------------------------------------------------------------
     # crash machinery
 
+    def record_writes(self) -> list[DurableWrite]:
+        """Arms the topology, if it is not armed yet: from now on each
+        durable write of either zone is numbered and appended to the
+        returned record (writes) just before it runs."""
+        if self.writes is None:
+            self.writes = []
+            for zone, journal, primitives in (
+                    ("privacy", "store.wal", (self.store_wal_buffer, self.priv_snapshots,
+                                              self.sealed_store)),
+                    ("integrity", "db.wal", (self.dbwal_buffer, self.db_snapshots))):
+                for primitive in primitives:
+                    primitive.hook = (lambda method, name, data, zone=zone, journal=journal:
+                                      self._before_write(zone, method, name or journal, data))
+        return self.writes
+
     def inject_crash(self, point: CrashPoint) -> None:
-        if not isinstance(point.id, CrashPointId):
-            raise ValueError(f"unknown crash point {point.id}")
-        if point.id in _PRIVACY_ZONE_POINTS and point.target == CrashTarget.INTEGRITY:
-            raise ValueError(f"{point.id.value} fires inside the privacy zone")
-        if point.id == CrashPointId.RANDOM_BYTE and point.at_occurrence <= 0:
-            self._fire(point, interrupt=False)
-            return
-        self._armed = point
+        """Schedules point on this topology, arming it; ValueError unless
+        its write is still to come."""
+        if point.ordinal <= len(self.record_writes()):
+            raise ValueError(f"write {point.ordinal} has run")
+        self._schedule[point.ordinal] = point
 
-    def _crash_hook(self, site: str, txn=None) -> None:
-        if site == "io_failure":
-            # fail-stop: a durable write of the integrity zone failed
-            self.integrity.crash()
-            raise ZoneCrashed(site)
-        point = self._armed
-        if point is None or point.id.value != site:
-            return
-        point.at_occurrence -= 1
-        if point.at_occurrence <= 0:
-            self._fire(point)
+    def _before_write(self, zone: str, method: str, name: str, data) -> None:
+        writes = self.writes
+        write = DurableWrite(len(writes) + 1, zone, method, name, len(data),
+                             data[_KIND_AT] if method == "sync" else None)
+        if self.on_write is not None:
+            self.on_write(write)
+        writes.append(write)
+        point = self._schedule.pop(write.ordinal, None)
+        if point is not None:
+            self._crash(point, write)
 
-    def _statement_tick(self) -> None:
-        point = self._armed
-        if point is None or point.id != CrashPointId.RANDOM_BYTE:
-            return
-        point.at_occurrence -= 1
-        if point.at_occurrence <= 0:
-            self._fire(point)
-
-    def _fire(self, point: CrashPoint, interrupt: bool = True) -> None:
-        self._armed = None
-        self.fired = point
-        torn = 0
-        if point.id == CrashPointId.RANDOM_BYTE:
-            pending = self.store_wal_buffer.pending_len
-            torn = (point.torn_bytes if point.torn_bytes is not None
-                    else self._sim_rng.randrange(pending + 1))
-        if point.target in (CrashTarget.PRIVACY, CrashTarget.BOTH):
-            self.privacy.crash(torn)
-        if point.target in (CrashTarget.INTEGRITY, CrashTarget.BOTH):
-            self.integrity.crash()
-        elif point.id not in _PRIVACY_ZONE_POINTS:
-            return  # the integrity zone runs on
-        if interrupt:
-            # unwind out of the crashed zone's code: its process just died
-            raise ZoneCrashed(point.id.value)
+    def _crash(self, point: CrashPoint, write: DurableWrite) -> None:
+        """Crashes point's target zones just before write; the writing zone,
+        if crashed, unwinds (ZoneCrashed), and otherwise the write runs."""
+        target = point.target
+        writer_crashes = target == CrashTarget.BOTH or target.value == write.zone
+        if not writer_crashes and write.zone == "privacy":
+            raise ValueError(f"an integrity-only crash at {write.label}")
+        torn = point.torn_bytes
+        if torn and not (writer_crashes and write.method == "sync"
+                         and 0 < torn < write.size):
+            raise ValueError(f"{write.label} cannot tear {torn} bytes")
+        self.fired = write
+        if target != CrashTarget.INTEGRITY:
+            self.privacy.crash(torn if write.zone == "privacy" else 0)
+        if target != CrashTarget.PRIVACY:
+            self.integrity.crash(torn if write.zone == "integrity" else 0)
+        if writer_crashes:
+            raise ZoneCrashed(write.label)
 
     def recover_all(self) -> RecoveryReport:
         """Recovers each crashed zone. After a privacy restart the engine
         first restores what the privacy zone lost of its pending recipes,
-        then aborts its active txns that stored a ref. A crash during the
-        restore propagates (ZoneCrashed, or Unavailable when only the
-        privacy zone crashed); recover_all again finishes the recovery.
+        then aborts its active txns that stored a ref. A crash scheduled
+        at one of recovery's own writes propagates (ZoneCrashed, or
+        Unavailable when the privacy zone alone crashed inside a request of
+        the restore); recover_all again finishes the recovery.
         The closing invariant check lists each table's partition, so a
         recovered table that names a partition the privacy zone does not
         hold raises CorruptLog (the cipher baseline stores nothing in its
@@ -602,12 +611,12 @@ class ZoneTopology:
         if privacy_restarts:
             self.integrity.db.restore_recipes()
             self.integrity.db.privacy_restarted()
-        self.fired = None
         try:
             invariant = self.check_invariant()
         except UnknownPartition as exc:
             raise CorruptLog(f"a recovered table names a partition the privacy "
                              f"zone does not hold: {exc}") from None
+        self.fired = None
         return RecoveryReport(privacy_replayed=privacy_replayed,
                               db_replayed=db_replayed,
                               parallel_replays=parallel,
@@ -716,7 +725,7 @@ class _Runner:
             # flight, so privacy_restarted would leave it active
             for txn in list(db.active_txns.values()):
                 db.abort(txn)
-            report.crashed_at = (topo.fired.id.value if topo.fired
+            report.crashed_at = (topo.fired.label if topo.fired
                                  else "privacy-unavailable")
             return report
 
@@ -725,7 +734,6 @@ class _Runner:
         dead: set[int] = set()
         try:
             for entry in schedule:
-                topo._statement_tick()
                 kind = entry[0]
                 if kind == "begin":
                     txn = db.begin()
@@ -767,7 +775,7 @@ class _Runner:
             for txn in active.values():
                 db.abort(txn)
                 report.txns_aborted += 1
-            report.crashed_at = (topo.fired.id.value if topo.fired
+            report.crashed_at = (topo.fired.label if topo.fired
                                  else "privacy-unavailable")
 
         if not topo.privacy.crashed and not topo.integrity.crashed:
@@ -779,7 +787,7 @@ class _Runner:
                 except ZoneCrashed as exc:
                     report.crashed_at = str(exc)
                 except Unavailable:
-                    report.crashed_at = (topo.fired.id.value if topo.fired
+                    report.crashed_at = (topo.fired.label if topo.fired
                                          else "privacy-unavailable")
         if not topo.privacy.crashed and not topo.integrity.crashed:
             invariant = topo.check_invariant()

@@ -32,9 +32,9 @@ def integrity_checkpoints(monkeypatch):
 
 @pytest.fixture
 def fail_io(monkeypatch):
-    """fail_io(name, nth) makes the nth call from now on of os.fsync or
-    os.replace (name "fsync" or "replace"), as the durability module calls
-    it, raise OSError(EIO) once. It returns a dict that the failing call
+    """fail_io(name, nth) makes the nth call from now on of os.fsync,
+    os.replace or os.remove (name "fsync", "replace" or "remove"), as the
+    durability and at-rest modules call it, raise OSError(EIO) once. It returns a dict that the failing call
     fills with "args" and "stack", the names of the functions on the call
     stack, so a test can check which durable write failed."""
     def arm(name: str, nth: int = 1) -> dict:

@@ -34,14 +34,13 @@ from fidstore.privacy_proxy import ClientEnvelope, decode_int64, encode_int64
 from fidstore.wal import FRAME, REC_HEAD, read_frames
 from fidstore.workload import Mode, WorkloadSpec, flatten_schedule, generate_workload
 from fidstore.zone_sim import (
-    CrashPoint,
-    CrashPointId,
     CrashTarget,
     ZoneTopology,
     pad_sensitive,
     unpad_sensitive,
 )
 
+from .crashes import commit_sync, crash_at, crash_at_point, first_slot_map, writes
 from .oracles import ShadowRunner
 
 INTERVAL = 16 * 1024
@@ -118,36 +117,32 @@ def _permanent_mapping(topo) -> dict:
     return mapping
 
 
-def _crash_and_capture(point: CrashPoint):
-    """Runs SPEC with the crash armed; returns the topology and the newest
-    committed versions and permanent secrets at the moment it fired."""
+def _crash_and_capture(point: str, target: CrashTarget):
+    """Runs SPEC with a crash of target by the rule of the named point, in
+    the second checkpoint of its zone; returns the topology and the newest
+    committed versions and permanent secrets just before the crash."""
     topo = ZoneTopology(3, batch_size=SPEC.batch_size)
     seen = {}
-    fire = topo._fire
 
-    def capture(p, interrupt=True):
+    def capture():
         seen["versions"] = _newest_committed(topo.integrity.db)
         seen["mapping"] = _permanent_mapping(topo)
-        fire(p, interrupt)
 
-    topo._fire = capture
-    topo.inject_crash(point)
+    chosen = crash_at_point(topo, point, nth=2, target=target, before=capture)
     report = topo.run_workload(SPEC)
-    assert report.crashed_at == point.id.value
+    assert report.crashed_at == topo.fired.label
+    assert topo.fired.ordinal == chosen[0].ordinal and seen
     return topo, seen
 
 
-@pytest.mark.parametrize("point_id", [
-    CrashPointId.INTEGRITY_CHECKPOINT_BEFORE_TRUNCATE,
-    CrashPointId.INTEGRITY_CHECKPOINT_AFTER_TRUNCATE,
-], ids=lambda p: p.value)
-def test_crash_inside_integrity_checkpoint(point_id, integrity_checkpoints):
-    """A crash between writing the image and truncating the journal, or
-    right after truncating, recovers the newest committed version of every
-    row exactly once, with the same cells and secrets, and replays none of
-    the covered journal."""
-    topo, seen = _crash_and_capture(CrashPoint(point_id, CrashTarget.BOTH,
-                                               at_occurrence=2))
+@pytest.mark.parametrize("point", ["integrity-checkpoint-before-truncate",
+                                   "integrity-checkpoint-after-truncate"])
+def test_crash_inside_integrity_checkpoint(point, integrity_checkpoints):
+    """A crash just before the second integrity checkpoint truncates its
+    journal, once its image is written, or just after, recovers the newest
+    committed version of every row exactly once, with the same cells and
+    secrets, and replays none of the covered journal."""
+    topo, seen = _crash_and_capture(point, CrashTarget.BOTH)
     assert len(integrity_checkpoints) == 2
     recovery = topo.recover_all()
     assert recovery.invariant.holds
@@ -167,14 +162,15 @@ def test_crash_inside_integrity_checkpoint(point_id, integrity_checkpoints):
 
 @pytest.mark.parametrize("target", [CrashTarget.PRIVACY, CrashTarget.BOTH],
                          ids=lambda t: t.value)
-@pytest.mark.parametrize("point_id", [
-    CrashPointId.PRIVACY_CHECKPOINT_AFTER_SEAL,
-    CrashPointId.PRIVACY_CHECKPOINT_BEFORE_TRUNCATE,
-    CrashPointId.PRIVACY_CHECKPOINT_AFTER_TRUNCATE,
-], ids=lambda p: p.value)
-def test_crash_inside_privacy_checkpoint(point_id, target, monkeypatch):
-    """A privacy crash inside the store checkpoint fails the MSG_FLUSH_LOG
-    that asked for it; recovery rebuilds exactly the image's secrets and
+@pytest.mark.parametrize("point", ["privacy-checkpoint-after-seal",
+                                   "privacy-checkpoint-before-truncate",
+                                   "privacy-checkpoint-after-truncate"])
+def test_crash_inside_privacy_checkpoint(point, target, monkeypatch):
+    """A crash in the second privacy checkpoint: just before its first slot
+    map, once its seals are written, just before its journal's truncation,
+    or just after it. A privacy crash inside the checkpoint fails the
+    MSG_FLUSH_LOG that asked for it; recovery rebuilds exactly the image's
+    secrets and
     cuts a journal prefix the image covers, and every committed row keeps
     its values. A crash between the checkpoint's seals and its marker
     leaves the last checkpoint whole: recovery rebuilds from it, deletes
@@ -184,7 +180,7 @@ def test_crash_inside_privacy_checkpoint(point_id, target, monkeypatch):
     needs nothing from it; recovery restores the secrets of those commits
     from their recipes, and after a crash past the marker they are all the
     store gains."""
-    topo, seen = _crash_and_capture(CrashPoint(point_id, target, at_occurrence=2))
+    topo, seen = _crash_and_capture(point, target)
     if target == CrashTarget.PRIVACY:
         seen["versions"] = _newest_committed(topo.integrity.db)
     # a crash before the marker leaves seals the last checkpoint does not keep
@@ -199,7 +195,7 @@ def test_crash_inside_privacy_checkpoint(point_id, target, monkeypatch):
     monkeypatch.setattr(MappingStore, "restore", recorded)
     recovery = topo.recover_all()
     assert recovery.invariant.holds
-    after_seal = point_id == CrashPointId.PRIVACY_CHECKPOINT_AFTER_SEAL
+    after_seal = point == "privacy-checkpoint-after-seal"
     assert after_seal == unkept
     assert after_seal == bool(set(restored) & set(seen["mapping"]))
     mapping = _permanent_mapping(topo)
@@ -226,9 +222,10 @@ def test_the_put_cap_checkpoints_so_a_crash_restores_every_row(monkeypatch,
     monkeypatch.setattr(wal, "CHECKPOINT_INTERVAL_BYTES", 1 << 40)
     spec = replace(SPEC, mode=Mode.WRITE_ONLY, duration_ops=300)
     topo = ZoneTopology(23, batch_size=spec.batch_size)
-    topo.inject_crash(CrashPoint(CrashPointId.AFTER_DB_COMMIT, CrashTarget.PRIVACY,
-                                 at_occurrence=250))
-    assert topo.run_workload(spec).crashed_at == "after-db-commit"
+    chosen = crash_at(topo, commit_sync, nth=250, after=True,
+                      target=CrashTarget.PRIVACY)
+    assert topo.run_workload(spec).crashed_at == topo.fired.label
+    assert topo.fired.ordinal == chosen[0].ordinal
     puts = sum(topo.privacy.store.partition(t.partition_id).alloc_counter
                for t in topo.integrity.db.tables_by_idx)
     assert len(privacy_checkpoints) >= puts // 40 >= 5
@@ -240,10 +237,19 @@ def test_the_put_cap_checkpoints_so_a_crash_restores_every_row(monkeypatch,
 
 
 def test_privacy_checkpoint_point_refuses_an_integrity_only_crash():
-    topo = ZoneTopology(3)
-    with pytest.raises(ValueError):
-        topo.inject_crash(CrashPoint(CrashPointId.PRIVACY_CHECKPOINT_AFTER_TRUNCATE,
-                                     CrashTarget.INTEGRITY))
+    """The privacy zone writes only inside its own requests and recoveries,
+    so an integrity-only crash at a privacy write, here just before the
+    first privacy checkpoint's truncation, is refused when the run reaches
+    it; a torn crash must come at a sync of a zone it crashes."""
+    topo = ZoneTopology(3, batch_size=SPEC.batch_size)
+    crash_at_point(topo, "privacy-checkpoint-before-truncate",
+                   target=CrashTarget.INTEGRITY)
+    with pytest.raises(ValueError, match="integrity-only"):
+        topo.run_workload(SPEC)
+    topo = ZoneTopology(3, batch_size=SPEC.batch_size)
+    crash_at(topo, writes("replace", "db.wal"), torn_bytes=1)
+    with pytest.raises(ValueError, match="cannot tear"):
+        topo.run_workload(SPEC)
 
 
 def test_replay_is_bounded_by_the_interval(privacy_checkpoints,
@@ -275,10 +281,10 @@ def test_replay_is_bounded_by_the_interval(privacy_checkpoints,
         covered.append(topo.privacy.wal.durable_lsn)
 
     db.checkpoint = recorded
-    topo.inject_crash(CrashPoint(CrashPointId.AFTER_DB_COMMIT, CrashTarget.BOTH,
-                                 at_occurrence=1300))
+    chosen = crash_at(topo, commit_sync, nth=1300, after=True)
     report = topo.run_workload(replace(SPEC, duration_ops=2000))
-    assert report.crashed_at == "after-db-commit"
+    assert report.crashed_at == topo.fired.label
+    assert topo.fired.ordinal == chosen[0].ordinal
     assert len(integrity_checkpoints) >= 3
     assert len(privacy_checkpoints) >= 3
     durable = [buffer.durable_len for buffer in buffers]
@@ -799,11 +805,11 @@ def _plaintext_files(root, secrets: list[bytes],
 
 @pytest.mark.parametrize("point", [
     None,
-    CrashPoint(CrashPointId.PRIVACY_CHECKPOINT_AFTER_SEAL, CrashTarget.PRIVACY),
-    CrashPoint(CrashPointId.PRIVACY_CHECKPOINT_BEFORE_TRUNCATE, CrashTarget.PRIVACY),
-    CrashPoint(CrashPointId.PRIVACY_CHECKPOINT_AFTER_TRUNCATE, CrashTarget.BOTH),
-    CrashPoint(CrashPointId.AFTER_DB_COMMIT, CrashTarget.PRIVACY, at_occurrence=40),
-], ids=lambda p: "no-crash" if p is None else f"{p.id.value}-{p.target.value}")
+    ("privacy-checkpoint-after-seal", CrashTarget.PRIVACY, 1),
+    ("privacy-checkpoint-before-truncate", CrashTarget.PRIVACY, 1),
+    ("privacy-checkpoint-after-truncate", CrashTarget.BOTH, 1),
+    ("after-db-commit", CrashTarget.PRIVACY, 40),
+], ids=lambda p: "no-crash" if p is None else f"{p[0]}-{p[1].value}")
 def test_no_plaintext_on_disk_at_any_moment(tmp_path, monkeypatch, point):
     """On a data directory, after every durable write of a write-only round
     (each journal sync, each snapshot, sealed copy and truncation), no file
@@ -841,10 +847,11 @@ def test_no_plaintext_on_disk_at_any_moment(tmp_path, monkeypatch, point):
     topo = ZoneTopology(21, batch_size=spec.batch_size, cache_capacity_blocks=2,
                         data_dir=str(data_dir))
     if point is not None:
-        topo.inject_crash(point)
+        name, target, nth = point
+        crash_at_point(topo, name, nth=nth, target=target)
     report = topo.run_program(program)
     if point is not None:
-        assert report.crashed_at == point.id.value
+        assert report.crashed_at == topo.fired.label
         assert topo.recover_all().invariant.holds
         topo.integrity.db.orphan_gc()
     topo.privacy.crash()
@@ -1015,7 +1022,7 @@ def test_seals_after_a_recovery_go_on_past_the_kept_counters():
 
     insert([4])
     assert topo.privacy.atrest._lru[(pid, 0)]  # dirty
-    topo.inject_crash(CrashPoint(CrashPointId.PRIVACY_CHECKPOINT_AFTER_SEAL))
+    crash_at(topo, first_slot_map())
     with pytest.raises(zone_sim.ZoneCrashed):
         db.orphan_gc()
     assert set(topo.sealed_store.blocks) == {(pid, 0, 1), (pid, 0, 2)}
@@ -1079,25 +1086,24 @@ def test_maintenance_ends_in_a_checkpoint_of_both_zones(mode, backend):
     assert _read_rows(topo) == _oracle_rows(program)
 
 
-@pytest.mark.parametrize("point_id, target", [
-    (CrashPointId.PRIVACY_CHECKPOINT_AFTER_SEAL, CrashTarget.PRIVACY),
-    (CrashPointId.PRIVACY_CHECKPOINT_AFTER_SEAL, CrashTarget.BOTH),
-    (CrashPointId.PRIVACY_CHECKPOINT_BEFORE_TRUNCATE, CrashTarget.PRIVACY),
-    (CrashPointId.PRIVACY_CHECKPOINT_BEFORE_TRUNCATE, CrashTarget.BOTH),
-    (CrashPointId.PRIVACY_CHECKPOINT_AFTER_TRUNCATE, CrashTarget.PRIVACY),
-    (CrashPointId.PRIVACY_CHECKPOINT_AFTER_TRUNCATE, CrashTarget.BOTH),
-    (CrashPointId.INTEGRITY_CHECKPOINT_BEFORE_TRUNCATE, CrashTarget.INTEGRITY),
-    (CrashPointId.INTEGRITY_CHECKPOINT_BEFORE_TRUNCATE, CrashTarget.BOTH),
-    (CrashPointId.INTEGRITY_CHECKPOINT_AFTER_TRUNCATE, CrashTarget.INTEGRITY),
-    (CrashPointId.INTEGRITY_CHECKPOINT_AFTER_TRUNCATE, CrashTarget.BOTH),
-], ids=lambda x: x.value)
-def test_crash_inside_the_quiesce_checkpoint(monkeypatch, point_id, target):
+@pytest.mark.parametrize("point, target", [
+    (point, target) for point in ("privacy-checkpoint-after-seal",
+                                  "privacy-checkpoint-before-truncate",
+                                  "privacy-checkpoint-after-truncate")
+    for target in (CrashTarget.PRIVACY, CrashTarget.BOTH)] + [
+    (point, target) for point in ("integrity-checkpoint-before-truncate",
+                                  "integrity-checkpoint-after-truncate")
+    for target in (CrashTarget.INTEGRITY, CrashTarget.BOTH)],
+    ids=lambda x: getattr(x, "value", x))
+def test_crash_inside_the_quiesce_checkpoint(monkeypatch, point, target):
     """With an interval no run reaches, the engine's first checkpoint is
     the one orphan_gc ends with, and the privacy zone's second: its first
     is vacuum's opening flush, sent while the run's recipes are pending. A
-    crash at each of the quiesce checkpoint's five points recovers with no
-    violation, every row at the plaintext replay's final state, and
-    survives a later commit and crash."""
+    crash just before its first slot map, before and after each zone's
+    truncation, recovers with no violation, every row at the plaintext
+    replay's final state, and survives a later commit and crash. The
+    engine's truncation is the run's last write, so the crash right after
+    it is a crash after the run."""
     monkeypatch.setattr(wal, "CHECKPOINT_INTERVAL_BYTES", 1 << 40)
     program = generate_workload(SPEC, 13)
     topo = ZoneTopology(13, batch_size=SPEC.batch_size, cache_capacity_blocks=4)
@@ -1110,10 +1116,18 @@ def test_crash_inside_the_quiesce_checkpoint(monkeypatch, point_id, target):
         return orphan_gc()
 
     db.orphan_gc = tracked
-    occurrence = 2 if point_id.value.startswith("privacy") else 1
-    topo.inject_crash(CrashPoint(point_id, target, at_occurrence=occurrence))
-    report = topo.run_program(program)
-    assert report.crashed_at == point_id.value
+    if point == "integrity-checkpoint-after-truncate":
+        written = topo.record_writes()
+        topo.run_program(program)
+        assert written[-1].method == "replace" and written[-1].name == "db.wal"
+        topo.integrity.crash()
+        if target == CrashTarget.BOTH:
+            topo.privacy.crash()
+    else:
+        nth = 2 if point.startswith("privacy") else 1
+        chosen = crash_at_point(topo, point, nth=nth, target=target)
+        topo.run_program(program)
+        assert topo.fired.ordinal == chosen[0].ordinal
     assert phases == ["orphan_gc"]
     recovery = topo.recover_all()
     assert recovery.invariant.holds and not recovery.invariant.violations

@@ -13,6 +13,7 @@ from fidstore.integrity_dbms import Column, ColumnType, TxnState
 from fidstore.privacy_proxy import ClientEnvelope, decode_int64, encode_int64
 from fidstore.zone_sim import ZoneCrashed, ZoneTopology
 
+from .crashes import crash_at, writes
 from .test_checkpoint import _newest_committed, _permanent_mapping
 
 SEED = 5
@@ -279,3 +280,121 @@ def test_failed_epoch_write_in_recovery_then_retry(tmp_path, fail_io):
     reopened = _open(tmp_path)
     assert reopened.check_invariant().holds
     assert reopened.privacy.epoch == 2
+
+
+def _eio_program(topo, steps: list) -> None:
+    """A small data-directory program whose durable writes reach every
+    kind of call a zone makes, recovery's too. Two tables behind a
+    one-block cache, so a write to one evicts the other's dirty block and
+    seals it: the setup's commits, a vacuum, then orphan_gc with a crash of
+    both zones just before the engine truncates its journal, so recovery
+    cuts the prefix the image covers (journal_after) and advances the
+    epoch; then a commit whose eviction seals past the last checkpoint, and
+    a crash of both, so recovery's retain deletes that seal and its
+    restore checkpoints. Appends each step's name to steps as it starts."""
+    steps.append("setup")
+    db = topo.integrity.db
+    tables = [db.create_table(name, list(SCHEMA)) for name in ("t", "u")]
+
+    def commit_rows(values) -> None:
+        txn = db.begin()
+        for value in values:
+            for table in tables:
+                _insert(topo, txn, table, value)
+        db.commit(txn)
+
+    commit_rows((1, 2, 3))
+    txn = db.begin()
+    for row in (1, 2, 3):
+        db.update_row(txn, tables[0], row, {"k": _envelope(topo, -row)})
+    db.commit(txn)
+    steps.append("vacuum")
+    for table in tables:
+        db.vacuum(table)
+    commit_rows((4, 5))
+    steps.append("orphan_gc")
+    crash_at(topo, writes("replace", "db.wal"))
+    try:
+        db.orphan_gc()
+    except ZoneCrashed:
+        if topo.fired is None:
+            raise  # an I/O failure, not the crash scheduled here
+    steps.append("recover")
+    topo.recover_all()
+    db = topo.integrity.db
+    tables = [db.tables["t"], db.tables["u"]]
+    steps.append("commit")
+    commit_rows((6,))
+    topo.privacy.crash()
+    topo.integrity.crash()
+    steps.append("recover-again")
+    topo.recover_all()
+
+
+def _eio_rows() -> tuple[list[tuple[str, int]], set[str]]:
+    """(os call, n) for every fsync, replace and remove the program makes,
+    as fail_io counts them, from a dry run in a scratch directory; and the
+    recovery functions found on the stack at one of them."""
+    import tempfile
+    import traceback
+    calls, callers = [], set()
+    originals = {name: getattr(os, name) for name in ("fsync", "replace", "remove")}
+    recovery = {"advance_epoch", "journal_after", "recover_store"}
+
+    def counting(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            callers.update(recovery & {f.name for f in traceback.extract_stack()})
+            return originals[name](*args, **kwargs)
+        return call
+
+    with tempfile.TemporaryDirectory() as data_dir, pytest.MonkeyPatch.context() as mp:
+        for name in originals:
+            mp.setattr(os, name, counting(name))
+        topo = ZoneTopology(SEED, batch_size=BATCH, data_dir=data_dir,
+                            cache_capacity_blocks=1)
+        _eio_program(topo, [])
+    return [(name, calls[:i + 1].count(name)) for i, name in enumerate(calls)], callers
+
+
+# Every row: the whole sweep takes well under a second.
+EIO_ROWS, EIO_CALLERS = _eio_rows()
+
+
+def test_eio_rows_reach_every_kind_of_durable_write():
+    """The program's os calls include recovery's: the epoch marker's
+    replace, the cut of a covered journal prefix, and retain's removal of
+    a copy sealed after the last checkpoint."""
+    assert {name for name, _ in EIO_ROWS} == {"fsync", "replace", "remove"}
+    assert EIO_CALLERS == {"advance_epoch", "journal_after", "recover_store"}
+    assert len(EIO_ROWS) == 68
+
+
+@pytest.mark.parametrize("call, nth", EIO_ROWS, ids=[f"{c}-{n}" for c, n in EIO_ROWS])
+def test_eio_at_a_durable_write_stops_its_zone(tmp_path, fail_io, call, nth):
+    """An EIO at the nth os call of the program stops the zone whose
+    durable write made it (the last write the topology numbered), and
+    after recover_all the invariant holds, with no violation, and a fresh
+    reopen of the directory rebuilds the same rows and secrets."""
+    topo = ZoneTopology(SEED, batch_size=BATCH, data_dir=str(tmp_path),
+                        cache_capacity_blocks=1)
+    written = topo.record_writes()
+    failed = fail_io(call, nth)
+    steps = []
+    with pytest.raises((OSError, ZoneCrashed, Unavailable)) as exc:
+        _eio_program(topo, steps)
+    assert failed, f"{call} {nth} was never made"
+    topo.on_write = None  # a crash the program had yet to schedule stays out
+    zone = written[-1].zone
+    assert getattr(topo, zone).crashed, (steps[-1], written[-1], exc.value)
+    while True:
+        try:
+            report = topo.recover_all()
+            break
+        except (OSError, ZoneCrashed, Unavailable):
+            continue  # the failed write was recovery's own: recover again
+    assert report.invariant.holds and not report.invariant.violations
+    recovered = _state(topo)
+    reopened = _open(tmp_path)
+    assert _state(reopened) == recovered
+    assert not reopened.check_invariant().violations

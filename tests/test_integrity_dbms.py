@@ -11,7 +11,7 @@ from fidstore.errors import (
     WriteConflict,
     WrongPartitionKind,
 )
-from fidstore.integrity_dbms import Column, ColumnType, Predicate
+from fidstore.integrity_dbms import DB_REMOVE, Column, ColumnType, Predicate
 from fidstore.messages import MSG_INGEST
 from fidstore.privacy_proxy import (
     QUERY_TEMP_TARGET,
@@ -24,13 +24,9 @@ from fidstore.privacy_proxy import (
 )
 from fidstore.wal import DELETE_REC, KIND_DELETE, journal_after, read_frames
 from fidstore.workload import SUM, TableDecl, WorkloadProgram, WorkloadSpec
-from fidstore.zone_sim import (
-    CrashPoint,
-    CrashPointId,
-    CrashTarget,
-    ZoneTopology,
-    _Runner,
-)
+from fidstore.zone_sim import CrashTarget, ZoneTopology, _Runner
+
+from .crashes import commit_sync
 
 SCHEMA = [
     Column("id", ColumnType.PLAIN_INT),
@@ -64,12 +60,11 @@ def _insert(topo, db, table, txn, key, value):
     return db.insert_row(txn, table, [key, _envelope(topo, value), b"n"])
 
 
-def _record_hooks(db) -> list[tuple[str, int | None]]:
-    """(site, txn id) for every crash-hook site db passes from now on."""
-    events = []
-    db.crash_hook = lambda site, txn: events.append(
-        (site, txn.txn_id if txn is not None else None))
-    return events
+def _record_writes(topo) -> list:
+    """Arms topo, which must not be armed yet: its write record, which
+    fills with its durable writes from now on."""
+    assert topo.writes is None
+    return topo.record_writes()
 
 
 def test_begin_ids_distinct(topo):
@@ -232,14 +227,14 @@ def test_plain_only_insert_no_privacy_calls(topo):
     db = topo.integrity.db
     table = db.create_table("t", [Column("id", ColumnType.PLAIN_INT),
                                   Column("note", ColumnType.PLAIN_BYTES)])
-    events = _record_hooks(db)
+    written = _record_writes(topo)
     trips_before = topo.channel.round_trips
     txn = db.begin()
     db.insert_row(txn, table, [1, b"plain"])
     assert topo.channel.round_trips == trips_before
     db.commit(txn)  # no secret to make durable: only the commit record
     assert topo.channel.round_trips == trips_before
-    assert ("after-db-commit", txn.txn_id) in events
+    assert [commit_sync(w) for w in written] == [True]
 
 
 def test_schema_validation(topo):
@@ -320,22 +315,24 @@ def test_first_updater_wins(topo):
 
 
 def test_commit_ordering_events(topo):
+    """Each writing commit makes one durable write, its DB_COMMIT's sync,
+    after its writes are sent, and that record is durable when it returns;
+    a read-only commit writes nothing."""
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
-    events = _record_hooks(db)
+    written = _record_writes(topo)
     for i in range(5):
         txn = db.begin()
         _insert(topo, db, table, txn, i + 1, i)
+        sent, durable = topo.channel.round_trips, db.dbwal.durable_len
         db.commit(txn)
+        assert topo.channel.round_trips == sent + 1  # its ingest
+        assert len(written) == i + 1 and commit_sync(written[-1])
+        assert db.dbwal.durable_len == durable + written[-1].size
     reader = db.begin()
     assert db.visible_version(table, 1, reader) is not None
     db.commit(reader)
-    txn_ids = {t for _, t in events}
-    assert len(txn_ids) == 5 and reader.txn_id not in txn_ids
-    for txn_id in txn_ids:
-        before_idx = events.index(("before-db-commit", txn_id))
-        commit_idx = events.index(("after-db-commit", txn_id))
-        assert before_idx < commit_idx
+    assert len(written) == 5
 
 
 def test_read_only_commit_sends_nothing(topo):
@@ -351,11 +348,11 @@ def test_read_only_commit_sends_nothing(topo):
     version = db.visible_version(table, 1, reader)
     assert _reveal_int(topo, reader.query_id, version.cells[1]) == 7
     trips, durable = topo.channel.round_trips, db.dbwal.durable_len
-    events, seq = _record_hooks(db), db.next_commit_seq
+    written, seq = _record_writes(topo), db.next_commit_seq
     db.commit(reader)
     assert topo.channel.round_trips == trips
     assert db.dbwal.durable_len == durable
-    assert events == []
+    assert written == []
     assert reader.state.name == "COMMITTED"
     assert reader.txn_id not in db.committed
     assert db.committed == {setup.txn_id: seq - 1}
@@ -494,15 +491,14 @@ def _delete_records(topo) -> list[int]:
 def test_release_sends_batch_size_refs_per_message():
     """vacuum and orphan_gc delete batch_size refs per MSG_DELETE in
     ascending FID order, journal one delete record per live ref in that
-    order, fire their crash hooks once a vacuum begins and per dead
-    version, garbage ref and partition, and count a ref that is no longer
-    live as not reclaimed.
-    orphan_gc's closing flush checkpoints, so its records are read when
-    the privacy checkpoint starts."""
+    order, and count a ref that is no longer live as not reclaimed.
+    vacuum syncs its DB_REMOVE, then the privacy journal its delete
+    records; orphan_gc's closing flush checkpoints, so its records are read
+    when the privacy checkpoint starts, and the engine's checkpoint writes
+    its image and truncates its journal last."""
     topo = ZoneTopology(322, batch_size=4)
     db = topo.integrity.db
-    hooks = []
-    db.crash_hook = lambda site, txn: hooks.append(site)
+    written = _record_writes(topo)
     table = db.create_table("t", list(SCHEMA))
     setup = db.begin()
     for key in range(1, 11):
@@ -521,10 +517,11 @@ def test_release_sends_batch_size_refs_per_message():
     topo.privacy.store.delete(old[0])  # reclaimed behind the engine's back
     db.flush_privacy(checkpoint=True)  # no recipe pending: vacuum opens with no flush
     deletes_before = _delete_records(topo)
-    trips, hooks[:] = topo.channel.round_trips, []
+    trips, n = topo.channel.round_trips, len(written)
     assert db.vacuum(table) == 10  # 11 refs, one of them not live
     assert topo.channel.round_trips - trips == 3 + 1  # ceil(11 / 4) + flush
-    assert hooks == ["during-vacuum"] * (1 + 11)
+    assert [(w.zone, w.method, w.kind) for w in written[n:]] == [
+        ("integrity", "sync", DB_REMOVE), ("privacy", "sync", KIND_DELETE)]
     assert _delete_records(topo) == deletes_before + sorted(old[1:] + garbage)
 
     orphans = [topo.privacy.store.put(table.partition_id, encode_int64(i))
@@ -537,11 +534,12 @@ def test_release_sends_batch_size_refs_per_message():
         checkpoint()
 
     topo.privacy.wal.on_checkpoint = read_then_checkpoint
-    trips, hooks[:] = topo.channel.round_trips, []
+    trips, n = topo.channel.round_trips, len(written)
     assert db.orphan_gc() == 5
     assert topo.channel.round_trips - trips == 1 + 2 + 1  # list, ceil(5 / 4), flush
-    assert hooks == ["during-orphan-gc"] * 6 + [
-        "integrity-checkpoint-before-truncate", "integrity-checkpoint-after-truncate"]
+    assert (written[n].zone, written[n].kind) == ("privacy", KIND_DELETE)
+    assert [(w.method, w.name) for w in written[-2:]] == [
+        ("put_atomic", "db.ckpt"), ("replace", "db.wal")]
     assert journal[-1][-5:] == sorted(orphans)
     assert topo.store_wal_buffer.durable_len == 0
 
@@ -639,8 +637,8 @@ def test_recovery_txn_ids_advance(topo):
     db.commit(txn)
     highest = txn.txn_id
 
-    topo.inject_crash(CrashPoint(CrashPointId.RANDOM_BYTE, CrashTarget.BOTH,
-                                 at_occurrence=0))
+    topo.privacy.crash()
+    topo.integrity.crash()
     assert topo.integrity.crashed
     topo.recover_all()
     fresh = topo.integrity.db.begin()
@@ -960,8 +958,9 @@ def test_recovery_rebuilds_supersession_exactly(target):
     before = _committed_chains(topo.integrity.db)
     _, (_, begin, end), (_, last_begin, _) = before[(0, 1)]
     assert begin == end == last_begin  # one txn began and ended the middle version
-    topo.inject_crash(CrashPoint(CrashPointId.RANDOM_BYTE, target, at_occurrence=0,
-                                 torn_bytes=0))
+    topo.integrity.crash()
+    if target == CrashTarget.BOTH:
+        topo.privacy.crash()
     assert topo.recover_all().invariant.holds
     db = topo.integrity.db
     assert _committed_chains(db) == before

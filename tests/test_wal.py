@@ -31,10 +31,6 @@ from .oracles import replay_store_records
 KEY = bytes(range(32))
 
 
-def _no_crash(site: str) -> None:
-    pass
-
-
 def _recover(snaps: SnapshotStore, buf: DurableBuffer,
              sealed: SealedBlockStore | None = None):
     return recover_store(snaps, buf, sealed or SealedBlockStore(), KEY)
@@ -62,8 +58,7 @@ def _checkpointing(store: MappingStore, wal: Wal, capacity_blocks: int | None = 
     atrest = AtRestLayer(store, KEY, sealed_store=SealedBlockStore(),
                          capacity_blocks=capacity_blocks)
     store.blocks = atrest
-    wal.on_checkpoint = lambda: checkpoint_truncate(store, wal, snaps, atrest,
-                                                    _no_crash)
+    wal.on_checkpoint = lambda: checkpoint_truncate(store, wal, snaps, atrest)
     return snaps, atrest
 
 
@@ -250,19 +245,19 @@ def test_checkpoint_truncate_equivalence():
     before = _live_mapping(store)
     wal.flush()
     atrest = _at_rest(store)
-    checkpoint_truncate(store, wal, snaps, atrest, _no_crash)
+    checkpoint_truncate(store, wal, snaps, atrest)
     assert buf.durable_len == 0
     result = _recover(snaps, buf, atrest.sealed)
     assert _live_mapping(result.store) == before
     assert result.replayed_count == 0
     # no record and no put since: the checkpoint writes no image
     marker = snaps.get("store.ckpt")
-    checkpoint_truncate(store, wal, snaps, atrest, _no_crash)
+    checkpoint_truncate(store, wal, snaps, atrest)
     assert snaps.get("store.ckpt") is marker
     # a put since: the next one does, under an LSN of its own
     store.blocks = atrest
     late = store.put(pid, b"a put no record names")
-    checkpoint_truncate(store, wal, snaps, atrest, _no_crash)
+    checkpoint_truncate(store, wal, snaps, atrest)
     (first_lsn,) = struct.unpack_from("<Q", marker, 8)
     assert snaps.get("store.ckpt")[8:16] == struct.pack("<Q", first_lsn + 1)
     assert wal.durable_lsn == first_lsn + 1 == wal.next_lsn - 1
@@ -335,7 +330,7 @@ def test_checkpoint_keeps_a_record_appended_after_the_last_flush():
     wal.flush()
     store.delete(gone)
     atrest = _at_rest(store)
-    checkpoint_truncate(store, wal, snaps, atrest, _no_crash)
+    checkpoint_truncate(store, wal, snaps, atrest)
     assert buf.durable_len == 0 and buf.pending_len > 0
     wal.flush()
     result = _recover(snaps, buf, atrest.sealed)
@@ -345,8 +340,9 @@ def test_checkpoint_keeps_a_record_appended_after_the_last_flush():
 
 
 def test_crash_between_image_and_truncation_replays_nothing():
-    """The image covers the whole durable journal; recovery cuts that
-    covered prefix instead of replaying it."""
+    """A crash just before the checkpoint truncates the journal: the image
+    covers the whole durable journal, and recovery cuts that covered prefix
+    instead of replaying it."""
     store, wal, buf = _store_with_wal()
     snaps = SnapshotStore()
     pid = store.create_partition(PartitionKind.PERMANENT)
@@ -354,13 +350,15 @@ def test_crash_between_image_and_truncation_replays_nothing():
         store.put(pid, bytes([i]) * 9)
     wal.flush()
 
-    def crash(site):
-        if site == "privacy-checkpoint-before-truncate":
-            raise RuntimeError(site)
+    def crash(method, name, data):
+        if method == "replace":
+            raise RuntimeError(method)
 
+    buf.hook = crash
     atrest = _at_rest(store)
     with pytest.raises(RuntimeError):
-        checkpoint_truncate(store, wal, snaps, atrest, crash)
+        checkpoint_truncate(store, wal, snaps, atrest)
+    buf.hook = None
     assert buf.durable_len > 0
     result = _recover(snaps, buf, atrest.sealed)
     assert (buf.durable_len, result.replayed_count) == (0, 0)

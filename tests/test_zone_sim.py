@@ -54,8 +54,6 @@ from fidstore.workload import (
 )
 from fidstore.zone_sim import (
     AdversaryTrace,
-    CrashPoint,
-    CrashPointId,
     CrashTarget,
     ZoneCrashed,
     ZoneTopology,
@@ -65,6 +63,7 @@ from fidstore.zone_sim import (
     unpad_sensitive,
 )
 
+from .crashes import commit_sync, crash_at
 from .oracles import ShadowRunner
 from .test_checkpoint import _permanent_mapping, _strip_checkpoint_events
 
@@ -188,8 +187,7 @@ def test_crash_privacy_mid_query_aborts_txn():
     txn = db.begin()
     db.insert_row(txn, table, [1, _envelope(topo, 4)])
     db.send_writes(txn)
-    topo.inject_crash(CrashPoint(CrashPointId.RANDOM_BYTE, CrashTarget.PRIVACY,
-                                 at_occurrence=0))
+    topo.privacy.crash()
     with pytest.raises(Unavailable):
         _ingest_int(topo, txn.query_id, 5)
     report = topo.recover_all()
@@ -202,6 +200,8 @@ def test_crash_privacy_mid_query_aborts_txn():
 
 
 def test_crash_both_after_db_commit_preserves_txn():
+    """A crash of both zones right after a commit's record is durable, the
+    last write here, so a crash after the commit returns."""
     topo = ZoneTopology(10)
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
@@ -209,12 +209,13 @@ def test_crash_both_after_db_commit_preserves_txn():
     db.insert_row(setup, table, [1, _envelope(topo, 41)])
     db.commit(setup)
 
-    topo.inject_crash(CrashPoint(CrashPointId.AFTER_DB_COMMIT, CrashTarget.BOTH))
+    written = topo.record_writes()
     txn = db.begin()
     db.insert_row(txn, table, [2, _envelope(topo, 42)])
-    from fidstore.zone_sim import ZoneCrashed
-    with pytest.raises(ZoneCrashed):
-        db.commit(txn)
+    db.commit(txn)
+    assert [commit_sync(w) for w in written] == [True]
+    topo.privacy.crash()
+    topo.integrity.crash()
     report = topo.recover_all()
     assert report.parallel_replays
     assert report.invariant.holds
@@ -230,10 +231,9 @@ def test_crash_before_db_commit_absent_everywhere():
     topo = ZoneTopology(12)
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
-    topo.inject_crash(CrashPoint(CrashPointId.BEFORE_DB_COMMIT, CrashTarget.BOTH))
+    crash_at(topo, commit_sync)
     txn = db.begin()
     db.insert_row(txn, table, [1, _envelope(topo, 7)])
-    from fidstore.zone_sim import ZoneCrashed
     with pytest.raises(ZoneCrashed):
         db.commit(txn)
     report = topo.recover_all()
@@ -249,13 +249,12 @@ def test_orphans_after_commit_gap_crash_then_gc():
     topo = ZoneTopology(13)
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
-    topo.inject_crash(CrashPoint(CrashPointId.BEFORE_DB_COMMIT, CrashTarget.BOTH))
+    crash_at(topo, commit_sync)
     txn = db.begin()
     db.insert_row(txn, table, [1, _envelope(topo, 7)])
     db.send_writes(txn)
     db.flush_privacy(checkpoint=True)  # the secret is durable, its row is not
     put_count = len(txn.promoted)
-    from fidstore.zone_sim import ZoneCrashed
     with pytest.raises(ZoneCrashed):
         db.commit(txn)
     report = topo.recover_all()
@@ -283,14 +282,12 @@ def _read_k(topo, key):
 def test_a_fid_commit_sends_no_message():
     """Once its writes are sent, a fid commit syncs only the integrity
     journal, which holds each fresh secret's recipe, and sends nothing more
-    to the privacy zone; its crash point fires before its commit record is
-    durable. When both zones crash before any flush, recovery restores
-    every committed secret from its recipe."""
+    to the privacy zone: its one durable write is its DB_COMMIT's sync.
+    When both zones crash before any flush, recovery restores every
+    committed secret from its recipe."""
     topo = ZoneTopology(16)
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
-    events = []
-    db.crash_hook = lambda site, txn: events.append((site, txn.txn_id))
     t1, t2 = db.begin(), db.begin()
     _write_row(topo, db, table, t1, 1, 10)
     _write_row(topo, db, table, t2, 2, 20)
@@ -299,14 +296,13 @@ def test_a_fid_commit_sends_no_message():
     for txn in (t1, t2, t3):
         db.send_writes(txn)
     trips, privacy_durable = topo.channel.round_trips, topo.store_wal_buffer.durable
+    written = topo.record_writes()
     for txn in (t1, t2, t3):
         db.commit(txn)
     assert topo.channel.round_trips == trips
     assert topo.store_wal_buffer.durable == privacy_durable
     assert len(db.recipes) == 3
-    for txn in (t1, t2, t3):
-        assert (events.index(("before-db-commit", txn.txn_id))
-                < events.index(("after-db-commit", txn.txn_id)))
+    assert [commit_sync(w) for w in written] == [True] * 3
     topo.privacy.crash()
     topo.integrity.crash()
     kinds = _count_kinds(topo)
@@ -326,13 +322,11 @@ def test_cipher_commit_sends_nothing():
     db.insert_row(txn, table, [1, _envelope(topo, 5)])
     db.send_writes(txn)
     trips, durable = topo.channel.round_trips, topo.store_wal_buffer.durable_len
-    sites = []
-    db.crash_hook = lambda site, txn: sites.append(site)
+    written = topo.record_writes()
     db.commit(txn)
     assert topo.channel.round_trips == trips
     assert topo.store_wal_buffer.durable_len == durable
-    assert [CrashPointId(site) for site in sites] == [
-        CrashPointId.BEFORE_DB_COMMIT, CrashPointId.AFTER_DB_COMMIT]
+    assert [commit_sync(w) for w in written] == [True]
     topo.integrity.crash()
     topo.recover_all()
     reader = topo.integrity.db.begin()
@@ -342,10 +336,10 @@ def test_cipher_commit_sends_nothing():
         topo.client.cipher_reveal(reader.query_id, version.cells[1]))) == 5
 
 
-def _covered_commit_crash(point_id, target):
-    """T1 and T2 write, T1 commits, T2 sends its writes, then a crash at
-    point_id on T2's commit; returns the topology, T2, whether T2's commit
-    raised and the round trips T2's commit sent."""
+def _covered_commit_crash(target):
+    """T1 and T2 write, T1 commits, T2 sends its writes, then a crash of
+    target just before T2's commit record is synced; returns the topology,
+    T2, whether T2's commit raised and the round trips T2's commit sent."""
     topo = ZoneTopology(18)
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
@@ -354,9 +348,8 @@ def _covered_commit_crash(point_id, target):
     _write_row(topo, db, table, t2, 2, 20)
     db.commit(t1)
     db.send_writes(t2)
-    topo.inject_crash(CrashPoint(point_id, target))
+    crash_at(topo, commit_sync, target=target)
     trips = topo.channel.round_trips
-    from fidstore.zone_sim import ZoneCrashed
     try:
         db.commit(t2)
         raised = False
@@ -367,22 +360,20 @@ def _covered_commit_crash(point_id, target):
 
 
 def test_crash_before_a_covered_commit():
-    """BEFORE_DB_COMMIT fires in a commit, which sends no flush. A crash of
-    both zones there loses T2 and every secret written since the last
+    """A crash just before a commit's record is synced, in a commit, which
+    sends no flush. A crash of both zones there loses T2 and every secret written since the last
     checkpoint; recovery restores T1's from its recipe, and T2's, never
     sealed, is no orphan. A crash of the privacy zone alone cannot stop T2,
     whose commit needs nothing from it: recovery restores both txns'
     secrets."""
-    topo, t2, raised, trips = _covered_commit_crash(CrashPointId.BEFORE_DB_COMMIT,
-                                                    CrashTarget.BOTH)
+    topo, t2, raised, trips = _covered_commit_crash(CrashTarget.BOTH)
     assert raised and trips == 0
     report = topo.recover_all()
     assert report.invariant.holds
     assert report.invariant.orphans == 0
     assert (_read_k(topo, 1), _read_k(topo, 2)) == (10, None)
 
-    topo, t2, raised, trips = _covered_commit_crash(
-        CrashPointId.BEFORE_DB_COMMIT, CrashTarget.PRIVACY)
+    topo, t2, raised, trips = _covered_commit_crash(CrashTarget.PRIVACY)
     assert not raised and trips == 0
     assert t2.state.name == "COMMITTED"
     report = topo.recover_all()
@@ -1793,28 +1784,18 @@ def test_recovery_retires_sealed_copies_past_a_buckets_end():
 
 @pytest.mark.parametrize("seed, ops", [(1, 204), (2, 205)])
 def test_a_torn_tail_is_cut_before_the_next_commit(seed, ops):
-    """A crash in the middle of an unsynced record, here one of the delete
-    records of vacuum's first MSG_DELETE, before the flush that would sync
-    them, leaves a torn tail. Recovery cuts it before the restore, so the
-    restored secrets and those of a row committed afterwards survive the
-    next crash of both zones."""
+    """A crash in the middle of a synced record, here the first delete
+    record of the sync that makes vacuum's first MSG_DELETE batch durable,
+    of which only 13 bytes reach the disk, leaves a torn tail. Recovery
+    cuts it before the restore, so the restored secrets and those of a row
+    committed afterwards survive the next crash of both zones."""
     spec = WorkloadSpec(mode=Mode.WRITE_ONLY, tables=2, rows_per_table=50,
                         duration_ops=ops, threads_simulated=2, batch_size=16)
     topo = ZoneTopology(seed, batch_size=spec.batch_size)
-    request = topo.channel.request
-
-    def request_then_tear(raw):
-        response = request(raw)
-        if raw[0] == m.MSG_DELETE:
-            assert topo.store_wal_buffer.pending_len > 13
-            topo.inject_crash(CrashPoint(CrashPointId.RANDOM_BYTE, CrashTarget.BOTH,
-                                         at_occurrence=0, torn_bytes=13))
-            raise ZoneCrashed("random-byte")
-        return response
-
-    topo.channel.request = request_then_tear
-    assert topo.run_workload(spec).crashed_at == "random-byte"
-    topo.channel.request = request
+    crash_at(topo, lambda w: w.method == "sync" and w.kind == wal.KIND_DELETE
+             and w.zone == "privacy", torn_bytes=13)
+    assert topo.run_workload(spec).crashed_at == topo.fired.label
+    assert topo.fired.kind == wal.KIND_DELETE and topo.fired.size > 13
     torn = topo.store_wal_buffer.durable_len
     at_restore = []
     restore = topo.client.restore
