@@ -1,11 +1,27 @@
-"""Cross-zone wire protocol: {u8 msg_kind, u64 query_id, payload}.
+"""Cross-zone wire protocol: a request is {u8 msg_kind, payload}.
 
 Everything the integrity zone needs from the privacy zone travels through
 these messages; there is no other channel. FIDs are 8-byte little-endian,
 booleans one byte. Responses start with a status byte (0 = ok, otherwise
-an error code from errors.py).
+an error code from errors.py). No message carries a byte its receiver
+already knows: a list of elements runs to the end of its message with no
+count, and a payload that is one envelope has no length.
 
-An operator batch (MSG_EXEC_BATCH, MSG_CIPHER_EXEC) is {u16 n, n elements}.
+A query id crosses only where a temporary is named. A request that writes
+to its query's temporary partition, or drops it, sets QUERY_FLAG in its
+kind byte and puts the u64 query id after it: {u8 msg_kind | QUERY_FLAG,
+u64 query_id, payload}. Exactly three requests do: a MSG_INGEST to
+QUERY_TEMP_TARGET, a MSG_EXEC_BATCH with an element whose value result
+names no destination (or QUERY_TEMP_TARGET) and is not revealed, and
+MSG_END_QUERY. The privacy zone refuses with TypeMismatch the flag on any
+other request, an id on an ingest to a permanent partition or on a batch
+that writes no temporary, and a temporary write or MSG_END_QUERY without
+an id, before it stores or journals anything for that request or element
+(an element fails alone, like any other element error).
+
+An operator batch (MSG_EXEC_BATCH, MSG_CIPHER_EXEC) is n >= 1 elements up
+to the end of the payload, and its response n elements, one per request
+element in order, with no byte after the last.
 Each element is {u8 op | flags, u8 type, u16 argc, [u32 destination],
 argc stored operands, [constant]}. Each of three flag bits in the op
 byte adds one optional part or behaviour; an element with none set is
@@ -44,6 +60,10 @@ transaction sends none. Each response element is
 a status byte, then for status 0 a result kind and the result: 0 and a
 value (a FID, or a zone envelope blob for MSG_CIPHER_EXEC), 1 and a
 boolean byte, or 2 and a revealed client envelope blob.
+
+MSG_REVEAL is the u64 FID, and its response the client envelope bare, up
+to the end of the message. MSG_CIPHER_REVEAL is a zone envelope bare, and
+its response a client envelope bare.
 
 MSG_INGEST is {u32 target, n blobs}: the partition the values go to,
 QUERY_TEMP_TARGET for the query's temporary partition, then n >= 1 client
@@ -128,8 +148,6 @@ from .privacy_proxy import (
     ValueType,
 )
 
-HEADER = struct.Struct("<BQ")
-
 MSG_INGEST = 1
 MSG_REVEAL = 2
 MSG_EXEC_BATCH = 3
@@ -145,6 +163,14 @@ MSG_RESTORE = 12
 MSG_CIPHER_EXEC = 20
 MSG_CIPHER_INGEST = 21
 MSG_CIPHER_REVEAL = 22
+
+# The kind byte's bit for a request that names its query's temporaries; a
+# u64 query id follows the kind byte (module docstring). Not named MSG_*:
+# perfbench's MSG_KINDS counts every MSG_* name here as a message kind,
+# and its PhaseMeter keys kinds on raw[0], so a flagged request counts
+# under no kind. No benchmark workload sends one.
+QUERY_FLAG = 0x80
+_NAMES_TEMPORARIES = (MSG_INGEST, MSG_EXEC_BATCH, MSG_END_QUERY)
 
 # flags in an operator element's op byte (format in the module docstring)
 OP_DEST = 0x80
@@ -167,14 +193,42 @@ _U8 = struct.Struct("<B")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _OP_HEAD = struct.Struct("<BBH")
+_FLAGGED_HEAD = struct.Struct("<BQ")
 _PROMOTE = struct.Struct("<QI")
 
 _OP_KINDS = {int(k): k for k in OpKind}
 _VALUE_TYPES = {int(t): t for t in ValueType}
 
 
-def _req(kind: int, query_id: int, payload: bytes = b"") -> bytes:
-    return HEADER.pack(kind, query_id) + payload
+def _req(kind: int, payload: bytes = b"", query_id: int | None = None) -> bytes:
+    """A request's bytes: flagged with query_id if one is given."""
+    if query_id is None:
+        return _U8.pack(kind) + payload
+    return _FLAGGED_HEAD.pack(kind | QUERY_FLAG, query_id) + payload
+
+
+def _split(raw: bytes) -> tuple[int, int | None, bytes]:
+    """A request's kind, query id (None if unflagged) and payload;
+    TypeMismatch for an empty request, a flag on a kind that names no
+    temporary, or a flagged request too short for its id."""
+    if not raw:
+        raise TypeMismatch("empty request")
+    kind = raw[0]
+    if not kind & QUERY_FLAG:
+        return kind, None, raw[1:]
+    kind &= ~QUERY_FLAG
+    if kind not in _NAMES_TEMPORARIES:
+        raise TypeMismatch(f"msg kind {kind} carries no query id")
+    if len(raw) < _FLAGGED_HEAD.size:
+        raise TypeMismatch("request ends inside its query id")
+    return kind, _U64.unpack_from(raw, 1)[0], raw[_FLAGGED_HEAD.size:]
+
+
+def _writes_temp(r: OperatorRequest) -> bool:
+    """Whether a FID element's value result goes to its query's temporary
+    partition: a stored value result that names no permanent partition."""
+    return (r.op not in COMPARISONS and not r.reveal
+            and r.destination in (None, QUERY_TEMP_TARGET))
 
 
 def _blob(data: bytes) -> bytes:
@@ -262,14 +316,15 @@ def _read_op(data: bytes, pos: int, read_operand) -> tuple[OperatorRequest, int]
 
 
 def _read_ops(payload: bytes, read_operand) -> list[OperatorRequest]:
-    """Decode an operator batch (format in the module docstring); a
-    truncated batch, or an element with an unknown op or value type, fails
-    the whole message with TypeMismatch."""
+    """Decode an operator batch (format in the module docstring); an empty
+    batch, a truncated element, or an element with an unknown op or value
+    type, fails the whole message with TypeMismatch."""
+    if not payload:
+        raise TypeMismatch("operator batch without an element")
     ops = []
+    pos = 0
     try:
-        (n,) = struct.unpack_from("<H", payload, 0)
-        pos = 2
-        for _ in range(n):
+        while pos < len(payload):
             op, pos = _read_op(payload, pos, read_operand)
             ops.append(op)
     except (struct.error, KeyError):
@@ -316,10 +371,14 @@ class ProxyClient:
     _chunks), and end_query, which sends nothing for a query that never
     wrote to its temporary partition (no temp-target ingest, no stored
     value result without a destination): such a query has no temporaries to
-    drop. The client keeps no record of what it wrote: the engine takes
+    drop. Only those writes and end_query send their query id (the flagged
+    frame of the module docstring); every other call's query_id, reveal's
+    and the cipher calls' included, is kept for its callers and never
+    crosses. The client keeps no record of what it wrote: the engine takes
     each fresh FID's recipe from the call that wrote it (exec_writes, or
     the envelope it ingested) and journals it with the commit that claims
-    the FID.
+    the FID. Each FID a call sends or gets back reaches the trace as
+    FidObserved.
     """
 
     def __init__(self, channel, trace=None):
@@ -329,8 +388,9 @@ class ProxyClient:
 
     # -- plumbing -------------------------------------------------------
 
-    def _call(self, kind: int, query_id: int, payload: bytes) -> bytes:
-        raw = self.channel.request(_req(kind, query_id, payload))
+    def _call(self, kind: int, payload: bytes = b"",
+              query_id: int | None = None) -> bytes:
+        raw = self.channel.request(_req(kind, payload, query_id))
         status = raw[0]
         if status != 0:
             raise error_for_code(status, f"privacy zone rejected msg kind {kind}")
@@ -349,42 +409,54 @@ class ProxyClient:
         self._observe_fid(fid)
         return fid, pos
 
-    def _batch(self, kind: int, query_id: int, reqs: list[OperatorRequest],
+    def _batch(self, kind: int, query_id: int | None, reqs: list[OperatorRequest],
                batch_size: int, write_operand,
                read_result) -> tuple[list[bytes], list[OperatorResponse]]:
         """The operator-batch codec shared by the FID and envelope paths:
         the requests go out in ceil(n / batch_size) messages, and one
-        response comes back per request. Returns each request's element
-        bytes and its response."""
+        response comes back per request. A message carries query_id only
+        if one of its elements writes a temporary; the envelope path, whose
+        results are never stored, passes None. Returns each request's
+        element bytes and its response; TypeMismatch for a reply with an
+        element too few or too many, or a byte after its last."""
         elements = []
         out = []
         for chunk in _chunks(reqs, batch_size):
             sent = [_write_op(r, write_operand) for r in chunk]
             elements.extend(sent)
-            body = self._call(kind, query_id,
-                              struct.pack("<H", len(chunk)) + b"".join(sent))
-            (n,) = struct.unpack_from("<H", body, 0)
-            pos = 2
-            for _ in range(n):
-                status = body[pos]
-                pos += 1
-                if status != 0:
-                    out.append(OperatorResponse(error_code=status))
-                    continue
-                result_kind = body[pos]
-                pos += 1
-                if result_kind == _RESULT_VALUE:
-                    result, pos = read_result(body, pos)
-                    out.append(OperatorResponse(fid=result))
-                elif result_kind == _RESULT_REVEALED:
-                    env, pos = _read_blob(body, pos)
-                    out.append(OperatorResponse(envelope=env))
-                else:
-                    flag = bool(body[pos])
+            qid = None
+            if query_id is not None and any(map(_writes_temp, chunk)):
+                # recorded first: a refused batch may still have created
+                # the query's temporary partition
+                self._temp_queries.add(query_id)
+                qid = query_id
+            body = self._call(kind, b"".join(sent), qid)
+            pos = 0
+            try:
+                for _ in chunk:
+                    status = body[pos]
                     pos += 1
-                    if self.trace is not None:
-                        self.trace.cmp_bool(flag)
-                    out.append(OperatorResponse(boolean=flag))
+                    if status != 0:
+                        out.append(OperatorResponse(error_code=status))
+                        continue
+                    result_kind = body[pos]
+                    pos += 1
+                    if result_kind == _RESULT_VALUE:
+                        result, pos = read_result(body, pos)
+                        out.append(OperatorResponse(fid=result))
+                    elif result_kind == _RESULT_REVEALED:
+                        env, pos = _read_blob(body, pos)
+                        out.append(OperatorResponse(envelope=env))
+                    else:
+                        flag = bool(body[pos])
+                        pos += 1
+                        if self.trace is not None:
+                            self.trace.cmp_bool(flag)
+                        out.append(OperatorResponse(boolean=flag))
+            except (IndexError, struct.error):
+                raise TypeMismatch("reply ends inside an element") from None
+            if pos != len(body):
+                raise TypeMismatch("reply has bytes after its last element")
         return elements, out
 
     # -- client data path -------------------------------------------------
@@ -393,15 +465,17 @@ class ProxyClient:
                target: int = QUERY_TEMP_TARGET) -> list[int]:
         """A fresh FID per client envelope, in order, written to target,
         batch_size envelopes per message."""
+        qid = None
         if target == QUERY_TEMP_TARGET:
             # recorded first: a refused ingest may still have created the
             # query's temporary partition
             self._temp_queries.add(query_id)
+            qid = query_id
         head = _U32.pack(target)
         out = []
         for chunk in _chunks(envelopes, batch_size):
-            body = self._call(MSG_INGEST, query_id,
-                              head + b"".join(_blob(e) for e in chunk))
+            body = self._call(MSG_INGEST, head + b"".join(_blob(e) for e in chunk),
+                              qid)
             fids = [fid for (fid,) in _U64.iter_unpack(body)]
             for fid in fids:
                 self._observe_fid(fid)
@@ -409,17 +483,11 @@ class ProxyClient:
         return out
 
     def reveal(self, query_id: int, fid: int) -> bytes:
-        self._observe_fid(fid)
-        body = self._call(MSG_REVEAL, query_id, _U64.pack(fid))
-        env, _ = _read_blob(body, 0)
-        return env
+        """fid's value as a client envelope; query_id does not cross."""
+        return self._call(MSG_REVEAL, self._write_fid(fid))
 
     def exec_batch(self, query_id: int, reqs: list[OperatorRequest],
                    batch_size: int) -> list[OperatorResponse]:
-        for r in reqs:
-            if (r.op not in COMPARISONS and not r.reveal
-                    and r.destination in (None, QUERY_TEMP_TARGET)):
-                self._temp_queries.add(query_id)
         return self._batch(MSG_EXEC_BATCH, query_id, reqs, batch_size,
                            self._write_fid, self._read_fid)[1]
 
@@ -448,13 +516,13 @@ class ProxyClient:
         query may have written any."""
         if query_id in self._temp_queries:
             self._temp_queries.discard(query_id)
-            self._call(MSG_END_QUERY, query_id, b"")
+            self._call(MSG_END_QUERY, query_id=query_id)
 
     # -- write path / maintenance ------------------------------------------
 
     def promote(self, temp_fid: int, perm_partition: int) -> int:
         self._observe_fid(temp_fid)
-        body = self._call(MSG_PROMOTE, 0, _PROMOTE.pack(temp_fid, perm_partition))
+        body = self._call(MSG_PROMOTE, _PROMOTE.pack(temp_fid, perm_partition))
         (fid,) = _U64.unpack(body)
         self._observe_fid(fid)
         return fid
@@ -465,34 +533,34 @@ class ProxyClient:
         out = []
         for chunk in _chunks(fids, batch_size):
             payload = b"".join(self._write_fid(f) for f in chunk)
-            body = self._call(MSG_DELETE, 0, payload)
+            body = self._call(MSG_DELETE, payload)
             out.extend(status == 0 for status in body)
         return out
 
     def flush_log(self, checkpoint: bool = False) -> None:
-        self._call(MSG_FLUSH_LOG, 0, CHECKPOINT if checkpoint else b"")
+        self._call(MSG_FLUSH_LOG, CHECKPOINT if checkpoint else b"")
 
     def restore(self, items: list[tuple[int, bytes]], batch_size: int) -> None:
         """Writes each recipe's value again at its FID where the privacy
         zone lost it, batch_size (fid, recipe) items per message."""
         for chunk in _chunks(items, batch_size):
-            self._call(MSG_RESTORE, 0, b"".join(self._write_fid(fid) + _blob(recipe)
+            self._call(MSG_RESTORE, b"".join(self._write_fid(fid) + _blob(recipe)
                                                 for fid, recipe in chunk))
 
     def create_partition(self) -> int:
         """A new permanent partition's id."""
-        body = self._call(MSG_CREATE_PARTITION, 0, b"")
+        body = self._call(MSG_CREATE_PARTITION)
         return _U32.unpack(body)[0]
 
     def prefetch(self, partition_id: int) -> None:
-        self._call(MSG_PREFETCH, 0, _U32.pack(partition_id))
+        self._call(MSG_PREFETCH, _U32.pack(partition_id))
 
     def is_live(self, fid: int) -> bool:
-        body = self._call(MSG_IS_LIVE, 0, _U64.pack(fid))
+        body = self._call(MSG_IS_LIVE, _U64.pack(fid))
         return bool(body[0])
 
     def list_live(self, partition_id: int) -> list[int]:
-        body = self._call(MSG_LIST_LIVE, 0, _U32.pack(partition_id))
+        body = self._call(MSG_LIST_LIVE, _U32.pack(partition_id))
         (n,) = _U32.unpack_from(body, 0)
         return [_U64.unpack_from(body, 4 + 8 * i)[0] for i in range(n)]
 
@@ -504,22 +572,21 @@ class ProxyClient:
         envelopes per message."""
         out = []
         for chunk in _chunks(envelopes, batch_size):
-            body = self._call(MSG_CIPHER_INGEST, query_id,
-                              b"".join(_blob(e) for e in chunk))
+            body = self._call(MSG_CIPHER_INGEST, b"".join(_blob(e) for e in chunk))
             out.extend(_read_blobs(body, 0))
         return out
 
     def cipher_reveal(self, query_id: int, zone_envelope: bytes) -> bytes:
-        body = self._call(MSG_CIPHER_REVEAL, query_id, _blob(zone_envelope))
-        env, _ = _read_blob(body, 0)
-        return env
+        """A zone envelope's value as a client envelope; query_id does not
+        cross."""
+        return self._call(MSG_CIPHER_REVEAL, zone_envelope)
 
     def cipher_exec(self, query_id: int, reqs: list[OperatorRequest],
                     batch_size: int) -> list[OperatorResponse]:
         """exec_batch over zone envelopes: each request's operand_fids and
         each response's fid carry envelopes. The privacy zone stores no
         result, so a destination is checked but never written to."""
-        return self._batch(MSG_CIPHER_EXEC, query_id, reqs, batch_size,
+        return self._batch(MSG_CIPHER_EXEC, None, reqs, batch_size,
                            _blob, _read_blob)[1]
 
 
@@ -529,10 +596,12 @@ class PrivacyDispatcher:
     seals the cipher baseline's envelopes.
 
     A malformed request gets a status too: TypeMismatch, before anything is
-    stored or journaled, for a truncated request, a fixed-size payload of
-    another length (MSG_CREATE_PARTITION with any payload), an ingest with
-    no envelope or with bytes after its last one, or an unknown op or value
-    type; AuthFailure for an envelope too short for its nonce and tag or
+    stored or journaled, for a truncated request, a query id where no
+    temporary is named or a temporary named without one (module
+    docstring), a fixed-size payload of another length
+    (MSG_CREATE_PARTITION with any payload), an ingest with no envelope or
+    with bytes after its last one, an operator batch with no element, or
+    an unknown op or value type; AuthFailure for an envelope too short for its nonce and tag or
     one that fails its tag. An ingest is all or nothing: every envelope of
     the request is authenticated before the first is stored. The integrity
     zone can create permanent partitions only: temporaries belong to a
@@ -551,16 +620,11 @@ class PrivacyDispatcher:
 
     def handle(self, raw: bytes) -> bytes:
         try:
-            kind, query_id = HEADER.unpack_from(raw, 0)
-        except struct.error:
-            return _U8.pack(TypeMismatch.code)
-        try:
-            body = self._dispatch(kind, query_id, raw[HEADER.size:])
-            return b"\x00" + body
+            return b"\x00" + self._dispatch(*_split(raw))
         except FidStoreError as exc:
             return _U8.pack(exc.code or 255)
 
-    def _dispatch(self, kind: int, query_id: int, payload: bytes) -> bytes:
+    def _dispatch(self, kind: int, query_id: int | None, payload: bytes) -> bytes:
         proxy = self.proxy
         store = proxy.store
         if kind == MSG_RESTORE:
@@ -572,15 +636,19 @@ class PrivacyDispatcher:
         if kind == MSG_INGEST:
             blobs = _read_blobs(payload, 4)  # fails unless the target fits
             (target,) = _U32.unpack_from(payload, 0)
+            if query_id is not None and target != QUERY_TEMP_TARGET:
+                raise TypeMismatch("a query id on an ingest to a permanent partition")
             target = proxy.destination(query_id, target)
             fids = proxy.ingest([ClientEnvelope.from_bytes(b) for b in blobs], target)
             return b"".join(_U64.pack(fid) for fid in fids)
         if kind == MSG_REVEAL:
             (fid,) = _unpack(_U64, payload)
-            return _blob(proxy.reveal(fid).to_bytes())
+            return proxy.reveal(fid).to_bytes()
         if kind == MSG_EXEC_BATCH:
             return self._exec(query_id, payload, proxy.fids, _read_u64, _U64.pack)
         if kind == MSG_END_QUERY:
+            if query_id is None or payload:
+                raise TypeMismatch("end_query is its query id alone")
             proxy.end_query(query_id)
             return b""
         if kind == MSG_PROMOTE:
@@ -625,22 +693,24 @@ class PrivacyDispatcher:
             values = [decrypt(ClientEnvelope.from_bytes(b))
                       for b in _read_blobs(payload, 0)]
             save = self.envelopes.save
-            return b"".join(_blob(save(query_id, None, v)) for v in values)
+            return b"".join(_blob(save(None, None, v)) for v in values)
         if kind == MSG_CIPHER_REVEAL:
-            (value,) = self.envelopes.load([_read_blob(payload, 0)[0]])
-            return _blob(proxy.client_codec.encrypt(value).to_bytes())
+            (value,) = self.envelopes.load([payload])
+            return proxy.client_codec.encrypt(value).to_bytes()
         if kind == MSG_CIPHER_EXEC:
-            return self._exec(query_id, payload, self.envelopes, _read_blob, _blob)
+            return self._exec(None, payload, self.envelopes, _read_blob, _blob)
         raise FidStoreError(f"unknown message kind {kind}")
 
-    def _exec(self, query_id: int, payload: bytes, space, read_operand,
+    def _exec(self, query_id: int | None, payload: bytes, space, read_operand,
               write_result) -> bytes:
         """An operator batch over space; read_operand and write_result are
         the wire forms of its operands and value results. Each response
         element is an error status byte alone, or status 0 then a result
         kind and the result."""
         reqs = _read_ops(payload, read_operand)
-        out = [struct.pack("<H", len(reqs))]
+        if query_id is not None and not any(map(_writes_temp, reqs)):
+            raise TypeMismatch("a query id on a batch that writes no temporary")
+        out = []
         for resp in self.proxy.exec_batch(reqs, query_id, space):
             if resp.error_code:
                 out.append(_U8.pack(resp.error_code))

@@ -332,7 +332,7 @@ class FidSpace:
             values.append(v)
         return values
 
-    def save(self, query_id: int, destination: int | None, value: bytes) -> int:
+    def save(self, query_id: int | None, destination: int | None, value: bytes) -> int:
         return self.store.put(self.destination(query_id, destination), value)
 
 
@@ -348,7 +348,7 @@ class EnvelopeSpace:
         decrypt = self.codec.decrypt
         return [decrypt(ClientEnvelope.from_bytes(e)) for e in envelopes]
 
-    def save(self, query_id: int, destination: int | None, value: bytes) -> bytes:
+    def save(self, query_id: int | None, destination: int | None, value: bytes) -> bytes:
         return self.codec.encrypt(value).to_bytes()
 
 
@@ -389,11 +389,14 @@ class PrivacyProxy:
         self.store.drop_temporary(pid)
         self.store.release_partition(pid)
 
-    def destination(self, query_id: int, target: int | None) -> int:
+    def destination(self, query_id: int | None, target: int | None) -> int:
         """The partition a query's ingest or operator result is written to:
-        its own temporary partition for None or QUERY_TEMP_TARGET, else the
-        named partition, which must be permanent."""
+        its own temporary partition for None or QUERY_TEMP_TARGET, which a
+        request without a query id (None) cannot name (TypeMismatch), else
+        the named partition, which must be permanent."""
         if target is None or target == QUERY_TEMP_TARGET:
+            if query_id is None:
+                raise TypeMismatch("a temporary written without a query id")
             return self.query_temp(query_id)
         if self.store.partition(target).kind != PartitionKind.PERMANENT:
             raise WrongPartitionKind(f"destination {target} is not a permanent partition")
@@ -419,7 +422,7 @@ class PrivacyProxy:
 
     # -- expression operators ----------------------------------------------
 
-    def exec_operator(self, req: OperatorRequest, query_id: int,
+    def exec_operator(self, req: OperatorRequest, query_id: int | None,
                       space=None) -> OperatorResponse:
         """Runs one element over space, the FID space if None. A FID
         result bound for a named (permanent) partition takes its operands
@@ -447,7 +450,7 @@ class PrivacyProxy:
                 envelope=self.client_codec.encrypt(result).to_bytes())
         return OperatorResponse(fid=space.save(query_id, req.destination, result))
 
-    def exec_batch(self, reqs: list[OperatorRequest], query_id: int,
+    def exec_batch(self, reqs: list[OperatorRequest], query_id: int | None,
                    space=None) -> list[OperatorResponse]:
         """Sequential per-element execution over space (the FID space if
         None); element failures are reported positionally and never abort
@@ -491,7 +494,7 @@ class PrivacyProxy:
         work = []
         for fid, recipe in items:
             pid = fid >> OFFSET_BITS
-            self.destination(0, pid)  # raises unless pid is a permanent partition
+            self.destination(None, pid)  # raises unless pid is a permanent partition
             base = self._restore_base.setdefault(pid, store.partition(pid).alloc_counter)
             if fid & OFFSET_MASK >= base + wal.MAX_UNSYNCED_PUTS:
                 raise TypeMismatch(f"fid {fid:#x} lies past every offset a crash "

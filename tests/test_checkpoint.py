@@ -29,7 +29,7 @@ from fidstore.integrity_dbms import (
     ColumnType,
 )
 from fidstore.mapping_store import UINT_CODES, MappingStore
-from fidstore.messages import CHECKPOINT, HEADER, MSG_FLUSH_LOG
+from fidstore.messages import CHECKPOINT, MSG_FLUSH_LOG, _req
 from fidstore.privacy_proxy import ClientEnvelope, decode_int64, encode_int64
 from fidstore.wal import FRAME, REC_HEAD, read_frames
 from fidstore.workload import Mode, WorkloadSpec, flatten_schedule, generate_workload
@@ -318,7 +318,7 @@ def test_replay_is_bounded_by_the_interval(privacy_checkpoints,
     assert _permanent_mapping(topo) == mapping
 
 
-_CHECKPOINT_FLUSH = (HEADER.pack(MSG_FLUSH_LOG, 0) + CHECKPOINT, b"\x00")
+_CHECKPOINT_FLUSH = (_req(MSG_FLUSH_LOG, CHECKPOINT), b"\x00")
 _CHECKPOINT_FLUSH_EVENTS = [("OpKindObserved", MSG_FLUSH_LOG),
                             ("MsgBytes", len(_CHECKPOINT_FLUSH[0])), ("MsgBytes", 1)]
 _BLOCK_EVENTS = ("BlockRead", "BlockWrite", "BlockDrop")

@@ -22,14 +22,20 @@ from fidstore.messages import (
     MSG_CIPHER_REVEAL,
     MSG_CREATE_PARTITION,
     MSG_DELETE,
+    MSG_END_QUERY,
     MSG_EXEC_BATCH,
     MSG_FLUSH_LOG,
     MSG_INGEST,
+    MSG_IS_LIVE,
+    MSG_LIST_LIVE,
+    MSG_PREFETCH,
+    MSG_PROMOTE,
     MSG_RESTORE,
     MSG_REVEAL,
     OP_CONST,
     OP_DEST,
     OP_REVEAL,
+    QUERY_FLAG,
     QUERY_TEMP_TARGET,
     CHECKPOINT,
     RECIPE_EXEC,
@@ -42,7 +48,9 @@ from fidstore.messages import (
     _read_ops,
     _read_u64,
     _req,
+    _split,
     _write_op,
+    _writes_temp,
 )
 from fidstore.privacy_proxy import (
     OperatorRequest,
@@ -62,23 +70,47 @@ def topo():
 
 
 def test_header_layout(topo):
-    captured = []
-    original = topo.channel.request
-
-    def spy(raw):
-        captured.append(raw)
-        return original(raw)
-
-    topo.channel.request = spy
+    """A request that names no temporary is its kind byte and its payload:
+    a create is the kind byte alone. One that does, a temp-target ingest,
+    sets QUERY_FLAG in the kind byte and puts its u64 query id after it."""
+    captured = _capture(topo)
     topo.client.create_partition()
-    raw = captured[0]
-    kind, query_id = struct.unpack_from("<BQ", raw, 0)
-    assert kind == 8  # create-partition
-    assert query_id == 0
+    env = topo.client_encrypt(b"x")
+    topo.client.ingest(0x0102, [env], 1)
+    assert [raw for raw, _ in captured] == [
+        bytes([8]),  # create-partition
+        struct.pack("<BQII", MSG_INGEST | QUERY_FLAG, 0x0102, QUERY_TEMP_TARGET,
+                    len(env)) + env]
 
 
 def _one_element(kind: int, op: int, vtype: int) -> bytes:
-    return _req(kind, 1, struct.pack("<HBBH", 1, op, vtype, 0))
+    return _req(kind, struct.pack("<BBH", op, vtype, 0))
+
+
+def _flagged(build):
+    """A request build makes from the topology, with QUERY_FLAG and a query
+    id spliced in after its kind byte."""
+    def make(topo):
+        raw = build(topo)
+        return struct.pack("<BQ", raw[0] | QUERY_FLAG, 1) + raw[1:]
+    return make
+
+
+def _good_element(topo) -> bytes:
+    """An ADD of a live permanent FID to itself into its partition: an
+    element that writes no temporary."""
+    pid = topo.client.create_partition()
+    (fid,) = topo.client.ingest(1, [topo.client_encrypt(encode_int64(1))], 1, pid)
+    return _one_op(OperatorRequest(OpKind.ADD, ValueType.INT64, [fid, fid], pid))
+
+
+def _live_fid(topo) -> int:
+    pid = topo.client.create_partition()
+    return topo.client.ingest(1, [topo.client_encrypt(b"x")], 1, pid)[0]
+
+
+def _zone_envelope(topo) -> bytes:
+    return topo.client.cipher_ingest(1, [topo.client_encrypt(encode_int64(1))], 1)[0]
 
 
 # 31, the largest op the op byte's five low bits hold, names no OpKind
@@ -90,30 +122,72 @@ _MALFORMED = {
     "unknown-value-type": (_one_element(MSG_EXEC_BATCH, OpKind.ADD, 9), TypeMismatch),
     "cipher-unknown-op": (_one_element(MSG_CIPHER_EXEC, _UNKNOWN_OP, ValueType.INT64),
                           TypeMismatch),
-    "batch-without-its-elements": (_req(MSG_EXEC_BATCH, 1, struct.pack("<H", 2)),
-                                   TypeMismatch),
-    "one-byte-reveal": (_req(MSG_REVEAL, 1, b"\x01"), TypeMismatch),
-    "short-header": (bytes([MSG_REVEAL, 0, 0]), TypeMismatch),
-    "short-zone-envelope": (_req(MSG_CIPHER_REVEAL, 1, _blob(bytes(5))), AuthFailure),
+    # an empty batch: elements run to the end of the payload, at least one
+    "batch-without-its-elements": (_req(MSG_EXEC_BATCH), TypeMismatch),
+    "batch-ends-in-a-partial-element": (lambda topo: _req(
+        MSG_EXEC_BATCH, _good_element(topo) + struct.pack("<BB", OpKind.ADD, 1)),
+        TypeMismatch),
+    "one-byte-reveal": (_req(MSG_REVEAL, b"\x01"), TypeMismatch),
+    "short-header": (bytes([MSG_INGEST | QUERY_FLAG, 0, 0]), TypeMismatch),
+    "short-zone-envelope": (_req(MSG_CIPHER_REVEAL, bytes(5)), AuthFailure),
     # the payload a client sent when a create named a kind, layout and width
-    "create-with-payload": (_req(MSG_CREATE_PARTITION, 1, struct.pack("<BBI", 1, 2, 0)),
+    "create-with-payload": (_req(MSG_CREATE_PARTITION, struct.pack("<BBI", 1, 2, 0)),
                             TypeMismatch),
-    "unknown-kind": (_req(MSG_CREATE_PARTITION, 1, struct.pack("<BBI", 5, 2, 0)),
+    "unknown-kind": (_req(MSG_CREATE_PARTITION, struct.pack("<BBI", 5, 2, 0)),
                      TypeMismatch),
-    "delete-part-of-a-fid": (_req(MSG_DELETE, 0, bytes(12)), TypeMismatch),
-    "flush-unknown-flag": (_req(MSG_FLUSH_LOG, 0, b"\x02"), TypeMismatch),
-    "flush-long-payload": (_req(MSG_FLUSH_LOG, 0, b"\x01\x00"), TypeMismatch),
+    "delete-part-of-a-fid": (_req(MSG_DELETE, bytes(12)), TypeMismatch),
+    "flush-unknown-flag": (_req(MSG_FLUSH_LOG, b"\x02"), TypeMismatch),
+    "flush-long-payload": (_req(MSG_FLUSH_LOG, b"\x01\x00"), TypeMismatch),
     # cases built from the topology, which holds the client key
     "ingest-trailing-bytes": (lambda topo: _req(
-        MSG_INGEST, 1, struct.pack("<I", QUERY_TEMP_TARGET)
-        + _blob(topo.client_encrypt(b"x")) + b"garbage!"), TypeMismatch),
+        MSG_INGEST, struct.pack("<I", QUERY_TEMP_TARGET)
+        + _blob(topo.client_encrypt(b"x")) + b"garbage!", 1), TypeMismatch),
     "cipher-ingest-trailing-bytes": (lambda topo: _req(
-        MSG_CIPHER_INGEST, 1, _blob(topo.client_encrypt(b"x")) + b"\x00\x00"),
+        MSG_CIPHER_INGEST, _blob(topo.client_encrypt(b"x")) + b"\x00\x00"),
         TypeMismatch),
     "ingest-bad-envelope-in-batch": (lambda topo: _req(
-        MSG_INGEST, 1, struct.pack("<I", topo.client.create_partition())
+        MSG_INGEST, struct.pack("<I", topo.client.create_partition())
         + b"".join(_blob(e) for e in _second_of_three_tampered(topo))),
         AuthFailure),
+    # a query id only where a temporary is named, and always there
+    "unflagged-temp-ingest": (lambda topo: _req(
+        MSG_INGEST, struct.pack("<I", QUERY_TEMP_TARGET)
+        + _blob(topo.client_encrypt(b"x"))), TypeMismatch),
+    "flagged-permanent-ingest": (lambda topo: _req(
+        MSG_INGEST, struct.pack("<I", topo.client.create_partition())
+        + _blob(topo.client_encrypt(b"x")), 1), TypeMismatch),
+    "flagged-batch-without-a-temporary": (lambda topo: _req(
+        MSG_EXEC_BATCH, _good_element(topo), 1), TypeMismatch),
+    "unflagged-end-query": (_req(MSG_END_QUERY), TypeMismatch),
+    "end-query-with-payload": (_req(MSG_END_QUERY, b"\x00", 1), TypeMismatch),
+    "flagged-reveal": (_flagged(lambda topo: _req(
+        MSG_REVEAL, struct.pack("<Q", _live_fid(topo)))), TypeMismatch),
+    "flagged-delete": (_flagged(lambda topo: _req(
+        MSG_DELETE, struct.pack("<Q", _live_fid(topo)))), TypeMismatch),
+    "flagged-flush": (_flagged(lambda topo: _req(MSG_FLUSH_LOG, CHECKPOINT)),
+                      TypeMismatch),
+    "flagged-create": (_req(MSG_CREATE_PARTITION, query_id=1), TypeMismatch),
+    "flagged-promote": (_flagged(lambda topo: _req(MSG_PROMOTE, struct.pack(
+        "<QI", topo.client.ingest(1, [topo.client_encrypt(b"x")], 1)[0],
+        topo.client.create_partition()))), TypeMismatch),
+    "flagged-prefetch": (_flagged(lambda topo: _req(
+        MSG_PREFETCH, struct.pack("<I", topo.client.create_partition()))),
+        TypeMismatch),
+    "flagged-is-live": (_flagged(lambda topo: _req(
+        MSG_IS_LIVE, struct.pack("<Q", _live_fid(topo)))), TypeMismatch),
+    "flagged-list": (_flagged(lambda topo: _req(
+        MSG_LIST_LIVE, struct.pack("<I", topo.client.create_partition()))),
+        TypeMismatch),
+    "flagged-restore": (_flagged(lambda topo: _restore(
+        _restore_window(topo).client_pid, [topo.client_encrypt(b"x")])),
+        TypeMismatch),
+    "flagged-cipher-ingest": (_flagged(lambda topo: _req(
+        MSG_CIPHER_INGEST, _blob(topo.client_encrypt(b"x")))), TypeMismatch),
+    "flagged-cipher-reveal": (_flagged(lambda topo: _req(
+        MSG_CIPHER_REVEAL, _zone_envelope(topo))), TypeMismatch),
+    "flagged-cipher-exec": (_flagged(lambda topo: _req(MSG_CIPHER_EXEC, _write_op(
+        OperatorRequest(OpKind.ADD, ValueType.INT64, [_zone_envelope(topo)] * 2),
+        _blob))), TypeMismatch),
     # MSG_RESTORE, refused before anything is stored
     "restore-outside-recovery": (lambda topo: _restore(
         topo.client.create_partition(), [topo.client_encrypt(b"x")]), TypeMismatch),
@@ -148,7 +222,7 @@ _MALFORMED = {
 
 def _restore(pid: int, envelopes: list[bytes]) -> bytes:
     """A MSG_RESTORE of ingest recipes for offsets 0, 1, ... of pid."""
-    return _req(MSG_RESTORE, 0, b"".join(
+    return _req(MSG_RESTORE, b"".join(
         struct.pack("<Q", encode_fid(pid, i)) + _blob(RECIPE_INGEST + e)
         for i, e in enumerate(envelopes)))
 
@@ -202,29 +276,31 @@ def test_malformed_request_gets_a_status(topo, case):
 def test_one_envelope_ingest_keeps_its_wire_bytes(topo, backend):
     """A one-envelope ingest has the single-envelope layout: {u32 target,
     u32 len, envelope} and a u64 FID back on the FID path, {u32 len,
-    envelope} and a zone envelope blob back on the cipher path."""
+    envelope} and a zone envelope blob back on the cipher path. Neither
+    names a temporary, so neither carries a query id."""
     env = topo.client_encrypt(encode_int64(4))
     perm = topo.client.create_partition()
     captured = _capture(topo)
     if backend == "fid":
         (fid,) = topo.client.ingest(3, [env], 1, perm)
-        assert captured == [(struct.pack("<BQII", MSG_INGEST, 3, perm, len(env)) + env,
+        assert captured == [(struct.pack("<BII", MSG_INGEST, perm, len(env)) + env,
                              b"\x00" + struct.pack("<Q", fid))]
     else:
         (zone,) = topo.client.cipher_ingest(3, [env], 1)
-        assert captured == [(struct.pack("<BQI", MSG_CIPHER_INGEST, 3, len(env)) + env,
+        assert captured == [(struct.pack("<BI", MSG_CIPHER_INGEST, len(env)) + env,
                              b"\x00" + struct.pack("<I", len(zone)) + zone)]
 
 
 @pytest.mark.parametrize("backend", ["fid", "cipher"])
 def test_ingest_splits_by_batch_size(backend):
     """n envelopes go out in ceil(n / batch_size) messages of consecutive
-    envelopes, and one result per envelope comes back, in order."""
+    envelopes, and one result per envelope comes back, in order. Each fid
+    message goes to the query's temporaries, so it carries the query id."""
     topo = ZoneTopology(999, backend=backend)
     client = topo.client
     ingest, reveal, kind, skip = {
-        "fid": (client.ingest, client.reveal, MSG_INGEST, 13),
-        "cipher": (client.cipher_ingest, client.cipher_reveal, MSG_CIPHER_INGEST, 9),
+        "fid": (client.ingest, client.reveal, MSG_INGEST | QUERY_FLAG, 13),
+        "cipher": (client.cipher_ingest, client.cipher_reveal, MSG_CIPHER_INGEST, 1),
     }[backend]
     values = [encode_int64(v) for v in range(5)]
     captured = _capture(topo)
@@ -279,8 +355,8 @@ def test_fids_travel_little_endian(topo):
     topo.channel.request = spy
     perm_fid = topo.client.promote(tmp_fid, pid)
     raw = captured[0]
-    assert raw[9:17] == tmp_fid.to_bytes(8, "little")
-    assert struct.unpack_from("<I", raw, 17)[0] == pid
+    assert raw[1:9] == tmp_fid.to_bytes(8, "little")
+    assert struct.unpack_from("<I", raw, 9)[0] == pid
     assert topo.client.is_live(perm_fid)
 
 
@@ -323,8 +399,8 @@ def test_booleans_are_one_byte(topo):
     resp = topo.client.exec_batch(
         4, [OperatorRequest(OpKind.CMP_LT, ValueType.INT64, [a, b])], 8)
     assert resp[0].boolean is True
-    # response: status, count u16, elem status, result_kind, bool
-    assert captured[0] == b"\x00\x01\x00\x00\x01\x01"
+    # response: status, elem status, result_kind, bool
+    assert captured[0] == b"\x00\x00\x01\x01"
 
 
 def test_cipher_backend_round_trip(topo):
@@ -362,7 +438,7 @@ def test_restore_skips_a_live_fid_and_writes_the_others_at_their_fids():
             (encode_fid(pid, 3), RECIPE_INGEST + topo.client_encrypt(encode_int64(8))),
             (encode_fid(pid, 1), RECIPE_EXEC + _one_op(element)),
         ])
-    assert topo.channel.request(_req(MSG_RESTORE, 0, payload)) == b"\x00"
+    assert topo.channel.request(_req(MSG_RESTORE, payload)) == b"\x00"
     assert topo.privacy.wal.puts == 2
     assert journal.pending_len == journal.durable_len == 0
     store = topo.privacy.store
@@ -370,7 +446,7 @@ def test_restore_skips_a_live_fid_and_writes_the_others_at_their_fids():
         live: 40, encode_fid(pid, 1): 42, encode_fid(pid, 3): 8}
     (next_fid,) = topo.client.ingest(1, [topo.client_encrypt(encode_int64(9))], 1, pid)
     assert next_fid == encode_fid(pid, 2)
-    assert topo.channel.request(_req(MSG_RESTORE, 0, payload)) == bytes(
+    assert topo.channel.request(_req(MSG_RESTORE, payload)) == bytes(
         [TypeMismatch.code])
 
 
@@ -402,7 +478,7 @@ def test_restore_reaches_no_further_than_a_crash_could_lose(monkeypatch):
     assert topo.privacy.store.partition(pid).alloc_counter == 4
 
     def restore(offset, value):
-        return topo.channel.request(_req(MSG_RESTORE, 0, struct.pack(
+        return topo.channel.request(_req(MSG_RESTORE, struct.pack(
             "<Q", encode_fid(pid, offset)) + _blob(
             RECIPE_INGEST + topo.client_encrypt(encode_int64(value)))))
 
@@ -426,7 +502,7 @@ def test_flush_reply_is_the_status_byte_alone():
     at-rest layer seals and drops blocks, which it journals nothing of, and
     after a checkpoint."""
     topo = ZoneTopology(999, cache_capacity_blocks=1)
-    flush = _req(MSG_FLUSH_LOG, 0)
+    flush = _req(MSG_FLUSH_LOG)
     replies = [topo.channel.request(flush)]
     pid = topo.client.create_partition()
     # 2 per block; the second block's puts seal the first
@@ -437,7 +513,7 @@ def test_flush_reply_is_the_status_byte_alone():
     kinds = [kind for kind, _ in topo.trace.events]
     assert "BlockWrite" in kinds and "BlockDrop" in kinds
     replies.append(topo.channel.request(flush))
-    replies.append(topo.channel.request(_req(MSG_FLUSH_LOG, 0, CHECKPOINT)))
+    replies.append(topo.channel.request(_req(MSG_FLUSH_LOG, CHECKPOINT)))
     assert replies == [b"\x00"] * 3
     # the create and 2 deletes, then the checkpoint's own LSN
     assert topo.privacy.wal.durable_lsn == 4
@@ -489,7 +565,9 @@ def test_destination_must_be_own_temp_or_permanent(topo):
 
 def test_operator_destination_on_the_wire(topo):
     """Only an element that names a destination carries one: its op byte
-    has OP_DEST set and a u32 partition id follows the element head."""
+    has OP_DEST set and a u32 partition id follows the element head. The
+    elements follow the query id with no count, since the first writes a
+    temporary."""
     a = topo.client.ingest(8, [topo.client_encrypt(encode_int64(4))], 1)[0]
     perm = topo.client.create_partition()
     captured = []
@@ -505,8 +583,9 @@ def test_operator_destination_on_the_wire(topo):
         OperatorRequest(OpKind.ADD, ValueType.INT64, [a, a], perm),
     ], 4)
     fids = struct.pack("<QQ", a, a)
-    assert captured[0][9:] == (
-        struct.pack("<HBBH", 2, OpKind.ADD, ValueType.INT64, 2) + fids
+    assert captured[0] == (
+        struct.pack("<BQ", MSG_EXEC_BATCH | QUERY_FLAG, 8)
+        + struct.pack("<BBH", OpKind.ADD, ValueType.INT64, 2) + fids
         + struct.pack("<BBHI", OpKind.ADD | OP_DEST, ValueType.INT64, 2, perm) + fids)
 
 
@@ -527,7 +606,8 @@ def _capture(topo) -> list:
 def test_unflagged_elements_keep_their_wire_bytes(topo):
     """An element with neither an inline constant nor a reveal carries no
     byte for either: its head, its destination if any and its operands,
-    on both operator messages."""
+    on both operator messages. The fid batch's SUM_AGG writes a temporary,
+    so that message carries the query id; the cipher one carries none."""
     a = topo.client.ingest(8, [topo.client_encrypt(encode_int64(4))], 1)[0]
     zone = topo.client.cipher_ingest(8, [topo.client_encrypt(encode_int64(4))], 1)[0]
     perm = topo.client.create_partition()
@@ -541,21 +621,22 @@ def test_unflagged_elements_keep_their_wire_bytes(topo):
                                                 [zone, zone])], 4)
     fid = struct.pack("<Q", a)
     assert captured[0][0] == (
-        struct.pack("<BQ", MSG_EXEC_BATCH, 8) + struct.pack("<H", 3)
+        struct.pack("<BQ", MSG_EXEC_BATCH | QUERY_FLAG, 8)
         + struct.pack("<BBH", OpKind.CMP_LT, ValueType.INT64, 2) + fid * 2
         + struct.pack("<BBH", OpKind.SUM_AGG, ValueType.INT64, 3) + fid * 3
         + struct.pack("<BBHI", OpKind.ADD | OP_DEST, ValueType.INT64, 2, perm)
         + fid * 2)
     env = struct.pack("<I", len(zone)) + zone
     assert captured[1][0] == (
-        struct.pack("<BQ", MSG_CIPHER_EXEC, 8) + struct.pack("<H", 1)
+        bytes([MSG_CIPHER_EXEC])
         + struct.pack("<BBH", OpKind.ADD, ValueType.INT64, 2) + env * 2)
 
 
 def test_flagged_elements_on_the_wire(topo):
     """An inline constant follows the stored operands as a length-prefixed
     client envelope and is not counted in argc; a revealed result comes
-    back as result kind 2 and a client envelope, and is not stored."""
+    back as result kind 2 and a client envelope, and is not stored. The
+    batch writes no temporary, so it carries no query id."""
     a = topo.client.ingest(9, [topo.client_encrypt(encode_int64(40))], 1)[0]
     const = topo.client_encrypt(encode_int64(2))
     store = topo.privacy.store
@@ -564,12 +645,12 @@ def test_flagged_elements_on_the_wire(topo):
     out = topo.client.exec_batch(9, [OperatorRequest(
         OpKind.ADD, ValueType.INT64, [a], constant=const, reveal=True)], 4)
     raw, resp = captured[0]
-    assert raw[9:] == (struct.pack("<H", 1)
+    assert raw == (bytes([MSG_EXEC_BATCH])
                        + struct.pack("<BBH", OpKind.ADD | OP_REVEAL | OP_CONST,
                                      ValueType.INT64, 1)
                        + struct.pack("<Q", a) + struct.pack("<I", len(const)) + const)
-    assert resp[:5] == b"\x00\x01\x00\x00\x02"
-    assert _read_blob(resp, 5)[0] == out[0].envelope
+    assert resp[:3] == b"\x00\x00\x02"
+    assert _read_blob(resp, 3)[0] == out[0].envelope
     assert out[0].fid is None and out[0].error_code == 0
     assert decode_int64(topo.client_decrypt(out[0].envelope)) == 42
     assert store.live_fids(temp) == [a]
@@ -593,7 +674,8 @@ def _elements(codec):
 def test_batch_codec_round_trip(codec):
     """Whatever the client's operator-batch codec encodes, the privacy
     zone's decoder reads back unchanged, over every flag combination and
-    across message splits."""
+    across message splits; a fid message carries the query id exactly when
+    one of its elements writes a temporary, a cipher message never."""
     kind, write, read = {
         "fid": (MSG_EXEC_BATCH, lambda f: struct.pack("<Q", f), _read_u64),
         "cipher": (MSG_CIPHER_EXEC, _blob, _read_blob)}[codec]
@@ -605,15 +687,18 @@ def test_batch_codec_round_trip(codec):
 
         class Wire:
             def request(self, raw):
-                assert raw[0] == kind
-                ops = _read_ops(raw[9:], read)
+                got, query_id, payload = _split(raw)
+                assert got == kind
+                ops = _read_ops(payload, read)
+                assert (query_id is not None) == (
+                    codec == "fid" and any(map(_writes_temp, ops)))
                 decoded.extend(ops)
                 # every element answered with a positional error
-                return (b"\x00" + struct.pack("<H", len(ops))
-                        + bytes([TypeMismatch.code]) * len(ops))
+                return b"\x00" + bytes([TypeMismatch.code]) * len(ops)
 
         client = ProxyClient(Wire())
-        sent, out = client._batch(kind, 3, elements, batch_size, write, read)
+        query_id = 3 if codec == "fid" else None  # as cipher_exec passes it
+        sent, out = client._batch(kind, query_id, elements, batch_size, write, read)
         assert decoded == elements
         assert [_read_op(e, 0, read)[0] for e in sent] == elements
         assert out == [OperatorResponse(error_code=TypeMismatch.code)] * len(elements)

@@ -738,7 +738,7 @@ def test_vacuum_deletes_in_ascending_fid_order(cache):
     def recording(raw):
         if raw[0] == m.MSG_DELETE and state["in_vacuum"]:
             per_vacuum[-1].extend(
-                fid for (fid,) in struct.iter_unpack("<Q", raw[m.HEADER.size:]))
+                fid for (fid,) in struct.iter_unpack("<Q", raw[1:]))
         return request(raw)
 
     vacuum = db.vacuum
@@ -1025,13 +1025,14 @@ def test_a_store_recipe_is_restored_after_a_privacy_crash():
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
 def test_no_query_temporary_outlives_its_query(mode, backend):
     """The runner's queries write nothing to their temporary partitions, so
-    no query sends MSG_END_QUERY and the store ends with only the tables'
-    partitions."""
+    no request carries a query id, no query sends MSG_END_QUERY and the
+    store ends with only the tables' partitions."""
     spec = _small_spec(mode=mode, duration_ops=25)
     topo = ZoneTopology(7, backend=backend, batch_size=spec.batch_size)
     kinds = _count_kinds(topo)
     report = topo.run_workload(spec)
     assert report.ops_completed > 0 and report.invariant_holds
+    assert not [kind for kind in kinds if kind & m.QUERY_FLAG]
     assert kinds[m.MSG_END_QUERY] == 0
     assert topo.privacy.proxy._query_temps == {}
     assert topo.privacy.store.partition_ids() == sorted(
@@ -1042,8 +1043,8 @@ def test_no_query_temporary_outlives_its_query(mode, backend):
 def test_query_with_temporaries_still_ends_them(query):
     """A reduction over more refs than batch_size keeps its partial sums in
     the query's temporary partition, and so does a predicate constant
-    ingested there: ending either query sends MSG_END_QUERY, once, and
-    drops that partition."""
+    ingested there: ending either query sends MSG_END_QUERY, once, with
+    its query id, and drops that partition."""
     topo = ZoneTopology(8, batch_size=4)
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
@@ -1066,7 +1067,7 @@ def test_query_with_temporaries_still_ends_them(query):
     db.commit(q)
     topo.client.end_query(q.query_id)
     topo.client.end_query(q.query_id)
-    assert kinds[m.MSG_END_QUERY] == 1
+    assert kinds[m.MSG_END_QUERY | m.QUERY_FLAG] == 1
     assert topo.privacy.proxy._query_temps == {}
     assert topo.privacy.store.partition_ids() == [table.partition_id]
 
@@ -1215,20 +1216,26 @@ def test_trace_jsonl_dump_parses():
 # writes cross together in one message at its commit, and the FidObserved
 # events of the new versions' cells follow that message. Their checkpoint
 # events are unchanged.
+# All eight were re-pinned, with the same event counts, when the frame lost
+# the bytes its receiver knows: only MsgBytes arguments moved, each request
+# 8 fewer (no query id; none of these programs names a temporary), an
+# operator batch request 2 fewer again and its reply 2 fewer (no element
+# count), a MSG_REVEAL reply 4 fewer and a MSG_CIPHER_REVEAL request and
+# reply 4 fewer each (a bare envelope).
 _B = 1 << 40
 _PINNED_TRACE = {
     "fid": (Mode.READ_WRITE, Distribution.UNIFORM, "fid", 1164,
-            "db3d688e274a08ba29903b8fc6970df9d7b25db22e6581056ed714d038ba00fa",
+            "78b754ee1fe3cd7c18c637a6a66bf5ffaac73203f0ef0f9e3c07877a54970b3f",
             [("BlockWrite", 0), ("BlockWrite", _B), ("BlockWrite", 0),
              ("BlockWrite", _B), ("BlockDrop", 0), ("BlockDrop", _B)]),
     "cipher": (Mode.READ_WRITE, Distribution.UNIFORM, "cipher", 540,
-               "621225a3fcc502fa675f35db29fe2bc06f27d1d3900a8895cdd979780e993ac2",
+               "a1372b93e32e2d348c61ab1eda83ffd618c5840386d1daf5bc6065d45ef9d3fe",
                []),
     "read-only": (Mode.READ_ONLY, Distribution.UNIFORM, "fid", 1448,
-                  "9d354319fa38d5b956ca47bb5bd4d463e071babfbbac6d390c82cc3b35992413",
+                  "822cb3af5b8411e41966095ca16a3b0d0df3116e7cacc960cec9ecdbf26c2d34",
                   []),
     "write-only": (Mode.WRITE_ONLY, Distribution.UNIFORM, "fid", 941,
-                   "ccfcadedce831a8284e3c1fcfebbbaec445b77183770abdf7a11d91fee1ed3d2",
+                   "c60decebe6db89e121141864a72f6139e7e05ab091fbb8d86b66f7e3e850f264",
                    [("BlockWrite", _B), ("BlockWrite", _B | 3 << 32 | 1),
                     ("BlockWrite", _B), ("BlockWrite", _B | 3 << 32),
                     ("BlockDrop", 0), ("BlockDrop", 3 << 32), ("BlockDrop", 3 << 32 | 1),
@@ -1236,18 +1243,18 @@ _PINNED_TRACE = {
                     ("BlockDrop", _B | 3 << 32 | 1)]),
     "write-only-zipfian": (
         Mode.WRITE_ONLY, Distribution.ZIPFIAN, "fid", 998,
-        "33a07c6b5436641e3dcf3cee5e32231005e954a9d824cfdfac1de48332957e0d",
+        "ae08c61cf1bd5c5978323fcdc110d3ad523e77c949876a129548b379626df0f3",
         [("BlockWrite", 3 << 32 | 1), ("BlockWrite", _B), ("BlockWrite", _B | 3 << 32),
          ("BlockDrop", 0), ("BlockDrop", 3 << 32), ("BlockDrop", 3 << 32 | 1),
          ("BlockDrop", _B), ("BlockDrop", _B | 3 << 32), ("BlockDrop", _B | 3 << 32 | 1)]),
     "insert-only": (Mode.INSERT_ONLY, Distribution.UNIFORM, "fid", 666,
-                    "bc4eb9f1cc754b7ba3bc79405baacbb9b4ecd28421eff5ca896f634461754440",
+                    "b77b9c31bb01c1a39b4ac2346d28076f42e0be4c495e41f5746deac2a773847f",
                     [("BlockWrite", _B), ("BlockWrite", _B | 3 << 32 | 1)]),
     "point-select": (Mode.POINT_SELECT, Distribution.UNIFORM, "fid", 488,
-                     "233c86ec62dca173ac17df38a436ec8a7f9ecbf609264eb6f7f6d6de66cb6444",
+                     "5e01587adf944fe8fe3807bd9f575ea0409f8518c28cb4f23ac41ff7342d5ea0",
                      []),
     "range-select": (Mode.RANGE_SELECT, Distribution.UNIFORM, "fid", 848,
-                     "798342d69b64ed2b7cfbc33de86b661733fdf4d307d8b60aa32700259cbf3ab0",
+                     "5cc8a08e6a1a62a450431070e8a6e6af5a5e793387839c1dd8fd92d90ca56788",
                      []),
 }
 
