@@ -3,9 +3,9 @@
 Everything the integrity zone needs from the privacy zone travels through
 these messages; there is no other channel. FIDs are 8-byte little-endian,
 booleans one byte. Responses start with a status byte (0 = ok, otherwise
-an error code from errors.py). No message carries a byte its receiver
-already knows: a list of elements runs to the end of its message with no
-count, and a payload that is one envelope has no length.
+an error code from errors.py). An operator batch's elements and a
+reveal's envelope run to the end of their message: the receiver knows
+the message's length, so neither carries a count or a length.
 
 A query id crosses only where a temporary is named. A request that writes
 to its query's temporary partition, or drops it, sets QUERY_FLAG in its
@@ -556,13 +556,13 @@ class ProxyClient:
         self._call(MSG_PREFETCH, _U32.pack(partition_id))
 
     def is_live(self, fid: int) -> bool:
-        body = self._call(MSG_IS_LIVE, _U64.pack(fid))
+        body = self._call(MSG_IS_LIVE, self._write_fid(fid))
         return bool(body[0])
 
     def list_live(self, partition_id: int) -> list[int]:
         body = self._call(MSG_LIST_LIVE, _U32.pack(partition_id))
         (n,) = _U32.unpack_from(body, 0)
-        return [_U64.unpack_from(body, 4 + 8 * i)[0] for i in range(n)]
+        return [self._read_fid(body, 4 + 8 * i)[0] for i in range(n)]
 
     # -- ciphertext-scheme baseline ------------------------------------------
 
@@ -601,8 +601,8 @@ class PrivacyDispatcher:
     docstring), a fixed-size payload of another length
     (MSG_CREATE_PARTITION with any payload), an ingest with no envelope or
     with bytes after its last one, an operator batch with no element, or
-    an unknown op or value type; AuthFailure for an envelope too short for its nonce and tag or
-    one that fails its tag. An ingest is all or nothing: every envelope of
+    an unknown op or value type; AuthFailure for an envelope too short for
+    its nonce and tag or one that fails its tag. An ingest is all or nothing: every envelope of
     the request is authenticated before the first is stored. The integrity
     zone can create permanent partitions only: temporaries belong to a
     query and are created by the proxy.

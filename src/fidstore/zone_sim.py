@@ -128,9 +128,12 @@ EVENT_KINDS = ("FidObserved", "MsgBytes", "OpKindObserved", "ResultSize",
 class AdversaryTrace:
     """Ordered record of everything adversary-visible; args are plain ints.
 
-    The leaked events: FidObserved (a FID the integrity zone holds),
-    MsgBytes and OpKindObserved (each message's length and kind),
-    ResultSize, CmpBool (a comparison outcome), and the untrusted block
+    The leaked events: FidObserved (a FID the integrity zone holds: each
+    FID a request carries or a reply returns, list_live's and is_live's
+    included), MsgBytes and OpKindObserved (each message's length and its
+    raw first byte, the kind with messages.QUERY_FLAG included: whether a
+    request carries a query id depends on whether the statement writes a
+    temporary, so on the statement's shape alone), ResultSize, CmpBool (a comparison outcome), and the untrusted block
     area's BlockRead, BlockWrite and BlockDrop (a block's current copy
     retired once a size-class bucket shrinks past its block). Which block
     drops depends only on the live count per size class, which the op

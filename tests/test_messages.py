@@ -821,3 +821,105 @@ def test_both_backends_run_the_same_operators(elements, batch_size):
             seen.append((r.error_code, r.boolean, value))
         outcomes.append(seen)
     assert outcomes[0] == outcomes[1]
+
+
+def test_live_checks_record_the_fids_they_carry(topo):
+    """is_live records the FID it sends and list_live each FID of its
+    reply as FidObserved, like every other call that carries FIDs."""
+    pid = topo.client.create_partition()
+    fids = topo.client.ingest(1, [topo.client_encrypt(bytes([i])) for i in range(3)],
+                              8, pid)
+    before = len(topo.trace.events)
+    assert topo.client.list_live(pid) == fids
+    assert topo.client.is_live(fids[1])
+    events = topo.trace.events[before:]
+    assert [arg for kind, arg in events if kind == "FidObserved"] == fids + [fids[1]]
+
+
+def test_unflagged_temporary_element_fails_alone(topo):
+    """An operator element whose value result goes to the query's
+    temporaries, in a batch that carries no query id, fails alone with
+    TypeMismatch and stores nothing; the batch's other elements run."""
+    pid = topo.client.create_partition()
+    (fid,) = topo.client.ingest(1, [topo.client_encrypt(encode_int64(20))], 1, pid)
+    elements = [OperatorRequest(OpKind.ADD, ValueType.INT64, [fid, fid]),
+                OperatorRequest(OpKind.ADD, ValueType.INT64, [fid, fid], pid),
+                OperatorRequest(OpKind.CMP_LT, ValueType.INT64, [fid, fid])]
+    store = topo.privacy.store
+    partitions, pending = store.partition_ids(), topo.store_wal_buffer.pending_len
+    captured = _capture(topo)
+    out = topo.client._batch(MSG_EXEC_BATCH, None, elements, 8,
+                             lambda f: struct.pack("<Q", f), _read_u64)[1]
+    assert captured[0][0][0] == MSG_EXEC_BATCH  # no query id
+    assert [r.error_code for r in out] == [TypeMismatch.code, 0, 0]
+    assert decode_int64(store.get(out[1].fid)) == 40 and out[2].boolean is False
+    assert store.partition_ids() == partitions
+    assert store.live_fids(pid) == [fid, out[1].fid]
+    assert topo.privacy.proxy._query_temps == {}
+    assert topo.store_wal_buffer.pending_len == pending
+
+
+class _Replay:
+    """A channel that answers every request with one fixed reply."""
+
+    def __init__(self, reply: bytes):
+        self.reply = reply
+
+    def request(self, raw: bytes) -> bytes:
+        return self.reply
+
+
+_ADD = OperatorRequest(OpKind.ADD, ValueType.INT64, [1, 2])
+_VALUE_REPLY = b"\x00" + bytes([0, 0]) + struct.pack("<Q", 7)  # one element
+
+
+@pytest.mark.parametrize("reply,error", [
+    (_VALUE_REPLY, None),
+    (b"\x00", TypeMismatch),                                  # no element
+    (_VALUE_REPLY[:-3], TypeMismatch),                        # a partial one
+    (_VALUE_REPLY + bytes([DivideByZero.code]), TypeMismatch),  # an extra one
+    (_VALUE_REPLY + b"\x00", TypeMismatch),                    # a trailing byte
+    (bytes([NotLive.code]), NotLive),                          # a refusal
+], ids=["exact", "missing-element", "partial-element", "extra-element",
+        "trailing-byte", "refused"])
+def test_client_checks_the_batch_reply(reply, error):
+    """The client reads exactly one response element per request element
+    from an operator batch's reply and refuses a reply with one missing or
+    extra, or a byte after the last."""
+    client = ProxyClient(_Replay(reply))
+    if error is None:
+        assert client.exec_batch(1, [_ADD], 8) == [OperatorResponse(fid=7)]
+    else:
+        with pytest.raises(error):
+            client.exec_batch(1, [_ADD], 8)
+
+
+_FLAG_KINDS = st.integers(0, 0x7F).flatmap(
+    lambda k: st.sampled_from([k, k | QUERY_FLAG]))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(kind=_FLAG_KINDS, query_id=st.none() | st.integers(0, 2**64 - 1),
+       payload=st.binary(max_size=40))
+def test_any_request_gets_a_status_byte(kind, query_id, payload):
+    """Whatever kind byte, with or without QUERY_FLAG, and whatever payload,
+    PrivacyDispatcher.handle returns a reply that starts with a status byte
+    and never raises; a refused request leaves the live FIDs, the
+    partitions and the privacy journal's pending bytes as they were."""
+    topo = ZoneTopology(997)
+    pid = topo.client.create_partition()
+    topo.client.ingest(1, [topo.client_encrypt(b"v")], 1, pid)
+    topo.client.ingest(1, [topo.client_encrypt(b"t")], 1)
+    store, journal = topo.privacy.store, topo.store_wal_buffer
+    raw = bytes([kind]) + (b"" if query_id is None else struct.pack("<Q", query_id))
+    raw += payload
+
+    def state():
+        return (store.partition_ids(), journal.pending_len,
+                [store.live_fids(p) for p in store.partition_ids()])
+
+    before = state()
+    reply = topo.privacy.dispatcher.handle(raw)
+    assert reply
+    if reply[0] != 0:
+        assert state() == before

@@ -1043,8 +1043,9 @@ def test_no_query_temporary_outlives_its_query(mode, backend):
 def test_query_with_temporaries_still_ends_them(query):
     """A reduction over more refs than batch_size keeps its partial sums in
     the query's temporary partition, and so does a predicate constant
-    ingested there: ending either query sends MSG_END_QUERY, once, with
-    its query id, and drops that partition."""
+    ingested there: each message that writes there carries QUERY_FLAG and
+    the query id, the others none, and ending either query sends
+    MSG_END_QUERY, once, with the id, and drops that partition."""
     topo = ZoneTopology(8, batch_size=4)
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))
@@ -1052,22 +1053,33 @@ def test_query_with_temporaries_still_ends_them(query):
     for key in range(1, 11):
         db.insert_row(txn, table, [key, _envelope(topo, key)])
     db.commit(txn)
-    kinds = _count_kinds(topo)
+    sent = []
+    request = topo.channel.request
+
+    def recorded(raw):
+        sent.append(m._split(raw)[:2])
+        return request(raw)
+
+    topo.channel.request = recorded
     q = db.begin()
     if query == "deep_reduction":
         refs = [table.rows[key][-1].cells[1] for key in range(1, 11)]
         env = db.backend.aggregate(q.query_id, OpKind.SUM_AGG, ValueType.INT64,
                                    refs, 4, reveal=True)
         assert decode_int64(topo.client_decrypt(env)) == 55
+        # 3 partial sums of up to 4 refs, one a message, then the revealed total
+        expected = [(m.MSG_EXEC_BATCH, q.query_id)] * 3 + [(m.MSG_EXEC_BATCH, None)]
     else:
         const = _ingest_int(topo, q.query_id, 7)
         rows = db.select(q, table, Predicate("k", OpKind.CMP_GT, const))
         assert [v.row_id for v in rows] == [8, 9, 10]
+        # 10 comparisons, 2 a message (4 operand fields)
+        expected = [(m.MSG_INGEST, q.query_id)] + [(m.MSG_EXEC_BATCH, None)] * 5
     assert q.query_id in topo.privacy.proxy._query_temps
     db.commit(q)
     topo.client.end_query(q.query_id)
     topo.client.end_query(q.query_id)
-    assert kinds[m.MSG_END_QUERY | m.QUERY_FLAG] == 1
+    assert sent == expected + [(m.MSG_END_QUERY, q.query_id)]
     assert topo.privacy.proxy._query_temps == {}
     assert topo.privacy.store.partition_ids() == [table.partition_id]
 
@@ -1222,39 +1234,44 @@ def test_trace_jsonl_dump_parses():
 # operator batch request 2 fewer again and its reply 2 fewer (no element
 # count), a MSG_REVEAL reply 4 fewer and a MSG_CIPHER_REVEAL request and
 # reply 4 fewer each (a bare envelope).
+# The seven fid cases were then re-pinned when list_live began to record
+# the FIDs of its reply: every event is as before, and a FidObserved per
+# live FID follows each MSG_LIST_LIVE reply, orphan_gc's and the invariant
+# check's (120 more where only the check lists the 2 tables' 60 rows, 240
+# in the writing modes, 384 in insert-only). The cipher case lists nothing.
 _B = 1 << 40
 _PINNED_TRACE = {
-    "fid": (Mode.READ_WRITE, Distribution.UNIFORM, "fid", 1164,
-            "78b754ee1fe3cd7c18c637a6a66bf5ffaac73203f0ef0f9e3c07877a54970b3f",
+    "fid": (Mode.READ_WRITE, Distribution.UNIFORM, "fid", 1404,
+            "a91e215231068be48bedb338daaa6ce6b5c76fb60ded99a66cba2d5f95f4da3a",
             [("BlockWrite", 0), ("BlockWrite", _B), ("BlockWrite", 0),
              ("BlockWrite", _B), ("BlockDrop", 0), ("BlockDrop", _B)]),
     "cipher": (Mode.READ_WRITE, Distribution.UNIFORM, "cipher", 540,
                "a1372b93e32e2d348c61ab1eda83ffd618c5840386d1daf5bc6065d45ef9d3fe",
                []),
-    "read-only": (Mode.READ_ONLY, Distribution.UNIFORM, "fid", 1448,
-                  "822cb3af5b8411e41966095ca16a3b0d0df3116e7cacc960cec9ecdbf26c2d34",
+    "read-only": (Mode.READ_ONLY, Distribution.UNIFORM, "fid", 1568,
+                  "a1a5886c09614e776795393bbe479ba96fe445d34cd2667d5c9b41083b185543",
                   []),
-    "write-only": (Mode.WRITE_ONLY, Distribution.UNIFORM, "fid", 941,
-                   "c60decebe6db89e121141864a72f6139e7e05ab091fbb8d86b66f7e3e850f264",
+    "write-only": (Mode.WRITE_ONLY, Distribution.UNIFORM, "fid", 1181,
+                   "e0d9933b4d9aeebbbbdb21a9d4f4bcdf817ff02725de4f2ea6f889e09ac4ccec",
                    [("BlockWrite", _B), ("BlockWrite", _B | 3 << 32 | 1),
                     ("BlockWrite", _B), ("BlockWrite", _B | 3 << 32),
                     ("BlockDrop", 0), ("BlockDrop", 3 << 32), ("BlockDrop", 3 << 32 | 1),
                     ("BlockDrop", _B), ("BlockDrop", _B | 3 << 32),
                     ("BlockDrop", _B | 3 << 32 | 1)]),
     "write-only-zipfian": (
-        Mode.WRITE_ONLY, Distribution.ZIPFIAN, "fid", 998,
-        "ae08c61cf1bd5c5978323fcdc110d3ad523e77c949876a129548b379626df0f3",
+        Mode.WRITE_ONLY, Distribution.ZIPFIAN, "fid", 1238,
+        "14f7e0dc82088d526c60d97946a07e5d5dda50ba37d44a9c487694970f87175a",
         [("BlockWrite", 3 << 32 | 1), ("BlockWrite", _B), ("BlockWrite", _B | 3 << 32),
          ("BlockDrop", 0), ("BlockDrop", 3 << 32), ("BlockDrop", 3 << 32 | 1),
          ("BlockDrop", _B), ("BlockDrop", _B | 3 << 32), ("BlockDrop", _B | 3 << 32 | 1)]),
-    "insert-only": (Mode.INSERT_ONLY, Distribution.UNIFORM, "fid", 666,
-                    "b77b9c31bb01c1a39b4ac2346d28076f42e0be4c495e41f5746deac2a773847f",
+    "insert-only": (Mode.INSERT_ONLY, Distribution.UNIFORM, "fid", 1050,
+                    "bb9be89f87dcc62045efe58baa9cca0e0d74cd37c63fca7637e12f847aad37d5",
                     [("BlockWrite", _B), ("BlockWrite", _B | 3 << 32 | 1)]),
-    "point-select": (Mode.POINT_SELECT, Distribution.UNIFORM, "fid", 488,
-                     "5e01587adf944fe8fe3807bd9f575ea0409f8518c28cb4f23ac41ff7342d5ea0",
+    "point-select": (Mode.POINT_SELECT, Distribution.UNIFORM, "fid", 608,
+                     "2c633c03d8486ddd14b59afb731ffe0e42daf140100df2e62273392fc04fd899",
                      []),
-    "range-select": (Mode.RANGE_SELECT, Distribution.UNIFORM, "fid", 848,
-                     "5cc8a08e6a1a62a450431070e8a6e6af5a5e793387839c1dd8fd92d90ca56788",
+    "range-select": (Mode.RANGE_SELECT, Distribution.UNIFORM, "fid", 968,
+                     "e33305c7b3652b401b8a1f77a18521117b798f3ef27a9ddb6272a78def3f4e4b",
                      []),
 }
 
