@@ -545,7 +545,7 @@ class ProxyClient:
         zone lost it, batch_size (fid, recipe) items per message."""
         for chunk in _chunks(items, batch_size):
             self._call(MSG_RESTORE, b"".join(self._write_fid(fid) + _blob(recipe)
-                                                for fid, recipe in chunk))
+                                             for fid, recipe in chunk))
 
     def create_partition(self) -> int:
         """A new permanent partition's id."""
@@ -602,10 +602,10 @@ class PrivacyDispatcher:
     (MSG_CREATE_PARTITION with any payload), an ingest with no envelope or
     with bytes after its last one, an operator batch with no element, or
     an unknown op or value type; AuthFailure for an envelope too short for
-    its nonce and tag or one that fails its tag. An ingest is all or nothing: every envelope of
-    the request is authenticated before the first is stored. The integrity
-    zone can create permanent partitions only: temporaries belong to a
-    query and are created by the proxy.
+    its nonce and tag or one that fails its tag. An ingest is all or
+    nothing: every envelope of the request is authenticated before the
+    first is stored. The integrity zone can create permanent partitions
+    only: temporaries belong to a query and are created by the proxy.
 
     restoring is the recovery window: recovery sets it, and the dispatcher
     accepts MSG_RESTORE until the first request of another kind and

@@ -133,9 +133,10 @@ class AdversaryTrace:
     included), MsgBytes and OpKindObserved (each message's length and its
     raw first byte, the kind with messages.QUERY_FLAG included: whether a
     request carries a query id depends on whether the statement writes a
-    temporary, so on the statement's shape alone), ResultSize, CmpBool (a comparison outcome), and the untrusted block
-    area's BlockRead, BlockWrite and BlockDrop (a block's current copy
-    retired once a size-class bucket shrinks past its block). Which block
+    temporary, so on the statement's shape alone), ResultSize, CmpBool (a
+    comparison outcome), and the untrusted block area's BlockRead,
+    BlockWrite and BlockDrop (a block's current copy retired once a
+    size-class bucket shrinks past its block). Which block
     drops depends only on the live count per size class, which the op
     sequence and the crash schedule fix. The MSG_FLUSH_LOG reply is the
     status byte alone, so the privacy journal's length does not reach the

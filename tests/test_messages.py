@@ -96,17 +96,18 @@ def _flagged(build):
     return make
 
 
+def _live_fid(topo) -> int:
+    """A live int64 FID in a new permanent partition."""
+    pid = topo.client.create_partition()
+    return topo.client.ingest(1, [topo.client_encrypt(encode_int64(1))], 1, pid)[0]
+
+
 def _good_element(topo) -> bytes:
     """An ADD of a live permanent FID to itself into its partition: an
     element that writes no temporary."""
-    pid = topo.client.create_partition()
-    (fid,) = topo.client.ingest(1, [topo.client_encrypt(encode_int64(1))], 1, pid)
-    return _one_op(OperatorRequest(OpKind.ADD, ValueType.INT64, [fid, fid], pid))
-
-
-def _live_fid(topo) -> int:
-    pid = topo.client.create_partition()
-    return topo.client.ingest(1, [topo.client_encrypt(b"x")], 1, pid)[0]
+    fid = _live_fid(topo)
+    return _one_op(OperatorRequest(OpKind.ADD, ValueType.INT64, [fid, fid],
+                                   decode_fid(fid)[0]))
 
 
 def _zone_envelope(topo) -> bytes:
