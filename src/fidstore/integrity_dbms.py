@@ -358,13 +358,13 @@ def compare_pairs(call, query_id: int, op: OpKind, vtype: ValueType,
                          max(1, batch_size // 2))
 
 
-def reduce_refs(call, query_id: int, op: OpKind, vtype: ValueType,
-                refs: list, batch_size: int, reveal: bool = False):
-    """Reduction tree through the client call with batch_size operand
-    fields per round trip; each level's partial results are the next
-    level's operands. With reveal the last level returns its result as a
-    client envelope, so a single ref is reduced once too; without, a
-    single ref is its own result."""
+def reduce_levels(call, query_id: int, op: OpKind, vtype: ValueType,
+                  refs: list, batch_size: int) -> list:
+    """Every level of the reduction tree but the last, through the client
+    call with batch_size operand fields per round trip; each level's
+    partial results, in the query's temporaries, are the next level's
+    operands. Returns the last level's operands: at most batch_size
+    (and at least 2) refs, which one element reduces."""
     if op == OpKind.AVG_AGG:
         # partial averages cannot be averaged again, and the integrity zone
         # cannot mint the count constant a SUM/COUNT split would need
@@ -374,9 +374,31 @@ def reduce_refs(call, query_id: int, op: OpKind, vtype: ValueType,
     while len(level) > fan_in:
         groups = [level[lo:lo + fan_in] for lo in range(0, len(level), fan_in)]
         level = run_operators(call, query_id, op, vtype, groups, 1)
+    return level
+
+
+def reduce_refs(call, query_id: int, op: OpKind, vtype: ValueType,
+                refs: list, batch_size: int, reveal: bool = False):
+    """The reduction tree (reduce_levels) and its last level. With reveal
+    the last level returns its result as a client envelope, so a single
+    ref is reduced once too; without, a single ref is its own result."""
+    level = reduce_levels(call, query_id, op, vtype, refs, batch_size)
     if len(level) == 1 and not reveal:
         return level[0]
     return run_operators(call, query_id, op, vtype, [level], 1, reveal=reveal)[0]
+
+
+def reveal_all(reveal, call, refs: list, reqs: list[OperatorRequest],
+               batch_size: int) -> list[bytes]:
+    """The many-ref reveal of both backends: a client envelope of each
+    ref's value, through reveal (the client's reveal_many or
+    cipher_reveal_many), then of each request's revealed result, through
+    call (exec_batch or cipher_exec), batch_size refs or elements per
+    message. Raises the first element error."""
+    out = reveal(refs, batch_size) if refs else []
+    if reqs:
+        out += [r.envelope for r in run_requests(call, None, reqs, batch_size)]
+    return out
 
 
 def run_writes(writes: list, ingest, execute) -> list:
@@ -414,8 +436,12 @@ class FidBackend:
     def __init__(self, client):
         self.client = client
 
-    def reveal(self, query_id: int, ref: int) -> bytes:
-        return self.client.reveal(query_id, ref)
+    def reveal_many(self, refs: list[int], reqs: list[OperatorRequest],
+                    batch_size: int) -> list[bytes]:
+        """The client envelopes of the refs' values by MSG_REVEAL, then of
+        the requests' results by MSG_EXEC_BATCH (reveal_all)."""
+        return reveal_all(self.client.reveal_many, self.client.exec_batch, refs,
+                          reqs, batch_size)
 
     def promote(self, query_id: int, writes: list,
                 batch_size: int) -> list[tuple[int, bytes]]:
@@ -456,6 +482,15 @@ class FidBackend:
         return reduce_refs(self.client.exec_batch, query_id, op, vtype, refs,
                            batch_size, reveal)
 
+    def reduction(self, query_id: int, op: OpKind, vtype: ValueType,
+                  refs: list[int], batch_size: int) -> OperatorRequest:
+        """aggregate with reveal, but for its last element: runs every
+        level before it (reduce_levels) and returns that element, for
+        reveal_many to send."""
+        return OperatorRequest(op, vtype, reduce_levels(
+            self.client.exec_batch, query_id, op, vtype, refs, batch_size),
+            reveal=True)
+
     def observe(self, trace, ref: int) -> None:
         if trace is not None:
             trace.fid(ref)
@@ -471,8 +506,9 @@ class CipherBackend:
     def __init__(self, client):
         self.client = client
 
-    def reveal(self, query_id: int, ref: bytes) -> bytes:
-        return self.client.cipher_reveal(query_id, ref)
+    def reveal_many(self, refs, reqs, batch_size):
+        return reveal_all(self.client.cipher_reveal_many, self.client.cipher_exec,
+                          refs, reqs, batch_size)
 
     def promote(self, query_id: int, writes: list,
                 batch_size: int) -> list[tuple[bytes, None]]:
@@ -501,6 +537,11 @@ class CipherBackend:
     def aggregate(self, query_id, op, vtype, refs, batch_size, reveal=False):
         return reduce_refs(self.client.cipher_exec, query_id, op, vtype, refs,
                            batch_size, reveal)
+
+    def reduction(self, query_id, op, vtype, refs, batch_size):
+        return OperatorRequest(op, vtype, reduce_levels(
+            self.client.cipher_exec, query_id, op, vtype, refs, batch_size),
+            reveal=True)
 
     def observe(self, trace, ref) -> None:
         pass

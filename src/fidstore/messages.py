@@ -3,9 +3,11 @@
 Everything the integrity zone needs from the privacy zone travels through
 these messages; there is no other channel. FIDs are 8-byte little-endian,
 booleans one byte. Responses start with a status byte (0 = ok, otherwise
-an error code from errors.py). An operator batch's elements and a
-reveal's envelope run to the end of their message: the receiver knows
-the message's length, so neither carries a count or a length.
+an error code from errors.py). No message carries a byte its receiver
+already knows: an operator batch's elements, and the last item of a
+list, run to the end of their message, so neither carries a count or a
+length, and an envelope whose length the element's value type fixes goes
+bare.
 
 A query id crosses only where a temporary is named. A request that writes
 to its query's temporary partition, or drops it, sets QUERY_FLAG in its
@@ -23,9 +25,12 @@ An operator batch (MSG_EXEC_BATCH, MSG_CIPHER_EXEC) is n >= 1 elements up
 to the end of the payload, and its response n elements, one per request
 element in order, with no byte after the last.
 Each element is {u8 op | flags, u8 type, u16 argc, [u32 destination],
-argc stored operands, [constant]}. Each of three flag bits in the op
-byte adds one optional part or behaviour; an element with none set is
-its head and its operands alone:
+argc stored operands, [constant]}. A stored operand is a u64 FID, or on
+the cipher path a zone envelope: bare when the element's value type is
+INT64 or FLOAT64, whose 8-byte values make every envelope of theirs
+FIXED_ENVELOPE_LEN (36) bytes, else {u32 len, envelope}. Each of three
+flag bits in the op byte adds one optional part or behaviour; an element
+with none set is its head and its operands alone:
 
 - OP_DEST: the u32 destination follows the head and names the permanent
   partition the element's value result is written to (MSG_EXEC_BATCH
@@ -34,8 +39,10 @@ its head and its operands alone:
   permanent partitions only, so its recipe can be re-run at recovery; an
   element with a temporary operand fails with TypeMismatch.
 - OP_CONST: a client envelope {u32 len, bytes} follows the stored
-  operands and is the element's last operand. The privacy zone decrypts
-  it once and never stores it, except as the value of a STORE.
+  operands and is the element's last operand, whatever the value type
+  (a fid recipe journals the element, so its bytes stay as they are). The
+  privacy zone decrypts it once and never stores it, except as the value
+  of a STORE.
 - OP_REVEAL: the value result comes back as a client envelope and is
   never stored.
 
@@ -58,12 +65,21 @@ transaction reads, sums or writes again a row it wrote, so when a
 transaction's writes cross depends on its keys alone. An aborted
 transaction sends none. Each response element is
 a status byte, then for status 0 a result kind and the result: 0 and a
-value (a FID, or a zone envelope blob for MSG_CIPHER_EXEC), 1 and a
-boolean byte, or 2 and a revealed client envelope blob.
+value (a FID, or a zone envelope for MSG_CIPHER_EXEC, written as a stored
+operand is), 1 and a boolean byte, or 2 and a revealed client envelope,
+bare for an INT64 or FLOAT64 element and else {u32 len, envelope}.
 
-MSG_REVEAL is the u64 FID, and its response the client envelope bare, up
-to the end of the message. MSG_CIPHER_REVEAL is a zone envelope bare, and
-its response a client envelope bare.
+MSG_REVEAL is n >= 1 u64 FIDs up to the end of the payload, and its
+response n client envelopes, one per FID in order, each but the last
+after its u16 length: one FID's request and response are the FID and the
+envelope bare. The privacy zone reads every FID's value before it
+encrypts the first envelope, so a FID that is not live refuses the whole
+request with NotLive. MSG_CIPHER_REVEAL is n >= 1 zone envelopes, each
+after its u16 length, and its response n client envelopes with no length
+at all: a client envelope of a value is as long as the zone envelope that
+sealed it. Every zone envelope authenticates before the first client
+envelope is made. The integrity zone's runner sends the reveals of all
+its waiting clients in one pass (zone_sim._Runner).
 
 MSG_INGEST is {u32 target, n blobs}: the partition the values go to,
 QUERY_TEMP_TARGET for the query's temporary partition, then n >= 1 client
@@ -78,6 +94,8 @@ FID, or one blob each way on the cipher path.
 
 MSG_DELETE carries n FIDs and its response n status bytes, one per FID in
 order: 0 for a deleted mapping, NotLive's code for a FID that had none.
+MSG_LIST_LIVE carries a u32 partition id, and its response is the
+partition's live FIDs, u64 each, up to the end of the message.
 MSG_FLUSH_LOG carries nothing, or the one byte CHECKPOINT. A plain flush
 makes the privacy journal's delete and create records durable, never a
 secret; with CHECKPOINT the privacy zone then checkpoints too (wal), so
@@ -138,6 +156,7 @@ from .errors import (
 from .mapping_store import PartitionKind
 from .privacy_proxy import (
     COMPARISONS,
+    ENVELOPE_OVERHEAD,
     EnvelopeCodec,
     ClientEnvelope,
     EnvelopeSpace,
@@ -190,6 +209,7 @@ _RESULT_BOOL = 1
 _RESULT_REVEALED = 2
 
 _U8 = struct.Struct("<B")
+_U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _OP_HEAD = struct.Struct("<BBH")
@@ -198,6 +218,11 @@ _PROMOTE = struct.Struct("<QI")
 
 _OP_KINDS = {int(k): k for k in OpKind}
 _VALUE_TYPES = {int(t): t for t in ValueType}
+
+# the value types whose values are 8 bytes, so each envelope of theirs is
+# FIXED_ENVELOPE_LEN bytes and crosses bare (module docstring)
+_FIXED_TYPES = frozenset({ValueType.INT64, ValueType.FLOAT64})
+FIXED_ENVELOPE_LEN = ENVELOPE_OVERHEAD + 8
 
 
 def _req(kind: int, payload: bytes = b"", query_id: int | None = None) -> bytes:
@@ -235,6 +260,52 @@ def _blob(data: bytes) -> bytes:
     return _U32.pack(len(data)) + data
 
 
+def _write_envelope(envelope: bytes, vtype: int) -> bytes:
+    """A zone or client envelope in an element of value type vtype: bare
+    when vtype fixes its length, else a blob; TypeMismatch for an envelope
+    of another length than the fixed one."""
+    if vtype not in _FIXED_TYPES:
+        return _blob(envelope)
+    if len(envelope) != FIXED_ENVELOPE_LEN:
+        raise TypeMismatch(f"a {len(envelope)}-byte envelope where the value "
+                           f"type fixes {FIXED_ENVELOPE_LEN}")
+    return envelope
+
+
+def _read_envelope(data: bytes, pos: int, vtype: int) -> tuple[bytes, int]:
+    """The envelope _write_envelope wrote at pos, and the position after
+    it."""
+    if vtype not in _FIXED_TYPES:
+        return _read_blob(data, pos)
+    end = pos + FIXED_ENVELOPE_LEN
+    if end > len(data):
+        raise TypeMismatch("message ends inside an envelope")
+    return data[pos:end], end
+
+
+def _pack_fid(fid: int, vtype: int | None = None) -> bytes:
+    """A FID operand or value result: 8 bytes whatever the value type."""
+    return _U64.pack(fid)
+
+
+def _sized(data: bytes) -> bytes:
+    """data after its u16 length: an item of a reveal list."""
+    if len(data) > 0xFFFF:
+        raise TypeMismatch(f"a {len(data)}-byte envelope overflows its u16 length")
+    return _U16.pack(len(data)) + data
+
+
+def _read_sized(data: bytes, pos: int) -> tuple[bytes, int]:
+    """The item _sized wrote at pos, and the position after it."""
+    end = pos + 2
+    if end > len(data):
+        raise TypeMismatch("message ends inside an envelope length")
+    end += _U16.unpack_from(data, pos)[0]
+    if end > len(data):
+        raise TypeMismatch("envelope runs past the end of the message")
+    return data[pos + 2:end], end
+
+
 def _unpack(s: struct.Struct, payload: bytes) -> tuple:
     """payload as exactly the fields of s; any other length is malformed."""
     if len(payload) != s.size:
@@ -253,12 +324,12 @@ def _read_blob(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[pos + 4:end], end
 
 
-def _read_blobs(data: bytes, pos: int) -> list[bytes]:
-    """The blobs from pos up to the end of data: at least one, and no byte
-    left over."""
+def _read_blobs(data: bytes, pos: int, read=_read_blob) -> list[bytes]:
+    """The blobs from pos up to the end of data, each as read (a _read_blob
+    or _read_sized) takes it: at least one, and no byte left over."""
     blobs = []
     while True:
-        blob, pos = _read_blob(data, pos)
+        blob, pos = read(data, pos)
         blobs.append(blob)
         if pos == len(data):
             return blobs
@@ -273,7 +344,9 @@ def _chunks(items: list, batch_size: int):
         yield items[lo:lo + batch_size]
 
 
-def _read_u64(data: bytes, pos: int) -> tuple[int, int]:
+def _read_u64(data: bytes, pos: int, vtype: int | None = None) -> tuple[int, int]:
+    """The u64 at pos (a FID operand or value result, of any value type)
+    and the position after it."""
     return _U64.unpack_from(data, pos)[0], pos + 8
 
 
@@ -286,7 +359,8 @@ def _write_op(r: OperatorRequest, write_operand) -> bytes:
     parts = [_OP_HEAD.pack(int(r.op) | flags, int(r.value_type), len(r.operand_fids))]
     if dest is not None:
         parts.append(_U32.pack(dest))
-    parts.extend(write_operand(x) for x in r.operand_fids)
+    vtype = r.value_type
+    parts.extend(write_operand(x, vtype) for x in r.operand_fids)
     if const is not None:
         parts.append(_blob(const))
     return b"".join(parts)
@@ -294,8 +368,8 @@ def _write_op(r: OperatorRequest, write_operand) -> bytes:
 
 def _read_op(data: bytes, pos: int, read_operand) -> tuple[OperatorRequest, int]:
     """The operator element at pos and the position after it; raises
-    struct.error or KeyError on a truncated element or an unknown op or
-    value type."""
+    struct.error, KeyError or TypeMismatch on a truncated element or an
+    unknown op or value type."""
     op, vtype, argc = _OP_HEAD.unpack_from(data, pos)
     pos += _OP_HEAD.size
     flags = op & _OP_FLAGS
@@ -306,7 +380,7 @@ def _read_op(data: bytes, pos: int, read_operand) -> tuple[OperatorRequest, int]
         pos += 4
     operands = []
     for _ in range(argc):
-        operand, pos = read_operand(data, pos)
+        operand, pos = read_operand(data, pos, vtype)
         operands.append(operand)
     const = None
     if flags & OP_CONST:
@@ -365,13 +439,13 @@ def _read_restore(payload: bytes) -> list[tuple[int, object]]:
 class ProxyClient:
     """Integrity-side stub: serializes calls, records the adversary view.
 
-    Each method is one round trip except ingest, cipher_ingest, exec_batch,
-    cipher_exec, delete and restore, which take a list and a batch_size and
-    split the list into ceil(n / batch_size) messages (all through
-    _chunks), and end_query, which sends nothing for a query that never
-    wrote to its temporary partition (no temp-target ingest, no stored
-    value result without a destination): such a query has no temporaries to
-    drop. Only those writes and end_query send their query id (the flagged
+    Each method is one round trip except ingest, cipher_ingest,
+    reveal_many, cipher_reveal_many, exec_batch, cipher_exec, delete and
+    restore, which take a list and a batch_size and split the list into
+    ceil(n / batch_size) messages (all through _chunks), and end_query,
+    which sends nothing for a query that never wrote to its temporary
+    partition (no temp-target ingest, no stored value result without a
+    destination): such a query has no temporaries to drop. Only those writes and end_query send their query id (the flagged
     frame of the module docstring); every other call's query_id, reveal's
     and the cipher calls' included, is kept for its callers and never
     crosses. The client keeps no record of what it wrote: the engine takes
@@ -400,64 +474,90 @@ class ProxyClient:
         if self.trace is not None:
             self.trace.fid(fid)
 
-    def _write_fid(self, fid: int) -> bytes:
+    def _write_fid(self, fid: int, vtype: int | None = None) -> bytes:
         self._observe_fid(fid)
         return _U64.pack(fid)
 
-    def _read_fid(self, body: bytes, pos: int) -> tuple[int, int]:
+    def _read_fid(self, body: bytes, pos: int,
+                  vtype: int | None = None) -> tuple[int, int]:
         fid, pos = _read_u64(body, pos)
         self._observe_fid(fid)
         return fid, pos
 
     def _batch(self, kind: int, query_id: int | None, reqs: list[OperatorRequest],
                batch_size: int, write_operand,
-               read_result) -> tuple[list[bytes], list[OperatorResponse]]:
+               read_result) -> tuple[list[bytes | None], list[OperatorResponse]]:
         """The operator-batch codec shared by the FID and envelope paths:
         the requests go out in ceil(n / batch_size) messages, and one
-        response comes back per request. A message carries query_id only
-        if one of its elements writes a temporary; the envelope path, whose
-        results are never stored, passes None. Returns each request's
-        element bytes and its response; TypeMismatch for a reply with an
-        element too few or too many, or a byte after its last."""
+        response comes back per request. write_operand(x, vtype) and
+        read_result(data, pos, vtype) are the path's wire forms of an
+        operand and a value result. An element whose operand the wire
+        cannot carry (an envelope of another length than its value type
+        fixes) fails alone with TypeMismatch, as the privacy zone would
+        fail it, and is not sent; a message goes only if an element of its
+        chunk is left. A message carries query_id only if one of its
+        elements writes a temporary; the envelope path, whose results are
+        never stored, passes None. Returns each request's element bytes
+        (None for one not sent) and its response."""
         elements = []
         out = []
         for chunk in _chunks(reqs, batch_size):
-            sent = [_write_op(r, write_operand) for r in chunk]
+            sent = []
+            for r in chunk:
+                try:
+                    sent.append(_write_op(r, write_operand))
+                except TypeMismatch:
+                    sent.append(None)
             elements.extend(sent)
-            qid = None
-            if query_id is not None and any(map(_writes_temp, chunk)):
-                # recorded first: a refused batch may still have created
-                # the query's temporary partition
-                self._temp_queries.add(query_id)
-                qid = query_id
-            body = self._call(kind, b"".join(sent), qid)
-            pos = 0
-            try:
-                for _ in chunk:
-                    status = body[pos]
-                    pos += 1
-                    if status != 0:
-                        out.append(OperatorResponse(error_code=status))
-                        continue
-                    result_kind = body[pos]
-                    pos += 1
-                    if result_kind == _RESULT_VALUE:
-                        result, pos = read_result(body, pos)
-                        out.append(OperatorResponse(fid=result))
-                    elif result_kind == _RESULT_REVEALED:
-                        env, pos = _read_blob(body, pos)
-                        out.append(OperatorResponse(envelope=env))
-                    else:
-                        flag = bool(body[pos])
-                        pos += 1
-                        if self.trace is not None:
-                            self.trace.cmp_bool(flag)
-                        out.append(OperatorResponse(boolean=flag))
-            except (IndexError, struct.error):
-                raise TypeMismatch("reply ends inside an element") from None
-            if pos != len(body):
-                raise TypeMismatch("reply has bytes after its last element")
+            ready = [(r, element) for r, element in zip(chunk, sent)
+                     if element is not None]
+            replies = iter(self._send_ops(kind, query_id, ready, read_result)
+                           if ready else ())
+            out.extend(next(replies) if element is not None
+                       else OperatorResponse(error_code=TypeMismatch.code)
+                       for element in sent)
         return elements, out
+
+    def _send_ops(self, kind: int, query_id: int | None, ready: list[tuple],
+                  read_result) -> list[OperatorResponse]:
+        """One operator message of the (request, element bytes) pairs in
+        ready, and a response per request; TypeMismatch for a reply with an
+        element too few or too many, or a byte after its last."""
+        qid = None
+        if query_id is not None and any(_writes_temp(r) for r, _ in ready):
+            # recorded first: a refused batch may still have created the
+            # query's temporary partition
+            self._temp_queries.add(query_id)
+            qid = query_id
+        body = self._call(kind, b"".join(element for _, element in ready), qid)
+        out = []
+        pos = 0
+        try:
+            for r, _ in ready:
+                status = body[pos]
+                pos += 1
+                if status != 0:
+                    out.append(OperatorResponse(error_code=status))
+                    continue
+                result_kind = body[pos]
+                pos += 1
+                if result_kind == _RESULT_VALUE:
+                    result, pos = read_result(body, pos, r.value_type)
+                    out.append(OperatorResponse(fid=result))
+                elif result_kind == _RESULT_REVEALED:
+                    env, pos = _read_envelope(body, pos, r.value_type)
+                    out.append(OperatorResponse(envelope=env))
+                else:
+                    flag = bool(body[pos])
+                    pos += 1
+                    if self.trace is not None:
+                        self.trace.cmp_bool(flag)
+                    out.append(OperatorResponse(boolean=flag))
+        except (IndexError, struct.error):
+            raise TypeMismatch("reply ends inside an element") from None
+        if pos != len(body):
+            raise TypeMismatch("reply has bytes after its last element")
+        return out
 
     # -- client data path -------------------------------------------------
 
@@ -484,7 +584,21 @@ class ProxyClient:
 
     def reveal(self, query_id: int, fid: int) -> bytes:
         """fid's value as a client envelope; query_id does not cross."""
-        return self._call(MSG_REVEAL, self._write_fid(fid))
+        return self.reveal_many([fid], 1)[0]
+
+    def reveal_many(self, fids: list[int], batch_size: int) -> list[bytes]:
+        """Each FID's value as a client envelope, in order, batch_size FIDs
+        per MSG_REVEAL; TypeMismatch for a reply that does not split into
+        one envelope per FID."""
+        out = []
+        for chunk in _chunks(fids, batch_size):
+            body = self._call(MSG_REVEAL, b"".join(map(self._write_fid, chunk)))
+            pos = 0
+            for _ in chunk[1:]:
+                env, pos = _read_sized(body, pos)
+                out.append(env)
+            out.append(body[pos:])
+        return out
 
     def exec_batch(self, query_id: int, reqs: list[OperatorRequest],
                    batch_size: int) -> list[OperatorResponse]:
@@ -561,8 +675,9 @@ class ProxyClient:
 
     def list_live(self, partition_id: int) -> list[int]:
         body = self._call(MSG_LIST_LIVE, _U32.pack(partition_id))
-        (n,) = _U32.unpack_from(body, 0)
-        return [self._read_fid(body, 4 + 8 * i)[0] for i in range(n)]
+        if len(body) % _U64.size:
+            raise TypeMismatch(f"list reply of {len(body)} bytes")
+        return [self._read_fid(body, pos)[0] for pos in range(0, len(body), _U64.size)]
 
     # -- ciphertext-scheme baseline ------------------------------------------
 
@@ -579,7 +694,24 @@ class ProxyClient:
     def cipher_reveal(self, query_id: int, zone_envelope: bytes) -> bytes:
         """A zone envelope's value as a client envelope; query_id does not
         cross."""
-        return self._call(MSG_CIPHER_REVEAL, zone_envelope)
+        return self.cipher_reveal_many([zone_envelope], 1)[0]
+
+    def cipher_reveal_many(self, envelopes: list[bytes],
+                           batch_size: int) -> list[bytes]:
+        """reveal_many over zone envelopes, batch_size per
+        MSG_CIPHER_REVEAL. Each client envelope is as long as the zone
+        envelope it reveals, so the reply is split by the request's
+        lengths; TypeMismatch for a reply of another length."""
+        out = []
+        for chunk in _chunks(envelopes, batch_size):
+            body = self._call(MSG_CIPHER_REVEAL, b"".join(map(_sized, chunk)))
+            if len(body) != sum(map(len, chunk)):
+                raise TypeMismatch(f"cipher reveal reply of {len(body)} bytes")
+            pos = 0
+            for zone_envelope in chunk:
+                out.append(body[pos:pos + len(zone_envelope)])
+                pos += len(zone_envelope)
+        return out
 
     def cipher_exec(self, query_id: int, reqs: list[OperatorRequest],
                     batch_size: int) -> list[OperatorResponse]:
@@ -587,7 +719,7 @@ class ProxyClient:
         each response's fid carry envelopes. The privacy zone stores no
         result, so a destination is checked but never written to."""
         return self._batch(MSG_CIPHER_EXEC, None, reqs, batch_size,
-                           _blob, _read_blob)[1]
+                           _write_envelope, _read_envelope)[1]
 
 
 class PrivacyDispatcher:
@@ -600,11 +732,14 @@ class PrivacyDispatcher:
     temporary is named or a temporary named without one (module
     docstring), a fixed-size payload of another length
     (MSG_CREATE_PARTITION with any payload), an ingest with no envelope or
-    with bytes after its last one, an operator batch with no element, or
-    an unknown op or value type; AuthFailure for an envelope too short for
-    its nonce and tag or one that fails its tag. An ingest is all or
-    nothing: every envelope of the request is authenticated before the
-    first is stored. The integrity zone can create permanent partitions
+    with bytes after its last one, a reveal with no FID or a part of one, a
+    cipher reveal with no envelope or one that runs past the payload, an
+    operator batch with no element, or an unknown op or value type;
+    AuthFailure for an envelope too short for its nonce and tag or one that
+    fails its tag. An ingest is all or nothing: every envelope of the
+    request is authenticated before the first is stored. So is a reveal:
+    every value is read, or every zone envelope opened, before the first
+    client envelope is encrypted. The integrity zone can create permanent partitions
     only: temporaries belong to a query and are created by the proxy.
 
     restoring is the recovery window: recovery sets it, and the dispatcher
@@ -642,10 +777,13 @@ class PrivacyDispatcher:
             fids = proxy.ingest([ClientEnvelope.from_bytes(b) for b in blobs], target)
             return b"".join(_U64.pack(fid) for fid in fids)
         if kind == MSG_REVEAL:
-            (fid,) = _unpack(_U64, payload)
-            return proxy.reveal(fid).to_bytes()
+            if not payload or len(payload) % _U64.size:
+                raise TypeMismatch(f"reveal payload of {len(payload)} bytes")
+            envelopes = [e.to_bytes() for e in proxy.reveal(
+                [fid for (fid,) in _U64.iter_unpack(payload)])]
+            return b"".join(map(_sized, envelopes[:-1])) + envelopes[-1]
         if kind == MSG_EXEC_BATCH:
-            return self._exec(query_id, payload, proxy.fids, _read_u64, _U64.pack)
+            return self._exec(query_id, payload, proxy.fids, _read_u64, _pack_fid)
         if kind == MSG_END_QUERY:
             if query_id is None or payload:
                 raise TypeMismatch("end_query is its query id alone")
@@ -686,8 +824,7 @@ class PrivacyDispatcher:
             return _U8.pack(1 if store.is_live(fid) else 0)
         if kind == MSG_LIST_LIVE:
             (pid,) = _unpack(_U32, payload)
-            fids = store.live_fids(pid)
-            return _U32.pack(len(fids)) + b"".join(_U64.pack(f) for f in fids)
+            return b"".join(map(_U64.pack, store.live_fids(pid)))
         if kind == MSG_CIPHER_INGEST:
             decrypt = proxy.client_codec.decrypt
             values = [decrypt(ClientEnvelope.from_bytes(b))
@@ -695,29 +832,33 @@ class PrivacyDispatcher:
             save = self.envelopes.save
             return b"".join(_blob(save(None, None, v)) for v in values)
         if kind == MSG_CIPHER_REVEAL:
-            (value,) = self.envelopes.load([payload])
-            return proxy.client_codec.encrypt(value).to_bytes()
+            values = self.envelopes.load(_read_blobs(payload, 0, _read_sized))
+            encrypt = proxy.client_codec.encrypt
+            return b"".join(encrypt(v).to_bytes() for v in values)
         if kind == MSG_CIPHER_EXEC:
-            return self._exec(None, payload, self.envelopes, _read_blob, _blob)
+            return self._exec(None, payload, self.envelopes, _read_envelope,
+                              _write_envelope)
         raise FidStoreError(f"unknown message kind {kind}")
 
     def _exec(self, query_id: int | None, payload: bytes, space, read_operand,
               write_result) -> bytes:
-        """An operator batch over space; read_operand and write_result are
-        the wire forms of its operands and value results. Each response
-        element is an error status byte alone, or status 0 then a result
-        kind and the result."""
+        """An operator batch over space; read_operand(data, pos, vtype) and
+        write_result(result, vtype) are the wire forms of its operands and
+        value results. Each response element is an error status byte
+        alone, or status 0 then a result kind and the result."""
         reqs = _read_ops(payload, read_operand)
         if query_id is not None and not any(map(_writes_temp, reqs)):
             raise TypeMismatch("a query id on a batch that writes no temporary")
         out = []
-        for resp in self.proxy.exec_batch(reqs, query_id, space):
+        for req, resp in zip(reqs, self.proxy.exec_batch(reqs, query_id, space)):
             if resp.error_code:
                 out.append(_U8.pack(resp.error_code))
             elif resp.boolean is not None:
                 out.append(bytes((0, _RESULT_BOOL, 1 if resp.boolean else 0)))
             elif resp.envelope is not None:
-                out.append(bytes((0, _RESULT_REVEALED)) + _blob(resp.envelope))
+                out.append(bytes((0, _RESULT_REVEALED))
+                           + _write_envelope(resp.envelope, req.value_type))
             else:
-                out.append(bytes((0, _RESULT_VALUE)) + write_result(resp.fid))
+                out.append(bytes((0, _RESULT_VALUE))
+                           + write_result(resp.fid, req.value_type))
         return b"".join(out)

@@ -414,11 +414,12 @@ class PrivacyProxy:
         put = self.store.put
         return [put(target_partition, p) for p in plaintexts]
 
-    def reveal(self, fid: int) -> ClientEnvelope:
-        value = self.store.get(fid)
-        if value is None:
-            raise NotLive(f"fid {fid:#x} is not live")
-        return self.client_codec.encrypt(value)
+    def reveal(self, fids: list[int]) -> list[ClientEnvelope]:
+        """A client envelope of each FID's value, in order. Every value is
+        read before the first is encrypted, so a FID that is not live
+        refuses the whole call with NotLive."""
+        encrypt = self.client_codec.encrypt
+        return [encrypt(v) for v in self.fids.load(fids)]
 
     # -- expression operators ----------------------------------------------
 

@@ -142,6 +142,9 @@ class AdversaryTrace:
     status byte alone, so the privacy journal's length does not reach the
     integrity zone.
 
+    A READ's or SUM's reveal crosses with those of the other clients that
+    wait on one, in one pass's messages (_Runner), so which reveals share a
+    message is fixed by the schedule's statement kinds and keys.
     A txn's writes cross together when it commits, or earlier when one of
     its statements reaches a row it wrote (a READ, a SUM over it, or a
     second write), so when they cross is a function of the txn's keys: its
@@ -687,11 +690,35 @@ class _Runner:
     Database.update_row an operator request, an ADD of the delta as an
     inline constant or a STORE of the new value. The txn holds them all
     until its commit sends them, or until a later statement of the txn
-    reaches a row it wrote. A SUM's result comes back inside its last
-    operator message, so no statement writes to its query's temporaries
-    and ending one sends nothing. A conflicting ADD or SET fails in
-    update_row, before anything of its is sent. Every message batches
-    ZoneTopology.batch_size values."""
+    reaches a row it wrote. A conflicting ADD or SET fails in update_row,
+    before anything of its is sent. Every message batches
+    ZoneTopology.batch_size values, so a SUM over at most that many refs is
+    one element that reveals its result: it writes nothing to its query's
+    temporaries, and ending the query sends nothing.
+
+    A READ or SUM runs its integrity half when its turn comes: the visible
+    versions and their refs, and for a SUM over more refs than one element
+    reduces, the reduction's earlier levels. Its reveal does not cross
+    then: it is queued against the statement's slot in report.revealed.
+    All queued reveals cross together (_cross), one MSG_REVEAL of the READs'
+    refs and one operator batch of the SUMs' last elements, each with
+    reveal set (MSG_CIPHER_REVEAL and MSG_CIPHER_EXEC on the cipher path),
+    batch_size items a message: just before the next schedule entry of any
+    client that waits on one, and at the end of the schedule. So each
+    client has each result before it issues its next statement, and the
+    reveals of a pass of the round-robin share a crossing. When a pass
+    crosses is a function of the statements' kinds and keys alone.
+
+    The deferred reveal returns the value the statement read: a txn's
+    snapshot is fixed at begin, so the ref its statement resolved is the
+    one it would have revealed at once; a live FID's value never changes
+    (a write makes a fresh FID, and a cipher ref is the envelope itself);
+    and nothing releases a FID during the txn phase. Vacuum and orphan_gc
+    run after the schedule, and a txn's query ends only at an entry of its
+    own client, after the crossing that client waits on, so the
+    temporaries a deep SUM's last element reads are still there. On
+    ZoneCrashed or Unavailable the queued reveals are dropped, with their
+    slots in report.revealed, so no unresolved value is reported."""
 
     def __init__(self, topology: ZoneTopology, program: WorkloadProgram):
         self.topo = topology
@@ -699,6 +726,9 @@ class _Runner:
         self.spec = program.spec
         self.batch_size = topology.batch_size
         self.report = RunReport()
+        # (slot in report.revealed, a READ's ref or a SUM's last element,
+        # the decoder of the revealed plaintext), in slot order
+        self._pending: list[tuple[int, object, object]] = []
 
     # -- setup -------------------------------------------------------------
 
@@ -736,8 +766,12 @@ class _Runner:
         schedule = flatten_schedule(self.program)
         active: dict[int, object] = {}
         dead: set[int] = set()
+        waiting: set[int] = set()  # the clients with a reveal queued
         try:
             for entry in schedule:
+                if entry[1] in waiting:
+                    self._cross(db)
+                    waiting.clear()
                 kind = entry[0]
                 if kind == "begin":
                     txn = db.begin()
@@ -748,9 +782,12 @@ class _Runner:
                         continue
                     txn = active[txn_index]
                     statement = self.program.txns[txn_index].statements[op_index]
+                    queued = len(self._pending)
                     try:
                         self._execute(db, tables, txn, statement)
                         report.ops_completed += 1
+                        if len(self._pending) > queued:
+                            waiting.add(entry[1])
                     except WriteConflict:
                         report.write_conflicts += 1
                         db.abort(txn)
@@ -773,9 +810,12 @@ class _Runner:
                         report.txns_committed += 1
                     del active[txn_index]
                     self._end_query_quietly(txn)
+            self._cross(db)
         except ZoneCrashed as exc:
+            self._drop()
             report.crashed_at = str(exc)
         except Unavailable:
+            self._drop()
             for txn in active.values():
                 db.abort(txn)
                 report.txns_aborted += 1
@@ -799,6 +839,29 @@ class _Runner:
             report.violations = len(invariant.violations)
         return report
 
+    def _cross(self, db: Database) -> None:
+        """Sends every queued reveal (the class docstring) and fills each
+        one's slot in report.revealed."""
+        pending = self._pending
+        if not pending:
+            return
+        reads = [p for p in pending if not isinstance(p[1], OperatorRequest)]
+        sums = [p for p in pending if isinstance(p[1], OperatorRequest)]
+        envelopes = db.backend.reveal_many([p[1] for p in reads], [p[1] for p in sums],
+                                           self.batch_size)
+        revealed = self.report.revealed
+        decrypt = self.topo.client_decrypt
+        for (slot, _, decode), envelope in zip(reads + sums, envelopes):
+            revealed[slot] = revealed[slot][:3] + (decode(decrypt(envelope)),)
+        pending.clear()
+
+    def _drop(self) -> None:
+        """Forgets every queued reveal and its slot in report.revealed."""
+        revealed = self.report.revealed
+        for slot, _, _ in reversed(self._pending):
+            del revealed[slot]
+        self._pending.clear()
+
     def _end_query_quietly(self, txn) -> None:
         try:
             self.topo.client.end_query(txn.query_id)
@@ -814,6 +877,7 @@ class _Runner:
             topo.trace.result_size(1)
             return
         column = table.col_index[statement[2]]
+        revealed = self.report.revealed
         if kind == SUM:
             start = statement[3]
             refs = []
@@ -822,23 +886,21 @@ class _Runner:
                 if version is not None:
                     refs.append(version.cells[column])
             topo.trace.result_size(len(refs))
-            total = 0
             if refs:
-                total = decode_int64(topo.client_decrypt(db.backend.aggregate(
+                self._pending.append((len(revealed), db.backend.reduction(
                     txn.query_id, OpKind.SUM_AGG, ValueType.INT64, refs,
-                    self.batch_size, reveal=True)))
-            self.report.revealed.append(("sum", t, start, total))
+                    self.batch_size), decode_int64))
+            revealed.append(("sum", t, start, 0))
             return
         key = statement[3]
         version = db.visible_version(table, key, txn)
         ctype = table.schema[column].ctype
         if kind == READ:
-            value = None
             if version is not None:
-                value = _DECODE[ctype](topo.client_decrypt(
-                    db.backend.reveal(txn.query_id, version.cells[column])))
+                self._pending.append((len(revealed), version.cells[column],
+                                      _DECODE[ctype]))
             topo.trace.result_size(0 if version is None else 1)
-            self.report.revealed.append(("point", t, key, value))
+            revealed.append(("point", t, key, None))
             return
         if kind not in (ADD, SET):
             raise ValueError(f"unknown statement {kind}")

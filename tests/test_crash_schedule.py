@@ -181,7 +181,7 @@ class CrashMachine(RuleBasedStateMachine):
 
     def _reveal(self, txn, ref) -> int:
         return decode_int64(self.topo.client_decrypt(
-            self.db.backend.reveal(txn.query_id, ref)))
+            self.db.backend.reveal_many([ref], [], 1)[0]))
 
     @rule(slot=st.integers(0, SLOTS - 1), value=st.integers(-50, 50))
     def insert(self, slot, value):

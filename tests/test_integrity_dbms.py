@@ -217,9 +217,8 @@ def test_the_engine_refuses_a_value_it_did_not_write(backend):
     db.commit(txn)
     reader = db.begin()
     got = [db.visible_version(table, key, reader).cells[1] for key in (1, 2)]
-    reveal = db.backend.reveal
-    assert [decode_int64(topo.client_decrypt(reveal(reader.query_id, ref)))
-            for ref in got] == [1, 7]
+    assert [decode_int64(topo.client_decrypt(envelope))
+            for envelope in db.backend.reveal_many(got, [], 8)] == [1, 7]
     db.abort(reader)
 
 
@@ -590,8 +589,9 @@ def test_select_predicate_matches_plaintext_reference(topo):
 
 
 def test_sum_closed_form_and_empty(topo):
-    """A SUM statement over 1 000 rows reveals their closed-form total; one
-    over an empty key range reveals 0 and sends no message."""
+    """A SUM statement over 1 000 rows reveals their closed-form total once
+    its queued reveal crosses; one over an empty key range reveals 0 and
+    queues and sends nothing."""
     program = WorkloadProgram(
         spec=WorkloadSpec(batch_size=32),
         tables=[TableDecl("t", tuple(SCHEMA),
@@ -602,8 +602,10 @@ def test_sum_closed_form_and_empty(topo):
     tables = runner._preload(db)
     txn = db.begin()
     runner._execute(db, tables, txn, (SUM, 0, "k", 1, 1001))
+    runner._cross(db)
     trips = topo.channel.round_trips
     runner._execute(db, tables, txn, (SUM, 0, "k", 1001, 1011))
+    runner._cross(db)
     assert topo.channel.round_trips == trips
     assert runner.report.revealed == [("sum", 0, 1, 500500), ("sum", 0, 1001, 0)]
     db.abort(txn)

@@ -38,17 +38,21 @@ from fidstore.messages import (
     QUERY_FLAG,
     QUERY_TEMP_TARGET,
     CHECKPOINT,
+    FIXED_ENVELOPE_LEN,
     RECIPE_EXEC,
     RECIPE_INGEST,
     ProxyClient,
     _blob,
-    _read_blob,
+    _pack_fid,
     _read_blobs,
+    _read_envelope,
     _read_op,
     _read_ops,
     _read_u64,
     _req,
+    _sized,
     _split,
+    _write_envelope,
     _write_op,
     _writes_temp,
 )
@@ -129,8 +133,21 @@ _MALFORMED = {
         MSG_EXEC_BATCH, _good_element(topo) + struct.pack("<BB", OpKind.ADD, 1)),
         TypeMismatch),
     "one-byte-reveal": (_req(MSG_REVEAL, b"\x01"), TypeMismatch),
+    # a reveal is n >= 1 FIDs, and a cipher reveal n >= 1 sized envelopes
+    "reveal-without-a-fid": (_req(MSG_REVEAL), TypeMismatch),
+    "reveal-part-of-a-fid": (lambda topo: _req(
+        MSG_REVEAL, struct.pack("<Q", _live_fid(topo)) + bytes(4)), TypeMismatch),
+    "cipher-reveal-without-an-envelope": (_req(MSG_CIPHER_REVEAL), TypeMismatch),
+    "cipher-reveal-length-overruns": (lambda topo: _req(
+        MSG_CIPHER_REVEAL, _sized(_zone_envelope(topo))
+        + struct.pack("<H", FIXED_ENVELOPE_LEN + 1) + _zone_envelope(topo)),
+        TypeMismatch),
+    "cipher-reveal-ends-in-a-length": (lambda topo: _req(
+        MSG_CIPHER_REVEAL, _sized(_zone_envelope(topo)) + b"\x01"), TypeMismatch),
     "short-header": (bytes([MSG_INGEST | QUERY_FLAG, 0, 0]), TypeMismatch),
-    "short-zone-envelope": (_req(MSG_CIPHER_REVEAL, bytes(5)), AuthFailure),
+    # a cipher reveal's zone envelopes each follow their u16 length (the
+    # bare 5 bytes were one envelope when a request carried exactly one)
+    "short-zone-envelope": (_req(MSG_CIPHER_REVEAL, _sized(bytes(5))), AuthFailure),
     # the payload a client sent when a create named a kind, layout and width
     "create-with-payload": (_req(MSG_CREATE_PARTITION, struct.pack("<BBI", 1, 2, 0)),
                             TypeMismatch),
@@ -188,7 +205,7 @@ _MALFORMED = {
         MSG_CIPHER_REVEAL, _zone_envelope(topo))), TypeMismatch),
     "flagged-cipher-exec": (_flagged(lambda topo: _req(MSG_CIPHER_EXEC, _write_op(
         OperatorRequest(OpKind.ADD, ValueType.INT64, [_zone_envelope(topo)] * 2),
-        _blob))), TypeMismatch),
+        _write_envelope))), TypeMismatch),
     # MSG_RESTORE, refused before anything is stored
     "restore-outside-recovery": (lambda topo: _restore(
         topo.client.create_partition(), [topo.client_encrypt(b"x")]), TypeMismatch),
@@ -343,6 +360,78 @@ def test_refused_ingests_leave_no_partition(topo):
     assert topo.privacy.store.partition_ids() == partitions
 
 
+def test_batched_reveals_on_the_wire(topo):
+    """A MSG_REVEAL of n FIDs is the FIDs, and its reply the status byte and
+    a client envelope per FID, each but the last after its u16 length; one
+    FID's request and reply are the FID and the envelope bare. A
+    MSG_CIPHER_REVEAL is its zone envelopes each after its u16 length, and
+    its reply the client envelopes alone, each as long as its zone
+    envelope."""
+    pid = topo.client.create_partition()
+    values = [encode_int64(7), b"a longer value", b"x"]
+    fids = topo.client.ingest(1, [topo.client_encrypt(v) for v in values], 8, pid)
+    zones = topo.client.cipher_ingest(1, [topo.client_encrypt(v) for v in values], 8)
+    captured = _capture(topo)
+    got = topo.client.reveal_many(fids, 8)
+    assert [topo.client_decrypt(e) for e in got] == values
+    assert captured[0] == (
+        _req(MSG_REVEAL, b"".join(struct.pack("<Q", f) for f in fids)),
+        b"\x00" + _sized(got[0]) + _sized(got[1]) + got[2])
+    one = topo.client.reveal(1, fids[1])
+    assert captured[1] == (_req(MSG_REVEAL, struct.pack("<Q", fids[1])), b"\x00" + one)
+    got = topo.client.cipher_reveal_many(zones, 8)
+    assert [topo.client_decrypt(e) for e in got] == values
+    assert [len(e) for e in got] == [len(z) for z in zones]
+    assert captured[2] == (_req(MSG_CIPHER_REVEAL, b"".join(map(_sized, zones))),
+                           b"\x00" + b"".join(got))
+    # batch_size FIDs a message
+    assert len(topo.client.reveal_many(fids, 2)) == 3
+    assert [len(raw) for raw, _ in captured[3:]] == [17, 9]
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+def test_a_bad_item_refuses_the_whole_reveal(topo, backend):
+    """A FID that is not live among live ones refuses the whole MSG_REVEAL
+    with NotLive, and a zone envelope that fails its tag among good ones
+    the whole MSG_CIPHER_REVEAL with AuthFailure, before any client
+    envelope is encrypted."""
+    envelopes = [topo.client_encrypt(encode_int64(v)) for v in (1, 2, 3)]
+    if backend == "fid":
+        pid = topo.client.create_partition()
+        items = topo.client.ingest(1, envelopes, 8, pid)
+        topo.privacy.store.delete(items[1])
+        payload, error = b"".join(struct.pack("<Q", f) for f in items), NotLive
+        kind = MSG_REVEAL
+    else:
+        items = topo.client.cipher_ingest(1, envelopes, 8)
+        bad = bytearray(items[1])
+        bad[12] ^= 1  # the first byte of the tag
+        items[1] = bytes(bad)
+        payload, error = b"".join(map(_sized, items)), AuthFailure
+        kind = MSG_CIPHER_REVEAL
+    codec = topo.privacy.proxy.client_codec
+    encrypts = codec.encrypts
+    assert topo.channel.request(_req(kind, payload)) == bytes([error.code])
+    assert codec.encrypts == encrypts
+
+
+@pytest.mark.parametrize("reply,error", [
+    (b"\x00" + struct.pack("<QQ", 5, 6), None),
+    (b"\x00", None),                                  # an empty partition
+    (b"\x00" + struct.pack("<Q", 5) + b"\x00", TypeMismatch),  # part of a FID
+], ids=["two-fids", "no-fid", "trailing-byte"])
+def test_list_live_reply_is_its_fids_alone(reply, error):
+    """A MSG_LIST_LIVE reply is the partition's live FIDs, 8 bytes each, up
+    to its end, with no count; the client refuses one that ends inside a
+    FID."""
+    client = ProxyClient(_Replay(reply))
+    if error is None:
+        assert client.list_live(1) == [f for (f,) in struct.iter_unpack("<Q", reply[1:])]
+    else:
+        with pytest.raises(error):
+            client.list_live(1)
+
+
 def test_fids_travel_little_endian(topo):
     pid = topo.client.create_partition()
     tmp_fid = topo.client.ingest(1, [topo.client_encrypt(encode_int64(5))], 1)[0]
@@ -493,7 +582,7 @@ def test_restore_reaches_no_further_than_a_crash_could_lose(monkeypatch):
 
 def _one_op(req: OperatorRequest) -> bytes:
     """One operator element's bytes, as the client's batch codec writes it."""
-    return _write_op(req, lambda fid: struct.pack("<Q", fid))
+    return _write_op(req, _pack_fid)
 
 
 def test_flush_reply_is_the_status_byte_alone():
@@ -608,7 +697,9 @@ def test_unflagged_elements_keep_their_wire_bytes(topo):
     """An element with neither an inline constant nor a reveal carries no
     byte for either: its head, its destination if any and its operands,
     on both operator messages. The fid batch's SUM_AGG writes a temporary,
-    so that message carries the query id; the cipher one carries none."""
+    so that message carries the query id; the cipher one carries none. An
+    INT64 element's zone envelopes go bare, FIXED_ENVELOPE_LEN bytes each
+    (they took a u32 length each before the value type fixed it)."""
     a = topo.client.ingest(8, [topo.client_encrypt(encode_int64(4))], 1)[0]
     zone = topo.client.cipher_ingest(8, [topo.client_encrypt(encode_int64(4))], 1)[0]
     perm = topo.client.create_partition()
@@ -627,17 +718,27 @@ def test_unflagged_elements_keep_their_wire_bytes(topo):
         + struct.pack("<BBH", OpKind.SUM_AGG, ValueType.INT64, 3) + fid * 3
         + struct.pack("<BBHI", OpKind.ADD | OP_DEST, ValueType.INT64, 2, perm)
         + fid * 2)
-    env = struct.pack("<I", len(zone)) + zone
+    assert len(zone) == FIXED_ENVELOPE_LEN
     assert captured[1][0] == (
         bytes([MSG_CIPHER_EXEC])
-        + struct.pack("<BBH", OpKind.ADD, ValueType.INT64, 2) + env * 2)
+        + struct.pack("<BBH", OpKind.ADD, ValueType.INT64, 2) + zone * 2)
+    # a BYTES element's envelope keeps its length
+    text = topo.client.cipher_ingest(8, [topo.client_encrypt(b"text")], 1)[0]
+    topo.client.cipher_exec(8, [OperatorRequest(OpKind.CMP_EQ, ValueType.BYTES,
+                                                [text, text])], 4)
+    assert captured[-1][0] == (
+        bytes([MSG_CIPHER_EXEC])
+        + struct.pack("<BBH", OpKind.CMP_EQ, ValueType.BYTES, 2)
+        + (struct.pack("<I", len(text)) + text) * 2)
 
 
 def test_flagged_elements_on_the_wire(topo):
     """An inline constant follows the stored operands as a length-prefixed
     client envelope and is not counted in argc; a revealed result comes
     back as result kind 2 and a client envelope, and is not stored. The
-    batch writes no temporary, so it carries no query id."""
+    batch writes no temporary, so it carries no query id. The INT64
+    result's envelope is bare, the rest of the reply (it took a u32 length
+    before the value type fixed it)."""
     a = topo.client.ingest(9, [topo.client_encrypt(encode_int64(40))], 1)[0]
     const = topo.client_encrypt(encode_int64(2))
     store = topo.privacy.store
@@ -651,24 +752,31 @@ def test_flagged_elements_on_the_wire(topo):
                                      ValueType.INT64, 1)
                        + struct.pack("<Q", a) + struct.pack("<I", len(const)) + const)
     assert resp[:3] == b"\x00\x00\x02"
-    assert _read_blob(resp, 3)[0] == out[0].envelope
+    assert resp[3:] == out[0].envelope and len(resp) == 3 + FIXED_ENVELOPE_LEN
     assert out[0].fid is None and out[0].error_code == 0
     assert decode_int64(topo.client_decrypt(out[0].envelope)) == 42
     assert store.live_fids(temp) == [a]
 
 
-_operand = {"fid": st.integers(0, 2**64 - 1), "cipher": st.binary(max_size=40)}
+def _operand(codec, vtype):
+    """A wire-carriable operand of an element of vtype: any FID, or a zone
+    envelope, FIXED_ENVELOPE_LEN bytes when vtype fixes its length."""
+    if codec == "fid":
+        return st.integers(0, 2**64 - 1)
+    if vtype == ValueType.BYTES:
+        return st.binary(max_size=40)
+    return st.binary(min_size=FIXED_ENVELOPE_LEN, max_size=FIXED_ENVELOPE_LEN)
 
 
 def _elements(codec):
-    return st.lists(st.builds(
+    return st.lists(st.sampled_from(list(ValueType)).flatmap(lambda vtype: st.builds(
         OperatorRequest,
         st.sampled_from(list(OpKind)),
-        st.sampled_from(list(ValueType)),
-        st.lists(_operand[codec], max_size=4),
+        st.just(vtype),
+        st.lists(_operand(codec, vtype), max_size=4),
         st.none() | st.integers(0, 2**32 - 1),
         st.none() | st.binary(max_size=60),
-        st.booleans()), max_size=12)
+        st.booleans())), max_size=12)
 
 
 @pytest.mark.parametrize("codec", ["fid", "cipher"])
@@ -678,8 +786,8 @@ def test_batch_codec_round_trip(codec):
     across message splits; a fid message carries the query id exactly when
     one of its elements writes a temporary, a cipher message never."""
     kind, write, read = {
-        "fid": (MSG_EXEC_BATCH, lambda f: struct.pack("<Q", f), _read_u64),
-        "cipher": (MSG_CIPHER_EXEC, _blob, _read_blob)}[codec]
+        "fid": (MSG_EXEC_BATCH, _pack_fid, _read_u64),
+        "cipher": (MSG_CIPHER_EXEC, _write_envelope, _read_envelope)}[codec]
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(elements=_elements(codec), batch_size=st.integers(1, 5))
@@ -705,6 +813,27 @@ def test_batch_codec_round_trip(codec):
         assert out == [OperatorResponse(error_code=TypeMismatch.code)] * len(elements)
 
     round_trip()
+
+
+def test_an_uncarriable_cipher_operand_fails_alone(topo):
+    """A cipher element whose zone envelope is not as long as its value
+    type fixes cannot go bare: it fails alone with TypeMismatch and is not
+    sent, as the privacy zone fails an int64 operand of another length;
+    the batch's other elements cross in one message. A batch left with no
+    element sends nothing."""
+    zone = topo.client.cipher_ingest(1, [topo.client_encrypt(encode_int64(4))], 1)[0]
+    text = topo.client.cipher_ingest(1, [topo.client_encrypt(b"xy")], 1)[0]
+    captured = _capture(topo)
+    bad = OperatorRequest(OpKind.ADD, ValueType.INT64, [zone, text], reveal=True)
+    good = OperatorRequest(OpKind.ADD, ValueType.INT64, [zone, zone], reveal=True)
+    out = topo.client.cipher_exec(1, [bad, good, bad], 8)
+    assert [r.error_code for r in out] == [TypeMismatch.code, 0, TypeMismatch.code]
+    assert decode_int64(topo.client_decrypt(out[1].envelope)) == 8
+    assert [raw for raw, _ in captured] == [_req(MSG_CIPHER_EXEC, _write_op(
+        good, _write_envelope))]
+    assert topo.client.cipher_exec(1, [bad], 8) == [
+        OperatorResponse(error_code=TypeMismatch.code)]
+    assert len(captured) == 1
 
 
 @pytest.mark.parametrize("backend", ["fid", "cipher"])
@@ -850,7 +979,7 @@ def test_unflagged_temporary_element_fails_alone(topo):
     partitions, pending = store.partition_ids(), topo.store_wal_buffer.pending_len
     captured = _capture(topo)
     out = topo.client._batch(MSG_EXEC_BATCH, None, elements, 8,
-                             lambda f: struct.pack("<Q", f), _read_u64)[1]
+                             _pack_fid, _read_u64)[1]
     assert captured[0][0][0] == MSG_EXEC_BATCH  # no query id
     assert [r.error_code for r in out] == [TypeMismatch.code, 0, 0]
     assert decode_int64(store.get(out[1].fid)) == 40 and out[2].boolean is False

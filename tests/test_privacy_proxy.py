@@ -81,7 +81,7 @@ def test_ingest_same_plaintext_distinct_fids(setup):
 def test_reveal_fresh_nonces_same_plaintext(setup):
     _, proxy, client = setup
     fid = proxy.ingest([client.encrypt(b"secret-x")], proxy.query_temp(1))[0]
-    e1, e2 = proxy.reveal(fid), proxy.reveal(fid)
+    e1, e2 = proxy.reveal([fid, fid])
     assert e1.nonce != e2.nonce
     assert e1.ciphertext != e2.ciphertext
     assert client.decrypt(e1) == client.decrypt(e2) == b"secret-x"
@@ -92,7 +92,7 @@ def test_reveal_not_live(setup):
     fid = proxy.ingest([client.encrypt(b"gone")], proxy.query_temp(1))[0]
     store.delete(fid)
     with pytest.raises(NotLive):
-        proxy.reveal(fid)
+        proxy.reveal([fid])
 
 
 def test_arithmetic_and_comparisons(setup):

@@ -3,7 +3,6 @@ benchmark's shapes send. The paths that name a query's temporaries, and
 so send its id, are tested in test_zone_sim
 (test_query_with_temporaries_still_ends_them)."""
 
-import struct
 from collections import defaultdict
 
 import pytest
@@ -19,19 +18,22 @@ from fidstore.messages import (
     MSG_INGEST,
     MSG_LIST_LIVE,
     MSG_REVEAL,
-    _blob,
-    _read_blob,
+    _pack_fid,
+    _read_envelope,
+    _read_blobs,
     _read_ops,
+    _read_sized,
     _read_u64,
     _split,
+    _write_envelope,
     _write_op,
 )
 from fidstore.privacy_proxy import ClientEnvelope
 from fidstore.workload import Mode, WorkloadSpec, generate_workload
 from fidstore.zone_sim import ZoneTopology
 
-_OPERANDS = {MSG_EXEC_BATCH: (lambda fid: struct.pack("<Q", fid), _read_u64),
-             MSG_CIPHER_EXEC: (_blob, _read_blob)}
+_OPERANDS = {MSG_EXEC_BATCH: (_pack_fid, _read_u64),
+             MSG_CIPHER_EXEC: (_write_envelope, _read_envelope)}
 
 # (mode, backend) -> {kind: (requests, request bytes, response bytes)} over
 # seed 3's program of 2 tables x 30 rows, 40 ops and 2 clients at batch 16,
@@ -39,31 +41,41 @@ _OPERANDS = {MSG_EXEC_BATCH: (lambda fid: struct.pack("<Q", fid), _read_u64),
 # when every request carried a query id, an operator batch 2 shorter again
 # and its reply 2 shorter (no element count), a MSG_REVEAL reply 4 shorter
 # and a MSG_CIPHER_REVEAL request and reply 4 shorter each (a bare
-# envelope); the counts are as before.
+# envelope).
+# The runner then began to send the reveals its waiting clients queued in
+# one crossing: the 80 READs' reveals take 53 messages, not 80, 27 kind and
+# 27 status bytes fewer; a fid reply gives each envelope but the last a u16
+# length (27 in all, so its bytes are as before), a cipher request each of
+# its 80 zone envelopes. The range sums of a pass share a batch: one batch
+# fewer in read-write, 20 fewer in range select. An INT64 element's zone
+# envelope operands and value results and every revealed INT64 result go
+# bare, 4 bytes fewer each (cipher: 125 operands and 44 results in read
+# write, 27 and 27 in write only, 400 and 40 in range select; fid: 9 and
+# 40 revealed sums), and a MSG_LIST_LIVE reply lost its u32 count.
 _PINNED = {
     (Mode.READ_WRITE, "fid"): {
         MSG_CREATE_PARTITION: (2, 2, 10), MSG_INGEST: (8, 12040, 968),
-        MSG_REVEAL: (80, 720, 2960), MSG_EXEC_BATCH: (44, 2760, 772),
+        MSG_REVEAL: (53, 693, 2987), MSG_EXEC_BATCH: (43, 2759, 735),
         MSG_FLUSH_LOG: (6, 8, 6), MSG_DELETE: (4, 284, 39),
-        MSG_LIST_LIVE: (4, 20, 1940)},
+        MSG_LIST_LIVE: (4, 20, 1924)},
     (Mode.READ_WRITE, "cipher"): {
         MSG_CREATE_PARTITION: (2, 2, 10), MSG_CIPHER_INGEST: (8, 12008, 12008),
-        MSG_CIPHER_REVEAL: (80, 2960, 2960), MSG_CIPHER_EXEC: (44, 6760, 1892),
+        MSG_CIPHER_REVEAL: (53, 3093, 2933), MSG_CIPHER_EXEC: (43, 6259, 1715),
         MSG_FLUSH_LOG: (3, 4, 3)},
     (Mode.WRITE_ONLY, "fid"): {
         MSG_CREATE_PARTITION: (2, 2, 10), MSG_INGEST: (8, 12040, 968),
         MSG_EXEC_BATCH: (34, 8434, 714), MSG_FLUSH_LOG: (6, 8, 6),
-        MSG_DELETE: (5, 549, 73), MSG_LIST_LIVE: (4, 20, 1940)},
+        MSG_DELETE: (5, 549, 73), MSG_LIST_LIVE: (4, 20, 1924)},
     (Mode.WRITE_ONLY, "cipher"): {
         MSG_CREATE_PARTITION: (2, 2, 10), MSG_CIPHER_INGEST: (8, 12008, 12008),
-        MSG_CIPHER_EXEC: (34, 9298, 7810), MSG_FLUSH_LOG: (3, 4, 3)},
+        MSG_CIPHER_EXEC: (34, 9190, 7702), MSG_FLUSH_LOG: (3, 4, 3)},
     (Mode.RANGE_SELECT, "fid"): {
         MSG_CREATE_PARTITION: (2, 2, 10), MSG_INGEST: (8, 12040, 968),
-        MSG_EXEC_BATCH: (40, 3400, 1720), MSG_FLUSH_LOG: (2, 2, 2),
-        MSG_LIST_LIVE: (2, 10, 970)},
+        MSG_EXEC_BATCH: (20, 3380, 1540), MSG_FLUSH_LOG: (2, 2, 2),
+        MSG_LIST_LIVE: (2, 10, 962)},
     (Mode.RANGE_SELECT, "cipher"): {
         MSG_CREATE_PARTITION: (2, 2, 10), MSG_CIPHER_INGEST: (8, 12008, 12008),
-        MSG_CIPHER_EXEC: (40, 16200, 1720), MSG_FLUSH_LOG: (2, 2, 2)},
+        MSG_CIPHER_EXEC: (20, 14580, 1540), MSG_FLUSH_LOG: (2, 2, 2)},
 }
 
 
@@ -85,11 +97,13 @@ def _capture(topo) -> list:
                          ids=lambda v: getattr(v, "value", v))
 def test_a_program_sends_no_byte_its_receiver_knows(mode, backend):
     """No message of a program that names no temporary carries a query id:
-    a MSG_REVEAL request is its kind and FID, 9 bytes, and its reply the
-    status byte and the client envelope; an operator batch request is its
-    kind byte and its elements' bytes alone, one reply element each; a
-    cipher reveal carries a zone envelope bare. The bytes per kind are
-    pinned."""
+    a MSG_REVEAL request is its kind and its FIDs, and its reply the status
+    byte and a client envelope per FID, each but the last after its u16
+    length; an operator batch request is its kind byte and its elements'
+    bytes alone, one reply element each; a cipher reveal carries its zone
+    envelopes each after its u16 length, and its reply the client
+    envelopes, each as long as its zone envelope. The bytes per kind and
+    the values revealed are pinned."""
     spec = WorkloadSpec(mode=mode, tables=2, rows_per_table=30, duration_ops=40,
                         threads_simulated=2, batch_size=16, abort_ratio=0.1)
     topo = ZoneTopology(3, backend=backend, batch_size=spec.batch_size)
@@ -97,16 +111,27 @@ def test_a_program_sends_no_byte_its_receiver_knows(mode, backend):
     report = topo.run_program(generate_workload(spec, 3))
     assert report.invariant_holds
     per_kind = defaultdict(lambda: [0, 0, 0])
+    revealed = 0
     for raw, resp in captured:
         kind, query_id, payload = _split(raw)
         assert query_id is None and kind == raw[0]
         assert resp[0] == 0
         if kind == MSG_REVEAL:
-            assert len(raw) == 9
-            topo.client_decrypt(resp[1:])  # the rest is one client envelope
+            assert payload and len(payload) % 8 == 0
+            pos = 1
+            for _ in range(len(payload) // 8 - 1):
+                envelope, pos = _read_sized(resp, pos)
+                topo.client_decrypt(envelope)
+            topo.client_decrypt(resp[pos:])  # the last envelope, bare
+            revealed += len(payload) // 8
         elif kind == MSG_CIPHER_REVEAL:
-            ClientEnvelope.from_bytes(payload)  # a zone envelope, bare
-            topo.client_decrypt(resp[1:])
+            pos = 1
+            for zone in _read_blobs(payload, 0, _read_sized):
+                ClientEnvelope.from_bytes(zone)
+                topo.client_decrypt(resp[pos:pos + len(zone)])
+                pos += len(zone)
+                revealed += 1
+            assert pos == len(resp)
         elif kind in _OPERANDS:
             write, read = _OPERANDS[kind]
             ops = _read_ops(payload, read)
@@ -116,3 +141,4 @@ def test_a_program_sends_no_byte_its_receiver_knows(mode, backend):
         counts[1] += len(raw)
         counts[2] += len(resp)
     assert {k: tuple(v) for k, v in per_kind.items()} == _PINNED[mode, backend]
+    assert revealed == (80 if mode == Mode.READ_WRITE else 0)

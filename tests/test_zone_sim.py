@@ -920,6 +920,173 @@ def test_a_txn_reads_back_what_it_wrote(backend):
                                     in shadow.db.quiescent_rows(0).items()}]
 
 
+def _four_clients(backend, txns, rows=6, batch_size=16):
+    """A topology and its runner over a one-table program of the given
+    TxnTemplates, run by 4 clients, which take its txns round robin."""
+    spec = _small_spec(tables=1, rows_per_table=rows, duration_ops=0,
+                       threads_simulated=4, batch_size=batch_size)
+    program = generate_workload(spec, 8)
+    program.txns = list(txns)
+    topo = ZoneTopology(8, backend=backend, batch_size=spec.batch_size)
+    return topo, _Runner(topo, program)
+
+
+def _items(raw: bytes) -> tuple[int, int]:
+    """A request's kind and its items: a reveal's FIDs or zone envelopes, an
+    operator batch's elements, and 0 for any other kind."""
+    kind, _, payload = m._split(raw)
+    if kind == m.MSG_REVEAL:
+        return kind, len(payload) // 8
+    if kind == m.MSG_CIPHER_REVEAL:
+        return kind, len(m._read_blobs(payload, 0, m._read_sized))
+    if kind == m.MSG_EXEC_BATCH:
+        return kind, len(m._read_ops(payload, m._read_u64))
+    if kind == m.MSG_CIPHER_EXEC:
+        return kind, len(m._read_ops(payload, m._read_envelope))
+    return kind, 0
+
+
+def _record_txn_phase(topo, runner) -> list:
+    """Records _items of each message the run sends after its preload."""
+    sent = []
+    request, preload = topo.channel.request, runner._preload
+
+    def recorded(raw):
+        sent.append(_items(raw))
+        return request(raw)
+
+    def preload_then_record(db):
+        tables = preload(db)
+        topo.channel.request = recorded
+        return tables
+
+    runner._preload = preload_then_record
+    return sent
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+def test_waiting_clients_share_a_crossing(backend):
+    """The reveals the 4 clients queue cross together, just before the next
+    entry of a client that waits on one: the 3 READs of the first pass in
+    one reveal message, then the next pass's 2 READs in one and its SUM in
+    one operator batch. Client 2's READ of the row its own ADD wrote sends
+    that write first and reveals the added value."""
+    txns = [TxnTemplate([(READ, 0, "k", 1), (READ, 0, "k", 2), (ADD, 0, "k", 3, 1)],
+                        False),
+            TxnTemplate([(READ, 0, "k", 4), (SUM, 0, "k", 1, 4)], False),
+            TxnTemplate([(ADD, 0, "k", 5, 2), (READ, 0, "k", 5)], False),
+            TxnTemplate([(READ, 0, "k", 6)], False)]
+    topo, runner = _four_clients(backend, txns)
+    sent = _record_txn_phase(topo, runner)
+    report = runner.run()
+    program = runner.program
+    shadow = ShadowRunner(program, flatten_schedule(program)).run()
+    assert report.revealed == shadow.revealed
+    k = {row[0]: row[1] for row in program.tables[0].rows}
+    assert report.revealed == [("point", 0, 1, k[1]), ("point", 0, 4, k[4]),
+                               ("point", 0, 6, k[6]), ("point", 0, 2, k[2]),
+                               ("sum", 0, 1, k[1] + k[2] + k[3]),
+                               ("point", 0, 5, k[5] + 2)]
+    exec_, reveal = _EXEC_KIND[backend], _REVEAL_KIND[backend]
+    # reads 1, 4, 6; client 2's ADD, sent by its READ; reads 2 and 5; the
+    # SUM; client 0's commit; then maintenance
+    assert sent[:6] == [(reveal, 3), (exec_, 1), (reveal, 2), (exec_, 1), (exec_, 1),
+                        (m.MSG_FLUSH_LOG, 0)]
+    assert report.invariant_holds
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+def test_a_point_select_pass_crosses_once(backend):
+    """Point selects by 4 clients: the 4 READs of a pass cross in one
+    reveal message, so 8 txns send 2 messages before maintenance."""
+    topo, runner = _four_clients(backend, [TxnTemplate([(READ, 0, "k", key)], False)
+                                           for key in (1, 2, 3, 4, 5, 6, 1, 2)])
+    sent = _record_txn_phase(topo, runner)
+    report = runner.run()
+    program = runner.program
+    assert report.revealed == ShadowRunner(program, flatten_schedule(program)).run().revealed
+    reveal = _REVEAL_KIND[backend]
+    # then maintenance: its closing flush and, on fid, orphan_gc's list of
+    # the table's partition
+    assert sent[:2] == [(reveal, 4), (reveal, 4)]
+    assert {kind for kind, _ in sent[2:]} <= {m.MSG_FLUSH_LOG, m.MSG_LIST_LIVE}
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+def test_deep_sums_cross_with_their_pass(backend):
+    """SUMs over more refs than batch_size reduce their earlier levels into
+    their queries' temporaries when their turn comes; their last elements
+    cross together in one batch and read those temporaries, which the
+    queries drop only afterwards, at their finish."""
+    txns = [TxnTemplate([(SUM, 0, "k", 1, 11)], False),
+            TxnTemplate([(SUM, 0, "k", 2, 12), (READ, 0, "k", 3)], False)]
+    topo, runner = _four_clients(backend, txns, rows=12, batch_size=4)
+    sent = _record_txn_phase(topo, runner)
+    report = runner.run()
+    program = runner.program
+    assert report.revealed == ShadowRunner(program, flatten_schedule(program)).run().revealed
+    exec_, reveal = _EXEC_KIND[backend], _REVEAL_KIND[backend]
+    # each SUM: 3 partial sums of up to 4 refs, one a message; then both
+    # last elements in one batch before client 0 finishes, and the READ's
+    # reveal alone before client 1 does; on fid each finish then drops its
+    # query's temporaries
+    drop = [(m.MSG_END_QUERY, 0)] if backend == "fid" else []
+    expected = [(exec_, 1)] * 6 + [(exec_, 2)] + drop + [(reveal, 1)] + drop
+    assert sent[:len(expected)] == expected
+    assert {kind for kind, _ in sent[len(expected):]} <= {m.MSG_FLUSH_LOG,
+                                                           m.MSG_LIST_LIVE}
+    assert topo.privacy.store.partition_ids() == [t.partition_id for t in
+                                                 topo.integrity.db.tables_by_idx]
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+def test_a_crash_drops_the_queued_reveals(backend):
+    """A privacy crash at a crossing drops the reveals it carried, with
+    their slots: report.revealed holds the oracle's values for every
+    statement the run completed, less those, and no unresolved one.
+    Recovery then finds the invariant holding."""
+    spec = _small_spec(threads_simulated=4, abort_ratio=0.0)
+    program = generate_workload(spec, 3)
+    topo = ZoneTopology(3, backend=backend, batch_size=spec.batch_size)
+    runner = _Runner(topo, program)
+    reveal = _REVEAL_KIND[backend]
+    request = topo.channel.request
+    crossings = []
+
+    def crash_at_third_grouped_reveal(raw):
+        kind, items = _items(raw)
+        if kind == reveal and items >= 2:
+            crossings.append(([slot for slot, _, _ in runner._pending],
+                              len(runner.report.revealed)))
+            if len(crossings) == 3:
+                topo.privacy.crash()
+        return request(raw)
+
+    topo.channel.request = crash_at_third_grouped_reveal
+    report = runner.run()
+    assert report.crashed_at == "privacy-unavailable"
+    dropped, reached = crossings[-1]
+    assert len(dropped) >= 2
+    expected = ShadowRunner(program, flatten_schedule(program)).run().revealed[:reached]
+    assert report.revealed == [r for slot, r in enumerate(expected) if slot not in dropped]
+    assert runner._pending == []
+    assert topo.recover_all().invariant.holds
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+@pytest.mark.parametrize("mode", [Mode.READ_WRITE, Mode.POINT_SELECT],
+                         ids=lambda m: m.value)
+def test_grouped_crossings_are_indistinguishable(mode, backend):
+    """Two 4-client programs that differ only in their values give the same
+    adversary trace: which reveals share a crossing depends on the
+    statements' kinds and keys alone."""
+    base = _small_spec(mode=mode, threads_simulated=4, duration_ops=60)
+    for seed in (31, 32):
+        a = generate_workload(replace(base, value_seed=1111), seed)
+        b = generate_workload(replace(base, value_seed=2222), seed)
+        assert trace_indistinguishability(a, b, seed, backend=backend)
+
+
 @pytest.mark.parametrize("backend", ["fid", "cipher"])
 def test_a_txn_that_writes_a_row_twice_matches_the_oracle(backend):
     """Txns that write one row twice or more, commit or abort, give the
@@ -1239,20 +1406,31 @@ def test_trace_jsonl_dump_parses():
 # live FID follows each MSG_LIST_LIVE reply, orphan_gc's and the invariant
 # check's (120 more where only the check lists the 2 tables' 60 rows, 240
 # in the writing modes, 384 in insert-only). The cipher case lists nothing.
+# All eight were re-pinned when the runner began to send its waiting
+# clients' reveals in one crossing per pass: every event but the messages'
+# own is as before (the same multiset, each revealed FID's FidObserved now
+# inside the crossing), the checkpoint events too, and there are fewer
+# messages, 3 events each: 28 fewer in read-write (27 reveals and a batch
+# of 2 sums), 80 in read-only, 20 in point-select and range-select. The
+# MsgBytes arguments moved with them: a reveal reply gives each envelope
+# but the last a u16 length, a cipher reveal request each of its
+# envelopes, and an INT64 element's zone envelopes and revealed results go
+# bare (4 bytes fewer each). In the writing modes only a MSG_LIST_LIVE
+# reply moved, 4 bytes shorter (no count).
 _B = 1 << 40
 _PINNED_TRACE = {
-    "fid": (Mode.READ_WRITE, Distribution.UNIFORM, "fid", 1404,
-            "a91e215231068be48bedb338daaa6ce6b5c76fb60ded99a66cba2d5f95f4da3a",
+    "fid": (Mode.READ_WRITE, Distribution.UNIFORM, "fid", 1320,
+            "e650d718d344ee79d5af543504a59c8adcd556af270ca93a7761ecd264d8baa8",
             [("BlockWrite", 0), ("BlockWrite", _B), ("BlockWrite", 0),
              ("BlockWrite", _B), ("BlockDrop", 0), ("BlockDrop", _B)]),
-    "cipher": (Mode.READ_WRITE, Distribution.UNIFORM, "cipher", 540,
-               "a1372b93e32e2d348c61ab1eda83ffd618c5840386d1daf5bc6065d45ef9d3fe",
+    "cipher": (Mode.READ_WRITE, Distribution.UNIFORM, "cipher", 456,
+               "154fa88954aed989e8d9d2815e9877da57f32c99000d0346625d722684f15ddd",
                []),
-    "read-only": (Mode.READ_ONLY, Distribution.UNIFORM, "fid", 1568,
-                  "a1a5886c09614e776795393bbe479ba96fe445d34cd2667d5c9b41083b185543",
+    "read-only": (Mode.READ_ONLY, Distribution.UNIFORM, "fid", 1328,
+                  "7826603024e568ff6a5f8c5184a1fc4ed266356b452ae4a3c6ef041804784fe2",
                   []),
     "write-only": (Mode.WRITE_ONLY, Distribution.UNIFORM, "fid", 1181,
-                   "e0d9933b4d9aeebbbbdb21a9d4f4bcdf817ff02725de4f2ea6f889e09ac4ccec",
+                   "4d730cc9d5d85d8736dec50ebfb379eaaa0ae71e1ba1c5e2507cfde0e2078913",
                    [("BlockWrite", _B), ("BlockWrite", _B | 3 << 32 | 1),
                     ("BlockWrite", _B), ("BlockWrite", _B | 3 << 32),
                     ("BlockDrop", 0), ("BlockDrop", 3 << 32), ("BlockDrop", 3 << 32 | 1),
@@ -1260,18 +1438,18 @@ _PINNED_TRACE = {
                     ("BlockDrop", _B | 3 << 32 | 1)]),
     "write-only-zipfian": (
         Mode.WRITE_ONLY, Distribution.ZIPFIAN, "fid", 1238,
-        "14f7e0dc82088d526c60d97946a07e5d5dda50ba37d44a9c487694970f87175a",
+        "408751cb1f14dc49ccb7616d573a0757d7a960e50d4507e213cf81b01623360b",
         [("BlockWrite", 3 << 32 | 1), ("BlockWrite", _B), ("BlockWrite", _B | 3 << 32),
          ("BlockDrop", 0), ("BlockDrop", 3 << 32), ("BlockDrop", 3 << 32 | 1),
          ("BlockDrop", _B), ("BlockDrop", _B | 3 << 32), ("BlockDrop", _B | 3 << 32 | 1)]),
     "insert-only": (Mode.INSERT_ONLY, Distribution.UNIFORM, "fid", 1050,
-                    "bb9be89f87dcc62045efe58baa9cca0e0d74cd37c63fca7637e12f847aad37d5",
+                    "fb7905b28e4dd43a7ee3806de0c1e016a3eed4f9a735169f8d7d12ec4931a2b0",
                     [("BlockWrite", _B), ("BlockWrite", _B | 3 << 32 | 1)]),
-    "point-select": (Mode.POINT_SELECT, Distribution.UNIFORM, "fid", 608,
-                     "2c633c03d8486ddd14b59afb731ffe0e42daf140100df2e62273392fc04fd899",
+    "point-select": (Mode.POINT_SELECT, Distribution.UNIFORM, "fid", 548,
+                     "d22ec9cd6ef50630fd805172241ffc9addfe3052f58ab455ae9b8f2519dd6a07",
                      []),
-    "range-select": (Mode.RANGE_SELECT, Distribution.UNIFORM, "fid", 968,
-                     "e33305c7b3652b401b8a1f77a18521117b798f3ef27a9ddb6272a78def3f4e4b",
+    "range-select": (Mode.RANGE_SELECT, Distribution.UNIFORM, "fid", 908,
+                     "c2cfa0205b927ab6582d94e62aac3b0d3e11df316a4bd0c020209c1e3c775771",
                      []),
 }
 
@@ -1455,13 +1633,17 @@ _PINNED = {
     # and one without 4 more, and a vacuum pass one record: 24 968 and
     # 26 028 bytes at the first vacuum when a commit took a record per row
     # version, one for its recipes and one for itself.
-    "fid": ({m.MSG_INGEST: 8, m.MSG_REVEAL: 80, m.MSG_EXEC_BATCH: 44,
+    # The runner sends its waiting clients' reveals in one crossing per
+    # pass: the 80 point reveals take 53 messages, and two of the range
+    # sums share a batch, so 44 operator messages became 43 (80 and 44
+    # before); every other count and byte is as before.
+    "fid": ({m.MSG_INGEST: 8, m.MSG_REVEAL: 53, m.MSG_EXEC_BATCH: 43,
              m.MSG_DELETE: 4, m.MSG_FLUSH_LOG: 6, m.MSG_CREATE_PARTITION: 2,
              m.MSG_LIST_LIVE: 2},
             (0, 0), (14, 2), (244, 0), 21816),
     "cipher": ({m.MSG_FLUSH_LOG: 3, m.MSG_CREATE_PARTITION: 2,
-                m.MSG_CIPHER_EXEC: 44, m.MSG_CIPHER_INGEST: 8,
-                m.MSG_CIPHER_REVEAL: 80},
+                m.MSG_CIPHER_EXEC: 43, m.MSG_CIPHER_INGEST: 8,
+                m.MSG_CIPHER_REVEAL: 53},
                (0, 0), (3, 0), (244, 360), 23801),
 }
 # The seals count the privacy checkpoints': on fid, 4 cache evictions, then
@@ -1545,9 +1727,11 @@ def test_pinned_counts_through_maintenance(backend):
 # than when the cells had a count and a length before each, and 25 less
 # again, 178 418 B in all, when each took a record of its own; each of
 # the 2 preload commits takes 21 less, one commit head in place of a
-# commit record and a recipe record's head).
+# commit record and a recipe record's head). The 2 clients' range sums of a
+# pass cross in one batch: 50 operator messages, 100 when each crossed
+# alone.
 _PINNED_RANGE_SELECT = (
-    {m.MSG_INGEST: 76, m.MSG_EXEC_BATCH: 100, m.MSG_FLUSH_LOG: 2,
+    {m.MSG_INGEST: 76, m.MSG_EXEC_BATCH: 50, m.MSG_FLUSH_LOG: 2,
      m.MSG_CREATE_PARTITION: 2},
     (42, 163376), (24, 4), (1300, 0))
 
