@@ -348,9 +348,9 @@ class PrivacyZoneHost:
     def _build(self, store: MappingStore, wal: Wal, counter: int,
                copies: dict) -> None:
         topo = self.topology
-        # the block sealer draws from a stream of its own: the proxy's
-        # envelope nonces reach messages, so a checkpoint's seals change none
-        nonce_source = self._nonce_source("nonce")
+        # each codec draws from a stream of its own: the block sealer's, so
+        # a checkpoint's seals change no message, and the proxy's reply
+        # codec's, so when a reveal crosses changes no durable zone envelope
         self.store = store
         self.wal = wal
         self.atrest = AtRestLayer(
@@ -362,8 +362,9 @@ class PrivacyZoneHost:
         store.journal = wal
         store.blocks = self.atrest
         wal.on_checkpoint = self._checkpoint
-        self.proxy = PrivacyProxy(store, topo.client_key, nonce_source)
-        self.zone_codec = EnvelopeCodec(topo.zone_field_key, nonce_source)
+        self.proxy = PrivacyProxy(store, topo.client_key,
+                                  self._nonce_source("reply-nonce"))
+        self.zone_codec = EnvelopeCodec(topo.zone_field_key, self._nonce_source("nonce"))
         self.dispatcher = PrivacyDispatcher(self.proxy, wal, self.atrest,
                                             self.zone_codec)
 
