@@ -1,10 +1,12 @@
 """Desk-scale measurement harness.
 
 bench_ops compares the mapping path (put/get of an 8-byte value, the size
-of a table row's k cell) against AEAD field en/decryption on the same
-host, interleaving the four operations in round-robin batches so system
-noise drifts over all of them equally; medians of per-batch means are the
-reported statistic and ratios are always computed within a single run.
+of a table row's k cell) against AEAD field en/decryption, a 4 KiB block
+seal and open, and a reply's one packed client envelope against an
+envelope per value, on the same host, interleaving the operations in
+round-robin batches so system noise drifts over all of them equally;
+medians of per-batch means are the reported statistic and ratios are
+always computed within a single run.
 
 The crash matrix runs through the two-zone simulator and emits one CSV row
 per crash, cache size and seed: a crash just before one durable write,
@@ -24,35 +26,48 @@ import random
 import statistics
 import time
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import CorruptLog, Unavailable, ZoneCrashed
+from .atrest_storage import BlockSealer
 from .integrity_dbms import DB_COMMIT
-from .mapping_store import MappingStore, PartitionKind
-from .privacy_proxy import ClientEnvelope, EnvelopeCodec, encode_int64
+from .mapping_store import BLOCK_SIZE, MappingStore, PartitionKind
+from .privacy_proxy import ClientEnvelope, EnvelopeCodec, encode_int64, pack_values
 from .wal import DELETE_REC, FRAME, KIND_DELETE, frame_record, read_frames
 from .workload import Distribution, Mode, WorkloadSpec
 from .zone_sim import CrashPoint, CrashTarget, DurableWrite, ZoneTopology
 
 
+# bench_ops times one packed encrypt of each of these counts of INT64
+# values, a reply's one client envelope, against that many field encrypts
+REPLY_SIZES = (1, 4, 256)
+OPS = ("put", "get", "aead_encrypt_field", "aead_decrypt_field",
+       "aead_seal_block_4k", "aead_open_block_4k",
+       *(f"aead_encrypt_{kind}_{n}" for n in REPLY_SIZES for kind in ("reply", "fields")))
+
+
 @dataclass
 class CostReport:
-    iters: int
-    put_ns: float
-    get_ns: float
-    encrypt_ns: float
-    decrypt_ns: float
-    put_ns_p99: float
-    get_ns_p99: float
-    encrypt_ns_p99: float
-    decrypt_ns_p99: float
-    cpu_mhz: float | None
-    encrypt_over_put: float = field(init=False)
-    decrypt_over_get: float = field(init=False)
+    """bench_ops's median and p99 ns per op, keyed by op name (OPS)."""
 
-    def __post_init__(self):
-        self.encrypt_over_put = self.encrypt_ns / self.put_ns
-        self.decrypt_over_get = self.decrypt_ns / self.get_ns
+    iters: int
+    median_ns: dict[str, float]
+    p99_ns: dict[str, float]
+    cpu_mhz: float | None
+
+    @property
+    def encrypt_over_put(self) -> float:
+        return self.median_ns["aead_encrypt_field"] / self.median_ns["put"]
+
+    @property
+    def decrypt_over_get(self) -> float:
+        return self.median_ns["aead_decrypt_field"] / self.median_ns["get"]
+
+    def saving_per_envelope(self, n: int) -> float:
+        """The ns a reply of n values saves per envelope it drops, sealing
+        them in one encrypt rather than one each."""
+        return (self.median_ns[f"aead_encrypt_fields_{n}"]
+                - self.median_ns[f"aead_encrypt_reply_{n}"]) / (n - 1)
 
     def cycles(self, ns: float) -> float | None:
         if self.cpu_mhz is None:
@@ -72,10 +87,14 @@ def _cpu_mhz() -> float | None:
 
 
 def bench_ops(iters: int = 1_000_000, batch: int = 2000) -> CostReport:
-    """Median/p99 per-op latency for put, get, AEAD field encrypt/decrypt.
-    put and get run on a permanent partition, the kind a table's values
-    live in, of a store with no at-rest layer or journal attached, so
-    they time the mapping alone."""
+    """Median/p99 per-op latency for put, get, AEAD field encrypt/decrypt,
+    a 4 KiB block seal and open, and, per count n in REPLY_SIZES, one
+    packed encrypt of n INT64 values (a reply's one client envelope,
+    privacy_proxy.pack_values) against n field encrypts. put and get run
+    on a permanent partition, the kind a table's values live in, of a
+    store with no at-rest layer or journal attached, so they time the
+    mapping alone. A reply op runs batch // n times a round, so each
+    encrypts about batch values."""
     if iters < 10_000:
         raise ValueError("iters too small for stable medians")
     store = MappingStore()
@@ -84,25 +103,31 @@ def bench_ops(iters: int = 1_000_000, batch: int = 2000) -> CostReport:
     codec = EnvelopeCodec(os.urandom(32))
     env_bytes = codec.encrypt(payload).to_bytes()
     hot_fid = store.put(pid, payload)
+    sealer = BlockSealer(os.urandom(32))
+    block = os.urandom(BLOCK_SIZE)
+    sealed = sealer.seal(pid, 0, 1, block)
+    replies = {n: [encode_int64(i) for i in range(n)] for n in REPLY_SIZES}
 
     put = store.put
     get = store.get
     encrypt = codec.encrypt
     decrypt = codec.decrypt
+    seal = sealer.seal
+    open_block = sealer.open
     from_bytes = ClientEnvelope.from_bytes
     perf = time.perf_counter_ns
     loop = range(batch)
 
-    samples: dict[str, list[float]] = {"put": [], "get": [], "enc": [], "dec": []}
+    samples: dict[str, list[float]] = {name: [] for name in OPS}
     for _ in range(max(1, iters // batch)):
         t0 = perf()
         for _ in loop:
             encrypt(payload).to_bytes()
-        samples["enc"].append((perf() - t0) / batch)
+        samples["aead_encrypt_field"].append((perf() - t0) / batch)
         t0 = perf()
         for _ in loop:
             decrypt(from_bytes(env_bytes))
-        samples["dec"].append((perf() - t0) / batch)
+        samples["aead_decrypt_field"].append((perf() - t0) / batch)
         t0 = perf()
         for _ in loop:
             put(pid, payload)
@@ -111,6 +136,25 @@ def bench_ops(iters: int = 1_000_000, batch: int = 2000) -> CostReport:
         for _ in loop:
             get(hot_fid)
         samples["get"].append((perf() - t0) / batch)
+        t0 = perf()
+        for _ in loop:
+            seal(pid, 0, 1, block)
+        samples["aead_seal_block_4k"].append((perf() - t0) / batch)
+        t0 = perf()
+        for _ in loop:
+            open_block(pid, 0, sealed, 1, 0)
+        samples["aead_open_block_4k"].append((perf() - t0) / batch)
+        for n, values in replies.items():
+            reps = range(max(1, batch // n))
+            t0 = perf()
+            for _ in reps:
+                encrypt(pack_values(values)).to_bytes()
+            samples[f"aead_encrypt_reply_{n}"].append((perf() - t0) / len(reps))
+            t0 = perf()
+            for _ in reps:
+                for value in values:
+                    encrypt(value).to_bytes()
+            samples[f"aead_encrypt_fields_{n}"].append((perf() - t0) / len(reps))
 
     def p99(values: list[float]) -> float:
         ordered = sorted(values)
@@ -118,14 +162,8 @@ def bench_ops(iters: int = 1_000_000, batch: int = 2000) -> CostReport:
 
     return CostReport(
         iters=iters,
-        put_ns=statistics.median(samples["put"]),
-        get_ns=statistics.median(samples["get"]),
-        encrypt_ns=statistics.median(samples["enc"]),
-        decrypt_ns=statistics.median(samples["dec"]),
-        put_ns_p99=p99(samples["put"]),
-        get_ns_p99=p99(samples["get"]),
-        encrypt_ns_p99=p99(samples["enc"]),
-        decrypt_ns_p99=p99(samples["dec"]),
+        median_ns={name: statistics.median(v) for name, v in samples.items()},
+        p99_ns={name: p99(v) for name, v in samples.items()},
         cpu_mhz=_cpu_mhz(),
     )
 

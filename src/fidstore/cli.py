@@ -18,6 +18,7 @@ import sys
 
 from .bench import (
     MATRIX_CSV_COLUMNS,
+    REPLY_SIZES,
     bench_ops,
     default_matrix_spec,
     run_crash_matrix,
@@ -37,19 +38,18 @@ def _write_csv(path: str | None, columns: list[str], rows: list[dict]) -> None:
 
 def _cmd_ops(args: argparse.Namespace) -> int:
     report = bench_ops(args.iters)
-    rows = [
-        ("put", report.put_ns, report.put_ns_p99),
-        ("get", report.get_ns, report.get_ns_p99),
-        ("aead_encrypt_field", report.encrypt_ns, report.encrypt_ns_p99),
-        ("aead_decrypt_field", report.decrypt_ns, report.decrypt_ns_p99),
-    ]
+    rows = [(name, report.median_ns[name], report.p99_ns[name])
+            for name in report.median_ns]
     print(f"iterations              {report.iters}")
     for name, ns, p99 in rows:
         cycles = report.cycles(ns)
         cyc = f"{cycles:10.0f} cycles" if cycles is not None else "      n/a"
-        print(f"{name:22s}  median {ns:8.1f} ns  p99 {p99:8.1f} ns  {cyc}")
+        print(f"{name:24s}  median {ns:10.1f} ns  p99 {p99:10.1f} ns  {cyc}")
     print(f"encrypt/put ratio       {report.encrypt_over_put:.2f}x")
     print(f"decrypt/get ratio       {report.decrypt_over_get:.2f}x")
+    for n in REPLY_SIZES[1:]:
+        print(f"reply of {n:<3d} values      saves {report.saving_per_envelope(n):.1f} ns "
+              "per dropped envelope")
     if args.out:
         _write_csv(args.out, ["op", "median_ns", "p99_ns", "cycles"], [
             {"op": n, "median_ns": ns, "p99_ns": p99, "cycles": report.cycles(ns)}

@@ -339,7 +339,8 @@ def run_requests(call, query_id: int, reqs: list[OperatorRequest],
 def run_operators(call, query_id: int, op: OpKind, vtype: ValueType,
                   operand_lists: list, per_msg: int, reveal: bool = False) -> list:
     """One request of op per operand list (run_requests). Returns one
-    boolean, revealed client envelope or stored ref per operand list."""
+    boolean, revealed client envelope or stored ref per operand list; the
+    revealed results of one message share its one envelope."""
     out = run_requests(call, query_id,
                        [OperatorRequest(op, vtype, refs, reveal=reveal)
                         for refs in operand_lists], per_msg)
@@ -388,16 +389,27 @@ def reduce_refs(call, query_id: int, op: OpKind, vtype: ValueType,
     return run_operators(call, query_id, op, vtype, [level], 1, reveal=reveal)[0]
 
 
+def _chunk_sizes(n: int, batch_size: int) -> list[int]:
+    """The item counts of the messages that carry n items, batch_size a
+    message."""
+    return [min(batch_size, n - lo) for lo in range(0, n, batch_size)]
+
+
 def reveal_all(reveal, call, refs: list, reqs: list[OperatorRequest],
-               batch_size: int) -> list[bytes]:
-    """The many-ref reveal of both backends: a client envelope of each
-    ref's value, through reveal (the client's reveal_many or
-    cipher_reveal_many), then of each request's revealed result, through
-    call (exec_batch or cipher_exec), batch_size refs or elements per
-    message. Raises the first element error."""
-    out = reveal(refs, batch_size) if refs else []
+               batch_size: int) -> list[tuple[bytes, int]]:
+    """The many-ref reveal of both backends: the refs' values through
+    reveal (the client's reveal_many or cipher_reveal_many), then the
+    requests' revealed results through call (exec_batch or cipher_exec),
+    batch_size refs or elements per message. Returns one (client envelope,
+    n) per message, in order: the envelope seals the message's n values in
+    order (privacy_proxy.pack_values). Raises the first element error."""
+    out = []
+    if refs:
+        out += zip(reveal(refs, batch_size), _chunk_sizes(len(refs), batch_size))
     if reqs:
-        out += [r.envelope for r in run_requests(call, None, reqs, batch_size)]
+        # every response of a message holds its envelope: take the first's
+        firsts = run_requests(call, None, reqs, batch_size)[::batch_size]
+        out += zip((r.envelope for r in firsts), _chunk_sizes(len(reqs), batch_size))
     return out
 
 
@@ -437,9 +449,10 @@ class FidBackend:
         self.client = client
 
     def reveal_many(self, refs: list[int], reqs: list[OperatorRequest],
-                    batch_size: int) -> list[bytes]:
-        """The client envelopes of the refs' values by MSG_REVEAL, then of
-        the requests' results by MSG_EXEC_BATCH (reveal_all)."""
+                    batch_size: int) -> list[tuple[bytes, int]]:
+        """The refs' values by MSG_REVEAL, then the requests' results by
+        MSG_EXEC_BATCH: one client envelope and its count of values per
+        message (reveal_all)."""
         return reveal_all(self.client.reveal_many, self.client.exec_batch, refs,
                           reqs, batch_size)
 

@@ -23,7 +23,8 @@ an id, before it stores or journals anything for that request or element
 
 An operator batch (MSG_EXEC_BATCH, MSG_CIPHER_EXEC) is n >= 1 elements up
 to the end of the payload, and its response n elements, one per request
-element in order, with no byte after the last.
+element in order, then the reply's client envelope if it reveals a value
+(below), and no other byte after the last element.
 Each element is {u8 op | flags, u8 type, u16 argc, [u32 destination],
 argc stored operands, [constant]}. A stored operand is a u64 FID, or on
 the cipher path a zone envelope: bare when the element's value type is
@@ -43,8 +44,8 @@ with none set is its head and its operands alone:
   (a fid recipe journals the element, so its bytes stay as they are). The
   privacy zone decrypts it once and never stores it, except as the value
   of a STORE.
-- OP_REVEAL: the value result comes back as a client envelope and is
-  never stored.
+- OP_REVEAL: the value result comes back in the reply's client envelope
+  and is never stored.
 
 A constant goes beside a stored operand, except in STORE, which takes
 argc 0 and OP_CONST, and whose value result is the constant's value:
@@ -66,20 +67,33 @@ transaction's writes cross depends on its keys alone. An aborted
 transaction sends none. Each response element is
 a status byte, then for status 0 a result kind and the result: 0 and a
 value (a FID, or a zone envelope for MSG_CIPHER_EXEC, written as a stored
-operand is), 1 and a boolean byte, or 2 and a revealed client envelope,
-bare for an INT64 or FLOAT64 element and else {u32 len, envelope}.
+operand is), 1 and a boolean byte, or 2 alone for a revealed result, whose
+value is in the reply's client envelope, which follows the last element
+and runs to the end of the reply. It seals the revealed results of the
+elements that succeeded, in element order; a reply that reveals nothing
+has none.
 
 MSG_REVEAL is n >= 1 u64 FIDs up to the end of the payload, and its
-response n client envelopes, one per FID in order, each but the last
-after its u16 length: one FID's request and response are the FID and the
-envelope bare. The privacy zone reads every FID's value before it
-encrypts the first envelope, so a FID that is not live refuses the whole
-request with NotLive. MSG_CIPHER_REVEAL is n >= 1 zone envelopes, each
-after its u16 length, and its response n client envelopes with no length
-at all: a client envelope of a value is as long as the zone envelope that
-sealed it. Every zone envelope authenticates before the first client
-envelope is made. The integrity zone's runner sends the reveals of all
+response one client envelope of the n values, in order. The privacy zone
+reads every FID's value before it seals them, so a FID that is not live
+refuses the whole request with NotLive. MSG_CIPHER_REVEAL is n >= 1 zone
+envelopes, each after its u16 length, and its response one client
+envelope of their n values, in order; every zone envelope authenticates
+before it is sealed. The integrity zone's runner sends the reveals of all
 its waiting clients in one pass (zone_sim._Runner).
+
+So every reply that reveals values carries exactly one client envelope,
+made by one encrypt, whatever the count of values: its plaintext is the
+values in order, each but the last after its u16 length
+(privacy_proxy.pack_values). One value packs to itself, so a one-FID
+MSG_REVEAL or MSG_CIPHER_REVEAL and its reply are byte for byte what they
+were when each value had an envelope of its own. The 2(n-1) inner length
+bytes pay for one packing rule for both kinds of reply and for values of
+any width (a READ reveals an 8-byte int or a 128-byte padded string): an
+envelope per value cost 28 bytes and an encrypt each. The integrity zone
+cannot open the envelope, and knows its length only: 28 + the sum of the
+value lengths + 2(n-1). The client opens it and splits it into its n
+values (zone_sim.ZoneTopology.client_open).
 
 MSG_INGEST is {u32 target, n blobs}: the partition the values go to,
 QUERY_TEMP_TARGET for the query's temporary partition, then n >= 1 client
@@ -261,7 +275,7 @@ def _blob(data: bytes) -> bytes:
 
 
 def _write_envelope(envelope: bytes, vtype: int) -> bytes:
-    """A zone or client envelope in an element of value type vtype: bare
+    """A zone envelope in an element of value type vtype: bare
     when vtype fixes its length, else a blob; TypeMismatch for an envelope
     of another length than the fixed one."""
     if vtype not in _FIXED_TYPES:
@@ -289,7 +303,7 @@ def _pack_fid(fid: int, vtype: int | None = None) -> bytes:
 
 
 def _sized(data: bytes) -> bytes:
-    """data after its u16 length: an item of a reveal list."""
+    """data after its u16 length: a zone envelope of a cipher reveal."""
     if len(data) > 0xFFFF:
         raise TypeMismatch(f"a {len(data)}-byte envelope overflows its u16 length")
     return _U16.pack(len(data)) + data
@@ -304,6 +318,12 @@ def _read_sized(data: bytes, pos: int) -> tuple[bytes, int]:
     if end > len(data):
         raise TypeMismatch("envelope runs past the end of the message")
     return data[pos + 2:end], end
+
+
+def _sealed_len(n: int, width: int) -> int:
+    """The length of the one client envelope that seals n values of width
+    bytes each (privacy_proxy.pack_values)."""
+    return ENVELOPE_OVERHEAD + n * (width + 2) - 2
 
 
 def _unpack(s: struct.Struct, payload: bytes) -> tuple:
@@ -521,8 +541,12 @@ class ProxyClient:
     def _send_ops(self, kind: int, query_id: int | None, ready: list[tuple],
                   read_result) -> list[OperatorResponse]:
         """One operator message of the (request, element bytes) pairs in
-        ready, and a response per request; TypeMismatch for a reply with an
-        element too few or too many, or a byte after its last."""
+        ready, and a response per request, each revealed one holding the
+        reply's one client envelope. TypeMismatch for a reply with an
+        element too few or too many, a byte after its last element when it
+        reveals nothing, or an envelope that cannot seal its revealed
+        values: shorter than any could, or, when each value's type fixes
+        its 8 bytes, of another length than theirs make."""
         qid = None
         if query_id is not None and any(_writes_temp(r) for r, _ in ready):
             # recorded first: a refused batch may still have created the
@@ -531,6 +555,7 @@ class ProxyClient:
             qid = query_id
         body = self._call(kind, b"".join(element for _, element in ready), qid)
         out = []
+        revealed = []  # (request, response) of each revealed element
         pos = 0
         try:
             for r, _ in ready:
@@ -545,8 +570,8 @@ class ProxyClient:
                     result, pos = read_result(body, pos, r.value_type)
                     out.append(OperatorResponse(fid=result))
                 elif result_kind == _RESULT_REVEALED:
-                    env, pos = _read_envelope(body, pos, r.value_type)
-                    out.append(OperatorResponse(envelope=env))
+                    revealed.append((r, OperatorResponse()))
+                    out.append(revealed[-1][1])
                 else:
                     flag = bool(body[pos])
                     pos += 1
@@ -555,8 +580,19 @@ class ProxyClient:
                     out.append(OperatorResponse(boolean=flag))
         except (IndexError, struct.error):
             raise TypeMismatch("reply ends inside an element") from None
-        if pos != len(body):
-            raise TypeMismatch("reply has bytes after its last element")
+        envelope = body[pos:]
+        if not revealed:
+            if envelope:
+                raise TypeMismatch("reply has bytes after its last element")
+            return out
+        n = len(revealed)
+        if len(envelope) < _sealed_len(n, 1) or (
+                all(r.value_type in _FIXED_TYPES for r, _ in revealed)
+                and len(envelope) != _sealed_len(n, 8)):
+            raise TypeMismatch(f"a {len(envelope)}-byte envelope for {n} revealed "
+                               "values")
+        for _, resp in revealed:
+            resp.envelope = envelope
         return out
 
     # -- client data path -------------------------------------------------
@@ -587,17 +623,16 @@ class ProxyClient:
         return self.reveal_many([fid], 1)[0]
 
     def reveal_many(self, fids: list[int], batch_size: int) -> list[bytes]:
-        """Each FID's value as a client envelope, in order, batch_size FIDs
-        per MSG_REVEAL; TypeMismatch for a reply that does not split into
-        one envelope per FID."""
+        """One client envelope per MSG_REVEAL, batch_size FIDs each, that
+        seals their values in order (privacy_proxy.pack_values); TypeMismatch
+        for a reply too short to seal one value per FID."""
         out = []
         for chunk in _chunks(fids, batch_size):
             body = self._call(MSG_REVEAL, b"".join(map(self._write_fid, chunk)))
-            pos = 0
-            for _ in chunk[1:]:
-                env, pos = _read_sized(body, pos)
-                out.append(env)
-            out.append(body[pos:])
+            if len(body) < _sealed_len(len(chunk), 1):
+                raise TypeMismatch(f"a {len(body)}-byte reveal reply for "
+                                   f"{len(chunk)} FIDs")
+            out.append(body)
         return out
 
     def exec_batch(self, query_id: int, reqs: list[OperatorRequest],
@@ -699,18 +734,16 @@ class ProxyClient:
     def cipher_reveal_many(self, envelopes: list[bytes],
                            batch_size: int) -> list[bytes]:
         """reveal_many over zone envelopes, batch_size per
-        MSG_CIPHER_REVEAL. Each client envelope is as long as the zone
-        envelope it reveals, so the reply is split by the request's
-        lengths; TypeMismatch for a reply of another length."""
+        MSG_CIPHER_REVEAL. A zone envelope is as long as the value it seals
+        and its nonce and tag, so the request fixes the reply's length;
+        TypeMismatch for a reply of another length."""
         out = []
         for chunk in _chunks(envelopes, batch_size):
             body = self._call(MSG_CIPHER_REVEAL, b"".join(map(_sized, chunk)))
-            if len(body) != sum(map(len, chunk)):
+            n = len(chunk)
+            if len(body) != sum(map(len, chunk)) - (ENVELOPE_OVERHEAD - 2) * (n - 1):
                 raise TypeMismatch(f"cipher reveal reply of {len(body)} bytes")
-            pos = 0
-            for zone_envelope in chunk:
-                out.append(body[pos:pos + len(zone_envelope)])
-                pos += len(zone_envelope)
+            out.append(body)
         return out
 
     def cipher_exec(self, query_id: int, reqs: list[OperatorRequest],
@@ -738,9 +771,10 @@ class PrivacyDispatcher:
     AuthFailure for an envelope too short for its nonce and tag or one that
     fails its tag. An ingest is all or nothing: every envelope of the
     request is authenticated before the first is stored. So is a reveal:
-    every value is read, or every zone envelope opened, before the first
-    client envelope is encrypted. The integrity zone can create permanent partitions
-    only: temporaries belong to a query and are created by the proxy.
+    every value is read, or every zone envelope opened, before the reply's
+    one client envelope is sealed. The integrity zone can create permanent
+    partitions only: temporaries belong to a query and are created by the
+    proxy.
 
     restoring is the recovery window: recovery sets it, and the dispatcher
     accepts MSG_RESTORE until the first request of another kind and
@@ -779,9 +813,7 @@ class PrivacyDispatcher:
         if kind == MSG_REVEAL:
             if not payload or len(payload) % _U64.size:
                 raise TypeMismatch(f"reveal payload of {len(payload)} bytes")
-            envelopes = [e.to_bytes() for e in proxy.reveal(
-                [fid for (fid,) in _U64.iter_unpack(payload)])]
-            return b"".join(map(_sized, envelopes[:-1])) + envelopes[-1]
+            return proxy.reveal([fid for (fid,) in _U64.iter_unpack(payload)])
         if kind == MSG_EXEC_BATCH:
             return self._exec(query_id, payload, proxy.fids, _read_u64, _pack_fid)
         if kind == MSG_END_QUERY:
@@ -832,9 +864,7 @@ class PrivacyDispatcher:
             save = self.envelopes.save
             return b"".join(_blob(save(None, None, v)) for v in values)
         if kind == MSG_CIPHER_REVEAL:
-            values = self.envelopes.load(_read_blobs(payload, 0, _read_sized))
-            encrypt = proxy.client_codec.encrypt
-            return b"".join(encrypt(v).to_bytes() for v in values)
+            return proxy.seal(self.envelopes.load(_read_blobs(payload, 0, _read_sized)))
         if kind == MSG_CIPHER_EXEC:
             return self._exec(None, payload, self.envelopes, _read_envelope,
                               _write_envelope)
@@ -845,20 +875,24 @@ class PrivacyDispatcher:
         """An operator batch over space; read_operand(data, pos, vtype) and
         write_result(result, vtype) are the wire forms of its operands and
         value results. Each response element is an error status byte
-        alone, or status 0 then a result kind and the result."""
+        alone, or status 0 then a result kind and the result, except that a
+        revealed result is its kind alone: the one client envelope of the
+        revealed results follows the last element."""
         reqs = _read_ops(payload, read_operand)
         if query_id is not None and not any(map(_writes_temp, reqs)):
             raise TypeMismatch("a query id on a batch that writes no temporary")
         out = []
+        envelope = b""
         for req, resp in zip(reqs, self.proxy.exec_batch(reqs, query_id, space)):
             if resp.error_code:
                 out.append(_U8.pack(resp.error_code))
             elif resp.boolean is not None:
                 out.append(bytes((0, _RESULT_BOOL, 1 if resp.boolean else 0)))
             elif resp.envelope is not None:
-                out.append(bytes((0, _RESULT_REVEALED))
-                           + _write_envelope(resp.envelope, req.value_type))
+                out.append(bytes((0, _RESULT_REVEALED)))
+                envelope = resp.envelope
             else:
                 out.append(bytes((0, _RESULT_VALUE))
                            + write_result(resp.fid, req.value_type))
+        out.append(envelope)
         return b"".join(out)

@@ -26,14 +26,17 @@ destination: the integrity zone stores the envelope itself.
 
 An operator may also take a client envelope as an inline constant, which
 is decrypted once and used as its last operand, and may reveal its value
-result, which then leaves as a client envelope. Neither the constant nor
-a revealed result is ever stored: each costs the one decrypt or encrypt
-an ingest or reveal of it would. STORE is the one op whose constant is
-its only operand: its value result is the constant's value, so a STORE
-with a destination writes a client's value into a table's partition as an
-ingest would, inside an operator batch. That lets a transaction's writes,
-an ADD over the old value or a STORE of a new one, all travel in the one
-batch its commit sends (integrity_dbms).
+result, which then leaves in a client envelope. Neither the constant nor
+a revealed result is ever stored. A constant costs the one decrypt an
+ingest of it would; the revealed results of one call cost one encrypt
+between them, as do the values one reveal call returns: each call seals
+its values in one client envelope (seal), packed in order (pack_values).
+STORE is the one op whose constant is its only operand: its value result
+is the constant's value, so a STORE with a destination writes a client's
+value into a table's partition as an ingest would, inside an operator
+batch. That lets a transaction's writes, an ADD over the old value or a
+STORE of a new one, all travel in the one batch its commit sends
+(integrity_dbms).
 
 After a crash, restore writes each lost FID of a table again from its
 recipe, the ingest envelope or operator element that first wrote it, into
@@ -72,6 +75,7 @@ INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
 
 _F64 = struct.Struct("<d")
+_U16 = struct.Struct("<H")
 
 # A destination naming the calling query's own temporary partition; the
 # default for ingest and operator results.
@@ -126,12 +130,18 @@ class OperatorRequest:
 class OperatorResponse:
     """Exactly one of fid / boolean / envelope / error_code is meaningful.
     fid holds a stored value result: a FID or, on the cipher path, a zone
-    envelope. envelope holds a revealed result."""
+    envelope. envelope holds a revealed result: the one client envelope of
+    its call (a message), which seals the value results of every revealed
+    element of the call, in element order (pack_values); one element that
+    reveals alone has its value's envelope. revealed is that value's
+    plaintext, set only inside the privacy zone, between exec_operator and
+    the seal of exec_batch."""
 
     fid: int | None = None
     boolean: bool | None = None
     error_code: int = 0
     envelope: bytes | None = None
+    revealed: bytes | None = None
 
 
 @dataclass(frozen=True)
@@ -176,6 +186,41 @@ class EnvelopeCodec:
             raise AuthFailure("envelope failed authentication") from None
         self.decrypts += 1
         return plaintext
+
+
+def pack_values(values: list[bytes]) -> bytes:
+    """The plaintext one client envelope seals for n >= 1 values: each
+    value but the last after its u16 length, and the last bare, so one
+    value packs to itself and n values take 2(n-1) bytes more than their
+    own. TypeMismatch for a value, not the last, too long for its
+    length."""
+    parts = []
+    for value in values[:-1]:
+        if len(value) > 0xFFFF:
+            raise TypeMismatch(f"a {len(value)}-byte value overflows its u16 length")
+        parts += (_U16.pack(len(value)), value)
+    parts.append(values[-1])
+    return b"".join(parts)
+
+
+def unpack_values(data: bytes, n: int) -> list[bytes]:
+    """The n values pack_values packed into data; TypeMismatch for a
+    plaintext that ends inside a length or whose length runs past its end.
+    The last value runs to the end, so a surplus value lands in it: the
+    value's decoder, which knows its width, refuses it."""
+    values = []
+    pos = 0
+    for _ in range(n - 1):
+        end = pos + _U16.size
+        if end > len(data):
+            raise TypeMismatch(f"packed values end before value {len(values) + 1} of {n}")
+        end += _U16.unpack_from(data, pos)[0]
+        if end > len(data):
+            raise TypeMismatch("a packed value runs past the end of the plaintext")
+        values.append(data[pos + _U16.size:end])
+        pos = end
+    values.append(data[pos:])
+    return values
 
 
 def encode_int64(value: int) -> bytes:
@@ -414,12 +459,16 @@ class PrivacyProxy:
         put = self.store.put
         return [put(target_partition, p) for p in plaintexts]
 
-    def reveal(self, fids: list[int]) -> list[ClientEnvelope]:
-        """A client envelope of each FID's value, in order. Every value is
-        read before the first is encrypted, so a FID that is not live
+    def seal(self, values: list[bytes]) -> bytes:
+        """One client envelope of n >= 1 values, in order (pack_values): a
+        single encrypt, whatever n."""
+        return self.client_codec.encrypt(pack_values(values)).to_bytes()
+
+    def reveal(self, fids: list[int]) -> bytes:
+        """One client envelope of the FIDs' values, in order (seal). Every
+        value is read before it is sealed, so a FID that is not live
         refuses the whole call with NotLive."""
-        encrypt = self.client_codec.encrypt
-        return [encrypt(v) for v in self.fids.load(fids)]
+        return self.seal(self.fids.load(fids))
 
     # -- expression operators ----------------------------------------------
 
@@ -429,7 +478,9 @@ class PrivacyProxy:
         result bound for a named (permanent) partition takes its operands
         from permanent partitions only, so recovery can re-run its recipe
         (MSG_RESTORE): TypeMismatch otherwise, once the destination is
-        known to be permanent and before any operand is read."""
+        known to be permanent and before any operand is read. A revealed
+        result comes back as its plaintext (revealed), for exec_batch to
+        seal."""
         space = space or self.fids
         op = req.op
         operands = req.operand_fids
@@ -447,15 +498,16 @@ class PrivacyProxy:
             return OperatorResponse(boolean=compare_values(op, req.value_type, values))
         result = compute_value(op, req.value_type, values)
         if req.reveal:
-            return OperatorResponse(
-                envelope=self.client_codec.encrypt(result).to_bytes())
+            return OperatorResponse(revealed=result)
         return OperatorResponse(fid=space.save(query_id, req.destination, result))
 
     def exec_batch(self, reqs: list[OperatorRequest], query_id: int | None,
                    space=None) -> list[OperatorResponse]:
         """Sequential per-element execution over space (the FID space if
         None); element failures are reported positionally and never abort
-        the rest of the batch."""
+        the rest of the batch. The revealed results of the elements that
+        succeed are sealed once, together, after the last element has run
+        (seal), and each of their responses holds that envelope."""
         out = []
         for req in reqs:
             try:
@@ -465,7 +517,12 @@ class PrivacyProxy:
                 if not code:
                     raise
                 out.append(OperatorResponse(error_code=code))
-        return out
+        values = [r.revealed for r in out if r.revealed is not None]
+        if not values:
+            return out
+        envelope = self.seal(values)
+        return [r if r.revealed is None else OperatorResponse(envelope=envelope)
+                for r in out]
 
     # -- recovery ------------------------------------------------------------
 

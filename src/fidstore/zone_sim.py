@@ -51,6 +51,7 @@ from .errors import (
     CorruptLog,
     NoCrashPending,
     StructureMismatch,
+    TypeMismatch,
     Unavailable,
     UnknownPartition,
     WriteConflict,
@@ -76,6 +77,7 @@ from .privacy_proxy import (
     ValueType,
     decode_int64,
     encode_int64,
+    unpack_values,
 )
 from .wal import FRAME, REC_HEAD, Wal, advance_epoch, checkpoint_truncate, recover_store
 from .workload import (
@@ -107,6 +109,11 @@ def pad_sensitive(value: bytes, width: int = SENSITIVE_PAD_WIDTH) -> bytes:
 
 
 def unpad_sensitive(padded: bytes) -> bytes:
+    """The value pad_sensitive padded; TypeMismatch for a padded value of
+    another width than SENSITIVE_PAD_WIDTH."""
+    if len(padded) != SENSITIVE_PAD_WIDTH:
+        raise TypeMismatch(f"a padded value of {len(padded)} bytes, expected "
+                           f"{SENSITIVE_PAD_WIDTH}")
     (n,) = struct.unpack_from("<H", padded, 0)
     return padded[2:2 + n]
 
@@ -144,7 +151,14 @@ class AdversaryTrace:
 
     A READ's or SUM's reveal crosses with those of the other clients that
     wait on one, in one pass's messages (_Runner), so which reveals share a
-    message is fixed by the schedule's statement kinds and keys.
+    message is fixed by the schedule's statement kinds and keys. A reply
+    that reveals n values seals them in one client envelope (messages), so
+    its MsgBytes is its status byte and elements, if any, and 28 + the sum
+    of the values' lengths + 2(n-1): each value's length is fixed by its
+    column's type (an 8-byte int or sum, a 128-byte padded string), so the
+    length is a function of the pass's shape. The simulated clients share
+    one client key, so one envelope can answer them all; with a key per
+    client, a reply would carry one envelope per key it answers.
     A txn's writes cross together when it commits, or earlier when one of
     its statements reaches a row it wrote (a READ, a SUM over it, or a
     second write), so when they cross is a function of the txn's keys: its
@@ -525,6 +539,12 @@ class ZoneTopology:
     def client_decrypt(self, envelope: bytes) -> bytes:
         return self._client_codec.decrypt(ClientEnvelope.from_bytes(envelope))
 
+    def client_open(self, envelope: bytes, n: int) -> list[bytes]:
+        """The n values a reply's one client envelope seals, in order
+        (privacy_proxy.unpack_values): AuthFailure for an envelope that fails
+        its tag, TypeMismatch for a plaintext that does not split into n."""
+        return unpack_values(self.client_decrypt(envelope), n)
+
     def insert_rows(self, txn, table: Table, rows: list[tuple]) -> None:
         """The one row writer: inserts plaintext rows, one value per column,
         into table in txn. Each sensitive cell is encoded from its column
@@ -705,9 +725,11 @@ class _Runner:
     refs and one operator batch of the SUMs' last elements, each with
     reveal set (MSG_CIPHER_REVEAL and MSG_CIPHER_EXEC on the cipher path),
     batch_size items a message: just before the next schedule entry of any
-    client that waits on one, and at the end of the schedule. So each
-    client has each result before it issues its next statement, and the
-    reveals of a pass of the round-robin share a crossing. When a pass
+    client that waits on one, and at the end of the schedule. Each reply
+    seals its values in one client envelope, which the client opens
+    (ZoneTopology.client_open) and splits among the statements' slots. So
+    each client has each result before it issues its next statement, and
+    the reveals of a pass of the round-robin share a crossing. When a pass
     crosses is a function of the statements' kinds and keys alone.
 
     The deferred reveal returns the value the statement read: a txn's
@@ -848,12 +870,13 @@ class _Runner:
             return
         reads = [p for p in pending if not isinstance(p[1], OperatorRequest)]
         sums = [p for p in pending if isinstance(p[1], OperatorRequest)]
-        envelopes = db.backend.reveal_many([p[1] for p in reads], [p[1] for p in sums],
-                                           self.batch_size)
+        values = []
+        for envelope, n in db.backend.reveal_many(
+                [p[1] for p in reads], [p[1] for p in sums], self.batch_size):
+            values += self.topo.client_open(envelope, n)
         revealed = self.report.revealed
-        decrypt = self.topo.client_decrypt
-        for (slot, _, decode), envelope in zip(reads + sums, envelopes):
-            revealed[slot] = revealed[slot][:3] + (decode(decrypt(envelope)),)
+        for (slot, _, decode), value in zip(reads + sums, values):
+            revealed[slot] = revealed[slot][:3] + (decode(value),)
         pending.clear()
 
     def _drop(self) -> None:

@@ -54,9 +54,27 @@ def tiny_matrix():
         yield code, out.getvalue(), rows
 
 
-def test_cli_ops(capsys):
-    assert cli.main(["ops", "--iters", "10000"]) == 0
-    assert "encrypt/put ratio" in capsys.readouterr().out
+def test_cli_ops(capsys, tmp_path):
+    """ops prints a row per op: put and get, a field encrypt and decrypt, a
+    4 KiB block seal and open, and a reply of 1, 4 and 256 INT64 values
+    sealed in one packed encrypt against one encrypt each; then the ratios
+    and what a reply saves per envelope it drops. --out writes the rows."""
+    out = tmp_path / "ops.csv"
+    assert cli.main(["ops", "--iters", "10000", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    names = ["put", "get", "aead_encrypt_field", "aead_decrypt_field",
+             "aead_seal_block_4k", "aead_open_block_4k",
+             "aead_encrypt_reply_1", "aead_encrypt_fields_1",
+             "aead_encrypt_reply_4", "aead_encrypt_fields_4",
+             "aead_encrypt_reply_256", "aead_encrypt_fields_256"]
+    assert [line.split()[0] for line in printed.splitlines()[1:13]] == names
+    assert "encrypt/put ratio" in printed
+    assert re.search(r"reply of 4 +values +saves -?[0-9.]+ ns per dropped envelope",
+                     printed)
+    assert "reply of 256 values" in printed
+    rows = out.read_text().splitlines()
+    assert rows[0] == "op,median_ns,p99_ns,cycles"
+    assert [row.split(",")[0] for row in rows[1:]] == names
 
 
 def test_cli_offers_exactly_ops_and_crash_matrix(capsys):

@@ -180,8 +180,8 @@ class CrashMachine(RuleBasedStateMachine):
             self.shadow.abort(shadow_txn)
 
     def _reveal(self, txn, ref) -> int:
-        return decode_int64(self.topo.client_decrypt(
-            self.db.backend.reveal_many([ref], [], 1)[0]))
+        [(envelope, n)] = self.db.backend.reveal_many([ref], [], 1)
+        return decode_int64(self.topo.client_open(envelope, n)[0])
 
     @rule(slot=st.integers(0, SLOTS - 1), value=st.integers(-50, 50))
     def insert(self, slot, value):

@@ -1,4 +1,6 @@
+import random
 import struct
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from fidstore.errors import (
     AuthFailure,
     DivideByZero,
     NotLive,
+    Overflow,
     TypeMismatch,
     UnknownPartition,
     ValueTooLarge,
@@ -15,7 +18,7 @@ from fidstore.errors import (
 )
 from fidstore import wal
 from fidstore.fid_codec import MAX_OFFSET, decode_fid, encode_fid
-from fidstore.mapping_store import MAX_VALUE_LEN
+from fidstore.mapping_store import MAX_VALUE_LEN, MappingStore, PartitionKind
 from fidstore.messages import (
     MSG_CIPHER_EXEC,
     MSG_CIPHER_INGEST,
@@ -41,6 +44,7 @@ from fidstore.messages import (
     FIXED_ENVELOPE_LEN,
     RECIPE_EXEC,
     RECIPE_INGEST,
+    PrivacyDispatcher,
     ProxyClient,
     _blob,
     _pack_fid,
@@ -57,15 +61,20 @@ from fidstore.messages import (
     _writes_temp,
 )
 from fidstore.privacy_proxy import (
+    ENVELOPE_OVERHEAD,
+    NONCE_LEN,
+    EnvelopeCodec,
     OperatorRequest,
     OperatorResponse,
     OpKind,
+    PrivacyProxy,
     ValueType,
     decode_int64,
     encode_float64,
     encode_int64,
+    pack_values,
 )
-from fidstore.zone_sim import ZoneTopology
+from fidstore.zone_sim import ZoneTopology, pad_sensitive, unpad_sensitive
 
 
 @pytest.fixture
@@ -362,31 +371,63 @@ def test_refused_ingests_leave_no_partition(topo):
 
 def test_batched_reveals_on_the_wire(topo):
     """A MSG_REVEAL of n FIDs is the FIDs, and its reply the status byte and
-    a client envelope per FID, each but the last after its u16 length; one
-    FID's request and reply are the FID and the envelope bare. A
+    one client envelope of their values in order, each but the last after
+    its u16 length: 28 + the values' bytes + 2(n-1) bytes, one encrypt. A
     MSG_CIPHER_REVEAL is its zone envelopes each after its u16 length, and
-    its reply the client envelopes alone, each as long as its zone
-    envelope."""
+    its reply one client envelope of their values. One FID's request and
+    reply are the FID and its value's envelope bare."""
     pid = topo.client.create_partition()
     values = [encode_int64(7), b"a longer value", b"x"]
     fids = topo.client.ingest(1, [topo.client_encrypt(v) for v in values], 8, pid)
     zones = topo.client.cipher_ingest(1, [topo.client_encrypt(v) for v in values], 8)
+    codec = topo.privacy.proxy.client_codec
+    encrypts = codec.encrypts
     captured = _capture(topo)
-    got = topo.client.reveal_many(fids, 8)
-    assert [topo.client_decrypt(e) for e in got] == values
+    [got] = topo.client.reveal_many(fids, 8)
+    assert topo.client_open(got, 3) == values
+    assert topo.client_decrypt(got) == _sized(values[0]) + _sized(values[1]) + values[2]
+    assert len(got) == 28 + sum(map(len, values)) + 2 * 2
     assert captured[0] == (
-        _req(MSG_REVEAL, b"".join(struct.pack("<Q", f) for f in fids)),
-        b"\x00" + _sized(got[0]) + _sized(got[1]) + got[2])
+        _req(MSG_REVEAL, b"".join(struct.pack("<Q", f) for f in fids)), b"\x00" + got)
     one = topo.client.reveal(1, fids[1])
     assert captured[1] == (_req(MSG_REVEAL, struct.pack("<Q", fids[1])), b"\x00" + one)
-    got = topo.client.cipher_reveal_many(zones, 8)
-    assert [topo.client_decrypt(e) for e in got] == values
-    assert [len(e) for e in got] == [len(z) for z in zones]
+    assert topo.client_decrypt(one) == values[1]
+    [got] = topo.client.cipher_reveal_many(zones, 8)
+    assert topo.client_open(got, 3) == values
     assert captured[2] == (_req(MSG_CIPHER_REVEAL, b"".join(map(_sized, zones))),
-                           b"\x00" + b"".join(got))
-    # batch_size FIDs a message
-    assert len(topo.client.reveal_many(fids, 2)) == 3
+                           b"\x00" + got)
+    assert codec.encrypts == encrypts + 3
+    # batch_size FIDs a message, an envelope each
+    got = topo.client.reveal_many(fids, 2)
+    assert [topo.client_open(e, n) for e, n in zip(got, (2, 1))] == [values[:2],
+                                                                   values[2:]]
     assert [len(raw) for raw, _ in captured[3:]] == [17, 9]
+
+
+# A one-FID MSG_REVEAL and MSG_CIPHER_REVEAL and their replies, from a
+# dispatcher over fixed keys and nonce streams: byte for byte what they
+# were when every revealed value had an envelope of its own.
+_ONE_VALUE_REVEALS = [
+    ("020000000000000000",
+     "00f572ae5b2072191f9a7146ad4b6b776d9baea8b1b2bb81737989556721531a4e0a7391a0"),
+    ("162800834ce73379363f0eeca1920c08e5b17a40aa098133c1240513a2eb74f31579a61a54"
+     "ab263e5137b8",
+     "0009da7bd2746ba3124b6ced8084f768eb52f235412e260e1a8cd4ff60ff74a807a5eb6850"
+     "de4a9a1e"),
+]
+
+
+def test_a_one_value_reveal_keeps_its_bytes():
+    store = MappingStore()
+    fid = store.put(store.create_partition(PartitionKind.PERMANENT), encode_int64(-42))
+    proxy = PrivacyProxy(store, bytes(range(32)), random.Random("reply").randbytes)
+    zone = EnvelopeCodec(bytes(range(32, 64)), random.Random("zone").randbytes)
+    dispatcher = PrivacyDispatcher(proxy, None, None, zone)
+    requests = [_req(MSG_REVEAL, struct.pack("<Q", fid)),
+                _req(MSG_CIPHER_REVEAL, _sized(zone.encrypt(b"padded value").to_bytes()))]
+    assert [(raw.hex(), dispatcher.handle(raw).hex())
+            for raw in requests] == _ONE_VALUE_REVEALS
+    assert proxy.client_codec.encrypts == 2
 
 
 @pytest.mark.parametrize("backend", ["fid", "cipher"])
@@ -898,6 +939,20 @@ def test_malformed_store_elements_fail_positionally(backend):
         [out[3].fid] if backend == "fid" else [])
 
 
+def _revealed_values(topo, out: list[OperatorResponse]) -> list:
+    """Each response's revealed value, None where it revealed nothing: the
+    revealed responses of one message share its envelope, which seals their
+    values in element order, and another message's envelope has another
+    nonce."""
+    values = [None] * len(out)
+    revealed = [i for i, r in enumerate(out) if r.envelope is not None]
+    for envelope, group in groupby(revealed, key=lambda i: out[i].envelope):
+        group = list(group)
+        for i, value in zip(group, topo.client_open(envelope, len(group))):
+            values[i] = value
+    return values
+
+
 _POOL = ([encode_int64(v) for v in (0, 3, -7, 2**63 - 1)]
          + [encode_float64(v) for v in (0.0, 2.5, -1.25)]
          + [b"xy", b"value-of-13-b"])
@@ -941,9 +996,10 @@ def test_both_backends_run_the_same_operators(elements, batch_size):
                                 revealed)
                 for op, vtype, operands, dest, const, revealed in elements]
         seen = []
-        for r in run(1, reqs, batch_size):
+        out = run(1, reqs, batch_size)
+        for r, revealed in zip(out, _revealed_values(topo, out)):
             if r.envelope is not None:
-                value = ("revealed", topo.client_decrypt(r.envelope))
+                value = ("revealed", revealed)
             elif r.fid is not None:
                 value = ("stored", topo.client_decrypt(reveal(1, r.fid)))
             else:
@@ -1001,27 +1057,143 @@ class _Replay:
 
 _ADD = OperatorRequest(OpKind.ADD, ValueType.INT64, [1, 2])
 _VALUE_REPLY = b"\x00" + bytes([0, 0]) + struct.pack("<Q", 7)  # one element
+_SUM = OperatorRequest(OpKind.SUM_AGG, ValueType.INT64, [1, 2], reveal=True)
+_REVEALED = bytes([0, 2])  # an element whose result is in the envelope
+_ONE_SEALED = bytes(FIXED_ENVELOPE_LEN)  # an envelope's length for one 8-byte value
+_TWO_SEALED = bytes(FIXED_ENVELOPE_LEN + 10)  # and for two
 
 
-@pytest.mark.parametrize("reply,error", [
-    (_VALUE_REPLY, None),
-    (b"\x00", TypeMismatch),                                  # no element
-    (_VALUE_REPLY[:-3], TypeMismatch),                        # a partial one
-    (_VALUE_REPLY + bytes([DivideByZero.code]), TypeMismatch),  # an extra one
-    (_VALUE_REPLY + b"\x00", TypeMismatch),                    # a trailing byte
-    (bytes([NotLive.code]), NotLive),                          # a refusal
+@pytest.mark.parametrize("reqs,reply,error", [
+    ([_ADD], _VALUE_REPLY, None),
+    ([_ADD], b"\x00", TypeMismatch),                                  # no element
+    ([_ADD], _VALUE_REPLY[:-3], TypeMismatch),                        # a partial one
+    ([_ADD], _VALUE_REPLY + bytes([DivideByZero.code]), TypeMismatch),  # an extra one
+    ([_ADD], _VALUE_REPLY + b"\x00", TypeMismatch),                    # a trailing byte
+    ([_ADD], bytes([NotLive.code]), NotLive),                          # a refusal
+    ([_SUM, _SUM], b"\x00" + _REVEALED * 2 + _TWO_SEALED, None),
+    ([_SUM], b"\x00" + _REVEALED, TypeMismatch),                      # no envelope
+    ([_SUM], b"\x00" + _REVEALED + _ONE_SEALED + b"\x00", TypeMismatch),
+    ([_SUM, _SUM], b"\x00" + _REVEALED * 2 + _ONE_SEALED, TypeMismatch),
+    ([_SUM], b"\x00" + _REVEALED + bytes(ENVELOPE_OVERHEAD - 1), TypeMismatch),
+    ([_SUM], b"\x00" + bytes([Overflow.code]) + _ONE_SEALED, TypeMismatch),
 ], ids=["exact", "missing-element", "partial-element", "extra-element",
-        "trailing-byte", "refused"])
-def test_client_checks_the_batch_reply(reply, error):
+        "trailing-byte", "refused", "revealed-exact", "revealed-without-envelope",
+        "revealed-trailing-byte", "envelope-of-one-for-two", "envelope-too-short",
+        "envelope-without-a-revealed-element"])
+def test_client_checks_the_batch_reply(reqs, reply, error):
     """The client reads exactly one response element per request element
-    from an operator batch's reply and refuses a reply with one missing or
-    extra, or a byte after the last."""
+    from an operator batch's reply, then the one envelope of its revealed
+    results if it marks one revealed, and refuses a reply with an element
+    missing or extra, an envelope missing, of a length its 8-byte values
+    cannot make, or where nothing was revealed, or a byte after it all.
+    Each revealed response holds the envelope."""
     client = ProxyClient(_Replay(reply))
     if error is None:
-        assert client.exec_batch(1, [_ADD], 8) == [OperatorResponse(fid=7)]
+        expected = ([OperatorResponse(fid=7)] if reqs == [_ADD]
+                    else [OperatorResponse(envelope=_TWO_SEALED)] * 2)
+        assert client.exec_batch(1, reqs, 8) == expected
     else:
         with pytest.raises(error):
-            client.exec_batch(1, [_ADD], 8)
+            client.exec_batch(1, reqs, 8)
+
+
+# the shortest envelope of two 1-byte values, and the one envelope of the
+# two 8-byte values of two INT64 zone envelopes
+_TWO_SHORTEST = bytes(ENVELOPE_OVERHEAD + 2 * 3 - 2)
+_TWO_ZONE_VALUES = bytes(ENVELOPE_OVERHEAD + 2 * 10 - 2)
+
+
+@pytest.mark.parametrize("kind,reply,error", [
+    (MSG_REVEAL, _TWO_SHORTEST, None),
+    (MSG_REVEAL, _TWO_SHORTEST + bytes(100), None),  # the values may be longer
+    (MSG_REVEAL, _TWO_SHORTEST[:-1], TypeMismatch),
+    (MSG_CIPHER_REVEAL, _TWO_ZONE_VALUES, None),
+    (MSG_CIPHER_REVEAL, _TWO_ZONE_VALUES[:-1], TypeMismatch),
+    (MSG_CIPHER_REVEAL, _TWO_ZONE_VALUES + b"\x00", TypeMismatch),
+], ids=["fid-shortest", "fid-longer", "fid-too-short", "cipher-exact",
+        "cipher-too-short", "cipher-trailing-byte"])
+def test_client_checks_the_reveal_reply(kind, reply, error):
+    """The client takes a reveal reply of two items as one envelope, and
+    refuses one too short to seal a value per FID, or, on the cipher path,
+    of another length than the zone envelopes' values make."""
+    client = ProxyClient(_Replay(b"\x00" + reply))
+    if kind == MSG_REVEAL:
+        reveal = lambda: client.reveal_many([1, 2], 8)  # noqa: E731
+    else:
+        zone = bytes(FIXED_ENVELOPE_LEN)
+        reveal = lambda: client.cipher_reveal_many([zone, zone], 8)  # noqa: E731
+    if error is None:
+        assert reveal() == [reply]
+    else:
+        with pytest.raises(error):
+            reveal()
+
+
+# the topology whose client and privacy zone the opener tests share
+_OPENER = ZoneTopology(996)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(values=st.lists(st.binary(max_size=128), min_size=1, max_size=300))
+def test_client_open_splits_what_pack_values_packed(values):
+    """The one envelope of a reply's values opens into those values, in
+    order: 28 + their bytes + 2(n-1) bytes, and one value packs to
+    itself."""
+    topo = _OPENER
+    envelope = topo.privacy.proxy.seal(values)
+    assert len(envelope) == ENVELOPE_OVERHEAD + sum(map(len, values)) + 2 * (len(values) - 1)
+    assert topo.client_open(envelope, len(values)) == values
+    if len(values) == 1:
+        assert topo.client_decrypt(envelope) == values[0]
+
+
+@pytest.mark.parametrize("plaintext,n", [
+    (b"", 2),
+    (b"\x01", 2),
+    (struct.pack("<H", 9) + encode_int64(1), 2),
+    (pack_values([encode_int64(1000)]), 2),
+], ids=["ends-before-a-length", "ends-inside-a-length", "length-overruns",
+        "value-read-as-a-length-overruns"])
+def test_client_open_refuses_a_plaintext_that_does_not_split(plaintext, n):
+    """A plaintext that ends before its n-th value starts, or whose length
+    runs past its end, gets TypeMismatch from client_open itself."""
+    with pytest.raises(TypeMismatch):
+        _OPENER.client_open(_OPENER.client_encrypt(plaintext), n)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(values=st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=40),
+       surplus=st.sampled_from([-1, 1]))
+def test_a_plaintext_of_another_count_is_refused(values, surplus):
+    """A packed plaintext of one value too few or too many for n never reads
+    as n values of a fixed width: the split or the value's decoder refuses
+    it with TypeMismatch. (A surplus value lands in the last, which runs to
+    the end, so only its width shows it.)"""
+    n = len(values) + surplus
+    if n < 1:
+        return
+    envelope = _OPENER.privacy.proxy.seal([encode_int64(v) for v in values])
+    with pytest.raises(TypeMismatch):
+        [decode_int64(v) for v in _OPENER.client_open(envelope, n)]
+    padded = _OPENER.privacy.proxy.seal([pad_sensitive(b"%d" % v) for v in values])
+    with pytest.raises(TypeMismatch):
+        [unpad_sensitive(v) for v in _OPENER.client_open(padded, n)]
+
+
+@pytest.mark.parametrize("at", [0, NONCE_LEN, ENVELOPE_OVERHEAD, -1],
+                         ids=["nonce", "tag", "first-value", "last-value"])
+def test_a_flipped_byte_in_a_grouped_envelope_fails_its_tag(topo, at):
+    """A reply's one envelope authenticates all its values at once: a
+    flipped byte anywhere in it fails client_open with AuthFailure."""
+    pid = topo.client.create_partition()
+    fids = topo.client.ingest(
+        1, [topo.client_encrypt(encode_int64(v)) for v in (1, 2, 3)], 8, pid)
+    [envelope] = topo.client.reveal_many(fids, 8)
+    bad = bytearray(envelope)
+    bad[at] ^= 1
+    with pytest.raises(AuthFailure):
+        topo.client_open(bytes(bad), 3)
+    assert [decode_int64(v) for v in topo.client_open(envelope, 3)] == [1, 2, 3]
 
 
 _FLAG_KINDS = st.integers(0, 0x7F).flatmap(
@@ -1053,3 +1225,42 @@ def test_any_request_gets_a_status_byte(kind, query_id, payload):
     assert reply
     if reply[0] != 0:
         assert state() == before
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+def test_a_sum_that_fails_alone_leaves_the_envelope_to_the_others(backend):
+    """A pass's READs cross in one reveal and its SUMs in one batch, and each
+    reply costs one encrypt. A SUM element that overflows fails alone: its
+    reply holds that element's error status and one envelope of the other
+    sums only, in element order. A batch whose every revealed element fails
+    carries no envelope and costs no encrypt."""
+    topo = ZoneTopology(995, backend=backend)
+    client = topo.client
+    envelopes = [topo.client_encrypt(encode_int64(v)) for v in (1, 2, 2**63 - 1, 3)]
+    if backend == "fid":
+        refs = client.ingest(1, envelopes, 8, client.create_partition())
+        reveal_many, run = client.reveal_many, client.exec_batch
+    else:
+        refs = client.cipher_ingest(1, envelopes, 8)
+        reveal_many, run = client.cipher_reveal_many, client.cipher_exec
+
+    def total(*at):
+        return OperatorRequest(OpKind.SUM_AGG, ValueType.INT64, [refs[i] for i in at],
+                               reveal=True)
+
+    codec = topo.privacy.proxy.client_codec
+    encrypts = codec.encrypts
+    captured = _capture(topo)
+    [reads] = reveal_many([refs[0], refs[3]], 8)
+    out = run(None, [total(0, 1), total(1, 2), total(0, 3)], 8)
+    assert codec.encrypts == encrypts + 2
+    assert [decode_int64(v) for v in topo.client_open(reads, 2)] == [1, 3]
+    assert [r.error_code for r in out] == [0, Overflow.code, 0]
+    assert out[0].envelope == out[2].envelope and out[1].envelope is None
+    assert [decode_int64(v) for v in topo.client_open(out[0].envelope, 2)] == [3, 4]
+    assert captured[1][1] == (b"\x00" + _REVEALED + bytes([Overflow.code]) + _REVEALED
+                              + out[0].envelope)
+    assert len(out[0].envelope) == FIXED_ENVELOPE_LEN + 10
+    assert run(None, [total(1, 2)], 8) == [OperatorResponse(error_code=Overflow.code)]
+    assert captured[2][1] == bytes([0, Overflow.code])
+    assert codec.encrypts == encrypts + 2

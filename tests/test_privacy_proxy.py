@@ -24,6 +24,7 @@ from fidstore.privacy_proxy import (
     decode_float64,
     decode_int64,
     encode_int64,
+    unpack_values,
 )
 
 
@@ -79,12 +80,18 @@ def test_ingest_same_plaintext_distinct_fids(setup):
 
 
 def test_reveal_fresh_nonces_same_plaintext(setup):
+    """Each reveal seals under a fresh nonce, and one reveal of n FIDs
+    seals their values in one envelope, with one encrypt."""
     _, proxy, client = setup
     fid = proxy.ingest([client.encrypt(b"secret-x")], proxy.query_temp(1))[0]
-    e1, e2 = proxy.reveal([fid, fid])
+    e1, e2 = (ClientEnvelope.from_bytes(proxy.reveal([fid])) for _ in range(2))
     assert e1.nonce != e2.nonce
     assert e1.ciphertext != e2.ciphertext
     assert client.decrypt(e1) == client.decrypt(e2) == b"secret-x"
+    encrypts = proxy.client_codec.encrypts
+    both = ClientEnvelope.from_bytes(proxy.reveal([fid, fid]))
+    assert proxy.client_codec.encrypts == encrypts + 1
+    assert unpack_values(client.decrypt(both), 2) == [b"secret-x"] * 2
 
 
 def test_reveal_not_live(setup):

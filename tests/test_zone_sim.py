@@ -1074,6 +1074,45 @@ def test_a_crash_drops_the_queued_reveals(backend):
 
 
 @pytest.mark.parametrize("backend", ["fid", "cipher"])
+@pytest.mark.parametrize("mode", [Mode.READ_WRITE, Mode.RANGE_SELECT],
+                         ids=lambda m: m.value)
+def test_each_reply_that_reveals_costs_one_encrypt(mode, backend):
+    """Over a 4-client program, the privacy zone's client codec encrypts
+    exactly once per reply message that reveals at least one value, however
+    many values the reply carries, and every revealed value still matches
+    the oracle."""
+    program = generate_workload(_small_spec(mode=mode, threads_simulated=4,
+                                            duration_ops=60), 3)
+    topo = ZoneTopology(3, backend=backend, batch_size=program.spec.batch_size)
+    client = topo.client
+    call, send_ops = client._call, client._send_ops
+    replies = []  # the count of values each revealing reply carries
+
+    def counted_call(kind, payload=b"", query_id=None):
+        body = call(kind, payload, query_id)
+        if kind == m.MSG_REVEAL:
+            replies.append(len(payload) // 8)
+        elif kind == m.MSG_CIPHER_REVEAL:
+            replies.append(len(m._read_blobs(payload, 0, m._read_sized)))
+        return body
+
+    def counted_send_ops(*args):
+        out = send_ops(*args)
+        n = sum(r.envelope is not None for r in out)
+        if n:
+            replies.append(n)
+        return out
+
+    client._call, client._send_ops = counted_call, counted_send_ops
+    report = topo.run_program(program)
+    assert report.revealed == ShadowRunner(program, flatten_schedule(program)).run().revealed
+    codec = topo.privacy.proxy.client_codec
+    assert codec.encrypts == len(replies)
+    revealed = [r for r in report.revealed if r[3] is not None]
+    assert sum(replies) == len(revealed) > len(replies)
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
 @pytest.mark.parametrize("mode", [Mode.READ_WRITE, Mode.POINT_SELECT],
                          ids=lambda m: m.value)
 def test_grouped_crossings_are_indistinguishable(mode, backend):
@@ -1417,17 +1456,24 @@ def test_trace_jsonl_dump_parses():
 # envelopes, and an INT64 element's zone envelopes and revealed results go
 # bare (4 bytes fewer each). In the writing modes only a MSG_LIST_LIVE
 # reply moved, 4 bytes shorter (no count).
+# Five were re-pinned when each reply that reveals values began to carry
+# one client envelope of them all: only the MsgBytes arguments of those
+# replies moved, each 28 bytes fewer per value past the first (26 on a
+# cipher reveal, whose reply had no inner lengths, and on a batch of
+# revealed sums): 28 replies in read-write on fid and cipher, 80 in
+# read-only, 20 in point-select and range-select. The three writing modes
+# reveal nothing and keep their hashes.
 _B = 1 << 40
 _PINNED_TRACE = {
     "fid": (Mode.READ_WRITE, Distribution.UNIFORM, "fid", 1320,
-            "e650d718d344ee79d5af543504a59c8adcd556af270ca93a7761ecd264d8baa8",
+            "a125494ec8739133af40c48513cd11deb42f126985e3fa10614a557715eb066d",
             [("BlockWrite", 0), ("BlockWrite", _B), ("BlockWrite", 0),
              ("BlockWrite", _B), ("BlockDrop", 0), ("BlockDrop", _B)]),
     "cipher": (Mode.READ_WRITE, Distribution.UNIFORM, "cipher", 456,
-               "154fa88954aed989e8d9d2815e9877da57f32c99000d0346625d722684f15ddd",
+               "f1663938441f1a5b87a7d3577e4c94ad01b61824bbb2ee03ac604396004f5ef3",
                []),
     "read-only": (Mode.READ_ONLY, Distribution.UNIFORM, "fid", 1328,
-                  "7826603024e568ff6a5f8c5184a1fc4ed266356b452ae4a3c6ef041804784fe2",
+                  "bef23b771d7d4fddcee1e8be80847bcb9f1b131d3c1b558041704c673dac4265",
                   []),
     "write-only": (Mode.WRITE_ONLY, Distribution.UNIFORM, "fid", 1181,
                    "4d730cc9d5d85d8736dec50ebfb379eaaa0ae71e1ba1c5e2507cfde0e2078913",
@@ -1446,10 +1492,10 @@ _PINNED_TRACE = {
                     "fb7905b28e4dd43a7ee3806de0c1e016a3eed4f9a735169f8d7d12ec4931a2b0",
                     [("BlockWrite", _B), ("BlockWrite", _B | 3 << 32 | 1)]),
     "point-select": (Mode.POINT_SELECT, Distribution.UNIFORM, "fid", 548,
-                     "d22ec9cd6ef50630fd805172241ffc9addfe3052f58ab455ae9b8f2519dd6a07",
+                     "4e53e570dc56919b5b034bc7a8436a99e97ff25888208b8e6c74a67ed3034cdd",
                      []),
     "range-select": (Mode.RANGE_SELECT, Distribution.UNIFORM, "fid", 908,
-                     "c2cfa0205b927ab6582d94e62aac3b0d3e11df316a4bd0c020209c1e3c775771",
+                     "2e7690c6cac7aae88d4bcd60f879ed1698cbcd5abbd9ccdb53c2ba1e5d33cd58",
                      []),
 }
 
@@ -1637,14 +1683,18 @@ _PINNED = {
     # pass: the 80 point reveals take 53 messages, and two of the range
     # sums share a batch, so 44 operator messages became 43 (80 and 44
     # before); every other count and byte is as before.
+    # Each reply that reveals values then came to seal them in one client
+    # envelope: 216 client codec calls, 28 fewer, one per value past the
+    # first of the 27 grouped reveals and of the batch of 2 sums (244
+    # before); every other count and byte is as before.
     "fid": ({m.MSG_INGEST: 8, m.MSG_REVEAL: 53, m.MSG_EXEC_BATCH: 43,
              m.MSG_DELETE: 4, m.MSG_FLUSH_LOG: 6, m.MSG_CREATE_PARTITION: 2,
              m.MSG_LIST_LIVE: 2},
-            (0, 0), (14, 2), (244, 0), 21816),
+            (0, 0), (14, 2), (216, 0), 21816),
     "cipher": ({m.MSG_FLUSH_LOG: 3, m.MSG_CREATE_PARTITION: 2,
                 m.MSG_CIPHER_EXEC: 43, m.MSG_CIPHER_INGEST: 8,
                 m.MSG_CIPHER_REVEAL: 53},
-               (0, 0), (3, 0), (244, 360), 23801),
+               (0, 0), (3, 0), (216, 360), 23801),
 }
 # The seals count the privacy checkpoints': on fid, 4 cache evictions, then
 # vacuum's checkpoint and the quiesce one, each 2 dirty blocks, 2 slot maps
@@ -1729,11 +1779,13 @@ def test_pinned_counts_through_maintenance(backend):
 # the 2 preload commits takes 21 less, one commit head in place of a
 # commit record and a recipe record's head). The 2 clients' range sums of a
 # pass cross in one batch: 50 operator messages, 100 when each crossed
-# alone.
+# alone, and one encrypt each, since each reply seals its 2 sums in one
+# client envelope: 1 250 client codec calls, the 1 200 ingest decrypts and
+# 50 encrypts (1 300 when each sum had an envelope of its own).
 _PINNED_RANGE_SELECT = (
     {m.MSG_INGEST: 76, m.MSG_EXEC_BATCH: 50, m.MSG_FLUSH_LOG: 2,
      m.MSG_CREATE_PARTITION: 2},
-    (42, 163376), (24, 4), (1300, 0))
+    (42, 163376), (24, 4), (1250, 0))
 
 
 def _range_select_run():
