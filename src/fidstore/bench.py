@@ -3,10 +3,10 @@
 bench_ops compares the mapping path (put/get of an 8-byte value, the size
 of a table row's k cell) against AEAD field en/decryption, a 4 KiB block
 seal and open, and a reply's one packed client envelope against an
-envelope per value, on the same host, interleaving the operations in
-round-robin batches so system noise drifts over all of them equally;
-medians of per-batch means are the reported statistic and ratios are
-always computed within a single run.
+envelope per value, and times one zone crossing end to end, on the same
+host, interleaving the operations in round-robin batches so system noise
+drifts over all of them equally; medians of per-batch means are the
+reported statistic and ratios are always computed within a single run.
 
 The crash matrix runs through the two-zone simulator and emits one CSV row
 per crash, cache size and seed: a crash just before one durable write,
@@ -32,7 +32,15 @@ from .errors import CorruptLog, Unavailable, ZoneCrashed
 from .atrest_storage import BlockSealer
 from .integrity_dbms import DB_COMMIT
 from .mapping_store import BLOCK_SIZE, MappingStore, PartitionKind
-from .privacy_proxy import ClientEnvelope, EnvelopeCodec, encode_int64, pack_values
+from .privacy_proxy import (
+    ClientEnvelope,
+    EnvelopeCodec,
+    OperatorRequest,
+    OpKind,
+    ValueType,
+    encode_int64,
+    pack_values,
+)
 from .wal import DELETE_REC, FRAME, KIND_DELETE, frame_record, read_frames
 from .workload import Distribution, Mode, WorkloadSpec
 from .zone_sim import CrashPoint, CrashTarget, DurableWrite, ZoneTopology
@@ -41,9 +49,15 @@ from .zone_sim import CrashPoint, CrashTarget, DurableWrite, ZoneTopology
 # bench_ops times one packed encrypt of each of these counts of INT64
 # values, a reply's one client envelope, against that many field encrypts
 REPLY_SIZES = (1, 4, 256)
+# and one crossing of a commit's write batch, one ADD, with no rider and
+# with the RIDERS point reads of a pass riding in one LOAD element, and of
+# that LOAD element alone, the crossing riding saves
+RIDERS = 4
+CROSSINGS = ("commit_0", f"commit_{RIDERS}", f"reveal_{RIDERS}")
 OPS = ("put", "get", "aead_encrypt_field", "aead_decrypt_field",
        "aead_seal_block_4k", "aead_open_block_4k",
-       *(f"aead_encrypt_{kind}_{n}" for n in REPLY_SIZES for kind in ("reply", "fields")))
+       *(f"aead_encrypt_{kind}_{n}" for n in REPLY_SIZES for kind in ("reply", "fields")),
+       *(f"crossing_{name}" for name in CROSSINGS))
 
 
 @dataclass
@@ -68,6 +82,15 @@ class CostReport:
         them in one encrypt rather than one each."""
         return (self.median_ns[f"aead_encrypt_fields_{n}"]
                 - self.median_ns[f"aead_encrypt_reply_{n}"]) / (n - 1)
+
+    @property
+    def saving_per_ride(self) -> float:
+        """The ns riding saves: a commit's crossing and its pass's reveal
+        crossing, against one crossing of the commit with the reveal in
+        it."""
+        ns = self.median_ns
+        return (ns["crossing_commit_0"] + ns[f"crossing_reveal_{RIDERS}"]
+                - ns[f"crossing_commit_{RIDERS}"])
 
     def cycles(self, ns: float) -> float | None:
         if self.cpu_mhz is None:
@@ -94,7 +117,8 @@ def bench_ops(iters: int = 1_000_000, batch: int = 2000) -> CostReport:
     on a permanent partition, the kind a table's values live in, of a
     store with no at-rest layer or journal attached, so they time the
     mapping alone. A reply op runs batch // n times a round, so each
-    encrypts about batch values."""
+    encrypts about batch values. A crossing op (crossings) runs batch // 50
+    times a round, on a topology of its own."""
     if iters < 10_000:
         raise ValueError("iters too small for stable medians")
     store = MappingStore()
@@ -107,6 +131,8 @@ def bench_ops(iters: int = 1_000_000, batch: int = 2000) -> CostReport:
     block = os.urandom(BLOCK_SIZE)
     sealed = sealer.seal(pid, 0, 1, block)
     replies = {n: [encode_int64(i) for i in range(n)] for n in REPLY_SIZES}
+    crossing = crossings()
+    crossing_reps = range(max(1, batch // 50))
 
     put = store.put
     get = store.get
@@ -155,6 +181,11 @@ def bench_ops(iters: int = 1_000_000, batch: int = 2000) -> CostReport:
                 for value in values:
                     encrypt(value).to_bytes()
             samples[f"aead_encrypt_fields_{n}"].append((perf() - t0) / len(reps))
+        for name, cross in crossing.items():
+            t0 = perf()
+            for _ in crossing_reps:
+                cross()
+            samples[f"crossing_{name}"].append((perf() - t0) / len(crossing_reps))
 
     def p99(values: list[float]) -> float:
         ordered = sorted(values)
@@ -166,6 +197,35 @@ def bench_ops(iters: int = 1_000_000, batch: int = 2000) -> CostReport:
         p99_ns={name: p99(v) for name, v in samples.items()},
         cpu_mhz=_cpu_mhz(),
     )
+
+
+def crossings() -> dict:
+    """Each of CROSSINGS as a call that makes it end to end, on an
+    in-memory topology: the client's encode, Channel.request and the
+    privacy zone's dispatch, the reply's decode and, for a reply that
+    reveals, client_open. The commit's write is an ADD of an inline
+    constant into a table's partition, which puts a fresh FID each time;
+    its riders, and the reveal alone, one LOAD of RIDERS int64 FIDs."""
+    topo = ZoneTopology(0)
+    client = topo.client
+    table = client.create_partition()
+    refs = client.ingest(0, [topo.client_encrypt(encode_int64(i))
+                             for i in range(RIDERS + 1)], RIDERS + 1, table)
+    write = OperatorRequest(OpKind.ADD, ValueType.INT64, refs[:1], table,
+                            topo.client_encrypt(encode_int64(1)))
+    load = OperatorRequest(OpKind.LOAD, ValueType.INT64, refs[1:], reveal=True)
+
+    def commit_0():
+        client.exec_writes(None, [write], 2)
+
+    def commit_riding():
+        topo.client_open(client.exec_writes(None, [write, load], 2)[1][0].envelope,
+                         RIDERS)
+
+    def reveal():
+        topo.client_open(client.exec_batch(None, [load], 2)[0].envelope, RIDERS)
+
+    return dict(zip(CROSSINGS, (commit_0, commit_riding, reveal)))
 
 
 # Write-only ops of the matrix spec past which the engine journal has

@@ -19,6 +19,7 @@ import sys
 from .bench import (
     MATRIX_CSV_COLUMNS,
     REPLY_SIZES,
+    RIDERS,
     bench_ops,
     default_matrix_spec,
     run_crash_matrix,
@@ -50,6 +51,8 @@ def _cmd_ops(args: argparse.Namespace) -> int:
     for n in REPLY_SIZES[1:]:
         print(f"reply of {n:<3d} values      saves {report.saving_per_envelope(n):.1f} ns "
               "per dropped envelope")
+    print(f"riding in a commit       saves {report.saving_per_ride:.1f} ns per crossing "
+          f"({RIDERS} reads)")
     if args.out:
         _write_csv(args.out, ["op", "median_ns", "p99_ns", "cycles"], [
             {"op": n, "median_ns": ns, "p99_ns": p99, "cycles": report.cycles(ns)}

@@ -29,6 +29,9 @@ commit sends all of the transaction's writes in one backend call
 the fresh refs with the recipes of the calls that wrote them and stages
 the versions, so the durability order below is unchanged. So a write-only
 transaction crosses to the privacy zone once, and an aborted one never.
+The caller may hand a commit the reveals it has queued (Txn.riders,
+Reveals), which ride after the commit's operator elements, in the same
+messages: they write nothing, so the commit record is as without them.
 The writes go earlier only when the transaction reads, sums or writes
 again a version it wrote that still holds a placeholder (visible_version,
 update_row): that depends on keys alone.
@@ -237,10 +240,13 @@ class Txn:
     version it wrote whose cells are all set (_ROW_HEAD and the version's
     wire), and recipes the (fid, recipe) of each fresh FID a cell claimed,
     in claim order: the two parts of its commit record. promoted holds
-    every ref its sent writes stored."""
+    every ref its sent writes stored. riders, if a caller sets them, are
+    reveals (Reveals) that ride after the operator elements of the next
+    send of its writes (send_writes), its commit's: they write nothing, so
+    the commit record is as without them."""
 
     __slots__ = ("txn_id", "state", "snapshot_seq", "write_set", "staged",
-                 "promoted", "recipes", "pending", "writes", "query_id")
+                 "promoted", "recipes", "pending", "writes", "query_id", "riders")
 
     def __init__(self, txn_id, snapshot_seq):
         self.txn_id = txn_id
@@ -256,6 +262,7 @@ class Txn:
         self.pending: list = []
         self.writes: list = []
         self.query_id = txn_id
+        self.riders: Reveals | None = None
 
 
 class Table:
@@ -324,15 +331,20 @@ class Predicate:
     constant: object
 
 
+def raise_first_error(reqs: list[OperatorRequest], responses: list) -> None:
+    """Raises the first element error of the responses, one per request."""
+    for req, r in zip(reqs, responses):
+        if r.error_code:
+            raise error_for_code(r.error_code, f"operator {OpKind(req.op).name} failed")
+
+
 def run_requests(call, query_id: int, reqs: list[OperatorRequest],
                  per_msg: int) -> list:
     """The operator run loop of both backends: per_msg requests per round
     trip, through call (the client's exec_batch or cipher_exec). Returns
     one response per request; raises the first element error."""
     out = call(query_id, reqs, per_msg)
-    for req, r in zip(reqs, out):
-        if r.error_code:
-            raise error_for_code(r.error_code, f"operator {OpKind(req.op).name} failed")
+    raise_first_error(reqs, out)
     return out
 
 
@@ -389,37 +401,66 @@ def reduce_refs(call, query_id: int, op: OpKind, vtype: ValueType,
     return run_operators(call, query_id, op, vtype, [level], 1, reveal=reveal)[0]
 
 
-def _chunk_sizes(n: int, batch_size: int) -> list[int]:
-    """The item counts of the messages that carry n items, batch_size a
-    message."""
-    return [min(batch_size, n - lo) for lo in range(0, n, batch_size)]
+class Reveals:
+    """Queued reveals as the operator elements of one batch: the READs'
+    refs of each value type in LOAD elements of up to batch_size refs, the
+    types in the order the queue first names them, then the SUMs' last
+    elements, each with reveal set. order[j] is the queue index of the
+    j-th value the elements reveal. replies holds the elements' responses
+    once they have crossed: alone (the backends' reveal), or as riders
+    after a commit's write elements (Txn.riders); until then it is None."""
+
+    __slots__ = ("reqs", "order", "replies")
+
+    def __init__(self, queue: list, batch_size: int):
+        """queue: per reveal, a READ's (value type, ref) or a SUM's last
+        element."""
+        reads: dict[ValueType, list[int]] = {}
+        sums = []
+        for i, item in enumerate(queue):
+            if isinstance(item, OperatorRequest):
+                sums.append(i)
+            else:
+                reads.setdefault(item[0], []).append(i)
+        self.reqs = []
+        self.order = []
+        for vtype, indices in reads.items():
+            for lo in range(0, len(indices), batch_size):
+                chunk = indices[lo:lo + batch_size]
+                self.reqs.append(OperatorRequest(OpKind.LOAD, vtype,
+                                                 [queue[i][1] for i in chunk],
+                                                 reveal=True))
+                self.order += chunk
+        self.reqs += [queue[i] for i in sums]
+        self.order += sums
+        self.replies = None
+
+    def sealed(self) -> list[tuple[bytes, int]]:
+        """One (client envelope, n) per message that carried the elements,
+        in order: the envelope seals the message's n revealed values in
+        order (privacy_proxy.pack_values). Raises the first element
+        error."""
+        raise_first_error(self.reqs, self.replies)
+        out = []
+        for req, r in zip(self.reqs, self.replies):
+            if out and out[-1][0] is r.envelope:  # the message's one envelope
+                out[-1] = (r.envelope, out[-1][1] + req.n_revealed)
+            else:
+                out.append((r.envelope, req.n_revealed))
+        return out
 
 
-def reveal_all(reveal, call, refs: list, reqs: list[OperatorRequest],
-               batch_size: int) -> list[tuple[bytes, int]]:
-    """The many-ref reveal of both backends: the refs' values through
-    reveal (the client's reveal_many or cipher_reveal_many), then the
-    requests' revealed results through call (exec_batch or cipher_exec),
-    batch_size refs or elements per message. Returns one (client envelope,
-    n) per message, in order: the envelope seals the message's n values in
-    order (privacy_proxy.pack_values). Raises the first element error."""
-    out = []
-    if refs:
-        out += zip(reveal(refs, batch_size), _chunk_sizes(len(refs), batch_size))
-    if reqs:
-        # every response of a message holds its envelope: take the first's
-        firsts = run_requests(call, None, reqs, batch_size)[::batch_size]
-        out += zip((r.envelope for r in firsts), _chunk_sizes(len(reqs), batch_size))
-    return out
-
-
-def run_writes(writes: list, ingest, execute) -> list:
+def run_writes(writes: list, ingest, execute, riders: Reveals | None = None) -> list:
     """The write loop of both backends. writes are (partition id, value)
     pairs, each value a client envelope's bytes or an OperatorRequest into
-    that partition. ingest(partition id, envelopes) runs once per partition, in
-    the order the partitions first appear, then execute(requests) once for
-    all requests; each returns one (ref, recipe) per item, in order.
-    Returns one (ref, recipe) per write, in writes' order."""
+    that partition. ingest(partition id, envelopes) runs once per
+    partition, in the order the partitions first appear, and returns one
+    (ref, recipe) per envelope; then execute(requests) runs once for all
+    requests, with the riders' elements after them, and returns one
+    (response, recipe) per element. Returns one (ref, recipe) per write, in
+    writes' order. The riders' responses are set (Reveals.replies) before
+    the first element error of a write is raised; riders go only with
+    requests, so a txn of inserts alone carries none."""
     out = [None] * len(writes)
     envelopes: dict[int, list[int]] = {}
     requests = []
@@ -431,7 +472,13 @@ def run_writes(writes: list, ingest, execute) -> list:
     done = [(idx, ingest(pid, [writes[i][1] for i in idx]))
             for pid, idx in envelopes.items()]
     if requests:
-        done.append((requests, execute([writes[i][1] for i in requests])))
+        reqs = [writes[i][1] for i in requests]
+        results = execute(reqs + (riders.reqs if riders else []))
+        if riders:
+            riders.replies = [resp for resp, _ in results[len(reqs):]]
+        results = results[:len(reqs)]
+        raise_first_error(reqs, [resp for resp, _ in results])
+        done.append((requests, [(resp.fid, recipe) for resp, recipe in results]))
     for idx, results in done:
         for i, result in zip(idx, results):
             out[i] = result
@@ -448,23 +495,21 @@ class FidBackend:
     def __init__(self, client):
         self.client = client
 
-    def reveal_many(self, refs: list[int], reqs: list[OperatorRequest],
-                    batch_size: int) -> list[tuple[bytes, int]]:
-        """The refs' values by MSG_REVEAL, then the requests' results by
-        MSG_EXEC_BATCH: one client envelope and its count of values per
-        message (reveal_all)."""
-        return reveal_all(self.client.reveal_many, self.client.exec_batch, refs,
-                          reqs, batch_size)
+    def reveal(self, reveals: Reveals, batch_size: int) -> None:
+        """Sends the reveals' elements alone, batch_size a MSG_EXEC_BATCH,
+        and sets their replies."""
+        reveals.replies = self.client.exec_batch(None, reveals.reqs, batch_size)
 
-    def promote(self, query_id: int, writes: list,
-                batch_size: int) -> list[tuple[int, bytes]]:
+    def promote(self, query_id: int, writes: list, batch_size: int,
+                riders: Reveals | None = None) -> list[tuple[int, bytes]]:
         """Writes each (partition id, value) of writes (run_writes), batch_size
         values per message: the envelopes by MSG_INGEST, the requests by
-        MSG_EXEC_BATCH. Returns per write its fresh FID and the recipe of the
-        call that wrote it: RECIPE_INGEST and the envelope, or RECIPE_EXEC and
-        the element as the client encoded it. Raises the first error; the
-        FIDs the call's other writes stored are then orphans for orphan_gc.
-        (perfbench's probes wrap this method by the name promote.)"""
+        MSG_EXEC_BATCH, with the riders after them. Returns per write its
+        fresh FID and the recipe of the call that wrote it: RECIPE_INGEST and
+        the envelope, or RECIPE_EXEC and the element as the client encoded
+        it. Raises the first error; the FIDs the call's other writes stored
+        are then orphans for orphan_gc. (perfbench's probes wrap this method
+        by the name promote.)"""
         client = self.client
 
         def ingest(partition_id, envelopes):
@@ -472,7 +517,8 @@ class FidBackend:
             return [(fid, RECIPE_INGEST + e) for fid, e in zip(fids, envelopes)]
 
         return run_writes(writes, ingest,
-                          lambda reqs: client.exec_writes(query_id, reqs, batch_size))
+                          lambda reqs: client.exec_writes(query_id, reqs, batch_size),
+                          riders)
 
     def release(self, refs: list[int], batch_size: int) -> int:
         """Deletes the refs' secrets in ascending FID order, batch_size refs
@@ -498,8 +544,8 @@ class FidBackend:
     def reduction(self, query_id: int, op: OpKind, vtype: ValueType,
                   refs: list[int], batch_size: int) -> OperatorRequest:
         """aggregate with reveal, but for its last element: runs every
-        level before it (reduce_levels) and returns that element, for
-        reveal_many to send."""
+        level before it (reduce_levels) and returns that element, for a
+        batch of reveals (Reveals) to send."""
         return OperatorRequest(op, vtype, reduce_levels(
             self.client.exec_batch, query_id, op, vtype, refs, batch_size),
             reveal=True)
@@ -519,12 +565,12 @@ class CipherBackend:
     def __init__(self, client):
         self.client = client
 
-    def reveal_many(self, refs, reqs, batch_size):
-        return reveal_all(self.client.cipher_reveal_many, self.client.cipher_exec,
-                          refs, reqs, batch_size)
+    def reveal(self, reveals: Reveals, batch_size: int) -> None:
+        """FidBackend.reveal by MSG_CIPHER_EXEC."""
+        reveals.replies = self.client.cipher_exec(None, reveals.reqs, batch_size)
 
-    def promote(self, query_id: int, writes: list,
-                batch_size: int) -> list[tuple[bytes, None]]:
+    def promote(self, query_id: int, writes: list, batch_size: int,
+                riders: Reveals | None = None) -> list[tuple[bytes, None]]:
         """FidBackend.promote over zone envelopes, by MSG_CIPHER_INGEST and
         MSG_CIPHER_EXEC. A zone envelope is the stored form, so none has a
         recipe."""
@@ -535,10 +581,9 @@ class CipherBackend:
                                                                 batch_size)]
 
         def execute(reqs):
-            return [(r.fid, None) for r in run_requests(client.cipher_exec, query_id,
-                                                        reqs, batch_size)]
+            return [(r, None) for r in client.cipher_exec(query_id, reqs, batch_size)]
 
-        return run_writes(writes, ingest, execute)
+        return run_writes(writes, ingest, execute, riders)
 
     def release(self, refs: list[bytes], batch_size: int) -> int:
         return 0  # an envelope lives in its row and goes with it
@@ -637,10 +682,10 @@ class Database:
         return txn
 
     def commit(self, txn: Txn) -> None:
-        """Sends the txn's pending writes (send_writes; on an error the txn
-        stays active, for the caller to abort), then journals its commit
-        record, its row versions and the recipes of their fresh FIDs, in
-        one sync, as the module docstring says."""
+        """Sends the txn's pending writes (send_writes, its riders after
+        them; on an error the txn stays active, for the caller to abort),
+        then journals its commit record, its row versions and the recipes
+        of their fresh FIDs, in one sync, as the module docstring says."""
         if txn.state != TxnState.ACTIVE:
             raise ValueError(f"commit on txn in state {txn.state}")
         self.send_writes(txn)
@@ -832,7 +877,8 @@ class Database:
 
     def send_writes(self, txn: Txn) -> None:
         """Sends the txn's pending writes in one backend call
-        (backend.promote, batch_size values per message), then, in the order
+        (backend.promote, batch_size values per message), with its riders
+        after its operator elements, then, in the order
         the txn made them, fills each placeholder with its fresh ref, claims
         the refs with their recipes and stages the versions. An
         error leaves every write pending, and the refs the call did store
@@ -840,7 +886,9 @@ class Database:
         pending = txn.pending
         if not pending:
             return
-        stored = iter(self.backend.promote(txn.query_id, txn.writes, self.batch_size))
+        riders, txn.riders = txn.riders, None
+        stored = iter(self.backend.promote(txn.query_id, txn.writes, self.batch_size,
+                                           riders))
         txn.pending, txn.writes = [], []
         for table, version, promoted in pending:
             cells = version.cells

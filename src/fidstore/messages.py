@@ -50,10 +50,19 @@ with none set is its head and its operands alone:
 A constant goes beside a stored operand, except in STORE, which takes
 argc 0 and OP_CONST, and whose value result is the constant's value:
 with OP_DEST it writes a client's value into a table's partition, as an
-ingest does. An element that breaks a rule (a constant with argc 0 on
-any other op, a STORE with a stored operand, without a constant or with
-OP_REVEAL, a reveal on a comparison or together with a destination)
-fails on its own with TypeMismatch, like any other element error.
+ingest does. LOAD is the reveal: it takes argc >= 1 stored operands and
+OP_REVEAL, and neither OP_DEST nor OP_CONST, computes nothing, and its
+argc operands' values go into the reply's client envelope, in order. An
+INT64 or FLOAT64 LOAD reveals 8-byte values only. So a LOAD's operands
+are FIDs as bare as a list of FIDs, and on the cipher path INT64 zone
+envelopes go bare too. An element that breaks a rule (a constant with
+argc 0 on any other op, a STORE with a stored operand, without a constant
+or with OP_REVEAL, a LOAD with argc 0, a destination, a constant or
+without OP_REVEAL, a reveal on a comparison or together with a
+destination) fails on its own with TypeMismatch, like any other element
+error; so does an operand that is not live, with NotLive, or a zone
+envelope that fails its tag, with AuthFailure, and the batch's other
+elements still run and reveal.
 
 The integrity zone holds a transaction's writes (Database.insert_row and
 update_row) and sends them when it commits: an ADD over the old value
@@ -64,36 +73,36 @@ an inserted value's client envelope by MSG_INGEST into its table's
 partition (MSG_CIPHER_INGEST). It sends them earlier only when the
 transaction reads, sums or writes again a row it wrote, so when a
 transaction's writes cross depends on its keys alone. An aborted
-transaction sends none. Each response element is
+transaction sends none. A commit's write batch may carry riders after its
+write elements: the reveals other clients have queued (LOAD elements and
+SUM last elements, zone_sim._Runner), whose values come back in the
+batch's reply envelope. A rider writes nothing, so the write elements'
+bytes, and the recipes journaled from them, are those of the batch
+without riders. Each response element is
 a status byte, then for status 0 a result kind and the result: 0 and a
 value (a FID, or a zone envelope for MSG_CIPHER_EXEC, written as a stored
 operand is), 1 and a boolean byte, or 2 alone for a revealed result, whose
 value is in the reply's client envelope, which follows the last element
-and runs to the end of the reply. It seals the revealed results of the
-elements that succeeded, in element order; a reply that reveals nothing
-has none.
+and runs to the end of the reply. It seals the revealed values of the
+elements that succeeded, in element order: argc values for a LOAD, one
+for any other element; a reply that reveals nothing has none.
 
-MSG_REVEAL is n >= 1 u64 FIDs up to the end of the payload, and its
-response one client envelope of the n values, in order. The privacy zone
-reads every FID's value before it seals them, so a FID that is not live
-refuses the whole request with NotLive. MSG_CIPHER_REVEAL is n >= 1 zone
-envelopes, each after its u16 length, and its response one client
-envelope of their n values, in order; every zone envelope authenticates
-before it is sealed. The integrity zone's runner sends the reveals of all
-its waiting clients in one pass (zone_sim._Runner).
+Kinds 2 and 22 are retired and never reused: MSG_REVEAL and
+MSG_CIPHER_REVEAL, lists of FIDs or of zone envelopes whose reply was
+their values' envelope alone, which a LOAD element replaced, so that a
+pass's reads, its sums and a commit's writes share one message.
 
 So every reply that reveals values carries exactly one client envelope,
-made by one encrypt, whatever the count of values: its plaintext is the
-values in order, each but the last after its u16 length
-(privacy_proxy.pack_values). One value packs to itself, so a one-FID
-MSG_REVEAL or MSG_CIPHER_REVEAL and its reply are byte for byte what they
-were when each value had an envelope of its own. The 2(n-1) inner length
-bytes pay for one packing rule for both kinds of reply and for values of
-any width (a READ reveals an 8-byte int or a 128-byte padded string): an
-envelope per value cost 28 bytes and an encrypt each. The integrity zone
-cannot open the envelope, and knows its length only: 28 + the sum of the
-value lengths + 2(n-1). The client opens it and splits it into its n
-values (zone_sim.ZoneTopology.client_open).
+made by one encrypt, whatever the count of values or of elements: its
+plaintext is the values in order, each but the last after its u16 length
+(privacy_proxy.pack_values). One value packs to itself, so a reply that
+reveals one value seals it as an envelope of its own would. The 2(n-1)
+inner length bytes pay for one packing rule for values of any width (a
+READ reveals an 8-byte int or a 128-byte padded string): an envelope per
+value cost 28 bytes and an encrypt each. The integrity zone cannot open
+the envelope, and knows its length only: 28 + the sum of the value
+lengths + 2(n-1). The client opens it and splits it into its n values
+(zone_sim.ZoneTopology.client_open).
 
 MSG_INGEST is {u32 target, n blobs}: the partition the values go to,
 QUERY_TEMP_TARGET for the query's temporary partition, then n >= 1 client
@@ -181,8 +190,8 @@ from .privacy_proxy import (
     ValueType,
 )
 
+# kinds 2 and 22 are retired and never reused (module docstring)
 MSG_INGEST = 1
-MSG_REVEAL = 2
 MSG_EXEC_BATCH = 3
 MSG_END_QUERY = 4
 MSG_PROMOTE = 5
@@ -195,7 +204,6 @@ MSG_LIST_LIVE = 11
 MSG_RESTORE = 12
 MSG_CIPHER_EXEC = 20
 MSG_CIPHER_INGEST = 21
-MSG_CIPHER_REVEAL = 22
 
 # The kind byte's bit for a request that names its query's temporaries; a
 # u64 query id follows the kind byte (module docstring). Not named MSG_*:
@@ -223,7 +231,6 @@ _RESULT_BOOL = 1
 _RESULT_REVEALED = 2
 
 _U8 = struct.Struct("<B")
-_U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _OP_HEAD = struct.Struct("<BBH")
@@ -302,24 +309,6 @@ def _pack_fid(fid: int, vtype: int | None = None) -> bytes:
     return _U64.pack(fid)
 
 
-def _sized(data: bytes) -> bytes:
-    """data after its u16 length: a zone envelope of a cipher reveal."""
-    if len(data) > 0xFFFF:
-        raise TypeMismatch(f"a {len(data)}-byte envelope overflows its u16 length")
-    return _U16.pack(len(data)) + data
-
-
-def _read_sized(data: bytes, pos: int) -> tuple[bytes, int]:
-    """The item _sized wrote at pos, and the position after it."""
-    end = pos + 2
-    if end > len(data):
-        raise TypeMismatch("message ends inside an envelope length")
-    end += _U16.unpack_from(data, pos)[0]
-    if end > len(data):
-        raise TypeMismatch("envelope runs past the end of the message")
-    return data[pos + 2:end], end
-
-
 def _sealed_len(n: int, width: int) -> int:
     """The length of the one client envelope that seals n values of width
     bytes each (privacy_proxy.pack_values)."""
@@ -344,12 +333,12 @@ def _read_blob(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[pos + 4:end], end
 
 
-def _read_blobs(data: bytes, pos: int, read=_read_blob) -> list[bytes]:
-    """The blobs from pos up to the end of data, each as read (a _read_blob
-    or _read_sized) takes it: at least one, and no byte left over."""
+def _read_blobs(data: bytes, pos: int) -> list[bytes]:
+    """The blobs from pos up to the end of data: at least one, and no byte
+    left over."""
     blobs = []
     while True:
-        blob, pos = read(data, pos)
+        blob, pos = _read_blob(data, pos)
         blobs.append(blob)
         if pos == len(data):
             return blobs
@@ -460,15 +449,16 @@ class ProxyClient:
     """Integrity-side stub: serializes calls, records the adversary view.
 
     Each method is one round trip except ingest, cipher_ingest,
-    reveal_many, cipher_reveal_many, exec_batch, cipher_exec, delete and
-    restore, which take a list and a batch_size and split the list into
-    ceil(n / batch_size) messages (all through _chunks), and end_query,
-    which sends nothing for a query that never wrote to its temporary
-    partition (no temp-target ingest, no stored value result without a
-    destination): such a query has no temporaries to drop. Only those writes and end_query send their query id (the flagged
-    frame of the module docstring); every other call's query_id, reveal's
-    and the cipher calls' included, is kept for its callers and never
-    crosses. The client keeps no record of what it wrote: the engine takes
+    exec_batch, exec_writes, cipher_exec, delete and restore, which take a
+    list and a batch_size and split the list into ceil(n / batch_size)
+    messages (all through _chunks), and end_query, which sends nothing for
+    a query that never wrote to its temporary partition (no temp-target
+    ingest, no stored value result without a destination): such a query
+    has no temporaries to drop. Only those writes and end_query send their
+    query id (the flagged frame of the module docstring); every other
+    call's query_id, reveal's and the cipher calls' included, is kept for
+    its callers and never crosses. reveal and cipher_reveal are one LOAD
+    element each. The client keeps no record of what it wrote: the engine takes
     each fresh FID's recipe from the call that wrote it (exec_writes, or
     the envelope it ingested) and journals it with the commit that claims
     the FID. Each FID a call sends or gets back reaches the trace as
@@ -545,8 +535,9 @@ class ProxyClient:
         reply's one client envelope. TypeMismatch for a reply with an
         element too few or too many, a byte after its last element when it
         reveals nothing, or an envelope that cannot seal its revealed
-        values: shorter than any could, or, when each value's type fixes
-        its 8 bytes, of another length than theirs make."""
+        values, argc for a LOAD element and one for any other: shorter
+        than any could, or, when each value's type fixes its 8 bytes, of
+        another length than theirs make."""
         qid = None
         if query_id is not None and any(_writes_temp(r) for r, _ in ready):
             # recorded first: a refused batch may still have created the
@@ -585,7 +576,7 @@ class ProxyClient:
             if envelope:
                 raise TypeMismatch("reply has bytes after its last element")
             return out
-        n = len(revealed)
+        n = sum(r.n_revealed for r, _ in revealed)
         if len(envelope) < _sealed_len(n, 1) or (
                 all(r.value_type in _FIXED_TYPES for r, _ in revealed)
                 and len(envelope) != _sealed_len(n, 8)):
@@ -594,6 +585,15 @@ class ProxyClient:
         for _, resp in revealed:
             resp.envelope = envelope
         return out
+
+    def _load(self, call, ref) -> bytes:
+        """ref's value as a client envelope: one LOAD element of raw bytes
+        through call (exec_batch or cipher_exec); raises its error."""
+        load = OperatorRequest(OpKind.LOAD, ValueType.BYTES, [ref], reveal=True)
+        resp = call(None, [load], 1)[0]
+        if resp.error_code:
+            raise error_for_code(resp.error_code, "LOAD failed")
+        return resp.envelope
 
     # -- client data path -------------------------------------------------
 
@@ -619,21 +619,9 @@ class ProxyClient:
         return out
 
     def reveal(self, query_id: int, fid: int) -> bytes:
-        """fid's value as a client envelope; query_id does not cross."""
-        return self.reveal_many([fid], 1)[0]
-
-    def reveal_many(self, fids: list[int], batch_size: int) -> list[bytes]:
-        """One client envelope per MSG_REVEAL, batch_size FIDs each, that
-        seals their values in order (privacy_proxy.pack_values); TypeMismatch
-        for a reply too short to seal one value per FID."""
-        out = []
-        for chunk in _chunks(fids, batch_size):
-            body = self._call(MSG_REVEAL, b"".join(map(self._write_fid, chunk)))
-            if len(body) < _sealed_len(len(chunk), 1):
-                raise TypeMismatch(f"a {len(body)}-byte reveal reply for "
-                                   f"{len(chunk)} FIDs")
-            out.append(body)
-        return out
+        """fid's value as a client envelope, by one LOAD element
+        (MSG_EXEC_BATCH); query_id does not cross."""
+        return self._load(self.exec_batch, fid)
 
     def exec_batch(self, query_id: int, reqs: list[OperatorRequest],
                    batch_size: int) -> list[OperatorResponse]:
@@ -641,17 +629,14 @@ class ProxyClient:
                            self._write_fid, self._read_fid)[1]
 
     def exec_writes(self, query_id: int, reqs: list[OperatorRequest],
-                    batch_size: int) -> list[tuple[int, bytes]]:
+                    batch_size: int) -> list[tuple[OperatorResponse, bytes | None]]:
         """exec_batch for requests whose value results go to permanent
-        partitions: per request its fresh FID and its recipe, RECIPE_EXEC
-        and the element as sent. Raises the first element error, once the
-        whole batch has run."""
+        partitions: per request its response and its recipe, RECIPE_EXEC
+        and the element as sent (None for an element not sent). A revealed
+        element among them, a commit's rider, gets its response alone."""
         elements, out = self._batch(MSG_EXEC_BATCH, query_id, reqs, batch_size,
                                     self._write_fid, self._read_fid)
-        for r, resp in zip(reqs, out):
-            if resp.error_code:
-                raise error_for_code(resp.error_code, f"operator {r.op} failed")
-        return [(resp.fid, RECIPE_EXEC + element)
+        return [(resp, None if element is None else RECIPE_EXEC + element)
                 for element, resp in zip(elements, out)]
 
     def exec_operator(self, query_id: int, req: OperatorRequest) -> OperatorResponse:
@@ -727,24 +712,9 @@ class ProxyClient:
         return out
 
     def cipher_reveal(self, query_id: int, zone_envelope: bytes) -> bytes:
-        """A zone envelope's value as a client envelope; query_id does not
-        cross."""
-        return self.cipher_reveal_many([zone_envelope], 1)[0]
-
-    def cipher_reveal_many(self, envelopes: list[bytes],
-                           batch_size: int) -> list[bytes]:
-        """reveal_many over zone envelopes, batch_size per
-        MSG_CIPHER_REVEAL. A zone envelope is as long as the value it seals
-        and its nonce and tag, so the request fixes the reply's length;
-        TypeMismatch for a reply of another length."""
-        out = []
-        for chunk in _chunks(envelopes, batch_size):
-            body = self._call(MSG_CIPHER_REVEAL, b"".join(map(_sized, chunk)))
-            n = len(chunk)
-            if len(body) != sum(map(len, chunk)) - (ENVELOPE_OVERHEAD - 2) * (n - 1):
-                raise TypeMismatch(f"cipher reveal reply of {len(body)} bytes")
-            out.append(body)
-        return out
+        """A zone envelope's value as a client envelope, by one LOAD element
+        (MSG_CIPHER_EXEC); query_id does not cross."""
+        return self._load(self.cipher_exec, zone_envelope)
 
     def cipher_exec(self, query_id: int, reqs: list[OperatorRequest],
                     batch_size: int) -> list[OperatorResponse]:
@@ -765,14 +735,14 @@ class PrivacyDispatcher:
     temporary is named or a temporary named without one (module
     docstring), a fixed-size payload of another length
     (MSG_CREATE_PARTITION with any payload), an ingest with no envelope or
-    with bytes after its last one, a reveal with no FID or a part of one, a
-    cipher reveal with no envelope or one that runs past the payload, an
-    operator batch with no element, or an unknown op or value type;
-    AuthFailure for an envelope too short for its nonce and tag or one that
-    fails its tag. An ingest is all or nothing: every envelope of the
-    request is authenticated before the first is stored. So is a reveal:
-    every value is read, or every zone envelope opened, before the reply's
-    one client envelope is sealed. The integrity zone can create permanent
+    with bytes after its last one, an operator batch with no element or
+    one that ends inside one, or an unknown op or value type; AuthFailure
+    for an envelope too short for its nonce and tag or one that fails its
+    tag. An ingest is all or nothing: every envelope of the request is
+    authenticated before the first is stored. An operator batch is not:
+    each element runs or fails alone, a LOAD element with all its operands,
+    and the reply's one client envelope seals the values of the elements
+    that ran. The integrity zone can create permanent
     partitions only: temporaries belong to a query and are created by the
     proxy.
 
@@ -810,10 +780,6 @@ class PrivacyDispatcher:
             target = proxy.destination(query_id, target)
             fids = proxy.ingest([ClientEnvelope.from_bytes(b) for b in blobs], target)
             return b"".join(_U64.pack(fid) for fid in fids)
-        if kind == MSG_REVEAL:
-            if not payload or len(payload) % _U64.size:
-                raise TypeMismatch(f"reveal payload of {len(payload)} bytes")
-            return proxy.reveal([fid for (fid,) in _U64.iter_unpack(payload)])
         if kind == MSG_EXEC_BATCH:
             return self._exec(query_id, payload, proxy.fids, _read_u64, _pack_fid)
         if kind == MSG_END_QUERY:
@@ -863,8 +829,6 @@ class PrivacyDispatcher:
                       for b in _read_blobs(payload, 0)]
             save = self.envelopes.save
             return b"".join(_blob(save(None, None, v)) for v in values)
-        if kind == MSG_CIPHER_REVEAL:
-            return proxy.seal(self.envelopes.load(_read_blobs(payload, 0, _read_sized)))
         if kind == MSG_CIPHER_EXEC:
             return self._exec(None, payload, self.envelopes, _read_envelope,
                               _write_envelope)

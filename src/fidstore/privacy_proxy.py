@@ -29,8 +29,10 @@ is decrypted once and used as its last operand, and may reveal its value
 result, which then leaves in a client envelope. Neither the constant nor
 a revealed result is ever stored. A constant costs the one decrypt an
 ingest of it would; the revealed results of one call cost one encrypt
-between them, as do the values one reveal call returns: each call seals
-its values in one client envelope (seal), packed in order (pack_values).
+between them: each call seals its values in one client envelope (seal),
+packed in order (pack_values). LOAD is the reveal: it computes nothing
+and reveals the values of its argc >= 1 stored operands, in order, so one
+element answers every READ of a value type that a batch carries.
 STORE is the one op whose constant is its only operand: its value result
 is the constant's value, so a STORE with a destination writes a client's
 value into a table's partition as an ingest would, inside an operator
@@ -96,6 +98,7 @@ class OpKind(IntEnum):
     MAX_AGG = 11
     AVG_AGG = 12
     STORE = 13  # its inline constant alone, stored as it is
+    LOAD = 14  # its stored operands' values, each revealed as it is
 
 
 COMPARISONS = frozenset({OpKind.CMP_LT, OpKind.CMP_EQ, OpKind.CMP_GT})
@@ -125,23 +128,32 @@ class OperatorRequest:
     constant: bytes | None = None
     reveal: bool = False
 
+    @property
+    def n_revealed(self) -> int:
+        """The values the element reveals when it succeeds: a LOAD's argc,
+        a revealed value result's one, else none."""
+        if not self.reveal:
+            return 0
+        return len(self.operand_fids) if self.op == OpKind.LOAD else 1
+
 
 @dataclass
 class OperatorResponse:
     """Exactly one of fid / boolean / envelope / error_code is meaningful.
     fid holds a stored value result: a FID or, on the cipher path, a zone
     envelope. envelope holds a revealed result: the one client envelope of
-    its call (a message), which seals the value results of every revealed
-    element of the call, in element order (pack_values); one element that
-    reveals alone has its value's envelope. revealed is that value's
-    plaintext, set only inside the privacy zone, between exec_operator and
-    the seal of exec_batch."""
+    its call (a message), which seals the revealed values of every element
+    of the call, in element order (pack_values): a LOAD element's argc
+    values, any other element's value result; one element that reveals one
+    value alone has that value's envelope. revealed is the element's
+    revealed plaintexts, set only inside the privacy zone, between
+    exec_operator and the seal of exec_batch."""
 
     fid: int | None = None
     boolean: bool | None = None
     error_code: int = 0
     envelope: bytes | None = None
-    revealed: bytes | None = None
+    revealed: list[bytes] | None = None
 
 
 @dataclass(frozen=True)
@@ -257,10 +269,15 @@ def check_operator(op: OpKind, n_stored: int, constant: bool,
     constant only beside a stored operand, and a reveal only of a value
     result that names no destination. STORE is the one op that takes the
     constant alone: no stored operand, and no reveal, since it exists to
-    store its value."""
+    store its value. LOAD takes stored operands alone, at least one, and
+    exists to reveal them: no constant, no destination, and a reveal."""
     if op == OpKind.STORE:
         if n_stored or not constant or reveal:
             raise TypeMismatch("STORE takes an inline constant alone and stores it")
+        return
+    if op == OpKind.LOAD:
+        if not n_stored or constant or destination is not None or not reveal:
+            raise TypeMismatch("LOAD reveals its stored operands alone")
         return
     if constant and not n_stored:
         raise TypeMismatch("an inline constant needs a stored operand")
@@ -288,12 +305,17 @@ def compare_values(op: OpKind, vtype: ValueType, values: list[bytes]) -> bool:
     return a > b
 
 
+def check_width(vtype: ValueType, value: bytes) -> bytes:
+    """value, as a value of vtype: TypeMismatch unless it is 8 bytes for an
+    int64 or float64."""
+    if vtype != ValueType.BYTES and len(value) != 8:
+        raise TypeMismatch(f"{vtype.name} value must be 8 bytes, got {len(value)}")
+    return value
+
+
 def compute_value(op: OpKind, vtype: ValueType, values: list[bytes]) -> bytes:
-    if op == OpKind.STORE:  # the identity; an int64 or float64 is 8 bytes
-        if vtype != ValueType.BYTES and len(values[0]) != 8:
-            raise TypeMismatch(f"{vtype.name} value must be 8 bytes, got "
-                               f"{len(values[0])}")
-        return values[0]
+    if op == OpKind.STORE:  # the identity
+        return check_width(vtype, values[0])
     if vtype == ValueType.INT64:
         return _compute_int(op, [decode_int64(v) for v in values])
     if vtype == ValueType.FLOAT64:
@@ -465,10 +487,12 @@ class PrivacyProxy:
         return self.client_codec.encrypt(pack_values(values)).to_bytes()
 
     def reveal(self, fids: list[int]) -> bytes:
-        """One client envelope of the FIDs' values, in order (seal). Every
-        value is read before it is sealed, so a FID that is not live
-        refuses the whole call with NotLive."""
-        return self.seal(self.fids.load(fids))
+        """One client envelope of the FIDs' values, in order: one LOAD
+        element of raw bytes, sealed (seal). Every value is read before it
+        is sealed, so a FID that is not live refuses the whole call with
+        NotLive."""
+        load = OperatorRequest(OpKind.LOAD, ValueType.BYTES, fids, reveal=True)
+        return self.seal(self.exec_operator(load, None).revealed)
 
     # -- expression operators ----------------------------------------------
 
@@ -479,8 +503,8 @@ class PrivacyProxy:
         from permanent partitions only, so recovery can re-run its recipe
         (MSG_RESTORE): TypeMismatch otherwise, once the destination is
         known to be permanent and before any operand is read. A revealed
-        result comes back as its plaintext (revealed), for exec_batch to
-        seal."""
+        result, or a LOAD's operand values, come back as plaintexts
+        (revealed), for exec_batch to seal."""
         space = space or self.fids
         op = req.op
         operands = req.operand_fids
@@ -491,6 +515,9 @@ class PrivacyProxy:
             self.destination(query_id, req.destination)  # WrongPartitionKind first
             require_permanent(self.store, operands)
         values = space.load(operands)
+        if op == OpKind.LOAD:
+            vtype = req.value_type
+            return OperatorResponse(revealed=[check_width(vtype, v) for v in values])
         if req.constant is not None:
             values.append(self.client_codec.decrypt(
                 ClientEnvelope.from_bytes(req.constant)))
@@ -498,16 +525,17 @@ class PrivacyProxy:
             return OperatorResponse(boolean=compare_values(op, req.value_type, values))
         result = compute_value(op, req.value_type, values)
         if req.reveal:
-            return OperatorResponse(revealed=result)
+            return OperatorResponse(revealed=[result])
         return OperatorResponse(fid=space.save(query_id, req.destination, result))
 
     def exec_batch(self, reqs: list[OperatorRequest], query_id: int | None,
                    space=None) -> list[OperatorResponse]:
         """Sequential per-element execution over space (the FID space if
         None); element failures are reported positionally and never abort
-        the rest of the batch. The revealed results of the elements that
-        succeed are sealed once, together, after the last element has run
-        (seal), and each of their responses holds that envelope."""
+        the rest of the batch. The revealed values of the elements that
+        succeed are sealed once, together, in element order, after the last
+        element has run (seal), and each of their responses holds that
+        envelope."""
         out = []
         for req in reqs:
             try:
@@ -517,7 +545,7 @@ class PrivacyProxy:
                 if not code:
                     raise
                 out.append(OperatorResponse(error_code=code))
-        values = [r.revealed for r in out if r.revealed is not None]
+        values = [v for r in out if r.revealed is not None for v in r.revealed]
         if not values:
             return out
         envelope = self.seal(values)

@@ -63,6 +63,7 @@ from .integrity_dbms import (
     ColumnType,
     Database,
     FidBackend,
+    Reveals,
     Table,
     recover_database,
 )
@@ -150,13 +151,16 @@ class AdversaryTrace:
     integrity zone.
 
     A READ's or SUM's reveal crosses with those of the other clients that
-    wait on one, in one pass's messages (_Runner), so which reveals share a
-    message is fixed by the schedule's statement kinds and keys. A reply
-    that reveals n values seals them in one client envelope (messages), so
-    its MsgBytes is its status byte and elements, if any, and 28 + the sum
-    of the values' lengths + 2(n-1): each value's length is fixed by its
-    column's type (an 8-byte int or sum, a 128-byte padded string), so the
-    length is a function of the pass's shape. The simulated clients share
+    wait on one, as LOAD and SUM elements in one pass's operator batch, or
+    riding in the write batch of a commit that comes first (_Runner), so
+    which reveals share a message, and with which writes, is fixed by the
+    schedule's statement kinds, keys and abort decisions. A revealed FID's
+    FidObserved is in the request that carries it, as a write operand's
+    is. A reply that reveals n values seals them in one client envelope
+    (messages), so its MsgBytes is its status byte and elements and 28 +
+    the sum of the values' lengths + 2(n-1): each value's length is fixed
+    by its column's type (an 8-byte int or sum, a 128-byte padded string),
+    so the length is a function of the pass's shape. The simulated clients share
     one client key, so one envelope can answer them all; with a key per
     client, a reply would carry one envelope per key it answers.
     A txn's writes cross together when it commits, or earlier when one of
@@ -721,16 +725,33 @@ class _Runner:
     versions and their refs, and for a SUM over more refs than one element
     reduces, the reduction's earlier levels. Its reveal does not cross
     then: it is queued against the statement's slot in report.revealed.
-    All queued reveals cross together (_cross), one MSG_REVEAL of the READs'
-    refs and one operator batch of the SUMs' last elements, each with
-    reveal set (MSG_CIPHER_REVEAL and MSG_CIPHER_EXEC on the cipher path),
-    batch_size items a message: just before the next schedule entry of any
-    client that waits on one, and at the end of the schedule. Each reply
-    seals its values in one client envelope, which the client opens
-    (ZoneTopology.client_open) and splits among the statements' slots. So
-    each client has each result before it issues its next statement, and
-    the reveals of a pass of the round-robin share a crossing. When a pass
-    crosses is a function of the statements' kinds and keys alone.
+    The queued reveals cross together, as one batch of operator elements
+    (integrity_dbms.Reveals): the READs' refs of each value type in one
+    LOAD element, then the SUMs' last elements, each with reveal set,
+    batch_size items a message, MSG_EXEC_BATCH (MSG_CIPHER_EXEC on the
+    cipher path). The crossing rule:
+
+    - just before the next schedule entry of any client that waits on a
+      reveal, and at the end of the schedule, the queue crosses alone
+      (_cross), a pass crossing;
+    - at a finish entry that commits a txn, the queue rides in the commit
+      (Txn.riders): if the commit sends its writes as an operator batch,
+      the queued elements go after the write elements, in the same
+      messages, and come back in their replies' envelopes, so no other
+      crossing is needed for them. A commit that sends no operator batch
+      (its writes went earlier, or are inserts alone) takes no rider, and
+      the queue stays for the next pass crossing. The committing client's
+      own queued reveal has crossed already, at that very entry, since it
+      waits on it.
+
+    Each reply seals its revealed values in one client envelope, which the
+    client opens (ZoneTopology.client_open) and splits among the
+    statements' slots. So each client has each result before it issues its
+    next statement, and the reveals of a pass share a crossing with each
+    other and, where one comes, with a commit's writes. Whether and when a
+    crossing happens is a function of the statements' kinds, keys and
+    abort decisions alone, and riders change no write element's bytes, so
+    no recipe or other durable byte.
 
     The deferred reveal returns the value the statement read: a txn's
     snapshot is fixed at begin, so the ref its statement resolved is the
@@ -739,9 +760,12 @@ class _Runner:
     and nothing releases a FID during the txn phase. Vacuum and orphan_gc
     run after the schedule, and a txn's query ends only at an entry of its
     own client, after the crossing that client waits on, so the
-    temporaries a deep SUM's last element reads are still there. On
-    ZoneCrashed or Unavailable the queued reveals are dropped, with their
-    slots in report.revealed, so no unresolved value is reported."""
+    temporaries a deep SUM's last element reads are still there. A commit
+    whose write element fails fills its riders' slots before its error
+    propagates. On ZoneCrashed or Unavailable the reveals still queued are
+    dropped, with their slots in report.revealed, so no unresolved value is
+    reported; riders whose reply came back before the crash are not
+    queued any more."""
 
     def __init__(self, topology: ZoneTopology, program: WorkloadProgram):
         self.topo = topology
@@ -749,9 +773,10 @@ class _Runner:
         self.spec = program.spec
         self.batch_size = topology.batch_size
         self.report = RunReport()
-        # (slot in report.revealed, a READ's ref or a SUM's last element,
-        # the decoder of the revealed plaintext), in slot order
+        # (slot in report.revealed, a READ's (value type, ref) or a SUM's
+        # last element, the decoder of the revealed plaintext), in slot order
         self._pending: list[tuple[int, object, object]] = []
+        self._waiting: set[int] = set()  # the clients with a reveal queued
 
     # -- setup -------------------------------------------------------------
 
@@ -789,12 +814,11 @@ class _Runner:
         schedule = flatten_schedule(self.program)
         active: dict[int, object] = {}
         dead: set[int] = set()
-        waiting: set[int] = set()  # the clients with a reveal queued
+        waiting = self._waiting
         try:
             for entry in schedule:
                 if entry[1] in waiting:
                     self._cross(db)
-                    waiting.clear()
                 kind = entry[0]
                 if kind == "begin":
                     txn = db.begin()
@@ -829,7 +853,7 @@ class _Runner:
                     else:
                         # still in active if its writes fail to go, so
                         # that the Unavailable handler aborts it
-                        db.commit(txn)
+                        self._commit(db, txn)
                         report.txns_committed += 1
                     del active[txn_index]
                     self._end_query_quietly(txn)
@@ -863,21 +887,42 @@ class _Runner:
         return report
 
     def _cross(self, db: Database) -> None:
-        """Sends every queued reveal (the class docstring) and fills each
-        one's slot in report.revealed."""
-        pending = self._pending
-        if not pending:
+        """Sends the queued reveals alone (the class docstring) and fills
+        their slots in report.revealed."""
+        if self._pending:
+            reveals = self._queued()
+            db.backend.reveal(reveals, self.batch_size)
+            self._land(reveals)
+
+    def _commit(self, db: Database, txn) -> None:
+        """Commits txn with the queued reveals as its riders (the class
+        docstring), and fills their slots if they crossed, before any error
+        of the commit propagates."""
+        if not self._pending:
+            db.commit(txn)
             return
-        reads = [p for p in pending if not isinstance(p[1], OperatorRequest)]
-        sums = [p for p in pending if isinstance(p[1], OperatorRequest)]
-        values = []
-        for envelope, n in db.backend.reveal_many(
-                [p[1] for p in reads], [p[1] for p in sums], self.batch_size):
-            values += self.topo.client_open(envelope, n)
-        revealed = self.report.revealed
-        for (slot, _, decode), value in zip(reads + sums, values):
+        riders = txn.riders = self._queued()
+        try:
+            db.commit(txn)
+        finally:
+            if riders.replies is not None:
+                self._land(riders)
+
+    def _queued(self) -> Reveals:
+        """The queued reveals, as the elements of one batch."""
+        return Reveals([item for _, item, _ in self._pending], self.batch_size)
+
+    def _land(self, reveals: Reveals) -> None:
+        """Fills the slot of each queued reveal from the replies of the
+        reveals that carried the whole queue, and empties the queue."""
+        values = [value for envelope, n in reveals.sealed()
+                  for value in self.topo.client_open(envelope, n)]
+        pending, revealed = self._pending, self.report.revealed
+        for i, value in zip(reveals.order, values):
+            slot, _, decode = pending[i]
             revealed[slot] = revealed[slot][:3] + (decode(value),)
         pending.clear()
+        self._waiting.clear()
 
     def _drop(self) -> None:
         """Forgets every queued reveal and its slot in report.revealed."""
@@ -885,6 +930,7 @@ class _Runner:
         for slot, _, _ in reversed(self._pending):
             del revealed[slot]
         self._pending.clear()
+        self._waiting.clear()
 
     def _end_query_quietly(self, txn) -> None:
         try:
@@ -921,7 +967,8 @@ class _Runner:
         ctype = table.schema[column].ctype
         if kind == READ:
             if version is not None:
-                self._pending.append((len(revealed), version.cells[column],
+                self._pending.append((len(revealed), (VALUE_TYPES[ctype],
+                                                      version.cells[column]),
                                       _DECODE[ctype]))
             topo.trace.result_size(0 if version is None else 1)
             revealed.append(("point", t, key, None))

@@ -7,6 +7,7 @@ a recovery, a child process that exits just before a write on a data
 directory, and a stateful run against the plaintext shadow engine with
 crashes at drawn ordinals and cache sizes."""
 
+import itertools
 import os
 
 import pytest
@@ -17,7 +18,8 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from fidstore import wal
 from fidstore.bench import lost_values, row_states
 from fidstore.errors import Unavailable, WriteConflict, ZoneCrashed
-from fidstore.integrity_dbms import Column, ColumnType
+from fidstore.integrity_dbms import Column, ColumnType, Reveals
+from fidstore.messages import MSG_EXEC_BATCH
 from fidstore.privacy_proxy import (
     OperatorRequest,
     OpKind,
@@ -146,7 +148,8 @@ SLOTS = 2
 class CrashMachine(RuleBasedStateMachine):
     """The engine beside the plaintext shadow engine (ShadowDb): inserts,
     ADD and SET updates, reads, commits and aborts in up to SLOTS
-    concurrent txns, maintenance, and crashes of both zones or the privacy
+    concurrent txns, a read that rides in another txn's commit and crashes
+    inside that commit, maintenance, and crashes of both zones or the privacy
     zone alone at a drawn ordinal of the writes to come, recovered at a
     drawn cache size. A crash resolves each open txn by what recovery
     kept: committed if the engine holds its commit, else aborted."""
@@ -159,6 +162,9 @@ class CrashMachine(RuleBasedStateMachine):
         self.shadow = ShadowDb()
         self.shadow.create_table(0)
         self.txns = {}  # slot -> (engine txn, shadow txn)
+        # the shadow's own txn ids: the engine hands a txn id out again
+        # after a crash that left no record of the txn that had it
+        self.shadow_ids = itertools.count(1)
 
     @property
     def db(self):
@@ -167,7 +173,7 @@ class CrashMachine(RuleBasedStateMachine):
     def _txn(self, slot):
         if slot not in self.txns:
             txn = self.db.begin()
-            self.txns[slot] = (txn, self.shadow.begin(txn.txn_id))
+            self.txns[slot] = (txn, self.shadow.begin(next(self.shadow_ids)))
         return self.txns[slot]
 
     def _finish(self, slot, commit: bool) -> None:
@@ -180,7 +186,12 @@ class CrashMachine(RuleBasedStateMachine):
             self.shadow.abort(shadow_txn)
 
     def _reveal(self, txn, ref) -> int:
-        [(envelope, n)] = self.db.backend.reveal_many([ref], [], 1)
+        reveals = Reveals([(ValueType.INT64, ref)], 1)
+        self.db.backend.reveal(reveals, 1)
+        return self._opened(reveals)
+
+    def _opened(self, reveals) -> int:
+        [(envelope, n)] = reveals.sealed()
         return decode_int64(self.topo.client_open(envelope, n)[0])
 
     @rule(slot=st.integers(0, SLOTS - 1), value=st.integers(-50, 50))
@@ -224,6 +235,68 @@ class CrashMachine(RuleBasedStateMachine):
         got = None if version is None else self._reveal(txn, version.cells[1])
         assert got == (None if cells is None else cells[1])
 
+    def _writers(self) -> list:
+        """The slots of the open txns that hold writes to send."""
+        return [slot for slot in range(SLOTS)
+                if slot in self.txns and self.txns[slot][0].pending]
+
+    @precondition(lambda self: self._writers())
+    @rule(pick=st.integers(0, SLOTS - 1), key=st.integers(1, 8),
+          at=st.sampled_from([None, "crossing", "commit"]),
+          zones=st.sampled_from([CrashTarget.BOTH, CrashTarget.PRIVACY]))
+    def ride(self, pick, key, at, zones):
+        """Queues a read in one slot and commits the txn of the other, one
+        that holds writes, with the read riding (Txn.riders). With at, a
+        crash of zones comes inside that commit's operator batch
+        ("crossing": at the first durable write of a privacy checkpoint
+        that the batch's first put runs) or at its DB_COMMIT sync
+        ("commit"). The rider's value is the shadow's whenever its reply
+        came back; a commit with no operator batch (inserts alone) takes no
+        rider, and the read then crosses alone."""
+        writers = self._writers()
+        committer = writers[pick % len(writers)]
+        txn, shadow_txn = self._txn(1 - committer)
+        version = self.db.visible_version(self.table, key, txn)
+        cells = self.shadow.visible_cells(0, key, shadow_txn)
+        assert (version is None) == (cells is None)
+        if version is None:
+            return
+        topo = self.topo
+        riders = Reveals([(ValueType.INT64, version.cells[1])], self.db.batch_size)
+        committing, shadow_committing = self.txns[committer]
+        committing.riders = riders
+        limit = wal.MAX_UNSYNCED_PUTS
+        if at == "crossing":
+            request = topo.channel.request
+
+            def checkpoint_inside(raw):
+                if raw[0] == MSG_EXEC_BATCH and topo.on_write is None:
+                    wal.MAX_UNSYNCED_PUTS = topo.privacy.wal.puts + 1
+                    crash_at(topo, lambda w: w.zone == "privacy", target=zones)
+                return request(raw)
+
+            topo.on_write = None
+            topo.channel.request = checkpoint_inside
+        elif at == "commit":
+            crash_at(topo, commit_sync, target=zones)
+        try:
+            self.db.commit(committing)
+        except (ZoneCrashed, Unavailable):
+            pass
+        finally:
+            wal.MAX_UNSYNCED_PUTS = limit
+            topo.on_write = None
+            vars(topo.channel).pop("request", None)
+        if riders.replies is not None:
+            assert self._opened(riders) == cells[1]
+        if topo.fired is not None:
+            self._recover(topo.cache_capacity_blocks)
+            return
+        del self.txns[committer]
+        self.shadow.commit(shadow_committing)
+        if riders.replies is None:
+            assert self._reveal(txn, version.cells[1]) == cells[1]
+
     @rule(slot=st.integers(0, SLOTS - 1), commit=st.booleans())
     def finish(self, slot, commit):
         if slot in self.txns:
@@ -261,6 +334,11 @@ class CrashMachine(RuleBasedStateMachine):
                     self.shadow.commit(self.txns.pop(SLOTS)[1])
         except (ZoneCrashed, Unavailable):
             pass
+        self._recover(cache)
+
+    def _recover(self, cache) -> None:
+        """Resolves each open txn by what the crash kept, committed if its
+        commit returned and aborted otherwise, and recovers at cache."""
         for txn, shadow_txn in self.txns.values():
             if txn.state.name == "COMMITTED":
                 self.shadow.commit(shadow_txn)
@@ -268,8 +346,8 @@ class CrashMachine(RuleBasedStateMachine):
                 self.db.abort(txn)  # what a restart does to an open txn
                 self.shadow.abort(shadow_txn)
         self.txns = {}
-        topo.cache_capacity_blocks = cache
-        topo.recover_all()
+        self.topo.cache_capacity_blocks = cache
+        self.topo.recover_all()
         self.table = self.db.tables["t"]
 
     @invariant()

@@ -11,7 +11,7 @@ from fidstore.errors import (
     WriteConflict,
     WrongPartitionKind,
 )
-from fidstore.integrity_dbms import DB_REMOVE, Column, ColumnType, Predicate
+from fidstore.integrity_dbms import DB_REMOVE, Column, ColumnType, Predicate, Reveals
 from fidstore.messages import MSG_INGEST
 from fidstore.privacy_proxy import (
     QUERY_TEMP_TARGET,
@@ -217,7 +217,9 @@ def test_the_engine_refuses_a_value_it_did_not_write(backend):
     db.commit(txn)
     reader = db.begin()
     got = [db.visible_version(table, key, reader).cells[1] for key in (1, 2)]
-    [(envelope, n)] = db.backend.reveal_many(got, [], 8)
+    reveals = Reveals([(ValueType.INT64, ref) for ref in got], 8)
+    db.backend.reveal(reveals, 8)
+    [(envelope, n)] = reveals.sealed()
     assert n == 2
     assert list(map(decode_int64, topo.client_open(envelope, n))) == [1, 7]
     db.abort(reader)

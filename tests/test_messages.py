@@ -22,7 +22,6 @@ from fidstore.mapping_store import MAX_VALUE_LEN, MappingStore, PartitionKind
 from fidstore.messages import (
     MSG_CIPHER_EXEC,
     MSG_CIPHER_INGEST,
-    MSG_CIPHER_REVEAL,
     MSG_CREATE_PARTITION,
     MSG_DELETE,
     MSG_END_QUERY,
@@ -34,7 +33,6 @@ from fidstore.messages import (
     MSG_PREFETCH,
     MSG_PROMOTE,
     MSG_RESTORE,
-    MSG_REVEAL,
     OP_CONST,
     OP_DEST,
     OP_REVEAL,
@@ -54,7 +52,6 @@ from fidstore.messages import (
     _read_ops,
     _read_u64,
     _req,
-    _sized,
     _split,
     _write_envelope,
     _write_op,
@@ -127,6 +124,17 @@ def _zone_envelope(topo) -> bytes:
     return topo.client.cipher_ingest(1, [topo.client_encrypt(encode_int64(1))], 1)[0]
 
 
+def _load_head(argc: int, vtype: int = ValueType.INT64) -> bytes:
+    """A LOAD element's head: the op with OP_REVEAL, the value type and
+    argc."""
+    return struct.pack("<BBH", OpKind.LOAD | OP_REVEAL, vtype, argc)
+
+
+def _sized(value: bytes) -> bytes:
+    """A packed value but the last: after its u16 length (pack_values)."""
+    return struct.pack("<H", len(value)) + value
+
+
 # 31, the largest op the op byte's five low bits hold, names no OpKind
 _UNKNOWN_OP = 31
 
@@ -141,22 +149,23 @@ _MALFORMED = {
     "batch-ends-in-a-partial-element": (lambda topo: _req(
         MSG_EXEC_BATCH, _good_element(topo) + struct.pack("<BB", OpKind.ADD, 1)),
         TypeMismatch),
-    "one-byte-reveal": (_req(MSG_REVEAL, b"\x01"), TypeMismatch),
-    # a reveal is n >= 1 FIDs, and a cipher reveal n >= 1 sized envelopes
-    "reveal-without-a-fid": (_req(MSG_REVEAL), TypeMismatch),
+    # a LOAD element, the reveal, that ends inside its argc operands
+    # fails the whole batch, as any element that does not parse
+    "one-byte-reveal": (_req(MSG_EXEC_BATCH, _load_head(1) + b"\x01"), TypeMismatch),
+    "reveal-without-a-fid": (_req(MSG_EXEC_BATCH, _load_head(1)), TypeMismatch),
     "reveal-part-of-a-fid": (lambda topo: _req(
-        MSG_REVEAL, struct.pack("<Q", _live_fid(topo)) + bytes(4)), TypeMismatch),
-    "cipher-reveal-without-an-envelope": (_req(MSG_CIPHER_REVEAL), TypeMismatch),
+        MSG_EXEC_BATCH, _load_head(2) + struct.pack("<Q", _live_fid(topo)) + bytes(4)),
+        TypeMismatch),
+    "cipher-reveal-without-an-envelope": (_req(MSG_CIPHER_EXEC, _load_head(1)),
+                                          TypeMismatch),
     "cipher-reveal-length-overruns": (lambda topo: _req(
-        MSG_CIPHER_REVEAL, _sized(_zone_envelope(topo))
-        + struct.pack("<H", FIXED_ENVELOPE_LEN + 1) + _zone_envelope(topo)),
+        MSG_CIPHER_EXEC, _load_head(2, ValueType.BYTES) + _blob(_zone_envelope(topo))
+        + struct.pack("<I", FIXED_ENVELOPE_LEN + 1) + _zone_envelope(topo)),
         TypeMismatch),
     "cipher-reveal-ends-in-a-length": (lambda topo: _req(
-        MSG_CIPHER_REVEAL, _sized(_zone_envelope(topo)) + b"\x01"), TypeMismatch),
+        MSG_CIPHER_EXEC, _load_head(2, ValueType.BYTES) + _blob(_zone_envelope(topo))
+        + b"\x01"), TypeMismatch),
     "short-header": (bytes([MSG_INGEST | QUERY_FLAG, 0, 0]), TypeMismatch),
-    # a cipher reveal's zone envelopes each follow their u16 length (the
-    # bare 5 bytes were one envelope when a request carried exactly one)
-    "short-zone-envelope": (_req(MSG_CIPHER_REVEAL, _sized(bytes(5))), AuthFailure),
     # the payload a client sent when a create named a kind, layout and width
     "create-with-payload": (_req(MSG_CREATE_PARTITION, struct.pack("<BBI", 1, 2, 0)),
                             TypeMismatch),
@@ -188,7 +197,8 @@ _MALFORMED = {
     "unflagged-end-query": (_req(MSG_END_QUERY), TypeMismatch),
     "end-query-with-payload": (_req(MSG_END_QUERY, b"\x00", 1), TypeMismatch),
     "flagged-reveal": (_flagged(lambda topo: _req(
-        MSG_REVEAL, struct.pack("<Q", _live_fid(topo)))), TypeMismatch),
+        MSG_EXEC_BATCH, _load_head(1) + struct.pack("<Q", _live_fid(topo)))),
+        TypeMismatch),
     "flagged-delete": (_flagged(lambda topo: _req(
         MSG_DELETE, struct.pack("<Q", _live_fid(topo)))), TypeMismatch),
     "flagged-flush": (_flagged(lambda topo: _req(MSG_FLUSH_LOG, CHECKPOINT)),
@@ -211,7 +221,7 @@ _MALFORMED = {
     "flagged-cipher-ingest": (_flagged(lambda topo: _req(
         MSG_CIPHER_INGEST, _blob(topo.client_encrypt(b"x")))), TypeMismatch),
     "flagged-cipher-reveal": (_flagged(lambda topo: _req(
-        MSG_CIPHER_REVEAL, _zone_envelope(topo))), TypeMismatch),
+        MSG_CIPHER_EXEC, _load_head(1) + _zone_envelope(topo))), TypeMismatch),
     "flagged-cipher-exec": (_flagged(lambda topo: _req(MSG_CIPHER_EXEC, _write_op(
         OperatorRequest(OpKind.ADD, ValueType.INT64, [_zone_envelope(topo)] * 2),
         _write_envelope))), TypeMismatch),
@@ -369,13 +379,19 @@ def test_refused_ingests_leave_no_partition(topo):
     assert topo.privacy.store.partition_ids() == partitions
 
 
+def _load(refs: list, vtype: int = ValueType.BYTES) -> OperatorRequest:
+    return OperatorRequest(OpKind.LOAD, vtype, list(refs), reveal=True)
+
+
 def test_batched_reveals_on_the_wire(topo):
-    """A MSG_REVEAL of n FIDs is the FIDs, and its reply the status byte and
-    one client envelope of their values in order, each but the last after
-    its u16 length: 28 + the values' bytes + 2(n-1) bytes, one encrypt. A
-    MSG_CIPHER_REVEAL is its zone envelopes each after its u16 length, and
-    its reply one client envelope of their values. One FID's request and
-    reply are the FID and its value's envelope bare."""
+    """A LOAD element of n FIDs is its head and the FIDs bare, and its
+    reply the status byte, the element's status and result kind, and one
+    client envelope of the values in order, each but the last after its
+    u16 length: 28 + the values' bytes + 2(n-1) bytes, one encrypt. On the
+    cipher path its zone envelopes go as its value type writes them, as
+    blobs for raw bytes. reveal is one such element of one FID and seals
+    the value alone. batch_size counts the elements of a message, not the
+    operands of one."""
     pid = topo.client.create_partition()
     values = [encode_int64(7), b"a longer value", b"x"]
     fids = topo.client.ingest(1, [topo.client_encrypt(v) for v in values], 8, pid)
@@ -383,37 +399,43 @@ def test_batched_reveals_on_the_wire(topo):
     codec = topo.privacy.proxy.client_codec
     encrypts = codec.encrypts
     captured = _capture(topo)
-    [got] = topo.client.reveal_many(fids, 8)
+    [resp] = topo.client.exec_batch(None, [_load(fids)], 8)
+    got = resp.envelope
     assert topo.client_open(got, 3) == values
     assert topo.client_decrypt(got) == _sized(values[0]) + _sized(values[1]) + values[2]
     assert len(got) == 28 + sum(map(len, values)) + 2 * 2
     assert captured[0] == (
-        _req(MSG_REVEAL, b"".join(struct.pack("<Q", f) for f in fids)), b"\x00" + got)
+        _req(MSG_EXEC_BATCH, _load_head(3, ValueType.BYTES)
+             + b"".join(struct.pack("<Q", f) for f in fids)), b"\x00\x00\x02" + got)
     one = topo.client.reveal(1, fids[1])
-    assert captured[1] == (_req(MSG_REVEAL, struct.pack("<Q", fids[1])), b"\x00" + one)
+    assert captured[1] == (_req(MSG_EXEC_BATCH, _load_head(1, ValueType.BYTES)
+                                + struct.pack("<Q", fids[1])), b"\x00\x00\x02" + one)
     assert topo.client_decrypt(one) == values[1]
-    [got] = topo.client.cipher_reveal_many(zones, 8)
-    assert topo.client_open(got, 3) == values
-    assert captured[2] == (_req(MSG_CIPHER_REVEAL, b"".join(map(_sized, zones))),
-                           b"\x00" + got)
+    [resp] = topo.client.cipher_exec(None, [_load(zones)], 8)
+    assert topo.client_open(resp.envelope, 3) == values
+    assert captured[2] == (_req(MSG_CIPHER_EXEC, _load_head(3, ValueType.BYTES)
+                                + b"".join(map(_blob, zones))),
+                           b"\x00\x00\x02" + resp.envelope)
     assert codec.encrypts == encrypts + 3
-    # batch_size FIDs a message, an envelope each
-    got = topo.client.reveal_many(fids, 2)
-    assert [topo.client_open(e, n) for e, n in zip(got, (2, 1))] == [values[:2],
-                                                                   values[2:]]
-    assert [len(raw) for raw, _ in captured[3:]] == [17, 9]
+    # batch_size elements a message, an envelope each
+    out = topo.client.exec_batch(None, [_load(fids[:2]), _load(fids[2:])], 1)
+    assert [topo.client_open(r.envelope, n) for r, n in zip(out, (2, 1))] == [
+        values[:2], values[2:]]
+    assert [len(raw) for raw, _ in captured[3:]] == [21, 13]
 
 
-# A one-FID MSG_REVEAL and MSG_CIPHER_REVEAL and their replies, from a
-# dispatcher over fixed keys and nonce streams: byte for byte what they
-# were when every revealed value had an envelope of its own.
+# A one-value reveal on each path and its reply, from a dispatcher over
+# fixed keys and nonce streams: one LOAD element of raw bytes, whose reply
+# is the element's status and result kind and an envelope byte for byte
+# what it was when each revealed value had an envelope, and a reveal a
+# message kind, of its own.
 _ONE_VALUE_REVEALS = [
-    ("020000000000000000",
-     "00f572ae5b2072191f9a7146ad4b6b776d9baea8b1b2bb81737989556721531a4e0a7391a0"),
-    ("162800834ce73379363f0eeca1920c08e5b17a40aa098133c1240513a2eb74f31579a61a54"
-     "ab263e5137b8",
-     "0009da7bd2746ba3124b6ced8084f768eb52f235412e260e1a8cd4ff60ff74a807a5eb6850"
-     "de4a9a1e"),
+    ("034e0301000000000000000000",
+     "000002f572ae5b2072191f9a7146ad4b6b776d9baea8b1b2bb81737989556721531a4e0a7391a0"),
+    ("144e03010028000000834ce73379363f0eeca1920c08e5b17a40aa098133c1240513a2eb74f3"
+     "1579a61a54ab263e5137b8",
+     "00000209da7bd2746ba3124b6ced8084f768eb52f235412e260e1a8cd4ff60ff74a807a5eb685"
+     "0de4a9a1e"),
 ]
 
 
@@ -423,8 +445,10 @@ def test_a_one_value_reveal_keeps_its_bytes():
     proxy = PrivacyProxy(store, bytes(range(32)), random.Random("reply").randbytes)
     zone = EnvelopeCodec(bytes(range(32, 64)), random.Random("zone").randbytes)
     dispatcher = PrivacyDispatcher(proxy, None, None, zone)
-    requests = [_req(MSG_REVEAL, struct.pack("<Q", fid)),
-                _req(MSG_CIPHER_REVEAL, _sized(zone.encrypt(b"padded value").to_bytes()))]
+    requests = [_req(MSG_EXEC_BATCH, _load_head(1, ValueType.BYTES)
+                     + struct.pack("<Q", fid)),
+                _req(MSG_CIPHER_EXEC, _load_head(1, ValueType.BYTES)
+                     + _blob(zone.encrypt(b"padded value").to_bytes()))]
     assert [(raw.hex(), dispatcher.handle(raw).hex())
             for raw in requests] == _ONE_VALUE_REVEALS
     assert proxy.client_codec.encrypts == 2
@@ -432,28 +456,44 @@ def test_a_one_value_reveal_keeps_its_bytes():
 
 @pytest.mark.parametrize("backend", ["fid", "cipher"])
 def test_a_bad_item_refuses_the_whole_reveal(topo, backend):
-    """A FID that is not live among live ones refuses the whole MSG_REVEAL
-    with NotLive, and a zone envelope that fails its tag among good ones
-    the whole MSG_CIPHER_REVEAL with AuthFailure, before any client
-    envelope is encrypted."""
+    """A FID that is not live among live ones fails the whole LOAD element
+    with NotLive, and a zone envelope that fails its tag among good ones,
+    or one too short for its nonce and tag, fails it with AuthFailure,
+    before any client envelope is encrypted: the reply is that element's
+    status alone."""
     envelopes = [topo.client_encrypt(encode_int64(v)) for v in (1, 2, 3)]
     if backend == "fid":
         pid = topo.client.create_partition()
         items = topo.client.ingest(1, envelopes, 8, pid)
         topo.privacy.store.delete(items[1])
         payload, error = b"".join(struct.pack("<Q", f) for f in items), NotLive
-        kind = MSG_REVEAL
+        kind = MSG_EXEC_BATCH
     else:
         items = topo.client.cipher_ingest(1, envelopes, 8)
         bad = bytearray(items[1])
         bad[12] ^= 1  # the first byte of the tag
         items[1] = bytes(bad)
-        payload, error = b"".join(map(_sized, items)), AuthFailure
-        kind = MSG_CIPHER_REVEAL
+        payload, error = b"".join(items), AuthFailure
+        kind = MSG_CIPHER_EXEC
     codec = topo.privacy.proxy.client_codec
     encrypts = codec.encrypts
-    assert topo.channel.request(_req(kind, payload)) == bytes([error.code])
+    assert topo.channel.request(_req(kind, _load_head(3) + payload)) == bytes(
+        [0, error.code])
+    if backend == "cipher":  # a zone envelope too short for its nonce and tag
+        assert topo.channel.request(_req(kind, _load_head(1, ValueType.BYTES)
+                                         + _blob(bytes(5)))) == bytes(
+            [0, AuthFailure.code])
     assert codec.encrypts == encrypts
+
+
+def test_the_retired_reveal_kinds_are_refused(topo):
+    """Kinds 2 and 22, the retired MSG_REVEAL and MSG_CIPHER_REVEAL, name
+    no message: the privacy zone refuses them as any unknown kind."""
+    fid = _live_fid(topo)
+    for kind, payload in ((2, struct.pack("<Q", fid)),
+                          (22, struct.pack("<H", FIXED_ENVELOPE_LEN)
+                           + _zone_envelope(topo))):
+        assert topo.channel.request(bytes([kind]) + payload) == b"\xff"
 
 
 @pytest.mark.parametrize("reply,error", [
@@ -939,17 +979,20 @@ def test_malformed_store_elements_fail_positionally(backend):
         [out[3].fid] if backend == "fid" else [])
 
 
-def _revealed_values(topo, out: list[OperatorResponse]) -> list:
-    """Each response's revealed value, None where it revealed nothing: the
+def _revealed_values(topo, reqs: list[OperatorRequest],
+                     out: list[OperatorResponse]) -> list:
+    """Each response's revealed values, None where it revealed nothing: the
     revealed responses of one message share its envelope, which seals their
-    values in element order, and another message's envelope has another
-    nonce."""
+    values in element order, a LOAD's argc and any other element's one,
+    and another message's envelope has another nonce."""
     values = [None] * len(out)
     revealed = [i for i, r in enumerate(out) if r.envelope is not None]
     for envelope, group in groupby(revealed, key=lambda i: out[i].envelope):
         group = list(group)
-        for i, value in zip(group, topo.client_open(envelope, len(group))):
-            values[i] = value
+        opened = iter(topo.client_open(envelope,
+                                       sum(reqs[i].n_revealed for i in group)))
+        for i in group:
+            values[i] = [next(opened) for _ in range(reqs[i].n_revealed)]
     return values
 
 
@@ -975,8 +1018,9 @@ def test_both_backends_run_the_same_operators(elements, batch_size):
     """The same batch over the same plaintexts gives the same error codes,
     booleans and result plaintexts through exec_batch on FIDs and through
     cipher_exec on zone envelopes, whether a result is revealed or stored,
-    over every op kind and value type, bad arities, overflow, division by
-    zero and every combination of constant, destination and reveal. The
+    over every op kind, LOAD's reveal of its operands too, and value type,
+    bad arities, overflow, division by zero and every combination of
+    constant, destination and reveal. The
     FIDs are in a table's partition, since a result with a destination
     takes permanent operands only."""
     outcomes = []
@@ -997,7 +1041,7 @@ def test_both_backends_run_the_same_operators(elements, batch_size):
                 for op, vtype, operands, dest, const, revealed in elements]
         seen = []
         out = run(1, reqs, batch_size)
-        for r, revealed in zip(out, _revealed_values(topo, out)):
+        for r, revealed in zip(out, _revealed_values(topo, reqs, out)):
             if r.envelope is not None:
                 value = ("revealed", revealed)
             elif r.fid is not None:
@@ -1103,27 +1147,29 @@ _TWO_SHORTEST = bytes(ENVELOPE_OVERHEAD + 2 * 3 - 2)
 _TWO_ZONE_VALUES = bytes(ENVELOPE_OVERHEAD + 2 * 10 - 2)
 
 
-@pytest.mark.parametrize("kind,reply,error", [
-    (MSG_REVEAL, _TWO_SHORTEST, None),
-    (MSG_REVEAL, _TWO_SHORTEST + bytes(100), None),  # the values may be longer
-    (MSG_REVEAL, _TWO_SHORTEST[:-1], TypeMismatch),
-    (MSG_CIPHER_REVEAL, _TWO_ZONE_VALUES, None),
-    (MSG_CIPHER_REVEAL, _TWO_ZONE_VALUES[:-1], TypeMismatch),
-    (MSG_CIPHER_REVEAL, _TWO_ZONE_VALUES + b"\x00", TypeMismatch),
+@pytest.mark.parametrize("backend,reply,error", [
+    ("fid", _TWO_SHORTEST, None),
+    ("fid", _TWO_SHORTEST + bytes(100), None),  # the values may be longer
+    ("fid", _TWO_SHORTEST[:-1], TypeMismatch),
+    ("cipher", _TWO_ZONE_VALUES, None),
+    ("cipher", _TWO_ZONE_VALUES[:-1], TypeMismatch),
+    ("cipher", _TWO_ZONE_VALUES + b"\x00", TypeMismatch),
 ], ids=["fid-shortest", "fid-longer", "fid-too-short", "cipher-exact",
         "cipher-too-short", "cipher-trailing-byte"])
-def test_client_checks_the_reveal_reply(kind, reply, error):
-    """The client takes a reveal reply of two items as one envelope, and
-    refuses one too short to seal a value per FID, or, on the cipher path,
-    of another length than the zone envelopes' values make."""
-    client = ProxyClient(_Replay(b"\x00" + reply))
-    if kind == MSG_REVEAL:
-        reveal = lambda: client.reveal_many([1, 2], 8)  # noqa: E731
+def test_client_checks_the_reveal_reply(backend, reply, error):
+    """The client takes the reply of a LOAD element of two operands as one
+    envelope of two values, and refuses one too short to seal a value per
+    operand of raw bytes, or, for two INT64 zone envelopes, of another
+    length than their 8-byte values make."""
+    client = ProxyClient(_Replay(b"\x00" + _REVEALED + reply))
+    if backend == "fid":
+        reveal = lambda: client.exec_batch(None, [_load([1, 2])], 8)  # noqa: E731
     else:
         zone = bytes(FIXED_ENVELOPE_LEN)
-        reveal = lambda: client.cipher_reveal_many([zone, zone], 8)  # noqa: E731
+        reveal = lambda: client.cipher_exec(  # noqa: E731
+            None, [_load([zone, zone], ValueType.INT64)], 8)
     if error is None:
-        assert reveal() == [reply]
+        assert reveal() == [OperatorResponse(envelope=reply)]
     else:
         with pytest.raises(error):
             reveal()
@@ -1188,7 +1234,8 @@ def test_a_flipped_byte_in_a_grouped_envelope_fails_its_tag(topo, at):
     pid = topo.client.create_partition()
     fids = topo.client.ingest(
         1, [topo.client_encrypt(encode_int64(v)) for v in (1, 2, 3)], 8, pid)
-    [envelope] = topo.client.reveal_many(fids, 8)
+    [resp] = topo.client.exec_batch(None, [_load(fids, ValueType.INT64)], 8)
+    envelope = resp.envelope
     bad = bytearray(envelope)
     bad[at] ^= 1
     with pytest.raises(AuthFailure):
@@ -1229,20 +1276,21 @@ def test_any_request_gets_a_status_byte(kind, query_id, payload):
 
 @pytest.mark.parametrize("backend", ["fid", "cipher"])
 def test_a_sum_that_fails_alone_leaves_the_envelope_to_the_others(backend):
-    """A pass's READs cross in one reveal and its SUMs in one batch, and each
-    reply costs one encrypt. A SUM element that overflows fails alone: its
-    reply holds that element's error status and one envelope of the other
-    sums only, in element order. A batch whose every revealed element fails
-    carries no envelope and costs no encrypt."""
+    """A pass's READs and SUMs cross in one batch, a LOAD element of the
+    READs' refs and an element per SUM, and its reply costs one encrypt. A
+    SUM element that overflows fails alone: its reply holds that element's
+    error status and one envelope of the other values only, in element
+    order. A batch whose every revealed element fails carries no envelope
+    and costs no encrypt."""
     topo = ZoneTopology(995, backend=backend)
     client = topo.client
     envelopes = [topo.client_encrypt(encode_int64(v)) for v in (1, 2, 2**63 - 1, 3)]
     if backend == "fid":
         refs = client.ingest(1, envelopes, 8, client.create_partition())
-        reveal_many, run = client.reveal_many, client.exec_batch
+        run = client.exec_batch
     else:
         refs = client.cipher_ingest(1, envelopes, 8)
-        reveal_many, run = client.cipher_reveal_many, client.cipher_exec
+        run = client.cipher_exec
 
     def total(*at):
         return OperatorRequest(OpKind.SUM_AGG, ValueType.INT64, [refs[i] for i in at],
@@ -1251,16 +1299,151 @@ def test_a_sum_that_fails_alone_leaves_the_envelope_to_the_others(backend):
     codec = topo.privacy.proxy.client_codec
     encrypts = codec.encrypts
     captured = _capture(topo)
-    [reads] = reveal_many([refs[0], refs[3]], 8)
-    out = run(None, [total(0, 1), total(1, 2), total(0, 3)], 8)
-    assert codec.encrypts == encrypts + 2
-    assert [decode_int64(v) for v in topo.client_open(reads, 2)] == [1, 3]
-    assert [r.error_code for r in out] == [0, Overflow.code, 0]
-    assert out[0].envelope == out[2].envelope and out[1].envelope is None
-    assert [decode_int64(v) for v in topo.client_open(out[0].envelope, 2)] == [3, 4]
-    assert captured[1][1] == (b"\x00" + _REVEALED + bytes([Overflow.code]) + _REVEALED
-                              + out[0].envelope)
-    assert len(out[0].envelope) == FIXED_ENVELOPE_LEN + 10
+    reads = _load([refs[0], refs[3]], ValueType.INT64)
+    out = run(None, [reads, total(0, 1), total(1, 2), total(0, 3)], 8)
+    assert codec.encrypts == encrypts + 1
+    assert [r.error_code for r in out] == [0, 0, Overflow.code, 0]
+    assert out[0].envelope == out[1].envelope == out[3].envelope
+    assert out[2].envelope is None
+    assert [decode_int64(v) for v in topo.client_open(out[0].envelope, 4)] == [1, 3,
+                                                                             3, 4]
+    assert captured[0][1] == (b"\x00" + _REVEALED * 2 + bytes([Overflow.code])
+                              + _REVEALED + out[0].envelope)
+    assert len(out[0].envelope) == FIXED_ENVELOPE_LEN + 30
     assert run(None, [total(1, 2)], 8) == [OperatorResponse(error_code=Overflow.code)]
-    assert captured[2][1] == bytes([0, Overflow.code])
-    assert codec.encrypts == encrypts + 2
+    assert captured[1][1] == bytes([0, Overflow.code])
+    assert codec.encrypts == encrypts + 1
+
+
+def _two_backends(backend):
+    """A topology of backend, its operator call, and three int64 refs of
+    values 1, 2 and 3 in a table's partition (zone envelopes on cipher)."""
+    topo = ZoneTopology(994, backend=backend)
+    client = topo.client
+    envelopes = [topo.client_encrypt(encode_int64(v)) for v in (1, 2, 3)]
+    if backend == "fid":
+        return topo, client.exec_batch, client.ingest(1, envelopes, 8,
+                                                      client.create_partition())
+    return topo, client.cipher_exec, client.cipher_ingest(1, envelopes, 8)
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+@pytest.mark.parametrize("case", ["argc-0", "destination", "constant", "no-reveal"])
+def test_a_malformed_load_fails_alone(backend, case):
+    """A LOAD with no stored operand, a destination, a constant or without
+    OP_REVEAL fails alone with TypeMismatch and writes nothing, while a
+    good LOAD beside it reveals its values."""
+    topo, run, refs = _two_backends(backend)
+    store = topo.privacy.store
+    state = [store.live_fids(p) for p in store.partition_ids()]
+    bad = {"argc-0": _load([], ValueType.INT64),
+           "destination": OperatorRequest(OpKind.LOAD, ValueType.INT64, refs[:1],
+                                          topo.client.create_partition(),
+                                          reveal=True),
+           "constant": OperatorRequest(OpKind.LOAD, ValueType.INT64, refs[:1],
+                                       constant=topo.client_encrypt(encode_int64(9)),
+                                       reveal=True),
+           "no-reveal": OperatorRequest(OpKind.LOAD, ValueType.INT64, refs[:1])}[case]
+    out = run(None, [bad, _load(refs[1:], ValueType.INT64), bad], 8)
+    assert [r.error_code for r in out] == [TypeMismatch.code, 0, TypeMismatch.code]
+    assert [decode_int64(v) for v in topo.client_open(out[1].envelope, 2)] == [2, 3]
+    assert [store.live_fids(p) for p in store.partition_ids()[:len(state)]] == state
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+def test_a_load_of_a_dead_operand_fails_alone(backend):
+    """A LOAD whose operand is not live (on cipher, a zone envelope that
+    fails its tag) fails alone, with NotLive's code (AuthFailure's), and the
+    batch's other revealed values still arrive in its one envelope."""
+    topo, run, refs = _two_backends(backend)
+    if backend == "fid":
+        topo.privacy.store.delete(refs[1])
+        dead, code = refs[1], NotLive.code
+    else:
+        tampered = bytearray(refs[1])
+        tampered[12] ^= 1  # the first byte of the tag
+        dead, code = bytes(tampered), AuthFailure.code
+    total = OperatorRequest(OpKind.SUM_AGG, ValueType.INT64, [refs[0], refs[2]],
+                            reveal=True)
+    out = run(None, [_load([refs[0]], ValueType.INT64),
+                     _load([refs[2], dead], ValueType.INT64), total], 8)
+    assert [r.error_code for r in out] == [0, code, 0]
+    assert out[0].envelope == out[2].envelope and out[1].envelope is None
+    assert [decode_int64(v) for v in topo.client_open(out[0].envelope, 2)] == [1, 4]
+
+
+_LOAD3 = _load([1, 2, 3], ValueType.INT64)
+
+
+@pytest.mark.parametrize("reqs,reply,error", [
+    ([_LOAD3, _SUM], _REVEALED * 2 + bytes(FIXED_ENVELOPE_LEN + 30), None),
+    # an envelope of one value per revealed element, not per value
+    ([_LOAD3, _SUM], _REVEALED * 2 + _TWO_SEALED, TypeMismatch),
+    ([_LOAD3, _SUM], _REVEALED * 2 + bytes(FIXED_ENVELOPE_LEN + 30) + b"\x00",
+     TypeMismatch),
+    ([_LOAD3, _SUM], bytes([NotLive.code]) + _REVEALED + _ONE_SEALED, None),
+    ([_LOAD3, _SUM], bytes([NotLive.code]) + _REVEALED + _TWO_SEALED, TypeMismatch),
+    ([_LOAD3], _REVEALED + bytes(FIXED_ENVELOPE_LEN + 20), None),
+    ([_LOAD3], _REVEALED + _ONE_SEALED, TypeMismatch),
+], ids=["three-and-one", "one-per-element", "trailing-byte", "failed-load",
+        "failed-load-counted", "load-alone", "load-as-one-value"])
+def test_client_counts_a_loads_values_in_the_envelope(reqs, reply, error):
+    """The client checks a reply's envelope against the values its revealed
+    elements that succeeded seal: argc for a LOAD element, one for any
+    other, so an envelope of another length, or a byte after it, is refused
+    with TypeMismatch."""
+    client = ProxyClient(_Replay(b"\x00" + reply))
+    if error is None:
+        out = client.exec_batch(None, reqs, 8)
+        assert len(out) == len(reqs)
+    else:
+        with pytest.raises(error):
+            client.exec_batch(None, reqs, 8)
+
+
+_WRITE_BATCH = st.lists(st.one_of(
+    st.tuples(st.just("load"), st.sampled_from([ValueType.INT64, ValueType.BYTES]),
+              st.lists(st.integers(0, 2), min_size=1, max_size=4)),
+    st.tuples(st.just("sum"), st.lists(st.integers(0, 2), min_size=1, max_size=3)),
+    st.tuples(st.just("add"), st.integers(0, 2), st.integers(-9, 9)),
+    st.tuples(st.just("store"), st.integers(-9, 9))), min_size=1, max_size=10)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(elements=_WRITE_BATCH, batch_size=st.integers(1, 4))
+def test_load_sum_and_write_batches_round_trip(elements, batch_size):
+    """A batch that mixes LOAD elements, revealed SUMs and a commit's ADD
+    and STORE writes into a table's partition decodes to the elements the
+    client encoded, on either operand codec, and runs to the same values on
+    both backends: each LOAD reveals its operands' values in order, each
+    SUM its total, and each write stores its value."""
+    outcomes = []
+    for backend in ("fid", "cipher"):
+        topo, run, refs = _two_backends(backend)
+        perm = topo.client.create_partition() if backend == "fid" else None
+        reqs = []
+        for element in elements:
+            kind = element[0]
+            if kind == "load":
+                reqs.append(_load([refs[i] for i in element[2]], element[1]))
+            elif kind == "sum":
+                reqs.append(OperatorRequest(OpKind.SUM_AGG, ValueType.INT64,
+                                            [refs[i] for i in element[1]], reveal=True))
+            elif kind == "add":
+                reqs.append(OperatorRequest(OpKind.ADD, ValueType.INT64, [refs[element[1]]],
+                                            perm, topo.client_encrypt(encode_int64(element[2]))))
+            else:
+                reqs.append(OperatorRequest(OpKind.STORE, ValueType.INT64, [], perm,
+                                            topo.client_encrypt(encode_int64(element[1]))))
+        write, read = ((_pack_fid, _read_u64) if backend == "fid"
+                       else (_write_envelope, _read_envelope))
+        assert _read_ops(b"".join(_write_op(r, write) for r in reqs), read) == reqs
+        out = run(None, reqs, batch_size)
+        assert [r.error_code for r in out] == [0] * len(reqs)
+        seen = []
+        reveal = topo.client.reveal if backend == "fid" else topo.client.cipher_reveal
+        for r, values in zip(out, _revealed_values(topo, reqs, out)):
+            seen.append([decode_int64(v) for v in values] if values is not None
+                        else decode_int64(topo.client_decrypt(reveal(1, r.fid))))
+        outcomes.append(seen)
+    assert outcomes[0] == outcomes[1]

@@ -10,25 +10,21 @@ import pytest
 from fidstore.messages import (
     MSG_CIPHER_EXEC,
     MSG_CIPHER_INGEST,
-    MSG_CIPHER_REVEAL,
     MSG_CREATE_PARTITION,
     MSG_DELETE,
     MSG_EXEC_BATCH,
     MSG_FLUSH_LOG,
     MSG_INGEST,
     MSG_LIST_LIVE,
-    MSG_REVEAL,
     _pack_fid,
     _read_envelope,
-    _read_blobs,
     _read_ops,
-    _read_sized,
     _read_u64,
     _split,
     _write_envelope,
     _write_op,
 )
-from fidstore.privacy_proxy import ENVELOPE_OVERHEAD
+from fidstore.privacy_proxy import ENVELOPE_OVERHEAD, OpKind
 from fidstore.workload import Mode, WorkloadSpec, generate_workload
 from fidstore.zone_sim import ZoneTopology
 
@@ -58,15 +54,25 @@ _OPERANDS = {MSG_EXEC_BATCH: (_pack_fid, _read_u64),
 # 27 x 26 = 702 fewer on cipher, whose replies had no inner lengths, so
 # both are 2 231 bytes; a batch of 2 revealed sums 26 fewer (1 in
 # read-write, all 20 in range select).
+# The reveals then became LOAD elements of operator batches, and a commit's
+# write batch began to carry the reveals other clients queued: read-write
+# sends 83 operator batches where it sent 53 MSG_REVEAL and 43 batches.
+# Its 53 LOAD elements, one per pass or rider group, add a 4-byte head each
+# to the requests and a 2-byte status and result kind each to the replies;
+# 13 crossings fewer take 13 kind and 13 status bytes, 4 envelopes that
+# now share a reply 26 bytes each, and on cipher the 80 INT64 zone
+# envelopes go bare, 2 bytes fewer each (3 452 + 2 940 bytes on fid
+# before, 9 352 + 3 920 on cipher). The other modes reveal no READ and
+# keep every count.
 _PINNED = {
     (Mode.READ_WRITE, "fid"): {
         MSG_CREATE_PARTITION: (2, 2, 10), MSG_INGEST: (8, 12040, 968),
-        MSG_REVEAL: (53, 693, 2231), MSG_EXEC_BATCH: (43, 2759, 709),
+        MSG_EXEC_BATCH: (83, 3651, 2929),
         MSG_FLUSH_LOG: (6, 8, 6), MSG_DELETE: (4, 284, 39),
         MSG_LIST_LIVE: (4, 20, 1924)},
     (Mode.READ_WRITE, "cipher"): {
         MSG_CREATE_PARTITION: (2, 2, 10), MSG_CIPHER_INGEST: (8, 12008, 12008),
-        MSG_CIPHER_REVEAL: (53, 3093, 2231), MSG_CIPHER_EXEC: (43, 6259, 1689),
+        MSG_CIPHER_EXEC: (83, 9391, 3909),
         MSG_FLUSH_LOG: (3, 4, 3)},
     (Mode.WRITE_ONLY, "fid"): {
         MSG_CREATE_PARTITION: (2, 2, 10), MSG_INGEST: (8, 12040, 968),
@@ -103,13 +109,14 @@ def _capture(topo) -> list:
                          ids=lambda v: getattr(v, "value", v))
 def test_a_program_sends_no_byte_its_receiver_knows(mode, backend):
     """No message of a program that names no temporary carries a query id:
-    a MSG_REVEAL request is its kind and its FIDs, and a cipher reveal its
-    zone envelopes each after its u16 length; an operator batch request is
-    its kind byte and its elements' bytes alone, one reply element each.
-    Every reply that reveals values is its elements, if any, and one client
-    envelope of those values: 28 bytes, the values and 2(n-1) inner lengths,
-    one encrypt each. The bytes per kind, the values revealed and the
-    encrypts are pinned."""
+    an operator batch request is its kind byte and its elements' bytes
+    alone, a LOAD's operands as bare as its value type allows, and its
+    reply one element each. Every reply that reveals values is its elements
+    and one client envelope of those values: 28 bytes, the values and
+    2(n-1) inner lengths, one encrypt each. In read-write some commits
+    carry riders: the reveals after the write elements, in the same batch
+    and envelope. The bytes per kind, the values revealed and the encrypts
+    are pinned."""
     spec = WorkloadSpec(mode=mode, tables=2, rows_per_table=30, duration_ops=40,
                         threads_simulated=2, batch_size=16, abort_ratio=0.1)
     topo = ZoneTopology(3, backend=backend, batch_size=spec.batch_size)
@@ -117,36 +124,38 @@ def test_a_program_sends_no_byte_its_receiver_knows(mode, backend):
     report = topo.run_program(generate_workload(spec, 3))
     assert report.invariant_holds
     per_kind = defaultdict(lambda: [0, 0, 0])
-    revealed = encrypts = 0
+    revealed = encrypts = riders = 0
     for raw, resp in captured:
         kind, query_id, payload = _split(raw)
         assert query_id is None and kind == raw[0]
         assert resp[0] == 0
         n = 0  # the values the reply's envelope seals, after head bytes
         head = 1
-        if kind == MSG_REVEAL:
-            assert payload and len(payload) % 8 == 0
-            n = len(payload) // 8
-            revealed += n
-        elif kind == MSG_CIPHER_REVEAL:
-            zones = _read_blobs(payload, 0, _read_sized)
-            n = len(zones)
-            revealed += n
-        elif kind in _OPERANDS:
+        if kind in _OPERANDS:
             write, read = _OPERANDS[kind]
             ops = _read_ops(payload, read)
             assert b"".join(_write_op(op, write) for op in ops) == payload
-            n = sum(op.reveal for op in ops)
-            if n:  # a batch of sums, none of which fails
-                head += 2 * len(ops)
-                assert resp[1:head] == bytes([0, 2]) * len(ops)
+            for op in ops:  # none fails: its status, its result kind, a value
+                assert resp[head:head + 2] == bytes([0, 2 if op.reveal else 0])
+                head += 2
+                if not op.reveal:
+                    _, head = read(resp, head, op.value_type)
+            n = sum(op.n_revealed for op in ops)
+            revealed += sum(op.n_revealed for op in ops if op.op == OpKind.LOAD)
+            # a commit's writes, with the reveals that ride after them
+            if n and any(op.destination is not None for op in ops):
+                riders += 1
+                assert not any(op.destination is not None for op in ops
+                               [[op.reveal for op in ops].index(True):])
         if n:
             values = topo.client_open(resp[head:], n)
             assert len(resp) == (head + ENVELOPE_OVERHEAD + sum(map(len, values))
                                  + 2 * (n - 1))
-            if kind == MSG_CIPHER_REVEAL:
-                assert [len(v) for v in values] == [len(z) - ENVELOPE_OVERHEAD
-                                                    for z in zones]
+            if kind == MSG_CIPHER_EXEC:
+                loaded = [z for op in ops if op.op == OpKind.LOAD
+                          for z in op.operand_fids]
+                assert [len(v) for v in values[:len(loaded)]] == [
+                    len(z) - ENVELOPE_OVERHEAD for z in loaded]
             encrypts += 1
         counts = per_kind[kind]
         counts[0] += 1
@@ -154,4 +163,5 @@ def test_a_program_sends_no_byte_its_receiver_knows(mode, backend):
         counts[2] += len(resp)
     assert {k: tuple(v) for k, v in per_kind.items()} == _PINNED[mode, backend]
     assert revealed == (80 if mode == Mode.READ_WRITE else 0)
+    assert (riders > 0) == (mode == Mode.READ_WRITE)
     assert topo.privacy.proxy.client_codec.encrypts == encrypts

@@ -13,17 +13,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fidstore import messages as m
+from fidstore import zone_sim
 from fidstore.bench import restart_violations
 from fidstore import wal
 from fidstore.errors import (
     AuthFailure,
     NoCrashPending,
+    Overflow,
     StructureMismatch,
     Unavailable,
     WriteConflict,
 )
 from fidstore.integrity_dbms import (
     CHECKPOINT_IMAGE,
+    DB_COMMIT,
     Column,
     ColumnType,
     Database,
@@ -813,7 +816,6 @@ def test_conflicting_update_writes_nothing(statement, backend):
 # run statements as the runner does, on one table of six rows.
 _EXEC_KIND = {"fid": m.MSG_EXEC_BATCH, "cipher": m.MSG_CIPHER_EXEC}
 _INGEST_KIND = {"fid": m.MSG_INGEST, "cipher": m.MSG_CIPHER_INGEST}
-_REVEAL_KIND = {"fid": m.MSG_REVEAL, "cipher": m.MSG_CIPHER_REVEAL}
 # a row the tests below insert into the six: id 7, k, c and pad
 _ROW_7 = (7, 70, b"seven", b"sb-pad")
 
@@ -910,12 +912,12 @@ def test_a_txn_reads_back_what_it_wrote(backend):
     k = {row[0]: row[1] for row in program.tables[0].rows}
     assert [r[3] for r in report.revealed] == [
         70, k[5] + k[6] + 70, k[2], k[1] + 5 + k[2] + k[3], k[1] + 5]
-    exec_, reveal = _EXEC_KIND[backend], _REVEAL_KIND[backend]
-    # the READ of row 7 sends its insert; the READ of row 2 sends no write;
-    # the SUM reaches row 1's and sends it; the ADD to row 2 reaches the
-    # SET's; the commit sends the ADD; then maintenance flushes
-    assert sent[:10] == [_INGEST_KIND[backend], reveal, exec_, reveal, exec_, exec_,
-                         reveal, exec_, exec_, m.MSG_FLUSH_LOG]
+    exec_ = _EXEC_KIND[backend]
+    # the READ of row 7 sends its insert, then its reveal crosses; the SUM
+    # crosses; the READ of row 2 sends no write; the SUM reaches row 1's and
+    # sends it; the ADD to row 2 reaches the SET's; the commit sends the
+    # ADD; then maintenance flushes
+    assert sent[:10] == [_INGEST_KIND[backend]] + [exec_] * 8 + [m.MSG_FLUSH_LOG]
     assert _visible_rows(topo) == [{row_id: (cells[1], cells[2]) for row_id, cells
                                     in shadow.db.quiescent_rows(0).items()}]
 
@@ -931,19 +933,29 @@ def _four_clients(backend, txns, rows=6, batch_size=16):
     return topo, _Runner(topo, program)
 
 
-def _items(raw: bytes) -> tuple[int, int]:
-    """A request's kind and its items: a reveal's FIDs or zone envelopes, an
-    operator batch's elements, and 0 for any other kind."""
+def _elements(raw: bytes) -> list:
+    """An operator batch's elements, [] for any other kind of request."""
     kind, _, payload = m._split(raw)
-    if kind == m.MSG_REVEAL:
-        return kind, len(payload) // 8
-    if kind == m.MSG_CIPHER_REVEAL:
-        return kind, len(m._read_blobs(payload, 0, m._read_sized))
     if kind == m.MSG_EXEC_BATCH:
-        return kind, len(m._read_ops(payload, m._read_u64))
+        return m._read_ops(payload, m._read_u64)
     if kind == m.MSG_CIPHER_EXEC:
-        return kind, len(m._read_ops(payload, m._read_envelope))
-    return kind, 0
+        return m._read_ops(payload, m._read_envelope)
+    return []
+
+
+def _items(raw: bytes) -> tuple[int, tuple]:
+    """A request's kind and its items: per operator batch element "write"
+    (a value result into a table), ("load", argc), "sum" (a revealed
+    result) or "partial" (a stored result, a reduction's earlier level),
+    and none for any other kind."""
+    def item(op):
+        if op.op == OpKind.LOAD:
+            return "load", len(op.operand_fids)
+        if op.destination is not None:
+            return "write"
+        return "sum" if op.reveal else "partial"
+
+    return raw[0] & ~m.QUERY_FLAG, tuple(map(item, _elements(raw)))
 
 
 def _record_txn_phase(topo, runner) -> list:
@@ -968,9 +980,10 @@ def _record_txn_phase(topo, runner) -> list:
 def test_waiting_clients_share_a_crossing(backend):
     """The reveals the 4 clients queue cross together, just before the next
     entry of a client that waits on one: the 3 READs of the first pass in
-    one reveal message, then the next pass's 2 READs in one and its SUM in
-    one operator batch. Client 2's READ of the row its own ADD wrote sends
-    that write first and reveals the added value."""
+    one LOAD element, then the next pass's 2 READs in one LOAD and its SUM
+    in the same operator batch. Client 2's READ of the row its own ADD
+    wrote sends that write first and reveals the added value. Client 3's
+    commit, which queued reveals wait on, writes nothing, so none rides."""
     txns = [TxnTemplate([(READ, 0, "k", 1), (READ, 0, "k", 2), (ADD, 0, "k", 3, 1)],
                         False),
             TxnTemplate([(READ, 0, "k", 4), (SUM, 0, "k", 1, 4)], False),
@@ -987,28 +1000,29 @@ def test_waiting_clients_share_a_crossing(backend):
                                ("point", 0, 6, k[6]), ("point", 0, 2, k[2]),
                                ("sum", 0, 1, k[1] + k[2] + k[3]),
                                ("point", 0, 5, k[5] + 2)]
-    exec_, reveal = _EXEC_KIND[backend], _REVEAL_KIND[backend]
-    # reads 1, 4, 6; client 2's ADD, sent by its READ; reads 2 and 5; the
-    # SUM; client 0's commit; then maintenance
-    assert sent[:6] == [(reveal, 3), (exec_, 1), (reveal, 2), (exec_, 1), (exec_, 1),
-                        (m.MSG_FLUSH_LOG, 0)]
+    exec_ = _EXEC_KIND[backend]
+    # reads 1, 4, 6; client 2's ADD, sent by its READ; reads 2 and 5 with
+    # the SUM; client 0's commit; then maintenance
+    assert sent[:5] == [(exec_, (("load", 3),)), (exec_, ("write",)),
+                        (exec_, (("load", 2), "sum")), (exec_, ("write",)),
+                        (m.MSG_FLUSH_LOG, ())]
     assert report.invariant_holds
 
 
 @pytest.mark.parametrize("backend", ["fid", "cipher"])
 def test_a_point_select_pass_crosses_once(backend):
-    """Point selects by 4 clients: the 4 READs of a pass cross in one
-    reveal message, so 8 txns send 2 messages before maintenance."""
+    """Point selects by 4 clients: the 4 READs of a pass cross in one LOAD
+    element, so 8 txns send 2 messages before maintenance."""
     topo, runner = _four_clients(backend, [TxnTemplate([(READ, 0, "k", key)], False)
                                            for key in (1, 2, 3, 4, 5, 6, 1, 2)])
     sent = _record_txn_phase(topo, runner)
     report = runner.run()
     program = runner.program
     assert report.revealed == ShadowRunner(program, flatten_schedule(program)).run().revealed
-    reveal = _REVEAL_KIND[backend]
+    exec_ = _EXEC_KIND[backend]
     # then maintenance: its closing flush and, on fid, orphan_gc's list of
     # the table's partition
-    assert sent[:2] == [(reveal, 4), (reveal, 4)]
+    assert sent[:2] == [(exec_, (("load", 4),))] * 2
     assert {kind for kind, _ in sent[2:]} <= {m.MSG_FLUSH_LOG, m.MSG_LIST_LIVE}
 
 
@@ -1025,13 +1039,14 @@ def test_deep_sums_cross_with_their_pass(backend):
     report = runner.run()
     program = runner.program
     assert report.revealed == ShadowRunner(program, flatten_schedule(program)).run().revealed
-    exec_, reveal = _EXEC_KIND[backend], _REVEAL_KIND[backend]
+    exec_ = _EXEC_KIND[backend]
     # each SUM: 3 partial sums of up to 4 refs, one a message; then both
     # last elements in one batch before client 0 finishes, and the READ's
     # reveal alone before client 1 does; on fid each finish then drops its
     # query's temporaries
-    drop = [(m.MSG_END_QUERY, 0)] if backend == "fid" else []
-    expected = [(exec_, 1)] * 6 + [(exec_, 2)] + drop + [(reveal, 1)] + drop
+    drop = [(m.MSG_END_QUERY, ())] if backend == "fid" else []
+    expected = ([(exec_, ("partial",))] * 6 + [(exec_, ("sum", "sum"))] + drop
+                + [(exec_, (("load", 1),))] + drop)
     assert sent[:len(expected)] == expected
     assert {kind for kind, _ in sent[len(expected):]} <= {m.MSG_FLUSH_LOG,
                                                            m.MSG_LIST_LIVE}
@@ -1049,13 +1064,11 @@ def test_a_crash_drops_the_queued_reveals(backend):
     program = generate_workload(spec, 3)
     topo = ZoneTopology(3, backend=backend, batch_size=spec.batch_size)
     runner = _Runner(topo, program)
-    reveal = _REVEAL_KIND[backend]
     request = topo.channel.request
     crossings = []
 
     def crash_at_third_grouped_reveal(raw):
-        kind, items = _items(raw)
-        if kind == reveal and items >= 2:
+        if sum(op.n_revealed for op in _elements(raw)) >= 2:
             crossings.append(([slot for slot, _, _ in runner._pending],
                               len(runner.report.revealed)))
             if len(crossings) == 3:
@@ -1085,25 +1098,18 @@ def test_each_reply_that_reveals_costs_one_encrypt(mode, backend):
                                             duration_ops=60), 3)
     topo = ZoneTopology(3, backend=backend, batch_size=program.spec.batch_size)
     client = topo.client
-    call, send_ops = client._call, client._send_ops
+    send_ops = client._send_ops
     replies = []  # the count of values each revealing reply carries
 
-    def counted_call(kind, payload=b"", query_id=None):
-        body = call(kind, payload, query_id)
-        if kind == m.MSG_REVEAL:
-            replies.append(len(payload) // 8)
-        elif kind == m.MSG_CIPHER_REVEAL:
-            replies.append(len(m._read_blobs(payload, 0, m._read_sized)))
-        return body
-
-    def counted_send_ops(*args):
-        out = send_ops(*args)
-        n = sum(r.envelope is not None for r in out)
+    def counted_send_ops(kind, query_id, ready, read_result):
+        out = send_ops(kind, query_id, ready, read_result)
+        n = sum(r.n_revealed for (r, _), resp in zip(ready, out)
+                if resp.envelope is not None)
         if n:
             replies.append(n)
         return out
 
-    client._call, client._send_ops = counted_call, counted_send_ops
+    client._send_ops = counted_send_ops
     report = topo.run_program(program)
     assert report.revealed == ShadowRunner(program, flatten_schedule(program)).run().revealed
     codec = topo.privacy.proxy.client_codec
@@ -1124,6 +1130,206 @@ def test_grouped_crossings_are_indistinguishable(mode, backend):
         a = generate_workload(replace(base, value_seed=1111), seed)
         b = generate_workload(replace(base, value_seed=2222), seed)
         assert trace_indistinguishability(a, b, seed, backend=backend)
+
+
+# The runner's crossing rule on a 4-client read-write program: the queued
+# reveals cross before the next entry of a client that waits on one, or
+# ride in a commit's write batch that comes first.
+def _rw_four_clients(backend):
+    spec = _small_spec(threads_simulated=4, duration_ops=40, abort_ratio=0.1)
+    program = generate_workload(spec, 3)
+    topo = ZoneTopology(3, backend=backend, batch_size=spec.batch_size)
+    return topo, _Runner(topo, program)
+
+
+def _carries_riders(raw) -> bool:
+    """Whether a request is a commit's write batch with reveals after its
+    writes."""
+    ops = _elements(raw)
+    return (any(op.destination is not None for op in ops)
+            and any(op.reveal for op in ops))
+
+
+# (backend) -> messages per kind through maintenance, and of those the
+# operator batches that carry a commit's writes and riders. When a reveal
+# message of its own carried a pass's READs, the program sent 31 of them
+# and 40 operator batches, 71 where 59 batches go now: 9 commits carry the
+# queued reveals, and a pass sends its READs and SUMs in one batch.
+_PINNED_CROSSINGS = {
+    "fid": ({m.MSG_CREATE_PARTITION: 2, m.MSG_FLUSH_LOG: 6, m.MSG_INGEST: 8,
+             m.MSG_EXEC_BATCH: 59, m.MSG_DELETE: 3, m.MSG_LIST_LIVE: 4}, 9),
+    "cipher": ({m.MSG_CREATE_PARTITION: 2, m.MSG_FLUSH_LOG: 3,
+                m.MSG_CIPHER_INGEST: 8, m.MSG_CIPHER_EXEC: 59}, 9),
+}
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+def test_the_crossing_census_of_a_four_client_program(backend):
+    """The messages a 4-client read-write program sends, per kind, and how
+    many of its operator batches are commits that carry riders, are
+    pinned; no message of the retired reveal kinds goes."""
+    topo, runner = _rw_four_clients(backend)
+    kinds = Counter()
+    riders = []
+    request = topo.channel.request
+
+    def counted(raw):
+        kinds[raw[0]] += 1
+        riders.append(_carries_riders(raw))
+        return request(raw)
+
+    topo.channel.request = counted
+    report = runner.run()
+    program = runner.program
+    assert report.revealed == ShadowRunner(program, flatten_schedule(program)).run().revealed
+    assert (dict(kinds), sum(riders)) == _PINNED_CROSSINGS[backend]
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+def test_each_client_has_its_values_before_its_next_entry(backend):
+    """No schedule entry of a client runs while a reveal of its own is
+    queued: its statements' slots are filled by then, by a pass crossing
+    or by another client's commit that its reveal rode in."""
+    topo, runner = _rw_four_clients(backend)
+    owner = {}  # slot -> the client whose statement it holds
+    current = []
+    schedule = zone_sim.flatten_schedule
+
+    def watched(program):
+        for entry in schedule(program):
+            current[:] = [entry[1]]
+            yield entry
+
+    def check():
+        queued = {slot for slot, _, _ in runner._pending}
+        assert not any(owner[slot] == current[0] for slot in queued)
+
+    execute, commit = runner._execute, runner._commit
+    landed = []  # per commit: whether riders went and landed
+
+    def checked_execute(db, tables, txn, statement):
+        check()
+        before = len(runner.report.revealed)
+        execute(db, tables, txn, statement)
+        for slot in range(before, len(runner.report.revealed)):
+            owner[slot] = current[0]
+
+    def checked_commit(db, txn):
+        check()
+        rode = bool(runner._pending)
+        commit(db, txn)
+        landed.append(rode and not runner._pending)
+
+    runner._execute, runner._commit = checked_execute, checked_commit
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zone_sim, "flatten_schedule", watched)
+        report = runner.run()
+    program = runner.program
+    assert report.revealed == ShadowRunner(program, flatten_schedule(program)).run().revealed
+    assert sum(landed) > 0
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+def test_riders_change_no_commit_record(backend):
+    """A commit that carries riders journals the DB_COMMIT bytes the same
+    commit journals when the queued reveals cross on their own instead,
+    and the run leaves the same durable bytes and reveals the same values."""
+    runs = []
+    for ride in (True, False):
+        topo, runner = _rw_four_clients(backend)
+        if not ride:
+            runner._commit = lambda db, txn: db.commit(txn)
+        db = topo.integrity.db
+        journal, records = db._journal, []
+
+        def recorded(kind, payload, journal=journal, records=records):
+            records.append((kind, payload))
+            journal(kind, payload)
+
+        db._journal = recorded
+        crossings = _count_kinds(topo)
+        report = runner.run()
+        runs.append((records, _durable_state(topo), report.revealed,
+                     sum(crossings.values())))
+    (records, durable, revealed, sent), (bare, durable_bare, revealed_bare,
+                                         sent_bare) = runs
+    assert records == bare and durable == durable_bare and revealed == revealed_bare
+    assert any(kind == DB_COMMIT for kind, _ in records)
+    assert sent < sent_bare
+
+
+def _durable_state(topo) -> tuple:
+    sealed = topo.sealed_store.blocks
+    return (topo.store_wal_buffer.durable, topo.dbwal_buffer.durable,
+            {n: topo.priv_snapshots.get(n) for n in topo.priv_snapshots.names()},
+            {n: topo.db_snapshots.get(n) for n in topo.db_snapshots.names()},
+            {key: sealed[key].to_bytes() for key in sealed})
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+def test_a_failed_write_fills_its_riders_slots_first(backend):
+    """Client 1's READ is queued when client 0 commits an ADD that
+    overflows: the READ rides in that commit's batch, its slot is filled
+    from the reply, and then the write's error propagates out of the run,
+    as it does with no rider."""
+    topo, runner = _four_clients(backend, [
+        TxnTemplate([(ADD, 0, "k", 2, 1)], False),
+        TxnTemplate([(READ, 0, "k", 1)], False)])
+    rows = runner.program.tables[0].rows
+    rows[1] = (2, 2**63 - 1) + rows[1][2:]
+    sent = _record_txn_phase(topo, runner)
+    with pytest.raises(Overflow):
+        runner.run()
+    assert sent == [(_EXEC_KIND[backend], ("write", ("load", 1)))]
+    assert runner.report.revealed == [("point", 0, 1, rows[0][1])]
+    assert runner._pending == []
+
+
+@pytest.mark.parametrize("backend,at", [
+    ("fid", "crossing-privacy"), ("fid", "crossing-both"), ("fid", "commit-sync"),
+    ("cipher", "crossing-privacy"), ("cipher", "commit-sync")])
+def test_a_crash_in_a_riding_commit_drops_only_the_queued_slots(backend, at,
+                                                                 monkeypatch):
+    """A crash inside the first write batch that carries riders, of the
+    privacy zone alone (Unavailable) or of both (ZoneCrashed), drops the
+    riders' slots, since their reply never came; a crash of both at that
+    commit's DB_COMMIT sync comes after the reply, so their slots are
+    filled and nothing queued is left to drop. Either way report.revealed
+    is the oracle's values for the slots reached, less those dropped, and
+    recovery finds the invariant holding. On fid the crash inside the batch
+    comes at the first durable write of a privacy checkpoint that its first
+    put runs; the cipher baseline's privacy zone writes nothing there, so
+    it crashes as the batch goes."""
+    monkeypatch.setattr(wal, "MAX_UNSYNCED_PUTS", wal.MAX_UNSYNCED_PUTS)
+    topo, runner = _rw_four_clients(backend)
+    request = topo.channel.request
+    seen = []  # (queued slots, slots so far) at the batch
+
+    def crash_inside(raw):
+        if _carries_riders(raw) and not seen:
+            seen.append(([slot for slot, _, _ in runner._pending],
+                         len(runner.report.revealed)))
+            if at == "commit-sync":
+                crash_at(topo, commit_sync)
+            elif backend == "cipher":
+                topo.privacy.crash()
+            else:
+                wal.MAX_UNSYNCED_PUTS = topo.privacy.wal.puts + 1
+                crash_at(topo, lambda w: w.zone == "privacy",
+                         target=(CrashTarget.PRIVACY if at == "crossing-privacy"
+                                 else CrashTarget.BOTH))
+        return request(raw)
+
+    topo.channel.request = crash_inside
+    report = runner.run()
+    queued, reached = seen[0]
+    assert report.crashed_at is not None and queued
+    dropped = set() if at == "commit-sync" else set(queued)
+    program = runner.program
+    expected = ShadowRunner(program, flatten_schedule(program)).run().revealed[:reached]
+    assert report.revealed == [r for slot, r in enumerate(expected) if slot not in dropped]
+    assert runner._pending == []
+    assert topo.recover_all().invariant.holds
 
 
 @pytest.mark.parametrize("backend", ["fid", "cipher"])
@@ -1463,17 +1669,26 @@ def test_trace_jsonl_dump_parses():
 # revealed sums): 28 replies in read-write on fid and cipher, 80 in
 # read-only, 20 in point-select and range-select. The three writing modes
 # reveal nothing and keep their hashes.
+# Four were re-pinned when the reveals became LOAD elements of operator
+# batches and a commit's write batch began to carry the reveals other
+# clients queued: read-write on fid and on cipher send 13 messages fewer,
+# 39 events (1320 and 456 before), and every other event is as before, in
+# the same order on cipher, while on fid a rider's FidObserved moves up to
+# the commit batch that carries it; read-only and point-select keep every
+# event but the MsgBytes of their reveals, now a LOAD's batch and reply.
+# range-select and the writing modes reveal no READ and keep their hashes,
+# and every case keeps its checkpoint events.
 _B = 1 << 40
 _PINNED_TRACE = {
-    "fid": (Mode.READ_WRITE, Distribution.UNIFORM, "fid", 1320,
-            "a125494ec8739133af40c48513cd11deb42f126985e3fa10614a557715eb066d",
+    "fid": (Mode.READ_WRITE, Distribution.UNIFORM, "fid", 1281,
+            "36cd8fc4ff22691125522d3cdbe60fba09d60ad912ce67f0657bc4ccb7260a5c",
             [("BlockWrite", 0), ("BlockWrite", _B), ("BlockWrite", 0),
              ("BlockWrite", _B), ("BlockDrop", 0), ("BlockDrop", _B)]),
-    "cipher": (Mode.READ_WRITE, Distribution.UNIFORM, "cipher", 456,
-               "f1663938441f1a5b87a7d3577e4c94ad01b61824bbb2ee03ac604396004f5ef3",
+    "cipher": (Mode.READ_WRITE, Distribution.UNIFORM, "cipher", 417,
+               "27b01ff35545d278aa35816cf431bda780fc42909a79f39dd4065c5ea4599944",
                []),
     "read-only": (Mode.READ_ONLY, Distribution.UNIFORM, "fid", 1328,
-                  "bef23b771d7d4fddcee1e8be80847bcb9f1b131d3c1b558041704c673dac4265",
+                  "a0c9e60a9b324b61961fa95de55438b3485a4c08ae130add376de53c74dd1a5a",
                   []),
     "write-only": (Mode.WRITE_ONLY, Distribution.UNIFORM, "fid", 1181,
                    "4d730cc9d5d85d8736dec50ebfb379eaaa0ae71e1ba1c5e2507cfde0e2078913",
@@ -1492,7 +1707,7 @@ _PINNED_TRACE = {
                     "fb7905b28e4dd43a7ee3806de0c1e016a3eed4f9a735169f8d7d12ec4931a2b0",
                     [("BlockWrite", _B), ("BlockWrite", _B | 3 << 32 | 1)]),
     "point-select": (Mode.POINT_SELECT, Distribution.UNIFORM, "fid", 548,
-                     "4e53e570dc56919b5b034bc7a8436a99e97ff25888208b8e6c74a67ed3034cdd",
+                     "5fb4db7615399f4271d36b319932f4658440caa704bc0579f70cf464bd1aace6",
                      []),
     "range-select": (Mode.RANGE_SELECT, Distribution.UNIFORM, "fid", 908,
                      "2e7690c6cac7aae88d4bcd60f879ed1698cbcd5abbd9ccdb53c2ba1e5d33cd58",
@@ -1687,14 +1902,18 @@ _PINNED = {
     # envelope: 216 client codec calls, 28 fewer, one per value past the
     # first of the 27 grouped reveals and of the batch of 2 sums (244
     # before); every other count and byte is as before.
-    "fid": ({m.MSG_INGEST: 8, m.MSG_REVEAL: 53, m.MSG_EXEC_BATCH: 43,
+    # The reveals then became LOAD elements of operator batches, riding in
+    # a commit's write batch where one comes first: 83 operator messages
+    # where 53 reveals and 43 batches went; 212 client codec calls, since 4
+    # replies now seal values that took two (216 before); every other
+    # count and byte is as before.
+    "fid": ({m.MSG_INGEST: 8, m.MSG_EXEC_BATCH: 83,
              m.MSG_DELETE: 4, m.MSG_FLUSH_LOG: 6, m.MSG_CREATE_PARTITION: 2,
              m.MSG_LIST_LIVE: 2},
-            (0, 0), (14, 2), (216, 0), 21816),
+            (0, 0), (14, 2), (212, 0), 21816),
     "cipher": ({m.MSG_FLUSH_LOG: 3, m.MSG_CREATE_PARTITION: 2,
-                m.MSG_CIPHER_EXEC: 43, m.MSG_CIPHER_INGEST: 8,
-                m.MSG_CIPHER_REVEAL: 53},
-               (0, 0), (3, 0), (216, 360), 23801),
+                m.MSG_CIPHER_EXEC: 83, m.MSG_CIPHER_INGEST: 8},
+               (0, 0), (3, 0), (212, 360), 23801),
 }
 # The seals count the privacy checkpoints': on fid, 4 cache evictions, then
 # vacuum's checkpoint and the quiesce one, each 2 dirty blocks, 2 slot maps
