@@ -29,9 +29,13 @@ commit sends all of the transaction's writes in one backend call
 the fresh refs with the recipes of the calls that wrote them and stages
 the versions, so the durability order below is unchanged. So a write-only
 transaction crosses to the privacy zone once, and an aborted one never.
-The caller may hand a commit the reveals it has queued (Txn.riders,
-Reveals), which ride after the commit's operator elements, in the same
-messages: they write nothing, so the commit record is as without them.
+A caller may send the writes of several transactions in one call, a group
+(send_writes), and then commit each: the group crosses once, and each
+member still journals one commit record in one sync of its own. A member
+whose write failed stays active and its commit raises, while the others
+commit. The caller may hand a send the reveals it has queued (riders,
+Reveals), which ride after the group's operator elements, in the same
+messages: they write nothing, so the commit records are as without them.
 The writes go earlier only when the transaction reads, sums or writes
 again a version it wrote that still holds a placeholder (visible_version,
 update_row): that depends on keys alone.
@@ -53,10 +57,13 @@ it does: an operand is the ref of the cell its write replaced, which is
 either a committed visible ref, whose secret a privacy checkpoint made
 durable or whose recipe is pending, or the transaction's own earlier
 write, claimed earlier in the same commit (a write over a placeholder
-sends the pending writes first). A MSG_FLUSH_LOG with the checkpoint
-flag makes every secret written before it durable, so once it returns no
-recipe is pending; a plain one makes only delete and create records
-durable (where the engine sends each: messages). A commit sends neither.
+sends the pending writes first). No member of a group reads another
+member's fresh ref: under first-updater-wins a write over another
+member's uncommitted version conflicts. A MSG_FLUSH_LOG with the
+checkpoint flag makes every secret written before it durable, so once it
+returns no recipe is pending; a plain one makes only delete and create
+records durable (where the engine sends each: messages). A commit sends
+neither.
 A transaction that staged nothing makes no FID visible, so its commit
 takes a commit sequence number and touches neither journal.
 
@@ -68,10 +75,11 @@ order, so an operand comes back before the results computed from it. It
 skips a FID that is live, which is safe because every MSG_DELETE batch is
 followed by a flush that returns before the next write (vacuum and
 orphan_gc), which makes the deletes durable: a live FID never holds a
-secret older than a recipe's. Then privacy_restarted aborts every active
-transaction that stored a ref and forgets the abort garbage, so no lost
-ref is ever committed or released; whatever of it did survive is an orphan
-for orphan_gc.
+secret older than a recipe's. A restore that wrote a FID ends in a privacy
+checkpoint, and one that wrote none takes none (restore_recipes says why).
+Then privacy_restarted aborts every active transaction that stored a ref
+and forgets the abort garbage, so no lost ref is ever committed or
+released; whatever of it did survive is an orphan for orphan_gc.
 
 Every sync of the engine's journal appends exactly one record: a
 create_table's DB_TABLE, a commit's DB_COMMIT or a vacuum pass's
@@ -128,6 +136,7 @@ from . import wal
 from .durability import DurableBuffer, SnapshotStore
 from .errors import (
     CorruptLog,
+    FidStoreError,
     RowNotVisible,
     SchemaMismatch,
     TypeMismatch,
@@ -240,13 +249,13 @@ class Txn:
     version it wrote whose cells are all set (_ROW_HEAD and the version's
     wire), and recipes the (fid, recipe) of each fresh FID a cell claimed,
     in claim order: the two parts of its commit record. promoted holds
-    every ref its sent writes stored. riders, if a caller sets them, are
-    reveals (Reveals) that ride after the operator elements of the next
-    send of its writes (send_writes), its commit's: they write nothing, so
-    the commit record is as without them."""
+    every ref its sent writes stored. failure is the error of the first of
+    its writes that failed in a group's send (send_writes), or None: a
+    member with one keeps every write pending and sends none again, and
+    its commit raises it, while the group's other members commit."""
 
     __slots__ = ("txn_id", "state", "snapshot_seq", "write_set", "staged",
-                 "promoted", "recipes", "pending", "writes", "query_id", "riders")
+                 "promoted", "recipes", "pending", "writes", "query_id", "failure")
 
     def __init__(self, txn_id, snapshot_seq):
         self.txn_id = txn_id
@@ -262,7 +271,7 @@ class Txn:
         self.pending: list = []
         self.writes: list = []
         self.query_id = txn_id
-        self.riders: Reveals | None = None
+        self.failure: FidStoreError | None = None
 
 
 class Table:
@@ -408,7 +417,8 @@ class Reveals:
     elements, each with reveal set. order[j] is the queue index of the
     j-th value the elements reveal. replies holds the elements' responses
     once they have crossed: alone (the backends' reveal), or as riders
-    after a commit's write elements (Txn.riders); until then it is None."""
+    after a group's write elements (Database.send_writes); until then it is
+    None."""
 
     __slots__ = ("reqs", "order", "replies")
 
@@ -450,18 +460,22 @@ class Reveals:
         return out
 
 
-def run_writes(writes: list, ingest, execute, riders: Reveals | None = None) -> list:
+def run_writes(writes: list, ingest, execute, batch_size: int,
+               riders: Reveals | None = None) -> tuple[list, dict]:
     """The write loop of both backends. writes are (partition id, value)
     pairs, each value a client envelope's bytes or an OperatorRequest into
-    that partition. ingest(partition id, envelopes) runs once per
-    partition, in the order the partitions first appear, and returns one
-    (ref, recipe) per envelope; then execute(requests) runs once for all
-    requests, with the riders' elements after them, and returns one
-    (response, recipe) per element. Returns one (ref, recipe) per write, in
-    writes' order. The riders' responses are set (Reveals.replies) before
-    the first element error of a write is raised; riders go only with
-    requests, so a txn of inserts alone carries none."""
+    that partition. ingest(partition id, envelopes) runs once per message,
+    batch_size envelopes of one partition each, the partitions in the order
+    they first appear, and returns one (ref, recipe) per envelope; then
+    execute(requests) runs once for all requests, with the riders' elements
+    after them, and returns one (response, recipe) per element. Returns per write its (ref, recipe), None for one that failed,
+    and the error of each write that failed, by its index in writes: an
+    element fails alone, and a refused MSG_INGEST fails every envelope it
+    carried. Only Unavailable, for a request that got no reply, propagates.
+    The riders' responses are set (Reveals.replies); riders go only with
+    requests, so writes of inserts alone carry none."""
     out = [None] * len(writes)
+    errors: dict[int, FidStoreError] = {}
     envelopes: dict[int, list[int]] = {}
     requests = []
     for i, (partition_id, value) in enumerate(writes):
@@ -469,20 +483,30 @@ def run_writes(writes: list, ingest, execute, riders: Reveals | None = None) -> 
             requests.append(i)
         else:
             envelopes.setdefault(partition_id, []).append(i)
-    done = [(idx, ingest(pid, [writes[i][1] for i in idx]))
-            for pid, idx in envelopes.items()]
+    for pid, idx in envelopes.items():
+        for lo in range(0, len(idx), batch_size):
+            chunk = idx[lo:lo + batch_size]
+            try:
+                results = ingest(pid, [writes[i][1] for i in chunk])
+            except Unavailable:
+                raise
+            except FidStoreError as exc:
+                errors.update(dict.fromkeys(chunk, exc))
+                continue
+            for i, result in zip(chunk, results):
+                out[i] = result
     if requests:
         reqs = [writes[i][1] for i in requests]
         results = execute(reqs + (riders.reqs if riders else []))
         if riders:
             riders.replies = [resp for resp, _ in results[len(reqs):]]
-        results = results[:len(reqs)]
-        raise_first_error(reqs, [resp for resp, _ in results])
-        done.append((requests, [(resp.fid, recipe) for resp, recipe in results]))
-    for idx, results in done:
-        for i, result in zip(idx, results):
-            out[i] = result
-    return out
+        for i, req, (resp, recipe) in zip(requests, reqs, results):
+            if resp.error_code:
+                errors[i] = error_for_code(resp.error_code,
+                                           f"operator {OpKind(req.op).name} failed")
+            else:
+                out[i] = (resp.fid, recipe)
+    return out, errors
 
 
 class FidBackend:
@@ -501,15 +525,15 @@ class FidBackend:
         reveals.replies = self.client.exec_batch(None, reveals.reqs, batch_size)
 
     def promote(self, query_id: int, writes: list, batch_size: int,
-                riders: Reveals | None = None) -> list[tuple[int, bytes]]:
+                riders: Reveals | None = None) -> tuple[list, dict]:
         """Writes each (partition id, value) of writes (run_writes), batch_size
         values per message: the envelopes by MSG_INGEST, the requests by
-        MSG_EXEC_BATCH, with the riders after them. Returns per write its
-        fresh FID and the recipe of the call that wrote it: RECIPE_INGEST and
-        the envelope, or RECIPE_EXEC and the element as the client encoded
-        it. Raises the first error; the FIDs the call's other writes stored
-        are then orphans for orphan_gc. (perfbench's probes wrap this method
-        by the name promote.)"""
+        MSG_EXEC_BATCH, with the riders after them. Returns per write its fresh FID and the recipe of the call
+        that wrote it, RECIPE_INGEST and the envelope or RECIPE_EXEC and the
+        element as the client encoded it, and the errors of the writes that
+        failed (run_writes). Every write goes to a permanent partition, so
+        query_id never crosses.
+        (perfbench's probes wrap this method by the name promote.)"""
         client = self.client
 
         def ingest(partition_id, envelopes):
@@ -518,7 +542,7 @@ class FidBackend:
 
         return run_writes(writes, ingest,
                           lambda reqs: client.exec_writes(query_id, reqs, batch_size),
-                          riders)
+                          batch_size, riders)
 
     def release(self, refs: list[int], batch_size: int) -> int:
         """Deletes the refs' secrets in ascending FID order, batch_size refs
@@ -570,7 +594,7 @@ class CipherBackend:
         reveals.replies = self.client.cipher_exec(None, reveals.reqs, batch_size)
 
     def promote(self, query_id: int, writes: list, batch_size: int,
-                riders: Reveals | None = None) -> list[tuple[bytes, None]]:
+                riders: Reveals | None = None) -> tuple[list, dict]:
         """FidBackend.promote over zone envelopes, by MSG_CIPHER_INGEST and
         MSG_CIPHER_EXEC. A zone envelope is the stored form, so none has a
         recipe."""
@@ -583,7 +607,7 @@ class CipherBackend:
         def execute(reqs):
             return [(r, None) for r in client.cipher_exec(query_id, reqs, batch_size)]
 
-        return run_writes(writes, ingest, execute, riders)
+        return run_writes(writes, ingest, execute, batch_size, riders)
 
     def release(self, refs: list[bytes], batch_size: int) -> int:
         return 0  # an envelope lives in its row and goes with it
@@ -682,13 +706,15 @@ class Database:
         return txn
 
     def commit(self, txn: Txn) -> None:
-        """Sends the txn's pending writes (send_writes, its riders after
-        them; on an error the txn stays active, for the caller to abort),
-        then journals its commit record, its row versions and the recipes
-        of their fresh FIDs, in one sync, as the module docstring says."""
+        """Sends the txn's pending writes (send_writes; on an error, or its
+        failure in a group's send, the txn stays active, for the caller to
+        abort), then journals its commit record,
+        its row versions and the recipes of their fresh FIDs, in one sync,
+        as the module docstring says. One txn a call: a group commits
+        member by member, after one send_writes of them all."""
         if txn.state != TxnState.ACTIVE:
             raise ValueError(f"commit on txn in state {txn.state}")
-        self.send_writes(txn)
+        self._send_own(txn)
         if not txn.staged:
             # nothing staged makes no FID visible: no commit record
             self._finish_commit(txn)
@@ -740,12 +766,20 @@ class Database:
     def restore_recipes(self) -> None:
         """After a privacy restart, before any other request: sends every
         pending recipe in commit order, batch_size per MSG_RESTORE, so the
-        privacy zone writes each lost FID again, then a checkpoint that
-        makes the restored secrets durable."""
+        privacy zone writes each lost FID again, then, if it wrote any, a
+        checkpoint that makes the restored secrets durable.
+
+        A restore that wrote none takes no checkpoint and just forgets the
+        recipes: every FID it sent was live, and a FID live after a privacy
+        recovery is one its sealed checkpoint holds (no put is journaled),
+        with the journal's durable records past it, which a next recovery
+        replays over the same copies. So its secret is durable already."""
         if not self.recipes:
             return
-        self.client.restore(list(self.recipes.items()), self.batch_size)
-        self.flush_privacy(checkpoint=True)
+        if self.client.restore(list(self.recipes.items()), self.batch_size):
+            self.flush_privacy(checkpoint=True)
+        else:
+            self.recipes.clear()
 
     def privacy_restarted(self) -> None:
         """The privacy zone recovered from a crash, and restore_recipes
@@ -792,7 +826,7 @@ class Database:
             raise ValueError("update on inactive txn")
         head = self.check_update(txn, table, row_id)
         if head.wire is None:
-            self.send_writes(txn)
+            self._send_own(txn)
         cells = list(head.cells)
         changed = []
         for name, value in new_values.items():
@@ -875,20 +909,55 @@ class Database:
                           + version.wire)
         self._observe_cells(table, version.cells)
 
-    def send_writes(self, txn: Txn) -> None:
-        """Sends the txn's pending writes in one backend call
-        (backend.promote, batch_size values per message), with its riders
-        after its operator elements, then, in the order
-        the txn made them, fills each placeholder with its fresh ref, claims
-        the refs with their recipes and stages the versions. An
-        error leaves every write pending, and the refs the call did store
-        are orphans for orphan_gc."""
-        pending = txn.pending
-        if not pending:
+    def send_writes(self, *txns: Txn, riders: Reveals | None = None) -> None:
+        """Sends the pending writes of txns, a group, in one backend call
+        (backend.promote, batch_size values per message): every member's
+        envelopes by ingest, then every member's operator elements in one
+        batch, member by member, with the riders, reveals the caller has
+        queued, after them all. Riders write nothing, so the commit records
+        are as without them, and they go only with an operator element: if
+        none goes, their replies stay None, for the caller to send them
+        another way. Then per member, in order, and in the order the member
+        made them, fills each placeholder with its fresh ref, claims the
+        refs with their recipes and stages the versions.
+
+        The group's failure rule: an operator element fails alone, and a
+        refused ingest fails every write it carried. A member with a failed
+        write claims nothing and keeps every write pending, with the first
+        failure in Txn.failure (which its commit raises), while the other
+        members claim and stage theirs as if each had sent alone. The refs
+        a failed member's other writes stored are orphans for orphan_gc. A
+        member that has a failure already sends nothing again. The riders'
+        replies come back whether or not a write failed. Unavailable leaves
+        every member's writes pending."""
+        group = [txn for txn in txns if txn.pending and txn.failure is None]
+        if not group:
             return
-        riders, txn.riders = txn.riders, None
-        stored = iter(self.backend.promote(txn.query_id, txn.writes, self.batch_size,
-                                           riders))
+        stored, errors = self.backend.promote(
+            group[0].query_id, [w for txn in group for w in txn.writes],
+            self.batch_size, riders)
+        pos = 0
+        for txn in group:
+            end = pos + len(txn.writes)
+            failed = [i for i in errors if pos <= i < end]
+            if failed:
+                txn.failure = errors[min(failed)]
+            else:
+                self._claim(txn, iter(stored[pos:end]))
+            pos = end
+
+    def _send_own(self, txn: Txn) -> None:
+        """Sends txn's pending writes alone (send_writes) and raises its
+        failure, if it has one."""
+        self.send_writes(txn)
+        if txn.failure is not None:
+            raise txn.failure
+
+    def _claim(self, txn: Txn, stored) -> None:
+        """Fills txn's placeholders from stored, one (ref, recipe) per write
+        in order, claims the refs with their recipes and stages the
+        versions."""
+        pending = txn.pending
         txn.pending, txn.writes = [], []
         for table, version, promoted in pending:
             cells = version.cells
@@ -950,7 +1019,7 @@ class Database:
         for version in reversed(chain):
             if self._visible(version, txn):
                 if version.wire is None:  # this txn's own, a write still pending
-                    self.send_writes(txn)
+                    self._send_own(txn)
                 return version
         return None
 

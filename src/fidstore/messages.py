@@ -73,12 +73,14 @@ an inserted value's client envelope by MSG_INGEST into its table's
 partition (MSG_CIPHER_INGEST). It sends them earlier only when the
 transaction reads, sums or writes again a row it wrote, so when a
 transaction's writes cross depends on its keys alone. An aborted
-transaction sends none. A commit's write batch may carry riders after its
-write elements: the reveals other clients have queued (LOAD elements and
-SUM last elements, zone_sim._Runner), whose values come back in the
-batch's reply envelope. A rider writes nothing, so the write elements'
-bytes, and the recipes journaled from them, are those of the batch
-without riders. Each response element is
+transaction sends none. The writes of the transactions that commit in one
+schedule pass go together, as one group's ingests and one operator batch
+(Database.send_writes, zone_sim._Runner), each element as it would go
+alone. A group's write batch may carry riders after its write elements:
+the reveals the clients have queued (LOAD elements and SUM last elements),
+whose values come back in the batch's reply envelope. A rider writes
+nothing, so the write elements' bytes, and the recipes journaled from
+them, are those of the batch without riders. Each response element is
 a status byte, then for status 0 a result kind and the result: 0 and a
 value (a FID, or a zone envelope for MSG_CIPHER_EXEC, written as a stored
 operand is), 1 and a boolean byte, or 2 alone for a revealed result, whose
@@ -127,12 +129,12 @@ alone, so it tells the integrity zone nothing about the privacy zone's
 journal. The integrity zone sends a plain flush after create_table's new
 partition and after vacuum's deletes, and CHECKPOINT at the start of
 vacuum, at the end of orphan_gc, before an integrity checkpoint writes its
-image and after a restore; at the start of vacuum and before an image only
-while a recipe is pending. A commit never sends MSG_FLUSH_LOG: every
-recipe it journals reads only operands that come back before it
-(integrity_dbms). MSG_PROMOTE copies a temporary FID's value into a
-permanent partition and checkpoints the privacy zone before it replies,
-since the copy has no recipe; the engine never sends it.
+image and after a restore that wrote a FID; at the start of vacuum and
+before an image only while a recipe is pending. A commit never sends
+MSG_FLUSH_LOG: every recipe it journals reads only operands that come
+back before it (integrity_dbms). MSG_PROMOTE copies a temporary FID's
+value into a permanent partition and checkpoints the privacy zone before
+it replies, since the copy has no recipe; the engine never sends it.
 MSG_CREATE_PARTITION carries nothing and creates a permanent partition; its
 response is the u32 partition id.
 
@@ -144,14 +146,15 @@ RECIPE_INGEST (u8 1) and the client envelope of an ingest, or
 RECIPE_EXEC (u8 2) and the operator element, as MSG_EXEC_BATCH carried it,
 whose value result went to the FID's partition. MSG_RESTORE is
 {u64 fid, u32 len, recipe} items up to the end of the payload, and its
-response is the status byte alone. The privacy zone accepts it only
-between its recovery and its first request of another kind, and checks
-every item before it stores the first: the FID must be in a permanent
-partition, at an offset below the partition's recovered allocation
-counter plus wal.MAX_UNSYNCED_PUTS (more puts than come between two
-privacy checkpoints, so more than a crash can lose), the
-element a value op naming that partition over permanent operands, and
-every envelope must authenticate. It skips a FID that is live and writes
+response is a u32 count of the FIDs it wrote again, so the integrity zone
+checkpoints only after a restore that wrote one (Database.restore_recipes).
+The privacy zone accepts it only between its recovery and its first
+request of another kind, and checks every item before it stores the
+first: the FID must be in a permanent partition, at an offset below the
+partition's recovered allocation counter plus wal.MAX_UNSYNCED_PUTS (more
+puts than come between two privacy checkpoints, so more than a crash can
+lose), the element a value op naming that partition over permanent
+operands, and every envelope must authenticate. It skips a FID that is live and writes
 every other at exactly that FID (PrivacyProxy.restore). So a restore
 writes only non-live FIDs of permanent partitions at offsets the zone
 could have allocated before its crash, with values an ingest or an
@@ -674,12 +677,16 @@ class ProxyClient:
     def flush_log(self, checkpoint: bool = False) -> None:
         self._call(MSG_FLUSH_LOG, CHECKPOINT if checkpoint else b"")
 
-    def restore(self, items: list[tuple[int, bytes]], batch_size: int) -> None:
+    def restore(self, items: list[tuple[int, bytes]], batch_size: int) -> int:
         """Writes each recipe's value again at its FID where the privacy
-        zone lost it, batch_size (fid, recipe) items per message."""
+        zone lost it, batch_size (fid, recipe) items per message; returns
+        how many FIDs it wrote."""
+        written = 0
         for chunk in _chunks(items, batch_size):
-            self._call(MSG_RESTORE, b"".join(self._write_fid(fid) + _blob(recipe)
-                                             for fid, recipe in chunk))
+            body = self._call(MSG_RESTORE, b"".join(
+                self._write_fid(fid) + _blob(recipe) for fid, recipe in chunk))
+            written += _unpack(_U32, body)[0]
+        return written
 
     def create_partition(self) -> int:
         """A new permanent partition's id."""
@@ -769,8 +776,7 @@ class PrivacyDispatcher:
         if kind == MSG_RESTORE:
             if not self.restoring:
                 raise TypeMismatch("restore outside the recovery window")
-            proxy.restore(_read_restore(payload))
-            return b""
+            return _U32.pack(proxy.restore(_read_restore(payload)))
         self.restoring = False
         if kind == MSG_INGEST:
             blobs = _read_blobs(payload, 4)  # fails unless the target fits

@@ -554,7 +554,7 @@ class PrivacyProxy:
 
     # -- recovery ------------------------------------------------------------
 
-    def restore(self, items: list[tuple[int, object]]) -> None:
+    def restore(self, items: list[tuple[int, object]]) -> int:
         """Re-runs the recipes of writes a crash lost, each into exactly its
         FID (MSG_RESTORE). A recipe is the ClientEnvelope an ingest stored,
         or the OperatorRequest whose value result went to the FID's
@@ -573,8 +573,9 @@ class PrivacyProxy:
         first names it, since the recovery window admits no other write. A
         FID that is already live is skipped before any operand is read;
         any other gets its value computed and put at exactly that FID
-        (MappingStore.restore). A recipe whose computation fails raises
-        after the items before it are stored."""
+        (MappingStore.restore). Returns how many FIDs it wrote. A recipe
+        whose computation fails raises after the items before it are
+        stored."""
         decrypt = self.client_codec.decrypt
         store = self.store
         work = []
@@ -597,6 +598,7 @@ class PrivacyProxy:
                 work.append((fid, recipe, constant))
             else:
                 work.append((fid, None, decrypt(recipe)))
+        written = 0
         for fid, req, value in work:
             if store.is_live(fid):
                 continue
@@ -606,3 +608,5 @@ class PrivacyProxy:
                     values.append(value)
                 value = compute_value(req.op, req.value_type, values)
             store.restore(fid, value)
+            written += 1
+        return written

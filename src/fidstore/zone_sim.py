@@ -49,6 +49,7 @@ from .atrest_storage import AtRestLayer, SealedBlockStore
 from .durability import DurableBuffer, SnapshotStore
 from .errors import (
     CorruptLog,
+    FidStoreError,
     NoCrashPending,
     StructureMismatch,
     TypeMismatch,
@@ -152,24 +153,27 @@ class AdversaryTrace:
 
     A READ's or SUM's reveal crosses with those of the other clients that
     wait on one, as LOAD and SUM elements in one pass's operator batch, or
-    riding in the write batch of a commit that comes first (_Runner), so
-    which reveals share a message, and with which writes, is fixed by the
-    schedule's statement kinds, keys and abort decisions. A revealed FID's
-    FidObserved is in the request that carries it, as a write operand's
-    is. A reply that reveals n values seals them in one client envelope
-    (messages), so its MsgBytes is its status byte and elements and 28 +
-    the sum of the values' lengths + 2(n-1): each value's length is fixed
-    by its column's type (an 8-byte int or sum, a 128-byte padded string),
-    so the length is a function of the pass's shape. The simulated clients share
-    one client key, so one envelope can answer them all; with a key per
-    client, a reply would carry one envelope per key it answers.
-    A txn's writes cross together when it commits, or earlier when one of
-    its statements reaches a row it wrote (a READ, a SUM over it, or a
-    second write), so when they cross is a function of the txn's keys: its
-    INSERTs' envelopes as MSG_INGEST, then its ADDs and SETs as one
-    operator batch. An aborted or conflicting txn's writes, INSERTs too,
-    never cross. The FidObserved events of the new versions' cells follow
-    those replies, one version after another in the order the txn wrote
+    riding in the write batch of a group of commits that comes first
+    (_Runner), so which reveals share a message, and with which writes, is
+    fixed by the schedule's statement kinds, keys, abort decisions and
+    conflicts. A revealed FID's FidObserved is in the request that carries
+    it, as a write operand's is. A reply that reveals n values seals them
+    in one client envelope (messages), so its MsgBytes is its status byte
+    and elements and 28 + the sum of the values' lengths + 2(n-1): each
+    value's length is fixed by its column's type (an 8-byte int or sum, a
+    128-byte padded string), so the length is a function of the pass's
+    shape. The simulated clients share one client key, so one envelope can
+    answer them all; with a key per client, a reply would carry one
+    envelope per key it answers.
+    A txn's writes cross together when it commits, with those of the other
+    txns whose commits the runner queued since the last crossing, or
+    earlier when one of its statements reaches a row it wrote (a READ, a
+    SUM over it, or a second write), so when they cross is a function of
+    the schedule's shape and the txn's keys: the group's INSERTs' envelopes
+    as MSG_INGEST, then its ADDs and SETs as one operator batch. An aborted
+    or conflicting txn's writes, INSERTs too, never cross. The FidObserved
+    events of the new versions' cells follow those replies, txn after txn
+    and, within one, version after version in the order the txn wrote
     them.
 
     A privacy checkpoint adds block events of its own, inside the message
@@ -729,29 +733,47 @@ class _Runner:
     (integrity_dbms.Reveals): the READs' refs of each value type in one
     LOAD element, then the SUMs' last elements, each with reveal set,
     batch_size items a message, MSG_EXEC_BATCH (MSG_CIPHER_EXEC on the
-    cipher path). The crossing rule:
+    cipher path).
 
-    - just before the next schedule entry of any client that waits on a
-      reveal, and at the end of the schedule, the queue crosses alone
-      (_cross), a pass crossing;
-    - at a finish entry that commits a txn, the queue rides in the commit
-      (Txn.riders): if the commit sends its writes as an operator batch,
-      the queued elements go after the write elements, in the same
-      messages, and come back in their replies' envelopes, so no other
-      crossing is needed for them. A commit that sends no operator batch
-      (its writes went earlier, or are inserts alone) takes no rider, and
-      the queue stays for the next pass crossing. The committing client's
-      own queued reveal has crossed already, at that very entry, since it
-      waits on it.
+    Commits are grouped too. A finish entry that commits does not commit
+    then: it queues its txn, which stays in active. The queued commits
+    cross as one group (_flush): one Database.send_writes of every queued
+    txn's writes, the queued reveals riding after the write elements
+    (its riders), then each txn's commit in queue order, one DB_COMMIT
+    record and one sync each. The crossing rule:
 
-    Each reply seals its revealed values in one client envelope, which the
+    - just before a begin entry of any client, the queue of commits
+      crosses;
+    - just before the next entry of a client that waits on a reveal, the
+      queue of commits crosses, and then the reveals left queued cross
+      alone (_cross), a pass crossing;
+    - at the end of the schedule, both do, in that order.
+
+    Reveals ride in a group only if it sends an operator batch; a group
+    whose writes went earlier, or are inserts alone, takes none, and they
+    stay queued for the next pass crossing. So each client has each result
+    before its next statement, and the reveals and commits of a pass share
+    a crossing.
+
+    Grouping changes no outcome, so the shadow oracle, which commits at
+    each finish, still gives the same values, commits, aborts and
+    conflicts. Every begin crosses the queue first, so a snapshot taken
+    after a finish sees that txn committed; a txn that began before it
+    could not see it either way. A write over a queued txn's version
+    raises WriteConflict (an uncommitted head) exactly where it would over
+    that version committed (a commit seq past the writer's snapshot). A
+    read of a version a queued txn ended still sees it, as it would once
+    that txn committed after the reader's snapshot. And no member of a
+    group reads another's fresh ref, so the recipes restore in commit
+    order as before (integrity_dbms).
+
+    Which entries' commits and reveals share a crossing is a function of
+    the statements' kinds and keys, the waiting clients, the abort
+    decisions and the conflicts alone, never of a value, and riders change
+    no write element's bytes, so no recipe or other durable byte. Each
+    reply seals its revealed values in one client envelope, which the
     client opens (ZoneTopology.client_open) and splits among the
-    statements' slots. So each client has each result before it issues its
-    next statement, and the reveals of a pass share a crossing with each
-    other and, where one comes, with a commit's writes. Whether and when a
-    crossing happens is a function of the statements' kinds, keys and
-    abort decisions alone, and riders change no write element's bytes, so
-    no recipe or other durable byte.
+    statements' slots.
 
     The deferred reveal returns the value the statement read: a txn's
     snapshot is fixed at begin, so the ref its statement resolved is the
@@ -760,12 +782,14 @@ class _Runner:
     and nothing releases a FID during the txn phase. Vacuum and orphan_gc
     run after the schedule, and a txn's query ends only at an entry of its
     own client, after the crossing that client waits on, so the
-    temporaries a deep SUM's last element reads are still there. A commit
-    whose write element fails fills its riders' slots before its error
-    propagates. On ZoneCrashed or Unavailable the reveals still queued are
-    dropped, with their slots in report.revealed, so no unresolved value is
+    temporaries a deep SUM's last element reads are still there. A group
+    whose write element fails fills its riders' slots and commits its
+    other txns before the error propagates; the failed txn stays active.
+    On ZoneCrashed or Unavailable the reveals still queued are dropped,
+    with their slots in report.revealed, so no unresolved value is
     reported; riders whose reply came back before the crash are not
-    queued any more."""
+    queued any more. The queued commits that did not commit are still in
+    active, so on Unavailable they are aborted and counted as aborted."""
 
     def __init__(self, topology: ZoneTopology, program: WorkloadProgram):
         self.topo = topology
@@ -777,6 +801,8 @@ class _Runner:
         # last element, the decoder of the revealed plaintext), in slot order
         self._pending: list[tuple[int, object, object]] = []
         self._waiting: set[int] = set()  # the clients with a reveal queued
+        # (txn index, txn) of each finish that queued its commit, in order
+        self._commits: list[tuple[int, object]] = []
 
     # -- setup -------------------------------------------------------------
 
@@ -812,14 +838,16 @@ class _Runner:
             return report
 
         schedule = flatten_schedule(self.program)
-        active: dict[int, object] = {}
+        active: dict[int, object] = {}  # a queued commit's txn, until it commits
         dead: set[int] = set()
         waiting = self._waiting
         try:
             for entry in schedule:
-                if entry[1] in waiting:
-                    self._cross(db)
                 kind = entry[0]
+                if kind == "begin" or entry[1] in waiting:
+                    self._flush(db, active)
+                    if entry[1] in waiting:
+                        self._cross(db)
                 if kind == "begin":
                     txn = db.begin()
                     active[entry[2]] = txn
@@ -850,13 +878,11 @@ class _Runner:
                     if self.program.txns[txn_index].abort:
                         db.abort(txn)
                         report.txns_aborted += 1
+                        del active[txn_index]
                     else:
-                        # still in active if its writes fail to go, so
-                        # that the Unavailable handler aborts it
-                        self._commit(db, txn)
-                        report.txns_committed += 1
-                    del active[txn_index]
+                        self._commits.append((txn_index, txn))
                     self._end_query_quietly(txn)
+            self._flush(db, active)
             self._cross(db)
         except ZoneCrashed as exc:
             self._drop()
@@ -894,19 +920,33 @@ class _Runner:
             db.backend.reveal(reveals, self.batch_size)
             self._land(reveals)
 
-    def _commit(self, db: Database, txn) -> None:
-        """Commits txn with the queued reveals as its riders (the class
-        docstring), and fills their slots if they crossed, before any error
-        of the commit propagates."""
-        if not self._pending:
-            db.commit(txn)
+    def _flush(self, db: Database, active: dict) -> None:
+        """Commits the queued txns as one group (the class docstring): one
+        send of all their writes, the queued reveals riding after them,
+        whose slots are filled if they went, before any error propagates;
+        then each txn's commit, in queue order, which takes it out of
+        active. A txn whose write failed stays in active, and the first
+        such failure propagates once the others have committed."""
+        queue, self._commits = self._commits, []
+        if not queue:
             return
-        riders = txn.riders = self._queued()
+        riders = self._queued() if self._pending else None
         try:
-            db.commit(txn)
+            db.send_writes(*[txn for _, txn in queue], riders=riders)
         finally:
-            if riders.replies is not None:
+            if riders is not None and riders.replies is not None:
                 self._land(riders)
+        failure = None
+        for txn_index, txn in queue:
+            try:
+                db.commit(txn)
+            except FidStoreError as exc:
+                failure = failure or exc
+                continue
+            del active[txn_index]
+            self.report.txns_committed += 1
+        if failure is not None:
+            raise failure
 
     def _queued(self) -> Reveals:
         """The queued reveals, as the elements of one batch."""

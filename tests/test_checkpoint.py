@@ -29,7 +29,7 @@ from fidstore.integrity_dbms import (
     ColumnType,
 )
 from fidstore.mapping_store import UINT_CODES, MappingStore
-from fidstore.messages import CHECKPOINT, MSG_FLUSH_LOG, _req
+from fidstore.messages import CHECKPOINT, MSG_FLUSH_LOG, MSG_RESTORE, _req
 from fidstore.privacy_proxy import ClientEnvelope, decode_int64, encode_int64
 from fidstore.wal import FRAME, REC_HEAD, read_frames
 from fidstore.workload import Mode, WorkloadSpec, flatten_schedule, generate_workload
@@ -703,11 +703,13 @@ def test_a_damaged_engine_lsn_is_corrupt(tmp_path):
 def test_blocks_replay_changed_are_sealed_by_the_next_checkpoint():
     """Replay fires no block hook, so recovery hands the at-rest layer no
     current copy for a block replay changed: here the deletes of the refs
-    vacuum released, which move values within their buckets. The next
-    checkpoint, the one that ends the restore of the recipes the engine
-    recovers, seals each such block, so a second crash recovers every
-    committed value from the copies it keeps. The recovery is recover_all's,
-    step by step."""
+    vacuum released, which move values within their buckets. Every FID the
+    recovered engine's recipes name is live, so their restore writes
+    nothing and takes no checkpoint: the blocks stay without a current
+    copy, and a second crash replays the same deletes over the same copies
+    and recovers every committed value. The next checkpoint seals each
+    such block, so a crash after it replays nothing. The recovery is
+    recover_all's, step by step."""
     program = generate_workload(SPEC, 15)
     topo = ZoneTopology(15, batch_size=SPEC.batch_size, cache_capacity_blocks=4)
     topo.run_program(program)  # ends in a quiesce checkpoint
@@ -725,7 +727,8 @@ def test_blocks_replay_changed_are_sealed_by_the_next_checkpoint():
         assert db.vacuum(table)
     topo.privacy.crash()
     topo.integrity.crash()
-    assert topo.privacy.recover() > 0  # the deletes
+    replayed = topo.privacy.recover()
+    assert replayed > 0  # the deletes
     atrest = topo.privacy.atrest
     store = topo.privacy.store
     spanned = {(t.partition_id, b) for t in db.tables_by_idx
@@ -734,10 +737,22 @@ def test_blocks_replay_changed_are_sealed_by_the_next_checkpoint():
     assert missing  # replay changed some blocks
     seals = atrest.sealer.seals
     topo.integrity.recover()
-    topo.integrity.db.restore_recipes()  # every FID is live: only the checkpoint
-    topo.integrity.db.privacy_restarted()
-    assert atrest.sealer.seals - seals >= len(missing)
-    assert not spanned - set(atrest.copies)
+    db = topo.integrity.db
+    assert db.recipes
+    sent = []
+    request = topo.channel.request
+    topo.channel.request = lambda raw: sent.append(raw[0]) or request(raw)
+    db.restore_recipes()  # every FID is live: it writes nothing
+    db.privacy_restarted()
+    del topo.channel.request
+    assert set(sent) == {MSG_RESTORE} and not db.recipes
+    assert atrest.sealer.seals == seals and spanned - set(atrest.copies) == missing
+    topo.privacy.crash()
+    topo.integrity.crash()
+    assert topo.recover_all().privacy_replayed == replayed
+    assert _read_rows(topo) == expected
+    topo.integrity.db.flush_privacy(checkpoint=True)
+    assert not spanned - set(topo.privacy.atrest.copies)
     for _ in range(2):
         topo.privacy.crash()
         topo.integrity.crash()
@@ -857,7 +872,9 @@ def test_no_plaintext_on_disk_at_any_moment(tmp_path, monkeypatch, point):
     topo.privacy.crash()
     topo.integrity.crash()
     assert topo.recover_all().invariant.holds
-    assert len(scans) > 20 and found == []
+    # 20 moments in the privacy-only crash before a truncate, whose restore
+    # writes nothing and so checkpoints nothing
+    assert len(scans) >= 20 and found == []
 
 
 def test_a_scan_without_maintenance_leaves_no_plaintext(tmp_path, privacy_checkpoints,

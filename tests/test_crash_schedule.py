@@ -246,7 +246,7 @@ class CrashMachine(RuleBasedStateMachine):
           zones=st.sampled_from([CrashTarget.BOTH, CrashTarget.PRIVACY]))
     def ride(self, pick, key, at, zones):
         """Queues a read in one slot and commits the txn of the other, one
-        that holds writes, with the read riding (Txn.riders). With at, a
+        that holds writes, with the read riding (send_writes). With at, a
         crash of zones comes inside that commit's operator batch
         ("crossing": at the first durable write of a privacy checkpoint
         that the batch's first put runs) or at its DB_COMMIT sync
@@ -264,7 +264,6 @@ class CrashMachine(RuleBasedStateMachine):
         topo = self.topo
         riders = Reveals([(ValueType.INT64, version.cells[1])], self.db.batch_size)
         committing, shadow_committing = self.txns[committer]
-        committing.riders = riders
         limit = wal.MAX_UNSYNCED_PUTS
         if at == "crossing":
             request = topo.channel.request
@@ -280,6 +279,7 @@ class CrashMachine(RuleBasedStateMachine):
         elif at == "commit":
             crash_at(topo, commit_sync, target=zones)
         try:
+            self.db.send_writes(committing, riders=riders)
             self.db.commit(committing)
         except (ZoneCrashed, Unavailable):
             pass

@@ -591,9 +591,10 @@ def test_restore_skips_a_live_fid_and_writes_the_others_at_their_fids():
     """In the recovery window MSG_RESTORE re-runs each recipe into exactly
     its FID: a live FID keeps its value and counts no put, an ingest
     recipe and an operator recipe over a permanent operand write their
-    values, and no put is journaled. A FID past the allocation counter
-    moves it, and the offsets it skips are handed out next. The first
-    request of another kind closes the window."""
+    values, and no put is journaled; the reply counts the FIDs written. A
+    FID past the allocation counter moves it, and the offsets it skips are
+    handed out next. The first request of another kind closes the
+    window."""
     topo = ZoneTopology(999)
     pid = topo.client.create_partition()
     (live,) = topo.client.ingest(1, [topo.client_encrypt(encode_int64(40))], 1, pid)
@@ -609,7 +610,8 @@ def test_restore_skips_a_live_fid_and_writes_the_others_at_their_fids():
             (encode_fid(pid, 3), RECIPE_INGEST + topo.client_encrypt(encode_int64(8))),
             (encode_fid(pid, 1), RECIPE_EXEC + _one_op(element)),
         ])
-    assert topo.channel.request(_req(MSG_RESTORE, payload)) == b"\x00"
+    assert topo.channel.request(_req(MSG_RESTORE, payload)) == b"\x00" + struct.pack(
+        "<I", 2)
     assert topo.privacy.wal.puts == 2
     assert journal.pending_len == journal.durable_len == 0
     store = topo.privacy.store
@@ -654,7 +656,7 @@ def test_restore_reaches_no_further_than_a_crash_could_lose(monkeypatch):
             RECIPE_INGEST + topo.client_encrypt(encode_int64(value)))))
 
     assert restore(8, 8) == bytes([TypeMismatch.code])
-    assert restore(7, 7) == b"\x00"
+    assert restore(7, 7) == b"\x00" + struct.pack("<I", 1)
     assert restore(8, 8) == bytes([TypeMismatch.code])  # still 4 past 4
     store = topo.privacy.store
     assert store.live_fids(pid) == [encode_fid(pid, i) for i in (0, 1, 2, 3, 7)]
