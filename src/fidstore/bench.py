@@ -49,11 +49,12 @@ from .zone_sim import CrashPoint, CrashTarget, DurableWrite, ZoneTopology
 # bench_ops times one packed encrypt of each of these counts of INT64
 # values, a reply's one client envelope, against that many field encrypts
 REPLY_SIZES = (1, 4, 256)
-# and one crossing of a commit's write batch, one ADD, with no rider and
-# with the RIDERS point reads of a pass riding in one LOAD element, and of
-# that LOAD element alone, the crossing riding saves
+# and one crossing of a commit's write batch, one ADD, with no rider, of
+# one txn's ADD and STORE whose constants share one envelope, and with the
+# RIDERS point reads of a pass riding in one LOAD element, and of that
+# LOAD element alone, the crossing riding saves
 RIDERS = 4
-CROSSINGS = ("commit_0", f"commit_{RIDERS}", f"reveal_{RIDERS}")
+CROSSINGS = ("commit_0", "commit_2w", f"commit_{RIDERS}", f"reveal_{RIDERS}")
 OPS = ("put", "get", "aead_encrypt_field", "aead_decrypt_field",
        "aead_seal_block_4k", "aead_open_block_4k",
        *(f"aead_encrypt_{kind}_{n}" for n in REPLY_SIZES for kind in ("reply", "fields")),
@@ -205,7 +206,9 @@ def crossings() -> dict:
     privacy zone's dispatch, the reply's decode and, for a reply that
     reveals, client_open. The commit's write is an ADD of an inline
     constant into a table's partition, which puts a fresh FID each time;
-    its riders, and the reveal alone, one LOAD of RIDERS int64 FIDs."""
+    commit_2w's are that ADD and a STORE, one run whose constants one
+    envelope seals, opened once; the riders, and the reveal alone, one LOAD
+    of RIDERS int64 FIDs."""
     topo = ZoneTopology(0)
     client = topo.client
     table = client.create_partition()
@@ -214,9 +217,16 @@ def crossings() -> dict:
     write = OperatorRequest(OpKind.ADD, ValueType.INT64, refs[:1], table,
                             topo.client_encrypt(encode_int64(1)))
     load = OperatorRequest(OpKind.LOAD, ValueType.INT64, refs[1:], reveal=True)
+    pooled = topo.client_seal([encode_int64(1), encode_int64(2)])
+    two = [OperatorRequest(OpKind.ADD, ValueType.INT64, refs[:1], table, pooled),
+           OperatorRequest(OpKind.STORE, ValueType.INT64, [], table, pooled,
+                           next_const=True)]
 
     def commit_0():
         client.exec_writes(None, [write], 2)
+
+    def commit_2w():
+        client.exec_writes(None, two, 2)
 
     def commit_riding():
         topo.client_open(client.exec_writes(None, [write, load], 2)[1][0].envelope,
@@ -225,7 +235,7 @@ def crossings() -> dict:
     def reveal():
         topo.client_open(client.exec_batch(None, [load], 2)[0].envelope, RIDERS)
 
-    return dict(zip(CROSSINGS, (commit_0, commit_riding, reveal)))
+    return dict(zip(CROSSINGS, (commit_0, commit_2w, commit_riding, reveal)))
 
 
 # Write-only ops of the matrix spec past which the engine journal has

@@ -20,52 +20,57 @@ handed to insert_row or update_row is a ClientEnvelope, which MSG_INGEST
 writes into the table's partition, or an OperatorRequest into that
 partition (an ADD over the old ref or a STORE of a client envelope) whose
 every stored operand is the ref of the cell it replaces, so an insert's
-reads none. Anything else, a FID or a zone envelope above all, raises
-before any message is sent. A transaction holds its writes: the new
-version is installed at once with a placeholder in each written cell, so
-first-updater-wins, the write set and abort work as for any other write.
-commit sends all of the transaction's writes in one backend call
-(send_writes), before it journals anything, then fills the placeholders, claims
-the fresh refs with the recipes of the calls that wrote them and stages
-the versions, so the durability order below is unchanged. So a write-only
-transaction crosses to the privacy zone once, and an aborted one never.
-A caller may send the writes of several transactions in one call, a group
-(send_writes), and then commit each: the group crosses once, and each
-member still journals one commit record in one sync of its own. A member
-whose write failed stays active and its commit raises, while the others
-commit. The caller may hand a send the reveals it has queued (riders,
-Reveals), which ride after the group's operator elements, in the same
-messages: they write nothing, so the commit records are as without them.
-The writes go earlier only when the transaction reads, sums or writes
-again a version it wrote that still holds a placeholder (visible_version,
-update_row): that depends on keys alone.
+reads none. The client may hold an operator write's constant back
+(next_const), and then seals the held constants of a transaction in one
+client envelope just before its writes cross (supply_constants), so the
+engine never holds a plaintext. Anything else, a FID or a zone envelope
+above all, raises before any message is sent. A transaction holds its
+writes: the new version is installed at once with a placeholder in each
+written cell, so first-updater-wins, the write set and abort work as for
+any other write. commit sends all of the transaction's writes in one
+backend call (send_writes), before it journals anything, then fills the
+placeholders, claims the fresh refs with the recipes of the calls that
+wrote them and stages the versions, so the durability order below is
+unchanged. So a write-only transaction crosses to the privacy zone once,
+and an aborted one never. A caller may send the writes of several
+transactions in one call, a group (send_writes), and then commit each: the
+group crosses once, and each member still journals one commit record in one
+sync of its own. A member whose write failed stays active and its commit
+raises, while the others commit. The caller may hand a send the reveals it
+has queued (riders, Reveals), which ride after the group's operator
+elements, in the same messages: they write nothing, so the commit records
+are as without them. The writes go earlier only when the transaction reads,
+sums or writes again a version it wrote that still holds a placeholder
+(visible_version, update_row): that depends on keys alone.
 
 The cross-domain contract is an invariant: a durably visible FID has a
-durable secret, or a durable recipe whose operands are durable or backed
-by a recipe. A secret is durable once a privacy checkpoint seals it: the
+durable secret, or a durable recipe whose operands are durable or backed by
+a recipe. A secret is durable once a privacy checkpoint seals it: the
 privacy journal holds deletes and partition creations, never a value. A
 recipe is the bytes that wrote a fresh FID (messages): the client envelope
 of an ingest, or the operator element whose value result went to the
-table's partition. A commit syncs only this engine's journal, as the
-cipher baseline's does, and appends one record to it: the DB_COMMIT holds
-the transaction's row versions and then the recipe of each fresh FID they
-claim, in claim order. Once that sync returns the transaction is committed
-and its recipes are pending (Database.recipes); before it, nothing of the
-transaction is durable. Restore re-runs the recipes in that order, so
-each operand a recipe reads must come back before it, and by construction
-it does: an operand is the ref of the cell its write replaced, which is
-either a committed visible ref, whose secret a privacy checkpoint made
-durable or whose recipe is pending, or the transaction's own earlier
-write, claimed earlier in the same commit (a write over a placeholder
-sends the pending writes first). No member of a group reads another
-member's fresh ref: under first-updater-wins a write over another
-member's uncommitted version conflicts. A MSG_FLUSH_LOG with the
-checkpoint flag makes every secret written before it durable, so once it
-returns no recipe is pending; a plain one makes only delete and create
+table's partition. The writes whose constants crossed in one envelope are a
+run: the recipe of its first element holds the envelope, and each other's
+is its element alone, whose constant is the next value of that envelope, so
+each run's envelope is journaled once. A commit syncs only this engine's
+journal, as the cipher baseline's does, and appends one record to it: the
+DB_COMMIT holds the transaction's row versions and then the recipe of each
+fresh FID they claim, in claim order. Once that sync returns the
+transaction is committed and its recipes are pending (Database.recipes);
+before it, nothing of the transaction is durable. Restore re-runs the
+recipes in that order, so each operand a recipe reads must come back before
+it, and by construction it does: an operand is the ref of the cell its
+write replaced, which is either a committed visible ref, whose secret a
+privacy checkpoint made durable or whose recipe is pending, or the
+transaction's own earlier write, claimed earlier in the same commit (a
+write over a placeholder sends the pending writes first). No member of a
+group reads another member's fresh ref: under first-updater-wins a write
+over another member's uncommitted version conflicts. A MSG_FLUSH_LOG with
+the checkpoint flag makes every secret written before it durable, so once
+it returns no recipe is pending; a plain one makes only delete and create
 records durable (where the engine sends each: messages). A commit sends
-neither.
-A transaction that staged nothing makes no FID visible, so its commit
-takes a commit sequence number and touches neither journal.
+neither. A transaction that staged nothing makes no FID visible, so its
+commit takes a commit sequence number and touches neither journal.
 
 When the privacy zone restarts, it has lost every secret that was not yet
 durable, and a lost FID's slot may be handed out again. Before any other
@@ -129,7 +134,7 @@ site.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
 
 from . import wal
@@ -147,7 +152,7 @@ from .errors import (
     error_for_code,
 )
 from .mapping_store import UINT_CODES, narrowest_width
-from .messages import RECIPE_INGEST
+from .messages import RECIPE_INGEST, recipe_runs
 from .privacy_proxy import (
     COMPARISONS,
     ClientEnvelope,
@@ -909,6 +914,31 @@ class Database:
                           + version.wire)
         self._observe_cells(table, version.cells)
 
+    def supply_constants(self, txn: Txn, envelope: bytes) -> None:
+        """Binds the client's one envelope to txn's held writes: the
+        operator writes whose constant the client holds (next_const and no
+        constant), in write order, whose values it seals in that order
+        (privacy_proxy.pack_values). The first carries it as its constant;
+        each later one continues its run. The client seals just before the
+        writes cross: before the send_writes of a group, or before a
+        statement over a row that txn holds writes of (holds), which sends
+        them first. The held writes must be consecutive among txn's
+        operator writes: a continuation crosses right after its run."""
+        held = [i for i, (_, w) in enumerate(txn.writes) if _held(w)]
+        for i in held:
+            pid, w = txn.writes[i]
+            txn.writes[i] = (pid, replace(w, constant=envelope,
+                                          next_const=i != held[0]))
+
+    def holds(self, txn: Txn, table: Table, row_id: int) -> bool:
+        """Whether a statement of txn over the row sends txn's pending
+        writes first (visible_version, update_row): the row's newest
+        version is txn's and holds a placeholder. A function of keys
+        alone."""
+        chain = table.rows.get(row_id)
+        return (bool(chain) and chain[-1].begin_txn == txn.txn_id
+                and chain[-1].wire is None)
+
     def send_writes(self, *txns: Txn, riders: Reveals | None = None) -> None:
         """Sends the pending writes of txns, a group, in one backend call
         (backend.promote, batch_size values per message): every member's
@@ -933,6 +963,10 @@ class Database:
         group = [txn for txn in txns if txn.pending and txn.failure is None]
         if not group:
             return
+        for txn in group:
+            if any(_held(w) for _, w in txn.writes):
+                raise ValueError(f"txn {txn.txn_id} sends a write whose constant its "
+                                 "client still holds (supply_constants)")
         stored, errors = self.backend.promote(
             group[0].query_id, [w for txn in group for w in txn.writes],
             self.batch_size, riders)
@@ -1060,9 +1094,10 @@ class Database:
 
         While a recipe is pending it first checkpoints the privacy zone, so
         every secret is durable before a removal is: recovery drops the
-        recipe of a FID whose version is removed, yet that FID may be an
-        operand of a recipe it keeps. A plain flush after the deletes
-        makes them durable before the next write."""
+        recipe of a FID whose version is removed, and the whole run of
+        recipes it belongs to, yet that FID may be an operand of a recipe it
+        keeps. A plain flush after the deletes makes them durable before
+        the next write."""
         if self.recipes:
             self.flush_privacy(checkpoint=True)
         min_snapshot = min((t.snapshot_seq for t in self.active_txns.values()),
@@ -1265,6 +1300,13 @@ class Database:
             raise ZoneCrashed("io_failure") from exc
 
 
+def _held(write) -> bool:
+    """Whether a pending write's constant is still held by its client
+    (Database.supply_constants)."""
+    return (isinstance(write, OperatorRequest) and write.next_const
+            and write.constant is None)
+
+
 def _version_head(widths) -> struct.Struct:
     """An image's version head (row id, vseq, begin txn) at widths."""
     return struct.Struct("<" + "".join(UINT_CODES[w] for w in widths))
@@ -1308,10 +1350,18 @@ def recover_database(client, backend, dbwal: DurableBuffer,
     later commits.
 
     The pending recipes are rebuilt from the DB_COMMIT records: per FID the
-    newest, in LSN order, and only for a FID a recovered row version holds.
-    Dropping the others is safe: vacuum checkpoints the privacy zone before
-    it makes a removal durable while a recipe is pending, so no kept recipe
-    has an operand that a removed version held and the privacy zone lost.
+    newest, in LSN order, and only for a FID a recovered row version holds,
+    and only whole runs (messages.recipe_runs): a run one of whose recipes
+    is dropped loses them all, since a continuation restores only with its
+    run's envelope and place. Dropping them is safe: a recipe is dropped
+    only if its version was removed, or its FID freed and claimed again,
+    and either comes after a DB_REMOVE of a version of that commit, which
+    vacuum makes durable only once the privacy zone has checkpointed every
+    secret written before it while a recipe is pending. So no kept recipe
+    has an operand that a removed version held and the privacy zone lost,
+    and the recipes of a run's commit are all durable when one is dropped.
+    A record whose continuation recipe has no envelope before it is
+    corrupt.
 
     An image or record that does not parse or that this engine could not
     have written (Database._load_image; a commit of no row version, or of a
@@ -1321,7 +1371,9 @@ def recover_database(client, backend, dbwal: DurableBuffer,
     holds a table's partition only the privacy zone can say:
     ZoneTopology.recover_all asks it."""
     db = Database(client, backend, dbwal, snapshots, **db_kwargs)
-    recipes: dict[int, bytes] = {}
+    # (fid, recipe, run) per recipe item in LSN order; run: (lsn, the index
+    # of its head in the record) or None (messages.recipe_runs)
+    recipes: list[tuple[int, bytes, tuple[int, int] | None]] = []
     committed = db.committed
     try:
         image = snapshots.get(CHECKPOINT_IMAGE)
@@ -1351,14 +1403,20 @@ def recover_database(client, backend, dbwal: DurableBuffer,
                                             payload[start:pos]))
                     table.next_row_id = max(table.next_row_id, row_id + 1)
                     table.next_vseq = max(table.next_vseq, vseq + 1)
+                items = []
                 while pos < len(payload):
                     fid, n = _RECIPE_ITEM.unpack_from(payload, pos)
                     pos += _RECIPE_ITEM.size + n
-                    recipes.pop(fid, None)  # the newest goes last
-                    recipes[fid] = payload[pos - n:pos]
+                    items.append((fid, payload[pos - n:pos]))
                 if pos != len(payload):
                     raise CorruptLog(f"txn {txn_id}'s commit record ends at "
                                      f"{len(payload)}, its last item at {pos}")
+                try:
+                    heads = recipe_runs([recipe for _, recipe in items])
+                except TypeMismatch as exc:
+                    raise CorruptLog(f"txn {txn_id}'s commit record: {exc}") from None
+                recipes += [(fid, recipe, None if head is None else (lsn, head))
+                            for (fid, recipe), head in zip(items, heads)]
             elif kind == DB_REMOVE:
                 (table_idx,) = _REMOVE_HEAD.unpack_from(payload)
                 table = db.tables_by_idx[table_idx]
@@ -1379,6 +1437,10 @@ def recover_database(client, backend, dbwal: DurableBuffer,
         raise CorruptLog(f"the engine's image or journal does not parse: {exc}") from None
 
     held = db.referenced_refs()
-    db.recipes = {fid: r for fid, r in recipes.items() if fid in held}
+    newest = {fid: i for i, (fid, _, _) in enumerate(recipes)}
+    kept = [newest[fid] == i and fid in held for i, (fid, _, _) in enumerate(recipes)]
+    lost_runs = {run for keep, (_, _, run) in zip(kept, recipes) if not keep}
+    db.recipes = {fid: recipe for keep, (fid, recipe, run) in zip(kept, recipes)
+                  if keep and (run is None or run not in lost_runs)}
     db._forget_unnamed_txns()
     return db, len(records)

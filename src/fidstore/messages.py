@@ -29,7 +29,7 @@ Each element is {u8 op | flags, u8 type, u16 argc, [u32 destination],
 argc stored operands, [constant]}. A stored operand is a u64 FID, or on
 the cipher path a zone envelope: bare when the element's value type is
 INT64 or FLOAT64, whose 8-byte values make every envelope of theirs
-FIXED_ENVELOPE_LEN (36) bytes, else {u32 len, envelope}. Each of three
+FIXED_ENVELOPE_LEN (36) bytes, else {u32 len, envelope}. Each of four
 flag bits in the op byte adds one optional part or behaviour; an element
 with none set is its head and its operands alone:
 
@@ -40,25 +40,37 @@ with none set is its head and its operands alone:
   permanent partitions only, so its recipe can be re-run at recovery; an
   element with a temporary operand fails with TypeMismatch.
 - OP_CONST: a client envelope {u32 len, bytes} follows the stored
-  operands and is the element's last operand, whatever the value type
-  (a fid recipe journals the element, so its bytes stay as they are). The
-  privacy zone decrypts it once and never stores it, except as the value
-  of a STORE.
+  operands, whatever the value type (a fid recipe journals the element,
+  so its bytes stay as they are), and its first value is the element's
+  last operand. The privacy zone never stores it, except as the value of
+  a STORE.
+- OP_NEXT_CONST: the element's last operand is the next value of the
+  envelope of its run, and no constant byte follows its operands. A run
+  is an OP_CONST element and the OP_NEXT_CONST elements right after it in
+  its message: its envelope seals their n constants in order, each but
+  the last after its u16 length (privacy_proxy.pack_values), 28 + the sum
+  of their lengths + 2(n-1) bytes, so a run of one is the OP_CONST
+  element of a lone constant. The privacy zone opens a run's envelope
+  once (privacy_proxy.Constants). An envelope that fails its tag fails
+  every element of its run with AuthFailure, one that does not split into
+  n values each with TypeMismatch, and an OP_NEXT_CONST element that
+  follows no element with a constant fails alone with TypeMismatch. An
+  element with both OP_CONST and OP_NEXT_CONST fails the whole message.
 - OP_REVEAL: the value result comes back in the reply's client envelope
   and is never stored.
 
 A constant goes beside a stored operand, except in STORE, which takes
-argc 0 and OP_CONST, and whose value result is the constant's value:
-with OP_DEST it writes a client's value into a table's partition, as an
-ingest does. LOAD is the reveal: it takes argc >= 1 stored operands and
-OP_REVEAL, and neither OP_DEST nor OP_CONST, computes nothing, and its
-argc operands' values go into the reply's client envelope, in order. An
-INT64 or FLOAT64 LOAD reveals 8-byte values only. So a LOAD's operands
-are FIDs as bare as a list of FIDs, and on the cipher path INT64 zone
-envelopes go bare too. An element that breaks a rule (a constant with
-argc 0 on any other op, a STORE with a stored operand, without a constant
-or with OP_REVEAL, a LOAD with argc 0, a destination, a constant or
-without OP_REVEAL, a reveal on a comparison or together with a
+argc 0 and a constant (OP_CONST or OP_NEXT_CONST), and whose value result is
+the constant's value: with OP_DEST it writes a client's value into a
+table's partition, as an ingest does. LOAD is the reveal: it takes
+argc >= 1 stored operands and OP_REVEAL, and neither OP_DEST nor a constant,
+computes nothing, and its argc operands' values go into the reply's client
+envelope, in order. An INT64 or FLOAT64 LOAD reveals 8-byte values only.
+So a LOAD's operands are FIDs as bare as a list of FIDs, and on the cipher
+path INT64 zone envelopes go bare too. An element that breaks a rule (a
+constant with argc 0 on any other op, a STORE with a stored operand,
+without a constant or with OP_REVEAL, a LOAD with argc 0, a destination, a
+constant or without OP_REVEAL, a reveal on a comparison or together with a
 destination) fails on its own with TypeMismatch, like any other element
 error; so does an operand that is not live, with NotLive, or a zone
 envelope that fails its tag, with AuthFailure, and the batch's other
@@ -66,14 +78,23 @@ elements still run and reveal.
 
 The integrity zone holds a transaction's writes (Database.insert_row and
 update_row) and sends them when it commits: an ADD over the old value
-with OP_CONST and OP_DEST, or a STORE with OP_DEST, all of the
+with OP_DEST and a constant, or a STORE with OP_DEST, all of the
 transaction's in one batch message (batch_size elements each),
 MSG_EXEC_BATCH on the fid path and MSG_CIPHER_EXEC on the cipher one, and
 an inserted value's client envelope by MSG_INGEST into its table's
 partition (MSG_CIPHER_INGEST). It sends them earlier only when the
 transaction reads, sums or writes again a row it wrote, so when a
 transaction's writes cross depends on its keys alone. An aborted
-transaction sends none. The writes of the transactions that commit in one
+transaction sends none. The client holds the deltas and values of a
+transaction's writes and seals those that cross together in one client
+envelope just before they cross (Database.supply_constants), so they go
+as one run: the first element with OP_CONST, the others with
+OP_NEXT_CONST, and no message carries two envelopes of one transaction.
+A message takes more than batch_size elements rather than end inside a
+run, whose continuations the next message could not read. A run stops at
+its transaction: an envelope shared by several clients would need a
+party that sees all their plaintexts, and the integrity zone is not
+trusted with them. The writes of the transactions that commit in one
 schedule pass go together, as one group's ingests and one operator batch
 (Database.send_writes, zone_sim._Runner), each element as it would go
 alone. A group's write batch may carry riders after its write elements:
@@ -144,9 +165,16 @@ that claims the FID, and sends again after a privacy restart until a
 checkpoint has made the write durable:
 RECIPE_INGEST (u8 1) and the client envelope of an ingest, or
 RECIPE_EXEC (u8 2) and the operator element, as MSG_EXEC_BATCH carried it,
-whose value result went to the FID's partition. MSG_RESTORE is
-{u64 fid, u32 len, recipe} items up to the end of the payload, and its
-response is a u32 count of the FIDs it wrote again, so the integrity zone
+whose value result went to the FID's partition. So a run's envelope is in
+the recipe of its first element alone, and a continuation's recipe is its
+OP_NEXT_CONST element: its constant is the next value of the envelope of
+the nearest RECIPE_EXEC before it, in the same commit record, with
+ingest recipes between them in none (recipe_runs); a record with a
+continuation that has no envelope before it is corrupt. MSG_RESTORE is
+{u64 fid, u32 len, recipe} items up to the end of the payload, batch_size
+of them or more, so that a message holds whole runs, and the operator
+recipes of a message make runs as a batch's elements do. Its response is
+a u32 count of the FIDs it wrote again, so the integrity zone
 checkpoints only after a restore that wrote one (Database.restore_recipes).
 The privacy zone accepts it only between its recovery and its first
 request of another kind, and checks every item before it stores the
@@ -154,8 +182,9 @@ first: the FID must be in a permanent partition, at an offset below the
 partition's recovered allocation counter plus wal.MAX_UNSYNCED_PUTS (more
 puts than come between two privacy checkpoints, so more than a crash can
 lose), the element a value op naming that partition over permanent
-operands, and every envelope must authenticate. It skips a FID that is live and writes
-every other at exactly that FID (PrivacyProxy.restore). So a restore
+operands, and every envelope must authenticate, each run's opened once.
+It skips a FID that is live and writes every other at exactly that FID
+(PrivacyProxy.restore). So a restore
 writes only non-live FIDs of permanent partitions at offsets the zone
 could have allocated before its crash, with values an ingest or an
 operator message could have written there.
@@ -220,7 +249,8 @@ _NAMES_TEMPORARIES = (MSG_INGEST, MSG_EXEC_BATCH, MSG_END_QUERY)
 OP_DEST = 0x80
 OP_REVEAL = 0x40
 OP_CONST = 0x20
-_OP_FLAGS = OP_DEST | OP_REVEAL | OP_CONST
+OP_NEXT_CONST = 0x10
+_OP_FLAGS = OP_DEST | OP_REVEAL | OP_CONST | OP_NEXT_CONST
 
 CHECKPOINT = b"\x01"  # MSG_FLUSH_LOG payload: checkpoint after the sync
 
@@ -308,8 +338,48 @@ def _read_envelope(data: bytes, pos: int, vtype: int) -> tuple[bytes, int]:
 
 
 def _pack_fid(fid: int, vtype: int | None = None) -> bytes:
-    """A FID operand or value result: 8 bytes whatever the value type."""
+    """A FID value result: 8 bytes whatever the value type."""
     return _U64.pack(fid)
+
+
+_U64_LISTS: dict[int, struct.Struct] = {}
+
+
+def _u64s(n: int) -> struct.Struct:
+    """The struct of n u64s, made once per n."""
+    s = _U64_LISTS.get(n)
+    if s is None:
+        s = _U64_LISTS[n] = struct.Struct(f"<{n}Q")
+    return s
+
+
+def _pack_fids(fids: list[int], vtype: int | None = None) -> bytes:
+    """An element's FID operands, 8 bytes each whatever the value type, in
+    one struct call."""
+    return _u64s(len(fids)).pack(*fids)
+
+
+def _read_fids(data: bytes, pos: int, vtype: int, argc: int) -> tuple[list, int]:
+    """The argc FID operands _pack_fids wrote at pos, in one struct call,
+    and the position after them."""
+    s = _u64s(argc)
+    return list(s.unpack_from(data, pos)), pos + s.size
+
+
+def _write_envelopes(envelopes: list[bytes], vtype: int) -> bytes:
+    """An element's zone envelope operands (_write_envelope each)."""
+    return b"".join([_write_envelope(e, vtype) for e in envelopes])
+
+
+def _read_envelopes(data: bytes, pos: int, vtype: int,
+                    argc: int) -> tuple[list, int]:
+    """The argc envelopes _write_envelopes wrote at pos, and the position
+    after them."""
+    out = []
+    for _ in range(argc):
+        envelope, pos = _read_envelope(data, pos, vtype)
+        out.append(envelope)
+    return out, pos
 
 
 def _sealed_len(n: int, width: int) -> int:
@@ -347,13 +417,59 @@ def _read_blobs(data: bytes, pos: int) -> list[bytes]:
             return blobs
 
 
-def _chunks(items: list, batch_size: int):
+def _chunks(items: list, batch_size: int, joined: list[bool] | None = None):
     """items in consecutive slices of batch_size, the split of every client
-    call that takes a batch_size."""
+    call that takes a batch_size; an item whose joined flag is set goes in
+    the slice of the item before it, so a slice runs past batch_size rather
+    than split a run of pooled constants."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    for lo in range(0, len(items), batch_size):
-        yield items[lo:lo + batch_size]
+    lo = 0
+    while lo < len(items):
+        hi = lo + batch_size
+        if joined is not None:
+            while hi < len(items) and joined[hi]:
+                hi += 1
+        yield items[lo:hi]
+        lo = hi
+
+
+def recipe_runs(recipes: list[bytes]) -> list[int | None]:
+    """Per recipe, the index of the head of the run it belongs to
+    (privacy_proxy.Constants), or None for a recipe in no run: a head is a
+    RECIPE_EXEC whose element carries OP_CONST, and a continuation, one
+    whose element carries OP_NEXT_CONST, belongs to the run of the nearest
+    operator recipe before it; an ingest recipe between them belongs to
+    none. TypeMismatch for a continuation with no head before it (the
+    nearest operator recipe before it carries no constant, or there is
+    none)."""
+    heads: list[int | None] = [None] * len(recipes)
+    head = None  # the open run's head
+    for i, recipe in enumerate(recipes):
+        if recipe[:1] != RECIPE_EXEC:
+            continue
+        flags = recipe[1]
+        if flags & OP_NEXT_CONST:
+            if head is None:
+                raise TypeMismatch("a continuation recipe with no envelope before it")
+        else:
+            head = i if flags & OP_CONST else None
+        heads[i] = head
+    return heads
+
+
+def _joined(heads: list[int | None]) -> list[bool]:
+    """Per item, whether it crosses in the message of the item before it:
+    each item after a run's head up to the run's last continuation, so a
+    message holds whole runs (recipe_runs gives the heads)."""
+    joined = [False] * len(heads)
+    marked = 0  # joined is set up to here
+    for i, head in enumerate(heads):
+        if head is not None and head != i:
+            for j in range(max(head + 1, marked), i + 1):
+                joined[j] = True
+            marked = i + 1
+    return joined
 
 
 def _read_u64(data: bytes, pos: int, vtype: int | None = None) -> tuple[int, int]:
@@ -362,46 +478,59 @@ def _read_u64(data: bytes, pos: int, vtype: int | None = None) -> tuple[int, int
     return _U64.unpack_from(data, pos)[0], pos + 8
 
 
-def _write_op(r: OperatorRequest, write_operand) -> bytes:
-    """One operator element's bytes (format in the module docstring)."""
-    dest, const = r.destination, r.constant
+def _write_op(r: OperatorRequest, write_operands) -> bytes:
+    """One operator element's bytes (format in the module docstring): a
+    next_const element carries OP_NEXT_CONST and no constant bytes."""
+    dest = r.destination
+    carries = r.constant is not None and not r.next_const
     flags = ((OP_DEST if dest is not None else 0)
-             | (OP_CONST if const is not None else 0)
+             | (OP_CONST if carries else 0)
+             | (OP_NEXT_CONST if r.next_const else 0)
              | (OP_REVEAL if r.reveal else 0))
     parts = [_OP_HEAD.pack(int(r.op) | flags, int(r.value_type), len(r.operand_fids))]
     if dest is not None:
         parts.append(_U32.pack(dest))
-    vtype = r.value_type
-    parts.extend(write_operand(x, vtype) for x in r.operand_fids)
-    if const is not None:
-        parts.append(_blob(const))
+    parts.append(write_operands(r.operand_fids, r.value_type))
+    if carries:
+        parts.append(_blob(r.constant))
     return b"".join(parts)
 
 
-def _read_op(data: bytes, pos: int, read_operand) -> tuple[OperatorRequest, int]:
-    """The operator element at pos and the position after it; raises
-    struct.error, KeyError or TypeMismatch on a truncated element or an
-    unknown op or value type."""
+def _read_op(data: bytes, pos: int, read_operands) -> tuple[OperatorRequest, int]:
+    """The operator element at pos and the position after it, a
+    continuation's constant unset (_link_runs); raises struct.error,
+    KeyError or TypeMismatch on a truncated element, an unknown op or
+    value type, or both OP_CONST and OP_NEXT_CONST."""
     op, vtype, argc = _OP_HEAD.unpack_from(data, pos)
     pos += _OP_HEAD.size
     flags = op & _OP_FLAGS
     op &= ~_OP_FLAGS
+    if flags & OP_CONST and flags & OP_NEXT_CONST:
+        raise TypeMismatch("an element both carries and continues a constant")
     dest = None
     if flags & OP_DEST:
         (dest,) = _U32.unpack_from(data, pos)
         pos += 4
-    operands = []
-    for _ in range(argc):
-        operand, pos = read_operand(data, pos, vtype)
-        operands.append(operand)
+    operands, pos = read_operands(data, pos, vtype, argc)
     const = None
     if flags & OP_CONST:
         const, pos = _read_blob(data, pos)
     return OperatorRequest(_OP_KINDS[op], _VALUE_TYPES[vtype], operands, dest, const,
-                           bool(flags & OP_REVEAL)), pos
+                           bool(flags & OP_REVEAL), bool(flags & OP_NEXT_CONST)), pos
 
 
-def _read_ops(payload: bytes, read_operand) -> list[OperatorRequest]:
+def _link_runs(reqs: list[OperatorRequest]) -> None:
+    """Gives each continuation the envelope of the request before it, which
+    carries or continues its run; one after a request without a constant
+    keeps None, and fails (privacy_proxy.Constants)."""
+    previous = None
+    for r in reqs:
+        if r.next_const:
+            r.constant = previous
+        previous = r.constant
+
+
+def _read_ops(payload: bytes, read_operands) -> list[OperatorRequest]:
     """Decode an operator batch (format in the module docstring); an empty
     batch, a truncated element, or an element with an unknown op or value
     type, fails the whole message with TypeMismatch."""
@@ -411,10 +540,11 @@ def _read_ops(payload: bytes, read_operand) -> list[OperatorRequest]:
     pos = 0
     try:
         while pos < len(payload):
-            op, pos = _read_op(payload, pos, read_operand)
+            op, pos = _read_op(payload, pos, read_operands)
             ops.append(op)
     except (struct.error, KeyError):
         raise TypeMismatch("malformed operator batch") from None
+    _link_runs(ops)
     return ops
 
 
@@ -436,7 +566,7 @@ def _read_restore(payload: bytes) -> list[tuple[int, object]]:
             items.append((fid, ClientEnvelope.from_bytes(recipe[1:])))
         elif kind == RECIPE_EXEC:
             try:
-                req, end = _read_op(recipe, 1, _read_u64)
+                req, end = _read_op(recipe, 1, _read_fids)
             except (struct.error, KeyError):
                 raise TypeMismatch("malformed operator recipe") from None
             if end != len(recipe):
@@ -445,6 +575,7 @@ def _read_restore(payload: bytes) -> list[tuple[int, object]]:
         else:
             raise TypeMismatch(f"unknown recipe kind {kind!r}")
         if pos == len(payload):
+            _link_runs([r for _, r in items if isinstance(r, OperatorRequest)])
             return items
 
 
@@ -454,18 +585,19 @@ class ProxyClient:
     Each method is one round trip except ingest, cipher_ingest,
     exec_batch, exec_writes, cipher_exec, delete and restore, which take a
     list and a batch_size and split the list into ceil(n / batch_size)
-    messages (all through _chunks), and end_query, which sends nothing for
+    messages (all through _chunks), or fewer where a message runs on to
+    keep a run of pooled constants whole, and end_query, which sends nothing for
     a query that never wrote to its temporary partition (no temp-target
     ingest, no stored value result without a destination): such a query
     has no temporaries to drop. Only those writes and end_query send their
     query id (the flagged frame of the module docstring); every other
     call's query_id, reveal's and the cipher calls' included, is kept for
     its callers and never crosses. reveal and cipher_reveal are one LOAD
-    element each. The client keeps no record of what it wrote: the engine takes
-    each fresh FID's recipe from the call that wrote it (exec_writes, or
-    the envelope it ingested) and journals it with the commit that claims
-    the FID. Each FID a call sends or gets back reaches the trace as
-    FidObserved.
+    element each. The client keeps no record of what it wrote: the engine
+    takes each fresh FID's recipe from the call that wrote it (exec_writes,
+    or the envelope it ingested) and journals it with the commit that
+    claims the FID. Each FID a call sends or gets back reaches the trace as
+    FidObserved, an element's operands in one call (AdversaryTrace.fids).
     """
 
     def __init__(self, channel, trace=None):
@@ -487,9 +619,17 @@ class ProxyClient:
         if self.trace is not None:
             self.trace.fid(fid)
 
-    def _write_fid(self, fid: int, vtype: int | None = None) -> bytes:
+    def _observe_fids(self, fids: list[int]) -> None:
+        if self.trace is not None:
+            self.trace.fids(fids)
+
+    def _write_fid(self, fid: int) -> bytes:
         self._observe_fid(fid)
         return _U64.pack(fid)
+
+    def _write_fids(self, fids: list[int], vtype: int | None = None) -> bytes:
+        self._observe_fids(fids)
+        return _pack_fids(fids)
 
     def _read_fid(self, body: bytes, pos: int,
                   vtype: int | None = None) -> tuple[int, int]:
@@ -498,29 +638,38 @@ class ProxyClient:
         return fid, pos
 
     def _batch(self, kind: int, query_id: int | None, reqs: list[OperatorRequest],
-               batch_size: int, write_operand,
+               batch_size: int, write_operands,
                read_result) -> tuple[list[bytes | None], list[OperatorResponse]]:
         """The operator-batch codec shared by the FID and envelope paths:
-        the requests go out in ceil(n / batch_size) messages, and one
-        response comes back per request. write_operand(x, vtype) and
-        read_result(data, pos, vtype) are the path's wire forms of an
-        operand and a value result. An element whose operand the wire
+        the requests go out in batch_size elements a message, except that a
+        message never ends inside a run (privacy_proxy.Constants): it takes
+        the rest of the run, whose continuations the next message could not
+        read. One response comes back per request. write_operands(xs,
+        vtype) and read_result(data, pos, vtype) are the path's wire forms
+        of an element's operands and of a value result. An element the wire
         cannot carry (an envelope of another length than its value type
-        fixes) fails alone with TypeMismatch, as the privacy zone would
-        fail it, and is not sent; a message goes only if an element of its
-        chunk is left. A message carries query_id only if one of its
-        elements writes a temporary; the envelope path, whose results are
-        never stored, passes None. Returns each request's element bytes
-        (None for one not sent) and its response."""
+        fixes, or a continuation whose element before it in the message was
+        not sent or carries another envelope) fails alone with
+        TypeMismatch, as the privacy zone would fail it, and is not sent; a
+        message goes only if an element of its chunk is left. A message
+        carries query_id only if one of its elements writes a temporary;
+        the envelope path, whose results are never stored, passes None.
+        Returns each request's element bytes (None for one not sent) and
+        its response."""
         elements = []
         out = []
-        for chunk in _chunks(reqs, batch_size):
+        for chunk in _chunks(reqs, batch_size, [r.next_const for r in reqs]):
             sent = []
+            run = None  # the envelope of the last element sent, if it has one
             for r in chunk:
-                try:
-                    sent.append(_write_op(r, write_operand))
-                except TypeMismatch:
-                    sent.append(None)
+                element = None
+                if not r.next_const or (run is not None and r.constant == run):
+                    try:
+                        element = _write_op(r, write_operands)
+                    except TypeMismatch:
+                        pass
+                sent.append(element)
+                run = None if element is None else r.constant
             elements.extend(sent)
             ready = [(r, element) for r, element in zip(chunk, sent)
                      if element is not None]
@@ -616,8 +765,7 @@ class ProxyClient:
             body = self._call(MSG_INGEST, head + b"".join(_blob(e) for e in chunk),
                               qid)
             fids = [fid for (fid,) in _U64.iter_unpack(body)]
-            for fid in fids:
-                self._observe_fid(fid)
+            self._observe_fids(fids)
             out.extend(fids)
         return out
 
@@ -629,16 +777,17 @@ class ProxyClient:
     def exec_batch(self, query_id: int, reqs: list[OperatorRequest],
                    batch_size: int) -> list[OperatorResponse]:
         return self._batch(MSG_EXEC_BATCH, query_id, reqs, batch_size,
-                           self._write_fid, self._read_fid)[1]
+                           self._write_fids, self._read_fid)[1]
 
     def exec_writes(self, query_id: int, reqs: list[OperatorRequest],
                     batch_size: int) -> list[tuple[OperatorResponse, bytes | None]]:
         """exec_batch for requests whose value results go to permanent
         partitions: per request its response and its recipe, RECIPE_EXEC
-        and the element as sent (None for an element not sent). A revealed
-        element among them, a commit's rider, gets its response alone."""
+        and the element as sent (None for an element not sent), so a run's
+        continuations have no envelope of their own. A revealed element
+        among them, a commit's rider, gets its response alone."""
         elements, out = self._batch(MSG_EXEC_BATCH, query_id, reqs, batch_size,
-                                    self._write_fid, self._read_fid)
+                                    self._write_fids, self._read_fid)
         return [(resp, None if element is None else RECIPE_EXEC + element)
                 for element, resp in zip(elements, out)]
 
@@ -669,8 +818,7 @@ class ProxyClient:
         per FID whether it had one (False for a FID that was not live)."""
         out = []
         for chunk in _chunks(fids, batch_size):
-            payload = b"".join(self._write_fid(f) for f in chunk)
-            body = self._call(MSG_DELETE, payload)
+            body = self._call(MSG_DELETE, self._write_fids(chunk))
             out.extend(status == 0 for status in body)
         return out
 
@@ -679,10 +827,12 @@ class ProxyClient:
 
     def restore(self, items: list[tuple[int, bytes]], batch_size: int) -> int:
         """Writes each recipe's value again at its FID where the privacy
-        zone lost it, batch_size (fid, recipe) items per message; returns
-        how many FIDs it wrote."""
+        zone lost it, batch_size (fid, recipe) items per message, but whole
+        runs (recipe_runs), so each continuation crosses with its run's
+        envelope; returns how many FIDs it wrote."""
         written = 0
-        for chunk in _chunks(items, batch_size):
+        joined = _joined(recipe_runs([recipe for _, recipe in items]))
+        for chunk in _chunks(items, batch_size, joined):
             body = self._call(MSG_RESTORE, b"".join(
                 self._write_fid(fid) + _blob(recipe) for fid, recipe in chunk))
             written += _unpack(_U32, body)[0]
@@ -729,29 +879,27 @@ class ProxyClient:
         each response's fid carry envelopes. The privacy zone stores no
         result, so a destination is checked but never written to."""
         return self._batch(MSG_CIPHER_EXEC, None, reqs, batch_size,
-                           _write_envelope, _read_envelope)[1]
+                           _write_envelopes, _read_envelope)[1]
 
 
 class PrivacyDispatcher:
     """Privacy-side request handler: one function per message kind. Both
-    operator messages run through the proxy's one executor; zone_codec
-    seals the cipher baseline's envelopes.
-
-    A malformed request gets a status too: TypeMismatch, before anything is
-    stored or journaled, for a truncated request, a query id where no
-    temporary is named or a temporary named without one (module
-    docstring), a fixed-size payload of another length
+    operator messages run through the proxy's one executor; zone_codec seals
+    the cipher baseline's envelopes.  A malformed request gets a status too:
+    TypeMismatch, before anything is stored or journaled, for a truncated
+    request, a query id where no temporary is named or a temporary named
+    without one (module docstring), a fixed-size payload of another length
     (MSG_CREATE_PARTITION with any payload), an ingest with no envelope or
-    with bytes after its last one, an operator batch with no element or
-    one that ends inside one, or an unknown op or value type; AuthFailure
-    for an envelope too short for its nonce and tag or one that fails its
-    tag. An ingest is all or nothing: every envelope of the request is
-    authenticated before the first is stored. An operator batch is not:
-    each element runs or fails alone, a LOAD element with all its operands,
-    and the reply's one client envelope seals the values of the elements
-    that ran. The integrity zone can create permanent
-    partitions only: temporaries belong to a query and are created by the
-    proxy.
+    with bytes after its last one, an operator batch with no element or one
+    that ends inside one, or an unknown op or value type; AuthFailure for an
+    envelope too short for its nonce and tag or one that fails its tag. An
+    ingest is all or nothing: every envelope of the request is authenticated
+    before the first is stored. An operator batch is not: each element runs
+    or fails alone, a LOAD element with all its operands and a run's
+    elements on their one envelope, and the reply's one client envelope
+    seals the values of the elements that ran. The integrity zone can create
+    permanent partitions only: temporaries belong to a query and are created
+    by the proxy.
 
     restoring is the recovery window: recovery sets it, and the dispatcher
     accepts MSG_RESTORE until the first request of another kind and
@@ -787,7 +935,7 @@ class PrivacyDispatcher:
             fids = proxy.ingest([ClientEnvelope.from_bytes(b) for b in blobs], target)
             return b"".join(_U64.pack(fid) for fid in fids)
         if kind == MSG_EXEC_BATCH:
-            return self._exec(query_id, payload, proxy.fids, _read_u64, _pack_fid)
+            return self._exec(query_id, payload, proxy.fids, _read_fids, _pack_fid)
         if kind == MSG_END_QUERY:
             if query_id is None or payload:
                 raise TypeMismatch("end_query is its query id alone")
@@ -836,19 +984,19 @@ class PrivacyDispatcher:
             save = self.envelopes.save
             return b"".join(_blob(save(None, None, v)) for v in values)
         if kind == MSG_CIPHER_EXEC:
-            return self._exec(None, payload, self.envelopes, _read_envelope,
+            return self._exec(None, payload, self.envelopes, _read_envelopes,
                               _write_envelope)
         raise FidStoreError(f"unknown message kind {kind}")
 
-    def _exec(self, query_id: int | None, payload: bytes, space, read_operand,
+    def _exec(self, query_id: int | None, payload: bytes, space, read_operands,
               write_result) -> bytes:
-        """An operator batch over space; read_operand(data, pos, vtype) and
-        write_result(result, vtype) are the wire forms of its operands and
-        value results. Each response element is an error status byte
-        alone, or status 0 then a result kind and the result, except that a
-        revealed result is its kind alone: the one client envelope of the
-        revealed results follows the last element."""
-        reqs = _read_ops(payload, read_operand)
+        """An operator batch over space; read_operands(data, pos, vtype, argc)
+        and write_result(result, vtype) are the wire forms of an element's
+        operands and of a value result. Each response element is an error
+        status byte alone, or status 0 then a result kind and the result,
+        except that a revealed result is its kind alone: the one client
+        envelope of the revealed results follows the last element."""
+        reqs = _read_ops(payload, read_operands)
         if query_id is not None and not any(map(_writes_temp, reqs)):
             raise TypeMismatch("a query id on a batch that writes no temporary")
         out = []

@@ -27,10 +27,15 @@ destination: the integrity zone stores the envelope itself.
 An operator may also take a client envelope as an inline constant, which
 is decrypted once and used as its last operand, and may reveal its value
 result, which then leaves in a client envelope. Neither the constant nor
-a revealed result is ever stored. A constant costs the one decrypt an
-ingest of it would; the revealed results of one call cost one encrypt
-between them: each call seals its values in one client envelope (seal),
-packed in order (pack_values). LOAD is the reveal: it computes nothing
+a revealed result is ever stored. The constants of a run cost one decrypt
+between them: a run is an element with a constant and the next_const
+elements right after it, whose constants are the next values of its one
+client envelope, packed in order (pack_values), so the writes of one
+transaction that cross together pay one decrypt (Constants). A run of one
+costs the one decrypt an ingest of its constant would. The revealed
+results of one call cost one encrypt between them: each call seals its
+values in one client envelope (seal), packed in the same way. LOAD is the
+reveal: it computes nothing
 and reveals the values of its argc >= 1 stored operands, in order, so one
 element answers every READ of a value type that a batch carries.
 STORE is the one op whose constant is its only operand: its value result
@@ -60,6 +65,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from .errors import (
     AuthFailure,
     DivideByZero,
+    FidStoreError,
     NotLive,
     Overflow,
     TypeMismatch,
@@ -118,8 +124,13 @@ class OperatorRequest:
     envelopes. destination: the permanent partition a value result goes
     to; None puts it in the query's temporary partition (the cipher path
     stores no result, so it ignores this). constant: a client envelope
-    used as the last operand, after the stored ones. reveal: return the
-    value result as a client envelope instead of storing it."""
+    whose value is the last operand, after the stored ones. next_const:
+    the constant is the next value of the envelope of the element before
+    it in its run (Constants), and constant holds that envelope too,
+    though the wire carries it once, with the run's first element
+    (messages); with constant None it is held by its client until the
+    txn's writes cross (integrity_dbms.Database.supply_constants). reveal:
+    return the value result as a client envelope instead of storing it."""
 
     op: OpKind
     value_type: ValueType
@@ -127,6 +138,13 @@ class OperatorRequest:
     destination: int | None = None
     constant: bytes | None = None
     reveal: bool = False
+    next_const: bool = False
+
+    @property
+    def has_constant(self) -> bool:
+        """Whether the element takes an inline constant: its own envelope's,
+        or its run's next value."""
+        return self.constant is not None or self.next_const
 
     @property
     def n_revealed(self) -> int:
@@ -233,6 +251,54 @@ def unpack_values(data: bytes, n: int) -> list[bytes]:
         pos = end
     values.append(data[pos:])
     return values
+
+
+class Constants:
+    """The inline constants of a list of operator requests, each run's
+    envelope opened once: a run is a request with a constant and not
+    next_const, and the next_const requests right after it, whose n
+    constants its envelope seals in order (pack_values). value(i) is the
+    plaintext of request i's constant, opened when a request of its run
+    first asks; an envelope that fails its tag (AuthFailure) or does not
+    split into n values (TypeMismatch) fails every request of its run that
+    asks, and a next_const request with no run before it fails with
+    TypeMismatch. Each open is one decrypt on codec."""
+
+    __slots__ = ("_codec", "_reqs", "_runs", "_opened")
+
+    def __init__(self, codec: "EnvelopeCodec", reqs: list[OperatorRequest]):
+        self._codec = codec
+        self._reqs = reqs
+        self._runs: dict[int, tuple[int, int]] = {}  # i -> (run's first, place)
+        first = None
+        for i, req in enumerate(reqs):
+            if req.next_const:
+                self._runs[i] = (first, 0 if first is None else i - first)
+            elif req.constant is not None:
+                first = i
+                self._runs[i] = (i, 0)
+            else:
+                first = None
+        self._opened: dict[int, list[bytes] | FidStoreError] = {}
+
+    def value(self, i: int) -> bytes:
+        first, place = self._runs[i]
+        if first is None:
+            raise TypeMismatch("a next_const constant continues no run")
+        values = self._opened.get(first)
+        if values is None:
+            n = 1
+            while self._runs.get(first + n, (None,))[0] == first:
+                n += 1
+            try:
+                values = unpack_values(self._codec.decrypt(ClientEnvelope.from_bytes(
+                    self._reqs[first].constant)), n)
+            except (AuthFailure, TypeMismatch) as exc:
+                values = exc
+            self._opened[first] = values
+        if isinstance(values, FidStoreError):
+            raise values
+        return values[place]
 
 
 def encode_int64(value: int) -> bytes:
@@ -497,19 +563,22 @@ class PrivacyProxy:
     # -- expression operators ----------------------------------------------
 
     def exec_operator(self, req: OperatorRequest, query_id: int | None,
-                      space=None) -> OperatorResponse:
+                      space=None, open_constant=None) -> OperatorResponse:
         """Runs one element over space, the FID space if None. A FID
         result bound for a named (permanent) partition takes its operands
         from permanent partitions only, so recovery can re-run its recipe
         (MSG_RESTORE): TypeMismatch otherwise, once the destination is
         known to be permanent and before any operand is read. A revealed
         result, or a LOAD's operand values, come back as plaintexts
-        (revealed), for exec_batch to seal."""
+        (revealed), for exec_batch to seal. open_constant() gives the
+        plaintext of req's inline constant, once its operands are read
+        (exec_batch passes its run's, Constants); without it, req's envelope
+        is opened as a run of one."""
         space = space or self.fids
         op = req.op
         operands = req.operand_fids
-        check_operator(op, len(operands), req.constant is not None,
-                       req.destination, req.reveal)
+        check_operator(op, len(operands), req.has_constant, req.destination,
+                       req.reveal)
         if (isinstance(space, FidSpace)
                 and req.destination not in (None, QUERY_TEMP_TARGET)):
             self.destination(query_id, req.destination)  # WrongPartitionKind first
@@ -518,9 +587,11 @@ class PrivacyProxy:
         if op == OpKind.LOAD:
             vtype = req.value_type
             return OperatorResponse(revealed=[check_width(vtype, v) for v in values])
-        if req.constant is not None:
-            values.append(self.client_codec.decrypt(
-                ClientEnvelope.from_bytes(req.constant)))
+        if req.has_constant:
+            if open_constant is None:
+                values.append(Constants(self.client_codec, [req]).value(0))
+            else:
+                values.append(open_constant())
         if op in COMPARISONS:
             return OperatorResponse(boolean=compare_values(op, req.value_type, values))
         result = compute_value(op, req.value_type, values)
@@ -532,14 +603,18 @@ class PrivacyProxy:
                    space=None) -> list[OperatorResponse]:
         """Sequential per-element execution over space (the FID space if
         None); element failures are reported positionally and never abort
-        the rest of the batch. The revealed values of the elements that
-        succeed are sealed once, together, in element order, after the last
-        element has run (seal), and each of their responses holds that
-        envelope."""
+        the rest of the batch. Each run's envelope is opened once, when its
+        first element that gets that far needs its constant (Constants), so
+        a bad envelope fails every element of its run. The revealed values
+        of the elements that succeed are sealed once, together, in element
+        order, after the last element has run (seal), and each of their
+        responses holds that envelope."""
+        constants = Constants(self.client_codec, reqs)
         out = []
-        for req in reqs:
+        for i, req in enumerate(reqs):
             try:
-                out.append(self.exec_operator(req, query_id, space))
+                out.append(self.exec_operator(req, query_id, space,
+                                              lambda i=i: constants.value(i)))
             except Exception as exc:
                 code = getattr(exc, "code", 0)
                 if not code:
@@ -558,7 +633,8 @@ class PrivacyProxy:
         """Re-runs the recipes of writes a crash lost, each into exactly its
         FID (MSG_RESTORE). A recipe is the ClientEnvelope an ingest stored,
         or the OperatorRequest whose value result went to the FID's
-        partition.
+        partition; the OperatorRequests, in order, make runs as a batch's
+        elements do (Constants), each run's envelope opened once.
 
         Every item is checked before the first is stored: its FID must be in
         a permanent partition, at an offset below the partition's recovered
@@ -578,6 +654,9 @@ class PrivacyProxy:
         stored."""
         decrypt = self.client_codec.decrypt
         store = self.store
+        reqs = [recipe for _, recipe in items if isinstance(recipe, OperatorRequest)]
+        constants = Constants(self.client_codec, reqs)
+        n_reqs = 0
         work = []
         for fid, recipe in items:
             pid = fid >> OFFSET_BITS
@@ -591,10 +670,10 @@ class PrivacyProxy:
                     raise TypeMismatch("a restored FID comes from a value op that "
                                        "names its partition")
                 check_operator(recipe.op, len(recipe.operand_fids),
-                               recipe.constant is not None, pid, recipe.reveal)
+                               recipe.has_constant, pid, recipe.reveal)
                 require_permanent(self.store, recipe.operand_fids)
-                constant = (None if recipe.constant is None else
-                            decrypt(ClientEnvelope.from_bytes(recipe.constant)))
+                constant = constants.value(n_reqs) if recipe.has_constant else None
+                n_reqs += 1
                 work.append((fid, recipe, constant))
             else:
                 work.append((fid, None, decrypt(recipe)))

@@ -79,6 +79,7 @@ from .privacy_proxy import (
     ValueType,
     decode_int64,
     encode_int64,
+    pack_values,
     unpack_values,
 )
 from .wal import FRAME, REC_HEAD, Wal, advance_epoch, checkpoint_truncate, recover_store
@@ -132,6 +133,7 @@ EVENT_KINDS = ("FidObserved", "MsgBytes", "OpKindObserved", "ResultSize",
                "CmpBool", "BlockRead", "BlockWrite", "BlockDrop")
 (_FID, _MSG, _OP_KIND, _RESULT_SIZE,
  _CMP_BOOL, _BLOCK_READ, _BLOCK_WRITE, _BLOCK_DROP) = range(len(EVENT_KINDS))
+_FID_KINDS = bytes((_FID,))
 
 
 class AdversaryTrace:
@@ -139,17 +141,17 @@ class AdversaryTrace:
 
     The leaked events: FidObserved (a FID the integrity zone holds: each
     FID a request carries or a reply returns, list_live's and is_live's
-    included), MsgBytes and OpKindObserved (each message's length and its
-    raw first byte, the kind with messages.QUERY_FLAG included: whether a
-    request carries a query id depends on whether the statement writes a
-    temporary, so on the statement's shape alone), ResultSize, CmpBool (a
-    comparison outcome), and the untrusted block area's BlockRead,
-    BlockWrite and BlockDrop (a block's current copy retired once a
-    size-class bucket shrinks past its block). Which block
-    drops depends only on the live count per size class, which the op
-    sequence and the crash schedule fix. The MSG_FLUSH_LOG reply is the
-    status byte alone, so the privacy journal's length does not reach the
-    integrity zone.
+    included, an element's operands recorded in one call, fids), MsgBytes
+    and OpKindObserved (each message's length and its raw first byte, the
+    kind with messages.QUERY_FLAG included: whether a request carries a
+    query id depends on whether the statement writes a temporary, so on the
+    statement's shape alone), ResultSize, CmpBool (a comparison outcome),
+    and the untrusted block area's BlockRead, BlockWrite and BlockDrop (a
+    block's current copy retired once a size-class bucket shrinks past its
+    block). Which block drops depends only on the live count per size
+    class, which the op sequence and the crash schedule fix. The
+    MSG_FLUSH_LOG reply is the status byte alone, so the privacy journal's
+    length does not reach the integrity zone.
 
     A READ's or SUM's reveal crosses with those of the other clients that
     wait on one, as LOAD and SUM elements in one pass's operator batch, or
@@ -170,8 +172,15 @@ class AdversaryTrace:
     earlier when one of its statements reaches a row it wrote (a READ, a
     SUM over it, or a second write), so when they cross is a function of
     the schedule's shape and the txn's keys: the group's INSERTs' envelopes
-    as MSG_INGEST, then its ADDs and SETs as one operator batch. An aborted
-    or conflicting txn's writes, INSERTs too, never cross. The FidObserved
+    as MSG_INGEST, then its ADDs and SETs as one operator batch. The
+    constants of each txn's writes in that batch share one client envelope,
+    carried by its first write element (messages), so the batch's MsgBytes
+    is its kind byte, each element's head, destination and FIDs, and per
+    txn one envelope of 4 + 28 + the sum of its constants' lengths + 2(n-1)
+    bytes: each constant's length is fixed by its column's type (an 8-byte
+    delta, a 128-byte padded string), so the length is a function of the
+    txn's statement kinds. An aborted or conflicting txn's writes, INSERTs
+    too, never cross. The FidObserved
     events of the new versions' cells follow those replies, txn after txn
     and, within one, version after version in the order the txn wrote
     them.
@@ -224,6 +233,11 @@ class AdversaryTrace:
     def fid(self, fid: int) -> None:
         self._kinds.append(_FID)
         self._args.append(fid)
+
+    def fids(self, fids: list[int]) -> None:
+        """fid of each of fids, in order: one extend of each buffer."""
+        self._kinds += _FID_KINDS * len(fids)
+        self._args.extend(fids)
 
     def block_read(self, pid: int, block_index: int) -> None:
         self._kinds.append(_BLOCK_READ)
@@ -547,6 +561,11 @@ class ZoneTopology:
     def client_decrypt(self, envelope: bytes) -> bytes:
         return self._client_codec.decrypt(ClientEnvelope.from_bytes(envelope))
 
+    def client_seal(self, values: list[bytes]) -> bytes:
+        """One client envelope of n >= 1 values, in order (pack_values),
+        as a txn's held constants cross: one encrypt."""
+        return self.client_encrypt(pack_values(values))
+
     def client_open(self, envelope: bytes, n: int) -> list[bytes]:
         """The n values a reply's one client envelope seals, in order
         (privacy_proxy.unpack_values): AuthFailure for an envelope that fails
@@ -716,11 +735,17 @@ class _Runner:
     documents, encoding and decoding each secret from its column's type.
     INSERT, ADD and SET send nothing: an INSERT hands Database.insert_row
     a client envelope per sensitive value, and ADD and SET hand
-    Database.update_row an operator request, an ADD of the delta as an
-    inline constant or a STORE of the new value. The txn holds them all
-    until its commit sends them, or until a later statement of the txn
-    reaches a row it wrote. A conflicting ADD or SET fails in update_row,
-    before anything of its is sent. Every message batches
+    Database.update_row an operator request, an ADD of the delta or a STORE
+    of the new value, whose constant the runner holds (next_const). The txn
+    holds them all until its commit sends them, or until a later statement
+    of the txn reaches a row it wrote. The runner keeps each txn's deltas
+    and values in write order and seals them in one client envelope
+    (ZoneTopology.client_seal, Database.supply_constants) just before the
+    txn's writes cross: before its group's send_writes, or before a
+    statement over a row the txn holds writes of (Database.holds). That
+    early-send rule depends on keys alone, so the client knows it without
+    asking. A conflicting ADD or SET fails in update_row, before anything
+    of its is sent, and holds nothing. Every message batches
     ZoneTopology.batch_size values, so a SUM over at most that many refs is
     one element that reveals its result: it writes nothing to its query's
     temporaries, and ending the query sends nothing.
@@ -803,6 +828,8 @@ class _Runner:
         self._waiting: set[int] = set()  # the clients with a reveal queued
         # (txn index, txn) of each finish that queued its commit, in order
         self._commits: list[tuple[int, object]] = []
+        # txn id -> the plaintext constants of its held writes, in order
+        self._held: dict[int, list[bytes]] = {}
 
     # -- setup -------------------------------------------------------------
 
@@ -865,7 +892,7 @@ class _Runner:
                             waiting.add(entry[1])
                     except WriteConflict:
                         report.write_conflicts += 1
-                        db.abort(txn)
+                        self._abort(db, txn)
                         self._end_query_quietly(txn)
                         report.txns_aborted += 1
                         dead.add(txn_index)
@@ -876,7 +903,7 @@ class _Runner:
                         continue
                     txn = active[txn_index]
                     if self.program.txns[txn_index].abort:
-                        db.abort(txn)
+                        self._abort(db, txn)
                         report.txns_aborted += 1
                         del active[txn_index]
                     else:
@@ -890,7 +917,7 @@ class _Runner:
         except Unavailable:
             self._drop()
             for txn in active.values():
-                db.abort(txn)
+                self._abort(db, txn)
                 report.txns_aborted += 1
             report.crashed_at = (topo.fired.label if topo.fired
                                  else "privacy-unavailable")
@@ -906,7 +933,13 @@ class _Runner:
                 except Unavailable:
                     report.crashed_at = (topo.fired.label if topo.fired
                                          else "privacy-unavailable")
-        if not topo.privacy.crashed and not topo.integrity.crashed:
+        if topo.privacy.crashed or topo.integrity.crashed:
+            # a crash no request saw: the privacy zone alone, at one of the
+            # engine's own writes
+            if report.crashed_at is None:
+                report.crashed_at = (topo.fired.label if topo.fired
+                                     else "privacy-unavailable")
+        else:
             invariant = topo.check_invariant()
             report.invariant_holds = invariant.holds
             report.violations = len(invariant.violations)
@@ -930,6 +963,8 @@ class _Runner:
         queue, self._commits = self._commits, []
         if not queue:
             return
+        for _, txn in queue:
+            self._seal(db, txn)
         riders = self._queued() if self._pending else None
         try:
             db.send_writes(*[txn for _, txn in queue], riders=riders)
@@ -972,6 +1007,19 @@ class _Runner:
         self._pending.clear()
         self._waiting.clear()
 
+    def _seal(self, db: Database, txn) -> None:
+        """Seals txn's held constants, if it holds any, in one client
+        envelope and hands it to the engine (Database.supply_constants):
+        just before the txn's writes cross."""
+        values = self._held.pop(txn.txn_id, None)
+        if values:
+            db.supply_constants(txn, self.topo.client_seal(values))
+
+    def _abort(self, db: Database, txn) -> None:
+        """Aborts txn and forgets its held constants."""
+        db.abort(txn)
+        self._held.pop(txn.txn_id, None)
+
     def _end_query_quietly(self, txn) -> None:
         try:
             self.topo.client.end_query(txn.query_id)
@@ -988,10 +1036,13 @@ class _Runner:
             return
         column = table.col_index[statement[2]]
         revealed = self.report.revealed
+        keys = range(statement[3], statement[4]) if kind == SUM else (statement[3],)
+        if txn.txn_id in self._held and any(db.holds(txn, table, k) for k in keys):
+            self._seal(db, txn)  # the statement sends the txn's writes first
         if kind == SUM:
             start = statement[3]
             refs = []
-            for key in range(start, statement[4]):
+            for key in keys:
                 version = db.visible_version(table, key, txn)
                 if version is not None:
                     refs.append(version.cells[column])
@@ -1017,15 +1068,15 @@ class _Runner:
             raise ValueError(f"unknown statement {kind}")
         if version is None:
             return
-        envelope = topo.client_encrypt(_ENCODE[ctype](statement[4]))
         if kind == ADD:
             request = OperatorRequest(OpKind.ADD, ValueType.INT64,
                                       [version.cells[column]], table.partition_id,
-                                      envelope)
+                                      next_const=True)
         else:
             request = OperatorRequest(OpKind.STORE, VALUE_TYPES[ctype], [],
-                                      table.partition_id, envelope)
+                                      table.partition_id, next_const=True)
         db.update_row(txn, table, key, {statement[2]: request})
+        self._held.setdefault(txn.txn_id, []).append(_ENCODE[ctype](statement[4]))
         topo.trace.result_size(1)
 
 

@@ -58,9 +58,10 @@ def test_cli_ops(capsys, tmp_path):
     """ops prints a row per op: put and get, a field encrypt and decrypt, a
     4 KiB block seal and open, a reply of 1, 4 and 256 INT64 values sealed
     in one packed encrypt against one encrypt each, and one crossing of a
-    commit's write batch with 0 and 4 reads riding and of the 4 reads
-    alone; then the ratios, what a reply saves per envelope it drops and
-    what riding saves per crossing. --out writes the rows."""
+    commit's write batch with 0 and 4 reads riding, of one txn's ADD and
+    STORE in one envelope, and of the 4 reads alone; then the ratios, what
+    a reply saves per envelope it drops and what riding saves per crossing.
+    --out writes the rows."""
     out = tmp_path / "ops.csv"
     assert cli.main(["ops", "--iters", "10000", "--out", str(out)]) == 0
     printed = capsys.readouterr().out
@@ -69,8 +70,9 @@ def test_cli_ops(capsys, tmp_path):
              "aead_encrypt_reply_1", "aead_encrypt_fields_1",
              "aead_encrypt_reply_4", "aead_encrypt_fields_4",
              "aead_encrypt_reply_256", "aead_encrypt_fields_256",
-             "crossing_commit_0", "crossing_commit_4", "crossing_reveal_4"]
-    assert [line.split()[0] for line in printed.splitlines()[1:16]] == names
+             "crossing_commit_0", "crossing_commit_2w", "crossing_commit_4",
+             "crossing_reveal_4"]
+    assert [line.split()[0] for line in printed.splitlines()[1:17]] == names
     assert "encrypt/put ratio" in printed
     assert re.search(r"reply of 4 +values +saves -?[0-9.]+ ns per dropped envelope",
                      printed)

@@ -741,6 +741,15 @@ def test_engine_record_bytes(topo, kind):
 
 _RECIPE = struct.pack("<QI", 1 << 48, 2) + b"\x01x"  # {u64 fid, u32 length}, recipe
 
+
+def _exec_recipe(fid: int, flags: int) -> bytes:
+    """A recipe item of an ADD into partition 1 over FID 1 << 48 with the
+    given op-byte flags: OP_DEST and, for a continuation, OP_NEXT_CONST,
+    whose constant is the next value of its run's envelope."""
+    recipe = b"\x02" + struct.pack("<BBHIQ", OpKind.ADD | flags, 1, 1, 1, 1 << 48)
+    return struct.pack("<QI", fid, len(recipe)) + recipe
+
+
 # hand-framed records a recovery past LSN 2 must refuse, kind 6 table, 7
 # commit (_commit), 8 remove ({u32 table}, then {u64 row, u64 vseq} per
 # version); kinds 1 to 5 are retired, each case in the layout it had: 1 a
@@ -774,6 +783,11 @@ _MALFORMED = {
     "recipe-overruns-record": [_commit([_row(_row_cells(1 << 48))],
                                        struct.pack("<QI", 1 << 48, 64) + b"\x01")],
     "bytes-past-recipes": [_commit([_row(_row_cells(1 << 48))], _RECIPE + b"x")],
+    "continuation-first": [_commit([_row(_row_cells(1 << 48))],
+                                   _exec_recipe(1 << 48, 0x90))],
+    "continuation-after-no-constant": [_commit(
+        [_row(_row_cells(1 << 48))], _exec_recipe(1 << 48, 0x80)
+        + _exec_recipe((1 << 48) + 1, 0x90))],
     "short-remove": [(8, struct.pack("<IQ", 0, 1))],
     "bytes-past-removals": [(8, struct.pack("<IQQ", 0, 1, 1) + b"x")],
     "short-table": [(6, struct.pack("<II", 1, 0))],
@@ -792,8 +806,9 @@ def test_recovery_refuses_a_malformed_record(topo, case):
     cannot apply: an unknown or retired kind, a table no earlier record
     creates or one created twice, an unknown column type, a commit of no
     row or of a txn that already committed, a row count, cells or recipe
-    that run past the record, or a payload too short or too long for its
-    kind, instead of counting it as replayed or failing on it with another
+    that run past the record, a continuation recipe with no envelope before
+    it in its record, or a payload too short or too long for its kind,
+    instead of counting it as replayed or failing on it with another
     error."""
     db = topo.integrity.db
     table = db.create_table("t", list(SCHEMA))

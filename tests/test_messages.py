@@ -35,6 +35,7 @@ from fidstore.messages import (
     MSG_RESTORE,
     OP_CONST,
     OP_DEST,
+    OP_NEXT_CONST,
     OP_REVEAL,
     QUERY_FLAG,
     QUERY_TEMP_TARGET,
@@ -45,15 +46,18 @@ from fidstore.messages import (
     PrivacyDispatcher,
     ProxyClient,
     _blob,
-    _pack_fid,
+    _pack_fids,
     _read_blobs,
     _read_envelope,
+    _read_envelopes,
+    _read_fids,
     _read_op,
     _read_ops,
+    _read_restore,
     _read_u64,
     _req,
     _split,
-    _write_envelope,
+    _write_envelopes,
     _write_op,
     _writes_temp,
 )
@@ -149,6 +153,11 @@ _MALFORMED = {
     "batch-ends-in-a-partial-element": (lambda topo: _req(
         MSG_EXEC_BATCH, _good_element(topo) + struct.pack("<BB", OpKind.ADD, 1)),
         TypeMismatch),
+    # an element that both carries a constant and continues a run
+    "element-carries-and-continues": (lambda topo: _req(
+        MSG_EXEC_BATCH, _good_element(topo) + struct.pack(
+            "<BBH", OpKind.STORE | OP_CONST | OP_NEXT_CONST, ValueType.INT64, 0)
+        + _blob(topo.client_encrypt(encode_int64(1)))), TypeMismatch),
     # a LOAD element, the reveal, that ends inside its argc operands
     # fails the whole batch, as any element that does not parse
     "one-byte-reveal": (_req(MSG_EXEC_BATCH, _load_head(1) + b"\x01"), TypeMismatch),
@@ -224,7 +233,7 @@ _MALFORMED = {
         MSG_CIPHER_EXEC, _load_head(1) + _zone_envelope(topo))), TypeMismatch),
     "flagged-cipher-exec": (_flagged(lambda topo: _req(MSG_CIPHER_EXEC, _write_op(
         OperatorRequest(OpKind.ADD, ValueType.INT64, [_zone_envelope(topo)] * 2),
-        _write_envelope))), TypeMismatch),
+        _write_envelopes))), TypeMismatch),
     # MSG_RESTORE, refused before anything is stored
     "restore-outside-recovery": (lambda topo: _restore(
         topo.client.create_partition(), [topo.client_encrypt(b"x")]), TypeMismatch),
@@ -665,7 +674,7 @@ def test_restore_reaches_no_further_than_a_crash_could_lose(monkeypatch):
 
 def _one_op(req: OperatorRequest) -> bytes:
     """One operator element's bytes, as the client's batch codec writes it."""
-    return _write_op(req, _pack_fid)
+    return _write_op(req, _pack_fids)
 
 
 def test_flush_reply_is_the_status_byte_alone():
@@ -868,9 +877,10 @@ def test_batch_codec_round_trip(codec):
     zone's decoder reads back unchanged, over every flag combination and
     across message splits; a fid message carries the query id exactly when
     one of its elements writes a temporary, a cipher message never."""
-    kind, write, read = {
-        "fid": (MSG_EXEC_BATCH, _pack_fid, _read_u64),
-        "cipher": (MSG_CIPHER_EXEC, _write_envelope, _read_envelope)}[codec]
+    kind, write, read, read_result = {
+        "fid": (MSG_EXEC_BATCH, _pack_fids, _read_fids, _read_u64),
+        "cipher": (MSG_CIPHER_EXEC, _write_envelopes, _read_envelopes,
+                   _read_envelope)}[codec]
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(elements=_elements(codec), batch_size=st.integers(1, 5))
@@ -890,7 +900,8 @@ def test_batch_codec_round_trip(codec):
 
         client = ProxyClient(Wire())
         query_id = 3 if codec == "fid" else None  # as cipher_exec passes it
-        sent, out = client._batch(kind, query_id, elements, batch_size, write, read)
+        sent, out = client._batch(kind, query_id, elements, batch_size, write,
+                                  read_result)
         assert decoded == elements
         assert [_read_op(e, 0, read)[0] for e in sent] == elements
         assert out == [OperatorResponse(error_code=TypeMismatch.code)] * len(elements)
@@ -913,7 +924,7 @@ def test_an_uncarriable_cipher_operand_fails_alone(topo):
     assert [r.error_code for r in out] == [TypeMismatch.code, 0, TypeMismatch.code]
     assert decode_int64(topo.client_decrypt(out[1].envelope)) == 8
     assert [raw for raw, _ in captured] == [_req(MSG_CIPHER_EXEC, _write_op(
-        good, _write_envelope))]
+        good, _write_envelopes))]
     assert topo.client.cipher_exec(1, [bad], 8) == [
         OperatorResponse(error_code=TypeMismatch.code)]
     assert len(captured) == 1
@@ -1081,7 +1092,7 @@ def test_unflagged_temporary_element_fails_alone(topo):
     partitions, pending = store.partition_ids(), topo.store_wal_buffer.pending_len
     captured = _capture(topo)
     out = topo.client._batch(MSG_EXEC_BATCH, None, elements, 8,
-                             _pack_fid, _read_u64)[1]
+                             _pack_fids, _read_u64)[1]
     assert captured[0][0][0] == MSG_EXEC_BATCH  # no query id
     assert [r.error_code for r in out] == [TypeMismatch.code, 0, 0]
     assert decode_int64(store.get(out[1].fid)) == 40 and out[2].boolean is False
@@ -1437,8 +1448,8 @@ def test_load_sum_and_write_batches_round_trip(elements, batch_size):
             else:
                 reqs.append(OperatorRequest(OpKind.STORE, ValueType.INT64, [], perm,
                                             topo.client_encrypt(encode_int64(element[1]))))
-        write, read = ((_pack_fid, _read_u64) if backend == "fid"
-                       else (_write_envelope, _read_envelope))
+        write, read = ((_pack_fids, _read_fids) if backend == "fid"
+                       else (_write_envelopes, _read_envelopes))
         assert _read_ops(b"".join(_write_op(r, write) for r in reqs), read) == reqs
         out = run(None, reqs, batch_size)
         assert [r.error_code for r in out] == [0] * len(reqs)
@@ -1449,3 +1460,125 @@ def test_load_sum_and_write_batches_round_trip(elements, batch_size):
                         else decode_int64(topo.client_decrypt(reveal(1, r.fid))))
         outcomes.append(seen)
     assert outcomes[0] == outcomes[1]
+
+
+def _run(topo, pid: int, refs: list, deltas: list[int]) -> list[OperatorRequest]:
+    """One txn's writes as they cross: an ADD of each delta over its ref
+    into pid, one run whose envelope, the first element's constant, seals
+    the deltas in order."""
+    envelope = topo.client_seal([encode_int64(d) for d in deltas])
+    return [OperatorRequest(OpKind.ADD, ValueType.INT64, [ref], pid, envelope,
+                            next_const=i > 0) for i, ref in enumerate(refs)]
+
+
+def _permanent_ints(topo, values: list[int]) -> tuple[int, list[int]]:
+    pid = topo.client.create_partition()
+    return pid, topo.client.ingest(1, [topo.client_encrypt(encode_int64(v))
+                                       for v in values], 8, pid)
+
+
+def test_a_run_carries_its_envelope_once(topo):
+    """A run's first element carries OP_CONST and its envelope, which seals
+    the run's values in order; each later element carries OP_NEXT_CONST
+    and no constant byte, and reads back with the same envelope. A run of
+    one is the element a lone constant always gave. The privacy zone opens
+    the run's envelope once."""
+    pid, refs = _permanent_ints(topo, [10, 20, 30])
+    lone = OperatorRequest(OpKind.ADD, ValueType.INT64, refs[:1], pid,
+                           topo.client_encrypt(encode_int64(1)))
+    assert _write_op(lone, _pack_fids) == (
+        struct.pack("<BBHIQ", OpKind.ADD | OP_DEST | OP_CONST, ValueType.INT64, 1, pid,
+                    refs[0]) + _blob(lone.constant))
+    run = _run(topo, pid, refs, [1, 2, 3])
+    elements = [_write_op(r, _pack_fids) for r in run]
+    assert elements[0] == (struct.pack("<BBHIQ", OpKind.ADD | OP_DEST | OP_CONST,
+                                       ValueType.INT64, 1, pid, refs[0])
+                           + _blob(run[0].constant))
+    assert elements[1:] == [struct.pack("<BBHIQ", OpKind.ADD | OP_DEST | OP_NEXT_CONST,
+                                        ValueType.INT64, 1, pid, ref)
+                            for ref in refs[1:]]
+    assert len(run[0].constant) == ENVELOPE_OVERHEAD + 3 * 8 + 2 * 2
+    assert _read_ops(b"".join(elements), _read_fids) == run
+    codec = topo.privacy.proxy.client_codec
+    decrypts = codec.decrypts
+    out = topo.client.exec_writes(None, run, 8)
+    assert codec.decrypts == decrypts + 1
+    store = topo.privacy.store
+    assert [decode_int64(store.get(resp.fid)) for resp, _ in out] == [11, 22, 33]
+    assert [recipe for _, recipe in out] == [RECIPE_EXEC + e for e in elements]
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+def test_a_bad_envelope_fails_its_whole_run(topo, backend):
+    """A run whose envelope fails its tag fails every element of its run
+    with AuthFailure, and one whose envelope seals too few values fails
+    each with TypeMismatch, while the other runs of the batch run."""
+    pid, refs = _permanent_ints(topo, [10, 20, 30, 40, 50])
+    if backend == "cipher":
+        refs = topo.client.cipher_ingest(
+            1, [topo.client_encrypt(encode_int64(v)) for v in (10, 20, 30, 40, 50)], 8)
+    bad, good = _run(topo, pid, refs[:2], [1, 2]), _run(topo, pid, refs[2:3], [3])
+    flipped = bad[0].constant[:-1] + bytes([bad[0].constant[-1] ^ 1])
+    for r in bad:
+        r.constant = flipped
+    short = _run(topo, pid, refs[3:], [4])  # two elements, one value
+    call = topo.client.exec_batch if backend == "fid" else topo.client.cipher_exec
+    out = call(None, bad + good + short, 8)
+    assert [r.error_code for r in out] == [AuthFailure.code] * 2 + [0] + [
+        TypeMismatch.code] * 2
+
+
+def test_a_message_never_splits_a_run(topo):
+    """batch_size elements a message, except that a message runs on to the
+    last element of a run it holds: its continuations could not be read
+    apart from their envelope."""
+    pid, refs = _permanent_ints(topo, [10, 20, 30, 40])
+    lone = _run(topo, pid, refs[:1], [1])
+    reqs = lone + _run(topo, pid, refs[1:3], [2, 3]) + _run(topo, pid, refs[3:], [4])
+    captured = _capture(topo)
+    out = topo.client.exec_batch(None, reqs, 2)
+    assert [r.error_code for r in out] == [0] * 4
+    sizes = [len(_read_ops(_split(raw)[2], _read_fids)) for raw, _ in captured]
+    assert sizes == [3, 1]
+    store = topo.privacy.store
+    assert [decode_int64(store.get(r.fid)) for r in out] == [11, 22, 33, 44]
+
+
+def test_a_continuation_with_no_run_fails_alone(topo):
+    """A continuation whose element before it in its message carries no
+    constant fails alone with TypeMismatch: the client does not send it,
+    and the privacy zone refuses one that comes first in its message."""
+    pid, refs = _permanent_ints(topo, [10, 20])
+    run = _run(topo, pid, refs, [1, 2])
+    plain = OperatorRequest(OpKind.ADD, ValueType.INT64, refs, pid)
+    captured = _capture(topo)
+    out = topo.client.exec_batch(None, [plain, run[1]], 8)
+    assert [r.error_code for r in out] == [0, TypeMismatch.code]
+    assert len(_read_ops(_split(captured[0][0])[2], _read_fids)) == 1
+    reply = topo.channel.request(_req(MSG_EXEC_BATCH, _write_op(run[1], _pack_fids)
+                                      + _write_op(plain, _pack_fids)))
+    assert reply[:3] == bytes([0, TypeMismatch.code, 0])
+
+
+def test_a_restore_message_holds_whole_runs(topo):
+    """MSG_RESTORE items go batch_size a message, but a message runs on to
+    the last continuation of a run it holds, an ingest recipe between
+    them included, so each continuation crosses with its run's envelope
+    and is restored as its next value; a continuation with no head before
+    it is refused before anything is sent."""
+    pid, refs = _permanent_ints(topo, [10, 20])
+    topo.client.flush_log(checkpoint=True)  # the operands survive the crash
+    envelope = topo.client_encrypt(encode_int64(7))
+    (fid,) = topo.client.ingest(1, [envelope], 1, pid)
+    written = topo.client.exec_writes(None, _run(topo, pid, refs, [1, 2]), 8)
+    (a, head), (b, continuation) = [(resp.fid, recipe) for resp, recipe in written]
+    items = [(a, head), (fid, RECIPE_INGEST + envelope), (b, continuation)]
+    topo.privacy.crash()
+    topo.privacy.recover()
+    with pytest.raises(TypeMismatch):
+        topo.client.restore(items[2:], 1)
+    captured = _capture(topo)
+    assert topo.client.restore(items, 1) == 3
+    assert [len(_read_restore(_split(raw)[2])) for raw, _ in captured] == [3]
+    store = topo.privacy.store
+    assert [decode_int64(store.get(f)) for f in (a, fid, b)] == [11, 7, 22]

@@ -16,20 +16,25 @@ from fidstore.messages import (
     MSG_FLUSH_LOG,
     MSG_INGEST,
     MSG_LIST_LIVE,
-    _pack_fid,
+    _pack_fids,
     _read_envelope,
+    _read_envelopes,
+    _read_fids,
     _read_ops,
     _read_u64,
     _split,
-    _write_envelope,
+    _write_envelopes,
     _write_op,
 )
+from fidstore.integrity_dbms import Database
 from fidstore.privacy_proxy import ENVELOPE_OVERHEAD, OpKind
 from fidstore.workload import Mode, WorkloadSpec, generate_workload
 from fidstore.zone_sim import ZoneTopology
 
-_OPERANDS = {MSG_EXEC_BATCH: (_pack_fid, _read_u64),
-             MSG_CIPHER_EXEC: (_write_envelope, _read_envelope)}
+# per operator kind: an element's operands' writer and reader, and a
+# value result's reader
+_OPERANDS = {MSG_EXEC_BATCH: (_pack_fids, _read_fids, _read_u64),
+             MSG_CIPHER_EXEC: (_write_envelopes, _read_envelopes, _read_envelope)}
 
 # (mode, backend) -> {kind: (requests, request bytes, response bytes)} over
 # seed 3's program of 2 tables x 30 rows, 40 ops and 2 clients at batch 16,
@@ -69,6 +74,12 @@ _OPERANDS = {MSG_EXEC_BATCH: (_pack_fid, _read_u64),
 # (34), each 1 kind byte and 1 status byte, since a group's elements and
 # its reply's results are those its members' batches carried. Every other
 # count is as before.
+# The constants of a txn's writes that cross together then came to share
+# one client envelope, carried by the run's first element: each of the 34
+# continuations in write-only drops its u32 length and its envelope's 28
+# bytes of nonce and tag, and the head's envelope gains its 2-byte inner
+# length, 30 bytes fewer each (8 420 and 9 176 request bytes before).
+# Read-write's txns write once and keep every count.
 _PINNED = {
     (Mode.READ_WRITE, "fid"): {
         MSG_CREATE_PARTITION: (2, 2, 10), MSG_INGEST: (8, 12040, 968),
@@ -81,11 +92,11 @@ _PINNED = {
         MSG_FLUSH_LOG: (3, 4, 3)},
     (Mode.WRITE_ONLY, "fid"): {
         MSG_CREATE_PARTITION: (2, 2, 10), MSG_INGEST: (8, 12040, 968),
-        MSG_EXEC_BATCH: (20, 8420, 700), MSG_FLUSH_LOG: (6, 8, 6),
+        MSG_EXEC_BATCH: (20, 7400, 700), MSG_FLUSH_LOG: (6, 8, 6),
         MSG_DELETE: (5, 549, 73), MSG_LIST_LIVE: (4, 20, 1924)},
     (Mode.WRITE_ONLY, "cipher"): {
         MSG_CREATE_PARTITION: (2, 2, 10), MSG_CIPHER_INGEST: (8, 12008, 12008),
-        MSG_CIPHER_EXEC: (20, 9176, 7688), MSG_FLUSH_LOG: (3, 4, 3)},
+        MSG_CIPHER_EXEC: (20, 8156, 7688), MSG_FLUSH_LOG: (3, 4, 3)},
     (Mode.RANGE_SELECT, "fid"): {
         MSG_CREATE_PARTITION: (2, 2, 10), MSG_INGEST: (8, 12040, 968),
         MSG_EXEC_BATCH: (20, 3380, 1020), MSG_FLUSH_LOG: (2, 2, 2),
@@ -137,14 +148,14 @@ def test_a_program_sends_no_byte_its_receiver_knows(mode, backend):
         n = 0  # the values the reply's envelope seals, after head bytes
         head = 1
         if kind in _OPERANDS:
-            write, read = _OPERANDS[kind]
+            write, read, read_result = _OPERANDS[kind]
             ops = _read_ops(payload, read)
             assert b"".join(_write_op(op, write) for op in ops) == payload
             for op in ops:  # none fails: its status, its result kind, a value
                 assert resp[head:head + 2] == bytes([0, 2 if op.reveal else 0])
                 head += 2
                 if not op.reveal:
-                    _, head = read(resp, head, op.value_type)
+                    _, head = read_result(resp, head, op.value_type)
             n = sum(op.n_revealed for op in ops)
             revealed += sum(op.n_revealed for op in ops if op.op == OpKind.LOAD)
             # a commit's writes, with the reveals that ride after them
@@ -170,3 +181,44 @@ def test_a_program_sends_no_byte_its_receiver_knows(mode, backend):
     assert revealed == (80 if mode == Mode.READ_WRITE else 0)
     assert (riders > 0) == (mode == Mode.READ_WRITE)
     assert topo.privacy.proxy.client_codec.encrypts == encrypts
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+@pytest.mark.parametrize("mode", [Mode.WRITE_ONLY, Mode.READ_WRITE],
+                         ids=lambda m: m.value)
+def test_no_message_carries_two_envelopes_of_one_txn(mode, backend, monkeypatch):
+    """The client seals a txn's held constants in one envelope each time
+    its writes cross (Database.supply_constants). Each such envelope
+    crosses once, carried by the first element of its run, and no operator
+    message carries two envelopes of one txn; every continuation reads as
+    the next value of the envelope before it. Write-only txns cross two
+    constants at once, read-write ones one."""
+    spec = WorkloadSpec(mode=mode, tables=2, rows_per_table=30, duration_ops=40,
+                        threads_simulated=2, batch_size=16, abort_ratio=0.1)
+    topo = ZoneTopology(3, backend=backend, batch_size=spec.batch_size)
+    owner = {}  # each supplied envelope -> the txn it seals constants of
+    supply = Database.supply_constants
+
+    def recorded(db, txn, envelope):
+        owner[envelope] = txn.txn_id
+        supply(db, txn, envelope)
+
+    monkeypatch.setattr(Database, "supply_constants", recorded)
+    captured = _capture(topo)
+    assert topo.run_program(generate_workload(spec, 3)).invariant_holds
+    carried = []
+    continued = 0
+    for raw, _ in captured:
+        kind, _, payload = _split(raw)
+        if kind not in _OPERANDS:
+            continue
+        ops = _read_ops(payload, _OPERANDS[kind][1])
+        heads = [owner[op.constant] for op in ops
+                 if op.constant is not None and not op.next_const]
+        assert len(heads) == len(set(heads))
+        carried += [op.constant for op in ops if op.constant is not None
+                    and not op.next_const]
+        assert all(op.constant in owner for op in ops if op.next_const)
+        continued += sum(op.next_const for op in ops)
+    assert sorted(carried) == sorted(owner)
+    assert (continued > 0) == (mode == Mode.WRITE_ONLY)

@@ -862,6 +862,7 @@ def test_a_write_only_txn_crosses_once_at_its_commit(backend):
     for statement in writes:
         runner._execute(db, tables, txn, statement)
     assert not kinds
+    runner._seal(db, txn)
     db.commit(txn)
     sent = Counter({_EXEC_KIND[backend]: 1, _INGEST_KIND[backend]: 1})
     assert kinds == sent
@@ -869,13 +870,14 @@ def test_a_write_only_txn_crosses_once_at_its_commit(backend):
     aborted = db.begin()
     for statement in writes[:2] + [(INSERT, 0, (8,) + _ROW_7[1:])]:
         runner._execute(db, tables, aborted, statement)
-    db.abort(aborted)
+    runner._abort(db, aborted)
     first, second = db.begin(), db.begin()
     runner._execute(db, tables, first, (ADD, 0, "k", 4, 1))
     with pytest.raises(WriteConflict):
         runner._execute(db, tables, second, (ADD, 0, "k", 4, 2))
-    db.abort(second)
+    runner._abort(db, second)
     assert kinds == sent and _permanent_mapping(topo) == live
+    runner._seal(db, first)
     db.commit(first)
     assert kinds == sent + Counter({_EXEC_KIND[backend]: 1})
     assert topo.check_invariant().holds
@@ -937,9 +939,9 @@ def _elements(raw: bytes) -> list:
     """An operator batch's elements, [] for any other kind of request."""
     kind, _, payload = m._split(raw)
     if kind == m.MSG_EXEC_BATCH:
-        return m._read_ops(payload, m._read_u64)
+        return m._read_ops(payload, m._read_fids)
     if kind == m.MSG_CIPHER_EXEC:
-        return m._read_ops(payload, m._read_envelope)
+        return m._read_ops(payload, m._read_envelopes)
     return []
 
 
@@ -1424,6 +1426,8 @@ def test_a_failed_member_leaves_its_group_committing(backend):
     for statement in [(SET, 0, "c", 3, b"never"), (ADD, 0, "k", 1, 1)]:
         runner._execute(db, tables, bad, statement)
     kinds = _count_kinds(topo)
+    runner._seal(db, good)
+    runner._seal(db, bad)
     db.send_writes(good, bad)
     assert kinds == Counter({_EXEC_KIND[backend]: 1, _INGEST_KIND[backend]: 1})
     assert isinstance(bad.failure, Overflow) and good.failure is None
@@ -1458,7 +1462,9 @@ def test_a_crash_across_a_group_of_four_commits(at, target, monkeypatch):
     one at the crash of both, and all four when the privacy zone alone
     crashes, since the engine's syncs then still run. A privacy crash
     inside the crossing leaves the four queued txns active, and the runner
-    aborts and counts them."""
+    aborts and counts them. The report names the write the crash preceded,
+    a privacy-only crash at an integrity write too, though no request
+    failed then."""
     monkeypatch.setattr(wal, "MAX_UNSYNCED_PUTS", wal.MAX_UNSYNCED_PUTS)
     adds = [(ADD, 0, "k", key, 10 * key) for key in range(1, 5)]
     topo, runner = _four_clients("fid", [TxnTemplate([s], False) for s in adds])
@@ -1479,7 +1485,7 @@ def test_a_crash_across_a_group_of_four_commits(at, target, monkeypatch):
     report = runner.run()
     quiet = at != "crossing" and target == CrashTarget.PRIVACY  # no request failed
     assert topo.fired is not None
-    assert report.crashed_at == (None if quiet else topo.fired.label)
+    assert report.crashed_at == topo.fired.label
     synced = 4 if quiet else 0 if at == "crossing" else at - 1
     assert report.txns_committed == synced
     if at == "crossing" and target == CrashTarget.PRIVACY:
@@ -1490,6 +1496,94 @@ def test_a_crash_across_a_group_of_four_commits(at, target, monkeypatch):
     assert _visible_rows(topo) == [_rows_after(runner.program, adds[:synced])]
     topo.integrity.db.orphan_gc()
     assert topo.check_invariant().orphans == 0
+
+
+# Three ADD+SET txns run by 4 clients: the third's last ADD writes the row
+# its first wrote, so its first two writes cross early, as a run of their
+# own, and the group's crossing carries three runs: [ADD 1, SET 2], [ADD 3,
+# SET 4] and [ADD 5] after the early run [ADD 5, SET 6].
+_POOLED_GROUP = [TxnTemplate([(ADD, 0, "k", 1, 5), (SET, 0, "c", 2, b"two")], False),
+                 TxnTemplate([(ADD, 0, "k", 3, -4), (SET, 0, "c", 4, b"four")], False),
+                 TxnTemplate([(ADD, 0, "k", 5, 7), (SET, 0, "c", 6, b"six"),
+                              (ADD, 0, "k", 5, 1)], False)]
+
+
+def _pooled_group_crashed(target, before: list):
+    """Runs _POOLED_GROUP, batch 32, with a crash of target right after the
+    group's last DB_COMMIT sync, at the privacy checkpoint that vacuum then
+    opens with: so the privacy zone loses every secret the preload and the
+    group wrote, and one MSG_RESTORE carries all their recipes. Appends the
+    row states just before the crash to before; returns the topology, the
+    runner and the run's report."""
+    topo, runner = _four_clients("fid", _POOLED_GROUP, batch_size=32)
+    preload = runner._preload
+
+    def preload_then_arm(db):
+        tables = preload(db)
+        crash_at(topo, commit_sync, nth=3, after=True, target=target,
+                 before=lambda: before.append(row_states(topo)))
+        return tables
+
+    runner._preload = preload_then_arm
+    return topo, runner, runner.run()
+
+
+@pytest.mark.parametrize("target", [CrashTarget.PRIVACY, CrashTarget.BOTH],
+                         ids=lambda t: t.value)
+def test_pooled_recipes_restore_every_lost_value(target):
+    """Each run's recipes hold its envelope once, with its first element;
+    a continuation's recipe is its element alone. After a crash of target
+    right after the group's DB_COMMIT syncs, the restore writes the value
+    of every lost FID again from its run's envelope, one decrypt a run: no
+    value is lost, and the rows are the oracle's."""
+    before = []
+    topo, runner, report = _pooled_group_crashed(target, before)
+    assert report.crashed_at == topo.fired.label and report.txns_committed == 3
+    db = topo.integrity.db
+    recipes = list(db.recipes.values())[-7:]  # the group's, after the preload's
+    flags = [recipe[1] & (m.OP_CONST | m.OP_NEXT_CONST) for recipe in recipes]
+    assert flags == [m.OP_CONST, m.OP_NEXT_CONST] * 3 + [m.OP_CONST]
+    restored = []
+    restore = topo.client.restore
+
+    def recorded(items, batch_size):
+        restored.append(restore(items, batch_size))
+        return restored[-1]
+
+    topo.client.restore = recorded
+    codecs = []  # the recovered proxy's client codec
+    recover = topo.privacy.recover
+
+    def recover_then_keep_codec():
+        replayed = recover()
+        codecs.append(topo.privacy.proxy.client_codec)
+        return replayed
+
+    topo.privacy.recover = recover_then_keep_codec
+    assert topo.recover_all().invariant.holds
+    # the preload's 12 ingests, and the group's 7 writes in 4 runs
+    assert restored == [12 + 7] and codecs[0].decrypts == 12 + 4
+    assert lost_values(before[0], topo) == 0
+    writes = [s for t in _POOLED_GROUP for s in t.statements]
+    assert _visible_rows(topo) == [_rows_after(runner.program, writes)]
+
+
+def test_a_flipped_byte_in_a_pooled_envelope_fails_the_restore():
+    """A pooled envelope whose byte flipped fails its tag: the restore
+    raises AuthFailure before it stores any FID, those of the runs before
+    it included."""
+    topo, _, _ = _pooled_group_crashed(CrashTarget.PRIVACY, [])
+    db = topo.integrity.db
+    (fid, recipe), (_, continuation) = list(db.recipes.items())[-3:-1]
+    assert recipe[1] & m.OP_CONST and continuation[1] & m.OP_NEXT_CONST
+    db.recipes[fid] = recipe[:-1] + bytes([recipe[-1] ^ 1])
+    topo.privacy.recover()
+    store, pid = topo.privacy.store, db.tables_by_idx[0].partition_id
+    live = store.live_fids(pid)
+    assert not set(db.recipes) <= set(live)
+    with pytest.raises(AuthFailure):
+        db.restore_recipes()
+    assert store.live_fids(pid) == live
 
 
 # The txn-phase round trips (from the end of the preload to the first
@@ -1529,6 +1623,53 @@ def test_pinned_txn_phase_round_trips_of_four_clients(mode, backend):
     assert marks[1] - marks[0] == _PINNED_TXN_ROUND_TRIPS[mode]
 
 
+# The same program in write-only mode: its txn phase's client-constant
+# decrypts, one per (txn, crossing) pair whose writes carry a constant; 66,
+# one per constant, when each constant had an envelope of its own.
+_PINNED_CONSTANT_OPENS = 33
+
+
+@pytest.mark.parametrize("backend", ["fid", "cipher"])
+def test_a_txns_constants_cost_one_decrypt_per_crossing(backend):
+    """In the txn phase of seed 3's small write-only program run by 4
+    clients, each txn's ADD deltas and SET values that cross together are
+    opened by one client-constant decrypt: the decrypts equal the (txn,
+    crossing) pairs that carry a constant, fewer than the constants, and
+    both are pinned."""
+    spec = _small_spec(mode=Mode.WRITE_ONLY, threads_simulated=4)
+    program = generate_workload(spec, 3)
+    topo = ZoneTopology(3, backend=backend, batch_size=spec.batch_size)
+    runner = _Runner(topo, program)
+    codec = topo.privacy.proxy.client_codec
+    marks, pairs = [], []
+    preload, db = runner._preload, topo.integrity.db
+    vacuum, send_writes = db.vacuum, db.send_writes
+
+    def preload_then_mark(db):
+        tables = preload(db)
+        marks.append(codec.decrypts)
+        return tables
+
+    def mark_then_vacuum(table):
+        if len(marks) == 1:
+            marks.append(codec.decrypts)
+        return vacuum(table)
+
+    def counted_send(*txns, riders=None):
+        for txn in txns:
+            constants = sum(isinstance(w, OperatorRequest) and w.constant is not None
+                            for _, w in txn.writes)
+            if constants and txn.failure is None:
+                pairs.append(constants)
+        return send_writes(*txns, riders=riders)
+
+    runner._preload, db.vacuum, db.send_writes = (preload_then_mark, mark_then_vacuum,
+                                                  counted_send)
+    report = runner.run()
+    assert report.invariant_holds and report.txns_committed
+    assert marks[1] - marks[0] == len(pairs) == _PINNED_CONSTANT_OPENS < sum(pairs)
+
+
 @pytest.mark.parametrize("backend", ["fid", "cipher"])
 def test_a_txn_that_writes_a_row_twice_matches_the_oracle(backend):
     """Txns that write one row twice or more, commit or abort, give the
@@ -1566,6 +1707,7 @@ def test_a_privacy_crash_while_a_txn_holds_only_pending_writes(backend):
     committed = [(ADD, 0, "k", 1, 1)]
     txn = db.begin()
     runner._execute(db, tables, txn, committed[0])
+    runner._seal(db, txn)
     db.commit(txn)
     pending = [(ADD, 0, "k", 1, 5), (INSERT, 0, _ROW_7), (SET, 0, "c", 2, b"after")]
     txn = db.begin()
@@ -1576,6 +1718,7 @@ def test_a_privacy_crash_while_a_txn_holds_only_pending_writes(backend):
     report = topo.recover_all()
     assert report.invariant.holds
     assert txn.state.name == "ACTIVE"
+    runner._seal(db, txn)
     db.commit(txn)
     invariant = topo.check_invariant()
     assert invariant.holds and invariant.orphans == 0
@@ -1597,9 +1740,11 @@ def test_a_write_batch_with_a_failing_element_journals_nothing():
     bad[-1] ^= 1
     txn = db.begin()
     runner._execute(db, tables, txn, (ADD, 0, "k", 1, 5))
+    runner._seal(db, txn)  # held constants cross as a run right after its head
     db.update_row(txn, table, 2, {"c": OperatorRequest(
         OpKind.STORE, ValueType.BYTES, [], table.partition_id, bytes(bad))})
     runner._execute(db, tables, txn, (ADD, 0, "k", 3, 1))
+    runner._seal(db, txn)
     journal, live = db.dbwal.durable_len, set(store.live_fids(table.partition_id))
     with pytest.raises(AuthFailure):
         db.commit(txn)
@@ -1622,6 +1767,7 @@ def test_a_store_recipe_is_restored_after_a_privacy_crash():
     tables = runner._preload(db)
     txn = db.begin()
     runner._execute(db, tables, txn, (SET, 0, "c", 2, b"stored"))
+    runner._seal(db, txn)
     db.commit(txn)
     fid, recipe = list(db.recipes.items())[-1]  # after the preload's
     assert recipe[:1] == m.RECIPE_EXEC and recipe[1] & 0x1F == OpKind.STORE
@@ -1884,6 +2030,12 @@ def test_trace_jsonl_dump_parses():
 # as well; on fid a group's FidObserved events follow its one reply, so
 # they move up with it. read-only, point-select and range-select commit
 # no write and keep their hashes.
+# Two were re-pinned when a txn's constants that cross together came to
+# share one client envelope: only the MsgBytes of the write batches moved,
+# 30 bytes fewer per continuation (its 4-byte length and 28-byte envelope
+# overhead, less the head's 2-byte inner length): 20 batches in write-only
+# and 19 in write-only-zipfian, every other event as before, in order. The
+# other modes cross no txn's two constants at once and keep their hashes.
 _B = 1 << 40
 _PINNED_TRACE = {
     "fid": (Mode.READ_WRITE, Distribution.UNIFORM, "fid", 1233,
@@ -1897,7 +2049,7 @@ _PINNED_TRACE = {
                   "a0c9e60a9b324b61961fa95de55438b3485a4c08ae130add376de53c74dd1a5a",
                   []),
     "write-only": (Mode.WRITE_ONLY, Distribution.UNIFORM, "fid", 1139,
-                   "35d933d8e713c757178a74096fd86432e416b2be2bfea3f6aece4d634485a1f7",
+                   "e04a1e6f40c60df1f8306898be6c44c337b8ba5cd5540f36cfe302b47c1b124a",
                    [("BlockWrite", _B), ("BlockWrite", _B | 3 << 32 | 1),
                     ("BlockWrite", _B), ("BlockWrite", _B | 3 << 32),
                     ("BlockDrop", 0), ("BlockDrop", 3 << 32), ("BlockDrop", 3 << 32 | 1),
@@ -1905,7 +2057,7 @@ _PINNED_TRACE = {
                     ("BlockDrop", _B | 3 << 32 | 1)]),
     "write-only-zipfian": (
         Mode.WRITE_ONLY, Distribution.ZIPFIAN, "fid", 1193,
-        "25c4d5a863b2c38efa24904e17ab228a2438d4b60a9f386316a9ab6a280b2cf9",
+        "6cfaec3d1600f2a2b4514f5cf2c5079acf9006c635c1a70d3f2cf0a0e98e0c39",
         [("BlockWrite", 3 << 32 | 1), ("BlockWrite", _B), ("BlockWrite", _B | 3 << 32),
          ("BlockDrop", 0), ("BlockDrop", 3 << 32), ("BlockDrop", 3 << 32 | 1),
          ("BlockDrop", _B), ("BlockDrop", _B | 3 << 32), ("BlockDrop", _B | 3 << 32 | 1)]),
